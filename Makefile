@@ -3,7 +3,7 @@
 GO ?= go
 NPBLINT := bin/npblint
 
-.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bench bench-json perf suite suite-obs suite-trace soak schedule-check counters-check profile-check tables clean
+.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace soak schedule-check counters-check profile-check tables clean
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,33 @@ escape-check:
 
 escape-baseline:
 	$(GO) run ./cmd/npbescape -update escape_baseline.jsonl
+
+# Bounds-check discipline for the solver inner loops: count the bounds
+# checks the compiler could not eliminate (go build
+# -gcflags=-d=ssa/check_bce) per file of the pseudo-application packages
+# and compare with the committed bce_baseline.txt ("file count" lines).
+# A file with more checks than its baseline fails; after removing
+# checks, lock the improvement in with bce-baseline. The counts belong
+# to the Go toolchain that produced them: regenerate the baseline when
+# the toolchain changes. The build cache replays compiler diagnostics,
+# so repeated runs are fast.
+BCE_PKGS := ./internal/bt ./internal/lu ./internal/sp ./internal/nscore
+BCE_REPORT = $(GO) build -gcflags=-d=ssa/check_bce $(BCE_PKGS) 2>&1 \
+	| grep -E 'Found Is(Slice)?InBounds' | cut -d: -f1 | sort | uniq -c | awk '{print $$2, $$1}'
+
+bce-check:
+	@$(GO) build $(BCE_PKGS)
+	@$(BCE_REPORT) | awk ' \
+		NR == FNR { base[$$1] = $$2; next } \
+		$$2 > base[$$1] + 0 { printf "bce-check: MORE BOUNDS CHECKS %s: %d, baseline %d\n", $$1, $$2, base[$$1]; bad = 1 } \
+		$$2 < base[$$1] + 0 { printf "bce-check: improved: %s: %d, baseline %d; refresh with make bce-baseline\n", $$1, $$2, base[$$1] } \
+		{ total += $$2 } \
+		END { if (bad) exit 1; printf "bce-check: %d bounds checks, none above bce_baseline.txt\n", total }' \
+		bce_baseline.txt -
+
+bce-baseline:
+	$(GO) build $(BCE_PKGS)
+	$(BCE_REPORT) > bce_baseline.txt
 
 # Race detection on short classes; the robustness-critical packages get
 # a dedicated -race pass even under -short.

@@ -95,9 +95,8 @@ func TestBinvcrhsSolvesSystem(t *testing.T) {
 	// original B. Verify by multiplying back.
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		b0 := make([]float64, 25)
-		c0 := make([]float64, 25)
-		r0 := make([]float64, 5)
+		var b0, c0 [25]float64
+		var r0 [5]float64
 		for i := range b0 {
 			b0[i] = rng.Float64() - 0.5
 		}
@@ -110,10 +109,8 @@ func TestBinvcrhsSolvesSystem(t *testing.T) {
 		for i := range r0 {
 			r0[i] = rng.Float64() - 0.5
 		}
-		bw := append([]float64(nil), b0...)
-		cw := append([]float64(nil), c0...)
-		rw := append([]float64(nil), r0...)
-		binvcrhs(bw, cw, rw)
+		bw, cw, rw := b0, c0, r0
+		binvcrhs(&bw, &cw, &rw)
 		// Check B*cw == c0 and B*rw == r0.
 		for n := 0; n < 5; n++ {
 			for m := 0; m < 5; m++ {
@@ -139,16 +136,14 @@ func TestBinvcrhsSolvesSystem(t *testing.T) {
 }
 
 func TestMatmulMatvecSub(t *testing.T) {
-	a := make([]float64, 25)
-	bb := make([]float64, 25)
-	c := make([]float64, 25)
+	var a, bb, c [25]float64
 	for i := range a {
 		a[i] = float64(i%7) * 0.25
 		bb[i] = float64(i%5) * 0.5
 		c[i] = 1.0
 	}
-	cRef := append([]float64(nil), c...)
-	matmulSub(a, bb, c)
+	cRef := c
+	matmulSub(&a, &bb, &c)
 	for n := 0; n < 5; n++ {
 		for m := 0; m < 5; m++ {
 			want := cRef[m+5*n]
@@ -160,10 +155,10 @@ func TestMatmulMatvecSub(t *testing.T) {
 			}
 		}
 	}
-	r1 := []float64{1, 2, 3, 4, 5}
-	r2 := []float64{5, 4, 3, 2, 1}
-	r2Ref := append([]float64(nil), r2...)
-	matvecSub(a, r1, r2)
+	r1 := [5]float64{1, 2, 3, 4, 5}
+	r2 := [5]float64{5, 4, 3, 2, 1}
+	r2Ref := r2
+	matvecSub(&a, &r1, &r2)
 	for m := 0; m < 5; m++ {
 		want := r2Ref[m]
 		for q := 0; q < 5; q++ {
@@ -172,6 +167,135 @@ func TestMatmulMatvecSub(t *testing.T) {
 		if math.Abs(r2[m]-want) > 1e-14 {
 			t.Fatalf("matvecSub %d: %v vs %v", m, r2[m], want)
 		}
+	}
+}
+
+// The loop forms of the four block primitives, as they stood before
+// blocks.go wrote them out in full: the reference the unrolled kernels
+// must match bit for bit.
+
+func refBinvcrhs(blk, c, r []float64) {
+	for p := 0; p < 5; p++ {
+		pivot := 1.0 / blk[p+5*p]
+		for n := p + 1; n < 5; n++ {
+			blk[p+5*n] *= pivot
+		}
+		for n := 0; n < 5; n++ {
+			c[p+5*n] *= pivot
+		}
+		r[p] *= pivot
+		for q := 0; q < 5; q++ {
+			if q == p {
+				continue
+			}
+			coeff := blk[q+5*p]
+			for n := p + 1; n < 5; n++ {
+				blk[q+5*n] -= coeff * blk[p+5*n]
+			}
+			for n := 0; n < 5; n++ {
+				c[q+5*n] -= coeff * c[p+5*n]
+			}
+			r[q] -= coeff * r[p]
+		}
+	}
+}
+
+func refBinvrhs(blk, r []float64) {
+	for p := 0; p < 5; p++ {
+		pivot := 1.0 / blk[p+5*p]
+		for n := p + 1; n < 5; n++ {
+			blk[p+5*n] *= pivot
+		}
+		r[p] *= pivot
+		for q := 0; q < 5; q++ {
+			if q == p {
+				continue
+			}
+			coeff := blk[q+5*p]
+			for n := p + 1; n < 5; n++ {
+				blk[q+5*n] -= coeff * blk[p+5*n]
+			}
+			r[q] -= coeff * r[p]
+		}
+	}
+}
+
+func refMatvecSub(a, r1, r2 []float64) {
+	for m := 0; m < 5; m++ {
+		r2[m] -= a[m+0]*r1[0] + a[m+5]*r1[1] + a[m+10]*r1[2] +
+			a[m+15]*r1[3] + a[m+20]*r1[4]
+	}
+}
+
+func refMatmulSub(a, bblk, c []float64) {
+	for n := 0; n < 5; n++ {
+		b0 := bblk[0+5*n]
+		b1 := bblk[1+5*n]
+		b2 := bblk[2+5*n]
+		b3 := bblk[3+5*n]
+		b4 := bblk[4+5*n]
+		for m := 0; m < 5; m++ {
+			c[m+5*n] -= a[m+0]*b0 + a[m+5]*b1 + a[m+10]*b2 +
+				a[m+15]*b3 + a[m+20]*b4
+		}
+	}
+}
+
+// TestUnrolledPrimitivesBitIdenticalToLoops runs the unrolled kernels
+// and the loop reference on 1,000 seeded random diagonally dominant
+// blocks and demands identical bits: unrolling kept every operation and
+// its order, which is what keeps BT's verification values unchanged.
+func TestUnrolledPrimitivesBitIdenticalToLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(2003))
+	fill := func(v []float64) {
+		for i := range v {
+			v[i] = rng.Float64() - 0.5
+		}
+	}
+	same := func(trial int, name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: %s[%d] = %v, loop reference %v", trial, name, i, got[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 1000; trial++ {
+		var blk, c, a [25]float64
+		var r, r1 [5]float64
+		fill(blk[:])
+		fill(c[:])
+		fill(a[:])
+		fill(r[:])
+		fill(r1[:])
+		for d := 0; d < 5; d++ {
+			blk[d+5*d] += 4.0
+		}
+
+		gb, gc, gr := blk, c, r
+		wb, wc, wr := blk, c, r
+		binvcrhs(&gb, &gc, &gr)
+		refBinvcrhs(wb[:], wc[:], wr[:])
+		same(trial, "binvcrhs blk", gb[:], wb[:])
+		same(trial, "binvcrhs c", gc[:], wc[:])
+		same(trial, "binvcrhs r", gr[:], wr[:])
+
+		gb, gr = blk, r
+		wb, wr = blk, r
+		binvrhs(&gb, &gr)
+		refBinvrhs(wb[:], wr[:])
+		same(trial, "binvrhs blk", gb[:], wb[:])
+		same(trial, "binvrhs r", gr[:], wr[:])
+
+		gc, wc = c, c
+		matmulSub(&a, &blk, &gc)
+		refMatmulSub(a[:], blk[:], wc[:])
+		same(trial, "matmulSub", gc[:], wc[:])
+
+		gr, wr = r, r
+		matvecSub(&a, &r1, &gr)
+		refMatvecSub(a[:], r1[:], wr[:])
+		same(trial, "matvecSub", gr[:], wr[:])
 	}
 }
 
@@ -190,12 +314,12 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 		ls.lhsinit(cells - 1)
 		for l := 1; l < cells-1; l++ {
 			for e := 0; e < 25; e++ {
-				blk(ls.aa, l)[e] = 0.2 * (rng.Float64() - 0.5)
-				blk(ls.bb, l)[e] = 0.2 * (rng.Float64() - 0.5)
-				blk(ls.cc, l)[e] = 0.2 * (rng.Float64() - 0.5)
+				ls.aa[l][e] = 0.2 * (rng.Float64() - 0.5)
+				ls.bb[l][e] = 0.2 * (rng.Float64() - 0.5)
+				ls.cc[l][e] = 0.2 * (rng.Float64() - 0.5)
 			}
 			for d := 0; d < 5; d++ {
-				blk(ls.bb, l)[d+5*d] += 3.0
+				ls.bb[l][d+5*d] += 3.0
 			}
 		}
 		rhs := make([]float64, dim)
@@ -211,11 +335,11 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 				row := (5*l + m) * dim // dense is row-major, unlike the grid arrays
 				for n := 0; n < 5; n++ {
 					if l > 0 {
-						dense[row+5*(l-1)+n] = blk(ls.aa, l)[m+5*n]
+						dense[row+5*(l-1)+n] = ls.aa[l][m+5*n]
 					}
-					dense[row+5*l+n] = blk(ls.bb, l)[m+5*n]
+					dense[row+5*l+n] = ls.bb[l][m+5*n]
 					if l < cells-1 {
-						dense[row+5*(l+1)+n] = blk(ls.cc, l)[m+5*n]
+						dense[row+5*(l+1)+n] = ls.cc[l][m+5*n]
 					}
 				}
 			}
@@ -298,24 +422,32 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerialBitwise: every line solve writes its own
+// rhs line and the block kernels run the same operations whichever
+// worker runs them, so the field after five ADI steps must be
+// bit-identical for every team size and loop schedule.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	bs, _ := New('S', 1)
-	bp, _ := New('S', 3)
-	tms := team.New(1)
-	tmp := team.New(3)
-	defer tms.Close()
-	defer tmp.Close()
-	bs.f.Initialize(&bs.c)
-	bs.f.ExactRHS(&bs.c)
-	bp.f.Initialize(&bp.c)
-	bp.f.ExactRHS(&bp.c)
-	for s := 0; s < 5; s++ {
-		bs.adi(tms)
-		bp.adi(tmp)
+	run := func(threads int, sched team.Schedule) []float64 {
+		b, _ := New('S', threads)
+		tm := team.New(threads, team.WithSchedule(sched))
+		defer tm.Close()
+		b.f.Initialize(&b.c)
+		b.f.ExactRHS(&b.c)
+		for s := 0; s < 5; s++ {
+			b.adi(tm)
+		}
+		return b.f.U
 	}
-	for i := range bs.f.U {
-		if bs.f.U[i] != bp.f.U[i] {
-			t.Fatalf("u[%d] differs between 1 and 3 threads: %v vs %v", i, bs.f.U[i], bp.f.U[i])
+	want := run(1, team.Static)
+	for _, threads := range []int{1, 2, 3} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+			got := run(threads, sched)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
+						i, threads, sched, got[i], want[i])
+				}
+			}
 		}
 	}
 }

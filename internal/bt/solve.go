@@ -1,6 +1,7 @@
 package bt
 
 import (
+	"npbgo/internal/grid"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -25,7 +26,7 @@ type dirSpec struct {
 func (b *Benchmark) buildJacobians(ls *lineScratch, l int, uoff, soff int, cv int) {
 	uvec := [5]float64{b.f.U[uoff], b.f.U[uoff+1], b.f.U[uoff+2], b.f.U[uoff+3], b.f.U[uoff+4]}
 	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[soff], b.f.Qs[soff], b.f.Square[soff],
-		cv, blk(ls.fjac, l), blk(ls.njac, l))
+		cv, &ls.fjac[l], &ls.njac[l])
 }
 
 // assembleLHS builds the aa/bb/cc block diagonals for the interior cells
@@ -34,21 +35,13 @@ func (b *Benchmark) assembleLHS(ls *lineScratch, isize int, ds *dirSpec) {
 	ls.lhsinit(isize)
 	t1, t2 := ds.tmp1, ds.tmp2
 	for l := 1; l <= isize-1; l++ {
-		am := blk(ls.aa, l)
-		bm := blk(ls.bb, l)
-		cm := blk(ls.cc, l)
-		fm1 := blk(ls.fjac, l-1)
-		fp1 := blk(ls.fjac, l+1)
-		nm1 := blk(ls.njac, l-1)
-		nc := blk(ls.njac, l)
-		np1 := blk(ls.njac, l+1)
-		for n := 0; n < 5; n++ {
-			for m := 0; m < 5; m++ {
-				e := m + 5*n
-				am[e] = -t2*fm1[e] - t1*nm1[e]
-				bm[e] = t1 * 2.0 * nc[e]
-				cm[e] = t2*fp1[e] - t1*np1[e]
-			}
+		am, bm, cm := &ls.aa[l], &ls.bb[l], &ls.cc[l]
+		fm1, fp1 := &ls.fjac[l-1], &ls.fjac[l+1]
+		nm1, nc, np1 := &ls.njac[l-1], &ls.njac[l], &ls.njac[l+1]
+		for e := 0; e < 25; e++ {
+			am[e] = -t2*fm1[e] - t1*nm1[e]
+			bm[e] = t1 * 2.0 * nc[e]
+			cm[e] = t2*fp1[e] - t1*np1[e]
 		}
 		for m := 0; m < 5; m++ {
 			e := m + 5*m
@@ -64,23 +57,18 @@ func (b *Benchmark) assembleLHS(ls *lineScratch, isize int, ds *dirSpec) {
 // every sweep direction affine in l, so a base and stride replace the
 // per-line accessor closure the Fortran arrays never needed either.
 func (b *Benchmark) solveLine(ls *lineScratch, isize int, rhs []float64, base, stride int) {
-	binvcrhs(blk(ls.bb, 0), blk(ls.cc, 0), rhs[base:])
+	at := func(l int) *[5]float64 { return grid.Vec5(rhs, base+l*stride) }
+	binvcrhs(&ls.bb[0], &ls.cc[0], at(0))
 	for l := 1; l <= isize-1; l++ {
-		matvecSub(blk(ls.aa, l), rhs[base+(l-1)*stride:], rhs[base+l*stride:])
-		matmulSub(blk(ls.aa, l), blk(ls.cc, l-1), blk(ls.bb, l))
-		binvcrhs(blk(ls.bb, l), blk(ls.cc, l), rhs[base+l*stride:])
+		matvecSub(&ls.aa[l], at(l-1), at(l))
+		matmulSub(&ls.aa[l], &ls.cc[l-1], &ls.bb[l])
+		binvcrhs(&ls.bb[l], &ls.cc[l], at(l))
 	}
-	matvecSub(blk(ls.aa, isize), rhs[base+(isize-1)*stride:], rhs[base+isize*stride:])
-	matmulSub(blk(ls.aa, isize), blk(ls.cc, isize-1), blk(ls.bb, isize))
-	binvrhs(blk(ls.bb, isize), rhs[base+isize*stride:])
+	matvecSub(&ls.aa[isize], at(isize-1), at(isize))
+	matmulSub(&ls.aa[isize], &ls.cc[isize-1], &ls.bb[isize])
+	binvrhs(&ls.bb[isize], at(isize))
 	for l := isize - 1; l >= 0; l-- {
-		r := rhs[base+l*stride:]
-		rn := rhs[base+(l+1)*stride:]
-		cm := blk(ls.cc, l)
-		for m := 0; m < 5; m++ {
-			r[m] -= cm[m+0]*rn[0] + cm[m+5]*rn[1] + cm[m+10]*rn[2] +
-				cm[m+15]*rn[3] + cm[m+20]*rn[4]
-		}
+		matvecSub(&ls.cc[l], at(l+1), at(l))
 	}
 }
 
@@ -102,6 +90,7 @@ func (b *Benchmark) buildBodies() {
 	b.xBody = func(id int) {
 		isize := n - 1
 		ls := b.scratch[id]
+		ls.clearJacobians()
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
 				for j := 1; j < n-1; j++ {
@@ -119,6 +108,7 @@ func (b *Benchmark) buildBodies() {
 	b.yBody = func(id int) {
 		jsize := n - 1
 		ls := b.scratch[id]
+		ls.clearJacobians()
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
 				for i := 1; i < n-1; i++ {
@@ -136,6 +126,7 @@ func (b *Benchmark) buildBodies() {
 	b.zBody = func(id int) {
 		ksize := n - 1
 		ls := b.scratch[id]
+		ls.clearJacobians()
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for j := it.Lo; j < it.Hi; j++ {
 				for i := 1; i < n-1; i++ {

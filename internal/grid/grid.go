@@ -53,6 +53,11 @@ func (d Dim5) At(i1, i2, i3, i4, i5 int) int {
 	return i1 + d.N1*(i2+d.N2*(i3+d.N3*(i4+d.N4*i5)))
 }
 
+// Vec5 views the five components stored at v[off:off+5] — one point of
+// an m-fastest 5-vector field — as a fixed-size array: one bounds check
+// buys all five, and constant indices into the result need none.
+func Vec5(v Vec, off int) *[5]float64 { return (*[5]float64)(v[off : off+5]) }
+
 // Alloc3 allocates a zeroed linearized 3-D array with the given extents.
 func Alloc3(d Dim3) Vec { return make(Vec, d.Len()) }
 

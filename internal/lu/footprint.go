@@ -18,6 +18,6 @@ func Footprint(class byte, threads int) (uint64, error) {
 	n := uint64(spec.size)
 	n3 := n * n * n
 	fields := 15 * n3 * 8                   // u + rsd + frct, 5 components each
-	scratch := uint64(threads) * 6 * 25 * 8 // az/ay/ax/d/fj/nj
+	scratch := uint64(threads) * 4 * 25 * 8 // az/ay/ax/d
 	return fields + scratch, nil
 }

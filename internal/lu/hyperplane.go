@@ -1,6 +1,9 @@
 package lu
 
-import "npbgo/internal/team"
+import (
+	"npbgo/internal/grid"
+	"npbgo/internal/team"
+)
 
 // Hyperplane-scheduled SSOR sweeps: the alternative to pipelining that
 // the NPB distribution ships as LU-HP. Points on the diagonal wavefront
@@ -12,56 +15,64 @@ import "npbgo/internal/team"
 // scalability discussion.
 
 // lowerPoint applies the lower-triangular update at one grid point.
+//
+//npblint:hot fused jacld+blts point kernel
 func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
 	okm := b.at(i, j, k-1)
 	ojm := b.at(i, j-1, k)
 	oim := b.at(i-1, j, k)
 
-	b.offDiagBlock(ws, ws.az, okm, 3, -1)
-	b.offDiagBlock(ws, ws.ay, ojm, 2, -1)
-	b.offDiagBlock(ws, ws.ax, oim, 1, -1)
-	b.diagBlock(ws, ws.d, off)
+	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okm), -1)
+	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojm), -1)
+	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oim), -1)
+	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
 
+	r := grid.Vec5(b.rsd, off)
+	ws.coupledSum(grid.Vec5(b.rsd, okm), grid.Vec5(b.rsd, ojm), grid.Vec5(b.rsd, oim))
 	for m := 0; m < 5; m++ {
-		s := 0.0
-		for l := 0; l < 5; l++ {
-			s += ws.az[m+5*l]*b.rsd[okm+l] +
-				ws.ay[m+5*l]*b.rsd[ojm+l] +
-				ws.ax[m+5*l]*b.rsd[oim+l]
-		}
-		ws.tv[m] = b.rsd[off+m] - omega*s
+		ws.tv[m] = r[m] - omega*ws.tv[m]
 	}
-	solve5(ws.d, &ws.tv)
-	for m := 0; m < 5; m++ {
-		b.rsd[off+m] = ws.tv[m]
-	}
+	solve5(&ws.d, &ws.tv)
+	*r = ws.tv
 }
 
 // upperPoint applies the upper-triangular update at one grid point.
+//
+//npblint:hot fused jacu+buts point kernel
 func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
 	okp := b.at(i, j, k+1)
 	ojp := b.at(i, j+1, k)
 	oip := b.at(i+1, j, k)
 
-	b.offDiagBlock(ws, ws.az, okp, 3, +1)
-	b.offDiagBlock(ws, ws.ay, ojp, 2, +1)
-	b.offDiagBlock(ws, ws.ax, oip, 1, +1)
-	b.diagBlock(ws, ws.d, off)
+	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okp), +1)
+	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojp), +1)
+	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oip), +1)
+	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
 
+	r := grid.Vec5(b.rsd, off)
+	ws.coupledSum(grid.Vec5(b.rsd, okp), grid.Vec5(b.rsd, ojp), grid.Vec5(b.rsd, oip))
 	for m := 0; m < 5; m++ {
-		s := 0.0
-		for l := 0; l < 5; l++ {
-			s += ws.az[m+5*l]*b.rsd[okp+l] +
-				ws.ay[m+5*l]*b.rsd[ojp+l] +
-				ws.ax[m+5*l]*b.rsd[oip+l]
-		}
-		ws.tv[m] = omega * s
+		ws.tv[m] *= omega
 	}
-	solve5(ws.d, &ws.tv)
+	solve5(&ws.d, &ws.tv)
 	for m := 0; m < 5; m++ {
-		b.rsd[off+m] -= ws.tv[m]
+		r[m] -= ws.tv[m]
+	}
+}
+
+// coupledSum sets tv = az*rz + ay*ry + ax*rx, the three neighbour
+// couplings of one point.
+func (ws *sweepScratch) coupledSum(rz, ry, rx *[5]float64) {
+	az, ay, ax := &ws.az, &ws.ay, &ws.ax
+	for m := 0; m < 5; m++ {
+		s := az[m]*rz[0] + ay[m]*ry[0] + ax[m]*rx[0]
+		s += az[m+5]*rz[1] + ay[m+5]*ry[1] + ax[m+5]*rx[1]
+		s += az[m+10]*rz[2] + ay[m+10]*ry[2] + ax[m+10]*rx[2]
+		s += az[m+15]*rz[3] + ay[m+15]*ry[3] + ax[m+15]*rx[3]
+		s += az[m+20]*rz[4] + ay[m+20]*ry[4] + ax[m+20]*rx[4]
+		ws.tv[m] = s
 	}
 }
 

@@ -52,11 +52,12 @@ type Benchmark struct {
 	pc      *perfcount.Sampler // nil without WithCounters
 	sched   team.Schedule      // loop schedule, Static without WithSchedule
 	c       nscore.Consts
+	blk     blockConsts // jacld/jacu block constants derived from c
 
 	u, rsd, frct []float64 // 5-vector fields, m fastest
 
-	// Per-worker sweep scratch: four 5x5 blocks, two 5-vectors and a
-	// flux line.
+	// Per-worker sweep scratch: four 5x5 blocks, a 5-vector and a flux
+	// line.
 	scratch []*sweepScratch
 
 	// Steady-state machinery: the region bodies below are built once by
@@ -80,20 +81,18 @@ type Benchmark struct {
 	upperBody   func(id int)
 }
 
+// sweepScratch is one worker's storage for the triangular sweeps. The
+// three coupling blocks and the diagonal block are only ever written at
+// their structural non-zeros (see blocks.go), so the zeros they are
+// allocated with persist for the whole run.
 type sweepScratch struct {
-	az, ay, ax, d []float64 // 25 each
-	fj, nj        []float64 // jacobian temporaries
-	flux          []float64 // 5*n line scratch for applyOperator
+	az, ay, ax, d [25]float64
 	tv            [5]float64
+	flux          []float64 // 5*n line scratch for applyOperator
 }
 
 func newSweepScratch(n int) *sweepScratch {
-	return &sweepScratch{
-		az: make([]float64, 25), ay: make([]float64, 25),
-		ax: make([]float64, 25), d: make([]float64, 25),
-		fj: make([]float64, 25), nj: make([]float64, 25),
-		flux: make([]float64, 5*n),
-	}
+	return &sweepScratch{flux: make([]float64, 5*n)}
 }
 
 // Option configures optional benchmark behaviour.
@@ -145,6 +144,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		o(b)
 	}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
+	b.blk = newBlockConsts(&b.c)
 	n3 := spec.size * spec.size * spec.size
 	b.u = make([]float64, 5*n3)
 	b.rsd = make([]float64, 5*n3)

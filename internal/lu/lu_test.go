@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
 
@@ -53,10 +54,8 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 func TestSolve5AgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
-		a := make([]float64, 25)
+		var a [25]float64
 		var r [5]float64
-		aCopy := make([]float64, 25)
-		var rCopy [5]float64
 		for i := range a {
 			a[i] = rng.Float64() - 0.5
 		}
@@ -66,9 +65,8 @@ func TestSolve5AgainstOracle(t *testing.T) {
 		for m := 0; m < 5; m++ {
 			r[m] = rng.Float64() - 0.5
 		}
-		copy(aCopy, a)
-		rCopy = r
-		solve5(a, &r)
+		aCopy, rCopy := a, r
+		solve5(&a, &r)
 		// Check A*x == r0.
 		for m := 0; m < 5; m++ {
 			s := 0.0
@@ -79,6 +77,114 @@ func TestSolve5AgainstOracle(t *testing.T) {
 				t.Fatalf("trial %d row %d: A*x = %v, want %v", trial, m, s, rCopy[m])
 			}
 		}
+	}
+}
+
+// oracleJacobians evaluates nscore.FluxViscJacobians — the single
+// Jacobian definition BT solves with — at state u for direction cv.
+func oracleJacobians(c *nscore.Consts, u *[5]float64, cv int) (fj, nj [25]float64) {
+	rhoI := 1.0 / u[0]
+	sq := 0.5 * (u[1]*u[1] + u[2]*u[2] + u[3]*u[3]) * rhoI
+	nscore.FluxViscJacobians(c, u, rhoI, sq*rhoI, sq, cv, &fj, &nj)
+	return fj, nj
+}
+
+// oracleDirConsts returns (t1, t2, d[5]) of direction cv.
+func oracleDirConsts(c *nscore.Consts, cv int) (t1, t2 float64, d [5]float64) {
+	switch cv {
+	case 1:
+		return c.Tx1, c.Tx2, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}
+	case 2:
+		return c.Ty1, c.Ty2, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}
+	default:
+		return c.Tz1, c.Tz2, [5]float64{c.Dz1, c.Dz2, c.Dz3, c.Dz4, c.Dz5}
+	}
+}
+
+// oracleCoupling assembles sign*dt*t2*F - dt*t1*N - dt*t1*diag(d) from
+// the generic Jacobians, as the point kernel did before the blocks were
+// written out by hand.
+func oracleCoupling(c *nscore.Consts, u *[5]float64, cv int, sign float64) (dst [25]float64) {
+	t1, t2, d := oracleDirConsts(c, cv)
+	fj, nj := oracleJacobians(c, u, cv)
+	for e := range dst {
+		dst[e] = sign*c.Dt*t2*fj[e] - c.Dt*t1*nj[e]
+	}
+	for m := 0; m < 5; m++ {
+		dst[m+5*m] -= c.Dt * t1 * d[m]
+	}
+	return dst
+}
+
+// oracleDiagonal assembles I + 2dt*sum_dir t1*(N + diag(d)) likewise.
+func oracleDiagonal(c *nscore.Consts, u *[5]float64) (dst [25]float64) {
+	for cv := 1; cv <= 3; cv++ {
+		t1, _, d := oracleDirConsts(c, cv)
+		_, nj := oracleJacobians(c, u, cv)
+		for e := range dst {
+			dst[e] += 2.0 * c.Dt * t1 * nj[e]
+		}
+		for m := 0; m < 5; m++ {
+			dst[m+5*m] += 2.0 * c.Dt * t1 * d[m]
+		}
+	}
+	for m := 0; m < 5; m++ {
+		dst[m+5*m] += 1.0
+	}
+	return dst
+}
+
+// TestBlocksMatchJacobianOracle holds the hand-written coupling and
+// diagonal blocks to the blocks assembled from nscore.FluxViscJacobians
+// on random physical states, for all three directions and both signs.
+// One set of scratch blocks is reused for every state, as the sweeps
+// reuse theirs, so entries the oracle has at exactly zero must have
+// stayed exactly zero.
+func TestBlocksMatchJacobianOracle(t *testing.T) {
+	b, err := New('S', 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := &b.blk
+	ws := newSweepScratch(b.n)
+	check := func(name string, got, want *[25]float64) {
+		t.Helper()
+		scale := 0.0
+		for _, v := range want {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for e := range want {
+			if want[e] == 0 {
+				if got[e] != 0 {
+					t.Fatalf("%s: structural zero (%d,%d) holds %v", name, e%5, e/5, got[e])
+				}
+				continue
+			}
+			if diff := math.Abs(got[e] - want[e]); diff > 1e-13*scale {
+				t.Fatalf("%s (%d,%d): %v, oracle %v", name, e%5, e/5, got[e], want[e])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		// Density in [0.5, 2.5), momenta in [-1, 1), energy well above
+		// the kinetic part: the range the class S-C flows stay inside.
+		u := [5]float64{0.5 + 2*rng.Float64(), 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2 + 4*rng.Float64()}
+		for _, sign := range [2]float64{-1, +1} {
+			k.couplingX(&ws.ax, &u, sign)
+			k.couplingY(&ws.ay, &u, sign)
+			k.couplingZ(&ws.az, &u, sign)
+			for cv, got := range [3]*[25]float64{&ws.ax, &ws.ay, &ws.az} {
+				want := oracleCoupling(&b.c, &u, cv+1, sign)
+				check("coupling", got, &want)
+			}
+		}
+		k.diagonal(&ws.d, &u)
+		want := oracleDiagonal(&b.c, &u)
+		check("diagonal", &ws.d, &want)
+		// The sweeps solve on the diagonal block in place before it is
+		// refilled; that must not disturb its zeros either.
+		solve5(&ws.d, &ws.tv)
 	}
 }
 
@@ -118,25 +224,39 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerialBitwise(t *testing.T) {
-	run := func(threads, steps int) []float64 {
-		b, _ := New('S', threads)
-		tm := team.New(threads)
-		defer tm.Close()
-		b.setbv()
-		b.setiv()
-		b.erhs(tm)
-		b.itmax = steps
-		b.ssor(tm)
-		out := make([]float64, len(b.u))
-		copy(out, b.u)
-		return out
+// ssorField runs steps SSOR iterations of class S on the given team
+// shape and returns the flow field.
+func ssorField(t *testing.T, threads, steps int, sched team.Schedule, opts ...Option) []float64 {
+	t.Helper()
+	b, err := New('S', threads, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	u1 := run(1, 5)
-	u3 := run(3, 5)
-	for i := range u1 {
-		if u1[i] != u3[i] {
-			t.Fatalf("u[%d] differs between 1 and 3 threads: %v vs %v", i, u1[i], u3[i])
+	tm := team.New(threads, team.WithSchedule(sched))
+	defer tm.Close()
+	b.setbv()
+	b.setiv()
+	b.erhs(tm)
+	b.itmax = steps
+	b.ssor(tm)
+	return b.u
+}
+
+// TestParallelMatchesSerialBitwise: the pipelined sweeps visit every
+// point after the three neighbours it depends on whatever the team
+// size, and the explicit phases write disjoint planes under every
+// schedule, so the field must be bit-identical to the serial run.
+func TestParallelMatchesSerialBitwise(t *testing.T) {
+	want := ssorField(t, 1, 5, team.Static)
+	for _, threads := range []int{1, 2, 3} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+			got := ssorField(t, threads, 5, sched)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
+						i, threads, sched, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -166,31 +286,21 @@ func TestUnknownClassRejected(t *testing.T) {
 	}
 }
 
+// TestHyperplaneMatchesPipelinedBitwise: both sweep schedules respect
+// the same data dependences and share one point kernel, so every point
+// update reads identical values and the results must match bitwise —
+// for every team size and loop schedule.
 func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
-	// Both schedules respect the same data dependences, so every point
-	// update reads identical values: the results must match bitwise.
-	run := func(hyper bool, threads int) []float64 {
-		var opts []Option
-		if hyper {
-			opts = append(opts, WithHyperplane())
-		}
-		b, _ := New('S', threads, opts...)
-		tm := team.New(threads)
-		defer tm.Close()
-		b.setbv()
-		b.setiv()
-		b.erhs(tm)
-		b.itmax = 5
-		b.ssor(tm)
-		out := make([]float64, len(b.u))
-		copy(out, b.u)
-		return out
-	}
-	pipe := run(false, 2)
-	hyp := run(true, 3)
-	for i := range pipe {
-		if pipe[i] != hyp[i] {
-			t.Fatalf("u[%d] differs between schedules: %v vs %v", i, pipe[i], hyp[i])
+	want := ssorField(t, 1, 5, team.Static)
+	for _, threads := range []int{1, 2, 3} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+			got := ssorField(t, threads, 5, sched, WithHyperplane())
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("u[%d] hyperplane at %d threads under %s differs from pipelined serial: %v vs %v",
+						i, threads, sched, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -11,62 +11,63 @@ package nscore
 // uvec holds the five conserved variables at the point; rhoI, qs and sq
 // are the precomputed 1/rho, q/rho and dynamic-pressure-like 0.5*|m|^2 /
 // rho scalars.
-func FluxViscJacobians(c *Consts, uvec *[5]float64, rhoI, qs, sq float64, cv int, fjac, njac []float64) {
+//
+// Only the structural non-zeros are written — 17 of fjac's entries,
+// whose positions depend on cv, and 11 of njac's, whose positions do
+// not — so the caller passes blocks that are zero everywhere else:
+// fresh ones, or ones last filled for the same cv.
+//
+//npblint:hot once per cell of every BT line solve
+func FluxViscJacobians(c *Consts, uvec *[5]float64, rhoI, qs, sq float64, cv int, fjac, njac *[25]float64) {
 	uv := [4]float64{0, uvec[1], uvec[2], uvec[3]}
 	u5 := uvec[4]
 	t1 := rhoI
 	t2 := t1 * t1
 	t3 := t1 * t2
 
-	for e := 0; e < 25; e++ {
-		fjac[e] = 0
-		njac[e] = 0
-	}
-	at := func(m, n int) int { return m + 5*n }
-
 	// Continuity row.
-	fjac[at(0, cv)] = 1.0
+	fjac[5*cv] = 1.0
 	// Momentum rows.
 	for r := 1; r <= 3; r++ {
 		if r == cv {
-			fjac[at(r, 0)] = -(uv[cv]*uv[cv])*t2 + c.C2*qs
+			fjac[r] = -(uv[cv]*uv[cv])*t2 + c.C2*qs
 			for s := 1; s <= 3; s++ {
 				if s == cv {
-					fjac[at(r, s)] = (2.0 - c.C2) * uv[cv] * t1
+					fjac[r+5*s] = (2.0 - c.C2) * uv[cv] * t1
 				} else {
-					fjac[at(r, s)] = -c.C2 * uv[s] * t1
+					fjac[r+5*s] = -c.C2 * uv[s] * t1
 				}
 			}
-			fjac[at(r, 4)] = c.C2
+			fjac[r+20] = c.C2
 		} else {
-			fjac[at(r, 0)] = -(uv[r] * uv[cv]) * t2
-			fjac[at(r, r)] = uv[cv] * t1
-			fjac[at(r, cv)] = uv[r] * t1
+			fjac[r] = -(uv[r] * uv[cv]) * t2
+			fjac[r+5*r] = uv[cv] * t1
+			fjac[r+5*cv] = uv[r] * t1
 		}
 	}
 	// Energy row.
-	fjac[at(4, 0)] = (c.C2*2.0*sq - c.C1*u5) * uv[cv] * t2
+	fjac[4] = (c.C2*2.0*sq - c.C1*u5) * uv[cv] * t2
 	for s := 1; s <= 3; s++ {
 		if s == cv {
-			fjac[at(4, s)] = c.C1*u5*t1 - c.C2*(qs+uv[cv]*uv[cv]*t2)
+			fjac[4+5*s] = c.C1*u5*t1 - c.C2*(qs+uv[cv]*uv[cv]*t2)
 		} else {
-			fjac[at(4, s)] = -c.C2 * (uv[s] * uv[cv]) * t2
+			fjac[4+5*s] = -c.C2 * (uv[s] * uv[cv]) * t2
 		}
 	}
-	fjac[at(4, 4)] = c.C1 * uv[cv] * t1
+	fjac[24] = c.C1 * uv[cv] * t1
 
 	// Viscous Jacobian.
 	coef := [4]float64{0, c.C3c4, c.C3c4, c.C3c4}
 	coef[cv] = c.Con43 * c.C3c4
 	for r := 1; r <= 3; r++ {
-		njac[at(r, 0)] = -coef[r] * t2 * uv[r]
-		njac[at(r, r)] = coef[r] * t1
+		njac[r] = -coef[r] * t2 * uv[r]
+		njac[r+5*r] = coef[r] * t1
 	}
 	sum := 0.0
 	for r := 1; r <= 3; r++ {
 		sum += (coef[r] - c.C1345) * t3 * uv[r] * uv[r]
-		njac[at(4, r)] = (coef[r] - c.C1345) * t2 * uv[r]
+		njac[4+5*r] = (coef[r] - c.C1345) * t2 * uv[r]
 	}
-	njac[at(4, 0)] = -sum - c.C1345*t2*u5
-	njac[at(4, 4)] = c.C1345 * t1
+	njac[4] = -sum - c.C1345*t2*u5
+	njac[24] = c.C1345 * t1
 }

@@ -104,13 +104,12 @@ func TestFluxJacobianConsistentWithFlux(t *testing.T) {
 		f[4] = (c.C1*u[4] - c.C2*q) * vel
 		return f
 	}
-	fjac := make([]float64, 25)
-	njac := make([]float64, 25)
 	for cv := 1; cv <= 3; cv++ {
+		var fjac, njac [25]float64 // fresh per direction: only non-zeros are written
 		rhoI := 1.0 / state[0]
 		sq := 0.5 * (state[1]*state[1] + state[2]*state[2] + state[3]*state[3]) * rhoI
 		qs := sq * rhoI
-		FluxViscJacobians(&c, &state, rhoI, qs, sq, cv, fjac, njac)
+		FluxViscJacobians(&c, &state, rhoI, qs, sq, cv, &fjac, &njac)
 		const h = 1e-7
 		for col := 0; col < 5; col++ {
 			up := state
@@ -137,12 +136,11 @@ func TestViscousJacobianAnnihilatesUniformFlow(t *testing.T) {
 	// whose action on u yields zero for rows 1-3 momenta combination).
 	c := SetConstants(12, 0.01)
 	state := [5]float64{1.1, 0.3, 0.2, -0.4, 2.5}
-	fjac := make([]float64, 25)
-	njac := make([]float64, 25)
+	var fjac, njac [25]float64
 	rhoI := 1.0 / state[0]
 	sq := 0.5 * (state[1]*state[1] + state[2]*state[2] + state[3]*state[3]) * rhoI
 	qs := sq * rhoI
-	FluxViscJacobians(&c, &state, rhoI, qs, sq, 1, fjac, njac)
+	FluxViscJacobians(&c, &state, rhoI, qs, sq, 1, &fjac, &njac)
 	// Row 1 (continuity) of N is identically zero.
 	for col := 0; col < 5; col++ {
 		if njac[0+5*col] != 0 {

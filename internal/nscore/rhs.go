@@ -3,6 +3,7 @@ package nscore
 import (
 	"math"
 
+	"npbgo/internal/grid"
 	"npbgo/internal/team"
 )
 
@@ -105,7 +106,7 @@ func (f *Field) buildBodies() {
 				}
 				// xi-direction fourth-order dissipation for this plane.
 				for j := 1; j < n-1; j++ {
-					f.dissipU(c, 0, j, k)
+					f.dissipU(c, f.UAt(0, 0, j, k), 5)
 				}
 			}
 		}
@@ -150,7 +151,7 @@ func (f *Field) buildBodies() {
 					}
 				}
 				for i := 1; i < n-1; i++ {
-					f.dissipU(c, 1, i, k)
+					f.dissipU(c, f.UAt(0, i, 0, k), 5*n)
 				}
 			}
 		}
@@ -205,7 +206,7 @@ func (f *Field) buildBodies() {
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
 			for j := it.Lo; j < it.Hi; j++ {
 				for i := 1; i < n-1; i++ {
-					f.dissipU(c, 2, i, j)
+					f.dissipU(c, f.UAt(0, i, j, 0), 5*n*n)
 				}
 			}
 		}
@@ -246,43 +247,32 @@ func (f *Field) buildBodies() {
 }
 
 // dissipU subtracts the boundary-adjusted fourth-difference dissipation
-// of u from rhs along one grid line of direction dir (0 = xi line at
-// (j,k)=(a,bb), 1 = eta line at (i,k)=(a,bb), 2 = zeta line at
-// (i,j)=(a,bb)). Callers already run inside a parallel region.
-func (f *Field) dissipU(c *Consts, dir, a, bb int) {
+// of u from rhs along one grid line: cell l of the line has its
+// 5-vector at flat offset base+l*stride in both U and Rhs (the m-fastest
+// layout makes every direction affine in l). Callers already run inside
+// a parallel region.
+func (f *Field) dissipU(c *Consts, base, stride int) {
 	n := f.N
-	Dssp := c.Dssp
-	uAt := func(l, m int) float64 {
-		switch dir {
-		case 0:
-			return f.U[f.UAt(m, l, a, bb)]
-		case 1:
-			return f.U[f.UAt(m, a, l, bb)]
-		default:
-			return f.U[f.UAt(m, a, bb, l)]
-		}
-	}
-	rAt := func(l, m int) int {
-		switch dir {
-		case 0:
-			return f.FAt(m, l, a, bb)
-		case 1:
-			return f.FAt(m, a, l, bb)
-		default:
-			return f.FAt(m, a, bb, l)
-		}
-	}
+	dssp := c.Dssp
+	u := func(l int) *[5]float64 { return grid.Vec5(f.U, base+l*stride) }
+	r := func(l int) *[5]float64 { return grid.Vec5(f.Rhs, base+l*stride) }
+	r1, r2 := r(1), r(2)
+	u1, u2, u3, u4 := u(1), u(2), u(3), u(4)
 	for m := 0; m < 5; m++ {
-		l := 1
-		f.Rhs[rAt(l, m)] -= Dssp * (5.0*uAt(l, m) - 4.0*uAt(l+1, m) + uAt(l+2, m))
-		l = 2
-		f.Rhs[rAt(l, m)] -= Dssp * (-4.0*uAt(l-1, m) + 6.0*uAt(l, m) - 4.0*uAt(l+1, m) + uAt(l+2, m))
-		for l = 3; l <= n-4; l++ {
-			f.Rhs[rAt(l, m)] -= Dssp * (uAt(l-2, m) - 4.0*uAt(l-1, m) + 6.0*uAt(l, m) - 4.0*uAt(l+1, m) + uAt(l+2, m))
+		r1[m] -= dssp * (5.0*u1[m] - 4.0*u2[m] + u3[m])
+		r2[m] -= dssp * (-4.0*u1[m] + 6.0*u2[m] - 4.0*u3[m] + u4[m])
+	}
+	for l := 3; l <= n-4; l++ {
+		rl := r(l)
+		um2, um1, u0, up1, up2 := u(l-2), u(l-1), u(l), u(l+1), u(l+2)
+		for m := 0; m < 5; m++ {
+			rl[m] -= dssp * (um2[m] - 4.0*um1[m] + 6.0*u0[m] - 4.0*up1[m] + up2[m])
 		}
-		l = n - 3
-		f.Rhs[rAt(l, m)] -= Dssp * (uAt(l-2, m) - 4.0*uAt(l-1, m) + 6.0*uAt(l, m) - 4.0*uAt(l+1, m))
-		l = n - 2
-		f.Rhs[rAt(l, m)] -= Dssp * (uAt(l-2, m) - 4.0*uAt(l-1, m) + 5.0*uAt(l, m))
+	}
+	rn3, rn2 := r(n-3), r(n-2)
+	un5, un4, un3, un2 := u(n-5), u(n-4), u(n-3), u(n-2)
+	for m := 0; m < 5; m++ {
+		rn3[m] -= dssp * (un5[m] - 4.0*un4[m] + 6.0*un3[m] - 4.0*un2[m])
+		rn2[m] -= dssp * (un4[m] - 4.0*un3[m] + 5.0*un2[m])
 	}
 }
