@@ -8,7 +8,7 @@ import (
 )
 
 func TestSprnvcDistinctLocations(t *testing.T) {
-	tran := 314159265.0
+	tran := randdp.New(randdp.DefaultSeed, randdp.A)
 	v := make([]float64, 8)
 	iv := make([]int, 8)
 	mark := make([]bool, 101)
@@ -39,7 +39,7 @@ func TestSprnvcDistinctLocations(t *testing.T) {
 func TestSprnvcConsumesTwoDrawsPerAttempt(t *testing.T) {
 	// With n a power of two, no draw can be rejected for i > n, so the
 	// stream advances exactly 2*nz when there are no duplicates.
-	tran := 314159265.0
+	tran := randdp.New(randdp.DefaultSeed, randdp.A)
 	ref := tran
 	v := make([]float64, 4)
 	iv := make([]int, 4)
@@ -48,11 +48,9 @@ func TestSprnvcConsumesTwoDrawsPerAttempt(t *testing.T) {
 	// Advance a reference stream 8 times (assuming no duplicate hits in
 	// a 65536-slot space for 4 draws — overwhelmingly likely and
 	// deterministic for this seed).
-	for i := 0; i < 8; i++ {
-		randdp.Randlc(&ref, randdp.A)
-	}
+	ref.Skip(8)
 	if tran != ref {
-		t.Fatalf("stream misaligned: %v vs %v", tran, ref)
+		t.Fatalf("stream misaligned: %v vs %v", tran.Seed(), ref.Seed())
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // the stream stays aligned with the reference implementation.
 // mark is a caller-provided scratch of n+1 bools (1-based), reset before
 // return. v and iv receive the values and (1-based) locations.
-func sprnvc(n, nz int, tran *float64, v []float64, iv []int, mark []bool) int {
+func sprnvc(n, nz int, tran *randdp.Gen, v []float64, iv []int, mark []bool) int {
 	// Smallest power of two not less than n, for the portable
 	// integer-from-double conversion.
 	nn1 := 1
@@ -22,8 +22,8 @@ func sprnvc(n, nz int, tran *float64, v []float64, iv []int, mark []bool) int {
 	}
 	nzv := 0
 	for nzv < nz {
-		vecelt := randdp.Randlc(tran, randdp.A)
-		vecloc := randdp.Randlc(tran, randdp.A)
+		vecelt := tran.Next()
+		vecloc := tran.Next()
 		i := int(float64(nn1)*vecloc) + 1
 		if i > n {
 			continue
@@ -68,9 +68,9 @@ type triplet struct {
 // plus (rcond - shift) on the diagonal. Returns rowstr (0-based CSR row
 // pointers over 0..n), colidx (0-based columns) and a (values).
 func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int, a []float64) {
-	tran := 314159265.0
+	tran := randdp.New(randdp.DefaultSeed, randdp.A)
 	// cg.f draws zeta once before makea; reproduce the stream position.
-	randdp.Randlc(&tran, randdp.A)
+	tran.Next()
 
 	// Row-major triplet buckets (1-based rows); duplicates are summed
 	// during assembly in stable column order.

@@ -93,31 +93,30 @@ func TestPairsPerClass(t *testing.T) {
 }
 
 func TestBatchSeedJumpMatchesDirectStream(t *testing.T) {
-	// Batch kk's starting seed must equal the raw stream advanced past
-	// kk full batches (2*nk draws each): generate batch 1 directly by
-	// drawing 2*nk values after batch 0's and compare sums.
-	an := amult
-	for i := 0; i < mk+1; i++ {
-		randdp.Randlc(&an, an)
-	}
-	// Direct: advance a stream past batch 0, then fill batch 1's block.
-	s := seed
-	x := make([]float64, 2*nk)
-	randdp.Vranlc(2*nk, &s, amult, x) // batch 0 consumed
+	// Batch kk must see the raw stream advanced past kk full batches
+	// (2*nk draws each): draw the stream directly through three batches
+	// and compare with what runBatch generated into its scratch.
+	s := float64(seed)
 	direct := make([]float64, 2*nk)
-	randdp.Vranlc(2*nk, &s, amult, direct)
-
-	var st batchState
 	scratch := make([]float64, 2*nk)
-	runBatch(1, an, &st, scratch)
-	// Recompute what runBatch saw for batch 1 by reproducing its seed.
-	t1 := seed
-	randdp.Randlc(&t1, an)
-	batch := make([]float64, 2*nk)
-	randdp.Vranlc(2*nk, &t1, amult, batch)
-	for i := range batch {
-		if batch[i] != direct[i] {
-			t.Fatalf("element %d: jumped stream %v != direct stream %v", i, batch[i], direct[i])
+	for kk := 0; kk < 3; kk++ {
+		randdp.Vranlc(2*nk, &s, amult, direct)
+		var st batchState
+		runBatch(kk, &st, scratch)
+		for i := range scratch {
+			if scratch[i] != direct[i] {
+				t.Fatalf("batch %d element %d: jumped stream %v != direct stream %v", kk, i, scratch[i], direct[i])
+			}
 		}
+	}
+}
+
+// BenchmarkRunBatch times one batch of 2^mk pairs: the jump, the Fill
+// and the acceptance loop that are all of EP's timed section.
+func BenchmarkRunBatch(b *testing.B) {
+	x := make([]float64, 2*nk)
+	var st batchState
+	for i := 0; i < b.N; i++ {
+		runBatch(i&255, &st, x)
 	}
 }

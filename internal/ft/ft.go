@@ -20,10 +20,7 @@ import (
 	"npbgo/internal/verify"
 )
 
-const (
-	seed  = 314159265.0
-	alpha = 1.0e-6
-)
+const alpha = 1.0e-6
 
 type params struct {
 	nx, ny, nz int
@@ -88,7 +85,6 @@ type Benchmark struct {
 	tm        *team.Team
 	ws        []*workspace // per-worker FFT pencil scratch, sized max extent
 	icScratch [][]float64  // per-worker plane scratch for the initial field
-	starts    []float64    // per-plane generator seeds
 
 	fftDir        int
 	fftIn, fftOut []complex128
@@ -166,7 +162,6 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		b.ws[i] = newWorkspace(maxN)
 		b.icScratch[i] = make([]float64, 2*p.nx*p.ny)
 	}
-	b.starts = make([]float64, p.nz)
 	b.buildBodies()
 	return b, nil
 }
@@ -183,8 +178,10 @@ func (b *Benchmark) buildBodies() {
 		scratch := b.icScratch[id]
 		for it := b.tm.Loop(id, 0, nz); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
-				x0 := b.starts[k]
-				randdp.Vranlc(len(scratch), &x0, randdp.A, scratch)
+				// Plane k starts 2*nx*ny*k draws into the stream.
+				g := randdp.New(randdp.DefaultSeed, randdp.A)
+				g.Skip(len(scratch) * k)
+				g.Fill(scratch)
 				base := b.c.at(0, 0, k)
 				for e := 0; e < nx*ny; e++ {
 					b.u1[base+e] = complex(scratch[2*e], scratch[2*e+1])
@@ -248,18 +245,9 @@ func (b *Benchmark) computeIndexMap(tm *team.Team) {
 
 // computeInitialConditions fills u1 with the standard random complex
 // field: 2*nx*ny generator draws per k-plane (real/imaginary
-// interleaved), with the plane seeds jumped ahead so planes can be
-// filled independently, matching ft.f point-for-point.
+// interleaved), each plane's generator jumped ahead to its first draw
+// so planes can be filled independently, matching ft.f point-for-point.
 func (b *Benchmark) computeInitialConditions(tm *team.Team) {
-	nx, ny, nz := b.p.nx, b.p.ny, b.p.nz
-	an := randdp.Ipow46(randdp.A, 2*nx*ny)
-	s := seed
-	for k := 0; k < nz; k++ {
-		b.starts[k] = s
-		if k != nz-1 {
-			randdp.Randlc(&s, an)
-		}
-	}
 	b.tm = tm
 	tm.Run(b.initCondBody)
 }

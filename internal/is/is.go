@@ -260,13 +260,13 @@ func (b *Benchmark) MaxKey() int { return b.maxKey }
 // createSeq regenerates the key array, as create_seq in the C original:
 // each key is the sum of four generator draws scaled by maxKey/4.
 func (b *Benchmark) createSeq() {
-	seed := 314159265.0
+	g := randdp.New(randdp.DefaultSeed, randdp.A)
 	k := float64(b.maxKey / 4)
 	for i := range b.keys {
-		x := randdp.Randlc(&seed, randdp.A)
-		x += randdp.Randlc(&seed, randdp.A)
-		x += randdp.Randlc(&seed, randdp.A)
-		x += randdp.Randlc(&seed, randdp.A)
+		x := g.Next()
+		x += g.Next()
+		x += g.Next()
+		x += g.Next()
 		b.keys[i] = int32(k * x)
 	}
 }

@@ -1,6 +1,8 @@
 package is
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -231,6 +233,30 @@ func TestBucketedFullRunVerifies(t *testing.T) {
 		}
 		if res := b.Run(); res.OutOfSeq != 0 {
 			t.Fatalf("threads=%d: %d out-of-order pairs (bucketed)", threads, res.OutOfSeq)
+		}
+	}
+}
+
+// TestKeySequenceMatchesRecorded pins the generated keys themselves:
+// IS's own verification only checks that the ranks sort whatever keys
+// createSeq produced, so a generator that drifted would still pass it.
+// The FNV-1a hashes were recorded with the double-precision randlc.
+func TestKeySequenceMatchesRecorded(t *testing.T) {
+	recorded := map[byte]uint64{'S': 0xfda3c49741c88ed9, 'W': 0xb3d1378eb46c774b}
+	for _, class := range []byte{'S', 'W'} {
+		b, err := New(class, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.createSeq()
+		h := fnv.New64a()
+		var buf [4]byte
+		for _, k := range b.keys {
+			binary.LittleEndian.PutUint32(buf[:], uint32(k))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != recorded[class] {
+			t.Errorf("class %c key hash %#x, recorded %#x", class, got, recorded[class])
 		}
 	}
 }

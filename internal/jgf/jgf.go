@@ -20,12 +20,16 @@ import (
 // ClassSize maps Java Grande class letters to matrix orders.
 var ClassSize = map[byte]int{'A': 500, 'B': 1000, 'C': 2000}
 
+// matgenSeed is LINPACK matgen's init value, used as the NPB generator's
+// starting state.
+const matgenSeed = 1325
+
 // Matgen fills the column-major n x n matrix a (lda >= n) with the
 // deterministic pseudorandom entries in (-0.5, 0.5) and returns its
 // largest absolute entry, following LINPACK's matgen (with the NPB
 // generator supplying the stream).
 func Matgen(a []float64, lda, n int) float64 {
-	s := randdp.NewStream(1325.0*randdp.DefaultSeed/1e9+7, 0)
+	s := randdp.New(matgenSeed, randdp.A)
 	norma := 0.0
 	for j := 0; j < n; j++ {
 		col := a[j*lda:]

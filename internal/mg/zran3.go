@@ -12,20 +12,19 @@ func zran3(z []float64, l level, nx, ny int) {
 	const mm = 10
 	zero3(z)
 
-	a1 := randdp.Ipow46(randdp.A, nx)
-	a2 := randdp.Ipow46(randdp.A, nx*ny)
-
-	x0 := 314159265.0
+	// A copy of a generator forks the stream: each plane starts nx*ny
+	// draws after the previous one, each row nx after the previous row.
+	plane := randdp.New(randdp.DefaultSeed, randdp.A)
 	d1 := nx // interior row length
 	for i3 := 1; i3 < l.n3-1; i3++ {
-		x1 := x0
+		row := plane
 		for i2 := 1; i2 < l.n2-1; i2++ {
-			xx := x1
+			elems := row
 			off := l.at(1, i2, i3)
-			randdp.Vranlc(d1, &xx, randdp.A, z[off:off+d1])
-			randdp.Randlc(&x1, a1)
+			elems.Fill(z[off : off+d1])
+			row.Skip(nx)
 		}
-		randdp.Randlc(&x0, a2)
+		plane.Skip(nx * ny)
 	}
 
 	// Track the mm largest and mm smallest interior values. The lists

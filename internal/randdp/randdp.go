@@ -1,23 +1,29 @@
 // Package randdp implements the NAS Parallel Benchmarks portable
 // pseudorandom number generator (the Fortran routines randlc and vranlc
-// from NPB2.3-serial), a 48-bit linear congruential generator
+// from NPB2.3-serial), a 46-bit linear congruential generator
 //
 //	x_{k+1} = a * x_k  (mod 2^46)
 //
-// evaluated exactly in IEEE double precision arithmetic. All NPB
-// benchmarks that need random input (EP, CG's makea, FT's initial
-// conditions, IS key generation, MG's zran3) share this generator, so its
-// bit-exact behaviour is what makes benchmark runs deterministic and
-// verifiable across languages — the Java translation studied in the paper
-// uses the same arithmetic.
+// evaluated in exact integer arithmetic. The Fortran original forms the
+// same product from 23-bit halves in double precision because it has no
+// 64-bit integers; every step of that emulation is exact by
+// construction, so x = (x*a) & (2^46-1) on a uint64 yields the same
+// sequence bit for bit (randdp_test.go keeps the literal transcription
+// as the oracle). All NPB benchmarks that need random input (EP, CG's
+// makea, FT's initial conditions, IS key generation, MG's zran3) share
+// this generator, so its bit-exact behaviour is what makes benchmark
+// runs deterministic and verifiable across languages — the Java
+// translation studied in the paper uses the same recurrence.
+//
+// Domain: states and multipliers are integers in [1, 2^46). Gen
+// constructors check that once; the per-draw paths never do.
 package randdp
 
-// Modulus constants: r23 = 2^-23, t23 = 2^23, r46 = 2^-46, t46 = 2^46.
+import "fmt"
+
 const (
-	r23 = 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5
-	t23 = 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0
-	r46 = r23 * r23
-	t46 = t23 * t23
+	mask = 1<<46 - 1       // 2^46 - 1
+	r46  = 1.0 / (1 << 46) // 2^-46
 )
 
 // DefaultSeed is the seed used by most NPB benchmarks.
@@ -26,107 +32,104 @@ const DefaultSeed = 314159265.0
 // A is the standard NPB multiplier 5^13.
 const A = 1220703125.0
 
-// Randlc advances *x to the next element of the LCG sequence with
-// multiplier a and returns the result scaled into (0, 1). It is a literal
-// transcription of the NPB randlc function: the 46-bit product a*x is
-// formed from 23-bit halves using only double precision arithmetic.
-func Randlc(x *float64, a float64) float64 {
-	// Break a into two parts such that a = 2^23 * a1 + a2.
-	t1 := r23 * a
-	a1 := float64(int64(t1))
-	a2 := a - t23*a1
+// Gen is one generator: a 46-bit state and multiplier held as integers.
+// The zero Gen is not valid; build one with New or NewStream. Copying a
+// Gen forks the sequence at its current position.
+type Gen struct{ x, a uint64 }
 
-	// Break x into two parts such that x = 2^23 * x1 + x2, compute
-	// z = a1 * x2 + a2 * x1 (mod 2^23), and then
-	// a*x = 2^23 * z + a2 * x2 (mod 2^46).
-	t1 = r23 * *x
-	x1 := float64(int64(t1))
-	x2 := *x - t23*x1
-	t1 = a1*x2 + a2*x1
-	t2 := float64(int64(r23 * t1))
-	z := t1 - t23*t2
-	t3 := t23*z + a2*x2
-	t4 := float64(int64(r46 * t3))
-	*x = t3 - t46*t4
-	return r46 * *x
-}
+// Stream is the historical name of Gen.
+type Stream = Gen
 
-// Vranlc fills y[:n] with the next n elements of the sequence, advancing
-// *x n times. It matches the NPB vranlc routine.
-func Vranlc(n int, x *float64, a float64, y []float64) {
-	t1 := r23 * a
-	a1 := float64(int64(t1))
-	a2 := a - t23*a1
-
-	for i := 0; i < n; i++ {
-		t1 = r23 * *x
-		x1 := float64(int64(t1))
-		x2 := *x - t23*x1
-		t1 = a1*x2 + a2*x1
-		t2 := float64(int64(r23 * t1))
-		z := t1 - t23*t2
-		t3 := t23*z + a2*x2
-		t4 := float64(int64(r46 * t3))
-		*x = t3 - t46*t4
-		y[i] = r46 * *x
+// New returns a generator at state seed with multiplier a. It panics
+// when either lies outside [1, 2^46): such a value is a programming
+// error, not a sequence.
+func New(seed, a uint64) Gen {
+	if seed-1 >= mask || a-1 >= mask {
+		panic(fmt.Sprintf("randdp: seed %d or multiplier %d outside [1, 2^46)", seed, a))
 	}
+	return Gen{x: seed, a: a}
 }
 
-// Ipow46 computes a^exponent (mod 2^46) in double precision, the NPB
-// ipow46 helper used to jump the generator ahead (e.g. to give each
-// worker thread an independent, reproducible subsequence in EP and FT).
-func Ipow46(a float64, exponent int) float64 {
-	result := 1.0
-	if exponent == 0 {
-		return result
-	}
-	q := a
-	r := 1.0
-	n := exponent
-	for n > 1 {
-		n2 := n / 2
-		if n2*2 == n {
-			Randlc(&q, q) // q = q*q mod 2^46
-			n = n2
-		} else {
-			Randlc(&r, q) // r = r*q mod 2^46
-			n = n - 1
-		}
-	}
-	Randlc(&r, q)
-	return r
-}
-
-// Stream is a convenience wrapper holding generator state, handy for Go
-// callers that prefer methods over the Fortran-style pointer API.
-type Stream struct {
-	x float64
-	a float64
-}
-
-// NewStream returns a Stream seeded with seed and multiplier a.
-// A zero multiplier selects the standard NPB multiplier 5^13.
+// NewStream is New for callers holding the Fortran-style float64
+// values; a zero multiplier selects the standard 5^13. It panics on a
+// seed or multiplier that is not an integer in [1, 2^46).
 func NewStream(seed, a float64) *Stream {
 	if a == 0 {
 		a = A
 	}
-	return &Stream{x: seed, a: a}
+	x, m := uint64(int64(seed)), uint64(int64(a))
+	if float64(x) != seed || float64(m) != a {
+		panic(fmt.Sprintf("randdp: seed %v or multiplier %v is not an integer", seed, a))
+	}
+	g := New(x, m)
+	return &g
 }
 
-// Next returns the next pseudorandom double in (0, 1).
-func (s *Stream) Next() float64 { return Randlc(&s.x, s.a) }
+// Next advances the generator one step and returns the new state scaled
+// into (0, 1).
+//
+//npblint:hot one draw; IS key generation and CG's sprnvc call it per number
+func (g *Gen) Next() float64 {
+	g.x = g.x * g.a & mask
+	return r46 * float64(int64(g.x))
+}
 
-// Fill fills y with len(y) pseudorandom doubles in (0, 1).
-func (s *Stream) Fill(y []float64) { Vranlc(len(y), &s.x, s.a, y) }
+// Fill fills y with the next len(y) numbers of the sequence.
+//
+//npblint:hot the vranlc loop under EP's batches and FT/MG input generation
+func (g *Gen) Fill(y []float64) {
+	x, a := g.x, g.a
+	for i := range y {
+		// The wrapped 64-bit product keeps the low 46 bits of the true
+		// one; x < 2^46 converts exactly, through int64 because that is
+		// a single instruction where uint64 needs a sign fix-up.
+		x = x * a & mask
+		y[i] = r46 * float64(int64(x))
+	}
+	g.x = x
+}
+
+// Skip jumps the generator ahead by n positions in O(log n) time; n <= 0
+// leaves it where it is.
+func (g *Gen) Skip(n int) { g.x = g.x * pow46(g.a, n) & mask }
 
 // Seed returns the current raw 46-bit state.
-func (s *Stream) Seed() float64 { return s.x }
+func (g *Gen) Seed() float64 { return float64(int64(g.x)) }
 
-// Skip jumps the stream ahead by n positions in O(log n) time.
-func (s *Stream) Skip(n int) {
-	if n <= 0 {
-		return
+// pow46 returns a^n mod 2^46 by binary exponentiation, 1 for n <= 0.
+func pow46(a uint64, n int) uint64 {
+	r := uint64(1)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			r = r * a & mask
+		}
+		a = a * a & mask
 	}
-	an := Ipow46(s.a, n)
-	Randlc(&s.x, an)
+	return r
+}
+
+// Randlc advances *x to the next element of the sequence with
+// multiplier a and returns it scaled into (0, 1): the NPB randlc
+// signature over the integer core. *x and a must be integers in
+// [1, 2^46), as every value this package produces is; they are not
+// checked here, and a fractional part would be truncated.
+func Randlc(x *float64, a float64) float64 {
+	g := Gen{uint64(int64(*x)), uint64(int64(a))}
+	r := g.Next()
+	*x = g.Seed()
+	return r
+}
+
+// Vranlc fills y[:n] with the next n elements of the sequence, advancing
+// *x n times: the NPB vranlc signature, same domain as Randlc.
+func Vranlc(n int, x *float64, a float64, y []float64) {
+	g := Gen{uint64(int64(*x)), uint64(int64(a))}
+	g.Fill(y[:n])
+	*x = g.Seed()
+}
+
+// Ipow46 computes a^exponent (mod 2^46), the NPB ipow46 helper used to
+// jump a generator ahead; a is an integer in [1, 2^46) as for Randlc.
+func Ipow46(a float64, exponent int) float64 {
+	return float64(pow46(uint64(int64(a)), exponent))
 }

@@ -6,6 +6,229 @@ import (
 	"testing/quick"
 )
 
+// The oracle: a literal transcription of the NPB2.3 Fortran randlc,
+// vranlc and ipow46, which emulate the 46-bit integer product with
+// 23-bit halves in double precision. The package computes the same
+// recurrence on a uint64; everything below asserts the two agree bit
+// for bit, state and returned value.
+const (
+	oR23 = 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5 * 0.5
+	oT23 = 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0 * 2.0
+	oR46 = oR23 * oR23
+	oT46 = oT23 * oT23
+)
+
+func oracleRandlc(x *float64, a float64) float64 {
+	// Break a into two parts such that a = 2^23 * a1 + a2.
+	t1 := oR23 * a
+	a1 := float64(int64(t1))
+	a2 := a - oT23*a1
+
+	// Break x into two parts such that x = 2^23 * x1 + x2, compute
+	// z = a1 * x2 + a2 * x1 (mod 2^23), and then
+	// a*x = 2^23 * z + a2 * x2 (mod 2^46).
+	t1 = oR23 * *x
+	x1 := float64(int64(t1))
+	x2 := *x - oT23*x1
+	t1 = a1*x2 + a2*x1
+	t2 := float64(int64(oR23 * t1))
+	z := t1 - oT23*t2
+	t3 := oT23*z + a2*x2
+	t4 := float64(int64(oR46 * t3))
+	*x = t3 - oT46*t4
+	return oR46 * *x
+}
+
+func oracleVranlc(n int, x *float64, a float64, y []float64) {
+	t1 := oR23 * a
+	a1 := float64(int64(t1))
+	a2 := a - oT23*a1
+
+	for i := 0; i < n; i++ {
+		t1 = oR23 * *x
+		x1 := float64(int64(t1))
+		x2 := *x - oT23*x1
+		t1 = a1*x2 + a2*x1
+		t2 := float64(int64(oR23 * t1))
+		z := t1 - oT23*t2
+		t3 := oT23*z + a2*x2
+		t4 := float64(int64(oR46 * t3))
+		*x = t3 - oT46*t4
+		y[i] = oR46 * *x
+	}
+}
+
+func oracleIpow46(a float64, exponent int) float64 {
+	result := 1.0
+	if exponent == 0 {
+		return result
+	}
+	q := a
+	r := 1.0
+	n := exponent
+	for n > 1 {
+		n2 := n / 2
+		if n2*2 == n {
+			oracleRandlc(&q, q) // q = q*q mod 2^46
+			n = n2
+		} else {
+			oracleRandlc(&r, q) // r = r*q mod 2^46
+			n = n - 1
+		}
+	}
+	oracleRandlc(&r, q)
+	return r
+}
+
+// suiteSeeds are the starting states the benchmarks use: the default
+// seed (FT, IS, MG, CG), EP's, and CG's tran after the one draw cg.f
+// makes before makea.
+var suiteSeeds = func() []float64 {
+	tran := DefaultSeed
+	oracleRandlc(&tran, A)
+	return []float64{DefaultSeed, 271828183, tran}
+}()
+
+// suiteJumps are the exponents n of every jump multiplier a^n the suite
+// forms; 1 is the plain multiplier A.
+var suiteJumps = []struct {
+	name string
+	n    int
+}{
+	{"A", 1},
+	{"EP a^(2nk), FT.A a^(2nxny)", 1 << 17},
+	{"FT.S a^(2nxny)", 2 * 64 * 64},
+	{"FT.W a^(2nxny)", 2 * 128 * 128},
+	{"MG.S a^nx", 32},
+	{"MG.S a^(nxny)", 32 * 32},
+	{"MG.W a^nx", 128},
+	{"MG.W a^(nxny)", 128 * 128},
+	{"MG.A a^nx", 256},
+	{"MG.A a^(nxny)", 256 * 256},
+}
+
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestCoreMatchesOracle draws a million numbers from every suite seed
+// under every suite multiplier, once through Gen and once through the
+// Randlc/Vranlc wrappers, and compares state and value bits with the
+// Fortran transcription at every step.
+func TestCoreMatchesOracle(t *testing.T) {
+	draws := 1 << 20
+	if testing.Short() {
+		draws = 1 << 14
+	}
+	const block = 1 << 12
+	got, viaWrapper, want := make([]float64, block), make([]float64, block), make([]float64, block)
+	for _, j := range suiteJumps {
+		a := oracleIpow46(A, j.n)
+		if ia := Ipow46(A, j.n); !same(ia, a) {
+			t.Fatalf("%s: Ipow46 = %v, oracle %v", j.name, ia, a)
+		}
+		for _, seed := range suiteSeeds {
+			g := NewStream(seed, a)
+			xo, xw, xr := seed, seed, seed
+			for done := 0; done < draws; done += block {
+				g.Fill(got)
+				Vranlc(block, &xw, a, viaWrapper)
+				oracleVranlc(block, &xo, a, want)
+				for i := range want {
+					if !same(got[i], want[i]) || !same(viaWrapper[i], want[i]) {
+						t.Fatalf("%s seed %v draw %d: Fill %v, Vranlc %v, oracle %v",
+							j.name, seed, done+i, got[i], viaWrapper[i], want[i])
+					}
+				}
+				if !same(g.Seed(), xo) || !same(xw, xo) {
+					t.Fatalf("%s seed %v after %d draws: state Gen %v, Vranlc %v, oracle %v",
+						j.name, seed, done+block, g.Seed(), xw, xo)
+				}
+			}
+			// Single steps: Next and Randlc against the oracle's randlc.
+			xo = seed
+			h := NewStream(seed, a)
+			for i := 0; i < draws; i++ {
+				w := oracleRandlc(&xo, a)
+				if v := h.Next(); !same(v, w) || !same(h.Seed(), xo) {
+					t.Fatalf("%s seed %v draw %d: Next %v state %v, oracle %v state %v",
+						j.name, seed, i, v, h.Seed(), w, xo)
+				}
+				if v := Randlc(&xr, a); !same(v, w) || !same(xr, xo) {
+					t.Fatalf("%s seed %v draw %d: Randlc %v state %v, oracle %v state %v",
+						j.name, seed, i, v, xr, w, xo)
+				}
+			}
+		}
+	}
+}
+
+// TestSkipMatchesSingleSteps: Skip(n) lands on the state n oracle draws
+// reach, for every suite jump length from every suite seed.
+func TestSkipMatchesSingleSteps(t *testing.T) {
+	for _, j := range suiteJumps {
+		for _, seed := range suiteSeeds {
+			g := NewStream(seed, A)
+			g.Skip(j.n)
+			x := seed
+			for i := 0; i < j.n; i++ {
+				oracleRandlc(&x, A)
+			}
+			if !same(g.Seed(), x) {
+				t.Fatalf("%s seed %v: Skip(%d) state %v, %d oracle steps %v", j.name, seed, j.n, g.Seed(), j.n, x)
+			}
+		}
+	}
+	g := NewStream(DefaultSeed, A)
+	g.Skip(0)
+	g.Skip(-3)
+	if g.Seed() != DefaultSeed {
+		t.Fatalf("Skip(0)/Skip(-3) moved the state to %v", g.Seed())
+	}
+}
+
+// FuzzStepMatchesOracle checks one step of the integer core against the
+// Fortran arithmetic for any state and multiplier in the 46-bit domain.
+func FuzzStepMatchesOracle(f *testing.F) {
+	f.Add(uint64(DefaultSeed), uint64(A)) // the rest of the corpus is under testdata/fuzz
+	f.Fuzz(func(t *testing.T, x, a uint64) {
+		x, a = x&mask, a&mask
+		if x == 0 || a == 0 {
+			t.Skip("outside the generator's domain")
+		}
+		g := New(x, a)
+		got := g.Next()
+		xo := float64(x)
+		want := oracleRandlc(&xo, float64(a))
+		if !same(got, want) || !same(g.Seed(), xo) {
+			t.Fatalf("x=%d a=%d: core value %v state %v, oracle value %v state %v", x, a, got, g.Seed(), want, xo)
+		}
+	})
+}
+
+func TestConstructorsRejectValuesOutsideDomain(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("zero seed", func() { New(0, uint64(A)) })
+	mustPanic("seed 2^46", func() { New(1<<46, uint64(A)) })
+	mustPanic("zero multiplier", func() { New(1, 0) })
+	mustPanic("multiplier 2^46", func() { New(1, 1<<46) })
+	mustPanic("fractional seed", func() { NewStream(423.26, 0) })
+	mustPanic("fractional multiplier", func() { NewStream(1, 2.5) })
+	mustPanic("negative seed", func() { NewStream(-1, 0) })
+	mustPanic("NaN seed", func() { NewStream(math.NaN(), 0) })
+	mustPanic("seed 2^46 as float", func() { NewStream(oT46, 0) })
+	mustPanic("seed 2^63 as float", func() { NewStream(oT46*oT23/64, 0) })
+	mustPanic("infinite seed", func() { NewStream(math.Inf(1), 0) })
+	New(mask, mask)
+	NewStream(oT46-1, oT46-1)
+}
+
 // The generator is fully deterministic; the first few values from the
 // canonical seed/multiplier pair are fixed by the recurrence
 // x_{k+1} = 5^13 x_k mod 2^46 and can be computed independently with
@@ -79,6 +302,9 @@ func TestIpow46MatchesRepeatedMultiplication(t *testing.T) {
 		if got != want {
 			t.Fatalf("Ipow46(A,%d) = %v, repeated mult = %v", n, got, want)
 		}
+		if o := oracleIpow46(A, n); !same(got, o) {
+			t.Fatalf("Ipow46(A,%d) = %v, oracle ipow46 = %v", n, got, o)
+		}
 	}
 }
 
@@ -128,10 +354,19 @@ func TestMeanRoughlyHalf(t *testing.T) {
 	}
 }
 
+var sink float64
+
 func BenchmarkRandlc(b *testing.B) {
 	x := DefaultSeed
 	for i := 0; i < b.N; i++ {
-		Randlc(&x, A)
+		sink += Randlc(&x, A)
+	}
+}
+
+func BenchmarkNext(b *testing.B) {
+	g := New(uint64(DefaultSeed), uint64(A))
+	for i := 0; i < b.N; i++ {
+		sink += g.Next()
 	}
 }
 
@@ -142,5 +377,15 @@ func BenchmarkVranlc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Vranlc(len(y), &x, A, y)
+	}
+}
+
+func BenchmarkOracleVranlc(b *testing.B) {
+	x := DefaultSeed
+	y := make([]float64, 1024)
+	b.SetBytes(1024 * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oracleVranlc(len(y), &x, A, y)
 	}
 }
