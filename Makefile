@@ -71,11 +71,12 @@ bce-baseline:
 	$(GO) build $(BCE_PKGS)
 	$(BCE_REPORT) > bce_baseline.txt
 
-# Race detection on short classes; the robustness-critical packages get
-# a dedicated -race pass even under -short.
+# Race detection on short classes; the robustness-critical packages and
+# the kernels whose regions carry their own barriers and pipeline waits
+# (lu, cg, nscore) get a full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/harness ./internal/fault ./internal/timer ./internal/obs ./internal/journal ./internal/chaos ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/obs ./internal/journal ./internal/chaos ./internal/perfcount
 
 test-race: race
 

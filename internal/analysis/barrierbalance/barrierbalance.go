@@ -7,7 +7,12 @@
 // mis-scoped wait left part of the team parked forever (§5, the
 // pipeline stall the robustness work reproduces with fault injection).
 // Three shapes are diagnosed inside Run/RunCtx/For/ForBlock/ReduceSum
-// region bodies:
+// region bodies, and inside hoisted bodies — a func(id int) literal
+// assigned to a variable or field and handed to Run later, which is
+// where the kernels' one-region-per-phase bodies keep their barriers.
+// Barrier stands for Barrier, BarrierID and BarrierUnlessStatic; the
+// last is itself conditional, but on the region's schedule, which every
+// worker of the region sees alike.
 //
 //  1. Team.Barrier reached under a conditional (if/switch/select) — a
 //     worker that takes the other arm never arrives, and the region
@@ -53,12 +58,17 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if body := regionBody(pass, call); body != nil {
-				checkRegion(pass, body)
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if body := regionBody(pass, n); body != nil {
+					checkRegion(pass, body)
+				}
+			case *ast.AssignStmt:
+				for _, rhs := range n.Rhs {
+					if lit, ok := rhs.(*ast.FuncLit); ok && isHoistedBody(pass, lit) {
+						checkRegion(pass, lit)
+					}
+				}
 			}
 			return true
 		})
@@ -81,6 +91,16 @@ func regionBody(pass *analysis.Pass, call *ast.CallExpr) *ast.FuncLit {
 		return nil
 	}
 	return lit
+}
+
+// isHoistedBody reports whether lit has a region body's type, func(int).
+func isHoistedBody(pass *analysis.Pass, lit *ast.FuncLit) bool {
+	sig, ok := pass.TypesInfo.TypeOf(lit).(*types.Signature)
+	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 0 {
+		return false
+	}
+	b, ok := sig.Params().At(0).Type().(*types.Basic)
+	return ok && b.Kind() == types.Int
 }
 
 // checkRegion walks one region body, tracking the conditional and
@@ -145,7 +165,7 @@ func checkTeamCall(pass *analysis.Pass, call *ast.CallExpr, conditional, idLoop 
 	case regionStarters[method] || nestable[method]:
 		pass.Reportf(call.Pos(),
 			"Team.%s starts a parallel region inside a region body; the team runtime panics on nested regions", method)
-	case method != "Barrier" && method != "BarrierID":
+	case method != "Barrier" && method != "BarrierID" && method != "BarrierUnlessStatic":
 		return
 	case conditional:
 		pass.Reportf(call.Pos(),

@@ -61,3 +61,28 @@ func nearMiss(tm *team.Team, steps int) {
 		}
 	})
 }
+
+// hoisted bodies are built once and handed to Run by name; a fused
+// region's barriers live there, so they get the same checks.
+type kernel struct {
+	tm   *team.Team
+	body func(id int)
+}
+
+func (k *kernel) build(steps int) {
+	k.body = func(id int) {
+		for s := 0; s < steps; s++ {
+			k.tm.BarrierUnlessStatic(id) // uniform: the schedule is the region's
+		}
+		if id > 0 {
+			k.tm.BarrierID(id) // want `conditionally reached`
+		}
+		for s := id; s < steps; s++ {
+			k.tm.BarrierUnlessStatic(id) // want `unequal numbers of times`
+		}
+		k.tm.Run(func(int) {}) // want `nested regions`
+	}
+	scale := func(x int) { _ = x * steps } // func(int), but no team calls: silent
+	scale(steps)
+	k.tm.Run(k.body)
+}

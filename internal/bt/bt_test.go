@@ -439,8 +439,8 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		return b.f.U
 	}
 	want := run(1, team.Static)
-	for _, threads := range []int{1, 2, 3} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+	for _, threads := range []int{1, 2, 3, 4, 7} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
 			got := run(threads, sched)
 			for i := range want {
 				if got[i] != want[i] {

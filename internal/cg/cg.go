@@ -74,28 +74,29 @@ type Benchmark struct {
 	// New and reused by every iteration, because For/ForBlock/ReduceSum
 	// wrap their body in a fresh closure per call and a literal closure
 	// capturing loop-variant scalars allocates per creation. The bodies
-	// instead read the per-iteration scalars (alpha, beta, scaleInv) and
-	// the current team from the Benchmark, keeping the timed loop free of
-	// heap allocation (enforced by internal/allocgate).
+	// instead read the per-call scalar scaleInv, the staged dot operands
+	// and the current team from the Benchmark, keeping the timed loop free
+	// of heap allocation (enforced by internal/allocgate).
 	tm       *team.Team // team of the current Run/Iter
-	alpha    float64    // CG step length, set each inner iteration
-	beta     float64    // CG direction update, set each inner iteration
 	scaleInv float64    // 1/||z|| for normalize
 	dotA     []float64  // operands of the pending dot product
 	dotB     []float64
+	dots     []dotSlot // conjBody's reduction partials, one per static block
 
-	initBody    func(id int)
-	spmvPQBody  func(id int)
-	spmvZRBody  func(id int)
-	axpyBody    func(id int)
-	pUpdBody    func(id int)
-	residBody   func(id int)
+	conjBody    func(id int)
 	scaleBody   func(id int)
 	dotBody     func(id int)
 	ballastBody func(id int)
 	conjFn      func() float64
 	normFn      func() float64
 }
+
+// dotSlot is one static block's cache line of conjBody's dot-product
+// partials: [dotPQ] and [dotRR] alternate, and a worker may write its
+// next p.q partial while another still sums the r.r ones, hence two.
+type dotSlot [8]float64
+
+const dotPQ, dotRR = 0, 1
 
 // Option configures optional benchmark behaviour.
 type Option func(*Benchmark)
@@ -183,19 +184,27 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 
 // buildBodies constructs every parallel-region body once. Each is a
 // func(id int) handed straight to Team.Run; loop shares come from the
-// team's schedule iterator inside the body and loop-variant scalars
-// from Benchmark fields, so no closure is created in the timed loop.
-// The reduction bodies iterate block-granularity chunks (ReduceBlocks)
-// and store each chunk's partial under its block index, keeping
-// PartialSum bit-identical to the static schedule whichever worker ran
+// team's schedule iterator inside the body, so no closure is created in
+// the timed loop. Reductions iterate block-granularity chunks
+// (ReduceBlocks) and store each chunk's partial under its block index,
+// so their sums are the static schedule's bits whichever worker ran
 // which block.
 func (b *Benchmark) buildBodies() {
 	n := b.p.na
+	b.dots = make([]dotSlot, b.threads)
 
-	//npblint:hot vector init, constructed once and reused every conjGrad call
-	b.initBody = func(id int) {
+	// All of conj_grad as one region. Each worker keeps rho, alpha and
+	// beta to itself: a dot product is per-static-block partials, a
+	// barrier, and every worker adding the slots up in block order, the
+	// arithmetic of Team.PartialSum. Loops over [0,n) that touch only
+	// their own indices follow each other with BarrierUnlessStatic; a
+	// full barrier stands where a whole vector must be complete: the
+	// partials, and p before the next q = A p.
+	//npblint:hot
+	b.conjBody = func(id int) {
+		tm := b.tm
 		x, z, p, q, r := b.x, b.z, b.pv, b.q, b.r
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
+		for it := tm.Loop(id, 0, n); it.Next(); {
 			for i := it.Lo; i < it.Hi; i++ {
 				q[i] = 0
 				z[i] = 0
@@ -203,72 +212,36 @@ func (b *Benchmark) buildBodies() {
 				p[i] = x[i]
 			}
 		}
-	}
-
-	//npblint:hot sparse mat-vec q = A p, the kernel of every inner iteration
-	b.spmvPQBody = func(id int) {
-		rowstr, colidx, a := b.rowstr, b.colidx, b.a
-		in, out := b.pv, b.q
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				sum := 0.0
-				for k := rowstr[i]; k < rowstr[i+1]; k++ {
-					sum += a[k] * in[colidx[k]]
+		rho := b.dotIn(id, dotRR, r, r)
+		for cgit := 1; cgit <= cgitmax; cgit++ {
+			b.spmv(id, p, q)
+			alpha := rho / b.dotIn(id, dotPQ, p, q)
+			for it := tm.Loop(id, 0, n); it.Next(); {
+				for i := it.Lo; i < it.Hi; i++ {
+					z[i] += alpha * p[i]
+					r[i] -= alpha * q[i]
 				}
-				out[i] = sum
 			}
-		}
-	}
-
-	//npblint:hot sparse mat-vec r = A z for the residual norm
-	b.spmvZRBody = func(id int) {
-		rowstr, colidx, a := b.rowstr, b.colidx, b.a
-		in, out := b.z, b.r
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				sum := 0.0
-				for k := rowstr[i]; k < rowstr[i+1]; k++ {
-					sum += a[k] * in[colidx[k]]
+			rho0 := rho
+			rho = b.dotIn(id, dotRR, r, r)
+			beta := rho / rho0
+			for it := tm.Loop(id, 0, n); it.Next(); {
+				for i := it.Lo; i < it.Hi; i++ {
+					p[i] = r[i] + beta*p[i]
 				}
-				out[i] = sum
 			}
+			tm.BarrierID(id)
 		}
-	}
-
-	//npblint:hot z/r update with the iteration's alpha read from the Benchmark
-	b.axpyBody = func(id int) {
-		alpha := b.alpha
-		z, r, p, q := b.z, b.r, b.pv, b.q
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				z[i] += alpha * p[i]
-				r[i] -= alpha * q[i]
-			}
-		}
-	}
-
-	//npblint:hot search-direction update with the iteration's beta
-	b.pUpdBody = func(id int) {
-		beta := b.beta
-		p, r := b.pv, b.r
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				p[i] = r[i] + beta*p[i]
-			}
-		}
-	}
-
-	//npblint:hot partial sums of ||x - A z||^2 into the block-indexed slots
-	b.residBody = func(id int) {
-		tm := b.tm
-		x, r := b.x, b.r
+		// ||x - A z||^2 into the dotRR slots, for conjGrad to add up.
+		b.spmv(id, z, r)
+		tm.BarrierUnlessStatic(id)
 		for it := tm.ReduceBlocks(id, 0, n); it.Next(); {
 			s := 0.0
 			for i := it.Lo; i < it.Hi; i++ {
 				d := x[i] - r[i]
 				s += d * d
 			}
-			*tm.Partial(it.Chunk()) = s
+			b.dots[it.Chunk()][dotRR] = s
 		}
 	}
 
@@ -450,28 +423,57 @@ func (b *Benchmark) normalize() {
 }
 
 // conjGrad runs cgitmax CG iterations for the system A z = x and returns
-// the residual norm ||x - A z||, as cg.f's conj_grad.
+// the residual norm ||x - A z||, as cg.f's conj_grad. On a cancelled
+// team it returns 0, never a norm of an aborted region's partials.
 func (b *Benchmark) conjGrad() float64 {
-	tm := b.tm
-
-	tm.Run(b.initBody)
-	rho := b.dot(b.r, b.r)
-
-	for cgit := 1; cgit <= cgitmax; cgit++ {
-		tm.Run(b.spmvPQBody)
-		d := b.dot(b.pv, b.q)
-		b.alpha = rho / d
-		tm.Run(b.axpyBody)
-		rho0 := rho
-		rho = b.dot(b.r, b.r)
-		b.beta = rho / rho0
-		tm.Run(b.pUpdBody)
+	b.tm.Run(b.conjBody)
+	if b.tm.Cancelled() {
+		return 0
 	}
+	return math.Sqrt(b.sumDots(dotRR))
+}
 
-	// rnorm = ||x - A z||.
-	tm.Run(b.spmvZRBody)
-	tm.Run(b.residBody)
-	return math.Sqrt(tm.PartialSum())
+// spmv is worker id's share of the sparse mat-vec out = A in, the
+// kernel of every inner iteration.
+//
+//npblint:hot
+func (b *Benchmark) spmv(id int, in, out []float64) {
+	rowstr, colidx, a := b.rowstr, b.colidx, b.a
+	for it := b.tm.Loop(id, 0, len(out)); it.Next(); {
+		for i := it.Lo; i < it.Hi; i++ {
+			sum := 0.0
+			for k := rowstr[i]; k < rowstr[i+1]; k++ {
+				sum += a[k] * in[colidx[k]]
+			}
+			out[i] = sum
+		}
+	}
+}
+
+// dotIn is u.v inside conjBody, following a loop that wrote u or v:
+// block partials into slot k, a barrier, the sum.
+//
+//npblint:hot
+func (b *Benchmark) dotIn(id, k int, u, v []float64) float64 {
+	tm := b.tm
+	tm.BarrierUnlessStatic(id)
+	for it := tm.ReduceBlocks(id, 0, len(u)); it.Next(); {
+		s := 0.0
+		for i := it.Lo; i < it.Hi; i++ {
+			s += u[i] * v[i]
+		}
+		b.dots[it.Chunk()][k] = s
+	}
+	tm.BarrierID(id)
+	return b.sumDots(k)
+}
+
+func (b *Benchmark) sumDots(k int) float64 {
+	sum := 0.0
+	for c := range b.dots {
+		sum += b.dots[c][k]
+	}
+	return sum
 }
 
 // dot is a team-parallel dot product with deterministic partial

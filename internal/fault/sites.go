@@ -16,6 +16,7 @@ var knownSites = [...]string{
 	"ep.batch",     // ep: per-worker batch loop
 	"ep.verify",    // ep: sum verification values
 	"harness.cell", // harness: each (benchmark, threads) cell run
+	"lu.sweep",     // lu: each worker at each plane of the pipelined lower sweep
 	"team.region",  // team: entry of every parallel region body
 }
 

@@ -8,10 +8,12 @@
 package lu
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
+	"npbgo/internal/fault"
 	"npbgo/internal/grid"
 	"npbgo/internal/nscore"
 	"npbgo/internal/obs"
@@ -45,7 +47,8 @@ type Benchmark struct {
 	n       int
 	itmax   int
 	threads int
-	hyper   bool // hyperplane-scheduled sweeps instead of pipelined
+	hyper   bool            // hyperplane-scheduled sweeps instead of pipelined
+	ctx     context.Context // nil means not cancellable
 	timers  *timer.Set
 	rec     *obs.Recorder      // nil without WithObs
 	tr      *trace.Tracer      // nil without WithTrace
@@ -77,8 +80,7 @@ type Benchmark struct {
 	rhsInitBody func(id int)
 	scaleBody   func(id int)
 	updateBody  func(id int)
-	lowerBody   func(id int)
-	upperBody   func(id int)
+	sweepsBody  func(id int)
 }
 
 // sweepScratch is one worker's storage for the triangular sweeps. The
@@ -129,6 +131,12 @@ func WithHyperplane() Option { return func(b *Benchmark) { b.hyper = true } }
 
 // WithTimers enables per-phase profiling of the SSOR iteration.
 func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
+
+// WithContext makes Run cancellable: when ctx expires the team is
+// cancelled — a worker waiting for a pipeline token unwinds with it —
+// and the SSOR loop stops within about one istep, returning a partial
+// result.
+func WithContext(ctx context.Context) Option { return func(b *Benchmark) { b.ctx = ctx } }
 
 // New configures LU for the given class and thread count.
 func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
@@ -224,28 +232,30 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	// The pipelined sweeps below must keep the static team.Block split:
-	// each worker's Wait/Post handshake with its neighbours assumes
-	// worker id owns the same fixed j-band on every k-plane, which a
-	// dynamic chunk assignment would break.
+	// The pipelined sweeps must keep the static team.Block split: each
+	// worker's Wait/Post handshake with its neighbours assumes worker id
+	// owns the same fixed j-band on every k-plane, which a dynamic chunk
+	// assignment would break.
 
-	//npblint:hot lower-triangular sweep, pipelined forward over planes
-	b.lowerBody = func(id int) {
+	// Both triangular sweeps in one region, pipelined over planes: the
+	// lower one forward, the upper one backward. Nothing separates them:
+	// a worker starts upward on its band once its own lower sweep is
+	// done and its successor has posted the plane, and the successor
+	// posts only after finishing its lower sweep, the last reader of
+	// this band's lower values; forward and reverse tokens are counted
+	// apart, so neither sweep can take the other's.
+	//npblint:hot
+	b.sweepsBody = func(id int) {
 		jlo, jhi := team.Block(1, n-1, b.tm.Size(), id)
 		ws := b.scratch[id]
 		for k := 1; k < n-1; k++ {
+			fault.Maybe("lu.sweep")
 			b.pipe.Wait(id)
 			for j := jlo; j < jhi; j++ {
 				b.lowerRow(ws, j, k)
 			}
 			b.pipe.Post(id)
 		}
-	}
-
-	//npblint:hot upper-triangular sweep, pipelined backward over planes
-	b.upperBody = func(id int) {
-		jlo, jhi := team.Block(1, n-1, b.tm.Size(), id)
-		ws := b.scratch[id]
 		for k := n - 2; k >= 1; k-- {
 			b.pipe.WaitReverse(id)
 			for j := jhi - 1; j >= jlo; j-- {
@@ -451,6 +461,10 @@ type Result struct {
 func (b *Benchmark) Run() Result {
 	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
 	defer tm.Close()
+	if b.ctx != nil {
+		stop := tm.WatchContext(b.ctx)
+		defer stop()
+	}
 
 	b.setbv()
 	b.setiv()

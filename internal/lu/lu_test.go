@@ -248,8 +248,8 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule, opts ...Op
 // schedule, so the field must be bit-identical to the serial run.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	want := ssorField(t, 1, 5, team.Static)
-	for _, threads := range []int{1, 2, 3} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+	for _, threads := range []int{1, 2, 3, 4, 7} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
 			got := ssorField(t, threads, 5, sched)
 			for i := range want {
 				if got[i] != want[i] {
@@ -292,8 +292,8 @@ func TestUnknownClassRejected(t *testing.T) {
 // for every team size and loop schedule.
 func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
 	want := ssorField(t, 1, 5, team.Static)
-	for _, threads := range []int{1, 2, 3} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided} {
+	for _, threads := range []int{1, 2, 3, 4, 7} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
 			got := ssorField(t, threads, 5, sched, WithHyperplane())
 			for i := range want {
 				if got[i] != want[i] {

@@ -65,13 +65,8 @@ func (b *Benchmark) Iter(tm *team.Team) {
 		b.lowerSweepHyperplane(tm)
 		b.upperSweepHyperplane(tm)
 	} else {
-		// Lower-triangular sweep, pipelined forward.
-		tm.Run(b.lowerBody)
-		b.pipe.Drain()
-
-		// Upper-triangular sweep, pipelined backward.
-		tm.Run(b.upperBody)
-		b.pipe.Drain()
+		// Both triangular sweeps, pipelined over planes, in one region.
+		tm.Run(b.sweepsBody)
 	}
 
 	if b.timers != nil {
@@ -112,7 +107,7 @@ func (b *Benchmark) ssor(tm *team.Team) time.Duration {
 	b.l2norm(b.rsd) // initial residual, reported by the cmd wrapper
 
 	start := time.Now()
-	for istep := 1; istep <= b.itmax; istep++ {
+	for istep := 1; istep <= b.itmax && !tm.Cancelled(); istep++ {
 		b.Iter(tm)
 	}
 	return time.Since(start)

@@ -35,6 +35,7 @@ type Field struct {
 	stC  *Consts
 	stTm *team.Team
 
+	rhsBody   func(id int) // ComputeRHS's region: the seven below, in order
 	primBody  func(id int)
 	forceBody func(id int)
 	xiBody    func(id int)

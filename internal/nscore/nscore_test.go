@@ -156,3 +156,56 @@ func TestViscousJacobianAnnihilatesUniformFlow(t *testing.T) {
 		}
 	}
 }
+
+// computeRHS7 is ComputeRHS with one region per loop, every loop joined
+// before the next starts: the order the fused region must reproduce.
+func computeRHS7(f *Field, c *Consts, tm *team.Team) {
+	f.stC, f.stTm = c, tm
+	for _, body := range []func(int){
+		f.primBody, f.forceBody, f.xiBody, f.etaBody, f.zetaBody, f.zDissBody, f.scaleBody,
+	} {
+		tm.Run(body)
+	}
+}
+
+// TestComputeRHSOneRegionMatchesSeven: the fused region drops the joins
+// between loops that cannot conflict and keeps a barrier where they
+// can; which is which depends on the schedule and on how [0,n) and
+// [1,n-1) split over the team. Every schedule and team size — below,
+// at and above the six interior planes — must give the bits of the
+// seven joined regions, twice over so a second call's primBody cannot
+// overtake the first call's readers.
+func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
+	const n = 8
+	c := SetConstants(n, 0.01)
+	want := NewField(n, true)
+	want.Initialize(&c)
+	want.ExactRHS(&c)
+	serial := team.New(1)
+	defer serial.Close()
+	computeRHS7(want, &c, serial)
+	want.Add(serial)
+	computeRHS7(want, &c, serial)
+	for _, threads := range []int{1, 2, 3, 6, 7, 9} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
+			f := NewField(n, true)
+			f.Initialize(&c)
+			f.ExactRHS(&c)
+			tm := team.New(threads, team.WithSchedule(sched))
+			f.ComputeRHS(&c, tm)
+			f.Add(tm)
+			f.ComputeRHS(&c, tm)
+			tm.Close()
+			for name, pair := range map[string][2][]float64{
+				"rhs": {f.Rhs, want.Rhs}, "rho_i": {f.RhoI, want.RhoI}, "qs": {f.Qs, want.Qs}, "speed": {f.Speed, want.Speed},
+			} {
+				for i := range pair[1] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("%d threads, %s: %s[%d] = %v, seven regions give %v",
+							threads, sched, name, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -11,27 +11,39 @@ import (
 // Navier-Stokes system into rhs: forcing plus convective and viscous
 // flux differences in the three coordinate directions plus fourth-order
 // artificial dissipation, finally scaled by dt — a literal translation
-// of BT's compute_rhs, with the plane loops split over the team. The
-// region bodies are prebuilt by NewField (see buildBodies), so repeated
-// calls from the timed ADI loop perform no heap allocation.
+// of BT's compute_rhs as one parallel region, with the plane loops split
+// over the team. The region body is prebuilt by NewField (see
+// buildBodies), so repeated calls from the timed ADI loop perform no
+// heap allocation.
 func (f *Field) ComputeRHS(c *Consts, tm *team.Team) {
 	f.stC, f.stTm = c, tm
-	tm.Run(f.primBody)
-	tm.Run(f.forceBody)
-	tm.Run(f.xiBody)
-	tm.Run(f.etaBody)
-	tm.Run(f.zetaBody)
-	tm.Run(f.zDissBody)
-	tm.Run(f.scaleBody)
+	tm.Run(f.rhsBody)
 }
 
 // buildBodies constructs the parallel-region bodies of ComputeRHS and
-// Add once. Each is a func(id int) handed straight to Team.Run; chunk
-// bounds come from the team's loop iterator (honoring the configured
-// schedule) and the operands from the stC/stTm staging fields, so the
-// callers create no closures.
+// Add once. Each is a func(id int); chunk bounds come from the team's
+// loop iterator (honoring the configured schedule) and the operands from
+// the stC/stTm staging fields, so the callers create no closures.
 func (f *Field) buildBodies() {
 	n := f.N
+
+	//npblint:hot the seven loops of compute_rhs as one region, with a
+	// barrier only where a loop needs what another worker may have written
+	f.rhsBody = func(id int) {
+		tm := f.stTm
+		f.primBody(id)   // planes of [0,n)
+		f.forceBody(id)  // flat shares of rhs; needs nothing of primBody's
+		tm.BarrierID(id) // planes of [1,n-1) split differently from both
+		f.xiBody(id)
+		tm.BarrierUnlessStatic(id) // same plane loop: same owner under static
+		f.etaBody(id)
+		tm.BarrierUnlessStatic(id)
+		f.zetaBody(id)   // reads RhoI..Qs at k±1, whole since the first barrier
+		tm.BarrierID(id) // zDiss is split over j and updates every plane
+		f.zDissBody(id)
+		tm.BarrierID(id) // scale is split over planes again
+		f.scaleBody(id)
+	}
 
 	//npblint:hot primitive quantities at every point
 	f.primBody = func(id int) {

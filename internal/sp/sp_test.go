@@ -141,24 +141,33 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerialBitwise: every factor solve writes its own
+// rhs line, the transforms are pointwise, and ComputeRHS (shared with BT)
+// orders its loops with barriers where ownership changes, so the field
+// after five ADI steps must be bit-identical for every team size and
+// every loop schedule.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	bs, _ := New('S', 1)
-	bp, _ := New('S', 3)
-	tms := team.New(1)
-	tmp := team.New(3)
-	defer tms.Close()
-	defer tmp.Close()
-	bs.f.Initialize(&bs.c)
-	bs.f.ExactRHS(&bs.c)
-	bp.f.Initialize(&bp.c)
-	bp.f.ExactRHS(&bp.c)
-	for s := 0; s < 5; s++ {
-		bs.adi(tms)
-		bp.adi(tmp)
+	run := func(threads int, sched team.Schedule) []float64 {
+		b, _ := New('S', threads)
+		tm := team.New(threads, team.WithSchedule(sched))
+		defer tm.Close()
+		b.f.Initialize(&b.c)
+		b.f.ExactRHS(&b.c)
+		for s := 0; s < 5; s++ {
+			b.adi(tm)
+		}
+		return b.f.U
 	}
-	for i := range bs.f.U {
-		if bs.f.U[i] != bp.f.U[i] {
-			t.Fatalf("u[%d] differs between 1 and 3 threads", i)
+	want := run(1, team.Static)
+	for _, threads := range []int{1, 2, 3, 4, 7} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
+			got := run(threads, sched)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
+						i, threads, sched, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -15,101 +15,95 @@ import (
 // identifies exactly this per-plane synchronization inside the k loop as
 // the reason LU scales worse than BT and SP.
 //
-// Each worker owns a buffered channel of tokens; Post(id) publishes "my
-// next plane is done" and Wait(id) consumes the predecessor's token.
-// Tokens are consumed in order, so no plane indices need to travel.
+// Each worker owns two gates counting the stages it has completed, one
+// per sweep direction: Post(id) advances the forward one and Wait(id)
+// holds until the predecessor's has passed the tokens this worker has
+// consumed, through the same poll-then-park wait as the barrier. Counts
+// only grow and the directions do not share them, so a forward sweep, a
+// reverse sweep and the next forward sweep can follow each other in one
+// region with nothing in between.
 //
-// A pipeline built with Team.NewPipeline inherits the team's obs
-// recorder and tracer: time a worker spends parked for a token is
-// charged to its obs wait slot — the same attribution BarrierID gives
-// barriers, so LU's pipeline stalls show in the imbalance diagnostics —
-// and waits that actually block are recorded as spans on the worker's
-// trace timeline. The bare NewPipeline constructor stays
-// instrumentation-free.
+// A pipeline built with Team.NewPipeline shares the team's wait state,
+// recorder and tracer: a failed region or a cancelled team unwinds a
+// worker waiting for a token as it does one at a barrier, the wait is
+// charged to the worker's obs wait slot — so LU's pipeline stalls show
+// in the imbalance diagnostics — and a wait that finds no token ready is
+// a span on its trace timeline. The bare NewPipeline constructor has no
+// instruments and cannot be aborted.
 type Pipeline struct {
-	ready []chan struct{}
-	rec   *obs.Recorder
-	tr    *trace.Tracer
-	// Per-worker token counters for trace correlation. Each slot is
-	// only touched by its own worker's goroutine, padded against false
-	// sharing; they stay nil without a tracer.
-	waits, posts []pipeCounter
+	l        *lot
+	fwd, rev []gate     // stages completed by each worker, per direction
+	used     []pipeUsed // tokens consumed by each worker
+	rec      *obs.Recorder
+	tr       *trace.Tracer
 }
 
-// pipeCounter is a per-worker counter on its own cache line.
-type pipeCounter struct {
-	n uint64
-	_ [7]uint64
+// pipeUsed is a worker's consumed-token counts on their own cache line;
+// only that worker touches them.
+type pipeUsed struct {
+	fwd, rev uint64
+	_        [48]byte
 }
 
-// NewPipeline creates pipeline state for a team of n workers processing
-// at most steps ordered stages (typically the number of grid planes in
-// the swept dimension). Buffering channels to steps lets a fast
-// predecessor run ahead without blocking.
+// NewPipeline creates pipeline state for a team of n workers. steps, the
+// number of ordered stages per sweep, is not needed by counting tokens
+// and is kept for the callers that state it.
 func NewPipeline(n, steps int) *Pipeline {
-	p := &Pipeline{ready: make([]chan struct{}, n)}
-	for i := range p.ready {
-		p.ready[i] = make(chan struct{}, steps)
-	}
-	return p
+	l := new(lot)
+	l.init(n)
+	return newPipeline(n, l)
 }
 
-// NewPipeline creates a Pipeline sized for the team and wired to the
-// team's obs recorder and tracer, so the per-plane waits of a pipelined
-// sweep get the same per-worker attribution as barriers. It is the
-// constructor the benchmark kernels use.
+func newPipeline(n int, l *lot) *Pipeline {
+	return &Pipeline{l: l, fwd: make([]gate, n), rev: make([]gate, n), used: make([]pipeUsed, n)}
+}
+
+// NewPipeline creates a Pipeline sized for the team and wired to its
+// wait state, obs recorder and tracer. It is the constructor the
+// benchmark kernels use.
 func (t *Team) NewPipeline(steps int) *Pipeline {
-	p := NewPipeline(t.n, steps)
-	p.rec = t.rec
-	p.tr = t.tr
-	if p.tr != nil {
-		p.waits = make([]pipeCounter, t.n)
-		p.posts = make([]pipeCounter, t.n)
-	}
+	p := newPipeline(t.n, &t.lot)
+	p.rec, p.tr = t.rec, t.tr
 	return p
 }
 
-// recv consumes one token from the channel at index from on behalf of
-// worker id. An immediately-available token costs one channel receive,
-// as before; only a wait that actually blocks is timed and traced.
-func (p *Pipeline) recv(id, from int) {
-	ch := p.ready[from]
-	if p.rec == nil && p.tr == nil {
-		<-ch
+// recv consumes worker id's next token from gate g, counting it in
+// *used. A token already posted costs one load; only a wait that finds
+// none is timed and traced.
+//
+//npblint:hot
+func (p *Pipeline) recv(id int, g *gate, used *uint64) {
+	*used++
+	tok := *used
+	if g.v.Load() >= tok {
 		return
 	}
-	select {
-	case <-ch:
-		return // token already posted: no stall to record
-	default:
-	}
-	var tok uint64
 	if p.tr != nil {
-		tok = p.waits[id].n
-		p.waits[id].n++
 		p.tr.PipeWaitBegin(id, tok)
 	}
 	var start time.Time
 	if p.rec != nil {
 		start = time.Now()
 	}
-	<-ch
+	ok := p.l.wait(g, tok, true)
 	if p.rec != nil {
 		p.rec.AddWait(id, time.Since(start))
 	}
 	if p.tr != nil {
 		p.tr.PipeWaitEnd(id, tok)
 	}
+	if !ok {
+		panic(regionAbort{})
+	}
 }
 
-// send posts one token on worker id's own channel slot at index at.
-// The channels are buffered to the full stage count, so send never
-// blocks.
-func (p *Pipeline) send(id, at int) {
-	p.ready[at] <- struct{}{}
+// send posts worker id's next token on its gate g.
+//
+//npblint:hot
+func (p *Pipeline) send(id int, g *gate) {
+	tok := g.v.Add(1)
+	p.l.release(g)
 	if p.tr != nil {
-		tok := p.posts[id].n
-		p.posts[id].n++
 		p.tr.PipeSignal(id, tok)
 	}
 }
@@ -118,16 +112,15 @@ func (p *Pipeline) send(id, at int) {
 // completed stage. Worker 0 has no predecessor and never blocks.
 func (p *Pipeline) Wait(id int) {
 	if id > 0 {
-		p.recv(id, id-1)
+		p.recv(id, &p.fwd[id-1], &p.used[id].fwd)
 	}
 }
 
 // Post records that worker id has completed one more stage, releasing
-// its successor. The last worker's posts are simply never consumed
-// (the channel is buffered to the full stage count).
+// its successor. The last worker has none and posts nothing.
 func (p *Pipeline) Post(id int) {
-	if id < len(p.ready)-1 {
-		p.send(id, id)
+	if id < len(p.fwd)-1 {
+		p.send(id, &p.fwd[id])
 	}
 }
 
@@ -135,8 +128,8 @@ func (p *Pipeline) Post(id int) {
 // completed stage; used by the upper-triangular sweep, which runs the
 // pipeline in the opposite direction.
 func (p *Pipeline) WaitReverse(id int) {
-	if id < len(p.ready)-1 {
-		p.recv(id, id+1)
+	if id < len(p.rev)-1 {
+		p.recv(id, &p.rev[id+1], &p.used[id].rev)
 	}
 }
 
@@ -144,22 +137,18 @@ func (p *Pipeline) WaitReverse(id int) {
 // releasing worker id-1.
 func (p *Pipeline) PostReverse(id int) {
 	if id > 0 {
-		p.send(id, id)
+		p.send(id, &p.rev[id])
 	}
 }
 
-// Drain empties all token channels so the Pipeline can be reused for the
-// next sweep. Call it from a single goroutine between sweeps (e.g. after
-// a team barrier).
+// Drain forgets every token posted and consumed, so a Pipeline whose
+// sweep did not run to its end, or ran more posts than waits, can be
+// used again. Call it from a single goroutine with no sweep in flight
+// (e.g. between regions).
 func (p *Pipeline) Drain() {
-	for _, ch := range p.ready {
-		for {
-			select {
-			case <-ch:
-			default:
-				goto next
-			}
-		}
-	next:
+	for i := range p.used {
+		p.fwd[i].v.Store(0)
+		p.rev[i].v.Store(0)
+		p.used[i] = pipeUsed{}
 	}
 }

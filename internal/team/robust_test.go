@@ -3,6 +3,7 @@ package team
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -232,5 +233,118 @@ func TestMultipleWorkerPanicsCounted(t *testing.T) {
 	}
 	if pe.Others != 3 {
 		t.Fatalf("Others = %d, want 3", pe.Others)
+	}
+}
+
+// settledGoroutines waits for the goroutine count to fall back to base
+// (exiting workers and fired context callbacks take a moment) and
+// returns the last count seen.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// within fails the test if fn has not returned after d — the shape of a
+// token wait no poison reaches.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// sweep is one forward pipelined sweep of four stages.
+func sweep(p *Pipeline) func(int) {
+	return func(id int) {
+		for k := 0; k < 4; k++ {
+			p.Wait(id)
+			p.Post(id)
+		}
+	}
+}
+
+// TestPipelineWaitUnwindsOnPredecessorPanic: worker 0 dies before its
+// first Post while worker 1 waits for that token. The wait must unwind
+// with the region instead of holding Run (and then Close) forever.
+func TestPipelineWaitUnwindsOnPredecessorPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tm := New(2)
+	p := tm.NewPipeline(4)
+	var pe *PanicError
+	within(t, time.Second, "Run with a dead predecessor", func() {
+		pe = runRecovered(tm, func(id int) {
+			if id == 0 {
+				panic("before the first Post")
+			}
+			p.Wait(id)
+		})
+	})
+	if pe == nil || pe.ID != 0 {
+		t.Fatalf("PanicError = %+v, want worker 0's", pe)
+	}
+	p.Drain()
+	tm.Run(sweep(p)) // the team and the pipeline are usable again
+	within(t, time.Second, "Close", tm.Close)
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines left behind", n-base)
+	}
+}
+
+// TestPipelineWaitUnwindsOnCancel: the predecessor never posts and
+// Cancel arrives from outside the region.
+func TestPipelineWaitUnwindsOnCancel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tm := New(2)
+	p := tm.NewPipeline(4)
+	go func() {
+		time.Sleep(20 * time.Millisecond) // let worker 1 park in Wait first
+		tm.Cancel(errTestStop)
+	}()
+	var err error
+	within(t, time.Second, "RunCtx under Cancel", func() {
+		err = tm.RunCtx(context.Background(), func(id int) { p.Wait(id) })
+	})
+	if !errors.Is(err, errTestStop) {
+		t.Fatalf("RunCtx error = %v, want the Cancel reason", err)
+	}
+	within(t, time.Second, "Close", tm.Close)
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines left behind", n-base)
+	}
+}
+
+// TestPipelineWaitUnwindsOnDeadline: a RunCtx deadline fires mid-sweep,
+// with worker 0 stalled inside a stage and worker 1 waiting on it.
+func TestPipelineWaitUnwindsOnDeadline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tm := New(2)
+	p := tm.NewPipeline(4)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	var err error
+	within(t, time.Second, "RunCtx past its deadline", func() {
+		err = tm.RunCtx(ctx, func(id int) {
+			for k := 0; k < 4; k++ {
+				p.Wait(id)
+				for id == 0 && k == 1 && !tm.Cancelled() {
+					time.Sleep(time.Millisecond) // the stalled stage
+				}
+				p.Post(id)
+			}
+		})
+	})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunCtx error = %v, want DeadlineExceeded", err)
+	}
+	within(t, time.Second, "Close", tm.Close)
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines left behind", n-base)
 	}
 }

@@ -60,45 +60,33 @@ const (
 	Auto
 )
 
+// scheduleNames holds the flag spellings, indexed by Schedule.
+var scheduleNames = [...]string{Static: "static", Dynamic: "dynamic", Guided: "guided", Stealing: "stealing", Auto: "auto"}
+
 // String returns the schedule's flag spelling.
 func (s Schedule) String() string {
-	switch s {
-	case Static:
-		return "static"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	case Stealing:
-		return "stealing"
-	case Auto:
-		return "auto"
+	if int(s) < len(scheduleNames) {
+		return scheduleNames[s]
 	}
 	return "?"
 }
 
 // ScheduleNames lists the accepted ParseSchedule spellings, in flag
 // help order.
-func ScheduleNames() []string {
-	return []string{"static", "dynamic", "guided", "stealing", "auto"}
-}
+func ScheduleNames() []string { return append([]string(nil), scheduleNames[:]...) }
 
 // ParseSchedule parses a schedule name. The empty string parses as
 // Static, so an unset config field keeps the historical behavior.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "", "static":
-		return Static, nil
-	case "dynamic":
-		return Dynamic, nil
-	case "guided":
-		return Guided, nil
-	case "stealing":
-		return Stealing, nil
-	case "auto":
-		return Auto, nil
+func ParseSchedule(name string) (Schedule, error) {
+	for s, n := range scheduleNames {
+		if name == n {
+			return Schedule(s), nil
+		}
 	}
-	return Static, fmt.Errorf("team: unknown schedule %q (want static, dynamic, guided, stealing or auto)", s)
+	if name == "" {
+		return Static, nil
+	}
+	return Static, fmt.Errorf("team: unknown schedule %q (want static, dynamic, guided, stealing or auto)", name)
 }
 
 // WithSchedule selects the team's loop schedule. The zero value Static
@@ -115,12 +103,12 @@ func WithGrain(grain int) Option {
 }
 
 const (
-	// loopSlots is the ring of shared cursor words. Worksharing loops
-	// inside one region take consecutive slots; a slot is reused only
-	// loopSlots loops later (or by a later region, whose join guarantees
-	// no straggler still holds it). Region bodies therefore must not run
-	// more than loopSlots worksharing loops concurrently without an
-	// intervening barrier — far beyond what any kernel here does.
+	// loopSlots is the ring of shared cursor words. Successive
+	// worksharing loops take successive slots, across regions too, so a
+	// slot is reused loopSlots loops later. A region may run any number
+	// of loops, but no worker may be loopSlots loops ahead of another:
+	// at most loopSlots worksharing loops between two barriers (or a
+	// barrier and the join). The fused kernels run at most three.
 	loopSlots = 16
 	// oversub is the automatic-grain target for dynamic and stealing:
 	// about oversub chunks per worker, enough slack to rebalance without
@@ -220,12 +208,14 @@ func (t *Team) newIter(id, lo, hi int, blocks bool) Iter {
 		return it
 	}
 	// Slot-consuming schedules: claim this loop's cursor word by its
-	// per-region ordinal. The tag makes the first arriver's claim
-	// unambiguous against the slot's previous (dead) loop.
+	// instance number, counted over the team's life. The tag makes the
+	// first arriver's claim unambiguous against the slot's previous
+	// (dead) loop: consecutive instances walk the ring, so a slot's last
+	// tag is loopSlots instances old, never 2^32.
 	k := t.loopK[id].v
 	t.loopK[id].v = k + 1
-	inst := uint64(t.regionTag)<<8 | uint64(k&0xff)
-	it.tag = (inst & 0xffffffff) << 32
+	inst := t.loopBase + k
+	it.tag = uint64(inst) << 32
 	it.slot = &t.loops[inst%loopSlots]
 	if !it.blockMode {
 		span := hi - lo

@@ -2,6 +2,7 @@ package team
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -335,9 +336,13 @@ func TestAutoTunerCalmsDown(t *testing.T) {
 	if escalated == Static {
 		t.Fatal("precondition: tuner did not escalate")
 	}
-	// Balanced windows: both workers do the same tiny spin.
+	// Balanced windows: both workers are charged the same millisecond.
+	// It is charged, not slept: two equal Sleeps do not take equal time
+	// (a worker that wakes first polls for the next region without
+	// entering the scheduler, so the other's timer can fire most of a
+	// poll budget late), and the tuner, not the clock, is under test.
 	for r := 0; r <= tuneEvery*(calmEpochs+1); r++ {
-		tm.Run(func(id int) { time.Sleep(200 * time.Microsecond) })
+		tm.Run(func(id int) { rec.AddBusy(id, time.Millisecond) })
 	}
 	if got := tm.tun.cur; got >= escalated {
 		t.Fatalf("tuner stuck at %v after sustained balance (was %v)", got, escalated)
@@ -409,5 +414,65 @@ func TestReduceSumSizeOneMidFlightCancel(t *testing.T) {
 	}
 	if !tm.Cancelled() {
 		t.Fatal("Cancelled() = false after in-body Cancel")
+	}
+}
+
+// TestScheduleLongRegionMatchesStatic: a fused region runs hundreds of
+// worksharing loops, so loop instances outnumber the cursor ring many
+// times over and (before instances were counted over the team's life)
+// outran an 8-bit per-region ordinal. One region of 1,000 Loops and
+// 1,000 ReduceBlocks, a barrier every loopSlots instances, must write
+// the same array and the same reductions, bit for bit, as static.
+func TestScheduleLongRegionMatchesStatic(t *testing.T) {
+	const loops, span = 1000, 37
+	run := func(n int, s Schedule) (out []float64, sums []float64) {
+		tm := New(n, WithSchedule(s))
+		defer tm.Close()
+		out = make([]float64, loops*span)
+		part := make([]float64, loops*n)
+		tm.Run(func(id int) {
+			const burst = loopSlots / 2 // two instances per iteration
+			for first := 0; first < loops; first += burst {
+				tm.BarrierID(id)
+				for l := first; l < first+burst && l < loops; l++ {
+					row := out[l*span : (l+1)*span]
+					for it := tm.Loop(id, 0, span); it.Next(); {
+						for i := it.Lo; i < it.Hi; i++ {
+							row[i] = 1 / float64(l*span+i+1)
+						}
+					}
+					for it := tm.ReduceBlocks(id, l, l+span); it.Next(); {
+						acc := 0.0
+						for i := it.Lo; i < it.Hi; i++ {
+							acc += 1 / float64(i+3)
+						}
+						part[l*n+it.Chunk()] = acc
+					}
+				}
+			}
+		})
+		sums = make([]float64, loops)
+		for l := range sums {
+			for c := 0; c < n; c++ {
+				sums[l] += part[l*n+c]
+			}
+		}
+		return out, sums
+	}
+	for _, n := range []int{2, 3, 7} {
+		wantOut, wantSums := run(n, Static)
+		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
+			out, sums := run(n, s)
+			for i := range out {
+				if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
+					t.Fatalf("%v n=%d: out[%d] = %v, static wrote %v", s, n, i, out[i], wantOut[i])
+				}
+			}
+			for l := range sums {
+				if math.Float64bits(sums[l]) != math.Float64bits(wantSums[l]) {
+					t.Fatalf("%v n=%d: reduction %d = %v, static gives %v", s, n, l, sums[l], wantSums[l])
+				}
+			}
+		}
 	}
 }

@@ -6,22 +6,29 @@
 // switch them between blocked and runnable states with wait()/notify()
 // around each parallel region — a direct imitation of the OpenMP version
 // of the NPB. This package is the Go equivalent: a Team owns a fixed pool
-// of goroutines parked on channels; the master broadcasts a region
-// function to the pool and joins in as worker 0, and a sense-counting
-// barrier provides in-region synchronization. Loop-level work sharing
+// of goroutines; the master publishes a region function and advances a
+// generation word, joins in as worker 0 and waits for a completion
+// count, and a counting barrier provides in-region synchronization.
+// Every one of those waits — and LU's pipeline tokens — is the same
+// primitive (wait.go): poll an atomic word for a bounded budget, so a
+// wait of microseconds never leaves its core, then park, so a serial
+// phase of milliseconds costs no CPU; a releaser wakes only waiters that
+// actually parked. A region per phase, with BarrierID between dependent
+// loops only, is what the kernels build on it. Loop-level work sharing
 // uses the same static block distribution as the OpenMP schedule(static)
 // the paper's prototype used by default; WithSchedule switches a team to
 // dynamic, guided, work-stealing or auto-tuned distribution (see
 // schedule.go), the knob §5.2's load-imbalance diagnosis calls for.
 //
 // The runtime is fault-isolating: a panic on any worker is captured with
-// its stack, the barrier is poisoned so sibling workers parked on it
-// unwind instead of deadlocking, and the master re-raises the failure as
-// a typed *PanicError once every worker has rejoined — the process
-// survives and the team remains usable. Cancellation works the same way:
-// Cancel (or a context watched via RunCtx/WatchContext) poisons the
-// barrier, unparks everyone, and makes subsequent regions no-ops; region
-// bodies and benchmark iteration loops poll Cancelled for a prompt stop.
+// its stack, the region is poisoned so sibling workers waiting at a
+// barrier or for a pipeline token unwind instead of deadlocking, and the
+// master re-raises the failure as a typed *PanicError once every worker
+// has rejoined — the process survives and the team remains usable.
+// Cancellation works the same way: Cancel (or a context watched via
+// RunCtx/WatchContext) poisons the team for good, wakes everyone, and
+// makes subsequent regions no-ops; region bodies and benchmark iteration
+// loops poll Cancelled for a prompt stop.
 package team
 
 import (
@@ -57,9 +64,9 @@ func (e *PanicError) Error() string {
 	return s
 }
 
-// regionAbort is the sentinel panicked by a poisoned barrier to unwind
-// workers parked on it; it marks a secondary victim, never the failure
-// itself, so the recover wrapper swallows it.
+// regionAbort is the sentinel a poisoned wait panics with to unwind its
+// worker; it marks a secondary victim, never the failure itself, so the
+// recover wrapper swallows it.
 type regionAbort struct{}
 
 // Team is a fixed pool of workers executing parallel regions on demand.
@@ -68,13 +75,20 @@ type regionAbort struct{}
 // against the serial code (§5: "Java thread overhead ... contributes no
 // more than 20%").
 type Team struct {
-	n       int
-	work    []chan func(int)
-	done    chan struct{}
-	barrier barrier
-	partial []padded    // reduction scratch, one padded slot per worker
-	closed  atomic.Bool // set once by Close; guarded by CAS so Close races with itself safely
-	joined  sync.WaitGroup
+	n    int
+	lot  lot
+	fork gate      // region generation; fn is published before it advances
+	fn   func(int) // the current region's body
+	done gate      // workers finished, counted over the team's life
+	// joined is the value done reaches when every region started so far
+	// has been joined; only the master touches it.
+	joined  uint64
+	arrived atomic.Int32 // workers at the barrier in the current generation
+	trip    gate         // barrier generation: advanced by the last arriver
+	tripMu  sync.Mutex   // traced barriers only: arrival order = event order
+	partial []padded     // reduction scratch, one padded slot per worker
+	closed  atomic.Bool  // set once by Close; guarded by CAS so Close races with itself safely
+	exited  sync.WaitGroup
 
 	// rec is the optional obs recorder (WithRecorder). When nil —
 	// the default — every instrumentation point is a single pointer
@@ -102,18 +116,17 @@ type Team struct {
 	// allocation-free. sched and grain are the configured policy; cur
 	// is the schedule resolved for the current region (the tuner's pick
 	// under Auto), written by the master in resetRegion before dispatch
-	// and read by workers — the channel send orders the accesses.
-	sched     Schedule
-	grain     int
-	cur       Schedule
-	regionTag uint32     // per-region ordinal feeding loop-instance tags
-	loopK     []padCount // per-worker loop ordinal within the region
-	loops     []padU64   // shared cursor ring, one word per loop slot
-	deques    [][]padU64 // per-slot stealing deques, one word per worker
-	tun       tuner
+	// and read by workers — the fork gate orders the accesses.
+	sched    Schedule
+	grain    int
+	cur      Schedule
+	loopBase uint32     // loop instances dealt before the current region
+	loopK    []padCount // per-worker loop ordinal within the region
+	loops    []padU64   // shared cursor ring, one word per loop slot
+	deques   [][]padU64 // per-slot stealing deques, one word per worker
+	tun      tuner
 
-	halt   atomic.Bool // sticky cancellation flag, read by Cancelled
-	failMu sync.Mutex  // guards regionFail and cancelErr
+	failMu sync.Mutex // guards regionFail and cancelErr
 	// regionFail is the first real panic of the current region; cleared
 	// when the next region starts.
 	regionFail *PanicError
@@ -165,7 +178,7 @@ func WithCounters(pc *perfcount.Sampler) Option {
 }
 
 // New creates a team of n workers (n >= 1). Workers other than worker 0
-// are persistent goroutines parked on their work channels, mirroring the
+// are persistent goroutines waiting on the fork gate, mirroring the
 // paper's always-alive Thread objects in the blocked state. Close the
 // team when done to release them.
 func New(n int, opts ...Option) *Team {
@@ -174,14 +187,13 @@ func New(n int, opts ...Option) *Team {
 	}
 	t := &Team{
 		n:       n,
-		work:    make([]chan func(int), n),
-		done:    make(chan struct{}, n),
 		partial: make([]padded, n),
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	if n > 1 {
+		t.loopBase = 1 // instance 0 would match a fresh slot's zero tag
 		t.loopK = make([]padCount, n)
 		t.loops = make([]padU64, loopSlots)
 		t.deques = make([][]padU64, loopSlots)
@@ -198,17 +210,16 @@ func New(n int, opts ...Option) *Team {
 			t.tun.lastWait = make([]int64, n)
 		}
 	}
-	t.barrier.init(n, &t.halt, t.rec, t.tr)
+	t.lot.init(n)
 	for id := 1; id < n; id++ {
-		t.work[id] = make(chan func(int))
-		t.joined.Add(1)
+		t.exited.Add(1)
 		go t.worker(id)
 	}
 	return t
 }
 
 func (t *Team) worker(id int) {
-	defer t.joined.Done()
+	defer t.exited.Done()
 	if t.pc != nil {
 		// Counter groups measure the thread they are opened on, so the
 		// worker pins itself to its OS thread for its whole life and
@@ -217,15 +228,20 @@ func (t *Team) worker(id int) {
 		t.pc.Bind(id)
 		defer t.pc.Unbind(id)
 	}
-	for fn := range t.work[id] {
-		t.runOne(fn, id)
-		t.done <- struct{}{}
+	for region := uint64(1); ; region++ {
+		t.lot.wait(&t.fork, region, false)
+		if t.closed.Load() {
+			return
+		}
+		t.runOne(t.fn, id)
+		t.done.v.Add(1)
+		t.lot.release(&t.done)
 	}
 }
 
 // runOne executes fn(id) with panic isolation: a real panic is recorded
 // as the region's failure (with the worker's stack) and poisons the
-// barrier so parked siblings unwind; the regionAbort sentinel those
+// region so waiting siblings unwind; the regionAbort sentinel those
 // siblings throw is swallowed here.
 func (t *Team) runOne(fn func(int), id int) {
 	if t.tr != nil {
@@ -274,13 +290,14 @@ func (t *Team) notePanic(id int, v any, stack []byte) {
 	if t.tr != nil {
 		t.tr.Panic(id)
 	}
-	t.barrier.poison()
+	t.lot.broken.Store(true)
+	t.lot.wakeAll()
 }
 
-// Cancel cancels the team: parked workers are unpoisoned off the barrier,
-// in-flight region bodies observe Cancelled() == true, and subsequent
-// regions become no-ops. The first reason sticks; nil means
-// context.Canceled. A cancelled team can still be Closed.
+// Cancel cancels the team: workers waiting at a barrier or for a
+// pipeline token unwind, in-flight region bodies observe Cancelled() ==
+// true, and subsequent regions become no-ops. The first reason sticks;
+// nil means context.Canceled. A cancelled team can still be Closed.
 func (t *Team) Cancel(reason error) {
 	if reason == nil {
 		reason = context.Canceled
@@ -297,40 +314,34 @@ func (t *Team) Cancel(reason error) {
 	if first && t.tr != nil {
 		t.tr.Cancel(reason.Error())
 	}
-	t.halt.Store(true)
-	t.barrier.poison()
+	t.lot.halt.Store(true)
+	t.lot.wakeAll()
 }
 
 // Cancelled reports whether the team has been cancelled. Region bodies
 // and benchmark iteration loops poll it for a prompt cooperative stop.
-func (t *Team) Cancelled() bool { return t.halt.Load() }
-
-func (t *Team) cancelReason() error {
-	t.failMu.Lock()
-	defer t.failMu.Unlock()
-	return t.cancelErr
-}
+func (t *Team) Cancelled() bool { return t.lot.halt.Load() }
 
 // WatchContext cancels the team when ctx is done. It returns a stop
-// function releasing the watcher goroutine; callers typically
-// `defer stop()` for the duration of a benchmark run. stop waits for
-// the watcher to exit, so after stop returns no cancellation side
-// effect (including its trace event) is still in flight.
+// function releasing the watch, to be called once; callers typically
+// `defer stop()` for the duration of a benchmark run. stop waits for a
+// cancellation already under way, so after stop returns no cancellation
+// side effect (including its trace event) is still in flight.
 func (t *Team) WatchContext(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			t.Cancel(ctx.Err())
-		case <-quit:
+	var fired sync.WaitGroup
+	fired.Add(1)
+	unwatch := context.AfterFunc(ctx, func() {
+		defer fired.Done()
+		t.Cancel(ctx.Err())
+	})
+	return func() {
+		if !unwatch() {
+			fired.Wait()
 		}
-	}()
-	return func() { close(quit); <-done }
+	}
 }
 
 // Size returns the number of workers in the team.
@@ -340,17 +351,17 @@ func (t *Team) Size() int { return t.n }
 // be idle (no region in flight); a team whose last region failed or was
 // cancelled is idle once Run/RunCtx has returned. Close is idempotent
 // and safe to call from multiple goroutines: exactly one caller wins
-// the compare-and-swap and closes the work channels, and every caller
-// waits for the workers to exit — so once any Close returns, the
-// workers have run their deferred cleanup (counter-group unbinds in
-// particular) and an attached perfcount.Sampler may safely be closed.
+// the compare-and-swap and opens the fork gate on the closed flag, and
+// every caller waits for the workers to exit — so once any Close
+// returns, the workers have run their deferred cleanup (counter-group
+// unbinds in particular) and an attached perfcount.Sampler may safely be
+// closed.
 func (t *Team) Close() {
 	if t.closed.CompareAndSwap(false, true) {
-		for id := 1; id < t.n; id++ {
-			close(t.work[id])
-		}
+		t.fork.v.Add(1)
+		t.lot.release(&t.fork)
 	}
-	t.joined.Wait()
+	t.exited.Wait()
 }
 
 // Run executes fn(id) on every worker, id in [0, Size()), with the
@@ -391,8 +402,8 @@ func (t *Team) run(fn func(id int)) error {
 	if t.closed.Load() {
 		panic("team: Run on closed team")
 	}
-	if t.halt.Load() {
-		return t.cancelReason()
+	if t.lot.halt.Load() {
+		return t.takeFailure()
 	}
 	if t.rec != nil {
 		t.rec.IncRegion()
@@ -408,23 +419,22 @@ func (t *Team) run(fn func(id int)) error {
 		return t.takeFailure()
 	}
 	if !t.inRegion.CompareAndSwap(false, true) {
-		// Starting a region from inside a region would deadlock on the
-		// work channels; fail loudly instead.
+		// Starting a region from inside a region would overwrite the one
+		// in flight; fail loudly instead.
 		panic("team: nested parallel regions are not supported")
 	}
 	defer t.inRegion.Store(false)
 	t.resetRegion()
-	for id := 1; id < t.n; id++ {
-		t.work[id] <- fn
-	}
+	t.fn = fn
+	t.fork.v.Add(1)
+	t.lot.release(&t.fork)
 	t.runOne(fn, 0)
 	var joinStart time.Time
 	if t.rec != nil {
 		joinStart = time.Now()
 	}
-	for id := 1; id < t.n; id++ {
-		<-t.done
-	}
+	t.joined += uint64(t.n - 1)
+	t.lot.wait(&t.done, t.joined, false)
 	if t.rec != nil {
 		// Join wait: how long the slowest worker ran past the master —
 		// the skew the imbalance ratio summarizes per run.
@@ -434,20 +444,31 @@ func (t *Team) run(fn func(id int)) error {
 }
 
 // resetRegion clears the previous region's failure state. The sticky
-// cancellation flag is deliberately not cleared: the barrier's halt
-// pointer keeps a cancelled team poisoned forever, so a cancellation
-// racing with region start can never be lost.
+// cancellation flag is deliberately not cleared: a cancelled team stays
+// poisoned forever, so a cancellation racing with region start can never
+// be lost.
 func (t *Team) resetRegion() {
-	t.failMu.Lock()
-	t.regionFail = nil
-	t.failMu.Unlock()
-	t.barrier.reset()
+	if t.lot.broken.Load() {
+		// The last region unwound: forget the workers that had reached
+		// its barrier, and move the generation on so the trace never
+		// shows two trips under one number.
+		t.lot.broken.Store(false)
+		t.arrived.Store(0)
+		t.trip.v.Add(1)
+	}
 	// Re-arm the loop machinery and publish the region's schedule. The
 	// previous region has fully joined, so no worker still reads these.
-	t.regionTag++
+	// Every worker builds every iterator, so after a region that ran to
+	// its end the ordinals agree; after one that did not, the largest
+	// covers every instance any worker dealt.
+	var used uint32
 	for i := range t.loopK {
+		if k := t.loopK[i].v; k > used {
+			used = k
+		}
 		t.loopK[i].v = 0
 	}
+	t.loopBase += used
 	s := t.sched
 	if s == Auto {
 		t.maybeTune()
@@ -456,6 +477,8 @@ func (t *Team) resetRegion() {
 	t.cur = s
 }
 
+// takeFailure returns, and clears, the region's panic; failing that, the
+// reason the team was cancelled, if it was.
 func (t *Team) takeFailure() error {
 	t.failMu.Lock()
 	pe := t.regionFail
@@ -465,10 +488,7 @@ func (t *Team) takeFailure() error {
 	if pe != nil {
 		return pe
 	}
-	if cancel != nil {
-		return cancel
-	}
-	return nil
+	return cancel
 }
 
 // Barrier blocks until every worker of the current region has reached
@@ -496,7 +516,19 @@ func (t *Team) Barrier() { t.BarrierID(-1) }
 // Without either it behaves exactly like Barrier.
 func (t *Team) BarrierID(id int) {
 	if t.n > 1 {
-		t.barrier.await(id)
+		t.await(id)
+	}
+}
+
+// BarrierUnlessStatic is the barrier between two worksharing loops over
+// the same range when the second needs, per index, only what the same
+// index of the first wrote. The static schedule hands an index to the
+// same worker in both loops, so there it does nothing (OpenMP's nowait
+// on same-shaped static loops); under every other schedule it is
+// BarrierID.
+func (t *Team) BarrierUnlessStatic(id int) {
+	if t.cur != Static {
+		t.BarrierID(id)
 	}
 }
 
@@ -564,7 +596,7 @@ func (t *Team) inline(fn func()) {
 // through Cancelled().
 func (t *Team) For(lo, hi int, body func(i int)) {
 	if t.n == 1 {
-		if t.halt.Load() {
+		if t.lot.halt.Load() {
 			return // same no-op semantics as the dispatched n>1 path
 		}
 		t.inline(func() {
@@ -591,7 +623,7 @@ func (t *Team) For(lo, hi int, body func(i int)) {
 // is a no-op, like Run.
 func (t *Team) ForBlock(lo, hi int, body func(blo, bhi int)) {
 	if t.n == 1 {
-		if t.halt.Load() {
+		if t.lot.halt.Load() {
 			return // same no-op semantics as the dispatched n>1 path
 		}
 		t.inline(func() { body(lo, hi) })
@@ -614,13 +646,13 @@ func (t *Team) ForBlock(lo, hi int, body func(blo, bhi int)) {
 // never a sum of stale partials from an earlier region — so callers
 // must check Cancelled() before using the result.
 func (t *Team) ReduceSum(lo, hi int, body func(blo, bhi int) float64) float64 {
-	if t.halt.Load() {
+	if t.lot.halt.Load() {
 		return 0
 	}
 	if t.n == 1 {
 		var sum float64
 		t.inline(func() { sum = body(lo, hi) })
-		if t.halt.Load() {
+		if t.lot.halt.Load() {
 			// The body cancelled the team mid-flight: return 0 like the
 			// dispatched path, never a partial of an aborted region.
 			return 0
@@ -635,7 +667,7 @@ func (t *Team) ReduceSum(lo, hi int, body func(blo, bhi int) float64) float64 {
 			t.partial[it.Chunk()].v = body(it.Lo, it.Hi)
 		}
 	})
-	if t.halt.Load() {
+	if t.lot.halt.Load() {
 		// The region was skipped or unwound mid-flight: some slots may
 		// still hold a previous region's partials.
 		return 0
@@ -658,7 +690,7 @@ func (t *Team) Partial(id int) *float64 { return &t.partial[id].v }
 // cancelled team it returns 0: the slots may mix the aborted region's
 // partials with an earlier region's, so no sum of them is meaningful.
 func (t *Team) PartialSum() float64 {
-	if t.halt.Load() {
+	if t.lot.halt.Load() {
 		return 0
 	}
 	sum := 0.0
@@ -677,7 +709,7 @@ func (t *Team) PartialSum() float64 {
 // cancelled team Warmup is a no-op returning 0, like the regions it is
 // built from.
 func (t *Team) Warmup(iters int) float64 {
-	if t.halt.Load() {
+	if t.lot.halt.Load() {
 		return 0
 	}
 	t.Run(func(id int) {
@@ -695,104 +727,61 @@ func (t *Team) Warmup(iters int) float64 {
 	return t.PartialSum()
 }
 
-// barrier is a reusable counting barrier (generation-numbered, the
-// classic sense-reversal scheme expressed with a condition variable; the
-// paper's Java code does the same thing with wait()/notifyAll()). It is
-// poisonable: after poison() every waiter — present and future — panics
-// with the regionAbort sentinel instead of blocking, which is how a
-// failed or cancelled region unparks its workers. reset() re-arms the
-// barrier for the next region; the team-level halt flag stays in force
-// so cancellation survives resets.
-type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	gen    uint64
-	broken bool          // per-region poison (a worker panicked)
-	halt   *atomic.Bool  // sticky team cancellation, never cleared here
-	rec    *obs.Recorder // optional wait-time accounting; nil when unobserved
-	tr     *trace.Tracer // optional arrive/release events; nil when untraced
-}
-
-func (b *barrier) init(n int, halt *atomic.Bool, rec *obs.Recorder, tr *trace.Tracer) {
-	b.n = n
-	b.halt = halt
-	b.rec = rec
-	b.tr = tr
-	b.cond = sync.NewCond(&b.mu)
-}
-
-// poison wakes every waiter and makes future await calls unwind.
-func (b *barrier) poison() {
-	b.mu.Lock()
-	b.broken = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// reset re-arms the barrier between regions. Only per-region poison is
-// cleared; a halted (cancelled) team stays poisoned through *halt.
-func (b *barrier) reset() {
-	b.mu.Lock()
-	b.count = 0
-	b.gen++
-	b.broken = false
-	b.mu.Unlock()
-}
-
-func (b *barrier) poisoned() bool {
-	return b.broken || b.halt.Load()
-}
-
-// await parks the caller until the barrier trips. id attributes the
-// wait time to a worker's obs slot and trace timeline; id < 0 records
-// it in aggregate only (and leaves no trace — there is no timeline to
-// put it on). The last arriver trips the barrier and records no wait.
+// await is the counting barrier under Barrier and BarrierID: arrivals
+// count up, and the last one zeroes the count and advances the
+// generation gate the others wait on (the paper's Java code does the
+// same thing with wait()/notifyAll()). A waiter unwinds with the
+// regionAbort sentinel when the region fails or the team is cancelled,
+// which is how such a region gets its workers back. The last arriver
+// records no wait.
 //
-// Trace events are emitted under the barrier mutex, so arrivals are
-// totally ordered: the latest arrive timestamp of a generation really
-// is the worker whose arrival tripped the barrier, which is what the
-// exporter's flow linking relies on. A worker unwound by poisoning
-// still emits its release, so arrive spans always close.
-func (b *barrier) await(id int) {
-	traced := b.tr != nil && id >= 0
-	b.mu.Lock()
-	if b.poisoned() {
-		b.mu.Unlock()
+// On the traced path arrivals and their events happen under tripMu, so
+// they are totally ordered: the latest arrive timestamp of a generation
+// really is the worker whose arrival tripped the barrier, and its
+// release precedes everyone else's — what the exporter's flow linking
+// relies on. A worker unwound by poisoning still emits its release, so
+// arrive spans always close.
+//
+//npblint:hot
+func (t *Team) await(id int) {
+	if t.lot.aborted() {
 		panic(regionAbort{})
 	}
-	gen := b.gen
+	traced := t.tr != nil && id >= 0
 	if traced {
-		b.tr.BarrierArrive(id, gen)
+		t.tripMu.Lock()
 	}
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
+	gen := t.trip.v.Load()
+	if traced {
+		t.tr.BarrierArrive(id, gen)
+	}
+	last := t.arrived.Add(1) == int32(t.n)
+	if last {
+		t.arrived.Store(0)
 		if traced {
-			b.tr.BarrierRelease(id, gen)
+			t.tr.BarrierRelease(id, gen)
 		}
-		b.mu.Unlock()
+		t.trip.v.Add(1)
+	}
+	if traced {
+		t.tripMu.Unlock()
+	}
+	if last {
+		t.lot.release(&t.trip)
 		return
 	}
 	var waitStart time.Time
-	if b.rec != nil {
+	if t.rec != nil {
 		waitStart = time.Now()
 	}
-	for gen == b.gen && !b.poisoned() {
-		b.cond.Wait()
-	}
-	if b.rec != nil {
-		b.rec.AddWait(id, time.Since(waitStart))
+	ok := t.lot.wait(&t.trip, gen+1, true)
+	if t.rec != nil {
+		t.rec.AddWait(id, time.Since(waitStart))
 	}
 	if traced {
-		b.tr.BarrierRelease(id, gen)
+		t.tr.BarrierRelease(id, gen)
 	}
-	bad := b.poisoned()
-	b.mu.Unlock()
-	if bad {
+	if !ok {
 		panic(regionAbort{})
 	}
 }

@@ -353,7 +353,7 @@ func runBenchmark(ctx context.Context, cfg Config, sched team.Schedule, rec *obs
 		setProfile(res, r.Timers)
 		fromReport(res, r.Verify)
 	case LU:
-		opts := []lu.Option{lu.WithObs(rec), lu.WithTrace(tr), lu.WithCounters(pc), lu.WithSchedule(sched)}
+		opts := []lu.Option{lu.WithContext(ctx), lu.WithObs(rec), lu.WithTrace(tr), lu.WithCounters(pc), lu.WithSchedule(sched)}
 		if profile {
 			opts = append(opts, lu.WithTimers())
 		}

@@ -3,6 +3,7 @@ package npbgo_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -140,5 +141,86 @@ func TestRunContextDeadlineCancelsFTAndMG(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: err = %v", b, err)
 		}
+	}
+}
+
+// TestLUSweepFailuresUnwindThePipeline takes the three ways a pipelined
+// sweep can lose a worker — a panic, a cancellation from outside, a
+// deadline — through LU.S, where the survivor is waiting for a pipeline
+// token rather than at a barrier. Each must come back as a typed error
+// within a second of the event, leave no goroutine behind, and leave
+// the process able to run LU.S cleanly.
+func TestLUSweepFailuresUnwindThePipeline(t *testing.T) {
+	cfg := npbgo.Config{Benchmark: npbgo.LU, Class: 'S', Threads: 2}
+	// Every plane of the lower sweep takes 20 ms, so the event lands
+	// mid-sweep and an uncancelled run would take 20 s.
+	slowSweeps := fault.Rule{Site: "lu.sweep", Kind: fault.KindDelay, Count: -1, Sleep: 20 * time.Millisecond}
+	cases := []struct {
+		name  string
+		rules []fault.Rule
+		ctx   func() (context.Context, context.CancelFunc)
+		kind  string
+		cause error
+	}{
+		{name: "panic", kind: npbgo.ErrPanic,
+			rules: []fault.Rule{{Site: "lu.sweep", Kind: fault.KindPanic, On: 5}},
+			ctx:   func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) }},
+		{name: "cancel", kind: npbgo.ErrCancelled, cause: context.Canceled,
+			rules: []fault.Rule{slowSweeps},
+			ctx: func() (context.Context, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				time.AfterFunc(100*time.Millisecond, cancel)
+				return ctx, cancel
+			}},
+		{name: "deadline", kind: npbgo.ErrCancelled, cause: context.DeadlineExceeded,
+			rules: []fault.Rule{slowSweeps},
+			ctx: func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), 100*time.Millisecond)
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			fault.Activate(1, c.rules...)
+			defer fault.Reset()
+			ctx, cancel := c.ctx()
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := npbgo.RunContext(ctx, cfg)
+				done <- err
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(100*time.Millisecond + time.Second + 10*20*time.Millisecond):
+				// The event, the second allowed, and the sweep the
+				// unwaiting worker finishes at 20 ms a plane.
+				t.Fatal("LU.S did not return: a worker is still waiting for a token")
+			}
+			var re *npbgo.RunError
+			if !errors.As(err, &re) || re.Kind != c.kind {
+				t.Fatalf("err = %v, want *RunError kind %q", err, c.kind)
+			}
+			if c.cause != nil && !errors.Is(err, c.cause) {
+				t.Fatalf("err = %v, want %v in chain", err, c.cause)
+			}
+			var pe *team.PanicError
+			if c.kind == npbgo.ErrPanic && !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want a *team.PanicError in chain", err)
+			}
+			fault.Reset()
+			cancel()
+			n := runtime.NumGoroutine()
+			for stop := time.Now().Add(2 * time.Second); n > base && time.Now().Before(stop); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("%d goroutines left behind", n-base)
+			}
+			if res, err := npbgo.Run(cfg); err != nil || !res.Verified {
+				t.Fatalf("clean LU.S afterwards: verified %v, err %v", res.Verified, err)
+			}
+		})
 	}
 }
