@@ -28,9 +28,10 @@ $(NPBLINT): FORCE
 FORCE:
 
 # Dynamic allocation gate: steady-state allocations per benchmark
-# iteration, measured with testing.AllocsPerRun and asserted against
-# the checked-in budgets in internal/allocgate/budgets.go. The class-W
-# gates run full-size iterations; drop them with GOFLAGS=-short.
+# iteration of every internal/suite row, measured with
+# testing.AllocsPerRun and asserted against the one checked-in
+# allocgate.Budget (zero). The class-W gates run full-size iterations;
+# drop them with GOFLAGS=-short.
 allocgate:
 	$(GO) test -run 'TestGate' -v ./internal/allocgate
 

@@ -21,6 +21,7 @@ import (
 	"npbgo/internal/cg"
 	"npbgo/internal/grid"
 	"npbgo/internal/jgf"
+	"npbgo/internal/kernel"
 	"npbgo/internal/lu"
 	"npbgo/internal/ops"
 	"npbgo/internal/team"
@@ -212,17 +213,18 @@ func BenchmarkAblationCGWarmup(b *testing.B) {
 func BenchmarkAblationLUSchedule(b *testing.B) {
 	for _, hyper := range []bool{false, true} {
 		name := "pipelined"
-		var opts []lu.Option
 		if hyper {
 			name = "hyperplane"
-			opts = append(opts, lu.WithHyperplane())
 		}
 		for _, n := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					bench, err := lu.New('S', n, opts...)
+					bench, err := lu.New('S', n, kernel.Env{})
 					if err != nil {
 						b.Fatal(err)
+					}
+					if hyper {
+						bench.Hyperplane()
 					}
 					if res := bench.Run(); res.Verify.Failed() {
 						b.Fatal("verification failed")
@@ -241,13 +243,12 @@ func BenchmarkAblationCGBallast(b *testing.B) {
 	for _, mb := range []int{0, 8, 64} {
 		b.Run(fmt.Sprintf("ballastMB=%d", mb), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var opts []cg.Option
-				if mb > 0 {
-					opts = append(opts, cg.WithBallast(mb<<20))
-				}
-				bench, err := cg.New('S', 2, opts...)
+				bench, err := cg.New('S', 2, kernel.Env{})
 				if err != nil {
 					b.Fatal(err)
+				}
+				if mb > 0 {
+					bench.Ballast(mb << 20)
 				}
 				if res := bench.Run(); !res.Verify.Passed() {
 					b.Fatal("verification failed")

@@ -8,6 +8,7 @@ import (
 
 	"npbgo"
 	"npbgo/internal/ep"
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -55,11 +56,11 @@ func printout(t *testing.T, b npbgo.Benchmark, class byte, threads int, sched st
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := ep.New(class, threads, ep.WithSchedule(s))
+		e, err := ep.New(class, threads, kernel.Env{Schedule: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := e.Run()
+		res := e.RunResult()
 		out := res.Verify.String()
 		for l, q := range res.Q {
 			out += fmt.Sprintf("  q[%d] %.0f\n", l, q)

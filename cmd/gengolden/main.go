@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"npbgo/internal/bt"
+	"npbgo/internal/kernel"
 	"npbgo/internal/lu"
 	"npbgo/internal/sp"
 )
@@ -39,21 +40,21 @@ func main() {
 		for _, cl := range classes {
 			switch name {
 			case "BT":
-				b, err := bt.New(cl, 1)
+				b, err := bt.New(cl, 1, kernel.Env{})
 				die(err)
-				r := b.Run()
+				r := b.RunResult()
 				fmt.Printf("// bt reference\n'%c': {\n\txcr: %s,\n\txce: %s,\n},\n",
 					cl, fiveVec(r.XCR), fiveVec(r.XCE))
 			case "SP":
-				b, err := sp.New(cl, 1)
+				b, err := sp.New(cl, 1, kernel.Env{})
 				die(err)
-				r := b.Run()
+				r := b.RunResult()
 				fmt.Printf("// sp reference\n'%c': {\n\txcr: %s,\n\txce: %s,\n},\n",
 					cl, fiveVec(r.XCR), fiveVec(r.XCE))
 			case "LU":
-				b, err := lu.New(cl, 1)
+				b, err := lu.New(cl, 1, kernel.Env{})
 				die(err)
-				r := b.Run()
+				r := b.RunResult()
 				fmt.Printf("// lu reference\n'%c': {\n\txcr: %s,\n\txce: %s,\n\txci: %.13e,\n},\n",
 					cl, fiveVec(r.RsdNm), fiveVec(r.ErrNm), r.Frc)
 			default:

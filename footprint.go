@@ -3,14 +3,7 @@ package npbgo
 import (
 	"fmt"
 
-	"npbgo/internal/bt"
-	"npbgo/internal/cg"
-	"npbgo/internal/ep"
-	"npbgo/internal/ft"
-	"npbgo/internal/is"
-	"npbgo/internal/lu"
-	"npbgo/internal/mg"
-	"npbgo/internal/sp"
+	"npbgo/internal/suite"
 )
 
 // FootprintBytes estimates the working-set bytes the configured run
@@ -33,23 +26,9 @@ func (c Config) FootprintBytes() (uint64, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	switch c.Benchmark {
-	case BT:
-		return bt.Footprint(class, threads)
-	case SP:
-		return sp.Footprint(class, threads)
-	case LU:
-		return lu.Footprint(class, threads)
-	case FT:
-		return ft.Footprint(class, threads)
-	case MG:
-		return mg.Footprint(class, threads)
-	case CG:
-		return cg.Footprint(class, threads)
-	case IS:
-		return is.Footprint(class, threads)
-	case EP:
-		return ep.Footprint(class, threads)
+	row, ok := suite.Lookup(string(c.Benchmark))
+	if !ok {
+		return 0, fmt.Errorf("npbgo: unknown benchmark %q", c.Benchmark)
 	}
-	return 0, fmt.Errorf("npbgo: unknown benchmark %q", c.Benchmark)
+	return row.Footprint(class, threads)
 }

@@ -1,7 +1,7 @@
 // Package allocgate is the dynamic half of the suite's allocation
 // discipline: it measures the steady-state heap allocations of every
-// benchmark's Iter hook and asserts them against the checked-in
-// budgets in budgets.go. The static half is the hotalloc analyzer
+// benchmark's Iter hook and asserts them against the one checked-in
+// Budget. The static half is the hotalloc analyzer
 // (internal/analysis/hotalloc), which proves by inspection that the
 // hot region bodies contain no allocation sites; this package proves
 // the same thing by measurement, catching what the analyzer cannot see
@@ -19,17 +19,12 @@ package allocgate
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	"npbgo/internal/bt"
-	"npbgo/internal/cg"
-	"npbgo/internal/ep"
-	"npbgo/internal/ft"
-	"npbgo/internal/is"
-	"npbgo/internal/lu"
-	"npbgo/internal/mg"
+	"npbgo/internal/kernel"
 	"npbgo/internal/perfcount"
-	"npbgo/internal/sp"
+	"npbgo/internal/suite"
 	"npbgo/internal/team"
 )
 
@@ -39,13 +34,41 @@ import (
 // circuits them.
 const Threads = 2
 
+// Budget is the checked-in ceiling on steady-state heap allocations
+// per Iter, for every gated configuration at Threads workers. Every
+// kernel holds it at zero: region bodies are closures built once at
+// construction time (including the nscore.Field RHS bodies BT and SP
+// share and their own solve/transform bodies), operands are staged
+// through benchmark fields, reductions go through the team's
+// block-indexed partial slots, phases are charged by plain Start/Stop
+// calls, and LU's plane pipeline is cached per team. Raising it is a
+// performance regression and needs the same scrutiny as a slower
+// benchmark result.
+const Budget = 0
+
 // Key identifies one gated configuration.
 type Key struct {
-	Bench string // "cg", "ep", "ft", "is", "is-buckets", "mg", "lu", "bt", "sp"
+	Bench string // a suite row in lower case, "cg", or a variant of one, "is-buckets"
 	Class byte   // 'S' or 'W'
 }
 
 func (k Key) String() string { return fmt.Sprintf("%s.%c", k.Bench, k.Class) }
+
+// Keys lists every gated configuration: each suite row and each of its
+// variants, at classes S and W.
+func Keys() []Key {
+	var keys []Key
+	for _, r := range suite.Rows {
+		benches := []string{strings.ToLower(r.Name)}
+		for v := range r.Variants {
+			benches = append(benches, benches[0]+"-"+v)
+		}
+		for _, b := range benches {
+			keys = append(keys, Key{b, 'S'}, Key{b, 'W'})
+		}
+	}
+	return keys
+}
 
 // Measure builds benchmark k.Bench at class k.Class, warms its
 // steady-state hook with warm iterations, then returns the average
@@ -53,16 +76,22 @@ func (k Key) String() string { return fmt.Sprintf("%s.%c", k.Bench, k.Class) }
 // testing.AllocsPerRun, which pins GOMAXPROCS to 1 for the
 // measurement).
 func Measure(k Key, warm, runs int) (float64, error) {
-	iter, err := newIter(k)
+	name, variant, _ := strings.Cut(k.Bench, "-")
+	row, ok := suite.Lookup(strings.ToUpper(name))
+	env, known := row.Variants[variant]
+	if !ok || (variant != "" && !known) {
+		return 0, fmt.Errorf("allocgate: unknown benchmark %q", k.Bench)
+	}
+	b, err := row.New(k.Class, Threads, env)
 	if err != nil {
 		return 0, err
 	}
 	tm := team.New(Threads)
 	defer tm.Close()
 	for i := 0; i < warm; i++ {
-		iter(tm)
+		b.Iter(tm)
 	}
-	return testing.AllocsPerRun(runs, func() { iter(tm) }), nil
+	return testing.AllocsPerRun(runs, func() { b.Iter(tm) }), nil
 }
 
 // MeasureCounters measures the steady-state allocations of one sampled
@@ -79,9 +108,10 @@ func MeasureCounters(warm, runs int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tm := team.New(Threads, team.WithCounters(pc))
+	env := kernel.Env{Pc: pc}
+	tm, done := env.Team(Threads)
 	defer func() {
-		tm.Close()
+		done()
 		pc.Close()
 	}()
 	region := func() {
@@ -91,65 +121,4 @@ func MeasureCounters(warm, runs int) (float64, error) {
 		region()
 	}
 	return testing.AllocsPerRun(runs, region), nil
-}
-
-// newIter constructs the benchmark behind k and returns its Iter hook.
-func newIter(k Key) (func(tm *team.Team), error) {
-	switch k.Bench {
-	case "cg":
-		b, err := cg.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return func(tm *team.Team) { b.Iter(tm) }, nil
-	case "ep":
-		b, err := ep.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "ft":
-		b, err := ft.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return func(tm *team.Team) { b.Iter(tm) }, nil
-	case "is":
-		b, err := is.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "is-buckets":
-		b, err := is.New(k.Class, Threads, is.WithBuckets())
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "mg":
-		b, err := mg.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "lu":
-		b, err := lu.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "bt":
-		b, err := bt.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	case "sp":
-		b, err := sp.New(k.Class, Threads)
-		if err != nil {
-			return nil, err
-		}
-		return b.Iter, nil
-	}
-	return nil, fmt.Errorf("allocgate: unknown benchmark %q", k.Bench)
 }

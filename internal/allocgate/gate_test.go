@@ -3,14 +3,13 @@ package allocgate
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"npbgo/internal/perfcount"
 )
 
-// TestGate measures every budgeted configuration and asserts the
-// steady-state allocations per Iter stay within budget. Class S gates
+// TestGate measures every gated configuration and asserts the
+// steady-state allocations per Iter stay within Budget. Class S gates
 // always run; the W gates are skipped under -short (they execute
 // full-size iterations — EP's W iteration alone is seconds of work).
 //
@@ -18,19 +17,7 @@ import (
 // allocation (GC worker, timer) can leak into a small sample; a gate
 // only fails after a second measurement confirms the excess.
 func TestGate(t *testing.T) {
-	keys := make([]Key, 0, len(Budgets))
-	for k := range Budgets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Bench != keys[j].Bench {
-			return keys[i].Bench < keys[j].Bench
-		}
-		return keys[i].Class < keys[j].Class
-	})
-
-	for _, k := range keys {
-		k := k
+	for _, k := range Keys() {
 		t.Run(k.String(), func(t *testing.T) {
 			if k.Class != 'S' && testing.Short() {
 				t.Skipf("class %c gate skipped in -short mode", k.Class)
@@ -39,20 +26,19 @@ func TestGate(t *testing.T) {
 			if k.Class != 'S' {
 				warm, runs = 1, 2
 			}
-			budget := Budgets[k]
 			got, err := Measure(k, warm, runs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got > float64(budget) {
+			if got > Budget {
 				// Confirm before failing: absorb one-off process noise.
 				got, err = Measure(k, warm, runs)
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got > float64(budget) {
-				t.Errorf("%s: %.1f allocs per Iter, budget %d (budgets.go)", k, got, budget)
+			if got > Budget {
+				t.Errorf("%s: %.1f allocs per Iter, budget %d", k, got, Budget)
 			}
 		})
 	}
@@ -86,6 +72,9 @@ func TestGateCounters(t *testing.T) {
 func TestMeasureUnknown(t *testing.T) {
 	if _, err := Measure(Key{Bench: "nope", Class: 'S'}, 0, 1); err == nil {
 		t.Fatal("Measure accepted unknown benchmark")
+	}
+	if _, err := Measure(Key{Bench: "cg-buckets", Class: 'S'}, 0, 1); err == nil {
+		t.Fatal("Measure accepted unknown variant")
 	}
 	if _, err := Measure(Key{Bench: "cg", Class: 'Q'}, 0, 1); err == nil {
 		t.Fatal("Measure accepted unknown class")

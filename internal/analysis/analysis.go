@@ -90,6 +90,14 @@ func IsNamed(named *types.Named, pkgPath, name string) bool {
 		obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
+// IsPhaseTimer reports whether named is a type whose Start(name) and
+// Stop(name) methods bracket a timed phase: timer.Set, or kernel.Env,
+// whose nil-safe Start/Stop forward to its timer.Set and are what the
+// benchmarks call.
+func IsPhaseTimer(named *types.Named) bool {
+	return IsNamed(named, "npbgo/internal/timer", "Set") || IsNamed(named, "npbgo/internal/kernel", "Env")
+}
+
 // PkgFunc returns the package path and name of the package-level
 // function called by call (fault.Maybe, team.Block, ...). ok is false
 // for method calls, builtins, conversions and locals.

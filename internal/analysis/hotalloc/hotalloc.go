@@ -17,10 +17,11 @@
 //     RunCtx, For, ForBlock, ReduceSum) — the body every worker
 //     executes. Pipeline steps are covered transitively: Wait/Post
 //     brackets only occur inside such bodies.
-//  2. Statements bracketed by timer.Set Start("name")/Stop("name")
-//     calls with literal names in the same block — the benchmarks'
-//     timed phases. Start/Stop wrapped in a nil guard (`if timers !=
-//     nil { ... }`) toggle the phase too; Stops deferred with `defer`
+//  2. Statements bracketed by timer.Set (or kernel.Env, its nil-safe
+//     front) Start("name")/Stop("name") calls with literal names in
+//     the same block — the benchmarks' timed phases. Start/Stop
+//     wrapped in a nil guard (`if timers != nil { ... }`) toggle the
+//     phase too; Stops deferred with `defer`
 //     do not close it (they run at function exit). Non-literal names
 //     (per-worker timer.Worker names, pass-through helpers) are
 //     ignored, mirroring the timerpair analyzer.
@@ -57,8 +58,7 @@ import (
 )
 
 const (
-	teamPath  = "npbgo/internal/team"
-	timerPath = "npbgo/internal/timer"
+	teamPath = "npbgo/internal/team"
 
 	// hotMarker annotates a declaration or statement as hot-path code.
 	hotMarker = "//npblint:hot"
@@ -289,7 +289,7 @@ func phaseToggles(pass *analysis.Pass, stmt ast.Stmt) (starts, stops []string) {
 			return false
 		case *ast.CallExpr:
 			recv, method, isMeth := analysis.Receiver(pass.TypesInfo, v)
-			if !isMeth || !analysis.IsNamed(recv, timerPath, "Set") || len(v.Args) == 0 {
+			if !isMeth || !analysis.IsPhaseTimer(recv) || len(v.Args) == 0 {
 				return true
 			}
 			name, ok := analysis.StringLit(v.Args[0])

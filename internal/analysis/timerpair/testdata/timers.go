@@ -3,7 +3,10 @@
 // analysistest.
 package fixture
 
-import "npbgo/internal/timer"
+import (
+	"npbgo/internal/kernel"
+	"npbgo/internal/timer"
+)
 
 // unmatched leaks the "rhs" phase: everything after Start is absorbed
 // into it.
@@ -38,6 +41,16 @@ func mismatched(s *timer.Set) {
 	s.Start("setup") // want `no matching Stop`
 	work()
 	s.Stop("teardown")
+}
+
+// throughEnv charges phases the way the benchmarks do; "fft" never
+// stops.
+func throughEnv(e *kernel.Env) {
+	e.Start("evolve")
+	work()
+	e.Stop("evolve")
+	e.Start("fft") // want `no matching Stop`
+	work()
 }
 
 func work() {}

@@ -1,5 +1,6 @@
-// Package timerpair flags timer.Set.Start calls with no matching Stop
-// in the same function.
+// Package timerpair flags timer.Set.Start calls — direct, or through
+// the nil-safe kernel.Env.Start the benchmarks charge their phases
+// with — with no matching Stop in the same function.
 //
 // The per-phase profiles in the paper's tables are sums of Start/Stop
 // laps; a Start whose Stop was lost to a refactor does not crash — it
@@ -17,8 +18,6 @@ import (
 
 	"npbgo/internal/analysis"
 )
-
-const timerPath = "npbgo/internal/timer"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "timerpair",
@@ -52,7 +51,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		recv, method, isMeth := analysis.Receiver(pass.TypesInfo, call)
-		if !isMeth || !analysis.IsNamed(recv, timerPath, "Set") || len(call.Args) == 0 {
+		if !isMeth || !analysis.IsPhaseTimer(recv) || len(call.Args) == 0 {
 			return true
 		}
 		name, isLit := analysis.StringLit(call.Args[0])

@@ -11,12 +11,9 @@ import (
 	"fmt"
 	"time"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -41,14 +38,9 @@ type Benchmark struct {
 	n       int
 	niter   int
 	threads int
+	env     kernel.Env
 	c       nscore.Consts
 	f       *nscore.Field
-
-	timers *timer.Set         // nil unless WithTimers
-	rec    *obs.Recorder      // nil without WithObs
-	tr     *trace.Tracer      // nil without WithTrace
-	pc     *perfcount.Sampler // nil without WithCounters
-	sched  team.Schedule      // loop schedule, Static without WithSchedule
 
 	scratch []*lineScratch // per-worker line solve storage
 
@@ -63,40 +55,11 @@ type Benchmark struct {
 	xBody, yBody, zBody func(id int)
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the plane loops of
-// the RHS evaluation and the three implicit solves; team.Static (the
-// default) is the paper's block distribution. Every loop writes
-// disjoint planes, so results are bit-identical under every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables per-phase profiling of the ADI steps (rhs and the
-// three solves), as the paper does when analyzing where the translated
-// code spends its time.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
 // New configures BT for the given class and thread count and allocates
-// its fields.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// its fields. With env.Timers set, the ADI phases (rhs, the three
+// solves, add) are profiled, as the paper does when analyzing where the
+// translated code spends its time.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	spec, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("bt: unknown class %q", string(class))
@@ -104,10 +67,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("bt: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, false)
 	b.scratch = make([]*lineScratch, threads)
@@ -120,20 +80,20 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 
 // Result reports one BT run.
 type Result struct {
-	XCR     [5]float64 // rhs residual norms
-	XCE     [5]float64 // solution error norms
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
+	XCR [5]float64 // rhs residual norms
+	XCE [5]float64 // solution error norms
+	kernel.Outcome
 }
 
-// Run executes the benchmark: initialization, one untimed warm-up step
-// with re-initialization (as bt.f), then niter timed ADI steps and
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the benchmark: initialization, one untimed warm-up
+// step with re-initialization (as bt.f), then niter timed ADI steps and
 // verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
 
 	b.f.Initialize(&b.c)
 	b.f.ExactRHS(&b.c)
@@ -143,7 +103,7 @@ func (b *Benchmark) Run() Result {
 	b.f.Initialize(&b.c)
 
 	start := time.Now()
-	for step := 1; step <= b.niter; step++ {
+	for step := 1; step <= b.niter && !tm.Cancelled(); step++ {
 		b.Iter(tm)
 	}
 	elapsed := time.Since(start)
@@ -160,13 +120,8 @@ func (b *Benchmark) Run() Result {
 	var res Result
 	res.XCR = xcr
 	res.XCE = xce
-	res.Elapsed = elapsed
-	res.Timers = b.timers
 	nf := float64(b.n)
 	flops := float64(b.niter) * (3478.8*nf*nf*nf - 17655.7*nf*nf + 28023.7*nf)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
@@ -179,7 +134,7 @@ func (b *Benchmark) Run() Result {
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
+	res.Outcome = b.env.Outcome(elapsed, flops*1e-6, rep)
 	return res
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -23,7 +24,7 @@ func TestExactSolutionBoundaryValues(t *testing.T) {
 }
 
 func TestInitializeMatchesExactOnBoundaries(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestInitializeMatchesExactOnBoundaries(t *testing.T) {
 // forcing was constructed as exactly minus the operator applied to the
 // exact solution.
 func TestForcingBalancesExactSolution(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const cells = 6
 		const dim = 5 * cells
-		b, _ := New('S', 1)
+		b, _ := New('S', 1, kernel.Env{})
 		ls := newLineScratch(cells)
 		// Random diagonally dominant blocks; first and last cells are
 		// identity rows as lhsinit would make them.
@@ -399,7 +400,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	// The ADI iteration drives u toward the steady solution of the
 	// forced system; the solution error must decrease from its initial
 	// value over the run.
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.f.Initialize(&b.c)
@@ -428,7 +429,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 // bit-identical for every team size and loop schedule.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	run := func(threads int, sched team.Schedule) []float64 {
-		b, _ := New('S', threads)
+		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
 		b.f.Initialize(&b.c)
@@ -456,8 +457,8 @@ func TestClassSGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full class S run in -short mode")
 	}
-	b, _ := New('S', 1)
-	res := b.Run()
+	b, _ := New('S', 1, kernel.Env{})
+	res := b.RunResult()
 	if res.Verify.Failed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
@@ -469,10 +470,10 @@ func TestClassSGolden(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Q', 1); err == nil {
+	if _, err := New('Q', 1, kernel.Env{}); err == nil {
 		t.Fatal("class Q accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }

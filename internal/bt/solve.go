@@ -164,35 +164,21 @@ func (b *Benchmark) zSolve(tm *team.Team) {
 // adi advances one time step, charging each phase to the profile
 // timers when enabled.
 func (b *Benchmark) adi(tm *team.Team) {
-	b.phaseStart("rhs")
+	b.env.Start("rhs")
 	b.f.ComputeRHS(&b.c, tm)
-	b.phaseStop("rhs")
-	b.phaseStart("xsolve")
+	b.env.Stop("rhs")
+	b.env.Start("xsolve")
 	b.xSolve(tm)
-	b.phaseStop("xsolve")
-	b.phaseStart("ysolve")
+	b.env.Stop("xsolve")
+	b.env.Start("ysolve")
 	b.ySolve(tm)
-	b.phaseStop("ysolve")
-	b.phaseStart("zsolve")
+	b.env.Stop("ysolve")
+	b.env.Start("zsolve")
 	b.zSolve(tm)
-	b.phaseStop("zsolve")
-	b.phaseStart("add")
+	b.env.Stop("zsolve")
+	b.env.Start("add")
 	b.f.Add(tm)
-	b.phaseStop("add")
-}
-
-// phaseStart begins charging the named timer when profiling.
-func (b *Benchmark) phaseStart(name string) {
-	if b.timers != nil {
-		b.timers.Start(name)
-	}
-}
-
-// phaseStop stops charging the named timer when profiling.
-func (b *Benchmark) phaseStop(name string) {
-	if b.timers != nil {
-		b.timers.Stop(name)
-	}
+	b.env.Stop("add")
 }
 
 // Iter advances one steady-state time step on tm, whose Size must equal

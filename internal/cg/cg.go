@@ -6,22 +6,18 @@
 //
 // The paper's §5.2 spends most of its CG discussion on a scheduling
 // anomaly: the JVM ran CG's lightly-loaded threads on only 1-2
-// processors until each thread was given a large warmup load. The
-// Warmup option reproduces that fix.
+// processors until each thread was given a large warmup load;
+// kernel.Env.Warmup reproduces that fix.
 package cg
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -53,16 +49,11 @@ type Benchmark struct {
 	Class   byte
 	p       params
 	threads int
-	warmup  bool
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	timers  *timer.Set         // nil without WithTimers
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+	env     kernel.Env
 
-	ballastBytes int
-	ballast      [][]float64 // per-worker ballast, nil without WithBallast
+	ballast [][]float64 // per-worker ballast, nil without Ballast
+
+	zeta, rnorm float64 // results of the latest complete Iter
 
 	rowstr []int
 	colidx []int
@@ -98,58 +89,12 @@ type dotSlot [8]float64
 
 const dotPQ, dotRR = 0, 1
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithWarmup enables the per-thread initialization load of §5.2.
-func WithWarmup() Option { return func(b *Benchmark) { b.warmup = true } }
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// imbalance ratio — the instrumentation the paper's §5.2 CG diagnosis
-// was made with.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule — the knob §5.2's
-// load-imbalance diagnosis calls for. The default is team.Static, the
-// paper's block distribution.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables the per-phase profile (t_conj_grad, t_norm), the
-// cg.f timer slots the paper's profiling discussion uses.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled (unblocking any parked workers) and the timed outer loop
-// stops within about one iteration, returning a partial result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
-
-// WithBallast reproduces the paper's other §5.2 experiment: "an
-// artificial increase in the memory use ... also resulted in a drop of
-// scalability". Each worker is given bytes of ballast that the timed
-// loop streams through once per outer iteration, inflating the
-// benchmark's working set without changing its arithmetic.
-func WithBallast(bytes int) Option {
-	return func(b *Benchmark) { b.ballastBytes = bytes }
-}
-
 // New builds the CG benchmark for a class and thread count, generating
-// the sparse matrix (the untimed setup phase).
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// the sparse matrix (the untimed setup phase). env.Warmup enables the
+// per-thread initialization load of §5.2 and env.Schedule is the knob
+// that section's load-imbalance diagnosis calls for; with env.Timers
+// set, the cg.f timer slots t_conj_grad and t_norm are profiled.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("cg: unknown class %q", string(class))
@@ -157,21 +102,8 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("cg: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, p: p, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, p: p, threads: threads, env: env}
 	b.rowstr, b.colidx, b.a = makea(p.na, p.nonzer, rcond, p.shift)
-	if b.ballastBytes > 0 {
-		words := b.ballastBytes / 8
-		if words < 1 {
-			words = 1
-		}
-		b.ballast = make([][]float64, threads)
-		for i := range b.ballast {
-			b.ballast[i] = make([]float64, words)
-		}
-	}
 	n := p.na
 	b.x = make([]float64, n)
 	b.z = make([]float64, n)
@@ -269,7 +201,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot per-worker ballast streaming (no-op without WithBallast)
+	//npblint:hot per-worker ballast streaming (no-op without Ballast)
 	b.ballastBody = func(id int) {
 		bal := b.ballast[id]
 		s := 0.0
@@ -284,29 +216,37 @@ func (b *Benchmark) buildBodies() {
 	b.normFn = func() float64 { b.normalize(); return 0 }
 }
 
+// Ballast reproduces the paper's other §5.2 experiment: "an artificial
+// increase in the memory use ... also resulted in a drop of
+// scalability". Each worker is given bytes of ballast that the timed
+// loop streams through once per outer iteration, inflating the
+// benchmark's working set without changing its arithmetic.
+func (b *Benchmark) Ballast(bytes int) {
+	b.ballast = make([][]float64, b.threads)
+	for i := range b.ballast {
+		b.ballast[i] = make([]float64, max(bytes/8, 1))
+	}
+}
+
 // NNZ returns the number of stored matrix nonzeros.
 func (b *Benchmark) NNZ() int { return b.rowstr[b.p.na] }
 
 // Result reports one CG run.
 type Result struct {
-	Zeta    float64
-	RNorm   float64 // final residual norm ||x - A z||
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
+	Zeta  float64
+	RNorm float64 // final residual norm ||x - A z||
+	kernel.Outcome
 }
 
-// Run executes the benchmark: one untimed feed-through iteration, then
-// niter timed outer iterations, then verification, following cg.f.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
-	if b.warmup {
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the benchmark: one untimed feed-through iteration,
+// then niter timed outer iterations, then verification, following cg.f.
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
+	if b.env.Warmup {
 		tm.Warmup(5_000_000)
 	}
 	b.tm = tm
@@ -324,41 +264,24 @@ func (b *Benchmark) Run() Result {
 	for i := range b.x {
 		b.x[i] = 1.0
 	}
-	zeta := 0.0
-	var rnorm float64
+	b.zeta, b.rnorm = 0, 0
 	start := time.Now()
-	for it := 1; it <= b.p.niter; it++ {
-		if tm.Cancelled() {
-			break
-		}
-		z, rn, ok := b.Iter(tm)
-		rnorm = rn
-		if !ok {
-			// The reductions of a cancelled team return 0, so zeta
-			// derived from them would be garbage; keep the last complete
-			// iteration's value instead.
-			break
-		}
-		zeta = z
+	for it := 1; it <= b.p.niter && !tm.Cancelled(); it++ {
+		b.Iter(tm)
 	}
 	elapsed := time.Since(start)
 
 	var res Result
-	res.Zeta = zeta
-	res.RNorm = rnorm
-	res.Timers = b.timers
-	res.Elapsed = elapsed
+	res.Zeta = b.zeta
+	res.RNorm = b.rnorm
 	// Standard NPB CG flop estimate per outer iteration.
 	nzf := float64(b.NNZ())
 	naf := float64(n)
 	flops := float64(b.p.niter) * (2*float64(cgitmax)*(3+nzf+5*naf) + 3 + nzf + 8*naf + 5*naf)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
-	rep.AddTol("zeta", fault.CorruptFloat("cg.verify", zeta), b.p.zeta, 1e-10)
-	res.Verify = rep
+	rep.AddTol("zeta", fault.CorruptFloat("cg.verify", b.zeta), b.p.zeta, 1e-10)
+	res.Outcome = b.env.Outcome(elapsed, flops*1e-6, rep)
 	return res
 }
 
@@ -368,46 +291,48 @@ func (b *Benchmark) Run() Result {
 // tracer as a parameter, so the Begin/End pairing is owned here —
 // call sites cannot leak a phase.
 func (b *Benchmark) timed(name string, fn func() float64) float64 {
-	if b.timers == nil && b.tr == nil {
+	tr, timers := b.env.Tr, b.env.Timers
+	if timers == nil && tr == nil {
 		return fn()
 	}
-	if b.tr != nil {
-		b.tr.BeginPhase(name)
-		defer b.tr.EndPhase(name)
+	if tr != nil {
+		tr.BeginPhase(name)
+		defer tr.EndPhase(name)
 	}
-	if b.timers == nil {
+	if timers == nil {
 		return fn()
 	}
-	b.timers.Start(name)
+	timers.Start(name)
 	v := fn()
-	b.timers.Stop(name)
+	timers.Stop(name)
 	return v
 }
 
 // Iter runs one timed outer iteration (conjGrad, the zeta update, and
 // the normalization) on tm, whose Size must equal the thread count the
-// Benchmark was built with. It returns the iteration's zeta and
-// residual norm; ok is false when the team was cancelled mid-iteration,
-// in which case zeta is meaningless. Iter is the steady-state hook the
-// allocation gate measures: after the first call it performs no heap
-// allocation.
-func (b *Benchmark) Iter(tm *team.Team) (zeta, rnorm float64, ok bool) {
+// Benchmark was built with, and leaves the iteration's zeta and
+// residual norm in b.zeta and b.rnorm. Iter is the steady-state hook
+// the allocation gate measures: after the first call it performs no
+// heap allocation.
+func (b *Benchmark) Iter(tm *team.Team) {
 	b.tm = tm
 	fault.Maybe("cg.iter")
 	b.touchBallast()
-	rnorm = b.timed("t_conj_grad", b.conjFn)
+	b.rnorm = b.timed("t_conj_grad", b.conjFn)
 	if tm.Cancelled() {
-		return 0, rnorm, false
+		// The reductions of a cancelled team return 0, so zeta derived
+		// from them would be garbage; keep the last complete iteration's
+		// value instead.
+		return
 	}
 	norm1 := b.dot(b.x, b.z)
-	zeta = b.p.shift + 1.0/norm1
+	b.zeta = b.p.shift + 1.0/norm1
 	b.timed("t_norm", b.normFn)
-	return zeta, rnorm, true
 }
 
 // touchBallast streams every worker through its ballast once, evicting
 // the benchmark's real working set from the caches (a no-op without
-// WithBallast).
+// Ballast).
 func (b *Benchmark) touchBallast() {
 	if b.ballast == nil {
 		return

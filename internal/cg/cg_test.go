@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 )
 
@@ -133,11 +134,11 @@ func TestMakeaDiagonalShift(t *testing.T) {
 }
 
 func TestClassSVerifies(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
+	res := b.RunResult()
 	if !res.Verify.Passed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
@@ -148,11 +149,11 @@ func TestClassSVerifies(t *testing.T) {
 
 func TestParallelMatchesOfficialZeta(t *testing.T) {
 	for _, n := range []int{2, 4} {
-		b, err := New('S', n)
+		b, err := New('S', n, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := b.Run()
+		res := b.RunResult()
 		if !res.Verify.Passed() {
 			t.Fatalf("threads=%d failed verification:\n%s", n, res.Verify)
 		}
@@ -160,7 +161,7 @@ func TestParallelMatchesOfficialZeta(t *testing.T) {
 }
 
 func TestWarmupOptionStillVerifies(t *testing.T) {
-	b, err := New('S', 2, WithWarmup())
+	b, err := New('S', 2, kernel.Env{Warmup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,25 +171,25 @@ func TestWarmupOptionStillVerifies(t *testing.T) {
 }
 
 func TestRepeatedRunsDeterministic(t *testing.T) {
-	b, _ := New('S', 2)
-	r1 := b.Run()
-	r2 := b.Run()
+	b, _ := New('S', 2, kernel.Env{})
+	r1 := b.RunResult()
+	r2 := b.RunResult()
 	if r1.Zeta != r2.Zeta {
 		t.Fatalf("zeta not reproducible: %v vs %v", r1.Zeta, r2.Zeta)
 	}
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Q', 1); err == nil {
+	if _, err := New('Q', 1, kernel.Env{}); err == nil {
 		t.Fatal("class Q accepted")
 	}
-	if _, err := New('S', -1); err == nil {
+	if _, err := New('S', -1, kernel.Env{}); err == nil {
 		t.Fatal("negative threads accepted")
 	}
 }
 
 func TestNNZPositive(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	if b.NNZ() <= b.p.na {
 		t.Fatalf("NNZ = %d suspiciously small", b.NNZ())
 	}
@@ -198,12 +199,12 @@ func TestNNZPositive(t *testing.T) {
 // perturbing one stored matrix entry must flip the verification verdict
 // (the eigenvalue estimate is sensitive to the operator).
 func TestCorruptedMatrixFailsVerification(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.a[len(b.a)/3] += 0.5
-	res := b.Run()
+	res := b.RunResult()
 	if res.Verify.Passed() {
 		t.Fatalf("corrupted matrix still verified: zeta=%v", res.Zeta)
 	}
@@ -213,10 +214,11 @@ func TestCorruptedMatrixFailsVerification(t *testing.T) {
 }
 
 func TestBallastOptionStillVerifies(t *testing.T) {
-	b, err := New('S', 2, WithBallast(1<<20))
+	b, err := New('S', 2, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.Ballast(1 << 20)
 	if res := b.Run(); !res.Verify.Passed() {
 		t.Fatalf("ballast run failed verification:\n%s", res.Verify)
 	}

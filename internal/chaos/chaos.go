@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -315,15 +316,14 @@ func probe() error {
 	return nil
 }
 
-// verifySite maps a benchmark to its corrupt-injection verify site key.
+// verifySite maps a benchmark to its corrupt-injection verify site key,
+// "" (which never fires) for a benchmark with no such site compiled in.
 func verifySite(b npbgo.Benchmark) string {
-	switch b {
-	case npbgo.CG:
-		return "cg.verify"
-	case npbgo.EP:
-		return "ep.verify"
+	site := strings.ToLower(string(b)) + ".verify"
+	if !slices.Contains(fault.Sites(), site) {
+		return ""
 	}
-	return string(b) + ".verify" // no registered site: Fired reports 0
+	return site
 }
 
 func cellKey(cfg npbgo.Config) journal.CellKey {

@@ -112,3 +112,14 @@ func TestIsCancelClassification(t *testing.T) {
 		t.Fatal("verification RunError classified as cancel")
 	}
 }
+
+// TestVerifySiteMatchesRegisteredSites: a benchmark's key is the
+// lower-case site the kernel compiles in, or "" when it has none — a
+// key fault.Sites() does not list can never have fired.
+func TestVerifySiteMatchesRegisteredSites(t *testing.T) {
+	for b, want := range map[npbgo.Benchmark]string{npbgo.CG: "cg.verify", npbgo.EP: "ep.verify", npbgo.BT: ""} {
+		if got := verifySite(b); got != want {
+			t.Errorf("verifySite(%s) = %q, want %q", b, got, want)
+		}
+	}
+}

@@ -12,18 +12,15 @@
 package ep
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -56,12 +53,7 @@ type Benchmark struct {
 	m       int
 	nn      int // number of 2^mk batches
 	threads int
-	ctx     context.Context    // nil means not cancellable
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	timers  *timer.Set         // nil without WithTimers
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+	env     kernel.Env
 
 	states []batchState // per-block tallies, reset each Iter
 	x      [][]float64  // per-worker vranlc scratch, 2*nk doubles each
@@ -70,58 +62,21 @@ type Benchmark struct {
 	body   func(id int) // hoisted batch-sweep region body
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled and every worker stops at its next batch boundary,
-// returning a partial (unverifiable) result.
-func WithContext(ctx context.Context) Option {
-	return func(b *Benchmark) { b.ctx = ctx }
-}
-
-// WithObs attaches a runtime-metrics recorder to the run's team.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the batch sweep;
-// team.Static (the default) is the paper's block distribution. Batch
-// tallies are indexed by static block, not by worker, so the summed
-// result is bit-identical under every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables the per-worker phase profile: each worker charges
-// its batch loop to its own timer (t_batch/w<id>) on a concurrent set,
-// so the profile shows both the per-thread time split and, via lap
-// counts, how many batches each worker processed — the per-thread view
-// the paper's load-balance analysis is built on.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewConcurrentSet() } }
-
 // Result reports one EP run.
 type Result struct {
-	Sx, Sy  float64        // Gaussian deviate sums
-	Q       [nq]float64    // annulus counts
-	Gc      float64        // total accepted pairs
-	Elapsed time.Duration  // wall time of the timed section
-	Mops    float64        // millions of Gaussian pairs per second scale
-	Verify  *verify.Report // verification outcome
-	Timers  *timer.Set     // per-worker batch profile when WithTimers was given
+	Sx, Sy float64     // Gaussian deviate sums
+	Q      [nq]float64 // annulus counts
+	Gc     float64     // total accepted pairs
+	kernel.Outcome
 }
 
 // New configures EP for the given class ('S','W','A','B','C') and thread
-// count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// count. On cancellation every worker stops at its next batch boundary.
+// With env.Timers set, each worker charges its batch loop to its own
+// timer (t_batch/w<id>), so the profile shows both the per-thread time
+// split and, via lap counts, how many batches each worker processed —
+// the per-thread view the paper's load-balance analysis is built on.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	m, ok := classM[class]
 	if !ok {
 		return nil, fmt.Errorf("ep: unknown class %q", string(class))
@@ -129,17 +84,14 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("ep: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, m: m, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, m: m, threads: threads, env: env}
 	b.nn = 1 << (b.m - mk)
 	b.states = make([]batchState, threads)
 	b.x = make([][]float64, threads)
 	for id := range b.x {
 		b.x[id] = make([]float64, 2*nk)
 	}
-	if b.timers != nil {
+	if env.Timers != nil {
 		b.phases = make([]string, threads)
 		for id := range b.phases {
 			b.phases[id] = timer.Worker("t_batch", id)
@@ -152,7 +104,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		tm := b.tm
 		x := b.x[id]
 		phase := ""
-		if b.timers != nil {
+		if b.env.Timers != nil {
 			phase = b.phases[id]
 		}
 		for it := tm.ReduceBlocks(id, 0, b.nn); it.Next(); {
@@ -163,11 +115,11 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 				}
 				fault.Maybe("ep.batch")
 				if phase != "" {
-					b.timers.Start(phase)
+					b.env.Timers.Start(phase)
 				}
 				runBatch(kk, st, x)
 				if phase != "" {
-					b.timers.Stop(phase)
+					b.env.Timers.Stop(phase)
 				}
 			}
 		}
@@ -228,22 +180,19 @@ func runBatch(kk int, st *batchState, x []float64) {
 	}
 }
 
-// Run executes the kernel and returns its result.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the kernel and returns its result.
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
 
 	start := time.Now()
 	b.Iter(tm)
 	elapsed := time.Since(start)
 
 	var res Result
-	res.Elapsed = elapsed
-	res.Timers = b.timers
 	for id := 0; id < b.threads; id++ {
 		res.Sx += b.states[id].sx
 		res.Sy += b.states[id].sy
@@ -254,9 +203,6 @@ func (b *Benchmark) Run() Result {
 	for l := 0; l < nq; l++ {
 		res.Gc += res.Q[l]
 	}
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = b.Pairs() * 1e-6 / s
-	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
@@ -265,6 +211,6 @@ func (b *Benchmark) Run() Result {
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
+	res.Outcome = b.env.Outcome(elapsed, b.Pairs()*1e-6, rep)
 	return res
 }

@@ -4,15 +4,16 @@ import (
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 )
 
 func TestClassSVerifies(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
+	res := b.RunResult()
 	if !res.Verify.Passed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
@@ -24,8 +25,8 @@ func TestClassSVerifies(t *testing.T) {
 func TestAcceptanceRateNearPiOver4(t *testing.T) {
 	// The polar method accepts points inside the unit disc; the
 	// acceptance rate must be close to pi/4.
-	b, _ := New('S', 1)
-	res := b.Run()
+	b, _ := New('S', 1, kernel.Env{})
+	res := b.RunResult()
 	rate := res.Gc / b.Pairs()
 	if math.Abs(rate-math.Pi/4) > 0.001 {
 		t.Fatalf("acceptance rate %v far from pi/4", rate)
@@ -35,8 +36,8 @@ func TestAcceptanceRateNearPiOver4(t *testing.T) {
 func TestAnnulusCountsDecrease(t *testing.T) {
 	// Gaussian mass decays with radius: the first annulus must dominate
 	// and counts must be (weakly) decreasing.
-	b, _ := New('S', 1)
-	res := b.Run()
+	b, _ := New('S', 1, kernel.Env{})
+	res := b.RunResult()
 	for l := 1; l < nq; l++ {
 		if res.Q[l] > res.Q[l-1] {
 			t.Fatalf("annulus counts not decreasing: q[%d]=%v > q[%d]=%v", l, res.Q[l], l-1, res.Q[l-1])
@@ -50,11 +51,11 @@ func TestAnnulusCountsDecrease(t *testing.T) {
 }
 
 func TestParallelMatchesSerialExactly(t *testing.T) {
-	serial, _ := New('S', 1)
-	sres := serial.Run()
+	serial, _ := New('S', 1, kernel.Env{})
+	sres := serial.RunResult()
 	for _, n := range []int{2, 4} {
-		par, _ := New('S', n)
-		pres := par.Run()
+		par, _ := New('S', n, kernel.Env{})
+		pres := par.RunResult()
 		// Worker partials are combined in deterministic order, so a
 		// parallel run is reproducible, but the association differs
 		// from serial; allow last-bit drift only.
@@ -77,16 +78,16 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Z', 1); err == nil {
+	if _, err := New('Z', 1, kernel.Env{}); err == nil {
 		t.Fatal("class Z accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }
 
 func TestPairsPerClass(t *testing.T) {
-	b, _ := New('A', 1)
+	b, _ := New('A', 1, kernel.Env{})
 	if b.Pairs() != float64(1<<28) {
 		t.Fatalf("class A pairs = %v, want 2^28", b.Pairs())
 	}

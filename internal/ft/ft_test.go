@@ -5,12 +5,13 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
 func TestFFTRoundTrip(t *testing.T) {
 	// inverse(forward(x)) == ntotal * x for the unnormalized pair.
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestFFTRoundTrip(t *testing.T) {
 func TestForwardDeltaFunctionIsFlat(t *testing.T) {
 	// The transform of a delta at the origin is constant 1 across the
 	// spectrum — a classic analytic FFT check.
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	for i := range b.u1 {
@@ -53,7 +54,7 @@ func TestForwardDeltaFunctionIsFlat(t *testing.T) {
 func TestParseval(t *testing.T) {
 	// sum|x|^2 * ntotal == sum|X|^2 for the unnormalized forward
 	// transform.
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.computeInitialConditions(tm)
@@ -73,7 +74,7 @@ func TestParseval(t *testing.T) {
 }
 
 func TestTwiddleRange(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.computeIndexMap(tm)
@@ -88,7 +89,7 @@ func TestTwiddleRange(t *testing.T) {
 }
 
 func TestClassSVerifies(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +100,11 @@ func TestClassSVerifies(t *testing.T) {
 }
 
 func TestParallelBitwiseMatchesSerial(t *testing.T) {
-	s, _ := New('S', 1)
-	sres := s.Run()
+	s, _ := New('S', 1, kernel.Env{})
+	sres := s.RunResult()
 	for _, n := range []int{2, 4} {
-		p, _ := New('S', n)
-		pres := p.Run()
+		p, _ := New('S', n, kernel.Env{})
+		pres := p.RunResult()
 		for i := range sres.Sums {
 			if sres.Sums[i] != pres.Sums[i] {
 				t.Fatalf("threads=%d checksum %d differs: %v vs %v", n, i, sres.Sums[i], pres.Sums[i])
@@ -137,16 +138,16 @@ func TestIlog2(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('X', 1); err == nil {
+	if _, err := New('X', 1, kernel.Env{}); err == nil {
 		t.Fatal("class X accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }
 
 func TestEvolveAppliesTwiddle(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.computeIndexMap(tm)
@@ -172,7 +173,7 @@ func TestEvolveAppliesTwiddle(t *testing.T) {
 func TestIndexMapSymmetry(t *testing.T) {
 	// twiddle depends only on squared signed frequencies, so index i and
 	// nx-i (i > 0) must map to the same factor.
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.computeIndexMap(tm)

@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"time"
 
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/team"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -48,18 +46,14 @@ type Benchmark struct {
 	numKeys int
 	maxKey  int
 	threads int
-	buckets bool               // bucketed ranking (the C original's USE_BUCKETS path)
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+	env     kernel.Env
 
 	keys  []int32 // the key array (regenerated at the start of Run)
 	buff2 []int32 // key copy used during ranking
 	dens  []int32 // global key density / cumulative ranks
 	local [][]int32
 
-	// Bucket machinery (allocated only when buckets is set).
+	// Bucket machinery (allocated only when env.Buckets is set).
 	bucketSize  []int32 // per-worker x nbuckets counts
 	bucketPtrs  []int32 // per-worker bucket write cursors
 	bucketStart []int32
@@ -78,42 +72,16 @@ type Benchmark struct {
 // nbuckets is the bucket count of the C original (2^10).
 const nbuckets = 1 << 10
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the histogram
-// phases; team.Static (the default) keeps the paper's block
-// distribution. The bucketed variant's count/scatter phases always stay
-// static (their write cursors are worker-identity-coupled), but the
-// skewed bucket-density loop — the load-imbalance hot spot — follows
-// the schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithBuckets selects the bucketed ranking algorithm: keys are first
-// scattered into 2^10 coarse buckets, then counted bucket-by-bucket,
-// trading a pass of data movement for much better cache locality in the
-// counting phase — the USE_BUCKETS variant of the C original.
-func WithBuckets() Option { return func(b *Benchmark) { b.buckets = true } }
-
-// New configures IS for the given class and thread count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// New configures IS for the given class and thread count. env.Buckets
+// selects the bucketed ranking algorithm — the USE_BUCKETS variant of
+// the C original: keys are first scattered into 2^10 coarse buckets,
+// then counted bucket-by-bucket, trading a pass of data movement for
+// much better cache locality in the counting phase. Its count/scatter
+// phases always stay static (their write cursors are
+// worker-identity-coupled), but the skewed bucket-density loop — the
+// load-imbalance hot spot — follows env.Schedule. With env.Timers set,
+// each pass's counting region and serial prefix sum are profiled.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("is: unknown class %q", string(class))
@@ -126,9 +94,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 		numKeys: 1 << p.totalKeysLog2,
 		maxKey:  1 << p.maxKeyLog2,
 		threads: threads,
-	}
-	for _, o := range opts {
-		o(b)
+		env:     env,
 	}
 	b.keys = make([]int32, b.numKeys)
 	b.buff2 = make([]int32, b.numKeys)
@@ -137,7 +103,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	for i := range b.local {
 		b.local[i] = make([]int32, b.maxKey)
 	}
-	if b.buckets {
+	if env.Buckets {
 		b.bucketSize = make([]int32, threads*nbuckets)
 		b.bucketPtrs = make([]int32, threads*nbuckets)
 		b.bucketStart = make([]int32, nbuckets+1)
@@ -271,46 +237,30 @@ func (b *Benchmark) createSeq() {
 	}
 }
 
-// rank dispatches one ranking pass to the straight or bucketed
-// algorithm.
+// rank performs one ranking pass: perturb two keys (so each iteration
+// does distinct work), histogram all keys with the straight or the
+// bucketed region — the latter scatters keys into 2^10 coarse buckets
+// first, so the counting walks one small, cache-resident key sub-range
+// at a time — and prefix-sum the histogram into cumulative ranks.
 func (b *Benchmark) rank(tm *team.Team, iteration int) {
-	if b.buckets {
-		b.rankBuckets(tm, iteration)
-		return
-	}
-	b.rankStraight(tm, iteration)
-}
-
-// rankBuckets is the USE_BUCKETS ranking pass: scatter keys into 2^10
-// coarse buckets (so the counting pass walks one small, cache-resident
-// key sub-range at a time), then count and prefix-sum per bucket.
-func (b *Benchmark) rankBuckets(tm *team.Team, iteration int) {
 	b.keys[iteration] = int32(iteration)
 	b.keys[iteration+maxIterations] = int32(b.maxKey - iteration)
 
 	b.tm = tm
-	tm.Run(b.bucketBody)
-
-	// Serial prefix sum, as in the straight variant.
-	for i := 0; i < b.maxKey-1; i++ {
-		b.dens[i+1] += b.dens[i]
+	b.env.Start("count")
+	if b.env.Buckets {
+		tm.Run(b.bucketBody)
+	} else {
+		tm.Run(b.straightBody)
 	}
-}
-
-// rankStraight performs one ranking pass: perturb two keys (so each
-// iteration does distinct work), histogram all keys, and prefix-sum the
-// histogram into cumulative ranks, split over the team.
-func (b *Benchmark) rankStraight(tm *team.Team, iteration int) {
-	b.keys[iteration] = int32(iteration)
-	b.keys[iteration+maxIterations] = int32(b.maxKey - iteration)
-
-	b.tm = tm
-	tm.Run(b.straightBody)
+	b.env.Stop("count")
 
 	// Serial prefix sum (O(maxKey); the C original is serial here too).
+	b.env.Start("prefix")
 	for i := 0; i < b.maxKey-1; i++ {
 		b.dens[i+1] += b.dens[i]
 	}
+	b.env.Stop("prefix")
 }
 
 // Iter runs one timed ranking pass on tm, whose Size must equal the
@@ -350,40 +300,43 @@ func (b *Benchmark) fullVerify() int {
 
 // Result reports one IS run.
 type Result struct {
-	Elapsed   time.Duration
-	Mops      float64
 	OutOfSeq  int // out-of-order pairs after the final permutation
 	KeysMoved int
-	Verify    *verify.Report
+	kernel.Outcome
 }
 
-// Run executes the benchmark: key generation (untimed), one untimed
-// ranking pass, maxIterations timed passes, then full verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the benchmark: key generation (untimed), one
+// untimed ranking pass, maxIterations timed passes, then full
+// verification.
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
 
 	b.createSeq()
 	b.rank(tm, 1) // untimed warm pass, as in the original
 
 	b.iter = 0
 	start := time.Now()
-	for it := 1; it <= maxIterations; it++ {
+	for it := 1; it <= maxIterations && !tm.Cancelled(); it++ {
 		b.Iter(tm)
 	}
 	elapsed := time.Since(start)
 
-	bad := b.fullVerify()
+	// A cancelled run's ranks are partial, so there is nothing sound to
+	// permute: it reports -1 and fails verification.
+	bad := -1
+	if !tm.Cancelled() {
+		bad = b.fullVerify()
+	}
 
 	var res Result
-	res.Elapsed = elapsed
 	res.OutOfSeq = bad
 	res.KeysMoved = b.numKeys * maxIterations
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = float64(res.KeysMoved) * 1e-6 / s
-	}
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	rep.Add("out-of-order pairs", float64(bad), 0)
-	res.Verify = rep
+	res.Outcome = b.env.Outcome(elapsed, float64(res.KeysMoved)*1e-6, rep)
 	return res
 }

@@ -7,15 +7,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
 func TestClassSFullVerify(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Run()
+	res := b.RunResult()
 	if res.OutOfSeq != 0 {
 		t.Fatalf("%d out-of-order pairs after sort", res.OutOfSeq)
 	}
@@ -26,18 +27,18 @@ func TestClassSFullVerify(t *testing.T) {
 
 func TestParallelFullVerify(t *testing.T) {
 	for _, n := range []int{2, 4} {
-		b, err := New('S', n)
+		b, err := New('S', n, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := b.Run(); res.OutOfSeq != 0 {
+		if res := b.RunResult(); res.OutOfSeq != 0 {
 			t.Fatalf("threads=%d: %d out-of-order pairs", n, res.OutOfSeq)
 		}
 	}
 }
 
 func TestSortIsPermutation(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	b.createSeq()
 	before := make([]int32, len(b.keys))
 	copy(before, b.keys)
@@ -68,7 +69,7 @@ func TestSortIsPermutation(t *testing.T) {
 }
 
 func TestKeysWithinRange(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	b.createSeq()
 	for i, k := range b.keys {
 		if k < 0 || int(k) >= b.maxKey {
@@ -79,7 +80,7 @@ func TestKeysWithinRange(t *testing.T) {
 
 func TestKeyDistributionCentered(t *testing.T) {
 	// Keys are sums of four uniforms scaled by maxKey/4: mean maxKey/2.
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	b.createSeq()
 	sum := 0.0
 	for _, k := range b.keys {
@@ -144,16 +145,16 @@ func TestRanksMatchStdlibSortProperty(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('X', 1); err == nil {
+	if _, err := New('X', 1, kernel.Env{}); err == nil {
 		t.Fatal("class X accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }
 
 func TestClassSizes(t *testing.T) {
-	b, _ := New('A', 1)
+	b, _ := New('A', 1, kernel.Env{})
 	if b.NumKeys() != 1<<23 || b.MaxKey() != 1<<19 {
 		t.Fatalf("class A sizes wrong: %d keys, %d max", b.NumKeys(), b.MaxKey())
 	}
@@ -165,7 +166,7 @@ func TestClassSizes(t *testing.T) {
 // iterations — the invariant behind the C original's partial
 // verification, checked here without its rank tables.
 func TestRankShiftInvariant(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.createSeq()
@@ -193,7 +194,7 @@ func TestRankShiftInvariant(t *testing.T) {
 }
 
 func TestAllKeysEqualSorts(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	for i := range b.keys {
@@ -207,8 +208,8 @@ func TestAllKeysEqualSorts(t *testing.T) {
 
 func TestBucketedMatchesStraightRanks(t *testing.T) {
 	for _, threads := range []int{1, 3} {
-		a, _ := New('S', threads)
-		c, _ := New('S', threads, WithBuckets())
+		a, _ := New('S', threads, kernel.Env{})
+		c, _ := New('S', threads, kernel.Env{Buckets: true})
 		tm := team.New(threads)
 		a.createSeq()
 		c.createSeq()
@@ -227,11 +228,11 @@ func TestBucketedMatchesStraightRanks(t *testing.T) {
 
 func TestBucketedFullRunVerifies(t *testing.T) {
 	for _, threads := range []int{1, 4} {
-		b, err := New('S', threads, WithBuckets())
+		b, err := New('S', threads, kernel.Env{Buckets: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := b.Run(); res.OutOfSeq != 0 {
+		if res := b.RunResult(); res.OutOfSeq != 0 {
 			t.Fatalf("threads=%d: %d out-of-order pairs (bucketed)", threads, res.OutOfSeq)
 		}
 	}
@@ -244,7 +245,7 @@ func TestBucketedFullRunVerifies(t *testing.T) {
 func TestKeySequenceMatchesRecorded(t *testing.T) {
 	recorded := map[byte]uint64{'S': 0xfda3c49741c88ed9, 'W': 0xb3d1378eb46c774b}
 	for _, class := range []byte{'S', 'W'} {
-		b, err := New(class, 1)
+		b, err := New(class, 1, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,107 @@
+// Package kernel states the contract the eight benchmark packages
+// share, and nothing else: the paper's benchmark object owns its
+// arrays, a master opens a thread team, runs niter timed steps and
+// verifies (§2). Env is what a run is given, Outcome what it reports,
+// Kernel what a benchmark must implement. The package imports no
+// benchmark, so every benchmark can import it; the table of the eight
+// lives in internal/suite.
+package kernel
+
+import (
+	"context"
+	"time"
+
+	"npbgo/internal/obs"
+	"npbgo/internal/perfcount"
+	"npbgo/internal/team"
+	"npbgo/internal/timer"
+	"npbgo/internal/trace"
+	"npbgo/internal/verify"
+)
+
+// Env is everything a run receives besides its class and thread count.
+// The zero value is a plain run: not cancellable, static schedule, no
+// instrument attached.
+type Env struct {
+	// Ctx cancels the run's team when done; the timed loops poll
+	// Team.Cancelled and stop within about one step, leaving a partial,
+	// unverifiable result. nil means not cancellable.
+	Ctx context.Context
+	// Schedule is the team's loop schedule. Static is the paper's block
+	// distribution; every kernel accumulates reductions per static
+	// block, so results are bit-identical under every schedule.
+	Schedule team.Schedule
+	// Rec, Tr and Pc are attached to the run's team: per-worker busy and
+	// wait times (obs), event timelines (trace) and hardware-counter
+	// deltas per region (perfcount). Each should be sized for the run's
+	// thread count; nil leaves the instrument off.
+	Rec *obs.Recorder
+	Tr  *trace.Tracer
+	Pc  *perfcount.Sampler
+	// Timers receives the per-phase profile; nil leaves profiling off.
+	// It must be a concurrent set: EP charges it from its workers.
+	Timers *timer.Set
+	// Warmup gives every worker a large busy-work load before the timed
+	// section (the paper's §5.2 thread-placement fix). CG only.
+	Warmup bool
+	// Buckets selects the bucketed ranking algorithm. IS only.
+	Buckets bool
+}
+
+// Team opens the run's team of threads workers with the Env's
+// instruments and schedule attached and its context watched, and
+// returns it with the func that releases the watch and closes the team.
+func (e *Env) Team(threads int) (*team.Team, func()) {
+	tm := team.New(threads, team.WithRecorder(e.Rec), team.WithTracer(e.Tr), team.WithCounters(e.Pc), team.WithSchedule(e.Schedule))
+	stop := tm.WatchContext(e.Ctx)
+	return tm, func() {
+		stop()
+		tm.Close()
+	}
+}
+
+// Start begins charging the named master-side phase when profiling.
+func (e *Env) Start(name string) {
+	if e.Timers != nil {
+		e.Timers.Start(name)
+	}
+}
+
+// Stop ends the current lap of the named phase when profiling.
+func (e *Env) Stop(name string) {
+	if e.Timers != nil {
+		e.Timers.Stop(name)
+	}
+}
+
+// Outcome is the part of a run's result every benchmark reports; each
+// package's Result embeds it beside its own verification values.
+type Outcome struct {
+	Elapsed time.Duration  // wall time of the timed section
+	Mops    float64        // NPB Mop/s figure of merit
+	Verify  *verify.Report // verification outcome
+	Timers  *timer.Set     // the Env's phase profile, nil unless profiling
+}
+
+// Outcome assembles a run's Outcome from the timed section's wall time,
+// its operation count in millions and the verification report.
+func (e *Env) Outcome(elapsed time.Duration, mops float64, rep *verify.Report) Outcome {
+	out := Outcome{Elapsed: elapsed, Verify: rep, Timers: e.Timers}
+	if s := elapsed.Seconds(); s > 0 {
+		out.Mops = mops / s
+	}
+	return out
+}
+
+// Kernel is one configured benchmark instance with its arrays
+// allocated.
+type Kernel interface {
+	// Run executes the benchmark — untimed set-up, the timed section on
+	// a team opened from the Env, verification — and reports it.
+	Run() Outcome
+	// Iter runs one steady-state step of the timed section on tm, whose
+	// Size must equal the thread count the instance was built with.
+	// After the first call it performs no heap allocation, which
+	// internal/allocgate measures.
+	Iter(tm *team.Team)
+}

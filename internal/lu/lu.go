@@ -8,19 +8,14 @@
 package lu
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"npbgo/internal/fault"
 	"npbgo/internal/grid"
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -47,13 +42,8 @@ type Benchmark struct {
 	n       int
 	itmax   int
 	threads int
-	hyper   bool            // hyperplane-scheduled sweeps instead of pipelined
-	ctx     context.Context // nil means not cancellable
-	timers  *timer.Set
-	rec     *obs.Recorder      // nil without WithObs
-	tr      *trace.Tracer      // nil without WithTrace
-	pc      *perfcount.Sampler // nil without WithCounters
-	sched   team.Schedule      // loop schedule, Static without WithSchedule
+	env     kernel.Env
+	hyper   bool // hyperplane-scheduled sweeps instead of pipelined
 	c       nscore.Consts
 	blk     blockConsts // jacld/jacu block constants derived from c
 
@@ -97,49 +87,14 @@ func newSweepScratch(n int) *sweepScratch {
 	return &sweepScratch{flux: make([]float64, 5*n)}
 }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the explicit
-// phases (operator sweeps, residual init/scale, flow update);
-// team.Static (the default) is the paper's block distribution. The
-// pipelined triangular sweeps always keep the static j-split: the
-// per-plane Wait/Post handshake assumes worker id owns a fixed band.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithHyperplane selects hyperplane (wavefront) scheduling for the
-// triangular sweeps instead of the default j-pipelined scheduling — the
-// LU-HP variant, used by the scheduling ablation benchmark.
-func WithHyperplane() Option { return func(b *Benchmark) { b.hyper = true } }
-
-// WithTimers enables per-phase profiling of the SSOR iteration.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
-// WithContext makes Run cancellable: when ctx expires the team is
-// cancelled — a worker waiting for a pipeline token unwinds with it —
-// and the SSOR loop stops within about one istep, returning a partial
-// result.
-func WithContext(ctx context.Context) Option { return func(b *Benchmark) { b.ctx = ctx } }
-
-// New configures LU for the given class and thread count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// New configures LU for the given class and thread count. env.Schedule
+// applies to the explicit phases (operator sweeps, residual init/scale,
+// flow update); the pipelined triangular sweeps always keep the static
+// j-split, because the per-plane Wait/Post handshake assumes worker id
+// owns a fixed band. On cancellation a worker waiting for a pipeline
+// token unwinds with the team. With env.Timers set, the SSOR phases are
+// profiled.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	spec, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("lu: unknown class %q", string(class))
@@ -147,10 +102,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("lu: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, n: spec.size, itmax: spec.itmax, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, n: spec.size, itmax: spec.itmax, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.blk = newBlockConsts(&b.c)
 	n3 := spec.size * spec.size * spec.size
@@ -164,6 +116,11 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	b.buildBodies()
 	return b, nil
 }
+
+// Hyperplane switches the triangular sweeps from the default
+// j-pipelined scheduling to hyperplane (wavefront) scheduling — the
+// LU-HP variant, used by the scheduling ablation benchmark.
+func (b *Benchmark) Hyperplane() { b.hyper = true }
 
 // buildBodies constructs every parallel-region body once. Each is a
 // func(id int) handed straight to Team.Run; block bounds come from
@@ -446,25 +403,21 @@ func (b *Benchmark) pintgr() float64 {
 
 // Result reports one LU run.
 type Result struct {
-	RsdNm   [5]float64 // final Newton residual norms
-	ErrNm   [5]float64 // solution error norms
-	Frc     float64    // surface integral
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
+	RsdNm [5]float64 // final Newton residual norms
+	ErrNm [5]float64 // solution error norms
+	Frc   float64    // surface integral
+	kernel.Outcome
 }
 
-// Run executes the benchmark following lu.f: boundary and interior
-// initialization, forcing computation, then itmax timed SSOR iterations
-// and verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
-	if b.ctx != nil {
-		stop := tm.WatchContext(b.ctx)
-		defer stop()
-	}
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the benchmark following lu.f: boundary and
+// interior initialization, forcing computation, then itmax timed SSOR
+// iterations and verification.
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
 
 	b.setbv()
 	b.setiv()
@@ -473,16 +426,11 @@ func (b *Benchmark) Run() Result {
 	elapsed := b.ssor(tm)
 
 	var res Result
-	res.Timers = b.timers
 	res.RsdNm = b.l2norm(b.rsd)
 	res.ErrNm = b.errorNorm()
 	res.Frc = b.pintgr()
-	res.Elapsed = elapsed
 	nf := float64(b.n)
 	flops := float64(b.itmax) * (1984.77*nf*nf*nf - 10923.3*nf*nf + 27770.9*nf - 144010.0)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
@@ -496,7 +444,7 @@ func (b *Benchmark) Run() Result {
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
+	res.Outcome = b.env.Outcome(elapsed, flops*1e-6, rep)
 	return res
 }
 

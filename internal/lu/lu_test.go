@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -12,7 +13,7 @@ import (
 // TestForcingBalancesExactSolution: with u set to the exact solution,
 // rsd = R(u) - frct must vanish because frct = R(u_exact).
 func TestForcingBalancesExactSolution(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func oracleDiagonal(c *nscore.Consts, u *[5]float64) (dst [25]float64) {
 // reuse theirs, so entries the oracle has at exactly zero must have
 // stayed exactly zero.
 func TestBlocksMatchJacobianOracle(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 }
 
 func TestSetbvExactOnFaces(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	b.setbv()
 	var ue [5]float64
 	n := b.n
@@ -205,7 +206,7 @@ func TestSetbvExactOnFaces(t *testing.T) {
 }
 
 func TestResidualDecreasesOverSSORSteps(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.setbv()
@@ -226,11 +227,14 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 
 // ssorField runs steps SSOR iterations of class S on the given team
 // shape and returns the flow field.
-func ssorField(t *testing.T, threads, steps int, sched team.Schedule, opts ...Option) []float64 {
+func ssorField(t *testing.T, threads, steps int, sched team.Schedule, hyperplane bool) []float64 {
 	t.Helper()
-	b, err := New('S', threads, opts...)
+	b, err := New('S', threads, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hyperplane {
+		b.Hyperplane()
 	}
 	tm := team.New(threads, team.WithSchedule(sched))
 	defer tm.Close()
@@ -247,10 +251,10 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule, opts ...Op
 // size, and the explicit phases write disjoint planes under every
 // schedule, so the field must be bit-identical to the serial run.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	want := ssorField(t, 1, 5, team.Static)
+	want := ssorField(t, 1, 5, team.Static, false)
 	for _, threads := range []int{1, 2, 3, 4, 7} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
-			got := ssorField(t, threads, 5, sched)
+			got := ssorField(t, threads, 5, sched, false)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
@@ -262,8 +266,8 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 }
 
 func TestClassSRun(t *testing.T) {
-	b, _ := New('S', 1)
-	res := b.Run()
+	b, _ := New('S', 1, kernel.Env{})
+	res := b.RunResult()
 	if res.Verify.Failed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
@@ -278,10 +282,10 @@ func TestClassSRun(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('D', 1); err == nil {
+	if _, err := New('D', 1, kernel.Env{}); err == nil {
 		t.Fatal("class D accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }
@@ -291,10 +295,10 @@ func TestUnknownClassRejected(t *testing.T) {
 // update reads identical values and the results must match bitwise —
 // for every team size and loop schedule.
 func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
-	want := ssorField(t, 1, 5, team.Static)
+	want := ssorField(t, 1, 5, team.Static, false)
 	for _, threads := range []int{1, 2, 3, 4, 7} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
-			got := ssorField(t, threads, 5, sched, WithHyperplane())
+			got := ssorField(t, threads, 5, sched, true)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("u[%d] hyperplane at %d threads under %s differs from pipelined serial: %v vs %v",
@@ -306,7 +310,8 @@ func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
 }
 
 func TestHyperplaneRunVerifies(t *testing.T) {
-	b, _ := New('S', 2, WithHyperplane())
+	b, _ := New('S', 2, kernel.Env{})
+	b.Hyperplane()
 	if res := b.Run(); res.Verify.Failed() {
 		t.Fatalf("hyperplane run failed verification:\n%s", res.Verify)
 	}

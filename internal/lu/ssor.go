@@ -44,22 +44,19 @@ func (b *Benchmark) ensurePipe(tm *team.Team) {
 // allocation.
 func (b *Benchmark) Iter(tm *team.Team) {
 	b.ensurePipe(tm)
-	if b.timers != nil {
-		b.timers.Start("scale+update")
-	}
-	if b.tr != nil {
-		b.tr.BeginPhase("scale+update")
+	tr := b.env.Tr
+	b.env.Start("scale+update")
+	if tr != nil {
+		tr.BeginPhase("scale+update")
 	}
 	// Scale the residual by the pseudo-time step.
 	tm.Run(b.scaleBody)
 
-	if b.timers != nil {
-		b.timers.Stop("scale+update")
-		b.timers.Start("sweeps")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("scale+update")
-		b.tr.BeginPhase("sweeps")
+	b.env.Stop("scale+update")
+	b.env.Start("sweeps")
+	if tr != nil {
+		tr.EndPhase("scale+update")
+		tr.BeginPhase("sweeps")
 	}
 	if b.hyper {
 		b.lowerSweepHyperplane(tm)
@@ -69,31 +66,25 @@ func (b *Benchmark) Iter(tm *team.Team) {
 		tm.Run(b.sweepsBody)
 	}
 
-	if b.timers != nil {
-		b.timers.Stop("sweeps")
-		b.timers.Start("scale+update")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("sweeps")
-		b.tr.BeginPhase("scale+update")
+	b.env.Stop("sweeps")
+	b.env.Start("scale+update")
+	if tr != nil {
+		tr.EndPhase("sweeps")
+		tr.BeginPhase("scale+update")
 	}
 	// Update the flow variables.
 	tm.Run(b.updateBody)
 
-	if b.timers != nil {
-		b.timers.Stop("scale+update")
-		b.timers.Start("rhs")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("scale+update")
-		b.tr.BeginPhase("rhs")
+	b.env.Stop("scale+update")
+	b.env.Start("rhs")
+	if tr != nil {
+		tr.EndPhase("scale+update")
+		tr.BeginPhase("rhs")
 	}
 	b.rhs(tm)
-	if b.timers != nil {
-		b.timers.Stop("rhs")
-	}
-	if b.tr != nil {
-		b.tr.EndPhase("rhs")
+	b.env.Stop("rhs")
+	if tr != nil {
+		tr.EndPhase("rhs")
 	}
 }
 

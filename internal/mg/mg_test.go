@@ -4,11 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
 func TestClassSVerifies(t *testing.T) {
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestClassSVerifies(t *testing.T) {
 
 func TestParallelMatchesReference(t *testing.T) {
 	for _, n := range []int{2, 4} {
-		b, err := New('S', n)
+		b, err := New('S', n, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestRprj3ConstantField(t *testing.T) {
 func TestVCyclesReduceResidual(t *testing.T) {
 	// Independent of the pinned verification value, each V-cycle must
 	// shrink the residual substantially (MG's defining property).
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +197,10 @@ func TestVCyclesReduceResidual(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Y', 1); err == nil {
+	if _, err := New('Y', 1, kernel.Env{}); err == nil {
 		t.Fatal("class Y accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }

@@ -13,12 +13,9 @@ import (
 	"math"
 	"time"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
-	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -46,14 +43,9 @@ type Benchmark struct {
 	n       int
 	niter   int
 	threads int
+	env     kernel.Env
 	c       nscore.Consts
 	f       *nscore.Field
-
-	timers *timer.Set         // nil unless WithTimers
-	rec    *obs.Recorder      // nil without WithObs
-	tr     *trace.Tracer      // nil without WithTrace
-	pc     *perfcount.Sampler // nil without WithCounters
-	sched  team.Schedule      // loop schedule, Static without WithSchedule
 
 	// Derived constants specific to SP's scalar solver.
 	dttx1, dttx2, dtty1, dtty2, dttz1, dttz2 float64
@@ -101,38 +93,9 @@ func newLineScratch(n int) *lineScratch {
 // (0..4) of cell i.
 func band(a []float64, b, i int) *float64 { return &a[b+5*i] }
 
-// Option configures optional benchmark behaviour.
-type Option func(*Benchmark)
-
-// WithObs attaches a runtime-metrics recorder to the run's team:
-// per-worker busy and barrier-wait times, region counts and the
-// worker-imbalance ratio of the obs layer.
-func WithObs(rec *obs.Recorder) Option { return func(b *Benchmark) { b.rec = rec } }
-
-// WithTrace attaches an execution tracer to the run's team: per-worker
-// event timelines (region blocks, barrier and pipeline waits),
-// exportable as Chrome/Perfetto JSON — the when-view that complements
-// the obs layer's how-much totals.
-func WithTrace(tr *trace.Tracer) Option { return func(b *Benchmark) { b.tr = tr } }
-
-// WithCounters attaches a hardware-counter sampler to the run's team:
-// per-worker cycles/instructions/cache-miss deltas are charged to pc at
-// every parallel region. pc should be sized perfcount.New(threads); nil
-// leaves counter sampling disabled.
-func WithCounters(pc *perfcount.Sampler) Option { return func(b *Benchmark) { b.pc = pc } }
-
-// WithSchedule selects the team's loop schedule for the plane loops of
-// the RHS evaluation, the eigenvector transforms and the three factor
-// sweeps; team.Static (the default) is the paper's block distribution.
-// Every loop writes disjoint planes, so results are bit-identical under
-// every schedule.
-func WithSchedule(s team.Schedule) Option { return func(b *Benchmark) { b.sched = s } }
-
-// WithTimers enables per-phase profiling of the factorization steps.
-func WithTimers() Option { return func(b *Benchmark) { b.timers = timer.NewSet() } }
-
-// New configures SP for the given class and thread count.
-func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
+// New configures SP for the given class and thread count. With
+// env.Timers set, the factorization phases are profiled.
+func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	spec, ok := classes[class]
 	if !ok {
 		return nil, fmt.Errorf("sp: unknown class %q", string(class))
@@ -140,10 +103,7 @@ func New(class byte, threads int, opts ...Option) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("sp: threads %d < 1", threads)
 	}
-	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads}
-	for _, o := range opts {
-		o(b)
-	}
+	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, true)
 	c := &b.c
@@ -306,38 +266,24 @@ func (b *Benchmark) tzetar(tm *team.Team) {
 
 // adi advances one SP time step.
 func (b *Benchmark) adi(tm *team.Team) {
-	b.phaseStart("rhs")
+	b.env.Start("rhs")
 	b.f.ComputeRHS(&b.c, tm)
-	b.phaseStop("rhs")
-	b.phaseStart("txinvr")
+	b.env.Stop("rhs")
+	b.env.Start("txinvr")
 	b.txinvr(tm)
-	b.phaseStop("txinvr")
-	b.phaseStart("xsolve")
+	b.env.Stop("txinvr")
+	b.env.Start("xsolve")
 	b.xSolve(tm)
-	b.phaseStop("xsolve")
-	b.phaseStart("ysolve")
+	b.env.Stop("xsolve")
+	b.env.Start("ysolve")
 	b.ySolve(tm)
-	b.phaseStop("ysolve")
-	b.phaseStart("zsolve")
+	b.env.Stop("ysolve")
+	b.env.Start("zsolve")
 	b.zSolve(tm)
-	b.phaseStop("zsolve")
-	b.phaseStart("add")
+	b.env.Stop("zsolve")
+	b.env.Start("add")
 	b.f.Add(tm)
-	b.phaseStop("add")
-}
-
-// phaseStart begins charging the named timer when profiling.
-func (b *Benchmark) phaseStart(name string) {
-	if b.timers != nil {
-		b.timers.Start(name)
-	}
-}
-
-// phaseStop stops charging the named timer when profiling.
-func (b *Benchmark) phaseStop(name string) {
-	if b.timers != nil {
-		b.timers.Stop(name)
-	}
+	b.env.Stop("add")
 }
 
 // Iter advances one steady-state time step on tm, whose Size must equal
@@ -350,20 +296,20 @@ func (b *Benchmark) Iter(tm *team.Team) {
 
 // Result reports one SP run.
 type Result struct {
-	XCR     [5]float64
-	XCE     [5]float64
-	Elapsed time.Duration
-	Mops    float64
-	Verify  *verify.Report
-	Timers  *timer.Set // per-phase profile when WithTimers was given
+	XCR [5]float64
+	XCE [5]float64
+	kernel.Outcome
 }
 
-// Run executes the benchmark following sp.f: initialization, one
+// Run is RunResult reduced to the shared outcome (kernel.Kernel).
+func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
+
+// RunResult executes the benchmark following sp.f: initialization, one
 // feed-through step, re-initialization, then niter timed steps and
 // verification.
-func (b *Benchmark) Run() Result {
-	tm := team.New(b.threads, team.WithRecorder(b.rec), team.WithTracer(b.tr), team.WithCounters(b.pc), team.WithSchedule(b.sched))
-	defer tm.Close()
+func (b *Benchmark) RunResult() Result {
+	tm, done := b.env.Team(b.threads)
+	defer done()
 
 	b.f.Initialize(&b.c)
 	b.f.ExactRHS(&b.c)
@@ -372,7 +318,7 @@ func (b *Benchmark) Run() Result {
 	b.f.Initialize(&b.c)
 
 	start := time.Now()
-	for step := 1; step <= b.niter; step++ {
+	for step := 1; step <= b.niter && !tm.Cancelled(); step++ {
 		b.Iter(tm)
 	}
 	elapsed := time.Since(start)
@@ -387,13 +333,8 @@ func (b *Benchmark) Run() Result {
 	var res Result
 	res.XCR = xcr
 	res.XCE = xce
-	res.Elapsed = elapsed
-	res.Timers = b.timers
 	nf := float64(b.n)
 	flops := float64(b.niter) * (881.174*nf*nf*nf - 4683.91*nf*nf + 11484.5*nf - 19272.4)
-	if s := elapsed.Seconds(); s > 0 {
-		res.Mops = flops * 1e-6 / s
-	}
 
 	rep := &verify.Report{Tier: verify.TierOfficial}
 	if ref, ok := reference[b.Class]; ok {
@@ -406,7 +347,7 @@ func (b *Benchmark) Run() Result {
 	} else {
 		rep.Tier = verify.TierNone
 	}
-	res.Verify = rep
+	res.Outcome = b.env.Outcome(elapsed, flops*1e-6, rep)
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"npbgo/internal/kernel"
 	"npbgo/internal/team"
 )
 
@@ -93,7 +94,7 @@ func TestTransformsAreInverses(t *testing.T) {
 	// composition of txinvr with the full eigenvector chain must
 	// preserve finiteness and scale: check that applying the four
 	// transforms to a smooth rhs keeps values bounded and nonzero.
-	b, err := New('S', 1)
+	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestTransformsAreInverses(t *testing.T) {
 }
 
 func TestErrorDecreasesOverSteps(t *testing.T) {
-	b, _ := New('S', 1)
+	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
 	b.f.Initialize(&b.c)
@@ -148,7 +149,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 // every loop schedule.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	run := func(threads int, sched team.Schedule) []float64 {
-		b, _ := New('S', threads)
+		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
 		b.f.Initialize(&b.c)
@@ -173,8 +174,8 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 }
 
 func TestClassSRun(t *testing.T) {
-	b, _ := New('S', 1)
-	res := b.Run()
+	b, _ := New('S', 1, kernel.Env{})
+	res := b.RunResult()
 	if res.Verify.Failed() {
 		t.Fatalf("class S failed verification:\n%s", res.Verify)
 	}
@@ -186,10 +187,10 @@ func TestClassSRun(t *testing.T) {
 }
 
 func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Z', 1); err == nil {
+	if _, err := New('Z', 1, kernel.Env{}); err == nil {
 		t.Fatal("class Z accepted")
 	}
-	if _, err := New('S', 0); err == nil {
+	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
 	}
 }

@@ -19,16 +19,10 @@ import (
 	"fmt"
 	"time"
 
-	"npbgo/internal/bt"
-	"npbgo/internal/cg"
-	"npbgo/internal/ep"
-	"npbgo/internal/ft"
-	"npbgo/internal/is"
-	"npbgo/internal/lu"
-	"npbgo/internal/mg"
+	"npbgo/internal/kernel"
 	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
-	"npbgo/internal/sp"
+	"npbgo/internal/suite"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/trace"
@@ -53,7 +47,11 @@ const (
 // Benchmarks returns the suite in the paper's table order (BT, SP, LU,
 // FT, IS, CG, MG) with EP appended.
 func Benchmarks() []Benchmark {
-	return []Benchmark{BT, SP, LU, FT, IS, CG, MG, EP}
+	out := make([]Benchmark, len(suite.Rows))
+	for i, r := range suite.Rows {
+		out[i] = Benchmark(r.Name)
+	}
+	return out
 }
 
 // Classes returns the problem classes in increasing size order.
@@ -68,8 +66,8 @@ type Config struct {
 	// section, reproducing the CG thread-placement fix of the paper's
 	// §5.2. It currently affects CG only (where the paper applied it).
 	Warmup bool
-	// Profile enables per-phase timing where the benchmark supports it
-	// (BT, SP, LU); the profile text lands in Result.Profile.
+	// Profile enables per-phase timing; the profile text lands in
+	// Result.Profile.
 	Profile bool
 	// Buckets selects IS's bucketed ranking algorithm (the C original's
 	// USE_BUCKETS path). Ignored by the other benchmarks.
@@ -79,7 +77,7 @@ type Config struct {
 	// worker-imbalance ratio land in Result.Obs, and the run's recorder
 	// is registered in the obs expvar registry under
 	// "<bench>.<class>.t<threads>" for live inspection. Obs implies
-	// Profile where the benchmark supports per-phase timers.
+	// Profile.
 	Obs bool
 	// Trace records per-worker event timelines for the run — region
 	// blocks, barrier arrive/release, LU pipeline waits, cancellations
@@ -120,8 +118,7 @@ type Result struct {
 	Detail    string  // the full verification printout
 	Profile   string  // per-phase timing profile, if requested/available
 	// Phases is the structured form of Profile (seconds and lap counts
-	// per phase), nil unless Profile/Obs was requested and the
-	// benchmark owns a timer set.
+	// per phase), nil unless Profile/Obs was requested.
 	Phases []timer.Phase
 	// Obs holds the run's per-worker runtime metrics, nil unless
 	// Config.Obs was set.
@@ -187,21 +184,12 @@ func validClass(c byte) bool {
 	return false
 }
 
-func validBenchmark(b Benchmark) bool {
-	for _, k := range Benchmarks() {
-		if b == k {
-			return true
-		}
-	}
-	return false
-}
-
 // RunContext executes one benchmark run under a context. The
 // configuration is validated up front, worker panics are isolated and
 // returned (never propagated — the process survives a crashing region),
-// and the kernels that support cooperative cancellation (CG, EP, FT, MG)
-// stop within roughly one outer iteration of ctx expiring. All failures
-// come back as a *RunError identifying the cell and the failure kind.
+// and every benchmark stops within roughly one outer iteration of ctx
+// expiring. All failures come back as a *RunError identifying the cell
+// and the failure kind.
 //
 // On cancellation the returned Result holds whatever partial timing was
 // accumulated; it is not meaningful for reporting.
@@ -226,7 +214,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if !validClass(cfg.Class) {
 		return fail(ErrConfig, fmt.Errorf("unknown class %q (want S, W, A, B or C)", string(cfg.Class)))
 	}
-	if !validBenchmark(cfg.Benchmark) {
+	row, ok := suite.Lookup(string(cfg.Benchmark))
+	if !ok {
 		return fail(ErrConfig, fmt.Errorf("unknown benchmark %q", cfg.Benchmark))
 	}
 	sched, err := team.ParseSchedule(cfg.Schedule)
@@ -236,25 +225,27 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return fail(ErrCancelled, err)
 	}
-	var rec *obs.Recorder
-	if cfg.Obs {
-		rec = obs.New(cfg.Threads)
-		obs.Register(fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads), rec)
+	env := kernel.Env{Schedule: sched, Warmup: cfg.Warmup, Buckets: cfg.Buckets}
+	if cfg.Profile || cfg.Obs {
+		env.Timers = timer.NewConcurrentSet()
 	}
-	var tr *trace.Tracer
+	if cfg.Obs {
+		env.Rec = obs.New(cfg.Threads)
+		obs.Register(fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads), env.Rec)
+	}
 	if cfg.Trace {
-		tr = trace.New(cfg.Threads)
+		env.Tr = trace.New(cfg.Threads)
 		var endTask func()
 		ctx, endTask = trace.StartTask(ctx, fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads))
 		defer endTask()
 	}
-	var pc *perfcount.Sampler
+	env.Ctx = ctx
 	if cfg.Counters {
-		var cErr error
-		pc, cErr = perfcount.New(cfg.Threads)
+		pc, cErr := perfcount.New(cfg.Threads)
 		if cErr != nil {
 			res.CountersNote = "unavailable (" + cErr.Error() + ")"
 		} else {
+			env.Pc = pc
 			// Slot 0 is the master: benchmark regions run synchronously on
 			// this goroutine, so binding here pins it to its OS thread for
 			// the whole run and attributes the master's share. Workers
@@ -262,25 +253,25 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			// run is safe: the benchmark's team has joined by then.
 			pc.Bind(0)
 			defer func() { pc.Unbind(0); pc.Close() }()
-			if rec != nil {
-				rec.AttachCounters(pc)
+			if env.Rec != nil {
+				env.Rec.AttachCounters(pc)
 			}
 		}
 	}
-	err, panicked := runBenchmark(ctx, cfg, sched, rec, tr, pc, &res)
-	if pc != nil {
-		res.Counters = pc.Snapshot()
+	err, panicked := runBenchmark(row, cfg, env, &res)
+	if env.Pc != nil {
+		res.Counters = env.Pc.Snapshot()
 		if n := res.Counters.Note; n != "" && res.CountersNote == "" {
 			res.CountersNote = n
 		}
 	}
-	if rec != nil {
-		res.Obs = rec.Snapshot()
+	if env.Rec != nil {
+		res.Obs = env.Rec.Snapshot()
 	}
-	if tr != nil {
+	if env.Tr != nil {
 		// The benchmark's team has joined (or the panic was recovered),
 		// so the rings are quiescent and safe to snapshot.
-		res.Trace = tr.Snapshot()
+		res.Trace = env.Tr.Snapshot()
 	}
 	if panicked {
 		return fail(ErrPanic, err)
@@ -297,23 +288,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// setProfile fills the textual and structured phase profiles from a
-// benchmark's timer set (nil-safe).
-func setProfile(res *Result, ts *timer.Set) {
-	if ts == nil {
-		return
-	}
-	res.Profile = ts.String()
-	res.Phases = ts.Phases()
-}
-
-// runBenchmark dispatches to the benchmark implementation with panic
-// isolation: any panic escaping the run — a *team.PanicError re-raised
-// by a crashed worker region, or a master-side panic — is recovered and
-// returned with panicked = true. rec, tr and pc, when non-nil, are
-// attached to the run's team for per-worker metrics, event timelines
-// and hardware-counter attribution.
-func runBenchmark(ctx context.Context, cfg Config, sched team.Schedule, rec *obs.Recorder, tr *trace.Tracer, pc *perfcount.Sampler, res *Result) (err error, panicked bool) {
+// runBenchmark builds the row's benchmark for cfg and runs it under env
+// with panic isolation: any panic escaping the run — a *team.PanicError
+// re-raised by a crashed worker region, or a master-side panic — is
+// recovered and returned with panicked = true.
+func runBenchmark(row suite.Row, cfg Config, env kernel.Env, res *Result) (err error, panicked bool) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked = true
@@ -324,107 +303,17 @@ func runBenchmark(ctx context.Context, cfg Config, sched team.Schedule, rec *obs
 			}
 		}
 	}()
-	profile := cfg.Profile || cfg.Obs
-	switch cfg.Benchmark {
-	case BT:
-		opts := []bt.Option{bt.WithObs(rec), bt.WithTrace(tr), bt.WithCounters(pc), bt.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, bt.WithTimers())
-		}
-		b, err := bt.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case SP:
-		opts := []sp.Option{sp.WithObs(rec), sp.WithTrace(tr), sp.WithCounters(pc), sp.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, sp.WithTimers())
-		}
-		b, err := sp.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case LU:
-		opts := []lu.Option{lu.WithContext(ctx), lu.WithObs(rec), lu.WithTrace(tr), lu.WithCounters(pc), lu.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, lu.WithTimers())
-		}
-		b, err := lu.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case FT:
-		b, err := ft.New(cfg.Class, cfg.Threads, ft.WithContext(ctx), ft.WithObs(rec), ft.WithTrace(tr), ft.WithCounters(pc), ft.WithSchedule(sched))
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case MG:
-		b, err := mg.New(cfg.Class, cfg.Threads, mg.WithContext(ctx), mg.WithObs(rec), mg.WithTrace(tr), mg.WithCounters(pc), mg.WithSchedule(sched))
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case CG:
-		opts := []cg.Option{cg.WithContext(ctx), cg.WithObs(rec), cg.WithTrace(tr), cg.WithCounters(pc), cg.WithSchedule(sched)}
-		if cfg.Warmup {
-			opts = append(opts, cg.WithWarmup())
-		}
-		if profile {
-			opts = append(opts, cg.WithTimers())
-		}
-		b, err := cg.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	case IS:
-		opts := []is.Option{is.WithObs(rec), is.WithTrace(tr), is.WithCounters(pc), is.WithSchedule(sched)}
-		if cfg.Buckets {
-			opts = append(opts, is.WithBuckets())
-		}
-		b, err := is.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		fromReport(res, r.Verify)
-	case EP:
-		opts := []ep.Option{ep.WithContext(ctx), ep.WithObs(rec), ep.WithTrace(tr), ep.WithCounters(pc), ep.WithSchedule(sched)}
-		if profile {
-			opts = append(opts, ep.WithTimers())
-		}
-		b, err := ep.New(cfg.Class, cfg.Threads, opts...)
-		if err != nil {
-			return err, false
-		}
-		r := b.Run()
-		res.Elapsed, res.Mops = r.Elapsed, r.Mops
-		setProfile(res, r.Timers)
-		fromReport(res, r.Verify)
-	default:
-		return fmt.Errorf("npbgo: unknown benchmark %q", cfg.Benchmark), false
+	k, err := row.New(cfg.Class, cfg.Threads, env)
+	if err != nil {
+		return err, false
 	}
+	out := k.Run()
+	res.Elapsed, res.Mops = out.Elapsed, out.Mops
+	if out.Timers != nil {
+		res.Profile = out.Timers.String()
+		res.Phases = out.Timers.Phases()
+	}
+	fromReport(res, out.Verify)
 	return nil, false
 }
 

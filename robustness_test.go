@@ -126,21 +126,41 @@ func TestRunContextNilAndDoneContexts(t *testing.T) {
 	}
 }
 
-// TestRunContextDeadlineCancelsFTAndMG exercises the cancellation
-// plumbing of the other two cancellable kernels.
-func TestRunContextDeadlineCancelsFTAndMG(t *testing.T) {
-	// Class W: large enough that a 1ms deadline always lands mid-run
-	// (class S MG can finish inside the deadline on a fast host).
-	for _, b := range []npbgo.Benchmark{npbgo.FT, npbgo.MG} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: 'W', Threads: 2})
-		cancel()
-		if err == nil {
-			t.Fatalf("%s: expired deadline produced no error", b)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: err = %v", b, err)
-		}
+// TestRunContextDeadlineCancelsEveryBenchmark: every kernel opens its
+// team through kernel.Env.Team, so all eight watch the context and poll
+// for cancellation in their timed loops. Each parallel region is slowed
+// by 20 ms, which stretches the class-S runs to between a quarter of a
+// second (IS) and many seconds (BT, SP); a 40 ms deadline must bring
+// each back within about one step as a typed cancellation, with no
+// goroutine left behind.
+func TestRunContextDeadlineCancelsEveryBenchmark(t *testing.T) {
+	fault.Activate(1, fault.Rule{Site: "team.region", Kind: fault.KindDelay, Count: -1, Sleep: 20 * time.Millisecond})
+	defer fault.Reset()
+	for _, b := range npbgo.Benchmarks() {
+		t.Run(string(b), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: 'S', Threads: 2})
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("returned %v after a 40ms deadline", took)
+			}
+			var re *npbgo.RunError
+			if !errors.As(err, &re) || re.Kind != npbgo.ErrCancelled {
+				t.Fatalf("err = %v, want *RunError kind %q", err, npbgo.ErrCancelled)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
+			}
+			n := runtime.NumGoroutine()
+			for stop := time.Now().Add(2 * time.Second); n > base && time.Now().Before(stop); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("%d goroutines left behind", n-base)
+			}
+		})
 	}
 }
 
