@@ -43,15 +43,15 @@ func TestFootprintScalesWithThreads(t *testing.T) {
 
 // TestFootprintOrdersOfMagnitude pins a few anchors so a broken
 // estimator (bytes-vs-words slips, dropped factors) fails loudly: FT
-// class A is three 256·256·128 complex grids — ~470 MiB — while class S
-// cells are tens of MiB at most.
+// class A is two 256·256·128 complex grids and the real twiddle array
+// — 320 MiB — while class S cells are tens of MiB at most.
 func TestFootprintOrdersOfMagnitude(t *testing.T) {
 	ftA, err := Config{Benchmark: FT, Class: 'A', Threads: 1}.FootprintBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ftA < 400<<20 || ftA > 1<<30 {
-		t.Fatalf("FT.A footprint %d outside [400MiB, 1GiB]", ftA)
+	if ftA < 300<<20 || ftA > 400<<20 {
+		t.Fatalf("FT.A footprint %d outside [300MiB, 400MiB]", ftA)
 	}
 	cgS, err := Config{Benchmark: CG, Class: 'S', Threads: 1}.FootprintBytes()
 	if err != nil {

@@ -3,10 +3,11 @@ package cg
 import "fmt"
 
 // Footprint estimates the peak working-set bytes a CG run of the given
-// class allocates. The matrix build (makea) is the peak: the NPB bound
-// of na·(nonzer+1)² stored nonzeros exists both as row-bucket triplets
-// (24 bytes each) and as the assembled CSR arrays (16 bytes each)
-// before the buckets are released. The solver vectors add 6·na words.
+// class allocates. The matrix build (makea) is the peak: the CSR arrays
+// are allocated at the NPB bound of na·(nonzer+1)² nonzeros (16 bytes
+// each; duplicates leave slack that is closed up in place, not freed)
+// beside the na recorded sparse vectors and their per-column index
+// (24 bytes per vector entry). The solver vectors add 6·na words.
 // Feeds the harness memory admission guard; dominant arrays only.
 func Footprint(class byte, threads int) (uint64, error) {
 	p, ok := classes[class]
@@ -14,9 +15,8 @@ func Footprint(class byte, threads int) (uint64, error) {
 		return 0, fmt.Errorf("cg: unknown class %q", string(class))
 	}
 	_ = threads // per-thread state is O(1); ballast is test-only
-	na := uint64(p.na)
-	nz := na * uint64(p.nonzer+1) * uint64(p.nonzer+1)
-	build := nz * (24 + 16) // triplet buckets + CSR (a float64, colidx int)
-	vectors := na * 8 * 6   // x,z,pv,q,r + rowstr
+	na, w := uint64(p.na), uint64(p.nonzer+1)
+	build := na*w*w*16 + na*w*24 // CSR (a float64, colidx int) + vv, vi, colref
+	vectors := na * 8 * 6        // x,z,pv,q,r + rowstr
 	return build + vectors, nil
 }

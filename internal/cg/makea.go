@@ -56,95 +56,104 @@ func vecset(v []float64, iv []int, nzv, ival int, val float64) int {
 	return nzv + 1
 }
 
-// triplet is one generated matrix element before duplicate summation.
-type triplet struct {
-	col int
-	val float64
-}
-
 // makea generates the class-defining sparse symmetric matrix in CSR
 // form: the weighted sum of outer products of random sparse vectors
 // (geometrically decaying weights give condition number ~1/rcond),
 // plus (rcond - shift) on the diagonal. Returns rowstr (0-based CSR row
 // pointers over 0..n), colidx (0-based columns) and a (values).
+//
+// The n vectors are recorded first; one scatter pass over the columns
+// in ascending order then builds every row column-sorted with no sort,
+// the terms of one (row, column) pair summed in the order the generator
+// produced their vectors and the diagonal term last. (cg.f's sparse()
+// associates the same terms otherwise: rounding far below the 1e-10
+// tolerance, but testdata/bitidentity.golden pins these bits.) The pass
+// stays serial: it is bound by the first-touch page faults of colidx
+// and a, which two workers take no faster than one.
 func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int, a []float64) {
 	tran := randdp.New(randdp.DefaultSeed, randdp.A)
 	// cg.f draws zeta once before makea; reproduce the stream position.
 	tran.Next()
 
-	// Row-major triplet buckets (1-based rows); duplicates are summed
-	// during assembly in stable column order.
-	perRow := make([][]triplet, n+1)
-
-	v := make([]float64, nonzer+1)
-	iv := make([]int, nonzer+1)
+	// Vector i is vv/vi[i*w : i*w+cnt[i]] (0-based locations) with
+	// outer-product weight size[i]. colptr counts the entries located at
+	// each column; rowstr the entries each row can receive, one per
+	// element of every vector that holds the row.
+	w := nonzer + 1
+	vv := make([]float64, n*w)
+	vi := make([]int, n*w)
+	cnt := make([]int, n)
+	size := make([]float64, n)
+	colptr := make([]int, n+1)
+	rowstr = make([]int, n+1)
 	mark := make([]bool, n+1)
 
-	size := 1.0
+	sz := 1.0
 	ratio := math.Pow(rcond, 1.0/float64(n))
-
-	for i := 1; i <= n; i++ {
+	for i := 0; i < n; i++ {
+		v, iv := vv[i*w:(i+1)*w], vi[i*w:(i+1)*w]
 		nzv := sprnvc(n, nonzer, &tran, v, iv, mark)
-		nzv = vecset(v, iv, nzv, i, 0.5)
-		for ivelt := 0; ivelt < nzv; ivelt++ {
-			jcol := iv[ivelt]
-			scale := size * v[ivelt]
-			for ivelt1 := 0; ivelt1 < nzv; ivelt1++ {
-				irow := iv[ivelt1]
-				perRow[irow] = append(perRow[irow], triplet{jcol, v[ivelt1] * scale})
-			}
+		nzv = vecset(v, iv, nzv, i+1, 0.5)
+		for k := 0; k < nzv; k++ {
+			iv[k]--
+			colptr[iv[k]+1]++
+			rowstr[iv[k]+1] += nzv
 		}
-		size *= ratio
-	}
-	for i := 1; i <= n; i++ {
-		perRow[i] = append(perRow[i], triplet{i, rcond - shift})
+		cnt[i], size[i] = nzv, sz
+		sz *= ratio
 	}
 
-	// Assemble CSR, summing duplicates. cg.f's sparse() sums duplicates
-	// during a counting-sort pass; we stable-sort each row by column so
-	// summation within a (row, col) pair follows generation order (any
-	// difference from the Fortran association is pure rounding, far
-	// below the 1e-10 verification tolerance).
-	rowstr = make([]int, n+1)
-	nnz := 0
-	for i := 1; i <= n; i++ {
-		sortTripletsByCol(perRow[i])
-		for k := 0; k < len(perRow[i]); k++ {
-			if k == 0 || perRow[i][k].col != perRow[i][k-1].col {
-				nnz++
-			}
+	// Row r's slack segment starts at rowstr[r] and is filled up to
+	// tail[r].end, its last entry's column being tail[r].col; the slack
+	// totals the NPB bound of n*(nonzer+1)^2.
+	tail := make([]struct{ end, col int }, n)
+	for j := 0; j < n; j++ {
+		tail[j].end, tail[j].col = rowstr[j], -1
+		colptr[j+1] += colptr[j]
+		rowstr[j+1] += rowstr[j]
+	}
+
+	// colref lists, per column, the flat index of every vector entry
+	// located there, in generation order.
+	colref := make([]int, colptr[n])
+	next := append([]int(nil), colptr[:n]...)
+	for i := 0; i < n; i++ {
+		for k := i * w; k < i*w+cnt[i]; k++ {
+			colref[next[vi[k]]] = k
+			next[vi[k]]++
 		}
 	}
-	colidx = make([]int, nnz)
-	a = make([]float64, nnz)
-	pos := 0
-	for i := 1; i <= n; i++ {
-		rowstr[i-1] = pos
-		row := perRow[i]
-		for k := 0; k < len(row); k++ {
-			if k > 0 && row[k].col == row[k-1].col {
-				a[pos-1] += row[k].val
-				continue
+
+	colidx = make([]int, rowstr[n])
+	a = make([]float64, rowstr[n])
+	//npblint:hot the scatter pass: append (j, value), or add into the row's last entry when that is already column j
+	for j := 0; j < n; j++ {
+		for _, ref := range colref[colptr[j]:colptr[j+1]] {
+			i := ref / w
+			scale := size[i] * vv[ref]
+			for k := i * w; k < i*w+cnt[i]; k++ {
+				t, val := &tail[vi[k]], vv[k]*scale
+				if t.col == j {
+					a[t.end-1] += val
+				} else {
+					colidx[t.end], a[t.end] = j, val
+					t.end, t.col = t.end+1, j
+				}
 			}
-			colidx[pos] = row[k].col - 1
-			a[pos] = row[k].val
-			pos++
 		}
+		// Vector j holds location j (vecset), so row j ends in column j.
+		a[tail[j].end-1] += rcond - shift
+	}
+
+	// Close the slack up in place.
+	pos := 0
+	for r := 0; r < n; r++ {
+		lo, hi := rowstr[r], tail[r].end
+		copy(colidx[pos:], colidx[lo:hi])
+		copy(a[pos:], a[lo:hi])
+		rowstr[r] = pos
+		pos += hi - lo
 	}
 	rowstr[n] = pos
-	return rowstr, colidx, a
-}
-
-// sortTripletsByCol stable-sorts a row's triplets by column with an
-// insertion sort (rows are short, about (nonzer+1)^2 entries).
-func sortTripletsByCol(row []triplet) {
-	for i := 1; i < len(row); i++ {
-		t := row[i]
-		j := i - 1
-		for j >= 0 && row[j].col > t.col {
-			row[j+1] = row[j]
-			j--
-		}
-		row[j+1] = t
-	}
+	return rowstr, colidx[:pos], a[:pos]
 }

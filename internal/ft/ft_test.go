@@ -22,13 +22,13 @@ func TestFFTRoundTrip(t *testing.T) {
 	copy(orig, b.u1)
 
 	b.fft3d(1, b.u1, b.u0, tm)
-	b.fft3d(-1, b.u0, b.u2, tm)
+	b.fft3d(-1, b.u0, b.u1, tm)
 
 	ntotal := float64(b.p.nx) * float64(b.p.ny) * float64(b.p.nz)
 	for i := 0; i < len(orig); i += 997 { // sample
 		want := orig[i] * complex(ntotal, 0)
-		if cmplx.Abs(b.u2[i]-want) > 1e-6*cmplx.Abs(want) {
-			t.Fatalf("roundtrip mismatch at %d: %v vs %v", i, b.u2[i], want)
+		if cmplx.Abs(b.u1[i]-want) > 1e-6*cmplx.Abs(want) {
+			t.Fatalf("roundtrip mismatch at %d: %v vs %v", i, b.u1[i], want)
 		}
 	}
 }
@@ -184,5 +184,93 @@ func TestIndexMapSymmetry(t *testing.T) {
 		if a != c {
 			t.Fatalf("twiddle asymmetric at i=%d: %v vs %v", i, a, c)
 		}
+	}
+}
+
+// TestExpTableMatchesExp: every table entry is math.Exp of the argument
+// compute_indexmap would have passed it, bit for bit, and the table
+// reaches the largest m = (nx²+ny²+nz²)/4 the index map reads.
+func TestExpTableMatchesExp(t *testing.T) {
+	ap := -4.0 * alpha * math.Pi * math.Pi
+	for _, class := range []byte{'S', 'W', 'A'} {
+		if testing.Short() && class == 'A' {
+			continue
+		}
+		b, err := New(class, 1, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (b.p.nx*b.p.nx+b.p.ny*b.p.ny+b.p.nz*b.p.nz)/4 + 1; len(b.ex) != want {
+			t.Fatalf("class %c: table has %d entries, want %d", class, len(b.ex), want)
+		}
+		for m, got := range b.ex {
+			if want := math.Exp(ap * float64(m)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("class %c: ex[%d] = %x, math.Exp gives %x", class, m, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestIndexMapMatchesDirect holds the table-driven index map to ft.f's
+// formula evaluated per point, modulus and all, bit for bit.
+func TestIndexMapMatchesDirect(t *testing.T) {
+	ap := -4.0 * alpha * math.Pi * math.Pi
+	for _, class := range []byte{'S', 'W'} {
+		b, _ := New(class, 3, kernel.Env{})
+		tm := team.New(3, team.WithSchedule(team.Dynamic))
+		b.computeIndexMap(tm)
+		tm.Close()
+		nx, ny, nz := b.p.nx, b.p.ny, b.p.nz
+		for k := 0; k < nz; k++ {
+			kk := ((k + nz/2) % nz) - nz/2
+			for j := 0; j < ny; j++ {
+				jj := ((j + ny/2) % ny) - ny/2
+				for i := 0; i < nx; i++ {
+					ii := ((i + nx/2) % nx) - nx/2
+					want := math.Exp(ap * float64(ii*ii+jj*jj+kk*kk))
+					if got := b.twiddle[b.c.at(i, j, k)]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("class %c twiddle(%d,%d,%d) = %x, direct %x", class, i, j, k, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInPlaceInverseMatchesOutOfPlace: an FT.S step whose inverse
+// transform runs in place on u1 leaves the bits the out-of-place
+// transform into a third grid (what Iter did before) leaves there.
+func TestInPlaceInverseMatchesOutOfPlace(t *testing.T) {
+	for _, threads := range []int{1, 3} {
+		b, _ := New('S', threads, kernel.Env{})
+		tm := team.New(threads)
+		b.computeIndexMap(tm)
+		b.computeInitialConditions(tm)
+		b.fft3d(1, b.u1, b.u0, tm)
+		b.evolve(tm)
+		out := make([]complex128, len(b.u1))
+		b.fft3d(-1, b.u1, out, tm)
+		b.fft3d(-1, b.u1, b.u1, tm)
+		tm.Close()
+		for i := range out {
+			if out[i] != b.u1[i] {
+				t.Fatalf("threads=%d: in-place inverse differs at %d: %v vs %v", threads, i, b.u1[i], out[i])
+			}
+		}
+	}
+}
+
+// BenchmarkIndexMap is FT.W's compute_indexmap on two workers: it runs
+// once untimed and once inside the timed section of every run.
+func BenchmarkIndexMap(b *testing.B) {
+	ft, err := New('W', 2, kernel.Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm := team.New(2)
+	defer tm.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.computeIndexMap(tm)
 	}
 }

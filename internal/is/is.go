@@ -223,18 +223,26 @@ func (b *Benchmark) NumKeys() int { return b.numKeys }
 // MaxKey returns the exclusive key upper bound.
 func (b *Benchmark) MaxKey() int { return b.maxKey }
 
-// createSeq regenerates the key array, as create_seq in the C original:
-// each key is the sum of four generator draws scaled by maxKey/4.
-func (b *Benchmark) createSeq() {
-	g := randdp.New(randdp.DefaultSeed, randdp.A)
+// createSeq regenerates the key array on tm, as create_seq in the C
+// original: each key is the sum of four generator draws scaled by
+// maxKey/4. Key i owns draws 4i..4i+3 of the one stream, and every
+// chunk of the loop jumps its own generator to its first key's draw,
+// so any team size and schedule produce the same keys.
+func (b *Benchmark) createSeq(tm *team.Team) {
 	k := float64(b.maxKey / 4)
-	for i := range b.keys {
-		x := g.Next()
-		x += g.Next()
-		x += g.Next()
-		x += g.Next()
-		b.keys[i] = int32(k * x)
-	}
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, b.numKeys); it.Next(); {
+			g := randdp.New(randdp.DefaultSeed, randdp.A)
+			g.Skip(4 * it.Lo)
+			for i := it.Lo; i < it.Hi; i++ {
+				x := g.Next()
+				x += g.Next()
+				x += g.Next()
+				x += g.Next()
+				b.keys[i] = int32(k * x)
+			}
+		}
+	})
 }
 
 // rank performs one ranking pass: perturb two keys (so each iteration
@@ -315,7 +323,7 @@ func (b *Benchmark) RunResult() Result {
 	tm, done := b.env.Team(b.threads)
 	defer done()
 
-	b.createSeq()
+	b.createSeq(tm)
 	b.rank(tm, 1) // untimed warm pass, as in the original
 
 	b.iter = 0

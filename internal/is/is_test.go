@@ -39,12 +39,12 @@ func TestParallelFullVerify(t *testing.T) {
 
 func TestSortIsPermutation(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
-	b.createSeq()
+	tm := team.New(1)
+	defer tm.Close()
+	b.createSeq(tm)
 	before := make([]int32, len(b.keys))
 	copy(before, b.keys)
 
-	tm := team.New(1)
-	defer tm.Close()
 	b.rank(tm, 1)
 	// rank(1) perturbs two positions; capture the perturbed input.
 	perturbed := make([]int32, len(b.keys))
@@ -70,7 +70,9 @@ func TestSortIsPermutation(t *testing.T) {
 
 func TestKeysWithinRange(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
-	b.createSeq()
+	tm := team.New(1)
+	defer tm.Close()
+	b.createSeq(tm)
 	for i, k := range b.keys {
 		if k < 0 || int(k) >= b.maxKey {
 			t.Fatalf("key[%d]=%d outside [0,%d)", i, k, b.maxKey)
@@ -81,7 +83,9 @@ func TestKeysWithinRange(t *testing.T) {
 func TestKeyDistributionCentered(t *testing.T) {
 	// Keys are sums of four uniforms scaled by maxKey/4: mean maxKey/2.
 	b, _ := New('S', 1, kernel.Env{})
-	b.createSeq()
+	tm := team.New(1)
+	defer tm.Close()
+	b.createSeq(tm)
 	sum := 0.0
 	for _, k := range b.keys {
 		sum += float64(k)
@@ -169,7 +173,7 @@ func TestRankShiftInvariant(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
-	b.createSeq()
+	b.createSeq(tm)
 
 	rankOf := func(key int32) int32 { return b.dens[key] }
 
@@ -211,8 +215,8 @@ func TestBucketedMatchesStraightRanks(t *testing.T) {
 		a, _ := New('S', threads, kernel.Env{})
 		c, _ := New('S', threads, kernel.Env{Buckets: true})
 		tm := team.New(threads)
-		a.createSeq()
-		c.createSeq()
+		a.createSeq(tm)
+		c.createSeq(tm)
 		for it := 1; it <= 3; it++ {
 			a.rank(tm, it)
 			c.rank(tm, it)
@@ -241,23 +245,47 @@ func TestBucketedFullRunVerifies(t *testing.T) {
 // TestKeySequenceMatchesRecorded pins the generated keys themselves:
 // IS's own verification only checks that the ranks sort whatever keys
 // createSeq produced, so a generator that drifted would still pass it.
-// The FNV-1a hashes were recorded with the double-precision randlc.
+// The FNV-1a hashes were recorded with the double-precision randlc on
+// one thread; every chunk seeds itself, so team sizes that split the
+// keys unevenly and a schedule that deals many small chunks must hash
+// the same.
 func TestKeySequenceMatchesRecorded(t *testing.T) {
 	recorded := map[byte]uint64{'S': 0xfda3c49741c88ed9, 'W': 0xb3d1378eb46c774b}
 	for _, class := range []byte{'S', 'W'} {
-		b, err := New(class, 1, kernel.Env{})
-		if err != nil {
-			t.Fatal(err)
+		for _, threads := range []int{1, 2, 3, 7} {
+			for _, s := range []team.Schedule{team.Static, team.Dynamic} {
+				b, err := New(class, threads, kernel.Env{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tm := team.New(threads, team.WithSchedule(s))
+				b.createSeq(tm)
+				tm.Close()
+				h := fnv.New64a()
+				var buf [4]byte
+				for _, k := range b.keys {
+					binary.LittleEndian.PutUint32(buf[:], uint32(k))
+					h.Write(buf[:])
+				}
+				if got := h.Sum64(); got != recorded[class] {
+					t.Errorf("class %c threads %d %s: key hash %#x, recorded %#x", class, threads, s, got, recorded[class])
+				}
+			}
 		}
-		b.createSeq()
-		h := fnv.New64a()
-		var buf [4]byte
-		for _, k := range b.keys {
-			binary.LittleEndian.PutUint32(buf[:], uint32(k))
-			h.Write(buf[:])
-		}
-		if got := h.Sum64(); got != recorded[class] {
-			t.Errorf("class %c key hash %#x, recorded %#x", class, got, recorded[class])
-		}
+	}
+}
+
+// BenchmarkCreateSeq is IS.W's key generation on two workers, once per
+// run.
+func BenchmarkCreateSeq(b *testing.B) {
+	is, err := New('W', 2, kernel.Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tm := team.New(2)
+	defer tm.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		is.createSeq(tm)
 	}
 }

@@ -34,7 +34,7 @@ func TestParallelMatchesReference(t *testing.T) {
 func TestZran3ChargeCount(t *testing.T) {
 	l := level{18, 18, 18}
 	z := make([]float64, l.len())
-	zran3(z, l, 16, 16)
+	plantCharges(z, l, 1, team.Static)
 	plus, minus, other := 0, 0, 0
 	for i3 := 1; i3 < l.n3-1; i3++ {
 		for i2 := 1; i2 < l.n2-1; i2++ {
@@ -60,8 +60,8 @@ func TestZran3Deterministic(t *testing.T) {
 	l := level{10, 10, 10}
 	z1 := make([]float64, l.len())
 	z2 := make([]float64, l.len())
-	zran3(z1, l, 8, 8)
-	zran3(z2, l, 8, 8)
+	plantCharges(z1, l, 1, team.Static)
+	plantCharges(z2, l, 1, team.Static)
 	for i := range z1 {
 		if z1[i] != z2[i] {
 			t.Fatalf("zran3 not deterministic at %d", i)
@@ -182,7 +182,8 @@ func TestVCyclesReduceResidual(t *testing.T) {
 	fin := b.lv[lt]
 	nxyz := float64(b.p.nx) * float64(b.p.nx) * float64(b.p.nx)
 	zero3(b.u[lt])
-	zran3(b.v, fin, b.p.nx, b.p.nx)
+	rhs := b.cy.findCharges(tm, fin)
+	rhs.plant(b.v, fin)
 	resid(b.r[lt], b.u[lt], b.v, fin, &b.a, tm)
 	prev, _ := norm2u3(b.r[lt], fin, nxyz, tm)
 	for it := 0; it < 4; it++ {
