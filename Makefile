@@ -47,14 +47,14 @@ escape-baseline:
 
 # Bounds-check discipline for the solver inner loops: count the bounds
 # checks the compiler could not eliminate (go build
-# -gcflags=-d=ssa/check_bce) per file of the pseudo-application
-# packages, the generator and EP, and compare with the committed
+# -gcflags=-d=ssa/check_bce) per file of the eight benchmark packages,
+# their shared core and the generator, and compare with the committed
 # bce_baseline.txt ("file count" lines). A file with more checks than
 # its baseline fails; after removing checks, lock the improvement in
 # with bce-baseline. The counts belong to the Go toolchain that produced
 # them: regenerate the baseline when the toolchain changes. The build
 # cache replays compiler diagnostics, so repeated runs are fast.
-BCE_PKGS := ./internal/bt ./internal/lu ./internal/sp ./internal/nscore ./internal/randdp ./internal/ep
+BCE_PKGS := ./internal/bt ./internal/lu ./internal/sp ./internal/nscore ./internal/randdp ./internal/ep ./internal/cg ./internal/mg ./internal/ft ./internal/is
 BCE_REPORT = $(GO) build -gcflags=-d=ssa/check_bce $(BCE_PKGS) 2>&1 \
 	| grep -E 'Found Is(Slice)?InBounds' | cut -d: -f1 | sort | uniq -c | awk '{print $$2, $$1}'
 

@@ -56,7 +56,7 @@ type Benchmark struct {
 	zeta, rnorm float64 // results of the latest complete Iter
 
 	rowstr []int
-	colidx []int
+	colidx []int32
 	a      []float64
 
 	x, z, pv, q, r []float64
@@ -363,16 +363,62 @@ func (b *Benchmark) conjGrad() float64 {
 //
 //npblint:hot
 func (b *Benchmark) spmv(id int, in, out []float64) {
-	rowstr, colidx, a := b.rowstr, b.colidx, b.a
 	for it := b.tm.Loop(id, 0, len(out)); it.Next(); {
-		for i := it.Lo; i < it.Hi; i++ {
-			sum := 0.0
-			for k := rowstr[i]; k < rowstr[i+1]; k++ {
-				sum += a[k] * in[colidx[k]]
+		spmvRows(b.rowstr, b.colidx, b.a, in, out, it.Lo, it.Hi)
+	}
+}
+
+// spmvRows computes rows [lo, hi) of out = A in. A row's sum is one
+// chain of dependent adds, four cycles apart while the loads and the
+// multiply could issue every cycle, so two rows are kept in flight:
+// two lanes, each summing its own row in storage order from zero (the
+// bits of the one-row loop), each taking the chunk's next row when its
+// row ends. The inner loop runs to the nearer of the two row ends with
+// no test but its counter. Refilling matters: rows differ in length, and
+// pairing them off leaves a sixth of class W's non-zeros in one-lane
+// tails. Four lanes were slower (register pressure; EXPERIMENTS.md).
+//
+//npblint:hot
+func spmvRows(rowstr []int, colidx []int32, a, in, out []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	ra, ka, ea, sa := lo, rowstr[lo], rowstr[lo+1], 0.0
+	if hi-lo >= 2 {
+		rb, kb, eb, sb := lo+1, ea, rowstr[lo+2], 0.0
+		for next := lo + 2; ; {
+			m := min(ea-ka, eb-kb)
+			va, ca := a[ka:ka+m], colidx[ka:ka+m]
+			vb, cb := a[kb:kb+m], colidx[kb:kb+m]
+			for t := range va {
+				sa += va[t] * in[ca[t]]
+				sb += vb[t] * in[cb[t]]
 			}
-			out[i] = sum
+			ka, kb = ka+m, kb+m
+			if ka == ea {
+				out[ra] = sa
+				if next == hi {
+					ra, ka, ea, sa = rb, kb, eb, sb
+					break
+				}
+				ra, ka, ea, sa = next, rowstr[next], rowstr[next+1], 0
+				next++
+			}
+			if kb == eb {
+				out[rb] = sb
+				if next == hi {
+					break
+				}
+				rb, kb, eb, sb = next, rowstr[next], rowstr[next+1], 0
+				next++
+			}
 		}
 	}
+	// One lane left: the rest of its row.
+	for k := ka; k < ea; k++ {
+		sa += a[k] * in[colidx[k]]
+	}
+	out[ra] = sa
 }
 
 // dotIn is u.v inside conjBody, following a loop that wrote u or v:

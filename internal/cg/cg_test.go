@@ -80,7 +80,7 @@ func TestMakeaStructure(t *testing.T) {
 			t.Fatalf("rowstr not monotone at %d", i)
 		}
 		for k := rowstr[i]; k < rowstr[i+1]; k++ {
-			if colidx[k] < 0 || colidx[k] >= n {
+			if colidx[k] < 0 || int(colidx[k]) >= n {
 				t.Fatalf("column %d out of range", colidx[k])
 			}
 			if k > rowstr[i] && colidx[k] <= colidx[k-1] {
@@ -95,7 +95,7 @@ func TestMakeaSymmetric(t *testing.T) {
 	rowstr, colidx, a := makea(n, 4, rcond, 10.0)
 	get := func(i, j int) float64 {
 		for k := rowstr[i]; k < rowstr[i+1]; k++ {
-			if colidx[k] == j {
+			if int(colidx[k]) == j {
 				return a[k]
 			}
 		}
@@ -103,7 +103,7 @@ func TestMakeaSymmetric(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		for k := rowstr[i]; k < rowstr[i+1]; k++ {
-			j := colidx[k]
+			j := int(colidx[k])
 			if d := math.Abs(a[k] - get(j, i)); d > 1e-12 {
 				t.Fatalf("A[%d,%d]=%v but A[%d,%d]=%v", i, j, a[k], j, i, get(j, i))
 			}
@@ -120,7 +120,7 @@ func TestMakeaDiagonalShift(t *testing.T) {
 	for i := 0; i < n; i++ {
 		found := false
 		for k := rowstr[i]; k < rowstr[i+1]; k++ {
-			if colidx[k] == i {
+			if int(colidx[k]) == i {
 				found = true
 				if a[k] > rcond-shift+5 {
 					t.Fatalf("diagonal %d = %v, expected near %v", i, a[k], rcond-shift)

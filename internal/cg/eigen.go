@@ -34,6 +34,18 @@ func EstimateSmallestEigenvalue(n int, rowstr, colidx []int, a []float64,
 		return res, fmt.Errorf("cg: outerIters and threads must be >= 1")
 	}
 
+	// The solver streams 32-bit column indices.
+	if n > math.MaxInt32 {
+		return res, fmt.Errorf("cg: n = %d does not fit a 32-bit column index", n)
+	}
+	cols := make([]int32, len(colidx))
+	for k, c := range colidx {
+		if c < 0 || c >= n {
+			return res, fmt.Errorf("cg: column index %d outside [0, %d)", c, n)
+		}
+		cols[k] = int32(c)
+	}
+
 	// Shift the diagonal on a private copy (the benchmark's makea bakes
 	// rcond - shift into the generated matrix).
 	av := make([]float64, len(a))
@@ -57,7 +69,7 @@ func EstimateSmallestEigenvalue(n int, rowstr, colidx []int, a []float64,
 	b := &Benchmark{
 		p:       params{na: n, shift: shift},
 		threads: threads,
-		rowstr:  rowstr, colidx: colidx, a: av,
+		rowstr:  rowstr, colidx: cols, a: av,
 		x: make([]float64, n), z: make([]float64, n),
 		pv: make([]float64, n), q: make([]float64, n), r: make([]float64, n),
 	}

@@ -60,7 +60,8 @@ func vecset(v []float64, iv []int, nzv, ival int, val float64) int {
 // form: the weighted sum of outer products of random sparse vectors
 // (geometrically decaying weights give condition number ~1/rcond),
 // plus (rcond - shift) on the diagonal. Returns rowstr (0-based CSR row
-// pointers over 0..n), colidx (0-based columns) and a (values).
+// pointers over 0..n), colidx (0-based columns, int32: with a that is
+// 12 bytes a non-zero for the mat-vec to stream) and a (values).
 //
 // The n vectors are recorded first; one scatter pass over the columns
 // in ascending order then builds every row column-sorted with no sort,
@@ -70,7 +71,7 @@ func vecset(v []float64, iv []int, nzv, ival int, val float64) int {
 // tolerance, but testdata/bitidentity.golden pins these bits.) The pass
 // stays serial: it is bound by the first-touch page faults of colidx
 // and a, which two workers take no faster than one.
-func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int, a []float64) {
+func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int32, a []float64) {
 	tran := randdp.New(randdp.DefaultSeed, randdp.A)
 	// cg.f draws zeta once before makea; reproduce the stream position.
 	tran.Next()
@@ -124,7 +125,7 @@ func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int, a [
 		}
 	}
 
-	colidx = make([]int, rowstr[n])
+	colidx = make([]int32, rowstr[n])
 	a = make([]float64, rowstr[n])
 	//npblint:hot the scatter pass: append (j, value), or add into the row's last entry when that is already column j
 	for j := 0; j < n; j++ {
@@ -136,7 +137,7 @@ func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int, a [
 				if t.col == j {
 					a[t.end-1] += val
 				} else {
-					colidx[t.end], a[t.end] = j, val
+					colidx[t.end], a[t.end] = int32(j), val
 					t.end, t.col = t.end+1, j
 				}
 			}

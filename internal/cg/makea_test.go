@@ -98,7 +98,7 @@ func TestMakeaMatchesOracle(t *testing.T) {
 			}
 		}
 		for k := range wa {
-			if gc[k] != wc[k] || math.Float64bits(ga[k]) != math.Float64bits(wa[k]) {
+			if int(gc[k]) != wc[k] || math.Float64bits(ga[k]) != math.Float64bits(wa[k]) {
 				t.Fatalf("%s: entry %d = (%d, %x), oracle (%d, %x)", c.name, k, gc[k], math.Float64bits(ga[k]), wc[k], math.Float64bits(wa[k]))
 			}
 		}

@@ -45,7 +45,7 @@ var reference = map[byte][2]float64{
 }
 
 // Benchmark is one configured EP instance. All buffers a run needs —
-// per-worker accumulation states, vranlc scratch, the hoisted region
+// per-worker accumulation states, sub-block scratch, the hoisted region
 // body — are allocated once here, so the batch sweep itself runs
 // allocation-free (gated at zero by internal/allocgate).
 type Benchmark struct {
@@ -56,7 +56,7 @@ type Benchmark struct {
 	env     kernel.Env
 
 	states []batchState // per-block tallies, reset each Iter
-	x      [][]float64  // per-worker vranlc scratch, 2*nk doubles each
+	scr    []scratch    // per-worker sub-block buffers
 	phases []string     // per-worker timer names when profiling
 	tm     *team.Team   // team of the current Iter, read by body
 	body   func(id int) // hoisted batch-sweep region body
@@ -87,10 +87,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b := &Benchmark{Class: class, m: m, threads: threads, env: env}
 	b.nn = 1 << (b.m - mk)
 	b.states = make([]batchState, threads)
-	b.x = make([][]float64, threads)
-	for id := range b.x {
-		b.x[id] = make([]float64, 2*nk)
-	}
+	b.scr = make([]scratch, threads)
 	if env.Timers != nil {
 		b.phases = make([]string, threads)
 		for id := range b.phases {
@@ -102,7 +99,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	// the final sums are bit-identical under every schedule.
 	b.body = func(id int) {
 		tm := b.tm
-		x := b.x[id]
+		scr := &b.scr[id]
 		phase := ""
 		if b.env.Timers != nil {
 			phase = b.phases[id]
@@ -117,7 +114,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 				if phase != "" {
 					b.env.Timers.Start(phase)
 				}
-				runBatch(kk, st, x)
+				runBatch(kk, st, scr)
 				if phase != "" {
 					b.env.Timers.Stop(phase)
 				}
@@ -152,32 +149,103 @@ type batchState struct {
 	q      [nq]float64
 }
 
+// sub is the number of pairs runBatch works on at a time: a sub-block's
+// 2*sub uniforms and sub radii are 12 KiB, so every pass over them after
+// the fill hits L1.
+const sub = 512
+
+// scratch is one worker's sub-block buffers.
+type scratch struct {
+	x [2 * sub]float64 // uniforms, then the accepted pairs compacted to the front
+	t [sub]float64     // t = x1²+x2² of the pair at x[2k], then its sqrt(-2 ln t / t)
+}
+
 // runBatch processes batch index kk (0-based: ep.f iterates k = 1..nn
 // with k_offset = -1, so the first batch starts from the raw seed) and
 // accumulates into st. Batch kk starts 2*nk*kk draws into the stream;
 // ep.f reaches that seed by binary exponentiation of a^(2*nk) over kk,
-// which is the jump Skip makes. x is the caller-provided scratch of
-// 2*nk doubles.
-func runBatch(kk int, st *batchState, x []float64) {
+// which is the jump Skip makes.
+//
+// One generator then continues through the batch sub pairs at a time,
+// and each sub-block is three loops so that none carries both an
+// unpredictable branch and a long dependency chain: the first maps the
+// uniforms to (-1,1)² and moves the accepted pairs to the front (the
+// index advances under the t <= 1 test, which compiles to a conditional
+// move); the second turns each accepted t into sqrt(-2 ln t / t), bound
+// by the divider alone; the third tallies. Pairs are tallied in stream
+// order, so sx, sy and q are the sums of the one-loop form bit for bit.
+//
+//npblint:hot
+func runBatch(kk int, st *batchState, s *scratch) {
 	g := randdp.New(seed, amult)
 	g.Skip(2 * nk * kk)
-	x = x[:2*nk]
-	g.Fill(x)
-
-	for i := 0; i < len(x)-1; i += 2 {
-		x1 := 2.0*x[i] - 1.0
-		x2 := 2.0*x[i+1] - 1.0
-		t := x1*x1 + x2*x2
-		if t <= 1.0 {
-			t3 := math.Sqrt(-2.0 * math.Log(t) / t)
-			g1 := x1 * t3
-			g2 := x2 * t3
-			l := int(math.Max(math.Abs(g1), math.Abs(g2)))
-			st.q[l]++
-			st.sx += g1
-			st.sy += g2
+	x, t := &s.x, &s.t
+	sx, sy := st.sx, st.sy
+	for blk := 0; blk < nk/sub; blk++ {
+		g.Fill(x[:])
+		n := 0
+		for i := 0; i < sub; i++ {
+			x1 := 2.0*x[2*i] - 1.0
+			x2 := 2.0*x[2*i+1] - 1.0
+			tt := x1*x1 + x2*x2
+			j := n & (sub - 1) // n <= i: the mask only shows the compiler that the stores are in range
+			x[2*j], x[2*j+1], t[j] = x1, x2, tt
+			if tt <= 1.0 {
+				n++
+			}
+		}
+		acc := t[:n]
+		for k, tt := range acc {
+			acc[k] = math.Sqrt(-2.0 * log(tt) / tt)
+		}
+		for k, t3 := range acc {
+			g1 := x[2*k] * t3
+			g2 := x[2*k+1] * t3
+			st.q[int(max(math.Abs(g1), math.Abs(g2)))]++
+			sx += g1
+			sy += g2
 		}
 	}
+	st.sx, st.sy = sx, sy
+}
+
+// log is math.Log for a positive normal x: the same reduction
+// x = 2^k·(1+f) with √2/2 <= 1+f < √2 and the same polynomial, term for
+// term, so the same bits. What it leaves out is the handling of zero,
+// negative, infinite, NaN and subnormal arguments, none of which
+// runBatch can produce (the generator's state is odd, so t >= 2^-90),
+// and the one data-dependent choice, whether the fraction f1 in [1/2, 1)
+// lies below √2/2 and is doubled: on uniform input that is a coin flip,
+// so it is taken from the sign of an integer difference of the bit
+// patterns, which order as the values do.
+func log(x float64) float64 {
+	const (
+		ln2Hi = 6.93147180369123816490e-01
+		ln2Lo = 1.90821492927058770002e-10
+		l1    = 6.666666666666735130e-01
+		l2    = 3.999999999940941908e-01
+		l3    = 2.857142874366239149e-01
+		l4    = 2.222219843214978396e-01
+		l5    = 1.818357216161805012e-01
+		l6    = 1.531383769920937332e-01
+		l7    = 1.479819860511658591e-01
+
+		halfSqrt2 = 0x3FE6A09E667F3BCD // bits of math.Sqrt2 / 2
+	)
+	b := math.Float64bits(x)
+	fb := b&(1<<52-1) | 0x3FE<<52
+	d := (fb - halfSqrt2) >> 63
+	f := math.Float64frombits(fb+d<<52) - 1
+	k := float64(int(b>>52) - 0x3FE - int(d))
+
+	s := f / (2 + f)
+	s2 := s * s
+	s4 := s2 * s2
+	t1 := s2 * (l1 + s4*(l3+s4*(l5+s4*l7)))
+	t2 := s4 * (l2 + s4*(l4+s4*l6))
+	r := t1 + t2
+	hfsq := 0.5 * f * f
+	return k*ln2Hi - ((hfsq - (s*(hfsq+r) + k*ln2Lo)) - f)
 }
 
 // Run is RunResult reduced to the shared outcome (kernel.Kernel).

@@ -2,7 +2,6 @@ package ft
 
 import (
 	"math"
-	"math/cmplx"
 
 	"npbgo/internal/grid"
 	"npbgo/internal/team"
@@ -64,10 +63,15 @@ func newWorkspace(maxN int) *workspace {
 	}
 }
 
-// fftz2 performs one (or one pair of) Stockham radix-2 stages l of an
-// n-point transform over ny pencils, reading x and writing y, a literal
-// transcription of ft.f's fftz2. is >= 1 selects the forward sign; the
-// inverse uses conjugated roots.
+// fftz2 performs one Stockham radix-2 stage l of an n-point transform
+// over ny pencils, reading x and writing y: ft.f's fftz2. is >= 1
+// selects the forward sign; the inverse uses conjugated roots. The four
+// pencil rows of a butterfly are addressed as arrays of fftBlock, so
+// the loop over pencils checks no index, and the root is split into its
+// parts once per i: the product below is the compiler's own complex
+// multiply, term for term.
+//
+//npblint:hot
 func fftz2(is, l, m, n, ny int, u []complex128, x, y []complex128) {
 	n1 := n / 2
 	lk := 1 << (l - 1)
@@ -81,20 +85,20 @@ func fftz2(is, l, m, n, ny int, u []complex128, x, y []complex128) {
 		i12 := i11 + n1
 		i21 := i * lj
 		i22 := i21 + lk
-		u1 := u[ku+i]
+		ur, ui := real(u[ku+i]), imag(u[ku+i])
 		if is < 1 {
-			u1 = cmplx.Conj(u1)
+			ui = -ui
 		}
 		for k := 0; k < lk; k++ {
-			xo1 := (i11 + k) * fftBlock
-			xo2 := (i12 + k) * fftBlock
-			yo1 := (i21 + k) * fftBlock
-			yo2 := (i22 + k) * fftBlock
-			for j := 0; j < ny; j++ {
-				x11 := x[xo1+j]
-				x21 := x[xo2+j]
-				y[yo1+j] = x11 + x21
-				y[yo2+j] = u1 * (x11 - x21)
+			x1 := (*[fftBlock]complex128)(x[(i11+k)*fftBlock:])
+			x2 := (*[fftBlock]complex128)(x[(i12+k)*fftBlock:])
+			y1 := (*[fftBlock]complex128)(y[(i21+k)*fftBlock:])
+			y2 := (*[fftBlock]complex128)(y[(i22+k)*fftBlock:])
+			for j, x11 := range x1[:ny] {
+				x21 := x2[j]
+				y1[j] = x11 + x21
+				dr, di := real(x11)-real(x21), imag(x11)-imag(x21)
+				y2[j] = complex(ur*dr-ui*di, ur*di+ui*dr)
 			}
 		}
 	}
@@ -127,23 +131,24 @@ func (c cube) at(i, j, k int) int {
 // cffts1Range transforms the planes [klo, khi) along the first
 // (contiguous) dimension using the caller's workspace: for every (j,k)
 // pencil batch, gather into the block scratch, transform, scatter into
-// out. One worker's share of cffts1.
+// out. Each pencil is one contiguous row of the cube, so the transposes
+// go pencil by pencil: the cube is read and written in order and the
+// strided side is the L1-resident scratch. One worker's share of cffts1.
 func cffts1Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, klo, khi int) {
 	n := c.d1
 	for k := klo; k < khi; k++ {
 		for j0 := 0; j0 < c.d2; j0 += fftBlock {
 			ny := min(fftBlock, c.d2-j0)
-			for i := 0; i < n; i++ {
-				base := c.at(i, j0, k)
-				for jj := 0; jj < ny; jj++ {
-					ws.x[i*fftBlock+jj] = in[base+jj*c.d1]
+			for jj := 0; jj < ny; jj++ {
+				for i, v := range in[c.at(0, j0+jj, k):][:n] {
+					ws.x[i*fftBlock+jj] = v
 				}
 			}
 			cfftz(is, n, ny, r, ws)
-			for i := 0; i < n; i++ {
-				base := c.at(i, j0, k)
-				for jj := 0; jj < ny; jj++ {
-					out[base+jj*c.d1] = ws.x[i*fftBlock+jj]
+			for jj := 0; jj < ny; jj++ {
+				row := out[c.at(0, j0+jj, k):][:n]
+				for i := range row {
+					row[i] = ws.x[i*fftBlock+jj]
 				}
 			}
 		}
@@ -168,17 +173,11 @@ func cffts2Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, 
 		for i0 := 0; i0 < c.d1; i0 += fftBlock {
 			ny := min(fftBlock, c.d1-i0)
 			for j := 0; j < n; j++ {
-				base := c.at(i0, j, k)
-				for ii := 0; ii < ny; ii++ {
-					ws.x[j*fftBlock+ii] = in[base+ii]
-				}
+				copy(ws.x[j*fftBlock:][:ny], in[c.at(i0, j, k):])
 			}
 			cfftz(is, n, ny, r, ws)
 			for j := 0; j < n; j++ {
-				base := c.at(i0, j, k)
-				for ii := 0; ii < ny; ii++ {
-					out[base+ii] = ws.x[j*fftBlock+ii]
-				}
+				copy(out[c.at(i0, j, k):][:ny], ws.x[j*fftBlock:])
 			}
 		}
 	}
@@ -200,17 +199,11 @@ func cffts3Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, 
 		for i0 := 0; i0 < c.d1; i0 += fftBlock {
 			ny := min(fftBlock, c.d1-i0)
 			for k := 0; k < n; k++ {
-				base := c.at(i0, j, k)
-				for ii := 0; ii < ny; ii++ {
-					ws.x[k*fftBlock+ii] = in[base+ii]
-				}
+				copy(ws.x[k*fftBlock:][:ny], in[c.at(i0, j, k):])
 			}
 			cfftz(is, n, ny, r, ws)
 			for k := 0; k < n; k++ {
-				base := c.at(i0, j, k)
-				for ii := 0; ii < ny; ii++ {
-					out[base+ii] = ws.x[k*fftBlock+ii]
-				}
+				copy(out[c.at(i0, j, k):][:ny], ws.x[k*fftBlock:])
 			}
 		}
 	}
@@ -222,11 +215,4 @@ func cffts3(is int, c cube, in, out []complex128, r *roots, tm *team.Team) {
 	tm.ForBlock(0, c.d2, func(jlo, jhi int) {
 		cffts3Range(is, c, in, out, r, newWorkspace(c.d3), jlo, jhi)
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

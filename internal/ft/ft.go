@@ -187,9 +187,10 @@ func (b *Benchmark) buildBodies() {
 	//npblint:hot spectral evolution u0 *= twiddle, u1 = u0
 	b.evolveBody = func(id int) {
 		for it := b.tm.Loop(id, 0, b.c.len()); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				b.u0[i] *= complex(b.twiddle[i], 0)
-				b.u1[i] = b.u0[i]
+			u0, u1, tw := b.u0[it.Lo:it.Hi], b.u1[it.Lo:it.Hi], b.twiddle[it.Lo:it.Hi]
+			for i := range u0 {
+				u0[i] *= complex(tw[i], 0)
+				u1[i] = u0[i]
 			}
 		}
 	}

@@ -263,10 +263,14 @@ func (b *Benchmark) rank(tm *team.Team, iteration int) {
 	}
 	b.env.Stop("count")
 
-	// Serial prefix sum (O(maxKey); the C original is serial here too).
+	// Serial prefix sum (O(maxKey); the C original is serial here too),
+	// the running total in a register: dens[i+1] += dens[i] would pass it
+	// through a store and the load that follows.
 	b.env.Start("prefix")
-	for i := 0; i < b.maxKey-1; i++ {
-		b.dens[i+1] += b.dens[i]
+	dens, sum := b.dens, int32(0)
+	for i, d := range dens {
+		sum += d
+		dens[i] = sum
 	}
 	b.env.Stop("prefix")
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // cycle is the reusable V-cycle engine shared by Benchmark and Solver:
-// per-worker stencil scratch and prebuilt region bodies, so the timed
+// prebuilt region bodies (the stencils need no scratch), so the timed
 // loop performs no heap allocation (enforced by internal/allocgate).
 // Operands of the current stencil are staged in the st* fields; the
 // bodies read them and split planes with team.Block, replacing the
@@ -15,8 +15,8 @@ import (
 type cycle struct {
 	tm   *team.Team
 	a, c [4]float64
-	rows [][3][]float64 // per-worker scratch rows, sized to the finest n1
-	maxs []float64      // per-worker max-norm slots
+	rows [][]float64 // per-worker generator row for findCharges, the finest n1 long
+	maxs []float64   // per-worker max-norm slots
 
 	stR, stU, stV []float64 // staged operands (roles vary per stencil)
 	stF, stC      level     // staged fine/coarse levels
@@ -32,14 +32,17 @@ type cycle struct {
 // grids whose finest extent (including ghosts) is maxN1.
 func newCycle(workers, maxN1 int, a, c [4]float64) *cycle {
 	cy := &cycle{a: a, c: c}
-	cy.rows = newRowScratch(workers, maxN1)
+	cy.rows = make([][]float64, workers)
+	for id := range cy.rows {
+		cy.rows[id] = make([]float64, maxN1)
+	}
 	cy.maxs = make([]float64, workers)
 
 	//npblint:hot residual stencil over the staged operands
 	cy.residBody = func(id int) {
 		l := cy.stF
 		for it := cy.tm.Loop(id, 1, l.n3-1); it.Next(); {
-			residRange(cy.stR, cy.stU, cy.stV, l, &cy.a, cy.rows[id][0], cy.rows[id][1], it.Lo, it.Hi)
+			residRange(cy.stR, cy.stU, cy.stV, l, &cy.a, it.Lo, it.Hi)
 		}
 	}
 
@@ -47,21 +50,21 @@ func newCycle(workers, maxN1 int, a, c [4]float64) *cycle {
 	cy.psinvBody = func(id int) {
 		l := cy.stF
 		for it := cy.tm.Loop(id, 1, l.n3-1); it.Next(); {
-			psinvRange(cy.stR, cy.stU, l, &cy.c, cy.rows[id][0], cy.rows[id][1], it.Lo, it.Hi)
+			psinvRange(cy.stR, cy.stU, l, &cy.c, it.Lo, it.Hi)
 		}
 	}
 
 	//npblint:hot full-weighting restriction over the staged operands
 	cy.rprj3Body = func(id int) {
 		for it := cy.tm.Loop(id, 1, cy.stC.n3-1); it.Next(); {
-			rprj3Range(cy.stR, cy.stF, cy.stU, cy.stC, cy.rows[id][0], cy.rows[id][1], it.Lo, it.Hi)
+			rprj3Range(cy.stR, cy.stF, cy.stU, cy.stC, it.Lo, it.Hi)
 		}
 	}
 
 	//npblint:hot trilinear prolongation over the staged operands
 	cy.interpBody = func(id int) {
 		for it := cy.tm.Loop(id, 0, cy.stC.n3-1); it.Next(); {
-			interpRange(cy.stR, cy.stC, cy.stU, cy.stF, cy.rows[id][0], cy.rows[id][1], cy.rows[id][2], it.Lo, it.Hi)
+			interpRange(cy.stR, cy.stC, cy.stU, cy.stF, it.Lo, it.Hi)
 		}
 	}
 

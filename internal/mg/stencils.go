@@ -41,97 +41,107 @@ func comm3(u []float64, l level) {
 	copy(u[(n3-1)*plane:n3*plane], u[plane:2*plane])
 }
 
-// residRange computes r = v - A u on the interior planes [k0, k1) using
-// the caller's two scratch rows (each at least n1 long). The 27-point
-// operator is expressed through the temporary rows u1 (face-neighbour
-// sums) and u2 (edge-neighbour sums) exactly as mg.f's resid; the a[1]
-// term is dropped because a[1] = 0 in every NPB class (the Fortran
-// omits it too). One worker's share of resid.
-func residRange(r, u, v []float64, l level, a *[4]float64, u1, u2 []float64, k0, k1 int) {
-	n1, n2 := l.n1, l.n2
+// span returns the n values of f that start at point (i1, i2, i3) of
+// level l.
+func span(f []float64, l level, i1, i2, i3, n int) []float64 {
+	return f[l.at(i1, i2, i3):][:n]
+}
+
+// residRange computes r = v - A u on the interior planes [k0, k1). The
+// 27-point operator goes through mg.f's temporaries u1 (the sum of the
+// four face-neighbour rows at one i1) and u2 (of the four edge-neighbour
+// rows); the a[1] term is dropped because a[1] = 0 in every NPB class
+// (the Fortran omits it too). mg.f stores u1 and u2 as rows and reads
+// each value back three times; here the values at i1-1, i1 and i1+1 are
+// carried in registers along the row, formed by the same additions in
+// the same order, and the rows of u, r and v are sub-slices of one
+// length, so the loop has no scratch store, reload or bounds check: it
+// was bound by those, not by memory (DESIGN.md §22). r may be v. One
+// worker's share of resid.
+//
+//npblint:hot
+func residRange(r, u, v []float64, l level, a *[4]float64, k0, k1 int) {
+	a0, a2, a3 := a[0], a[2], a[3]
+	n := l.n1 - 2
 	for i3 := k0; i3 < k1; i3++ {
-		for i2 := 1; i2 < n2-1; i2++ {
-			c := l.at(0, i2, i3)
-			cm2 := l.at(0, i2-1, i3)
-			cp2 := l.at(0, i2+1, i3)
-			cm3 := l.at(0, i2, i3-1)
-			cp3 := l.at(0, i2, i3+1)
-			cmm := l.at(0, i2-1, i3-1)
-			cpm := l.at(0, i2+1, i3-1)
-			cmp := l.at(0, i2-1, i3+1)
-			cpp := l.at(0, i2+1, i3+1)
-			for i1 := 0; i1 < n1; i1++ {
-				u1[i1] = u[cm2+i1] + u[cp2+i1] + u[cm3+i1] + u[cp3+i1]
-				u2[i1] = u[cmm+i1] + u[cpm+i1] + u[cmp+i1] + u[cpp+i1]
-			}
-			for i1 := 1; i1 < n1-1; i1++ {
-				r[c+i1] = v[c+i1] -
-					a[0]*u[c+i1] -
-					a[2]*(u2[i1]+u1[i1-1]+u1[i1+1]) -
-					a[3]*(u2[i1-1]+u2[i1+1])
+		for i2 := 1; i2 < l.n2-1; i2++ {
+			rc, vc, uc := span(r, l, 1, i2, i3, n), span(v, l, 1, i2, i3, n), span(u, l, 1, i2, i3, n)
+			m2, p2 := span(u, l, 0, i2-1, i3, n+2), span(u, l, 0, i2+1, i3, n+2)
+			m3, p3 := span(u, l, 0, i2, i3-1, n+2), span(u, l, 0, i2, i3+1, n+2)
+			mm, pm := span(u, l, 0, i2-1, i3-1, n+2), span(u, l, 0, i2+1, i3-1, n+2)
+			mp, pp := span(u, l, 0, i2-1, i3+1, n+2), span(u, l, 0, i2+1, i3+1, n+2)
+			u1m, u2m := m2[0]+p2[0]+m3[0]+p3[0], mm[0]+pm[0]+mp[0]+pp[0]
+			u1c, u2c := m2[1]+p2[1]+m3[1]+p3[1], mm[1]+pm[1]+mp[1]+pp[1]
+			m2, p2, m3, p3 = m2[2:n+2], p2[2:n+2], m3[2:n+2], p3[2:n+2]
+			mm, pm, mp, pp = mm[2:n+2], pm[2:n+2], mp[2:n+2], pp[2:n+2]
+			for i := range rc {
+				u1p := m2[i] + p2[i] + m3[i] + p3[i]
+				u2p := mm[i] + pm[i] + mp[i] + pp[i]
+				rc[i] = vc[i] -
+					a0*uc[i] -
+					a2*(u2c+u1m+u1p) -
+					a3*(u2m+u2p)
+				u1m, u2m, u1c, u2c = u1c, u2c, u1p, u2p
 			}
 		}
 	}
 }
 
 // resid computes r = v - A u on the interior and refreshes r's ghost
-// shells, allocating each worker fresh scratch rows — the convenience
-// form the library tests use. The Benchmark's timed loop goes through
-// the cycle engine's preallocated scratch instead.
+// shells — the convenience form the library tests use. The Benchmark's
+// timed loop goes through the cycle engine's prebuilt bodies instead.
 func resid(r, u, v []float64, l level, a *[4]float64, tm *team.Team) {
-	scr := newRowScratch(tm.Size(), l.n1)
 	tm.Run(func(id int) {
 		k0, k1 := team.Block(1, l.n3-1, tm.Size(), id)
-		residRange(r, u, v, l, a, scr[id][0], scr[id][1], k0, k1)
+		residRange(r, u, v, l, a, k0, k1)
 	})
 	comm3(r, l)
 }
 
 // psinvRange applies the smoother u += C r on the interior planes
-// [k0, k1) using the caller's two scratch rows; c[3] = 0 in every class
-// so its term is dropped, as in mg.f. One worker's share of psinv.
-func psinvRange(r, u []float64, l level, c *[4]float64, r1, r2 []float64, k0, k1 int) {
-	n1, n2 := l.n1, l.n2
+// [k0, k1), with mg.f's r1 (face-neighbour sums) and r itself carried
+// along the row as residRange carries u1 and u2, and r2 (edge-neighbour
+// sums), wanted at i1 alone, formed where it is used; c[3] = 0 in every
+// class so its term is dropped, as in mg.f. One worker's share of psinv.
+//
+//npblint:hot
+func psinvRange(r, u []float64, l level, c *[4]float64, k0, k1 int) {
+	c0, c1, c2 := c[0], c[1], c[2]
+	n := l.n1 - 2
 	for i3 := k0; i3 < k1; i3++ {
-		for i2 := 1; i2 < n2-1; i2++ {
-			cc := l.at(0, i2, i3)
-			cm2 := l.at(0, i2-1, i3)
-			cp2 := l.at(0, i2+1, i3)
-			cm3 := l.at(0, i2, i3-1)
-			cp3 := l.at(0, i2, i3+1)
-			cmm := l.at(0, i2-1, i3-1)
-			cpm := l.at(0, i2+1, i3-1)
-			cmp := l.at(0, i2-1, i3+1)
-			cpp := l.at(0, i2+1, i3+1)
-			for i1 := 0; i1 < n1; i1++ {
-				r1[i1] = r[cm2+i1] + r[cp2+i1] + r[cm3+i1] + r[cp3+i1]
-				r2[i1] = r[cmm+i1] + r[cpm+i1] + r[cmp+i1] + r[cpp+i1]
-			}
-			for i1 := 1; i1 < n1-1; i1++ {
-				u[cc+i1] += c[0]*r[cc+i1] +
-					c[1]*(r[cc+i1-1]+r[cc+i1+1]+r1[i1]) +
-					c[2]*(r2[i1]+r1[i1-1]+r1[i1+1])
+		for i2 := 1; i2 < l.n2-1; i2++ {
+			uc, rc := span(u, l, 1, i2, i3, n), span(r, l, 0, i2, i3, n+2)
+			m2, p2 := span(r, l, 0, i2-1, i3, n+2), span(r, l, 0, i2+1, i3, n+2)
+			m3, p3 := span(r, l, 0, i2, i3-1, n+2), span(r, l, 0, i2, i3+1, n+2)
+			mm, pm := span(r, l, 0, i2-1, i3-1, n+2), span(r, l, 0, i2+1, i3-1, n+2)
+			mp, pp := span(r, l, 0, i2-1, i3+1, n+2), span(r, l, 0, i2+1, i3+1, n+2)
+			r1m := m2[0] + p2[0] + m3[0] + p3[0]
+			r1c := m2[1] + p2[1] + m3[1] + p3[1]
+			rm, r0 := rc[0], rc[1]
+			rc, m2, p2, m3, p3 = rc[2:n+2], m2[2:n+2], p2[2:n+2], m3[2:n+2], p3[2:n+2]
+			mm, pm, mp, pp = mm[1:n+1], pm[1:n+1], mp[1:n+1], pp[1:n+1]
+			for i := range uc {
+				rp := rc[i]
+				r1p := m2[i] + p2[i] + m3[i] + p3[i]
+				r2 := mm[i] + pm[i] + mp[i] + pp[i]
+				uc[i] += c0*r0 +
+					c1*(rm+rp+r1c) +
+					c2*(r2+r1m+r1p)
+				rm, r0, r1m, r1c = r0, rp, r1c, r1p
 			}
 		}
 	}
 }
 
-// psinv applies the smoother u += C r on the interior and refreshes u's
-// ghost shells (convenience form; see resid).
-func psinv(r, u []float64, l level, c *[4]float64, tm *team.Team) {
-	scr := newRowScratch(tm.Size(), l.n1)
-	tm.Run(func(id int) {
-		k0, k1 := team.Block(1, l.n3-1, tm.Size(), id)
-		psinvRange(r, u, l, c, scr[id][0], scr[id][1], k0, k1)
-	})
-	comm3(u, l)
-}
-
 // rprj3Range restricts the fine residual r (level lk) onto the coarse
-// planes [j3lo, j3hi) of s (level lj) with full weighting, using the
-// caller's two scratch rows (each at least lk.n1 long). One worker's
-// share of rprj3; the caller refreshes s's ghost shells after the join.
-func rprj3Range(r []float64, lk level, s []float64, lj level, x1, y1 []float64, j3lo, j3hi int) {
+// planes [j3lo, j3hi) of s (level lj) with full weighting. mg.f's x1 and
+// y1 (face- and edge-neighbour sums at the odd fine points either side
+// of a coarse point) are carried from one coarse point to the next, as
+// in residRange. One worker's share of rprj3; the caller refreshes s's
+// ghost shells after the join.
+//
+//npblint:hot
+func rprj3Range(r []float64, lk level, s []float64, lj level, j3lo, j3hi int) {
 	d1, d2, d3 := 1, 1, 1
 	if lk.n1 == 3 {
 		d1 = 2
@@ -142,103 +152,94 @@ func rprj3Range(r []float64, lk level, s []float64, lj level, x1, y1 []float64, 
 	if lk.n3 == 3 {
 		d3 = 2
 	}
-	m1j, m2j := lj.n1, lj.n2
+	// Coarse point j1 sits at fine i1 = 2*(j1+1)-d1-1 (the 0-based
+	// translation of i1 = 2*j1-d1); the fine rows start at the i1-1 of
+	// the first one and reach the i1+1 of the last.
+	m := lj.n1 - 2
+	o, nf := 2-d1, 2*m+1
 	for j3 := j3lo; j3 < j3hi; j3++ {
-		i3 := 2*(j3+1) - d3 - 1 // 0-based translation of i3 = 2*j3 - d3
-		for j2 := 1; j2 < m2j-1; j2++ {
+		i3 := 2*(j3+1) - d3 - 1
+		for j2 := 1; j2 < lj.n2-1; j2++ {
 			i2 := 2*(j2+1) - d2 - 1
-			for j1 := 1; j1 < m1j; j1++ {
-				i1 := 2*(j1+1) - d1 - 1
-				x1[i1-1] = r[lk.at(i1-1, i2-1, i3)] + r[lk.at(i1-1, i2+1, i3)] +
-					r[lk.at(i1-1, i2, i3-1)] + r[lk.at(i1-1, i2, i3+1)]
-				y1[i1-1] = r[lk.at(i1-1, i2-1, i3-1)] + r[lk.at(i1-1, i2-1, i3+1)] +
-					r[lk.at(i1-1, i2+1, i3-1)] + r[lk.at(i1-1, i2+1, i3+1)]
-			}
-			for j1 := 1; j1 < m1j-1; j1++ {
-				i1 := 2*(j1+1) - d1 - 1
-				y2 := r[lk.at(i1, i2-1, i3-1)] + r[lk.at(i1, i2-1, i3+1)] +
-					r[lk.at(i1, i2+1, i3-1)] + r[lk.at(i1, i2+1, i3+1)]
-				x2 := r[lk.at(i1, i2-1, i3)] + r[lk.at(i1, i2+1, i3)] +
-					r[lk.at(i1, i2, i3-1)] + r[lk.at(i1, i2, i3+1)]
-				s[lj.at(j1, j2, j3)] = 0.5*r[lk.at(i1, i2, i3)] +
-					0.25*(r[lk.at(i1-1, i2, i3)]+r[lk.at(i1+1, i2, i3)]+x2) +
-					0.125*(x1[i1-1]+x1[i1+1]+y2) +
-					0.0625*(y1[i1-1]+y1[i1+1])
+			sc, cc := span(s, lj, 1, j2, j3, m), span(r, lk, o, i2, i3, nf)
+			m2, p2 := span(r, lk, o, i2-1, i3, nf), span(r, lk, o, i2+1, i3, nf)
+			m3, p3 := span(r, lk, o, i2, i3-1, nf), span(r, lk, o, i2, i3+1, nf)
+			mm, mp := span(r, lk, o, i2-1, i3-1, nf), span(r, lk, o, i2-1, i3+1, nf)
+			pm, pp := span(r, lk, o, i2+1, i3-1, nf), span(r, lk, o, i2+1, i3+1, nf)
+			x1m, y1m := m2[0]+p2[0]+m3[0]+p3[0], mm[0]+mp[0]+pm[0]+pp[0]
+			for j := range sc {
+				i := 2*j + 1
+				y2 := mm[i] + mp[i] + pm[i] + pp[i]
+				x2 := m2[i] + p2[i] + m3[i] + p3[i]
+				x1p := m2[i+1] + p2[i+1] + m3[i+1] + p3[i+1]
+				y1p := mm[i+1] + mp[i+1] + pm[i+1] + pp[i+1]
+				sc[j] = 0.5*cc[i] +
+					0.25*(cc[i-1]+cc[i+1]+x2) +
+					0.125*(x1m+x1p+y2) +
+					0.0625*(y1m+y1p)
+				x1m, y1m = x1p, y1p
 			}
 		}
 	}
 }
 
-// rprj3 restricts with each worker allocated fresh scratch rows
-// (convenience form; see resid).
+// rprj3 restricts on the team (convenience form; see resid).
 func rprj3(r []float64, lk level, s []float64, lj level, tm *team.Team) {
-	scr := newRowScratch(tm.Size(), lk.n1)
 	tm.Run(func(id int) {
 		j3lo, j3hi := team.Block(1, lj.n3-1, tm.Size(), id)
-		rprj3Range(r, lk, s, lj, scr[id][0], scr[id][1], j3lo, j3hi)
+		rprj3Range(r, lk, s, lj, j3lo, j3hi)
 	})
 	comm3(s, lj)
 }
 
 // interpRange adds the trilinear prolongation of the coarse planes
-// [i3lo, i3hi) of z (level lj) into the fine grid u (level lk), using
-// the caller's three scratch rows (each at least lj.n1 long). NPB grids
-// always have at least 2 interior points per side at the coarsest
-// level, so only the general branch of mg.f's interp is needed. One
-// worker's share of interp.
-func interpRange(z []float64, lj level, u []float64, lk level, z1, z2, z3 []float64, i3lo, i3hi int) {
-	mm1, mm2 := lj.n1, lj.n2
+// [i3lo, i3hi) of z (level lj) into the fine grid u (level lk). NPB
+// grids always have at least 2 interior points per side at the coarsest
+// level, so only the general branch of mg.f's interp is needed. mg.f's
+// z1, z2 and z3 (sums over the coarse cell's rows) are carried from one
+// coarse point to the next, and the four fine rows a coarse row feeds
+// are updated in the one pass. One worker's share of interp.
+//
+//npblint:hot
+func interpRange(z []float64, lj level, u []float64, lk level, i3lo, i3hi int) {
+	mm1 := lj.n1
 	for i3 := i3lo; i3 < i3hi; i3++ {
-		for i2 := 0; i2 < mm2-1; i2++ {
-			for i1 := 0; i1 < mm1; i1++ {
-				z1[i1] = z[lj.at(i1, i2+1, i3)] + z[lj.at(i1, i2, i3)]
-				z2[i1] = z[lj.at(i1, i2, i3+1)] + z[lj.at(i1, i2, i3)]
-				z3[i1] = z[lj.at(i1, i2+1, i3+1)] + z[lj.at(i1, i2, i3+1)] + z1[i1]
-			}
-			for i1 := 0; i1 < mm1-1; i1++ {
-				u[lk.at(2*i1, 2*i2, 2*i3)] += z[lj.at(i1, i2, i3)]
-				u[lk.at(2*i1+1, 2*i2, 2*i3)] += 0.5 * (z[lj.at(i1+1, i2, i3)] + z[lj.at(i1, i2, i3)])
-			}
-			for i1 := 0; i1 < mm1-1; i1++ {
-				u[lk.at(2*i1, 2*i2+1, 2*i3)] += 0.5 * z1[i1]
-				u[lk.at(2*i1+1, 2*i2+1, 2*i3)] += 0.25 * (z1[i1] + z1[i1+1])
-			}
-			for i1 := 0; i1 < mm1-1; i1++ {
-				u[lk.at(2*i1, 2*i2, 2*i3+1)] += 0.5 * z2[i1]
-				u[lk.at(2*i1+1, 2*i2, 2*i3+1)] += 0.25 * (z2[i1] + z2[i1+1])
-			}
-			for i1 := 0; i1 < mm1-1; i1++ {
-				u[lk.at(2*i1, 2*i2+1, 2*i3+1)] += 0.25 * z3[i1]
-				u[lk.at(2*i1+1, 2*i2+1, 2*i3+1)] += 0.125 * (z3[i1] + z3[i1+1])
+		for i2 := 0; i2 < lj.n2-1; i2++ {
+			za, zb := span(z, lj, 0, i2, i3, mm1), span(z, lj, 0, i2+1, i3, mm1)
+			zc, zd := span(z, lj, 0, i2, i3+1, mm1), span(z, lj, 0, i2+1, i3+1, mm1)
+			ua, ub := span(u, lk, 0, 2*i2, 2*i3, 2*mm1-2), span(u, lk, 0, 2*i2+1, 2*i3, 2*mm1-2)
+			uc, ud := span(u, lk, 0, 2*i2, 2*i3+1, 2*mm1-2), span(u, lk, 0, 2*i2+1, 2*i3+1, 2*mm1-2)
+			z0 := za[0]
+			z1 := zb[0] + z0
+			z2 := zc[0] + z0
+			z3 := zd[0] + zc[0] + z1
+			za, zb, zc, zd = za[1:mm1], zb[1:mm1], zc[1:mm1], zd[1:mm1]
+			for i := range za {
+				z0p := za[i]
+				z1p := zb[i] + z0p
+				z2p := zc[i] + z0p
+				z3p := zd[i] + zc[i] + z1p
+				ua[2*i] += z0
+				ua[2*i+1] += 0.5 * (z0p + z0)
+				ub[2*i] += 0.5 * z1
+				ub[2*i+1] += 0.25 * (z1 + z1p)
+				uc[2*i] += 0.5 * z2
+				uc[2*i+1] += 0.25 * (z2 + z2p)
+				ud[2*i] += 0.25 * z3
+				ud[2*i+1] += 0.125 * (z3 + z3p)
+				z0, z1, z2, z3 = z0p, z1p, z2p, z3p
 			}
 		}
 	}
 }
 
-// interp adds the trilinear prolongation with each worker allocated
-// fresh scratch rows (convenience form; see resid).
+// interp adds the trilinear prolongation on the team (convenience form;
+// see resid).
 func interp(z []float64, lj level, u []float64, lk level, tm *team.Team) {
-	scr := newRowScratch(tm.Size(), lj.n1)
 	tm.Run(func(id int) {
 		i3lo, i3hi := team.Block(0, lj.n3-1, tm.Size(), id)
-		interpRange(z, lj, u, lk, scr[id][0], scr[id][1], scr[id][2], i3lo, i3hi)
+		interpRange(z, lj, u, lk, i3lo, i3hi)
 	})
-}
-
-// newRowScratch allocates per-worker stencil scratch: three rows of n
-// values for each of workers workers. The convenience stencil wrappers
-// allocate one per call, outside the parallel region; the cycle engine
-// allocates one at construction and reuses it.
-func newRowScratch(workers, n int) [][3][]float64 {
-	scr := make([][3][]float64, workers)
-	for i := range scr {
-		scr[i] = [3][]float64{
-			make([]float64, n),
-			make([]float64, n),
-			make([]float64, n),
-		}
-	}
-	return scr
 }
 
 // norm2u3 returns the discrete L2 norm (scaled by the interior point

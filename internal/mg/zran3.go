@@ -86,7 +86,7 @@ func (cy *cycle) findCharges(tm *team.Team, l level) charges {
 	nx, ny := l.n1-2, l.n2-2
 	blocks := make([]charges, tm.Size())
 	tm.Run(func(id int) {
-		row := cy.rows[id][0][:nx]
+		row := cy.rows[id][:nx]
 		for it := tm.ReduceBlocks(id, 1, l.n3-1); it.Next(); {
 			ch := newCharges() // a local: the blocks share cache lines
 			g := randdp.New(randdp.DefaultSeed, randdp.A)

@@ -74,15 +74,33 @@ func (g *Gen) Next() float64 {
 	return r46 * float64(int64(g.x))
 }
 
-// Fill fills y with the next len(y) numbers of the sequence.
+// Fill fills y with the next len(y) numbers of the sequence. One chain
+// x ← a·x is bound by the multiplier's latency, so four interleaved
+// lanes each step by a⁴: the state x and the three draws after it,
+// which are the same integers the single chain visits. A tail shorter
+// than four continues from the state with a.
 //
 //npblint:hot the vranlc loop under EP's batches and FT/MG input generation
 func (g *Gen) Fill(y []float64) {
 	x, a := g.x, g.a
-	for i := range y {
+	x1 := x * a & mask
+	x2 := x1 * a & mask
+	x3 := x2 * a & mask
+	a4 := a * a & mask
+	a4 = a4 * a4 & mask
+	for ; len(y) >= 4; y = y[4:] {
 		// The wrapped 64-bit product keeps the low 46 bits of the true
 		// one; x < 2^46 converts exactly, through int64 because that is
 		// a single instruction where uint64 needs a sign fix-up.
+		q := y[:4:4]
+		x = x * a4 & mask
+		q[0] = r46 * float64(int64(x1))
+		q[1] = r46 * float64(int64(x2))
+		q[2] = r46 * float64(int64(x3))
+		q[3] = r46 * float64(int64(x))
+		x1, x2, x3 = x1*a4&mask, x2*a4&mask, x3*a4&mask
+	}
+	for i := range y {
 		x = x * a & mask
 		y[i] = r46 * float64(int64(x))
 	}

@@ -389,3 +389,59 @@ func BenchmarkOracleVranlc(b *testing.B) {
 		oracleVranlc(len(y), &x, A, y)
 	}
 }
+
+// oneLaneFill is the loop Fill replaced: one chain stepping by a.
+func oneLaneFill(g *Gen, y []float64) {
+	x, a := g.x, g.a
+	for i := range y {
+		x = x * a & mask
+		y[i] = r46 * float64(int64(x))
+	}
+	g.x = x
+}
+
+// TestFillMatchesOneLane: the four lanes visit the integers of the one
+// chain, whatever the length leaves for the tail, and hand on the same
+// state — also when Fills of different lengths follow each other.
+func TestFillMatchesOneLane(t *testing.T) {
+	lengths := []int{1000, 131072}
+	for n := 0; n <= 12; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, a := range []uint64{uint64(A), pow46(uint64(A), 2*128*128)} {
+		g, h := New(uint64(DefaultSeed), a), New(uint64(DefaultSeed), a)
+		for _, n := range lengths {
+			got, want := make([]float64, n), make([]float64, n)
+			g.Fill(got)
+			oneLaneFill(&h, want)
+			for i := range want {
+				if !same(got[i], want[i]) {
+					t.Fatalf("a %d length %d draw %d: Fill %v, one lane %v", a, n, i, got[i], want[i])
+				}
+			}
+			if g != h {
+				t.Fatalf("a %d after length %d: state %d, one lane %d", a, n, g.x, h.x)
+			}
+		}
+	}
+}
+
+// BenchmarkFill is Fill on an L1-sized buffer (ns/op over 1024 numbers);
+// BenchmarkOneLaneFill is the chain it replaced.
+func BenchmarkFill(b *testing.B) {
+	g := New(uint64(DefaultSeed), uint64(A))
+	y := make([]float64, 1024)
+	b.SetBytes(1024 * 8)
+	for i := 0; i < b.N; i++ {
+		g.Fill(y)
+	}
+}
+
+func BenchmarkOneLaneFill(b *testing.B) {
+	g := New(uint64(DefaultSeed), uint64(A))
+	y := make([]float64, 1024)
+	b.SetBytes(1024 * 8)
+	for i := 0; i < b.N; i++ {
+		oneLaneFill(&g, y)
+	}
+}
