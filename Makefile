@@ -91,10 +91,10 @@ THREADS ?= 1,2,4
 suite:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS)
 
-# Suite sweep with the observability layer on: metrics summary table,
-# per-cell JSONL, and a live expvar/pprof endpoint during the run.
+# Suite sweep with the observability layer on: metrics summary table
+# and per-cell JSONL.
 suite-obs:
-	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -obs
+	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -obs -obs-jsonl npb-metrics.jsonl
 
 # Suite sweep with the execution tracer on: one Chrome/Perfetto trace
 # file per cell in $(TRACEDIR), validated afterwards. Open any of them
@@ -123,8 +123,8 @@ PERF_REPEATS ?= 3
 PERF_THRESHOLD ?= 0.10
 PERF_MINTIME ?= 0.1
 perf:
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -obs-listen "" -obs-jsonl "" -bench-json perf-base.json
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -obs-listen "" -obs-jsonl "" -bench-json perf-head.json
+	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -bench-json perf-base.json
+	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -bench-json perf-head.json
 	$(GO) run ./cmd/npbperf compare -threshold $(PERF_THRESHOLD) -min-time $(PERF_MINTIME) perf-base.json perf-head.json
 	$(GO) run ./cmd/npbperf scaling perf-head.json
 
@@ -146,9 +146,9 @@ soak:
 SCHEDULES ?= static dynamic guided stealing auto
 schedule-check:
 	for s in $(SCHEDULES); do \
-		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -obs -obs-listen "" -obs-jsonl "" || exit 1; \
+		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -obs || exit 1; \
 	done
-	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule auto -repeats 2 -obs -obs-listen "" -obs-jsonl "" -bench-json sched-auto.json
+	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule auto -repeats 2 -obs -bench-json sched-auto.json
 	$(GO) run ./cmd/npbperf scaling -fail-on load-imbalance sched-auto.json
 
 # Counter-attribution smoke: IS+CG class S with -counters on, then
@@ -158,7 +158,7 @@ schedule-check:
 # PMU-less containers/CI (the journaled degradation path). The CI
 # counters-smoke job runs exactly this and keeps the record artifact.
 counters-check:
-	$(GO) run ./cmd/npbsuite -class S -bench IS,CG -threads 2 -counters -obs -obs-listen "" -obs-jsonl counters-cells.jsonl -bench-json counters-smoke.json
+	$(GO) run ./cmd/npbsuite -class S -bench IS,CG -threads 2 -counters -obs -obs-jsonl counters-cells.jsonl -bench-json counters-smoke.json
 	$(GO) run ./cmd/npbperf counters -require counters-smoke.json
 
 # Profiling smoke: a CG class-W sweep captured with -profile, decoded by

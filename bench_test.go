@@ -257,28 +257,3 @@ func BenchmarkAblationCGBallast(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationISBuckets contrasts IS's two ranking algorithms:
-// straight histogramming versus the bucketed (USE_BUCKETS) variant that
-// trades a scatter pass for cache-resident counting.
-func BenchmarkAblationISBuckets(b *testing.B) {
-	for _, buckets := range []bool{false, true} {
-		name := "straight"
-		if buckets {
-			name = "buckets"
-		}
-		for _, n := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res, err := npbgo.Run(npbgo.Config{Benchmark: npbgo.IS, Class: 'S', Threads: n, Buckets: buckets})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Failed {
-						b.Fatal("verification failed")
-					}
-				}
-			})
-		}
-	}
-}

@@ -22,11 +22,10 @@
 //
 // -obs turns on the observability layer: every cell collects per-worker
 // runtime metrics (busy/barrier-wait time, imbalance ratio) and a phase
-// profile, a metrics summary table is printed after the sweeps, one
-// JSON line per cell is appended to -obs-jsonl, and -obs-listen serves
-// live /debug/vars (expvar, including the per-run recorders under
-// npb.obs) and /debug/pprof on a local port for the duration of the
-// sweep.
+// profile, a metrics summary table is printed after the sweeps, and one
+// JSON line per cell is appended to -obs-jsonl when a file is named.
+// (For profiles, -profile writes per-cell pprof files that npbperf
+// hotspots reads.)
 //
 // -counters turns on hardware-counter attribution: every cell samples
 // cycles, instructions, LLC loads/misses and branch misses per worker
@@ -107,7 +106,6 @@ import (
 	"npbgo/internal/fault"
 	"npbgo/internal/harness"
 	"npbgo/internal/journal"
-	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
 	"npbgo/internal/report"
 	"npbgo/internal/team"
@@ -124,8 +122,7 @@ func main() {
 	retries := flag.Int("retries", 0, "retries per failed run, with exponential backoff")
 	obsFlag := flag.Bool("obs", false, "collect runtime metrics per cell and print the metrics summary")
 	countersFlag := flag.Bool("counters", false, "sample hardware counters (cycles/IPC/LLC misses) per cell and print the counter summary")
-	obsListen := flag.String("obs-listen", "127.0.0.1:6060", "with -obs: address for the expvar/pprof endpoint (empty = no endpoint)")
-	obsJSONL := flag.String("obs-jsonl", "npb-metrics.jsonl", "with -obs: per-cell metrics JSONL file, appended (empty = no file)")
+	obsJSONL := flag.String("obs-jsonl", "", "with -obs: per-cell metrics JSONL file, appended (empty = no file)")
 	traceDir := flag.String("trace", "", "write one Chrome/Perfetto trace file per cell into this directory (enables execution tracing)")
 	profileFlag := flag.Bool("profile", false, "capture a CPU and heap profile per cell (see -profile-dir); decode with `npbperf hotspots`")
 	profileDir := flag.String("profile-dir", "profiles", "with -profile: directory for the per-cell .cpu.pprof/.heap.pprof files")
@@ -324,27 +321,15 @@ func main() {
 			fmt.Printf("counters: per-region hardware counters enabled (perf_event_open)\n\n")
 		}
 	}
-	if *obsFlag {
-		if *obsListen != "" {
-			bound, shutdown, err := obs.Serve(*obsListen)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "npbsuite: obs endpoint: %v\n", err)
-				os.Exit(2)
-			}
-			defer shutdown()
-			fmt.Printf("obs: live metrics at http://%s/debug/vars, profiles at http://%s/debug/pprof/\n", bound, bound)
+	if *obsFlag && *obsJSONL != "" {
+		f, err := os.OpenFile(*obsJSONL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "npbsuite: obs jsonl: %v\n", err)
+			os.Exit(2)
 		}
-		if *obsJSONL != "" {
-			f, err := os.OpenFile(*obsJSONL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "npbsuite: obs jsonl: %v\n", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			opt.Metrics = f
-			fmt.Printf("obs: per-cell metrics appended to %s\n", *obsJSONL)
-		}
-		fmt.Println()
+		defer f.Close()
+		opt.Metrics = f
+		fmt.Printf("obs: per-cell metrics appended to %s\n\n", *obsJSONL)
 	}
 	var sweeps []harness.Sweep
 	failed := false

@@ -30,34 +30,20 @@ func ExampleBlockRange() {
 	// worker 2: [7,10)
 }
 
-// ExampleTeam demonstrates a deterministic parallel reduction.
+// ExampleTeam demonstrates a deterministic parallel reduction: one
+// region, one partial per static block, summed in block order.
 func ExampleTeam() {
 	team := npbgo.NewTeam(4)
 	defer team.Close()
-	sum := team.ReduceSum(1, 101, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += float64(i)
+	team.Run(func(id int) {
+		for it := team.ReduceBlocks(id, 1, 101); it.Next(); {
+			s := 0.0
+			for i := it.Lo; i < it.Hi; i++ {
+				s += float64(i)
+			}
+			*team.Partial(it.Chunk()) = s
 		}
-		return s
 	})
-	fmt.Println(sum)
+	fmt.Println(team.PartialSum())
 	// Output: 5050
-}
-
-// ExampleNewPoissonSolver solves a dipole right-hand side and reports
-// the order of the residual after four V-cycles.
-func ExampleNewPoissonSolver() {
-	s, err := npbgo.NewPoissonSolver(16, 1)
-	if err != nil {
-		panic(err)
-	}
-	rhs := make([]float64, 16*16*16)
-	rhs[0], rhs[2048] = 1, -1
-	_, res, err := s.Solve(rhs, 6)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(res < 1e-4)
-	// Output: true
 }

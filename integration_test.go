@@ -64,17 +64,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// TestBucketsConfig drives IS's bucketed variant through the facade.
-func TestBucketsConfig(t *testing.T) {
-	res, err := npbgo.Run(npbgo.Config{Benchmark: npbgo.IS, Class: 'S', Threads: 2, Buckets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatalf("bucketed IS unverified:\n%s", res.Detail)
-	}
-}
-
 // TestObsRequested checks the runtime-metrics plumbing: Config.Obs
 // populates Result.Obs for every benchmark and implies a phase profile
 // where the benchmark supports one.

@@ -48,24 +48,19 @@ const Budget = 0
 
 // Key identifies one gated configuration.
 type Key struct {
-	Bench string // a suite row in lower case, "cg", or a variant of one, "is-buckets"
+	Bench string // a suite row in lower case, "cg"
 	Class byte   // 'S' or 'W'
 }
 
 func (k Key) String() string { return fmt.Sprintf("%s.%c", k.Bench, k.Class) }
 
-// Keys lists every gated configuration: each suite row and each of its
-// variants, at classes S and W.
+// Keys lists every gated configuration: each suite row at classes S
+// and W.
 func Keys() []Key {
 	var keys []Key
 	for _, r := range suite.Rows {
-		benches := []string{strings.ToLower(r.Name)}
-		for v := range r.Variants {
-			benches = append(benches, benches[0]+"-"+v)
-		}
-		for _, b := range benches {
-			keys = append(keys, Key{b, 'S'}, Key{b, 'W'})
-		}
+		b := strings.ToLower(r.Name)
+		keys = append(keys, Key{b, 'S'}, Key{b, 'W'})
 	}
 	return keys
 }
@@ -76,13 +71,11 @@ func Keys() []Key {
 // testing.AllocsPerRun, which pins GOMAXPROCS to 1 for the
 // measurement).
 func Measure(k Key, warm, runs int) (float64, error) {
-	name, variant, _ := strings.Cut(k.Bench, "-")
-	row, ok := suite.Lookup(strings.ToUpper(name))
-	env, known := row.Variants[variant]
-	if !ok || (variant != "" && !known) {
+	row, ok := suite.Lookup(strings.ToUpper(k.Bench))
+	if !ok {
 		return 0, fmt.Errorf("allocgate: unknown benchmark %q", k.Bench)
 	}
-	b, err := row.New(k.Class, Threads, env)
+	b, err := row.New(k.Class, Threads, kernel.Env{})
 	if err != nil {
 		return 0, err
 	}

@@ -6,10 +6,10 @@
 // The paper hit this the hard way in LU's pipelined sweep, where a
 // mis-scoped wait left part of the team parked forever (§5, the
 // pipeline stall the robustness work reproduces with fault injection).
-// Three shapes are diagnosed inside Run/RunCtx/For/ForBlock/ReduceSum
-// region bodies, and inside hoisted bodies — a func(id int) literal
-// assigned to a variable or field and handed to Run later, which is
-// where the kernels' one-region-per-phase bodies keep their barriers.
+// Three shapes are diagnosed inside Run/RunCtx region bodies, and
+// inside hoisted bodies — a func(id int) literal assigned to a variable
+// or field and handed to Run later, which is where the kernels'
+// one-region-per-phase bodies keep their barriers.
 // Barrier stands for Barrier, BarrierID and BarrierUnlessStatic; the
 // last is itself conditional, but on the region's schedule, which every
 // worker of the region sees alike.
@@ -20,9 +20,9 @@
 //  2. Team.Barrier inside a loop whose bounds depend on the worker id —
 //     workers arrive different numbers of times, which desynchronizes
 //     every later barrier of the region.
-//  3. Any region-starting call (Run, RunCtx, For, ForBlock, ReduceSum,
-//     Warmup) inside a region body — the runtime rejects nested regions
-//     with a panic, so this is always a bug.
+//  3. Any region-starting call (Run, RunCtx, Warmup) inside a region
+//     body — the runtime rejects nested regions with a panic, so this
+//     is always a bug.
 package barrierbalance
 
 import (
@@ -36,13 +36,7 @@ const teamPath = "npbgo/internal/team"
 
 // regionStarters are the Team methods that fork a complete parallel
 // region; their final func-literal argument is a region body.
-var regionStarters = map[string]bool{
-	"Run":       true,
-	"RunCtx":    true,
-	"For":       true,
-	"ForBlock":  true,
-	"ReduceSum": true,
-}
+var regionStarters = map[string]bool{"Run": true, "RunCtx": true}
 
 // nestable are Team methods that are also illegal anywhere inside a
 // region body, in addition to the region starters.
@@ -177,8 +171,7 @@ func checkTeamCall(pass *analysis.Pass, call *ast.CallExpr, conditional, idLoop 
 }
 
 // workerIDParam returns the object of the region body's worker-id
-// parameter for Run/RunCtx bodies (func(id int)), or nil for the
-// For/ForBlock/ReduceSum body shapes, which have no id parameter.
+// parameter (func(id int)), or nil when the body leaves it unnamed.
 func workerIDParam(pass *analysis.Pass, body *ast.FuncLit) types.Object {
 	params := body.Type.Params.List
 	if len(params) != 1 || len(params[0].Names) != 1 {

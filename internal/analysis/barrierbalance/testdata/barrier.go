@@ -30,8 +30,8 @@ func idLoopBarrier(tm *team.Team) {
 // panics on this at execution time, the analyzer catches it earlier.
 func nestedRegion(tm *team.Team, n int) {
 	tm.Run(func(id int) {
-		tm.ForBlock(0, n, func(blo, bhi int) { // want `nested regions`
-			_ = blo + bhi
+		tm.Run(func(inner int) { // want `nested regions`
+			_ = inner + n
 		})
 	})
 }

@@ -14,9 +14,9 @@
 // Three region shapes are considered hot:
 //
 //  1. Function literals passed to team.Team region starters (Run,
-//     RunCtx, For, ForBlock, ReduceSum) — the body every worker
-//     executes. Pipeline steps are covered transitively: Wait/Post
-//     brackets only occur inside such bodies.
+//     RunCtx) — the body every worker executes. Pipeline steps are
+//     covered transitively: Wait/Post brackets only occur inside such
+//     bodies.
 //  2. Statements bracketed by timer.Set (or kernel.Env, its nil-safe
 //     front) Start("name")/Stop("name") calls with literal names in
 //     the same block — the benchmarks' timed phases. Start/Stop
@@ -66,13 +66,7 @@ const (
 
 // regionStarters are the Team methods whose func-literal argument is a
 // parallel region body.
-var regionStarters = map[string]bool{
-	"Run":       true,
-	"RunCtx":    true,
-	"For":       true,
-	"ForBlock":  true,
-	"ReduceSum": true,
-}
+var regionStarters = map[string]bool{"Run": true, "RunCtx": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",

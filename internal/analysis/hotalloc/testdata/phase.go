@@ -48,9 +48,9 @@ func helper(ts *timer.Set, name string, n int) []float64 {
 
 func phaseRegion(ts *timer.Set, tm *team.Team, out []float64, n int) {
 	ts.Start("sweep")
-	tm.ForBlock(0, n, func(lo, hi int) { // want `function literal allocates a closure per execution of timed phase "sweep"`
-		for i := lo; i < hi; i++ {
-			out[i] = 0
+	tm.Run(func(id int) { // want `function literal allocates a closure per execution of timed phase "sweep"`
+		for it := tm.Loop(id, 0, n); it.Next(); {
+			out[it.Lo] = 0
 		}
 	})
 	ts.Stop("sweep")

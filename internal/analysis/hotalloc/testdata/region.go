@@ -11,23 +11,22 @@ func regionAllocs(tm *team.Team, out []float64, n int) {
 		buf := make([]float64, n) // want `make allocates in parallel region body`
 		out[0] = buf[0]
 	})
-	tm.ForBlock(0, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, n); it.Next(); {
 			p := new(float64) // want `new allocates in parallel region body`
-			out[i] = *p
+			out[it.Lo] = *p
 		}
 	})
-	sum := tm.ReduceSum(0, n, func(lo, hi int) float64 {
+	tm.Run(func(id int) {
 		s := []float64{0} // want `slice literal allocates in parallel region body`
-		for i := lo; i < hi; i++ {
-			s = append(s, out[i]) // want `append may grow its backing array in parallel region body`
+		for it := tm.ReduceBlocks(id, 0, n); it.Next(); {
+			s = append(s, out[it.Lo]) // want `append may grow its backing array in parallel region body`
+			*tm.Partial(it.Chunk()) = s[0]
 		}
-		return s[0]
 	})
-	_ = sum
-	tm.For(0, n, func(i int) {
+	tm.Run(func(id int) {
 		m := map[int]int{} // want `map literal allocates in parallel region body`
-		out[i] = float64(m[i])
+		out[id] = float64(m[id])
 	})
 	// Setup allocations outside any hot region are fine.
 	cold := make([]float64, n)

@@ -8,8 +8,8 @@
 // catches when the schedule cooperates: a reduction accumulated into a
 // captured scalar, or a write through a constant index, can run clean
 // for thousands of iterations. The intended idioms are Team.Partial(id),
-// per-worker slots indexed by id, or indices derived from the
-// For/ForBlock/Block distribution — all of which this analyzer accepts.
+// per-worker slots indexed by id, or indices derived from the worker's
+// Loop chunk or Block share — all of which this analyzer accepts.
 //
 // Accepted shapes inside a region body:
 //   - writes to variables declared inside the body (worker-local);
@@ -32,13 +32,7 @@ import (
 
 const teamPath = "npbgo/internal/team"
 
-var regionStarters = map[string]bool{
-	"Run":       true,
-	"RunCtx":    true,
-	"For":       true,
-	"ForBlock":  true,
-	"ReduceSum": true,
-}
+var regionStarters = map[string]bool{"Run": true, "RunCtx": true}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedwrite",
@@ -74,13 +68,12 @@ func run(pass *analysis.Pass) error {
 type region struct {
 	pass *analysis.Pass
 	body *ast.FuncLit
-	id   types.Object // worker-id parameter, nil for For/ForBlock/ReduceSum bodies
+	id   types.Object // worker-id parameter, nil when the body leaves it unnamed
 }
 
 func checkRegion(pass *analysis.Pass, body *ast.FuncLit) {
 	r := &region{pass: pass, body: body}
 	if params := body.Type.Params.List; len(params) == 1 && len(params[0].Names) == 1 {
-		// func(id int) — Run/RunCtx region body.
 		r.id = pass.TypesInfo.Defs[params[0].Names[0]]
 	}
 	var walk func(n ast.Node, idGuarded bool)

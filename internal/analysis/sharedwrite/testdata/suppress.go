@@ -3,9 +3,9 @@ package fixture
 import "npbgo/internal/team"
 
 // suppressedWrite documents a benign last-writer-wins flag.
-func suppressedWrite(tm *team.Team, n int) bool {
+func suppressedWrite(tm *team.Team) bool {
 	touched := false
-	tm.For(0, n, func(i int) {
+	tm.Run(func(int) {
 		touched = true //npblint:ignore sharedwrite every worker writes the same value
 	})
 	return touched

@@ -9,9 +9,11 @@ import "npbgo/internal/team"
 // read-modify-writes the same captured accumulator.
 func capturedScalar(tm *team.Team, n int) float64 {
 	sum := 0.0
-	tm.ForBlock(0, n, func(blo, bhi int) {
-		for i := blo; i < bhi; i++ {
-			sum += float64(i) // want `assignment to captured sum`
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, n); it.Next(); {
+			for i := it.Lo; i < it.Hi; i++ {
+				sum += float64(i) // want `assignment to captured sum`
+			}
 		}
 	})
 	return sum
@@ -20,8 +22,10 @@ func capturedScalar(tm *team.Team, n int) float64 {
 // capturedCounter races through an IncDecStmt rather than an assign.
 func capturedCounter(tm *team.Team, n int) int {
 	count := 0
-	tm.For(0, n, func(i int) {
-		count++ // want `assignment to captured count`
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, n); it.Next(); {
+			count++ // want `assignment to captured count`
+		}
 	})
 	return count
 }
@@ -54,12 +58,14 @@ func idSlot(tm *team.Team, out []float64) {
 	})
 }
 
-// blockIndex indexes by a loop variable derived from the block bounds,
+// blockIndex indexes by a loop variable derived from the chunk bounds,
 // so workers touch disjoint ranges.
 func blockIndex(tm *team.Team, out []float64) {
-	tm.ForBlock(0, len(out), func(blo, bhi int) {
-		for i := blo; i < bhi; i++ {
-			out[i] = float64(i)
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, len(out)); it.Next(); {
+			for i := it.Lo; i < it.Hi; i++ {
+				out[i] = float64(i)
+			}
 		}
 	})
 }

@@ -62,8 +62,7 @@ type Benchmark struct {
 	x, z, pv, q, r []float64
 
 	// Steady-state machinery: the region bodies below are built once by
-	// New and reused by every iteration, because For/ForBlock/ReduceSum
-	// wrap their body in a fresh closure per call and a literal closure
+	// New and reused by every iteration, because a literal closure
 	// capturing loop-variant scalars allocates per creation. The bodies
 	// instead read the per-call scalar scaleInv, the staged dot operands
 	// and the current team from the Benchmark, keeping the timed loop free
@@ -450,8 +449,7 @@ func (b *Benchmark) sumDots(k int) float64 {
 // dot is a team-parallel dot product with deterministic partial
 // combination: operands are staged on the Benchmark for the prebuilt
 // body, partials land in the team's reduction slots, and PartialSum
-// combines them in worker order — the same arithmetic as
-// Team.ReduceSum without its per-call closure.
+// combines them in block order.
 func (b *Benchmark) dot(u, v []float64) float64 {
 	b.dotA, b.dotB = u, v
 	b.tm.Run(b.dotBody)

@@ -33,54 +33,68 @@ func naiveDFT3(c cube, in []complex128, s float64) []complex128 {
 	return out
 }
 
-// TestForwardMatchesNaiveDFT pins the transform's sign convention and
-// correctness against direct summation on a small grid.
-func TestForwardMatchesNaiveDFT(t *testing.T) {
-	c := cube{8, 4, 2}
-	in := make([]complex128, c.len())
-	for i := range in {
-		in[i] = complex(math.Sin(float64(i))*0.7, math.Cos(float64(2*i))*0.3)
-	}
-	tm := team.New(1)
-	defer tm.Close()
+// pencilPass runs one cffts*Range over [0, n) as the benchmark does: one
+// region, each worker looping over its share with its own workspace.
+func pencilPass(tm *team.Team, n, maxN int, rng func(ws *workspace, lo, hi int)) {
+	tm.Run(func(id int) {
+		ws := newWorkspace(maxN)
+		for it := tm.Loop(id, 0, n); it.Next(); {
+			rng(ws, it.Lo, it.Hi)
+		}
+	})
+}
 
-	got := make([]complex128, len(in))
-	copy(got, in)
+// fft3 is the benchmark's three-pass transform of a in place (the pass
+// order of fft3d), built from the pencil bodies it times.
+func fft3(tm *team.Team, dir int, c cube, a []complex128) {
 	r1, r2, r3 := fftInit(c.d1), fftInit(c.d2), fftInit(c.d3)
-	cffts1(1, c, got, got, r1, tm)
-	cffts2(1, c, got, got, r2, tm)
-	cffts3(1, c, got, got, r3, tm)
+	p1 := func() {
+		pencilPass(tm, c.d3, c.d1, func(ws *workspace, lo, hi int) { cffts1Range(dir, c, a, a, r1, ws, lo, hi) })
+	}
+	p2 := func() {
+		pencilPass(tm, c.d3, c.d2, func(ws *workspace, lo, hi int) { cffts2Range(dir, c, a, a, r2, ws, lo, hi) })
+	}
+	p3 := func() {
+		pencilPass(tm, c.d2, c.d3, func(ws *workspace, lo, hi int) { cffts3Range(dir, c, a, a, r3, ws, lo, hi) })
+	}
+	if dir == 1 {
+		p1()
+		p2()
+		p3()
+	} else {
+		p3()
+		p2()
+		p1()
+	}
+}
 
-	// The NPB forward transform (is=1) uses exp(+i theta) roots, i.e.
-	// the +1 sign convention.
-	want := naiveDFT3(c, in, +1)
-	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > 1e-10*(1+cmplx.Abs(want[i])) {
-			t.Fatalf("element %d: %v, want %v", i, got[i], want[i])
+// checkAgainstNaive compares the three-pass transform in direction dir
+// with direct summation on two grids off the class table, the first
+// non-cubic and with fewer planes than the largest team has workers.
+func checkAgainstNaive(t *testing.T, dir int) {
+	for _, c := range []cube{{8, 4, 2}, {4, 4, 4}} {
+		in := make([]complex128, c.len())
+		for i := range in {
+			in[i] = complex(math.Sin(float64(i))*0.7+float64(i%7)-3, math.Cos(float64(2*i))*0.3+float64(i%3))
+		}
+		want := naiveDFT3(c, in, float64(dir))
+		for _, threads := range []int{1, 2, 3} {
+			tm := team.New(threads)
+			got := append([]complex128(nil), in...)
+			fft3(tm, dir, c, got)
+			tm.Close()
+			for i := range want {
+				if cmplx.Abs(got[i]-want[i]) > 1e-10*(1+cmplx.Abs(want[i])) {
+					t.Fatalf("cube %v threads %d element %d: %v, want %v", c, threads, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
 
-func TestInverseMatchesNaiveDFT(t *testing.T) {
-	c := cube{4, 4, 4}
-	in := make([]complex128, c.len())
-	for i := range in {
-		in[i] = complex(float64(i%7)-3, float64(i%3))
-	}
-	tm := team.New(2)
-	defer tm.Close()
+// TestForwardMatchesNaiveDFT pins the transform's sign convention and
+// correctness against direct summation: the NPB forward transform
+// (is=1) uses exp(+i theta) roots, i.e. the +1 sign convention.
+func TestForwardMatchesNaiveDFT(t *testing.T) { checkAgainstNaive(t, +1) }
 
-	got := make([]complex128, len(in))
-	copy(got, in)
-	r := fftInit(4)
-	cffts3(-1, c, got, got, r, tm)
-	cffts2(-1, c, got, got, r, tm)
-	cffts1(-1, c, got, got, r, tm)
-
-	want := naiveDFT3(c, in, -1)
-	for i := range want {
-		if cmplx.Abs(got[i]-want[i]) > 1e-10*(1+cmplx.Abs(want[i])) {
-			t.Fatalf("element %d: %v, want %v", i, got[i], want[i])
-		}
-	}
-}
+func TestInverseMatchesNaiveDFT(t *testing.T) { checkAgainstNaive(t, -1) }

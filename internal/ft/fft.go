@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"npbgo/internal/grid"
-	"npbgo/internal/team"
 )
 
 // fftBlock is the number of pencils transformed together, the cache
@@ -133,7 +132,7 @@ func (c cube) at(i, j, k int) int {
 // pencil batch, gather into the block scratch, transform, scatter into
 // out. Each pencil is one contiguous row of the cube, so the transposes
 // go pencil by pencil: the cube is read and written in order and the
-// strided side is the L1-resident scratch. One worker's share of cffts1.
+// strided side is the L1-resident scratch. One worker's share of the pass.
 func cffts1Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, klo, khi int) {
 	n := c.d1
 	for k := klo; k < khi; k++ {
@@ -155,18 +154,8 @@ func cffts1Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, 
 	}
 }
 
-// cffts1 transforms along the first dimension with planes k split over
-// the team, allocating each worker a fresh workspace — the
-// convenience form the library tests use. The Benchmark's timed loop
-// goes through the preallocated per-worker workspaces instead.
-func cffts1(is int, c cube, in, out []complex128, r *roots, tm *team.Team) {
-	tm.ForBlock(0, c.d3, func(klo, khi int) {
-		cffts1Range(is, c, in, out, r, newWorkspace(c.d1), klo, khi)
-	})
-}
-
 // cffts2Range transforms the planes [klo, khi) along the second
-// dimension, batching over i. One worker's share of cffts2.
+// dimension, batching over i. One worker's share of the pass.
 func cffts2Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, klo, khi int) {
 	n := c.d2
 	for k := klo; k < khi; k++ {
@@ -183,16 +172,8 @@ func cffts2Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, 
 	}
 }
 
-// cffts2 transforms along the second dimension with planes k split over
-// the team (convenience form; see cffts1).
-func cffts2(is int, c cube, in, out []complex128, r *roots, tm *team.Team) {
-	tm.ForBlock(0, c.d3, func(klo, khi int) {
-		cffts2Range(is, c, in, out, r, newWorkspace(c.d2), klo, khi)
-	})
-}
-
 // cffts3Range transforms the rows [jlo, jhi) along the third dimension,
-// batching over i. One worker's share of cffts3.
+// batching over i. One worker's share of the pass.
 func cffts3Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, jlo, jhi int) {
 	n := c.d3
 	for j := jlo; j < jhi; j++ {
@@ -207,12 +188,4 @@ func cffts3Range(is int, c cube, in, out []complex128, r *roots, ws *workspace, 
 			}
 		}
 	}
-}
-
-// cffts3 transforms along the third dimension with rows j split over
-// the team (convenience form; see cffts1).
-func cffts3(is int, c cube, in, out []complex128, r *roots, tm *team.Team) {
-	tm.ForBlock(0, c.d2, func(jlo, jhi int) {
-		cffts3Range(is, c, in, out, r, newWorkspace(c.d3), jlo, jhi)
-	})
 }

@@ -53,34 +53,18 @@ type Benchmark struct {
 	dens  []int32 // global key density / cumulative ranks
 	local [][]int32
 
-	// Bucket machinery (allocated only when env.Buckets is set).
-	bucketSize  []int32 // per-worker x nbuckets counts
-	bucketPtrs  []int32 // per-worker bucket write cursors
-	bucketStart []int32
-
-	// Steady-state machinery: the ranking-region bodies are built once
-	// by New and reused every pass (a closure literal at the Run call
-	// site would allocate per pass), keeping the timed loop free of heap
+	// Steady-state machinery: the ranking-region body is built once by
+	// New and reused every pass (a closure literal at the Run call site
+	// would allocate per pass), keeping the timed loop free of heap
 	// allocation (enforced by internal/allocgate).
-	tm           *team.Team
-	shift        uint // log2(maxKey) - 10, the bucket selector
-	iter         int  // cycling iteration counter for Iter
-	straightBody func(id int)
-	bucketBody   func(id int)
+	tm   *team.Team
+	iter int // cycling iteration counter for Iter
+	body func(id int)
 }
 
-// nbuckets is the bucket count of the C original (2^10).
-const nbuckets = 1 << 10
-
-// New configures IS for the given class and thread count. env.Buckets
-// selects the bucketed ranking algorithm — the USE_BUCKETS variant of
-// the C original: keys are first scattered into 2^10 coarse buckets,
-// then counted bucket-by-bucket, trading a pass of data movement for
-// much better cache locality in the counting phase. Its count/scatter
-// phases always stay static (their write cursors are
-// worker-identity-coupled), but the skewed bucket-density loop — the
-// load-imbalance hot spot — follows env.Schedule. With env.Timers set,
-// each pass's counting region and serial prefix sum are profiled.
+// New configures IS for the given class and thread count. With
+// env.Timers set, each pass's counting region and serial prefix sum are
+// profiled.
 func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
@@ -103,26 +87,11 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	for i := range b.local {
 		b.local[i] = make([]int32, b.maxKey)
 	}
-	if env.Buckets {
-		b.bucketSize = make([]int32, threads*nbuckets)
-		b.bucketPtrs = make([]int32, threads*nbuckets)
-		b.bucketStart = make([]int32, nbuckets+1)
-	}
-	for 1<<(b.shift+10) < b.maxKey {
-		b.shift++
-	}
-	b.buildBodies()
-	return b, nil
-}
-
-// buildBodies constructs the two ranking-region bodies once. Each is a
-// func(id int) handed straight to Team.Run, with loop shares from the
-// team's schedule iterator inside the body, so no closure is created
-// per pass. Both histogram phases are integer sums over disjoint
-// outputs, so any schedule produces identical ranks.
-func (b *Benchmark) buildBodies() {
-	//npblint:hot straight histogram ranking, one region per pass
-	b.straightBody = func(id int) {
+	// Both phases of the body are integer sums over disjoint outputs, so
+	// any schedule produces identical ranks.
+	//
+	//npblint:hot histogram ranking, one region per pass
+	b.body = func(id int) {
 		tm := b.tm
 		loc := b.local[id]
 		for i := range loc {
@@ -150,71 +119,7 @@ func (b *Benchmark) buildBodies() {
 			}
 		}
 	}
-
-	//npblint:hot bucketed (USE_BUCKETS) ranking, one region per pass
-	b.bucketBody = func(id int) {
-		tm := b.tm
-		size := tm.Size()
-		shift := b.shift
-		// Per-worker bucket counts over this worker's key block. The
-		// count and scatter phases must stay on the static Block split:
-		// the per-(worker,bucket) write cursors computed between them
-		// assume each worker scatters exactly the keys it counted.
-		lo, hi := team.Block(0, b.numKeys, size, id)
-		cnt := b.bucketSize[id*nbuckets : (id+1)*nbuckets]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for i := lo; i < hi; i++ {
-			cnt[b.keys[i]>>shift]++
-		}
-		tm.BarrierID(id)
-		// Worker 0 computes global bucket boundaries and per-worker
-		// write cursors (serial; nbuckets is tiny).
-		if id == 0 {
-			pos := int32(0)
-			for bk := 0; bk < nbuckets; bk++ {
-				b.bucketStart[bk] = pos
-				for w := 0; w < size; w++ {
-					b.bucketPtrs[w*nbuckets+bk] = pos
-					pos += b.bucketSize[w*nbuckets+bk]
-				}
-			}
-			b.bucketStart[nbuckets] = pos
-		}
-		tm.BarrierID(id)
-		// Scatter this worker's keys into buff2, bucket-ordered.
-		ptr := b.bucketPtrs[id*nbuckets : (id+1)*nbuckets]
-		for i := lo; i < hi; i++ {
-			k := b.keys[i]
-			bk := k >> shift
-			b.buff2[ptr[bk]] = k
-			ptr[bk]++
-		}
-		tm.BarrierID(id)
-		// Count keys bucket-by-bucket: each chunk owns a contiguous
-		// range of buckets, hence a contiguous, disjoint slice of the
-		// density array — no combining needed. This is the skewed loop
-		// (the Gaussian key distribution loads the middle buckets), so
-		// it runs under the team's schedule.
-		for it := tm.Loop(id, 0, nbuckets); it.Next(); {
-			blo, bhi := it.Lo, it.Hi
-			if blo >= bhi {
-				continue
-			}
-			kmin := blo << shift
-			kmax := bhi << shift
-			if kmax > b.maxKey {
-				kmax = b.maxKey
-			}
-			for key := kmin; key < kmax; key++ {
-				b.dens[key] = 0
-			}
-			for i := b.bucketStart[blo]; i < b.bucketStart[bhi]; i++ {
-				b.dens[b.buff2[i]]++
-			}
-		}
-	}
+	return b, nil
 }
 
 // NumKeys returns the number of keys ranked per iteration.
@@ -246,21 +151,15 @@ func (b *Benchmark) createSeq(tm *team.Team) {
 }
 
 // rank performs one ranking pass: perturb two keys (so each iteration
-// does distinct work), histogram all keys with the straight or the
-// bucketed region — the latter scatters keys into 2^10 coarse buckets
-// first, so the counting walks one small, cache-resident key sub-range
-// at a time — and prefix-sum the histogram into cumulative ranks.
+// does distinct work), histogram all keys, and prefix-sum the histogram
+// into cumulative ranks.
 func (b *Benchmark) rank(tm *team.Team, iteration int) {
 	b.keys[iteration] = int32(iteration)
 	b.keys[iteration+maxIterations] = int32(b.maxKey - iteration)
 
 	b.tm = tm
 	b.env.Start("count")
-	if b.env.Buckets {
-		tm.Run(b.bucketBody)
-	} else {
-		tm.Run(b.straightBody)
-	}
+	tm.Run(b.body)
 	b.env.Stop("count")
 
 	// Serial prefix sum (O(maxKey); the C original is serial here too),

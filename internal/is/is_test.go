@@ -210,34 +210,43 @@ func TestAllKeysEqualSorts(t *testing.T) {
 	}
 }
 
-func TestBucketedMatchesStraightRanks(t *testing.T) {
-	for _, threads := range []int{1, 3} {
-		a, _ := New('S', threads, kernel.Env{})
-		c, _ := New('S', threads, kernel.Env{Buckets: true})
-		tm := team.New(threads)
-		a.createSeq(tm)
-		c.createSeq(tm)
-		for it := 1; it <= 3; it++ {
-			a.rank(tm, it)
-			c.rank(tm, it)
-		}
-		tm.Close()
-		for k := range a.dens {
-			if a.dens[k] != c.dens[k] {
-				t.Fatalf("threads=%d rank of key %d differs: %d vs %d", threads, k, a.dens[k], c.dens[k])
-			}
-		}
+// oracleRanks is the serial counting sort rank is checked against: count
+// every key, then running totals.
+func oracleRanks(keys []int32, maxKey int) []int32 {
+	ranks := make([]int32, maxKey)
+	for _, k := range keys {
+		ranks[k]++
 	}
+	for k := 1; k < maxKey; k++ {
+		ranks[k] += ranks[k-1]
+	}
+	return ranks
 }
 
-func TestBucketedFullRunVerifies(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		b, err := New('S', threads, kernel.Env{Buckets: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res := b.RunResult(); res.OutOfSeq != 0 {
-			t.Fatalf("threads=%d: %d out-of-order pairs (bucketed)", threads, res.OutOfSeq)
+// TestRanksMatchSerialOracle: after each of three class-S passes the
+// ranks are exactly the serial counting sort's, on team sizes that split
+// the keys evenly and unevenly and under schedules that deal the chunks
+// to whichever worker asks — who counted a key must not matter.
+func TestRanksMatchSerialOracle(t *testing.T) {
+	for _, threads := range []int{1, 2, 3, 7} {
+		for _, s := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+			b, err := New('S', threads, kernel.Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm := team.New(threads, team.WithSchedule(s))
+			b.createSeq(tm)
+			for it := 1; it <= 3; it++ {
+				b.rank(tm, it)
+				want := oracleRanks(b.keys, b.maxKey)
+				for k := range want {
+					if b.dens[k] != want[k] {
+						tm.Close()
+						t.Fatalf("threads %d %s pass %d: rank of key %d = %d, oracle %d", threads, s, it, k, b.dens[k], want[k])
+					}
+				}
+			}
+			tm.Close()
 		}
 	}
 }

@@ -44,8 +44,6 @@ type Env struct {
 	// Warmup gives every worker a large busy-work load before the timed
 	// section (the paper's §5.2 thread-placement fix). CG only.
 	Warmup bool
-	// Buckets selects the bucketed ranking algorithm. IS only.
-	Buckets bool
 }
 
 // Team opens the run's team of threads workers with the Env's

@@ -6,12 +6,11 @@ import (
 	"npbgo/internal/team"
 )
 
-// cycle is the reusable V-cycle engine shared by Benchmark and Solver:
-// prebuilt region bodies (the stencils need no scratch), so the timed
-// loop performs no heap allocation (enforced by internal/allocgate).
-// Operands of the current stencil are staged in the st* fields; the
-// bodies read them and split planes with team.Block, replacing the
-// closure a ForBlock call site would create per invocation.
+// cycle is the V-cycle engine: prebuilt region bodies (the stencils need
+// no scratch), so the timed loop performs no heap allocation (enforced
+// by internal/allocgate). Operands of the current stencil are staged in
+// the st* fields; the bodies read them and split planes with the team's
+// Loop.
 type cycle struct {
 	tm   *team.Team
 	a, c [4]float64

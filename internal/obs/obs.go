@@ -1,6 +1,5 @@
 // Package obs is the runtime observability layer: low-overhead
-// per-region metrics for the team runtime, a process-wide registry
-// published through expvar, and a live pprof/expvar HTTP endpoint.
+// per-region metrics for the team runtime.
 //
 // Every anomaly in the paper was found by exactly this kind of
 // instrumentation: CG's thread-placement pathology (§5.2), FT's memory
@@ -52,8 +51,7 @@ type Recorder struct {
 	retunes       atomic.Uint64 // auto-tuner schedule switches
 
 	// pc is the optional hardware-counter sampler folded into snapshots
-	// (AttachCounters); atomic because the registry snapshots recorders
-	// concurrently with a late attach.
+	// (AttachCounters); atomic so a Snapshot may race a late attach.
 	pc atomic.Pointer[perfcount.Sampler]
 }
 
@@ -124,9 +122,9 @@ func (r *Recorder) IncRetune() { r.retunes.Add(1) }
 
 // AttachCounters folds a hardware-counter sampler into this recorder's
 // snapshots: Snapshot carries the sampler's accumulated cycles/IPC/
-// cache-miss figures alongside the timing metrics, and the expvar view
-// derives ipc and llc_miss_rate from them. A nil sampler (counters
-// unavailable or not requested) leaves snapshots exactly as before.
+// cache-miss figures alongside the timing metrics. A nil sampler
+// (counters unavailable or not requested) leaves snapshots exactly as
+// before.
 func (r *Recorder) AttachCounters(pc *perfcount.Sampler) { r.pc.Store(pc) }
 
 // BusyNs returns worker id's accumulated region-body time in
@@ -148,7 +146,7 @@ func (r *Recorder) WaitNs(id int) int64 {
 }
 
 // Stats is a point-in-time snapshot of a Recorder, safe to serialize
-// (expvar/JSON) and to read without synchronization.
+// (JSON) and to read without synchronization.
 type Stats struct {
 	Workers       int
 	Regions       uint64

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -101,95 +98,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestServeExposesExpvarAndPprof boots the live endpoint on a free
-// port, registers a recorder, and checks /debug/vars carries the
-// npb.obs registry and /debug/pprof/ responds.
-func TestServeExposesExpvarAndPprof(t *testing.T) {
-	r := New(2)
-	r.IncRegion()
-	r.AddBusy(0, 2*time.Millisecond)
-	r.AddBusy(1, time.Millisecond)
-	Register("TEST.S.t2", r)
-	defer Register("TEST.S.t2", nil)
-
-	addr, shutdown, err := Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer shutdown()
-
-	get := func(path string) []byte {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return body
-	}
-
-	var vars struct {
-		Obs map[string]statsView `json:"npb.obs"`
-	}
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("unmarshal /debug/vars: %v", err)
-	}
-	cell, ok := vars.Obs["TEST.S.t2"]
-	if !ok {
-		t.Fatalf("npb.obs missing registered cell: %+v", vars.Obs)
-	}
-	if cell.Regions != 1 || cell.Workers != 2 || cell.Imbalance <= 1 {
-		t.Fatalf("cell view wrong: %+v", cell)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(string(body), "goroutine") {
-		t.Fatalf("pprof index unexpected: %.200s", body)
-	}
-}
-
-// TestServePprofSubroutes exercises the routing below /debug/pprof/:
-// named profiles come through the index handler, the explicitly
-// registered cmdline handler responds, and an unknown profile name is
-// rejected rather than silently served as the index page.
-func TestServePprofSubroutes(t *testing.T) {
-	addr, shutdown, err := Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer shutdown()
-
-	status := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := status("/debug/pprof/goroutine?debug=1"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
-		t.Fatalf("goroutine profile: status %d, body %.120q", code, body)
-	}
-	if code, _ := status("/debug/pprof/cmdline"); code != http.StatusOK {
-		t.Fatalf("cmdline: status %d", code)
-	}
-	if code, _ := status("/debug/pprof/notaprofile"); code == http.StatusOK {
-		t.Fatal("unknown profile name served 200; want an error status")
-	}
-	if code, _ := status("/debug/nothere"); code != http.StatusNotFound {
-		t.Fatalf("unregistered path: status %d, want 404", code)
-	}
-}
-
 // TestSnapshotZeroRegions pins the edge case of a recorder that never
 // saw a region: every aggregate is zero (not NaN), the busy extrema
 // are zero, and the rendering helpers still produce output.
@@ -206,21 +114,5 @@ func TestSnapshotZeroRegions(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("String() of an empty snapshot is empty")
-	}
-}
-
-// TestRegisterReplaceAndRemove: same-name registration replaces; nil
-// removes.
-func TestRegisterReplaceAndRemove(t *testing.T) {
-	a, b := New(1), New(1)
-	b.IncRegion()
-	Register("cell", a)
-	Register("cell", b)
-	if got := snapshotAll()["cell"].Regions; got != 1 {
-		t.Fatalf("replacement not visible: regions = %d", got)
-	}
-	Register("cell", nil)
-	if _, ok := snapshotAll()["cell"]; ok {
-		t.Fatal("nil registration did not remove the cell")
 	}
 }

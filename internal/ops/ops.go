@@ -151,8 +151,10 @@ func (w *Workload) AssignmentNested() {
 func (w *Workload) AssignmentParallel(tm *team.Team) {
 	d := w.D
 	plane := d.N1 * d.N2
-	tm.ForBlock(0, d.N3, func(blo, bhi int) {
-		copyLoop(w.A[blo*plane:bhi*plane], w.B[blo*plane:bhi*plane])
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, d.N3); it.Next(); {
+			copyLoop(w.A[it.Lo*plane:it.Hi*plane], w.B[it.Lo*plane:it.Hi*plane])
+		}
 	})
 }
 
@@ -198,8 +200,10 @@ func (w *Workload) FirstOrderNested() {
 
 // FirstOrderParallel splits the outer planes of FirstOrder over tm.
 func (w *Workload) FirstOrderParallel(tm *team.Team) {
-	tm.ForBlock(1, w.D.N3-1, func(blo, bhi int) {
-		w.firstOrderRange(blo, bhi)
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 1, w.D.N3-1); it.Next(); {
+			w.firstOrderRange(it.Lo, it.Hi)
+		}
 	})
 }
 
@@ -249,8 +253,10 @@ func (w *Workload) SecondOrderNested() {
 
 // SecondOrderParallel splits the outer planes of SecondOrder over tm.
 func (w *Workload) SecondOrderParallel(tm *team.Team) {
-	tm.ForBlock(2, w.D.N3-2, func(blo, bhi int) {
-		w.secondOrderRange(blo, bhi)
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 2, w.D.N3-2); it.Next(); {
+			w.secondOrderRange(it.Lo, it.Hi)
+		}
 	})
 }
 
@@ -301,8 +307,10 @@ func (w *Workload) MatVecNested() {
 
 // MatVecParallel splits the outer planes of MatVec over tm.
 func (w *Workload) MatVecParallel(tm *team.Team) {
-	tm.ForBlock(0, w.D.N3, func(blo, bhi int) {
-		w.matVecRange(blo, bhi)
+	tm.Run(func(id int) {
+		for it := tm.Loop(id, 0, w.D.N3); it.Next(); {
+			w.matVecRange(it.Lo, it.Hi)
+		}
 	})
 }
 
@@ -336,12 +344,16 @@ func (w *Workload) ReduceSumNested() float64 {
 	return s
 }
 
-// ReduceSumParallel computes ReduceSum with partial sums per worker
-// combined in deterministic worker order.
+// ReduceSumParallel computes ReduceSum as one partial sum per static
+// block of R, combined in block order: the same bits for a given team
+// size under every schedule.
 func (w *Workload) ReduceSumParallel(tm *team.Team) float64 {
-	return tm.ReduceSum(0, len(w.R), func(blo, bhi int) float64 {
-		return sumRange(w.R, blo, bhi)
+	tm.Run(func(id int) {
+		for it := tm.ReduceBlocks(id, 0, len(w.R)); it.Next(); {
+			*tm.Partial(it.Chunk()) = sumRange(w.R, it.Lo, it.Hi)
+		}
 	})
+	return tm.PartialSum()
 }
 
 // Flop counts for one invocation of each operation, derived from the

@@ -175,35 +175,45 @@ func TestReduceSumMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestParallelVariantsMatchSerial: on even and odd team sizes, under the
+// static and a chunk-dealing schedule, the element-wise operations equal
+// their serial forms bit for bit, and the reduction equals the serial
+// sums of its static blocks added in block order — so it has the same
+// bits under every schedule of one team size.
 func TestParallelVariantsMatchSerial(t *testing.T) {
-	for _, n := range []int{1, 2, 4} {
-		tm := team.New(n)
+	for _, n := range []int{1, 2, 3} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
+			tm := team.New(n, team.WithSchedule(sched))
 
-		ws := NewWorkload(smallDim)
-		wp := NewWorkload(smallDim)
+			ws := NewWorkload(smallDim)
+			wp := NewWorkload(smallDim)
 
-		ws.Assignment()
-		wp.AssignmentParallel(tm)
-		compare(t, "assignment", ws.A, wp.A)
+			ws.Assignment()
+			wp.AssignmentParallel(tm)
+			compare(t, "assignment", ws.A, wp.A)
 
-		ws.FirstOrder()
-		wp.FirstOrderParallel(tm)
-		compare(t, "first-order", ws.A, wp.A)
+			ws.FirstOrder()
+			wp.FirstOrderParallel(tm)
+			compare(t, "first-order", ws.A, wp.A)
 
-		ws.SecondOrder()
-		wp.SecondOrderParallel(tm)
-		compare(t, "second-order", ws.A, wp.A)
+			ws.SecondOrder()
+			wp.SecondOrderParallel(tm)
+			compare(t, "second-order", ws.A, wp.A)
 
-		ws.MatVec()
-		wp.MatVecParallel(tm)
-		compare(t, "matvec", ws.W, wp.W)
+			ws.MatVec()
+			wp.MatVecParallel(tm)
+			compare(t, "matvec", ws.W, wp.W)
 
-		s := ws.ReduceSum()
-		p := wp.ReduceSumParallel(tm)
-		if math.Abs(s-p) > 1e-9*math.Abs(s) {
-			t.Fatalf("threads=%d reduce: %v vs %v", n, s, p)
+			want := 0.0
+			for b := 0; b < n; b++ {
+				lo, hi := team.Block(0, len(ws.R), n, b)
+				want += sumRange(ws.R, lo, hi)
+			}
+			if got := wp.ReduceSumParallel(tm); got != want {
+				t.Fatalf("threads=%d %s reduce: %v, block-order sum %v", n, sched, got, want)
+			}
+			tm.Close()
 		}
-		tm.Close()
 	}
 }
 

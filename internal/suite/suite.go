@@ -1,8 +1,8 @@
 // Package suite is the table of the eight benchmarks: one row per
-// benchmark naming its constructor, its footprint model and the extra
-// configurations the allocation gate measures. The public API (npbgo)
-// and the allocation gate (internal/allocgate) both enumerate it, so a
-// benchmark is wired into the suite in exactly one place.
+// benchmark naming its constructor and its footprint model. The public
+// API (npbgo) and the allocation gate (internal/allocgate) both
+// enumerate it, so a benchmark is wired into the suite in exactly one
+// place.
 package suite
 
 import (
@@ -27,10 +27,6 @@ type Row struct {
 	// Footprint estimates the working-set bytes New will allocate, from
 	// the benchmark's own model of its dominant arrays.
 	Footprint func(class byte, threads int) (uint64, error)
-	// Variants are the Envs, by name, that select a different
-	// steady-state code path and are therefore gated beside the plain
-	// one (as "<bench>-<variant>").
-	Variants map[string]kernel.Env
 }
 
 // Rows lists the suite in the paper's table order (BT, SP, LU, FT, IS,
@@ -40,8 +36,7 @@ var Rows = []Row{
 	{Name: "SP", New: lift(sp.New), Footprint: sp.Footprint},
 	{Name: "LU", New: lift(lu.New), Footprint: lu.Footprint},
 	{Name: "FT", New: lift(ft.New), Footprint: ft.Footprint},
-	{Name: "IS", New: lift(is.New), Footprint: is.Footprint,
-		Variants: map[string]kernel.Env{"buckets": {Buckets: true}}},
+	{Name: "IS", New: lift(is.New), Footprint: is.Footprint},
 	{Name: "CG", New: lift(cg.New), Footprint: cg.Footprint},
 	{Name: "MG", New: lift(mg.New), Footprint: mg.Footprint},
 	{Name: "EP", New: lift(ep.New), Footprint: ep.Footprint},

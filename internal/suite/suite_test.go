@@ -6,25 +6,17 @@ import (
 	"npbgo/internal/kernel"
 )
 
-// TestRows holds every row to the contract: it constructs at class S
-// (plain and each gated variant), reports a non-zero footprint, and
-// rejects an unknown class and a thread count below one with an error
-// and a nil Kernel.
+// TestRows holds every row to the contract: it constructs at class S,
+// reports a non-zero footprint, and rejects an unknown class and a
+// thread count below one with an error and a nil Kernel.
 func TestRows(t *testing.T) {
 	for _, r := range Rows {
 		t.Run(r.Name, func(t *testing.T) {
 			if got, ok := Lookup(r.Name); !ok || got.Name != r.Name {
 				t.Fatalf("Lookup(%q) = %q, %v", r.Name, got.Name, ok)
 			}
-			envs := []kernel.Env{{}}
-			for _, env := range r.Variants {
-				envs = append(envs, env)
-			}
-			for _, env := range envs {
-				k, err := r.New('S', 2, env)
-				if err != nil || k == nil {
-					t.Fatalf("New('S', 2, %+v) = %v, %v", env, k, err)
-				}
+			if k, err := r.New('S', 2, kernel.Env{}); err != nil || k == nil {
+				t.Fatalf("New('S', 2) = %v, %v", k, err)
 			}
 			if n, err := r.Footprint('S', 2); err != nil || n == 0 {
 				t.Fatalf("Footprint('S', 2) = %d, %v", n, err)

@@ -84,7 +84,7 @@ func TestCountersConcurrentSampling(t *testing.T) {
 		}
 	}()
 	for r := 0; r < 50; r++ {
-		tm.For(0, 4*n, func(i int) {
+		forEach(tm, 0, 4*n, func(i int) {
 			x := 1.0
 			for k := 0; k < 20_000; k++ {
 				x = x*1.0000001 + 0.5
@@ -101,7 +101,7 @@ func TestCountersConcurrentSampling(t *testing.T) {
 func TestCountersNilDisabled(t *testing.T) {
 	tm := New(2, WithCounters(nil))
 	defer tm.Close()
-	sum := tm.ReduceSum(0, 100, func(lo, hi int) float64 {
+	sum := reduceSum(tm, 0, 100, func(lo, hi int) float64 {
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s++

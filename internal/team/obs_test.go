@@ -8,17 +8,16 @@ import (
 	"npbgo/internal/obs"
 )
 
-// TestRecorderCountsRegionsAndBusy: every region form (Run, For,
-// ForBlock, ReduceSum, the n==1 inline paths) is counted and charges
-// per-worker busy time.
+// TestRecorderCountsRegionsAndBusy: every region, on a size-1 team as on
+// a dispatched one, is counted and charges per-worker busy time.
 func TestRecorderCountsRegionsAndBusy(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		rec := obs.New(n)
 		tm := New(n, WithRecorder(rec))
 		tm.Run(func(id int) { time.Sleep(time.Millisecond) })
-		tm.For(0, 8, func(i int) {})
-		tm.ForBlock(0, 8, func(blo, bhi int) {})
-		_ = tm.ReduceSum(0, 8, func(blo, bhi int) float64 { return 1 })
+		forEach(tm, 0, 8, func(i int) {})
+		forBlock(tm, 0, 8, func(blo, bhi int) {})
+		_ = reduceSum(tm, 0, 8, func(blo, bhi int) float64 { return 1 })
 		tm.Close()
 
 		s := rec.Snapshot()

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// Regression tests for the cancellation-correctness fixes: before them,
-// ReduceSum/PartialSum/Warmup on a cancelled team silently returned
-// sums of stale partial slots, the n==1 inline For/ForBlock/ReduceSum
-// paths ran their bodies on a cancelled team, and concurrent Close
-// calls raced on an unguarded bool.
+// Regression tests for the cancellation-correctness fixes: a reduction
+// (a region then PartialSum — reduceSum here) or Warmup on a cancelled
+// team must not return sums of stale partial slots, a size-1 team must
+// not run region bodies once cancelled, and concurrent Close calls must
+// not race on the closed flag.
 
 // TestReduceSumCancelledReturnsZero: a cancelled team must not sum the
 // previous region's partials (they are stale) — it returns 0 and the
@@ -21,13 +21,13 @@ func TestReduceSumCancelledReturnsZero(t *testing.T) {
 	defer tm.Close()
 
 	body := func(blo, bhi int) float64 { return float64(bhi - blo) }
-	if got := tm.ReduceSum(0, 100, body); got != 100 {
+	if got := reduceSum(tm, 0, 100, body); got != 100 {
 		t.Fatalf("warm-up ReduceSum = %v, want 100", got)
 	}
 
 	tm.Cancel(errors.New("stop"))
 	var ran atomic.Bool
-	got := tm.ReduceSum(0, 100, func(blo, bhi int) float64 {
+	got := reduceSum(tm, 0, 100, func(blo, bhi int) float64 {
 		ran.Store(true)
 		return float64(bhi - blo)
 	})
@@ -68,43 +68,43 @@ func TestWarmupCancelledReturnsZero(t *testing.T) {
 	}
 }
 
-// TestInlinePathsHonorCancellation: with n == 1 the For/ForBlock/
-// ReduceSum bodies used to run inline even on a cancelled team,
-// bypassing the no-op semantics the dispatched n>1 path has.
+// TestInlinePathsHonorCancellation: a size-1 team runs region bodies on
+// the caller; once cancelled it must skip them, the no-op semantics the
+// dispatched n>1 path has.
 func TestInlinePathsHonorCancellation(t *testing.T) {
 	tm := New(1)
 	defer tm.Close()
 	tm.Cancel(errors.New("stop"))
 
 	var ran atomic.Bool
-	tm.For(0, 10, func(i int) { ran.Store(true) })
+	forEach(tm, 0, 10, func(i int) { ran.Store(true) })
 	if ran.Load() {
-		t.Fatal("For body ran inline on a cancelled size-1 team")
+		t.Fatal("forEach body ran on a cancelled size-1 team")
 	}
-	tm.ForBlock(0, 10, func(blo, bhi int) { ran.Store(true) })
+	forBlock(tm, 0, 10, func(blo, bhi int) { ran.Store(true) })
 	if ran.Load() {
-		t.Fatal("ForBlock body ran inline on a cancelled size-1 team")
+		t.Fatal("forBlock body ran on a cancelled size-1 team")
 	}
-	if got := tm.ReduceSum(0, 10, func(blo, bhi int) float64 { ran.Store(true); return 1 }); got != 0 || ran.Load() {
-		t.Fatalf("ReduceSum on cancelled size-1 team: got %v, body ran %v", got, ran.Load())
+	if got := reduceSum(tm, 0, 10, func(blo, bhi int) float64 { ran.Store(true); return 1 }); got != 0 || ran.Load() {
+		t.Fatalf("reduceSum on cancelled size-1 team: got %v, body ran %v", got, ran.Load())
 	}
 }
 
 // TestInlinePathsStillRunUncancelled guards the fix against
-// over-correction: a live size-1 team still runs the bodies inline.
+// over-correction: a live size-1 team still runs the bodies.
 func TestInlinePathsStillRunUncancelled(t *testing.T) {
 	tm := New(1)
 	defer tm.Close()
 	var n atomic.Int64
-	tm.For(0, 5, func(i int) { n.Add(1) })
+	forEach(tm, 0, 5, func(i int) { n.Add(1) })
 	if n.Load() != 5 {
 		t.Fatalf("For ran %d iterations, want 5", n.Load())
 	}
-	tm.ForBlock(0, 5, func(blo, bhi int) { n.Add(int64(bhi - blo)) })
+	forBlock(tm, 0, 5, func(blo, bhi int) { n.Add(int64(bhi - blo)) })
 	if n.Load() != 10 {
 		t.Fatalf("ForBlock covered %d total, want 10", n.Load())
 	}
-	if got := tm.ReduceSum(0, 4, func(blo, bhi int) float64 { return float64(bhi - blo) }); got != 4 {
+	if got := reduceSum(tm, 0, 4, func(blo, bhi int) float64 { return float64(bhi - blo) }); got != 4 {
 		t.Fatalf("ReduceSum = %v, want 4", got)
 	}
 }
@@ -134,10 +134,10 @@ func TestCloseConcurrent(t *testing.T) {
 func TestCancelledReduceSumMidRegion(t *testing.T) {
 	tm := New(2)
 	defer tm.Close()
-	if got := tm.ReduceSum(0, 2, func(blo, bhi int) float64 { return 1000 }); got != 2000 {
+	if got := reduceSum(tm, 0, 2, func(blo, bhi int) float64 { return 1000 }); got != 2000 {
 		t.Fatalf("seed ReduceSum = %v, want 2000", got)
 	}
-	got := tm.ReduceSum(0, 2, func(blo, bhi int) float64 {
+	got := reduceSum(tm, 0, 2, func(blo, bhi int) float64 {
 		tm.Cancel(errors.New("mid-region stop"))
 		return 1
 	})

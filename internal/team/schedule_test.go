@@ -38,7 +38,7 @@ func TestScheduleForCoversEachIndexExactlyOnce(t *testing.T) {
 			for _, r := range ranges {
 				for rep := 0; rep < 5; rep++ {
 					hits := make([]int32, r.hi)
-					tm.For(r.lo, r.hi, func(i int) { atomic.AddInt32(&hits[i], 1) })
+					forEach(tm, r.lo, r.hi, func(i int) { atomic.AddInt32(&hits[i], 1) })
 					for i := 0; i < r.lo; i++ {
 						if hits[i] != 0 {
 							t.Fatalf("%v n=%d [%d,%d): index %d below range touched", s, n, r.lo, r.hi, i)
@@ -65,7 +65,7 @@ func TestScheduleGrainCoverage(t *testing.T) {
 		for _, grain := range []int{1, 7, 5000} {
 			tm := New(4, WithSchedule(s), WithGrain(grain))
 			hits := make([]int32, 600)
-			tm.For(0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+			forEach(tm, 0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
 			tm.Close()
 			for i, h := range hits {
 				if h != 1 {
@@ -122,8 +122,8 @@ func TestScheduleMultipleLoopsPerRegion(t *testing.T) {
 	}
 }
 
-// TestScheduleForBlockBitIdenticalToStatic: an element-wise stencil via
-// ForBlock writes the exact same bytes under every schedule, because
+// TestScheduleForBlockBitIdenticalToStatic: an element-wise stencil over
+// Loop chunks writes the exact same bytes under every schedule, because
 // scheduling moves chunks between workers without changing which chunk
 // owns which index.
 func TestScheduleForBlockBitIdenticalToStatic(t *testing.T) {
@@ -138,7 +138,7 @@ func TestScheduleForBlockBitIdenticalToStatic(t *testing.T) {
 		out := make([]float64, span)
 		tm := New(n, WithSchedule(s))
 		defer tm.Close()
-		tm.ForBlock(1, span-1, func(blo, bhi int) {
+		forBlock(tm, 1, span-1, func(blo, bhi int) {
 			for i := blo; i < bhi; i++ {
 				out[i] = 0.5*in[i-1] + in[i]/3.0 + 0.25*in[i+1]
 			}
@@ -182,12 +182,12 @@ func TestScheduleReduceSumBitIdenticalToStatic(t *testing.T) {
 	}
 	for _, n := range []int{2, 4, 7} {
 		tmStatic := New(n, WithSchedule(Static))
-		want := tmStatic.ReduceSum(0, len(vals), body)
+		want := reduceSum(tmStatic, 0, len(vals), body)
 		tmStatic.Close()
 		for _, s := range []Schedule{Dynamic, Guided, Stealing, Auto} {
 			tm := New(n, WithSchedule(s))
 			for rep := 0; rep < 10; rep++ {
-				if got := tm.ReduceSum(0, len(vals), body); got != want {
+				if got := reduceSum(tm, 0, len(vals), body); got != want {
 					t.Fatalf("%v n=%d rep %d: ReduceSum = %v, static = %v", s, n, rep, got, want)
 				}
 			}
@@ -196,17 +196,17 @@ func TestScheduleReduceSumBitIdenticalToStatic(t *testing.T) {
 	}
 }
 
-// TestScheduleCancelledTeamSkipsLoops: the cancellation semantics of
-// For/ForBlock/ReduceSum are schedule-independent — a cancelled team
-// never runs a body and a reduction returns 0.
+// TestScheduleCancelledTeamSkipsLoops: the cancellation semantics of a
+// region are schedule-independent — a cancelled team never runs a body
+// and a reduction returns 0.
 func TestScheduleCancelledTeamSkipsLoops(t *testing.T) {
 	for _, s := range allSchedules() {
 		tm := New(3, WithSchedule(s))
 		tm.Cancel(errors.New("stop"))
 		var ran atomic.Bool
-		tm.For(0, 100, func(i int) { ran.Store(true) })
-		tm.ForBlock(0, 100, func(blo, bhi int) { ran.Store(true) })
-		got := tm.ReduceSum(0, 100, func(blo, bhi int) float64 { ran.Store(true); return 1 })
+		forEach(tm, 0, 100, func(i int) { ran.Store(true) })
+		forBlock(tm, 0, 100, func(blo, bhi int) { ran.Store(true) })
+		got := reduceSum(tm, 0, 100, func(blo, bhi int) float64 { ran.Store(true); return 1 })
 		tm.Close()
 		if ran.Load() {
 			t.Fatalf("%v: a loop body ran on a cancelled team", s)
@@ -218,15 +218,15 @@ func TestScheduleCancelledTeamSkipsLoops(t *testing.T) {
 }
 
 // TestScheduleMidFlightCancelReturnsZero: a body cancelling the team
-// while chunks are still being dealt must yield 0 from ReduceSum under
+// while chunks are still being dealt must yield 0 from PartialSum under
 // every schedule, not a mix of fresh and stale partials.
 func TestScheduleMidFlightCancelReturnsZero(t *testing.T) {
 	for _, s := range allSchedules() {
 		tm := New(2, WithSchedule(s))
-		if got := tm.ReduceSum(0, 2, func(blo, bhi int) float64 { return 1000 }); got != 2000 {
+		if got := reduceSum(tm, 0, 2, func(blo, bhi int) float64 { return 1000 }); got != 2000 {
 			t.Fatalf("%v: seed ReduceSum = %v, want 2000", s, got)
 		}
-		got := tm.ReduceSum(0, 2, func(blo, bhi int) float64 {
+		got := reduceSum(tm, 0, 2, func(blo, bhi int) float64 {
 			tm.Cancel(errors.New("mid-region stop"))
 			return 1
 		})
@@ -256,7 +256,7 @@ func TestScheduleWorkerPanicUnwinds(t *testing.T) {
 		}
 		// The team must still schedule correctly after the failure.
 		hits := make([]int32, 300)
-		tm.For(0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+		forEach(tm, 0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
 		tm.Close()
 		for i, h := range hits {
 			if h != 1 {
@@ -273,7 +273,7 @@ func TestStealingRecordsSteals(t *testing.T) {
 	tm := New(2, WithSchedule(Stealing), WithRecorder(rec))
 	defer tm.Close()
 	var slow atomic.Bool
-	tm.For(0, 64, func(i int) {
+	forEach(tm, 0, 64, func(i int) {
 		// Worker 0 owns the front chunks; make the very first index slow
 		// so the other worker drains both deques meanwhile.
 		if i == 0 && slow.CompareAndSwap(false, true) {
@@ -399,13 +399,13 @@ func TestBlockRejectsOutOfRangeID(t *testing.T) {
 	}
 }
 
-// TestReduceSumSizeOneMidFlightCancel: the n==1 inline ReduceSum used
-// to return the body's partial even when the body cancelled the team —
-// the dispatched path returns 0, and the inline path must match.
+// TestReduceSumSizeOneMidFlightCancel: a size-1 team's reduction must
+// not return the body's partial when the body cancelled the team — the
+// dispatched path returns 0, and size 1 must match.
 func TestReduceSumSizeOneMidFlightCancel(t *testing.T) {
 	tm := New(1)
 	defer tm.Close()
-	got := tm.ReduceSum(0, 10, func(blo, bhi int) float64 {
+	got := reduceSum(tm, 0, 10, func(blo, bhi int) float64 {
 		tm.Cancel(errors.New("stop from inside"))
 		return 42
 	})

@@ -502,8 +502,7 @@ func (t *Team) takeFailure() error {
 // and no trace events are recorded (an unattributed wait has no worker
 // timeline to land on). Region bodies — where the worker id is always
 // in scope — should call BarrierID instead; the benchmark kernels all
-// do, and this wrapper remains for id-free contexts such as tests and
-// examples.
+// do.
 func (t *Team) Barrier() { t.BarrierID(-1) }
 
 // BarrierID is Barrier with per-worker attribution: id must be the
@@ -560,126 +559,6 @@ func Block(lo, hi, parts, id int) (blo, bhi int) {
 		bhi++
 	}
 	return blo, bhi
-}
-
-// inline runs a size-1 team's loop body on the caller with the same
-// region and trace accounting as a dispatched region. Callers have
-// already checked the halt flag.
-func (t *Team) inline(fn func()) {
-	if t.tr != nil {
-		seq := t.regionSeq.Add(1)
-		t.tr.RegionBegin(seq)
-		t.tr.BlockBegin(0, seq)
-		defer func() {
-			t.tr.BlockEnd(0, seq)
-			t.tr.RegionEnd(seq)
-		}()
-	}
-	if t.pc != nil {
-		t.pc.RegionStart(0)
-		defer t.pc.RegionEnd(0)
-	}
-	if t.rec == nil {
-		fn()
-		return
-	}
-	t.rec.IncRegion()
-	start := time.Now()
-	fn()
-	t.rec.AddBusy(0, time.Since(start))
-}
-
-// For runs body(i) for every i in [lo, hi) with iterations distributed
-// over the team by its schedule (one static block per worker by
-// default), as a complete parallel region (fork + join). On a cancelled
-// team For is a no-op, like Run; callers observe the cancellation
-// through Cancelled().
-func (t *Team) For(lo, hi int, body func(i int)) {
-	if t.n == 1 {
-		if t.lot.halt.Load() {
-			return // same no-op semantics as the dispatched n>1 path
-		}
-		t.inline(func() {
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		})
-		return
-	}
-	t.Run(func(id int) {
-		for it := t.Loop(id, lo, hi); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				body(i)
-			}
-		}
-	})
-}
-
-// ForBlock runs body(blo, bhi) once per scheduled chunk of [lo, hi) —
-// under the default static schedule, exactly once per worker with that
-// worker's Block share — as a complete parallel region. Benchmarks use
-// this form so the worker can keep its own inner loop nests, exactly
-// like the translated Java run() bodies. On a cancelled team ForBlock
-// is a no-op, like Run.
-func (t *Team) ForBlock(lo, hi int, body func(blo, bhi int)) {
-	if t.n == 1 {
-		if t.lot.halt.Load() {
-			return // same no-op semantics as the dispatched n>1 path
-		}
-		t.inline(func() { body(lo, hi) })
-		return
-	}
-	t.Run(func(id int) {
-		for it := t.Loop(id, lo, hi); it.Next(); {
-			body(it.Lo, it.Hi)
-		}
-	})
-}
-
-// ReduceSum runs body over the Size() static blocks of [lo, hi), each
-// chunk returning its partial sum, and returns the total. The chunk
-// decomposition is the static one under every schedule — only the
-// worker that runs each block varies — and each block's partial lands
-// in the slot of its block index, summed in block order, so the result
-// is bit-reproducible for a given team size no matter the schedule. On
-// a cancelled team the region is skipped and ReduceSum returns 0 —
-// never a sum of stale partials from an earlier region — so callers
-// must check Cancelled() before using the result.
-func (t *Team) ReduceSum(lo, hi int, body func(blo, bhi int) float64) float64 {
-	if t.lot.halt.Load() {
-		return 0
-	}
-	if t.n == 1 {
-		var sum float64
-		t.inline(func() { sum = body(lo, hi) })
-		if t.lot.halt.Load() {
-			// The body cancelled the team mid-flight: return 0 like the
-			// dispatched path, never a partial of an aborted region.
-			return 0
-		}
-		if t.tr != nil {
-			t.tr.Reduce(t.regionSeq.Load())
-		}
-		return sum
-	}
-	t.Run(func(id int) {
-		for it := t.ReduceBlocks(id, lo, hi); it.Next(); {
-			t.partial[it.Chunk()].v = body(it.Lo, it.Hi)
-		}
-	})
-	if t.lot.halt.Load() {
-		// The region was skipped or unwound mid-flight: some slots may
-		// still hold a previous region's partials.
-		return 0
-	}
-	sum := 0.0
-	for id := 0; id < t.n; id++ {
-		sum += t.partial[id].v
-	}
-	if t.tr != nil {
-		t.tr.Reduce(t.regionSeq.Load())
-	}
-	return sum
 }
 
 // Partial exposes worker id's reduction slot for regions that manage

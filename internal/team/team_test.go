@@ -76,7 +76,7 @@ func TestForCoversEachIndexExactlyOnce(t *testing.T) {
 		tm := New(n)
 		const lo, hi = 3, 250
 		hits := make([]int32, hi)
-		tm.For(lo, hi, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		forEach(tm, lo, hi, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		tm.Close()
 		for i := 0; i < lo; i++ {
 			if hits[i] != 0 {
@@ -96,7 +96,7 @@ func TestForBlockCoversRange(t *testing.T) {
 	defer tm.Close()
 	var mu sync.Mutex
 	covered := make(map[int]bool)
-	tm.ForBlock(0, 101, func(blo, bhi int) {
+	forBlock(tm, 0, 101, func(blo, bhi int) {
 		mu.Lock()
 		for i := blo; i < bhi; i++ {
 			if covered[i] {
@@ -124,7 +124,7 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 	}
 	for _, n := range []int{1, 2, 4, 7} {
 		tm := New(n)
-		got := tm.ReduceSum(0, len(vals), func(blo, bhi int) float64 {
+		got := reduceSum(tm, 0, len(vals), func(blo, bhi int) float64 {
 			s := 0.0
 			for i := blo; i < bhi; i++ {
 				s += vals[i]
@@ -162,9 +162,9 @@ func TestReduceSumDeterministicAcrossRepeats(t *testing.T) {
 		}
 		return s
 	}
-	first := tm.ReduceSum(0, len(vals), body)
+	first := reduceSum(tm, 0, len(vals), body)
 	for rep := 0; rep < 20; rep++ {
-		if got := tm.ReduceSum(0, len(vals), body); got != first {
+		if got := reduceSum(tm, 0, len(vals), body); got != first {
 			t.Fatalf("repeat %d: %v != %v (reduction not deterministic)", rep, got, first)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"npbgo/internal/obs"
 	"npbgo/internal/trace"
 )
 
@@ -20,17 +21,17 @@ func kindCount(tk trace.Track) map[trace.Kind]int {
 	return m
 }
 
-// TestTracerRecordsRegionsAndBlocks: every region form produces one
-// paired region span on the master track and one paired block span per
-// worker, on both the team and the n==1 inline path.
+// TestTracerRecordsRegionsAndBlocks: every region produces one paired
+// region span on the master track and one paired block span per worker,
+// on a size-1 team as on a dispatched one.
 func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		tr := trace.New(n)
 		tm := New(n, WithTracer(tr))
 		tm.Run(func(id int) {})
-		tm.For(0, 8, func(i int) {})
-		tm.ForBlock(0, 8, func(blo, bhi int) {})
-		_ = tm.ReduceSum(0, 8, func(blo, bhi int) float64 { return 1 })
+		forEach(tm, 0, 8, func(i int) {})
+		forBlock(tm, 0, 8, func(blo, bhi int) {})
+		_ = reduceSum(tm, 0, 8, func(blo, bhi int) float64 { return 1 })
 		tm.Close()
 
 		s := tr.Snapshot()
@@ -39,9 +40,6 @@ func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 			t.Fatalf("n=%d: master region events = %d/%d, want 4/4",
 				n, master[trace.KindRegionBegin], master[trace.KindRegionEnd])
 		}
-		if master[trace.KindReduce] != 1 {
-			t.Fatalf("n=%d: reduce instants = %d, want 1", n, master[trace.KindReduce])
-		}
 		for id := 0; id < n; id++ {
 			w := kindCount(s.Tracks[id])
 			if w[trace.KindBlockBegin] != 4 || w[trace.KindBlockEnd] != 4 {
@@ -49,6 +47,32 @@ func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 					n, id, w[trace.KindBlockBegin], w[trace.KindBlockEnd])
 			}
 		}
+	}
+}
+
+// TestSizeOneRunAccounting: a size-1 team's region goes through the
+// same accounting as a dispatched one — one region counted, the body's
+// time charged to worker 0, and a region span enclosing one block span.
+func TestSizeOneRunAccounting(t *testing.T) {
+	rec, tr := obs.New(1), trace.New(1)
+	tm := New(1, WithRecorder(rec), WithTracer(tr))
+	tm.Run(func(id int) { time.Sleep(time.Millisecond) })
+	tm.Close()
+
+	st := rec.Snapshot()
+	if st.Regions != 1 || st.Busy[0] < time.Millisecond {
+		t.Fatalf("regions = %d, busy = %v; want 1 region and >= 1ms busy", st.Regions, st.Busy[0])
+	}
+	s := tr.Snapshot()
+	worker, master := s.Tracks[0].Events, s.Tracks[1].Events
+	if len(master) != 2 || master[0].Kind != trace.KindRegionBegin || master[1].Kind != trace.KindRegionEnd {
+		t.Fatalf("master events = %+v, want one RegionBegin/RegionEnd pair", master)
+	}
+	if len(worker) != 2 || worker[0].Kind != trace.KindBlockBegin || worker[1].Kind != trace.KindBlockEnd {
+		t.Fatalf("worker 0 events = %+v, want one BlockBegin/BlockEnd pair", worker)
+	}
+	if !(master[0].TS <= worker[0].TS && worker[0].TS <= worker[1].TS && worker[1].TS <= master[1].TS) {
+		t.Fatalf("block span %d..%d not inside region span %d..%d", worker[0].TS, worker[1].TS, master[0].TS, master[1].TS)
 	}
 }
 

@@ -52,7 +52,7 @@ func spanName(e Event) string {
 // argsFor attaches the correlation id under a kind-appropriate key.
 func argsFor(e Event) map[string]any {
 	switch e.Kind {
-	case KindRegionBegin, KindBlockBegin, KindReduce:
+	case KindRegionBegin, KindBlockBegin:
 		return map[string]any{"seq": e.ID}
 	case KindBarrierArrive:
 		return map[string]any{"gen": e.ID}

@@ -1,7 +1,7 @@
 // Optional runtime/trace integration: when the process is being traced
-// with the Go execution tracer (go test -trace, or the /debug/pprof/
-// trace endpoint obs.Serve exposes), benchmark runs are annotated as
-// runtime/trace tasks and parallel regions as runtime/trace regions,
+// with the Go execution tracer (go test -trace), benchmark runs are
+// annotated as runtime/trace tasks and parallel regions as runtime/trace
+// regions,
 // so `go tool trace` shows NPB phases on the same timeline as the
 // scheduler's goroutine view — where a thread-placement anomaly like
 // the paper's §5.2 actually lives. When the Go tracer is off both

@@ -49,7 +49,6 @@ const (
 	KindPipeWaitBegin                  // worker: blocked on a pipeline token
 	KindPipeWaitEnd                    // worker: pipeline token consumed
 	KindPipeSignal                     // worker instant: pipeline token posted
-	KindReduce                         // master instant: reduction combined
 	KindCancel                         // runtime instant: team cancelled
 	KindPanic                          // worker instant: panic captured
 	KindPhaseBegin                     // master: named benchmark phase started
@@ -72,8 +71,6 @@ func (k Kind) String() string {
 		return "pipeline wait"
 	case KindPipeSignal:
 		return "pipeline post"
-	case KindReduce:
-		return "reduce"
 	case KindCancel:
 		return "cancel"
 	case KindPanic:
@@ -118,7 +115,7 @@ func (r *ring) emit(e Event) {
 }
 
 // Tracer records event timelines for one team: one ring per worker,
-// one master ring for region/phase/reduce events, and one runtime ring
+// one master ring for region/phase events, and one runtime ring
 // for asynchronous events. A nil *Tracer is the disabled state; the
 // instrumented code checks the pointer, exactly like obs.Recorder.
 type Tracer struct {
@@ -252,11 +249,6 @@ func (t *Tracer) Steal(id int, victim uint64) {
 // is the new schedule's name.
 func (t *Tracer) Retune(name string) {
 	t.master().emit(Event{TS: t.now(), Kind: KindRetune, Name: name})
-}
-
-// Reduce marks the master combining the partials of region seq.
-func (t *Tracer) Reduce(seq uint64) {
-	t.master().emit(Event{TS: t.now(), ID: seq, Kind: KindReduce})
 }
 
 // Cancel marks the team's (first) cancellation. It may be called from

@@ -8,7 +8,7 @@ import (
 
 // record plays a small two-worker run into tr: one region with both
 // workers passing one traced barrier (generation 7), a pipeline stall
-// on worker 1, a master phase, and a reduce.
+// on worker 1, and a master phase.
 func record(tr *Tracer) {
 	tr.RegionBegin(1)
 	tr.BeginPhase("sweeps")
@@ -23,7 +23,6 @@ func record(tr *Tracer) {
 	for id := 0; id < 2; id++ {
 		tr.BlockEnd(id, 1)
 	}
-	tr.Reduce(1)
 	tr.EndPhase("sweeps")
 	tr.RegionEnd(1)
 }
@@ -36,7 +35,7 @@ func TestSnapshotTracksAndCounts(t *testing.T) {
 		t.Fatalf("got %d workers, %d tracks; want 2 workers, 4 tracks", s.Workers, len(s.Tracks))
 	}
 	wantNames := []string{"worker 0", "worker 1", "master", "runtime"}
-	wantEvents := []int{5, 6, 5, 0} // w0 adds the pipe signal, w1 the wait pair; master: region+phase pairs + reduce
+	wantEvents := []int{5, 6, 4, 0} // w0 adds the pipe signal, w1 the wait pair; master: region+phase pairs
 	for i, tk := range s.Tracks {
 		if tk.Name != wantNames[i] {
 			t.Errorf("track %d name = %q, want %q", i, tk.Name, wantNames[i])
@@ -48,8 +47,8 @@ func TestSnapshotTracksAndCounts(t *testing.T) {
 			t.Errorf("track %q drops = %d, want 0", tk.Name, tk.Drops)
 		}
 	}
-	if s.Events() != 16 {
-		t.Errorf("Events() = %d, want 16", s.Events())
+	if s.Events() != 15 {
+		t.Errorf("Events() = %d, want 15", s.Events())
 	}
 	if s.Drops() != 0 {
 		t.Errorf("Drops() = %d, want 0", s.Drops())

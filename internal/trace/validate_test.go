@@ -94,7 +94,7 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 	data := `{"displayTimeUnit":"ns","traceEvents":[
 		{"ph":"M","pid":1,"ts":0,"tid":0,"name":"thread_name","args":{"name":"worker 0"}},
 		{"ph":"B","ts":1,"pid":1,"tid":0,"name":"work"},
-		{"ph":"i","ts":2,"pid":1,"tid":0,"s":"t","name":"reduce"},
+		{"ph":"i","ts":2,"pid":1,"tid":0,"s":"t","name":"chunk"},
 		{"ph":"E","ts":3,"pid":1,"tid":0,"name":""},
 		{"ph":"s","ts":3,"pid":1,"tid":0,"id":"4","name":"barrier"},
 		{"ph":"f","ts":4,"pid":1,"tid":1,"bp":"e","id":"4","name":"barrier"}]}`

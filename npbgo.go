@@ -69,15 +69,9 @@ type Config struct {
 	// Profile enables per-phase timing; the profile text lands in
 	// Result.Profile.
 	Profile bool
-	// Buckets selects IS's bucketed ranking algorithm (the C original's
-	// USE_BUCKETS path). Ignored by the other benchmarks.
-	Buckets bool
 	// Obs collects runtime metrics for the run: per-worker busy and
 	// barrier-wait times, region/cancellation/panic counts and the
-	// worker-imbalance ratio land in Result.Obs, and the run's recorder
-	// is registered in the obs expvar registry under
-	// "<bench>.<class>.t<threads>" for live inspection. Obs implies
-	// Profile.
+	// worker-imbalance ratio land in Result.Obs. Obs implies Profile.
 	Obs bool
 	// Trace records per-worker event timelines for the run — region
 	// blocks, barrier arrive/release, LU pipeline waits, cancellations
@@ -225,13 +219,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return fail(ErrCancelled, err)
 	}
-	env := kernel.Env{Schedule: sched, Warmup: cfg.Warmup, Buckets: cfg.Buckets}
+	env := kernel.Env{Schedule: sched, Warmup: cfg.Warmup}
 	if cfg.Profile || cfg.Obs {
 		env.Timers = timer.NewConcurrentSet()
 	}
 	if cfg.Obs {
 		env.Rec = obs.New(cfg.Threads)
-		obs.Register(fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads), env.Rec)
 	}
 	if cfg.Trace {
 		env.Tr = trace.New(cfg.Threads)
