@@ -184,6 +184,6 @@ tables:
 clean:
 	$(GO) clean ./...
 	rm -rf bin
-	rm -f perf-base.json perf-head.json soak-journal.jsonl sched-auto.json counters-smoke.json counters-cells.jsonl
-	rm -rf prof-w prof-base prof-head
+	rm -f perf-base.json perf-head.json soak-journal.jsonl sched-auto.json counters-smoke.json counters-cells.jsonl npb-metrics.jsonl
+	rm -rf prof-w prof-base prof-head traces profiles
 	rm -f prof-w.json prof-base.json prof-head.json

@@ -1,10 +1,10 @@
 // Command npbescape reports, baselines, and diffs the Go compiler's
 // escape-analysis verdicts for the suite's hot packages. It is the
-// compiler-precision leg of the allocation discipline: hotalloc flags
-// allocation syntax in hot regions, allocgate measures steady-state
-// allocations per iteration, and npbescape pins the full set of heap
-// escapes the compiler proves, so a refactor that quietly turns a
-// stack value into a heap allocation fails CI with a named site.
+// second of the allocation discipline's two gates: allocgate measures
+// steady-state allocations per iteration, and npbescape pins the full
+// set of heap escapes the compiler proves, so a refactor that quietly
+// turns a stack value into a heap allocation fails CI with a named
+// file:line site.
 //
 // Usage:
 //
@@ -34,11 +34,12 @@ import (
 
 // defaultPkgs are the hot packages the report covers: the eight kernels
 // plus the shared runtime (team), the solver core (nscore) they inline,
-// and the counter sampler (perfcount) whose RegionStart/RegionEnd run
-// inside every sampled region.
+// the generator (randdp) under EP, IS, CG, FT and MG, and the counter
+// sampler (perfcount) whose RegionStart/RegionEnd run inside every
+// sampled region.
 const defaultPkgs = "./internal/bt,./internal/cg,./internal/ep,./internal/ft," +
 	"./internal/is,./internal/lu,./internal/mg,./internal/sp," +
-	"./internal/team,./internal/nscore,./internal/perfcount"
+	"./internal/team,./internal/nscore,./internal/randdp,./internal/perfcount"
 
 func main() {
 	var (

@@ -1,12 +1,10 @@
-// Package allocgate is the dynamic half of the suite's allocation
-// discipline: it measures the steady-state heap allocations of every
-// benchmark's Iter hook and asserts them against the one checked-in
-// Budget. The static half is the hotalloc analyzer
-// (internal/analysis/hotalloc), which proves by inspection that the
-// hot region bodies contain no allocation sites; this package proves
-// the same thing by measurement, catching what the analyzer cannot see
-// (allocations inside callees, lazily built state, compiler-inserted
-// escapes).
+// Package allocgate is the first of the suite's two allocation gates:
+// it measures the steady-state heap allocations of every benchmark's
+// Iter hook and asserts them against the one checked-in Budget, so it
+// shows that an iteration allocates, whether in the region bodies, in
+// their callees or in lazily built state. The second gate,
+// cmd/npbescape, shows where: it diffs the compiler's heap-escape
+// report against a baseline and names the new site by file:line.
 //
 // Each gate builds a benchmark, runs a few warm-up iterations so every
 // lazily constructed structure (cached pipelines, reused teams) exists,

@@ -5,28 +5,20 @@ package npblint
 
 import (
 	"npbgo/internal/analysis"
-	"npbgo/internal/analysis/atomichygiene"
 	"npbgo/internal/analysis/barrierbalance"
-	"npbgo/internal/analysis/ctxpropagate"
 	"npbgo/internal/analysis/faultsite"
 	"npbgo/internal/analysis/gridindex"
-	"npbgo/internal/analysis/hotalloc"
 	"npbgo/internal/analysis/sharedwrite"
 	"npbgo/internal/analysis/timerpair"
-	"npbgo/internal/analysis/tracepair"
 )
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomichygiene.Analyzer,
 		barrierbalance.Analyzer,
-		ctxpropagate.Analyzer,
 		faultsite.Analyzer,
 		gridindex.Analyzer,
-		hotalloc.Analyzer,
 		sharedwrite.Analyzer,
 		timerpair.Analyzer,
-		tracepair.Analyzer,
 	}
 }

@@ -20,7 +20,7 @@ package bt
 // the same row operations to the coupling block c and the 5-vector r:
 // on return c = blk0^-1 * c and r = blk0^-1 * r.
 //
-//npblint:hot block Thomas forward elimination, once per cell
+// Hot path: block Thomas forward elimination, once per cell.
 func binvcrhs(blk, c *[25]float64, r *[5]float64) {
 	pivot := 1.0 / blk[0]
 	blk[5] *= pivot
@@ -252,7 +252,7 @@ func binvcrhs(blk, c *[25]float64, r *[5]float64) {
 // binvrhs is binvcrhs without a coupling block (used at the last cell of
 // each line): r = blk^-1 * r.
 //
-//npblint:hot last cell of every line
+// Hot path: last cell of every line.
 func binvrhs(blk *[25]float64, r *[5]float64) {
 	pivot := 1.0 / blk[0]
 	blk[5] *= pivot
@@ -358,7 +358,7 @@ func binvrhs(blk *[25]float64, r *[5]float64) {
 
 // matvecSub computes r2 -= a * r1 for a 5x5 block a and 5-vectors.
 //
-//npblint:hot block Thomas elimination and back-substitution, twice per cell
+// Hot path: block Thomas elimination and back-substitution, twice per cell.
 func matvecSub(a *[25]float64, r1, r2 *[5]float64) {
 	r2[0] -= a[0]*r1[0] + a[5]*r1[1] + a[10]*r1[2] + a[15]*r1[3] + a[20]*r1[4]
 	r2[1] -= a[1]*r1[0] + a[6]*r1[1] + a[11]*r1[2] + a[16]*r1[3] + a[21]*r1[4]
@@ -369,7 +369,7 @@ func matvecSub(a *[25]float64, r1, r2 *[5]float64) {
 
 // matmulSub computes c -= a * b for 5x5 blocks.
 //
-//npblint:hot block Thomas forward elimination, once per cell
+// Hot path: block Thomas forward elimination, once per cell.
 func matmulSub(a, b, c *[25]float64) {
 	c[0] -= a[0]*b[0] + a[5]*b[1] + a[10]*b[2] + a[15]*b[3] + a[20]*b[4]
 	c[1] -= a[1]*b[0] + a[6]*b[1] + a[11]*b[2] + a[16]*b[3] + a[21]*b[4]

@@ -86,7 +86,7 @@ func (b *Benchmark) buildBodies() {
 	b.dsZ = dirSpec{cv: 3, tmp1: b.c.Dt * b.c.Tz1, tmp2: b.c.Dt * b.c.Tz2,
 		d: [5]float64{b.c.Dz1, b.c.Dz2, b.c.Dz3, b.c.Dz4, b.c.Dz5}}
 
-	//npblint:hot xi-line implicit solves, k planes chunked
+	// xi-line implicit solves, k planes chunked
 	b.xBody = func(id int) {
 		isize := n - 1
 		ls := b.scratch[id]
@@ -104,7 +104,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot eta-line implicit solves, k planes chunked
+	// eta-line implicit solves, k planes chunked
 	b.yBody = func(id int) {
 		jsize := n - 1
 		ls := b.scratch[id]
@@ -122,7 +122,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot zeta-line implicit solves, j rows chunked
+	// zeta-line implicit solves, j rows chunked
 	b.zBody = func(id int) {
 		ksize := n - 1
 		ls := b.scratch[id]

@@ -77,8 +77,6 @@ type Benchmark struct {
 	scaleBody   func(id int)
 	dotBody     func(id int)
 	ballastBody func(id int)
-	conjFn      func() float64
-	normFn      func() float64
 }
 
 // dotSlot is one static block's cache line of conjBody's dot-product
@@ -131,7 +129,6 @@ func (b *Benchmark) buildBodies() {
 	// their own indices follow each other with BarrierUnlessStatic; a
 	// full barrier stands where a whole vector must be complete: the
 	// partials, and p before the next q = A p.
-	//npblint:hot
 	b.conjBody = func(id int) {
 		tm := b.tm
 		x, z, p, q, r := b.x, b.z, b.pv, b.q, b.r
@@ -176,7 +173,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot x = z/||z|| with the norm's reciprocal read from the Benchmark
+	// x = z/||z|| with the norm's reciprocal read from the Benchmark
 	b.scaleBody = func(id int) {
 		inv := b.scaleInv
 		x, z := b.x, b.z
@@ -187,7 +184,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot shared dot-product body over the operands staged in dotA/dotB
+	// shared dot-product body over the operands staged in dotA/dotB
 	b.dotBody = func(id int) {
 		tm := b.tm
 		u, v := b.dotA, b.dotB
@@ -200,7 +197,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot per-worker ballast streaming (no-op without Ballast)
+	// per-worker ballast streaming (no-op without Ballast)
 	b.ballastBody = func(id int) {
 		bal := b.ballast[id]
 		s := 0.0
@@ -210,9 +207,6 @@ func (b *Benchmark) buildBodies() {
 		}
 		*b.tm.Partial(id) = s
 	}
-
-	b.conjFn = func() float64 { return b.conjGrad() }
-	b.normFn = func() float64 { b.normalize(); return 0 }
 }
 
 // Ballast reproduces the paper's other §5.2 experiment: "an artificial
@@ -284,29 +278,6 @@ func (b *Benchmark) RunResult() Result {
 	return res
 }
 
-// timed charges fn's wall time to the named master-side phase timer
-// and, when tracing, brackets it as a named phase span on the master
-// timeline (a direct call when both are off). The name reaches the
-// tracer as a parameter, so the Begin/End pairing is owned here —
-// call sites cannot leak a phase.
-func (b *Benchmark) timed(name string, fn func() float64) float64 {
-	tr, timers := b.env.Tr, b.env.Timers
-	if timers == nil && tr == nil {
-		return fn()
-	}
-	if tr != nil {
-		tr.BeginPhase(name)
-		defer tr.EndPhase(name)
-	}
-	if timers == nil {
-		return fn()
-	}
-	timers.Start(name)
-	v := fn()
-	timers.Stop(name)
-	return v
-}
-
 // Iter runs one timed outer iteration (conjGrad, the zeta update, and
 // the normalization) on tm, whose Size must equal the thread count the
 // Benchmark was built with, and leaves the iteration's zeta and
@@ -317,7 +288,9 @@ func (b *Benchmark) Iter(tm *team.Team) {
 	b.tm = tm
 	fault.Maybe("cg.iter")
 	b.touchBallast()
-	b.rnorm = b.timed("t_conj_grad", b.conjFn)
+	b.env.Start("t_conj_grad")
+	b.rnorm = b.conjGrad()
+	b.env.Stop("t_conj_grad")
 	if tm.Cancelled() {
 		// The reductions of a cancelled team return 0, so zeta derived
 		// from them would be garbage; keep the last complete iteration's
@@ -326,7 +299,9 @@ func (b *Benchmark) Iter(tm *team.Team) {
 	}
 	norm1 := b.dot(b.x, b.z)
 	b.zeta = b.p.shift + 1.0/norm1
-	b.timed("t_norm", b.normFn)
+	b.env.Start("t_norm")
+	b.normalize()
+	b.env.Stop("t_norm")
 }
 
 // touchBallast streams every worker through its ballast once, evicting
@@ -359,8 +334,6 @@ func (b *Benchmark) conjGrad() float64 {
 
 // spmv is worker id's share of the sparse mat-vec out = A in, the
 // kernel of every inner iteration.
-//
-//npblint:hot
 func (b *Benchmark) spmv(id int, in, out []float64) {
 	for it := b.tm.Loop(id, 0, len(out)); it.Next(); {
 		spmvRows(b.rowstr, b.colidx, b.a, in, out, it.Lo, it.Hi)
@@ -376,8 +349,6 @@ func (b *Benchmark) spmv(id int, in, out []float64) {
 // no test but its counter. Refilling matters: rows differ in length, and
 // pairing them off leaves a sixth of class W's non-zeros in one-lane
 // tails. Four lanes were slower (register pressure; EXPERIMENTS.md).
-//
-//npblint:hot
 func spmvRows(rowstr []int, colidx []int32, a, in, out []float64, lo, hi int) {
 	if lo >= hi {
 		return
@@ -422,8 +393,6 @@ func spmvRows(rowstr []int, colidx []int32, a, in, out []float64, lo, hi int) {
 
 // dotIn is u.v inside conjBody, following a loop that wrote u or v:
 // block partials into slot k, a barrier, the sum.
-//
-//npblint:hot
 func (b *Benchmark) dotIn(id, k int, u, v []float64) float64 {
 	tm := b.tm
 	tm.BarrierUnlessStatic(id)

@@ -127,7 +127,7 @@ func makea(n, nonzer int, rcond, shift float64) (rowstr []int, colidx []int32, a
 
 	colidx = make([]int32, rowstr[n])
 	a = make([]float64, rowstr[n])
-	//npblint:hot the scatter pass: append (j, value), or add into the row's last entry when that is already column j
+	// the scatter pass: append (j, value), or add into the row's last entry when that is already column j
 	for j := 0; j < n; j++ {
 		for _, ref := range colref[colptr[j]:colptr[j+1]] {
 			i := ref / w

@@ -94,7 +94,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 			b.phases[id] = timer.Worker("t_batch", id)
 		}
 	}
-	//npblint:hot per-worker batch sweep, constructed once and reused every run.
+	// Per-worker batch sweep, constructed once and reused every run.
 	// Tallies accumulate per static block (it.Chunk()), not per worker, so
 	// the final sums are bit-identical under every schedule.
 	b.body = func(id int) {
@@ -174,8 +174,6 @@ type scratch struct {
 // move); the second turns each accepted t into sqrt(-2 ln t / t), bound
 // by the divider alone; the third tallies. Pairs are tallied in stream
 // order, so sx, sy and q are the sums of the one-loop form bit for bit.
-//
-//npblint:hot
 func runBatch(kk int, st *batchState, s *scratch) {
 	g := randdp.New(seed, amult)
 	g.Skip(2 * nk * kk)

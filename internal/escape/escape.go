@@ -1,7 +1,8 @@
 // Package escape turns the Go compiler's escape-analysis diagnostics
 // (`go build -gcflags=-m=2`) into a stable, diffable report — the
-// compiler-precision complement to the hotalloc analyzer and the
-// allocgate budgets. The report format is JSONL tagged
+// compiler-precision complement to the allocgate budgets: allocgate
+// shows that an iteration allocates, the report shows where. The
+// report format is JSONL tagged
 // "npbgo/escape/v1": a header record followed by one record per heap
 // escape, sorted, so reports are byte-comparable across runs and the
 // committed baseline diffs cleanly in review.

@@ -69,8 +69,6 @@ func newWorkspace(maxN int) *workspace {
 // the loop over pencils checks no index, and the root is split into its
 // parts once per i: the product below is the compiler's own complex
 // multiply, term for term.
-//
-//npblint:hot
 func fftz2(is, l, m, n, ny int, u []complex128, x, y []complex128) {
 	n1 := n / 2
 	lk := 1 << (l - 1)

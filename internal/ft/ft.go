@@ -144,7 +144,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 // pools, and the FFT operands from the fft* staging fields, so the
 // timed loop creates no closures.
 func (b *Benchmark) buildBodies() {
-	//npblint:hot twiddle(i,j,k) = ex[ii²+jj²+kk²] over the signed frequencies
+	// twiddle(i,j,k) = ex[ii²+jj²+kk²] over the signed frequencies
 	b.indexMapBody = func(id int) {
 		nx, ny, nz := b.p.nx, b.p.ny, b.p.nz
 		for it := b.tm.Loop(id, 0, nz); it.Next(); {
@@ -166,7 +166,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot random plane fill with the per-worker scratch buffer
+	// random plane fill with the per-worker scratch buffer
 	b.initCondBody = func(id int) {
 		nx, ny, nz := b.p.nx, b.p.ny, b.p.nz
 		scratch := b.icScratch[id]
@@ -184,7 +184,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot spectral evolution u0 *= twiddle, u1 = u0
+	// spectral evolution u0 *= twiddle, u1 = u0
 	b.evolveBody = func(id int) {
 		for it := b.tm.Loop(id, 0, b.c.len()); it.Next(); {
 			u0, u1, tw := b.u0[it.Lo:it.Hi], b.u1[it.Lo:it.Hi], b.twiddle[it.Lo:it.Hi]
@@ -195,21 +195,21 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot first-dimension FFT over the staged operands
+	// first-dimension FFT over the staged operands
 	b.c1Body = func(id int) {
 		for it := b.tm.Loop(id, 0, b.c.d3); it.Next(); {
 			cffts1Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r1, b.ws[id], it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot second-dimension FFT over the staged operands
+	// second-dimension FFT over the staged operands
 	b.c2Body = func(id int) {
 		for it := b.tm.Loop(id, 0, b.c.d3); it.Next(); {
 			cffts2Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r2, b.ws[id], it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot third-dimension FFT over the staged operands
+	// third-dimension FFT over the staged operands
 	b.c3Body = func(id int) {
 		for it := b.tm.Loop(id, 0, b.c.d2); it.Next(); {
 			cffts3Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r3, b.ws[id], it.Lo, it.Hi)

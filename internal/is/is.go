@@ -88,9 +88,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 		b.local[i] = make([]int32, b.maxKey)
 	}
 	// Both phases of the body are integer sums over disjoint outputs, so
-	// any schedule produces identical ranks.
-	//
-	//npblint:hot histogram ranking, one region per pass
+	// any schedule produces identical ranks. One region per pass.
 	b.body = func(id int) {
 		tm := b.tm
 		loc := b.local[id]

@@ -58,15 +58,24 @@ func (e *Env) Team(threads int) (*team.Team, func()) {
 	}
 }
 
-// Start begins charging the named master-side phase when profiling.
+// Start begins charging the named master-side phase when profiling and
+// opens it as a phase span on the trace's master track when tracing.
+// It is the one bracket for both, so timer and trace phases always
+// agree, and timerpair's check of Start/Stop pairing covers the trace.
 func (e *Env) Start(name string) {
 	if e.Timers != nil {
 		e.Timers.Start(name)
 	}
+	if e.Tr != nil {
+		e.Tr.BeginPhase(name)
+	}
 }
 
-// Stop ends the current lap of the named phase when profiling.
+// Stop ends the current lap of the named phase and closes its span.
 func (e *Env) Stop(name string) {
+	if e.Tr != nil {
+		e.Tr.EndPhase(name)
+	}
 	if e.Timers != nil {
 		e.Timers.Stop(name)
 	}

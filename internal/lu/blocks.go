@@ -73,7 +73,7 @@ func newBlockConsts(c *nscore.Consts) blockConsts {
 
 // couplingX fills dst with the xi-direction coupling block at state u.
 //
-//npblint:hot jacld/jacu xi block, once per grid point per sweep
+// Hot path: jacld/jacu xi block, once per grid point per sweep.
 func (k *blockConsts) couplingX(dst *[25]float64, u *[5]float64, sign float64) {
 	dc := &k.x
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
@@ -105,7 +105,7 @@ func (k *blockConsts) couplingX(dst *[25]float64, u *[5]float64, sign float64) {
 
 // couplingY fills dst with the eta-direction coupling block at state u.
 //
-//npblint:hot jacld/jacu eta block, once per grid point per sweep
+// Hot path: jacld/jacu eta block, once per grid point per sweep.
 func (k *blockConsts) couplingY(dst *[25]float64, u *[5]float64, sign float64) {
 	dc := &k.y
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
@@ -137,7 +137,7 @@ func (k *blockConsts) couplingY(dst *[25]float64, u *[5]float64, sign float64) {
 
 // couplingZ fills dst with the zeta-direction coupling block at state u.
 //
-//npblint:hot jacld/jacu zeta block, once per grid point per sweep
+// Hot path: jacld/jacu zeta block, once per grid point per sweep.
 func (k *blockConsts) couplingZ(dst *[25]float64, u *[5]float64, sign float64) {
 	dc := &k.z
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
@@ -170,7 +170,7 @@ func (k *blockConsts) couplingZ(dst *[25]float64, u *[5]float64, sign float64) {
 // diagonal fills dst with the block-diagonal matrix at state u. No flux
 // Jacobian enters it, and the block is lower triangular.
 //
-//npblint:hot jacld/jacu d block, once per grid point per sweep
+// Hot path: jacld/jacu d block, once per grid point per sweep.
 func (k *blockConsts) diagonal(dst *[25]float64, u *[5]float64) {
 	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
 	t1 := 1.0 / u[0]
@@ -195,7 +195,7 @@ func (k *blockConsts) diagonal(dst *[25]float64, u *[5]float64) {
 // written out in full: pivots p = 0..4, each scaling its row and then
 // eliminating rows q > p, followed by the back substitution.
 //
-//npblint:hot blts/buts block solve, once per grid point per sweep
+// Hot path: blts/buts block solve, once per grid point per sweep.
 func solve5(a *[25]float64, r *[5]float64) {
 	piv := 1.0 / a[0]
 	a[5] *= piv

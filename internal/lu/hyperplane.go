@@ -16,7 +16,7 @@ import (
 
 // lowerPoint applies the lower-triangular update at one grid point.
 //
-//npblint:hot fused jacld+blts point kernel
+// Hot path: fused jacld+blts point kernel.
 func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
 	okm := b.at(i, j, k-1)
@@ -39,7 +39,7 @@ func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 
 // upperPoint applies the upper-triangular update at one grid point.
 //
-//npblint:hot fused jacu+buts point kernel
+// Hot path: fused jacu+buts point kernel.
 func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
 	okp := b.at(i, j, k+1)

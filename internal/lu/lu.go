@@ -130,28 +130,28 @@ func (b *Benchmark) Hyperplane() { b.hyper = true }
 func (b *Benchmark) buildBodies() {
 	n := b.n
 
-	//npblint:hot xi-direction operator over the staged operands
+	// xi-direction operator over the staged operands
 	b.xiBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			b.xiFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot eta-direction operator over the staged operands
+	// eta-direction operator over the staged operands
 	b.etaBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			b.etaFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot zeta-direction operator over the staged operands
+	// zeta-direction operator over the staged operands
 	b.zetaBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			b.zetaFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot residual initialization rsd = -frct
+	// residual initialization rsd = -frct
 	b.rhsInitBody = func(id int) {
 		for it := b.tm.Loop(id, 0, len(b.rsd)); it.Next(); {
 			for i := it.Lo; i < it.Hi; i++ {
@@ -160,7 +160,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot residual scaling by the pseudo-time step
+	// residual scaling by the pseudo-time step
 	b.scaleBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
@@ -174,7 +174,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot flow-variable update u += tmp*rsd
+	// flow-variable update u += tmp*rsd
 	b.updateBody = func(id int) {
 		tmp := 1.0 / (omega * (2.0 - omega))
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
@@ -201,7 +201,6 @@ func (b *Benchmark) buildBodies() {
 	// posts only after finishing its lower sweep, the last reader of
 	// this band's lower values; forward and reverse tokens are counted
 	// apart, so neither sweep can take the other's.
-	//npblint:hot
 	b.sweepsBody = func(id int) {
 		jlo, jhi := team.Block(1, n-1, b.tm.Size(), id)
 		ws := b.scratch[id]

@@ -44,20 +44,12 @@ func (b *Benchmark) ensurePipe(tm *team.Team) {
 // allocation.
 func (b *Benchmark) Iter(tm *team.Team) {
 	b.ensurePipe(tm)
-	tr := b.env.Tr
 	b.env.Start("scale+update")
-	if tr != nil {
-		tr.BeginPhase("scale+update")
-	}
 	// Scale the residual by the pseudo-time step.
 	tm.Run(b.scaleBody)
 
 	b.env.Stop("scale+update")
 	b.env.Start("sweeps")
-	if tr != nil {
-		tr.EndPhase("scale+update")
-		tr.BeginPhase("sweeps")
-	}
 	if b.hyper {
 		b.lowerSweepHyperplane(tm)
 		b.upperSweepHyperplane(tm)
@@ -68,24 +60,13 @@ func (b *Benchmark) Iter(tm *team.Team) {
 
 	b.env.Stop("sweeps")
 	b.env.Start("scale+update")
-	if tr != nil {
-		tr.EndPhase("sweeps")
-		tr.BeginPhase("scale+update")
-	}
 	// Update the flow variables.
 	tm.Run(b.updateBody)
 
 	b.env.Stop("scale+update")
 	b.env.Start("rhs")
-	if tr != nil {
-		tr.EndPhase("scale+update")
-		tr.BeginPhase("rhs")
-	}
 	b.rhs(tm)
 	b.env.Stop("rhs")
-	if tr != nil {
-		tr.EndPhase("rhs")
-	}
 }
 
 // ssor runs the timed SSOR iteration loop and returns the elapsed time

@@ -37,7 +37,7 @@ func newCycle(workers, maxN1 int, a, c [4]float64) *cycle {
 	}
 	cy.maxs = make([]float64, workers)
 
-	//npblint:hot residual stencil over the staged operands
+	// residual stencil over the staged operands
 	cy.residBody = func(id int) {
 		l := cy.stF
 		for it := cy.tm.Loop(id, 1, l.n3-1); it.Next(); {
@@ -45,7 +45,7 @@ func newCycle(workers, maxN1 int, a, c [4]float64) *cycle {
 		}
 	}
 
-	//npblint:hot smoother stencil over the staged operands
+	// smoother stencil over the staged operands
 	cy.psinvBody = func(id int) {
 		l := cy.stF
 		for it := cy.tm.Loop(id, 1, l.n3-1); it.Next(); {
@@ -53,21 +53,21 @@ func newCycle(workers, maxN1 int, a, c [4]float64) *cycle {
 		}
 	}
 
-	//npblint:hot full-weighting restriction over the staged operands
+	// full-weighting restriction over the staged operands
 	cy.rprj3Body = func(id int) {
 		for it := cy.tm.Loop(id, 1, cy.stC.n3-1); it.Next(); {
 			rprj3Range(cy.stR, cy.stF, cy.stU, cy.stC, it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot trilinear prolongation over the staged operands
+	// trilinear prolongation over the staged operands
 	cy.interpBody = func(id int) {
 		for it := cy.tm.Loop(id, 0, cy.stC.n3-1); it.Next(); {
 			interpRange(cy.stR, cy.stC, cy.stU, cy.stF, it.Lo, it.Hi)
 		}
 	}
 
-	//npblint:hot residual norms into the block-indexed reduction and max slots
+	// residual norms into the block-indexed reduction and max slots
 	cy.normBody = func(id int) {
 		tm := cy.tm
 		l := cy.stF

@@ -58,8 +58,6 @@ func span(f []float64, l level, i1, i2, i3, n int) []float64 {
 // length, so the loop has no scratch store, reload or bounds check: it
 // was bound by those, not by memory (DESIGN.md §22). r may be v. One
 // worker's share of resid.
-//
-//npblint:hot
 func residRange(r, u, v []float64, l level, a *[4]float64, k0, k1 int) {
 	a0, a2, a3 := a[0], a[2], a[3]
 	n := l.n1 - 2
@@ -103,8 +101,6 @@ func resid(r, u, v []float64, l level, a *[4]float64, tm *team.Team) {
 // along the row as residRange carries u1 and u2, and r2 (edge-neighbour
 // sums), wanted at i1 alone, formed where it is used; c[3] = 0 in every
 // class so its term is dropped, as in mg.f. One worker's share of psinv.
-//
-//npblint:hot
 func psinvRange(r, u []float64, l level, c *[4]float64, k0, k1 int) {
 	c0, c1, c2 := c[0], c[1], c[2]
 	n := l.n1 - 2
@@ -139,8 +135,6 @@ func psinvRange(r, u []float64, l level, c *[4]float64, k0, k1 int) {
 // of a coarse point) are carried from one coarse point to the next, as
 // in residRange. One worker's share of rprj3; the caller refreshes s's
 // ghost shells after the join.
-//
-//npblint:hot
 func rprj3Range(r []float64, lk level, s []float64, lj level, j3lo, j3hi int) {
 	d1, d2, d3 := 1, 1, 1
 	if lk.n1 == 3 {
@@ -199,8 +193,6 @@ func rprj3(r []float64, lk level, s []float64, lj level, tm *team.Team) {
 // z1, z2 and z3 (sums over the coarse cell's rows) are carried from one
 // coarse point to the next, and the four fine rows a coarse row feeds
 // are updated in the one pass. One worker's share of interp.
-//
-//npblint:hot
 func interpRange(z []float64, lj level, u []float64, lk level, i3lo, i3hi int) {
 	mm1 := lj.n1
 	for i3 := i3lo; i3 < i3hi; i3++ {

@@ -50,7 +50,7 @@ func newCharges() (ch charges) {
 
 // scan offers the field values row, which start at flat offset off.
 //
-//npblint:hot every interior value of the finest grid passes through here once per run
+// Hot path: every interior value of the finest grid passes through here once per run.
 func (ch *charges) scan(row []float64, off int) {
 	for i, v := range row {
 		if v > ch.large[0].val || -v > ch.small[0].val {

@@ -17,7 +17,7 @@ package nscore
 // not — so the caller passes blocks that are zero everywhere else:
 // fresh ones, or ones last filled for the same cv.
 //
-//npblint:hot once per cell of every BT line solve
+// Hot path: once per cell of every BT line solve.
 func FluxViscJacobians(c *Consts, uvec *[5]float64, rhoI, qs, sq float64, cv int, fjac, njac *[25]float64) {
 	uv := [4]float64{0, uvec[1], uvec[2], uvec[3]}
 	u5 := uvec[4]

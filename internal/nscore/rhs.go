@@ -27,7 +27,7 @@ func (f *Field) ComputeRHS(c *Consts, tm *team.Team) {
 func (f *Field) buildBodies() {
 	n := f.N
 
-	//npblint:hot the seven loops of compute_rhs as one region, with a
+	// the seven loops of compute_rhs as one region, with a
 	// barrier only where a loop needs what another worker may have written
 	f.rhsBody = func(id int) {
 		tm := f.stTm
@@ -45,7 +45,7 @@ func (f *Field) buildBodies() {
 		f.scaleBody(id)
 	}
 
-	//npblint:hot primitive quantities at every point
+	// primitive quantities at every point
 	f.primBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 0, n); it.Next(); {
@@ -71,14 +71,14 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot rhs starts as the forcing term
+	// rhs starts as the forcing term
 	f.forceBody = func(id int) {
 		for it := f.stTm.Loop(id, 0, len(f.Rhs)); it.Next(); {
 			copy(f.Rhs[it.Lo:it.Hi], f.Forcing[it.Lo:it.Hi])
 		}
 	}
 
-	//npblint:hot xi-direction fluxes and dissipation, k planes chunked
+	// xi-direction fluxes and dissipation, k planes chunked
 	f.xiBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
@@ -124,7 +124,7 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot eta-direction fluxes and dissipation, k planes chunked
+	// eta-direction fluxes and dissipation, k planes chunked
 	f.etaBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
@@ -169,7 +169,7 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot zeta-direction fluxes, k planes chunked
+	// zeta-direction fluxes, k planes chunked
 	f.zetaBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
@@ -211,7 +211,7 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot zeta dissipation must see the whole k extent, so it is
+	// zeta dissipation must see the whole k extent, so it is
 	// split over j instead
 	f.zDissBody = func(id int) {
 		c := f.stC
@@ -224,7 +224,7 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot scale by the time step
+	// scale by the time step
 	f.scaleBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
@@ -241,7 +241,7 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	//npblint:hot flow-variable update u += rhs on the interior
+	// flow-variable update u += rhs on the interior
 	f.addBody = func(id int) {
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {

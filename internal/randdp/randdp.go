@@ -68,7 +68,7 @@ func NewStream(seed, a float64) *Stream {
 // Next advances the generator one step and returns the new state scaled
 // into (0, 1).
 //
-//npblint:hot one draw; IS key generation and CG's sprnvc call it per number
+// Hot path: one draw; IS key generation and CG's sprnvc call it per number.
 func (g *Gen) Next() float64 {
 	g.x = g.x * g.a & mask
 	return r46 * float64(int64(g.x))
@@ -80,7 +80,7 @@ func (g *Gen) Next() float64 {
 // which are the same integers the single chain visits. A tail shorter
 // than four continues from the state with a.
 //
-//npblint:hot the vranlc loop under EP's batches and FT/MG input generation
+// Hot path: the vranlc loop under EP's batches and FT/MG input generation.
 func (g *Gen) Fill(y []float64) {
 	x, a := g.x, g.a
 	x1 := x * a & mask

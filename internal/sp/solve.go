@@ -196,7 +196,7 @@ func (b *Benchmark) buildBodies() {
 		dmax: b.dzmax, d2or3or4: b.c.Dz4, d5: b.c.Dz5, d1: b.c.Dz1}
 	b.buildTransformBodies()
 
-	//npblint:hot xi-direction factor sweep, k planes chunked
+	// xi-direction factor sweep, k planes chunked
 	b.xBody = func(id int) {
 		ls := b.scratch[id]
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
@@ -213,7 +213,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot eta-direction factor sweep, k planes chunked
+	// eta-direction factor sweep, k planes chunked
 	b.yBody = func(id int) {
 		ls := b.scratch[id]
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
@@ -230,7 +230,7 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	//npblint:hot zeta-direction factor sweep, j rows chunked
+	// zeta-direction factor sweep, j rows chunked
 	b.zBody = func(id int) {
 		ls := b.scratch[id]
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {

@@ -139,7 +139,7 @@ func (b *Benchmark) buildTransformBodies() {
 	f := b.f
 	c := &b.c
 
-	//npblint:hot txinvr transform, k planes chunked
+	// txinvr transform, k planes chunked
 	b.txinvrBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
@@ -166,7 +166,7 @@ func (b *Benchmark) buildTransformBodies() {
 		}
 	}
 
-	//npblint:hot ninvr transform, k planes chunked
+	// ninvr transform, k planes chunked
 	b.ninvrBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
@@ -187,7 +187,7 @@ func (b *Benchmark) buildTransformBodies() {
 		}
 	}
 
-	//npblint:hot pinvr transform, k planes chunked
+	// pinvr transform, k planes chunked
 	b.pinvrBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
@@ -208,7 +208,7 @@ func (b *Benchmark) buildTransformBodies() {
 		}
 	}
 
-	//npblint:hot tzetar transform, k planes chunked
+	// tzetar transform, k planes chunked
 	b.tzetarBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {

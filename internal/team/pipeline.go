@@ -70,8 +70,6 @@ func (t *Team) NewPipeline(steps int) *Pipeline {
 // recv consumes worker id's next token from gate g, counting it in
 // *used. A token already posted costs one load; only a wait that finds
 // none is timed and traced.
-//
-//npblint:hot
 func (p *Pipeline) recv(id int, g *gate, used *uint64) {
 	*used++
 	tok := *used
@@ -98,8 +96,6 @@ func (p *Pipeline) recv(id int, g *gate, used *uint64) {
 }
 
 // send posts worker id's next token on its gate g.
-//
-//npblint:hot
 func (p *Pipeline) send(id int, g *gate) {
 	tok := g.v.Add(1)
 	p.l.release(g)

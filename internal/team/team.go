@@ -620,8 +620,6 @@ func (t *Team) Warmup(iters int) float64 {
 // release precedes everyone else's — what the exporter's flow linking
 // relies on. A worker unwound by poisoning still emits its release, so
 // arrive spans always close.
-//
-//npblint:hot
 func (t *Team) await(id int) {
 	if t.lot.aborted() {
 		panic(regionAbort{})

@@ -55,8 +55,6 @@ func (l *lot) aborted() bool { return l.broken.Load() || l.halt.Load() }
 // wait returns once g has reached target. An abortable wait also
 // returns when the region fails or the team is cancelled, and reports
 // false if either has happened, reached or not.
-//
-//npblint:hot
 func (l *lot) wait(g *gate, target uint64, abortable bool) bool {
 	for i := l.spin; i > 0 && g.v.Load() < target; i-- {
 		if abortable && l.aborted() {
@@ -79,8 +77,6 @@ func (l *lot) wait(g *gate, target uint64, abortable bool) bool {
 // release wakes g's parked waiters; the caller has already advanced
 // g.v. A waiter counts itself parked before its last look at g.v, so
 // either it sees the new value or release sees it parked.
-//
-//npblint:hot
 func (l *lot) release(g *gate) {
 	if g.parked.Load() != 0 {
 		l.wakeAll()

@@ -266,8 +266,9 @@ func (t *Tracer) Panic(id int) {
 // BeginPhase opens a named benchmark phase span on the master track
 // (the per-phase brackets of the paper's profile tables: "sweeps",
 // "t_conj_grad", ...). Phases must strictly nest and must be closed by
-// EndPhase with the same name on the same goroutine; the tracepair
-// npblint analyzer enforces the pairing for literal names.
+// EndPhase with the same name on the same goroutine. Benchmarks do not
+// call it directly: kernel.Env.Start/Stop bracket timer and trace phase
+// together, and the timerpair analyzer checks their pairing.
 func (t *Tracer) BeginPhase(name string) {
 	t.master().emit(Event{TS: t.now(), Kind: KindPhaseBegin, Name: name})
 }

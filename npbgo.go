@@ -189,7 +189,7 @@ func validClass(c byte) bool {
 // accumulated; it is not meaningful for reporting.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //npblint:ignore ctxpropagate nil means "not cancellable"; Background is the documented default
+		ctx = context.Background()
 	}
 	if cfg.Threads == 0 {
 		cfg.Threads = 1

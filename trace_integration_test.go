@@ -2,9 +2,11 @@ package npbgo_test
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"npbgo"
+	"npbgo/internal/suite"
 	"npbgo/internal/trace"
 )
 
@@ -106,6 +108,48 @@ func TestTracedLURecordsPipelineAndPhases(t *testing.T) {
 	}
 	if _, err := trace.Validate(buf.Bytes()); err != nil {
 		t.Fatalf("LU.S trace fails validation: %v", err)
+	}
+}
+
+// TestTracedPhasesMatchProfile: kernel.Env.Start/Stop is the one phase
+// bracket for timers and trace alike. Every suite row's traced class-S
+// run exports a valid Chrome file, and for the seven rows with
+// master-side phases the master track opens exactly the phases a
+// profiled run reports. EP charges its timers per worker, not through
+// the Env, so it has no master-side phase to compare.
+func TestTracedPhasesMatchProfile(t *testing.T) {
+	for _, row := range suite.Rows {
+		t.Run(row.Name, func(t *testing.T) {
+			bench := npbgo.Benchmark(row.Name)
+			s := runTraced(t, bench, 2)
+			var buf bytes.Buffer
+			if err := s.WriteChrome(&buf, row.Name+".S t2"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := trace.Validate(buf.Bytes()); err != nil {
+				t.Fatalf("%s.S trace fails validation: %v", row.Name, err)
+			}
+			if row.Name == "EP" {
+				return
+			}
+			traced := map[string]bool{}
+			for _, e := range s.Tracks[s.Workers].Events {
+				if e.Kind == trace.KindPhaseBegin {
+					traced[e.Name] = true
+				}
+			}
+			res, err := npbgo.Run(npbgo.Config{Benchmark: bench, Class: 'S', Threads: 2, Profile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiled := map[string]bool{}
+			for _, p := range res.Phases {
+				profiled[p.Name] = true
+			}
+			if len(profiled) == 0 || !maps.Equal(traced, profiled) {
+				t.Errorf("master-track phases %v, profiled phases %v", traced, profiled)
+			}
+		})
 	}
 }
 
