@@ -3,7 +3,7 @@
 GO ?= go
 NPBLINT := bin/npblint
 
-.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace soak schedule-check counters-check profile-check tables clean
+.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace soak schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
@@ -77,7 +77,7 @@ bce-baseline:
 # (lu, cg, nscore) get a full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/obs ./internal/journal ./internal/chaos ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/journal ./internal/chaos ./internal/perfcount
 
 test-race: race
 
@@ -91,18 +91,20 @@ THREADS ?= 1,2,4
 suite:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS)
 
-# Suite sweep with the observability layer on: metrics summary table
-# and per-cell JSONL.
+# Every instrument writes under $(INSTDIR): trace files, pprof files
+# and the obs metrics.jsonl.
+INSTDIR ?= instruments
+
+# Suite sweep with the obs instrument on: metrics summary table and
+# per-cell JSONL in $(INSTDIR)/metrics.jsonl.
 suite-obs:
-	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -obs -obs-jsonl npb-metrics.jsonl
+	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument obs -instrument-dir $(INSTDIR)
 
 # Suite sweep with the execution tracer on: one Chrome/Perfetto trace
-# file per cell in $(TRACEDIR), validated afterwards. Open any of them
-# at ui.perfetto.dev (or chrome://tracing).
-TRACEDIR ?= traces
+# file per cell in $(INSTDIR). Open any of them at ui.perfetto.dev (or
+# chrome://tracing); make instrument-check validates them.
 suite-trace:
-	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -trace $(TRACEDIR)
-	$(GO) run ./cmd/npbtrace validate $(TRACEDIR)/*.trace.json
+	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument trace -instrument-dir $(INSTDIR)
 
 # Machine-readable perf trajectory: one stamped BENCH_<stamp>.json per
 # sweep accumulates under $(RESULTS) for cross-commit diffing.
@@ -123,8 +125,8 @@ PERF_REPEATS ?= 3
 PERF_THRESHOLD ?= 0.10
 PERF_MINTIME ?= 0.1
 perf:
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -bench-json perf-base.json
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -obs -bench-json perf-head.json
+	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -instrument obs -instrument-dir $(INSTDIR)/perf -bench-json perf-base.json
+	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -instrument obs -instrument-dir $(INSTDIR)/perf -bench-json perf-head.json
 	$(GO) run ./cmd/npbperf compare -threshold $(PERF_THRESHOLD) -min-time $(PERF_MINTIME) perf-base.json perf-head.json
 	$(GO) run ./cmd/npbperf scaling perf-head.json
 
@@ -146,35 +148,36 @@ soak:
 SCHEDULES ?= static dynamic guided stealing auto
 schedule-check:
 	for s in $(SCHEDULES); do \
-		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -obs || exit 1; \
+		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -instrument obs -instrument-dir $(INSTDIR)/sched || exit 1; \
 	done
-	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule auto -repeats 2 -obs -bench-json sched-auto.json
+	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule auto -repeats 2 -instrument obs -instrument-dir $(INSTDIR)/sched -bench-json sched-auto.json
 	$(GO) run ./cmd/npbperf scaling -fail-on load-imbalance sched-auto.json
 
-# Counter-attribution smoke: IS+CG class S with -counters on, then
-# npbperf counters -require asserts every cell either carries populated
-# counter fields or an explicit "unavailable (<reason>)" note — never
-# silent zeros. Passes both on PMU-backed hosts (real figures) and in
-# PMU-less containers/CI (the journaled degradation path). The CI
-# counters-smoke job runs exactly this and keeps the record artifact.
-counters-check:
-	$(GO) run ./cmd/npbsuite -class S -bench IS,CG -threads 2 -counters -obs -obs-jsonl counters-cells.jsonl -bench-json counters-smoke.json
-	$(GO) run ./cmd/npbperf counters -require counters-smoke.json
-
-# Profiling smoke: a CG class-W sweep captured with -profile, decoded by
-# npbperf hotspots with the attribution floor — at least 80% of CPU
-# samples must land in symbolized npbgo/internal/... code (the paper's
-# "which kernel is the time in" question must stay answerable). Then two
-# identical class-S sweeps are profdiff'd: identical code must produce
-# zero significant share shifts, the gate's no-false-positives contract.
-# The CI profile-smoke job runs exactly this and keeps the artifacts.
+# Instrument smoke: one IS+CG+LU class-S sweep with every instrument
+# on, then each instrument's own check.
+#   - trace: every Perfetto file validates (paired, nested, monotonic).
+#   - counters: npbperf counters -require finds, in every cell, populated
+#     counter fields or an explicit "unavailable (<reason>)" note, never
+#     silent zeros — so it passes on PMU-backed hosts and in PMU-less
+#     containers alike.
+#   - profile: two identical CG+IS class-S profiled sweeps must profdiff
+#     to no significant share shift (the gate's no-false-positives
+#     contract), and a CG class-W sweep must attribute at least
+#     $(PROFILE_MINATTR)% of its CPU samples to symbolized
+#     npbgo/internal/... code, so "which kernel is the time in" stays
+#     answerable.
+# The CI instrument-smoke job runs exactly this and keeps $(INSTDIR).
 PROFILE_MINATTR ?= 80
-profile-check:
-	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -profile -profile-dir prof-w -bench-json prof-w.json
-	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) prof-w.json
-	$(GO) run ./cmd/npbsuite -class S -bench CG,IS -threads 2 -profile -profile-dir prof-base -bench-json prof-base.json
-	$(GO) run ./cmd/npbsuite -class S -bench CG,IS -threads 2 -profile -profile-dir prof-head -bench-json prof-head.json
-	$(GO) run ./cmd/npbperf profdiff prof-base.json prof-head.json
+SUITE_S2 = $(GO) run ./cmd/npbsuite -class S -threads 2
+instrument-check:
+	$(SUITE_S2) -bench IS,CG,LU -instrument obs,counters,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
+	$(GO) run ./cmd/npbtrace validate $(INSTDIR)/all/*.trace.json
+	$(GO) run ./cmd/npbperf counters -require $(INSTDIR)/all.json
+	$(SUITE_S2) -bench CG,IS -instrument profile -instrument-dir $(INSTDIR)/base -bench-json $(INSTDIR)/base.json
+	$(SUITE_S2) -bench CG,IS -instrument profile -instrument-dir $(INSTDIR)/head -bench-json $(INSTDIR)/head.json
+	$(GO) run ./cmd/npbperf profdiff $(INSTDIR)/base.json $(INSTDIR)/head.json
+	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -instrument profile -instrument-dir $(INSTDIR)/w -bench-json $(INSTDIR)/w.json
+	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) $(INSTDIR)/w.json
 
 tables:
 	$(GO) run ./cmd/cfdops -threads $(THREADS)
@@ -184,6 +187,5 @@ tables:
 clean:
 	$(GO) clean ./...
 	rm -rf bin
-	rm -f perf-base.json perf-head.json soak-journal.jsonl sched-auto.json counters-smoke.json counters-cells.jsonl npb-metrics.jsonl
-	rm -rf prof-w prof-base prof-head traces profiles
-	rm -f prof-w.json prof-base.json prof-head.json
+	rm -rf $(INSTDIR)
+	rm -f perf-base.json perf-head.json soak-journal.jsonl sched-auto.json

@@ -22,7 +22,6 @@ import (
 	"npbgo/internal/grid"
 	"npbgo/internal/jgf"
 	"npbgo/internal/kernel"
-	"npbgo/internal/lu"
 	"npbgo/internal/ops"
 	"npbgo/internal/team"
 )
@@ -202,36 +201,6 @@ func BenchmarkAblationCGWarmup(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAblationLUSchedule contrasts the two LU sweep schedules the
-// NPB world uses: the paper's pipelined sweeps (synchronization inside
-// the loop over one grid dimension, §5.2) against hyperplane/wavefront
-// scheduling (a barrier per diagonal front). Results are bitwise
-// identical; only the synchronization pattern differs.
-func BenchmarkAblationLUSchedule(b *testing.B) {
-	for _, hyper := range []bool{false, true} {
-		name := "pipelined"
-		if hyper {
-			name = "hyperplane"
-		}
-		for _, n := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					bench, err := lu.New('S', n, kernel.Env{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if hyper {
-						bench.Hyperplane()
-					}
-					if res := bench.Run(); res.Verify.Failed() {
-						b.Fatal("verification failed")
-					}
-				}
-			})
-		}
 	}
 }
 

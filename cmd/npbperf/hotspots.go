@@ -1,5 +1,5 @@
 // The profile subcommands: hotspots decodes the per-cell pprof files a
-// sweep captured (npbsuite -profile) into symbolized flat/cumulative
+// sweep captured (npbsuite -instrument profile) into symbolized flat/cumulative
 // hot-function tables, and profdiff judges two sweeps' profiles against
 // each other with the same noise discipline `npbperf compare` applies
 // to times — a function's share must be both statistically separated
@@ -51,7 +51,7 @@ func (k profKey) String() string {
 // are recorded as written by the sweep (usually relative to its working
 // directory), so a path that does not resolve directly is retried
 // relative to the record file's own directory — the layout `npbsuite
-// -profile -bench-json results/` leaves behind.
+// -instrument profile -bench-json results/` leaves behind.
 func resolveProfile(recPath, profPath string) string {
 	if profPath == "" {
 		return ""
@@ -178,7 +178,7 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *require && !decoded {
-		fmt.Fprintln(stderr, "npbperf: hotspots -require: no cell carries a decodable profile (run npbsuite -profile)")
+		fmt.Fprintln(stderr, "npbperf: hotspots -require: no cell carries a decodable profile (run npbsuite -instrument profile)")
 		return 1
 	}
 	return exit
@@ -208,7 +208,7 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 			fmt.Sprintf("%d", pc.Samples), fmt.Sprintf("%.1f", pc.AttributedPct), imbal, ipc)
 	}
 	if len(cells) == 0 {
-		sum.AddRow("(record carries no profiles; run npbsuite -profile)")
+		sum.AddRow("(record carries no profiles; run npbsuite -instrument profile)")
 	}
 	fmt.Fprint(stdout, sum.String())
 	for _, pc := range cells {

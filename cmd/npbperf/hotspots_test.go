@@ -179,7 +179,7 @@ func TestHotspotsTruncatedProfileIsNoted(t *testing.T) {
 
 // TestHotspotsResolvesRecordRelativePaths: profile paths recorded
 // relative to the sweep's working directory resolve against the record
-// file's own directory — the `npbsuite -profile -bench-json results/`
+// file's own directory — the `npbsuite -instrument profile -bench-json results/`
 // layout read from anywhere.
 func TestHotspotsResolvesRecordRelativePaths(t *testing.T) {
 	dir := t.TempDir()

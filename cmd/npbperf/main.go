@@ -28,7 +28,7 @@
 // anomaly flags joined from the obs counters in the record:
 // load-imbalance (§5.2 CG), barrier-sync (§5 LU pipeline), small-work
 // (§5 IS) and memory-bound (IPC falling while the LLC miss rate rises
-// as threads grow — needs records written with npbsuite -counters).
+// as threads grow — needs records written with npbsuite -instrument counters).
 // -fail-on takes a comma-separated list of those anomaly names and
 // turns any diagnosed occurrence into exit code 1, which is how CI
 // asserts that `-schedule auto` keeps the CG load-imbalance flag clear.
@@ -41,7 +41,7 @@
 // smoke's "never silent zeros" assertion.
 //
 // hotspots decodes the per-cell pprof profiles a sweep captured with
-// npbsuite -profile (paths recorded in each cell) into symbolized
+// npbsuite -instrument profile (paths recorded in each cell) into symbolized
 // flat/cumulative hot-function tables — the decoder is this repo's own
 // stdlib-only pprof reader, no google/pprof needed. Each cell's table
 // is joined with its recorded imbalance and IPC, so one row answers
@@ -378,7 +378,7 @@ func runCounters(args []string, stdout, stderr io.Writer) int {
 				fmt.Sprintf("%d", row.Instructions))
 		}
 		if len(rows) == 0 {
-			tb.AddRow("(record carries no counter data; run npbsuite -counters)")
+			tb.AddRow("(record carries no counter data; run npbsuite -instrument counters)")
 		}
 		fmt.Fprint(stdout, tb.String())
 		fmt.Fprintln(stdout)

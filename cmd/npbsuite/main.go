@@ -20,39 +20,28 @@
 // -list-faults prints the registered fault injection site keys (the
 // same registry the npblint faultsite analyzer checks) and exits.
 //
-// -obs turns on the observability layer: every cell collects per-worker
-// runtime metrics (busy/barrier-wait time, imbalance ratio) and a phase
-// profile, a metrics summary table is printed after the sweeps, and one
-// JSON line per cell is appended to -obs-jsonl when a file is named.
-// (For profiles, -profile writes per-cell pprof files that npbperf
-// hotspots reads.)
-//
-// -counters turns on hardware-counter attribution: every cell samples
-// cycles, instructions, LLC loads/misses and branch misses per worker
-// per parallel region via perf_event_open, the totals land in the
-// cell's metrics/bench records, and a counter summary table (IPC, LLC
-// miss rate) is printed after the sweeps. Where counters are
-// unavailable — restrictive perf_event_paranoid, no PMU in the
-// VM/container, non-Linux build — the sweep runs normally and each
-// record carries an explicit "counters: unavailable (<reason>)" note
-// instead of silent zeros.
-//
-// -trace <dir> turns on the execution tracer: every cell records
-// per-worker event timelines (region blocks, barrier arrive/release,
-// LU pipeline waits) and writes one Chrome/Perfetto trace file per
-// cell into the directory — open them at ui.perfetto.dev, or check
-// them with `npbtrace validate`.
-//
-// -profile captures a CPU and a heap profile per cell into -profile-dir
-// (default profiles/) as "<BENCH>.<class>.<cell>.cpu.pprof" and
-// ".heap.pprof", recorded in the cell's metrics and bench records and
-// decoded by `npbperf hotspots` — no external pprof tooling needed. The
-// capture brackets the cell outside its timed region; under -isolate
-// the child process captures its own profiles and the parent collects
-// the files. A cell that fails still flushes its profile before the
-// failure is rendered — the profile of a dying cell is the
-// post-mortem (a hard-killed child flushes nothing; its empty file is
-// dropped rather than recorded as data).
+// -instrument turns instruments on for every cell, as a comma-separated
+// list, and -instrument-dir (default instruments/) is where they write.
+// obs collects per-worker runtime metrics (busy/barrier-wait time,
+// imbalance ratio) and a phase profile, prints a metrics table after
+// the sweeps and appends one JSON line per cell to DIR/metrics.jsonl.
+// counters samples cycles, instructions, LLC loads/misses and branch
+// misses per worker per parallel region via perf_event_open and prints
+// a counter table (IPC, LLC miss rate); where counters are unavailable
+// (restrictive perf_event_paranoid, no PMU in the VM or container,
+// non-Linux build) the cells run unsampled and each record carries an
+// explicit "counters: unavailable (<reason>)" note instead of silent
+// zeros. trace records per-worker event timelines (region blocks,
+// barrier arrive/release, LU pipeline waits) and writes one
+// Chrome/Perfetto file per cell, "<BENCH>.<class>.<cell>.trace.json",
+// for ui.perfetto.dev or `npbtrace validate`. profile captures a CPU
+// and a heap profile per cell, "<BENCH>.<class>.<cell>.cpu.pprof" and
+// ".heap.pprof", outside the timed region, recorded in the cell's
+// records and decoded by `npbperf hotspots`; under -isolate the child
+// captures and the parent collects the files, and a failing cell still
+// flushes its profile (a hard-killed child flushes nothing, and its
+// empty file is dropped rather than recorded as data). An unknown
+// instrument name exits 2.
 //
 // -bench-json <path> writes the sweep's machine-readable performance
 // record (schema npbgo/bench/v1: per-cell Mop/s, time, threads,
@@ -96,6 +85,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -120,12 +110,8 @@ func main() {
 	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided, stealing or auto")
 	timeout := flag.Duration("timeout", 0, "per-run deadline, e.g. 5m (0 = unbounded)")
 	retries := flag.Int("retries", 0, "retries per failed run, with exponential backoff")
-	obsFlag := flag.Bool("obs", false, "collect runtime metrics per cell and print the metrics summary")
-	countersFlag := flag.Bool("counters", false, "sample hardware counters (cycles/IPC/LLC misses) per cell and print the counter summary")
-	obsJSONL := flag.String("obs-jsonl", "", "with -obs: per-cell metrics JSONL file, appended (empty = no file)")
-	traceDir := flag.String("trace", "", "write one Chrome/Perfetto trace file per cell into this directory (enables execution tracing)")
-	profileFlag := flag.Bool("profile", false, "capture a CPU and heap profile per cell (see -profile-dir); decode with `npbperf hotspots`")
-	profileDir := flag.String("profile-dir", "profiles", "with -profile: directory for the per-cell .cpu.pprof/.heap.pprof files")
+	instrumentFlag := flag.String("instrument", "", "comma-separated instruments to turn on per cell: "+strings.Join(instrumentNames, ", "))
+	instrumentDir := flag.String("instrument-dir", "instruments", "with -instrument: directory for trace files, pprof files and (with obs) metrics.jsonl")
 	benchJSON := flag.String("bench-json", "", "write the sweep's performance record as JSON to this path (a directory auto-names BENCH_<stamp>.json)")
 	listFaults := flag.Bool("list-faults", false, "print the registered fault injection site keys and exit")
 	journalPath := flag.String("journal", "", "write a durable sweep journal (fsync'd JSONL) to this path")
@@ -178,6 +164,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "npbsuite: %v\n", err)
 		os.Exit(2)
 	}
+	on, err := parseInstruments(*instrumentFlag)
+	if err == nil && len(on) > 0 && *instrumentDir == "" {
+		err = fmt.Errorf("-instrument needs a non-empty -instrument-dir")
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "npbsuite: %v\n", err)
+		os.Exit(2)
+	}
 
 	// ^C / SIGTERM cancels the sweep cooperatively: the current cell
 	// stops (hard-killed under -isolate), retries and backoffs are
@@ -218,17 +212,15 @@ func main() {
 		Timeout:  *timeout,
 		Retries:  *retries,
 		Backoff:  500 * time.Millisecond,
-		Obs:      *obsFlag,
-		Counters: *countersFlag,
-		TraceDir: *traceDir,
+		Obs:      on["obs"],
+		Counters: on["counters"],
 		Context:  ctx,
 	}
-	if *profileFlag {
-		if *profileDir == "" {
-			fmt.Fprintln(os.Stderr, "npbsuite: -profile needs a non-empty -profile-dir")
-			os.Exit(2)
-		}
-		opt.ProfileDir = *profileDir
+	if on["trace"] {
+		opt.TraceDir = *instrumentDir
+	}
+	if on["profile"] {
+		opt.ProfileDir = *instrumentDir
 	}
 	stamp := time.Now().UTC().Format("20060102T150405Z")
 	switch {
@@ -308,28 +300,22 @@ func main() {
 
 	fmt.Printf("NPB-Go suite sweep: class %c, GOMAXPROCS=%d, host CPUs=%d\n\n",
 		cl, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	if *traceDir != "" {
-		fmt.Printf("trace: per-cell Perfetto timelines written to %s/ (open at ui.perfetto.dev)\n\n", *traceDir)
+	if len(on) > 0 {
+		fmt.Printf("instrument: %s, written to %s/\n\n", *instrumentFlag, *instrumentDir)
 	}
-	if opt.ProfileDir != "" {
-		fmt.Printf("profile: per-cell CPU/heap profiles written to %s/ (decode with `npbperf hotspots`)\n\n", opt.ProfileDir)
-	}
-	if *countersFlag {
+	if on["counters"] {
 		if err := perfcount.Probe(); err != nil {
 			fmt.Printf("counters: unavailable (%v) — cells run unsampled, records carry the note\n\n", err)
-		} else {
-			fmt.Printf("counters: per-region hardware counters enabled (perf_event_open)\n\n")
 		}
 	}
-	if *obsFlag && *obsJSONL != "" {
-		f, err := os.OpenFile(*obsJSONL, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if on["obs"] {
+		f, err := openMetrics(*instrumentDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: obs jsonl: %v\n", err)
+			fmt.Fprintf(os.Stderr, "npbsuite: obs metrics: %v\n", err)
 			os.Exit(2)
 		}
 		defer f.Close()
 		opt.Metrics = f
-		fmt.Printf("obs: per-cell metrics appended to %s\n\n", *obsJSONL)
 	}
 	var sweeps []harness.Sweep
 	failed := false
@@ -352,11 +338,11 @@ func main() {
 		sweeps, threads))
 	fmt.Println()
 	fmt.Print(harness.SpeedupTable("Speedup S(n) and efficiency E(n) over serial", sweeps, threads))
-	if *obsFlag {
+	if on["obs"] {
 		fmt.Println()
 		fmt.Print(harness.ObsTable("Runtime metrics (imbalance = max busy / mean busy; cf. §5.2)", sweeps))
 	}
-	if *countersFlag {
+	if on["counters"] {
 		fmt.Println()
 		fmt.Print(harness.CountersTable("Hardware counters (IPC = instructions/cycle; miss rate = LLC misses/loads)", sweeps))
 	}
@@ -372,6 +358,34 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// instrumentNames are the -instrument spellings.
+var instrumentNames = []string{"obs", "counters", "trace", "profile"}
+
+// parseInstruments parses the -instrument list into the set of names
+// turned on.
+func parseInstruments(list string) (map[string]bool, error) {
+	on := map[string]bool{}
+	if list == "" {
+		return on, nil
+	}
+	for _, tok := range strings.Split(list, ",") {
+		name := strings.TrimSpace(tok)
+		if !slices.Contains(instrumentNames, name) {
+			return nil, fmt.Errorf("unknown instrument %q (want a comma-separated list of %s)", name, strings.Join(instrumentNames, ", "))
+		}
+		on[name] = true
+	}
+	return on, nil
+}
+
+// openMetrics opens dir/metrics.jsonl for appending, creating dir.
+func openMetrics(dir string) (*os.File, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	return os.OpenFile(filepath.Join(dir, "metrics.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
 // checkJournalMain validates a sweep journal and prints its state

@@ -86,20 +86,20 @@ func Measure(k Key, warm, runs int) (float64, error) {
 }
 
 // MeasureCounters measures the steady-state allocations of one sampled
-// parallel region: a team with a software perf-event sampler attached
-// (the same group-read path the hardware sets use) runs warm regions,
-// then allocations per region are averaged over runs measurements. The
-// budget is zero — RegionStart/RegionEnd must read into the groups'
-// hoisted buffers, never the heap — so turning -counters on cannot
-// perturb the allocation discipline it is meant to diagnose. Where perf
-// events are unavailable the *perfcount.UnavailableError is returned
-// for the caller to skip on.
+// parallel region: a team whose probe holds a software perf-event
+// sampler (the same group-read path the hardware sets use) runs warm
+// regions, then allocations per region are averaged over runs
+// measurements. The budget is zero — RegionStart/RegionEnd must read
+// into the groups' hoisted buffers, never the heap — so turning counters
+// on cannot perturb the allocation discipline it is meant to diagnose.
+// Where perf events are unavailable the *perfcount.UnavailableError is
+// returned for the caller to skip on.
 func MeasureCounters(warm, runs int) (float64, error) {
 	pc, err := perfcount.NewSoftware(Threads)
 	if err != nil {
 		return 0, err
 	}
-	env := kernel.Env{Pc: pc}
+	env := kernel.Env{Probe: team.NewProbe(Threads, nil, pc)}
 	tm, done := env.Team(Threads)
 	defer func() {
 		done()

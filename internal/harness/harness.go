@@ -28,10 +28,10 @@ import (
 	"npbgo"
 	"npbgo/internal/fault"
 	"npbgo/internal/journal"
-	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
 	"npbgo/internal/profile"
 	"npbgo/internal/report"
+	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/trace"
 )
@@ -51,7 +51,7 @@ type Run struct {
 	// interval is built from (Hoefler & Belli's first rule).
 	Samples []time.Duration
 	Err     error           // non-nil marks a failed cell (after all retries)
-	Obs     *obs.Stats      // runtime metrics of the kept repeat, nil unless Options.Obs
+	Obs     *team.Stats     // runtime metrics of the kept repeat, nil unless Options.Obs
 	Phases  []timer.Phase   // phase profile of the kept repeat, nil unless the benchmark exposes timers
 	Trace   *trace.Snapshot // event timeline of the kept repeat, nil unless Options.TraceDir
 	// Counters is the hardware-counter attribution of the kept repeat,

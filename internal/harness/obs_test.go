@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"npbgo"
-	"npbgo/internal/obs"
 	"npbgo/internal/report"
+	"npbgo/internal/team"
 	"npbgo/internal/timer"
 )
 
@@ -76,7 +76,7 @@ func TestObsSweepCollectsMetrics(t *testing.T) {
 }
 
 func TestObsTableRendersImbalance(t *testing.T) {
-	stats := obs.New(2).Snapshot()
+	stats := team.NewProbe(2, nil, nil).Snapshot()
 	stats.Busy = []time.Duration{2 * time.Second, time.Second}
 	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
 		{Threads: 2, Elapsed: time.Second, Obs: stats,

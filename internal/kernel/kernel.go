@@ -11,11 +11,8 @@ import (
 	"context"
 	"time"
 
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
-	"npbgo/internal/trace"
 	"npbgo/internal/verify"
 )
 
@@ -31,13 +28,11 @@ type Env struct {
 	// distribution; every kernel accumulates reductions per static
 	// block, so results are bit-identical under every schedule.
 	Schedule team.Schedule
-	// Rec, Tr and Pc are attached to the run's team: per-worker busy and
-	// wait times (obs), event timelines (trace) and hardware-counter
-	// deltas per region (perfcount). Each should be sized for the run's
-	// thread count; nil leaves the instrument off.
-	Rec *obs.Recorder
-	Tr  *trace.Tracer
-	Pc  *perfcount.Sampler
+	// Probe is attached to the run's team: per-worker busy and wait
+	// times, and the event timelines and hardware-counter deltas of the
+	// tracer and sampler it holds. It should be sized for the run's
+	// thread count; nil leaves every instrument off.
+	Probe *team.Probe
 	// Timers receives the per-phase profile; nil leaves profiling off.
 	// It must be a concurrent set: EP charges it from its workers.
 	Timers *timer.Set
@@ -50,7 +45,7 @@ type Env struct {
 // instruments and schedule attached and its context watched, and
 // returns it with the func that releases the watch and closes the team.
 func (e *Env) Team(threads int) (*team.Team, func()) {
-	tm := team.New(threads, team.WithRecorder(e.Rec), team.WithTracer(e.Tr), team.WithCounters(e.Pc), team.WithSchedule(e.Schedule))
+	tm := team.New(threads, team.WithProbe(e.Probe), team.WithSchedule(e.Schedule))
 	stop := tm.WatchContext(e.Ctx)
 	return tm, func() {
 		stop()
@@ -59,22 +54,23 @@ func (e *Env) Team(threads int) (*team.Team, func()) {
 }
 
 // Start begins charging the named master-side phase when profiling and
-// opens it as a phase span on the trace's master track when tracing.
-// It is the one bracket for both, so timer and trace phases always
-// agree, and timerpair's check of Start/Stop pairing covers the trace.
+// opens it, through the probe, as a phase span on the trace's master
+// track when tracing. It is the one bracket for both, so timer and trace
+// phases always agree, and timerpair's check of Start/Stop pairing
+// covers the trace.
 func (e *Env) Start(name string) {
 	if e.Timers != nil {
 		e.Timers.Start(name)
 	}
-	if e.Tr != nil {
-		e.Tr.BeginPhase(name)
+	if e.Probe != nil {
+		e.Probe.BeginPhase(name)
 	}
 }
 
 // Stop ends the current lap of the named phase and closes its span.
 func (e *Env) Stop(name string) {
-	if e.Tr != nil {
-		e.Tr.EndPhase(name)
+	if e.Probe != nil {
+		e.Probe.EndPhase(name)
 	}
 	if e.Timers != nil {
 		e.Timers.Stop(name)

@@ -43,7 +43,6 @@ type Benchmark struct {
 	itmax   int
 	threads int
 	env     kernel.Env
-	hyper   bool // hyperplane-scheduled sweeps instead of pipelined
 	c       nscore.Consts
 	blk     blockConsts // jacld/jacu block constants derived from c
 
@@ -116,11 +115,6 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b.buildBodies()
 	return b, nil
 }
-
-// Hyperplane switches the triangular sweeps from the default
-// j-pipelined scheduling to hyperplane (wavefront) scheduling — the
-// LU-HP variant, used by the scheduling ablation benchmark.
-func (b *Benchmark) Hyperplane() { b.hyper = true }
 
 // buildBodies constructs every parallel-region body once. Each is a
 // func(id int) handed straight to Team.Run; block bounds come from

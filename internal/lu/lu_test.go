@@ -227,14 +227,11 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 
 // ssorField runs steps SSOR iterations of class S on the given team
 // shape and returns the flow field.
-func ssorField(t *testing.T, threads, steps int, sched team.Schedule, hyperplane bool) []float64 {
+func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 {
 	t.Helper()
 	b, err := New('S', threads, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if hyperplane {
-		b.Hyperplane()
 	}
 	tm := team.New(threads, team.WithSchedule(sched))
 	defer tm.Close()
@@ -251,10 +248,10 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule, hyperplane
 // size, and the explicit phases write disjoint planes under every
 // schedule, so the field must be bit-identical to the serial run.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	want := ssorField(t, 1, 5, team.Static, false)
+	want := ssorField(t, 1, 5, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
-			got := ssorField(t, threads, 5, sched, false)
+			got := ssorField(t, threads, 5, sched)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
@@ -287,32 +284,5 @@ func TestUnknownClassRejected(t *testing.T) {
 	}
 	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
-	}
-}
-
-// TestHyperplaneMatchesPipelinedBitwise: both sweep schedules respect
-// the same data dependences and share one point kernel, so every point
-// update reads identical values and the results must match bitwise —
-// for every team size and loop schedule.
-func TestHyperplaneMatchesPipelinedBitwise(t *testing.T) {
-	want := ssorField(t, 1, 5, team.Static, false)
-	for _, threads := range []int{1, 2, 3, 4, 7} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
-			got := ssorField(t, threads, 5, sched, true)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("u[%d] hyperplane at %d threads under %s differs from pipelined serial: %v vs %v",
-						i, threads, sched, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestHyperplaneRunVerifies(t *testing.T) {
-	b, _ := New('S', 2, kernel.Env{})
-	b.Hyperplane()
-	if res := b.Run(); res.Verify.Failed() {
-		t.Fatalf("hyperplane run failed verification:\n%s", res.Verify)
 	}
 }

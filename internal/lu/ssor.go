@@ -3,6 +3,7 @@ package lu
 import (
 	"time"
 
+	"npbgo/internal/grid"
 	"npbgo/internal/team"
 )
 
@@ -23,9 +24,71 @@ func (b *Benchmark) upperRow(ws *sweepScratch, j, k int) {
 	}
 }
 
+// lowerPoint applies the lower-triangular update at one grid point.
+//
+// Hot path: fused jacld+blts point kernel.
+func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
+	off := b.at(i, j, k)
+	okm := b.at(i, j, k-1)
+	ojm := b.at(i, j-1, k)
+	oim := b.at(i-1, j, k)
+
+	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okm), -1)
+	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojm), -1)
+	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oim), -1)
+	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
+
+	r := grid.Vec5(b.rsd, off)
+	ws.coupledSum(grid.Vec5(b.rsd, okm), grid.Vec5(b.rsd, ojm), grid.Vec5(b.rsd, oim))
+	for m := 0; m < 5; m++ {
+		ws.tv[m] = r[m] - omega*ws.tv[m]
+	}
+	solve5(&ws.d, &ws.tv)
+	*r = ws.tv
+}
+
+// upperPoint applies the upper-triangular update at one grid point.
+//
+// Hot path: fused jacu+buts point kernel.
+func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
+	off := b.at(i, j, k)
+	okp := b.at(i, j, k+1)
+	ojp := b.at(i, j+1, k)
+	oip := b.at(i+1, j, k)
+
+	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okp), +1)
+	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojp), +1)
+	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oip), +1)
+	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
+
+	r := grid.Vec5(b.rsd, off)
+	ws.coupledSum(grid.Vec5(b.rsd, okp), grid.Vec5(b.rsd, ojp), grid.Vec5(b.rsd, oip))
+	for m := 0; m < 5; m++ {
+		ws.tv[m] *= omega
+	}
+	solve5(&ws.d, &ws.tv)
+	for m := 0; m < 5; m++ {
+		r[m] -= ws.tv[m]
+	}
+}
+
+// coupledSum sets tv = az*rz + ay*ry + ax*rx, the three neighbour
+// couplings of one point.
+func (ws *sweepScratch) coupledSum(rz, ry, rx *[5]float64) {
+	az, ay, ax := &ws.az, &ws.ay, &ws.ax
+	for m := 0; m < 5; m++ {
+		s := az[m]*rz[0] + ay[m]*ry[0] + ax[m]*rx[0]
+		s += az[m+5]*rz[1] + ay[m+5]*ry[1] + ax[m+5]*rx[1]
+		s += az[m+10]*rz[2] + ay[m+10]*ry[2] + ax[m+10]*rx[2]
+		s += az[m+15]*rz[3] + ay[m+15]*ry[3] + ax[m+15]*rx[3]
+		s += az[m+20]*rz[4] + ay[m+20]*ry[4] + ax[m+20]*rx[4]
+		ws.tv[m] = s
+	}
+}
+
 // ensurePipe binds the benchmark to tm and (re)builds the cached
 // plane pipeline when the team changes. The team-wired pipeline charges
-// per-plane stalls to each worker's obs wait slot and trace timeline —
+// per-plane stalls to each worker's probe wait slot and trace timeline —
 // the paper's LU scalability culprit, made visible per worker instead
 // of folded into run time.
 func (b *Benchmark) ensurePipe(tm *team.Team) {
@@ -36,8 +99,8 @@ func (b *Benchmark) ensurePipe(tm *team.Team) {
 	}
 }
 
-// Iter runs one timed SSOR istep — residual scaling, the pipelined (or
-// hyperplane) triangular sweeps, the flow-variable update and the rhs
+// Iter runs one timed SSOR istep — residual scaling, the pipelined
+// triangular sweeps, the flow-variable update and the rhs
 // recomputation — on tm, whose Size must equal the thread count the
 // Benchmark was built with. Iter is the steady-state hook the
 // allocation gate measures: after the first call it performs no heap
@@ -50,13 +113,8 @@ func (b *Benchmark) Iter(tm *team.Team) {
 
 	b.env.Stop("scale+update")
 	b.env.Start("sweeps")
-	if b.hyper {
-		b.lowerSweepHyperplane(tm)
-		b.upperSweepHyperplane(tm)
-	} else {
-		// Both triangular sweeps, pipelined over planes, in one region.
-		tm.Run(b.sweepsBody)
-	}
+	// Both triangular sweeps, pipelined over planes, in one region.
+	tm.Run(b.sweepsBody)
 
 	b.env.Stop("sweeps")
 	b.env.Start("scale+update")

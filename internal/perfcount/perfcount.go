@@ -10,13 +10,13 @@
 // One Sampler serves one run. Each worker owns a perf event *group* —
 // all six events opened against the worker's locked OS thread and read
 // atomically in a single read(2) — so cycles, instructions and misses
-// are mutually consistent per sample. The team reads the group at
-// region start and stop (team.WithCounters) and accumulates the deltas
-// into padded per-worker atomic slots, exactly the shape of the obs
-// recorder. Derived figures (instructions per cycle, LLC miss rate)
+// are mutually consistent per sample. A team whose probe holds the
+// sampler (team.NewProbe) reads the group at region start and stop and
+// accumulates the deltas into padded per-worker atomic slots, exactly
+// the shape of the probe's own. Derived figures (instructions per cycle, LLC miss rate)
 // come out of Snapshot.
 //
-// The contract is nil-disabled, like obs.Recorder and trace.Tracer: a
+// The contract is nil-disabled, like the team probe that carries it: a
 // team without a sampler pays one pointer check per region. And the
 // layer degrades gracefully: availability is probed once per process
 // (perf_event_paranoid policy, missing PMU, non-Linux build), and when
@@ -134,7 +134,7 @@ func (v Values) Scale() float64 {
 // Stats is a point-in-time snapshot of a Sampler: run totals plus the
 // per-worker split, safe to serialize and read without synchronization.
 // It is the counter payload of report.CellMetrics ("counters") and of
-// obs.Stats.Counters.
+// team.Stats.Counters.
 type Stats struct {
 	// Set names the event set: "hardware" (the full
 	// cycles/instructions/LLC group) or "software" (the PMU-less
@@ -215,7 +215,7 @@ var softwareSet = &eventSet{name: "software", events: []eventDesc{
 const maxGroupWords = 3 + 6
 
 // wslot is one worker's delta accumulators, padded to its own cache
-// lines so concurrent workers never false-share (the obs slot trick).
+// lines so concurrent workers never false-share (the probe slot trick).
 // vals[k] accumulates the set's k-th event; vals[nFields] and
 // vals[nFields+1] hold the enabled/running time deltas.
 type wslot struct {
@@ -226,7 +226,7 @@ type wslot struct {
 // Sampler accumulates per-worker counter deltas for one team. Slot 0
 // belongs to the master and is bound by the run driver
 // (npbgo.RunContext); slots 1..n-1 are bound by the team's worker
-// goroutines when the sampler is attached with team.WithCounters. All
+// goroutines when the sampler rides on the team's probe. All
 // sampling methods are safe for concurrent use from every worker; a nil
 // *Sampler is the disabled state and is checked by the instrumented
 // code, not passed in.

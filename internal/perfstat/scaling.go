@@ -32,7 +32,7 @@ const (
 	// rises as threads grow, so added threads fight over the memory
 	// system instead of computing — the hypothesis the paper offers for
 	// its FT/MG plateaus, tested against measured counters. It requires
-	// records written with counters enabled (npbsuite -counters).
+	// records written with counters enabled (npbsuite -instrument counters).
 	MemoryBound Anomaly = "memory-bound"
 )
 

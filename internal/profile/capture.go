@@ -38,7 +38,7 @@ func CellPaths(dir, label string) (cpu, heap string) {
 
 // Capture is one in-flight per-cell profile capture. The zero value is
 // not useful; a nil *Capture is the disabled state and every method
-// no-ops on it, matching the obs/trace/perfcount nil-disabled contract.
+// no-ops on it, matching the team probe's nil-disabled contract.
 type Capture struct {
 	cpuPath  string
 	heapPath string

@@ -61,7 +61,7 @@ type CellMetrics struct {
 	// sampling was enabled and available: run totals (cycles,
 	// instructions, LLC loads/misses, branch misses, task clock) plus
 	// the per-worker split. Additive: absent on records written before
-	// counters existed and on runs without -counters.
+	// counters existed and on runs without the counters instrument.
 	Counters *perfcount.Stats `json:"counters,omitempty"`
 	// CountersNote records why Counters is absent when counters were
 	// *requested* but could not be collected ("unavailable (<reason>)"),
@@ -70,7 +70,7 @@ type CellMetrics struct {
 	CountersNote string `json:"counters_note,omitempty"`
 
 	// CPUProfile/HeapProfile are the per-cell pprof files captured when
-	// the sweep ran with profiling enabled (-profile), as written by the
+	// the sweep ran with the profile instrument, as written by the
 	// harness — the inputs `npbperf hotspots` decodes. A failed or
 	// killed cell keeps whatever it flushed before dying; absent on runs
 	// without profiling.

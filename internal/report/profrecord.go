@@ -37,7 +37,7 @@ type ProfileCell struct {
 	// symbolized npbgo/internal/... code.
 	AttributedPct float64 `json:"attributed_pct,omitempty"`
 	// Imbalance and IPC are joined from the cell's obs and perfcount
-	// records (zero when the sweep ran without -obs/-counters).
+	// records (zero when the sweep ran without the obs/counters instruments).
 	Imbalance float64 `json:"imbalance,omitempty"`
 	IPC       float64 `json:"ipc,omitempty"`
 	// Note records why Functions is empty when the profile could not be

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
 )
 
@@ -25,13 +24,13 @@ func softwareSampler(t *testing.T, workers int) *perfcount.Sampler {
 	return pc
 }
 
-// TestWithCountersSamplesRegions: an attached sampler accumulates
+// TestWithCountersSamplesRegions: a probe's sampler accumulates
 // per-worker deltas as the team runs regions, and the workers' slots
 // (1..n-1, bound by the worker goroutines) see their own time.
 func TestWithCountersSamplesRegions(t *testing.T) {
 	const n = 3
 	pc := softwareSampler(t, n)
-	tm := New(n, WithCounters(pc))
+	tm := New(n, WithProbe(NewProbe(n, nil, pc)))
 	defer func() { tm.Close(); pc.Close() }()
 	for r := 0; r < 5; r++ {
 		tm.Run(func(id int) {
@@ -60,9 +59,8 @@ func TestWithCountersSamplesRegions(t *testing.T) {
 func TestCountersConcurrentSampling(t *testing.T) {
 	const n = 4
 	pc := softwareSampler(t, n)
-	rec := obs.New(n)
-	rec.AttachCounters(pc)
-	tm := New(n, WithCounters(pc), WithRecorder(rec))
+	rec := NewProbe(n, nil, pc)
+	tm := New(n, WithProbe(rec))
 	defer func() { tm.Close(); pc.Close() }()
 
 	stop := make(chan struct{})
@@ -77,7 +75,7 @@ func TestCountersConcurrentSampling(t *testing.T) {
 			default:
 				s := rec.Snapshot()
 				if s.Counters == nil {
-					t.Error("recorder snapshot lost its attached counters")
+					t.Error("probe snapshot lost its sampler's counters")
 					return
 				}
 			}
@@ -96,10 +94,10 @@ func TestCountersConcurrentSampling(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCountersNilDisabled: a team without a sampler must behave exactly
+// TestCountersNilDisabled: a probe without a sampler must behave exactly
 // as before — the nil check is the whole disabled path.
 func TestCountersNilDisabled(t *testing.T) {
-	tm := New(2, WithCounters(nil))
+	tm := New(2, WithProbe(NewProbe(2, nil, nil)))
 	defer tm.Close()
 	sum := reduceSum(tm, 0, 100, func(lo, hi int) float64 {
 		s := 0.0
@@ -119,7 +117,7 @@ func TestCountersNilDisabled(t *testing.T) {
 func TestCountersSurvivePanic(t *testing.T) {
 	const n = 2
 	pc := softwareSampler(t, n)
-	tm := New(n, WithCounters(pc))
+	tm := New(n, WithProbe(NewProbe(n, nil, pc)))
 	defer func() { tm.Close(); pc.Close() }()
 	func() {
 		defer func() {

@@ -1,12 +1,5 @@
 package team
 
-import (
-	"time"
-
-	"npbgo/internal/obs"
-	"npbgo/internal/trace"
-)
-
 // Pipeline provides the point-to-point ordering used by LU's parallel
 // SSOR sweeps. The lower/upper triangular solves carry a dependence along
 // one grid dimension, so the OpenMP NPB (and the paper's Java port)
@@ -23,19 +16,18 @@ import (
 // reverse sweep and the next forward sweep can follow each other in one
 // region with nothing in between.
 //
-// A pipeline built with Team.NewPipeline shares the team's wait state,
-// recorder and tracer: a failed region or a cancelled team unwinds a
-// worker waiting for a token as it does one at a barrier, the wait is
-// charged to the worker's obs wait slot — so LU's pipeline stalls show
-// in the imbalance diagnostics — and a wait that finds no token ready is
-// a span on its trace timeline. The bare NewPipeline constructor has no
-// instruments and cannot be aborted.
+// A pipeline built with Team.NewPipeline shares the team's wait state
+// and probe: a failed region or a cancelled team unwinds a worker
+// waiting for a token as it does one at a barrier, the wait is charged
+// to the worker's wait slot — so LU's pipeline stalls show in the
+// imbalance diagnostics — and a wait that finds no token ready is a span
+// on its trace timeline. The bare NewPipeline constructor has no probe
+// and cannot be aborted.
 type Pipeline struct {
 	l        *lot
 	fwd, rev []gate     // stages completed by each worker, per direction
 	used     []pipeUsed // tokens consumed by each worker
-	rec      *obs.Recorder
-	tr       *trace.Tracer
+	probe    *Probe
 }
 
 // pipeUsed is a worker's consumed-token counts on their own cache line;
@@ -59,11 +51,11 @@ func newPipeline(n int, l *lot) *Pipeline {
 }
 
 // NewPipeline creates a Pipeline sized for the team and wired to its
-// wait state, obs recorder and tracer. It is the constructor the
-// benchmark kernels use.
+// wait state and probe. It is the constructor the benchmark kernels
+// use.
 func (t *Team) NewPipeline(steps int) *Pipeline {
 	p := newPipeline(t.n, &t.lot)
-	p.rec, p.tr = t.rec, t.tr
+	p.probe = t.probe
 	return p
 }
 
@@ -76,19 +68,11 @@ func (p *Pipeline) recv(id int, g *gate, used *uint64) {
 	if g.v.Load() >= tok {
 		return
 	}
-	if p.tr != nil {
-		p.tr.PipeWaitBegin(id, tok)
-	}
-	var start time.Time
-	if p.rec != nil {
-		start = time.Now()
-	}
-	ok := p.l.wait(g, tok, true)
-	if p.rec != nil {
-		p.rec.AddWait(id, time.Since(start))
-	}
-	if p.tr != nil {
-		p.tr.PipeWaitEnd(id, tok)
+	var ok bool
+	if pr := p.probe; pr != nil {
+		ok = pr.pipeWait(p.l, g, tok, id)
+	} else {
+		ok = p.l.wait(g, tok, true)
 	}
 	if !ok {
 		panic(regionAbort{})
@@ -99,8 +83,8 @@ func (p *Pipeline) recv(id int, g *gate, used *uint64) {
 func (p *Pipeline) send(id int, g *gate) {
 	tok := g.v.Add(1)
 	p.l.release(g)
-	if p.tr != nil {
-		p.tr.PipeSignal(id, tok)
+	if pr := p.probe; pr != nil && pr.tr != nil {
+		pr.tr.PipeSignal(id, tok)
 	}
 }
 

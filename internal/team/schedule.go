@@ -9,8 +9,8 @@
 // cursor, guided shrinks chunks geometrically so the tail self-balances,
 // and stealing gives every worker a deque of chunks with idle workers
 // taking the back half of a victim's remaining range. Auto starts
-// static and lets the tuner escalate using the obs feedback (imbalance
-// ratio and barrier-wait share) the recorder already collects.
+// static and lets the tuner escalate using the feedback (imbalance
+// ratio and barrier-wait share) the team's probe already collects.
 //
 // Determinism. Scheduling only moves chunks between workers; it never
 // changes which output element a chunk writes, so loops whose body
@@ -54,7 +54,7 @@ const (
 	// the owner's locality at the front.
 	Stealing
 	// Auto starts static and re-evaluates every few regions using the
-	// obs feedback (imbalance ratio, barrier-wait share), escalating
+	// probe's feedback (imbalance ratio, barrier-wait share), escalating
 	// static → dynamic → guided → stealing and de-escalating after
 	// sustained balance.
 	Auto
@@ -281,19 +281,8 @@ func (it *Iter) Next() bool {
 		}
 		victim = -1
 	}
-	t := it.t
-	if t.rec != nil {
-		t.rec.IncChunk(it.id)
-		if victim >= 0 {
-			t.rec.IncSteal(it.id)
-		}
-	}
-	if t.tr != nil {
-		if victim >= 0 {
-			t.tr.Steal(it.id, uint64(victim))
-		} else {
-			t.tr.Chunk(it.id, uint64(c))
-		}
+	if p := it.t.probe; p != nil {
+		p.chunk(it.id, c, victim)
 	}
 	it.cur = c
 	it.Lo, it.Hi = it.chunkRange(c)
@@ -464,7 +453,7 @@ func guidedChunks(span, n, min int) int {
 
 // Auto-tuning. The master re-evaluates every tuneEvery regions, between
 // regions (so every worker of a region sees one agreed schedule), from
-// the obs recorder's per-worker busy/wait deltas: the same imbalance
+// the probe's per-worker busy/wait deltas: the same imbalance
 // ratio and barrier-wait share the perfstat anomaly detectors flag. An
 // imbalanced window escalates one rung up the static → dynamic →
 // guided → stealing ladder; calmEpochs consecutive balanced windows
@@ -488,17 +477,19 @@ type tuner struct {
 }
 
 // maybeTune runs one tuner step; called by the master from resetRegion,
-// before the region's schedule is resolved and published.
+// before the region's schedule is resolved and published. New gives an
+// auto-tuned team a probe, so t.probe is never nil here.
 func (t *Team) maybeTune() {
 	tn := &t.tun
 	tn.epoch++
-	if tn.epoch < tuneEvery || t.rec == nil {
+	if tn.epoch < tuneEvery {
 		return
 	}
 	tn.epoch = 0
+	p := t.probe
 	var maxB, sumB, sumW int64
 	for id := 0; id < t.n; id++ {
-		b, w := t.rec.BusyNs(id), t.rec.WaitNs(id)
+		b, w := p.busyNs(id), p.waitNs(id)
 		db, dw := b-tn.lastBusy[id], w-tn.lastWait[id]
 		tn.lastBusy[id], tn.lastWait[id] = b, w
 		sumB += db
@@ -531,10 +522,5 @@ func (t *Team) maybeTune() {
 
 func (t *Team) retune(s Schedule) {
 	t.tun.cur = s
-	if t.rec != nil {
-		t.rec.IncRetune()
-	}
-	if t.tr != nil {
-		t.tr.Retune(s.String())
-	}
+	t.probe.retuned(s)
 }

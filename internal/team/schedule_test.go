@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"npbgo/internal/obs"
 )
 
 // Schedule-equivalence properties: whatever schedule distributes the
@@ -267,10 +265,10 @@ func TestScheduleWorkerPanicUnwinds(t *testing.T) {
 }
 
 // TestStealingRecordsSteals: with one worker hogging the clock the
-// other must take chunks from its deque, visible in the obs counters.
+// other must take chunks from its deque, visible in the probe counters.
 func TestStealingRecordsSteals(t *testing.T) {
-	rec := obs.New(2)
-	tm := New(2, WithSchedule(Stealing), WithRecorder(rec))
+	rec := NewProbe(2, nil, nil)
+	tm := New(2, WithSchedule(Stealing), WithProbe(rec))
 	defer tm.Close()
 	var slow atomic.Bool
 	forEach(tm, 0, 64, func(i int) {
@@ -299,8 +297,8 @@ func TestStealingRecordsSteals(t *testing.T) {
 // and the retune must be counted. This is the feedback loop that clears
 // the §5.2 CG load-imbalance flag without touching the kernel.
 func TestAutoTunerEscalatesUnderImbalance(t *testing.T) {
-	rec := obs.New(4)
-	tm := New(4, WithSchedule(Auto), WithRecorder(rec))
+	rec := NewProbe(4, nil, nil)
+	tm := New(4, WithSchedule(Auto), WithProbe(rec))
 	defer tm.Close()
 	// tuneEvery+1 regions where worker 0 does essentially all the work.
 	for r := 0; r <= tuneEvery; r++ {
@@ -314,7 +312,7 @@ func TestAutoTunerEscalatesUnderImbalance(t *testing.T) {
 		t.Fatalf("tuner still static after %d imbalanced regions", tuneEvery+1)
 	}
 	if st := rec.Snapshot(); st.Retunes == 0 {
-		t.Fatal("retune not counted in the obs recorder")
+		t.Fatal("retune not counted in the probe")
 	}
 }
 
@@ -322,8 +320,8 @@ func TestAutoTunerEscalatesUnderImbalance(t *testing.T) {
 // must walk back toward static after calmEpochs consecutive calm
 // windows — the hysteresis that stops it flapping.
 func TestAutoTunerCalmsDown(t *testing.T) {
-	rec := obs.New(2)
-	tm := New(2, WithSchedule(Auto), WithRecorder(rec))
+	rec := NewProbe(2, nil, nil)
+	tm := New(2, WithSchedule(Auto), WithProbe(rec))
 	defer tm.Close()
 	for r := 0; r <= tuneEvery; r++ {
 		tm.Run(func(id int) {
@@ -342,7 +340,7 @@ func TestAutoTunerCalmsDown(t *testing.T) {
 	// entering the scheduler, so the other's timer can fire most of a
 	// poll budget late), and the tuner, not the clock, is under test.
 	for r := 0; r <= tuneEvery*(calmEpochs+1); r++ {
-		tm.Run(func(id int) { rec.AddBusy(id, time.Millisecond) })
+		tm.Run(func(id int) { rec.addBusy(id, time.Millisecond) })
 	}
 	if got := tm.tun.cur; got >= escalated {
 		t.Fatalf("tuner stuck at %v after sustained balance (was %v)", got, escalated)

@@ -41,9 +41,6 @@ import (
 	"time"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/obs"
-	"npbgo/internal/perfcount"
-	"npbgo/internal/trace"
 )
 
 // PanicError reports a panic captured on a team worker during a parallel
@@ -90,26 +87,10 @@ type Team struct {
 	closed  atomic.Bool  // set once by Close; guarded by CAS so Close races with itself safely
 	exited  sync.WaitGroup
 
-	// rec is the optional obs recorder (WithRecorder). When nil —
-	// the default — every instrumentation point is a single pointer
-	// check, so an unobserved team pays nothing measurable.
-	rec *obs.Recorder
-
-	// tr is the optional execution tracer (WithTracer), under the same
-	// contract as rec: nil disables every trace point down to one
-	// pointer check.
-	tr *trace.Tracer
-
-	// pc is the optional hardware-counter sampler (WithCounters), under
-	// the same nil-disabled contract: workers bind their perf event
-	// groups to their OS threads at spawn and the team samples the
-	// groups at region entry/exit, charging per-worker counter deltas.
-	pc *perfcount.Sampler
-	// regionSeq numbers parallel regions for trace correlation; it only
-	// advances while a tracer is attached.
-	regionSeq atomic.Uint64
-
-	inRegion atomic.Bool // guards against nested parallel regions
+	// probe is the team's instrument (WithProbe, probe.go). When nil —
+	// the default — every hook site is a single pointer check, so an
+	// uninstrumented team pays nothing measurable.
+	probe *Probe
 
 	// Loop scheduling state (schedule.go). All of it is allocated once
 	// in New and reused by every loop, so scheduled loops stay
@@ -117,8 +98,14 @@ type Team struct {
 	// is the schedule resolved for the current region (the tuner's pick
 	// under Auto), written by the master in resetRegion before dispatch
 	// and read by workers — the fork gate orders the accesses.
-	sched    Schedule
-	grain    int
+	sched Schedule
+	grain int
+	// inRegion guards against nested parallel regions. The master writes
+	// it twice a region, so it sits with cur and loopBase, which it also
+	// writes each region, and off the cache line of closed and probe,
+	// which every worker reads as the region starts: next to those it
+	// cost the dynamic schedule ~20 % per chunk on a 2-CPU host.
+	inRegion atomic.Bool
 	cur      Schedule
 	loopBase uint32     // loop instances dealt before the current region
 	loopK    []padCount // per-worker loop ordinal within the region
@@ -145,38 +132,6 @@ type padded struct {
 // Option configures optional team behaviour at construction.
 type Option func(*Team)
 
-// WithRecorder attaches an obs recorder: the team charges per-worker
-// busy time, barrier-wait time and region/cancellation/panic counts to
-// it. rec should be sized obs.New(n) for a team of n; a nil rec leaves
-// observation disabled.
-func WithRecorder(rec *obs.Recorder) Option {
-	return func(t *Team) { t.rec = rec }
-}
-
-// WithTracer attaches an execution tracer: the team records region
-// fork/join, per-worker block begin/end, id-attributed barrier
-// arrive/release, reductions, cancellation and panics as timestamped
-// events on tr's per-worker rings. tr should be sized trace.New(n) for
-// a team of n; a nil tr leaves tracing disabled. While a tracer is
-// attached and the Go execution tracer is running, each region is also
-// annotated as a runtime/trace region, so `go tool trace` shows the
-// team's fork-join structure next to the scheduler view.
-func WithTracer(tr *trace.Tracer) Option {
-	return func(t *Team) { t.tr = tr }
-}
-
-// WithCounters attaches a hardware-counter sampler: each worker
-// goroutine locks its OS thread, binds its perf event group to it for
-// the team's lifetime, and the team reads the group at every region
-// entry and exit so cycles/instructions/cache-miss deltas are charged
-// per worker per region (perfcount.Sampler slots 1..n-1; slot 0, the
-// master, is bound by the run driver that owns the calling goroutine).
-// pc should be sized perfcount.New(n) for a team of n; a nil pc leaves
-// counter sampling disabled at the cost of one pointer check.
-func WithCounters(pc *perfcount.Sampler) Option {
-	return func(t *Team) { t.pc = pc }
-}
-
 // New creates a team of n workers (n >= 1). Workers other than worker 0
 // are persistent goroutines waiting on the fork gate, mirroring the
 // paper's always-alive Thread objects in the blocked state. Close the
@@ -202,9 +157,9 @@ func New(n int, opts ...Option) *Team {
 		}
 		if t.sched == Auto {
 			// The tuner needs the busy/wait feedback; give an
-			// unobserved team a private recorder.
-			if t.rec == nil {
-				t.rec = obs.New(n)
+			// uninstrumented team a private probe.
+			if t.probe == nil {
+				t.probe = NewProbe(n, nil, nil)
 			}
 			t.tun.lastBusy = make([]int64, n)
 			t.tun.lastWait = make([]int64, n)
@@ -220,13 +175,13 @@ func New(n int, opts ...Option) *Team {
 
 func (t *Team) worker(id int) {
 	defer t.exited.Done()
-	if t.pc != nil {
+	if p := t.probe; p != nil && p.pc != nil {
 		// Counter groups measure the thread they are opened on, so the
 		// worker pins itself to its OS thread for its whole life and
 		// opens its group here; a bind failure is noted on the sampler
 		// and the worker simply runs unsampled.
-		t.pc.Bind(id)
-		defer t.pc.Unbind(id)
+		p.pc.Bind(id)
+		defer p.pc.Unbind(id)
 	}
 	for region := uint64(1); ; region++ {
 		t.lot.wait(&t.fork, region, false)
@@ -244,25 +199,12 @@ func (t *Team) worker(id int) {
 // region so waiting siblings unwind; the regionAbort sentinel those
 // siblings throw is swallowed here.
 func (t *Team) runOne(fn func(int), id int) {
-	if t.tr != nil {
-		// The block span closes in a defer registered before the recover
-		// defer, so it runs after it: a panicking worker's block still
-		// ends, with the panic instant recorded inside it.
-		seq := t.regionSeq.Load()
-		t.tr.BlockBegin(id, seq)
-		defer t.tr.BlockEnd(id, seq)
-	}
-	if t.rec != nil {
-		start := time.Now()
-		// Registered before the recover defer so it runs after it:
-		// a panicking worker's time is still charged.
-		defer func() { t.rec.AddBusy(id, time.Since(start)) }()
-	}
-	if t.pc != nil {
-		// Same defer ordering argument as the recorder: a panicking
-		// worker's counter deltas are still charged to its slot.
-		t.pc.RegionStart(id)
-		defer t.pc.RegionEnd(id)
+	if p := t.probe; p != nil {
+		// Registered before the recover defer, so it runs after it: a
+		// panicking worker's time and counter deltas are still charged,
+		// and its trace block still ends, with the panic instant inside.
+		start := p.blockBegin(id)
+		defer p.blockEnd(id, start)
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -284,11 +226,8 @@ func (t *Team) notePanic(id int, v any, stack []byte) {
 		t.regionFail.Others++
 	}
 	t.failMu.Unlock()
-	if t.rec != nil {
-		t.rec.IncPanic()
-	}
-	if t.tr != nil {
-		t.tr.Panic(id)
+	if p := t.probe; p != nil {
+		p.panicked(id)
 	}
 	t.lot.broken.Store(true)
 	t.lot.wakeAll()
@@ -308,11 +247,8 @@ func (t *Team) Cancel(reason error) {
 		t.cancelErr = reason
 	}
 	t.failMu.Unlock()
-	if first && t.rec != nil {
-		t.rec.IncCancel()
-	}
-	if first && t.tr != nil {
-		t.tr.Cancel(reason.Error())
+	if first && t.probe != nil {
+		t.probe.cancelled(reason)
 	}
 	t.lot.halt.Store(true)
 	t.lot.wakeAll()
@@ -405,14 +341,9 @@ func (t *Team) run(fn func(id int)) error {
 	if t.lot.halt.Load() {
 		return t.takeFailure()
 	}
-	if t.rec != nil {
-		t.rec.IncRegion()
-	}
-	if t.tr != nil {
-		seq := t.regionSeq.Add(1)
-		defer trace.StartRegion("team.region")()
-		t.tr.RegionBegin(seq)
-		defer t.tr.RegionEnd(seq)
+	if p := t.probe; p != nil {
+		seq, end := p.regionBegin()
+		defer p.regionEnd(seq, end)
 	}
 	if t.n == 1 {
 		t.runOne(fn, 0)
@@ -429,16 +360,15 @@ func (t *Team) run(fn func(id int)) error {
 	t.fork.v.Add(1)
 	t.lot.release(&t.fork)
 	t.runOne(fn, 0)
-	var joinStart time.Time
-	if t.rec != nil {
-		joinStart = time.Now()
-	}
 	t.joined += uint64(t.n - 1)
-	t.lot.wait(&t.done, t.joined, false)
-	if t.rec != nil {
+	if p := t.probe; p != nil {
 		// Join wait: how long the slowest worker ran past the master —
 		// the skew the imbalance ratio summarizes per run.
-		t.rec.AddJoin(time.Since(joinStart))
+		start := time.Now()
+		t.lot.wait(&t.done, t.joined, false)
+		p.joinNs.Add(int64(time.Since(start)))
+	} else {
+		t.lot.wait(&t.done, t.joined, false)
 	}
 	return t.takeFailure()
 }
@@ -498,21 +428,21 @@ func (t *Team) takeFailure() error {
 // of deadlocking.
 //
 // Barrier is a thin wrapper over BarrierID with the wait unattributed
-// (id -1): wait time is charged to the obs recorder in aggregate only,
-// and no trace events are recorded (an unattributed wait has no worker
+// (id -1): wait time is charged to the probe in aggregate only, and no
+// trace events are recorded (an unattributed wait has no worker
 // timeline to land on). Region bodies — where the worker id is always
 // in scope — should call BarrierID instead; the benchmark kernels all
 // do.
 func (t *Team) Barrier() { t.BarrierID(-1) }
 
 // BarrierID is Barrier with per-worker attribution: id must be the
-// calling worker's region id. With an obs recorder attached, the time
-// this worker spends parked is charged to its wait slot — the signal
-// that exposed the paper's LU pipeline stalls as per-thread timing
-// asymmetry. With a tracer attached, the wait is recorded as an
-// arrive/release span on the worker's timeline, keyed by the barrier
-// generation so the exporter can link the trip with flow events.
-// Without either it behaves exactly like Barrier.
+// calling worker's region id. With a probe attached, the time this
+// worker spends parked is charged to its wait slot — the signal that
+// exposed the paper's LU pipeline stalls as per-thread timing asymmetry
+// — and, when the probe traces, the wait is an arrive/release span on
+// the worker's timeline, keyed by the barrier generation so the
+// exporter can link the trip with flow events. Without a probe it
+// behaves exactly like Barrier.
 func (t *Team) BarrierID(id int) {
 	if t.n > 1 {
 		t.await(id)
@@ -611,54 +541,22 @@ func (t *Team) Warmup(iters int) float64 {
 // generation gate the others wait on (the paper's Java code does the
 // same thing with wait()/notifyAll()). A waiter unwinds with the
 // regionAbort sentinel when the region fails or the team is cancelled,
-// which is how such a region gets its workers back. The last arriver
-// records no wait.
-//
-// On the traced path arrivals and their events happen under tripMu, so
-// they are totally ordered: the latest arrive timestamp of a generation
-// really is the worker whose arrival tripped the barrier, and its
-// release precedes everyone else's — what the exporter's flow linking
-// relies on. A worker unwound by poisoning still emits its release, so
-// arrive spans always close.
+// which is how such a region gets its workers back. A probed team runs
+// the same barrier through Probe.await, which charges and traces it.
 func (t *Team) await(id int) {
 	if t.lot.aborted() {
 		panic(regionAbort{})
 	}
-	traced := t.tr != nil && id >= 0
-	if traced {
-		t.tripMu.Lock()
-	}
-	gen := t.trip.v.Load()
-	if traced {
-		t.tr.BarrierArrive(id, gen)
-	}
-	last := t.arrived.Add(1) == int32(t.n)
-	if last {
-		t.arrived.Store(0)
-		if traced {
-			t.tr.BarrierRelease(id, gen)
-		}
-		t.trip.v.Add(1)
-	}
-	if traced {
-		t.tripMu.Unlock()
-	}
-	if last {
-		t.lot.release(&t.trip)
+	if p := t.probe; p != nil {
+		p.await(t, id)
 		return
 	}
-	var waitStart time.Time
-	if t.rec != nil {
-		waitStart = time.Now()
-	}
-	ok := t.lot.wait(&t.trip, gen+1, true)
-	if t.rec != nil {
-		t.rec.AddWait(id, time.Since(waitStart))
-	}
-	if traced {
-		t.tr.BarrierRelease(id, gen)
-	}
-	if !ok {
+	gen := t.trip.v.Load()
+	if t.arrived.Add(1) == int32(t.n) {
+		t.arrived.Store(0)
+		t.trip.v.Add(1)
+		t.lot.release(&t.trip)
+	} else if !t.lot.wait(&t.trip, gen+1, true) {
 		panic(regionAbort{})
 	}
 }

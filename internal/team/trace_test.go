@@ -6,11 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"npbgo/internal/obs"
 	"npbgo/internal/trace"
 )
 
 var errTestStop = errors.New("test stop")
+
+// withTracer attaches a probe that traces into tr.
+func withTracer(tr *trace.Tracer) Option { return WithProbe(NewProbe(tr.Workers(), tr, nil)) }
 
 // kindCount tallies one track's events by kind.
 func kindCount(tk trace.Track) map[trace.Kind]int {
@@ -27,7 +29,7 @@ func kindCount(tk trace.Track) map[trace.Kind]int {
 func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		tr := trace.New(n)
-		tm := New(n, WithTracer(tr))
+		tm := New(n, withTracer(tr))
 		tm.Run(func(id int) {})
 		forEach(tm, 0, 8, func(i int) {})
 		forBlock(tm, 0, 8, func(blo, bhi int) {})
@@ -54,8 +56,9 @@ func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 // same accounting as a dispatched one — one region counted, the body's
 // time charged to worker 0, and a region span enclosing one block span.
 func TestSizeOneRunAccounting(t *testing.T) {
-	rec, tr := obs.New(1), trace.New(1)
-	tm := New(1, WithRecorder(rec), WithTracer(tr))
+	tr := trace.New(1)
+	rec := NewProbe(1, tr, nil)
+	tm := New(1, WithProbe(rec))
 	tm.Run(func(id int) { time.Sleep(time.Millisecond) })
 	tm.Close()
 
@@ -83,7 +86,7 @@ func TestSizeOneRunAccounting(t *testing.T) {
 func TestTracerBarrierPairsShareGeneration(t *testing.T) {
 	const n, trips = 3, 5
 	tr := trace.New(n)
-	tm := New(n, WithTracer(tr))
+	tm := New(n, withTracer(tr))
 	defer tm.Close()
 	tm.Run(func(id int) {
 		for i := 0; i < trips; i++ {
@@ -120,7 +123,7 @@ func TestTracerBarrierPairsShareGeneration(t *testing.T) {
 func TestTracerAnonymousBarrierNotTraced(t *testing.T) {
 	const n = 2
 	tr := trace.New(n)
-	tm := New(n, WithTracer(tr))
+	tm := New(n, withTracer(tr))
 	defer tm.Close()
 	tm.Run(func(id int) { tm.Barrier() })
 	s := tr.Snapshot()
@@ -139,7 +142,7 @@ func TestTracerAnonymousBarrierNotTraced(t *testing.T) {
 func TestTracerPanicAndPoisonedBarrierStayPaired(t *testing.T) {
 	const n = 3
 	tr := trace.New(n)
-	tm := New(n, WithTracer(tr))
+	tm := New(n, withTracer(tr))
 	defer tm.Close()
 	pe := runRecovered(tm, func(id int) {
 		if id == 0 {
@@ -179,7 +182,7 @@ func TestTracerPanicAndPoisonedBarrierStayPaired(t *testing.T) {
 // no wait span on the receiver.
 func TestTracerPipelineFastPathSilent(t *testing.T) {
 	tr := trace.New(2)
-	tm := New(2, WithTracer(tr))
+	tm := New(2, withTracer(tr))
 	defer tm.Close()
 	pipe := tm.NewPipeline(4)
 	pipe.Post(0)
@@ -197,7 +200,7 @@ func TestTracerPipelineFastPathSilent(t *testing.T) {
 // parks records a paired wait span on the receiver's track.
 func TestTracerPipelineBlockingWaitRecorded(t *testing.T) {
 	tr := trace.New(2)
-	tm := New(2, WithTracer(tr))
+	tm := New(2, withTracer(tr))
 	defer tm.Close()
 	pipe := tm.NewPipeline(4)
 	done := make(chan struct{})
@@ -220,7 +223,7 @@ func TestTracerPipelineBlockingWaitRecorded(t *testing.T) {
 // asynchronous, so it must land on the runtime track, with the reason.
 func TestTracerCancelOnRuntimeTrack(t *testing.T) {
 	tr := trace.New(2)
-	tm := New(2, WithTracer(tr))
+	tm := New(2, withTracer(tr))
 	defer tm.Close()
 	tm.Cancel(errTestStop)
 	tm.Cancel(errTestStop) // sticky: only the first is an event
@@ -235,8 +238,8 @@ func TestTracerCancelOnRuntimeTrack(t *testing.T) {
 }
 
 // BenchmarkRegionTrace measures per-region dispatch with and without a
-// tracer — the disabled path's budget is one nil check, so notrace must
-// match the plain-team numbers of BenchmarkRegionObs.
+// tracing probe — the disabled path's budget is one nil check, so
+// notrace must match the plain-team numbers of BenchmarkRegionObs.
 func BenchmarkRegionTrace(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		for _, on := range []bool{false, true} {
@@ -252,7 +255,7 @@ func BenchmarkRegionTrace(b *testing.B) {
 					// Outsized capacity so the ring never fills mid-benchmark;
 					// a full ring costs less (no store), which would flatter
 					// the numbers.
-					opts = append(opts, WithTracer(trace.New(n, trace.WithCapacity(1<<22))))
+					opts = append(opts, withTracer(trace.New(n, trace.WithCapacity(1<<22))))
 				}
 				tm := New(n, opts...)
 				defer tm.Close()
@@ -273,7 +276,7 @@ func BenchmarkBarrierTrace(b *testing.B) {
 		var opts []Option
 		if on {
 			name = "trace"
-			opts = append(opts, WithTracer(trace.New(4, trace.WithCapacity(1<<22))))
+			opts = append(opts, withTracer(trace.New(4, trace.WithCapacity(1<<22))))
 		}
 		b.Run(name, func(b *testing.B) {
 			tm := New(4, opts...)

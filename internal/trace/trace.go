@@ -3,17 +3,17 @@
 // exportable as Chrome/Perfetto trace-event JSON and as a plain-text
 // timeline summary.
 //
-// The obs layer answers "how much time did worker w spend busy and
-// waiting"; this package answers *when*. The paper's diagnoses all hang
+// The team probe's counters answer "how much time did worker w spend
+// busy and waiting"; this package answers *when*. The paper's diagnoses all hang
 // on timeline reasoning — CG's thread placement (§5.2) showed up as two
 // processors doing all the work, LU's pipelined SSOR sweeps stall
 // workers at per-plane synchronization, IS gives each thread too little
 // work between barriers — and a timeline turns "LU scales poorly" into
 // "worker 7 spent 40% of iteration k parked at the pipeline".
 //
-// The tracer follows the obs.Recorder engineering contract: a team
-// without a tracer pays one nil pointer check per instrumentation
-// point, and a team with one pays a clock read plus an atomic slot
+// The tracer rides on the team's probe (team.NewProbe) and follows its
+// engineering contract: a team without a probe pays one nil pointer
+// check per instrumentation point, and a team with a tracer pays a clock read plus an atomic slot
 // claim and a plain struct store into a cache-line-padded per-worker
 // ring — no locks, no allocation on the hot path. Rings have fixed
 // capacity; once a ring is full further events are counted as drops
@@ -117,7 +117,7 @@ func (r *ring) emit(e Event) {
 // Tracer records event timelines for one team: one ring per worker,
 // one master ring for region/phase events, and one runtime ring
 // for asynchronous events. A nil *Tracer is the disabled state; the
-// instrumented code checks the pointer, exactly like obs.Recorder.
+// team probe checks the pointer before forwarding to it.
 type Tracer struct {
 	rings []ring // workers 0..n-1, then master, then runtime
 	n     int
@@ -171,7 +171,7 @@ func (t *Tracer) Workers() int { return t.n }
 func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
 
 // worker clamps id to a valid worker ring so an out-of-range id can
-// never crash the runtime (the obs.Recorder drop-don't-panic stance);
+// never crash the runtime (the team probe's drop-don't-panic stance);
 // out-of-range events land on the runtime ring instead.
 func (t *Tracer) ring(id int) *ring {
 	if id < 0 || id >= t.n {
@@ -234,7 +234,7 @@ func (t *Tracer) PipeSignal(id int, tok uint64) {
 
 // Chunk marks worker id claiming chunk ordinal c of a dynamically
 // scheduled loop — the Perfetto-visible pulse of the chunk traffic the
-// obs chunk counters total up.
+// probe's chunk counters total up.
 func (t *Tracer) Chunk(id int, c uint64) {
 	t.ring(id).emit(Event{TS: t.now(), ID: c, Kind: KindChunk})
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"npbgo/internal/kernel"
-	"npbgo/internal/obs"
 	"npbgo/internal/perfcount"
 	"npbgo/internal/suite"
 	"npbgo/internal/team"
@@ -116,7 +115,7 @@ type Result struct {
 	Phases []timer.Phase
 	// Obs holds the run's per-worker runtime metrics, nil unless
 	// Config.Obs was set.
-	Obs *obs.Stats
+	Obs *team.Stats
 	// Trace holds the run's event-timeline snapshot, nil unless
 	// Config.Trace was set.
 	Trace *trace.Snapshot
@@ -223,48 +222,46 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if cfg.Profile || cfg.Obs {
 		env.Timers = timer.NewConcurrentSet()
 	}
-	if cfg.Obs {
-		env.Rec = obs.New(cfg.Threads)
-	}
+	var tr *trace.Tracer
 	if cfg.Trace {
-		env.Tr = trace.New(cfg.Threads)
+		tr = trace.New(cfg.Threads)
 		var endTask func()
 		ctx, endTask = trace.StartTask(ctx, fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads))
 		defer endTask()
 	}
 	env.Ctx = ctx
+	var pc *perfcount.Sampler
 	if cfg.Counters {
-		pc, cErr := perfcount.New(cfg.Threads)
-		if cErr != nil {
+		var cErr error
+		if pc, cErr = perfcount.New(cfg.Threads); cErr != nil {
 			res.CountersNote = "unavailable (" + cErr.Error() + ")"
 		} else {
-			env.Pc = pc
 			// Slot 0 is the master: benchmark regions run synchronously on
 			// this goroutine, so binding here pins it to its OS thread for
 			// the whole run and attributes the master's share. Workers
-			// bind their own slots (team.WithCounters). Close after the
-			// run is safe: the benchmark's team has joined by then.
+			// bind their own slots (team.NewProbe). Close after the run is
+			// safe: the benchmark's team has joined by then.
 			pc.Bind(0)
 			defer func() { pc.Unbind(0); pc.Close() }()
-			if env.Rec != nil {
-				env.Rec.AttachCounters(pc)
-			}
 		}
 	}
+	if cfg.Obs || tr != nil || pc != nil {
+		env.Probe = team.NewProbe(cfg.Threads, tr, pc)
+	}
 	err, panicked := runBenchmark(row, cfg, env, &res)
-	if env.Pc != nil {
-		res.Counters = env.Pc.Snapshot()
+	// The benchmark's team has joined (or the panic was recovered), so
+	// the probe and the trace rings are quiescent and safe to snapshot.
+	if pc != nil {
+		res.Counters = pc.Snapshot()
 		if n := res.Counters.Note; n != "" && res.CountersNote == "" {
 			res.CountersNote = n
 		}
 	}
-	if env.Rec != nil {
-		res.Obs = env.Rec.Snapshot()
+	if cfg.Obs {
+		res.Obs = env.Probe.Snapshot()
 	}
-	if env.Tr != nil {
-		// The benchmark's team has joined (or the panic was recovered),
-		// so the rings are quiescent and safe to snapshot.
-		res.Trace = env.Tr.Snapshot()
+	if tr != nil {
+		res.Trace = tr.Snapshot()
 	}
 	if panicked {
 		return fail(ErrPanic, err)
