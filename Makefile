@@ -3,7 +3,7 @@
 GO ?= go
 NPBLINT := bin/npblint
 
-.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace soak schedule-check instrument-check tables clean
+.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
@@ -77,7 +77,7 @@ bce-baseline:
 # (lu, cg, nscore) get a full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/journal ./internal/chaos ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/journal ./internal/perfcount
 
 test-race: race
 
@@ -130,28 +130,18 @@ perf:
 	$(GO) run ./cmd/npbperf compare -threshold $(PERF_THRESHOLD) -min-time $(PERF_MINTIME) perf-base.json perf-head.json
 	$(GO) run ./cmd/npbperf scaling perf-head.json
 
-# Seeded chaos soak: randomized fault/cancel/timeout schedules against
-# class-S cells with recovery invariants asserted after each one, then
-# the journal validated. Deterministic per seed — a red soak reproduces
-# with the same SOAK_SEED. The CI soak job runs exactly this and keeps
-# the journal as an artifact.
-SOAK_SEED ?= 1
-SOAK_CELLS ?= 10
-soak:
-	$(GO) run ./cmd/npbsuite -chaos -chaos-seed $(SOAK_SEED) -chaos-cells $(SOAK_CELLS) -class S -bench CG,EP -threads 1,2 -journal soak-journal.jsonl
-	$(GO) run ./cmd/npbsuite -check-journal soak-journal.jsonl
-
 # Schedule smoke: every loop schedule sweeps CG+IS class S under the
-# race detector, then a CG class-W sweep under -schedule auto must come
-# out of npbperf scaling without the §5.2 load-imbalance flag. The CI
-# schedule-matrix job runs the same steps, one schedule per matrix leg.
-SCHEDULES ?= static dynamic guided stealing auto
+# race detector, then a CG class-W sweep under the static schedule must
+# come out of npbperf scaling without the §5.2 load-imbalance flag. The
+# CI schedule-matrix job runs the same steps, one schedule per matrix
+# leg.
+SCHEDULES ?= static dynamic guided stealing
 schedule-check:
 	for s in $(SCHEDULES); do \
 		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -instrument obs -instrument-dir $(INSTDIR)/sched || exit 1; \
 	done
-	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule auto -repeats 2 -instrument obs -instrument-dir $(INSTDIR)/sched -bench-json sched-auto.json
-	$(GO) run ./cmd/npbperf scaling -fail-on load-imbalance sched-auto.json
+	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule static -repeats 2 -instrument obs -instrument-dir $(INSTDIR)/sched -bench-json sched-static.json
+	$(GO) run ./cmd/npbperf scaling -fail-on load-imbalance sched-static.json
 
 # Instrument smoke: one IS+CG+LU class-S sweep with every instrument
 # on, then each instrument's own check.
@@ -188,4 +178,4 @@ clean:
 	$(GO) clean ./...
 	rm -rf bin
 	rm -rf $(INSTDIR)
-	rm -f perf-base.json perf-head.json soak-journal.jsonl sched-auto.json
+	rm -f perf-base.json perf-head.json sched-static.json

@@ -18,10 +18,8 @@ import (
 	"testing"
 
 	"npbgo"
-	"npbgo/internal/cg"
 	"npbgo/internal/grid"
 	"npbgo/internal/jgf"
-	"npbgo/internal/kernel"
 	"npbgo/internal/ops"
 	"npbgo/internal/team"
 )
@@ -197,29 +195,6 @@ func BenchmarkAblationCGWarmup(b *testing.B) {
 					b.Fatal(err)
 				}
 				if res.Failed {
-					b.Fatal("verification failed")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCGBallast reproduces the other §5.2 experiment: an
-// artificial increase of CG's memory use ("also resulted in a drop of
-// scalability" in the paper). Each worker streams the given ballast
-// once per outer iteration, evicting the solver's working set.
-func BenchmarkAblationCGBallast(b *testing.B) {
-	for _, mb := range []int{0, 8, 64} {
-		b.Run(fmt.Sprintf("ballastMB=%d", mb), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bench, err := cg.New('S', 2, kernel.Env{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if mb > 0 {
-					bench.Ballast(mb << 20)
-				}
-				if res := bench.Run(); !res.Verify.Passed() {
 					b.Fatal("verification failed")
 				}
 			}

@@ -18,7 +18,7 @@ func main() {
 	class := flag.String("class", "S", "problem class: S W A B C")
 	threads := flag.Int("threads", 1, "worker threads (1 = serial)")
 	warmup := flag.Bool("warmup", false, "apply the per-thread warmup load of the paper's §5.2 (CG)")
-	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided, stealing or auto")
+	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
 	verbose := flag.Bool("v", false, "print the full verification report")
 	profile := flag.Bool("profile", false, "print a per-phase timing profile (BT)")
 	flag.Parse()

@@ -12,7 +12,7 @@
 // is produced; npbsuite then exits non-zero at the end.
 //
 // -schedule selects the team loop schedule for every cell (static —
-// the default — dynamic, guided, stealing or auto; see DESIGN.md §14).
+// the default — dynamic, guided or stealing; see DESIGN.md §14).
 // Schedules redistribute loop chunks between workers without changing
 // any numerical result; the chosen name is stamped into each cell's
 // bench-record and journal rows so sweeps stay comparable.
@@ -69,12 +69,6 @@
 // the sweep continues. -mem-guard consults each cell's estimated
 // footprint against available memory first and records
 // SKIP(memory: ...) for cells that cannot fit.
-//
-// -chaos runs a seeded chaos soak campaign instead of a sweep:
-// -chaos-cells randomized cells drawn from -chaos-seed, each under a
-// random fault/cancel/timeout schedule, with recovery invariants
-// asserted after every cell. -check-journal <path> validates a journal
-// and prints its state summary (the CI soak job's final gate).
 package main
 
 import (
@@ -92,7 +86,6 @@ import (
 	"time"
 
 	"npbgo"
-	"npbgo/internal/chaos"
 	"npbgo/internal/fault"
 	"npbgo/internal/harness"
 	"npbgo/internal/journal"
@@ -107,7 +100,7 @@ func main() {
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 	repeats := flag.Int("repeats", 1, "repetitions per cell (best time kept)")
 	warmup := flag.Bool("warmup", false, "apply the CG warmup fix of §5.2")
-	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided, stealing or auto")
+	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
 	timeout := flag.Duration("timeout", 0, "per-run deadline, e.g. 5m (0 = unbounded)")
 	retries := flag.Int("retries", 0, "retries per failed run, with exponential backoff")
 	instrumentFlag := flag.String("instrument", "", "comma-separated instruments to turn on per cell: "+strings.Join(instrumentNames, ", "))
@@ -119,10 +112,6 @@ func main() {
 	isolate := flag.Bool("isolate", false, "run every cell in a watchdogged child process; runaway or OOM-ing cells are killed and recorded as FAIL")
 	memLimit := flag.String("mem-limit", "", "with -isolate: kill a cell whose resident set exceeds this size, e.g. 2GiB")
 	memGuard := flag.Bool("mem-guard", false, "skip cells whose estimated memory footprint cannot fit in available memory")
-	chaosFlag := flag.Bool("chaos", false, "run a seeded chaos soak campaign instead of a sweep (see -chaos-seed, -chaos-cells)")
-	chaosSeed := flag.Int64("chaos-seed", 1, "with -chaos: campaign seed (same seed = same schedule = same failures)")
-	chaosCells := flag.Int("chaos-cells", 8, "with -chaos: number of chaos cells to run")
-	checkJournal := flag.String("check-journal", "", "validate a sweep journal, print its state summary, and exit")
 	runCellMode := flag.Bool("run-cell", false, "internal: execute one cell from the JSON spec argument and print its result (used by -isolate)")
 	flag.Parse()
 
@@ -138,9 +127,6 @@ func main() {
 			fmt.Println(site)
 		}
 		return
-	}
-	if *checkJournal != "" {
-		os.Exit(checkJournalMain(*checkJournal))
 	}
 
 	var threads []int
@@ -159,8 +145,11 @@ func main() {
 			benches = append(benches, npbgo.Benchmark(strings.ToUpper(strings.TrimSpace(tok))))
 		}
 	}
-	cl := strings.ToUpper(*class)[0]
-	if _, err := team.ParseSchedule(*schedule); err != nil {
+	cl, err := parseClass(*class)
+	if err == nil {
+		_, err = team.ParseSchedule(*schedule)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "npbsuite: %v\n", err)
 		os.Exit(2)
 	}
@@ -178,32 +167,6 @@ func main() {
 	// abandoned, and a journaled sweep stays resumable.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *chaosFlag {
-		camp := &chaos.Campaign{
-			Seed:    *chaosSeed,
-			Cells:   *chaosCells,
-			Class:   cl,
-			Threads: threads,
-			Journal: *journalPath,
-			Out:     os.Stdout,
-		}
-		if *benchFlag != "" {
-			camp.Benchmarks = benches
-		}
-		if *timeout > 0 {
-			camp.WallLimit = *timeout
-		}
-		rep, err := camp.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		if rep.Failed() {
-			os.Exit(1)
-		}
-		return
-	}
 
 	opt := harness.Options{
 		Warmup:   *warmup,
@@ -360,6 +323,16 @@ func main() {
 	}
 }
 
+// parseClass parses -class: exactly one letter, upper- or lower-case.
+// Whether the suite knows the class is npbgo.Run's to say, so an
+// unknown letter still degrades to FAIL(config) rows.
+func parseClass(s string) (byte, error) {
+	if len(s) != 1 {
+		return 0, fmt.Errorf("-class must be one letter, got %q", s)
+	}
+	return strings.ToUpper(s)[0], nil
+}
+
 // instrumentNames are the -instrument spellings.
 var instrumentNames = []string{"obs", "counters", "trace", "profile"}
 
@@ -386,32 +359,6 @@ func openMetrics(dir string) (*os.File, error) {
 		return nil, err
 	}
 	return os.OpenFile(filepath.Join(dir, "metrics.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-}
-
-// checkJournalMain validates a sweep journal and prints its state
-// summary; it is the CI soak job's final gate. Exit 0 means the journal
-// parsed under the current schema; a recovered torn tail is reported
-// but is not a failure (that is the journal working as designed).
-func checkJournalMain(path string) int {
-	lg, err := journal.Read(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "npbsuite: check-journal: %v\n", err)
-		return 1
-	}
-	plan := lg.Plan()
-	st := lg.State()
-	fmt.Printf("journal: %s\n", path)
-	fmt.Printf("  schema:  %s (%d entries)\n", journal.Schema, len(lg.Entries))
-	if plan.Stamp != "" {
-		fmt.Printf("  stamp:   %s\n", plan.Stamp)
-	}
-	fmt.Printf("  plan:    class %s, %d cells\n", plan.Class, len(plan.Planned))
-	fmt.Printf("  state:   %d done, %d skipped, %d pending, %d resume marker(s)\n",
-		len(st.Done), len(st.Skipped), len(st.Pending()), st.Resumes)
-	if lg.Truncated {
-		fmt.Println("  note:    torn trailing line dropped (crash-interrupted append); journal is resumable")
-	}
-	return 0
 }
 
 // writeBenchRecord writes the sweep's machine-readable performance

@@ -441,7 +441,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	}
 	want := run(1, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := run(threads, sched)
 			for i := range want {
 				if got[i] != want[i] {

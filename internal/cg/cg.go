@@ -51,8 +51,6 @@ type Benchmark struct {
 	threads int
 	env     kernel.Env
 
-	ballast [][]float64 // per-worker ballast, nil without Ballast
-
 	zeta, rnorm float64 // results of the latest complete Iter
 
 	rowstr []int
@@ -73,10 +71,9 @@ type Benchmark struct {
 	dotB     []float64
 	dots     []dotSlot // conjBody's reduction partials, one per static block
 
-	conjBody    func(id int)
-	scaleBody   func(id int)
-	dotBody     func(id int)
-	ballastBody func(id int)
+	conjBody  func(id int)
+	scaleBody func(id int)
+	dotBody   func(id int)
 }
 
 // dotSlot is one static block's cache line of conjBody's dot-product
@@ -196,29 +193,6 @@ func (b *Benchmark) buildBodies() {
 			*tm.Partial(it.Chunk()) = s
 		}
 	}
-
-	// per-worker ballast streaming (no-op without Ballast)
-	b.ballastBody = func(id int) {
-		bal := b.ballast[id]
-		s := 0.0
-		for i := range bal {
-			s += bal[i]
-			bal[i] = s * 0.5
-		}
-		*b.tm.Partial(id) = s
-	}
-}
-
-// Ballast reproduces the paper's other §5.2 experiment: "an artificial
-// increase in the memory use ... also resulted in a drop of
-// scalability". Each worker is given bytes of ballast that the timed
-// loop streams through once per outer iteration, inflating the
-// benchmark's working set without changing its arithmetic.
-func (b *Benchmark) Ballast(bytes int) {
-	b.ballast = make([][]float64, b.threads)
-	for i := range b.ballast {
-		b.ballast[i] = make([]float64, max(bytes/8, 1))
-	}
 }
 
 // NNZ returns the number of stored matrix nonzeros.
@@ -287,7 +261,6 @@ func (b *Benchmark) RunResult() Result {
 func (b *Benchmark) Iter(tm *team.Team) {
 	b.tm = tm
 	fault.Maybe("cg.iter")
-	b.touchBallast()
 	b.env.Start("t_conj_grad")
 	b.rnorm = b.conjGrad()
 	b.env.Stop("t_conj_grad")
@@ -302,16 +275,6 @@ func (b *Benchmark) Iter(tm *team.Team) {
 	b.env.Start("t_norm")
 	b.normalize()
 	b.env.Stop("t_norm")
-}
-
-// touchBallast streams every worker through its ballast once, evicting
-// the benchmark's real working set from the caches (a no-op without
-// Ballast).
-func (b *Benchmark) touchBallast() {
-	if b.ballast == nil {
-		return
-	}
-	b.tm.Run(b.ballastBody)
 }
 
 // normalize scales z to unit norm into x (end of each outer iteration).

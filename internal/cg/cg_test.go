@@ -212,14 +212,3 @@ func TestCorruptedMatrixFailsVerification(t *testing.T) {
 		t.Fatal("corruption not reported as failure")
 	}
 }
-
-func TestBallastOptionStillVerifies(t *testing.T) {
-	b, err := New('S', 2, kernel.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Ballast(1 << 20)
-	if res := b.Run(); !res.Verify.Passed() {
-		t.Fatalf("ballast run failed verification:\n%s", res.Verify)
-	}
-}

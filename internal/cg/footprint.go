@@ -14,7 +14,7 @@ func Footprint(class byte, threads int) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("cg: unknown class %q", string(class))
 	}
-	_ = threads // per-thread state is O(1); ballast is test-only
+	_ = threads // per-thread state is O(1)
 	na, w := uint64(p.na), uint64(p.nonzer+1)
 	build := na*w*w*12 + na*w*24 // CSR (a float64, colidx int32) + vv, vi, colref
 	vectors := na * 8 * 6        // x,z,pv,q,r + rowstr

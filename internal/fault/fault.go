@@ -8,8 +8,8 @@
 // at named sites, and a test activates a plan of rules naming the sites
 // and the actions (panic, delay, value corruption) to perform on chosen
 // visits. Rules fire by deterministic hit counting — "panic on the 3rd
-// visit to this site" — with an optional seeded probability gate, so a
-// given plan and seed always reproduces the same failure sequence.
+// visit to this site" — so a given plan always reproduces the same
+// failure sequence.
 //
 // When no plan is active (the production configuration), every hook is a
 // single atomic load and the registry costs nothing.
@@ -17,7 +17,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +54,6 @@ type Rule struct {
 	On    int           // 1-based hit index at which the rule becomes eligible; 0 means 1
 	Count int           // firings allowed: 0 means once, negative means unlimited
 	Sleep time.Duration // KindDelay: how long to sleep
-	Prob  float64       // eligible-hit firing probability; 0 or >= 1 fires always
 }
 
 // InjectedPanic is the value a KindPanic rule panics with, so tests can
@@ -81,14 +79,12 @@ var (
 	mu   sync.Mutex
 	plan []*ruleState
 	hits map[string]int
-	rng  *rand.Rand
 )
 
-// Activate installs a plan of rules with the given seed (used only by
-// probability-gated rules) and enables injection. It replaces any
-// previous plan and resets all hit counters. Tests should pair it with
-// a deferred Reset.
-func Activate(seed int64, rules ...Rule) {
+// Activate installs a plan of rules and enables injection. It replaces
+// any previous plan and resets all hit counters. Tests should pair it
+// with a deferred Reset.
+func Activate(rules ...Rule) {
 	mu.Lock()
 	defer mu.Unlock()
 	plan = nil
@@ -102,7 +98,6 @@ func Activate(seed int64, rules ...Rule) {
 		plan = append(plan, &ruleState{Rule: r})
 	}
 	hits = make(map[string]int)
-	rng = rand.New(rand.NewSource(seed))
 	active.Store(len(plan) > 0)
 }
 
@@ -113,7 +108,6 @@ func Reset() {
 	active.Store(false)
 	plan = nil
 	hits = nil
-	rng = nil
 }
 
 // Enabled reports whether a plan is active.
@@ -127,23 +121,6 @@ func Hits(site string) int {
 	return hits[site]
 }
 
-// Fired returns how many times rules of the given kind have fired at
-// site under the active plan. Chaos campaigns use it to hold the suite
-// honest: a run that reports its verification passed after a corrupt
-// rule fired at its verify site is lying, and that is an invariant
-// violation, not bad luck.
-func Fired(site string, kind Kind) int {
-	mu.Lock()
-	defer mu.Unlock()
-	n := 0
-	for _, st := range plan {
-		if st.Site == site && st.Kind == kind {
-			n += st.fired
-		}
-	}
-	return n
-}
-
 // eligible reports whether the rule fires on hit h, and records the
 // firing. Must be called with mu held.
 func (st *ruleState) eligible(h int) bool {
@@ -151,9 +128,6 @@ func (st *ruleState) eligible(h int) bool {
 		return false
 	}
 	if st.Count > 0 && st.fired >= st.Count {
-		return false
-	}
-	if st.Prob > 0 && st.Prob < 1 && rng.Float64() >= st.Prob {
 		return false
 	}
 	st.fired++

@@ -23,8 +23,8 @@ var knownSites = [...]string{
 // Sites returns the known injection site keys in sorted order. The
 // sort is applied here rather than trusted from the declaration, so
 // consumers that must be deterministic and diffable (`npbsuite
-// -list-faults` in CI logs, the chaos scheduler's seeded draws) cannot
-// be broken by an unsorted insertion above.
+// -list-faults` in CI logs) cannot be broken by an unsorted insertion
+// above.
 func Sites() []string {
 	out := make([]string, len(knownSites))
 	copy(out, knownSites[:])

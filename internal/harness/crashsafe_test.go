@@ -34,7 +34,7 @@ func TestHelperJournaledSweep(t *testing.T) {
 		t.Skip("helper process entry point")
 	}
 	path := os.Getenv("NPB_HARNESS_JOURNAL")
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindDelay,
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindDelay,
 		Count: -1, Sleep: 500 * time.Millisecond})
 	threads := []int{1, 2}
 	w, err := journal.Create(path, journal.Plan{
@@ -177,7 +177,6 @@ func TestIsolatedCellHappyPath(t *testing.T) {
 // KilledError — the failure mode an in-process timeout cannot stop.
 func TestIsolatedTimeoutKilled(t *testing.T) {
 	iso := isolationForTest(t)
-	iso.FaultSeed = 1
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
 		Count: -1, Sleep: 30 * time.Second}}
 	start := time.Now()
@@ -203,7 +202,6 @@ func TestIsolatedOOMKilled(t *testing.T) {
 	iso := isolationForTest(t)
 	iso.MemLimitBytes = 1
 	iso.Poll = 2 * time.Millisecond
-	iso.FaultSeed = 1
 	// Keep the child alive long enough for the first RSS sample.
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
 		Count: -1, Sleep: 30 * time.Second}}
@@ -222,7 +220,6 @@ func TestIsolatedOOMKilled(t *testing.T) {
 // the child rather than leave it running unsupervised.
 func TestIsolatedCancelKillsChild(t *testing.T) {
 	iso := isolationForTest(t)
-	iso.FaultSeed = 1
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
 		Count: -1, Sleep: 30 * time.Second}}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -247,7 +244,6 @@ func TestIsolatedCancelKillsChild(t *testing.T) {
 // boundary as a RunError of the same kind, not as a flat exit failure.
 func TestIsolatedErrorRoundTrip(t *testing.T) {
 	iso := isolationForTest(t)
-	iso.FaultSeed = 1
 	iso.FaultRules = []fault.Rule{{Site: "cg.verify", Kind: fault.KindCorrupt, Count: -1}}
 	_, _, err := runIsolated(context.Background(),
 		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "")
@@ -273,7 +269,7 @@ func TestRunCellMainBadSpec(t *testing.T) {
 // a 30s backoff and a cancel after 100ms, the sweep must return almost
 // immediately.
 func TestRetryBackoffInterruptedByCancel(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -357,7 +353,7 @@ func TestMemGuardFailsOpen(t *testing.T) {
 // come back from their journaled metrics; an always-panic fault rule
 // proves no benchmark actually ran.
 func TestResumeReplaysWithoutExecuting(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	key := func(th int) journal.CellKey {
 		return journal.CellKey{Benchmark: "CG", Class: "S", Threads: th}

@@ -66,7 +66,7 @@ func failedCellLines(t *testing.T, buf *bytes.Buffer) []report.CellMetrics {
 // flushed for that cell, so the partial record survives a crash right
 // after the failure.
 func TestFailedCellMetricsAreFlushed(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	w := &recordingWriter{}
 	sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{Metrics: w})
@@ -96,7 +96,7 @@ func TestFailedCellMetricsAreFlushed(t *testing.T) {
 // metrics sink's first Write, which runs between the cell's metrics
 // append and its journal Finish.
 func TestFailedCellMetricsSurviveJournalAbort(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
 	jw, err := journal.Create(path, journal.Plan{

@@ -121,7 +121,7 @@ type Options struct {
 	Repeats int  // repetitions per cell, best time kept; < 1 means 1
 	// Schedule selects the team loop schedule for every cell
 	// (npbgo.Config.Schedule): "static" (default when empty), "dynamic",
-	// "guided", "stealing" or "auto".
+	// "guided" or "stealing".
 	Schedule string
 	Timeout  time.Duration // per-attempt deadline; 0 means unbounded
 	Retries  int           // extra attempts after a failed one, per repeat

@@ -43,10 +43,9 @@ type Isolation struct {
 	MemLimitBytes uint64
 	// Poll is the watchdog sampling interval; <= 0 means 25ms.
 	Poll time.Duration
-	// FaultSeed/FaultRules are forwarded into each child's injection
-	// registry — fault plans are process-local, so an isolated chaos or
-	// robustness run must ship its plan across the process boundary.
-	FaultSeed  int64
+	// FaultRules are forwarded into each child's injection registry —
+	// fault plans are process-local, so an isolated robustness run must
+	// ship its plan across the process boundary.
 	FaultRules []fault.Rule
 }
 
@@ -59,7 +58,6 @@ type CellSpec struct {
 	Warmup     bool         `json:"warmup,omitempty"`
 	Obs        bool         `json:"obs,omitempty"`
 	Counters   bool         `json:"counters,omitempty"`
-	FaultSeed  int64        `json:"fault_seed,omitempty"`
 	FaultRules []fault.Rule `json:"fault_rules,omitempty"`
 	// ProfileDir/ProfileLabel make the child capture its own CPU and
 	// heap profiles (the profiler must run in the process being
@@ -103,7 +101,7 @@ func RunCellMain(specJSON string, out io.Writer) int {
 		return 2
 	}
 	if len(spec.FaultRules) > 0 {
-		fault.Activate(spec.FaultSeed, spec.FaultRules...)
+		fault.Activate(spec.FaultRules...)
 		defer fault.Reset()
 	}
 	cfg := npbgo.Config{
@@ -179,8 +177,7 @@ func runIsolated(ctx context.Context, cfg npbgo.Config, timeout time.Duration, i
 	spec := CellSpec{
 		Benchmark: string(cfg.Benchmark), Class: string(cfg.Class),
 		Threads: cfg.Threads, Warmup: cfg.Warmup, Obs: cfg.Obs,
-		Counters:  cfg.Counters,
-		FaultSeed: iso.FaultSeed, FaultRules: iso.FaultRules,
+		Counters: cfg.Counters, FaultRules: iso.FaultRules,
 		ProfileDir: profileDir, ProfileLabel: label,
 	}
 	payload, err := json.Marshal(spec)

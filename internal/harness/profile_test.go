@@ -61,7 +61,7 @@ func TestProfiledSweepCapturesCells(t *testing.T) {
 // rendering and before any journal Finish, so probing the profile from
 // there proves the flush preceded both.
 func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	dir := t.TempDir()
 	cpu, _ := profile.CellPaths(dir, "CG.S.serial")
@@ -102,7 +102,7 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 // before the journal Finish, so a journal dying at exactly that point
 // still leaves the failed cell's profile decodable on disk.
 func TestFailedCellProfileSurvivesJournalAbort(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	dir := t.TempDir()
 	cpu, _ := profile.CellPaths(dir, "CG.S.serial")
@@ -157,7 +157,6 @@ func TestIsolatedProfileRoundTrip(t *testing.T) {
 // the decoder rejects the empty file loudly if pointed at it anyway.
 func TestIsolatedKilledCellRecordsNoEmptyProfile(t *testing.T) {
 	iso := isolationForTest(t)
-	iso.FaultSeed = 1
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
 		Count: -1, Sleep: 30 * time.Second}}
 	dir := t.TempDir()

@@ -13,7 +13,7 @@ import (
 // cell attempt and checks that one retry heals it: the sweep succeeds,
 // the cell is marked successful, and exactly one backoff sleep happened.
 func TestRetryHealsInjectedTransientFailure(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
 	defer fault.Reset()
 	var sleeps []time.Duration
 	sw, err := RunSweepOpts(npbgo.EP, 'S', []int{1}, Options{
@@ -45,7 +45,7 @@ func TestRetryHealsInjectedTransientFailure(t *testing.T) {
 // TestBackoffDoublesUntilRetriesExhausted makes every attempt fail and
 // checks the exponential backoff schedule and the final cell failure.
 func TestBackoffDoublesUntilRetriesExhausted(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	var sleeps []time.Duration
 	sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{
@@ -73,7 +73,7 @@ func TestBackoffDoublesUntilRetriesExhausted(t *testing.T) {
 // an injected delay so a short per-cell timeout fires, and checks the
 // cell degrades to FAIL(timeout) while the sweep still returns.
 func TestTimeoutMarksCellFailedAndSweepContinues(t *testing.T) {
-	fault.Activate(1, fault.Rule{
+	fault.Activate(fault.Rule{
 		Site: "cg.iter", Kind: fault.KindDelay, Count: -1, Sleep: 60 * time.Millisecond,
 	})
 	defer fault.Reset()
@@ -106,7 +106,7 @@ func TestTimeoutMarksCellFailedAndSweepContinues(t *testing.T) {
 // team region of a real benchmark) through the whole stack: team
 // recovery, npbgo.RunError conversion, harness degradation.
 func TestInjectedWorkerPanicDegradesCell(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "ep.batch", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "ep.batch", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	sw, err := RunSweepOpts(npbgo.EP, 'S', []int{2}, Options{sleep: func(time.Duration) {}})
 	if err == nil {

@@ -250,7 +250,7 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	want := ssorField(t, 1, 5, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing, team.Auto} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := ssorField(t, threads, 5, sched)
 			for i := range want {
 				if got[i] != want[i] {

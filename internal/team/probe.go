@@ -15,7 +15,7 @@ import (
 // side by side (§5.2: CG's thread placement, LU's pipeline stalls), so
 // the three reach the runtime as one value. A probe always keeps the
 // per-worker metrics — busy time, barrier wait, loop chunks and steals —
-// and the region, cancellation, panic, join and retune totals; it also
+// and the region, cancellation, panic and join totals; it also
 // forwards to an execution tracer and a hardware-counter sampler when
 // it was given them.
 //
@@ -33,7 +33,6 @@ type Probe struct {
 	barrierWaits  atomic.Uint64 // waits that actually blocked
 	barrierWaitNs atomic.Int64  // aggregate, including unattributed waits
 	joinNs        atomic.Int64  // master time draining the region join
-	retunes       atomic.Uint64 // auto-tuner schedule switches
 	// seq numbers parallel regions for trace correlation; it only
 	// advances while a tracer is attached.
 	seq atomic.Uint64
@@ -171,14 +170,6 @@ func (p *Probe) chunk(id, c, victim int) {
 	}
 }
 
-// retuned counts one schedule switch by the team's auto-tuner.
-func (p *Probe) retuned(s Schedule) {
-	p.retunes.Add(1)
-	if p.tr != nil {
-		p.tr.Retune(s.String())
-	}
-}
-
 // wait is l.wait(g, v, true) with the time spent parked charged to
 // worker id's wait slot.
 func (p *Probe) wait(l *lot, g *gate, v uint64, id int) bool {
@@ -265,22 +256,6 @@ func (p *Probe) addWait(id int, d time.Duration) {
 	}
 }
 
-// busyNs and waitNs read worker id's accumulated busy and wait time
-// without allocating — the auto-tuner's feedback read.
-func (p *Probe) busyNs(id int) int64 {
-	if id >= len(p.workers) {
-		return 0
-	}
-	return p.workers[id].busyNs.Load()
-}
-
-func (p *Probe) waitNs(id int) int64 {
-	if id >= len(p.workers) {
-		return 0
-	}
-	return p.workers[id].waitNs.Load()
-}
-
 // Stats is a point-in-time snapshot of a Probe, safe to serialize
 // (JSON) and to read without synchronization.
 type Stats struct {
@@ -291,7 +266,6 @@ type Stats struct {
 	BarrierWaits  uint64        // waits that blocked
 	BarrierWait   time.Duration // aggregate wait, attributed or not
 	JoinWait      time.Duration // master wait at region joins
-	Retunes       uint64        // auto-tuner schedule switches
 	Busy          []time.Duration
 	Wait          []time.Duration
 	Chunks        []uint64 // per-worker scheduled-chunk claims
@@ -313,7 +287,6 @@ func (p *Probe) Snapshot() *Stats {
 		BarrierWaits:  p.barrierWaits.Load(),
 		BarrierWait:   time.Duration(p.barrierWaitNs.Load()),
 		JoinWait:      time.Duration(p.joinNs.Load()),
-		Retunes:       p.retunes.Load(),
 		Busy:          make([]time.Duration, n),
 		Wait:          make([]time.Duration, n),
 		Chunks:        make([]uint64, n),
@@ -375,9 +348,6 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "regions=%d cancels=%d panics=%d imbalance=%.2f barrier=%.3fs join=%.3fs",
 		s.Regions, s.Cancellations, s.Panics, s.Imbalance(),
 		s.BarrierWait.Seconds(), s.JoinWait.Seconds())
-	if s.Retunes > 0 {
-		fmt.Fprintf(&b, " retunes=%d", s.Retunes)
-	}
 	for i := range s.Busy {
 		fmt.Fprintf(&b, "\n  w%-2d busy=%.3fs wait=%.3fs", i, s.Busy[i].Seconds(), s.Wait[i].Seconds())
 		if i < len(s.Chunks) && (s.Chunks[i] > 0 || s.Steals[i] > 0) {

@@ -207,7 +207,7 @@ func TestBlockGuardsBadParts(t *testing.T) {
 }
 
 func TestInjectedRegionPanicIsIsolated(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "team.region", Kind: fault.KindPanic})
+	fault.Activate(fault.Rule{Site: "team.region", Kind: fault.KindPanic})
 	defer fault.Reset()
 	tm := New(4)
 	defer tm.Close()

@@ -8,9 +8,8 @@
 // default), dynamic hands out fixed-size chunks through an atomic
 // cursor, guided shrinks chunks geometrically so the tail self-balances,
 // and stealing gives every worker a deque of chunks with idle workers
-// taking the back half of a victim's remaining range. Auto starts
-// static and lets the tuner escalate using the feedback (imbalance
-// ratio and barrier-wait share) the team's probe already collects.
+// taking the back half of a victim's remaining range. The schedule is
+// fixed when the team is built.
 //
 // Determinism. Scheduling only moves chunks between workers; it never
 // changes which output element a chunk writes, so loops whose body
@@ -46,22 +45,17 @@ const (
 	// workers grab the next chunk when they finish their current one.
 	Dynamic
 	// Guided deals geometrically shrinking chunks (remaining/(2n),
-	// floored at the grain), so early chunks are big and the tail is
+	// at least one iteration), so early chunks are big and the tail is
 	// fine-grained enough to even out.
 	Guided
 	// Stealing gives each worker a deque of chunks; an idle worker
 	// steals the back half of a victim's remaining range, preserving
 	// the owner's locality at the front.
 	Stealing
-	// Auto starts static and re-evaluates every few regions using the
-	// probe's feedback (imbalance ratio, barrier-wait share), escalating
-	// static → dynamic → guided → stealing and de-escalating after
-	// sustained balance.
-	Auto
 )
 
 // scheduleNames holds the flag spellings, indexed by Schedule.
-var scheduleNames = [...]string{Static: "static", Dynamic: "dynamic", Guided: "guided", Stealing: "stealing", Auto: "auto"}
+var scheduleNames = [...]string{Static: "static", Dynamic: "dynamic", Guided: "guided", Stealing: "stealing"}
 
 // String returns the schedule's flag spelling.
 func (s Schedule) String() string {
@@ -86,20 +80,13 @@ func ParseSchedule(name string) (Schedule, error) {
 	if name == "" {
 		return Static, nil
 	}
-	return Static, fmt.Errorf("team: unknown schedule %q (want static, dynamic, guided, stealing or auto)", name)
+	return Static, fmt.Errorf("team: unknown schedule %q (want static, dynamic, guided or stealing)", name)
 }
 
 // WithSchedule selects the team's loop schedule. The zero value Static
 // is the default.
 func WithSchedule(s Schedule) Option {
 	return func(t *Team) { t.sched = s }
-}
-
-// WithGrain sets the chunk grain in iterations for dynamic and stealing
-// (the fixed chunk size) and guided (the minimum chunk size). grain < 1
-// — the default — sizes chunks automatically from the loop range.
-func WithGrain(grain int) Option {
-	return func(t *Team) { t.grain = grain }
 }
 
 const (
@@ -164,7 +151,6 @@ type Iter struct {
 	deq  []padU64
 
 	next, stop int // static/inline ordinal window
-	gMin       int // guided minimum chunk size
 	gIdx, gLo  int // guided recurrence cache: chunk gIdx starts at offset gLo
 
 	cur int // ordinal of the current chunk
@@ -197,7 +183,7 @@ func (t *Team) newIter(id, lo, hi int, blocks bool) Iter {
 		it.stop = 1
 		return it
 	}
-	s := t.cur
+	s := t.sched
 	it.sched = s
 	if blocks || s == Static {
 		it.blockMode = true
@@ -219,17 +205,10 @@ func (t *Team) newIter(id, lo, hi int, blocks bool) Iter {
 	it.slot = &t.loops[inst%loopSlots]
 	if !it.blockMode {
 		span := hi - lo
-		g := t.grain
 		if s == Guided {
-			if g < 1 {
-				g = 1
-			}
-			it.gMin = g
-			it.nchunks = guidedChunks(span, n, g)
+			it.nchunks = guidedChunks(span, n)
 		} else {
-			if g < 1 {
-				g = span / (oversub * n)
-			}
+			g := span / (oversub * n)
 			if g < 1 {
 				g = 1
 			}
@@ -419,12 +398,12 @@ func (it *Iter) guidedRange(c int) (int, int) {
 		idx, off = 0, 0
 	}
 	for idx < c {
-		off += guidedSize(span-off, it.t.n, it.gMin)
+		off += guidedSize(span-off, it.t.n)
 		idx++
 	}
 	it.gIdx, it.gLo = idx, off
 	lo := it.lo + off
-	hi := lo + guidedSize(span-off, it.t.n, it.gMin)
+	hi := lo + guidedSize(span-off, it.t.n)
 	if hi > it.hi {
 		hi = it.hi
 	}
@@ -432,95 +411,17 @@ func (it *Iter) guidedRange(c int) (int, int) {
 }
 
 // guidedSize is the guided chunk recurrence: half the per-worker share
-// of what remains, floored at the configured grain.
-func guidedSize(remaining, n, min int) int {
-	s := remaining / (2 * n)
-	if s < min {
-		s = min
-	}
-	return s
+// of what remains, at least one iteration.
+func guidedSize(remaining, n int) int {
+	return max(remaining/(2*n), 1)
 }
 
 // guidedChunks runs the recurrence to count a guided loop's chunks.
-func guidedChunks(span, n, min int) int {
+func guidedChunks(span, n int) int {
 	c, off := 0, 0
 	for off < span {
-		off += guidedSize(span-off, n, min)
+		off += guidedSize(span-off, n)
 		c++
 	}
 	return c
-}
-
-// Auto-tuning. The master re-evaluates every tuneEvery regions, between
-// regions (so every worker of a region sees one agreed schedule), from
-// the probe's per-worker busy/wait deltas: the same imbalance
-// ratio and barrier-wait share the perfstat anomaly detectors flag. An
-// imbalanced window escalates one rung up the static → dynamic →
-// guided → stealing ladder; calmEpochs consecutive balanced windows
-// walk one rung back down (hysteresis, so the tuner does not flap
-// around the threshold).
-const (
-	tuneEvery    = 32
-	escalateImb  = 1.25 // escalate at this busy-time imbalance ratio
-	assistImb    = 1.10 // ... or at this ratio when waits pile up too
-	escalateWait = 0.20 // barrier-wait share backing an assistImb escalation
-	calmImb      = 1.08 // a window at or below this ratio counts as calm
-	calmEpochs   = 4
-)
-
-type tuner struct {
-	cur      Schedule
-	epoch    int
-	calm     int
-	lastBusy []int64
-	lastWait []int64
-}
-
-// maybeTune runs one tuner step; called by the master from resetRegion,
-// before the region's schedule is resolved and published. New gives an
-// auto-tuned team a probe, so t.probe is never nil here.
-func (t *Team) maybeTune() {
-	tn := &t.tun
-	tn.epoch++
-	if tn.epoch < tuneEvery {
-		return
-	}
-	tn.epoch = 0
-	p := t.probe
-	var maxB, sumB, sumW int64
-	for id := 0; id < t.n; id++ {
-		b, w := p.busyNs(id), p.waitNs(id)
-		db, dw := b-tn.lastBusy[id], w-tn.lastWait[id]
-		tn.lastBusy[id], tn.lastWait[id] = b, w
-		sumB += db
-		sumW += dw
-		if db > maxB {
-			maxB = db
-		}
-	}
-	if sumB <= 0 {
-		return
-	}
-	imb := float64(maxB) * float64(t.n) / float64(sumB)
-	waitShare := float64(sumW) / float64(sumB+sumW)
-	switch {
-	case imb >= escalateImb || (imb >= assistImb && waitShare >= escalateWait):
-		tn.calm = 0
-		if tn.cur < Stealing {
-			t.retune(tn.cur + 1)
-		}
-	case imb <= calmImb:
-		tn.calm++
-		if tn.calm >= calmEpochs && tn.cur > Static {
-			tn.calm = 0
-			t.retune(tn.cur - 1)
-		}
-	default:
-		tn.calm = 0
-	}
-}
-
-func (t *Team) retune(s Schedule) {
-	t.tun.cur = s
-	t.probe.retuned(s)
 }

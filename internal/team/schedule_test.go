@@ -16,7 +16,7 @@ import (
 // ever changing a verification result.
 
 func allSchedules() []Schedule {
-	return []Schedule{Static, Dynamic, Guided, Stealing, Auto}
+	return []Schedule{Static, Dynamic, Guided, Stealing}
 }
 
 // TestScheduleForCoversEachIndexExactlyOnce: every schedule × team size
@@ -28,7 +28,7 @@ func TestScheduleForCoversEachIndexExactlyOnce(t *testing.T) {
 		{0, 0},    // empty
 		{5, 5},    // empty, nonzero origin
 		{0, 3},    // fewer indices than most teams
-		{7, 1000}, // many chunks under every grain
+		{7, 1000}, // many chunks under every schedule
 	}
 	for _, s := range allSchedules() {
 		for _, n := range []int{1, 2, 3, 4, 7} {
@@ -51,25 +51,6 @@ func TestScheduleForCoversEachIndexExactlyOnce(t *testing.T) {
 				}
 			}
 			tm.Close()
-		}
-	}
-}
-
-// TestScheduleGrainCoverage: explicit grains — including a grain of 1
-// (maximum chunk count) and one larger than the whole range (single
-// chunk) — must not break the exactly-once property.
-func TestScheduleGrainCoverage(t *testing.T) {
-	for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-		for _, grain := range []int{1, 7, 5000} {
-			tm := New(4, WithSchedule(s), WithGrain(grain))
-			hits := make([]int32, 600)
-			forEach(tm, 0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
-			tm.Close()
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("%v grain=%d: index %d hit %d times", s, grain, i, h)
-				}
-			}
 		}
 	}
 }
@@ -145,7 +126,7 @@ func TestScheduleForBlockBitIdenticalToStatic(t *testing.T) {
 	}
 	for _, n := range []int{2, 3, 5} {
 		want := run(Static, n)
-		for _, s := range []Schedule{Dynamic, Guided, Stealing, Auto} {
+		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
 			got := run(s, n)
 			for i := range want {
 				if got[i] != want[i] {
@@ -182,7 +163,7 @@ func TestScheduleReduceSumBitIdenticalToStatic(t *testing.T) {
 		tmStatic := New(n, WithSchedule(Static))
 		want := reduceSum(tmStatic, 0, len(vals), body)
 		tmStatic.Close()
-		for _, s := range []Schedule{Dynamic, Guided, Stealing, Auto} {
+		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
 			tm := New(n, WithSchedule(s))
 			for rep := 0; rep < 10; rep++ {
 				if got := reduceSum(tm, 0, len(vals), body); got != want {
@@ -292,65 +273,10 @@ func TestStealingRecordsSteals(t *testing.T) {
 	}
 }
 
-// TestAutoTunerEscalatesUnderImbalance: under a persistently imbalanced
-// load the auto schedule must move off static within a tuning window,
-// and the retune must be counted. This is the feedback loop that clears
-// the §5.2 CG load-imbalance flag without touching the kernel.
-func TestAutoTunerEscalatesUnderImbalance(t *testing.T) {
-	rec := NewProbe(4, nil, nil)
-	tm := New(4, WithSchedule(Auto), WithProbe(rec))
-	defer tm.Close()
-	// tuneEvery+1 regions where worker 0 does essentially all the work.
-	for r := 0; r <= tuneEvery; r++ {
-		tm.Run(func(id int) {
-			if id == 0 {
-				time.Sleep(2 * time.Millisecond)
-			}
-		})
-	}
-	if got := tm.tun.cur; got == Static {
-		t.Fatalf("tuner still static after %d imbalanced regions", tuneEvery+1)
-	}
-	if st := rec.Snapshot(); st.Retunes == 0 {
-		t.Fatal("retune not counted in the probe")
-	}
-}
-
-// TestAutoTunerCalmsDown: once the load is balanced again the tuner
-// must walk back toward static after calmEpochs consecutive calm
-// windows — the hysteresis that stops it flapping.
-func TestAutoTunerCalmsDown(t *testing.T) {
-	rec := NewProbe(2, nil, nil)
-	tm := New(2, WithSchedule(Auto), WithProbe(rec))
-	defer tm.Close()
-	for r := 0; r <= tuneEvery; r++ {
-		tm.Run(func(id int) {
-			if id == 0 {
-				time.Sleep(2 * time.Millisecond)
-			}
-		})
-	}
-	escalated := tm.tun.cur
-	if escalated == Static {
-		t.Fatal("precondition: tuner did not escalate")
-	}
-	// Balanced windows: both workers are charged the same millisecond.
-	// It is charged, not slept: two equal Sleeps do not take equal time
-	// (a worker that wakes first polls for the next region without
-	// entering the scheduler, so the other's timer can fire most of a
-	// poll budget late), and the tuner, not the clock, is under test.
-	for r := 0; r <= tuneEvery*(calmEpochs+1); r++ {
-		tm.Run(func(id int) { rec.addBusy(id, time.Millisecond) })
-	}
-	if got := tm.tun.cur; got >= escalated {
-		t.Fatalf("tuner stuck at %v after sustained balance (was %v)", got, escalated)
-	}
-}
-
 // TestParseScheduleRoundTrip: every advertised name parses to a
 // schedule that spells itself the same way, the empty string stays
 // static (unset config fields keep the historical default), and an
-// unknown name reports the valid spellings.
+// unknown name — including the deleted "auto" — is an error.
 func TestParseScheduleRoundTrip(t *testing.T) {
 	for _, name := range ScheduleNames() {
 		s, err := ParseSchedule(name)
@@ -364,8 +290,10 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	if s, err := ParseSchedule(""); err != nil || s != Static {
 		t.Fatalf("ParseSchedule(\"\") = %v, %v; want Static", s, err)
 	}
-	if _, err := ParseSchedule("round-robin"); err == nil {
-		t.Fatal("ParseSchedule accepted an unknown name")
+	for _, name := range []string{"round-robin", "auto"} {
+		if _, err := ParseSchedule(name); err == nil {
+			t.Fatalf("ParseSchedule accepted the unknown name %q", name)
+		}
 	}
 }
 

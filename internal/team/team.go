@@ -17,8 +17,7 @@
 // loops only, is what the kernels build on it. Loop-level work sharing
 // uses the same static block distribution as the OpenMP schedule(static)
 // the paper's prototype used by default; WithSchedule switches a team to
-// dynamic, guided, work-stealing or auto-tuned distribution (see
-// schedule.go), the knob §5.2's load-imbalance diagnosis calls for.
+// dynamic, guided or work-stealing distribution (see schedule.go).
 //
 // The runtime is fault-isolating: a panic on any worker is captured with
 // its stack, the region is poisoned so sibling workers waiting at a
@@ -91,27 +90,21 @@ type Team struct {
 	// the default — every hook site is a single pointer check, so an
 	// uninstrumented team pays nothing measurable.
 	probe *Probe
+	// The master writes inRegion and loopBase every region. A cache
+	// line of padding keeps them off the line of closed and probe, which
+	// every worker reads as a region starts: sharing it cost the dynamic
+	// schedule ~20 % per chunk on a 2-CPU host.
+	_ [64]byte
 
 	// Loop scheduling state (schedule.go). All of it is allocated once
 	// in New and reused by every loop, so scheduled loops stay
-	// allocation-free. sched and grain are the configured policy; cur
-	// is the schedule resolved for the current region (the tuner's pick
-	// under Auto), written by the master in resetRegion before dispatch
-	// and read by workers — the fork gate orders the accesses.
-	sched Schedule
-	grain int
-	// inRegion guards against nested parallel regions. The master writes
-	// it twice a region, so it sits with cur and loopBase, which it also
-	// writes each region, and off the cache line of closed and probe,
-	// which every worker reads as the region starts: next to those it
-	// cost the dynamic schedule ~20 % per chunk on a 2-CPU host.
-	inRegion atomic.Bool
-	cur      Schedule
-	loopBase uint32     // loop instances dealt before the current region
-	loopK    []padCount // per-worker loop ordinal within the region
-	loops    []padU64   // shared cursor ring, one word per loop slot
-	deques   [][]padU64 // per-slot stealing deques, one word per worker
-	tun      tuner
+	// allocation-free. sched is fixed at New.
+	sched    Schedule
+	inRegion atomic.Bool // guards against nested parallel regions
+	loopBase uint32      // loop instances dealt before the current region
+	loopK    []padCount  // per-worker loop ordinal within the region
+	loops    []padU64    // shared cursor ring, one word per loop slot
+	deques   [][]padU64  // per-slot stealing deques, one word per worker
 
 	failMu sync.Mutex // guards regionFail and cancelErr
 	// regionFail is the first real panic of the current region; cleared
@@ -154,15 +147,6 @@ func New(n int, opts ...Option) *Team {
 		t.deques = make([][]padU64, loopSlots)
 		for i := range t.deques {
 			t.deques[i] = make([]padU64, n)
-		}
-		if t.sched == Auto {
-			// The tuner needs the busy/wait feedback; give an
-			// uninstrumented team a private probe.
-			if t.probe == nil {
-				t.probe = NewProbe(n, nil, nil)
-			}
-			t.tun.lastBusy = make([]int64, n)
-			t.tun.lastWait = make([]int64, n)
 		}
 	}
 	t.lot.init(n)
@@ -386,11 +370,11 @@ func (t *Team) resetRegion() {
 		t.arrived.Store(0)
 		t.trip.v.Add(1)
 	}
-	// Re-arm the loop machinery and publish the region's schedule. The
-	// previous region has fully joined, so no worker still reads these.
-	// Every worker builds every iterator, so after a region that ran to
-	// its end the ordinals agree; after one that did not, the largest
-	// covers every instance any worker dealt.
+	// Re-arm the loop machinery. The previous region has fully joined,
+	// so no worker still reads these. Every worker builds every
+	// iterator, so after a region that ran to its end the ordinals
+	// agree; after one that did not, the largest covers every instance
+	// any worker dealt.
 	var used uint32
 	for i := range t.loopK {
 		if k := t.loopK[i].v; k > used {
@@ -399,12 +383,6 @@ func (t *Team) resetRegion() {
 		t.loopK[i].v = 0
 	}
 	t.loopBase += used
-	s := t.sched
-	if s == Auto {
-		t.maybeTune()
-		s = t.tun.cur
-	}
-	t.cur = s
 }
 
 // takeFailure returns, and clears, the region's panic; failing that, the
@@ -456,7 +434,7 @@ func (t *Team) BarrierID(id int) {
 // on same-shaped static loops); under every other schedule it is
 // BarrierID.
 func (t *Team) BarrierUnlessStatic(id int) {
-	if t.cur != Static {
+	if t.sched != Static {
 		t.BarrierID(id)
 	}
 }

@@ -62,10 +62,6 @@ func argsFor(e Event) map[string]any {
 		return map[string]any{"chunk": e.ID}
 	case KindSteal:
 		return map[string]any{"victim": e.ID}
-	case KindRetune:
-		if e.Name != "" {
-			return map[string]any{"schedule": e.Name}
-		}
 	case KindCancel:
 		if e.Name != "" {
 			return map[string]any{"reason": e.Name}

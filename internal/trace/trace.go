@@ -55,7 +55,6 @@ const (
 	KindPhaseEnd                       // master: named benchmark phase finished
 	KindChunk                          // worker instant: scheduled loop chunk claimed
 	KindSteal                          // worker instant: chunk stolen from another worker's deque
-	KindRetune                         // master instant: auto-tuner switched schedule
 )
 
 // String returns the short event-kind label used by the exporters.
@@ -81,8 +80,6 @@ func (k Kind) String() string {
 		return "chunk"
 	case KindSteal:
 		return "steal"
-	case KindRetune:
-		return "retune"
 	}
 	return "?"
 }
@@ -243,12 +240,6 @@ func (t *Tracer) Chunk(id int, c uint64) {
 // the stealing schedule.
 func (t *Tracer) Steal(id int, victim uint64) {
 	t.ring(id).emit(Event{TS: t.now(), ID: victim, Kind: KindSteal})
-}
-
-// Retune marks the auto-tuner switching the team's loop schedule; name
-// is the new schedule's name.
-func (t *Tracer) Retune(name string) {
-	t.master().emit(Event{TS: t.now(), Kind: KindRetune, Name: name})
 }
 
 // Cancel marks the team's (first) cancellation. It may be called from

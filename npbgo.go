@@ -83,11 +83,9 @@ type Config struct {
 	// view.
 	Trace bool
 	// Schedule selects the team's loop schedule: "static" (default),
-	// "dynamic", "guided", "stealing" or "auto". Static is the paper's
-	// block distribution; the others redistribute loop chunks at runtime
-	// to fix load imbalance (the paper's §5.2 CG anomaly) without
-	// changing any numerical result, and "auto" picks per-region from
-	// runtime feedback. Empty means static.
+	// "dynamic", "guided" or "stealing". Static is the paper's block
+	// distribution; the others redistribute loop chunks at runtime
+	// without changing any numerical result. Empty means static.
 	Schedule string
 	// Counters samples hardware performance counters (cycles,
 	// instructions, LLC loads/misses, branch misses) per worker per

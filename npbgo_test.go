@@ -1,6 +1,7 @@
 package npbgo_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestScheduleOptionEquivalence(t *testing.T) {
 		if !base.Verified {
 			t.Fatalf("static %s.S unverified:\n%s", b, base.Detail)
 		}
-		for _, sched := range []string{"dynamic", "guided", "stealing", "auto"} {
+		for _, sched := range []string{"dynamic", "guided", "stealing"} {
 			res, err := npbgo.Run(npbgo.Config{Benchmark: b, Class: 'S', Threads: 3, Schedule: sched})
 			if err != nil {
 				t.Fatalf("%s schedule %s: %v", b, sched, err)
@@ -105,15 +106,19 @@ func TestScheduleOptionEquivalence(t *testing.T) {
 	}
 }
 
-// TestBadScheduleRejected: an unknown schedule name must fail up front
-// as a config error, before any benchmark state is built.
+// TestBadScheduleRejected: an unknown schedule name — the deleted
+// "auto" among them — must fail up front as a config error, before any
+// benchmark state is built.
 func TestBadScheduleRejected(t *testing.T) {
-	_, err := npbgo.Run(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Schedule: "round-robin"})
-	if err == nil {
-		t.Fatal("unknown schedule accepted")
-	}
-	if !strings.Contains(err.Error(), "schedule") {
-		t.Fatalf("error %q does not mention the schedule", err)
+	for _, sched := range []string{"round-robin", "auto"} {
+		_, err := npbgo.Run(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Schedule: sched})
+		var re *npbgo.RunError
+		if !errors.As(err, &re) || re.Kind != npbgo.ErrConfig {
+			t.Fatalf("schedule %q: err = %v, want *RunError kind %q", sched, err, npbgo.ErrConfig)
+		}
+		if !strings.Contains(err.Error(), "schedule") {
+			t.Fatalf("error %q does not mention the schedule", err)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package npbgo_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -16,7 +18,7 @@ import (
 // with an injected per-iteration delay so a run would take seconds, and
 // checks a short deadline stops it within roughly one iteration.
 func TestRunContextDeadlineCancelsCGMidIteration(t *testing.T) {
-	fault.Activate(1, fault.Rule{
+	fault.Activate(fault.Rule{
 		Site: "cg.iter", Kind: fault.KindDelay, Count: -1, Sleep: 50 * time.Millisecond,
 	})
 	defer fault.Reset()
@@ -49,7 +51,7 @@ func TestRunContextDeadlineCancelsCGMidIteration(t *testing.T) {
 // TestRunContextIsolatesInjectedWorkerPanic proves a worker panic in a
 // real benchmark region surfaces as a typed error, not a crash.
 func TestRunContextIsolatesInjectedWorkerPanic(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "team.region", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "team.region", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
 	_, err := npbgo.RunContext(context.Background(),
 		npbgo.Config{Benchmark: npbgo.EP, Class: 'S', Threads: 4})
@@ -69,23 +71,29 @@ func TestRunContextIsolatesInjectedWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestRunContextVerificationFailureIsTyped corrupts EP's verification
-// value and checks the mismatch comes back as a verification RunError
-// alongside the failed Result.
+// TestRunContextVerificationFailureIsTyped corrupts the verification
+// value at each verify site (EP's sums, CG's zeta) and checks the
+// mismatch comes back as a verification RunError alongside a Result
+// that is failed and not verified: a run never reports verified when
+// its value was corrupted.
 func TestRunContextVerificationFailureIsTyped(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "ep.verify", Kind: fault.KindCorrupt, Count: -1})
-	defer fault.Reset()
-	res, err := npbgo.RunContext(context.Background(),
-		npbgo.Config{Benchmark: npbgo.EP, Class: 'S', Threads: 2})
-	if err == nil {
-		t.Fatal("corrupted verification accepted")
-	}
-	var re *npbgo.RunError
-	if !errors.As(err, &re) || re.Kind != npbgo.ErrVerification {
-		t.Fatalf("err = %v, want kind %q", err, npbgo.ErrVerification)
-	}
-	if !res.Failed {
-		t.Fatal("Result.Failed not set on verification mismatch")
+	for site, b := range map[string]npbgo.Benchmark{"ep.verify": npbgo.EP, "cg.verify": npbgo.CG} {
+		t.Run(site, func(t *testing.T) {
+			fault.Activate(fault.Rule{Site: site, Kind: fault.KindCorrupt, Count: -1})
+			defer fault.Reset()
+			res, err := npbgo.RunContext(context.Background(),
+				npbgo.Config{Benchmark: b, Class: 'S', Threads: 2})
+			if err == nil {
+				t.Fatal("corrupted verification accepted")
+			}
+			var re *npbgo.RunError
+			if !errors.As(err, &re) || re.Kind != npbgo.ErrVerification {
+				t.Fatalf("err = %v, want kind %q", err, npbgo.ErrVerification)
+			}
+			if !res.Failed || res.Verified {
+				t.Fatalf("Result.Failed = %v, Verified = %v on a corrupted value", res.Failed, res.Verified)
+			}
+		})
 	}
 }
 
@@ -128,39 +136,118 @@ func TestRunContextNilAndDoneContexts(t *testing.T) {
 
 // TestRunContextDeadlineCancelsEveryBenchmark: every kernel opens its
 // team through kernel.Env.Team, so all eight watch the context and poll
-// for cancellation in their timed loops. Each parallel region is slowed
-// by 20 ms, which stretches the class-S runs to between a quarter of a
-// second (IS) and many seconds (BT, SP); a 40 ms deadline must bring
-// each back within about one step as a typed cancellation, with no
-// goroutine left behind.
+// for cancellation in their timed loops, at one thread (regions run
+// inline) as at several. Each parallel region is slowed by 20 ms, which
+// stretches the class-S runs to between a quarter of a second (IS) and
+// many seconds (BT, SP); a 40 ms deadline must bring each back within
+// about one step as a typed cancellation, with no goroutine left
+// behind.
 func TestRunContextDeadlineCancelsEveryBenchmark(t *testing.T) {
-	fault.Activate(1, fault.Rule{Site: "team.region", Kind: fault.KindDelay, Count: -1, Sleep: 20 * time.Millisecond})
+	fault.Activate(fault.Rule{Site: "team.region", Kind: fault.KindDelay, Count: -1, Sleep: 20 * time.Millisecond})
 	defer fault.Reset()
 	for _, b := range npbgo.Benchmarks() {
 		t.Run(string(b), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: 'S', Threads: 2})
-			if took := time.Since(start); took > 2*time.Second {
-				t.Fatalf("returned %v after a 40ms deadline", took)
-			}
-			var re *npbgo.RunError
-			if !errors.As(err, &re) || re.Kind != npbgo.ErrCancelled {
-				t.Fatalf("err = %v, want *RunError kind %q", err, npbgo.ErrCancelled)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
-			}
-			n := runtime.NumGoroutine()
-			for stop := time.Now().Add(2 * time.Second); n > base && time.Now().Before(stop); n = runtime.NumGoroutine() {
-				time.Sleep(time.Millisecond)
-			}
-			if n > base {
-				t.Fatalf("%d goroutines left behind", n-base)
+			for _, threads := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("t%d", threads), func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+					defer cancel()
+					start := time.Now()
+					_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: 'S', Threads: threads})
+					if took := time.Since(start); took > 2*time.Second {
+						t.Fatalf("returned %v after a 40ms deadline", took)
+					}
+					var re *npbgo.RunError
+					if !errors.As(err, &re) || re.Kind != npbgo.ErrCancelled {
+						t.Fatalf("err = %v, want *RunError kind %q", err, npbgo.ErrCancelled)
+					}
+					if !errors.Is(err, context.DeadlineExceeded) {
+						t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
+					}
+					noGoroutineLeft(t, base)
+				})
 			}
 		})
+	}
+}
+
+// TestEveryBenchmarkRecoversFromInjectedPanic is the panic-isolation
+// conformance table: every suite code at class S × threads {1, 2, 3}
+// ({1, 3} under -short), with a panic injected at team.region — which
+// every region of every code passes, at one thread too — on hit 1 and
+// on hit ⌈H/2⌉, H being the hits of a clean run of the same cell. Each
+// case must come back as a typed ErrPanic carrying the injected value,
+// within a wall deadline (a lost wake-up hangs instead), leave no
+// goroutine behind, and be followed by a clean run of the cell that
+// verifies (the runtime recovered).
+func TestEveryBenchmarkRecoversFromInjectedPanic(t *testing.T) {
+	threads := []int{1, 2, 3}
+	if testing.Short() {
+		threads = []int{1, 3} // the inline path and an odd team
+	}
+	for _, b := range npbgo.Benchmarks() {
+		t.Run(string(b), func(t *testing.T) {
+			for _, n := range threads {
+				t.Run(fmt.Sprintf("t%d", n), func(t *testing.T) {
+					recoversFromInjectedPanic(t, npbgo.Config{Benchmark: b, Class: 'S', Threads: n})
+				})
+			}
+		})
+	}
+}
+
+// recoversFromInjectedPanic runs one cell of the panic conformance
+// table.
+func recoversFromInjectedPanic(t *testing.T, cfg npbgo.Config) {
+	const wall = 30 * time.Second
+	// Count the clean run's hits under a rule that never fires.
+	fault.Activate(fault.Rule{Site: "team.region", Kind: fault.KindPanic, On: math.MaxInt})
+	res, err := npbgo.Run(cfg)
+	hits := fault.Hits("team.region")
+	fault.Reset()
+	if err != nil || !res.Verified {
+		t.Fatalf("clean run: verified %v, err %v", res.Verified, err)
+	}
+	t.Logf("clean run: %d team.region hits", hits)
+	for _, on := range []int{1, (hits + 1) / 2} {
+		base := runtime.NumGoroutine()
+		fault.Activate(fault.Rule{Site: "team.region", Kind: fault.KindPanic, On: on})
+		done := make(chan error, 1)
+		go func() {
+			_, err := npbgo.Run(cfg)
+			done <- err
+		}()
+		select {
+		case err = <-done:
+		case <-time.After(wall):
+			t.Fatalf("panic at hit %d of %d: no return within %v", on, hits, wall)
+		}
+		fault.Reset()
+		var re *npbgo.RunError
+		var pe *team.PanicError
+		if !errors.As(err, &re) || re.Kind != npbgo.ErrPanic || !errors.As(err, &pe) {
+			t.Fatalf("panic at hit %d: err = %v, want *RunError kind %q over a *team.PanicError", on, err, npbgo.ErrPanic)
+		}
+		if ip, ok := pe.Value.(fault.InjectedPanic); !ok || ip.Hit != on {
+			t.Fatalf("panic at hit %d: cause %v (%T), want the injected panic", on, pe.Value, pe.Value)
+		}
+		noGoroutineLeft(t, base)
+		if res, err := npbgo.Run(cfg); err != nil || !res.Verified {
+			t.Fatalf("clean run after a panic at hit %d: verified %v, err %v", on, res.Verified, err)
+		}
+	}
+}
+
+// noGoroutineLeft fails the test unless the goroutine count is back to
+// base within two seconds.
+func noGoroutineLeft(t *testing.T, base int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for stop := time.Now().Add(2 * time.Second); n > base && time.Now().Before(stop); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines left behind", n-base)
 	}
 }
 
@@ -201,7 +288,7 @@ func TestLUSweepFailuresUnwindThePipeline(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			fault.Activate(1, c.rules...)
+			fault.Activate(c.rules...)
 			defer fault.Reset()
 			ctx, cancel := c.ctx()
 			defer cancel()
@@ -231,13 +318,7 @@ func TestLUSweepFailuresUnwindThePipeline(t *testing.T) {
 			}
 			fault.Reset()
 			cancel()
-			n := runtime.NumGoroutine()
-			for stop := time.Now().Add(2 * time.Second); n > base && time.Now().Before(stop); n = runtime.NumGoroutine() {
-				time.Sleep(time.Millisecond)
-			}
-			if n > base {
-				t.Fatalf("%d goroutines left behind", n-base)
-			}
+			noGoroutineLeft(t, base)
 			if res, err := npbgo.Run(cfg); err != nil || !res.Verified {
 				t.Fatalf("clean LU.S afterwards: verified %v, err %v", res.Verified, err)
 			}
