@@ -3,7 +3,7 @@
 GO ?= go
 NPBLINT := bin/npblint
 
-.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json perf suite suite-obs suite-trace schedule-check instrument-check tables clean
+.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
@@ -106,29 +106,12 @@ suite-obs:
 suite-trace:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument trace -instrument-dir $(INSTDIR)
 
-# Machine-readable perf trajectory: one stamped BENCH_<stamp>.json per
-# sweep accumulates under $(RESULTS) for cross-commit diffing.
+# Machine-readable sweep record: one stamped BENCH_<stamp>.json per
+# sweep accumulates under $(RESULTS), read by npbperf scaling, counters
+# and hotspots.
 RESULTS ?= results
 bench-json:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -bench-json $(RESULTS)/
-
-# Local perf-gate rehearsal: two identical class-S sweeps with repeats,
-# judged by npbperf. On unchanged code this must print 0 regressions
-# and exit 0 — the CI perf-gate job runs exactly this sequence. The
-# -min-time floor keeps the gate honest on shared/noisy runners: tens-
-# of-millisecond cells drift double-digit percentages between separate
-# process invocations there, so only cells long enough to support a
-# 10% claim (EP's ~1s cells) are judged; the smaller CG cells still
-# run for the scaling diagnostics and the recorded artifacts.
-PERF_BENCH ?= CG,EP
-PERF_REPEATS ?= 3
-PERF_THRESHOLD ?= 0.10
-PERF_MINTIME ?= 0.1
-perf:
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -instrument obs -instrument-dir $(INSTDIR)/perf -bench-json perf-base.json
-	$(GO) run ./cmd/npbsuite -class S -bench $(PERF_BENCH) -threads 2 -repeats $(PERF_REPEATS) -instrument obs -instrument-dir $(INSTDIR)/perf -bench-json perf-head.json
-	$(GO) run ./cmd/npbperf compare -threshold $(PERF_THRESHOLD) -min-time $(PERF_MINTIME) perf-base.json perf-head.json
-	$(GO) run ./cmd/npbperf scaling perf-head.json
 
 # Schedule smoke: every loop schedule sweeps CG+IS class S under the
 # race detector, then a CG class-W sweep under the static schedule must
@@ -150,22 +133,16 @@ schedule-check:
 #     counter fields or an explicit "unavailable (<reason>)" note, never
 #     silent zeros — so it passes on PMU-backed hosts and in PMU-less
 #     containers alike.
-#   - profile: two identical CG+IS class-S profiled sweeps must profdiff
-#     to no significant share shift (the gate's no-false-positives
-#     contract), and a CG class-W sweep must attribute at least
+#   - profile: a CG class-W sweep must attribute at least
 #     $(PROFILE_MINATTR)% of its CPU samples to symbolized
 #     npbgo/internal/... code, so "which kernel is the time in" stays
 #     answerable.
 # The CI instrument-smoke job runs exactly this and keeps $(INSTDIR).
 PROFILE_MINATTR ?= 80
-SUITE_S2 = $(GO) run ./cmd/npbsuite -class S -threads 2
 instrument-check:
-	$(SUITE_S2) -bench IS,CG,LU -instrument obs,counters,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
+	$(GO) run ./cmd/npbsuite -class S -threads 2 -bench IS,CG,LU -instrument obs,counters,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
 	$(GO) run ./cmd/npbtrace validate $(INSTDIR)/all/*.trace.json
 	$(GO) run ./cmd/npbperf counters -require $(INSTDIR)/all.json
-	$(SUITE_S2) -bench CG,IS -instrument profile -instrument-dir $(INSTDIR)/base -bench-json $(INSTDIR)/base.json
-	$(SUITE_S2) -bench CG,IS -instrument profile -instrument-dir $(INSTDIR)/head -bench-json $(INSTDIR)/head.json
-	$(GO) run ./cmd/npbperf profdiff $(INSTDIR)/base.json $(INSTDIR)/head.json
 	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -instrument profile -instrument-dir $(INSTDIR)/w -bench-json $(INSTDIR)/w.json
 	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) $(INSTDIR)/w.json
 
@@ -178,4 +155,4 @@ clean:
 	$(GO) clean ./...
 	rm -rf bin
 	rm -rf $(INSTDIR)
-	rm -f perf-base.json perf-head.json sched-static.json
+	rm -f sched-static.json

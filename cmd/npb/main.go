@@ -20,7 +20,7 @@ func main() {
 	warmup := flag.Bool("warmup", false, "apply the per-thread warmup load of the paper's §5.2 (CG)")
 	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
 	verbose := flag.Bool("v", false, "print the full verification report")
-	profile := flag.Bool("profile", false, "print a per-phase timing profile (BT)")
+	profile := flag.Bool("profile", false, "print a per-phase timing profile")
 	flag.Parse()
 
 	if len(*class) != 1 {

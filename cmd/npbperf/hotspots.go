@@ -1,9 +1,6 @@
-// The profile subcommands: hotspots decodes the per-cell pprof files a
-// sweep captured (npbsuite -instrument profile) into symbolized flat/cumulative
-// hot-function tables, and profdiff judges two sweeps' profiles against
-// each other with the same noise discipline `npbperf compare` applies
-// to times — a function's share must be both statistically separated
-// and practically shifted before it flags.
+// The profile subcommand: hotspots decodes the per-cell pprof files a
+// sweep captured (npbsuite -instrument profile) into symbolized
+// flat/cumulative hot-function tables.
 package main
 
 import (
@@ -26,25 +23,17 @@ type cellProf struct {
 	note string
 }
 
-// profKey identifies matching cells across two records.
-type profKey struct {
-	bench, class, schedule string
-	threads                int
-}
-
-func (c cellProf) key() profKey {
-	return profKey{c.cell.Benchmark, c.cell.Class, c.cell.Schedule, c.cell.Threads}
-}
-
-func (k profKey) String() string {
-	cell := fmt.Sprintf("t%d", k.threads)
-	if k.threads == 0 {
+// cellName is the row tag of a profiled cell: "CG.S t2", "IS.W
+// serial", with "/schedule" appended when the sweep named one.
+func cellName(pc report.ProfileCell) string {
+	cell := fmt.Sprintf("t%d", pc.Threads)
+	if pc.Threads == 0 {
 		cell = "serial"
 	}
-	if k.schedule != "" {
-		cell += "/" + k.schedule
+	if pc.Schedule != "" {
+		cell += "/" + pc.Schedule
 	}
-	return fmt.Sprintf("%s.%s %s", k.bench, k.class, cell)
+	return fmt.Sprintf("%s.%s %s", pc.Benchmark, pc.Class, cell)
 }
 
 // resolveProfile makes a record's profile path usable from here: paths
@@ -144,15 +133,10 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 	exit := 0
 	decoded := false
 	for _, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "npbperf: %v\n", err)
-			return 2
-		}
-		recs, err := report.ReadBenchRecords(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "npbperf: %s: %v\n", path, err)
+		// One file at a time: profile paths resolve against their own
+		// record's directory.
+		recs, ok := readRecords([]string{path}, stderr)
+		if !ok {
 			return 2
 		}
 		for _, rec := range recs {
@@ -164,7 +148,7 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 					decoded = true
 					if *minAttr > 0 && !*heap && pc.AttributedPct < *minAttr {
 						fmt.Fprintf(stderr, "npbperf: hotspots: %s attributes %.1f%% to %s code (floor %.1f%%)\n",
-							cp.key(), pc.AttributedPct, profile.KernelPrefix, *minAttr)
+							cellName(pc), pc.AttributedPct, profile.KernelPrefix, *minAttr)
 						exit = 1
 					}
 				}
@@ -191,9 +175,8 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 	sum := report.New("Profiles per cell (Attr% = samples touching "+profile.KernelPrefix+" code)",
 		"Cell", "Type", "Total", "Samples", "Attr%", "Imbal", "IPC")
 	for _, pc := range cells {
-		key := profKey{pc.Benchmark, pc.Class, pc.Schedule, pc.Threads}
 		if pc.Note != "" {
-			sum.AddRow(key.String(), "undecodable: "+pc.Note)
+			sum.AddRow(cellName(pc), "undecodable: "+pc.Note)
 			continue
 		}
 		tab := profile.Table{Unit: pc.Unit}
@@ -204,7 +187,7 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 		if pc.IPC > 0 {
 			ipc = fmt.Sprintf("%.2f", pc.IPC)
 		}
-		sum.AddRow(key.String(), pc.Type, tab.FormatValue(pc.Total),
+		sum.AddRow(cellName(pc), pc.Type, tab.FormatValue(pc.Total),
 			fmt.Sprintf("%d", pc.Samples), fmt.Sprintf("%.1f", pc.AttributedPct), imbal, ipc)
 	}
 	if len(cells) == 0 {
@@ -215,9 +198,8 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 		if pc.Note != "" {
 			continue
 		}
-		key := profKey{pc.Benchmark, pc.Class, pc.Schedule, pc.Threads}
 		tab := profile.Table{Unit: pc.Unit}
-		tb := report.New("Hot functions: "+key.String(), "Flat", "Flat%", "Cum", "Cum%", "Function")
+		tb := report.New("Hot functions: "+cellName(pc), "Flat", "Flat%", "Cum", "Cum%", "Function")
 		for _, fn := range pc.Functions {
 			tb.AddRow(tab.FormatValue(fn.Flat), fmt.Sprintf("%.1f", fn.FlatPct),
 				tab.FormatValue(fn.Cum), fmt.Sprintf("%.1f", fn.CumPct), fn.Name)
@@ -225,103 +207,4 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 		fmt.Fprint(stdout, tb.String())
 	}
 	fmt.Fprintln(stdout)
-}
-
-// runProfdiff judges head's profiles against base's, cell by matching
-// cell. Exit 1 iff a significant shift exists — two identical sweeps
-// must exit 0, which is what makes this usable as a gate.
-func runProfdiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("profdiff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "machine-readable output")
-	heap := fs.Bool("heap", false, "diff the heap (alloc_space) profiles instead of CPU")
-	minDelta := fs.Float64("min-delta", 0.05, "absolute share shift a function must exceed to flag (0.05 = 5 points)")
-	minShare := fs.Float64("min-share", 0.02, "functions below this share on both sides are ignored")
-	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		usage(stderr)
-		return 2
-	}
-	var sides [2][]cellProf
-	for i, path := range fs.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(stderr, "npbperf: %v\n", err)
-			return 2
-		}
-		recs, err := report.ReadBenchRecords(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(stderr, "npbperf: %s: %v\n", path, err)
-			return 2
-		}
-		if len(recs) != 1 {
-			fmt.Fprintf(stderr, "npbperf: profdiff wants exactly one record per file, %s has %d\n", path, len(recs))
-			return 2
-		}
-		sides[i] = cellProfiles(path, recs[0], *heap)
-	}
-	base := make(map[profKey]cellProf, len(sides[0]))
-	for _, cp := range sides[0] {
-		base[cp.key()] = cp
-	}
-	opt := profile.DiffOptions{MinShareDelta: *minDelta, MinShare: *minShare}
-
-	type cellDiff struct {
-		Cell string       `json:"cell"`
-		Note string       `json:"note,omitempty"`
-		Diff profile.Diff `json:"diff"`
-	}
-	var diffs []cellDiff
-	significant := 0
-	for _, head := range sides[1] {
-		b, ok := base[head.key()]
-		if !ok {
-			continue // cell exists only in head; nothing to diff against
-		}
-		cd := cellDiff{Cell: head.key().String()}
-		switch {
-		case b.tab == nil:
-			cd.Note = "base profile undecodable: " + b.note
-		case head.tab == nil:
-			cd.Note = "head profile undecodable: " + head.note
-		default:
-			cd.Diff = profile.CompareTables(b.tab, head.tab, opt)
-			significant += cd.Diff.Significant
-		}
-		diffs = append(diffs, cd)
-	}
-	if *jsonOut {
-		writeJSON(stdout, struct {
-			Significant int        `json:"significant"`
-			Cells       []cellDiff `json:"cells"`
-		}{significant, diffs})
-	} else {
-		tb := report.New("Profile share shifts (flagged = separated CI and |delta| >= min-delta)",
-			"Cell", "Function", "Base%", "Head%", "Delta", "Flag")
-		for _, cd := range diffs {
-			if cd.Note != "" {
-				tb.AddRow(cd.Cell, cd.Note)
-				continue
-			}
-			for _, d := range cd.Diff.Deltas {
-				flag := ""
-				if d.Significant {
-					flag = "SHIFT"
-				}
-				tb.AddRow(cd.Cell, d.Name,
-					fmt.Sprintf("%.1f", d.BaseShare*100),
-					fmt.Sprintf("%.1f", d.HeadShare*100),
-					fmt.Sprintf("%+.1f", d.Delta*100), flag)
-			}
-		}
-		if tb.NumRows() == 0 {
-			tb.AddRow("(no overlapping profiled cells, or every function below min-share)")
-		}
-		fmt.Fprint(stdout, tb.String())
-		fmt.Fprintf(stdout, "\n%d significant shift(s) across %d cell(s)\n", significant, len(diffs))
-	}
-	if significant > 0 {
-		return 1
-	}
-	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -201,70 +200,5 @@ func TestHotspotsResolvesRecordRelativePaths(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "npbgo/internal/profile.spin") {
 		t.Fatalf("resolved profile not decoded:\n%s", out.String())
-	}
-}
-
-// TestProfdiffIdenticalExitsZero is the acceptance criterion: two
-// sweeps pointing at identical profiles must produce zero significant
-// shifts and exit 0.
-func TestProfdiffIdenticalExitsZero(t *testing.T) {
-	dir := t.TempDir()
-	cpu := absFixture(t, cpuFixture)
-	a := writeRecord(t, dir, "a.json", profiledRecord("A", cpu, ""))
-	b := writeRecord(t, dir, "b.json", profiledRecord("B", cpu, ""))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"profdiff", a, b}, &out, &errBuf); code != 0 {
-		t.Fatalf("identical profdiff exit %d:\n%s%s", code, out.String(), errBuf.String())
-	}
-	if !strings.Contains(out.String(), "0 significant shift(s)") {
-		t.Fatalf("summary missing:\n%s", out.String())
-	}
-}
-
-// TestProfdiffShiftExitsOne: diffing against a profile with a wholly
-// different hot set (the heap fixture stood in as head) must flag and
-// exit 1.
-func TestProfdiffShiftExitsOne(t *testing.T) {
-	dir := t.TempDir()
-	a := writeRecord(t, dir, "a.json", profiledRecord("A", absFixture(t, cpuFixture), ""))
-	b := writeRecord(t, dir, "b.json", profiledRecord("B", absFixture(t, heapFixture), ""))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"profdiff", "-json", a, b}, &out, &errBuf); code != 1 {
-		t.Fatalf("shifted profdiff exit %d, want 1:\n%s", code, out.String())
-	}
-	var doc struct {
-		Significant int `json:"significant"`
-		Cells       []struct {
-			Cell string `json:"cell"`
-			Diff struct {
-				Deltas []struct {
-					Name        string  `json:"name"`
-					Delta       float64 `json:"delta"`
-					Significant bool    `json:"significant"`
-				} `json:"deltas"`
-			} `json:"diff"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("profdiff -json not parseable: %v", err)
-	}
-	if doc.Significant == 0 || len(doc.Cells) != 1 {
-		t.Fatalf("shift not flagged: %+v", doc)
-	}
-}
-
-// TestProfdiffUndecodableSideIsNoted: one side's profile vanishing
-// yields a per-cell note and exit 0 — a missing measurement is not a
-// regression verdict.
-func TestProfdiffUndecodableSideIsNoted(t *testing.T) {
-	dir := t.TempDir()
-	a := writeRecord(t, dir, "a.json", profiledRecord("A", absFixture(t, cpuFixture), ""))
-	b := writeRecord(t, dir, "b.json", profiledRecord("B", filepath.Join(dir, "gone.pprof"), ""))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"profdiff", a, b}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d:\n%s%s", code, out.String(), errBuf.String())
-	}
-	if !strings.Contains(out.String(), "undecodable") {
-		t.Fatalf("missing side must be noted:\n%s", out.String())
 	}
 }

@@ -1,27 +1,13 @@
-// Command npbperf analyses the bench records written by npbsuite
-// -bench-json (schema npbgo/bench/v1): per-cell distribution
-// statistics, noise-aware record-to-record comparison, and the paper's
-// §5 scalability diagnostics.
+// Command npbperf explains the bench records written by npbsuite
+// -bench-json (schema npbgo/bench/v1), one record at a time: the
+// paper's §5 scalability diagnostics, the hardware-counter view and the
+// hot functions of each cell. It does not judge one record against
+// another; the repository's benchmark/ runner is the one judge of
+// speed.
 //
-//	npbperf stats    [-json] record.json...
-//	npbperf compare  [-json] [-threshold 0.02] [-confidence 0.95] [-min-time 0.001] base.json head.json
 //	npbperf scaling  [-json] [-imbalance 1.5] [-barrier-share 0.2] [-small-work 0.001] [-ipc-drop 0.15] [-miss-rise 0.25] [-fail-on list] record.json...
 //	npbperf counters [-json] [-require] record.json...
 //	npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
-//	npbperf profdiff [-json] [-heap] [-min-delta share] [-min-share share] base.json head.json
-//
-// stats prints median/min/IQR and a bootstrap confidence interval of
-// the median for every cell of each record — run sweeps with
-// npbsuite -repeats N so cells carry a real distribution.
-//
-// compare judges head against base cell by cell and exits 1 iff a
-// statistically separated regression exists: the medians' confidence
-// intervals must not overlap AND the slowdown must clear -threshold
-// (so back-to-back runs of identical code stay green — the CI
-// perf-gate depends on this). A cell that verified in base but failed
-// in head also counts as a regression. Cells whose medians sit below
-// -min-time are never judged: they are inside timer resolution, where
-// the paper's own IS class-S numbers stopped being meaningful.
 //
 // scaling prints speedup, efficiency and the Karp–Flatt serial
 // fraction per (benchmark, class) thread curve, plus rule-based
@@ -31,7 +17,8 @@
 // as threads grow — needs records written with npbsuite -instrument counters).
 // -fail-on takes a comma-separated list of those anomaly names and
 // turns any diagnosed occurrence into exit code 1, which is how CI
-// asserts that `-schedule auto` keeps the CG load-imbalance flag clear.
+// asserts that a CG class-W sweep under `-schedule static` stays clear
+// of the load-imbalance flag.
 //
 // counters prints the per-benchmark hardware-counter view of each
 // record: IPC, LLC miss rate, and cycles/instructions/misses per
@@ -53,17 +40,9 @@
 // that fails to decode (a truncated or damaged file) renders as an
 // explicit note, never silently.
 //
-// profdiff judges head profiles against base per matching cell
-// (benchmark, class, threads, schedule) under the compare conventions:
-// a function flags only when its sample-share shift is statistically
-// separated (binomial CIs at z=1.96) AND exceeds -min-delta, so two
-// sweeps of identical code exit 0. Exit 1 iff a significant shift
-// exists.
-//
 // All subcommands take -json for machine-readable output. Exit codes:
-// 0 clean, 1 regression found (compare, scaling with -fail-on,
-// hotspots with -min-attr/-require, profdiff with a shift), 2 usage or
-// input error.
+// 0 clean, 1 a gate tripped (scaling with -fail-on, counters with
+// -require, hotspots with -min-attr/-require), 2 usage or input error.
 package main
 
 import (
@@ -89,18 +68,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch args[0] {
-	case "stats":
-		return runStats(args[1:], stdout, stderr)
-	case "compare":
-		return runCompare(args[1:], stdout, stderr)
 	case "scaling":
 		return runScaling(args[1:], stdout, stderr)
 	case "counters":
 		return runCounters(args[1:], stdout, stderr)
 	case "hotspots":
 		return runHotspots(args[1:], stdout, stderr)
-	case "profdiff":
-		return runProfdiff(args[1:], stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "npbperf: unknown subcommand %q\n", args[0])
 		usage(stderr)
@@ -110,12 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `usage:
-  npbperf stats   [-json] record.json...
-  npbperf compare [-json] [-threshold rel] [-confidence c] [-min-time sec] base.json head.json
   npbperf scaling  [-json] [-imbalance r] [-barrier-share s] [-small-work sec] [-ipc-drop f] [-miss-rise f] [-fail-on list] record.json...
   npbperf counters [-json] [-require] record.json...
   npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
-  npbperf profdiff [-json] [-heap] [-min-delta share] [-min-share share] base.json head.json
 `)
 }
 
@@ -144,72 +114,6 @@ func writeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func runStats(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "machine-readable output")
-	conf := fs.Float64("confidence", 0.95, "bootstrap CI confidence")
-	if fs.Parse(args) != nil || fs.NArg() < 1 {
-		usage(stderr)
-		return 2
-	}
-	recs, ok := readRecords(fs.Args(), stderr)
-	if !ok {
-		return 2
-	}
-	opt := perfstat.CIOptions{Confidence: *conf}
-	for _, rec := range recs {
-		cells := perfstat.Stats(rec, opt)
-		if *jsonOut {
-			writeJSON(stdout, struct {
-				Stamp string                 `json:"stamp"`
-				Cells []perfstat.CellSummary `json:"cells"`
-			}{rec.Stamp, cells})
-			continue
-		}
-		fmt.Fprint(stdout, perfstat.StatsTable(rec.Stamp, cells))
-		fmt.Fprintln(stdout)
-	}
-	return 0
-}
-
-func runCompare(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "machine-readable output")
-	threshold := fs.Float64("threshold", 0.02, "relative slowdown a separated cell must exceed to flag")
-	conf := fs.Float64("confidence", 0.95, "bootstrap CI confidence")
-	minTime := fs.Float64("min-time", 0.001, "floor in seconds below which cells are not judged")
-	if fs.Parse(args) != nil || fs.NArg() != 2 {
-		usage(stderr)
-		return 2
-	}
-	recs, ok := readRecords(fs.Args(), stderr)
-	if !ok {
-		return 2
-	}
-	if len(recs) != 2 {
-		fmt.Fprintf(stderr, "npbperf: compare wants exactly one record per file, got %d records\n", len(recs))
-		return 2
-	}
-	cmp := perfstat.Compare(recs[0], recs[1], perfstat.CompareOptions{
-		CIOptions:   perfstat.CIOptions{Confidence: *conf},
-		MinRelDelta: *threshold,
-		MinTime:     *minTime,
-	})
-	if *jsonOut {
-		writeJSON(stdout, cmp)
-	} else {
-		fmt.Fprint(stdout, cmp.Table())
-		fmt.Fprintf(stdout, "\n%d regression(s), %d improvement(s) across %d cell(s)\n",
-			cmp.Regressions, cmp.Improvements, len(cmp.Cells))
-	}
-	if cmp.Regressions > 0 {
-		return 1
-	}
-	return 0
 }
 
 func runScaling(args []string, stdout, stderr io.Writer) int {

@@ -31,28 +31,15 @@ func writeRecord(t *testing.T, dir, name string, rec report.BenchRecord) string 
 	return path
 }
 
-// cgRecord builds a single-cell record with the given CG.S t2 samples.
-func cgRecord(stamp string, samples []float64) report.BenchRecord {
-	best := samples[0]
-	for _, s := range samples {
-		if s < best {
-			best = s
-		}
-	}
-	return report.BenchRecord{
-		Schema: report.BenchSchema, Stamp: stamp, Class: "S", GoMaxProcs: 2, NumCPU: 2,
-		Cells: []report.CellMetrics{{Benchmark: "CG", Class: "S", Threads: 2,
-			Elapsed: best, Verified: true, Samples: samples}},
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		nil,
 		{"frobnicate"},
-		{"stats"},
-		{"compare", "only-one.json"},
-		{"compare", "a.json", "b.json", "c.json"},
+		// npbperf compares no records: these are unknown subcommands,
+		// even over valid input.
+		{"stats", golden},
+		{"compare", golden, golden},
+		{"profdiff", golden, golden},
 		{"scaling"},
 	}
 	for _, args := range cases {
@@ -66,108 +53,13 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-func TestStatsGoldenRecord(t *testing.T) {
+func TestScalingRejectsUnknownSchema(t *testing.T) {
+	bad := writeRecord(t, t.TempDir(), "bad.json", report.BenchRecord{
+		Schema: "npbgo/bench/v999", Stamp: "A", Class: "S",
+		Cells: []report.CellMetrics{{Benchmark: "CG", Class: "S", Threads: 2, Elapsed: 1.0, Samples: []float64{1.0}}},
+	})
 	var out, errBuf bytes.Buffer
-	if code := run([]string{"stats", golden}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errBuf.String())
-	}
-	s := out.String()
-	for _, want := range []string{"20260801T120000Z", "CG.S serial", "CG.S t4", "Median", "failed: npbgo: EP.S panic: injected"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("stats output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestStatsJSON(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"stats", "-json", golden}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	var doc struct {
-		Stamp string `json:"stamp"`
-		Cells []struct {
-			Benchmark string `json:"benchmark"`
-			Summary   struct {
-				N      int     `json:"n"`
-				Median float64 `json:"median"`
-			} `json:"summary"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("stats -json not parseable: %v\n%s", err, out.String())
-	}
-	if doc.Stamp == "" || len(doc.Cells) != 8 || doc.Cells[0].Summary.N != 3 {
-		t.Fatalf("stats -json shape wrong: %+v", doc)
-	}
-}
-
-func TestCompareCleanExitsZero(t *testing.T) {
-	dir := t.TempDir()
-	// Identical code, two runs: same distribution up to noise.
-	a := writeRecord(t, dir, "a.json", cgRecord("A", []float64{1.00, 1.02, 0.98}))
-	b := writeRecord(t, dir, "b.json", cgRecord("B", []float64{1.01, 0.99, 1.00}))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"compare", a, b}, &out, &errBuf); code != 0 {
-		t.Fatalf("clean compare exit %d:\n%s%s", code, out.String(), errBuf.String())
-	}
-	if !strings.Contains(out.String(), "0 regression(s)") {
-		t.Fatalf("summary line missing:\n%s", out.String())
-	}
-}
-
-func TestCompareRegressionExitsOne(t *testing.T) {
-	dir := t.TempDir()
-	a := writeRecord(t, dir, "a.json", cgRecord("A", []float64{1.00, 1.01, 0.99}))
-	b := writeRecord(t, dir, "b.json", cgRecord("B", []float64{1.50, 1.51, 1.49}))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"compare", a, b}, &out, &errBuf); code != 1 {
-		t.Fatalf("regression compare exit %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "1 regression(s)") {
-		t.Fatalf("regression not reported:\n%s", out.String())
-	}
-	// The improvement direction must NOT fail the gate.
-	out.Reset()
-	if code := run([]string{"compare", b, a}, &out, &errBuf); code != 0 {
-		t.Fatalf("improvement compare exit %d, want 0:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "1 improvement(s)") {
-		t.Fatalf("improvement not reported:\n%s", out.String())
-	}
-}
-
-func TestCompareJSONCarriesVerdicts(t *testing.T) {
-	dir := t.TempDir()
-	a := writeRecord(t, dir, "a.json", cgRecord("A", []float64{1.00, 1.01, 0.99}))
-	b := writeRecord(t, dir, "b.json", cgRecord("B", []float64{1.50, 1.51, 1.49}))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"compare", "-json", a, b}, &out, &errBuf); code != 1 {
-		t.Fatalf("exit %d", code)
-	}
-	var doc struct {
-		Regressions int `json:"regressions"`
-		Cells       []struct {
-			Regression bool    `json:"regression"`
-			RelDelta   float64 `json:"rel_delta"`
-		} `json:"cells"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("compare -json not parseable: %v", err)
-	}
-	if doc.Regressions != 1 || len(doc.Cells) != 1 || !doc.Cells[0].Regression {
-		t.Fatalf("compare -json shape wrong: %+v", doc)
-	}
-}
-
-func TestCompareRejectsUnknownSchema(t *testing.T) {
-	dir := t.TempDir()
-	rec := cgRecord("A", []float64{1.0})
-	rec.Schema = "npbgo/bench/v999"
-	bad := writeRecord(t, dir, "bad.json", rec)
-	good := writeRecord(t, dir, "good.json", cgRecord("B", []float64{1.0}))
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"compare", bad, good}, &out, &errBuf); code != 2 {
+	if code := run([]string{"scaling", bad}, &out, &errBuf); code != 2 {
 		t.Fatalf("unknown schema exit %d, want 2", code)
 	}
 	if !strings.Contains(errBuf.String(), "npbgo/bench/v999") {

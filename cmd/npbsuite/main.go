@@ -49,8 +49,8 @@
 // auto-names the file BENCH_<stamp>.json, so repeated sweeps
 // accumulate a perf history. With -repeats N every repeat's elapsed
 // time is recorded in the cell's samples_sec — the distribution
-// `npbperf compare` builds its confidence intervals from — while the
-// headline stays the best time.
+// `npbperf scaling` takes each cell's median over — while the headline
+// stays the best time.
 //
 // Crash safety (see DESIGN.md §12):
 //

@@ -1,8 +1,7 @@
 // Package harness drives the experiments of the paper's evaluation
 // section: for each benchmark it runs a serial baseline plus a sweep of
 // thread counts, derives speedup and efficiency, and assembles the
-// rows of Tables 2-6. The same code backs cmd/npbsuite and the
-// regression benchmarks.
+// rows of Tables 2-6. It backs cmd/npbsuite.
 //
 // The harness is fault tolerant, in the shape of a serving stack's
 // timeout/retry/bulkhead plumbing: every cell can be bounded by a
@@ -46,9 +45,9 @@ type Run struct {
 	Attempts int // benchmark executions this cell consumed (retries and repeats included)
 	// Samples holds every successful repeat's elapsed time in run
 	// order. Elapsed stays the best (minimum) sample — the headline the
-	// tables print — but comparisons across records need the full
-	// distribution: best-of-N discards exactly the noise a confidence
-	// interval is built from (Hoefler & Belli's first rule).
+	// tables print — while the record keeps the full distribution, and
+	// npbperf scaling takes each cell's median over it (Hoefler &
+	// Belli's first rule: do not report best-of-N alone).
 	Samples []time.Duration
 	Err     error           // non-nil marks a failed cell (after all retries)
 	Obs     *team.Stats     // runtime metrics of the kept repeat, nil unless Options.Obs

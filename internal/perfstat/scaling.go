@@ -1,8 +1,3 @@
-// Scalability diagnostics per (benchmark, class): speedup and
-// efficiency curves over the thread sweep, the Karp–Flatt
-// experimentally determined serial fraction, and rule-based anomaly
-// attribution joining the obs counters carried in each cell — the
-// analysis the source paper performs by hand in §5, as code.
 package perfstat
 
 import (
@@ -166,16 +161,6 @@ func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
 		out = append(out, bs)
 	}
 	return out
-}
-
-// medianOf is the cell's median elapsed time: over the retained repeat
-// samples, or the headline for sample-less records.
-func medianOf(c report.CellMetrics) float64 {
-	s := samplesOf(c)
-	if len(s) == 0 {
-		return 0
-	}
-	return Summarize(s, CIOptions{Resamples: 1}).Median
 }
 
 // baseCounters finds the counter baseline of a cell group: the IPC and

@@ -99,6 +99,12 @@ func TestScalingFallsBackToOneThreadBaseline(t *testing.T) {
 	if s := out[0].Points[1].Speedup; s != 2 {
 		t.Fatalf("S(2) over t1 baseline = %v", s)
 	}
+	// An even sample count interpolates between the middle two.
+	rec.Cells[0].Samples = []float64{1.0, 1.2}
+	out = Scaling(rec, ScalingOptions{})
+	if b := out[0].BaseSec; math.Abs(b-1.1) > 1e-12 {
+		t.Fatalf("t1 baseline of {1.0, 1.2} = %v, want 1.1", b)
+	}
 }
 
 func TestScalingTableOutput(t *testing.T) {

@@ -1,97 +1,37 @@
-// Package perfstat turns the raw bench records of internal/report into
-// statistics, comparisons and scalability diagnoses — the consumer side
-// of the performance pipeline whose producer side (obs counters,
-// per-repeat samples, stamped BENCH_<stamp>.json records) earlier
-// layers built.
+// Package perfstat explains one bench record of internal/report: per
+// (benchmark, class) it derives speedup S(n) and efficiency E(n) over
+// the thread sweep, the Karp–Flatt experimentally determined serial
+// fraction (CACM 1990), which tells an Amdahl ceiling from overhead
+// that grows with p, and rule-based anomaly flags that join the obs and
+// hardware counters to the source paper's §5 diagnoses: CG-style load
+// imbalance, LU-pipeline-style barrier synchronization cost, IS-style
+// too-little-work-per-thread, and memory-bound plateaus — the analysis
+// the paper performs by hand in §5, as code.
 //
-// The methodology follows Hoefler & Belli, "Scientific Benchmarking of
-// Parallel Computing Systems" (SC'15): report the full sample
-// distribution rather than best-of-N, summarize with order statistics
-// (median, quartiles) because run times are not normally distributed,
-// and only call a difference real when nonparametric (bootstrap)
-// confidence intervals separate. The scalability side adds the
-// Karp–Flatt experimentally determined serial fraction (CACM 1990),
-// which distinguishes "Amdahl ceiling" from "overhead grows with p" at
-// a glance, and rule-based anomaly attribution that joins the obs
-// counters to the three §5 diagnoses of the source paper: CG-style
-// load imbalance, LU-pipeline-style barrier synchronization cost, and
-// IS-style too-little-work-per-thread.
-//
-// Everything is deterministic: the bootstrap PRNG is explicitly
-// seeded, so the same records always produce the same intervals — a
-// regression gate must not be flaky by construction.
+// A cell's time is the median of its repeat samples: run times are not
+// normally distributed, so the summary is an order statistic, not a
+// mean or a best-of-N (Hoefler & Belli, SC'15). Judging one record
+// against another is not this package's job; benchmark/ does that.
 package perfstat
 
 import (
 	"math"
-	"math/rand"
 	"sort"
+
+	"npbgo/internal/report"
 )
 
-// CIOptions tunes the bootstrap confidence interval.
-type CIOptions struct {
-	Confidence float64 // CI mass, e.g. 0.95; default 0.95
-	Resamples  int     // bootstrap resamples; default 1000
-	Seed       int64   // PRNG seed; default 1 (determinism, not entropy)
-}
-
-// withDefaults fills unset CI options.
-func (o CIOptions) withDefaults() CIOptions {
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
+// medianOf is the cell's median elapsed time: over the retained repeat
+// samples, or the headline for records written before repeats were
+// kept. The samples are sorted in a copy, so the record is left as it
+// was read.
+func medianOf(c report.CellMetrics) float64 {
+	if len(c.Samples) == 0 {
+		return max(c.Elapsed, 0)
 	}
-	if o.Resamples <= 0 {
-		o.Resamples = 1000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// Summary is the distribution summary of one cell's repeat samples.
-// CILo/CIHi bound the median at the requested confidence; with a
-// single sample they collapse to the point value, which makes a
-// comparison fall back to the relative-delta threshold alone.
-type Summary struct {
-	N      int     `json:"n"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	Mean   float64 `json:"mean"`
-	Median float64 `json:"median"`
-	Q1     float64 `json:"q1"`
-	Q3     float64 `json:"q3"`
-	IQR    float64 `json:"iqr"`
-	CILo   float64 `json:"ci_lo"`
-	CIHi   float64 `json:"ci_hi"`
-}
-
-// Summarize computes the distribution summary of samples with a
-// percentile-bootstrap confidence interval for the median. An empty
-// sample set returns the zero Summary.
-func Summarize(samples []float64, opt CIOptions) Summary {
-	if len(samples) == 0 {
-		return Summary{}
-	}
-	opt = opt.withDefaults()
-	sorted := append([]float64(nil), samples...)
+	sorted := append([]float64(nil), c.Samples...)
 	sort.Float64s(sorted)
-	s := Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: quantile(sorted, 0.5),
-		Q1:     quantile(sorted, 0.25),
-		Q3:     quantile(sorted, 0.75),
-	}
-	s.IQR = s.Q3 - s.Q1
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	s.Mean = sum / float64(len(sorted))
-	s.CILo, s.CIHi = bootstrapCI(sorted, opt)
-	return s
+	return quantile(sorted, 0.5)
 }
 
 // quantile returns the q-quantile of sorted data by linear
@@ -110,28 +50,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// bootstrapCI is the percentile-bootstrap confidence interval of the
-// median: resample n-with-replacement Resamples times, take the
-// (1±Confidence)/2 quantiles of the resampled medians. Deterministic
-// for a given (samples, options) pair.
-func bootstrapCI(sorted []float64, opt CIOptions) (lo, hi float64) {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0], sorted[0]
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	medians := make([]float64, opt.Resamples)
-	resample := make([]float64, n)
-	for i := range medians {
-		for j := range resample {
-			resample[j] = sorted[rng.Intn(n)]
-		}
-		sort.Float64s(resample)
-		medians[i] = quantile(resample, 0.5)
-	}
-	sort.Float64s(medians)
-	alpha := (1 - opt.Confidence) / 2
-	return quantile(medians, alpha), quantile(medians, 1-alpha)
 }

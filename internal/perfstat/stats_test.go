@@ -1,57 +1,20 @@
 package perfstat
 
 import (
-	"math"
 	"testing"
+
+	"npbgo/internal/report"
 )
 
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2, 4, 5}, CIOptions{})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("order stats wrong: %+v", s)
-	}
-	if s.Mean != 3 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if s.Q1 != 2 || s.Q3 != 4 || s.IQR != 2 {
-		t.Fatalf("quartiles wrong: %+v", s)
-	}
-	if s.CILo > s.Median || s.CIHi < s.Median {
-		t.Fatalf("CI [%v,%v] does not cover the median %v", s.CILo, s.CIHi, s.Median)
-	}
-	if s.CILo < s.Min || s.CIHi > s.Max {
-		t.Fatalf("bootstrap CI escaped the sample range: %+v", s)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil, CIOptions{}); s.N != 0 || s.Median != 0 {
-		t.Fatalf("empty sample set: %+v", s)
-	}
-	s := Summarize([]float64{0.42}, CIOptions{})
-	if s.N != 1 || s.Median != 0.42 || s.CILo != 0.42 || s.CIHi != 0.42 {
-		t.Fatalf("single sample should collapse the CI: %+v", s)
-	}
-}
-
-func TestSummarizeDeterministic(t *testing.T) {
-	samples := []float64{1.0, 1.1, 0.9, 1.05, 0.95, 1.2, 0.85}
-	a := Summarize(samples, CIOptions{})
-	b := Summarize(samples, CIOptions{})
-	if a != b {
-		t.Fatalf("same input, different summaries: %+v vs %+v", a, b)
-	}
-	c := Summarize(samples, CIOptions{Seed: 99})
-	if c.Median != a.Median {
-		t.Fatalf("seed must not move order statistics: %v vs %v", c.Median, a.Median)
-	}
-}
-
+// TestSummarizeDoesNotMutateInput: a cell's median summary sorts a
+// copy, so the record's samples stay in run order.
 func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	samples := []float64{3, 1, 2}
-	Summarize(samples, CIOptions{})
-	if samples[0] != 3 || samples[1] != 1 || samples[2] != 2 {
-		t.Fatalf("input mutated: %v", samples)
+	c := report.CellMetrics{Samples: []float64{3, 1, 2}}
+	if m := medianOf(c); m != 2 {
+		t.Fatalf("median of {3,1,2} = %v", m)
+	}
+	if c.Samples[0] != 3 || c.Samples[1] != 1 || c.Samples[2] != 2 {
+		t.Fatalf("input mutated: %v", c.Samples)
 	}
 }
 
@@ -66,15 +29,15 @@ func TestQuantileInterpolation(t *testing.T) {
 	if q := quantile(sorted, 1); q != 4 {
 		t.Fatalf("q1 = %v", q)
 	}
-}
-
-func TestBootstrapCITightensWithLowNoise(t *testing.T) {
-	tight := Summarize([]float64{1.0, 1.001, 0.999, 1.0, 1.0005, 0.9995}, CIOptions{})
-	wide := Summarize([]float64{1.0, 1.5, 0.6, 1.3, 0.8, 1.1}, CIOptions{})
-	if tw, ww := tight.CIHi-tight.CILo, wide.CIHi-wide.CILo; tw >= ww {
-		t.Fatalf("low-noise CI (%v) should be tighter than high-noise CI (%v)", tw, ww)
+	// medianOf sorts before it interpolates, and takes the headline of a
+	// sample-less cell as its one point.
+	if m := medianOf(report.CellMetrics{Samples: []float64{4, 1, 3, 2}}); m != 2.5 {
+		t.Fatalf("medianOf {4,1,3,2} = %v", m)
 	}
-	if math.IsNaN(tight.CILo) || math.IsNaN(wide.CIHi) {
-		t.Fatal("NaN in CI")
+	if m := medianOf(report.CellMetrics{Elapsed: 0.42}); m != 0.42 {
+		t.Fatalf("medianOf of a sample-less cell = %v, want the headline", m)
+	}
+	if m := medianOf(report.CellMetrics{}); m != 0 {
+		t.Fatalf("medianOf of an empty cell = %v", m)
 	}
 }

@@ -40,9 +40,9 @@ type CellMetrics struct {
 
 	// Samples holds every repeat's elapsed time in seconds, in run
 	// order. Elapsed stays the best (minimum) repeat for back-compat;
-	// the full distribution is what noise-aware comparison (perfstat)
-	// needs — a single best-of-N number cannot carry a confidence
-	// interval. Empty on records written before repeats were retained.
+	// perfstat's scaling view takes the cell's median over the full
+	// distribution. Empty on records written before repeats were
+	// retained.
 	Samples []float64 `json:"samples_sec,omitempty"`
 
 	// Obs-layer runtime counters; zero-valued when obs was disabled.
