@@ -77,7 +77,7 @@ bce-baseline:
 # (lu, cg, nscore) get a full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/journal ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/perfcount
 
 test-race: race
 
@@ -91,14 +91,13 @@ THREADS ?= 1,2,4
 suite:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS)
 
-# Every instrument writes under $(INSTDIR): trace files, pprof files
-# and the obs metrics.jsonl.
+# Every instrument writes under $(INSTDIR): trace files and pprof files.
 INSTDIR ?= instruments
 
-# Suite sweep with the obs instrument on: metrics summary table and
-# per-cell JSONL in $(INSTDIR)/metrics.jsonl.
+# Suite sweep with the obs instrument on: metrics summary table, and
+# the per-cell obs data in a bench record, $(INSTDIR)/BENCH_<stamp>.json.
 suite-obs:
-	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument obs -instrument-dir $(INSTDIR)
+	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument obs -instrument-dir $(INSTDIR) -bench-json $(INSTDIR)/
 
 # Suite sweep with the execution tracer on: one Chrome/Perfetto trace
 # file per cell in $(INSTDIR). Open any of them at ui.perfetto.dev (or
@@ -107,8 +106,9 @@ suite-trace:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument trace -instrument-dir $(INSTDIR)
 
 # Machine-readable sweep record: one stamped BENCH_<stamp>.json per
-# sweep accumulates under $(RESULTS), read by npbperf scaling, counters
-# and hotspots.
+# sweep accumulates under $(RESULTS), each cell appended as it finishes
+# (npbsuite -resume finishes an interrupted one), read by npbperf
+# scaling, counters and hotspots.
 RESULTS ?= results
 bench-json:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -bench-json $(RESULTS)/

@@ -171,7 +171,7 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 // renderHotspots prints the human view: a per-cell summary joined with
 // the cell's imbalance and IPC, then the top functions of every cell.
 func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.ProfileCell) {
-	fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.GoMaxProcs, rec.NumCPU)
+	fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.Env.GoMaxProcs, rec.Env.NumCPU)
 	sum := report.New("Profiles per cell (Attr% = samples touching "+profile.KernelPrefix+" code)",
 		"Cell", "Type", "Total", "Samples", "Attr%", "Imbal", "IPC")
 	for _, pc := range cells {

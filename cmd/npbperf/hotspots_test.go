@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +24,8 @@ const (
 // the given profile files, with imbalance and counters to join.
 func profiledRecord(stamp, cpu, heap string) report.BenchRecord {
 	return report.BenchRecord{
-		Schema: report.BenchSchema, Stamp: stamp, Class: "S", GoMaxProcs: 2, NumCPU: 2,
+		Schema: report.BenchSchema, Stamp: stamp, Class: "S",
+		Threads: []int{2}, Benchmarks: []string{"CG"}, Env: report.EnvInfo{GoMaxProcs: 2, NumCPU: 2},
 		Cells: []report.CellMetrics{{Benchmark: "CG", Class: "S", Threads: 2,
 			Elapsed: 1.0, Verified: true,
 			CPUProfile: cpu, HeapProfile: heap,
@@ -30,6 +33,23 @@ func profiledRecord(stamp, cpu, heap string) report.BenchRecord {
 			Counters: &perfcount.Stats{Set: "hardware",
 				Values: perfcount.Values{Cycles: 100, Instructions: 250}},
 		}},
+	}
+}
+
+// decodeProfileRecords decodes the npbgo/profile/v1 stream of hotspots
+// -json: one indented record per bench record.
+func decodeProfileRecords(t *testing.T, r io.Reader) []report.ProfileRecord {
+	t.Helper()
+	var out []report.ProfileRecord
+	dec := json.NewDecoder(r)
+	for {
+		var rec report.ProfileRecord
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("hotspots -json is not a readable npbgo/profile/v1 stream: %v", err)
+		}
+		out = append(out, rec)
 	}
 }
 
@@ -66,12 +86,9 @@ func TestHotspotsJSONSchema(t *testing.T) {
 	if code := run([]string{"hotspots", "-json", "-top", "3", rec}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
-	recs, err := report.ReadProfileRecords(&out)
-	if err != nil {
-		t.Fatalf("hotspots -json is not a readable npbgo/profile/v1 stream: %v", err)
-	}
+	recs := decodeProfileRecords(t, &out)
 	if len(recs) != 1 || recs[0].Schema != report.ProfileSchema || recs[0].Stamp != "P1" {
-		t.Fatalf("profile record header wrong: %+v", recs[0])
+		t.Fatalf("profile record header wrong: %+v", recs)
 	}
 	cells := recs[0].Cells
 	if len(cells) != 1 {
@@ -103,10 +120,7 @@ func TestHotspotsHeapDimension(t *testing.T) {
 	if code := run([]string{"hotspots", "-heap", "-json", rec}, &out, &errBuf); code != 0 {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
-	recs, err := report.ReadProfileRecords(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := decodeProfileRecords(t, &out)
 	if c := recs[0].Cells[0]; c.Type != "alloc_space" || c.Unit != "bytes" {
 		t.Fatalf("heap dimension wrong: %+v", c)
 	}

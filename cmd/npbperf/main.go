@@ -1,5 +1,5 @@
 // Command npbperf explains the bench records written by npbsuite
-// -bench-json (schema npbgo/bench/v1), one record at a time: the
+// -bench-json (schema npbgo/bench/v2), one record at a time: the
 // paper's §5 scalability diagnostics, the hardware-counter view and the
 // hot functions of each cell. It does not judge one record against
 // another; the repository's benchmark/ runner is the one judge of
@@ -154,7 +154,7 @@ func runScaling(args []string, stdout, stderr io.Writer) int {
 				Groups []perfstat.BenchScaling `json:"groups"`
 			}{rec.Stamp, analysis})
 		} else {
-			fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.GoMaxProcs, rec.NumCPU)
+			fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.Env.GoMaxProcs, rec.Env.NumCPU)
 			fmt.Fprint(stdout, perfstat.ScalingTable(analysis))
 			fmt.Fprintln(stdout)
 		}
@@ -261,7 +261,7 @@ func runCounters(args []string, stdout, stderr io.Writer) int {
 			}{rec.Stamp, rows})
 			continue
 		}
-		fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.GoMaxProcs, rec.NumCPU)
+		fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.Env.GoMaxProcs, rec.Env.NumCPU)
 		tb := report.New("Hardware counters per cell (Mop = Mop/s x elapsed)",
 			"Cell", "Set", "IPC", "MissRate", "Cyc/Mop", "Miss/Mop", "Cycles", "Instr")
 		for _, row := range rows {

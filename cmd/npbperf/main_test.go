@@ -12,20 +12,23 @@ import (
 )
 
 // golden is the shared bench-record fixture of the report package.
-const golden = "../../internal/report/testdata/bench_v1.json"
+const golden = "../../internal/report/testdata/bench_v2.jsonl"
 
-// writeRecord writes one record into dir and returns its path.
+// writeRecord writes one record into dir, as npbsuite -bench-json lays
+// it out, and returns its path.
 func writeRecord(t *testing.T, dir, name string, rec report.BenchRecord) string {
 	t.Helper()
+	var buf bytes.Buffer
+	if err := report.WriteJSONL(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rec.Cells {
+		if err := report.WriteJSONL(&buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
 	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := report.WriteBenchJSON(f, rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -15,7 +15,7 @@
 // the default — dynamic, guided or stealing; see DESIGN.md §14).
 // Schedules redistribute loop chunks between workers without changing
 // any numerical result; the chosen name is stamped into each cell's
-// bench-record and journal rows so sweeps stay comparable.
+// bench-record line so sweeps stay comparable.
 //
 // -list-faults prints the registered fault injection site keys (the
 // same registry the npblint faultsite analyzer checks) and exits.
@@ -24,7 +24,7 @@
 // list, and -instrument-dir (default instruments/) is where they write.
 // obs collects per-worker runtime metrics (busy/barrier-wait time,
 // imbalance ratio) and a phase profile, prints a metrics table after
-// the sweeps and appends one JSON line per cell to DIR/metrics.jsonl.
+// the sweeps and adds them to each cell's -bench-json line.
 // counters samples cycles, instructions, LLC loads/misses and branch
 // misses per worker per parallel region via perf_event_open and prints
 // a counter table (IPC, LLC miss rate); where counters are unavailable
@@ -41,26 +41,26 @@
 // captures and the parent collects the files, and a failing cell still
 // flushes its profile (a hard-killed child flushes nothing, and its
 // empty file is dropped rather than recorded as data). An unknown
-// instrument name exits 2.
+// instrument name exits 2. Under -isolate the obs and trace
+// instruments exit 2 too: a child's runtime metrics and timeline do not
+// cross the process boundary (counters and profiles do).
 //
-// -bench-json <path> writes the sweep's machine-readable performance
-// record (schema npbgo/bench/v1: per-cell Mop/s, time, threads,
-// imbalance under a stamped host header). Pointing it at a directory
+// -bench-json <path> records the sweep (schema npbgo/bench/v2, JSON
+// Lines): a header with the plan and the host's environment, then one
+// line per cell with its Mop/s, time, threads and instrument data,
+// appended and fsync'd as the cell finishes. Pointing it at a directory
 // auto-names the file BENCH_<stamp>.json, so repeated sweeps
 // accumulate a perf history. With -repeats N every repeat's elapsed
 // time is recorded in the cell's samples_sec — the distribution
 // `npbperf scaling` takes each cell's median over — while the headline
 // stays the best time.
 //
-// Crash safety (see DESIGN.md §12):
-//
-// -journal <path> writes a durable write-ahead journal of the sweep
-// (schema npbgo/journal/v1, one fsync'd JSON line per event). If the
-// process dies mid-sweep — OOM kill, power loss, ^C — the journal
-// holds every completed cell's metrics. -resume <path> picks the sweep
-// back up: the plan (class, threads, benchmarks) is read from the
-// journal, completed cells are replayed from their recorded metrics
-// without re-executing, and only pending or interrupted cells run.
+// Crash safety (see DESIGN.md §12): the -bench-json record is also the
+// sweep's journal. If the process dies mid-sweep — OOM kill, power
+// loss, ^C — the record holds every finished cell, and npbperf reads
+// it. -resume <path> picks the sweep back up: the plan (class, threads,
+// benchmarks) is read from the record's header, recorded cells are
+// replayed without re-executing, and only the cells without a line run.
 //
 // -isolate runs every cell in a child process (`npbsuite -run-cell`,
 // an internal mode) under a parent-side watchdog: a cell that blows
@@ -88,9 +88,7 @@ import (
 	"npbgo"
 	"npbgo/internal/fault"
 	"npbgo/internal/harness"
-	"npbgo/internal/journal"
 	"npbgo/internal/perfcount"
-	"npbgo/internal/report"
 	"npbgo/internal/team"
 )
 
@@ -104,11 +102,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-run deadline, e.g. 5m (0 = unbounded)")
 	retries := flag.Int("retries", 0, "retries per failed run, with exponential backoff")
 	instrumentFlag := flag.String("instrument", "", "comma-separated instruments to turn on per cell: "+strings.Join(instrumentNames, ", "))
-	instrumentDir := flag.String("instrument-dir", "instruments", "with -instrument: directory for trace files, pprof files and (with obs) metrics.jsonl")
-	benchJSON := flag.String("bench-json", "", "write the sweep's performance record as JSON to this path (a directory auto-names BENCH_<stamp>.json)")
+	instrumentDir := flag.String("instrument-dir", "instruments", "with -instrument: directory for trace and pprof files")
+	benchJSON := flag.String("bench-json", "", "record the sweep to this path, one fsync'd JSON line per cell (a directory auto-names BENCH_<stamp>.json)")
 	listFaults := flag.Bool("list-faults", false, "print the registered fault injection site keys and exit")
-	journalPath := flag.String("journal", "", "write a durable sweep journal (fsync'd JSONL) to this path")
-	resumePath := flag.String("resume", "", "resume an interrupted journaled sweep: replay completed cells, run the rest (plan read from the journal)")
+	resumePath := flag.String("resume", "", "resume an interrupted -bench-json record: replay its cells, run the rest (plan read from the record)")
 	isolate := flag.Bool("isolate", false, "run every cell in a watchdogged child process; runaway or OOM-ing cells are killed and recorded as FAIL")
 	memLimit := flag.String("mem-limit", "", "with -isolate: kill a cell whose resident set exceeds this size, e.g. 2GiB")
 	memGuard := flag.Bool("mem-guard", false, "skip cells whose estimated memory footprint cannot fit in available memory")
@@ -157,6 +154,12 @@ func main() {
 	if err == nil && len(on) > 0 && *instrumentDir == "" {
 		err = fmt.Errorf("-instrument needs a non-empty -instrument-dir")
 	}
+	if err == nil {
+		err = checkIsolate(*isolate, on)
+	}
+	if err == nil && *resumePath != "" && *benchJSON != "" {
+		err = fmt.Errorf("-resume appends to the record it names; drop -bench-json")
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "npbsuite: %v\n", err)
 		os.Exit(2)
@@ -164,7 +167,8 @@ func main() {
 
 	// ^C / SIGTERM cancels the sweep cooperatively: the current cell
 	// stops (hard-killed under -isolate), retries and backoffs are
-	// abandoned, and a journaled sweep stays resumable.
+	// abandoned, and the cut-short cells write no -bench-json line, so
+	// -resume runs them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -184,53 +188,6 @@ func main() {
 	}
 	if on["profile"] {
 		opt.ProfileDir = *instrumentDir
-	}
-	stamp := time.Now().UTC().Format("20060102T150405Z")
-	switch {
-	case *resumePath != "":
-		w, lg, err := journal.AppendTo(*resumePath, stamp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: resume: %v\n", err)
-			os.Exit(2)
-		}
-		defer w.Close()
-		// The journal's plan is authoritative on resume: the sweep must
-		// finish what was planned, not what today's flags happen to say.
-		plan := lg.Plan()
-		if plan.Class != "" {
-			cl = plan.Class[0]
-		}
-		if len(plan.Threads) > 0 {
-			threads = plan.Threads
-		}
-		if len(plan.Benchmarks) > 0 {
-			benches = nil
-			for _, name := range plan.Benchmarks {
-				benches = append(benches, npbgo.Benchmark(name))
-			}
-		}
-		st := lg.State()
-		opt.Journal = w
-		opt.Resume = st.Done
-		fmt.Printf("resume: %s — %d of %d planned cells already done, %d pending%s\n",
-			*resumePath, len(st.Done), len(plan.Planned), len(st.Pending()),
-			map[bool]string{true: " (torn tail recovered)", false: ""}[lg.Truncated])
-	case *journalPath != "":
-		names := make([]string, len(benches))
-		for i, b := range benches {
-			names[i] = string(b)
-		}
-		w, err := journal.Create(*journalPath, journal.Plan{
-			Stamp: stamp, Class: string(cl), Threads: threads,
-			Benchmarks: names, Planned: harness.PlannedCells(benches, cl, threads),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: journal: %v\n", err)
-			os.Exit(2)
-		}
-		defer w.Close()
-		opt.Journal = w
-		fmt.Printf("journal: durable sweep journal at %s (resume with -resume %s)\n", *journalPath, *journalPath)
 	}
 	if *isolate {
 		exe, err := os.Executable()
@@ -261,6 +218,46 @@ func main() {
 		}
 	}
 
+	stamp := time.Now().UTC().Format("20060102T150405Z")
+	var rec *harness.Record
+	switch {
+	case *resumePath != "":
+		var torn bool
+		rec, torn, err = harness.ResumeRecord(*resumePath)
+		if err == nil {
+			// The record's plan is authoritative on resume: the sweep must
+			// finish what was planned, not what today's flags happen to say.
+			cl, err = parseClass(rec.Class)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "npbsuite: resume: %v\n", err)
+			os.Exit(2)
+		}
+		threads, benches = rec.Threads, nil
+		for _, name := range rec.Benchmarks {
+			benches = append(benches, npbgo.Benchmark(name))
+		}
+		planned := harness.PlannedCells(benches, cl, threads)
+		done := 0
+		for _, k := range planned {
+			if _, ok := rec.Cell(k); ok {
+				done++
+			}
+		}
+		fmt.Printf("resume: %s — %d of %d planned cells already done, %d pending%s\n",
+			*resumePath, done, len(planned), len(planned)-done,
+			map[bool]string{true: " (torn tail recovered)", false: ""}[torn])
+	case *benchJSON != "":
+		path, err := recordPath(*benchJSON, stamp)
+		if err == nil {
+			rec, err = harness.CreateRecord(path, stamp, benches, cl, threads)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
+			os.Exit(2)
+		}
+		fmt.Printf("bench-json: recording each cell to %s as it finishes (resume with -resume %s)\n", path, path)
+	}
 	fmt.Printf("NPB-Go suite sweep: class %c, GOMAXPROCS=%d, host CPUs=%d\n\n",
 		cl, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	if len(on) > 0 {
@@ -271,19 +268,10 @@ func main() {
 			fmt.Printf("counters: unavailable (%v) — cells run unsampled, records carry the note\n\n", err)
 		}
 	}
-	if on["obs"] {
-		f, err := openMetrics(*instrumentDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: obs metrics: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		opt.Metrics = f
-	}
 	var sweeps []harness.Sweep
 	failed := false
 	for _, b := range benches {
-		sw, err := harness.RunSweepOpts(b, cl, threads, opt)
+		sw, err := rec.RunSweep(b, cl, threads, opt)
 		if err != nil {
 			// A failed cell does not abort the suite: report it, keep the
 			// partial sweep, and finish the table.
@@ -309,13 +297,10 @@ func main() {
 		fmt.Println()
 		fmt.Print(harness.CountersTable("Hardware counters (IPC = instructions/cycle; miss rate = LLC misses/loads)", sweeps))
 	}
-	if *benchJSON != "" {
-		path, err := writeBenchRecord(*benchJSON, cl, sweeps)
-		if err != nil {
+	if rec != nil {
+		if err := rec.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
 			failed = true
-		} else {
-			fmt.Printf("\nbench-json: performance record written to %s\n", path)
 		}
 	}
 	if failed {
@@ -353,37 +338,30 @@ func parseInstruments(list string) (map[string]bool, error) {
 	return on, nil
 }
 
-// openMetrics opens dir/metrics.jsonl for appending, creating dir.
-func openMetrics(dir string) (*os.File, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+// checkIsolate refuses the instruments whose data cannot cross the
+// -isolate process boundary: a child's obs snapshot and trace timeline
+// do not travel back in its result, so the cells would silently carry
+// neither. Counters and profiles do cross.
+func checkIsolate(isolate bool, on map[string]bool) error {
+	for _, name := range []string{"obs", "trace"} {
+		if isolate && on[name] {
+			return fmt.Errorf("-isolate drops the %s instrument (a child's %s data does not cross the process boundary); only counters and profile work under -isolate", name, name)
+		}
 	}
-	return os.OpenFile(filepath.Join(dir, "metrics.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	return nil
 }
 
-// writeBenchRecord writes the sweep's machine-readable performance
-// record. A directory path (existing, or ending in a separator) gets an
-// auto-stamped BENCH_<stamp>.json inside it and is created if missing.
-func writeBenchRecord(path string, class byte, sweeps []harness.Sweep) (string, error) {
-	stamp := time.Now().UTC().Format("20060102T150405Z")
+// recordPath resolves -bench-json: a directory (existing, or ending in a
+// separator) gets an auto-stamped BENCH_<stamp>.json inside it. The
+// record's directory is created if missing, since the record opens
+// before any cell runs.
+func recordPath(path, stamp string) (string, error) {
 	isDir := strings.HasSuffix(path, string(os.PathSeparator))
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		isDir = true
 	}
 	if isDir {
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return "", err
-		}
 		path = filepath.Join(path, "BENCH_"+stamp+".json")
 	}
-	rec := harness.BenchRecordFrom(class, sweeps, stamp)
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	werr := report.WriteBenchJSON(f, rec)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return path, werr
+	return path, os.MkdirAll(filepath.Dir(path), 0o755)
 }

@@ -1,9 +1,9 @@
 package harness
 
-// Crash-safety tests: the journal kill/resume drill, the subprocess
+// Crash-safety tests: the record kill/resume drill, the subprocess
 // watchdog, the memory admission guard, and the context-interruptible
 // retry backoff. The kill test is the package's centerpiece: it
-// SIGKILLs a real journaled sweep mid-cell (run in a helper process)
+// SIGKILLs a real recorded sweep mid-cell (run in a helper process)
 // and proves that -resume completes exactly the planned cell set with
 // no cell executed twice.
 
@@ -15,40 +15,35 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"npbgo"
 	"npbgo/internal/fault"
-	"npbgo/internal/journal"
 	"npbgo/internal/report"
 )
 
-// TestHelperJournaledSweep is not a test: re-invoked by
-// TestKillResumeJournal as a separate process, it runs a journaled,
+// TestHelperRecordedSweep is not a test: re-invoked by
+// TestKillResumeJournal as a separate process, it runs a recorded,
 // isolated sweep slowed by an injected per-cell delay so the parent
 // can SIGKILL it mid-flight.
-func TestHelperJournaledSweep(t *testing.T) {
-	if os.Getenv("NPB_HARNESS_HELPER") != "journaled-sweep" {
+func TestHelperRecordedSweep(t *testing.T) {
+	if os.Getenv("NPB_HARNESS_HELPER") != "recorded-sweep" {
 		t.Skip("helper process entry point")
 	}
-	path := os.Getenv("NPB_HARNESS_JOURNAL")
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindDelay,
 		Count: -1, Sleep: 500 * time.Millisecond})
 	threads := []int{1, 2}
-	w, err := journal.Create(path, journal.Plan{
-		Class: "S", Threads: threads, Benchmarks: []string{"CG"},
-		Planned: PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', threads),
-	})
+	rec, err := CreateRecord(os.Getenv("NPB_HARNESS_RECORD"), "helper", []npbgo.Benchmark{npbgo.CG}, 'S', threads)
 	if err != nil {
 		t.Fatalf("helper: %v", err)
 	}
-	RunSweepOpts(npbgo.CG, 'S', threads, Options{
-		Journal: w,
+	rec.RunSweep(npbgo.CG, 'S', threads, Options{
 		Isolate: &Isolation{Cmd: []string{os.Args[0], "-test.run=^TestHelperRunCell$"}},
 	})
-	w.Close()
+	rec.Close()
 	os.Exit(0)
 }
 
@@ -61,94 +56,78 @@ func TestHelperRunCell(t *testing.T) {
 	os.Exit(RunCellMain(flag.Arg(0), os.Stdout))
 }
 
-// TestKillResumeJournal is the crash drill of ISSUE acceptance: SIGKILL
-// an in-flight isolated journaled sweep, resume from its journal, and
-// require (a) the completed-cell set to equal the uninterrupted plan,
-// (b) no cell to have executed twice, and (c) cells finished before the
-// kill to have been replayed, not re-run.
+// TestKillResumeJournal is the crash drill on a -bench-json record:
+// SIGKILL an in-flight isolated recorded sweep, check that the partial
+// record reads, resume from it, and require (a) one line per planned
+// cell, no more, (b) the lines written before the kill to stand
+// unchanged, and (c) their cells to have been replayed, not re-run.
 func TestKillResumeJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process kill drill in -short mode")
 	}
-	jp := filepath.Join(t.TempDir(), "sweep.jsonl")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperJournaledSweep$")
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperRecordedSweep$")
 	cmd.Env = append(os.Environ(),
-		"NPB_HARNESS_HELPER=journaled-sweep",
+		"NPB_HARNESS_HELPER=recorded-sweep",
 		"NPB_HARNESS_RUNCELL=1",
-		"NPB_HARNESS_JOURNAL="+jp)
+		"NPB_HARNESS_RECORD="+path)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start helper: %v", err)
 	}
-	// Let at least one cell finish, then pull the plug mid-sweep.
+	// Let at least one cell line land, then pull the plug mid-sweep.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if lg, err := journal.Read(jp); err == nil && len(lg.State().Done) >= 1 {
+		if data, err := os.ReadFile(path); err == nil && bytes.Count(data, []byte("\n")) >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
 			cmd.Wait()
-			t.Fatal("helper produced no finished cell within 60s")
+			t.Fatal("helper recorded no finished cell within 60s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	cmd.Process.Kill() // SIGKILL: no deferred cleanup, no journal close
+	cmd.Process.Kill() // SIGKILL: no deferred cleanup, no close
 	cmd.Wait()
 
-	w, lg, err := journal.AppendTo(jp, "resume-test")
+	pre := readRecord(t, path) // the partial record reads as it stands
+	rec, _, err := ResumeRecord(path)
 	if err != nil {
-		t.Fatalf("journal did not survive SIGKILL: %v", err)
+		t.Fatalf("record did not survive SIGKILL: %v", err)
 	}
-	st := lg.State()
-	preDone := make(map[journal.CellKey]bool)
-	for k := range st.Done {
-		preDone[k] = true
+	planned := PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', rec.Threads)
+	if len(pre.Cells) == len(planned) {
+		t.Logf("note: helper finished all %d cells before the kill; resume is a pure replay", len(planned))
 	}
-	plan := lg.Plan()
-	if len(preDone) == len(plan.Planned) {
-		t.Logf("note: helper finished all %d cells before the kill; resume is a pure replay", len(preDone))
-	}
-	if _, err := RunSweepOpts(npbgo.CG, 'S', plan.Threads, Options{
-		Journal: w, Resume: st.Done,
-	}); err != nil {
+	sw, err := rec.RunSweep(npbgo.CG, 'S', rec.Threads, Options{})
+	rec.Close()
+	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
-	w.Close()
+	for i, r := range sw.Runs {
+		if r.Replayed != (i < len(pre.Cells)) {
+			t.Errorf("cell %v: replayed = %v with %d cells recorded before the kill", planned[i], r.Replayed, len(pre.Cells))
+		}
+	}
 
-	final, err := journal.Read(jp)
-	if err != nil {
-		t.Fatalf("final journal unreadable: %v", err)
+	final := readRecord(t, path)
+	if len(final.Cells) != len(planned) {
+		t.Fatalf("record holds %d cell lines, plan has %d", len(final.Cells), len(planned))
 	}
-	if final.Truncated {
-		t.Error("final journal still torn after AppendTo recovery")
-	}
-	fst := final.State()
-	if len(fst.Done) != len(plan.Planned) {
-		t.Fatalf("completed %d cells, plan has %d", len(fst.Done), len(plan.Planned))
-	}
-	for _, k := range plan.Planned {
-		if _, ok := fst.Done[k]; !ok {
-			t.Errorf("planned cell %s never completed", k)
+	for _, k := range planned {
+		n := 0
+		for _, c := range final.Cells {
+			if c.Benchmark == k.Benchmark && c.Class == k.Class && c.Threads == k.Threads {
+				n++
+			}
 		}
-	}
-	starts := make(map[journal.CellKey]int)
-	finishes := make(map[journal.CellKey]int)
-	for _, e := range final.Entries {
-		switch e.Kind {
-		case journal.KindStart:
-			starts[*e.Cell]++
-		case journal.KindFinish:
-			finishes[*e.Cell]++
-		}
-	}
-	for k, n := range finishes {
 		if n != 1 {
-			t.Errorf("cell %s finished %d times, want exactly 1", k, n)
+			t.Errorf("planned cell %v has %d lines, want exactly 1", k, n)
 		}
 	}
-	for k := range preDone {
-		if starts[k] != 1 {
-			t.Errorf("pre-kill cell %s has %d starts: it was re-executed on resume", k, starts[k])
+	for i, c := range pre.Cells {
+		if !slices.Equal(c.Samples, final.Cells[i].Samples) || c.Threads != final.Cells[i].Threads {
+			t.Errorf("pre-kill line %d changed on resume: %+v became %+v", i, c, final.Cells[i])
 		}
 	}
 }
@@ -239,6 +218,19 @@ func TestIsolatedCancelKillsChild(t *testing.T) {
 	}
 }
 
+// TestIsolatedCellRunsItsSchedule: the loop schedule crosses the
+// process boundary with the cell — an unknown one must come back as
+// the child's RunError of kind config, not run static.
+func TestIsolatedCellRunsItsSchedule(t *testing.T) {
+	_, _, err := runIsolated(context.Background(),
+		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 2, Schedule: "nope"},
+		0, isolationForTest(t), "", "")
+	var re *npbgo.RunError
+	if !asRunError(err, &re) || re.Kind != npbgo.ErrConfig {
+		t.Fatalf("err = %v, want RunError(config)", err)
+	}
+}
+
 // TestIsolatedErrorRoundTrip: a structured failure inside the child (an
 // injected verification corruption) must come back across the process
 // boundary as a RunError of the same kind, not as a flat exit failure.
@@ -291,21 +283,13 @@ func TestRetryBackoffInterruptedByCancel(t *testing.T) {
 }
 
 // TestMemGuardSkipsAndJournals: an unfittable cell becomes
-// SKIP(memory: ...) — not a failure, not an execution — and its journal
-// entry is StatusSkip, which resume treats as still pending.
+// SKIP(memory: ...) — not a failure, not an execution — and writes no
+// line to the record, so a resume treats it as still pending.
 func TestMemGuardSkipsAndJournals(t *testing.T) {
-	jp := filepath.Join(t.TempDir(), "j.jsonl")
 	threads := []int{1}
-	w, err := journal.Create(jp, journal.Plan{
-		Class: "S", Threads: threads, Benchmarks: []string{"CG"},
-		Planned: PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', threads),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, threads)
 	guard := &MemGuard{Available: func() (uint64, bool) { return 1024, true }}
-	sw, err := RunSweepOpts(npbgo.CG, 'S', threads, Options{Journal: w, MemGuard: guard})
-	w.Close()
+	sw, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{MemGuard: guard})
 	if err != nil {
 		t.Fatalf("skips must not fail the sweep: %v", err)
 	}
@@ -320,16 +304,79 @@ func TestMemGuardSkipsAndJournals(t *testing.T) {
 			t.Fatalf("skipped cell consumed %d attempts", r.Attempts)
 		}
 	}
-	lg, err := journal.Read(jp)
+	if cells := readRecord(t, path).Cells; len(cells) != 0 {
+		t.Fatalf("skipped cells wrote %d lines, want none", len(cells))
+	}
+	re, _, err := ResumeRecord(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := lg.State()
-	if len(st.Done) != 0 || len(st.Skipped) != 2 {
-		t.Fatalf("journal state done=%d skipped=%d, want 0/2", len(st.Done), len(st.Skipped))
+	defer re.Close()
+	for _, k := range PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', threads) {
+		if _, ok := re.Cell(k); ok {
+			t.Fatalf("skipped cell %v is recorded; it must stay pending for resume", k)
+		}
 	}
-	if got := len(st.Pending()); got != 2 {
-		t.Fatalf("skipped cells must stay pending for resume, got %d pending", got)
+}
+
+// TestResumeReattemptsSkippedCell: a memory-guard skip is final for the
+// run but not for the plan — on resume, where the host may have room,
+// the cell runs and its line lands.
+func TestResumeReattemptsSkippedCell(t *testing.T) {
+	threads := []int{1}
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, threads)
+	guard := &MemGuard{Available: func() (uint64, bool) { return 1024, true }}
+	if _, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{MemGuard: guard}); err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
+	re, _, err := ResumeRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sw, err := re.RunSweep(npbgo.CG, 'S', threads, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sw.Runs {
+		if r.Replayed || IsSkip(r.Err) || !r.Verified {
+			t.Fatalf("skipped cell t%d not re-attempted on resume: %+v", r.Threads, r)
+		}
+	}
+	if n := len(readRecord(t, path).Cells); n != 2 {
+		t.Fatalf("record holds %d lines after the resume, want 2", n)
+	}
+}
+
+// TestResumedFailedCellIsTerminal: a cell that failed in a recorded
+// sweep already spent its retries; resume must replay it as failed, not
+// execute it again.
+func TestResumedFailedCellIsTerminal(t *testing.T) {
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	defer fault.Reset()
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{1})
+	if _, err := rec.RunSweep(npbgo.CG, 'S', []int{1}, Options{}); err == nil {
+		t.Fatal("sweep succeeded despite an always-panic rule")
+	}
+	rec.Close()
+	executed := fault.Hits("harness.cell")
+	re, _, err := ResumeRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sw, _ := re.RunSweep(npbgo.CG, 'S', []int{1}, Options{})
+	if n := fault.Hits("harness.cell"); n != executed {
+		t.Fatalf("resume executed %d failed cells again", n-executed)
+	}
+	for _, r := range sw.Runs {
+		if !r.Replayed || r.Err == nil {
+			t.Fatalf("failed cell t%d did not replay as failed: %+v", r.Threads, r)
+		}
+	}
+	if n := len(readRecord(t, path).Cells); n != 2 {
+		t.Fatalf("record holds %d lines, want the 2 failed ones", n)
 	}
 }
 
@@ -349,26 +396,36 @@ func TestMemGuardFailsOpen(t *testing.T) {
 	}
 }
 
-// TestResumeReplaysWithoutExecuting: cells present in Options.Resume
-// come back from their journaled metrics; an always-panic fault rule
-// proves no benchmark actually ran.
+// TestResumeReplaysWithoutExecuting: cells with a line in a resumed
+// record come back from it — an ok cell with its samples, a failed cell
+// still failed, since it already spent its retries — and an
+// always-panic fault rule proves no benchmark actually ran.
 func TestResumeReplaysWithoutExecuting(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
-	key := func(th int) journal.CellKey {
-		return journal.CellKey{Benchmark: "CG", Class: "S", Threads: th}
-	}
-	resume := map[journal.CellKey]*report.CellMetrics{
-		key(0): {Benchmark: "CG", Class: "S", Threads: 0, Elapsed: 1.5, Mops: 10, Verified: true, Attempts: 1},
-		key(1): {Benchmark: "CG", Class: "S", Threads: 1, Elapsed: 0.75, Mops: 20, Verified: true, Attempts: 2,
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{1, 2})
+	for _, m := range []report.CellMetrics{
+		{Benchmark: "CG", Class: "S", Threads: 0, Elapsed: 1.5, Mops: 10, Verified: true, Attempts: 1},
+		{Benchmark: "CG", Class: "S", Threads: 1, Elapsed: 0.75, Mops: 20, Verified: true, Attempts: 2,
 			Samples: []float64{0.8, 0.75}},
+		{Benchmark: "CG", Class: "S", Threads: 2, Attempts: 1, Error: "harness: cell panicked"},
+	} {
+		if err := rec.add(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{1}, Options{Resume: resume})
+	rec.Close()
+	re, _, err := ResumeRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sw, err := re.RunSweep(npbgo.CG, 'S', []int{1, 2}, Options{})
 	if err != nil {
 		t.Fatalf("replayed sweep failed (a cell must have executed): %v", err)
 	}
-	if len(sw.Runs) != 2 {
-		t.Fatalf("got %d runs", len(sw.Runs))
+	if len(sw.Runs) != 3 || fault.Hits("harness.cell") != 0 {
+		t.Fatalf("got %d runs and %d executions, want 3 replayed runs", len(sw.Runs), fault.Hits("harness.cell"))
 	}
 	for _, r := range sw.Runs {
 		if !r.Replayed {
@@ -383,6 +440,12 @@ func TestResumeReplaysWithoutExecuting(t *testing.T) {
 	}
 	if sp := sw.Speedup(1); sp < 1.99 || sp > 2.01 {
 		t.Fatalf("speedup over replayed cells = %v, want 2.0", sp)
+	}
+	if out := SuiteTable("T", []Sweep{sw}, []int{1, 2}); sw.Runs[2].Err == nil || !strings.Contains(out, "FAIL(") {
+		t.Fatalf("a failed cell must replay as failed:\n%s", out)
+	}
+	if n := len(readRecord(t, path).Cells); n != 3 {
+		t.Fatalf("replay wrote lines: record holds %d, want 3", n)
 	}
 }
 

@@ -2,123 +2,133 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"path/filepath"
-	"strings"
+	"context"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"npbgo"
 	"npbgo/internal/fault"
-	"npbgo/internal/journal"
 	"npbgo/internal/report"
 )
 
-// recordingWriter is an in-memory metrics sink that logs the order of
-// Write and Flush calls, and optionally fires a hook on first Write —
-// the hook runs at exactly the point in the sweep loop where the cell's
-// metrics line has landed but the journal Finish has not yet happened.
-type recordingWriter struct {
-	buf          bytes.Buffer
-	ops          []string
-	onFirstWrite func()
-	wrote        bool
-}
-
-func (w *recordingWriter) Write(p []byte) (int, error) {
-	w.ops = append(w.ops, "write")
-	n, err := w.buf.Write(p)
-	if !w.wrote {
-		w.wrote = true
-		if w.onFirstWrite != nil {
-			w.onFirstWrite()
+// atSecondCell runs sweep in the background and calls check while the
+// sweep's second cell is held at harness.cell by a KindDelay rule on hit
+// 2: the first cell's line must already be in the record by then.
+func atSecondCell(t *testing.T, sweep func(), check func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sweep()
+	}()
+	for fault.Hits("harness.cell") < 2 {
+		select {
+		case <-done:
+			t.Fatal("sweep ended before its second cell started")
+		case <-time.After(time.Millisecond):
 		}
 	}
-	return n, err
+	check()
+	select {
+	case <-done:
+		t.Fatal("sweep ended during the check; the ordering was not exercised")
+	default:
+	}
+	<-done
 }
 
-func (w *recordingWriter) Flush() error {
-	w.ops = append(w.ops, "flush")
+// failedLine returns the record's line for the serial cell, failing the
+// test unless it is there and carries an error.
+func failedLine(t *testing.T, path string) report.CellMetrics {
+	t.Helper()
+	cells := readRecord(t, path).Cells
+	if len(cells) != 1 || cells[0].Threads != 0 || cells[0].Error == "" {
+		t.Fatalf("record lines = %+v, want the failed serial cell alone", cells)
+	}
+	return cells[0]
+}
+
+// syncLog is a record file in memory. It logs every Write and Sync
+// tagged with the number of cells started so far (harness.cell hits), so
+// a test can see which cell each line and each sync belongs to.
+type syncLog struct {
+	buf bytes.Buffer
+	ops []string
+}
+
+func (f *syncLog) Write(p []byte) (int, error) {
+	f.ops = append(f.ops, fmt.Sprintf("write@%d", fault.Hits("harness.cell")))
+	return f.buf.Write(p)
+}
+
+func (f *syncLog) Sync() error {
+	f.ops = append(f.ops, fmt.Sprintf("sync@%d", fault.Hits("harness.cell")))
 	return nil
 }
 
-// failedCellLines decodes the writer's JSONL and returns the metrics of
-// cells recorded with an error.
-func failedCellLines(t *testing.T, buf *bytes.Buffer) []report.CellMetrics {
-	t.Helper()
-	var failed []report.CellMetrics
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if line == "" {
-			continue
-		}
-		var m report.CellMetrics
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("metrics line is not valid JSON (torn write?): %v\n%s", err, line)
-		}
-		if m.Error != "" {
-			failed = append(failed, m)
-		}
-	}
-	return failed
-}
+func (f *syncLog) Close() error { return nil }
 
-// TestFailedCellMetricsAreFlushed: a cell that fails must still land in
-// the metrics JSONL — with its error string — and the sink must be
-// flushed for that cell, so the partial record survives a crash right
-// after the failure.
+// TestFailedCellMetricsAreFlushed: the header and every cell line — the
+// failed cell's too, with its error string — are written and synced
+// before the next cell starts, so before the sweep returns or renders
+// FAIL(...).
 func TestFailedCellMetricsAreFlushed(t *testing.T) {
-	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
 	defer fault.Reset()
-	w := &recordingWriter{}
-	sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{Metrics: w})
-	if err == nil {
-		t.Fatal("persistently failing sweep reported success")
+	f := &syncLog{}
+	rec, err := startRecord(f, "test", []npbgo.Benchmark{npbgo.EP}, 'S', []int{1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(sw.Runs) != 1 || sw.Runs[0].Err == nil {
-		t.Fatalf("runs = %+v, want one failed cell", sw.Runs)
+	sw, err := rec.RunSweep(npbgo.EP, 'S', []int{1}, Options{})
+	if err == nil || sw.Runs[0].Err == nil || sw.Runs[1].Err != nil {
+		t.Fatalf("sweep err = %v, runs = %+v; want the serial cell alone failed", err, sw.Runs)
 	}
-	failed := failedCellLines(t, &w.buf)
-	if len(failed) != 1 {
-		t.Fatalf("failed metrics lines = %d, want 1", len(failed))
+	want := []string{"write@0", "sync@0", "write@1", "sync@1", "write@2", "sync@2"}
+	if !slices.Equal(f.ops, want) {
+		t.Fatalf("record ops = %v, want %v: each line synced before the next cell starts", f.ops, want)
 	}
-	if failed[0].Benchmark != "EP" || failed[0].Error == "" {
-		t.Fatalf("failed cell record incomplete: %+v", failed[0])
+	recs, err := report.ReadBenchRecords(&f.buf)
+	if err != nil || len(recs) != 1 || len(recs[0].Cells) != 2 {
+		t.Fatalf("record does not read back: %d records, err %v", len(recs), err)
 	}
-	joined := strings.Join(w.ops, ",")
-	if !strings.Contains(joined, "write,flush") {
-		t.Fatalf("metrics ops = %v, want a flush immediately after the failed cell's write", w.ops)
+	if m := recs[0].Cells[0]; m.Benchmark != "EP" || m.Threads != 0 || m.Error == "" {
+		t.Fatalf("failed cell line incomplete: %+v", m)
 	}
 }
 
-// TestFailedCellMetricsSurviveJournalAbort: the metrics line is written
-// before journal.Finish, so a journal that dies at exactly that point —
-// the sweep's hard-stop path — still leaves the failed cell's record in
-// the metrics stream. The test closes the journal writer from the
-// metrics sink's first Write, which runs between the cell's metrics
-// append and its journal Finish.
-func TestFailedCellMetricsSurviveJournalAbort(t *testing.T) {
-	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+// TestCancelledCellsStayPending: cancelling the sweep (^C, SIGTERM)
+// mid-cell writes no line for the interrupted cell or the ones after it,
+// so a resume runs them; the cell finished before the cancel keeps its
+// line.
+func TestCancelledCellsStayPending(t *testing.T) {
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindDelay, On: 2, Sleep: 300 * time.Millisecond})
 	defer fault.Reset()
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	jw, err := journal.Create(path, journal.Plan{
-		Stamp: "test", Class: "S", Benchmarks: []string{"EP"},
-		Planned: PlannedCells([]npbgo.Benchmark{npbgo.EP}, 'S', nil),
-	})
+	threads := []int{1, 2}
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.EP}, threads)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sw Sweep
+	var err error
+	atSecondCell(t, func() { sw, err = rec.RunSweep(npbgo.EP, 'S', threads, Options{Context: ctx}) }, cancel)
+	if err == nil || len(sw.Runs) != 3 || sw.Runs[0].Err != nil || sw.Runs[1].Err == nil || sw.Runs[2].Err == nil {
+		t.Fatalf("sweep err = %v, runs = %+v; want the serial cell ok and the rest cancelled", err, sw.Runs)
+	}
+	rec.Close()
+	re, _, err := ResumeRecord(path)
 	if err != nil {
-		t.Fatalf("journal.Create: %v", err)
+		t.Fatal(err)
 	}
-	w := &recordingWriter{onFirstWrite: func() { jw.Close() }}
-	sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{Metrics: w, Journal: jw})
-	if err == nil || !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("sweep error = %v, want the journal abort", err)
+	defer re.Close()
+	var pending []CellKey
+	for _, k := range PlannedCells([]npbgo.Benchmark{npbgo.EP}, 'S', threads) {
+		if _, ok := re.Cell(k); !ok {
+			pending = append(pending, k)
+		}
 	}
-	if len(sw.Runs) != 1 {
-		t.Fatalf("got %d runs, want the failed cell in the partial sweep", len(sw.Runs))
-	}
-	failed := failedCellLines(t, &w.buf)
-	if len(failed) != 1 {
-		t.Fatalf("failed metrics lines = %d, want 1: the dying cell's record must precede the journal abort", len(failed))
-	}
-	if !strings.Contains(strings.Join(w.ops, ","), "write,flush") {
-		t.Fatalf("metrics ops = %v, want write then flush before the journal abort", w.ops)
+	if want := []CellKey{{"EP", "S", 1}, {"EP", "S", 2}}; !slices.Equal(pending, want) {
+		t.Fatalf("pending after a cancel = %v, want %v", pending, want)
 	}
 }

@@ -16,17 +16,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"npbgo"
 	"npbgo/internal/fault"
-	"npbgo/internal/journal"
 	"npbgo/internal/perfcount"
 	"npbgo/internal/profile"
 	"npbgo/internal/report"
@@ -69,11 +66,11 @@ type Run struct {
 	// only when it differs from this (recording) process's environment —
 	// which can only happen under Isolate.
 	Env *report.EnvInfo
-	// Replayed marks a cell restored from a journal on resume instead of
-	// executed; its numbers are the earlier run's.
+	// Replayed marks a cell restored from a record's line on resume
+	// instead of executed; its numbers are the earlier run's.
 	Replayed bool
 	// Schedule is the loop schedule the cell ran under ("" means
-	// static), stamped from Options.Schedule so journaled records stay
+	// static), stamped from Options.Schedule so recorded cells stay
 	// comparable across scheduling policies.
 	Schedule string
 }
@@ -82,7 +79,7 @@ type Run struct {
 // the memory admission guard. It renders as SKIP(memory: need X, have
 // Y) rather than FAIL: a skip is a correct answer ("this machine cannot
 // fit this cell"), not a failure, so it neither fails the sweep nor
-// counts as terminal in the journal (a resume on a bigger machine
+// writes a line to the record (a resume on a bigger machine
 // re-attempts it).
 type SkipError struct {
 	Need uint64 // estimated working-set bytes (Config.FootprintBytes)
@@ -134,9 +131,6 @@ type Options struct {
 	// Run.Counters, or Run.CountersNote records why they could not be
 	// collected.
 	Counters bool
-	// Metrics, when non-nil, receives one report.CellMetrics JSON line
-	// per cell as the sweep progresses.
-	Metrics io.Writer
 	// ProfileDir, when non-empty, captures a CPU and a heap profile per
 	// cell into the directory as "<BENCH>.<class>.<cell>.cpu.pprof" /
 	// ".heap.pprof" (serial baseline named "serial", like traces). The
@@ -161,19 +155,6 @@ type Options struct {
 	// Isolate), skips further retries, and interrupts any in-flight
 	// retry backoff immediately.
 	Context context.Context
-
-	// Journal, when non-nil, receives a durable (fsync'd) start entry
-	// before each cell executes and a finish entry — with the cell's
-	// measured report.CellMetrics — after it ends. A journal append
-	// failure aborts the sweep: silently losing durability would defeat
-	// the journal's whole point.
-	Journal *journal.Writer
-
-	// Resume maps cells to the metrics recorded by an earlier run's
-	// journal. A cell found here is replayed (Run.Replayed) instead of
-	// executed, and writes no new journal entries — its original
-	// entries already stand.
-	Resume map[journal.CellKey]*report.CellMetrics
 
 	// Isolate, when non-nil, runs every cell execution as a child
 	// process under a watchdog instead of in-process (see Isolation).
@@ -203,9 +184,12 @@ func RunSweep(bench npbgo.Benchmark, class byte, threads []int, warmup bool, rep
 // repeat) is recorded with Run.Err set and the remaining cells still
 // run. The returned error joins the per-cell failures, so callers can
 // both render the partial table and report that something went wrong.
-// Journal append failures are the one hard stop — durability broken
-// mid-sweep must not masquerade as a journaled run.
+// Record.RunSweep is the same sweep written to a bench record.
 func RunSweepOpts(bench npbgo.Benchmark, class byte, threads []int, opt Options) (Sweep, error) {
+	return runSweep(bench, class, threads, opt, nil)
+}
+
+func runSweep(bench npbgo.Benchmark, class byte, threads []int, opt Options, rec *Record) (Sweep, error) {
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -214,59 +198,35 @@ func RunSweepOpts(bench npbgo.Benchmark, class byte, threads []int, opt Options)
 	var errs []error
 	cells := append([]int{0}, threads...)
 	for _, th := range cells {
-		key := journal.CellKey{Benchmark: string(bench), Class: string(class), Threads: th}
-		if m, ok := opt.Resume[key]; ok && m != nil {
-			sw.Runs = append(sw.Runs, RunFromMetrics(*m))
+		if m, ok := rec.Cell(CellKey{Benchmark: string(bench), Class: string(class), Threads: th}); ok {
+			sw.Runs = append(sw.Runs, RunFromMetrics(m))
 			continue
 		}
-		var r Run
-		var skip error
 		if opt.MemGuard != nil {
-			skip = opt.MemGuard.check(cellConfig(bench, class, th, opt))
-		}
-		status := journal.StatusOK
-		switch {
-		case skip != nil:
-			r = Run{Threads: th, Err: skip}
-			status = journal.StatusSkip
-		default:
-			if opt.Journal != nil {
-				if err := opt.Journal.Start(key); err != nil {
-					return sw, errors.Join(append(errs, err)...)
-				}
-			}
-			r = runCell(ctx, bench, class, th, opt)
-			if r.Err != nil {
-				status = journal.StatusFail
+			if skip := opt.MemGuard.check(cellConfig(bench, class, th, opt)); skip != nil {
+				sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
+				continue
 			}
 		}
+		r := runCell(ctx, bench, class, th, opt)
 		sw.Runs = append(sw.Runs, r)
 		if opt.TraceDir != "" && r.Trace != nil {
 			if err := writeTrace(opt.TraceDir, bench, class, r); err != nil {
 				errs = append(errs, fmt.Errorf("%s.%c trace: %w", bench, class, err))
 			}
 		}
-		// The metrics line is written — and, for a failed or killed cell,
-		// flushed to stable storage — before anything that can abort the
-		// sweep or render FAIL(...): the partial record of a dying cell is
-		// the post-mortem, and it must survive even a journal append
-		// failure on the very next statement.
-		if opt.Metrics != nil {
-			if err := report.WriteJSONL(opt.Metrics, cellMetrics(bench, class, r)); err != nil {
-				errs = append(errs, fmt.Errorf("%s.%c metrics: %w", bench, class, err))
-			} else if r.Err != nil {
-				if err := flushWriter(opt.Metrics); err != nil {
-					errs = append(errs, fmt.Errorf("%s.%c metrics flush: %w", bench, class, err))
-				}
+		// The cell's line lands, fsync'd, before anything renders
+		// FAIL(...) or the next cell starts: the partial record of a dying
+		// cell is its post-mortem. A cell the sweep's cancellation (^C,
+		// SIGTERM) cut short writes no line, nor does any cell after it,
+		// so a resume runs them; a -timeout failure is the cell's own and
+		// stays terminal.
+		if r.Err == nil || ctx.Err() == nil {
+			if err := rec.add(cellMetrics(bench, class, r)); err != nil {
+				return sw, errors.Join(append(errs, fmt.Errorf("%s.%c record: %w", bench, class, err))...)
 			}
 		}
-		if opt.Journal != nil {
-			m := cellMetrics(bench, class, r)
-			if err := opt.Journal.Finish(key, status, &m); err != nil {
-				return sw, errors.Join(append(errs, err)...)
-			}
-		}
-		if r.Err != nil && !IsSkip(r.Err) {
+		if r.Err != nil {
 			cell := fmt.Sprintf("threads=%d", th)
 			if th == 0 {
 				cell = "serial"
@@ -275,22 +235,6 @@ func RunSweepOpts(bench npbgo.Benchmark, class byte, threads []int, opt Options)
 		}
 	}
 	return sw, errors.Join(errs...)
-}
-
-// flushWriter pushes w's buffered data toward stable storage: a
-// *bufio.Writer-style wrapper is flushed, an *os.File-style writer is
-// fsync'd, and a writer offering neither (an in-memory buffer) needs
-// nothing.
-func flushWriter(w io.Writer) error {
-	if f, ok := w.(interface{ Flush() error }); ok {
-		if err := f.Flush(); err != nil {
-			return err
-		}
-	}
-	if f, ok := w.(interface{ Sync() error }); ok {
-		return f.Sync()
-	}
-	return nil
 }
 
 // IsSkip reports whether err is (or wraps) a cell skip — an admission
@@ -312,24 +256,9 @@ func cellConfig(bench npbgo.Benchmark, class byte, threads int, opt Options) npb
 		Schedule: opt.Schedule, Counters: opt.Counters}
 }
 
-// PlannedCells is the journal's cell list for a sweep set: for every
-// benchmark, the serial baseline followed by each thread count —
-// exactly the execution order of RunSweepOpts, so the plan and the run
-// cannot drift.
-func PlannedCells(benches []npbgo.Benchmark, class byte, threads []int) []journal.CellKey {
-	var out []journal.CellKey
-	for _, b := range benches {
-		for _, th := range append([]int{0}, threads...) {
-			out = append(out, journal.CellKey{Benchmark: string(b), Class: string(class), Threads: th})
-		}
-	}
-	return out
-}
-
-// RunFromMetrics reconstructs a Run from a journaled cell record, for
-// resume replay. Obs/trace snapshots are not round-tripped — the
-// journal keeps the flattened counters, which is what the tables and
-// bench records need.
+// RunFromMetrics reconstructs a Run from a recorded cell line, for
+// resume replay. Obs/trace snapshots are not round-tripped — the line
+// keeps the flattened counters, which is what the tables need.
 func RunFromMetrics(m report.CellMetrics) Run {
 	r := Run{
 		Threads:  m.Threads,
@@ -484,7 +413,7 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 	// first, so during a panic unwind the capture Stop defer (registered
 	// below, thus running earlier) flushes and fsyncs the profile BEFORE
 	// the panic becomes an error — before FAIL(...) rendering, before
-	// any journal abort. Same discipline as the PR 9 metrics flush.
+	// the cell's record line.
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("harness: cell panicked: %v", v)
@@ -658,39 +587,7 @@ func SuiteTable(title string, sweeps []Sweep, threads []int) string {
 	return tb.String()
 }
 
-// BenchRecordFrom assembles the machine-readable performance record of
-// a sweep set under the current schema and host header. It is the one
-// producer of report.BenchRecord, so the schema stamp, the host
-// dimensions and the cell layout (including per-repeat samples) cannot
-// drift between writers.
-func BenchRecordFrom(class byte, sweeps []Sweep, stamp string) report.BenchRecord {
-	env := hostEnv()
-	return report.BenchRecord{
-		Schema:     report.BenchSchema,
-		Stamp:      stamp,
-		Class:      string(class),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Env:        &env,
-		Cells:      CellRecords(sweeps),
-	}
-}
-
-// CellRecords flattens every measured cell of a sweep set into its
-// structured metrics record, in sweep order — the cell list of a
-// report.BenchRecord.
-func CellRecords(sweeps []Sweep) []report.CellMetrics {
-	var out []report.CellMetrics
-	for _, sw := range sweeps {
-		for _, r := range sw.Runs {
-			out = append(out, cellMetrics(sw.Benchmark, sw.Class, r))
-		}
-	}
-	return out
-}
-
-// cellMetrics flattens one measured cell into its structured JSONL
-// record.
+// cellMetrics flattens one measured cell into its record line.
 func cellMetrics(bench npbgo.Benchmark, class byte, r Run) report.CellMetrics {
 	m := report.CellMetrics{
 		Benchmark: string(bench),

@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"npbgo"
-	"npbgo/internal/report"
 )
 
 func TestRunSweepProducesCells(t *testing.T) {
@@ -114,35 +112,5 @@ func TestRepeatsRetainAllSamples(t *testing.T) {
 		if r.Elapsed != best {
 			t.Fatalf("threads=%d: headline %v is not the best sample %v", r.Threads, r.Elapsed, best)
 		}
-	}
-}
-
-func TestBenchRecordFromCarriesSamples(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
-		{Threads: 0, Elapsed: 400 * time.Millisecond, Verified: true,
-			Samples: []time.Duration{420 * time.Millisecond, 400 * time.Millisecond}},
-		{Threads: 2, Elapsed: 240 * time.Millisecond, Verified: true,
-			Samples: []time.Duration{240 * time.Millisecond, 260 * time.Millisecond}},
-	}}
-	rec := BenchRecordFrom('S', []Sweep{sw}, "20260801T120000Z")
-	if rec.Schema != report.BenchSchema || rec.Class != "S" || rec.Stamp != "20260801T120000Z" {
-		t.Fatalf("record header wrong: %+v", rec)
-	}
-	if len(rec.Cells) != 2 {
-		t.Fatalf("got %d cells", len(rec.Cells))
-	}
-	if s := rec.Cells[0].Samples; len(s) != 2 || s[0] != 0.42 {
-		t.Fatalf("samples not flattened to seconds: %+v", s)
-	}
-	var buf bytes.Buffer
-	if err := report.WriteBenchJSON(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	back, err := report.ReadBenchRecords(&buf)
-	if err != nil || len(back) != 1 {
-		t.Fatalf("ReadBenchRecords: %v (%d records)", err, len(back))
-	}
-	if back[0].Cells[1].Samples[1] != 0.26 {
-		t.Fatalf("sample lost in round trip: %+v", back[0].Cells[1])
 	}
 }

@@ -6,7 +6,7 @@
 // killable — so the only bulkhead that actually holds is a process
 // boundary. A killed cell degrades to a structured
 // FAIL(timeout-killed | oom-killed) record and the sweep continues; an
-// OOM-killed child no longer takes the whole sweep (and its journal)
+// OOM-killed child no longer takes the whole sweep (and its record)
 // down with it, which is what made the paper's FT memory-limit runs
 // (§5) total losses.
 package harness
@@ -56,6 +56,7 @@ type CellSpec struct {
 	Class      string       `json:"class"`
 	Threads    int          `json:"threads"`
 	Warmup     bool         `json:"warmup,omitempty"`
+	Schedule   string       `json:"schedule,omitempty"`
 	Obs        bool         `json:"obs,omitempty"`
 	Counters   bool         `json:"counters,omitempty"`
 	FaultRules []fault.Rule `json:"fault_rules,omitempty"`
@@ -109,6 +110,7 @@ func RunCellMain(specJSON string, out io.Writer) int {
 		Class:     classByte(spec.Class),
 		Threads:   spec.Threads,
 		Warmup:    spec.Warmup,
+		Schedule:  spec.Schedule,
 		Obs:       spec.Obs,
 		Counters:  spec.Counters,
 	}
@@ -176,7 +178,7 @@ func runIsolated(ctx context.Context, cfg npbgo.Config, timeout time.Duration, i
 	}
 	spec := CellSpec{
 		Benchmark: string(cfg.Benchmark), Class: string(cfg.Class),
-		Threads: cfg.Threads, Warmup: cfg.Warmup, Obs: cfg.Obs,
+		Threads: cfg.Threads, Warmup: cfg.Warmup, Schedule: cfg.Schedule, Obs: cfg.Obs,
 		Counters: cfg.Counters, FaultRules: iso.FaultRules,
 		ProfileDir: profileDir, ProfileLabel: label,
 	}

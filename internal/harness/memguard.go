@@ -19,19 +19,19 @@ import (
 // (§5), and the honest outcome is a reasoned skip, not a dead run.
 //
 // The zero value is ready to use: it probes /proc/meminfo and admits a
-// cell if its footprint fits inside Headroom (default 80%) of available
-// memory. The guard fails open — an unknown footprint or an unreadable
+// cell if its footprint fits inside memHeadroom of available memory. The guard fails open — an unknown footprint or an unreadable
 // probe admits the cell, because a guess must never block a runnable
 // run.
 type MemGuard struct {
 	// Available overrides the memory probe; tests inject it. The bool
 	// reports whether the probe succeeded.
 	Available func() (uint64, bool)
-	// Headroom is the fraction of available memory a cell may claim;
-	// <= 0 means 0.8. Benchmark footprints are dominant-array
-	// estimates, so the slack absorbs what they do not count.
-	Headroom float64
 }
+
+// memHeadroom is the fraction of available memory a cell may claim.
+// Benchmark footprints are dominant-array estimates, so the slack
+// absorbs what they do not count.
+const memHeadroom = 0.8
 
 // check admits or skips one cell. A skip comes back as *SkipError.
 func (g *MemGuard) check(cfg npbgo.Config) error {
@@ -47,11 +47,7 @@ func (g *MemGuard) check(cfg npbgo.Config) error {
 	if !ok {
 		return nil // no probe on this platform: fail open
 	}
-	headroom := g.Headroom
-	if headroom <= 0 {
-		headroom = 0.8
-	}
-	have := uint64(float64(avail) * headroom)
+	have := uint64(float64(avail) * memHeadroom)
 	if need > have {
 		return &SkipError{Need: need, Have: have}
 	}

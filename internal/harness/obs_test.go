@@ -1,25 +1,21 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"npbgo"
-	"npbgo/internal/report"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 )
 
 // TestObsSweepCollectsMetrics drives a tiny real sweep with Options.Obs
-// and checks that every cell carries a snapshot and that the JSONL sink
-// receives one well-formed record per cell.
+// and checks that every cell carries a snapshot and that the bench
+// record holds one line per cell with the obs data flattened in.
 func TestObsSweepCollectsMetrics(t *testing.T) {
-	var sink bytes.Buffer
-	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{2}, Options{Obs: true, Metrics: &sink})
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{2})
+	sw, err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{Obs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +49,7 @@ func TestObsSweepCollectsMetrics(t *testing.T) {
 	}
 
 	lines := 0
-	sc := bufio.NewScanner(&sink)
-	for sc.Scan() {
-		var m report.CellMetrics
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("bad JSONL line: %v", err)
-		}
+	for _, m := range readRecord(t, path).Cells {
 		if m.Benchmark != "CG" || m.Class != "S" {
 			t.Fatalf("wrong cell identity: %+v", m)
 		}
@@ -71,7 +62,7 @@ func TestObsSweepCollectsMetrics(t *testing.T) {
 		lines++
 	}
 	if lines != 2 {
-		t.Fatalf("got %d JSONL records, want 2", lines)
+		t.Fatalf("got %d cell lines, want 2", lines)
 	}
 }
 

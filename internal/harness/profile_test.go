@@ -4,24 +4,23 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"npbgo"
 	"npbgo/internal/fault"
-	"npbgo/internal/journal"
 	"npbgo/internal/profile"
 	"npbgo/internal/report"
 )
 
 // TestProfiledSweepCapturesCells: a profiled sweep leaves one decodable
 // CPU and heap profile per cell, and records their paths in the cell
-// metrics and the bench record.
+// lines of the bench record.
 func TestProfiledSweepCapturesCells(t *testing.T) {
 	dir := t.TempDir()
-	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{2}, Options{ProfileDir: dir})
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{2})
+	sw, err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{ProfileDir: dir})
 	if err != nil {
 		t.Fatalf("profiled sweep failed: %v", err)
 	}
@@ -38,16 +37,11 @@ func TestProfiledSweepCapturesCells(t *testing.T) {
 		if _, err := profile.ParseFile(r.HeapProfile); err != nil {
 			t.Fatalf("cell t%d heap profile undecodable: %v", r.Threads, err)
 		}
-		m := cellMetrics(npbgo.CG, 'S', r)
-		if m.CPUProfile != r.CPUProfile || m.HeapProfile != r.HeapProfile {
-			t.Fatalf("metrics record lost profile paths: %+v", m)
+	}
+	for i, c := range readRecord(t, path).Cells {
+		if c.CPUProfile != sw.Runs[i].CPUProfile || c.HeapProfile != sw.Runs[i].HeapProfile {
+			t.Fatalf("cell line lost profile paths: %+v", c)
 		}
-	}
-	rec := BenchRecordFrom('S', []Sweep{sw}, "test")
-	if rec.Env == nil || rec.Env.GoVersion == "" {
-		t.Fatalf("bench record header carries no environment: %+v", rec.Env)
-	}
-	for _, c := range rec.Cells {
 		if c.Env != nil {
 			t.Fatalf("in-process cell carries a per-cell env (should only differ under isolation): %+v", c.Env)
 		}
@@ -56,71 +50,27 @@ func TestProfiledSweepCapturesCells(t *testing.T) {
 
 // TestFailedCellProfileFlushedBeforeFail is the ordering satellite: a
 // cell killed by an injected panic must have its CPU profile flushed
-// and decodable on disk BEFORE the failure is recorded — the metrics
-// sink's first Write happens after the cell dies but before FAIL
-// rendering and before any journal Finish, so probing the profile from
-// there proves the flush preceded both.
+// and decodable on disk, and named in its record line, before the next
+// cell starts — so before FAIL rendering too.
 func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
-	fault.Activate(fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
+	fault.Activate(
+		fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1},
+		fault.Rule{Site: "harness.cell", Kind: fault.KindDelay, On: 2, Sleep: 500 * time.Millisecond})
 	defer fault.Reset()
 	dir := t.TempDir()
 	cpu, _ := profile.CellPaths(dir, "CG.S.serial")
-
-	checked := false
-	w := &recordingWriter{}
-	w.onFirstWrite = func() {
-		checked = true
-		st, err := os.Stat(cpu)
-		if err != nil || st.Size() == 0 {
-			t.Errorf("at metrics-write time the failed cell's CPU profile is not on disk (err=%v)", err)
-			return
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{1})
+	var sw Sweep
+	atSecondCell(t, func() { sw, _ = rec.RunSweep(npbgo.CG, 'S', []int{1}, Options{ProfileDir: dir}) }, func() {
+		if m := failedLine(t, path); m.CPUProfile != cpu {
+			t.Fatalf("failed cell line names profile %q, want %q", m.CPUProfile, cpu)
 		}
 		if _, err := profile.ParseFile(cpu); err != nil {
-			t.Errorf("failed cell's profile not decodable at metrics-write time: %v", err)
+			t.Fatalf("failed cell's profile not decodable when its line landed: %v", err)
 		}
-	}
-	sw, err := RunSweepOpts(npbgo.CG, 'S', nil, Options{Metrics: w, ProfileDir: dir})
-	if err == nil {
-		t.Fatal("panicking sweep reported success")
-	}
-	if !checked {
-		t.Fatal("metrics sink never fired; ordering was not exercised")
-	}
-	if len(sw.Runs) != 1 || sw.Runs[0].Err == nil {
-		t.Fatalf("runs = %+v, want one failed cell", sw.Runs)
-	}
-	if sw.Runs[0].CPUProfile != cpu {
-		t.Fatalf("failed cell CPUProfile = %q, want %q (partial profile must be collected)", sw.Runs[0].CPUProfile, cpu)
-	}
-	failed := failedCellLines(t, &w.buf)
-	if len(failed) != 1 || failed[0].CPUProfile != cpu {
-		t.Fatalf("failed metrics line lost the profile path: %+v", failed)
-	}
-}
-
-// TestFailedCellProfileSurvivesJournalAbort: the profile is flushed
-// before the journal Finish, so a journal dying at exactly that point
-// still leaves the failed cell's profile decodable on disk.
-func TestFailedCellProfileSurvivesJournalAbort(t *testing.T) {
-	fault.Activate(fault.Rule{Site: "cg.iter", Kind: fault.KindPanic, Count: -1})
-	defer fault.Reset()
-	dir := t.TempDir()
-	cpu, _ := profile.CellPaths(dir, "CG.S.serial")
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	jw, err := journal.Create(path, journal.Plan{
-		Stamp: "test", Class: "S", Benchmarks: []string{"CG"},
-		Planned: PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', nil),
 	})
-	if err != nil {
-		t.Fatalf("journal.Create: %v", err)
-	}
-	w := &recordingWriter{onFirstWrite: func() { jw.Close() }}
-	_, err = RunSweepOpts(npbgo.CG, 'S', nil, Options{Metrics: w, Journal: jw, ProfileDir: dir})
-	if err == nil || !strings.Contains(err.Error(), "journal") {
-		t.Fatalf("sweep error = %v, want the journal abort", err)
-	}
-	if _, err := profile.ParseFile(cpu); err != nil {
-		t.Fatalf("after the journal abort the failed cell's profile must still decode: %v", err)
+	if sw.Runs[0].Err == nil || sw.Runs[0].CPUProfile != cpu {
+		t.Fatalf("serial run = %+v, want a failed cell with its partial profile collected", sw.Runs[0])
 	}
 }
 

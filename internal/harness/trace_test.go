@@ -45,24 +45,3 @@ func TestNoTraceDirNoSnapshot(t *testing.T) {
 		}
 	}
 }
-
-// TestCellRecordsFlattenSweeps: the bench-json cell list covers every
-// run of every sweep in order.
-func TestCellRecordsFlattenSweeps(t *testing.T) {
-	sw, err := RunSweepOpts("IS", 'S', []int{2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := CellRecords([]Sweep{sw})
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
-	}
-	if cells[0].Threads != 0 || cells[1].Threads != 2 {
-		t.Fatalf("cell order wrong: %+v", cells)
-	}
-	for _, c := range cells {
-		if c.Benchmark != "IS" || c.Class != "S" || !c.Verified || c.Elapsed <= 0 {
-			t.Fatalf("cell record malformed: %+v", c)
-		}
-	}
-}

@@ -8,6 +8,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -84,49 +85,32 @@ type CellMetrics struct {
 	Env *EnvInfo `json:"env,omitempty"`
 }
 
-// BenchSchema identifies the BenchRecord layout; bump it when the
-// record shape changes incompatibly so downstream tooling can dispatch.
-const BenchSchema = "npbgo/bench/v1"
+// BenchSchema identifies the bench record layout; bump it when the
+// layout changes incompatibly so downstream tooling can dispatch.
+const BenchSchema = "npbgo/bench/v2"
 
-// BenchRecord is the machine-readable performance trajectory of one
-// suite sweep: every cell's headline numbers (Mop/s, elapsed time,
-// thread count, imbalance) under a stamped header describing the host.
-// One file per sweep (results/BENCH_<stamp>.json) accumulates into a
-// perf history that can be diffed across commits — the paper's tables,
-// but for trend tooling instead of eyeballs.
+// BenchRecord is one suite sweep: a header naming the plan and the host,
+// and one CellMetrics per finished cell. On disk it is JSON Lines: the
+// header (every field but Cells) on the first line, then one line per
+// cell in the order the cells finished. npbsuite -bench-json appends and
+// fsyncs each line as its cell ends, so the record is also the sweep's
+// crash-safe journal: the planned cells are harness.PlannedCells of
+// Class, Threads and Benchmarks, and a planned cell without a line has
+// not run (or was skipped by the memory guard).
 type BenchRecord struct {
-	Schema     string `json:"schema"` // BenchSchema
-	Stamp      string `json:"stamp"`  // UTC, 20060102T150405Z
-	Class      string `json:"class"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	// Env is the recording host's provenance (Go version, GOGC, kernel,
-	// CPU model), stamped so profiles and counters stay comparable —
-	// or visibly incomparable — across machines. Additive: absent on
-	// records written before provenance existed.
-	Env   *EnvInfo      `json:"env,omitempty"`
-	Cells []CellMetrics `json:"cells"`
+	Schema     string   `json:"schema"` // BenchSchema
+	Stamp      string   `json:"stamp"`  // UTC, 20060102T150405Z
+	Class      string   `json:"class"`
+	Threads    []int    `json:"threads"`
+	Benchmarks []string `json:"benchmarks"`
+	// Env is the recording host's provenance (Go version, GOMAXPROCS,
+	// CPUs, GOGC, kernel, CPU model), stamped so profiles and counters
+	// stay comparable — or visibly incomparable — across machines.
+	Env   EnvInfo       `json:"env"`
+	Cells []CellMetrics `json:"-"`
 }
 
-// WriteBenchJSON writes rec as indented JSON (one record per file, so
-// indentation costs nothing and keeps the history reviewable).
-func WriteBenchJSON(w io.Writer, rec BenchRecord) error {
-	return writeIndentedJSON(w, rec)
-}
-
-// writeIndentedJSON is the shared one-record writer behind every
-// indented record schema.
-func writeIndentedJSON(w io.Writer, v any) error {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// WriteJSONL writes v as one JSON line.
+// WriteJSONL writes v as one JSON line in a single Write call.
 func WriteJSONL(w io.Writer, v any) error {
 	buf, err := json.Marshal(v)
 	if err != nil {
@@ -137,53 +121,53 @@ func WriteJSONL(w io.Writer, v any) error {
 	return err
 }
 
-// ReadBenchRecords decodes every BenchRecord in r, accepting both the
-// indented one-record-per-file layout of WriteBenchJSON and streams of
-// concatenated/JSONL records (so `cat results/BENCH_*.json` pipes
-// straight in). Each record's schema is dispatched against BenchSchema;
-// an unknown schema is a hard error naming both the found and the
-// supported version, so stale tooling fails loudly instead of
-// misreading a future layout. An input with no records is an error —
-// every caller wants at least one.
+// ReadBenchRecords decodes every bench record in r. A header line starts
+// a record and the cell lines after it belong to it, so `cat` of several
+// record files reads as their records in order. A header under any other
+// schema is a hard error naming both the found and the supported
+// version, so stale tooling fails loudly instead of misreading a future
+// layout. An input with no record is an error — every caller wants at
+// least one.
 //
-// A record cut off by the end of the input is tolerated: a crash (or a
-// kill -9) mid-append leaves exactly one torn record at the tail of an
-// append-mode history file, and the complete records before it are
-// still good data. The torn tail is dropped; corruption anywhere
-// earlier in the stream stays a hard error, because it means the file
-// was damaged, not merely interrupted.
+// Bytes after the last newline are the line a crash (or a kill -9) tore
+// mid-append, and are dropped: the lines before it are still good data.
+// A malformed line anywhere earlier is a hard error, because it means
+// the file was damaged, not merely interrupted.
 func ReadBenchRecords(r io.Reader) ([]BenchRecord, error) {
-	return readRecordStream[BenchRecord](r, "bench", BenchSchema,
-		func(rec *BenchRecord) string { return rec.Schema })
-}
-
-// readRecordStream is the shared loader behind every record schema:
-// decode a stream of JSON records, dispatch each record's schema stamp
-// against the one supported version, tolerate exactly one crash-torn
-// record at the tail, and treat an empty input as an error.
-func readRecordStream[T any](r io.Reader, kind, want string, schema func(*T) string) ([]T, error) {
-	dec := json.NewDecoder(r)
-	var out []T
-	for {
-		var rec T
-		if err := dec.Decode(&rec); err == io.EOF {
-			break
-		} else if errors.Is(err, io.ErrUnexpectedEOF) {
-			if len(out) == 0 {
-				return nil, fmt.Errorf("report: input is one truncated %s record (crash-cut before any record completed)", kind)
-			}
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("report: %s record %d: %w", kind, len(out)+1, err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("report: %w", err)
+	}
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
+	var out []BenchRecord
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
-		if got := schema(&rec); got != want {
-			return nil, fmt.Errorf("report: %s record %d: unknown schema %q (this tool reads %q)",
-				kind, len(out)+1, got, want)
+		var head struct {
+			Schema *string `json:"schema"`
 		}
-		out = append(out, rec)
+		err := json.Unmarshal(line, &head)
+		switch {
+		case err != nil: // a malformed line, reported below
+		case head.Schema != nil && *head.Schema != BenchSchema:
+			err = fmt.Errorf("unknown schema %q (this tool reads %q)", *head.Schema, BenchSchema)
+		case head.Schema != nil:
+			out = append(out, BenchRecord{})
+			err = json.Unmarshal(line, &out[len(out)-1])
+		case len(out) == 0:
+			err = errors.New("cell line before any record header")
+		default:
+			rec := &out[len(out)-1]
+			rec.Cells = append(rec.Cells, CellMetrics{})
+			err = json.Unmarshal(line, &rec.Cells[len(rec.Cells)-1])
+		}
+		if err != nil {
+			return nil, fmt.Errorf("report: bench line %d: %w", i+1, err)
+		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("report: no %s records in input", kind)
+		return nil, errors.New("report: no bench records in input")
 	}
 	return out, nil
 }

@@ -47,8 +47,9 @@ func benchFixture() BenchRecord {
 		Schema:     BenchSchema,
 		Stamp:      "20260801T120000Z",
 		Class:      "S",
-		GoMaxProcs: 4,
-		NumCPU:     8,
+		Threads:    []int{2},
+		Benchmarks: []string{"CG"},
+		Env:        EnvInfo{GoMaxProcs: 4, NumCPU: 8},
 		Cells: []CellMetrics{
 			{Benchmark: "CG", Class: "S", Threads: 0, Elapsed: 0.40, Mops: 160,
 				Verified: true, Attempts: 3, Samples: []float64{0.42, 0.40, 0.41}},
@@ -59,11 +60,26 @@ func benchFixture() BenchRecord {
 	}
 }
 
+// writeRecord appends rec to buf in the on-disk layout: the header line,
+// then one line per cell.
+func writeRecord(t *testing.T, buf *bytes.Buffer, rec BenchRecord) {
+	t.Helper()
+	if err := WriteJSONL(buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range rec.Cells {
+		if err := WriteJSONL(buf, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 	var buf bytes.Buffer
 	want := benchFixture()
-	if err := WriteBenchJSON(&buf, want); err != nil {
-		t.Fatalf("WriteBenchJSON: %v", err)
+	writeRecord(t, &buf, want)
+	if first, _, _ := strings.Cut(buf.String(), "\n"); strings.Contains(first, "elapsed_sec") {
+		t.Fatalf("header line carries cells: %s", first)
 	}
 	recs, err := ReadBenchRecords(&buf)
 	if err != nil {
@@ -73,29 +89,28 @@ func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
 	got := recs[0]
-	if got.Stamp != want.Stamp || got.GoMaxProcs != 4 || len(got.Cells) != 2 {
+	if got.Stamp != want.Stamp || got.Env.GoMaxProcs != 4 || len(got.Cells) != 2 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if !strings.Contains(got.Schema, "npbgo/bench") {
-		t.Fatalf("schema lost: %q", got.Schema)
+	if got.Schema != BenchSchema || len(got.Threads) != 1 || got.Benchmarks[0] != "CG" {
+		t.Fatalf("header lost: %+v", got)
 	}
 	if s := got.Cells[0].Samples; len(s) != 3 || s[0] != 0.42 {
 		t.Fatalf("samples lost: %+v", s)
 	}
 }
 
+// TestReadBenchRecordsConcatenatedStream: each header line starts a
+// record, so two record files concatenated — as `cat
+// results/BENCH_*.json` produces — read as two records, each with its
+// own cells.
 func TestReadBenchRecordsConcatenatedStream(t *testing.T) {
-	// Two records in one stream — indented then JSONL — as produced by
-	// `cat results/BENCH_*.json`.
 	var buf bytes.Buffer
-	if err := WriteBenchJSON(&buf, benchFixture()); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, &buf, benchFixture())
 	second := benchFixture()
 	second.Stamp = "20260802T000000Z"
-	if err := WriteJSONL(&buf, second); err != nil {
-		t.Fatal(err)
-	}
+	second.Cells = second.Cells[:1]
+	writeRecord(t, &buf, second)
 	recs, err := ReadBenchRecords(&buf)
 	if err != nil {
 		t.Fatalf("ReadBenchRecords: %v", err)
@@ -103,15 +118,16 @@ func TestReadBenchRecordsConcatenatedStream(t *testing.T) {
 	if len(recs) != 2 || recs[1].Stamp != "20260802T000000Z" {
 		t.Fatalf("stream decode mismatch: %d records", len(recs))
 	}
+	if len(recs[0].Cells) != 2 || len(recs[1].Cells) != 1 {
+		t.Fatalf("cells went to the wrong record: %d, %d", len(recs[0].Cells), len(recs[1].Cells))
+	}
 }
 
 func TestReadBenchRecordsRejectsUnknownSchema(t *testing.T) {
 	rec := benchFixture()
 	rec.Schema = "npbgo/bench/v999"
 	var buf bytes.Buffer
-	if err := WriteBenchJSON(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, &buf, rec)
 	_, err := ReadBenchRecords(&buf)
 	if err == nil {
 		t.Fatal("unknown schema accepted")
@@ -119,19 +135,25 @@ func TestReadBenchRecordsRejectsUnknownSchema(t *testing.T) {
 	if !strings.Contains(err.Error(), "npbgo/bench/v999") || !strings.Contains(err.Error(), BenchSchema) {
 		t.Fatalf("error should name found and supported schemas: %v", err)
 	}
+	// The layout this one replaced is refused the same way.
+	v1 := `{"schema":"npbgo/bench/v1","stamp":"S","class":"S","gomaxprocs":2,"numcpu":2,"cells":[]}` + "\n"
+	if _, err := ReadBenchRecords(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "npbgo/bench/v1") {
+		t.Fatalf("a v1 record must be refused by name: %v", err)
+	}
 }
 
+// TestReadBenchRecordsEmptyInput: no input, a lone torn line, blank
+// lines only, or cells with no header are not a record.
 func TestReadBenchRecordsEmptyInput(t *testing.T) {
-	if _, err := ReadBenchRecords(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := ReadBenchRecords(strings.NewReader("{not json")); err == nil {
-		t.Fatal("malformed input accepted")
+	for _, in := range []string{"", "{not json", "\n\n", `{"benchmark":"CG","class":"S","threads":0}` + "\n"} {
+		if _, err := ReadBenchRecords(strings.NewReader(in)); err == nil {
+			t.Errorf("input %q accepted", in)
+		}
 	}
 }
 
 func TestReadBenchRecordsGoldenFixture(t *testing.T) {
-	f, err := os.Open("testdata/bench_v1.json")
+	f, err := os.Open("testdata/bench_v2.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,10 +198,10 @@ func TestWriteJSONLOmitsDisabledObs(t *testing.T) {
 }
 
 // TestReadBenchRecordsTruncatedTailFixture reads the checked-in
-// crash-cut history file: two complete JSONL records followed by a
-// record torn mid-object, exactly what a kill -9 during an append
-// leaves behind. The complete records must come back; the torn tail
-// must be dropped, not turned into an error.
+// crash-cut history file: three records, the last cut mid-way through
+// its first cell line — exactly what a kill -9 during an append leaves
+// behind. Every whole line must come back; the torn line must be
+// dropped, not turned into an error.
 func TestReadBenchRecordsTruncatedTailFixture(t *testing.T) {
 	f, err := os.Open("testdata/bench_truncated.jsonl")
 	if err != nil {
@@ -190,63 +212,54 @@ func TestReadBenchRecordsTruncatedTailFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("truncated tail not tolerated: %v", err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want the 2 complete ones", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
 	if recs[0].Stamp != "20260805T100000Z" || recs[1].Stamp != "20260805T110000Z" {
 		t.Fatalf("wrong records survived: %s, %s", recs[0].Stamp, recs[1].Stamp)
 	}
+	if len(recs[0].Cells) != 1 || len(recs[1].Cells) != 1 || len(recs[2].Cells) != 0 {
+		t.Fatalf("cells = %d, %d, %d; want 1, 1 and the torn one dropped",
+			len(recs[0].Cells), len(recs[1].Cells), len(recs[2].Cells))
+	}
 }
 
 // TestReadBenchRecordsTruncatedEverywhere sweeps every cut point of a
-// two-record stream: a cut inside the second record yields the first; a
-// cut inside the first (no complete record) is an error; no cut point
-// may panic or fabricate a record.
+// one-record file: a cut anywhere in the header is no record (an
+// error); after it, the record holds exactly the cell lines whose
+// newline survived. No cut point may panic or fabricate a cell.
 func TestReadBenchRecordsTruncatedEverywhere(t *testing.T) {
 	var buf bytes.Buffer
-	first := benchFixture()
-	if err := WriteJSONL(&buf, first); err != nil {
-		t.Fatal(err)
-	}
-	firstLen := buf.Len()
-	second := benchFixture()
-	second.Stamp = "20260802T000000Z"
-	if err := WriteJSONL(&buf, second); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, &buf, benchFixture())
 	whole := buf.Bytes()
-	// A cut keeping the first record's closing brace (firstLen-1 strips
-	// only its newline) leaves one complete record.
-	for cut := 1; cut < len(whole)-1; cut++ {
+	headerLen := bytes.IndexByte(whole, '\n') + 1
+	for cut := 0; cut <= len(whole); cut++ {
 		recs, err := ReadBenchRecords(bytes.NewReader(whole[:cut]))
-		if cut < firstLen-1 {
+		if cut < headerLen {
 			if err == nil {
-				t.Fatalf("cut %d inside the first record accepted with %d records", cut, len(recs))
+				t.Fatalf("cut %d inside the header accepted", cut)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("cut %d after a complete record rejected: %v", cut, err)
+			t.Fatalf("cut %d after the header rejected: %v", cut, err)
 		}
-		if len(recs) != 1 || recs[0].Stamp != first.Stamp {
-			t.Fatalf("cut %d returned %d records", cut, len(recs))
+		if want := bytes.Count(whole[headerLen:cut], []byte("\n")); len(recs) != 1 || len(recs[0].Cells) != want {
+			t.Fatalf("cut %d: %d records, want 1 with %d cells", cut, len(recs), want)
 		}
 	}
 }
 
 // TestReadBenchRecordsMidStreamCorruptionStillFatal: tolerance is for
-// the tail only — garbage between records means the file is damaged,
-// and must stay a loud error.
+// the tail only — a damaged whole line means the file is damaged, and
+// must stay a loud error naming the line.
 func TestReadBenchRecordsMidStreamCorruptionStillFatal(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, benchFixture()); err != nil {
-		t.Fatal(err)
-	}
+	writeRecord(t, &buf, benchFixture())
 	buf.WriteString("]]not json[[\n")
-	if err := WriteJSONL(&buf, benchFixture()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBenchRecords(&buf); err == nil {
-		t.Fatal("mid-stream corruption accepted")
+	writeRecord(t, &buf, benchFixture())
+	_, err := ReadBenchRecords(&buf)
+	if err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Fatalf("mid-stream corruption: err = %v, want a line 4 error", err)
 	}
 }

@@ -1,11 +1,11 @@
 // The hotspot record schema (npbgo/profile/v1): the machine-readable
 // output of `npbperf hotspots`, one record per analyzed bench record
-// with one cell per decoded profile. It sits beside the bench schema
-// the same way the journal schema does — a stamped, versioned layout
-// that downstream tooling dispatches on instead of guessing.
+// with one cell per decoded profile — a stamped, versioned layout that
+// downstream tooling dispatches on instead of guessing.
 package report
 
 import (
+	"encoding/json"
 	"io"
 
 	"npbgo/internal/profile"
@@ -54,17 +54,12 @@ type ProfileRecord struct {
 	Cells  []ProfileCell `json:"cells"`
 }
 
-// WriteProfileJSON writes rec as indented JSON, one record per call,
-// mirroring WriteBenchJSON.
+// WriteProfileJSON writes rec as indented JSON, one record per call.
 func WriteProfileJSON(w io.Writer, rec ProfileRecord) error {
-	return writeIndentedJSON(w, rec)
-}
-
-// ReadProfileRecords decodes every ProfileRecord in r under the same
-// stream conventions as ReadBenchRecords: indented or JSONL layouts,
-// hard schema dispatch, one crash-torn tail record tolerated, empty
-// input rejected.
-func ReadProfileRecords(r io.Reader) ([]ProfileRecord, error) {
-	return readRecordStream[ProfileRecord](r, "profile", ProfileSchema,
-		func(rec *ProfileRecord) string { return rec.Schema })
+	buf, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }
