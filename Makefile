@@ -72,12 +72,13 @@ bce-baseline:
 	$(GO) build $(BCE_PKGS)
 	$(BCE_REPORT) > bce_baseline.txt
 
-# Race detection on short classes; the robustness-critical packages and
+# Race detection on short classes; the robustness-critical packages,
 # the kernels whose regions carry their own barriers and pipeline waits
-# (lu, cg, nscore) get a full -race pass as well.
+# (lu, cg, nscore) and the two other line-solve codes (sp, bt) get a
+# full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/harness ./internal/fault ./internal/timer ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/sp ./internal/bt ./internal/harness ./internal/fault ./internal/timer ./internal/perfcount
 
 test-race: race
 

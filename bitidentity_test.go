@@ -15,58 +15,76 @@ import (
 	"npbgo/internal/trace"
 )
 
-// TestVerificationPrintoutsMatchRecorded pins the five kernels that
-// draw their input from internal/randdp — EP, IS, CG, MG, FT — to the
-// verification printouts recorded in testdata/bitidentity.golden before
-// the generator moved to integer arithmetic. The printouts carry every
-// computed value at full float64 precision (%24.17e round-trips), so an
-// equal string is bit-identity of EP's sx/sy and annulus counts, CG's
-// zeta, MG's residual norm, FT's six checksums and IS's order check —
-// a stronger statement than the within-epsilon verification itself.
-// Reduction order depends on the team size, never on the schedule, so
-// each (benchmark, class, threads) has one recorded printout that both
-// static and dynamic must reproduce. To re-record after an intended
+// teamInvariant names the codes whose printout does not depend on the
+// team size: BT, SP and LU reduce only in serial, master-side code
+// (their TestParallelMatchesSerialBitwise), so one printout per (code,
+// class) covers every team size and schedule.
+var teamInvariant = map[npbgo.Benchmark]bool{npbgo.BT: true, npbgo.SP: true, npbgo.LU: true}
+
+// goldenKey names a cell's recorded printout: "BT.S" for a
+// team-invariant code, "CG.S.t2" for the others, whose reduction order
+// depends on the team size (never on the schedule).
+func goldenKey(b npbgo.Benchmark, class byte, threads int) string {
+	if teamInvariant[b] {
+		return fmt.Sprintf("%s.%c", b, class)
+	}
+	return fmt.Sprintf("%s.%c.t%d", b, class, threads)
+}
+
+// TestVerificationPrintoutsMatchRecorded pins all eight codes to the
+// verification printouts recorded in testdata/bitidentity.golden. The
+// printouts carry every computed value at full float64 precision
+// (%24.17e round-trips), so an equal string is bit-identity of EP's
+// sx/sy and annulus counts, CG's zeta, MG's residual norm, FT's six
+// checksums, IS's order check and the BT/SP/LU residual and error norms
+// (and LU's surface integral) — a stronger statement than the
+// within-epsilon verification itself. Every code runs at S × threads
+// {1, 2, 3} × {static, dynamic}; outside -short the five kernels add
+// the same lattice at W, and BT, SP and LU one W cell each (two threads,
+// dynamic: each W run takes seconds). To re-record after an intended
 // numerical change, paste the "== key" blocks a failure prints.
 func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
-	classes := []byte{'S'}
-	if !testing.Short() {
-		classes = append(classes, 'W')
+	check := func(b npbgo.Benchmark, class byte, threads int, sched string) {
+		t.Helper()
+		key := goldenKey(b, class, threads)
+		if got := printout(t, b, class, threads, sched, false); got != golden[key] {
+			t.Errorf("%s at %d threads under %s differs from the recorded printout; got:\n== %s\n%srecorded:\n%s",
+				key, threads, sched, key, got, golden[key])
+		}
 	}
-	for _, b := range []npbgo.Benchmark{npbgo.EP, npbgo.IS, npbgo.CG, npbgo.MG, npbgo.FT} {
-		for _, class := range classes {
-			for _, threads := range []int{1, 2, 3} {
-				key := fmt.Sprintf("%s.%c.t%d", b, class, threads)
-				for _, sched := range []string{"static", "dynamic"} {
-					got := printout(t, b, class, threads, sched, false)
-					if got != golden[key] {
-						t.Errorf("%s under %s differs from the recorded printout; got:\n== %s\n%srecorded:\n%s",
-							key, sched, key, got, golden[key])
-					}
+	for _, b := range npbgo.Benchmarks() {
+		for _, threads := range []int{1, 2, 3} {
+			for _, sched := range []string{"static", "dynamic"} {
+				check(b, 'S', threads, sched)
+				if !testing.Short() && !teamInvariant[b] {
+					check(b, 'W', threads, sched)
 				}
 			}
+		}
+		if !testing.Short() && teamInvariant[b] {
+			check(b, 'W', 2, "dynamic")
 		}
 	}
 }
 
 // TestInstrumentsDoNotChangeABit: with every instrument on — obs,
 // trace, counters (or their unavailable path) and the phase profile —
-// the five kernels reproduce the recorded printouts, and BT, SP and LU,
-// which have no recorded printout, print the same Detail as they do
-// uninstrumented. The probe only reads clocks and counts; a hook that
-// touched a reduction's slots or order would show here.
+// all eight codes reproduce the recorded printouts. The probe only
+// reads clocks and counts; a hook that touched a reduction's slots or
+// order would show here.
 func TestInstrumentsDoNotChangeABit(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
 	for _, b := range npbgo.Benchmarks() {
 		for _, threads := range []int{2, 3} {
-			key := fmt.Sprintf("%s.S.t%d", b, threads)
+			key := goldenKey(b, 'S', threads)
+			want, ok := golden[key]
+			if !ok {
+				t.Fatalf("no recorded printout %s", key)
+			}
 			for _, sched := range []string{"static", "dynamic"} {
-				want, ok := golden[key]
-				if !ok {
-					want = printout(t, b, 'S', threads, sched, false)
-				}
 				if got := printout(t, b, 'S', threads, sched, true); got != want {
-					t.Errorf("%s under %s with every instrument on differs; got:\n%swant:\n%s", key, sched, got, want)
+					t.Errorf("%s at %d threads under %s with every instrument on differs; got:\n%swant:\n%s", key, threads, sched, got, want)
 				}
 			}
 		}

@@ -52,6 +52,8 @@ type Benchmark struct {
 	// line.
 	scratch []*sweepScratch
 
+	ops [3]opDir // the operator's xi, eta and zeta directions
+
 	// Steady-state machinery: the region bodies below are built once by
 	// New and reused every istep (a closure literal at the call site
 	// would allocate per invocation), keeping the timed loop free of
@@ -63,9 +65,7 @@ type Benchmark struct {
 	pipeOwner  *team.Team // team the cached pipeline was built for
 	opOut, opW []float64
 
-	xiBody      func(id int)
-	etaBody     func(id int)
-	zetaBody    func(id int)
+	opBodies    [3]func(id int) // applyOperator's regions, one per direction
 	rhsInitBody func(id int)
 	scaleBody   func(id int)
 	updateBody  func(id int)
@@ -79,11 +79,11 @@ type Benchmark struct {
 type sweepScratch struct {
 	az, ay, ax, d [25]float64
 	tv            [5]float64
-	flux          []float64 // 5*n line scratch for applyOperator
+	flux          [][5]float64 // applyOperator's flux row per point of a line
 }
 
 func newSweepScratch(n int) *sweepScratch {
-	return &sweepScratch{flux: make([]float64, 5*n)}
+	return &sweepScratch{flux: make([][5]float64, n)}
 }
 
 // New configures LU for the given class and thread count. env.Schedule
@@ -104,6 +104,7 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b := &Benchmark{Class: class, n: spec.size, itmax: spec.itmax, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.blk = newBlockConsts(&b.c)
+	b.ops = newOpDirs(&b.c, spec.size)
 	n3 := spec.size * spec.size * spec.size
 	b.u = make([]float64, 5*n3)
 	b.rsd = make([]float64, 5*n3)
@@ -124,24 +125,13 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 func (b *Benchmark) buildBodies() {
 	n := b.n
 
-	// xi-direction operator over the staged operands
-	b.xiBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			b.xiFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
-		}
-	}
-
-	// eta-direction operator over the staged operands
-	b.etaBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			b.etaFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
-		}
-	}
-
-	// zeta-direction operator over the staged operands
-	b.zetaBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			b.zetaFluxRange(b.opOut, b.opW, b.scratch[id].flux, it.Lo, it.Hi)
+	// one direction of the operator over the staged operands
+	for dir := range b.opBodies {
+		d := &b.ops[dir]
+		b.opBodies[dir] = func(id int) {
+			for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+				b.operatorPlanes(b.opOut, b.opW, b.scratch[id].flux, d, it.Lo, it.Hi)
+			}
 		}
 	}
 

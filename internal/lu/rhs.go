@@ -1,6 +1,10 @@
 package lu
 
-import "npbgo/internal/team"
+import (
+	"npbgo/internal/grid"
+	"npbgo/internal/nscore"
+	"npbgo/internal/team"
+)
 
 // applyOperator adds the discrete steady-state Navier-Stokes operator
 // R(w) to out: central convective flux differences, viscous flux
@@ -11,213 +15,142 @@ import "npbgo/internal/team"
 // closure or scratch is allocated per call.
 func (b *Benchmark) applyOperator(out, w []float64, tm *team.Team) {
 	b.tm, b.opOut, b.opW = tm, out, w
-	tm.Run(b.xiBody)
-	tm.Run(b.etaBody)
-	tm.Run(b.zetaBody)
-}
-
-// xiFluxRange applies the xi-direction operator terms on planes
-// [klo, khi) using the caller's 5*n flux line scratch — one worker's
-// share of the first applyOperator region.
-func (b *Benchmark) xiFluxRange(out, w, flux []float64, klo, khi int) {
-	n := b.n
-	c := &b.c
-	for k := klo; k < khi; k++ {
-		for j := 1; j < n-1; j++ {
-			for i := 0; i < n; i++ {
-				off := b.at(i, j, k)
-				u21 := w[off+1] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*i+0] = w[off+1]
-				flux[5*i+1] = w[off+1]*u21 + c.C2*(w[off+4]-q)
-				flux[5*i+2] = w[off+2] * u21
-				flux[5*i+3] = w[off+3] * u21
-				flux[5*i+4] = (c.C1*w[off+4] - c.C2*q) * u21
-			}
-			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Tx2 * (flux[5*(i+1)+m] - flux[5*(i-1)+m])
-				}
-			}
-			for i := 1; i < n; i++ {
-				off := b.at(i, j, k)
-				offm := b.at(i-1, j, k)
-				tmp := 1.0 / w[off]
-				u21i, u31i, u41i, u51i := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21im1, u31im1, u41im1, u51im1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*i+1] = (4.0 / 3.0) * c.Tx3 * (u21i - u21im1)
-				flux[5*i+2] = c.Tx3 * (u31i - u31im1)
-				flux[5*i+3] = c.Tx3 * (u41i - u41im1)
-				flux[5*i+4] = 0.5*(1.0-c.C1c5)*c.Tx3*
-					((u21i*u21i+u31i*u31i+u41i*u41i)-(u21im1*u21im1+u31im1*u31im1+u41im1*u41im1)) +
-					(1.0/6.0)*c.Tx3*(u21i*u21i-u21im1*u21im1) +
-					c.C1c5*c.Tx3*(u51i-u51im1)
-			}
-			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				om := b.at(i-1, j, k)
-				op := b.at(i+1, j, k)
-				out[off+0] += c.Dx1 * c.Tx1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+1]-flux[5*i+1]) +
-					c.Dx2*c.Tx1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+2]-flux[5*i+2]) +
-					c.Dx3*c.Tx1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+3]-flux[5*i+3]) +
-					c.Dx4*c.Tx1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+4]-flux[5*i+4]) +
-					c.Dx5*c.Tx1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 0, j, k)
-		}
+	for _, body := range b.opBodies {
+		tm.Run(body)
 	}
 }
 
-// etaFluxRange applies the eta-direction operator terms on planes
-// [klo, khi) — one worker's share of the second applyOperator region.
-func (b *Benchmark) etaFluxRange(out, w, flux []float64, klo, khi int) {
-	n := b.n
-	c := &b.c
-	for k := klo; k < khi; k++ {
-		for i := 1; i < n-1; i++ {
-			for j := 0; j < n; j++ {
-				off := b.at(i, j, k)
-				u31 := w[off+2] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*j+0] = w[off+2]
-				flux[5*j+1] = w[off+1] * u31
-				flux[5*j+2] = w[off+2]*u31 + c.C2*(w[off+4]-q)
-				flux[5*j+3] = w[off+3] * u31
-				flux[5*j+4] = (c.C1*w[off+4] - c.C2*q) * u31
-			}
-			for j := 1; j < n-1; j++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Ty2 * (flux[5*(j+1)+m] - flux[5*(j-1)+m])
-				}
-			}
-			for j := 1; j < n; j++ {
-				off := b.at(i, j, k)
-				offm := b.at(i, j-1, k)
-				tmp := 1.0 / w[off]
-				u21j, u31j, u41j, u51j := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21jm1, u31jm1, u41jm1, u51jm1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*j+1] = c.Ty3 * (u21j - u21jm1)
-				flux[5*j+2] = (4.0 / 3.0) * c.Ty3 * (u31j - u31jm1)
-				flux[5*j+3] = c.Ty3 * (u41j - u41jm1)
-				flux[5*j+4] = 0.5*(1.0-c.C1c5)*c.Ty3*
-					((u21j*u21j+u31j*u31j+u41j*u41j)-(u21jm1*u21jm1+u31jm1*u31jm1+u41jm1*u41jm1)) +
-					(1.0/6.0)*c.Ty3*(u31j*u31j-u31jm1*u31jm1) +
-					c.C1c5*c.Ty3*(u51j-u51jm1)
-			}
-			for j := 1; j < n-1; j++ {
-				off := b.at(i, j, k)
-				om := b.at(i, j-1, k)
-				op := b.at(i, j+1, k)
-				out[off+0] += c.Dy1 * c.Ty1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+1]-flux[5*j+1]) +
-					c.Dy2*c.Ty1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+2]-flux[5*j+2]) +
-					c.Dy3*c.Ty1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+3]-flux[5*j+3]) +
-					c.Dy4*c.Ty1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+4]-flux[5*j+4]) +
-					c.Dy5*c.Ty1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 1, i, k)
-		}
-	}
+// opDir describes one direction of the operator: the conserved
+// component carrying its velocity, where its lines lie in the 5-vector
+// fields, and its constants, folded once by newOpDirs in the order
+// lu.f's expressions associate, so every product rounds as it does
+// there.
+type opDir struct {
+	cv int // velocity component: 1 (xi), 2 (eta), 3 (zeta)
+
+	// Point l of a line is at base+l*stride. The direction's region
+	// splits the outer index over the team and runs a line for each
+	// inner index 1..n-2, with base = inner*innerStride + outer*outerStride.
+	stride, innerStride, outerStride int
+
+	t2         float64    // t?2: convective flux difference
+	visc       [4]float64 // [1..3]: momentum viscous flux, (4/3)·t?3 on cv, t?3 elsewhere
+	e1, e2, e3 float64    // energy viscous flux: 0.5·(1−c1c5)·t?3, (1/6)·t?3, c1c5·t?3
+	t3c34      float64    // t?3·c3·c4: viscous flux difference
+	d          [5]float64 // d?m·t?1: second difference of w
 }
 
-// zetaFluxRange applies the zeta-direction operator terms on j-rows
-// [jlo, jhi) (the line runs along k) — one worker's share of the third
+// newOpDirs folds the operator constants of the xi, eta and zeta
+// directions on an n^3 grid.
+func newOpDirs(c *nscore.Consts, n int) [3]opDir {
+	dirs := [3]struct {
+		t1, t2, t3                       float64
+		d                                [5]float64
+		stride, innerStride, outerStride int
+	}{
+		{c.Tx1, c.Tx2, c.Tx3, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}, 5, 5 * n, 5 * n * n}, // along i; j inner, k split
+		{c.Ty1, c.Ty2, c.Ty3, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}, 5 * n, 5, 5 * n * n}, // along j; i inner, k split
+		{c.Tz1, c.Tz2, c.Tz3, [5]float64{c.Dz1, c.Dz2, c.Dz3, c.Dz4, c.Dz5}, 5 * n * n, 5, 5 * n}, // along k; i inner, j split
+	}
+	var ops [3]opDir
+	for i, s := range dirs {
+		o := &ops[i]
+		o.cv = i + 1
+		o.stride, o.innerStride, o.outerStride = s.stride, s.innerStride, s.outerStride
+		o.t2 = s.t2
+		o.visc = [4]float64{0, s.t3, s.t3, s.t3}
+		o.visc[o.cv] = (4.0 / 3.0) * s.t3
+		o.e1 = 0.5 * (1.0 - c.C1c5) * s.t3
+		o.e2 = (1.0 / 6.0) * s.t3
+		o.e3 = c.C1c5 * s.t3
+		o.t3c34 = s.t3 * c.C3 * c.C4
+		for m := range o.d {
+			o.d[m] = s.d[m] * s.t1
+		}
+	}
+	return ops
+}
+
+// operatorPlanes applies direction d's operator terms on every line
+// whose outer index lies in [lo, hi) — planes k for xi and eta, rows j
+// for zeta — using the worker's flux rows: one worker's share of d's
 // applyOperator region.
-func (b *Benchmark) zetaFluxRange(out, w, flux []float64, jlo, jhi int) {
+func (b *Benchmark) operatorPlanes(out, w []float64, flux [][5]float64, d *opDir, lo, hi int) {
 	n := b.n
-	c := &b.c
-	for j := jlo; j < jhi; j++ {
-		for i := 1; i < n-1; i++ {
-			for k := 0; k < n; k++ {
-				off := b.at(i, j, k)
-				u41 := w[off+3] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*k+0] = w[off+3]
-				flux[5*k+1] = w[off+1] * u41
-				flux[5*k+2] = w[off+2] * u41
-				flux[5*k+3] = w[off+3]*u41 + c.C2*(w[off+4]-q)
-				flux[5*k+4] = (c.C1*w[off+4] - c.C2*q) * u41
-			}
-			for k := 1; k < n-1; k++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Tz2 * (flux[5*(k+1)+m] - flux[5*(k-1)+m])
-				}
-			}
-			for k := 1; k < n; k++ {
-				off := b.at(i, j, k)
-				offm := b.at(i, j, k-1)
-				tmp := 1.0 / w[off]
-				u21k, u31k, u41k, u51k := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21km1, u31km1, u41km1, u51km1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*k+1] = c.Tz3 * (u21k - u21km1)
-				flux[5*k+2] = c.Tz3 * (u31k - u31km1)
-				flux[5*k+3] = (4.0 / 3.0) * c.Tz3 * (u41k - u41km1)
-				flux[5*k+4] = 0.5*(1.0-c.C1c5)*c.Tz3*
-					((u21k*u21k+u31k*u31k+u41k*u41k)-(u21km1*u21km1+u31km1*u31km1+u41km1*u41km1)) +
-					(1.0/6.0)*c.Tz3*(u41k*u41k-u41km1*u41km1) +
-					c.C1c5*c.Tz3*(u51k-u51km1)
-			}
-			for k := 1; k < n-1; k++ {
-				off := b.at(i, j, k)
-				om := b.at(i, j, k-1)
-				op := b.at(i, j, k+1)
-				out[off+0] += c.Dz1 * c.Tz1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+1]-flux[5*k+1]) +
-					c.Dz2*c.Tz1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+2]-flux[5*k+2]) +
-					c.Dz3*c.Tz1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+3]-flux[5*k+3]) +
-					c.Dz4*c.Tz1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+4]-flux[5*k+4]) +
-					c.Dz5*c.Tz1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 2, i, j)
+	for o := lo; o < hi; o++ {
+		for a := 1; a < n-1; a++ {
+			b.operatorLine(out, w, flux, a*d.innerStride+o*d.outerStride, d)
 		}
 	}
 }
 
-// dissip subtracts the boundary-adjusted fourth-difference dissipation
-// of w from out along one grid line of direction dir (0 = xi at
-// (j,k)=(a,bb), 1 = eta at (i,k)=(a,bb), 2 = zeta at (i,j)=(a,bb)).
-func (b *Benchmark) dissip(out, w []float64, dir, a, bb int) {
-	n := b.n
-	dssp := b.c.Dssp
-	at := func(l int) int {
-		switch dir {
-		case 0:
-			return b.at(l, a, bb)
-		case 1:
-			return b.at(a, l, bb)
-		default:
-			return b.at(a, bb, l)
+// operatorLine adds direction d's terms of R(w) along one grid line to
+// out: the central difference of the convective fluxes, the difference
+// of the viscous fluxes, the second difference of w and the
+// fourth-order dissipation. Point l of the line has its 5-vector at
+// base+l*d.stride in out and w; flux is the worker's row per point.
+//
+// Hot path: every line of every direction, twice per SSOR iteration's
+// rhs and once in erhs.
+func (b *Benchmark) operatorLine(out, w []float64, flux [][5]float64, base int, d *opDir) {
+	c := &b.c
+	n := len(flux)
+	cv, stride := d.cv, d.stride
+
+	// Convective fluxes at every point, then their central difference.
+	for l := range flux {
+		wl := grid.Vec5(w, base+l*stride)
+		u := wl[cv] / wl[0]
+		q := 0.5 * (wl[1]*wl[1] + wl[2]*wl[2] + wl[3]*wl[3]) / wl[0]
+		f := &flux[l]
+		f[0] = wl[cv]
+		f[1] = wl[1] * u
+		f[2] = wl[2] * u
+		f[3] = wl[3] * u
+		f[cv] += c.C2 * (wl[4] - q)
+		f[4] = (c.C1*wl[4] - c.C2*q) * u
+	}
+	for l := 1; l < n-1; l++ {
+		o, fm, fp := grid.Vec5(out, base+l*stride), &flux[l-1], &flux[l+1]
+		for m := range o {
+			o[m] -= d.t2 * (fp[m] - fm[m])
 		}
 	}
-	for m := 0; m < 5; m++ {
-		l := 1
-		out[at(l)+m] -= dssp * (5.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
-		l = 2
-		out[at(l)+m] -= dssp * (-4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
-		for l = 3; l <= n-4; l++ {
-			out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
-		}
-		l = n - 3
-		out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m])
-		l = n - 2
-		out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 5.0*w[at(l)+m])
+
+	// Viscous fluxes between points l-1 and l. Each point's velocities
+	// and squares are computed once and carried to the next point.
+	wl := grid.Vec5(w, base)
+	tmp := 1.0 / wl[0]
+	pu1, pu2, pu3, pu4 := tmp*wl[1], tmp*wl[2], tmp*wl[3], tmp*wl[4]
+	pcv := tmp * wl[cv]
+	psq, pcq := pu1*pu1+pu2*pu2+pu3*pu3, pcv*pcv
+	for l := 1; l < n; l++ {
+		wl := grid.Vec5(w, base+l*stride)
+		tmp := 1.0 / wl[0]
+		u1, u2, u3, u4 := tmp*wl[1], tmp*wl[2], tmp*wl[3], tmp*wl[4]
+		ucv := tmp * wl[cv]
+		sq, cq := u1*u1+u2*u2+u3*u3, ucv*ucv
+		f := &flux[l]
+		f[1] = d.visc[1] * (u1 - pu1)
+		f[2] = d.visc[2] * (u2 - pu2)
+		f[3] = d.visc[3] * (u3 - pu3)
+		f[4] = d.e1*(sq-psq) + d.e2*(cq-pcq) + d.e3*(u4-pu4)
+		pu1, pu2, pu3, pu4, psq, pcq = u1, u2, u3, u4, sq, cq
 	}
+
+	// Their difference, and the second difference of w.
+	wm, wc := grid.Vec5(w, base), grid.Vec5(w, base+stride)
+	for l := 1; l < n-1; l++ {
+		wp := grid.Vec5(w, base+(l+1)*stride)
+		o, f, fp := grid.Vec5(out, base+l*stride), &flux[l], &flux[l+1]
+		o[0] += d.d[0] * (wm[0] - 2.0*wc[0] + wp[0])
+		for m := 1; m < 5; m++ {
+			o[m] += d.t3c34*(fp[m]-f[m]) + d.d[m]*(wm[m]-2.0*wc[m]+wp[m])
+		}
+		wm, wc = wc, wp
+	}
+
+	nscore.Dissip(out, w, n, c.Dssp, base, stride)
 }
 
 // rhs computes the steady-state residual rsd = R(u) - frct (lu.f's rhs).

@@ -3,10 +3,11 @@ package nscore
 // FluxViscJacobians fills the 5x5 flux Jacobian fjac and viscous
 // Jacobian njac (column-major, element (m,n) at m+5*n) for one grid
 // point in the coordinate direction whose convective velocity is
-// conserved component cv (1 = u, 2 = v, 3 = w). The same two matrices
-// drive BT's block-tridiagonal assembly (x_solve/y_solve/z_solve) and
-// LU's jacld/jacu lower/upper blocks — the Fortran writes them out by
-// hand in each of those six routines.
+// conserved component cv (1 = u, 2 = v, 3 = w). The two matrices drive
+// BT's block-tridiagonal assembly (x_solve/y_solve/z_solve), where the
+// Fortran writes them out by hand in each routine. LU's jacld/jacu
+// blocks are written out in closed form (internal/lu/blocks.go); there
+// this function is only the oracle the tests hold them to.
 //
 // uvec holds the five conserved variables at the point; rhoI, qs and sq
 // are the precomputed 1/rho, q/rho and dynamic-pressure-like 0.5*|m|^2 /

@@ -118,7 +118,7 @@ func (f *Field) buildBodies() {
 				}
 				// xi-direction fourth-order dissipation for this plane.
 				for j := 1; j < n-1; j++ {
-					f.dissipU(c, f.UAt(0, 0, j, k), 5)
+					Dissip(f.Rhs, f.U, n, c.Dssp, f.UAt(0, 0, j, k), 5)
 				}
 			}
 		}
@@ -163,7 +163,7 @@ func (f *Field) buildBodies() {
 					}
 				}
 				for i := 1; i < n-1; i++ {
-					f.dissipU(c, f.UAt(0, i, 0, k), 5*n)
+					Dissip(f.Rhs, f.U, n, c.Dssp, f.UAt(0, i, 0, k), 5*n)
 				}
 			}
 		}
@@ -218,7 +218,7 @@ func (f *Field) buildBodies() {
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
 			for j := it.Lo; j < it.Hi; j++ {
 				for i := 1; i < n-1; i++ {
-					f.dissipU(c, f.UAt(0, i, j, 0), 5*n*n)
+					Dissip(f.Rhs, f.U, n, c.Dssp, f.UAt(0, i, j, 0), 5*n*n)
 				}
 			}
 		}
@@ -258,16 +258,16 @@ func (f *Field) buildBodies() {
 	}
 }
 
-// dissipU subtracts the boundary-adjusted fourth-difference dissipation
-// of u from rhs along one grid line: cell l of the line has its
-// 5-vector at flat offset base+l*stride in both U and Rhs (the m-fastest
-// layout makes every direction affine in l). Callers already run inside
-// a parallel region.
-func (f *Field) dissipU(c *Consts, base, stride int) {
-	n := f.N
-	dssp := c.Dssp
-	u := func(l int) *[5]float64 { return grid.Vec5(f.U, base+l*stride) }
-	r := func(l int) *[5]float64 { return grid.Vec5(f.Rhs, base+l*stride) }
+// Dissip subtracts the boundary-adjusted fourth-difference dissipation
+// of w from out along one grid line of n points: point l of the line
+// has its 5-vector at flat offset base+l*stride in both (the m-fastest
+// layout makes every direction affine in l). It is the dissipation of
+// compute_rhs (out = Rhs, w = U) and of LU's rhs and erhs, whose
+// expressions are the same. Callers already run inside a parallel
+// region.
+func Dissip(out, w []float64, n int, dssp float64, base, stride int) {
+	u := func(l int) *[5]float64 { return grid.Vec5(w, base+l*stride) }
+	r := func(l int) *[5]float64 { return grid.Vec5(out, base+l*stride) }
 	r1, r2 := r(1), r(2)
 	u1, u2, u3, u4 := u(1), u(2), u(3), u(4)
 	for m := 0; m < 5; m++ {

@@ -1,8 +1,11 @@
 package sp
 
-import "npbgo/internal/team"
+import (
+	"npbgo/internal/grid"
+	"npbgo/internal/team"
+)
 
-// Bands of the pentadiagonal coefficient arrays: band 0 couples cell
+// Bands of the pentadiagonal coefficient rows: band 0 couples cell
 // i-2, band 1 cell i-1, band 2 is the diagonal, bands 3 and 4 couple
 // cells i+1 and i+2 (the Fortran lhs(1..5,i)).
 
@@ -36,136 +39,179 @@ func (b *Benchmark) fillEigenRows(ls *lineScratch, l, soff int, p *dirParams, ve
 // length n, given the already-filled cv/rho rows and the line's sound
 // speeds at speed[sbase+l*sstride].
 func (b *Benchmark) buildLHS(ls *lineScratch, n int, p *dirParams, speed []float64, sbase, sstride int) {
+	lhs, lhsp, lhsm := ls.lhs[:n], ls.lhsp[:n], ls.lhsm[:n]
+	cv, rho := ls.cv[:n], ls.rho[:n]
+
 	// Identity boundary rows for all three factors (lhsinit).
 	for _, i := range [2]int{0, n - 1} {
-		for bd := 0; bd < 5; bd++ {
-			*band(ls.lhs, bd, i) = 0
-			*band(ls.lhsp, bd, i) = 0
-			*band(ls.lhsm, bd, i) = 0
-		}
-		*band(ls.lhs, 2, i) = 1
-		*band(ls.lhsp, 2, i) = 1
-		*band(ls.lhsm, 2, i) = 1
+		lhs[i] = [5]float64{2: 1}
+		lhsp[i] = [5]float64{2: 1}
+		lhsm[i] = [5]float64{2: 1}
 	}
 
+	// Rows are written element by element: a composite literal is built
+	// in a stack temporary with 8-byte stores and copied out with 16-byte
+	// loads, which the core cannot forward from those stores.
 	for i := 1; i < n-1; i++ {
-		*band(ls.lhs, 0, i) = 0
-		*band(ls.lhs, 1, i) = -p.dtt2*ls.cv[i-1] - p.dtt1*ls.rho[i-1]
-		*band(ls.lhs, 2, i) = 1.0 + p.c2dtt1*ls.rho[i]
-		*band(ls.lhs, 3, i) = p.dtt2*ls.cv[i+1] - p.dtt1*ls.rho[i+1]
-		*band(ls.lhs, 4, i) = 0
+		r := &lhs[i]
+		r[0] = 0
+		r[1] = -p.dtt2*cv[i-1] - p.dtt1*rho[i-1]
+		r[2] = 1.0 + p.c2dtt1*rho[i]
+		r[3] = p.dtt2*cv[i+1] - p.dtt1*rho[i+1]
+		r[4] = 0
 	}
 
 	// Fourth-order dissipation contributions.
-	i := 1
-	*band(ls.lhs, 2, i) += b.comz5
-	*band(ls.lhs, 3, i) -= b.comz4
-	*band(ls.lhs, 4, i) += b.comz1
-	*band(ls.lhs, 1, i+1) -= b.comz4
-	*band(ls.lhs, 2, i+1) += b.comz6
-	*band(ls.lhs, 3, i+1) -= b.comz4
-	*band(ls.lhs, 4, i+1) += b.comz1
-	for i = 3; i <= n-4; i++ {
-		*band(ls.lhs, 0, i) += b.comz1
-		*band(ls.lhs, 1, i) -= b.comz4
-		*band(ls.lhs, 2, i) += b.comz6
-		*band(ls.lhs, 3, i) -= b.comz4
-		*band(ls.lhs, 4, i) += b.comz1
+	r := &lhs[1]
+	r[2] += b.comz5
+	r[3] -= b.comz4
+	r[4] += b.comz1
+	r = &lhs[2]
+	r[1] -= b.comz4
+	r[2] += b.comz6
+	r[3] -= b.comz4
+	r[4] += b.comz1
+	for i := 3; i <= n-4; i++ {
+		r := &lhs[i]
+		r[0] += b.comz1
+		r[1] -= b.comz4
+		r[2] += b.comz6
+		r[3] -= b.comz4
+		r[4] += b.comz1
 	}
-	i = n - 3
-	*band(ls.lhs, 0, i) += b.comz1
-	*band(ls.lhs, 1, i) -= b.comz4
-	*band(ls.lhs, 2, i) += b.comz6
-	*band(ls.lhs, 3, i) -= b.comz4
-	*band(ls.lhs, 0, i+1) += b.comz1
-	*band(ls.lhs, 1, i+1) -= b.comz4
-	*band(ls.lhs, 2, i+1) += b.comz5
+	r = &lhs[n-3]
+	r[0] += b.comz1
+	r[1] -= b.comz4
+	r[2] += b.comz6
+	r[3] -= b.comz4
+	r = &lhs[n-2]
+	r[0] += b.comz1
+	r[1] -= b.comz4
+	r[2] += b.comz5
 
 	// Acoustic factors u+c and u-c.
-	for i = 1; i < n-1; i++ {
-		*band(ls.lhsp, 0, i) = *band(ls.lhs, 0, i)
-		*band(ls.lhsp, 1, i) = *band(ls.lhs, 1, i) - p.dtt2*speed[sbase+(i-1)*sstride]
-		*band(ls.lhsp, 2, i) = *band(ls.lhs, 2, i)
-		*band(ls.lhsp, 3, i) = *band(ls.lhs, 3, i) + p.dtt2*speed[sbase+(i+1)*sstride]
-		*band(ls.lhsp, 4, i) = *band(ls.lhs, 4, i)
-		*band(ls.lhsm, 0, i) = *band(ls.lhs, 0, i)
-		*band(ls.lhsm, 1, i) = *band(ls.lhs, 1, i) + p.dtt2*speed[sbase+(i-1)*sstride]
-		*band(ls.lhsm, 2, i) = *band(ls.lhs, 2, i)
-		*band(ls.lhsm, 3, i) = *band(ls.lhs, 3, i) - p.dtt2*speed[sbase+(i+1)*sstride]
-		*band(ls.lhsm, 4, i) = *band(ls.lhs, 4, i)
+	for i := 1; i < n-1; i++ {
+		u, up, um := &lhs[i], &lhsp[i], &lhsm[i]
+		cm := p.dtt2 * speed[sbase+(i-1)*sstride]
+		cp := p.dtt2 * speed[sbase+(i+1)*sstride]
+		up[0], up[1], up[2], up[3], up[4] = u[0], u[1]-cm, u[2], u[3]+cp, u[4]
+		um[0], um[1], um[2], um[3], um[4] = u[0], u[1]+cm, u[2], u[3]-cp, u[4]
 	}
 }
 
-// solveFactor runs the scalar pentadiagonal Thomas algorithm on one
-// factor's bands, transforming in place the components comps of the
-// rhs 5-vectors at rhs[base+l*stride:].
-func solveFactor(bands []float64, n int, comps []int, rhs []float64, base, stride int) {
-	for i := 0; i <= n-3; i++ {
-		i1, i2 := i+1, i+2
-		fac1 := 1.0 / *band(bands, 2, i)
-		*band(bands, 3, i) *= fac1
-		*band(bands, 4, i) *= fac1
-		ri := rhs[base+i*stride:]
-		for _, m := range comps {
-			ri[m] *= fac1
-		}
-		r1 := rhs[base+i1*stride:]
-		b1 := *band(bands, 1, i1)
-		*band(bands, 2, i1) -= b1 * *band(bands, 3, i)
-		*band(bands, 3, i1) -= b1 * *band(bands, 4, i)
-		for _, m := range comps {
-			r1[m] -= b1 * ri[m]
-		}
-		r2 := rhs[base+i2*stride:]
-		b0 := *band(bands, 0, i2)
-		*band(bands, 1, i2) -= b0 * *band(bands, 3, i)
-		*band(bands, 2, i2) -= b0 * *band(bands, 4, i)
-		for _, m := range comps {
-			r2[m] -= b0 * ri[m]
-		}
+// solveLine runs the scalar pentadiagonal Thomas algorithm of all three
+// factors of one line together: the convective factor (lhs) on rhs
+// components 0-2 and the acoustic factors (lhsp, lhsm) on components 3
+// and 4 of the line's 5-vectors at rhs[base+l*stride:]. The factors
+// share no data, so stepping them a row at a time lets their three
+// division chains overlap, while each keeps the operation order it has
+// when solved alone. Row l of each factor holds the bands of cell l.
+func solveLine(lhs, lhsp, lhsm [][5]float64, rhs []float64, base, stride int) {
+	n := len(lhs)
+	lhsp, lhsm = lhsp[:n], lhsm[:n]
+
+	// Forward elimination; r0, r1, r2 are rows i, i+1, i+2 of the rhs.
+	r0, r1 := grid.Vec5(rhs, base), grid.Vec5(rhs, base+stride)
+	for i := 0; i+2 < n; i++ {
+		r2 := grid.Vec5(rhs, base+(i+2)*stride)
+		u0, u1, u2 := &lhs[i], &lhs[i+1], &lhs[i+2]
+		p0, p1, p2 := &lhsp[i], &lhsp[i+1], &lhsp[i+2]
+		m0, m1, m2 := &lhsm[i], &lhsm[i+1], &lhsm[i+2]
+
+		fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
+		u0[3] *= fu
+		u0[4] *= fu
+		p0[3] *= fp
+		p0[4] *= fp
+		m0[3] *= fm
+		m0[4] *= fm
+		r0[0] *= fu
+		r0[1] *= fu
+		r0[2] *= fu
+		r0[3] *= fp
+		r0[4] *= fm
+
+		bu, bp, bm := u1[1], p1[1], m1[1]
+		u1[2] -= bu * u0[3]
+		u1[3] -= bu * u0[4]
+		p1[2] -= bp * p0[3]
+		p1[3] -= bp * p0[4]
+		m1[2] -= bm * m0[3]
+		m1[3] -= bm * m0[4]
+		r1[0] -= bu * r0[0]
+		r1[1] -= bu * r0[1]
+		r1[2] -= bu * r0[2]
+		r1[3] -= bp * r0[3]
+		r1[4] -= bm * r0[4]
+
+		bu, bp, bm = u2[0], p2[0], m2[0]
+		u2[1] -= bu * u0[3]
+		u2[2] -= bu * u0[4]
+		p2[1] -= bp * p0[3]
+		p2[2] -= bp * p0[4]
+		m2[1] -= bm * m0[3]
+		m2[2] -= bm * m0[4]
+		r2[0] -= bu * r0[0]
+		r2[1] -= bu * r0[1]
+		r2[2] -= bu * r0[2]
+		r2[3] -= bp * r0[3]
+		r2[4] -= bm * r0[4]
+
+		r0, r1 = r1, r2
 	}
-	// The last two rows.
-	i := n - 2
-	i1 := n - 1
-	fac1 := 1.0 / *band(bands, 2, i)
-	*band(bands, 3, i) *= fac1
-	*band(bands, 4, i) *= fac1
-	ri := rhs[base+i*stride:]
-	for _, m := range comps {
-		ri[m] *= fac1
-	}
-	r1 := rhs[base+i1*stride:]
-	b1 := *band(bands, 1, i1)
-	*band(bands, 2, i1) -= b1 * *band(bands, 3, i)
-	*band(bands, 3, i1) -= b1 * *band(bands, 4, i)
-	for _, m := range comps {
-		r1[m] -= b1 * ri[m]
-	}
-	fac2 := 1.0 / *band(bands, 2, i1)
-	for _, m := range comps {
-		r1[m] *= fac2
-	}
-	// Back substitution.
-	ri = rhs[base+(n-2)*stride:]
-	r1 = rhs[base+(n-1)*stride:]
-	for _, m := range comps {
-		ri[m] -= *band(bands, 3, n-2) * r1[m]
-	}
+
+	// The last two rows: r0 is row n-2, r1 row n-1.
+	u0, u1 := &lhs[n-2], &lhs[n-1]
+	p0, p1 := &lhsp[n-2], &lhsp[n-1]
+	m0, m1 := &lhsm[n-2], &lhsm[n-1]
+	fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
+	u0[3] *= fu
+	u0[4] *= fu
+	p0[3] *= fp
+	p0[4] *= fp
+	m0[3] *= fm
+	m0[4] *= fm
+	r0[0] *= fu
+	r0[1] *= fu
+	r0[2] *= fu
+	r0[3] *= fp
+	r0[4] *= fm
+	bu, bp, bm := u1[1], p1[1], m1[1]
+	u1[2] -= bu * u0[3]
+	u1[3] -= bu * u0[4]
+	p1[2] -= bp * p0[3]
+	p1[3] -= bp * p0[4]
+	m1[2] -= bm * m0[3]
+	m1[3] -= bm * m0[4]
+	r1[0] -= bu * r0[0]
+	r1[1] -= bu * r0[1]
+	r1[2] -= bu * r0[2]
+	r1[3] -= bp * r0[3]
+	r1[4] -= bm * r0[4]
+	fu, fp, fm = 1.0/u1[2], 1.0/p1[2], 1.0/m1[2]
+	r1[0] *= fu
+	r1[1] *= fu
+	r1[2] *= fu
+	r1[3] *= fp
+	r1[4] *= fm
+
+	// Back substitution; r0, r1 are rows i+1, i+2.
+	r0[0] -= u0[3] * r1[0]
+	r0[1] -= u0[3] * r1[1]
+	r0[2] -= u0[3] * r1[2]
+	r0[3] -= p0[3] * r1[3]
+	r0[4] -= m0[3] * r1[4]
 	for i := n - 3; i >= 0; i-- {
-		r := rhs[base+i*stride:]
-		rp1 := rhs[base+(i+1)*stride:]
-		rp2 := rhs[base+(i+2)*stride:]
-		for _, m := range comps {
-			r[m] -= *band(bands, 3, i)*rp1[m] + *band(bands, 4, i)*rp2[m]
-		}
+		r := grid.Vec5(rhs, base+i*stride)
+		u, p, m := &lhs[i], &lhsp[i], &lhsm[i]
+		r[0] -= u[3]*r0[0] + u[4]*r1[0]
+		r[1] -= u[3]*r0[1] + u[4]*r1[1]
+		r[2] -= u[3]*r0[2] + u[4]*r1[2]
+		r[3] -= p[3]*r0[3] + p[4]*r1[3]
+		r[4] -= m[3]*r0[4] + m[4]*r1[4]
+		r0, r1 = r, r0
 	}
 }
-
-var (
-	compsU = []int{0, 1, 2}
-	compsP = []int{3}
-	compsM = []int{4}
-)
 
 // solveDirectionLine factorizes and solves one grid line: convective
 // factor on components 1-3, acoustic factors on components 4 and 5.
@@ -175,9 +221,7 @@ var (
 func (b *Benchmark) solveDirectionLine(ls *lineScratch, n int, p *dirParams,
 	speed []float64, sbase, sstride int, rhs []float64, rbase, rstride int) {
 	b.buildLHS(ls, n, p, speed, sbase, sstride)
-	solveFactor(ls.lhs, n, compsU, rhs, rbase, rstride)
-	solveFactor(ls.lhsp, n, compsP, rhs, rbase, rstride)
-	solveFactor(ls.lhsm, n, compsM, rhs, rbase, rstride)
+	solveLine(ls.lhs, ls.lhsp, ls.lhsm, rhs, rbase, rstride)
 }
 
 // buildBodies constructs every parallel-region body once. Each is a

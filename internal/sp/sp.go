@@ -73,25 +73,22 @@ type Benchmark struct {
 }
 
 // lineScratch is the per-worker storage for one pentadiagonal line
-// solve: the three five-band coefficient sets plus the eigenvalue rows.
+// solve: the three factors' band rows (row i holds the five bands of
+// cell i, the Fortran lhs(1..5,i)) plus the eigenvalue rows.
 type lineScratch struct {
-	lhs, lhsp, lhsm []float64 // 5 bands x line length
+	lhs, lhsp, lhsm [][5]float64 // one row per cell of the line
 	cv, rho         []float64
 }
 
 func newLineScratch(n int) *lineScratch {
 	return &lineScratch{
-		lhs:  make([]float64, 5*n),
-		lhsp: make([]float64, 5*n),
-		lhsm: make([]float64, 5*n),
+		lhs:  make([][5]float64, n),
+		lhsp: make([][5]float64, n),
+		lhsm: make([][5]float64, n),
 		cv:   make([]float64, n),
 		rho:  make([]float64, n),
 	}
 }
-
-// band returns a pointer into the packed band array: coefficient band
-// (0..4) of cell i.
-func band(a []float64, b, i int) *float64 { return &a[b+5*i] }
 
 // New configures SP for the given class and thread count. With
 // env.Timers set, the factorization phases are profiled.

@@ -55,6 +55,132 @@ func TestSolveFactorAgainstDenseSolve(t *testing.T) {
 	}
 }
 
+// band returns a pointer into a packed band array: coefficient band
+// (0..4) of cell i. Only the oracle below uses the packed layout.
+func band(a []float64, b, i int) *float64 { return &a[b+5*i] }
+
+// solveFactor is the one-factor-at-a-time Thomas solve solveLine
+// replaced, kept as its oracle: the scalar pentadiagonal Thomas
+// algorithm on one factor's packed bands, transforming in place the
+// components comps of the rhs 5-vectors at rhs[base+l*stride:].
+func solveFactor(bands []float64, n int, comps []int, rhs []float64, base, stride int) {
+	for i := 0; i <= n-3; i++ {
+		i1, i2 := i+1, i+2
+		fac1 := 1.0 / *band(bands, 2, i)
+		*band(bands, 3, i) *= fac1
+		*band(bands, 4, i) *= fac1
+		ri := rhs[base+i*stride:]
+		for _, m := range comps {
+			ri[m] *= fac1
+		}
+		r1 := rhs[base+i1*stride:]
+		b1 := *band(bands, 1, i1)
+		*band(bands, 2, i1) -= b1 * *band(bands, 3, i)
+		*band(bands, 3, i1) -= b1 * *band(bands, 4, i)
+		for _, m := range comps {
+			r1[m] -= b1 * ri[m]
+		}
+		r2 := rhs[base+i2*stride:]
+		b0 := *band(bands, 0, i2)
+		*band(bands, 1, i2) -= b0 * *band(bands, 3, i)
+		*band(bands, 2, i2) -= b0 * *band(bands, 4, i)
+		for _, m := range comps {
+			r2[m] -= b0 * ri[m]
+		}
+	}
+	// The last two rows.
+	i := n - 2
+	i1 := n - 1
+	fac1 := 1.0 / *band(bands, 2, i)
+	*band(bands, 3, i) *= fac1
+	*band(bands, 4, i) *= fac1
+	ri := rhs[base+i*stride:]
+	for _, m := range comps {
+		ri[m] *= fac1
+	}
+	r1 := rhs[base+i1*stride:]
+	b1 := *band(bands, 1, i1)
+	*band(bands, 2, i1) -= b1 * *band(bands, 3, i)
+	*band(bands, 3, i1) -= b1 * *band(bands, 4, i)
+	for _, m := range comps {
+		r1[m] -= b1 * ri[m]
+	}
+	fac2 := 1.0 / *band(bands, 2, i1)
+	for _, m := range comps {
+		r1[m] *= fac2
+	}
+	// Back substitution.
+	ri = rhs[base+(n-2)*stride:]
+	r1 = rhs[base+(n-1)*stride:]
+	for _, m := range comps {
+		ri[m] -= *band(bands, 3, n-2) * r1[m]
+	}
+	for i := n - 3; i >= 0; i-- {
+		r := rhs[base+i*stride:]
+		rp1 := rhs[base+(i+1)*stride:]
+		rp2 := rhs[base+(i+2)*stride:]
+		for _, m := range comps {
+			r[m] -= *band(bands, 3, i)*rp1[m] + *band(bands, 4, i)*rp2[m]
+		}
+	}
+}
+
+// TestSolveLineMatchesFactorOracle holds solveLine to three solveFactor
+// calls (convective factor on components 0-2, acoustic factors on 3 and
+// 4) on diagonally dominant random bands, for line lengths from the
+// shortest the elimination allows to class W's, and for the rhs strides
+// of the three sweep directions. Every rhs element — those between the
+// line's 5-vectors included — and every band must agree bit for bit.
+func TestSolveLineMatchesFactorOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{5, 6, 12, 36} {
+		for _, stride := range []int{5, 5 * n, 5 * n * n} {
+			const base = 5
+			var flat [3][]float64
+			var rows [3][][5]float64
+			for f := range flat {
+				flat[f] = make([]float64, 5*n)
+				rows[f] = make([][5]float64, n)
+				for i := 0; i < n; i++ {
+					for bd := 0; bd < 5; bd++ {
+						v := rng.Float64() - 0.5
+						if bd == 2 {
+							v += 2.5
+						}
+						*band(flat[f], bd, i) = v
+						rows[f][i][bd] = v
+					}
+				}
+			}
+			want := make([]float64, base+(n-1)*stride+5)
+			for e := range want {
+				want[e] = rng.Float64() - 0.5
+			}
+			got := append([]float64(nil), want...)
+
+			solveFactor(flat[0], n, []int{0, 1, 2}, want, base, stride)
+			solveFactor(flat[1], n, []int{3}, want, base, stride)
+			solveFactor(flat[2], n, []int{4}, want, base, stride)
+			solveLine(rows[0], rows[1], rows[2], got, base, stride)
+
+			for e := range want {
+				if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+					t.Fatalf("n=%d stride=%d: rhs[%d] = %v, oracle %v", n, stride, e, got[e], want[e])
+				}
+			}
+			for f := range flat {
+				for i := 0; i < n; i++ {
+					for bd := 0; bd < 5; bd++ {
+						if g, w := rows[f][i][bd], *band(flat[f], bd, i); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("n=%d stride=%d: factor %d band %d of row %d = %v, oracle %v", n, stride, f, bd, i, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func denseSolve(a []float64, b []float64, n int) []float64 {
 	x := append([]float64(nil), b...)
 	for col := 0; col < n; col++ {
