@@ -1,31 +1,22 @@
 # Convenience targets; everything is plain `go` underneath.
 
 GO ?= go
-NPBLINT := bin/npblint
 
-.PHONY: build test test-race race vet lint allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
+.PHONY: build test test-race race vet allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
 
-# Tier-1 path: vet + npblint + full test suite.
-test: vet lint
+# Tier-1 path: vet (with the gofmt check) + full test suite.
+test: vet
 	$(GO) test ./...
 
+# go vet, then gofmt over every tracked .go file: any file it lists
+# fails the target.
 vet:
 	$(GO) vet ./...
-
-# npblint: the project's own go/analysis suite (cmd/npblint), run
-# through `go vet -vettool` so test files are covered too. Suppress a
-# finding with `//npblint:ignore <analyzer> <reason>`.
-lint: $(NPBLINT)
-	$(GO) vet -vettool=$(abspath $(NPBLINT)) ./...
-
-$(NPBLINT): FORCE
-	$(GO) build -o $(NPBLINT) ./cmd/npblint
-
-.PHONY: FORCE
-FORCE:
+	@files=$$(git ls-files '*.go') && unformatted=$$(gofmt -l $$files) && \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # Dynamic allocation gate: steady-state allocations per benchmark
 # iteration of every internal/suite row, measured with
@@ -154,6 +145,5 @@ tables:
 
 clean:
 	$(GO) clean ./...
-	rm -rf bin
 	rm -rf $(INSTDIR)
 	rm -f sched-static.json

@@ -1,10 +1,12 @@
 package npbgo_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"npbgo"
 	"npbgo/internal/ep"
@@ -91,6 +93,12 @@ func TestInstrumentsDoNotChangeABit(t *testing.T) {
 	}
 }
 
+// cellDeadline bounds each non-EP cell of printout. The slowest cell,
+// BT.W at two threads, takes seconds; a team that deadlocks, such as a
+// worker skipping a barrier the others wait at, fails as its named cell
+// instead of hanging the binary until go test's ten-minute timeout.
+const cellDeadline = 60 * time.Second
+
 // printout runs one cell, with every instrument on when instrumented,
 // and returns its verification printout. EP goes through internal/ep
 // because the annulus counts are not part of the root Result.
@@ -124,7 +132,9 @@ func printout(t *testing.T, b npbgo.Benchmark, class byte, threads int, sched st
 		}
 		return out
 	}
-	res, err := npbgo.Run(npbgo.Config{Benchmark: b, Class: class, Threads: threads, Schedule: sched,
+	ctx, cancel := context.WithTimeout(context.Background(), cellDeadline)
+	defer cancel()
+	res, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: class, Threads: threads, Schedule: sched,
 		Obs: instrumented, Trace: instrumented, Counters: instrumented, Profile: instrumented})
 	if err != nil {
 		t.Fatalf("%s.%c threads=%d %s: %v", b, class, threads, sched, err)

@@ -17,8 +17,8 @@
 // any numerical result; the chosen name is stamped into each cell's
 // bench-record line so sweeps stay comparable.
 //
-// -list-faults prints the registered fault injection site keys (the
-// same registry the npblint faultsite analyzer checks) and exits.
+// -list-faults prints the registered fault injection site keys and
+// exits.
 //
 // -instrument turns instruments on for every cell, as a comma-separated
 // list, and -instrument-dir (default instruments/) is where they write.

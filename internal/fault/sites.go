@@ -3,13 +3,12 @@ package fault
 import "sort"
 
 // knownSites is the registry of every injection site compiled into the
-// suite. It is the single source of truth shared by the npblint
-// faultsite analyzer (which rejects site-key literals not listed
-// here), `npbsuite -list-faults`, and the robustness docs.
+// suite, shared by `npbsuite -list-faults` and the robustness docs.
 //
 // Adding a hook: call fault.Maybe/Corrupted/CorruptFloat with a new
-// "<package>.<event>" literal AND list it here — `make lint` fails
-// until both sides agree.
+// "<package>.<event>" literal, list it here, and add a test that injects
+// at it. A key that names no site never fires, so that test is what
+// catches a typo on either side.
 var knownSites = [...]string{
 	"cg.iter",      // cg: top of each timed outer iteration
 	"cg.verify",    // cg: zeta verification value

@@ -106,7 +106,7 @@ func TestResidZeroFieldGivesRHS(t *testing.T) {
 		v[i] = float64(i%7) * 0.25
 	}
 	a := [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
-	resid(r, u, v, l, &a, tm)
+	newCycle(1, l.n1, a, [4]float64{}).resid(tm, r, u, v, l)
 	for i3 := 1; i3 < 5; i3++ {
 		for i2 := 1; i2 < 5; i2++ {
 			for i1 := 1; i1 < 5; i1++ {
@@ -133,7 +133,7 @@ func TestResidConstantFieldAnnihilated(t *testing.T) {
 		u[i] = 4.2
 	}
 	a := [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
-	resid(r, u, v, l, &a, tm)
+	newCycle(1, l.n1, a, [4]float64{}).resid(tm, r, u, v, l)
 	for i3 := 1; i3 < 7; i3++ {
 		for i2 := 1; i2 < 7; i2++ {
 			for i1 := 1; i1 < 7; i1++ {
@@ -157,7 +157,7 @@ func TestRprj3ConstantField(t *testing.T) {
 	for i := range r {
 		r[i] = 1.5
 	}
-	rprj3(r, fine, s, coarse, tm)
+	newCycle(1, fine.n1, [4]float64{}, [4]float64{}).rprj3(tm, r, fine, s, coarse)
 	for i3 := 1; i3 < 5; i3++ {
 		for i2 := 1; i2 < 5; i2++ {
 			for i1 := 1; i1 < 5; i1++ {
@@ -184,12 +184,12 @@ func TestVCyclesReduceResidual(t *testing.T) {
 	zero3(b.u[lt])
 	rhs := b.cy.findCharges(tm, fin)
 	rhs.plant(b.v, fin)
-	resid(b.r[lt], b.u[lt], b.v, fin, &b.a, tm)
-	prev, _ := norm2u3(b.r[lt], fin, nxyz, tm)
+	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+	prev, _ := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
 	for it := 0; it < 4; it++ {
 		b.mg3P(tm)
-		resid(b.r[lt], b.u[lt], b.v, fin, &b.a, tm)
-		cur, _ := norm2u3(b.r[lt], fin, nxyz, tm)
+		b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+		cur, _ := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
 		if cur > prev*0.5 {
 			t.Fatalf("cycle %d: residual %v did not drop enough from %v", it, cur, prev)
 		}
@@ -219,7 +219,7 @@ func TestInterpConstantCoarseField(t *testing.T) {
 		z[i] = 2.5
 	}
 	u := make([]float64, fine.len())
-	interp(z, coarse, u, fine, tm)
+	newCycle(1, fine.n1, [4]float64{}, [4]float64{}).interp(tm, z, coarse, u, fine)
 	// Interior fine points that interp writes (indices below 2*(mm-1))
 	// must all have received exactly 2.5.
 	for k := 0; k < 8; k++ {

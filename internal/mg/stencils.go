@@ -1,11 +1,6 @@
 package mg
 
-import (
-	"math"
-
-	"npbgo/internal/grid"
-	"npbgo/internal/team"
-)
+import "npbgo/internal/grid"
 
 // level describes one grid of the multigrid hierarchy: an (n+2)^3 box
 // (n interior points per side plus periodic ghost shells).
@@ -83,17 +78,6 @@ func residRange(r, u, v []float64, l level, a *[4]float64, k0, k1 int) {
 			}
 		}
 	}
-}
-
-// resid computes r = v - A u on the interior and refreshes r's ghost
-// shells — the convenience form the library tests use. The Benchmark's
-// timed loop goes through the cycle engine's prebuilt bodies instead.
-func resid(r, u, v []float64, l level, a *[4]float64, tm *team.Team) {
-	tm.Run(func(id int) {
-		k0, k1 := team.Block(1, l.n3-1, tm.Size(), id)
-		residRange(r, u, v, l, a, k0, k1)
-	})
-	comm3(r, l)
 }
 
 // psinvRange applies the smoother u += C r on the interior planes
@@ -177,15 +161,6 @@ func rprj3Range(r []float64, lk level, s []float64, lj level, j3lo, j3hi int) {
 	}
 }
 
-// rprj3 restricts on the team (convenience form; see resid).
-func rprj3(r []float64, lk level, s []float64, lj level, tm *team.Team) {
-	tm.Run(func(id int) {
-		j3lo, j3hi := team.Block(1, lj.n3-1, tm.Size(), id)
-		rprj3Range(r, lk, s, lj, j3lo, j3hi)
-	})
-	comm3(s, lj)
-}
-
 // interpRange adds the trilinear prolongation of the coarse planes
 // [i3lo, i3hi) of z (level lj) into the fine grid u (level lk). NPB
 // grids always have at least 2 interior points per side at the coarsest
@@ -223,48 +198,6 @@ func interpRange(z []float64, lj level, u []float64, lk level, i3lo, i3hi int) {
 			}
 		}
 	}
-}
-
-// interp adds the trilinear prolongation on the team (convenience form;
-// see resid).
-func interp(z []float64, lj level, u []float64, lk level, tm *team.Team) {
-	tm.Run(func(id int) {
-		i3lo, i3hi := team.Block(0, lj.n3-1, tm.Size(), id)
-		interpRange(z, lj, u, lk, i3lo, i3hi)
-	})
-}
-
-// norm2u3 returns the discrete L2 norm (scaled by the interior point
-// count nxyz) and the max norm of r's interior.
-func norm2u3(r []float64, l level, nxyz float64, tm *team.Team) (rnm2, rnmu float64) {
-	n1, n2 := l.n1, l.n2
-	maxes := make([]float64, tm.Size())
-	sum := 0.0
-	tm.Run(func(id int) {
-		k0, k1 := team.Block(1, l.n3-1, tm.Size(), id)
-		s, m := 0.0, 0.0
-		for i3 := k0; i3 < k1; i3++ {
-			for i2 := 1; i2 < n2-1; i2++ {
-				c := l.at(0, i2, i3)
-				for i1 := 1; i1 < n1-1; i1++ {
-					v := r[c+i1]
-					s += v * v
-					if a := math.Abs(v); a > m {
-						m = a
-					}
-				}
-			}
-		}
-		*tm.Partial(id) = s
-		maxes[id] = m
-	})
-	sum = tm.PartialSum()
-	for _, m := range maxes {
-		if m > rnmu {
-			rnmu = m
-		}
-	}
-	return math.Sqrt(sum / nxyz), rnmu
 }
 
 // zero3 clears u.

@@ -326,13 +326,13 @@ func TestParseRejectsCorruptStreams(t *testing.T) {
 func TestParseToleratesUnknownFields(t *testing.T) {
 	var e enc
 	e.Write(testProfile(t))
-	e.intField(7, 12)                       // drop_frames
-	e.bytesField(3, []byte{0x08, 0x01})     // mapping {id:1}
-	e.intField(99, 5)                       // far-future field
-	e.tag(98, 1)                            // fixed64 field
-	e.Write(make([]byte, 8))                //
-	e.tag(97, 5)                            // fixed32 field
-	e.Write(make([]byte, 4))                //
+	e.intField(7, 12)                   // drop_frames
+	e.bytesField(3, []byte{0x08, 0x01}) // mapping {id:1}
+	e.intField(99, 5)                   // far-future field
+	e.tag(98, 1)                        // fixed64 field
+	e.Write(make([]byte, 8))            //
+	e.tag(97, 5)                        // fixed32 field
+	e.Write(make([]byte, 4))            //
 	p, err := Parse(e.Bytes())
 	if err != nil {
 		t.Fatalf("Parse with unknown fields: %v", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -262,4 +263,31 @@ func TestReadBenchRecordsMidStreamCorruptionStillFatal(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("mid-stream corruption: err = %v, want a line 4 error", err)
 	}
+}
+
+// FuzzReadBenchRecords feeds the record loader arbitrary bytes. It must
+// never panic; whatever it accepts holds only BenchSchema records; and
+// bytes appended without a newline are a torn tail, so the accepted
+// input reads back the same records with them.
+func FuzzReadBenchRecords(f *testing.F) {
+	f.Add([]byte("{\"schema\":\"npbgo/bench/v2\"}\n{\"benchmark\":\"CG\"}\n"), "{\"bench") // the rest of the corpus is under testdata/fuzz
+	f.Fuzz(func(t *testing.T, data []byte, tail string) {
+		recs, err := ReadBenchRecords(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, rec := range recs {
+			if rec.Schema != BenchSchema {
+				t.Fatalf("record %d has schema %q", i, rec.Schema)
+			}
+		}
+		torn := append(bytes.Clone(data), strings.ReplaceAll(tail, "\n", "")...)
+		again, err := ReadBenchRecords(bytes.NewReader(torn))
+		if err != nil {
+			t.Fatalf("input accepted, but rejected with a torn tail %q: %v", tail, err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("torn tail %q changed the records:\n%+v\nwant\n%+v", tail, again, recs)
+		}
+	})
 }

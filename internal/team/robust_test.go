@@ -116,7 +116,7 @@ func TestRunCtxCancelUnparksWorkers(t *testing.T) {
 			if id != 0 {
 				// The master never arrives: workers 1..3 park here until
 				// the context poisons the barrier.
-				//npblint:ignore barrierbalance deliberately unbalanced to exercise barrier poisoning
+				// Deliberately unbalanced to exercise barrier poisoning.
 				tm.Barrier()
 			}
 		})
@@ -143,7 +143,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	defer cancel()
 	err := tm.RunCtx(ctx, func(id int) {
 		if id != 0 {
-			//npblint:ignore barrierbalance deliberately unbalanced to exercise the deadline path
+			// Deliberately unbalanced to exercise the deadline path.
 			tm.Barrier() // parked until the deadline fires
 		}
 	})
@@ -157,7 +157,7 @@ func TestCancelledTeamSkipsRegions(t *testing.T) {
 	defer tm.Close()
 	tm.Cancel(nil)
 	ran := false
-	tm.Run(func(id int) { ran = true }) //npblint:ignore sharedwrite every worker writes the same value
+	tm.Run(func(id int) { ran = true }) // every worker writes the same value
 	if ran {
 		t.Fatal("region ran on a cancelled team")
 	}
@@ -172,7 +172,7 @@ func TestRunCtxExpiredContextSkipsRegion(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	//npblint:ignore sharedwrite every worker writes the same value
+	// Every worker writes the same value.
 	if err := tm.RunCtx(ctx, func(int) { ran = true }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}

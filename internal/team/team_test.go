@@ -296,7 +296,7 @@ func TestSizeOneRunsInline(t *testing.T) {
 		if id != 0 {
 			t.Errorf("id = %d, want 0", id)
 		}
-		ran = true //npblint:ignore sharedwrite every worker writes the same value
+		ran = true // every worker writes the same value
 	})
 	if !ran {
 		t.Fatal("region did not run")
@@ -383,7 +383,7 @@ func TestNestedRegionPanics(t *testing.T) {
 	}()
 	tm.Run(func(id int) {
 		if id == 0 {
-			//npblint:ignore barrierbalance deliberately nested to pin the panic behaviour
+			// Deliberately nested to pin the panic behaviour.
 			tm.Run(func(int) {}) // must panic, not deadlock
 		}
 	})
