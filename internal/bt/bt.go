@@ -42,17 +42,17 @@ type Benchmark struct {
 	c       nscore.Consts
 	f       *nscore.Field
 
-	scratch []*lineScratch // per-worker line solve storage
+	groups []*group // per-worker lane scratch of the line solves
 
 	// Steady-state machinery: the solve bodies below are built once by
 	// New and reused every ADI step (a closure literal at the call site
 	// would allocate per invocation), keeping the timed loop free of
 	// heap allocation (enforced by internal/allocgate). tm stages the
-	// current step's team; the dirSpecs are precomputed from the
-	// constants.
-	tm                  *team.Team
-	dsX, dsY, dsZ       dirSpec
-	xBody, yBody, zBody func(id int)
+	// current step's team; the dirSpecs (xi, eta, zeta) are precomputed
+	// from the constants.
+	tm     *team.Team
+	dirs   [3]dirSpec
+	bodies [3]func(id int)
 }
 
 // New configures BT for the given class and thread count and allocates
@@ -70,9 +70,9 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, false)
-	b.scratch = make([]*lineScratch, threads)
-	for i := range b.scratch {
-		b.scratch[i] = newLineScratch(spec.size)
+	b.groups = make([]*group, threads)
+	for i := range b.groups {
+		b.groups[i] = newGroup(spec.size)
 	}
 	b.buildBodies()
 	return b, nil

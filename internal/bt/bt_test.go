@@ -300,57 +300,71 @@ func TestUnrolledPrimitivesBitIdenticalToLoops(t *testing.T) {
 	}
 }
 
-// TestSolveLineAgainstDenseSolve checks the block Thomas algorithm on a
-// random diagonally dominant block-tridiagonal system by comparing with
-// a dense Gaussian elimination of the assembled system.
+// TestSolveLineAgainstDenseSolve checks the block Thomas algorithm on
+// random diagonally dominant block-tridiagonal systems, a different one
+// in each lane of a group, by comparing each lane's solution with a
+// dense Gaussian elimination of its assembled system.
 func TestSolveLineAgainstDenseSolve(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const cells = 6
 		const dim = 5 * cells
-		b, _ := New('S', 1, kernel.Env{})
-		ls := newLineScratch(cells)
+		g := newGroup(cells)
 		// Random diagonally dominant blocks; first and last cells are
-		// identity rows as lhsinit would make them.
-		ls.lhsinit(cells - 1)
+		// identity rows as lhsinit makes them.
+		g.lhsinit(cells - 1)
 		for l := 1; l < cells-1; l++ {
 			for e := 0; e < 25; e++ {
-				ls.aa[l][e] = 0.2 * (rng.Float64() - 0.5)
-				ls.bb[l][e] = 0.2 * (rng.Float64() - 0.5)
-				ls.cc[l][e] = 0.2 * (rng.Float64() - 0.5)
+				for q := 0; q < 4; q++ {
+					g.aa[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+					g.bb[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+					g.cc[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+				}
 			}
 			for d := 0; d < 5; d++ {
-				ls.bb[l][d+5*d] += 3.0
+				for q := 0; q < 4; q++ {
+					g.bb[l][d+5*d][q] += 3.0
+				}
 			}
 		}
-		rhs := make([]float64, dim)
-		for i := range rhs {
-			rhs[i] = rng.Float64() - 0.5
-		}
-		rhsCopy := append([]float64(nil), rhs...)
-
-		// Assemble the dense system.
-		dense := make([]float64, dim*dim)
-		for l := 0; l < cells; l++ {
+		for l := range g.rhs {
 			for m := 0; m < 5; m++ {
-				row := (5*l + m) * dim // dense is row-major, unlike the grid arrays
-				for n := 0; n < 5; n++ {
-					if l > 0 {
-						dense[row+5*(l-1)+n] = ls.aa[l][m+5*n]
-					}
-					dense[row+5*l+n] = ls.bb[l][m+5*n]
-					if l < cells-1 {
-						dense[row+5*(l+1)+n] = ls.cc[l][m+5*n]
+				for q := 0; q < 4; q++ {
+					g.rhs[l][m][q] = rng.Float64() - 0.5
+				}
+			}
+		}
+
+		// Assemble each lane's dense system before the solve overwrites
+		// the blocks.
+		var dense, rhs [4][]float64
+		for q := 0; q < 4; q++ {
+			dense[q] = make([]float64, dim*dim)
+			rhs[q] = make([]float64, dim)
+			for l := 0; l < cells; l++ {
+				for m := 0; m < 5; m++ {
+					rhs[q][5*l+m] = g.rhs[l][m][q]
+					row := (5*l + m) * dim // dense is row-major, unlike the grid arrays
+					for n := 0; n < 5; n++ {
+						if l > 0 {
+							dense[q][row+5*(l-1)+n] = g.aa[l][m+5*n][q]
+						}
+						dense[q][row+5*l+n] = g.bb[l][m+5*n][q]
+						if l < cells-1 {
+							dense[q][row+5*(l+1)+n] = g.cc[l][m+5*n][q]
+						}
 					}
 				}
 			}
 		}
-		want := denseSolve(dense, rhsCopy, dim)
 
-		b.solveLine(ls, cells-1, rhs, 0, 5)
-		for i := 0; i < dim; i++ {
-			if math.Abs(rhs[i]-want[i]) > 1e-8 {
-				return false
+		g.solve(cells - 1)
+		for q := 0; q < 4; q++ {
+			want := denseSolve(dense[q], rhs[q], dim)
+			for i := 0; i < dim; i++ {
+				if math.Abs(g.rhs[i/5][i%5][q]-want[i]) > 1e-8 {
+					return false
+				}
 			}
 		}
 		return true
@@ -425,8 +439,10 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 
 // TestParallelMatchesSerialBitwise: every line solve writes its own
 // rhs line and the block kernels run the same operations whichever
-// worker runs them, so the field after five ADI steps must be
-// bit-identical for every team size and loop schedule.
+// worker and whichever lane of a group runs them, so the field after
+// five ADI steps must be bit-identical for every team size and loop
+// schedule. Thirteen threads is more than class S's ten interior
+// planes: some workers get no lines and must touch nothing.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	run := func(threads int, sched team.Schedule) []float64 {
 		b, _ := New('S', threads, kernel.Env{})
@@ -440,7 +456,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		return b.f.U
 	}
 	want := run(1, team.Static)
-	for _, threads := range []int{1, 2, 3, 4, 7} {
+	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := run(threads, sched)
 			for i := range want {
@@ -475,5 +491,62 @@ func TestUnknownClassRejected(t *testing.T) {
 	}
 	if _, err := New('S', 0, kernel.Env{}); err == nil {
 		t.Fatal("zero threads accepted")
+	}
+}
+
+// The line set-up the lane kernels replaced, kept as the oracle of
+// TestLineSetupMatchesOracle: nscore.FluxViscJacobians at every cell of
+// a line into blocks cleared once per direction, then assembleLHS's
+// loops over the 25 entries and the diffusion diagonal.
+
+type lineScratch struct {
+	fjac, njac [][25]float64 // n blocks each
+	aa, bb, cc [][25]float64 // n blocks each
+}
+
+func newLineScratch(n int) *lineScratch {
+	return &lineScratch{
+		fjac: make([][25]float64, n),
+		njac: make([][25]float64, n),
+		aa:   make([][25]float64, n),
+		bb:   make([][25]float64, n),
+		cc:   make([][25]float64, n),
+	}
+}
+
+func (b *Benchmark) buildJacobians(ls *lineScratch, l int, uoff, soff int, cv int) {
+	uvec := [5]float64{b.f.U[uoff], b.f.U[uoff+1], b.f.U[uoff+2], b.f.U[uoff+3], b.f.U[uoff+4]}
+	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[soff], b.f.Qs[soff], b.f.Square[soff],
+		cv, &ls.fjac[l], &ls.njac[l])
+}
+
+// oracleDir is the old dirSpec: dt*t?1, dt*t?2 and d?1..d?5 unfolded.
+type oracleDir struct {
+	tmp1, tmp2 float64
+	d          [5]float64
+}
+
+func (b *Benchmark) assembleLHS(ls *lineScratch, isize int, ds *oracleDir) {
+	for _, i := range [2]int{0, isize} {
+		ls.aa[i] = [25]float64{}
+		ls.bb[i] = [25]float64{0: 1, 6: 1, 12: 1, 18: 1, 24: 1}
+		ls.cc[i] = [25]float64{}
+	}
+	t1, t2 := ds.tmp1, ds.tmp2
+	for l := 1; l <= isize-1; l++ {
+		am, bm, cm := &ls.aa[l], &ls.bb[l], &ls.cc[l]
+		fm1, fp1 := &ls.fjac[l-1], &ls.fjac[l+1]
+		nm1, nc, np1 := &ls.njac[l-1], &ls.njac[l], &ls.njac[l+1]
+		for e := 0; e < 25; e++ {
+			am[e] = -t2*fm1[e] - t1*nm1[e]
+			bm[e] = t1 * 2.0 * nc[e]
+			cm[e] = t2*fp1[e] - t1*np1[e]
+		}
+		for m := 0; m < 5; m++ {
+			e := m + 5*m
+			am[e] -= t1 * ds.d[m]
+			bm[e] += 1.0 + t1*2.0*ds.d[m]
+			cm[e] -= t1 * ds.d[m]
+		}
 	}
 }

@@ -7,135 +7,195 @@ import (
 )
 
 // The three ADI sweeps share one implementation parameterized by
-// direction: the flux Jacobian (fjac) and viscous Jacobian (njac) have
-// the same shape in x, y and z with the convective velocity component
-// swapped, and the block-tridiagonal assembly differs only in the
-// dt*t?1 / dt*t?2 factors and the d?1..d?5 diffusion diagonals. This is
-// exactly the symmetry the Fortran x_solve/y_solve/z_solve triplicates.
+// direction: the flux and viscous Jacobians have the same shape in x, y
+// and z with the convective velocity component swapped, and the
+// block-tridiagonal assembly differs only in the dt*t?1 / dt*t?2
+// factors and the d?1..d?5 diffusion diagonals. This is exactly the
+// symmetry the Fortran x_solve/y_solve/z_solve triplicates.
+//
+// Lines are solved four at a time: each worker queues the lines of its
+// share into a group and, whenever four are queued, sets up and solves
+// all four in lane form (lanes.go), one lane kernel call per step of
+// the block Thomas algorithm. A group may span planes and chunks; the
+// last group of a worker's share may be short.
 
 // dirSpec carries the per-direction parameters of the implicit solve.
 type dirSpec struct {
-	cv         int        // 0-based velocity component: 1 (u), 2 (v), 3 (w)
-	tmp1, tmp2 float64    // dt*t1, dt*t2
-	d          [5]float64 // diffusion diagonal Dx1..Dx5 / dy / dz
+	cv int // velocity component along the line: 1 (u), 2 (v), 3 (w)
+	// Strides in the scalar grid (point i + n*j + n*n*k): along the
+	// line, between the lines of a plane, and of the index split over
+	// the team.
+	line, inner, outer int
+	jac                jacConsts
+	// assemble's folded constants: -dt*t?2, dt*t?1, dt*t?1*2.0,
+	// dt*t?2, and per diagonal entry dt*t?1*d?m and
+	// 1.0 + dt*t?1*2.0*d?m.
+	mt2, t1, t12, t2 float64
+	dm, bm           [5]float64
 }
 
-// buildJacobians fills ls.fjac/ls.njac for cell l of a line from the
-// state at flat offsets (uoff = conserved variables, soff = scalars),
-// delegating to the shared nscore Jacobian builder.
-func (b *Benchmark) buildJacobians(ls *lineScratch, l int, uoff, soff int, cv int) {
-	uvec := [5]float64{b.f.U[uoff], b.f.U[uoff+1], b.f.U[uoff+2], b.f.U[uoff+3], b.f.U[uoff+4]}
-	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[soff], b.f.Qs[soff], b.f.Square[soff],
-		cv, &ls.fjac[l], &ls.njac[l])
+// jacConsts are the constants jacobiansX/Y/Z take.
+type jacConsts struct {
+	c1, c2, c3c4, r43, c1345 float64
 }
 
-// assembleLHS builds the aa/bb/cc block diagonals for the interior cells
-// of a line of length isize+1, as the lhs section of x_solve.
-func (b *Benchmark) assembleLHS(ls *lineScratch, isize int, ds *dirSpec) {
-	ls.lhsinit(isize)
-	t1, t2 := ds.tmp1, ds.tmp2
-	for l := 1; l <= isize-1; l++ {
-		am, bm, cm := &ls.aa[l], &ls.bb[l], &ls.cc[l]
-		fm1, fp1 := &ls.fjac[l-1], &ls.fjac[l+1]
-		nm1, nc, np1 := &ls.njac[l-1], &ls.njac[l], &ls.njac[l+1]
-		for e := 0; e < 25; e++ {
-			am[e] = -t2*fm1[e] - t1*nm1[e]
-			bm[e] = t1 * 2.0 * nc[e]
-			cm[e] = t2*fp1[e] - t1*np1[e]
-		}
-		for m := 0; m < 5; m++ {
-			e := m + 5*m
-			am[e] -= t1 * ds.d[m]
-			bm[e] += 1.0 + t1*2.0*ds.d[m]
-			cm[e] -= t1 * ds.d[m]
+// newDirSpec folds one direction's constants. Each fold is the double
+// the unfolded per-element expression rounds first (assemble).
+func newDirSpec(c *nscore.Consts, cv, line, inner, outer int, t1, t2 float64, d [5]float64) dirSpec {
+	tmp1, tmp2 := c.Dt*t1, c.Dt*t2
+	ds := dirSpec{cv: cv, line: line, inner: inner, outer: outer,
+		jac: jacConsts{c1: c.C1, c2: c.C2, c3c4: c.C3c4, r43: c.Con43 * c.C3c4, c1345: c.C1345},
+		mt2: -tmp2, t1: tmp1, t12: tmp1 * 2.0, t2: tmp2}
+	for m := range d {
+		ds.dm[m] = tmp1 * d[m]
+		ds.bm[m] = 1.0 + tmp1*2.0*d[m]
+	}
+	return ds
+}
+
+// group is one worker's lane scratch: up to four queued lines and, in
+// lane form, one cell's gathered state, the Jacobians and block
+// diagonals of every cell and the right-hand side of the four lines.
+type group struct {
+	n     int    // lines queued
+	start [4]int // scalar-grid offset of each queued line's first point
+	u     vec4
+	s     pt4
+
+	fjac, njac []blk4 // one block per cell
+	aa, bb, cc []blk4
+	rhs        []vec4
+}
+
+func newGroup(cells int) *group {
+	return &group{
+		fjac: make([]blk4, cells),
+		njac: make([]blk4, cells),
+		aa:   make([]blk4, cells),
+		bb:   make([]blk4, cells),
+		cc:   make([]blk4, cells),
+		rhs:  make([]vec4, cells),
+	}
+}
+
+// lhsinit clears the first and last block rows of the lines and puts
+// identity on their main diagonals, as the Fortran lhsinit.
+func (g *group) lhsinit(isize int) {
+	for _, i := range [2]int{0, isize} {
+		g.aa[i] = blk4{}
+		g.bb[i] = blk4{}
+		g.cc[i] = blk4{}
+		for m := 0; m < 25; m += 6 {
+			g.bb[i][m] = [4]float64{1, 1, 1, 1}
 		}
 	}
 }
 
-// solveLine runs the block Thomas elimination over one line whose rhs
-// 5-vectors live at rhs[base+l*stride:]. The m-fastest layout makes
-// every sweep direction affine in l, so a base and stride replace the
-// per-line accessor closure the Fortran arrays never needed either.
-func (b *Benchmark) solveLine(ls *lineScratch, isize int, rhs []float64, base, stride int) {
-	at := func(l int) *[5]float64 { return grid.Vec5(rhs, base+l*stride) }
-	binvcrhs(&ls.bb[0], &ls.cc[0], at(0))
+// solve runs the block Thomas elimination on the group's four line
+// systems of isize+1 cells, leaving the solutions in g.rhs.
+func (g *group) solve(isize int) {
+	aa, bb, cc, r := g.aa, g.bb, g.cc, g.rhs
+	binvcrhs4(&bb[0], &cc[0], &r[0])
 	for l := 1; l <= isize-1; l++ {
-		matvecSub(&ls.aa[l], at(l-1), at(l))
-		matmulSub(&ls.aa[l], &ls.cc[l-1], &ls.bb[l])
-		binvcrhs(&ls.bb[l], &ls.cc[l], at(l))
+		matvecSub4(&aa[l], &r[l-1], &r[l])
+		matmulSub4(&aa[l], &cc[l-1], &bb[l])
+		binvcrhs4(&bb[l], &cc[l], &r[l])
 	}
-	matvecSub(&ls.aa[isize], at(isize-1), at(isize))
-	matmulSub(&ls.aa[isize], &ls.cc[isize-1], &ls.bb[isize])
-	binvrhs(&ls.bb[isize], at(isize))
+	matvecSub4(&aa[isize], &r[isize-1], &r[isize])
+	matmulSub4(&aa[isize], &cc[isize-1], &bb[isize])
+	binvrhs4(&bb[isize], &r[isize])
 	for l := isize - 1; l >= 0; l-- {
-		matvecSub(&ls.cc[l], at(l+1), at(l))
+		matvecSub4(&cc[l], &r[l+1], &r[l])
 	}
+}
+
+// setupGroup builds the block diagonals of the group's queued lines:
+// the Jacobians of every cell from the state U and the scalars
+// ComputeRHS left, then aa/bb/cc. Lanes past g.n repeat lane 0's line.
+func (b *Benchmark) setupGroup(g *group, ds *dirSpec) {
+	f := b.f
+	isize := b.n - 1
+	for q := g.n; q < 4; q++ {
+		g.start[q] = g.start[0]
+	}
+	for l := 0; l <= isize; l++ {
+		for q := 0; q < 4; q++ {
+			p := g.start[q] + l*ds.line
+			u := grid.Vec5(f.U, 5*p)
+			g.u[0][q], g.u[1][q], g.u[2][q], g.u[3][q], g.u[4][q] = u[0], u[1], u[2], u[3], u[4]
+			g.s[0][q], g.s[1][q], g.s[2][q] = f.RhoI[p], f.Qs[p], f.Square[p]
+		}
+		jacobians4(&g.fjac[l], &g.njac[l], &g.u, &g.s, ds)
+	}
+	g.lhsinit(isize)
+	for l := 1; l <= isize-1; l++ {
+		assemble4(&g.aa[l], &g.bb[l], &g.cc[l], &g.fjac[l-1], &g.fjac[l+1],
+			&g.njac[l-1], &g.njac[l], &g.njac[l+1], ds)
+	}
+}
+
+// solveGroup sets up and solves the group's queued lines and writes
+// their solutions back to Rhs. Lanes past g.n solve lane 0's system with
+// a zero right-hand side, so every value they compute stays finite, and
+// they are never written back.
+func (b *Benchmark) solveGroup(g *group, ds *dirSpec) {
+	f := b.f
+	isize := b.n - 1
+	b.setupGroup(g, ds)
+	for l := 0; l <= isize; l++ {
+		r := &g.rhs[l]
+		for q := 0; q < 4; q++ {
+			if q < g.n {
+				v := grid.Vec5(f.Rhs, 5*(g.start[q]+l*ds.line))
+				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = v[0], v[1], v[2], v[3], v[4]
+			} else {
+				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = 0, 0, 0, 0, 0
+			}
+		}
+	}
+	g.solve(isize)
+	for l := 0; l <= isize; l++ {
+		r := &g.rhs[l]
+		for q := 0; q < g.n; q++ {
+			v := grid.Vec5(f.Rhs, 5*(g.start[q]+l*ds.line))
+			v[0], v[1], v[2], v[3], v[4] = r[0][q], r[1][q], r[2][q], r[3][q], r[4][q]
+		}
+	}
+	g.n = 0
 }
 
 // buildBodies constructs the three solve-region bodies once. Each is a
 // func(id int) handed straight to Team.Run; chunk bounds come from the
 // team's loop iterator (honoring the configured schedule), per-worker
-// scratch from the pools and the team from the tm staging field, so the
-// ADI loop creates no closures.
+// scratch from the groups and the team from the tm staging field, so
+// the ADI loop creates no closures.
 func (b *Benchmark) buildBodies() {
-	n := b.n
-	b.dsX = dirSpec{cv: 1, tmp1: b.c.Dt * b.c.Tx1, tmp2: b.c.Dt * b.c.Tx2,
-		d: [5]float64{b.c.Dx1, b.c.Dx2, b.c.Dx3, b.c.Dx4, b.c.Dx5}}
-	b.dsY = dirSpec{cv: 2, tmp1: b.c.Dt * b.c.Ty1, tmp2: b.c.Dt * b.c.Ty2,
-		d: [5]float64{b.c.Dy1, b.c.Dy2, b.c.Dy3, b.c.Dy4, b.c.Dy5}}
-	b.dsZ = dirSpec{cv: 3, tmp1: b.c.Dt * b.c.Tz1, tmp2: b.c.Dt * b.c.Tz2,
-		d: [5]float64{b.c.Dz1, b.c.Dz2, b.c.Dz3, b.c.Dz4, b.c.Dz5}}
-
-	// xi-line implicit solves, k planes chunked
-	b.xBody = func(id int) {
-		isize := n - 1
-		ls := b.scratch[id]
-		ls.clearJacobians()
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 0; i <= isize; i++ {
-						b.buildJacobians(ls, i, b.f.UAt(0, i, j, k), b.f.SAt(i, j, k), b.dsX.cv)
+	n, c := b.n, &b.c
+	// xi lines along i, k planes split; eta lines along j, k planes
+	// split; zeta lines along k, j rows split.
+	b.dirs = [3]dirSpec{
+		newDirSpec(c, 1, 1, n, n*n, c.Tx1, c.Tx2, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}),
+		newDirSpec(c, 2, n, 1, n*n, c.Ty1, c.Ty2, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}),
+		newDirSpec(c, 3, n*n, 1, n, c.Tz1, c.Tz2, [5]float64{c.Dz1, c.Dz2, c.Dz3, c.Dz4, c.Dz5}),
+	}
+	for d := range b.dirs {
+		ds := &b.dirs[d]
+		b.bodies[d] = func(id int) {
+			g := b.groups[id]
+			g.n = 0
+			for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+				for o := it.Lo; o < it.Hi; o++ {
+					for a := 1; a < n-1; a++ {
+						g.start[g.n] = o*ds.outer + a*ds.inner
+						g.n++
+						if g.n == 4 {
+							b.solveGroup(g, ds)
+						}
 					}
-					b.assembleLHS(ls, isize, &b.dsX)
-					b.solveLine(ls, isize, b.f.Rhs, b.f.FAt(0, 0, j, k), 5)
 				}
 			}
-		}
-	}
-
-	// eta-line implicit solves, k planes chunked
-	b.yBody = func(id int) {
-		jsize := n - 1
-		ls := b.scratch[id]
-		ls.clearJacobians()
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for i := 1; i < n-1; i++ {
-					for j := 0; j <= jsize; j++ {
-						b.buildJacobians(ls, j, b.f.UAt(0, i, j, k), b.f.SAt(i, j, k), b.dsY.cv)
-					}
-					b.assembleLHS(ls, jsize, &b.dsY)
-					b.solveLine(ls, jsize, b.f.Rhs, b.f.FAt(0, i, 0, k), 5*n)
-				}
-			}
-		}
-	}
-
-	// zeta-line implicit solves, j rows chunked
-	b.zBody = func(id int) {
-		ksize := n - 1
-		ls := b.scratch[id]
-		ls.clearJacobians()
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for j := it.Lo; j < it.Hi; j++ {
-				for i := 1; i < n-1; i++ {
-					for k := 0; k <= ksize; k++ {
-						b.buildJacobians(ls, k, b.f.UAt(0, i, j, k), b.f.SAt(i, j, k), b.dsZ.cv)
-					}
-					b.assembleLHS(ls, ksize, &b.dsZ)
-					b.solveLine(ls, ksize, b.f.Rhs, b.f.FAt(0, i, j, 0), 5*n*n)
-				}
+			if g.n > 0 {
+				b.solveGroup(g, ds)
 			}
 		}
 	}
@@ -145,20 +205,20 @@ func (b *Benchmark) buildBodies() {
 // split over the team.
 func (b *Benchmark) xSolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.xBody)
+	tm.Run(b.bodies[0])
 }
 
 // ySolve performs the implicit solves along every eta line.
 func (b *Benchmark) ySolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.yBody)
+	tm.Run(b.bodies[1])
 }
 
 // zSolve performs the implicit solves along every zeta line, rows j
 // split over the team.
 func (b *Benchmark) zSolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.zBody)
+	tm.Run(b.bodies[2])
 }
 
 // adi advances one time step, charging each phase to the profile

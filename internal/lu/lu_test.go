@@ -503,10 +503,11 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 
 // TestParallelMatchesSerialBitwise: the pipelined sweeps visit every
 // point after the three neighbours it depends on whatever the team
 // size, and the explicit phases write disjoint planes under every
-// schedule, so the field must be bit-identical to the serial run.
+// schedule, so the field must be bit-identical to the serial run, at
+// thirteen threads too (more than class S's ten interior planes).
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	want := ssorField(t, 1, 5, team.Static)
-	for _, threads := range []int{1, 2, 3, 4, 7} {
+	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := ssorField(t, threads, 5, sched)
 			for i := range want {

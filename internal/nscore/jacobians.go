@@ -5,9 +5,10 @@ package nscore
 // point in the coordinate direction whose convective velocity is
 // conserved component cv (1 = u, 2 = v, 3 = w). The two matrices drive
 // BT's block-tridiagonal assembly (x_solve/y_solve/z_solve), where the
-// Fortran writes them out by hand in each routine. LU's jacld/jacu
-// blocks are written out in closed form (internal/lu/blocks.go); there
-// this function is only the oracle the tests hold them to.
+// Fortran writes them out by hand in each routine. No solver calls it:
+// BT's jacobiansX/Y/Z (internal/bt/setup.go) and LU's jacld/jacu blocks
+// (internal/lu/blocks.go) are written out in closed form per direction,
+// and this loop form is the oracle their tests hold them to.
 //
 // uvec holds the five conserved variables at the point; rhoI, qs and sq
 // are the precomputed 1/rho, q/rho and dynamic-pressure-like 0.5*|m|^2 /
@@ -17,8 +18,6 @@ package nscore
 // whose positions depend on cv, and 11 of njac's, whose positions do
 // not — so the caller passes blocks that are zero everywhere else:
 // fresh ones, or ones last filled for the same cv.
-//
-// Hot path: once per cell of every BT line solve.
 func FluxViscJacobians(c *Consts, uvec *[5]float64, rhoI, qs, sq float64, cv int, fjac, njac *[25]float64) {
 	uv := [4]float64{0, uvec[1], uvec[2], uvec[3]}
 	u5 := uvec[4]

@@ -272,7 +272,8 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 // rhs line, the transforms are pointwise, and ComputeRHS (shared with BT)
 // orders its loops with barriers where ownership changes, so the field
 // after five ADI steps must be bit-identical for every team size and
-// every loop schedule.
+// every loop schedule, thirteen threads (more than class S's ten
+// interior planes, so some workers get none) included.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	run := func(threads int, sched team.Schedule) []float64 {
 		b, _ := New('S', threads, kernel.Env{})
@@ -286,7 +287,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		return b.f.U
 	}
 	want := run(1, team.Static)
-	for _, threads := range []int{1, 2, 3, 4, 7} {
+	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := run(threads, sched)
 			for i := range want {
