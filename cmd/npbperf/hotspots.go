@@ -1,6 +1,6 @@
-// The profile subcommand: hotspots decodes the per-cell pprof files a
+// The profile subcommand: hotspots reads the per-cell pprof files a
 // sweep captured (npbsuite -instrument profile) into symbolized
-// flat/cumulative hot-function tables.
+// flat/cumulative hot-function tables, through `go tool pprof`.
 package main
 
 import (
@@ -14,8 +14,8 @@ import (
 	"npbgo/internal/report"
 )
 
-// cellProf is one sweep cell joined with its decoded profile table (or
-// the reason it could not be decoded).
+// cellProf is one sweep cell joined with its profile table (or the
+// reason the profile could not be read).
 type cellProf struct {
 	cell report.CellMetrics
 	path string // resolved profile path ("" when the cell has none)
@@ -51,8 +51,8 @@ func resolveProfile(recPath, profPath string) string {
 	return filepath.Join(filepath.Dir(recPath), profPath)
 }
 
-// cellProfiles decodes the chosen profile of every cell of rec. A cell
-// without a profile is skipped; a cell whose profile fails to decode
+// cellProfiles reads the chosen profile of every cell of rec. A cell
+// without a profile is skipped; a cell whose profile pprof cannot read
 // (missing file, capture cut by a hard kill) is kept with its note —
 // absence with a reason, never silently.
 func cellProfiles(recPath string, rec report.BenchRecord, heap bool) []cellProf {
@@ -66,19 +66,7 @@ func cellProfiles(recPath string, rec report.BenchRecord, heap bool) []cellProf 
 			continue
 		}
 		cp := cellProf{cell: c, path: resolveProfile(recPath, path)}
-		p, err := profile.ParseFile(cp.path)
-		if err != nil {
-			cp.note = err.Error()
-			out = append(out, cp)
-			continue
-		}
-		idx := p.DefaultIndex()
-		if heap {
-			if i := p.ValueIndex("alloc_space"); i >= 0 {
-				idx = i
-			}
-		}
-		tab, err := profile.Aggregate(p, idx)
+		tab, err := profile.Hot(cp.path, heap)
 		if err != nil {
 			cp.note = err.Error()
 			out = append(out, cp)
@@ -90,7 +78,7 @@ func cellProfiles(recPath string, rec report.BenchRecord, heap bool) []cellProf 
 	return out
 }
 
-// profileCell flattens one decoded cell into the npbgo/profile/v1 cell
+// profileCell flattens one read cell into the npbgo/profile/v1 cell
 // shape, joining the runtime diagnostics recorded next to the profile.
 func profileCell(cp cellProf, top int) report.ProfileCell {
 	pc := report.ProfileCell{
@@ -109,7 +97,6 @@ func profileCell(cp cellProf, top int) report.ProfileCell {
 		pc.Type = t.Type
 		pc.Unit = t.Unit
 		pc.Total = t.Total
-		pc.Samples = t.Samples
 		pc.AttributedPct = t.AttributedPct
 		pc.Functions = t.Top(top)
 	}
@@ -173,7 +160,7 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.ProfileCell) {
 	fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.Env.GoMaxProcs, rec.Env.NumCPU)
 	sum := report.New("Profiles per cell (Attr% = samples touching "+profile.KernelPrefix+" code)",
-		"Cell", "Type", "Total", "Samples", "Attr%", "Imbal", "IPC")
+		"Cell", "Type", "Total", "Attr%", "Imbal", "IPC")
 	for _, pc := range cells {
 		if pc.Note != "" {
 			sum.AddRow(cellName(pc), "undecodable: "+pc.Note)
@@ -188,7 +175,7 @@ func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.Pro
 			ipc = fmt.Sprintf("%.2f", pc.IPC)
 		}
 		sum.AddRow(cellName(pc), pc.Type, tab.FormatValue(pc.Total),
-			fmt.Sprintf("%d", pc.Samples), fmt.Sprintf("%.1f", pc.AttributedPct), imbal, ipc)
+			fmt.Sprintf("%.1f", pc.AttributedPct), imbal, ipc)
 	}
 	if len(cells) == 0 {
 		sum.AddRow("(record carries no profiles; run npbsuite -instrument profile)")

@@ -95,8 +95,8 @@ func TestHotspotsJSONSchema(t *testing.T) {
 		t.Fatalf("cells = %d, want 1", len(cells))
 	}
 	c := cells[0]
-	if c.Type != "cpu" || c.Unit != "nanoseconds" || c.Samples != 4 {
-		t.Fatalf("aggregated dimension wrong: %+v", c)
+	if c.Type != "cpu" || c.Unit != "nanoseconds" || c.Total != 1_170_000_000 {
+		t.Fatalf("table dimension wrong: %+v", c)
 	}
 	if len(c.Functions) != 3 {
 		t.Fatalf("-top 3 returned %d functions", len(c.Functions))

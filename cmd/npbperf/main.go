@@ -27,18 +27,18 @@
 // 1 when no cell of any record carries counters or a note — the CI
 // smoke's "never silent zeros" assertion.
 //
-// hotspots decodes the per-cell pprof profiles a sweep captured with
+// hotspots reads the per-cell pprof profiles a sweep captured with
 // npbsuite -instrument profile (paths recorded in each cell) into symbolized
-// flat/cumulative hot-function tables — the decoder is this repo's own
-// stdlib-only pprof reader, no google/pprof needed. Each cell's table
+// flat/cumulative hot-function tables, by running the toolchain's
+// `go tool pprof -top` (so `go` must be on PATH). Each cell's table
 // is joined with its recorded imbalance and IPC, so one row answers
 // both where the time went and why. -json emits npbgo/profile/v1
 // records; -heap analyzes allocation (alloc_space) profiles; -min-attr
 // exits 1 when a decoded CPU profile attributes less than the given
 // percentage to symbolized npbgo/internal/... code (the CI floor);
-// -require exits 1 when no cell carries a decodable profile. A profile
-// that fails to decode (a truncated or damaged file) renders as an
-// explicit note, never silently.
+// -require exits 1 when no cell carries a readable profile. A profile
+// pprof cannot read (a truncated or damaged file) renders as an
+// explicit "undecodable:" note with pprof's reason, never silently.
 //
 // All subcommands take -json for machine-readable output. Exit codes:
 // 0 clean, 1 a gate tripped (scaling with -fail-on, counters with

@@ -485,15 +485,6 @@ func TestClassSGolden(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Q', 1, kernel.Env{}); err == nil {
-		t.Fatal("class Q accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
 // The line set-up the lane kernels replaced, kept as the oracle of
 // TestLineSetupMatchesOracle: nscore.FluxViscJacobians at every cell of
 // a line into blocks cleared once per direction, then assembleLHS's

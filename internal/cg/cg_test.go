@@ -179,15 +179,6 @@ func TestRepeatedRunsDeterministic(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Q', 1, kernel.Env{}); err == nil {
-		t.Fatal("class Q accepted")
-	}
-	if _, err := New('S', -1, kernel.Env{}); err == nil {
-		t.Fatal("negative threads accepted")
-	}
-}
-
 func TestNNZPositive(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	if b.NNZ() <= b.p.na {

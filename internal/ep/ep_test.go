@@ -78,15 +78,6 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Z', 1, kernel.Env{}); err == nil {
-		t.Fatal("class Z accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
 func TestPairsPerClass(t *testing.T) {
 	b, _ := New('A', 1, kernel.Env{})
 	if b.Pairs() != float64(1<<28) {

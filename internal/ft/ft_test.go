@@ -137,15 +137,6 @@ func TestIlog2(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('X', 1, kernel.Env{}); err == nil {
-		t.Fatal("class X accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
 func TestEvolveAppliesTwiddle(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)

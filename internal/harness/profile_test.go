@@ -31,10 +31,10 @@ func TestProfiledSweepCapturesCells(t *testing.T) {
 		if r.CPUProfile == "" || r.HeapProfile == "" {
 			t.Fatalf("cell t%d missing profile paths: %+v", r.Threads, r)
 		}
-		if _, err := profile.ParseFile(r.CPUProfile); err != nil {
+		if _, err := profile.Hot(r.CPUProfile, false); err != nil {
 			t.Fatalf("cell t%d CPU profile undecodable: %v", r.Threads, err)
 		}
-		if _, err := profile.ParseFile(r.HeapProfile); err != nil {
+		if _, err := profile.Hot(r.HeapProfile, true); err != nil {
 			t.Fatalf("cell t%d heap profile undecodable: %v", r.Threads, err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 		if m := failedLine(t, path); m.CPUProfile != cpu {
 			t.Fatalf("failed cell line names profile %q, want %q", m.CPUProfile, cpu)
 		}
-		if _, err := profile.ParseFile(cpu); err != nil {
+		if _, err := profile.Hot(cpu, false); err != nil {
 			t.Fatalf("failed cell's profile not decodable when its line landed: %v", err)
 		}
 	})
@@ -92,10 +92,11 @@ func TestIsolatedProfileRoundTrip(t *testing.T) {
 		t.Fatalf("child env = %+v, want nil (same binary, same host)", env)
 	}
 	cpu, heap := profile.CellPaths(dir, "CG.S.serial")
-	for _, p := range []string{cpu, heap} {
-		if _, err := profile.ParseFile(p); err != nil {
-			t.Fatalf("child-captured profile %s undecodable: %v", p, err)
-		}
+	if _, err := profile.Hot(cpu, false); err != nil {
+		t.Fatalf("child-captured CPU profile undecodable: %v", err)
+	}
+	if _, err := profile.Hot(heap, true); err != nil {
+		t.Fatalf("child-captured heap profile undecodable: %v", err)
 	}
 }
 
@@ -104,7 +105,7 @@ func TestIsolatedProfileRoundTrip(t *testing.T) {
 // a zero-byte file — no samples survive a hard kill. The harness must
 // not dress that up as data: the empty file is filtered out, the killed
 // cell's record carries no profile path (absence, not a torn file), and
-// the decoder rejects the empty file loudly if pointed at it anyway.
+// pprof rejects the empty file loudly if pointed at it anyway.
 func TestIsolatedKilledCellRecordsNoEmptyProfile(t *testing.T) {
 	iso := isolationForTest(t)
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
@@ -131,8 +132,8 @@ func TestIsolatedKilledCellRecordsNoEmptyProfile(t *testing.T) {
 	if r.CPUProfile != "" {
 		t.Fatalf("killed cell CPUProfile = %q, want empty (file has no bytes)", r.CPUProfile)
 	}
-	if _, err := profile.ParseFile(cpu); err == nil {
-		t.Fatal("decoder accepted a zero-byte profile")
+	if _, err := profile.Hot(cpu, false); err == nil {
+		t.Fatal("pprof accepted a zero-byte profile")
 	}
 }
 

@@ -148,15 +148,6 @@ func TestRanksMatchStdlibSortProperty(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('X', 1, kernel.Env{}); err == nil {
-		t.Fatal("class X accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
 func TestClassSizes(t *testing.T) {
 	b, _ := New('A', 1, kernel.Env{})
 	if b.NumKeys() != 1<<23 || b.MaxKey() != 1<<19 {

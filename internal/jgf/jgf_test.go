@@ -74,12 +74,14 @@ func TestSolveRandomSystemsProperty(t *testing.T) {
 		lda := n
 		a := make([]float64, lda*n)
 		Matgen(a, lda, n)
-		// Perturb deterministically by seed so each case differs.
-		a[int(seed)%(lda*n)] += 0.25
+		// Perturb deterministically by seed so each case differs. The
+		// remainders are taken in uint32: int(seed) is negative for half
+		// the seeds where int is 32 bits.
+		a[seed%uint32(lda*n)] += 0.25
 		want := make([]float64, n)
 		b := make([]float64, n)
 		for i := range want {
-			want[i] = float64((int(seed)+i)%7) - 3
+			want[i] = float64((seed%7+uint32(i))%7) - 3
 		}
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {

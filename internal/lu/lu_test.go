@@ -535,12 +535,3 @@ func TestClassSRun(t *testing.T) {
 		t.Fatalf("suspicious surface integral %v", res.Frc)
 	}
 }
-
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('D', 1, kernel.Env{}); err == nil {
-		t.Fatal("class D accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}

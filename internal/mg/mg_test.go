@@ -197,15 +197,6 @@ func TestVCyclesReduceResidual(t *testing.T) {
 	}
 }
 
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Y', 1, kernel.Env{}); err == nil {
-		t.Fatal("class Y accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
 func TestInterpConstantCoarseField(t *testing.T) {
 	// Trilinear prolongation of a constant coarse correction adds that
 	// constant at every fine point (all interpolation weights sum to 1

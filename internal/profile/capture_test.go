@@ -38,30 +38,19 @@ func TestCaptureRoundTrip(t *testing.T) {
 		t.Fatalf("paths = %q %q, want %q %q", c.CPUPath(), c.HeapPath(), cpu, heap)
 	}
 
-	p, err := ParseFile(cpu)
+	tab, err := Hot(cpu, false)
 	if err != nil {
-		t.Fatalf("ParseFile(cpu): %v", err)
+		t.Fatalf("Hot(cpu): %v", err)
 	}
-	if i := p.ValueIndex("cpu"); i < 0 || p.SampleTypes[i].Unit != "nanoseconds" {
-		t.Fatalf("cpu profile sample types = %+v", p.SampleTypes)
+	if tab.Type != "cpu" || tab.Total <= 0 || len(tab.Funcs) == 0 {
+		t.Fatalf("cpu table after 300ms of spinning = %+v", tab)
 	}
-	if len(p.Samples) == 0 {
-		t.Fatal("cpu profile has no samples after 300ms of spinning")
-	}
-	tab, err := Aggregate(p, p.DefaultIndex())
+	htab, err := Hot(heap, true)
 	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
+		t.Fatalf("Hot(heap): %v", err)
 	}
-	if tab.Total <= 0 || len(tab.Funcs) == 0 {
-		t.Fatalf("table = %+v", tab)
-	}
-
-	hp, err := ParseFile(heap)
-	if err != nil {
-		t.Fatalf("ParseFile(heap): %v", err)
-	}
-	if i := hp.ValueIndex("alloc_space"); i < 0 || hp.SampleTypes[i].Unit != "bytes" {
-		t.Fatalf("heap profile sample types = %+v", hp.SampleTypes)
+	if htab.Type != "alloc_space" || htab.Total <= 0 {
+		t.Fatalf("heap table = %+v", htab)
 	}
 }
 

@@ -2,94 +2,111 @@ package profile
 
 import (
 	"os"
-	"strings"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
 // The checked-in fixtures are real runtime/pprof output captured once
 // via this package's own Capture (a spin loop under CPU profiling, then
-// the allocs profile): genuine gzipped proto from the Go runtime, so
-// the decoder is exercised against the writer it must read in
-// production, not only against the synthetic encoder in decode_test.go.
-// The fixtures are frozen, so the assertions are exact.
+// the allocs profile). They are frozen, so the figures `go tool pprof`
+// reports for them are exact: a toolchain whose pprof prints its -top
+// report differently fails here, by name.
 
 func TestGoldenCPUFixture(t *testing.T) {
-	p, err := ParseFile("testdata/cpu.pprof")
+	tab, err := Hot("testdata/cpu.pprof", false)
 	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
+		t.Fatalf("Hot: %v", err)
 	}
-	wantTypes := []ValueType{{"samples", "count"}, {"cpu", "nanoseconds"}}
-	if len(p.SampleTypes) != 2 || p.SampleTypes[0] != wantTypes[0] || p.SampleTypes[1] != wantTypes[1] {
-		t.Fatalf("sample types = %+v, want %+v", p.SampleTypes, wantTypes)
+	if tab.Type != "cpu" || tab.Unit != "nanoseconds" || tab.Total != 1_170_000_000 {
+		t.Fatalf("dimension = %s/%s total %d, want cpu/nanoseconds total 1170000000", tab.Type, tab.Unit, tab.Total)
 	}
-	if len(p.Samples) != 4 {
-		t.Fatalf("samples = %d, want 4", len(p.Samples))
+	if got := tab.AttributedPct; got < 99.1449 || got > 99.1453 {
+		t.Fatalf("AttributedPct = %.4f%%, want 99.145%% (spin lives under %s)", got, KernelPrefix)
 	}
-	if p.Period != 10_000_000 || p.PeriodType != (ValueType{"cpu", "nanoseconds"}) {
-		t.Fatalf("period = %d %+v", p.Period, p.PeriodType)
+	top := tab.Top(1)
+	if len(top) != 1 || top[0] != (FuncStat{Name: "npbgo/internal/profile.spin",
+		Flat: 1_140_000_000, FlatPct: 100 * 1.14 / 1.17, Cum: 1_160_000_000, CumPct: 100 * 1.16 / 1.17}) {
+		t.Fatalf("top row = %+v, want spin at 1.14s flat, 1.16s cum", top)
 	}
-	if p.DurationNanos <= 0 {
-		t.Fatal("no duration header")
-	}
-	tab, err := Aggregate(p, p.DefaultIndex())
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if tab.Funcs[0].Name != "npbgo/internal/profile.spin" {
-		t.Fatalf("top flat = %q, want the capture's spin loop", tab.Funcs[0].Name)
-	}
-	if tab.Funcs[0].FlatPct < 90 {
-		t.Fatalf("spin flat = %.2f%%, want > 90%%", tab.Funcs[0].FlatPct)
-	}
-	if tab.AttributedPct < 90 {
-		t.Fatalf("AttributedPct = %.2f%%, want > 90%% (spin lives under %s)", tab.AttributedPct, KernelPrefix)
+	if got := tab.FormatValue(top[0].Flat); got != "1.140s" {
+		t.Fatalf("FormatValue = %q", got)
 	}
 	// The test harness frames appear with zero flat but high cum — the
-	// flat/cum distinction the table exists for.
-	var runner FuncStat
+	// flat/cum distinction the table exists for — and pprof's inline
+	// markers are stripped from names.
+	byName := map[string]FuncStat{}
 	for _, f := range tab.Funcs {
-		if f.Name == "testing.tRunner" {
-			runner = f
-		}
+		byName[f.Name] = f
 	}
-	if runner.Name == "" || runner.Flat != 0 || runner.CumPct < 90 {
-		t.Fatalf("tRunner = %+v, want flat 0 / cum > 90%%", runner)
+	if r := byName["testing.tRunner"]; r.Flat != 0 || r.Cum != 1_160_000_000 {
+		t.Fatalf("tRunner = %+v, want flat 0 / cum 1.16s", r)
+	}
+	if n := byName["runtime.nanotime"]; n.Flat != 20_000_000 {
+		t.Fatalf("runtime.nanotime = %+v, want 20ms flat under its name without (inline)", n)
+	}
+	if len(tab.Funcs) != 12 {
+		t.Fatalf("%d functions, want 12", len(tab.Funcs))
 	}
 }
 
 func TestGoldenHeapFixture(t *testing.T) {
-	p, err := ParseFile("testdata/heap.pprof")
+	tab, err := Hot("testdata/heap.pprof", true)
 	if err != nil {
-		t.Fatalf("ParseFile: %v", err)
+		t.Fatalf("Hot: %v", err)
 	}
-	want := []ValueType{
-		{"alloc_objects", "count"}, {"alloc_space", "bytes"},
-		{"inuse_objects", "count"}, {"inuse_space", "bytes"},
+	if tab.Type != "alloc_space" || tab.Unit != "bytes" || tab.Total != 3_360_919 {
+		t.Fatalf("dimension = %s/%s total %d, want alloc_space/bytes total 3360919", tab.Type, tab.Unit, tab.Total)
 	}
-	if len(p.SampleTypes) != len(want) {
-		t.Fatalf("sample types = %+v, want %+v", p.SampleTypes, want)
+	if got := tab.AttributedPct; got < 36.0815 || got > 36.0825 {
+		t.Fatalf("AttributedPct = %.4f%%, want 36.082%%", got)
 	}
-	for i, w := range want {
-		if p.SampleTypes[i] != w {
-			t.Fatalf("sample type %d = %+v, want %+v", i, p.SampleTypes[i], w)
-		}
+	if got := tab.FormatValue(tab.Total); got != "3.21MiB" {
+		t.Fatalf("byte formatting = %q", got)
 	}
-	if i := p.ValueIndex("alloc_space"); i != 1 {
-		t.Fatalf("ValueIndex(alloc_space) = %d, want 1", i)
+	// Ties on flat fall back to cum, then name (pprof itself orders
+	// them by name alone): the zero-flat callers come heaviest first.
+	var zeroFlat []string
+	for _, f := range tab.Funcs[4:] {
+		zeroFlat = append(zeroFlat, f.Name)
 	}
-	tab, err := Aggregate(p, p.ValueIndex("alloc_space"))
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
-	}
-	if tab.Total <= 0 || len(tab.Funcs) == 0 {
-		t.Fatalf("empty alloc_space table: %+v", tab)
-	}
-	if !strings.HasSuffix(tab.FormatValue(tab.Total), "B") {
-		t.Fatalf("byte formatting = %q", tab.FormatValue(tab.Total))
+	want := []string{"compress/gzip.(*Writer).Write", "runtime/pprof.(*profileBuilder).build",
+		"runtime/pprof.profileWriter", "npbgo/internal/profile.Start",
+		"npbgo/internal/profile.TestGenerateFixtures", "testing.tRunner"}
+	if !slices.Equal(zeroFlat, want) {
+		t.Fatalf("zero-flat rows = %q, want %q", zeroFlat, want)
 	}
 }
 
-// The golden files stay parseable after a byte-level round trip through
+// TestHotRejectsUnreadable: what a crashed or damaged capture leaves
+// behind is an error with pprof's reason, never an empty table.
+func TestHotRejectsUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	data, err := os.ReadFile("testdata/cpu.pprof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"empty":       nil,
+		"cut gzip":    data[:len(data)/2],
+		"not pprof":   []byte("hello\n"),
+		"gzip header": data[:10],
+	}
+	for name, body := range files {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tab, err := Hot(p, false); err == nil {
+			t.Errorf("%s: Hot succeeded with %+v, want error", name, tab)
+		}
+	}
+	if _, err := Hot(filepath.Join(dir, "absent.pprof"), false); err == nil {
+		t.Error("Hot(absent file) succeeded")
+	}
+}
+
+// The golden files stay gzipped after a byte-level round trip through
 // disk — guards against fixture corruption by tooling (git filters,
 // editors) going unnoticed.
 func TestGoldenFixturesAreGzipped(t *testing.T) {

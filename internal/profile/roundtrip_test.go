@@ -12,10 +12,9 @@ import (
 )
 
 // TestCGRoundTrip is the end-to-end claim of the profiling layer: a
-// real CG run captured with this package's Capture, decoded with this
-// package's decoder, must attribute its CPU to the CG kernel symbols —
-// the paper's §4 "which function is the serial gap in" question,
-// answered without any external pprof tooling.
+// real CG run captured with this package's Capture and read through Hot
+// must attribute its CPU to the CG kernel symbols — the paper's §4
+// "which function is the serial gap in" question.
 func TestCGRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c, err := profile.Start(dir, "CG.S.t2")
@@ -39,16 +38,12 @@ func TestCGRoundTrip(t *testing.T) {
 		t.Fatalf("Stop: %v", err)
 	}
 
-	p, err := profile.ParseFile(c.CPUPath())
+	tab, err := profile.Hot(c.CPUPath(), false)
 	if err != nil {
-		t.Fatalf("decode captured CPU profile: %v", err)
+		t.Fatalf("read captured CPU profile: %v", err)
 	}
-	if len(p.Samples) < 20 {
-		t.Fatalf("only %d samples after 1.5s of CG (profiler off?)", len(p.Samples))
-	}
-	tab, err := profile.Aggregate(p, p.DefaultIndex())
-	if err != nil {
-		t.Fatalf("Aggregate: %v", err)
+	if tab.Total < 200_000_000 {
+		t.Fatalf("only %dns of samples after 1.5s of CG (profiler off?)", tab.Total)
 	}
 
 	if raceEnabled {
@@ -59,13 +54,9 @@ func TestCGRoundTrip(t *testing.T) {
 		assertCGFlat(t, tab)
 	}
 
-	// The heap side decodes too, and carries CG's setup allocations.
-	hp, err := profile.ParseFile(c.HeapPath())
-	if err != nil {
-		t.Fatalf("decode captured heap profile: %v", err)
-	}
-	if hp.ValueIndex("alloc_space") < 0 {
-		t.Fatalf("heap profile types = %+v", hp.SampleTypes)
+	// The heap side reads too, and carries CG's setup allocations.
+	if _, err := profile.Hot(c.HeapPath(), true); err != nil {
+		t.Fatalf("read captured heap profile: %v", err)
 	}
 }
 

@@ -1,14 +1,18 @@
-// Hot-function aggregation: collapse a decoded profile's samples into
-// the flat/cumulative per-function table the paper's per-kernel
-// diagnosis needs — "CG spends 61% of its CPU in sparseMatVec" is one
-// row of this table. Flat charges a sample to its leaf function only;
-// cumulative charges it once to every distinct function on the stack
-// (once, so recursion cannot exceed 100%).
+// Hot-function tables: the flat/cumulative per-function view the
+// paper's per-kernel diagnosis needs — "CG spends 61% of its CPU in
+// sparseMatVec" is one row of this table. The profile is read by the
+// toolchain's own `go tool pprof`, whose -top report is parsed here;
+// flat charges a sample to its leaf function, cumulative charges it
+// once to every function on its stack.
 package profile
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"os/exec"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -27,113 +31,104 @@ type FuncStat struct {
 	CumPct  float64 `json:"cum_pct"`
 }
 
-// Table is the aggregated hot-function view of one profile dimension.
+// Table is the hot-function view of one profile dimension.
 type Table struct {
-	// Type/Unit name the aggregated dimension ("cpu"/"nanoseconds",
-	// "alloc_space"/"bytes", ...).
+	// Type/Unit name the dimension ("cpu"/"nanoseconds",
+	// "alloc_space"/"bytes").
 	Type string `json:"type"`
 	Unit string `json:"unit"`
 	// Total is the summed value of every sample.
 	Total int64 `json:"total"`
-	// Samples counts the profile's samples (stacks, not value units).
-	Samples int `json:"samples"`
 	// AttributedPct is the share of Total whose stack contains at least
 	// one symbolized KernelPrefix function — the "how much of this
 	// profile do we understand" figure the CI smoke asserts on.
 	AttributedPct float64 `json:"attributed_pct"`
 	// Funcs is every function observed, ordered by descending flat
-	// value (ties broken by name for determinism).
+	// value, then descending cumulative value, then name.
 	Funcs []FuncStat `json:"functions"`
 }
 
-// Aggregate builds the hot-function table for the profile's given value
-// dimension (see Profile.ValueIndex / DefaultIndex).
-func Aggregate(p *Profile, valueIndex int) (*Table, error) {
-	if valueIndex < 0 || valueIndex >= len(p.SampleTypes) {
-		return nil, fmt.Errorf("profile: value index %d out of range (profile has %d sample types)",
-			valueIndex, len(p.SampleTypes))
+// Hot builds the hot-function table of one pprof file: its CPU
+// dimension, or its alloc_space dimension when heap is set. It runs
+// `go tool pprof -top` twice, once for every function and once focused
+// on KernelPrefix for AttributedPct. The focus is anchored, because
+// pprof also matches it against file paths. A file pprof cannot read
+// (missing, empty, a gzip cut short) is an error carrying pprof's
+// reason.
+func Hot(path string, heap bool) (*Table, error) {
+	args := []string{"tool", "pprof", "-top", "-nodefraction=0", "-unit=ns"}
+	unit, suffix := "nanoseconds", "ns"
+	if heap {
+		args = append(args, "-sample_index=alloc_space")
+		unit, suffix = "bytes", "B"
 	}
-	t := &Table{
-		Type: p.SampleTypes[valueIndex].Type,
-		Unit: p.SampleTypes[valueIndex].Unit,
+	t, _, err := pprofTop(suffix, append(slices.Clip(args), path)...)
+	if err != nil {
+		return nil, err
 	}
-	flat := map[string]int64{}
-	cum := map[string]int64{}
-	seen := map[string]bool{} // per-sample dedup for cum
-	for _, s := range p.Samples {
-		v := s.Values[valueIndex]
-		if v == 0 {
-			continue
-		}
-		t.Total += v
-		t.Samples++
-		if len(s.Stack) == 0 {
-			flat["<no stack>"] += v
-			cum["<no stack>"] += v
-			continue
-		}
-		flat[frameName(s.Stack[0])] += v
-		clear(seen)
-		attributed := false
-		for _, fr := range s.Stack {
-			name := frameName(fr)
-			if !seen[name] {
-				seen[name] = true
-				cum[name] += v
-			}
-			if strings.HasPrefix(fr.Function, KernelPrefix) {
-				attributed = true
-			}
-		}
-		if attributed {
-			// AttributedPct is accumulated in Total units via FlatPct's
-			// denominator below; stash in Samples-independent sum.
-			t.AttributedPct += float64(v)
-		}
+	_, attributed, err := pprofTop(suffix, append(args, "-focus=^"+KernelPrefix, path)...)
+	if err != nil {
+		return nil, err
 	}
+	t.Unit = unit
 	if t.Total > 0 {
-		t.AttributedPct = 100 * t.AttributedPct / float64(t.Total)
+		t.AttributedPct = 100 * float64(attributed) / float64(t.Total)
+		for i := range t.Funcs {
+			t.Funcs[i].FlatPct = 100 * float64(t.Funcs[i].Flat) / float64(t.Total)
+			t.Funcs[i].CumPct = 100 * float64(t.Funcs[i].Cum) / float64(t.Total)
+		}
 	}
-	for name, f := range flat {
-		fs := FuncStat{Name: name, Flat: f, Cum: cum[name]}
-		if t.Total > 0 {
-			fs.FlatPct = 100 * float64(f) / float64(t.Total)
-			fs.CumPct = 100 * float64(cum[name]) / float64(t.Total)
-		}
-		t.Funcs = append(t.Funcs, fs)
-	}
-	// Functions that never appear as a leaf still deserve rows — their
-	// cumulative share is how callers like (*CG).Run show up at all.
-	for name, c := range cum {
-		if _, ok := flat[name]; ok {
-			continue
-		}
-		fs := FuncStat{Name: name, Cum: c}
-		if t.Total > 0 {
-			fs.CumPct = 100 * float64(c) / float64(t.Total)
-		}
-		t.Funcs = append(t.Funcs, fs)
-	}
-	sort.Slice(t.Funcs, func(i, j int) bool {
-		a, b := t.Funcs[i], t.Funcs[j]
-		if a.Flat != b.Flat {
-			return a.Flat > b.Flat
-		}
-		if a.Cum != b.Cum {
-			return a.Cum > b.Cum
-		}
-		return a.Name < b.Name
+	slices.SortFunc(t.Funcs, func(a, b FuncStat) int {
+		return cmp.Or(cmp.Compare(b.Flat, a.Flat), cmp.Compare(b.Cum, a.Cum), strings.Compare(a.Name, b.Name))
 	})
 	return t, nil
 }
 
-// frameName is the display name of a frame; unsymbolized frames share
-// one bucket so they aggregate visibly instead of vanishing.
-func frameName(fr Frame) string {
-	if fr.Function == "" {
-		return "<unsymbolized>"
+// pprofTop runs `go <args>` and parses its -top report: the "Type:"
+// header, the "Showing nodes accounting for SHOWN, P% of TOTAL total"
+// line, and one row per function below the "flat flat% sum% cum cum%"
+// header. Values are printed in the base unit, suffix appended (zero
+// bare).
+func pprofTop(suffix string, args ...string) (t *Table, shown int64, err error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		msg, _, _ := strings.Cut(strings.TrimSpace(stderr.String()), "\n")
+		if msg == "" {
+			msg = err.Error()
+		}
+		return nil, 0, fmt.Errorf("go tool pprof: %s", msg)
 	}
-	return fr.Function
+	value := func(s string) int64 {
+		v, perr := strconv.ParseInt(strings.TrimSuffix(s, suffix), 10, 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("go tool pprof: unexpected value %q", s)
+		}
+		return v
+	}
+	t = &Table{}
+	rows := false
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case rows && len(f) >= 6:
+			name := strings.Join(f[5:], " ")
+			name = strings.TrimSuffix(strings.TrimSuffix(name, " (inline)"), " (partial-inline)")
+			t.Funcs = append(t.Funcs, FuncStat{Name: name, Flat: value(f[0]), Cum: value(f[3])})
+		case strings.HasPrefix(line, "Type: "):
+			t.Type = strings.TrimPrefix(line, "Type: ")
+		case strings.HasPrefix(line, "Showing nodes accounting for ") && len(f) == 9:
+			shown, t.Total = value(strings.TrimSuffix(f[4], ",")), value(f[7])
+		case len(f) == 5 && f[0] == "flat" && f[3] == "cum":
+			rows = true
+		}
+	}
+	if err == nil && t.Type == "" {
+		err = fmt.Errorf("go tool pprof: no -top report in its output")
+	}
+	return t, shown, err
 }
 
 // Top returns the table truncated to its n heaviest functions by flat

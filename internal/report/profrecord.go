@@ -27,12 +27,11 @@ type ProfileCell struct {
 	Schedule  string `json:"schedule,omitempty"`
 	// Profile is the decoded pprof file, as recorded in the bench cell.
 	Profile string `json:"profile"`
-	// Type/Unit/Total/Samples mirror the aggregated dimension
-	// (cpu/nanoseconds for CPU tables, alloc_space/bytes for heap).
-	Type    string `json:"type,omitempty"`
-	Unit    string `json:"unit,omitempty"`
-	Total   int64  `json:"total,omitempty"`
-	Samples int    `json:"samples,omitempty"`
+	// Type/Unit/Total mirror the table's dimension (cpu/nanoseconds
+	// for CPU tables, alloc_space/bytes for heap).
+	Type  string `json:"type,omitempty"`
+	Unit  string `json:"unit,omitempty"`
+	Total int64  `json:"total,omitempty"`
 	// AttributedPct is the share of the profile whose stacks touch
 	// symbolized npbgo/internal/... code.
 	AttributedPct float64 `json:"attributed_pct,omitempty"`

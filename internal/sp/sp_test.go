@@ -312,12 +312,3 @@ func TestClassSRun(t *testing.T) {
 		}
 	}
 }
-
-func TestUnknownClassRejected(t *testing.T) {
-	if _, err := New('Z', 1, kernel.Env{}); err == nil {
-		t.Fatal("class Z accepted")
-	}
-	if _, err := New('S', 0, kernel.Env{}); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
