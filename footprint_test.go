@@ -1,6 +1,12 @@
 package npbgo
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"npbgo/internal/kernel"
+	"npbgo/internal/suite"
+)
 
 // TestFootprintGrowsWithClass: each benchmark's estimate must be
 // positive and non-decreasing along the class ladder — the property the
@@ -77,5 +83,36 @@ func TestFootprintDefaults(t *testing.T) {
 	got, err := Config{Benchmark: EP}.FootprintBytes()
 	if err != nil || got == 0 {
 		t.Fatalf("defaults not applied: %d, %v", got, err)
+	}
+}
+
+// TestFootprintCoversAllocation: for the three pseudo-applications,
+// whose scratch grows with the grid, the estimate must cover at least
+// 95 % of what New allocates (the runtime's TotalAlloc across it), at
+// classes S and W and at one and three threads, so the admission guard
+// does not under-count a new array.
+func TestFootprintCoversAllocation(t *testing.T) {
+	for _, name := range []string{"BT", "SP", "LU"} {
+		row, _ := suite.Lookup(name)
+		for _, class := range []byte{'S', 'W'} {
+			for _, threads := range []int{1, 3} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				k, err := row.New(class, threads, kernel.Env{})
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.KeepAlive(k)
+				alloc := after.TotalAlloc - before.TotalAlloc
+				est, err := row.Footprint(class, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if float64(est) < 0.95*float64(alloc) {
+					t.Errorf("%s.%c t%d: footprint %d bytes, New allocated %d", name, class, threads, est, alloc)
+				}
+			}
+		}
 	}
 }

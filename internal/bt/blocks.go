@@ -21,6 +21,8 @@ package bt
 // on return c = blk0^-1 * c and r = blk0^-1 * r.
 //
 // Hot path: block Thomas forward elimination, once per cell.
+//
+//lanegen:lanes
 func binvcrhs(blk, c *[25]float64, r *[5]float64) {
 	pivot := 1.0 / blk[0]
 	blk[5] *= pivot
@@ -253,6 +255,8 @@ func binvcrhs(blk, c *[25]float64, r *[5]float64) {
 // each line): r = blk^-1 * r.
 //
 // Hot path: last cell of every line.
+//
+//lanegen:lanes
 func binvrhs(blk *[25]float64, r *[5]float64) {
 	pivot := 1.0 / blk[0]
 	blk[5] *= pivot
@@ -359,6 +363,8 @@ func binvrhs(blk *[25]float64, r *[5]float64) {
 // matvecSub computes r2 -= a * r1 for a 5x5 block a and 5-vectors.
 //
 // Hot path: block Thomas elimination and back-substitution, twice per cell.
+//
+//lanegen:lanes
 func matvecSub(a *[25]float64, r1, r2 *[5]float64) {
 	r2[0] -= a[0]*r1[0] + a[5]*r1[1] + a[10]*r1[2] + a[15]*r1[3] + a[20]*r1[4]
 	r2[1] -= a[1]*r1[0] + a[6]*r1[1] + a[11]*r1[2] + a[16]*r1[3] + a[21]*r1[4]
@@ -370,6 +376,8 @@ func matvecSub(a *[25]float64, r1, r2 *[5]float64) {
 // matmulSub computes c -= a * b for 5x5 blocks.
 //
 // Hot path: block Thomas forward elimination, once per cell.
+//
+//lanegen:lanes
 func matmulSub(a, b, c *[25]float64) {
 	c[0] -= a[0]*b[0] + a[5]*b[1] + a[10]*b[2] + a[15]*b[3] + a[20]*b[4]
 	c[1] -= a[1]*b[0] + a[6]*b[1] + a[11]*b[2] + a[16]*b[3] + a[21]*b[4]

@@ -1,6 +1,6 @@
 package bt
 
-//go:generate go run ./lanegen
+//go:generate go run ../lanegen
 
 // Lane form: four lines side by side. Element e of lane q is at [e][q],
 // so one 256-bit register holds element e of all four lines, and each

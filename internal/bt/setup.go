@@ -19,6 +19,8 @@ package bt
 // jacobiansX fills the xi-direction flux and viscous Jacobians.
 //
 // Hot path: once per cell of every xi line.
+//
+//lanegen:lanes
 func jacobiansX(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64) {
 	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
 	t1 := s[0]
@@ -87,6 +89,8 @@ func jacobiansX(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c
 // jacobiansY fills the eta-direction flux and viscous Jacobians.
 //
 // Hot path: once per cell of every eta line.
+//
+//lanegen:lanes
 func jacobiansY(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64) {
 	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
 	t1 := s[0]
@@ -155,6 +159,8 @@ func jacobiansY(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c
 // jacobiansZ fills the zeta-direction flux and viscous Jacobians.
 //
 // Hot path: once per cell of every zeta line.
+//
+//lanegen:lanes
 func jacobiansZ(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64) {
 	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
 	t1 := s[0]
@@ -232,6 +238,8 @@ func jacobiansZ(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c
 // bit for bit, the -0 of aa's structural zeros (-t2*0 - t1*0) included.
 //
 // Hot path: once per interior cell of every line.
+//
+//lanegen:lanes
 func assemble(aa, bb, cc, fm, fp, nm, nc, np *[25]float64, mt2, t1, t12, t2, d0, d1, d2, d3, d4, b0, b1, b2, b3, b4 float64) {
 	for e := 0; e < 25; e++ {
 		aa[e] = mt2*fm[e] - t1*nm[e]

@@ -1,9 +1,25 @@
-// Command lanegen compiles package bt's scalar block kernels into 4-lane
-// AVX assembly: lanes_amd64.s, where each kernel runs four independent
-// lines at once. Run it from the package directory, as go generate
-// ./internal/bt does:
+// Command lanegen compiles a package's scalar Go kernels into 4-lane
+// AVX assembly, lanes_amd64.s. Run it from the package directory, as
+// go generate does for each package that names it:
 //
-//	go run ./lanegen
+//	//go:generate go run ../lanegen
+//
+// A kernel is a function whose doc comment ends in one of two markers:
+//
+//   - //lanegen:lanes — four independent instances side by side: each
+//     *[N]float64 parameter becomes a *[N][4]float64 (lane q of element
+//     e at e*32+q*8) and the kernel <name>AVX runs the body once for all
+//     four. The package writes the Go glue around it by hand.
+//   - //lanegen:rows — a point kernel over *[1]float64 parameters, one
+//     element of each of several rows. <name>AVX runs the body on four
+//     consecutive points per group, advancing every array pointer by 32
+//     bytes a group, for a group count that may be 0. lanegen also
+//     writes the Go glue: rows.go, whose <name>Row wrapper takes slices
+//     (one point per element), runs the groups and then the scalar body
+//     on the len%4 tail, inlined with every a[0] read as a[i];
+//     rows_amd64.go with the declarations and the CPU probe;
+//     rows_other.go with the fallbacks of every other architecture,
+//     where only that loop runs.
 //
 // The scalar Go is the specification. lanegen parses each kernel's body
 // and emits one packed instruction per scalar operation, visiting every
@@ -12,23 +28,24 @@
 // fused, reassociated or folded: a + and a * keep their operands (only
 // swapped, which IEEE addition and multiplication do not notice), and
 // unary minus flips the sign bit (VXORPD), as the scalar negation does,
-// where 0-x would turn -0 into +0.
+// where 0-x would turn -0 into +0. Every array element read is a load
+// from memory at that point of the statement list, so parameters that
+// alias the same row read what earlier statements stored.
 //
 // The subset it accepts is what the kernels use:
-//   - parameters: pointers to fixed-size float64 arrays, which become
-//     pointers to [N][4]float64 (lane q of element e at e*32+q*8), and
-//     float64 scalars, broadcast to all four lanes;
+//   - parameters: pointers to fixed-size float64 arrays (at most 12),
+//     and float64 scalars, broadcast to all four lanes;
 //   - float64 locals (:= and =, one or several at once; a tuple may not
 //     read what it writes, nor read an array element while writing one,
 //     since array parameters may alias);
 //   - array elements indexed by an int literal or a loop variable, float
 //     literals (a DATA pool),
-//   - - * /, unary minus and +=, -=, *=;
+//   - - * /, unary minus, math.Sqrt and +=, -=, *=;
 //   - for v := lo; v < hi; v++ loops with literal bounds, unrolled.
 //
 // Anything else is an error naming the position. The output uses AVX1
 // instructions only: VMOVUPD, VBROADCASTSD, VADDPD, VSUBPD, VMULPD,
-// VDIVPD, VXORPD and VZEROUPPER, plus the CPUID/XGETBV probe that
+// VDIVPD, VSQRTPD, VXORPD and VZEROUPPER, plus the CPUID/XGETBV probe that
 // decides at start-up whether they run.
 package main
 
@@ -37,6 +54,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"math"
 	"os"
@@ -46,74 +64,109 @@ import (
 	"strings"
 )
 
-// kernels names the scalar kernels compiled, in output order; each
-// becomes <name>AVX.
-var kernels = []string{
-	"binvcrhs", "binvrhs", "matvecSub", "matmulSub",
-	"jacobiansX", "jacobiansY", "jacobiansZ", "assemble",
-}
+// The markers, the last line of a kernel's doc comment.
+const (
+	lanesMarker = "//lanegen:lanes"
+	rowsMarker  = "//lanegen:rows"
+)
 
 func main() {
-	if err := run(".", "lanes_amd64.s"); err != nil {
+	if err := run(".", "."); err != nil {
 		fmt.Fprintln(os.Stderr, "lanegen:", err)
 		os.Exit(1)
 	}
 }
 
-// run compiles the kernels found in dir's non-test Go files into out.
+// run compiles the kernels found in dir's non-test Go files and writes
+// the generated files into out.
 func run(dir, out string) error {
-	src, err := generate(dir)
+	files, err := generate(dir)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(out, src, 0o644)
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(out, name), src, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// generate returns the assembly file for the kernels in dir.
-func generate(dir string) ([]byte, error) {
+// kernel is one compiled kernel.
+type kernel struct {
+	name   string
+	rows   bool
+	params []*param
+	text   string // its TEXT block
+	loop   string // a row kernel's body at point i of slices: the portable path
+}
+
+// generate returns the generated files for the kernels in dir, by name:
+// lanes_amd64.s, and the row glue when there are row kernels.
+func generate(dir string) (map[string][]byte, error) {
 	fset := token.NewFileSet()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
 	}
-	funcs := map[string]*ast.FuncDecl{}
+	pkg := ""
+	var found []*ast.FuncDecl
+	var marks []bool // row kernel?
 	files := map[string]bool{}
 	for _, p := range paths {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, p, nil, 0)
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
+		pkg = f.Name.Name
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-				funcs[fd.Name.Name] = fd
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Doc == nil {
+				continue
 			}
+			switch fd.Doc.List[len(fd.Doc.List)-1].Text {
+			case lanesMarker:
+				marks = append(marks, false)
+			case rowsMarker:
+				marks = append(marks, true)
+			default:
+				continue
+			}
+			if fd.Recv != nil {
+				return nil, fmt.Errorf("%s: kernel %s is a method", fset.Position(fd.Pos()), fd.Name.Name)
+			}
+			found = append(found, fd)
+			files[filepath.Base(p)] = true
 		}
+	}
+	if len(found) == 0 {
+		return nil, fmt.Errorf("no kernels marked %s or %s in %s", lanesMarker, rowsMarker, dir)
 	}
 	pool := newPool()
 	var body bytes.Buffer
-	for _, name := range kernels {
-		fd, ok := funcs[name]
-		if !ok {
-			return nil, fmt.Errorf("kernel %s not found in %s", name, dir)
-		}
-		files[filepath.Base(fset.Position(fd.Pos()).Filename)] = true
-		text, err := compile(fset, fd, pool)
+	var rows []*kernel
+	for i, fd := range found {
+		k, err := compile(fset, fd, pool, marks[i])
 		if err != nil {
 			return nil, err
 		}
-		body.WriteString(text)
+		body.WriteString(k.text)
+		if k.rows {
+			rows = append(rows, k)
+		}
 	}
 	var names []string
 	for f := range files {
 		names = append(names, f)
 	}
 	sort.Strings(names)
+	from := strings.Join(names, " and ")
 
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "// Code generated by lanegen from %s; DO NOT EDIT.\n\n", strings.Join(names, " and "))
+	fmt.Fprintf(&b, "// Code generated by lanegen from %s; DO NOT EDIT.\n\n", from)
 	b.WriteString("#include \"textflag.h\"\n\n")
 	b.WriteString("// Four copies of each constant: the sign mask, then the kernels' literals.\n")
 	for i, bits := range pool.bits {
@@ -124,7 +177,13 @@ func generate(dir string) ([]byte, error) {
 	fmt.Fprintf(&b, "GLOBL lanesconst<>(SB), RODATA|NOPTR, $%d\n\n", 32*len(pool.bits))
 	b.WriteString(cpuProbe)
 	b.Write(body.Bytes())
-	return b.Bytes(), nil
+	out := map[string][]byte{"lanes_amd64.s": b.Bytes()}
+	if len(rows) > 0 {
+		for name, src := range rowGlue(pkg, from, rows) {
+			out[name] = src
+		}
+	}
+	return out, nil
 }
 
 // cpuProbe is the start-up feature test: CPUID leaf 1 for AVX and
@@ -184,6 +243,7 @@ type (
 		i int
 	}
 	neg   struct{ x expr }
+	sqrt  struct{ x expr } // math.Sqrt, correctly rounded like VSQRTPD
 	binop struct {
 		op   byte // + - * /
 		x, y expr
@@ -205,6 +265,7 @@ type stmt struct {
 
 // compiler holds one kernel's translation state.
 type compiler struct {
+	rows   bool
 	fset   *token.FileSet
 	params map[string]*param
 	locals map[string]bool
@@ -218,77 +279,145 @@ func (c *compiler) errf(pos token.Pos, format string, args ...interface{}) error
 
 var gpRegs = []string{"AX", "BX", "CX", "DX", "SI", "DI", "R8", "R9", "R10", "R11", "R12", "R13"}
 
-// compile translates one kernel into its TEXT block.
-func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool) (string, error) {
+// compile translates one kernel into its TEXT block: a lane kernel's
+// body once, a row kernel's body in a loop over groups of four points.
+func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*kernel, error) {
 	c := &compiler{fset: fset, params: map[string]*param{}, locals: map[string]bool{}, loops: map[string]int{}}
 	if fd.Type.Results != nil {
-		return "", c.errf(fd.Pos(), "%s: kernels return nothing", fd.Name.Name)
+		return nil, c.errf(fd.Pos(), "%s: kernels return nothing", fd.Name.Name)
 	}
-	var order []*param
+	c.rows = rows
+	k := &kernel{name: fd.Name.Name, rows: rows}
 	var decl []string
 	off, ngp := 0, 0
 	for _, field := range fd.Type.Params.List {
-		n, goType, err := c.paramType(field.Type)
+		n, goType, err := c.paramType(field.Type, rows)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		var names []string
 		for _, id := range field.Names {
+			if err := c.reserved(id); err != nil {
+				return nil, err
+			}
 			p := &param{name: id.Name, array: n, off: off}
 			if n > 0 {
 				if ngp == len(gpRegs) {
-					return "", c.errf(id.Pos(), "too many array parameters")
+					return nil, c.errf(id.Pos(), "too many array parameters")
 				}
 				p.gp = gpRegs[ngp]
 				ngp++
 			}
 			off += 8
 			c.params[id.Name] = p
-			order = append(order, p)
+			k.params = append(k.params, p)
 			names = append(names, id.Name)
 		}
 		decl = append(decl, strings.Join(names, ", ")+" "+goType)
 	}
+	if rows {
+		decl = append(decl, "groups int")
+	}
 	if err := c.block(fd.Body.List); err != nil {
-		return "", err
+		return nil, err
+	}
+	if rows {
+		k.loop = pointLoop(fset, fd)
 	}
 
-	g := &gen{pool: pool, locals: map[string]int{}, cached: map[*param]int{}, uses: map[*param]int{}}
-	for i := range g.free {
-		g.free[i] = true
-	}
-	lastUse := map[*param]int{}
+	uses, lastUse := map[*param]int{}, map[*param]int{}
+	var scalars []*param // in order of first read
 	for i, s := range c.stmts {
 		leaves(s.x, func(l expr) {
 			if v, ok := l.(scal); ok {
-				g.uses[v.p]++
+				if uses[v.p] == 0 {
+					scalars = append(scalars, v.p)
+				}
+				uses[v.p]++
 				lastUse[v.p] = i
 			}
 		})
 	}
-	name := fd.Name.Name + "AVX"
-	fmt.Fprintf(&g.b, "\n// func %s(%s)\n", name, strings.Join(decl, ", "))
-	fmt.Fprintf(&g.b, "TEXT ·%s(SB), NOSPLIT, $0-%d\n", name, off)
-	for _, p := range order {
+	frame := off
+	if rows {
+		frame += 8
+	}
+	header := fmt.Sprintf("\n// func %sAVX(%s)\nTEXT ·%sAVX(SB), NOSPLIT, $0-%d\n", k.name, strings.Join(decl, ", "), k.name, frame)
+	// A row kernel broadcasts as many of its scalars as the body leaves
+	// registers for once, before the loop, and the rest in it.
+	hoist := 0
+	if rows {
+		hoist = len(scalars)
+	}
+	for {
+		text, err := c.emit(k, pool, uses, lastUse, scalars[:hoist], off)
+		if err == nil {
+			k.text = header + text
+			return k, nil
+		}
+		if hoist == 0 || !strings.Contains(err.Error(), errNoRegisters) {
+			return nil, err
+		}
+		hoist--
+	}
+}
+
+// emit writes the instructions of k's TEXT block: the scalars in hoist
+// are broadcast before a row kernel's loop and stay in registers.
+func (c *compiler) emit(k *kernel, pool *pool, uses, lastUse map[*param]int, hoist []*param, off int) (string, error) {
+	g := &gen{pool: pool, locals: map[string]int{}, cached: map[*param]int{}, uses: uses}
+	for i := range g.free {
+		g.free[i] = true
+	}
+	for _, p := range k.params {
 		if p.array > 0 {
 			g.emit("MOVQ %s+%d(FP), %s", p.name, p.off, p.gp)
 		}
 	}
+	if k.rows {
+		// The group count stays in its argument slot: every
+		// general-purpose register may hold an array pointer.
+		g.emit("CMPQ groups+%d(FP), $0", off)
+		g.emit("JEQ done")
+		for _, p := range hoist {
+			r, err := g.alloc()
+			if err != nil {
+				return "", err
+			}
+			g.emit("VBROADCASTSD %s+%d(FP), %s", p.name, p.off, ymm(r))
+			g.cached[p] = r
+		}
+		g.b.WriteString("loop:\n")
+	}
+	held := map[*param]bool{}
+	for _, p := range hoist {
+		held[p] = true
+	}
 	freeAfter := c.liveness()
 	for i, s := range c.stmts {
 		if err := g.stmt(s); err != nil {
-			return "", c.errf(s.pos, "%s: %v", fd.Name.Name, err)
+			return "", c.errf(s.pos, "%s: %v", k.name, err)
 		}
 		for _, l := range freeAfter[i] {
 			g.release(g.locals[l])
 			delete(g.locals, l)
 		}
 		for p, r := range g.cached {
-			if lastUse[p] == i {
+			if lastUse[p] == i && !held[p] {
 				g.release(r)
 				delete(g.cached, p)
 			}
 		}
+	}
+	if k.rows {
+		for _, p := range k.params {
+			if p.array > 0 {
+				g.emit("ADDQ $32, %s", p.gp)
+			}
+		}
+		g.emit("DECQ groups+%d(FP)", off)
+		g.emit("JNE loop")
+		g.b.WriteString("done:\n")
 	}
 	g.emit("VZEROUPPER")
 	g.emit("RET")
@@ -296,8 +425,10 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool) (string, error) 
 }
 
 // paramType accepts float64 and *[N]float64, returning N (0 for a
-// scalar) and the lane form's Go type for the header comment.
-func (c *compiler) paramType(t ast.Expr) (int, string, error) {
+// scalar) and the assembly form's Go type for the header comment. A row
+// kernel's arrays are *[1]float64: one point of a row, passed to the
+// assembly as the *float64 of its first group.
+func (c *compiler) paramType(t ast.Expr, rows bool) (int, string, error) {
 	if id, ok := t.(*ast.Ident); ok && id.Name == "float64" {
 		return 0, "float64", nil
 	}
@@ -306,7 +437,13 @@ func (c *compiler) paramType(t ast.Expr) (int, string, error) {
 			if id, ok := at.Elt.(*ast.Ident); ok && id.Name == "float64" {
 				if bl, ok := at.Len.(*ast.BasicLit); ok && bl.Kind == token.INT {
 					n, err := strconv.Atoi(bl.Value)
-					if err == nil && n > 0 {
+					switch {
+					case err != nil || n <= 0:
+					case rows && n != 1:
+						return 0, "", c.errf(t.Pos(), "row kernel arrays must be *[1]float64")
+					case rows:
+						return 1, "*float64", nil
+					default:
 						return n, fmt.Sprintf("*[%d][4]float64", n), nil
 					}
 				}
@@ -387,9 +524,55 @@ func (c *compiler) assign(s *ast.AssignStmt) error {
 	return nil
 }
 
+// reserved refuses a name the generated code needs for itself: g, the
+// goroutine register in Go assembly, and in a row kernel the locals of
+// its wrapper.
+func (c *compiler) reserved(id *ast.Ident) error {
+	if id.Name == "g" {
+		return c.errf(id.Pos(), "g names the goroutine register in Go assembly")
+	}
+	if c.rows && (id.Name == "count" || id.Name == "groups" || id.Name == "i") {
+		return c.errf(id.Pos(), "%s names a local of the row wrapper", id.Name)
+	}
+	return nil
+}
+
+// pointLoop returns a row kernel's statements with every array element
+// a[...] read as a[i], element i of the slice a: the body of the
+// wrapper's loop over the points the assembly does not run. It is the
+// scalar body itself, inlined, so it rounds as the body does. The
+// kernel's AST is rewritten in place, after its translation.
+func pointLoop(fset *token.FileSet, fd *ast.FuncDecl) string {
+	arrays := map[string]bool{}
+	for _, field := range fd.Type.Params.List {
+		if _, ok := field.Type.(*ast.StarExpr); ok {
+			for _, id := range field.Names {
+				arrays[id.Name] = true
+			}
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if ix, ok := n.(*ast.IndexExpr); ok {
+			if id, ok := ix.X.(*ast.Ident); ok && arrays[id.Name] {
+				ix.Index = ast.NewIdent("i")
+			}
+		}
+		return true
+	})
+	var b bytes.Buffer
+	for _, st := range fd.Body.List {
+		printer.Fprint(&b, fset, st)
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
 func (c *compiler) dest(l ast.Expr, define bool) (interface{}, error) {
 	switch l := l.(type) {
 	case *ast.Ident:
+		if err := c.reserved(l); err != nil {
+			return nil, err
+		}
 		if _, loop := c.loops[l.Name]; loop || c.params[l.Name] != nil {
 			return nil, c.errf(l.Pos(), "cannot assign to %s", l.Name)
 		}
@@ -435,6 +618,9 @@ func (c *compiler) loop(s *ast.ForStmt) error {
 	}
 	if inc, ok := s.Post.(*ast.IncDecStmt); !ok || inc.Tok != token.INC || !isName(inc.X, v.Name) {
 		return c.errf(s.Pos(), "loop must step %s++", v.Name)
+	}
+	if err := c.reserved(v); err != nil {
+		return err
 	}
 	if _, nested := c.loops[v.Name]; nested || c.params[v.Name] != nil || c.locals[v.Name] {
 		return c.errf(v.Pos(), "loop variable %s shadows a float64", v.Name)
@@ -508,6 +694,18 @@ func (c *compiler) expr(e ast.Expr) (expr, error) {
 		return elem{p, i}, nil
 	case *ast.ParenExpr:
 		return c.expr(e.X)
+	case *ast.CallExpr:
+		if sel, ok := e.Fun.(*ast.SelectorExpr); !ok || !isName(sel.X, "math") || sel.Sel.Name != "Sqrt" || len(e.Args) != 1 {
+			return nil, c.errf(e.Pos(), "the only call is math.Sqrt(x)")
+		}
+		x, err := c.expr(e.Args[0])
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := x.(lit); ok {
+			return nil, c.errf(e.Pos(), "constant expression; write its value")
+		}
+		return sqrt{x}, nil
 	case *ast.UnaryExpr:
 		if e.Op != token.SUB {
 			return nil, c.errf(e.Pos(), "unsupported unary %s", e.Op)
@@ -551,6 +749,8 @@ func (c *compiler) expr(e ast.Expr) (expr, error) {
 func leaves(x expr, f func(expr)) {
 	switch x := x.(type) {
 	case neg:
+		leaves(x.x, f)
+	case sqrt:
 		leaves(x.x, f)
 	case binop:
 		leaves(x.x, f)
@@ -635,6 +835,10 @@ type gen struct {
 	uses   map[*param]int // reads of each parameter in the kernel
 }
 
+// errNoRegisters is the allocator's error when a body needs more than
+// the sixteen YMM registers.
+const errNoRegisters = "out of YMM registers"
+
 // reserve is the number of registers a cached parameter leaves free.
 const reserve = 4
 
@@ -651,7 +855,7 @@ func (g *gen) alloc() (int, error) {
 			return r, nil
 		}
 	}
-	return 0, fmt.Errorf("out of YMM registers")
+	return 0, fmt.Errorf(errNoRegisters)
 }
 
 func (g *gen) release(r int) { g.free[r] = true }
@@ -718,6 +922,17 @@ func (g *gen) eval(x expr) (operand, error) {
 			return operand{reg: r}, nil
 		}
 		return operand{reg: r, owned: true}, nil
+	case sqrt:
+		v, err := g.eval(x.x)
+		if err != nil {
+			return operand{}, err
+		}
+		dst, err := g.target(v, operand{})
+		if err != nil {
+			return operand{}, err
+		}
+		g.emit("VSQRTPD %s, %s", v, ymm(dst))
+		return operand{reg: dst, owned: true}, nil
 	case neg:
 		v, err := g.evalReg(x.x)
 		if err != nil {

@@ -36,6 +36,10 @@ var classes = map[byte]classSpec{
 
 const omega = 1.2
 
+// operatorRows is the number of n^3 rows the operator takes from
+// nscore.Rows: wc, oc, vel, flux, visc4 and dis.
+const operatorRows = 21
+
 // Benchmark is a configured LU instance.
 type Benchmark struct {
 	Class   byte
@@ -48,11 +52,19 @@ type Benchmark struct {
 
 	u, rsd, frct []float64 // 5-vector fields, m fastest
 
-	// Per-worker sweep scratch: four 5x5 blocks, a 5-vector and a flux
-	// line.
+	// Per-worker sweep scratch: four 5x5 blocks and a 5-vector.
 	scratch []*sweepScratch
 
 	ops [3]opDir // the operator's xi, eta and zeta directions
+
+	// The operator's component-major rows, one n^3 row per quantity,
+	// indexed by point (i fastest): w and out by component (wc, oc), the
+	// velocities and squared speed (vel), the convective fluxes of
+	// components 1-4 (flux), the viscous energy flux (visc4) and one
+	// component's dissipation term (dis).
+	wc, oc, vel [5][]float64
+	flux        [4][]float64
+	visc4, dis  []float64
 
 	// Steady-state machinery: the region bodies below are built once by
 	// New and reused every istep (a closure literal at the call site
@@ -79,11 +91,6 @@ type Benchmark struct {
 type sweepScratch struct {
 	az, ay, ax, d [25]float64
 	tv            [5]float64
-	flux          [][5]float64 // applyOperator's flux row per point of a line
-}
-
-func newSweepScratch(n int) *sweepScratch {
-	return &sweepScratch{flux: make([][5]float64, n)}
 }
 
 // New configures LU for the given class and thread count. env.Schedule
@@ -101,6 +108,11 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("lu: threads %d < 1", threads)
 	}
+	return newBenchmark(class, spec, threads, env), nil
+}
+
+// newBenchmark builds an LU instance of spec's grid (size ≥ 7).
+func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benchmark {
 	b := &Benchmark{Class: class, n: spec.size, itmax: spec.itmax, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.blk = newBlockConsts(&b.c)
@@ -111,10 +123,16 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b.frct = make([]float64, 5*n3)
 	b.scratch = make([]*sweepScratch, threads)
 	for i := range b.scratch {
-		b.scratch[i] = newSweepScratch(spec.size)
+		b.scratch[i] = new(sweepScratch)
 	}
+	rows := nscore.Rows(operatorRows, n3)
+	copy(b.wc[:], rows[0:5])
+	copy(b.oc[:], rows[5:10])
+	copy(b.vel[:], rows[10:15])
+	copy(b.flux[:], rows[15:19])
+	b.visc4, b.dis = rows[19], rows[20]
 	b.buildBodies()
-	return b, nil
+	return b
 }
 
 // buildBodies constructs every parallel-region body once. Each is a
@@ -125,12 +143,49 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 func (b *Benchmark) buildBodies() {
 	n := b.n
 
-	// one direction of the operator over the staged operands
-	for dir := range b.opBodies {
-		d := &b.ops[dir]
-		b.opBodies[dir] = func(id int) {
-			for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-				b.operatorPlanes(b.opOut, b.opW, b.scratch[id].flux, d, it.Lo, it.Hi)
+	// The operator's directions over the staged operands, each split
+	// over k planes. Only the zeta terms reach across planes, so
+	// whatever they read is set in an earlier region: xi loads the
+	// planes it owns into the rows (and the boundary planes with the
+	// first and last), eta sets the zeta fluxes after its own update of
+	// a plane, and zeta, the last to add to a point, stores the plane.
+	xi, eta, zeta := &b.ops[0], &b.ops[1], &b.ops[2]
+	b.opBodies[0] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			for k := it.Lo; k < it.Hi; k++ {
+				if k == 1 {
+					b.loadPlane(0, false)
+				}
+				if k == n-2 {
+					b.loadPlane(n-1, false)
+				}
+				b.loadPlane(k, true)
+			}
+			b.planeFluxes(xi, it.Lo, it.Hi)
+			b.update(xi, it.Lo, it.Hi)
+		}
+	}
+	b.opBodies[1] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			b.planeFluxes(eta, it.Lo, it.Hi)
+			b.update(eta, it.Lo, it.Hi)
+			if it.Lo == it.Hi {
+				continue // an empty block may sit at either end
+			}
+			b.planeFluxes(zeta, it.Lo, it.Hi)
+			if it.Lo == 1 {
+				b.planeFluxes(zeta, 0, 1)
+			}
+			if it.Hi == n-1 {
+				b.planeFluxes(zeta, n-1, n)
+			}
+		}
+	}
+	b.opBodies[2] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			b.update(zeta, it.Lo, it.Hi)
+			for k := it.Lo; k < it.Hi; k++ {
+				b.storePlane(k)
 			}
 		}
 	}

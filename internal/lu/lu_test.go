@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -147,7 +149,7 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &b.blk
-	ws := newSweepScratch(b.n)
+	ws := new(sweepScratch)
 	check := func(name string, got, want *[25]float64) {
 		t.Helper()
 		scale := 0.0
@@ -189,49 +191,63 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 	}
 }
 
-// TestOperatorMatchesOracle holds operatorPlanes to the per-direction
-// bodies it replaced, on both of applyOperator's paths — rhs (out =
-// rsd, starting from -frct; w = u) and erhs (out = frct, starting from
-// zero; w = the exact solution erhs leaves in rsd) — at S and W, over
-// whole and partial plane ranges. Every element of out, those the
-// range does not own included, must agree bit for bit.
+// laneModes returns the row-kernel paths this host can run: the
+// portable one always, the AVX one where the CPU has it. Each test
+// runs every mode with useAVX set accordingly and restores it.
+func laneModes(t *testing.T) []bool {
+	t.Cleanup(func() { useAVX = avxSupported() })
+	if avxSupported() {
+		return []bool{false, true}
+	}
+	t.Log("no AVX on this host: only the portable row path runs")
+	return []bool{false}
+}
+
+// TestRowKernelsMatchScalar holds each generated row kernel to its
+// scalar body, bit for bit, at every row length from 0 to 9, on random
+// rows with zeros of both signs among them (rowcheck.Kernels).
+func TestRowKernelsMatchScalar(t *testing.T) {
+	rowcheck.Kernels(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+		{opVelRow, opVel}, {opFluxRow, opFlux}, {opVisc4Row, opVisc4},
+		{opRhoRow, opRho}, {opMomRow, opMom}, {opEnergyRow, opEnergy},
+	})
+}
+
+// TestOperatorMatchesOracle holds applyOperator to the line-by-line
+// operator it replaced, on both of its paths — erhs (out = frct from
+// zero, w = the exact solution erhs leaves in rsd) and rhs (out = rsd
+// from -frct, w = u) — on grids of 8, 11, 12, 13 and 14 points a side,
+// whose spans of n(n-2) points and rows of n leave every tail length
+// from 0 to 3 to the scalar body, at team sizes below and above the interior planes,
+// under every schedule, on the AVX and the portable path. Every
+// element of rsd and frct, the boundary included, must agree bit for
+// bit.
 func TestOperatorMatchesOracle(t *testing.T) {
-	for _, class := range []byte{'S', 'W'} {
-		b, err := New(class, 1, kernel.Env{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm := team.New(1)
-		b.setbv()
-		b.setiv()
-		b.erhs(tm)
-		tm.Close()
-		n := b.n
-		rsd0 := make([]float64, len(b.frct))
-		for e := range rsd0 {
-			rsd0[e] = -b.frct[e]
-		}
-		paths := []struct {
-			name   string
-			out, w []float64
-		}{
-			{"rhs", rsd0, b.u},
-			{"erhs", make([]float64, len(b.frct)), b.rsd},
-		}
-		oracles := [3]func(out, w, flux []float64, lo, hi int){b.xiFluxRange, b.etaFluxRange, b.zetaFluxRange}
-		oflux := make([]float64, 5*n)
-		flux := make([][5]float64, n)
-		for _, p := range paths {
-			for dir, oracle := range oracles {
-				for _, r := range [][2]int{{1, n - 1}, {1, 2}, {n / 2, n/2 + 1}, {2, n - 2}} {
-					want := append([]float64(nil), p.out...)
-					got := append([]float64(nil), p.out...)
-					oracle(want, p.w, oflux, r[0], r[1])
-					b.operatorPlanes(got, p.w, flux, &b.ops[dir], r[0], r[1])
-					for e := range want {
-						if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
-							t.Fatalf("%c %s direction %d planes [%d,%d): out[%d] = %v, oracle %v",
-								class, p.name, dir, r[0], r[1], e, got[e], want[e])
+	modes := laneModes(t)
+	for _, n := range []int{8, 11, 12, 13, 14} {
+		spec := classSpec{size: n, itmax: 1, dt: 0.5}
+		want := newBenchmark('S', spec, 1, kernel.Env{})
+		want.setbv()
+		want.setiv()
+		want.oracleERHS()
+		want.oracleRHS()
+		for _, avx := range modes {
+			useAVX = avx
+			for _, threads := range []int{1, 2, 3, 7, 13} {
+				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+					b := newBenchmark('S', spec, threads, kernel.Env{})
+					tm := team.New(threads, team.WithSchedule(sched))
+					b.setbv()
+					b.setiv()
+					b.erhs(tm)
+					b.rhs(tm)
+					tm.Close()
+					for name, pair := range map[string][2][]float64{"frct": {b.frct, want.frct}, "rsd": {b.rsd, want.rsd}} {
+						for e := range pair[1] {
+							if math.Float64bits(pair[0][e]) != math.Float64bits(pair[1][e]) {
+								t.Fatalf("n=%d avx=%v %d threads %s: %s[%d] = %v, oracle %v",
+									n, avx, threads, sched, name, e, pair[0][e], pair[1][e])
+							}
 						}
 					}
 				}
@@ -240,209 +256,137 @@ func TestOperatorMatchesOracle(t *testing.T) {
 	}
 }
 
-// The three per-direction operator bodies and the closure-and-switch
-// dissipation that operatorPlanes, operatorLine and nscore.Dissip
-// replaced, kept as the oracle of TestOperatorMatchesOracle.
+// oracleERHS and oracleRHS are erhs and rhs over oracleOperator.
+func (b *Benchmark) oracleERHS() {
+	var ue [5]float64
+	for i := range b.frct {
+		b.frct[i] = 0
+	}
+	for k := 0; k < b.n; k++ {
+		for j := 0; j < b.n; j++ {
+			for i := 0; i < b.n; i++ {
+				b.exactAt(i, j, k, &ue)
+				copy(b.rsd[b.at(i, j, k):], ue[:])
+			}
+		}
+	}
+	b.oracleOperator(b.frct, b.rsd)
+}
 
-// xiFluxRange applies the xi-direction operator terms on planes
-// [klo, khi) using the caller's 5*n flux line scratch.
-func (b *Benchmark) xiFluxRange(out, w, flux []float64, klo, khi int) {
+func (b *Benchmark) oracleRHS() {
+	for i := range b.rsd {
+		b.rsd[i] = -b.frct[i]
+	}
+	b.oracleOperator(b.rsd, b.u)
+}
+
+// oracleOperator is applyOperator as it ran on the m-fastest fields,
+// a grid line at a time, serially: operatorLine on every line of each
+// direction in turn.
+func (b *Benchmark) oracleOperator(out, w []float64) {
 	n := b.n
-	c := &b.c
-	for k := klo; k < khi; k++ {
-		for j := 1; j < n-1; j++ {
-			for i := 0; i < n; i++ {
-				off := b.at(i, j, k)
-				u21 := w[off+1] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*i+0] = w[off+1]
-				flux[5*i+1] = w[off+1]*u21 + c.C2*(w[off+4]-q)
-				flux[5*i+2] = w[off+2] * u21
-				flux[5*i+3] = w[off+3] * u21
-				flux[5*i+4] = (c.C1*w[off+4] - c.C2*q) * u21
+	flux := make([][5]float64, n)
+	// line, inner and outer strides of each direction's lines
+	strides := [3][3]int{{5, 5 * n, 5 * n * n}, {5 * n, 5, 5 * n * n}, {5 * n * n, 5, 5 * n}}
+	for dir, st := range strides {
+		for o := 1; o < n-1; o++ {
+			for a := 1; a < n-1; a++ {
+				b.operatorLine(out, w, flux, a*st[1]+o*st[2], st[0], &b.ops[dir])
 			}
-			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Tx2 * (flux[5*(i+1)+m] - flux[5*(i-1)+m])
-				}
-			}
-			for i := 1; i < n; i++ {
-				off := b.at(i, j, k)
-				offm := b.at(i-1, j, k)
-				tmp := 1.0 / w[off]
-				u21i, u31i, u41i, u51i := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21im1, u31im1, u41im1, u51im1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*i+1] = (4.0 / 3.0) * c.Tx3 * (u21i - u21im1)
-				flux[5*i+2] = c.Tx3 * (u31i - u31im1)
-				flux[5*i+3] = c.Tx3 * (u41i - u41im1)
-				flux[5*i+4] = 0.5*(1.0-c.C1c5)*c.Tx3*
-					((u21i*u21i+u31i*u31i+u41i*u41i)-(u21im1*u21im1+u31im1*u31im1+u41im1*u41im1)) +
-					(1.0/6.0)*c.Tx3*(u21i*u21i-u21im1*u21im1) +
-					c.C1c5*c.Tx3*(u51i-u51im1)
-			}
-			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				om := b.at(i-1, j, k)
-				op := b.at(i+1, j, k)
-				out[off+0] += c.Dx1 * c.Tx1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+1]-flux[5*i+1]) +
-					c.Dx2*c.Tx1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+2]-flux[5*i+2]) +
-					c.Dx3*c.Tx1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+3]-flux[5*i+3]) +
-					c.Dx4*c.Tx1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Tx3*c.C3*c.C4*(flux[5*(i+1)+4]-flux[5*i+4]) +
-					c.Dx5*c.Tx1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 0, j, k)
 		}
 	}
 }
 
-// etaFluxRange applies the eta-direction operator terms on planes
-// [klo, khi).
-func (b *Benchmark) etaFluxRange(out, w, flux []float64, klo, khi int) {
-	n := b.n
+// operatorLine adds direction d's terms of R(w) along one grid line to
+// out: the central difference of the convective fluxes, the difference
+// of the viscous fluxes, the second difference of w and the
+// fourth-order dissipation. Point l of the line has its 5-vector at
+// base+l*stride in out and w; flux is a row per point.
+func (b *Benchmark) operatorLine(out, w []float64, flux [][5]float64, base, stride int, d *opDir) {
 	c := &b.c
-	for k := klo; k < khi; k++ {
-		for i := 1; i < n-1; i++ {
-			for j := 0; j < n; j++ {
-				off := b.at(i, j, k)
-				u31 := w[off+2] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*j+0] = w[off+2]
-				flux[5*j+1] = w[off+1] * u31
-				flux[5*j+2] = w[off+2]*u31 + c.C2*(w[off+4]-q)
-				flux[5*j+3] = w[off+3] * u31
-				flux[5*j+4] = (c.C1*w[off+4] - c.C2*q) * u31
-			}
-			for j := 1; j < n-1; j++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Ty2 * (flux[5*(j+1)+m] - flux[5*(j-1)+m])
-				}
-			}
-			for j := 1; j < n; j++ {
-				off := b.at(i, j, k)
-				offm := b.at(i, j-1, k)
-				tmp := 1.0 / w[off]
-				u21j, u31j, u41j, u51j := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21jm1, u31jm1, u41jm1, u51jm1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*j+1] = c.Ty3 * (u21j - u21jm1)
-				flux[5*j+2] = (4.0 / 3.0) * c.Ty3 * (u31j - u31jm1)
-				flux[5*j+3] = c.Ty3 * (u41j - u41jm1)
-				flux[5*j+4] = 0.5*(1.0-c.C1c5)*c.Ty3*
-					((u21j*u21j+u31j*u31j+u41j*u41j)-(u21jm1*u21jm1+u31jm1*u31jm1+u41jm1*u41jm1)) +
-					(1.0/6.0)*c.Ty3*(u31j*u31j-u31jm1*u31jm1) +
-					c.C1c5*c.Ty3*(u51j-u51jm1)
-			}
-			for j := 1; j < n-1; j++ {
-				off := b.at(i, j, k)
-				om := b.at(i, j-1, k)
-				op := b.at(i, j+1, k)
-				out[off+0] += c.Dy1 * c.Ty1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+1]-flux[5*j+1]) +
-					c.Dy2*c.Ty1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+2]-flux[5*j+2]) +
-					c.Dy3*c.Ty1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+3]-flux[5*j+3]) +
-					c.Dy4*c.Ty1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Ty3*c.C3*c.C4*(flux[5*(j+1)+4]-flux[5*j+4]) +
-					c.Dy5*c.Ty1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 1, i, k)
+	n := len(flux)
+	cv := d.cv
+
+	// Convective fluxes at every point, then their central difference.
+	for l := range flux {
+		wl := grid.Vec5(w, base+l*stride)
+		u := wl[cv] / wl[0]
+		q := 0.5 * (wl[1]*wl[1] + wl[2]*wl[2] + wl[3]*wl[3]) / wl[0]
+		f := &flux[l]
+		f[0] = wl[cv]
+		f[1] = wl[1] * u
+		f[2] = wl[2] * u
+		f[3] = wl[3] * u
+		f[cv] += c.C2 * (wl[4] - q)
+		f[4] = (c.C1*wl[4] - c.C2*q) * u
+	}
+	for l := 1; l < n-1; l++ {
+		o, fm, fp := grid.Vec5(out, base+l*stride), &flux[l-1], &flux[l+1]
+		for m := range o {
+			o[m] -= d.t2 * (fp[m] - fm[m])
 		}
 	}
+
+	// Viscous fluxes between points l-1 and l. Each point's velocities
+	// and squares are computed once and carried to the next point.
+	wl := grid.Vec5(w, base)
+	tmp := 1.0 / wl[0]
+	pu1, pu2, pu3, pu4 := tmp*wl[1], tmp*wl[2], tmp*wl[3], tmp*wl[4]
+	pcv := tmp * wl[cv]
+	psq, pcq := pu1*pu1+pu2*pu2+pu3*pu3, pcv*pcv
+	for l := 1; l < n; l++ {
+		wl := grid.Vec5(w, base+l*stride)
+		tmp := 1.0 / wl[0]
+		u1, u2, u3, u4 := tmp*wl[1], tmp*wl[2], tmp*wl[3], tmp*wl[4]
+		ucv := tmp * wl[cv]
+		sq, cq := u1*u1+u2*u2+u3*u3, ucv*ucv
+		f := &flux[l]
+		f[1] = d.visc[1] * (u1 - pu1)
+		f[2] = d.visc[2] * (u2 - pu2)
+		f[3] = d.visc[3] * (u3 - pu3)
+		f[4] = d.e1*(sq-psq) + d.e2*(cq-pcq) + d.e3*(u4-pu4)
+		pu1, pu2, pu3, pu4, psq, pcq = u1, u2, u3, u4, sq, cq
+	}
+
+	// Their difference, and the second difference of w.
+	wm, wc := grid.Vec5(w, base), grid.Vec5(w, base+stride)
+	for l := 1; l < n-1; l++ {
+		wp := grid.Vec5(w, base+(l+1)*stride)
+		o, f, fp := grid.Vec5(out, base+l*stride), &flux[l], &flux[l+1]
+		o[0] += d.d[0] * (wm[0] - 2.0*wc[0] + wp[0])
+		for m := 1; m < 5; m++ {
+			o[m] += d.t3c34*(fp[m]-f[m]) + d.d[m]*(wm[m]-2.0*wc[m]+wp[m])
+		}
+		wm, wc = wc, wp
+	}
+
+	dissipLine(out, w, n, c.Dssp, base, stride)
 }
 
-// zetaFluxRange applies the zeta-direction operator terms on j-rows
-// [jlo, jhi) (the line runs along k).
-func (b *Benchmark) zetaFluxRange(out, w, flux []float64, jlo, jhi int) {
-	n := b.n
-	c := &b.c
-	for j := jlo; j < jhi; j++ {
-		for i := 1; i < n-1; i++ {
-			for k := 0; k < n; k++ {
-				off := b.at(i, j, k)
-				u41 := w[off+3] / w[off]
-				q := 0.5 * (w[off+1]*w[off+1] + w[off+2]*w[off+2] + w[off+3]*w[off+3]) / w[off]
-				flux[5*k+0] = w[off+3]
-				flux[5*k+1] = w[off+1] * u41
-				flux[5*k+2] = w[off+2] * u41
-				flux[5*k+3] = w[off+3]*u41 + c.C2*(w[off+4]-q)
-				flux[5*k+4] = (c.C1*w[off+4] - c.C2*q) * u41
-			}
-			for k := 1; k < n-1; k++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					out[off+m] -= c.Tz2 * (flux[5*(k+1)+m] - flux[5*(k-1)+m])
-				}
-			}
-			for k := 1; k < n; k++ {
-				off := b.at(i, j, k)
-				offm := b.at(i, j, k-1)
-				tmp := 1.0 / w[off]
-				u21k, u31k, u41k, u51k := tmp*w[off+1], tmp*w[off+2], tmp*w[off+3], tmp*w[off+4]
-				tmp = 1.0 / w[offm]
-				u21km1, u31km1, u41km1, u51km1 := tmp*w[offm+1], tmp*w[offm+2], tmp*w[offm+3], tmp*w[offm+4]
-				flux[5*k+1] = c.Tz3 * (u21k - u21km1)
-				flux[5*k+2] = c.Tz3 * (u31k - u31km1)
-				flux[5*k+3] = (4.0 / 3.0) * c.Tz3 * (u41k - u41km1)
-				flux[5*k+4] = 0.5*(1.0-c.C1c5)*c.Tz3*
-					((u21k*u21k+u31k*u31k+u41k*u41k)-(u21km1*u21km1+u31km1*u31km1+u41km1*u41km1)) +
-					(1.0/6.0)*c.Tz3*(u41k*u41k-u41km1*u41km1) +
-					c.C1c5*c.Tz3*(u51k-u51km1)
-			}
-			for k := 1; k < n-1; k++ {
-				off := b.at(i, j, k)
-				om := b.at(i, j, k-1)
-				op := b.at(i, j, k+1)
-				out[off+0] += c.Dz1 * c.Tz1 * (w[om+0] - 2.0*w[off+0] + w[op+0])
-				out[off+1] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+1]-flux[5*k+1]) +
-					c.Dz2*c.Tz1*(w[om+1]-2.0*w[off+1]+w[op+1])
-				out[off+2] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+2]-flux[5*k+2]) +
-					c.Dz3*c.Tz1*(w[om+2]-2.0*w[off+2]+w[op+2])
-				out[off+3] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+3]-flux[5*k+3]) +
-					c.Dz4*c.Tz1*(w[om+3]-2.0*w[off+3]+w[op+3])
-				out[off+4] += c.Tz3*c.C3*c.C4*(flux[5*(k+1)+4]-flux[5*k+4]) +
-					c.Dz5*c.Tz1*(w[om+4]-2.0*w[off+4]+w[op+4])
-			}
-			b.dissip(out, w, 2, i, j)
-		}
-	}
-}
-
-// dissip subtracts the boundary-adjusted fourth-difference dissipation
-// of w from out along one grid line of direction dir (0 = xi at
-// (j,k)=(a,bb), 1 = eta at (i,k)=(a,bb), 2 = zeta at (i,j)=(a,bb)).
-func (b *Benchmark) dissip(out, w []float64, dir, a, bb int) {
-	n := b.n
-	dssp := b.c.Dssp
-	at := func(l int) int {
-		switch dir {
-		case 0:
-			return b.at(l, a, bb)
-		case 1:
-			return b.at(a, l, bb)
-		default:
-			return b.at(a, bb, l)
-		}
-	}
+// dissipLine subtracts the boundary-adjusted fourth-difference
+// dissipation of w from out along one grid line of n points, point l's
+// 5-vector at base+l*stride in both.
+func dissipLine(out, w []float64, n int, dssp float64, base, stride int) {
+	u := func(l int) *[5]float64 { return grid.Vec5(w, base+l*stride) }
+	r := func(l int) *[5]float64 { return grid.Vec5(out, base+l*stride) }
+	r1, r2 := r(1), r(2)
+	u1, u2, u3, u4 := u(1), u(2), u(3), u(4)
 	for m := 0; m < 5; m++ {
-		l := 1
-		out[at(l)+m] -= dssp * (5.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
-		l = 2
-		out[at(l)+m] -= dssp * (-4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
-		for l = 3; l <= n-4; l++ {
-			out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m] + w[at(l+2)+m])
+		r1[m] -= dssp * (5.0*u1[m] - 4.0*u2[m] + u3[m])
+		r2[m] -= dssp * (-4.0*u1[m] + 6.0*u2[m] - 4.0*u3[m] + u4[m])
+	}
+	for l := 3; l <= n-4; l++ {
+		rl := r(l)
+		um2, um1, u0, up1, up2 := u(l-2), u(l-1), u(l), u(l+1), u(l+2)
+		for m := 0; m < 5; m++ {
+			rl[m] -= dssp * (um2[m] - 4.0*um1[m] + 6.0*u0[m] - 4.0*up1[m] + up2[m])
 		}
-		l = n - 3
-		out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 6.0*w[at(l)+m] - 4.0*w[at(l+1)+m])
-		l = n - 2
-		out[at(l)+m] -= dssp * (w[at(l-2)+m] - 4.0*w[at(l-1)+m] + 5.0*w[at(l)+m])
+	}
+	rn3, rn2 := r(n-3), r(n-2)
+	un5, un4, un3, un2 := u(n-5), u(n-4), u(n-3), u(n-2)
+	for m := 0; m < 5; m++ {
+		rn3[m] -= dssp * (un5[m] - 4.0*un4[m] + 6.0*un3[m] - 4.0*un2[m])
+		rn2[m] -= dssp * (un4[m] - 4.0*un3[m] + 5.0*un2[m])
 	}
 }
 

@@ -27,6 +27,15 @@ type Field struct {
 	// otherwise); ComputeRHS fills it when present.
 	Speed []float64
 
+	// Component-major scratch of ComputeRHS, one n^3 row per quantity,
+	// indexed by point like the scalar fields: uc[m] is component m of
+	// U, rc[m] component m of the right-hand side being summed, dis one
+	// component's dissipation term, et the energy flux's first terms,
+	// and ge, he two factors of the energy flux at each point, u4·rho⁻¹
+	// and c1·u4 − c2·sq.
+	uc, rc          [5][]float64
+	dis, et, ge, he []float64
+
 	// Steady-state machinery: the region bodies below are built once by
 	// NewField and reused on every ComputeRHS/Add call (a closure
 	// literal at the call site would allocate per invocation), keeping
@@ -35,19 +44,18 @@ type Field struct {
 	stC  *Consts
 	stTm *team.Team
 
-	rhsBody   func(id int) // ComputeRHS's region: the seven below, in order
+	rhsBody   func(id int) // ComputeRHS's region: the five below, in order
 	primBody  func(id int)
-	forceBody func(id int)
 	xiBody    func(id int)
 	etaBody   func(id int)
 	zetaBody  func(id int)
-	zDissBody func(id int)
 	scaleBody func(id int)
 	addBody   func(id int)
 }
 
-// NewField allocates a zeroed field for an n^3 grid. withSpeed also
-// allocates the sound-speed array (needed by SP's diagonalized solver).
+// NewField allocates a zeroed field for an n^3 grid, with ComputeRHS's
+// scratch. withSpeed also allocates the sound-speed array (needed by
+// SP's diagonalized solver).
 func NewField(n int, withSpeed bool) *Field {
 	n3 := n * n * n
 	f := &Field{
@@ -55,19 +63,63 @@ func NewField(n int, withSpeed bool) *Field {
 		U:       make([]float64, 5*n3),
 		Rhs:     make([]float64, 5*n3),
 		Forcing: make([]float64, 5*n3),
-		Us:      make([]float64, n3),
-		Vs:      make([]float64, n3),
-		Ws:      make([]float64, n3),
-		Qs:      make([]float64, n3),
-		Square:  make([]float64, n3),
-		RhoI:    make([]float64, n3),
 	}
+	rows := Rows(fieldRows, n3)
+	f.Us, f.Vs, f.Ws, f.Qs, f.Square, f.RhoI = rows[0], rows[1], rows[2], rows[3], rows[4], rows[5]
+	copy(f.uc[:], rows[6:11])
+	copy(f.rc[:], rows[11:16])
+	f.dis, f.et, f.ge, f.he = rows[16], rows[17], rows[18], rows[19]
 	if withSpeed {
 		f.Speed = make([]float64, n3)
 	}
 	f.buildBodies()
 	return f
 }
+
+// Rows allocates count rows of n3 doubles, zeroed, from one array. The
+// rows start an odd number of 64-byte cache lines apart modulo 4 KiB,
+// so the same point of up to 64 rows falls in different cache sets: a
+// row kernel reads and writes a dozen rows at one index, and rows
+// allocated one by one start page-aligned, where those dozen accesses
+// would compete for one set and alias in the store buffer.
+func Rows(count, n3 int) [][]float64 {
+	stride := rowStride(n3)
+	all := make([]float64, count*stride)
+	rows := make([][]float64, count)
+	for r := range rows {
+		rows[r] = all[r*stride : r*stride+n3 : r*stride+n3]
+	}
+	return rows
+}
+
+// rowStride is the distance between the starts of two of Rows' rows:
+// n3 rounded up to whole cache lines, an odd number of them.
+func rowStride(n3 int) int {
+	stride := (n3 + 7) &^ 7
+	if stride/8%2 == 0 {
+		stride += 8
+	}
+	return stride
+}
+
+// RowsBytes is the size of the array Rows(count, n3) allocates.
+func RowsBytes(count, n3 int) uint64 { return uint64(count*rowStride(n3)) * 8 }
+
+// FieldBytes is the size of the arrays NewField(n, withSpeed)
+// allocates: U, Rhs and Forcing, five components each, and twenty rows
+// of n^3 (the six primitive fields and ComputeRHS's fourteen rows of
+// scratch), plus Speed.
+func FieldBytes(n int, withSpeed bool) uint64 {
+	n3 := n * n * n
+	b := uint64(15*n3)*8 + RowsBytes(fieldRows, n3)
+	if withSpeed {
+		b += uint64(n3) * 8
+	}
+	return b
+}
+
+// fieldRows is the number of n^3 rows a Field takes from Rows.
+const fieldRows = 20
 
 // UAt returns the flat offset of U(m,i,j,k) (m fastest).
 func (f *Field) UAt(m, i, j, k int) int {

@@ -157,13 +157,12 @@ func TestViscousJacobianAnnihilatesUniformFlow(t *testing.T) {
 	}
 }
 
-// computeRHS7 is ComputeRHS with one region per loop, every loop joined
-// before the next starts: the order the fused region must reproduce.
-func computeRHS7(f *Field, c *Consts, tm *team.Team) {
+// computeRHSBodies is ComputeRHS with one region per body, every body
+// joined before the next starts: the order the fused region must
+// reproduce.
+func computeRHSBodies(f *Field, c *Consts, tm *team.Team) {
 	f.stC, f.stTm = c, tm
-	for _, body := range []func(int){
-		f.primBody, f.forceBody, f.xiBody, f.etaBody, f.zetaBody, f.zDissBody, f.scaleBody,
-	} {
+	for _, body := range []func(int){f.primBody, f.xiBody, f.etaBody, f.zetaBody, f.scaleBody} {
 		tm.Run(body)
 	}
 }
@@ -173,8 +172,9 @@ func computeRHS7(f *Field, c *Consts, tm *team.Team) {
 // can; which is which depends on the schedule and on how [0,n) and
 // [1,n-1) split over the team. Every schedule and team size — below,
 // at and above the six interior planes — must give the bits of the
-// seven joined regions, twice over so a second call's primBody cannot
-// overtake the first call's readers.
+// bodies run as joined regions (seven before the zeta dissipation
+// joined the zeta body and the forcing copy the primitives), twice over
+// so a second call's primBody cannot overtake the first call's readers.
 func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
 	const n = 8
 	c := SetConstants(n, 0.01)
@@ -183,9 +183,9 @@ func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
 	want.ExactRHS(&c)
 	serial := team.New(1)
 	defer serial.Close()
-	computeRHS7(want, &c, serial)
+	computeRHSBodies(want, &c, serial)
 	want.Add(serial)
-	computeRHS7(want, &c, serial)
+	computeRHSBodies(want, &c, serial)
 	for _, threads := range []int{1, 2, 3, 6, 7, 9} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			f := NewField(n, true)
@@ -201,7 +201,7 @@ func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
 			} {
 				for i := range pair[1] {
 					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-						t.Fatalf("%d threads, %s: %s[%d] = %v, seven regions give %v",
+						t.Fatalf("%d threads, %s: %s[%d] = %v, joined regions give %v",
 							threads, sched, name, i, pair[0][i], pair[1][i])
 					}
 				}

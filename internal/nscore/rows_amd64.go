@@ -1,0 +1,61 @@
+// Code generated by lanegen from kernels.go; DO NOT EDIT.
+
+package nscore
+
+// The row kernels of lanes_amd64.s.
+
+//go:noescape
+func fluxRhoAVX(r, dis, up, u, um, mvp, mvm *float64, d1, t2 float64, groups int)
+
+//go:noescape
+func fluxMomAVX(r, dis, up, u, um, wp, w, wm, vp, vm *float64, dm, con2, t2 float64, groups int)
+
+//go:noescape
+func fluxMomAlongAVX(r, dis, up, u, um, vp, v, vm, u4p, u4m, sqp, sqm *float64, dm, con2, con43, t2, c2 float64, groups int)
+
+//go:noescape
+func fluxEnergyHeadAVX(t, up, u, um, qp, q, qm, vp, v, vm *float64, d5, con3, con4 float64, groups int)
+
+//go:noescape
+func fluxEnergyTailAVX(r, dis, t, gp, u, rhoI, gm, hp, hm, vp, vm *float64, con5, t2 float64, groups int)
+
+//go:noescape
+func primAVX(rhoI, us, vs, ws, sq, qs, u0, u1, u2, u3 *float64, groups int)
+
+//go:noescape
+func primEnergyAVX(ge, he, u4, rhoI, sq *float64, c1, c2 float64, groups int)
+
+//go:noescape
+func soundSpeedAVX(speed, u4, rhoI, sq *float64, c1c2 float64, groups int)
+
+//go:noescape
+func dissFirstAVX(d, u, u1, u2 *float64, dssp float64, groups int)
+
+//go:noescape
+func dissSecondAVX(d, um1, u, u1, u2 *float64, dssp float64, groups int)
+
+//go:noescape
+func dissInnerAVX(d, um2, um1, u, u1, u2 *float64, dssp float64, groups int)
+
+//go:noescape
+func dissPenultAVX(d, um2, um1, u, u1 *float64, dssp float64, groups int)
+
+//go:noescape
+func dissLastAVX(d, um2, um1, u *float64, dssp float64, groups int)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// avxSupported reports whether the CPU has AVX and the OS saves the
+// YMM registers across context switches (CPUID.1:ECX.OSXSAVE and AVX,
+// then XCR0 bits 1 and 2).
+func avxSupported() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	_, _, ecx, _ := cpuid(1, 0)
+	if ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
+}

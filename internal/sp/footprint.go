@@ -1,11 +1,16 @@
 package sp
 
-import "fmt"
+import (
+	"fmt"
+
+	"npbgo/internal/nscore"
+)
 
 // Footprint estimates the working-set bytes an SP run of the given
 // class and thread count allocates: the nscore field with the Speed
-// grid (22 scalar-grid equivalents over n³ points) plus the per-thread
-// pentadiagonal line scratch. Feeds the harness memory admission guard;
+// grid (36 scalar-grid equivalents over n³ points, ComputeRHS's
+// component-major rows included) plus the per-thread pentadiagonal line
+// scratch. Feeds the harness memory admission guard;
 // dominant arrays only.
 func Footprint(class byte, threads int) (uint64, error) {
 	spec, ok := classes[class]
@@ -16,8 +21,6 @@ func Footprint(class byte, threads int) (uint64, error) {
 		threads = 1
 	}
 	n := uint64(spec.size)
-	n3 := n * n * n
-	field := 22 * n3 * 8                    // BT's 21 grids + Speed
 	scratch := uint64(threads) * 17 * n * 8 // lhs/lhsp/lhsm (5n) + cv/rho (n)
-	return field + scratch, nil
+	return nscore.FieldBytes(spec.size, true) + scratch, nil
 }
