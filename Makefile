@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race race vet allocgate escape-check escape-baseline bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
+.PHONY: build test test-race race vet allocgate bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
@@ -18,23 +18,16 @@ vet:
 	@files=$$(git ls-files '*.go') && unformatted=$$(gofmt -l $$files) && \
 	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
-# Dynamic allocation gate: steady-state allocations per benchmark
-# iteration of every internal/suite row, measured with
-# testing.AllocsPerRun and asserted against the one checked-in
-# allocgate.Budget (zero). The class-W gates run full-size iterations;
-# drop them with GOFLAGS=-short.
+# Allocation gate: steady-state allocations per benchmark iteration of
+# every internal/suite row at class S under every loop schedule, with no
+# instrument and with all of them (probe, tracer, software counter
+# sampler where the host allows it, concurrent timers), and at class W
+# under the static schedule, measured with testing.AllocsPerRun and
+# asserted against the one checked-in allocgate.Budget (zero). The
+# class-W gates run full-size iterations; drop them with GOFLAGS=-short.
+# To find where a failing key allocates, see DESIGN.md §13.
 allocgate:
 	$(GO) test -run 'TestGate' -v ./internal/allocgate
-
-# Escape-analysis discipline: diff the compiler's current heap-escape
-# report (go build -gcflags=-m=2 on the hot packages) against the
-# committed baseline. New escapes fail; after fixing escapes, lock the
-# improvement in with escape-baseline.
-escape-check:
-	$(GO) run ./cmd/npbescape -diff escape_baseline.jsonl
-
-escape-baseline:
-	$(GO) run ./cmd/npbescape -update escape_baseline.jsonl
 
 # Bounds-check discipline for the solver inner loops: count the bounds
 # checks the compiler could not eliminate (go build

@@ -123,32 +123,41 @@ func Validate(data []byte) (*FileInfo, error) {
 		}
 	}
 
-	for tid, st := range tracks {
-		if len(st.stack) > 0 {
-			return nil, fmt.Errorf("trace: tid %d (%s): %d span(s) never closed (innermost %q)",
-				tid, st.info.Name, len(st.stack), st.stack[len(st.stack)-1])
-		}
-	}
-	for id := range flowStarts {
-		if flowEnds[id] == 0 {
-			return nil, fmt.Errorf("trace: flow %s started but never finished", id)
-		}
-	}
-	for id := range flowEnds {
-		if flowStarts[id] == 0 {
-			return nil, fmt.Errorf("trace: flow %s finished but never started", id)
-		}
-	}
-
+	// Report the lowest unclosed tid and the smallest unmatched flow id,
+	// so the same bytes always give the same error.
 	tids := make([]int, 0, len(tracks))
 	for tid := range tracks {
 		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
 	for _, tid := range tids {
+		if st := tracks[tid]; len(st.stack) > 0 {
+			return nil, fmt.Errorf("trace: tid %d (%s): %d span(s) never closed (innermost %q)",
+				tid, st.info.Name, len(st.stack), st.stack[len(st.stack)-1])
+		}
+	}
+	if id, ok := firstUnmatched(flowStarts, flowEnds); ok {
+		return nil, fmt.Errorf("trace: flow %s started but never finished", id)
+	}
+	if id, ok := firstUnmatched(flowEnds, flowStarts); ok {
+		return nil, fmt.Errorf("trace: flow %s finished but never started", id)
+	}
+
+	for _, tid := range tids {
 		info.Tracks = append(info.Tracks, tracks[tid].info)
 	}
 	return info, nil
+}
+
+// firstUnmatched returns the smallest id, in string order, that has
+// events in have but none in want.
+func firstUnmatched(have, want map[string]int) (first string, ok bool) {
+	for id := range have {
+		if want[id] == 0 && (!ok || id < first) {
+			first, ok = id, true
+		}
+	}
+	return first, ok
 }
 
 // seenFirst reports whether the track has recorded its first event.
