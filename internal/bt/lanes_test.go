@@ -3,12 +3,12 @@ package bt
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
 
 	"npbgo/internal/kernel"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -34,136 +34,14 @@ func sameBits(t *testing.T, what string, q int, got, want []float64) {
 	}
 }
 
-// laneFill fills every lane of every element with random values in
-// [-0.5, 0.5), about one in eight of them +0 or -0.
-func laneFill(rng *rand.Rand, rows ...[][4]float64) {
-	for _, r := range rows {
-		for e := range r {
-			for q := range r[e] {
-				switch rng.Intn(16) {
-				case 0:
-					r[e][q] = 0
-				case 1:
-					r[e][q] = math.Copysign(0, -1)
-				default:
-					r[e][q] = rng.Float64() - 0.5
-				}
-			}
-		}
-	}
-}
-
-// dominate adds 4 to the diagonal of every lane's block, as BT's
-// blocks are diagonally dominant by construction.
-func dominate(b *blk4) {
-	for m := 0; m < 25; m += 6 {
-		for q := range b[m] {
-			b[m][q] += 4.0
-		}
-	}
-}
-
-// TestLaneKernelsMatchScalar runs each of the eight lane kernels on
-// random inputs in four lanes, zeros of both signs and the Jacobians'
-// structural zeros among them, and demands lane q of every array equal
-// the scalar kernel on lane q's inputs, bit for bit.
+// TestLaneKernelsMatchScalar holds each of the eight generated lane
+// kernels to its scalar body, lane by lane and bit for bit, on random
+// inputs with zeros of both signs in every lane (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
-	b, err := New('S', 1, kernel.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, avx := range laneModes(t) {
-		useAVX = avx
-		rng := rand.New(rand.NewSource(35))
-		for trial := 0; trial < 200; trial++ {
-			var blk, c, a, fm, fp, nm, nc, np blk4
-			var r, r1 vec4
-			laneFill(rng, blk[:], c[:], a[:], fm[:], fp[:], nm[:], nc[:], np[:], r[:], r1[:])
-			dominate(&blk)
-
-			gb, gc, gr := blk, c, r
-			binvcrhs4(&gb, &gc, &gr)
-			for q := 0; q < 4; q++ {
-				sb, sc, sr := blk.lane(q), c.lane(q), r.lane(q)
-				binvcrhs(&sb, &sc, &sr)
-				gotB, gotC, gotR := gb.lane(q), gc.lane(q), gr.lane(q)
-				sameBits(t, "binvcrhs blk", q, gotB[:], sb[:])
-				sameBits(t, "binvcrhs c", q, gotC[:], sc[:])
-				sameBits(t, "binvcrhs r", q, gotR[:], sr[:])
-			}
-
-			gb, gr = blk, r
-			binvrhs4(&gb, &gr)
-			for q := 0; q < 4; q++ {
-				sb, sr := blk.lane(q), r.lane(q)
-				binvrhs(&sb, &sr)
-				gotB, gotR := gb.lane(q), gr.lane(q)
-				sameBits(t, "binvrhs blk", q, gotB[:], sb[:])
-				sameBits(t, "binvrhs r", q, gotR[:], sr[:])
-			}
-
-			gr = r
-			matvecSub4(&a, &r1, &gr)
-			for q := 0; q < 4; q++ {
-				sa, s1, sr := a.lane(q), r1.lane(q), r.lane(q)
-				matvecSub(&sa, &s1, &sr)
-				got := gr.lane(q)
-				sameBits(t, "matvecSub", q, got[:], sr[:])
-			}
-
-			gc = c
-			matmulSub4(&a, &blk, &gc)
-			for q := 0; q < 4; q++ {
-				sa, sb, sc := a.lane(q), blk.lane(q), c.lane(q)
-				matmulSub(&sa, &sb, &sc)
-				got := gc.lane(q)
-				sameBits(t, "matmulSub", q, got[:], sc[:])
-			}
-
-			// A point state: rho > 0, the scalars as ComputeRHS forms
-			// them, momenta (zeros of both signs among them) random.
-			var u vec4
-			var s pt4
-			laneFill(rng, u[:])
-			for q := 0; q < 4; q++ {
-				u[0][q] = 1 + rng.Float64()
-				s[0][q] = 1.0 / u[0][q]
-				s[2][q] = 0.5 * (u[1][q]*u[1][q] + u[2][q]*u[2][q] + u[3][q]*u[3][q]) * s[0][q]
-				s[1][q] = s[2][q] * s[0][q]
-			}
-			for d := range b.dirs {
-				ds := b.dirs[d]
-				var gf, gn blk4
-				jacobians4(&gf, &gn, &u, &s, &ds)
-				for q := 0; q < 4; q++ {
-					var sf, sn [25]float64
-					su, ss := u.lane(q), s.lane(q)
-					[]func(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64){
-						jacobiansX, jacobiansY, jacobiansZ,
-					}[d](&sf, &sn, &su, &ss, ds.jac.c1, ds.jac.c2, ds.jac.c3c4, ds.jac.r43, ds.jac.c1345)
-					gotF, gotN := gf.lane(q), gn.lane(q)
-					sameBits(t, "jacobians fjac", q, gotF[:], sf[:])
-					sameBits(t, "jacobians njac", q, gotN[:], sn[:])
-				}
-				// Feed the Jacobians, structural zeros and all, to
-				// assemble as well as the random blocks.
-				for _, in := range [][5]*blk4{{&fm, &fp, &nm, &nc, &np}, {&gf, &gf, &gn, &gn, &gn}} {
-					var ga, gbb, gcc blk4
-					assemble4(&ga, &gbb, &gcc, in[0], in[1], in[2], in[3], in[4], &ds)
-					for q := 0; q < 4; q++ {
-						var sa, sb, sc [25]float64
-						sfm, sfp, snm, snc, snp := in[0].lane(q), in[1].lane(q), in[2].lane(q), in[3].lane(q), in[4].lane(q)
-						assemble(&sa, &sb, &sc, &sfm, &sfp, &snm, &snc, &snp, ds.mt2, ds.t1, ds.t12, ds.t2,
-							ds.dm[0], ds.dm[1], ds.dm[2], ds.dm[3], ds.dm[4], ds.bm[0], ds.bm[1], ds.bm[2], ds.bm[3], ds.bm[4])
-						gotA, gotB, gotC := ga.lane(q), gbb.lane(q), gcc.lane(q)
-						sameBits(t, "assemble aa", q, gotA[:], sa[:])
-						sameBits(t, "assemble bb", q, gotB[:], sb[:])
-						sameBits(t, "assemble cc", q, gotC[:], sc[:])
-					}
-				}
-			}
-		}
-	}
+	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+		{binvcrhs4, binvcrhs}, {binvrhs4, binvrhs}, {matvecSub4, matvecSub}, {matmulSub4, matmulSub},
+		{jacobiansX4, jacobiansX}, {jacobiansY4, jacobiansY}, {jacobiansZ4, jacobiansZ}, {assemble4, assemble},
+	})
 }
 
 // TestLineSetupMatchesOracle holds the new line set-up to the old one
@@ -209,21 +87,21 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 				aa, bb, cc := make([][25]float64, n), make([][25]float64, n), make([][25]float64, n)
 				g := newGroup(n)
 				var queued [4]*lineScratch
-				check := func(what string, l, q int, got [25]float64, want *[25]float64) {
+				check := func(what string, l, q int, got []float64, want *[25]float64) {
 					t.Helper()
-					sameBits(t, fmt.Sprintf("%c %c %s cell %d", class, "xyz"[d], what, l), q, got[:], want[:])
+					sameBits(t, fmt.Sprintf("%c %c %s cell %d", class, "xyz"[d], what, l), q, got, want[:])
 				}
 				flush := func() {
 					b.setupGroup(g, ds)
 					for q := 0; q < g.n; q++ {
 						for l := 0; l <= isize; l++ {
-							check("lane fjac", l, q, g.fjac[l].lane(q), &queued[q].fjac[l])
-							check("lane njac", l, q, g.njac[l].lane(q), &queued[q].njac[l])
+							check("lane fjac", l, q, rowcheck.Lane(g.fjac[l][:], q), &queued[q].fjac[l])
+							check("lane njac", l, q, rowcheck.Lane(g.njac[l][:], q), &queued[q].njac[l])
 						}
 						for l := 1; l < isize; l++ {
-							check("lane aa", l, q, g.aa[l].lane(q), &queued[q].aa[l])
-							check("lane bb", l, q, g.bb[l].lane(q), &queued[q].bb[l])
-							check("lane cc", l, q, g.cc[l].lane(q), &queued[q].cc[l])
+							check("lane aa", l, q, rowcheck.Lane(g.aa[l][:], q), &queued[q].aa[l])
+							check("lane bb", l, q, rowcheck.Lane(g.bb[l][:], q), &queued[q].bb[l])
+							check("lane cc", l, q, rowcheck.Lane(g.cc[l][:], q), &queued[q].cc[l])
 						}
 					}
 					g.n = 0
@@ -237,17 +115,17 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 							u := [5]float64{b.f.U[5*p], b.f.U[5*p+1], b.f.U[5*p+2], b.f.U[5*p+3], b.f.U[5*p+4]}
 							s := [3]float64{b.f.RhoI[p], b.f.Qs[p], b.f.Square[p]}
 							jac[d](&fj[l], &nj[l], &u, &s, ds.jac.c1, ds.jac.c2, ds.jac.c3c4, ds.jac.r43, ds.jac.c1345)
-							check("fjac", l, 0, fj[l], &ls.fjac[l])
-							check("njac", l, 0, nj[l], &ls.njac[l])
+							check("fjac", l, 0, fj[l][:], &ls.fjac[l])
+							check("njac", l, 0, nj[l][:], &ls.njac[l])
 						}
 						b.assembleLHS(ls, isize, &oracle[d])
 						for l := 1; l < isize; l++ {
 							assemble(&aa[l], &bb[l], &cc[l], &fj[l-1], &fj[l+1], &nj[l-1], &nj[l], &nj[l+1],
 								ds.mt2, ds.t1, ds.t12, ds.t2, ds.dm[0], ds.dm[1], ds.dm[2], ds.dm[3], ds.dm[4],
 								ds.bm[0], ds.bm[1], ds.bm[2], ds.bm[3], ds.bm[4])
-							check("aa", l, 0, aa[l], &ls.aa[l])
-							check("bb", l, 0, bb[l], &ls.bb[l])
-							check("cc", l, 0, cc[l], &ls.cc[l])
+							check("aa", l, 0, aa[l][:], &ls.aa[l])
+							check("bb", l, 0, bb[l][:], &ls.bb[l])
+							check("cc", l, 0, cc[l][:], &ls.cc[l])
 						}
 
 						snap := newLineScratch(n)

@@ -15,9 +15,22 @@ import (
 //
 // Lines are solved four at a time: each worker queues the lines of its
 // share into a group and, whenever four are queued, sets up and solves
-// all four in lane form (lanes.go), one lane kernel call per step of
-// the block Thomas algorithm. A group may span planes and chunks; the
-// last group of a worker's share may be short.
+// all four in lane form, one lane kernel call per step of the block
+// Thomas algorithm. A group may span planes and chunks; the last group
+// of a worker's share may be short.
+
+//go:generate go run ../lanegen
+
+// Lane form: four lines side by side. Element e of lane q is at [e][q],
+// so one 256-bit register holds element e of all four lines, and each
+// <name>4 kernel (lanes.go, generated) runs its scalar namesake's
+// statements once for all four, bit for bit what the scalar kernel
+// computes on each lane (TestLaneKernelsMatchScalar).
+type (
+	blk4 = [25][4]float64 // a 5x5 block of each lane, column-major like the scalar blocks
+	vec4 = [5][4]float64  // a 5-vector of each lane
+	pt4  = [3][4]float64  // 1/rho, q/rho, 0.5*|m|^2/rho of each lane
+)
 
 // dirSpec carries the per-direction parameters of the implicit solve.
 type dirSpec struct {
@@ -113,8 +126,15 @@ func (g *group) solve(isize int) {
 // the Jacobians of every cell from the state U and the scalars
 // ComputeRHS left, then aa/bb/cc. Lanes past g.n repeat lane 0's line.
 func (b *Benchmark) setupGroup(g *group, ds *dirSpec) {
-	f := b.f
+	f, k := b.f, &ds.jac
 	isize := b.n - 1
+	jacobians := jacobiansX4
+	switch ds.cv {
+	case 2:
+		jacobians = jacobiansY4
+	case 3:
+		jacobians = jacobiansZ4
+	}
 	for q := g.n; q < 4; q++ {
 		g.start[q] = g.start[0]
 	}
@@ -125,12 +145,12 @@ func (b *Benchmark) setupGroup(g *group, ds *dirSpec) {
 			g.u[0][q], g.u[1][q], g.u[2][q], g.u[3][q], g.u[4][q] = u[0], u[1], u[2], u[3], u[4]
 			g.s[0][q], g.s[1][q], g.s[2][q] = f.RhoI[p], f.Qs[p], f.Square[p]
 		}
-		jacobians4(&g.fjac[l], &g.njac[l], &g.u, &g.s, ds)
+		jacobians(&g.fjac[l], &g.njac[l], &g.u, &g.s, k.c1, k.c2, k.c3c4, k.r43, k.c1345)
 	}
 	g.lhsinit(isize)
 	for l := 1; l <= isize-1; l++ {
-		assemble4(&g.aa[l], &g.bb[l], &g.cc[l], &g.fjac[l-1], &g.fjac[l+1],
-			&g.njac[l-1], &g.njac[l], &g.njac[l+1], ds)
+		assemble4(&g.aa[l], &g.bb[l], &g.cc[l], &g.fjac[l-1], &g.fjac[l+1], &g.njac[l-1], &g.njac[l], &g.njac[l+1],
+			ds.mt2, ds.t1, ds.t12, ds.t2, ds.dm[0], ds.dm[1], ds.dm[2], ds.dm[3], ds.dm[4], ds.bm[0], ds.bm[1], ds.bm[2], ds.bm[3], ds.bm[4])
 	}
 }
 

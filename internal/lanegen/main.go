@@ -1,6 +1,7 @@
 // Command lanegen compiles a package's scalar Go kernels into 4-lane
-// AVX assembly, lanes_amd64.s. Run it from the package directory, as
-// go generate does for each package that names it:
+// AVX assembly, lanes_amd64.s, and writes the Go glue around it. Run it
+// from the package directory, as go generate does for each package that
+// names it:
 //
 //	//go:generate go run ../lanegen
 //
@@ -9,17 +10,23 @@
 //   - //lanegen:lanes — four independent instances side by side: each
 //     *[N]float64 parameter becomes a *[N][4]float64 (lane q of element
 //     e at e*32+q*8) and the kernel <name>AVX runs the body once for all
-//     four. The package writes the Go glue around it by hand.
+//     four. Its wrapper <name>4 calls it where the CPU allows and
+//     otherwise runs the scalar body lane by lane, each array gathered
+//     into a copy first and the arrays the body writes scattered back,
+//     so an array a lane kernel writes must not overlap another of its
+//     arrays.
 //   - //lanegen:rows — a point kernel over *[1]float64 parameters, one
 //     element of each of several rows. <name>AVX runs the body on four
 //     consecutive points per group, advancing every array pointer by 32
-//     bytes a group, for a group count that may be 0. lanegen also
-//     writes the Go glue: rows.go, whose <name>Row wrapper takes slices
-//     (one point per element), runs the groups and then the scalar body
-//     on the len%4 tail, inlined with every a[0] read as a[i];
-//     rows_amd64.go with the declarations and the CPU probe;
-//     rows_other.go with the fallbacks of every other architecture,
-//     where only that loop runs.
+//     bytes a group, for a group count that may be 0. Its wrapper
+//     <name>Row takes slices (one point per element), runs the groups
+//     and then the scalar body on the len%4 tail, inlined with every
+//     a[0] read as a[i].
+//
+// The glue is three files: lanes.go with the wrappers, lanes_amd64.go
+// with the assembly's declarations and the CPU probe, and lanes_other.go
+// with the stubs of every other architecture, where only the scalar
+// bodies run.
 //
 // The scalar Go is the specification. lanegen parses each kernel's body
 // and emits one packed instruction per scalar operation, visiting every
@@ -41,12 +48,16 @@
 //   - array elements indexed by an int literal or a loop variable, float
 //     literals (a DATA pool),
 //   - - * /, unary minus, math.Sqrt and +=, -=, *=;
+//   - if v > r { r = v }, with r a local and v a local or a float64
+//     parameter: a compare (greater than, ordered) and a blend, so r
+//     keeps its value when either is NaN and when both are zeros, as in
+//     Go, where VMAXPD would return its second operand;
 //   - for v := lo; v < hi; v++ loops with literal bounds, unrolled.
 //
 // Anything else is an error naming the position. The output uses AVX1
 // instructions only: VMOVUPD, VBROADCASTSD, VADDPD, VSUBPD, VMULPD,
-// VDIVPD, VSQRTPD, VXORPD and VZEROUPPER, plus the CPUID/XGETBV probe that
-// decides at start-up whether they run.
+// VDIVPD, VSQRTPD, VXORPD, VCMPPD, VBLENDVPD and VZEROUPPER, plus the
+// CPUID/XGETBV probe that decides at start-up whether they run.
 package main
 
 import (
@@ -102,7 +113,7 @@ type kernel struct {
 }
 
 // generate returns the generated files for the kernels in dir, by name:
-// lanes_amd64.s, and the row glue when there are row kernels.
+// lanes_amd64.s and the Go glue.
 func generate(dir string) (map[string][]byte, error) {
 	fset := token.NewFileSet()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
@@ -147,16 +158,14 @@ func generate(dir string) (map[string][]byte, error) {
 	}
 	pool := newPool()
 	var body bytes.Buffer
-	var rows []*kernel
+	var kernels []*kernel
 	for i, fd := range found {
 		k, err := compile(fset, fd, pool, marks[i])
 		if err != nil {
 			return nil, err
 		}
 		body.WriteString(k.text)
-		if k.rows {
-			rows = append(rows, k)
-		}
+		kernels = append(kernels, k)
 	}
 	var names []string
 	for f := range files {
@@ -177,12 +186,8 @@ func generate(dir string) (map[string][]byte, error) {
 	fmt.Fprintf(&b, "GLOBL lanesconst<>(SB), RODATA|NOPTR, $%d\n\n", 32*len(pool.bits))
 	b.WriteString(cpuProbe)
 	b.Write(body.Bytes())
-	out := map[string][]byte{"lanes_amd64.s": b.Bytes()}
-	if len(rows) > 0 {
-		for name, src := range rowGlue(pkg, from, rows) {
-			out[name] = src
-		}
-	}
+	out := glue(pkg, from, kernels)
+	out["lanes_amd64.s"] = b.Bytes()
 	return out, nil
 }
 
@@ -243,7 +248,8 @@ type (
 		i int
 	}
 	neg   struct{ x expr }
-	sqrt  struct{ x expr } // math.Sqrt, correctly rounded like VSQRTPD
+	sqrt  struct{ x expr }    // math.Sqrt, correctly rounded like VSQRTPD
+	blend struct{ v, r expr } // v if v > r, else r
 	binop struct {
 		op   byte // + - * /
 		x, y expr
@@ -251,10 +257,11 @@ type (
 )
 
 type param struct {
-	name  string
-	array int // element count, 0 for a float64
-	off   int // frame offset
-	gp    string
+	name    string
+	array   int // element count, 0 for a float64
+	off     int // frame offset
+	gp      string
+	written bool // an array the body stores to
 }
 
 type stmt struct {
@@ -300,6 +307,9 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 			if err := c.reserved(id); err != nil {
 				return nil, err
 			}
+			if !rows && (id.Name == "q" || strings.HasPrefix(id.Name, "lane")) {
+				return nil, c.errf(id.Pos(), "%s names a local of the lane wrapper", id.Name)
+			}
 			p := &param{name: id.Name, array: n, off: off}
 			if n > 0 {
 				if ngp == len(gpRegs) {
@@ -320,6 +330,11 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 	}
 	if err := c.block(fd.Body.List); err != nil {
 		return nil, err
+	}
+	for _, s := range c.stmts {
+		if e, ok := s.dst.(elem); ok {
+			e.p.written = true
+		}
 	}
 	if rows {
 		k.loop = pointLoop(fset, fd)
@@ -465,6 +480,10 @@ func (c *compiler) block(list []ast.Stmt) error {
 			if err := c.loop(s); err != nil {
 				return err
 			}
+		case *ast.IfStmt:
+			if err := c.ifGreater(s); err != nil {
+				return err
+			}
 		default:
 			return c.errf(s.Pos(), "unsupported statement")
 		}
@@ -524,9 +543,37 @@ func (c *compiler) assign(s *ast.AssignStmt) error {
 	return nil
 }
 
+// ifGreater translates if v > r { r = v }, r a local and v a local or
+// a float64 parameter, into a blend of v and r under the mask v > r.
+func (c *compiler) ifGreater(s *ast.IfStmt) error {
+	const form = "the only if is if v > r { r = v }"
+	cond, ok := s.Cond.(*ast.BinaryExpr)
+	if !ok || s.Init != nil || s.Else != nil || cond.Op != token.GTR || len(s.Body.List) != 1 {
+		return c.errf(s.Pos(), form)
+	}
+	as, ok := s.Body.List[0].(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return c.errf(s.Pos(), form)
+	}
+	v, vok := cond.X.(*ast.Ident)
+	r, rok := cond.Y.(*ast.Ident)
+	if !vok || !rok || !isName(as.Lhs[0], r.Name) || !isName(as.Rhs[0], v.Name) {
+		return c.errf(s.Pos(), form)
+	}
+	if !c.locals[r.Name] {
+		return c.errf(r.Pos(), "%s is not a float64 local", r.Name)
+	}
+	x, err := c.expr(v)
+	if err != nil {
+		return err
+	}
+	c.stmts = append(c.stmts, stmt{dst: local{r.Name}, x: blend{v: x, r: local{r.Name}}, pos: s.Pos()})
+	return nil
+}
+
 // reserved refuses a name the generated code needs for itself: g, the
 // goroutine register in Go assembly, and in a row kernel the locals of
-// its wrapper.
+// its wrapper, into which the body is inlined.
 func (c *compiler) reserved(id *ast.Ident) error {
 	if id.Name == "g" {
 		return c.errf(id.Pos(), "g names the goroutine register in Go assembly")
@@ -752,6 +799,9 @@ func leaves(x expr, f func(expr)) {
 		leaves(x.x, f)
 	case sqrt:
 		leaves(x.x, f)
+	case blend:
+		leaves(x.v, f)
+		leaves(x.r, f)
 	case binop:
 		leaves(x.x, f)
 		leaves(x.y, f)
@@ -932,6 +982,34 @@ func (g *gen) eval(x expr) (operand, error) {
 			return operand{}, err
 		}
 		g.emit("VSQRTPD %s, %s", v, ymm(dst))
+		return operand{reg: dst, owned: true}, nil
+	case blend:
+		v, err := g.evalReg(x.v)
+		if err != nil {
+			return operand{}, err
+		}
+		r, err := g.evalReg(x.r)
+		if err != nil {
+			return operand{}, err
+		}
+		mask, err := g.alloc()
+		if err != nil {
+			return operand{}, err
+		}
+		// $0x1e is GT_OQ: false when either operand is NaN.
+		g.emit("VCMPPD $0x1e, %s, %s, %s", r, v, ymm(mask))
+		dst, err := g.target(v, r)
+		if err != nil {
+			return operand{}, err
+		}
+		g.emit("VBLENDVPD %s, %s, %s, %s", ymm(mask), v, r, ymm(dst))
+		g.release(mask)
+		if r.owned && r.reg != dst {
+			g.release(r.reg)
+		}
+		if v.owned && v.reg != dst {
+			g.release(v.reg)
+		}
 		return operand{reg: dst, owned: true}, nil
 	case neg:
 		v, err := g.evalReg(x.x)

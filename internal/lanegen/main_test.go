@@ -71,9 +71,15 @@ func TestLanesAsmUpToDate(t *testing.T) {
 // stores, which is Go's evaluate-then-assign only if no right-hand side
 // reads what the tuple writes. Row kernels take only *[1]float64 arrays,
 // at most twelve of them like lane kernels, and their assembly loops
-// over groups of four points, skipping the loop for zero groups.
+// over groups of four points, skipping the loop for zero groups. The
+// one if is the compare-and-blend if v > r { r = v }: greater than,
+// one assignment, no else, which lowers to VCMPPD and VBLENDVPD and
+// never to VMAXPD, whose result differs from Go's for NaN and zeros.
 func TestSubset(t *testing.T) {
 	twelve := "a, b, c, d, e, f, x, h, y, j, k, l *[1]float64"
+	ifBody := func(cond, then string) string {
+		return "func k(r *[2]float64, s float64) { a := r[0]; b := r[1]; " + cond + " { " + then + " }; r[0] = a }"
+	}
 	for _, tc := range []struct {
 		src  string
 		rows bool
@@ -99,6 +105,19 @@ func TestSubset(t *testing.T) {
 		{"func k(o, g *[1]float64) { o[0] = g[0] }", false, "g names the goroutine register"},
 		{"func k(o *[1]float64) { i := o[0]; o[0] = i * i }", true, "i names a local of the row wrapper"},
 		{"func k(o *[1]float64) { o[1] = 1.0 }", true, "index 1 out of range [0,1)"},
+		{ifBody("if b > a", "a = b"), false, ""},
+		{ifBody("if s > a", "a = s"), false, ""},
+		{"func k(o, p *[1]float64, s float64) { a := p[0]; if s > a { a = s }; o[0] = a }", true, ""},
+		{ifBody("if b >= a", "a = b"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if b < a", "a = b"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if b > a", "a = b } else { a = s"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if b > a", "a = b; a = s"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if b > a", "b = a"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if b > a", "a = s"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if c := r[1]; c > a", "a = c"), false, "the only if is if v > r { r = v }"},
+		{ifBody("if a > s", "s = a"), false, "s is not a float64 local"},
+		{"func k(q *[2]float64) { q[0] = 1.0 }", false, "q names a local of the lane wrapper"},
+		{"func k(lane0 *[2]float64) { lane0[0] = 1.0 }", false, "lane0 names a local of the lane wrapper"},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "k.go", "package p\n"+tc.src, 0)
@@ -111,7 +130,17 @@ func TestSubset(t *testing.T) {
 			t.Errorf("%s: %v", tc.src, err)
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("%s: error %v, want %q", tc.src, err, tc.err)
-		case err == nil && tc.rows:
+		case err == nil && strings.Contains(tc.src, " > "):
+			for _, want := range []string{"VCMPPD $0x1e,", "VBLENDVPD "} {
+				if !strings.Contains(k.text, want) {
+					t.Errorf("%s: no %q in\n%s", tc.src, want, k.text)
+				}
+			}
+			if strings.Contains(k.text, "VMAXPD") {
+				t.Errorf("%s: VMAXPD in\n%s", tc.src, k.text)
+			}
+		}
+		if err == nil && tc.rows {
 			// The loop: skipped for zero groups, every pointer a group on.
 			for _, want := range []string{"CMPQ groups+", "JEQ done", "loop:", "ADDQ $32, AX", "DECQ groups+", "JNE loop", "done:"} {
 				if !strings.Contains(k.text, want) {

@@ -14,8 +14,11 @@ import "npbgo/internal/nscore"
 // with sign = -1 for the lower sweep and +1 for the upper one, each
 // coupling block evaluated at the neighbour it couples to. Blocks are
 // column-major [25]float64 (element (m,n) at m+5*n). Every builder
-// writes only the structural non-zeros of its block, so each direction
-// owns a scratch block whose zeros, set once at allocation, persist.
+// writes only the structural non-zeros of its block, so the zeros of
+// each scratch block, set once at allocation, persist. lanegen compiles
+// each builder and factor5 into a kernel that runs four consecutive
+// points of a row at once, bit for bit the scalar body (lanes.go,
+// lanes_amd64.s).
 
 // dirConsts holds the constants of one direction's coupling block.
 type dirConsts struct {
@@ -71,210 +74,223 @@ func newBlockConsts(c *nscore.Consts) blockConsts {
 	return k
 }
 
-// couplingX fills dst with the xi-direction coupling block at state u.
+// couplingX fills dst with the xi-direction coupling block at state u:
+// f is sign*dt*tx2, n is dt*tx1 and d0..d4 are dt*tx1*(dx1..dx5).
 //
-// Hot path: jacld/jacu xi block, once per grid point per sweep.
-func (k *blockConsts) couplingX(dst *[25]float64, u *[5]float64, sign float64) {
-	dc := &k.x
+//lanegen:lanes
+func couplingX(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
 	t1 := 1.0 / u0
 	t2 := t1 * t1
 	t3 := t1 * t2
 	sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
 	qs := sq * t1
-	f, n := sign*dc.c2, dc.c1
-	dst[0] = -dc.d[0]
-	dst[1] = f*(-(u1*u1)*t2+k.c2*qs) + n*(k.r43*t2*u1)
-	dst[2] = f*(-(u2*u1)*t2) + n*(k.c34*t2*u2)
-	dst[3] = f*(-(u3*u1)*t2) + n*(k.c34*t2*u3)
-	dst[4] = f*((k.c2*2.0*sq-k.c1*u4)*u1*t2) + n*(k.m43*t3*u1*u1+k.m34*t3*u2*u2+k.m34*t3*u3*u3+k.c1345*t2*u4)
+	dst[0] = -d0
+	dst[1] = f*(-(u1*u1)*t2+c2*qs) + n*(r43*t2*u1)
+	dst[2] = f*(-(u2*u1)*t2) + n*(c34*t2*u2)
+	dst[3] = f*(-(u3*u1)*t2) + n*(c34*t2*u3)
+	dst[4] = f*((c2*2.0*sq-c1*u4)*u1*t2) + n*(m43*t3*u1*u1+m34*t3*u2*u2+m34*t3*u3*u3+c1345*t2*u4)
 	dst[5] = f
-	dst[6] = f*((2.0-k.c2)*u1*t1) - n*(k.r43*t1) - dc.d[1]
+	dst[6] = f*((2.0-c2)*u1*t1) - n*(r43*t1) - d1
 	dst[7] = f * (u2 * t1)
 	dst[8] = f * (u3 * t1)
-	dst[9] = f*(k.c1*u4*t1-k.c2*(qs+u1*u1*t2)) - n*(k.m43*t2*u1)
-	dst[11] = f * (-k.c2 * u2 * t1)
-	dst[12] = f*(u1*t1) - n*(k.c34*t1) - dc.d[2]
-	dst[14] = f*(-k.c2*(u2*u1)*t2) - n*(k.m34*t2*u2)
-	dst[16] = f * (-k.c2 * u3 * t1)
-	dst[18] = f*(u1*t1) - n*(k.c34*t1) - dc.d[3]
-	dst[19] = f*(-k.c2*(u3*u1)*t2) - n*(k.m34*t2*u3)
-	dst[21] = f * k.c2
-	dst[24] = f*(k.c1*u1*t1) - n*(k.c1345*t1) - dc.d[4]
+	dst[9] = f*(c1*u4*t1-c2*(qs+u1*u1*t2)) - n*(m43*t2*u1)
+	dst[11] = f * (-c2 * u2 * t1)
+	dst[12] = f*(u1*t1) - n*(c34*t1) - d2
+	dst[14] = f*(-c2*(u2*u1)*t2) - n*(m34*t2*u2)
+	dst[16] = f * (-c2 * u3 * t1)
+	dst[18] = f*(u1*t1) - n*(c34*t1) - d3
+	dst[19] = f*(-c2*(u3*u1)*t2) - n*(m34*t2*u3)
+	dst[21] = f * c2
+	dst[24] = f*(c1*u1*t1) - n*(c1345*t1) - d4
 }
 
-// couplingY fills dst with the eta-direction coupling block at state u.
+// couplingY fills dst with the eta-direction coupling block at state u:
+// f is sign*dt*ty2, n is dt*ty1 and d0..d4 are dt*ty1*(dy1..dy5).
 //
-// Hot path: jacld/jacu eta block, once per grid point per sweep.
-func (k *blockConsts) couplingY(dst *[25]float64, u *[5]float64, sign float64) {
-	dc := &k.y
+//lanegen:lanes
+func couplingY(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
 	t1 := 1.0 / u0
 	t2 := t1 * t1
 	t3 := t1 * t2
 	sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
 	qs := sq * t1
-	f, n := sign*dc.c2, dc.c1
-	dst[0] = -dc.d[0]
-	dst[1] = f*(-(u1*u2)*t2) + n*(k.c34*t2*u1)
-	dst[2] = f*(-(u2*u2)*t2+k.c2*qs) + n*(k.r43*t2*u2)
-	dst[3] = f*(-(u3*u2)*t2) + n*(k.c34*t2*u3)
-	dst[4] = f*((k.c2*2.0*sq-k.c1*u4)*u2*t2) + n*(k.m34*t3*u1*u1+k.m43*t3*u2*u2+k.m34*t3*u3*u3+k.c1345*t2*u4)
-	dst[6] = f*(u2*t1) - n*(k.c34*t1) - dc.d[1]
-	dst[7] = f * (-k.c2 * u1 * t1)
-	dst[9] = f*(-k.c2*(u1*u2)*t2) - n*(k.m34*t2*u1)
+	dst[0] = -d0
+	dst[1] = f*(-(u1*u2)*t2) + n*(c34*t2*u1)
+	dst[2] = f*(-(u2*u2)*t2+c2*qs) + n*(r43*t2*u2)
+	dst[3] = f*(-(u3*u2)*t2) + n*(c34*t2*u3)
+	dst[4] = f*((c2*2.0*sq-c1*u4)*u2*t2) + n*(m34*t3*u1*u1+m43*t3*u2*u2+m34*t3*u3*u3+c1345*t2*u4)
+	dst[6] = f*(u2*t1) - n*(c34*t1) - d1
+	dst[7] = f * (-c2 * u1 * t1)
+	dst[9] = f*(-c2*(u1*u2)*t2) - n*(m34*t2*u1)
 	dst[10] = f
 	dst[11] = f * (u1 * t1)
-	dst[12] = f*((2.0-k.c2)*u2*t1) - n*(k.r43*t1) - dc.d[2]
+	dst[12] = f*((2.0-c2)*u2*t1) - n*(r43*t1) - d2
 	dst[13] = f * (u3 * t1)
-	dst[14] = f*(k.c1*u4*t1-k.c2*(qs+u2*u2*t2)) - n*(k.m43*t2*u2)
-	dst[17] = f * (-k.c2 * u3 * t1)
-	dst[18] = f*(u2*t1) - n*(k.c34*t1) - dc.d[3]
-	dst[19] = f*(-k.c2*(u3*u2)*t2) - n*(k.m34*t2*u3)
-	dst[22] = f * k.c2
-	dst[24] = f*(k.c1*u2*t1) - n*(k.c1345*t1) - dc.d[4]
+	dst[14] = f*(c1*u4*t1-c2*(qs+u2*u2*t2)) - n*(m43*t2*u2)
+	dst[17] = f * (-c2 * u3 * t1)
+	dst[18] = f*(u2*t1) - n*(c34*t1) - d3
+	dst[19] = f*(-c2*(u3*u2)*t2) - n*(m34*t2*u3)
+	dst[22] = f * c2
+	dst[24] = f*(c1*u2*t1) - n*(c1345*t1) - d4
 }
 
-// couplingZ fills dst with the zeta-direction coupling block at state u.
+// couplingZ fills dst with the zeta-direction coupling block at state u:
+// f is sign*dt*tz2, n is dt*tz1 and d0..d4 are dt*tz1*(dz1..dz5).
 //
-// Hot path: jacld/jacu zeta block, once per grid point per sweep.
-func (k *blockConsts) couplingZ(dst *[25]float64, u *[5]float64, sign float64) {
-	dc := &k.z
+//lanegen:lanes
+func couplingZ(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
 	u0, u1, u2, u3, u4 := u[0], u[1], u[2], u[3], u[4]
 	t1 := 1.0 / u0
 	t2 := t1 * t1
 	t3 := t1 * t2
 	sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
 	qs := sq * t1
-	f, n := sign*dc.c2, dc.c1
-	dst[0] = -dc.d[0]
-	dst[1] = f*(-(u1*u3)*t2) + n*(k.c34*t2*u1)
-	dst[2] = f*(-(u2*u3)*t2) + n*(k.c34*t2*u2)
-	dst[3] = f*(-(u3*u3)*t2+k.c2*qs) + n*(k.r43*t2*u3)
-	dst[4] = f*((k.c2*2.0*sq-k.c1*u4)*u3*t2) + n*(k.m34*t3*u1*u1+k.m34*t3*u2*u2+k.m43*t3*u3*u3+k.c1345*t2*u4)
-	dst[6] = f*(u3*t1) - n*(k.c34*t1) - dc.d[1]
-	dst[8] = f * (-k.c2 * u1 * t1)
-	dst[9] = f*(-k.c2*(u1*u3)*t2) - n*(k.m34*t2*u1)
-	dst[12] = f*(u3*t1) - n*(k.c34*t1) - dc.d[2]
-	dst[13] = f * (-k.c2 * u2 * t1)
-	dst[14] = f*(-k.c2*(u2*u3)*t2) - n*(k.m34*t2*u2)
+	dst[0] = -d0
+	dst[1] = f*(-(u1*u3)*t2) + n*(c34*t2*u1)
+	dst[2] = f*(-(u2*u3)*t2) + n*(c34*t2*u2)
+	dst[3] = f*(-(u3*u3)*t2+c2*qs) + n*(r43*t2*u3)
+	dst[4] = f*((c2*2.0*sq-c1*u4)*u3*t2) + n*(m34*t3*u1*u1+m34*t3*u2*u2+m43*t3*u3*u3+c1345*t2*u4)
+	dst[6] = f*(u3*t1) - n*(c34*t1) - d1
+	dst[8] = f * (-c2 * u1 * t1)
+	dst[9] = f*(-c2*(u1*u3)*t2) - n*(m34*t2*u1)
+	dst[12] = f*(u3*t1) - n*(c34*t1) - d2
+	dst[13] = f * (-c2 * u2 * t1)
+	dst[14] = f*(-c2*(u2*u3)*t2) - n*(m34*t2*u2)
 	dst[15] = f
 	dst[16] = f * (u1 * t1)
 	dst[17] = f * (u2 * t1)
-	dst[18] = f*((2.0-k.c2)*u3*t1) - n*(k.r43*t1) - dc.d[3]
-	dst[19] = f*(k.c1*u4*t1-k.c2*(qs+u3*u3*t2)) - n*(k.m43*t2*u3)
-	dst[23] = f * k.c2
-	dst[24] = f*(k.c1*u3*t1) - n*(k.c1345*t1) - dc.d[4]
+	dst[18] = f*((2.0-c2)*u3*t1) - n*(r43*t1) - d3
+	dst[19] = f*(c1*u4*t1-c2*(qs+u3*u3*t2)) - n*(m43*t2*u3)
+	dst[23] = f * c2
+	dst[24] = f*(c1*u3*t1) - n*(c1345*t1) - d4
 }
 
-// diagonal fills dst with the block-diagonal matrix at state u. No flux
-// Jacobian enters it, and the block is lower triangular.
+// diagonal fills dst with the block-diagonal matrix at state u, from
+// blockConsts' kd, km, te and e. No flux Jacobian enters it, and the
+// block is lower triangular.
 //
-// Hot path: jacld/jacu d block, once per grid point per sweep.
-func (k *blockConsts) diagonal(dst *[25]float64, u *[5]float64) {
+//lanegen:lanes
+func diagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4 float64) {
 	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
 	t1 := 1.0 / u[0]
 	t2 := t1 * t1
 	t3 := t1 * t2
-	dst[0] = k.e[0]
-	dst[1] = -k.kd[1] * t2 * u1
-	dst[2] = -k.kd[2] * t2 * u2
-	dst[3] = -k.kd[3] * t2 * u3
-	dst[4] = -(k.km[1]*u1*u1+k.km[2]*u2*u2+k.km[3]*u3*u3)*t3 - k.te*t2*u4
-	dst[6] = k.kd[1]*t1 + k.e[1]
-	dst[9] = k.km[1] * t2 * u1
-	dst[12] = k.kd[2]*t1 + k.e[2]
-	dst[14] = k.km[2] * t2 * u2
-	dst[18] = k.kd[3]*t1 + k.e[3]
-	dst[19] = k.km[3] * t2 * u3
-	dst[24] = k.te*t1 + k.e[4]
+	dst[0] = e0
+	dst[1] = -kd1 * t2 * u1
+	dst[2] = -kd2 * t2 * u2
+	dst[3] = -kd3 * t2 * u3
+	dst[4] = -(km1*u1*u1+km2*u2*u2+km3*u3*u3)*t3 - te*t2*u4
+	dst[6] = kd1*t1 + e1
+	dst[9] = km1 * t2 * u1
+	dst[12] = kd2*t1 + e2
+	dst[14] = km2 * t2 * u2
+	dst[18] = kd3*t1 + e3
+	dst[19] = km3 * t2 * u3
+	dst[24] = te*t1 + e4
 }
 
-// solve5 solves the 5x5 system a*x = r in place (unpivoted Gaussian
-// elimination, as blts/buts do; the blocks are diagonally dominant),
-// written out in full: pivots p = 0..4, each scaling its row and then
-// eliminating rows q > p, followed by the back substitution.
+// factor5 is the block half of solve5 (lu_test.go), the unpivoted
+// Gaussian elimination of a 5x5 block in place: pivots p = 0..4, each
+// scaling its row and then eliminating rows q > p, with each pivot's
+// reciprocal left on the diagonal. apply5 then runs solve5's operations
+// on the right-hand side: each reads only block entries whose last
+// value is set before solve5 would read them, so the two halves are
+// bit for bit solve5.
 //
-// Hot path: blts/buts block solve, once per grid point per sweep.
-func solve5(a *[25]float64, r *[5]float64) {
+//lanegen:lanes
+func factor5(a *[25]float64) {
 	piv := 1.0 / a[0]
+	a[0] = piv
 	a[5] *= piv
 	a[10] *= piv
 	a[15] *= piv
 	a[20] *= piv
-	r[0] *= piv
 	coeff := a[1]
 	a[6] -= coeff * a[5]
 	a[11] -= coeff * a[10]
 	a[16] -= coeff * a[15]
 	a[21] -= coeff * a[20]
-	r[1] -= coeff * r[0]
 	coeff = a[2]
 	a[7] -= coeff * a[5]
 	a[12] -= coeff * a[10]
 	a[17] -= coeff * a[15]
 	a[22] -= coeff * a[20]
-	r[2] -= coeff * r[0]
 	coeff = a[3]
 	a[8] -= coeff * a[5]
 	a[13] -= coeff * a[10]
 	a[18] -= coeff * a[15]
 	a[23] -= coeff * a[20]
-	r[3] -= coeff * r[0]
 	coeff = a[4]
 	a[9] -= coeff * a[5]
 	a[14] -= coeff * a[10]
 	a[19] -= coeff * a[15]
 	a[24] -= coeff * a[20]
-	r[4] -= coeff * r[0]
 	piv = 1.0 / a[6]
+	a[6] = piv
 	a[11] *= piv
 	a[16] *= piv
 	a[21] *= piv
-	r[1] *= piv
 	coeff = a[7]
 	a[12] -= coeff * a[11]
 	a[17] -= coeff * a[16]
 	a[22] -= coeff * a[21]
-	r[2] -= coeff * r[1]
 	coeff = a[8]
 	a[13] -= coeff * a[11]
 	a[18] -= coeff * a[16]
 	a[23] -= coeff * a[21]
-	r[3] -= coeff * r[1]
 	coeff = a[9]
 	a[14] -= coeff * a[11]
 	a[19] -= coeff * a[16]
 	a[24] -= coeff * a[21]
-	r[4] -= coeff * r[1]
 	piv = 1.0 / a[12]
+	a[12] = piv
 	a[17] *= piv
 	a[22] *= piv
-	r[2] *= piv
 	coeff = a[13]
 	a[18] -= coeff * a[17]
 	a[23] -= coeff * a[22]
-	r[3] -= coeff * r[2]
 	coeff = a[14]
 	a[19] -= coeff * a[17]
 	a[24] -= coeff * a[22]
-	r[4] -= coeff * r[2]
 	piv = 1.0 / a[18]
+	a[18] = piv
 	a[23] *= piv
-	r[3] *= piv
 	coeff = a[19]
 	a[24] -= coeff * a[23]
-	r[4] -= coeff * r[3]
-	piv = 1.0 / a[24]
-	r[4] *= piv
-	r[3] -= a[23] * r[4]
-	r[2] -= a[17] * r[3]
-	r[2] -= a[22] * r[4]
-	r[1] -= a[11] * r[2]
-	r[1] -= a[16] * r[3]
-	r[1] -= a[21] * r[4]
-	r[0] -= a[5] * r[1]
-	r[0] -= a[10] * r[2]
-	r[0] -= a[15] * r[3]
-	r[0] -= a[20] * r[4]
+	a[24] = 1.0 / a[24]
+}
+
+// apply5 solves lane q's system in place with the block factor5 left in
+// a: the right-hand-side operations of solve5, in its order.
+//
+// Hot path: blts/buts block solve, once per grid point per sweep.
+func apply5(a *blk4, q int, r *[5]float64) {
+	q &= 3
+	r[0] *= a[0][q]
+	r[1] -= a[1][q] * r[0]
+	r[2] -= a[2][q] * r[0]
+	r[3] -= a[3][q] * r[0]
+	r[4] -= a[4][q] * r[0]
+	r[1] *= a[6][q]
+	r[2] -= a[7][q] * r[1]
+	r[3] -= a[8][q] * r[1]
+	r[4] -= a[9][q] * r[1]
+	r[2] *= a[12][q]
+	r[3] -= a[13][q] * r[2]
+	r[4] -= a[14][q] * r[2]
+	r[3] *= a[18][q]
+	r[4] -= a[19][q] * r[3]
+	r[4] *= a[24][q]
+	r[3] -= a[23][q] * r[4]
+	r[2] -= a[17][q] * r[3]
+	r[2] -= a[22][q] * r[4]
+	r[1] -= a[11][q] * r[2]
+	r[1] -= a[16][q] * r[3]
+	r[1] -= a[21][q] * r[4]
+	r[0] -= a[5][q] * r[1]
+	r[0] -= a[10][q] * r[2]
+	r[0] -= a[15][q] * r[3]
+	r[0] -= a[20][q] * r[4]
 }

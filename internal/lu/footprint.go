@@ -8,10 +8,10 @@ import (
 
 // Footprint estimates the working-set bytes an LU run of the given
 // class and thread count allocates: the three 5-component n³ fields
-// (u, rsd, frct) and the operator's component-major rows; the
-// per-thread jacobian scratch is constant-sized and folded in as a flat
-// allowance. Feeds the harness memory admission
-// guard; dominant arrays only.
+// (u, rsd, frct), the operator's component-major rows and each worker's
+// row of lane blocks (per group of four points, four 5x5 blocks and
+// four 5-vector states of four lanes). Feeds the harness memory
+// admission guard; dominant arrays only.
 func Footprint(class byte, threads int) (uint64, error) {
 	spec, ok := classes[class]
 	if !ok {
@@ -22,7 +22,8 @@ func Footprint(class byte, threads int) (uint64, error) {
 	}
 	n := uint64(spec.size)
 	n3 := n * n * n
-	fields := 15 * n3 * 8                   // u + rsd + frct, 5 components each
-	scratch := uint64(threads) * 4 * 25 * 8 // az/ay/ax/d
+	fields := 15 * n3 * 8 // u + rsd + frct, 5 components each
+	groups := (n + 1) / 4 // of the n-2 interior points of a row
+	scratch := uint64(threads) * groups * 4 * (25 + 5) * 4 * 8
 	return fields + nscore.RowsBytes(operatorRows, int(n3)) + scratch, nil
 }

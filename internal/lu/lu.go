@@ -52,7 +52,7 @@ type Benchmark struct {
 
 	u, rsd, frct []float64 // 5-vector fields, m fastest
 
-	// Per-worker sweep scratch: four 5x5 blocks and a 5-vector.
+	// Per-worker sweep scratch: one row's blocks in lane form.
 	scratch []*sweepScratch
 
 	ops [3]opDir // the operator's xi, eta and zeta directions
@@ -84,13 +84,28 @@ type Benchmark struct {
 	sweepsBody  func(id int)
 }
 
-// sweepScratch is one worker's storage for the triangular sweeps. The
-// three coupling blocks and the diagonal block are only ever written at
-// their structural non-zeros (see blocks.go), so the zeros they are
-// allocated with persist for the whole run.
+// Lane form: four consecutive points of a row side by side, element e
+// of lane q at [e][q] (lanes.go, generated from blocks.go's kernels).
+type (
+	blk4 = [25][4]float64 // a 5x5 block of each lane
+	vec4 = [5][4]float64  // a 5-vector of each lane
+)
+
+// sweepScratch is one worker's storage for the triangular sweeps: the
+// blocks of one row's interior points, group g holding i = 4g+1..4g+4.
+// The coupling and diagonal blocks are only ever written at their
+// structural non-zeros (see blocks.go), so the zeros they are allocated
+// with persist for the whole run.
 type sweepScratch struct {
-	az, ay, ax, d [25]float64
-	tv            [5]float64
+	a  [][3]blk4 // the couplings to the k, j and i neighbours
+	d  []blk4    // the diagonal blocks, factored (factor5)
+	u  [][4]vec4 // the states the blocks are built from, in a's order, then the point's
+	tv [5]float64
+}
+
+func newSweepScratch(n int) *sweepScratch {
+	groups := (n + 1) / 4 // ⌈(n-2)/4⌉ for the n-2 interior points
+	return &sweepScratch{a: make([][3]blk4, groups), d: make([]blk4, groups), u: make([][4]vec4, groups)}
 }
 
 // New configures LU for the given class and thread count. env.Schedule
@@ -123,7 +138,7 @@ func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benc
 	b.frct = make([]float64, 5*n3)
 	b.scratch = make([]*sweepScratch, threads)
 	for i := range b.scratch {
-		b.scratch[i] = new(sweepScratch)
+		b.scratch[i] = newSweepScratch(spec.size)
 	}
 	rows := nscore.Rows(operatorRows, n3)
 	copy(b.wc[:], rows[0:5])

@@ -3,6 +3,8 @@ package lu
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"npbgo/internal/grid"
@@ -83,6 +85,151 @@ func TestSolve5AgainstOracle(t *testing.T) {
 	}
 }
 
+// solve5 solves the 5x5 system a*x = r in place (unpivoted Gaussian
+// elimination, as blts/buts do; the blocks are diagonally dominant),
+// written out in full: pivots p = 0..4, each scaling its row and then
+// eliminating rows q > p, followed by the back substitution. It is the
+// oracle of factor5 and apply5, which the sweeps run in its place.
+func solve5(a *[25]float64, r *[5]float64) {
+	piv := 1.0 / a[0]
+	a[5] *= piv
+	a[10] *= piv
+	a[15] *= piv
+	a[20] *= piv
+	r[0] *= piv
+	coeff := a[1]
+	a[6] -= coeff * a[5]
+	a[11] -= coeff * a[10]
+	a[16] -= coeff * a[15]
+	a[21] -= coeff * a[20]
+	r[1] -= coeff * r[0]
+	coeff = a[2]
+	a[7] -= coeff * a[5]
+	a[12] -= coeff * a[10]
+	a[17] -= coeff * a[15]
+	a[22] -= coeff * a[20]
+	r[2] -= coeff * r[0]
+	coeff = a[3]
+	a[8] -= coeff * a[5]
+	a[13] -= coeff * a[10]
+	a[18] -= coeff * a[15]
+	a[23] -= coeff * a[20]
+	r[3] -= coeff * r[0]
+	coeff = a[4]
+	a[9] -= coeff * a[5]
+	a[14] -= coeff * a[10]
+	a[19] -= coeff * a[15]
+	a[24] -= coeff * a[20]
+	r[4] -= coeff * r[0]
+	piv = 1.0 / a[6]
+	a[11] *= piv
+	a[16] *= piv
+	a[21] *= piv
+	r[1] *= piv
+	coeff = a[7]
+	a[12] -= coeff * a[11]
+	a[17] -= coeff * a[16]
+	a[22] -= coeff * a[21]
+	r[2] -= coeff * r[1]
+	coeff = a[8]
+	a[13] -= coeff * a[11]
+	a[18] -= coeff * a[16]
+	a[23] -= coeff * a[21]
+	r[3] -= coeff * r[1]
+	coeff = a[9]
+	a[14] -= coeff * a[11]
+	a[19] -= coeff * a[16]
+	a[24] -= coeff * a[21]
+	r[4] -= coeff * r[1]
+	piv = 1.0 / a[12]
+	a[17] *= piv
+	a[22] *= piv
+	r[2] *= piv
+	coeff = a[13]
+	a[18] -= coeff * a[17]
+	a[23] -= coeff * a[22]
+	r[3] -= coeff * r[2]
+	coeff = a[14]
+	a[19] -= coeff * a[17]
+	a[24] -= coeff * a[22]
+	r[4] -= coeff * r[2]
+	piv = 1.0 / a[18]
+	a[23] *= piv
+	r[3] *= piv
+	coeff = a[19]
+	a[24] -= coeff * a[23]
+	r[4] -= coeff * r[3]
+	piv = 1.0 / a[24]
+	r[4] *= piv
+	r[3] -= a[23] * r[4]
+	r[2] -= a[17] * r[3]
+	r[2] -= a[22] * r[4]
+	r[1] -= a[11] * r[2]
+	r[1] -= a[16] * r[3]
+	r[1] -= a[21] * r[4]
+	r[0] -= a[5] * r[1]
+	r[0] -= a[10] * r[2]
+	r[0] -= a[15] * r[3]
+	r[0] -= a[20] * r[4]
+}
+
+// TestFactorApplyMatchesSolve5 holds factor5 on four lanes of blocks,
+// then apply5 on each lane, to solve5 on that lane's block and
+// right-hand side, bit for bit: diagonally dominant blocks, as the
+// sweeps' are, with zeros of both signs among the entries of both.
+func TestFactorApplyMatchesSolve5(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	fill := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		return rng.Float64() - 0.5
+	}
+	for _, avx := range laneModes(t) {
+		useAVX = avx
+		for trial := 0; trial < 200; trial++ {
+			var a blk4
+			var r [4][5]float64
+			for e := range a {
+				for q := range a[e] {
+					a[e][q] = fill()
+					if e%6 == 0 {
+						a[e][q] += 3.0
+					}
+				}
+			}
+			for q := range r {
+				for m := range r[q] {
+					r[q][m] = fill()
+				}
+			}
+			f := a
+			factor54(&f)
+			for q := 0; q < 4; q++ {
+				sa, sr := [25]float64(rowcheck.Lane(a[:], q)), r[q]
+				solve5(&sa, &sr)
+				got := r[q]
+				apply5(&f, q, &got)
+				for m := range sr {
+					if math.Float64bits(got[m]) != math.Float64bits(sr[m]) {
+						t.Fatalf("avx=%v trial %d lane %d: x[%d] = %v (%#x), solve5 %v (%#x)", avx, trial, q, m,
+							got[m], math.Float64bits(got[m]), sr[m], math.Float64bits(sr[m]))
+					}
+				}
+				// Off the diagonal, factor5 leaves what solve5 does.
+				for e := range sa {
+					if g := f[e][q]; e%6 != 0 && math.Float64bits(g) != math.Float64bits(sa[e]) {
+						t.Fatalf("avx=%v trial %d lane %d: block [%d] = %v, solve5 %v", avx, trial, q, e, g, sa[e])
+					}
+				}
+			}
+		}
+	}
+}
+
 // oracleJacobians evaluates nscore.FluxViscJacobians — the single
 // Jacobian definition BT solves with — at state u for direction cv.
 func oracleJacobians(c *nscore.Consts, u *[5]float64, cv int) (fj, nj [25]float64) {
@@ -149,7 +296,11 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := &b.blk
-	ws := new(sweepScratch)
+	var ax, ay, az, d [25]float64
+	type coupling func(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64)
+	couple := func(dst *[25]float64, kernel coupling, dc *dirConsts, u *[5]float64, sign float64) {
+		kernel(dst, u, sign*dc.c2, dc.c1, k.c1, k.c2, k.r43, k.c34, k.m43, k.m34, k.c1345, dc.d[0], dc.d[1], dc.d[2], dc.d[3], dc.d[4])
+	}
 	check := func(name string, got, want *[25]float64) {
 		t.Helper()
 		scale := 0.0
@@ -174,32 +325,32 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 		// the kinetic part: the range the class S-C flows stay inside.
 		u := [5]float64{0.5 + 2*rng.Float64(), 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2 + 4*rng.Float64()}
 		for _, sign := range [2]float64{-1, +1} {
-			k.couplingX(&ws.ax, &u, sign)
-			k.couplingY(&ws.ay, &u, sign)
-			k.couplingZ(&ws.az, &u, sign)
-			for cv, got := range [3]*[25]float64{&ws.ax, &ws.ay, &ws.az} {
+			couple(&ax, couplingX, &k.x, &u, sign)
+			couple(&ay, couplingY, &k.y, &u, sign)
+			couple(&az, couplingZ, &k.z, &u, sign)
+			for cv, got := range [3]*[25]float64{&ax, &ay, &az} {
 				want := oracleCoupling(&b.c, &u, cv+1, sign)
 				check("coupling", got, &want)
 			}
 		}
-		k.diagonal(&ws.d, &u)
+		diagonal(&d, &u, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
 		want := oracleDiagonal(&b.c, &u)
-		check("diagonal", &ws.d, &want)
-		// The sweeps solve on the diagonal block in place before it is
+		check("diagonal", &d, &want)
+		// The sweeps factor the diagonal block in place before it is
 		// refilled; that must not disturb its zeros either.
-		solve5(&ws.d, &ws.tv)
+		factor5(&d)
 	}
 }
 
-// laneModes returns the row-kernel paths this host can run: the
-// portable one always, the AVX one where the CPU has it. Each test
-// runs every mode with useAVX set accordingly and restores it.
+// laneModes returns the kernel paths this host can run: the portable
+// one always, the AVX one where the CPU has it. Each test runs every
+// mode with useAVX set accordingly and restores it.
 func laneModes(t *testing.T) []bool {
 	t.Cleanup(func() { useAVX = avxSupported() })
 	if avxSupported() {
 		return []bool{false, true}
 	}
-	t.Log("no AVX on this host: only the portable row path runs")
+	t.Log("no AVX on this host: only the portable path runs")
 	return []bool{false}
 }
 
@@ -477,5 +628,44 @@ func TestClassSRun(t *testing.T) {
 	}
 	if math.IsNaN(res.Frc) || res.Frc == 0 {
 		t.Fatalf("suspicious surface integral %v", res.Frc)
+	}
+}
+
+// TestLaneKernelsMatchScalar holds each generated lane kernel, the
+// blocks of a row's four consecutive points, to its scalar body, lane by
+// lane and bit for bit, on random inputs with zeros of both signs in
+// every lane (rowcheck.Lanes).
+func TestLaneKernelsMatchScalar(t *testing.T) {
+	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+		{couplingX4, couplingX}, {couplingY4, couplingY}, {couplingZ4, couplingZ}, {diagonal4, diagonal}, {factor54, factor5},
+	})
+}
+
+// TestPortableLanesReproduceGolden runs LU.S on the portable path (each
+// lane and row through the scalar kernels, what an amd64 CPU without
+// AVX runs) at one and two threads and compares the verification
+// printout with the one recorded in testdata/bitidentity.golden.
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/bitidentity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "== LU.S\n")
+	if !ok {
+		t.Fatal("no LU.S block in the golden file")
+	}
+	want, _, _ := strings.Cut(rest, "\n== ")
+	want += "\n"
+
+	laneModes(t)
+	useAVX = false
+	for _, threads := range []int{1, 2} {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.RunResult().Verify.String(); got != want {
+			t.Errorf("LU.S at %d threads on the portable path:\n%s\nrecorded:\n%s", threads, got, want)
+		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // lowerRow performs the fused jacld+blts update for row j of plane k:
-// for each interior i, apply the k-1, j-1 and i-1 couplings and invert
-// the diagonal block.
+// the row's blocks first, then for each interior i the k-1, j-1 and i-1
+// couplings applied and the diagonal block solved.
 func (b *Benchmark) lowerRow(ws *sweepScratch, j, k int) {
+	b.rowBlocks(ws, j, k, -1)
 	for i := 1; i < b.n-1; i++ {
 		b.lowerPoint(ws, i, j, k)
 	}
@@ -19,31 +20,61 @@ func (b *Benchmark) lowerRow(ws *sweepScratch, j, k int) {
 // upperRow performs the fused jacu+buts update for row j of plane k,
 // sweeping i downward.
 func (b *Benchmark) upperRow(ws *sweepScratch, j, k int) {
+	b.rowBlocks(ws, j, k, +1)
 	for i := b.n - 2; i >= 1; i-- {
 		b.upperPoint(ws, i, j, k)
 	}
 }
 
-// lowerPoint applies the lower-triangular update at one grid point.
+// rowBlocks builds the blocks of every interior point of row j of
+// plane k, four consecutive i per lane kernel call: the couplings to
+// the neighbours at k+s, j+s and i+s (s = -1 for the lower sweep, +1
+// for the upper one) and the diagonal block, factored. They read only
+// u, which the sweeps do not write, so the whole row's blocks can be
+// built ahead of its dependent chain. Every state is gathered before
+// any kernel runs: a kernel that loads a lane-form state right after
+// its 8-byte stores waits for them, the core cannot forward them to
+// one 32-byte load. The spare lanes of the last group repeat i = n-2.
+func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
+	n, u := b.n, b.u
+	d := ws.d
+	a, states := ws.a[:len(d)], ws.u[:len(d)]
+	for g := range states {
+		for q := 0; q < 4; q++ {
+			off := b.at(min(1+4*g+q, n-2), j, k)
+			for m, o := range [4]int{off + 5*s*n*n, off + 5*s*n, off + 5*s, off} {
+				v := u[o : o+5]
+				st := &states[g][m]
+				st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = v[0], v[1], v[2], v[3], v[4]
+			}
+		}
+	}
+	bk, sign := &b.blk, float64(s)
+	z, y, x := &bk.z, &bk.y, &bk.x
+	for g := range d {
+		ag, st := &a[g], &states[g]
+		couplingZ4(&ag[0], &st[0], sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
+		couplingY4(&ag[1], &st[1], sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
+		couplingX4(&ag[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
+		diagonal4(&d[g], &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
+			bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
+		factor54(&d[g])
+	}
+}
+
+// lowerPoint applies the lower-triangular update at one grid point,
+// with the blocks rowBlocks built.
 //
 // Hot path: fused jacld+blts point kernel.
 func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
-	okm := b.at(i, j, k-1)
-	ojm := b.at(i, j-1, k)
-	oim := b.at(i-1, j, k)
-
-	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okm), -1)
-	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojm), -1)
-	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oim), -1)
-	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
-
+	g, q := (i-1)/4, (i-1)%4
 	r := grid.Vec5(b.rsd, off)
-	ws.coupledSum(grid.Vec5(b.rsd, okm), grid.Vec5(b.rsd, ojm), grid.Vec5(b.rsd, oim))
+	ws.coupledSum(g, q, grid.Vec5(b.rsd, b.at(i, j, k-1)), grid.Vec5(b.rsd, b.at(i, j-1, k)), grid.Vec5(b.rsd, b.at(i-1, j, k)))
 	for m := 0; m < 5; m++ {
 		ws.tv[m] = r[m] - omega*ws.tv[m]
 	}
-	solve5(&ws.d, &ws.tv)
+	apply5(&ws.d[g], q, &ws.tv)
 	*r = ws.tv
 }
 
@@ -52,36 +83,30 @@ func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 // Hot path: fused jacu+buts point kernel.
 func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
 	off := b.at(i, j, k)
-	okp := b.at(i, j, k+1)
-	ojp := b.at(i, j+1, k)
-	oip := b.at(i+1, j, k)
-
-	b.blk.couplingZ(&ws.az, grid.Vec5(b.u, okp), +1)
-	b.blk.couplingY(&ws.ay, grid.Vec5(b.u, ojp), +1)
-	b.blk.couplingX(&ws.ax, grid.Vec5(b.u, oip), +1)
-	b.blk.diagonal(&ws.d, grid.Vec5(b.u, off))
-
+	g, q := (i-1)/4, (i-1)%4
 	r := grid.Vec5(b.rsd, off)
-	ws.coupledSum(grid.Vec5(b.rsd, okp), grid.Vec5(b.rsd, ojp), grid.Vec5(b.rsd, oip))
+	ws.coupledSum(g, q, grid.Vec5(b.rsd, b.at(i, j, k+1)), grid.Vec5(b.rsd, b.at(i, j+1, k)), grid.Vec5(b.rsd, b.at(i+1, j, k)))
 	for m := 0; m < 5; m++ {
 		ws.tv[m] *= omega
 	}
-	solve5(&ws.d, &ws.tv)
+	apply5(&ws.d[g], q, &ws.tv)
 	for m := 0; m < 5; m++ {
 		r[m] -= ws.tv[m]
 	}
 }
 
 // coupledSum sets tv = az*rz + ay*ry + ax*rx, the three neighbour
-// couplings of one point.
-func (ws *sweepScratch) coupledSum(rz, ry, rx *[5]float64) {
-	az, ay, ax := &ws.az, &ws.ay, &ws.ax
+// couplings of the point in lane q of group g.
+func (ws *sweepScratch) coupledSum(g, q int, rz, ry, rx *[5]float64) {
+	a := &ws.a[g]
+	az, ay, ax := &a[0], &a[1], &a[2]
+	q &= 3
 	for m := 0; m < 5; m++ {
-		s := az[m]*rz[0] + ay[m]*ry[0] + ax[m]*rx[0]
-		s += az[m+5]*rz[1] + ay[m+5]*ry[1] + ax[m+5]*rx[1]
-		s += az[m+10]*rz[2] + ay[m+10]*ry[2] + ax[m+10]*rx[2]
-		s += az[m+15]*rz[3] + ay[m+15]*ry[3] + ax[m+15]*rx[3]
-		s += az[m+20]*rz[4] + ay[m+20]*ry[4] + ax[m+20]*rx[4]
+		s := az[m][q]*rz[0] + ay[m][q]*ry[0] + ax[m][q]*rx[0]
+		s += az[m+5][q]*rz[1] + ay[m+5][q]*ry[1] + ax[m+5][q]*rx[1]
+		s += az[m+10][q]*rz[2] + ay[m+10][q]*ry[2] + ax[m+10][q]*rx[2]
+		s += az[m+15][q]*rz[3] + ay[m+15][q]*ry[3] + ax[m+15][q]*rx[3]
+		s += az[m+20][q]*rz[4] + ay[m+20][q]*ry[4] + ax[m+20][q]*rx[4]
 		ws.tv[m] = s
 	}
 }

@@ -9,9 +9,10 @@ import (
 // Footprint estimates the working-set bytes an SP run of the given
 // class and thread count allocates: the nscore field with the Speed
 // grid (36 scalar-grid equivalents over n³ points, ComputeRHS's
-// component-major rows included) plus the per-thread pentadiagonal line
-// scratch. Feeds the harness memory admission guard;
-// dominant arrays only.
+// component-major rows included), each worker's lane group (n cells of
+// four lanes: the rhs and three factor rows, 5 doubles each, and 8
+// scalars) and the dissipation table (5 doubles a cell). Feeds the
+// harness memory admission guard; dominant arrays only.
 func Footprint(class byte, threads int) (uint64, error) {
 	spec, ok := classes[class]
 	if !ok {
@@ -21,6 +22,6 @@ func Footprint(class byte, threads int) (uint64, error) {
 		threads = 1
 	}
 	n := uint64(spec.size)
-	scratch := uint64(threads) * 17 * n * 8 // lhs/lhsp/lhsm (5n) + cv/rho (n)
-	return nscore.FieldBytes(spec.size, true) + scratch, nil
+	groups := uint64(threads) * n * 4 * (4*5 + 8) * 8
+	return nscore.FieldBytes(spec.size, true) + groups + n*5*8, nil
 }

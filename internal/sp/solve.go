@@ -1,314 +1,236 @@
 package sp
 
 import (
-	"npbgo/internal/grid"
 	"npbgo/internal/team"
 )
 
-// Bands of the pentadiagonal coefficient rows: band 0 couples cell
-// i-2, band 1 cell i-1, band 2 is the diagonal, bands 3 and 4 couple
-// cells i+1 and i+2 (the Fortran lhs(1..5,i)).
+// The three factor sweeps share one implementation parameterized by
+// direction. Lines are solved four at a time: each worker queues the
+// lines of its share into a group and, whenever four are queued,
+// gathers them into lane form, runs every per-cell step of the solve as
+// one lane kernel call (kernels.go) and scatters the solutions back to
+// Rhs. A group may span planes and chunks; the last group of a
+// worker's share may be short, and its spare lanes repeat lane 0's line
+// and are never written back.
+//
+// The eigenvector transforms are pointwise, and each interior point
+// lies on exactly one line of each direction, so they run inside the
+// sweeps on cells 1..n-2 of each line: txinvr as an xi line is
+// gathered, ninvr, pinvr and tzetar before an xi, eta or zeta line is
+// scattered. That is the arithmetic of a separate pass over Rhs before
+// or after the sweep, without the pass.
 
-// dirParams carries the per-direction constants of the scalar solver.
-type dirParams struct {
+//go:generate go run ../lanegen
+
+type (
+	vec4  = [5][4]float64 // a 5-vector of each lane
+	cell4 = [8][4]float64 // a cell's scalars of each lane (kernels.go)
+)
+
+// dirSpec carries the per-direction constants of the line solves.
+type dirSpec struct {
+	// Strides in the scalar grid (point i + n*j + n*n*k): along the
+	// line, between the lines of a plane, and of the index split over
+	// the team.
+	line, inner, outer int
 	dtt1, dtt2, c2dtt1 float64
-	dmax               float64
-	d2or3or4, d5, d1   float64 // dx2/dy3/dz4, d?5, d?1 of the eigenvalue bound
+	// The eigenvalue bound's dx2/dy3/dz4, d?5, max of the other two
+	// and d?1.
+	d2or3or4, d5, dmax, d1 float64
 }
 
-// fillEigenRows loads the line's convective velocity cv and spectral
-// bound rho for cell l from scalar offset soff.
-func (b *Benchmark) fillEigenRows(ls *lineScratch, l, soff int, p *dirParams, vel []float64) {
-	c := &b.c
-	ru1 := c.C3c4 * b.f.RhoI[soff]
-	ls.cv[l] = vel[soff]
-	r := p.d2or3or4 + c.Con43*ru1
-	if v := p.d5 + c.C1c5*ru1; v > r {
-		r = v
-	}
-	if v := p.dmax + ru1; v > r {
-		r = v
-	}
-	if p.d1 > r {
-		r = p.d1
-	}
-	ls.rho[l] = r
+// group is one worker's lane scratch: up to four queued lines and, in
+// lane form, every cell's right-hand side, factor rows and scalars.
+type group struct {
+	n       int    // lines queued
+	start   [4]int // scalar-grid offset of each queued line's first point
+	r       []vec4
+	u, p, m []vec4
+	s       []cell4
 }
 
-// buildLHS assembles the three pentadiagonal factors for one line of
-// length n, given the already-filled cv/rho rows and the line's sound
-// speeds at speed[sbase+l*sstride].
-func (b *Benchmark) buildLHS(ls *lineScratch, n int, p *dirParams, speed []float64, sbase, sstride int) {
-	lhs, lhsp, lhsm := ls.lhs[:n], ls.lhsp[:n], ls.lhsm[:n]
-	cv, rho := ls.cv[:n], ls.rho[:n]
-
-	// Identity boundary rows for all three factors (lhsinit).
-	for _, i := range [2]int{0, n - 1} {
-		lhs[i] = [5]float64{2: 1}
-		lhsp[i] = [5]float64{2: 1}
-		lhsm[i] = [5]float64{2: 1}
+func newGroup(n int) *group {
+	return &group{
+		r: make([]vec4, n),
+		u: make([]vec4, n),
+		p: make([]vec4, n),
+		m: make([]vec4, n),
+		s: make([]cell4, n),
 	}
+}
 
-	// Rows are written element by element: a composite literal is built
-	// in a stack temporary with 8-byte stores and copied out with 16-byte
-	// loads, which the core cannot forward from those stores.
-	for i := 1; i < n-1; i++ {
-		r := &lhs[i]
-		r[0] = 0
-		r[1] = -p.dtt2*cv[i-1] - p.dtt1*rho[i-1]
-		r[2] = 1.0 + p.c2dtt1*rho[i]
-		r[3] = p.dtt2*cv[i+1] - p.dtt1*rho[i+1]
-		r[4] = 0
+// dissipation returns, for each row of a line of n cells, what the
+// fourth-order dissipation subtracts from each band of the convective
+// factor: c where the Fortran subtracts c, -c where it adds c and +0
+// where it does neither. Rows 1, 2, n-3 and n-2 have their own stencils;
+// they are four distinct rows, so that no band is changed twice, only
+// for n >= 6.
+func dissipation(n int, comz1, comz4, comz5, comz6 float64) [][5]float64 {
+	if n < 6 {
+		panic("sp: the dissipation stencils need lines of at least 6 cells")
 	}
-
-	// Fourth-order dissipation contributions.
-	r := &lhs[1]
-	r[2] += b.comz5
-	r[3] -= b.comz4
-	r[4] += b.comz1
-	r = &lhs[2]
-	r[1] -= b.comz4
-	r[2] += b.comz6
-	r[3] -= b.comz4
-	r[4] += b.comz1
+	t := make([][5]float64, n)
+	t[1] = [5]float64{2: -comz5, 3: comz4, 4: -comz1}
+	t[2] = [5]float64{1: comz4, 2: -comz6, 3: comz4, 4: -comz1}
 	for i := 3; i <= n-4; i++ {
-		r := &lhs[i]
-		r[0] += b.comz1
-		r[1] -= b.comz4
-		r[2] += b.comz6
-		r[3] -= b.comz4
-		r[4] += b.comz1
+		t[i] = [5]float64{-comz1, comz4, -comz6, comz4, -comz1}
 	}
-	r = &lhs[n-3]
-	r[0] += b.comz1
-	r[1] -= b.comz4
-	r[2] += b.comz6
-	r[3] -= b.comz4
-	r = &lhs[n-2]
-	r[0] += b.comz1
-	r[1] -= b.comz4
-	r[2] += b.comz5
+	t[n-3] = [5]float64{-comz1, comz4, -comz6, comz4}
+	t[n-2] = [5]float64{-comz1, comz4, -comz5}
+	return t
+}
 
-	// Acoustic factors u+c and u-c.
-	for i := 1; i < n-1; i++ {
-		u, up, um := &lhs[i], &lhsp[i], &lhsm[i]
-		cm := p.dtt2 * speed[sbase+(i-1)*sstride]
-		cp := p.dtt2 * speed[sbase+(i+1)*sstride]
-		up[0], up[1], up[2], up[3], up[4] = u[0], u[1]-cm, u[2], u[3]+cp, u[4]
-		um[0], um[1], um[2], um[3], um[4] = u[0], u[1]+cm, u[2], u[3]-cp, u[4]
+// gather loads the group's lines into lane form: each cell's Rhs
+// 5-vector and the scalars direction d reads. For eta and zeta lines,
+// four consecutive lines of one plane are four adjacent points, so
+// each scalar field is copied four lanes at a time.
+func (b *Benchmark) gather(g *group, d int) {
+	f, ds := b.f, &b.dirs[d]
+	for q := g.n; q < 4; q++ {
+		g.start[q] = g.start[0]
+	}
+	s0 := g.start[0]
+	adjacent := d > 0 && g.start[1] == s0+1 && g.start[2] == s0+2 && g.start[3] == s0+3
+	vel := [3][]float64{f.Us, f.Vs, f.Ws}[d]
+	for l := range g.s {
+		s, r := &g.s[l], &g.r[l]
+		if adjacent {
+			p := s0 + l*ds.line
+			s[0] = [4]float64(vel[p : p+4])
+			s[2] = [4]float64(f.Speed[p : p+4])
+			s[3] = [4]float64(f.RhoI[p : p+4])
+			if d == 2 {
+				s[4] = [4]float64(f.Qs[p : p+4])
+				s[5] = [4]float64(f.Us[p : p+4])
+				s[6] = [4]float64(f.Vs[p : p+4])
+			}
+		}
+		for q, st := range g.start {
+			p := st + l*ds.line
+			if !adjacent {
+				s[0][q], s[2][q], s[3][q] = vel[p], f.Speed[p], f.RhoI[p]
+				switch d {
+				case 0:
+					s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Vs[p], f.Ws[p]
+				case 2:
+					s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Us[p], f.Vs[p]
+				}
+			}
+			if d == 2 {
+				s[7][q] = f.U[5*p]
+			}
+			v := f.Rhs[5*p : 5*p+5]
+			r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = v[0], v[1], v[2], v[3], v[4]
+		}
 	}
 }
 
-// solveLine runs the scalar pentadiagonal Thomas algorithm of all three
-// factors of one line together: the convective factor (lhs) on rhs
-// components 0-2 and the acoustic factors (lhsp, lhsm) on components 3
-// and 4 of the line's 5-vectors at rhs[base+l*stride:]. The factors
-// share no data, so stepping them a row at a time lets their three
-// division chains overlap, while each keeps the operation order it has
-// when solved alone. Row l of each factor holds the bands of cell l.
-func solveLine(lhs, lhsp, lhsm [][5]float64, rhs []float64, base, stride int) {
-	n := len(lhs)
-	lhsp, lhsm = lhsp[:n], lhsm[:n]
-
-	// Forward elimination; r0, r1, r2 are rows i, i+1, i+2 of the rhs.
-	r0, r1 := grid.Vec5(rhs, base), grid.Vec5(rhs, base+stride)
+// solveGroup solves the group's queued lines in direction d, the
+// transforms included, and writes their solutions back to Rhs.
+func (b *Benchmark) solveGroup(g *group, d int) {
+	c, ds, n := &b.c, &b.dirs[d], b.n
+	b.gather(g, d)
+	r, u, p, m, s := g.r[:n], g.u[:n], g.p[:n], g.m[:n], g.s[:n]
+	if d == 0 {
+		for l := 1; l < n-1; l++ {
+			txinvr4(&r[l], &s[l], bts, c.C2)
+		}
+	}
+	for l := range s {
+		eigen4(&s[l], c.C3c4, c.Con43, c.C1c5, ds.d2or3or4, ds.d5, ds.dmax, ds.d1)
+	}
+	// Identity boundary rows for all three factors (lhsinit).
+	for _, l := range [2]int{0, n - 1} {
+		u[l] = vec4{2: {1, 1, 1, 1}}
+		p[l], m[l] = u[l], u[l]
+	}
+	for l := 1; l < n-1; l++ {
+		t := &b.diss[l]
+		lhsRow4(&u[l], &p[l], &m[l], &s[l-1], &s[l], &s[l+1], ds.dtt1, ds.dtt2, ds.c2dtt1, t[0], t[1], t[2], t[3], t[4])
+	}
 	for i := 0; i+2 < n; i++ {
-		r2 := grid.Vec5(rhs, base+(i+2)*stride)
-		u0, u1, u2 := &lhs[i], &lhs[i+1], &lhs[i+2]
-		p0, p1, p2 := &lhsp[i], &lhsp[i+1], &lhsp[i+2]
-		m0, m1, m2 := &lhsm[i], &lhsm[i+1], &lhsm[i+2]
-
-		fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
-		u0[3] *= fu
-		u0[4] *= fu
-		p0[3] *= fp
-		p0[4] *= fp
-		m0[3] *= fm
-		m0[4] *= fm
-		r0[0] *= fu
-		r0[1] *= fu
-		r0[2] *= fu
-		r0[3] *= fp
-		r0[4] *= fm
-
-		bu, bp, bm := u1[1], p1[1], m1[1]
-		u1[2] -= bu * u0[3]
-		u1[3] -= bu * u0[4]
-		p1[2] -= bp * p0[3]
-		p1[3] -= bp * p0[4]
-		m1[2] -= bm * m0[3]
-		m1[3] -= bm * m0[4]
-		r1[0] -= bu * r0[0]
-		r1[1] -= bu * r0[1]
-		r1[2] -= bu * r0[2]
-		r1[3] -= bp * r0[3]
-		r1[4] -= bm * r0[4]
-
-		bu, bp, bm = u2[0], p2[0], m2[0]
-		u2[1] -= bu * u0[3]
-		u2[2] -= bu * u0[4]
-		p2[1] -= bp * p0[3]
-		p2[2] -= bp * p0[4]
-		m2[1] -= bm * m0[3]
-		m2[2] -= bm * m0[4]
-		r2[0] -= bu * r0[0]
-		r2[1] -= bu * r0[1]
-		r2[2] -= bu * r0[2]
-		r2[3] -= bp * r0[3]
-		r2[4] -= bm * r0[4]
-
-		r0, r1 = r1, r2
+		forwardStep4(&u[i], &u[i+1], &u[i+2], &p[i], &p[i+1], &p[i+2], &m[i], &m[i+1], &m[i+2], &r[i], &r[i+1], &r[i+2])
 	}
-
-	// The last two rows: r0 is row n-2, r1 row n-1.
-	u0, u1 := &lhs[n-2], &lhs[n-1]
-	p0, p1 := &lhsp[n-2], &lhsp[n-1]
-	m0, m1 := &lhsm[n-2], &lhsm[n-1]
-	fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
-	u0[3] *= fu
-	u0[4] *= fu
-	p0[3] *= fp
-	p0[4] *= fp
-	m0[3] *= fm
-	m0[4] *= fm
-	r0[0] *= fu
-	r0[1] *= fu
-	r0[2] *= fu
-	r0[3] *= fp
-	r0[4] *= fm
-	bu, bp, bm := u1[1], p1[1], m1[1]
-	u1[2] -= bu * u0[3]
-	u1[3] -= bu * u0[4]
-	p1[2] -= bp * p0[3]
-	p1[3] -= bp * p0[4]
-	m1[2] -= bm * m0[3]
-	m1[3] -= bm * m0[4]
-	r1[0] -= bu * r0[0]
-	r1[1] -= bu * r0[1]
-	r1[2] -= bu * r0[2]
-	r1[3] -= bp * r0[3]
-	r1[4] -= bm * r0[4]
-	fu, fp, fm = 1.0/u1[2], 1.0/p1[2], 1.0/m1[2]
-	r1[0] *= fu
-	r1[1] *= fu
-	r1[2] *= fu
-	r1[3] *= fp
-	r1[4] *= fm
-
-	// Back substitution; r0, r1 are rows i+1, i+2.
-	r0[0] -= u0[3] * r1[0]
-	r0[1] -= u0[3] * r1[1]
-	r0[2] -= u0[3] * r1[2]
-	r0[3] -= p0[3] * r1[3]
-	r0[4] -= m0[3] * r1[4]
+	lastRows4(&u[n-2], &u[n-1], &p[n-2], &p[n-1], &m[n-2], &m[n-1], &r[n-2], &r[n-1])
 	for i := n - 3; i >= 0; i-- {
-		r := grid.Vec5(rhs, base+i*stride)
-		u, p, m := &lhs[i], &lhsp[i], &lhsm[i]
-		r[0] -= u[3]*r0[0] + u[4]*r1[0]
-		r[1] -= u[3]*r0[1] + u[4]*r1[1]
-		r[2] -= u[3]*r0[2] + u[4]*r1[2]
-		r[3] -= p[3]*r0[3] + p[4]*r1[3]
-		r[4] -= m[3]*r0[4] + m[4]*r1[4]
-		r0, r1 = r, r0
+		backStep4(&u[i], &p[i], &m[i], &r[i], &r[i+1], &r[i+2])
 	}
+	for l := 1; l < n-1; l++ {
+		switch d {
+		case 0:
+			ninvr4(&r[l], bts)
+		case 1:
+			pinvr4(&r[l], bts)
+		default:
+			tzetar4(&r[l], &s[l], bts, c.C2iv)
+		}
+	}
+	f := b.f
+	for l := range r {
+		for q := 0; q < g.n; q++ {
+			o := 5 * (g.start[q] + l*ds.line)
+			v := f.Rhs[o : o+5]
+			v[0], v[1], v[2], v[3], v[4] = r[l][0][q], r[l][1][q], r[l][2][q], r[l][3][q], r[l][4][q]
+		}
+	}
+	g.n = 0
 }
 
-// solveDirectionLine factorizes and solves one grid line: convective
-// factor on components 1-3, acoustic factors on components 4 and 5.
-// The line's sound speeds live at speed[sbase+l*sstride] and its rhs
-// 5-vectors at rhs[rbase+l*rstride:]; both sweeps are affine in l for
-// every direction, so bases and strides replace accessor closures.
-func (b *Benchmark) solveDirectionLine(ls *lineScratch, n int, p *dirParams,
-	speed []float64, sbase, sstride int, rhs []float64, rbase, rstride int) {
-	b.buildLHS(ls, n, p, speed, sbase, sstride)
-	solveLine(ls.lhs, ls.lhsp, ls.lhsm, rhs, rbase, rstride)
-}
-
-// buildBodies constructs every parallel-region body once. Each is a
+// buildBodies constructs the three sweep bodies once. Each is a
 // func(id int) handed straight to Team.Run; chunk bounds come from the
 // team's loop iterator (honoring the configured schedule), per-worker
-// scratch from the pools and the team from the tm staging field, so the
-// ADI loop creates no closures.
+// scratch from the groups and the team from the tm staging field, so
+// the ADI loop creates no closures.
 func (b *Benchmark) buildBodies() {
-	n := b.n
-	f := b.f
-	b.pX = dirParams{dtt1: b.dttx1, dtt2: b.dttx2, c2dtt1: b.c2dttx1,
-		dmax: b.dxmax, d2or3or4: b.c.Dx2, d5: b.c.Dx5, d1: b.c.Dx1}
-	b.pY = dirParams{dtt1: b.dtty1, dtt2: b.dtty2, c2dtt1: b.c2dtty1,
-		dmax: b.dymax, d2or3or4: b.c.Dy3, d5: b.c.Dy5, d1: b.c.Dy1}
-	b.pZ = dirParams{dtt1: b.dttz1, dtt2: b.dttz2, c2dtt1: b.c2dttz1,
-		dmax: b.dzmax, d2or3or4: b.c.Dz4, d5: b.c.Dz5, d1: b.c.Dz1}
-	b.buildTransformBodies()
-
-	// xi-direction factor sweep, k planes chunked
-	b.xBody = func(id int) {
-		ls := b.scratch[id]
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 0; i < n; i++ {
-						b.fillEigenRows(ls, i, f.SAt(i, j, k), &b.pX, f.Us)
+	n, c := b.n, &b.c
+	// xi lines along i, k planes split; eta lines along j, k planes
+	// split; zeta lines along k, j rows split.
+	b.dirs = [3]dirSpec{
+		{line: 1, inner: n, outer: n * n, dtt1: b.dttx1, dtt2: b.dttx2, c2dtt1: b.c2dttx1,
+			d2or3or4: c.Dx2, d5: c.Dx5, dmax: b.dxmax, d1: c.Dx1},
+		{line: n, inner: 1, outer: n * n, dtt1: b.dtty1, dtt2: b.dtty2, c2dtt1: b.c2dtty1,
+			d2or3or4: c.Dy3, d5: c.Dy5, dmax: b.dymax, d1: c.Dy1},
+		{line: n * n, inner: 1, outer: n, dtt1: b.dttz1, dtt2: b.dttz2, c2dtt1: b.c2dttz1,
+			d2or3or4: c.Dz4, d5: c.Dz5, dmax: b.dzmax, d1: c.Dz1},
+	}
+	for d := range b.dirs {
+		ds := &b.dirs[d]
+		b.bodies[d] = func(id int) {
+			g := b.groups[id]
+			g.n = 0
+			for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+				for o := it.Lo; o < it.Hi; o++ {
+					for a := 1; a < n-1; a++ {
+						g.start[g.n] = o*ds.outer + a*ds.inner
+						g.n++
+						if g.n == 4 {
+							b.solveGroup(g, d)
+						}
 					}
-					b.solveDirectionLine(ls, n, &b.pX,
-						f.Speed, f.SAt(0, j, k), 1,
-						f.Rhs, f.FAt(0, 0, j, k), 5)
 				}
 			}
-		}
-	}
-
-	// eta-direction factor sweep, k planes chunked
-	b.yBody = func(id int) {
-		ls := b.scratch[id]
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for i := 1; i < n-1; i++ {
-					for j := 0; j < n; j++ {
-						b.fillEigenRows(ls, j, f.SAt(i, j, k), &b.pY, f.Vs)
-					}
-					b.solveDirectionLine(ls, n, &b.pY,
-						f.Speed, f.SAt(i, 0, k), n,
-						f.Rhs, f.FAt(0, i, 0, k), 5*n)
-				}
-			}
-		}
-	}
-
-	// zeta-direction factor sweep, j rows chunked
-	b.zBody = func(id int) {
-		ls := b.scratch[id]
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for j := it.Lo; j < it.Hi; j++ {
-				for i := 1; i < n-1; i++ {
-					for k := 0; k < n; k++ {
-						b.fillEigenRows(ls, k, f.SAt(i, j, k), &b.pZ, f.Ws)
-					}
-					b.solveDirectionLine(ls, n, &b.pZ,
-						f.Speed, f.SAt(i, j, 0), n*n,
-						f.Rhs, f.FAt(0, i, j, 0), 5*n*n)
-				}
+			if g.n > 0 {
+				b.solveGroup(g, d)
 			}
 		}
 	}
 }
 
-// xSolve runs the xi-direction factor sweep followed by ninvr.
+// xSolve runs the xi-direction factor sweep, txinvr before it and
+// ninvr after it folded in.
 func (b *Benchmark) xSolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.xBody)
-	b.ninvr(tm)
+	tm.Run(b.bodies[0])
 }
 
-// ySolve runs the eta-direction factor sweep followed by pinvr.
+// ySolve runs the eta-direction factor sweep, pinvr folded in.
 func (b *Benchmark) ySolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.yBody)
-	b.pinvr(tm)
+	tm.Run(b.bodies[1])
 }
 
-// zSolve runs the zeta-direction factor sweep followed by tzetar.
+// zSolve runs the zeta-direction factor sweep, tzetar folded in.
 func (b *Benchmark) zSolve(tm *team.Team) {
 	b.tm = tm
-	tm.Run(b.zBody)
-	b.tzetar(tm)
+	tm.Run(b.bodies[2])
 }

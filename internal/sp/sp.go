@@ -5,7 +5,7 @@
 // pentadiagonal* systems per grid line (for the convective eigenvalue
 // and the two acoustic eigenvalues u±c), bracketed by the
 // block-diagonal eigenvector transforms txinvr, ninvr, pinvr and
-// tzetar.
+// tzetar, which run inside the sweeps (solve.go).
 package sp
 
 import (
@@ -53,41 +53,18 @@ type Benchmark struct {
 	comz1, comz4, comz5, comz6               float64
 	dxmax, dymax, dzmax                      float64
 
-	scratch []*lineScratch
+	diss   [][5]float64 // per row of a line, what the dissipation subtracts from each band
+	groups []*group     // per worker
 
 	// Steady-state machinery: the region bodies below are built once by
 	// New and reused every ADI step (a closure literal at the call site
 	// would allocate per invocation), keeping the timed loop free of
 	// heap allocation (enforced by internal/allocgate). tm stages the
-	// current step's team; the dirParams are precomputed from the
+	// current step's team; the dirSpecs are precomputed from the
 	// constants.
-	tm         *team.Team
-	pX, pY, pZ dirParams
-	txinvrBody func(id int)
-	ninvrBody  func(id int)
-	pinvrBody  func(id int)
-	tzetarBody func(id int)
-	xBody      func(id int)
-	yBody      func(id int)
-	zBody      func(id int)
-}
-
-// lineScratch is the per-worker storage for one pentadiagonal line
-// solve: the three factors' band rows (row i holds the five bands of
-// cell i, the Fortran lhs(1..5,i)) plus the eigenvalue rows.
-type lineScratch struct {
-	lhs, lhsp, lhsm [][5]float64 // one row per cell of the line
-	cv, rho         []float64
-}
-
-func newLineScratch(n int) *lineScratch {
-	return &lineScratch{
-		lhs:  make([][5]float64, n),
-		lhsp: make([][5]float64, n),
-		lhsm: make([][5]float64, n),
-		cv:   make([]float64, n),
-		rho:  make([]float64, n),
-	}
+	tm     *team.Team
+	dirs   [3]dirSpec
+	bodies [3]func(id int) // the xi, eta and zeta sweeps
 }
 
 // New configures SP for the given class and thread count. With
@@ -100,6 +77,11 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("sp: threads %d < 1", threads)
 	}
+	return newBenchmark(class, spec, threads, env), nil
+}
+
+// newBenchmark builds an SP instance of spec's grid (size >= 6).
+func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benchmark {
 	b := &Benchmark{Class: class, n: spec.size, niter: spec.niter, threads: threads, env: env}
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.f = nscore.NewField(spec.size, true)
@@ -121,144 +103,13 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	b.dxmax = math.Max(c.Dx3, c.Dx4)
 	b.dymax = math.Max(c.Dy2, c.Dy4)
 	b.dzmax = math.Max(c.Dz2, c.Dz3)
-	b.scratch = make([]*lineScratch, threads)
-	for i := range b.scratch {
-		b.scratch[i] = newLineScratch(spec.size)
+	b.diss = dissipation(spec.size, b.comz1, b.comz4, b.comz5, b.comz6)
+	b.groups = make([]*group, threads)
+	for i := range b.groups {
+		b.groups[i] = newGroup(spec.size)
 	}
 	b.buildBodies()
-	return b, nil
-}
-
-// buildTransformBodies constructs the pointwise eigenvector-transform
-// bodies once (see buildBodies).
-func (b *Benchmark) buildTransformBodies() {
-	n := b.n
-	f := b.f
-	c := &b.c
-
-	// txinvr transform, k planes chunked
-	b.txinvrBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 1; i < n-1; i++ {
-						s := f.SAt(i, j, k)
-						ro := f.FAt(0, i, j, k)
-						ru1 := f.RhoI[s]
-						uu, vv, ww := f.Us[s], f.Vs[s], f.Ws[s]
-						ac := f.Speed[s]
-						ac2inv := 1.0 / (ac * ac)
-						r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
-						t1 := c.C2 * ac2inv * (f.Qs[s]*r1 - uu*r2 - vv*r3 - ww*r4 + r5)
-						t2 := bts * ru1 * (uu*r1 - r2)
-						t3 := bts * ru1 * ac * t1
-						f.Rhs[ro] = r1 - t1
-						f.Rhs[ro+1] = -ru1 * (ww*r1 - r4)
-						f.Rhs[ro+2] = ru1 * (vv*r1 - r3)
-						f.Rhs[ro+3] = -t2 + t3
-						f.Rhs[ro+4] = t2 + t3
-					}
-				}
-			}
-		}
-	}
-
-	// ninvr transform, k planes chunked
-	b.ninvrBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 1; i < n-1; i++ {
-						ro := f.FAt(0, i, j, k)
-						r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
-						t1 := bts * r3
-						t2 := 0.5 * (r4 + r5)
-						f.Rhs[ro] = -r2
-						f.Rhs[ro+1] = r1
-						f.Rhs[ro+2] = bts * (r4 - r5)
-						f.Rhs[ro+3] = -t1 + t2
-						f.Rhs[ro+4] = t1 + t2
-					}
-				}
-			}
-		}
-	}
-
-	// pinvr transform, k planes chunked
-	b.pinvrBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 1; i < n-1; i++ {
-						ro := f.FAt(0, i, j, k)
-						r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
-						t1 := bts * r1
-						t2 := 0.5 * (r4 + r5)
-						f.Rhs[ro] = bts * (r4 - r5)
-						f.Rhs[ro+1] = -r3
-						f.Rhs[ro+2] = r2
-						f.Rhs[ro+3] = -t1 + t2
-						f.Rhs[ro+4] = t1 + t2
-					}
-				}
-			}
-		}
-	}
-
-	// tzetar transform, k planes chunked
-	b.tzetarBody = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 1; i < n-1; i++ {
-						s := f.SAt(i, j, k)
-						ro := f.FAt(0, i, j, k)
-						xvel, yvel, zvel := f.Us[s], f.Vs[s], f.Ws[s]
-						ac := f.Speed[s]
-						ac2u := ac * ac
-						r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
-						uzik1 := f.U[f.UAt(0, i, j, k)]
-						btuz := bts * uzik1
-						t1 := btuz / ac * (r4 + r5)
-						t2 := r3 + t1
-						t3 := btuz * (r4 - r5)
-						f.Rhs[ro] = t2
-						f.Rhs[ro+1] = -uzik1*r2 + xvel*t2
-						f.Rhs[ro+2] = uzik1*r1 + yvel*t2
-						f.Rhs[ro+3] = zvel*t2 + t3
-						f.Rhs[ro+4] = uzik1*(-xvel*r2+yvel*r1) +
-							f.Qs[s]*t2 + c.C2iv*ac2u*t1 + zvel*t3
-					}
-				}
-			}
-		}
-	}
-}
-
-// txinvr premultiplies the rhs by the inverse of the x-direction
-// eigenvector matrix (block-diagonal, pointwise).
-func (b *Benchmark) txinvr(tm *team.Team) {
-	b.tm = tm
-	tm.Run(b.txinvrBody)
-}
-
-// ninvr applies the x-direction eigenvector matrix after the x sweep.
-func (b *Benchmark) ninvr(tm *team.Team) {
-	b.tm = tm
-	tm.Run(b.ninvrBody)
-}
-
-// pinvr applies the y-direction eigenvector matrix after the y sweep.
-func (b *Benchmark) pinvr(tm *team.Team) {
-	b.tm = tm
-	tm.Run(b.pinvrBody)
-}
-
-// tzetar applies the z-direction eigenvector matrix after the z sweep,
-// returning to conserved-variable space.
-func (b *Benchmark) tzetar(tm *team.Team) {
-	b.tm = tm
-	tm.Run(b.tzetarBody)
+	return b
 }
 
 // adi advances one SP time step.
@@ -266,9 +117,6 @@ func (b *Benchmark) adi(tm *team.Team) {
 	b.env.Start("rhs")
 	b.f.ComputeRHS(&b.c, tm)
 	b.env.Stop("rhs")
-	b.env.Start("txinvr")
-	b.txinvr(tm)
-	b.env.Stop("txinvr")
 	b.env.Start("xsolve")
 	b.xSolve(tm)
 	b.env.Stop("xsolve")

@@ -3,9 +3,13 @@ package sp
 import (
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
+	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -215,36 +219,6 @@ func denseSolve(a []float64, b []float64, n int) []float64 {
 	return x
 }
 
-func TestTransformsAreInverses(t *testing.T) {
-	// tzetar . pinvr . ninvr . txinvr is NOT the identity, but the
-	// composition of txinvr with the full eigenvector chain must
-	// preserve finiteness and scale: check that applying the four
-	// transforms to a smooth rhs keeps values bounded and nonzero.
-	b, err := New('S', 1, kernel.Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := team.New(1)
-	defer tm.Close()
-	b.f.Initialize(&b.c)
-	b.f.ExactRHS(&b.c)
-	b.f.ComputeRHS(&b.c, tm)
-	norm0 := b.f.RHSNorm()
-	b.txinvr(tm)
-	b.ninvr(tm)
-	b.pinvr(tm)
-	b.tzetar(tm)
-	norm1 := b.f.RHSNorm()
-	for m := 0; m < 5; m++ {
-		if math.IsNaN(norm1[m]) || norm1[m] == 0 {
-			t.Fatalf("component %d norm degenerate: %v", m, norm1[m])
-		}
-		if norm1[m] > 1e3*norm0[m]+1e3 {
-			t.Fatalf("component %d norm exploded: %v -> %v", m, norm0[m], norm1[m])
-		}
-	}
-}
-
 func TestErrorDecreasesOverSteps(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
@@ -309,6 +283,472 @@ func TestClassSRun(t *testing.T) {
 	for m := 0; m < 5; m++ {
 		if math.IsNaN(res.XCR[m]) || math.IsNaN(res.XCE[m]) {
 			t.Fatal("NaN in verification norms")
+		}
+	}
+}
+
+// The scalar solver the lane kernels replaced, kept as their oracle:
+// fillEigenRows, buildLHS and solveLine solve one line at a time, and
+// the four transforms are separate passes over Rhs.
+
+// lineScratch is the storage of one scalar line solve: the three
+// factors' band rows (row i holds the five bands of cell i) plus the
+// eigenvalue rows.
+type lineScratch struct {
+	lhs, lhsp, lhsm [][5]float64
+	cv, rho         []float64
+}
+
+func newLineScratch(n int) *lineScratch {
+	return &lineScratch{
+		lhs:  make([][5]float64, n),
+		lhsp: make([][5]float64, n),
+		lhsm: make([][5]float64, n),
+		cv:   make([]float64, n),
+		rho:  make([]float64, n),
+	}
+}
+
+// fillEigenRows loads the line's convective velocity cv and spectral
+// bound rho for cell l from scalar offset soff.
+func (b *Benchmark) fillEigenRows(ls *lineScratch, l, soff int, p *dirSpec, vel []float64) {
+	c := &b.c
+	ru1 := c.C3c4 * b.f.RhoI[soff]
+	ls.cv[l] = vel[soff]
+	r := p.d2or3or4 + c.Con43*ru1
+	if v := p.d5 + c.C1c5*ru1; v > r {
+		r = v
+	}
+	if v := p.dmax + ru1; v > r {
+		r = v
+	}
+	if p.d1 > r {
+		r = p.d1
+	}
+	ls.rho[l] = r
+}
+
+// buildLHS assembles the three pentadiagonal factors for one line of
+// length n, given the already-filled cv/rho rows and the line's sound
+// speeds at speed[sbase+l*sstride].
+func (b *Benchmark) buildLHS(ls *lineScratch, n int, p *dirSpec, speed []float64, sbase, sstride int) {
+	lhs, lhsp, lhsm := ls.lhs[:n], ls.lhsp[:n], ls.lhsm[:n]
+	cv, rho := ls.cv[:n], ls.rho[:n]
+	for _, i := range [2]int{0, n - 1} {
+		lhs[i] = [5]float64{2: 1}
+		lhsp[i] = [5]float64{2: 1}
+		lhsm[i] = [5]float64{2: 1}
+	}
+	for i := 1; i < n-1; i++ {
+		r := &lhs[i]
+		r[0] = 0
+		r[1] = -p.dtt2*cv[i-1] - p.dtt1*rho[i-1]
+		r[2] = 1.0 + p.c2dtt1*rho[i]
+		r[3] = p.dtt2*cv[i+1] - p.dtt1*rho[i+1]
+		r[4] = 0
+	}
+	dissipate(lhs, n, b.comz1, b.comz4, b.comz5, b.comz6)
+	for i := 1; i < n-1; i++ {
+		u, up, um := &lhs[i], &lhsp[i], &lhsm[i]
+		cm := p.dtt2 * speed[sbase+(i-1)*sstride]
+		cp := p.dtt2 * speed[sbase+(i+1)*sstride]
+		up[0], up[1], up[2], up[3], up[4] = u[0], u[1]-cm, u[2], u[3]+cp, u[4]
+		um[0], um[1], um[2], um[3], um[4] = u[0], u[1]+cm, u[2], u[3]-cp, u[4]
+	}
+}
+
+// dissipate adds the fourth-order dissipation to the convective
+// factor's rows, as the Fortran does.
+func dissipate(lhs [][5]float64, n int, comz1, comz4, comz5, comz6 float64) {
+	r := &lhs[1]
+	r[2] += comz5
+	r[3] -= comz4
+	r[4] += comz1
+	r = &lhs[2]
+	r[1] -= comz4
+	r[2] += comz6
+	r[3] -= comz4
+	r[4] += comz1
+	for i := 3; i <= n-4; i++ {
+		r := &lhs[i]
+		r[0] += comz1
+		r[1] -= comz4
+		r[2] += comz6
+		r[3] -= comz4
+		r[4] += comz1
+	}
+	r = &lhs[n-3]
+	r[0] += comz1
+	r[1] -= comz4
+	r[2] += comz6
+	r[3] -= comz4
+	r = &lhs[n-2]
+	r[0] += comz1
+	r[1] -= comz4
+	r[2] += comz5
+}
+
+// solveLine runs the scalar pentadiagonal Thomas algorithm of all three
+// factors of one line together: the convective factor (lhs) on rhs
+// components 0-2 and the acoustic factors (lhsp, lhsm) on components 3
+// and 4 of the line's 5-vectors at rhs[base+l*stride:].
+func solveLine(lhs, lhsp, lhsm [][5]float64, rhs []float64, base, stride int) {
+	n := len(lhs)
+	lhsp, lhsm = lhsp[:n], lhsm[:n]
+	r0, r1 := grid.Vec5(rhs, base), grid.Vec5(rhs, base+stride)
+	for i := 0; i+2 < n; i++ {
+		r2 := grid.Vec5(rhs, base+(i+2)*stride)
+		u0, u1, u2 := &lhs[i], &lhs[i+1], &lhs[i+2]
+		p0, p1, p2 := &lhsp[i], &lhsp[i+1], &lhsp[i+2]
+		m0, m1, m2 := &lhsm[i], &lhsm[i+1], &lhsm[i+2]
+
+		fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
+		u0[3] *= fu
+		u0[4] *= fu
+		p0[3] *= fp
+		p0[4] *= fp
+		m0[3] *= fm
+		m0[4] *= fm
+		r0[0] *= fu
+		r0[1] *= fu
+		r0[2] *= fu
+		r0[3] *= fp
+		r0[4] *= fm
+
+		bu, bp, bm := u1[1], p1[1], m1[1]
+		u1[2] -= bu * u0[3]
+		u1[3] -= bu * u0[4]
+		p1[2] -= bp * p0[3]
+		p1[3] -= bp * p0[4]
+		m1[2] -= bm * m0[3]
+		m1[3] -= bm * m0[4]
+		r1[0] -= bu * r0[0]
+		r1[1] -= bu * r0[1]
+		r1[2] -= bu * r0[2]
+		r1[3] -= bp * r0[3]
+		r1[4] -= bm * r0[4]
+
+		bu, bp, bm = u2[0], p2[0], m2[0]
+		u2[1] -= bu * u0[3]
+		u2[2] -= bu * u0[4]
+		p2[1] -= bp * p0[3]
+		p2[2] -= bp * p0[4]
+		m2[1] -= bm * m0[3]
+		m2[2] -= bm * m0[4]
+		r2[0] -= bu * r0[0]
+		r2[1] -= bu * r0[1]
+		r2[2] -= bu * r0[2]
+		r2[3] -= bp * r0[3]
+		r2[4] -= bm * r0[4]
+
+		r0, r1 = r1, r2
+	}
+
+	u0, u1 := &lhs[n-2], &lhs[n-1]
+	p0, p1 := &lhsp[n-2], &lhsp[n-1]
+	m0, m1 := &lhsm[n-2], &lhsm[n-1]
+	fu, fp, fm := 1.0/u0[2], 1.0/p0[2], 1.0/m0[2]
+	u0[3] *= fu
+	u0[4] *= fu
+	p0[3] *= fp
+	p0[4] *= fp
+	m0[3] *= fm
+	m0[4] *= fm
+	r0[0] *= fu
+	r0[1] *= fu
+	r0[2] *= fu
+	r0[3] *= fp
+	r0[4] *= fm
+	bu, bp, bm := u1[1], p1[1], m1[1]
+	u1[2] -= bu * u0[3]
+	u1[3] -= bu * u0[4]
+	p1[2] -= bp * p0[3]
+	p1[3] -= bp * p0[4]
+	m1[2] -= bm * m0[3]
+	m1[3] -= bm * m0[4]
+	r1[0] -= bu * r0[0]
+	r1[1] -= bu * r0[1]
+	r1[2] -= bu * r0[2]
+	r1[3] -= bp * r0[3]
+	r1[4] -= bm * r0[4]
+	fu, fp, fm = 1.0/u1[2], 1.0/p1[2], 1.0/m1[2]
+	r1[0] *= fu
+	r1[1] *= fu
+	r1[2] *= fu
+	r1[3] *= fp
+	r1[4] *= fm
+
+	r0[0] -= u0[3] * r1[0]
+	r0[1] -= u0[3] * r1[1]
+	r0[2] -= u0[3] * r1[2]
+	r0[3] -= p0[3] * r1[3]
+	r0[4] -= m0[3] * r1[4]
+	for i := n - 3; i >= 0; i-- {
+		r := grid.Vec5(rhs, base+i*stride)
+		u, p, m := &lhs[i], &lhsp[i], &lhsm[i]
+		r[0] -= u[3]*r0[0] + u[4]*r1[0]
+		r[1] -= u[3]*r0[1] + u[4]*r1[1]
+		r[2] -= u[3]*r0[2] + u[4]*r1[2]
+		r[3] -= p[3]*r0[3] + p[4]*r1[3]
+		r[4] -= m[3]*r0[4] + m[4]*r1[4]
+		r0, r1 = r, r0
+	}
+}
+
+// interior calls body on the scalar and Rhs offsets of every interior
+// point, k, j, i nested in that order.
+func (b *Benchmark) interior(body func(s, ro int)) {
+	n, f := b.n, b.f
+	for k := 1; k < n-1; k++ {
+		for j := 1; j < n-1; j++ {
+			for i := 1; i < n-1; i++ {
+				body(f.SAt(i, j, k), f.FAt(0, i, j, k))
+			}
+		}
+	}
+}
+
+// oracleSolves runs the three factor sweeps, one scalar line at a
+// time, and the four transforms as passes of their own over Rhs: the
+// oracle of the grouped sweeps with the transforms folded in.
+func (b *Benchmark) oracleSolves() {
+	n, f, c := b.n, b.f, &b.c
+	ls := newLineScratch(n)
+	b.interior(func(s, ro int) { // txinvr
+		ru1 := f.RhoI[s]
+		uu, vv, ww := f.Us[s], f.Vs[s], f.Ws[s]
+		ac := f.Speed[s]
+		ac2inv := 1.0 / (ac * ac)
+		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		t1 := c.C2 * ac2inv * (f.Qs[s]*r1 - uu*r2 - vv*r3 - ww*r4 + r5)
+		t2 := bts * ru1 * (uu*r1 - r2)
+		t3 := bts * ru1 * ac * t1
+		f.Rhs[ro] = r1 - t1
+		f.Rhs[ro+1] = -ru1 * (ww*r1 - r4)
+		f.Rhs[ro+2] = ru1 * (vv*r1 - r3)
+		f.Rhs[ro+3] = -t2 + t3
+		f.Rhs[ro+4] = t2 + t3
+	})
+	for k := 1; k < n-1; k++ {
+		for j := 1; j < n-1; j++ {
+			for i := 0; i < n; i++ {
+				b.fillEigenRows(ls, i, f.SAt(i, j, k), &b.dirs[0], f.Us)
+			}
+			b.buildLHS(ls, n, &b.dirs[0], f.Speed, f.SAt(0, j, k), 1)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, 0, j, k), 5)
+		}
+	}
+	b.interior(func(s, ro int) { // ninvr
+		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		t1 := bts * r3
+		t2 := 0.5 * (r4 + r5)
+		f.Rhs[ro] = -r2
+		f.Rhs[ro+1] = r1
+		f.Rhs[ro+2] = bts * (r4 - r5)
+		f.Rhs[ro+3] = -t1 + t2
+		f.Rhs[ro+4] = t1 + t2
+	})
+	for k := 1; k < n-1; k++ {
+		for i := 1; i < n-1; i++ {
+			for j := 0; j < n; j++ {
+				b.fillEigenRows(ls, j, f.SAt(i, j, k), &b.dirs[1], f.Vs)
+			}
+			b.buildLHS(ls, n, &b.dirs[1], f.Speed, f.SAt(i, 0, k), n)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, i, 0, k), 5*n)
+		}
+	}
+	b.interior(func(s, ro int) { // pinvr
+		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		t1 := bts * r1
+		t2 := 0.5 * (r4 + r5)
+		f.Rhs[ro] = bts * (r4 - r5)
+		f.Rhs[ro+1] = -r3
+		f.Rhs[ro+2] = r2
+		f.Rhs[ro+3] = -t1 + t2
+		f.Rhs[ro+4] = t1 + t2
+	})
+	for j := 1; j < n-1; j++ {
+		for i := 1; i < n-1; i++ {
+			for k := 0; k < n; k++ {
+				b.fillEigenRows(ls, k, f.SAt(i, j, k), &b.dirs[2], f.Ws)
+			}
+			b.buildLHS(ls, n, &b.dirs[2], f.Speed, f.SAt(i, j, 0), n*n)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, i, j, 0), 5*n*n)
+		}
+	}
+	b.interior(func(s, ro int) { // tzetar
+		xvel, yvel, zvel := f.Us[s], f.Vs[s], f.Ws[s]
+		ac := f.Speed[s]
+		ac2u := ac * ac
+		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		uzik1 := f.U[ro]
+		btuz := bts * uzik1
+		t1 := btuz / ac * (r4 + r5)
+		t2 := r3 + t1
+		t3 := btuz * (r4 - r5)
+		f.Rhs[ro] = t2
+		f.Rhs[ro+1] = -uzik1*r2 + xvel*t2
+		f.Rhs[ro+2] = uzik1*r1 + yvel*t2
+		f.Rhs[ro+3] = zvel*t2 + t3
+		f.Rhs[ro+4] = uzik1*(-xvel*r2+yvel*r1) +
+			f.Qs[s]*t2 + c.C2iv*ac2u*t1 + zvel*t3
+	})
+}
+
+// laneModes returns the lane paths this host can run: the portable one
+// always, the AVX one where the CPU has it. Each test runs every mode
+// with useAVX set accordingly and restores it.
+func laneModes(t *testing.T) []bool {
+	t.Cleanup(func() { useAVX = avxSupported() })
+	if avxSupported() {
+		return []bool{false, true}
+	}
+	t.Log("no AVX on this host: only the portable lane path runs")
+	return []bool{false}
+}
+
+// TestLaneKernelsMatchScalar holds each generated lane kernel to its
+// scalar body, lane by lane and bit for bit, on random inputs with
+// zeros of both signs in every lane (rowcheck.Lanes). eigen's three
+// bounds are compare-and-blends, so it also runs on lanes where the
+// compared values are zeros of opposite signs or NaN, where Go keeps
+// the bound and a VMAXPD would not.
+func TestLaneKernelsMatchScalar(t *testing.T) {
+	modes := laneModes(t)
+	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, modes, [][2]any{
+		{eigen4, eigen}, {lhsRow4, lhsRow}, {forwardStep4, forwardStep}, {lastRows4, lastRows},
+		{backStep4, backStep}, {txinvr4, txinvr}, {ninvr4, ninvr}, {pinvr4, pinvr}, {tzetar4, tzetar},
+	})
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	for _, avx := range modes {
+		useAVX = avx
+		// With c3c4 = con43 = c1c5 = 1, r = d2or3or4 + ru1 and the
+		// first candidate d5 + ru1: ru1 = -0 makes them -0 and +0.
+		var s cell4
+		s[3] = [4]float64{negZero, 0, nan, 1}
+		for _, d := range [][4]float64{{negZero, 0, 0, negZero}, {0, negZero, negZero, 0}, {negZero, 0, nan, 0}} {
+			got := s
+			eigen4(&got, 1, 1, 1, d[0], d[1], d[2], d[3])
+			for q := 0; q < 4; q++ {
+				want := [8]float64(rowcheck.Lane(s[:], q))
+				eigen(&want, 1, 1, 1, d[0], d[1], d[2], d[3])
+				if g, w := got[1][q], want[1]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("avx=%v bounds %v lane %d: rho %v (%#x), scalar %v (%#x)", avx, d, q, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// TestDissipationTable: subtracting dissipation's table entry from
+// each band is, bit for bit, the Fortran's adds and subtracts, on
+// bands with zeros of both signs, for every line length from the
+// shortest whose four special rows are distinct; shorter lines are
+// refused.
+func TestDissipationTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const comz1, comz4, comz5, comz6 = 0.25, 1.0, 1.25, 1.5
+	for n := 6; n <= 13; n++ {
+		table := dissipation(n, comz1, comz4, comz5, comz6)
+		want := make([][5]float64, n)
+		for i := range want {
+			for bd := range want[i] {
+				switch rng.Intn(4) {
+				case 0:
+					want[i][bd] = math.Copysign(0, -1)
+				case 1:
+					want[i][bd] = 0
+				default:
+					want[i][bd] = rng.Float64() - 0.5
+				}
+			}
+		}
+		got := append([][5]float64(nil), want...)
+		dissipate(want, n, comz1, comz4, comz5, comz6)
+		for i := range got {
+			for bd := range got[i] {
+				if g, w := got[i][bd]-table[i][bd], want[i][bd]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("n=%d row %d band %d: %v, Fortran order %v", n, i, bd, g, w)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("dissipation(5) did not refuse a line of 5 cells")
+		}
+	}()
+	dissipation(5, comz1, comz4, comz5, comz6)
+}
+
+// TestSweepsMatchScalarOracle holds the three sweeps, lines in groups
+// of four lanes and the transforms folded in, to the scalar solver
+// above, on every element of Rhs, the boundary's included, after a
+// step on a developed field. Line counts of 10, 11 and 34 a plane, at
+// thread counts that leave some workers one plane or none, put groups
+// across planes and chunks and leave short groups at the ends; every
+// schedule deals the planes differently.
+func TestSweepsMatchScalarOracle(t *testing.T) {
+	for _, n := range []int{12, 13, 36} {
+		spec := classSpec{size: n, niter: 1, dt: 0.0015}
+		ref := newBenchmark('S', spec, 1, kernel.Env{})
+		tm := team.New(1)
+		ref.f.Initialize(&ref.c)
+		ref.f.ExactRHS(&ref.c)
+		ref.adi(tm)
+		ref.f.ComputeRHS(&ref.c, tm)
+		tm.Close()
+		start := append([]float64(nil), ref.f.Rhs...)
+		ref.oracleSolves()
+
+		for _, threads := range []int{1, 2, 3, 7, 13} {
+			for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+				b := newBenchmark('S', spec, threads, kernel.Env{})
+				// The sweeps read only Rhs and the scalars: share the
+				// reference's field with a fresh Rhs.
+				f := *ref.f
+				f.Rhs = append([]float64(nil), start...)
+				b.f = &f
+				tm := team.New(threads, team.WithSchedule(sched))
+				b.xSolve(tm)
+				b.ySolve(tm)
+				b.zSolve(tm)
+				tm.Close()
+				for e, w := range ref.f.Rhs {
+					if g := f.Rhs[e]; math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("n=%d %d threads %s: rhs[%d] = %v, oracle %v", n, threads, sched, e, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPortableLanesReproduceGolden runs SP.S on the portable lane path
+// (each lane through the scalar kernels, what an amd64 CPU without AVX
+// runs) at one and two threads and compares the verification printout
+// with the one recorded in testdata/bitidentity.golden.
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/bitidentity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "== SP.S\n")
+	if !ok {
+		t.Fatal("no SP.S block in the golden file")
+	}
+	want, _, _ := strings.Cut(rest, "\n== ")
+	want += "\n"
+
+	laneModes(t)
+	useAVX = false
+	for _, threads := range []int{1, 2} {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.RunResult().Verify.String(); got != want {
+			t.Errorf("SP.S at %d threads on the portable lane path:\n%s\nrecorded:\n%s", threads, got, want)
 		}
 	}
 }
