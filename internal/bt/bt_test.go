@@ -36,10 +36,10 @@ func TestInitializeMatchesExactOnBoundaries(t *testing.T) {
 	for _, p := range checks {
 		i, j, k := p[0], p[1], p[2]
 		nscore.ExactSolution(float64(i)*b.c.Dnxm1, float64(j)*b.c.Dnym1, float64(k)*b.c.Dnzm1, &ue)
-		off := b.f.UAt(0, i, j, k)
-		for m := 0; m < 5; m++ {
-			if b.f.U[off+m] != ue[m] {
-				t.Fatalf("boundary (%d,%d,%d) component %d: %v != exact %v", i, j, k, m, b.f.U[off+m], ue[m])
+		p := b.f.SAt(i, j, k)
+		for m, u := range &b.f.U {
+			if u[p] != ue[m] {
+				t.Fatalf("boundary (%d,%d,%d) component %d: %v != exact %v", i, j, k, m, u[p], ue[m])
 			}
 		}
 	}
@@ -64,9 +64,8 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				nscore.ExactSolution(float64(i)*b.c.Dnxm1, float64(j)*b.c.Dnym1, float64(k)*b.c.Dnzm1, &ue)
-				off := b.f.UAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
-					b.f.U[off+m] = ue[m]
+				for m, u := range &b.f.U {
+					u[b.f.SAt(i, j, k)] = ue[m]
 				}
 			}
 		}
@@ -77,9 +76,8 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				off := b.f.FAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
-					if a := math.Abs(b.f.Rhs[off+m]); a > worst {
+				for _, r := range &b.f.Rhs {
+					if a := math.Abs(r[b.f.SAt(i, j, k)]); a > worst {
 						worst = a
 					}
 				}
@@ -430,9 +428,11 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 		}
 	}
 	// And the field must stay finite.
-	for _, v := range b.f.U {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("field blew up")
+	for _, u := range &b.f.U {
+		for _, v := range u {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatal("field blew up")
+			}
 		}
 	}
 }
@@ -444,7 +444,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 // schedule. Thirteen threads is more than class S's ten interior
 // planes: some workers get no lines and must touch nothing.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	run := func(threads int, sched team.Schedule) []float64 {
+	run := func(threads int, sched team.Schedule) [5][]float64 {
 		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
@@ -459,10 +459,12 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := run(threads, sched)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
-						i, threads, sched, got[i], want[i])
+			for m := range want {
+				for i := range want[m] {
+					if got[m][i] != want[m][i] {
+						t.Fatalf("u%d[%d] at %d threads under %s differs from serial: %v vs %v",
+							m, i, threads, sched, got[m][i], want[m][i])
+					}
 				}
 			}
 		}
@@ -505,9 +507,10 @@ func newLineScratch(n int) *lineScratch {
 	}
 }
 
-func (b *Benchmark) buildJacobians(ls *lineScratch, l int, uoff, soff int, cv int) {
-	uvec := [5]float64{b.f.U[uoff], b.f.U[uoff+1], b.f.U[uoff+2], b.f.U[uoff+3], b.f.U[uoff+4]}
-	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[soff], b.f.Qs[soff], b.f.Square[soff],
+func (b *Benchmark) buildJacobians(ls *lineScratch, l, p, cv int) {
+	u := &b.f.U
+	uvec := [5]float64{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]}
+	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[p], b.f.Qs[p], b.f.Square[p],
 		cv, &ls.fjac[l], &ls.njac[l])
 }
 

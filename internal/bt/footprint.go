@@ -7,10 +7,10 @@ import (
 )
 
 // Footprint estimates the working-set bytes a BT run of the given class
-// and thread count allocates: the nscore field (three 5-component grids,
-// six scalar grids and ComputeRHS's fourteen component-major rows over
-// n³ points) and the per-thread lane scratch of four lines (five block
-// arrays and the rhs, n cells each). The estimate feeds the harness
+// and thread count allocates: the nscore field (twenty-five rows of n³
+// points: U, Rhs and Forcing, five components each, six primitive
+// fields and ComputeRHS's four scratch rows) and the per-thread lane
+// scratch of four lines (five block arrays and the rhs, n cells each). The estimate feeds the harness
 // memory admission guard — the paper's FT memory-limit anomaly (§5)
 // generalized to every benchmark — so it tracks the dominant arrays,
 // not every last slice.

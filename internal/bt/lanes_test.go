@@ -111,8 +111,8 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 						start := o*ds.outer + a*ds.inner
 						for l := 0; l <= isize; l++ {
 							p := start + l*ds.line
-							b.buildJacobians(ls, l, 5*p, p, ds.cv)
-							u := [5]float64{b.f.U[5*p], b.f.U[5*p+1], b.f.U[5*p+2], b.f.U[5*p+3], b.f.U[5*p+4]}
+							b.buildJacobians(ls, l, p, ds.cv)
+							u := [5]float64{b.f.U[0][p], b.f.U[1][p], b.f.U[2][p], b.f.U[3][p], b.f.U[4][p]}
 							s := [3]float64{b.f.RhoI[p], b.f.Qs[p], b.f.Square[p]}
 							jac[d](&fj[l], &nj[l], &u, &s, ds.jac.c1, ds.jac.c2, ds.jac.c3c4, ds.jac.r43, ds.jac.c1345)
 							check("fjac", l, 0, fj[l][:], &ls.fjac[l])

@@ -1,7 +1,6 @@
 package bt
 
 import (
-	"npbgo/internal/grid"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
@@ -138,11 +137,11 @@ func (b *Benchmark) setupGroup(g *group, ds *dirSpec) {
 	for q := g.n; q < 4; q++ {
 		g.start[q] = g.start[0]
 	}
+	u0, u1, u2, u3, u4 := nscore.Components(&f.U)
 	for l := 0; l <= isize; l++ {
 		for q := 0; q < 4; q++ {
 			p := g.start[q] + l*ds.line
-			u := grid.Vec5(f.U, 5*p)
-			g.u[0][q], g.u[1][q], g.u[2][q], g.u[3][q], g.u[4][q] = u[0], u[1], u[2], u[3], u[4]
+			g.u[0][q], g.u[1][q], g.u[2][q], g.u[3][q], g.u[4][q] = u0[p], u1[p], u2[p], u3[p], u4[p]
 			g.s[0][q], g.s[1][q], g.s[2][q] = f.RhoI[p], f.Qs[p], f.Square[p]
 		}
 		jacobians(&g.fjac[l], &g.njac[l], &g.u, &g.s, k.c1, k.c2, k.c3c4, k.r43, k.c1345)
@@ -159,15 +158,15 @@ func (b *Benchmark) setupGroup(g *group, ds *dirSpec) {
 // a zero right-hand side, so every value they compute stays finite, and
 // they are never written back.
 func (b *Benchmark) solveGroup(g *group, ds *dirSpec) {
-	f := b.f
 	isize := b.n - 1
 	b.setupGroup(g, ds)
+	r0, r1, r2, r3, r4 := nscore.Components(&b.f.Rhs)
 	for l := 0; l <= isize; l++ {
 		r := &g.rhs[l]
 		for q := 0; q < 4; q++ {
 			if q < g.n {
-				v := grid.Vec5(f.Rhs, 5*(g.start[q]+l*ds.line))
-				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = v[0], v[1], v[2], v[3], v[4]
+				p := g.start[q] + l*ds.line
+				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = r0[p], r1[p], r2[p], r3[p], r4[p]
 			} else {
 				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = 0, 0, 0, 0, 0
 			}
@@ -177,8 +176,8 @@ func (b *Benchmark) solveGroup(g *group, ds *dirSpec) {
 	for l := 0; l <= isize; l++ {
 		r := &g.rhs[l]
 		for q := 0; q < g.n; q++ {
-			v := grid.Vec5(f.Rhs, 5*(g.start[q]+l*ds.line))
-			v[0], v[1], v[2], v[3], v[4] = r[0][q], r[1][q], r[2][q], r[3][q], r[4][q]
+			p := g.start[q] + l*ds.line
+			r0[p], r1[p], r2[p], r3[p], r4[p] = r[0][q], r[1][q], r[2][q], r[3][q], r[4][q]
 		}
 	}
 	g.n = 0

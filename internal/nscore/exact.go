@@ -10,8 +10,10 @@ func (f *Field) Initialize(c *Consts) {
 
 	// Fill everything with 1.0 first so the reciprocal computed in
 	// compute_rhs is well-defined even at untouched corners.
-	for i := range f.U {
-		f.U[i] = 1.0
+	for _, u := range &f.U {
+		for p := range u {
+			u[p] = 1.0
+		}
 	}
 
 	for k := 0; k < n; k++ {
@@ -29,12 +31,12 @@ func (f *Field) Initialize(c *Consts) {
 				for iz := 0; iz < 2; iz++ {
 					ExactSolution(xi, eta, float64(iz), &pface[iz][2])
 				}
-				off := f.UAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
+				p := f.SAt(i, j, k)
+				for m, u := range &f.U {
 					pxi := xi*pface[1][0][m] + (1.0-xi)*pface[0][0][m]
 					peta := eta*pface[1][1][m] + (1.0-eta)*pface[0][1][m]
 					pzeta := zeta*pface[1][2][m] + (1.0-zeta)*pface[0][2][m]
-					f.U[off+m] = pxi + peta + pzeta -
+					u[p] = pxi + peta + pzeta -
 						pxi*peta - pxi*pzeta - peta*pzeta +
 						pxi*peta*pzeta
 				}
@@ -45,9 +47,9 @@ func (f *Field) Initialize(c *Consts) {
 	// Exact solution on the six faces.
 	setFace := func(i, j, k int, xi, eta, zeta float64) {
 		ExactSolution(xi, eta, zeta, &temp)
-		off := f.UAt(0, i, j, k)
-		for m := 0; m < 5; m++ {
-			f.U[off+m] = temp[m]
+		p := f.SAt(i, j, k)
+		for m, u := range &f.U {
+			u[p] = temp[m]
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -83,8 +85,8 @@ func (f *Field) ExactRHS(c *Consts) {
 	n := f.N
 	var dtemp [5]float64
 
-	for i := range f.Forcing {
-		f.Forcing[i] = 0
+	for _, fo := range &f.Forcing {
+		clear(fo)
 	}
 
 	ue := make([]float64, 5*n)  // exact conserved variables along a line
@@ -115,20 +117,20 @@ func (f *Field) ExactRHS(c *Consts) {
 			}
 			for i := 1; i < n-1; i++ {
 				im1, ip1 := i-1, i+1
-				fo := f.FAt(0, i, j, k)
-				f.Forcing[fo+0] -= c.Tx2*(ue[ueAt(ip1, 1)]-ue[ueAt(im1, 1)]) -
+				p := f.SAt(i, j, k)
+				f.Forcing[0][p] -= c.Tx2*(ue[ueAt(ip1, 1)]-ue[ueAt(im1, 1)]) -
 					c.Dx1tx1*(ue[ueAt(ip1, 0)]-2.0*ue[ueAt(i, 0)]+ue[ueAt(im1, 0)])
-				f.Forcing[fo+1] += -c.Tx2*((ue[ueAt(ip1, 1)]*buf[ueAt(ip1, 1)]+c.C2*(ue[ueAt(ip1, 4)]-q[ip1]))-
+				f.Forcing[1][p] += -c.Tx2*((ue[ueAt(ip1, 1)]*buf[ueAt(ip1, 1)]+c.C2*(ue[ueAt(ip1, 4)]-q[ip1]))-
 					(ue[ueAt(im1, 1)]*buf[ueAt(im1, 1)]+c.C2*(ue[ueAt(im1, 4)]-q[im1]))) +
 					c.Xxcon1*(buf[ueAt(ip1, 1)]-2.0*buf[ueAt(i, 1)]+buf[ueAt(im1, 1)]) +
 					c.Dx2tx1*(ue[ueAt(ip1, 1)]-2.0*ue[ueAt(i, 1)]+ue[ueAt(im1, 1)])
-				f.Forcing[fo+2] += -c.Tx2*(ue[ueAt(ip1, 2)]*buf[ueAt(ip1, 1)]-ue[ueAt(im1, 2)]*buf[ueAt(im1, 1)]) +
+				f.Forcing[2][p] += -c.Tx2*(ue[ueAt(ip1, 2)]*buf[ueAt(ip1, 1)]-ue[ueAt(im1, 2)]*buf[ueAt(im1, 1)]) +
 					c.Xxcon2*(buf[ueAt(ip1, 2)]-2.0*buf[ueAt(i, 2)]+buf[ueAt(im1, 2)]) +
 					c.Dx3tx1*(ue[ueAt(ip1, 2)]-2.0*ue[ueAt(i, 2)]+ue[ueAt(im1, 2)])
-				f.Forcing[fo+3] += -c.Tx2*(ue[ueAt(ip1, 3)]*buf[ueAt(ip1, 1)]-ue[ueAt(im1, 3)]*buf[ueAt(im1, 1)]) +
+				f.Forcing[3][p] += -c.Tx2*(ue[ueAt(ip1, 3)]*buf[ueAt(ip1, 1)]-ue[ueAt(im1, 3)]*buf[ueAt(im1, 1)]) +
 					c.Xxcon2*(buf[ueAt(ip1, 3)]-2.0*buf[ueAt(i, 3)]+buf[ueAt(im1, 3)]) +
 					c.Dx4tx1*(ue[ueAt(ip1, 3)]-2.0*ue[ueAt(i, 3)]+ue[ueAt(im1, 3)])
-				f.Forcing[fo+4] += -c.Tx2*(buf[ueAt(ip1, 1)]*(c.C1*ue[ueAt(ip1, 4)]-c.C2*q[ip1])-
+				f.Forcing[4][p] += -c.Tx2*(buf[ueAt(ip1, 1)]*(c.C1*ue[ueAt(ip1, 4)]-c.C2*q[ip1])-
 					buf[ueAt(im1, 1)]*(c.C1*ue[ueAt(im1, 4)]-c.C2*q[im1])) +
 					0.5*c.Xxcon3*(buf[ueAt(ip1, 0)]-2.0*buf[ueAt(i, 0)]+buf[ueAt(im1, 0)]) +
 					c.Xxcon4*(cuf[ip1]-2.0*cuf[i]+cuf[im1]) +
@@ -161,20 +163,20 @@ func (f *Field) ExactRHS(c *Consts) {
 			}
 			for j := 1; j < n-1; j++ {
 				jm1, jp1 := j-1, j+1
-				fo := f.FAt(0, i, j, k)
-				f.Forcing[fo+0] -= c.Ty2*(ue[ueAt(jp1, 2)]-ue[ueAt(jm1, 2)]) -
+				p := f.SAt(i, j, k)
+				f.Forcing[0][p] -= c.Ty2*(ue[ueAt(jp1, 2)]-ue[ueAt(jm1, 2)]) -
 					c.Dy1ty1*(ue[ueAt(jp1, 0)]-2.0*ue[ueAt(j, 0)]+ue[ueAt(jm1, 0)])
-				f.Forcing[fo+1] += -c.Ty2*(ue[ueAt(jp1, 1)]*buf[ueAt(jp1, 2)]-ue[ueAt(jm1, 1)]*buf[ueAt(jm1, 2)]) +
+				f.Forcing[1][p] += -c.Ty2*(ue[ueAt(jp1, 1)]*buf[ueAt(jp1, 2)]-ue[ueAt(jm1, 1)]*buf[ueAt(jm1, 2)]) +
 					c.Yycon2*(buf[ueAt(jp1, 1)]-2.0*buf[ueAt(j, 1)]+buf[ueAt(jm1, 1)]) +
 					c.Dy2ty1*(ue[ueAt(jp1, 1)]-2.0*ue[ueAt(j, 1)]+ue[ueAt(jm1, 1)])
-				f.Forcing[fo+2] += -c.Ty2*((ue[ueAt(jp1, 2)]*buf[ueAt(jp1, 2)]+c.C2*(ue[ueAt(jp1, 4)]-q[jp1]))-
+				f.Forcing[2][p] += -c.Ty2*((ue[ueAt(jp1, 2)]*buf[ueAt(jp1, 2)]+c.C2*(ue[ueAt(jp1, 4)]-q[jp1]))-
 					(ue[ueAt(jm1, 2)]*buf[ueAt(jm1, 2)]+c.C2*(ue[ueAt(jm1, 4)]-q[jm1]))) +
 					c.Yycon1*(buf[ueAt(jp1, 2)]-2.0*buf[ueAt(j, 2)]+buf[ueAt(jm1, 2)]) +
 					c.Dy3ty1*(ue[ueAt(jp1, 2)]-2.0*ue[ueAt(j, 2)]+ue[ueAt(jm1, 2)])
-				f.Forcing[fo+3] += -c.Ty2*(ue[ueAt(jp1, 3)]*buf[ueAt(jp1, 2)]-ue[ueAt(jm1, 3)]*buf[ueAt(jm1, 2)]) +
+				f.Forcing[3][p] += -c.Ty2*(ue[ueAt(jp1, 3)]*buf[ueAt(jp1, 2)]-ue[ueAt(jm1, 3)]*buf[ueAt(jm1, 2)]) +
 					c.Yycon2*(buf[ueAt(jp1, 3)]-2.0*buf[ueAt(j, 3)]+buf[ueAt(jm1, 3)]) +
 					c.Dy4ty1*(ue[ueAt(jp1, 3)]-2.0*ue[ueAt(j, 3)]+ue[ueAt(jm1, 3)])
-				f.Forcing[fo+4] += -c.Ty2*(buf[ueAt(jp1, 2)]*(c.C1*ue[ueAt(jp1, 4)]-c.C2*q[jp1])-
+				f.Forcing[4][p] += -c.Ty2*(buf[ueAt(jp1, 2)]*(c.C1*ue[ueAt(jp1, 4)]-c.C2*q[jp1])-
 					buf[ueAt(jm1, 2)]*(c.C1*ue[ueAt(jm1, 4)]-c.C2*q[jm1])) +
 					0.5*c.Yycon3*(buf[ueAt(jp1, 0)]-2.0*buf[ueAt(j, 0)]+buf[ueAt(jm1, 0)]) +
 					c.Yycon4*(cuf[jp1]-2.0*cuf[j]+cuf[jm1]) +
@@ -207,20 +209,20 @@ func (f *Field) ExactRHS(c *Consts) {
 			}
 			for k := 1; k < n-1; k++ {
 				km1, kp1 := k-1, k+1
-				fo := f.FAt(0, i, j, k)
-				f.Forcing[fo+0] -= c.Tz2*(ue[ueAt(kp1, 3)]-ue[ueAt(km1, 3)]) -
+				p := f.SAt(i, j, k)
+				f.Forcing[0][p] -= c.Tz2*(ue[ueAt(kp1, 3)]-ue[ueAt(km1, 3)]) -
 					c.Dz1tz1*(ue[ueAt(kp1, 0)]-2.0*ue[ueAt(k, 0)]+ue[ueAt(km1, 0)])
-				f.Forcing[fo+1] += -c.Tz2*(ue[ueAt(kp1, 1)]*buf[ueAt(kp1, 3)]-ue[ueAt(km1, 1)]*buf[ueAt(km1, 3)]) +
+				f.Forcing[1][p] += -c.Tz2*(ue[ueAt(kp1, 1)]*buf[ueAt(kp1, 3)]-ue[ueAt(km1, 1)]*buf[ueAt(km1, 3)]) +
 					c.Zzcon2*(buf[ueAt(kp1, 1)]-2.0*buf[ueAt(k, 1)]+buf[ueAt(km1, 1)]) +
 					c.Dz2tz1*(ue[ueAt(kp1, 1)]-2.0*ue[ueAt(k, 1)]+ue[ueAt(km1, 1)])
-				f.Forcing[fo+2] += -c.Tz2*(ue[ueAt(kp1, 2)]*buf[ueAt(kp1, 3)]-ue[ueAt(km1, 2)]*buf[ueAt(km1, 3)]) +
+				f.Forcing[2][p] += -c.Tz2*(ue[ueAt(kp1, 2)]*buf[ueAt(kp1, 3)]-ue[ueAt(km1, 2)]*buf[ueAt(km1, 3)]) +
 					c.Zzcon2*(buf[ueAt(kp1, 2)]-2.0*buf[ueAt(k, 2)]+buf[ueAt(km1, 2)]) +
 					c.Dz3tz1*(ue[ueAt(kp1, 2)]-2.0*ue[ueAt(k, 2)]+ue[ueAt(km1, 2)])
-				f.Forcing[fo+3] += -c.Tz2*((ue[ueAt(kp1, 3)]*buf[ueAt(kp1, 3)]+c.C2*(ue[ueAt(kp1, 4)]-q[kp1]))-
+				f.Forcing[3][p] += -c.Tz2*((ue[ueAt(kp1, 3)]*buf[ueAt(kp1, 3)]+c.C2*(ue[ueAt(kp1, 4)]-q[kp1]))-
 					(ue[ueAt(km1, 3)]*buf[ueAt(km1, 3)]+c.C2*(ue[ueAt(km1, 4)]-q[km1]))) +
 					c.Zzcon1*(buf[ueAt(kp1, 3)]-2.0*buf[ueAt(k, 3)]+buf[ueAt(km1, 3)]) +
 					c.Dz4tz1*(ue[ueAt(kp1, 3)]-2.0*ue[ueAt(k, 3)]+ue[ueAt(km1, 3)])
-				f.Forcing[fo+4] += -c.Tz2*(buf[ueAt(kp1, 3)]*(c.C1*ue[ueAt(kp1, 4)]-c.C2*q[kp1])-
+				f.Forcing[4][p] += -c.Tz2*(buf[ueAt(kp1, 3)]*(c.C1*ue[ueAt(kp1, 4)]-c.C2*q[kp1])-
 					buf[ueAt(km1, 3)]*(c.C1*ue[ueAt(km1, 4)]-c.C2*q[km1])) +
 					0.5*c.Zzcon3*(buf[ueAt(kp1, 0)]-2.0*buf[ueAt(k, 0)]+buf[ueAt(km1, 0)]) +
 					c.Zzcon4*(cuf[kp1]-2.0*cuf[k]+cuf[km1]) +
@@ -232,8 +234,10 @@ func (f *Field) ExactRHS(c *Consts) {
 	}
 
 	// Finally negate: the forcing balances the operator exactly.
-	for idx := range f.Forcing {
-		f.Forcing[idx] = -f.Forcing[idx]
+	for _, fo := range &f.Forcing {
+		for p := range fo {
+			fo[p] = -fo[p]
+		}
 	}
 }
 
@@ -245,27 +249,27 @@ func (f *Field) dissipLine(c *Consts, a, bb int, ue []float64, dir int) {
 	n := f.N
 	Dssp := c.Dssp
 	at := func(l, m int) float64 { return ue[m+5*l] }
-	fAt := func(l, m int) int {
+	pAt := func(l int) int {
 		switch dir {
 		case 0:
-			return f.FAt(m, l, a, bb)
+			return f.SAt(l, a, bb)
 		case 1:
-			return f.FAt(m, a, l, bb)
+			return f.SAt(a, l, bb)
 		default:
-			return f.FAt(m, a, bb, l)
+			return f.SAt(a, bb, l)
 		}
 	}
-	for m := 0; m < 5; m++ {
+	for m, fo := range &f.Forcing {
 		l := 1
-		f.Forcing[fAt(l, m)] -= Dssp * (5.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
+		fo[pAt(l)] -= Dssp * (5.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
 		l = 2
-		f.Forcing[fAt(l, m)] -= Dssp * (-4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
+		fo[pAt(l)] -= Dssp * (-4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
 		for l = 3; l <= n-4; l++ {
-			f.Forcing[fAt(l, m)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
+			fo[pAt(l)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m) + at(l+2, m))
 		}
 		l = n - 3
-		f.Forcing[fAt(l, m)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m))
+		fo[pAt(l)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 6.0*at(l, m) - 4.0*at(l+1, m))
 		l = n - 2
-		f.Forcing[fAt(l, m)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 5.0*at(l, m))
+		fo[pAt(l)] -= Dssp * (at(l-2, m) - 4.0*at(l-1, m) + 5.0*at(l, m))
 	}
 }

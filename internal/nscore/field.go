@@ -14,12 +14,14 @@ import (
 )
 
 // Field owns the flow state of one benchmark instance on an n^3 grid.
-// The 5-vector fields store component m fastest, exactly like the
-// Fortran u(m,i,j,k) arrays; scalar fields are plain i-fastest cubes.
+// Every field is component-major: the 5-vector fields U, Rhs and
+// Forcing hold one n^3 row per component, and each row, like each
+// scalar field, is indexed by point (SAt, i fastest). U[m][p] is the
+// Fortran u(m,i,j,k) at p = SAt(i,j,k).
 type Field struct {
 	N int
 
-	U, Rhs, Forcing []float64
+	U, Rhs, Forcing [5][]float64
 
 	Us, Vs, Ws, Qs, Square, RhoI []float64
 
@@ -27,13 +29,9 @@ type Field struct {
 	// otherwise); ComputeRHS fills it when present.
 	Speed []float64
 
-	// Component-major scratch of ComputeRHS, one n^3 row per quantity,
-	// indexed by point like the scalar fields: uc[m] is component m of
-	// U, rc[m] component m of the right-hand side being summed, dis one
-	// component's dissipation term, et the energy flux's first terms,
-	// and ge, he two factors of the energy flux at each point, u4·rho⁻¹
-	// and c1·u4 − c2·sq.
-	uc, rc          [5][]float64
+	// ComputeRHS's scratch rows: dis one component's dissipation term,
+	// et the energy flux's first terms, and ge, he two factors of the
+	// energy flux at each point, u4·rho⁻¹ and c1·u4 − c2·sq.
 	dis, et, ge, he []float64
 
 	// Steady-state machinery: the region bodies below are built once by
@@ -58,17 +56,13 @@ type Field struct {
 // SP's diagonalized solver).
 func NewField(n int, withSpeed bool) *Field {
 	n3 := n * n * n
-	f := &Field{
-		N:       n,
-		U:       make([]float64, 5*n3),
-		Rhs:     make([]float64, 5*n3),
-		Forcing: make([]float64, 5*n3),
-	}
+	f := &Field{N: n}
 	rows := Rows(fieldRows, n3)
-	f.Us, f.Vs, f.Ws, f.Qs, f.Square, f.RhoI = rows[0], rows[1], rows[2], rows[3], rows[4], rows[5]
-	copy(f.uc[:], rows[6:11])
-	copy(f.rc[:], rows[11:16])
-	f.dis, f.et, f.ge, f.he = rows[16], rows[17], rows[18], rows[19]
+	copy(f.U[:], rows[0:5])
+	copy(f.Rhs[:], rows[5:10])
+	copy(f.Forcing[:], rows[10:15])
+	f.Us, f.Vs, f.Ws, f.Qs, f.Square, f.RhoI = rows[15], rows[16], rows[17], rows[18], rows[19], rows[20]
+	f.dis, f.et, f.ge, f.he = rows[21], rows[22], rows[23], rows[24]
 	if withSpeed {
 		f.Speed = make([]float64, n3)
 	}
@@ -106,12 +100,12 @@ func rowStride(n3 int) int {
 func RowsBytes(count, n3 int) uint64 { return uint64(count*rowStride(n3)) * 8 }
 
 // FieldBytes is the size of the arrays NewField(n, withSpeed)
-// allocates: U, Rhs and Forcing, five components each, and twenty rows
-// of n^3 (the six primitive fields and ComputeRHS's fourteen rows of
-// scratch), plus Speed.
+// allocates: twenty-five rows of n^3 (U, Rhs and Forcing, five each,
+// the six primitive fields and ComputeRHS's four scratch rows), plus
+// Speed.
 func FieldBytes(n int, withSpeed bool) uint64 {
 	n3 := n * n * n
-	b := uint64(15*n3)*8 + RowsBytes(fieldRows, n3)
+	b := RowsBytes(fieldRows, n3)
 	if withSpeed {
 		b += uint64(n3) * 8
 	}
@@ -119,15 +113,19 @@ func FieldBytes(n int, withSpeed bool) uint64 {
 }
 
 // fieldRows is the number of n^3 rows a Field takes from Rows.
-const fieldRows = 20
+const fieldRows = 25
 
-// UAt returns the flat offset of U(m,i,j,k) (m fastest).
-func (f *Field) UAt(m, i, j, k int) int {
-	return grid.Dim4{N1: 5, N2: f.N, N3: f.N, N4: f.N}.At(m, i, j, k)
+// Components returns the five component rows of x, each cut to the
+// length of the first, so that an index checked against one row needs
+// no check against the other four. It panics if a row is shorter than
+// the first.
+func Components(x *[5][]float64) (x0, x1, x2, x3, x4 []float64) {
+	n := len(x[0])
+	if len(x[1]) < n || len(x[2]) < n || len(x[3]) < n || len(x[4]) < n {
+		panic("nscore: a component row is shorter than the first")
+	}
+	return x[0], x[1][:n], x[2][:n], x[3][:n], x[4][:n]
 }
-
-// FAt is UAt for the Rhs/Forcing fields (identical layout).
-func (f *Field) FAt(m, i, j, k int) int { return f.UAt(m, i, j, k) }
 
 // SAt returns the flat offset of a scalar field element (i,j,k).
 func (f *Field) SAt(i, j, k int) int {
@@ -154,9 +152,9 @@ func (f *Field) ErrorNorm(c *Consts) [5]float64 {
 			for i := 0; i < n; i++ {
 				xi := float64(i) * c.Dnxm1
 				ExactSolution(xi, eta, zeta, &ue)
-				off := f.UAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
-					add := f.U[off+m] - ue[m]
+				p := f.SAt(i, j, k)
+				for m, u := range &f.U {
+					add := u[p] - ue[m]
 					rms[m] += add * add
 				}
 			}
@@ -176,9 +174,9 @@ func (f *Field) RHSNorm() [5]float64 {
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				off := f.FAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
-					rms[m] += f.Rhs[off+m] * f.Rhs[off+m]
+				p := f.SAt(i, j, k)
+				for m, r := range &f.Rhs {
+					rms[m] += r[p] * r[p]
 				}
 			}
 		}

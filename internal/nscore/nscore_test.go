@@ -28,14 +28,13 @@ func TestSetConstantsDerived(t *testing.T) {
 
 func TestFieldOffsets(t *testing.T) {
 	f := NewField(5, true)
-	if f.UAt(0, 0, 0, 0) != 0 || f.UAt(4, 4, 4, 4) != len(f.U)-1 {
-		t.Fatalf("UAt extremes wrong: %d %d", f.UAt(0, 0, 0, 0), f.UAt(4, 4, 4, 4))
-	}
-	if f.UAt(1, 0, 0, 0)-f.UAt(0, 0, 0, 0) != 1 {
-		t.Fatal("component index not fastest")
-	}
 	if f.SAt(4, 4, 4) != len(f.Us)-1 {
 		t.Fatal("SAt extreme wrong")
+	}
+	for m := range f.U {
+		if len(f.U[m]) != len(f.Us) || len(f.Rhs[m]) != len(f.Us) || len(f.Forcing[m]) != len(f.Us) {
+			t.Fatalf("component %d rows are not one scalar field long", m)
+		}
 	}
 	if f.Speed == nil {
 		t.Fatal("Speed not allocated with withSpeed")
@@ -68,9 +67,8 @@ func TestErrorNormZeroForExactField(t *testing.T) {
 		for j := 0; j < 8; j++ {
 			for i := 0; i < 8; i++ {
 				ExactSolution(float64(i)*c.Dnxm1, float64(j)*c.Dnym1, float64(k)*c.Dnzm1, &ue)
-				off := f.UAt(0, i, j, k)
-				for m := 0; m < 5; m++ {
-					f.U[off+m] = ue[m]
+				for m, u := range &f.U {
+					u[f.SAt(i, j, k)] = ue[m]
 				}
 			}
 		}
@@ -196,13 +194,12 @@ func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
 			f.Add(tm)
 			f.ComputeRHS(&c, tm)
 			tm.Close()
-			for name, pair := range map[string][2][]float64{
-				"rhs": {f.Rhs, want.Rhs}, "rho_i": {f.RhoI, want.RhoI}, "qs": {f.Qs, want.Qs}, "speed": {f.Speed, want.Speed},
-			} {
-				for i := range pair[1] {
-					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+			got := namedRows(f)
+			for name, w := range namedRows(want) {
+				for i := range w {
+					if math.Float64bits(got[name][i]) != math.Float64bits(w[i]) {
 						t.Fatalf("%d threads, %s: %s[%d] = %v, joined regions give %v",
-							threads, sched, name, i, pair[0][i], pair[1][i])
+							threads, sched, name, i, got[name][i], w[i])
 					}
 				}
 			}

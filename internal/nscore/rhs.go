@@ -38,12 +38,12 @@ func rhsDirs(c *Consts, n int) [3]rhsDir {
 	}
 }
 
-// fluxPlanes adds direction d's flux differences and dissipation to rc
+// fluxPlanes adds direction d's flux differences and dissipation to Rhs
 // at every interior point of planes [klo, khi). The rows run over the
 // planes' interior rows whole, from point (0,1,klo) to (n-1,n-2,khi-1):
 // the boundary points at their ends, and the boundary rows between two
-// planes, get values nobody reads, as scaleBody copies only the
-// interior.
+// planes, get values nobody reads, as scaleBody writes the forcing back
+// over them.
 func (f *Field) fluxPlanes(c *Consts, d *rhsDir, klo, khi int) {
 	n := f.N
 	if klo >= khi {
@@ -52,18 +52,18 @@ func (f *Field) fluxPlanes(c *Consts, d *rhsDir, klo, khi int) {
 	lo, hi := f.SAt(0, 1, klo), f.SAt(0, n-1, khi-1)
 	at := func(x []float64, o int) []float64 { return x[lo+o*d.s : hi+o*d.s] }
 	vel := [4][]float64{nil, f.Us, f.Vs, f.Ws}
-	dis, mv, v := f.dis[lo:hi], f.uc[d.cv], vel[d.cv]
-	for m, u := range f.uc {
+	dis, mv, v := f.dis[lo:hi], f.U[d.cv], vel[d.cv]
+	for m, u := range &f.U {
 		for k := klo; k < khi; k++ {
 			PlaneDissipation(f.dis, u, k, n, d.cv-1, c.Dssp)
 		}
-		r := f.rc[m][lo:hi]
+		r := f.Rhs[m][lo:hi]
 		switch {
 		case m == 0:
 			fluxRhoRow(r, dis, at(u, 1), at(u, 0), at(u, -1), at(mv, 1), at(mv, -1), d.d[0], d.t2)
 		case m == d.cv:
 			fluxMomAlongRow(r, dis, at(u, 1), at(u, 0), at(u, -1), at(v, 1), at(v, 0), at(v, -1),
-				at(f.uc[4], 1), at(f.uc[4], -1), at(f.Square, 1), at(f.Square, -1), d.d[m], d.con2, c.Con43, d.t2, c.C2)
+				at(f.U[4], 1), at(f.U[4], -1), at(f.Square, 1), at(f.Square, -1), d.d[m], d.con2, c.Con43, d.t2, c.C2)
 		case m < 4:
 			w := vel[m]
 			fluxMomRow(r, dis, at(u, 1), at(u, 0), at(u, -1), at(w, 1), at(w, 0), at(w, -1), at(v, 1), at(v, -1),
@@ -95,46 +95,26 @@ func (f *Field) buildBodies() {
 		tm.BarrierUnlessStatic(id) // same plane loop: same owner under static
 		f.etaBody(id)
 		tm.BarrierUnlessStatic(id)
-		f.zetaBody(id) // reads uc and the primitives at k±2, whole since the first barrier
+		f.zetaBody(id) // reads U and the primitives at k±2, whole since the first barrier
 		tm.BarrierUnlessStatic(id)
 		f.scaleBody(id)
 	}
 
-	// primitive quantities, the component-major rows of u and of the
-	// forcing rhs starts from, and the boundary of rhs, at every point
+	// primitive quantities at every point, and rhs as the forcing
 	f.primBody = func(id int) {
 		c := f.stC
 		for it := f.stTm.Loop(id, 0, n); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
 				lo, hi := f.SAt(0, 0, k), f.SAt(0, 0, k+1)
-				u, fo := f.U[5*lo:5*hi], f.Forcing[5*lo:5*hi]
-				u0, u1, u2, u3, u4 := f.uc[0][lo:hi], f.uc[1][lo:hi], f.uc[2][lo:hi], f.uc[3][lo:hi], f.uc[4][lo:hi]
-				r0, r1, r2, r3, r4 := f.rc[0][lo:hi], f.rc[1][lo:hi], f.rc[2][lo:hi], f.rc[3][lo:hi], f.rc[4][lo:hi]
-				for p := range u0 {
-					q := (*[5]float64)(u[5*p:])
-					u0[p], u1[p], u2[p], u3[p], u4[p] = q[0], q[1], q[2], q[3], q[4]
+				for m, fo := range &f.Forcing {
+					copy(f.Rhs[m][lo:hi], fo[lo:hi])
 				}
-				for p := range r0 {
-					q := (*[5]float64)(fo[5*p:])
-					r0[p], r1[p], r2[p], r3[p], r4[p] = q[0], q[1], q[2], q[3], q[4]
-				}
+				u0, u1, u2, u3, u4 := f.U[0][lo:hi], f.U[1][lo:hi], f.U[2][lo:hi], f.U[3][lo:hi], f.U[4][lo:hi]
 				rhoI, sq := f.RhoI[lo:hi], f.Square[lo:hi]
 				primRow(rhoI, f.Us[lo:hi], f.Vs[lo:hi], f.Ws[lo:hi], sq, f.Qs[lo:hi], u0, u1, u2, u3)
 				primEnergyRow(f.ge[lo:hi], f.he[lo:hi], u4, rhoI, sq, c.C1, c.C2)
 				if f.Speed != nil {
 					soundSpeedRow(f.Speed[lo:hi], u4, rhoI, sq, c.C1c2)
-				}
-				// rhs keeps the forcing on the boundary
-				for j := 0; j < n; j++ {
-					if k == 0 || k == n-1 || j == 0 || j == n-1 {
-						lo, hi := f.FAt(0, 0, j, k), f.FAt(0, n-1, j, k)+5
-						copy(f.Rhs[lo:hi], f.Forcing[lo:hi])
-						continue
-					}
-					for _, i := range [2]int{0, n - 1} {
-						lo := f.FAt(0, i, j, k)
-						copy(f.Rhs[lo:lo+5], f.Forcing[lo:lo+5])
-					}
 				}
 			}
 		}
@@ -151,33 +131,39 @@ func (f *Field) buildBodies() {
 		}
 	}
 
-	// rhs is the interior of rc scaled by the time step, m fastest
+	// rhs scaled by the time step on the interior of each plane; the
+	// boundary points the flux rows ran over take the forcing back
 	f.scaleBody = func(id int) {
 		dt := f.stC.Dt
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					lo, hi := f.SAt(1, j, k), f.SAt(n-1, j, k)
-					out := f.Rhs[5*lo : 5*hi]
-					r0, r1, r2, r3, r4 := f.rc[0][lo:hi], f.rc[1][lo:hi], f.rc[2][lo:hi], f.rc[3][lo:hi], f.rc[4][lo:hi]
-					for p := range r0 {
-						q := (*[5]float64)(out[5*p:])
-						q[0], q[1], q[2], q[3], q[4] = r0[p]*dt, r1[p]*dt, r2[p]*dt, r3[p]*dt, r4[p]*dt
+				lo, hi := f.SAt(0, 0, k), f.SAt(0, 0, k+1)
+				for m, fo := range &f.Forcing {
+					r, fo := f.Rhs[m][lo:hi], fo[lo:hi]
+					in := r[n : len(r)-n]
+					for p := range in {
+						in[p] *= dt
 					}
+					for p := n; p < len(r)-n; p += n {
+						r[p], r[p+n-1] = fo[p], fo[p+n-1]
+					}
+					copy(r[:n], fo)
+					copy(r[len(r)-n:], fo[len(fo)-n:])
 				}
 			}
 		}
 	}
 
-	// flow-variable update u += rhs on the interior
+	// flow-variable update u += rhs on the interior rows
 	f.addBody = func(id int) {
 		for it := f.stTm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					for i := 1; i < n-1; i++ {
-						uo := f.UAt(0, i, j, k)
-						for m := 0; m < 5; m++ {
-							f.U[uo+m] += f.Rhs[uo+m]
+				for m, u := range &f.U {
+					for j := 1; j < n-1; j++ {
+						lo, hi := f.SAt(1, j, k), f.SAt(n-1, j, k)
+						u, r := u[lo:hi], f.Rhs[m][lo:hi]
+						for p, v := range r {
+							u[p] += v
 						}
 					}
 				}

@@ -1,6 +1,7 @@
 package nscore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -28,8 +29,9 @@ func laneModes(t *testing.T) []bool {
 // every tail length from 0 to 3 to the scalar body, at team sizes
 // below and above the interior planes, under every schedule, on the AVX and the portable path, on
 // a perturbed flow field and twice over (the second call on the state
-// the first and Add left). Every element of rhs and of the primitive
-// fields, the boundary included, must agree bit for bit.
+// the first and Add left). Every element of every row of u and rhs and
+// of the primitive fields, the boundary included, must agree bit for
+// bit.
 func TestComputeRHSMatchesOracle(t *testing.T) {
 	modes := laneModes(t)
 	for _, n := range []int{8, 11, 12, 13, 14} {
@@ -38,38 +40,35 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 		start.Initialize(&c)
 		start.ExactRHS(&c)
 		rng := rand.New(rand.NewSource(int64(n)))
-		for e := range start.U {
-			start.U[e] *= 1 + 0.01*(rng.Float64()-0.5)
+		for p := range start.U[0] {
+			for _, u := range &start.U {
+				u[p] *= 1 + 0.01*(rng.Float64()-0.5)
+			}
 		}
 		want := NewField(n, true)
-		copy(want.U, start.U)
-		copy(want.Forcing, start.Forcing)
-		oracleRHS(want, &c)
+		copyState(want, start)
+		oracleRHSOn(want, &c)
 		serial := team.New(1)
 		want.Add(serial)
 		serial.Close()
-		oracleRHS(want, &c)
+		oracleRHSOn(want, &c)
 		for _, avx := range modes {
 			useAVX = avx
 			for _, threads := range []int{1, 2, 3, 7, 13} {
 				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 					f := NewField(n, true)
-					copy(f.U, start.U)
-					copy(f.Forcing, start.Forcing)
+					copyState(f, start)
 					tm := team.New(threads, team.WithSchedule(sched))
 					f.ComputeRHS(&c, tm)
 					f.Add(tm)
 					f.ComputeRHS(&c, tm)
 					tm.Close()
-					for name, pair := range map[string][2][]float64{
-						"rhs": {f.Rhs, want.Rhs}, "rho_i": {f.RhoI, want.RhoI}, "us": {f.Us, want.Us},
-						"vs": {f.Vs, want.Vs}, "ws": {f.Ws, want.Ws}, "qs": {f.Qs, want.Qs},
-						"square": {f.Square, want.Square}, "speed": {f.Speed, want.Speed}, "u": {f.U, want.U},
-					} {
-						for e := range pair[1] {
-							if math.Float64bits(pair[0][e]) != math.Float64bits(pair[1][e]) {
+					got := namedRows(f)
+					for name, w := range namedRows(want) {
+						for e := range w {
+							if math.Float64bits(got[name][e]) != math.Float64bits(w[e]) {
 								t.Fatalf("n=%d avx=%v %d threads %s: %s[%d] = %v, oracle %v",
-									n, avx, threads, sched, name, e, pair[0][e], pair[1][e])
+									n, avx, threads, sched, name, e, got[name][e], w[e])
 							}
 						}
 					}
@@ -95,10 +94,78 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 	rowcheck.Kernels(t, func(avx bool) { useAVX = avx }, laneModes(t), rowKernels)
 }
 
+// copyState copies the state ComputeRHS starts from, U and Forcing,
+// from src to dst.
+func copyState(dst, src *Field) {
+	for m := range dst.U {
+		copy(dst.U[m], src.U[m])
+		copy(dst.Forcing[m], src.Forcing[m])
+	}
+}
+
+// namedRows names every row of f: the components of U and Rhs and the
+// scalar fields.
+func namedRows(f *Field) map[string][]float64 {
+	rows := map[string][]float64{
+		"rho_i": f.RhoI, "us": f.Us, "vs": f.Vs, "ws": f.Ws, "qs": f.Qs, "square": f.Square, "speed": f.Speed,
+	}
+	for m := range f.U {
+		rows[fmt.Sprintf("u%d", m)] = f.U[m]
+		rows[fmt.Sprintf("rhs%d", m)] = f.Rhs[m]
+	}
+	return rows
+}
+
+// pointField is a Field's state in the m-fastest layout the oracle was
+// written for: U, Rhs and Forcing keep a point's five components
+// together, exactly like the Fortran u(m,i,j,k) arrays.
+type pointField struct {
+	N                                   int
+	U, Rhs, Forcing                     []float64
+	Us, Vs, Ws, Qs, Square, RhoI, Speed []float64
+}
+
+// UAt returns the flat offset of U(m,i,j,k) (m fastest).
+func (f *pointField) UAt(m, i, j, k int) int {
+	return grid.Dim4{N1: 5, N2: f.N, N3: f.N, N4: f.N}.At(m, i, j, k)
+}
+
+// FAt is UAt for the Rhs/Forcing fields (identical layout).
+func (f *pointField) FAt(m, i, j, k int) int { return f.UAt(m, i, j, k) }
+
+// SAt returns the flat offset of a scalar field element (i,j,k).
+func (f *pointField) SAt(i, j, k int) int {
+	return grid.Dim3{N1: f.N, N2: f.N, N3: f.N}.At(i, j, k)
+}
+
+// pointMajor returns the component rows x as one m-fastest array.
+func pointMajor(x [5][]float64) []float64 {
+	out := make([]float64, 5*len(x[0]))
+	for m, row := range x {
+		for p, v := range row {
+			out[5*p+m] = v
+		}
+	}
+	return out
+}
+
+// oracleRHSOn runs oracleRHS on f's state in the m-fastest layout and
+// leaves its right-hand side in f.Rhs and its primitives in f.
+func oracleRHSOn(f *Field, c *Consts) {
+	pf := &pointField{N: f.N, U: pointMajor(f.U), Rhs: pointMajor(f.Rhs), Forcing: pointMajor(f.Forcing),
+		Us: f.Us, Vs: f.Vs, Ws: f.Ws, Qs: f.Qs, Square: f.Square, RhoI: f.RhoI, Speed: f.Speed}
+	oracleRHS(pf, c)
+	for m, row := range f.Rhs {
+		for p := range row {
+			row[p] = pf.Rhs[5*p+m]
+		}
+	}
+}
+
 // oracleRHS is ComputeRHS as it ran on the m-fastest fields, point by
 // point and serially: compute_rhs's loops in order, the dissipation a
 // grid line at a time (oracleDissip).
-func oracleRHS(f *Field, c *Consts) {
+func oracleRHS(f *pointField, c *Consts) {
 	n := f.N
 	// primitive quantities at every point
 	for k := 0; k < n; k++ {

@@ -8,11 +8,12 @@ import (
 
 // Footprint estimates the working-set bytes an SP run of the given
 // class and thread count allocates: the nscore field with the Speed
-// grid (36 scalar-grid equivalents over n³ points, ComputeRHS's
-// component-major rows included), each worker's lane group (n cells of
-// four lanes: the rhs and three factor rows, 5 doubles each, and 8
-// scalars) and the dissipation table (5 doubles a cell). Feeds the
-// harness memory admission guard; dominant arrays only.
+// grid (26 rows of n³ points: U, Rhs and Forcing, five components
+// each, ten rows of primitives and scratch, and Speed), each worker's
+// lane group (n cells of four lanes: the rhs and three factor rows, 5
+// doubles each, and 8 scalars) and the dissipation table (5 doubles a
+// cell). Feeds the harness memory admission guard; dominant arrays
+// only.
 func Footprint(class byte, threads int) (uint64, error) {
 	spec, ok := classes[class]
 	if !ok {

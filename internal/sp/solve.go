@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
 
@@ -92,6 +93,8 @@ func (b *Benchmark) gather(g *group, d int) {
 	s0 := g.start[0]
 	adjacent := d > 0 && g.start[1] == s0+1 && g.start[2] == s0+2 && g.start[3] == s0+3
 	vel := [3][]float64{f.Us, f.Vs, f.Ws}[d]
+	rho := f.U[0]
+	r0, r1, r2, r3, r4 := nscore.Components(&f.Rhs)
 	for l := range g.s {
 		s, r := &g.s[l], &g.r[l]
 		if adjacent {
@@ -117,10 +120,9 @@ func (b *Benchmark) gather(g *group, d int) {
 				}
 			}
 			if d == 2 {
-				s[7][q] = f.U[5*p]
+				s[7][q] = rho[p]
 			}
-			v := f.Rhs[5*p : 5*p+5]
-			r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = v[0], v[1], v[2], v[3], v[4]
+			r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = r0[p], r1[p], r2[p], r3[p], r4[p]
 		}
 	}
 }
@@ -165,12 +167,14 @@ func (b *Benchmark) solveGroup(g *group, d int) {
 			tzetar4(&r[l], &s[l], bts, c.C2iv)
 		}
 	}
-	f := b.f
+	r0, r1, r2, r3, r4 := nscore.Components(&b.f.Rhs)
 	for l := range r {
-		for q := 0; q < g.n; q++ {
-			o := 5 * (g.start[q] + l*ds.line)
-			v := f.Rhs[o : o+5]
-			v[0], v[1], v[2], v[3], v[4] = r[l][0][q], r[l][1][q], r[l][2][q], r[l][3][q], r[l][4][q]
+		v := &r[l]
+		for q, st := range g.start {
+			if q < g.n {
+				p := st + l*ds.line
+				r0[p], r1[p], r2[p], r3[p], r4[p] = v[0][q], v[1][q], v[2][q], v[3][q], v[4][q]
+			}
 		}
 	}
 	g.n = 0

@@ -235,9 +235,11 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 			t.Fatalf("component %d error grew: %v -> %v", m, e0[m], e1[m])
 		}
 	}
-	for _, v := range b.f.U {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatal("field blew up")
+	for _, u := range &b.f.U {
+		for _, v := range u {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatal("field blew up")
+			}
 		}
 	}
 }
@@ -249,7 +251,7 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 // every loop schedule, thirteen threads (more than class S's ten
 // interior planes, so some workers get none) included.
 func TestParallelMatchesSerialBitwise(t *testing.T) {
-	run := func(threads int, sched team.Schedule) []float64 {
+	run := func(threads int, sched team.Schedule) [5][]float64 {
 		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
@@ -264,10 +266,12 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
 		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 			got := run(threads, sched)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("u[%d] at %d threads under %s differs from serial: %v vs %v",
-						i, threads, sched, got[i], want[i])
+			for m := range want {
+				for i := range want[m] {
+					if got[m][i] != want[m][i] {
+						t.Fatalf("u%d[%d] at %d threads under %s differs from serial: %v vs %v",
+							m, i, threads, sched, got[m][i], want[m][i])
+					}
 				}
 			}
 		}
@@ -495,14 +499,15 @@ func solveLine(lhs, lhsp, lhsm [][5]float64, rhs []float64, base, stride int) {
 	}
 }
 
-// interior calls body on the scalar and Rhs offsets of every interior
-// point, k, j, i nested in that order.
+// interior calls body on the scalar offset of every interior point and
+// on the offset of its 5-vector in the m-fastest layout, k, j, i nested
+// in that order.
 func (b *Benchmark) interior(body func(s, ro int)) {
 	n, f := b.n, b.f
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				body(f.SAt(i, j, k), f.FAt(0, i, j, k))
+				body(f.SAt(i, j, k), 5*f.SAt(i, j, k))
 			}
 		}
 	}
@@ -510,24 +515,32 @@ func (b *Benchmark) interior(body func(s, ro int)) {
 
 // oracleSolves runs the three factor sweeps, one scalar line at a
 // time, and the four transforms as passes of their own over Rhs: the
-// oracle of the grouped sweeps with the transforms folded in.
+// oracle of the grouped sweeps with the transforms folded in. It runs
+// on a copy of Rhs in the m-fastest layout it was written for, a
+// point's five components together, and writes the result back.
 func (b *Benchmark) oracleSolves() {
 	n, f, c := b.n, b.f, &b.c
 	ls := newLineScratch(n)
+	rhs := make([]float64, 5*len(f.Rhs[0]))
+	for m, row := range f.Rhs {
+		for p, v := range row {
+			rhs[5*p+m] = v
+		}
+	}
 	b.interior(func(s, ro int) { // txinvr
 		ru1 := f.RhoI[s]
 		uu, vv, ww := f.Us[s], f.Vs[s], f.Ws[s]
 		ac := f.Speed[s]
 		ac2inv := 1.0 / (ac * ac)
-		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		r1, r2, r3, r4, r5 := rhs[ro], rhs[ro+1], rhs[ro+2], rhs[ro+3], rhs[ro+4]
 		t1 := c.C2 * ac2inv * (f.Qs[s]*r1 - uu*r2 - vv*r3 - ww*r4 + r5)
 		t2 := bts * ru1 * (uu*r1 - r2)
 		t3 := bts * ru1 * ac * t1
-		f.Rhs[ro] = r1 - t1
-		f.Rhs[ro+1] = -ru1 * (ww*r1 - r4)
-		f.Rhs[ro+2] = ru1 * (vv*r1 - r3)
-		f.Rhs[ro+3] = -t2 + t3
-		f.Rhs[ro+4] = t2 + t3
+		rhs[ro] = r1 - t1
+		rhs[ro+1] = -ru1 * (ww*r1 - r4)
+		rhs[ro+2] = ru1 * (vv*r1 - r3)
+		rhs[ro+3] = -t2 + t3
+		rhs[ro+4] = t2 + t3
 	})
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
@@ -535,18 +548,18 @@ func (b *Benchmark) oracleSolves() {
 				b.fillEigenRows(ls, i, f.SAt(i, j, k), &b.dirs[0], f.Us)
 			}
 			b.buildLHS(ls, n, &b.dirs[0], f.Speed, f.SAt(0, j, k), 1)
-			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, 0, j, k), 5)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, rhs, 5*f.SAt(0, j, k), 5)
 		}
 	}
 	b.interior(func(s, ro int) { // ninvr
-		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		r1, r2, r3, r4, r5 := rhs[ro], rhs[ro+1], rhs[ro+2], rhs[ro+3], rhs[ro+4]
 		t1 := bts * r3
 		t2 := 0.5 * (r4 + r5)
-		f.Rhs[ro] = -r2
-		f.Rhs[ro+1] = r1
-		f.Rhs[ro+2] = bts * (r4 - r5)
-		f.Rhs[ro+3] = -t1 + t2
-		f.Rhs[ro+4] = t1 + t2
+		rhs[ro] = -r2
+		rhs[ro+1] = r1
+		rhs[ro+2] = bts * (r4 - r5)
+		rhs[ro+3] = -t1 + t2
+		rhs[ro+4] = t1 + t2
 	})
 	for k := 1; k < n-1; k++ {
 		for i := 1; i < n-1; i++ {
@@ -554,18 +567,18 @@ func (b *Benchmark) oracleSolves() {
 				b.fillEigenRows(ls, j, f.SAt(i, j, k), &b.dirs[1], f.Vs)
 			}
 			b.buildLHS(ls, n, &b.dirs[1], f.Speed, f.SAt(i, 0, k), n)
-			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, i, 0, k), 5*n)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, rhs, 5*f.SAt(i, 0, k), 5*n)
 		}
 	}
 	b.interior(func(s, ro int) { // pinvr
-		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
+		r1, r2, r3, r4, r5 := rhs[ro], rhs[ro+1], rhs[ro+2], rhs[ro+3], rhs[ro+4]
 		t1 := bts * r1
 		t2 := 0.5 * (r4 + r5)
-		f.Rhs[ro] = bts * (r4 - r5)
-		f.Rhs[ro+1] = -r3
-		f.Rhs[ro+2] = r2
-		f.Rhs[ro+3] = -t1 + t2
-		f.Rhs[ro+4] = t1 + t2
+		rhs[ro] = bts * (r4 - r5)
+		rhs[ro+1] = -r3
+		rhs[ro+2] = r2
+		rhs[ro+3] = -t1 + t2
+		rhs[ro+4] = t1 + t2
 	})
 	for j := 1; j < n-1; j++ {
 		for i := 1; i < n-1; i++ {
@@ -573,26 +586,31 @@ func (b *Benchmark) oracleSolves() {
 				b.fillEigenRows(ls, k, f.SAt(i, j, k), &b.dirs[2], f.Ws)
 			}
 			b.buildLHS(ls, n, &b.dirs[2], f.Speed, f.SAt(i, j, 0), n*n)
-			solveLine(ls.lhs, ls.lhsp, ls.lhsm, f.Rhs, f.FAt(0, i, j, 0), 5*n*n)
+			solveLine(ls.lhs, ls.lhsp, ls.lhsm, rhs, 5*f.SAt(i, j, 0), 5*n*n)
 		}
 	}
 	b.interior(func(s, ro int) { // tzetar
 		xvel, yvel, zvel := f.Us[s], f.Vs[s], f.Ws[s]
 		ac := f.Speed[s]
 		ac2u := ac * ac
-		r1, r2, r3, r4, r5 := f.Rhs[ro], f.Rhs[ro+1], f.Rhs[ro+2], f.Rhs[ro+3], f.Rhs[ro+4]
-		uzik1 := f.U[ro]
+		r1, r2, r3, r4, r5 := rhs[ro], rhs[ro+1], rhs[ro+2], rhs[ro+3], rhs[ro+4]
+		uzik1 := f.U[0][s]
 		btuz := bts * uzik1
 		t1 := btuz / ac * (r4 + r5)
 		t2 := r3 + t1
 		t3 := btuz * (r4 - r5)
-		f.Rhs[ro] = t2
-		f.Rhs[ro+1] = -uzik1*r2 + xvel*t2
-		f.Rhs[ro+2] = uzik1*r1 + yvel*t2
-		f.Rhs[ro+3] = zvel*t2 + t3
-		f.Rhs[ro+4] = uzik1*(-xvel*r2+yvel*r1) +
+		rhs[ro] = t2
+		rhs[ro+1] = -uzik1*r2 + xvel*t2
+		rhs[ro+2] = uzik1*r1 + yvel*t2
+		rhs[ro+3] = zvel*t2 + t3
+		rhs[ro+4] = uzik1*(-xvel*r2+yvel*r1) +
 			f.Qs[s]*t2 + c.C2iv*ac2u*t1 + zvel*t3
 	})
+	for m, row := range f.Rhs {
+		for p := range row {
+			row[p] = rhs[5*p+m]
+		}
+	}
 }
 
 // laneModes returns the lane paths this host can run: the portable one
@@ -698,7 +716,10 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 		ref.adi(tm)
 		ref.f.ComputeRHS(&ref.c, tm)
 		tm.Close()
-		start := append([]float64(nil), ref.f.Rhs...)
+		start := ref.f.Rhs
+		for m := range start {
+			start[m] = append([]float64(nil), start[m]...)
+		}
 		ref.oracleSolves()
 
 		for _, threads := range []int{1, 2, 3, 7, 13} {
@@ -707,16 +728,20 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 				// The sweeps read only Rhs and the scalars: share the
 				// reference's field with a fresh Rhs.
 				f := *ref.f
-				f.Rhs = append([]float64(nil), start...)
+				for m := range f.Rhs {
+					f.Rhs[m] = append([]float64(nil), start[m]...)
+				}
 				b.f = &f
 				tm := team.New(threads, team.WithSchedule(sched))
 				b.xSolve(tm)
 				b.ySolve(tm)
 				b.zSolve(tm)
 				tm.Close()
-				for e, w := range ref.f.Rhs {
-					if g := f.Rhs[e]; math.Float64bits(g) != math.Float64bits(w) {
-						t.Fatalf("n=%d %d threads %s: rhs[%d] = %v, oracle %v", n, threads, sched, e, g, w)
+				for m, row := range ref.f.Rhs {
+					for e, w := range row {
+						if g := f.Rhs[m][e]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("n=%d %d threads %s: rhs%d[%d] = %v, oracle %v", n, threads, sched, m, e, g, w)
+						}
 					}
 				}
 			}
