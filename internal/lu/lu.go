@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"npbgo/internal/fault"
-	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
 	"npbgo/internal/nscore"
 	"npbgo/internal/team"
@@ -36,9 +35,10 @@ var classes = map[byte]classSpec{
 
 const omega = 1.2
 
-// operatorRows is the number of n^3 rows the operator takes from
-// nscore.Rows: wc, oc, vel, flux, visc4 and dis.
-const operatorRows = 21
+// fieldRows is the number of n^3 rows an instance takes from
+// nscore.Rows: u, rsd and frct, five each, and the operator's vel,
+// flux, visc4 and dis.
+const fieldRows = 26
 
 // Benchmark is a configured LU instance.
 type Benchmark struct {
@@ -50,21 +50,22 @@ type Benchmark struct {
 	c       nscore.Consts
 	blk     blockConsts // jacld/jacu block constants derived from c
 
-	u, rsd, frct []float64 // 5-vector fields, m fastest
+	// The 5-vector fields, component-major: one n^3 row per component,
+	// indexed by point (at, i fastest). u[m][p] is lu.f's u(m,i,j,k).
+	u, rsd, frct [5][]float64
 
 	// Per-worker sweep scratch: one row's blocks in lane form.
 	scratch []*sweepScratch
 
 	ops [3]opDir // the operator's xi, eta and zeta directions
 
-	// The operator's component-major rows, one n^3 row per quantity,
-	// indexed by point (i fastest): w and out by component (wc, oc), the
+	// The operator's rows, indexed by point like the fields: the
 	// velocities and squared speed (vel), the convective fluxes of
 	// components 1-4 (flux), the viscous energy flux (visc4) and one
 	// component's dissipation term (dis).
-	wc, oc, vel [5][]float64
-	flux        [4][]float64
-	visc4, dis  []float64
+	vel        [5][]float64
+	flux       [4][]float64
+	visc4, dis []float64
 
 	// Steady-state machinery: the region bodies below are built once by
 	// New and reused every istep (a closure literal at the call site
@@ -72,16 +73,15 @@ type Benchmark struct {
 	// heap allocation (enforced by internal/allocgate). The op* fields
 	// stage applyOperator's operands for the direction bodies; the
 	// pipeline is cached per team.
-	tm         *team.Team
-	pipe       *team.Pipeline
-	pipeOwner  *team.Team // team the cached pipeline was built for
-	opOut, opW []float64
+	tm                *team.Team
+	pipe              *team.Pipeline
+	pipeOwner         *team.Team // team the cached pipeline was built for
+	opOut, opW, opNeg *[5][]float64
 
-	opBodies    [3]func(id int) // applyOperator's regions, one per direction
-	rhsInitBody func(id int)
-	scaleBody   func(id int)
-	updateBody  func(id int)
-	sweepsBody  func(id int)
+	opBodies   [3]func(id int) // applyOperator's regions, one per direction
+	scaleBody  func(id int)
+	updateBody func(id int)
+	sweepsBody func(id int)
 }
 
 // Lane form: four consecutive points of a row side by side, element e
@@ -132,20 +132,17 @@ func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benc
 	b.c = nscore.SetConstants(spec.size, spec.dt)
 	b.blk = newBlockConsts(&b.c)
 	b.ops = newOpDirs(&b.c, spec.size)
-	n3 := spec.size * spec.size * spec.size
-	b.u = make([]float64, 5*n3)
-	b.rsd = make([]float64, 5*n3)
-	b.frct = make([]float64, 5*n3)
 	b.scratch = make([]*sweepScratch, threads)
 	for i := range b.scratch {
 		b.scratch[i] = newSweepScratch(spec.size)
 	}
-	rows := nscore.Rows(operatorRows, n3)
-	copy(b.wc[:], rows[0:5])
-	copy(b.oc[:], rows[5:10])
-	copy(b.vel[:], rows[10:15])
-	copy(b.flux[:], rows[15:19])
-	b.visc4, b.dis = rows[19], rows[20]
+	rows := nscore.Rows(fieldRows, spec.size*spec.size*spec.size)
+	copy(b.u[:], rows[0:5])
+	copy(b.rsd[:], rows[5:10])
+	copy(b.frct[:], rows[10:15])
+	copy(b.vel[:], rows[15:20])
+	copy(b.flux[:], rows[20:24])
+	b.visc4, b.dis = rows[24], rows[25]
 	b.buildBodies()
 	return b
 }
@@ -153,90 +150,41 @@ func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benc
 // buildBodies constructs every parallel-region body once. Each is a
 // func(id int) handed straight to Team.Run; block bounds come from
 // team.Block inside the body, per-worker scratch from the pools, and
-// applyOperator's operands from the op* staging fields, so the SSOR
-// loop creates no closures.
+// applyOperator's operands from the op* staging fields (buildOperator),
+// so the SSOR loop creates no closures.
 func (b *Benchmark) buildBodies() {
 	n := b.n
 
-	// The operator's directions over the staged operands, each split
-	// over k planes. Only the zeta terms reach across planes, so
-	// whatever they read is set in an earlier region: xi loads the
-	// planes it owns into the rows (and the boundary planes with the
-	// first and last), eta sets the zeta fluxes after its own update of
-	// a plane, and zeta, the last to add to a point, stores the plane.
-	xi, eta, zeta := &b.ops[0], &b.ops[1], &b.ops[2]
-	b.opBodies[0] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			for k := it.Lo; k < it.Hi; k++ {
-				if k == 1 {
-					b.loadPlane(0, false)
-				}
-				if k == n-2 {
-					b.loadPlane(n-1, false)
-				}
-				b.loadPlane(k, true)
-			}
-			b.planeFluxes(xi, it.Lo, it.Hi)
-			b.update(xi, it.Lo, it.Hi)
-		}
-	}
-	b.opBodies[1] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			b.planeFluxes(eta, it.Lo, it.Hi)
-			b.update(eta, it.Lo, it.Hi)
-			if it.Lo == it.Hi {
-				continue // an empty block may sit at either end
-			}
-			b.planeFluxes(zeta, it.Lo, it.Hi)
-			if it.Lo == 1 {
-				b.planeFluxes(zeta, 0, 1)
-			}
-			if it.Hi == n-1 {
-				b.planeFluxes(zeta, n-1, n)
-			}
-		}
-	}
-	b.opBodies[2] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
-			b.update(zeta, it.Lo, it.Hi)
-			for k := it.Lo; k < it.Hi; k++ {
-				b.storePlane(k)
-			}
-		}
-	}
+	b.buildOperator()
 
-	// residual initialization rsd = -frct
-	b.rhsInitBody = func(id int) {
-		for it := b.tm.Loop(id, 0, len(b.rsd)); it.Next(); {
-			for i := it.Lo; i < it.Hi; i++ {
-				b.rsd[i] = -b.frct[i]
-			}
-		}
-	}
-
-	// residual scaling by the pseudo-time step
+	// residual scaling by the pseudo-time step on the interior rows
 	b.scaleBody = func(id int) {
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					off := b.at(1, j, k)
-					for e := 0; e < 5*(n-2); e++ {
-						b.rsd[off+e] *= b.c.Dt
+				for _, r := range &b.rsd {
+					for j := 1; j < n-1; j++ {
+						r := r[b.at(1, j, k):b.at(n-1, j, k)]
+						for p := range r {
+							r[p] *= b.c.Dt
+						}
 					}
 				}
 			}
 		}
 	}
 
-	// flow-variable update u += tmp*rsd
+	// flow-variable update u += tmp*rsd on the interior rows
 	b.updateBody = func(id int) {
 		tmp := 1.0 / (omega * (2.0 - omega))
 		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
 			for k := it.Lo; k < it.Hi; k++ {
-				for j := 1; j < n-1; j++ {
-					off := b.at(1, j, k)
-					for e := 0; e < 5*(n-2); e++ {
-						b.u[off+e] += tmp * b.rsd[off+e]
+				for m, u := range &b.u {
+					for j := 1; j < n-1; j++ {
+						lo, hi := b.at(1, j, k), b.at(n-1, j, k)
+						u, r := u[lo:hi], b.rsd[m][lo:hi]
+						for p, v := range r {
+							u[p] += tmp * v
+						}
 					}
 				}
 			}
@@ -276,10 +224,9 @@ func (b *Benchmark) buildBodies() {
 	}
 }
 
-// at returns the flat offset of component 0 at (i,j,k) for the 5-vector
-// fields.
+// at returns the index of point (i,j,k) in a field's rows.
 func (b *Benchmark) at(i, j, k int) int {
-	return grid.Dim4{N1: 5, N2: b.n, N3: b.n, N4: b.n}.At(0, i, j, k)
+	return i + b.n*(j+b.n*k)
 }
 
 // exactAt evaluates the exact solution at grid point (i,j,k).
@@ -294,9 +241,9 @@ func (b *Benchmark) setbv() {
 	var ue [5]float64
 	set := func(i, j, k int) {
 		b.exactAt(i, j, k, &ue)
-		off := b.at(i, j, k)
-		for m := 0; m < 5; m++ {
-			b.u[off+m] = ue[m]
+		p := b.at(i, j, k)
+		for m, u := range &b.u {
+			u[p] = ue[m]
 		}
 	}
 	for j := 0; j < n; j++ {
@@ -336,40 +283,18 @@ func (b *Benchmark) setiv() {
 				b.exactAt(i, n-1, k, &ue4)
 				b.exactAt(i, j, 0, &ue5)
 				b.exactAt(i, j, n-1, &ue6)
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
+				p := b.at(i, j, k)
+				for m, u := range &b.u {
 					pxi := (1.0-xi)*ue1[m] + xi*ue2[m]
 					peta := (1.0-eta)*ue3[m] + eta*ue4[m]
 					pzeta := (1.0-zeta)*ue5[m] + zeta*ue6[m]
-					b.u[off+m] = pxi + peta + pzeta -
+					u[p] = pxi + peta + pzeta -
 						pxi*peta - peta*pzeta - pzeta*pxi +
 						pxi*peta*pzeta
 				}
 			}
 		}
 	}
-}
-
-// l2norm computes the component-wise L2 norms of v's interior, scaled by
-// the interior point count (l2norm).
-func (b *Benchmark) l2norm(v []float64) [5]float64 {
-	n := b.n
-	var sum [5]float64
-	for k := 1; k < n-1; k++ {
-		for j := 1; j < n-1; j++ {
-			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					sum[m] += v[off+m] * v[off+m]
-				}
-			}
-		}
-	}
-	den := float64(n-2) * float64(n-2) * float64(n-2)
-	for m := 0; m < 5; m++ {
-		sum[m] = math.Sqrt(sum[m] / den)
-	}
-	return sum
 }
 
 // errorNorm computes the interior RMS difference between u and the
@@ -382,9 +307,9 @@ func (b *Benchmark) errorNorm() [5]float64 {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
 				b.exactAt(i, j, k, &ue)
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					d := ue[m] - b.u[off+m]
+				p := b.at(i, j, k)
+				for m, u := range &b.u {
+					d := ue[m] - u[p]
 					sum[m] += d * d
 				}
 			}
@@ -407,9 +332,9 @@ func (b *Benchmark) pintgr() float64 {
 	ji1, ji2 := 1, n-3
 	ki1, ki2 := 2, n-2
 
-	phi := func(off int) float64 {
-		return c.C2 * (b.u[off+4] -
-			0.5*(b.u[off+1]*b.u[off+1]+b.u[off+2]*b.u[off+2]+b.u[off+3]*b.u[off+3])/b.u[off])
+	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
+	phi := func(p int) float64 {
+		return c.C2 * (u4[p] - 0.5*(u1[p]*u1[p]+u2[p]*u2[p]+u3[p]*u3[p])/u0[p])
 	}
 
 	frc1 := 0.0
@@ -479,7 +404,7 @@ func (b *Benchmark) RunResult() Result {
 	elapsed := b.ssor(tm)
 
 	var res Result
-	res.RsdNm = b.l2norm(b.rsd)
+	res.RsdNm = nscore.RMS(&b.rsd, b.n)
 	res.ErrNm = b.errorNorm()
 	res.Frc = b.pintgr()
 	nf := float64(b.n)

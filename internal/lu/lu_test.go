@@ -29,9 +29,9 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				b.exactAt(i, j, k, &ue)
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					b.u[off+m] = ue[m]
+				p := b.at(i, j, k)
+				for m, u := range &b.u {
+					u[p] = ue[m]
 				}
 			}
 		}
@@ -42,9 +42,9 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					if a := math.Abs(b.rsd[off+m]); a > worst {
+				p := b.at(i, j, k)
+				for _, r := range &b.rsd {
+					if a := math.Abs(r[p]); a > worst {
 						worst = a
 					}
 				}
@@ -393,11 +393,13 @@ func TestOperatorMatchesOracle(t *testing.T) {
 					b.erhs(tm)
 					b.rhs(tm)
 					tm.Close()
-					for name, pair := range map[string][2][]float64{"frct": {b.frct, want.frct}, "rsd": {b.rsd, want.rsd}} {
-						for e := range pair[1] {
-							if math.Float64bits(pair[0][e]) != math.Float64bits(pair[1][e]) {
-								t.Fatalf("n=%d avx=%v %d threads %s: %s[%d] = %v, oracle %v",
-									n, avx, threads, sched, name, e, pair[0][e], pair[1][e])
+					for name, pair := range map[string][2]*[5][]float64{"frct": {&b.frct, &want.frct}, "rsd": {&b.rsd, &want.rsd}} {
+						for m, row := range pair[1] {
+							for p := range row {
+								if got := pair[0][m][p]; math.Float64bits(got) != math.Float64bits(row[p]) {
+									t.Fatalf("n=%d avx=%v %d threads %s: %s[%d][%d] = %v, oracle %v",
+										n, avx, threads, sched, name, m, p, got, row[p])
+								}
 							}
 						}
 					}
@@ -407,28 +409,52 @@ func TestOperatorMatchesOracle(t *testing.T) {
 	}
 }
 
-// oracleERHS and oracleRHS are erhs and rhs over oracleOperator.
+// oracleERHS and oracleRHS are erhs and rhs over oracleOperator, which
+// runs on m-fastest copies of the fields (pack, unpack).
 func (b *Benchmark) oracleERHS() {
 	var ue [5]float64
-	for i := range b.frct {
-		b.frct[i] = 0
-	}
+	n3 := b.n * b.n * b.n
+	frct, rsd := make([]float64, 5*n3), make([]float64, 5*n3)
 	for k := 0; k < b.n; k++ {
 		for j := 0; j < b.n; j++ {
 			for i := 0; i < b.n; i++ {
 				b.exactAt(i, j, k, &ue)
-				copy(b.rsd[b.at(i, j, k):], ue[:])
+				copy(rsd[5*b.at(i, j, k):], ue[:])
 			}
 		}
 	}
-	b.oracleOperator(b.frct, b.rsd)
+	b.oracleOperator(frct, rsd)
+	unpack(&b.frct, frct)
+	unpack(&b.rsd, rsd)
 }
 
 func (b *Benchmark) oracleRHS() {
-	for i := range b.rsd {
-		b.rsd[i] = -b.frct[i]
+	rsd := pack(&b.frct)
+	for i := range rsd {
+		rsd[i] = -rsd[i]
 	}
-	b.oracleOperator(b.rsd, b.u)
+	b.oracleOperator(rsd, pack(&b.u))
+	unpack(&b.rsd, rsd)
+}
+
+// pack returns the m-fastest copy of x: x[m][p] at 5p+m.
+func pack(x *[5][]float64) []float64 {
+	v := make([]float64, 5*len(x[0]))
+	for m, r := range x {
+		for p, e := range r {
+			v[5*p+m] = e
+		}
+	}
+	return v
+}
+
+// unpack copies the m-fastest v into the rows of x.
+func unpack(x *[5][]float64, v []float64) {
+	for m, r := range x {
+		for p := range r {
+			r[p] = v[5*p+m]
+		}
+	}
 }
 
 // oracleOperator is applyOperator as it ran on the m-fastest fields,
@@ -548,9 +574,9 @@ func TestSetbvExactOnFaces(t *testing.T) {
 	n := b.n
 	for _, p := range [][3]int{{0, 5, 6}, {n - 1, 5, 6}, {5, 0, 6}, {5, n - 1, 6}, {5, 6, 0}, {5, 6, n - 1}} {
 		b.exactAt(p[0], p[1], p[2], &ue)
-		off := b.at(p[0], p[1], p[2])
-		for m := 0; m < 5; m++ {
-			if b.u[off+m] != ue[m] {
+		at := b.at(p[0], p[1], p[2])
+		for m, u := range &b.u {
+			if u[at] != ue[m] {
 				t.Fatalf("boundary %v component %d mismatch", p, m)
 			}
 		}
@@ -565,11 +591,11 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 	b.setiv()
 	b.erhs(tm)
 	b.rhs(tm)
-	r0 := b.l2norm(b.rsd)
+	r0 := nscore.RMS(&b.rsd, b.n)
 	// Run a shortened SSOR loop manually.
 	b.itmax = 10
 	b.ssor(tm)
-	r1 := b.l2norm(b.rsd)
+	r1 := nscore.RMS(&b.rsd, b.n)
 	for m := 0; m < 5; m++ {
 		if !(r1[m] < r0[m]) {
 			t.Fatalf("component %d residual did not decrease: %v -> %v", m, r0[m], r1[m])
@@ -578,7 +604,7 @@ func TestResidualDecreasesOverSSORSteps(t *testing.T) {
 }
 
 // ssorField runs steps SSOR iterations of class S on the given team
-// shape and returns the flow field.
+// shape and returns the flow field, packed m-fastest.
 func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 {
 	t.Helper()
 	b, err := New('S', threads, kernel.Env{})
@@ -592,7 +618,7 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 
 	b.erhs(tm)
 	b.itmax = steps
 	b.ssor(tm)
-	return b.u
+	return pack(&b.u)
 }
 
 // TestParallelMatchesSerialBitwise: the pipelined sweeps visit every

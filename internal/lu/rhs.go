@@ -7,22 +7,97 @@ import (
 
 //go:generate go run ../lanegen
 
-// applyOperator adds the discrete steady-state Navier-Stokes operator
-// R(w) to out: central convective flux differences, viscous flux
-// differences and fourth-order dissipation in the three directions —
-// the common body of lu.f's rhs and erhs routines (which differ only in
-// what out starts from and which field they differentiate). The sums
-// run in component-major rows, four points per instruction
-// (kernels.go): the xi region copies w and out into wc and oc plane by
-// plane, and the zeta region, the last to add to a point, copies oc's
-// interior back. Each element of out takes its terms in lu.f's order,
-// so the result is lu.f's to the bit. The operands are staged for the
-// three prebuilt direction bodies, so no closure or scratch is
-// allocated per call.
-func (b *Benchmark) applyOperator(out, w []float64, tm *team.Team) {
-	b.tm, b.opOut, b.opW = tm, out, w
+// applyOperator sets out to −neg (to zero when neg is nil) and adds the
+// discrete steady-state Navier-Stokes operator R(w): central convective
+// flux differences, viscous flux differences and fourth-order
+// dissipation in the three directions — the common body of lu.f's rhs
+// and erhs routines (which differ only in what out starts from and
+// which field they differentiate). The sums run along the rows, four
+// points per instruction (kernels.go). Each element of out takes its
+// terms in lu.f's order, so the result is lu.f's to the bit. The
+// operands are staged for the three prebuilt direction bodies, so no
+// closure or scratch is allocated per call.
+func (b *Benchmark) applyOperator(out, w, neg *[5][]float64, tm *team.Team) {
+	b.tm, b.opOut, b.opW, b.opNeg = tm, out, w, neg
 	for _, body := range b.opBodies {
 		tm.Run(body)
+	}
+}
+
+// buildOperator constructs applyOperator's regions: its xi, eta and
+// zeta directions over the staged operands, each split over k planes.
+// Only the zeta terms reach across planes, so whatever they read is set
+// in an earlier region: xi starts out and sets the velocities on the
+// planes it owns (and on the boundary planes with the first and last),
+// eta sets the zeta fluxes after its own update of a plane, and zeta,
+// the last to add to a point, starts out again at the boundary points
+// its updates ran over, which the sweeps read.
+func (b *Benchmark) buildOperator() {
+	n := b.n
+	xi, eta, zeta := &b.ops[0], &b.ops[1], &b.ops[2]
+	b.opBodies[0] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			if it.Lo == it.Hi {
+				continue // an empty block may sit at either end
+			}
+			lo, hi := n*n*it.Lo, n*n*it.Hi
+			if it.Lo == 1 {
+				lo = 0
+			}
+			if it.Hi == n-1 {
+				hi = n * n * n
+			}
+			b.start(lo, hi)
+			v0, v1, v2, v3, v4 := nscore.Components(&b.vel)
+			w0, w1, w2, w3, w4 := nscore.Components(b.opW)
+			opVelRow(v0[lo:hi], v1[lo:hi], v2[lo:hi], v3[lo:hi], v4[lo:hi], w0[lo:hi], w1[lo:hi], w2[lo:hi], w3[lo:hi], w4[lo:hi])
+			b.planeFluxes(xi, it.Lo, it.Hi)
+			b.update(xi, it.Lo, it.Hi)
+		}
+	}
+	b.opBodies[1] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			b.planeFluxes(eta, it.Lo, it.Hi)
+			b.update(eta, it.Lo, it.Hi)
+			if it.Lo == it.Hi {
+				continue
+			}
+			b.planeFluxes(zeta, it.Lo, it.Hi)
+			if it.Lo == 1 {
+				b.planeFluxes(zeta, 0, 1)
+			}
+			if it.Hi == n-1 {
+				b.planeFluxes(zeta, n-1, n)
+			}
+		}
+	}
+	b.opBodies[2] = func(id int) {
+		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+			b.update(zeta, it.Lo, it.Hi)
+			for k := it.Lo; k < it.Hi; k++ {
+				lo, hi := n*n*k, n*n*(k+1)
+				b.start(lo, lo+n+1) // row 0 and (0,1)
+				for p := lo + 2*n - 1; p < hi-n-1; p += n {
+					b.start(p, p+2) // (n-1,j) and (0,j+1)
+				}
+				b.start(hi-n-1, hi) // (n-1,n-2) and row n-1
+			}
+		}
+	}
+}
+
+// start sets out at the points [lo, hi) to −neg, or to zero when neg
+// is nil.
+func (b *Benchmark) start(lo, hi int) {
+	for m, o := range b.opOut {
+		o := o[lo:hi]
+		if b.opNeg == nil {
+			clear(o)
+			continue
+		}
+		for p, v := range b.opNeg[m][lo:hi] {
+			o[p] = -v
+		}
 	}
 }
 
@@ -70,33 +145,11 @@ func newOpDirs(c *nscore.Consts, n int) [3]opDir {
 	return ops
 }
 
-// loadPlane copies plane k of w, and of out when withOut is set, into
-// the component-major rows wc and oc, and sets the plane's velocities.
-func (b *Benchmark) loadPlane(k int, withOut bool) {
-	n := b.n
-	lo, hi := n*n*k, n*n*(k+1)
-	w, out := b.opW[5*lo:5*hi], b.opOut[5*lo:5*hi]
-	w0, w1, w2, w3, w4 := b.wc[0][lo:hi], b.wc[1][lo:hi], b.wc[2][lo:hi], b.wc[3][lo:hi], b.wc[4][lo:hi]
-	for p := range w0 {
-		q := (*[5]float64)(w[5*p:])
-		w0[p], w1[p], w2[p], w3[p], w4[p] = q[0], q[1], q[2], q[3], q[4]
-	}
-	if withOut {
-		o0, o1, o2, o3, o4 := b.oc[0][lo:hi], b.oc[1][lo:hi], b.oc[2][lo:hi], b.oc[3][lo:hi], b.oc[4][lo:hi]
-		for p := range o0 {
-			q := (*[5]float64)(out[5*p:])
-			o0[p], o1[p], o2[p], o3[p], o4[p] = q[0], q[1], q[2], q[3], q[4]
-		}
-	}
-	v := &b.vel
-	opVelRow(v[0][lo:hi], v[1][lo:hi], v[2][lo:hi], v[3][lo:hi], v[4][lo:hi], w0, w1, w2, w3, w4)
-}
-
 // fluxes sets direction d's convective fluxes at the points [lo, hi)
 // and its viscous energy flux at those of [vlo, hi), whose lower
 // neighbours are set too.
 func (b *Benchmark) fluxes(d *opDir, lo, hi, vlo int) {
-	w, f, v := &b.wc, &b.flux, &b.vel
+	w, f, v := b.opW, &b.flux, &b.vel
 	across := [3][2]int{{2, 3}, {1, 3}, {1, 2}}[d.cv-1] // the momenta across the direction
 	x, y := across[0], across[1]
 	opFluxRow(f[d.cv-1][lo:hi], f[x-1][lo:hi], f[y-1][lo:hi], f[3][lo:hi],
@@ -109,12 +162,12 @@ func (b *Benchmark) fluxes(d *opDir, lo, hi, vlo int) {
 	}
 }
 
-// update adds direction d's terms of R to oc at every interior point
+// update adds direction d's terms of R to out at every interior point
 // of planes [klo, khi), component by component, each after its
 // dissipation term. The rows run over the planes' interior rows whole,
 // from point (0,1,klo) to (n-1,n-2,khi-1): the boundary points at their
 // ends, and the boundary rows between two planes, get values nobody
-// reads, as the interior alone goes back to out.
+// reads, as the zeta region starts them again.
 func (b *Benchmark) update(d *opDir, klo, khi int) {
 	n := b.n
 	if klo >= khi {
@@ -123,14 +176,14 @@ func (b *Benchmark) update(d *opDir, klo, khi int) {
 	lo, hi := n*(n*klo+1), n*(n*(khi-1)+n-1)
 	at := func(x []float64, o int) []float64 { return x[lo+o*d.s : hi+o*d.s] }
 	dis := b.dis[lo:hi]
-	for m, w := range b.wc {
+	for m, w := range b.opW {
 		for k := klo; k < khi; k++ {
 			nscore.PlaneDissipation(b.dis, w, k, n, d.cv-1, b.c.Dssp)
 		}
-		o := b.oc[m][lo:hi]
+		o := b.opOut[m][lo:hi]
 		switch m {
 		case 0:
-			mv := b.wc[d.cv]
+			mv := b.opW[d.cv]
 			opRhoRow(o, dis, at(mv, 1), at(mv, -1), at(w, -1), at(w, 0), at(w, 1), d.t2, d.d[0])
 		case 4:
 			f := b.flux[3]
@@ -158,45 +211,26 @@ func (b *Benchmark) planeFluxes(d *opDir, klo, khi int) {
 	b.fluxes(d, lo, hi, vlo)
 }
 
-// storePlane copies the interior of plane k of oc back to out.
-func (b *Benchmark) storePlane(k int) {
-	n := b.n
-	for j := 1; j < n-1; j++ {
-		lo, hi := n*(j+n*k)+1, n*(j+n*k)+n-1
-		out := b.opOut[5*lo : 5*hi]
-		o0, o1, o2, o3, o4 := b.oc[0][lo:hi], b.oc[1][lo:hi], b.oc[2][lo:hi], b.oc[3][lo:hi], b.oc[4][lo:hi]
-		for p := range o0 {
-			q := (*[5]float64)(out[5*p:])
-			q[0], q[1], q[2], q[3], q[4] = o0[p], o1[p], o2[p], o3[p], o4[p]
-		}
-	}
-}
-
 // rhs computes the steady-state residual rsd = R(u) - frct (lu.f's rhs).
 func (b *Benchmark) rhs(tm *team.Team) {
-	b.tm = tm
-	tm.Run(b.rhsInitBody)
-	b.applyOperator(b.rsd, b.u, tm)
+	b.applyOperator(&b.rsd, &b.u, &b.frct, tm)
 }
 
 // erhs computes the forcing frct = R(u_exact), using rsd as scratch for
 // the exact-solution field exactly as lu.f's erhs does.
 func (b *Benchmark) erhs(tm *team.Team) {
 	n := b.n
-	for i := range b.frct {
-		b.frct[i] = 0
-	}
 	var ue [5]float64
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
 				b.exactAt(i, j, k, &ue)
-				off := b.at(i, j, k)
-				for m := 0; m < 5; m++ {
-					b.rsd[off+m] = ue[m]
+				p := b.at(i, j, k)
+				for m, r := range &b.rsd {
+					r[p] = ue[m]
 				}
 			}
 		}
 	}
-	b.applyOperator(b.frct, b.rsd, tm)
+	b.applyOperator(&b.frct, &b.rsd, nil, tm)
 }

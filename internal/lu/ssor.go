@@ -3,7 +3,7 @@ package lu
 import (
 	"time"
 
-	"npbgo/internal/grid"
+	"npbgo/internal/nscore"
 	"npbgo/internal/team"
 )
 
@@ -36,16 +36,16 @@ func (b *Benchmark) upperRow(ws *sweepScratch, j, k int) {
 // its 8-byte stores waits for them, the core cannot forward them to
 // one 32-byte load. The spare lanes of the last group repeat i = n-2.
 func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
-	n, u := b.n, b.u
+	n := b.n
+	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
 	d := ws.d
 	a, states := ws.a[:len(d)], ws.u[:len(d)]
 	for g := range states {
 		for q := 0; q < 4; q++ {
-			off := b.at(min(1+4*g+q, n-2), j, k)
-			for m, o := range [4]int{off + 5*s*n*n, off + 5*s*n, off + 5*s, off} {
-				v := u[o : o+5]
+			p := b.at(min(1+4*g+q, n-2), j, k)
+			for m, o := range [4]int{p + s*n*n, p + s*n, p + s, p} {
 				st := &states[g][m]
-				st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = v[0], v[1], v[2], v[3], v[4]
+				st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = u0[o], u1[o], u2[o], u3[o], u4[o]
 			}
 		}
 	}
@@ -67,37 +67,48 @@ func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
 //
 // Hot path: fused jacld+blts point kernel.
 func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
-	off := b.at(i, j, k)
+	n, p := b.n, b.at(i, j, k)
 	g, q := (i-1)/4, (i-1)%4
-	r := grid.Vec5(b.rsd, off)
-	ws.coupledSum(g, q, grid.Vec5(b.rsd, b.at(i, j, k-1)), grid.Vec5(b.rsd, b.at(i, j-1, k)), grid.Vec5(b.rsd, b.at(i-1, j, k)))
-	for m := 0; m < 5; m++ {
-		ws.tv[m] = r[m] - omega*ws.tv[m]
-	}
-	apply5(&ws.d[g], q, &ws.tv)
-	*r = ws.tv
+	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
+	ws.coupledSum(&b.rsd, g, q, p-n*n, p-n, p-1)
+	tv := &ws.tv
+	tv[0] = r0[p] - omega*tv[0]
+	tv[1] = r1[p] - omega*tv[1]
+	tv[2] = r2[p] - omega*tv[2]
+	tv[3] = r3[p] - omega*tv[3]
+	tv[4] = r4[p] - omega*tv[4]
+	apply5(&ws.d[g], q, tv)
+	r0[p], r1[p], r2[p], r3[p], r4[p] = tv[0], tv[1], tv[2], tv[3], tv[4]
 }
 
 // upperPoint applies the upper-triangular update at one grid point.
 //
 // Hot path: fused jacu+buts point kernel.
 func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
-	off := b.at(i, j, k)
+	n, p := b.n, b.at(i, j, k)
 	g, q := (i-1)/4, (i-1)%4
-	r := grid.Vec5(b.rsd, off)
-	ws.coupledSum(g, q, grid.Vec5(b.rsd, b.at(i, j, k+1)), grid.Vec5(b.rsd, b.at(i, j+1, k)), grid.Vec5(b.rsd, b.at(i+1, j, k)))
+	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
+	ws.coupledSum(&b.rsd, g, q, p+n*n, p+n, p+1)
+	tv := &ws.tv
 	for m := 0; m < 5; m++ {
-		ws.tv[m] *= omega
+		tv[m] *= omega
 	}
-	apply5(&ws.d[g], q, &ws.tv)
-	for m := 0; m < 5; m++ {
-		r[m] -= ws.tv[m]
-	}
+	apply5(&ws.d[g], q, tv)
+	r0[p] -= tv[0]
+	r1[p] -= tv[1]
+	r2[p] -= tv[2]
+	r3[p] -= tv[3]
+	r4[p] -= tv[4]
 }
 
-// coupledSum sets tv = az*rz + ay*ry + ax*rx, the three neighbour
-// couplings of the point in lane q of group g.
-func (ws *sweepScratch) coupledSum(g, q int, rz, ry, rx *[5]float64) {
+// coupledSum sets tv = az*r[z] + ay*r[y] + ax*r[x], the couplings of
+// the point in lane q of group g to its neighbours at the points z, y
+// and x of r.
+func (ws *sweepScratch) coupledSum(r *[5][]float64, g, q, z, y, x int) {
+	r0, r1, r2, r3, r4 := nscore.Components(r)
+	rz := [5]float64{r0[z], r1[z], r2[z], r3[z], r4[z]}
+	ry := [5]float64{r0[y], r1[y], r2[y], r3[y], r4[y]}
+	rx := [5]float64{r0[x], r1[x], r2[x], r3[x], r4[x]}
 	a := &ws.a[g]
 	az, ay, ax := &a[0], &a[1], &a[2]
 	q &= 3
@@ -159,7 +170,6 @@ func (b *Benchmark) Iter(tm *team.Team) {
 // — the in-loop synchronization the paper blames for LU's scalability.
 func (b *Benchmark) ssor(tm *team.Team) time.Duration {
 	b.rhs(tm)
-	b.l2norm(b.rsd) // initial residual, reported by the cmd wrapper
 
 	start := time.Now()
 	for istep := 1; istep <= b.itmax && !tm.Cancelled(); istep++ {

@@ -168,14 +168,19 @@ func (f *Field) ErrorNorm(c *Consts) [5]float64 {
 }
 
 // RHSNorm computes the RMS of the Rhs interior, per component.
-func (f *Field) RHSNorm() [5]float64 {
-	n := f.N
+func (f *Field) RHSNorm() [5]float64 { return RMS(&f.Rhs, f.N) }
+
+// RMS computes the root mean square of x over the interior of its n^3
+// grid, per component: each component's sum of squares over the
+// (n-2)^3 interior points, k outermost and i innermost, divided by
+// their count.
+func RMS(x *[5][]float64, n int) [5]float64 {
 	var rms [5]float64
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				p := f.SAt(i, j, k)
-				for m, r := range &f.Rhs {
+				p := i + n*(j+n*k)
+				for m, r := range x {
 					rms[m] += r[p] * r[p]
 				}
 			}
