@@ -2,14 +2,11 @@
 
 package bt
 
-// useAVX selects the assembly kernels. It is set once, at package
-// initialization, from what the CPU and the OS support; tests clear it
-// to run the portable path.
-var useAVX = avxSupported()
+import "npbgo/internal/simd"
 
 // binvcrhs4 runs binvcrhs on four lanes, element e of lane q at [e][q].
 func binvcrhs4(blk, c *[25][4]float64, r *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		binvcrhsAVX(blk, c, r)
 		return
 	}
@@ -29,7 +26,7 @@ func binvcrhs4(blk, c *[25][4]float64, r *[5][4]float64) {
 
 // binvrhs4 runs binvrhs on four lanes, element e of lane q at [e][q].
 func binvrhs4(blk *[25][4]float64, r *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		binvrhsAVX(blk, r)
 		return
 	}
@@ -46,7 +43,7 @@ func binvrhs4(blk *[25][4]float64, r *[5][4]float64) {
 
 // matvecSub4 runs matvecSub on four lanes, element e of lane q at [e][q].
 func matvecSub4(a *[25][4]float64, r1, r2 *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		matvecSubAVX(a, r1, r2)
 		return
 	}
@@ -64,7 +61,7 @@ func matvecSub4(a *[25][4]float64, r1, r2 *[5][4]float64) {
 
 // matmulSub4 runs matmulSub on four lanes, element e of lane q at [e][q].
 func matmulSub4(a, b, c *[25][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		matmulSubAVX(a, b, c)
 		return
 	}
@@ -82,7 +79,7 @@ func matmulSub4(a, b, c *[25][4]float64) {
 
 // jacobiansX4 runs jacobiansX on four lanes, element e of lane q at [e][q].
 func jacobiansX4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64, c1, c2, c3c4, r43, c1345 float64) {
-	if useAVX {
+	if simd.AVX {
 		jacobiansXAVX(fjac, njac, u, s, c1, c2, c3c4, r43, c1345)
 		return
 	}
@@ -103,7 +100,7 @@ func jacobiansX4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64,
 
 // jacobiansY4 runs jacobiansY on four lanes, element e of lane q at [e][q].
 func jacobiansY4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64, c1, c2, c3c4, r43, c1345 float64) {
-	if useAVX {
+	if simd.AVX {
 		jacobiansYAVX(fjac, njac, u, s, c1, c2, c3c4, r43, c1345)
 		return
 	}
@@ -124,7 +121,7 @@ func jacobiansY4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64,
 
 // jacobiansZ4 runs jacobiansZ on four lanes, element e of lane q at [e][q].
 func jacobiansZ4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64, c1, c2, c3c4, r43, c1345 float64) {
-	if useAVX {
+	if simd.AVX {
 		jacobiansZAVX(fjac, njac, u, s, c1, c2, c3c4, r43, c1345)
 		return
 	}
@@ -145,7 +142,7 @@ func jacobiansZ4(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float64,
 
 // assemble4 runs assemble on four lanes, element e of lane q at [e][q].
 func assemble4(aa, bb, cc, fm, fp, nm, nc, np *[25][4]float64, mt2, t1, t12, t2, d0, d1, d2, d3, d4, b0, b1, b2, b3, b4 float64) {
-	if useAVX {
+	if simd.AVX {
 		assembleAVX(aa, bb, cc, fm, fp, nm, nc, np, mt2, t1, t12, t2, d0, d1, d2, d3, d4, b0, b1, b2, b3, b4)
 		return
 	}

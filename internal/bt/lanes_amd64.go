@@ -27,20 +27,3 @@ func jacobiansZAVX(fjac, njac *[25][4]float64, u *[5][4]float64, s *[3][4]float6
 
 //go:noescape
 func assembleAVX(aa, bb, cc, fm, fp, nm, nc, np *[25][4]float64, mt2, t1, t12, t2, d0, d1, d2, d3, d4, b0, b1, b2, b3, b4 float64)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// avxSupported reports whether the CPU has AVX and the OS saves the
-// YMM registers across context switches (CPUID.1:ECX.OSXSAVE and AVX,
-// then XCR0 bits 1 and 2).
-func avxSupported() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
-}

@@ -4,11 +4,9 @@
 
 package bt
 
-// Without amd64 there are no kernels in assembly: useAVX is false and
+// Without amd64 there are no kernels in assembly: simd.AVX is false and
 // every wrapper runs the scalar body. These stubs only keep lanes.go
 // compiling.
-
-func avxSupported() bool { return false }
 
 const noAVX = "bt: AVX kernels exist only on amd64"
 

@@ -3,26 +3,12 @@ package bt
 import (
 	"fmt"
 	"math"
-	"os"
-	"strings"
 	"testing"
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
-
-// laneModes returns the lane paths this host can run: the portable one
-// always, the AVX one where the CPU has it. Each test runs every mode
-// with useAVX set accordingly and restores it.
-func laneModes(t *testing.T) []bool {
-	t.Cleanup(func() { useAVX = avxSupported() })
-	if avxSupported() {
-		return []bool{false, true}
-	}
-	t.Log("no AVX on this host: only the portable lane path runs")
-	return []bool{false}
-}
 
 func sameBits(t *testing.T, what string, q int, got, want []float64) {
 	t.Helper()
@@ -38,7 +24,7 @@ func sameBits(t *testing.T, what string, q int, got, want []float64) {
 // kernels to its scalar body, lane by lane and bit for bit, on random
 // inputs with zeros of both signs in every lane (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
-	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+	rowcheck.Lanes(t, [][2]any{
 		{binvcrhs4, binvcrhs}, {binvrhs4, binvrhs}, {matvecSub4, matvecSub}, {matmulSub4, matmulSub},
 		{jacobiansX4, jacobiansX}, {jacobiansY4, jacobiansY}, {jacobiansZ4, jacobiansZ}, {assemble4, assemble},
 	})
@@ -76,8 +62,7 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 		jac := [3]func(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64){
 			jacobiansX, jacobiansY, jacobiansZ,
 		}
-		for _, avx := range laneModes(t) {
-			useAVX = avx
+		rowcheck.Modes(t, func(bool) {
 			for d := range b.dirs {
 				ds := &b.dirs[d]
 				// Fresh blocks: the oracle's Jacobians are cleared once
@@ -148,37 +133,20 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestPortableLanesReproduceGolden runs BT.S on the portable lane path
-// (each lane through the scalar kernels, what an amd64 CPU without AVX
-// runs) at one and two threads and compares the verification printout
-// with the one recorded in testdata/bitidentity.golden. Other
-// architectures run the same scalar Go, but gc may fuse x*y + z there,
-// so this pins their bits only where it runs.
+// TestPortableLanesReproduceGolden runs BT.S on the portable path
+// (simd.AVX cleared) at one and two threads and compares the
+// verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/bitidentity.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(data), "== BT.S\n")
-	if !ok {
-		t.Fatal("no BT.S block in the golden file")
-	}
-	want, _, _ := strings.Cut(rest, "\n== ")
-	want += "\n"
-
-	laneModes(t)
-	useAVX = false
-	for _, threads := range []int{1, 2} {
+	rowcheck.Golden(t, "BT", func(threads int) string {
 		b, err := New('S', threads, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := b.RunResult().Verify.String(); got != want {
-			t.Errorf("BT.S at %d threads on the portable lane path:\n%s\nrecorded:\n%s", threads, got, want)
-		}
-	}
+		return b.RunResult().Verify.String()
+	})
 }

@@ -110,9 +110,6 @@ func Reset() {
 	hits = nil
 }
 
-// Enabled reports whether a plan is active.
-func Enabled() bool { return active.Load() }
-
 // Hits returns how many times the site has been visited under the
 // active plan (0 when inactive), for test assertions.
 func Hits(site string) int {

@@ -15,9 +15,6 @@ func TestInactiveIsNoop(t *testing.T) {
 	if Hits("x") != 0 {
 		t.Fatal("hits counted with no plan")
 	}
-	if Enabled() {
-		t.Fatal("Enabled with no plan")
-	}
 }
 
 func TestPanicFiresOnConfiguredHitOnly(t *testing.T) {

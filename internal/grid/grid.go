@@ -14,8 +14,6 @@
 // as in Fortran, makes the innermost loop stride-1.
 package grid
 
-import "fmt"
-
 // Vec is a linearized array of float64 with no dimension bookkeeping;
 // the benchmarks size and index it themselves, exactly as the paper's
 // translated Java code does with flat double[] arrays.
@@ -110,17 +108,6 @@ func AllocNested4(d Dim4) Nested4 {
 		out[i4] = cube
 	}
 	return out
-}
-
-// CheckBounds panics with a descriptive message if (i1,i2,i3) is outside
-// d. The hot loops do not call it; it is for test assertions and for
-// setup code where a mistake would otherwise corrupt neighbouring fields
-// silently (linearized arrays trade Go's per-dimension bounds checks for
-// a single flat check, one of the translation hazards the paper notes).
-func (d Dim3) CheckBounds(i1, i2, i3 int) {
-	if i1 < 0 || i1 >= d.N1 || i2 < 0 || i2 >= d.N2 || i3 < 0 || i3 >= d.N3 {
-		panic(fmt.Sprintf("grid: index (%d,%d,%d) out of bounds (%d,%d,%d)", i1, i2, i3, d.N1, d.N2, d.N3))
-	}
 }
 
 // Nested5 is the dimension-preserving 5-D variant (3-D arrays of 5x5

@@ -118,21 +118,6 @@ func TestNested4Shape(t *testing.T) {
 	}
 }
 
-func TestCheckBoundsPanics(t *testing.T) {
-	d := Dim3{2, 2, 2}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CheckBounds did not panic on out-of-range index")
-		}
-	}()
-	d.CheckBounds(2, 0, 0)
-}
-
-func TestCheckBoundsAcceptsValid(t *testing.T) {
-	d := Dim3{2, 3, 4}
-	d.CheckBounds(1, 2, 3) // must not panic
-}
-
 func TestNested5Shape(t *testing.T) {
 	d := Dim5{5, 5, 3, 2, 4}
 	n := AllocNested5(d)

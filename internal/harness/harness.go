@@ -170,21 +170,16 @@ type Options struct {
 	sleep func(time.Duration)
 }
 
-// RunSweep executes benchmark bench at the given class for the serial
-// baseline (threads = 1, regions inline) and each requested thread
-// count. Repeats > 1 keeps the best (minimum) time per cell, as
-// benchmarkers do to suppress scheduling noise. It is RunSweepOpts with
-// only Warmup and Repeats set.
-func RunSweep(bench npbgo.Benchmark, class byte, threads []int, warmup bool, repeats int) (Sweep, error) {
-	return RunSweepOpts(bench, class, threads, Options{Warmup: warmup, Repeats: repeats})
-}
-
-// RunSweepOpts executes a sweep under the given options. The sweep
-// degrades gracefully: a cell that fails (after opt.Retries retries per
-// repeat) is recorded with Run.Err set and the remaining cells still
-// run. The returned error joins the per-cell failures, so callers can
-// both render the partial table and report that something went wrong.
-// Record.RunSweep is the same sweep written to a bench record.
+// RunSweepOpts executes benchmark bench at the given class for the
+// serial baseline (threads = 1, regions inline) and each requested
+// thread count, under the given options. opt.Repeats > 1 keeps the
+// best (minimum) time per cell, as benchmarkers do to suppress
+// scheduling noise. The sweep degrades gracefully: a cell that fails
+// (after opt.Retries retries per repeat) is recorded with Run.Err set
+// and the remaining cells still run. The returned error joins the
+// per-cell failures, so callers can both render the partial table and
+// report that something went wrong. Record.RunSweep is the same sweep
+// written to a bench record.
 func RunSweepOpts(bench npbgo.Benchmark, class byte, threads []int, opt Options) (Sweep, error) {
 	return runSweep(bench, class, threads, opt, nil)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunSweepProducesCells(t *testing.T) {
-	sw, err := RunSweep(npbgo.IS, 'S', []int{1, 2}, false, 1)
+	sw, err := RunSweepOpts(npbgo.IS, 'S', []int{1, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestUnverifiedMarked(t *testing.T) {
 }
 
 func TestRunSweepUnknownBenchmark(t *testing.T) {
-	if _, err := RunSweep(npbgo.Benchmark("XX"), 'S', []int{1}, false, 1); err == nil {
+	if _, err := RunSweepOpts(npbgo.Benchmark("XX"), 'S', []int{1}, Options{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

@@ -8,25 +8,23 @@ import (
 )
 
 // glue writes the Go side of a package's kernels: lanes.go (the
-// wrappers), lanes_amd64.go (the assembly's declarations and the CPU
-// probe) and lanes_other.go (what every other architecture compiles).
+// wrappers, which read internal/simd's AVX switch), lanes_amd64.go (the
+// assembly's declarations) and lanes_other.go (what every other
+// architecture compiles).
 func glue(pkg, from string, kernels []*kernel) map[string][]byte {
 	header := fmt.Sprintf("// Code generated by lanegen from %s; DO NOT EDIT.\n\n", from)
 
 	var common bytes.Buffer
 	common.WriteString(header)
 	fmt.Fprintf(&common, "package %s\n\n", pkg)
+	imports := "\"npbgo/internal/simd\""
 	for _, k := range kernels {
 		if strings.Contains(k.loop, "math.Sqrt") {
-			common.WriteString("import \"math\"\n\n")
+			imports = "(\n\"math\"\n\n" + imports + "\n)"
 			break
 		}
 	}
-	common.WriteString(`// useAVX selects the assembly kernels. It is set once, at package
-// initialization, from what the CPU and the OS support; tests clear it
-// to run the portable path.
-var useAVX = avxSupported()
-`)
+	fmt.Fprintf(&common, "import %s\n", imports)
 	lanes := false
 	for _, k := range kernels {
 		if k.rows {
@@ -61,31 +59,12 @@ func scatterLane(dst [][4]float64, src []float64, q int) {
 	for _, k := range kernels {
 		fmt.Fprintf(&amd64, "\n//go:noescape\nfunc %sAVX(%s)\n", k.name, asmParams(k))
 	}
-	amd64.WriteString(`
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
-
-// avxSupported reports whether the CPU has AVX and the OS saves the
-// YMM registers across context switches (CPUID.1:ECX.OSXSAVE and AVX,
-// then XCR0 bits 1 and 2).
-func avxSupported() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
-}
-`)
 
 	var other bytes.Buffer
 	other.WriteString(header)
 	fmt.Fprintf(&other, "//go:build !amd64\n\npackage %s\n\n", pkg)
-	other.WriteString("// Without amd64 there are no kernels in assembly: useAVX is false and\n")
+	other.WriteString("// Without amd64 there are no kernels in assembly: simd.AVX is false and\n")
 	other.WriteString("// every wrapper runs the scalar body. These stubs only keep lanes.go\n// compiling.\n\n")
-	other.WriteString("func avxSupported() bool { return false }\n\n")
 	fmt.Fprintf(&other, "const noAVX = %q\n", pkg+": AVX kernels exist only on amd64")
 	for _, k := range kernels {
 		fmt.Fprintf(&other, "\nfunc %sAVX(%s) { panic(noAVX) }\n", k.name, asmParams(k))
@@ -124,7 +103,7 @@ func rowWrapper(b *bytes.Buffer, pkg string, k *kernel) {
 		}
 		fmt.Fprintf(b, "%s = %s\n", strings.Join(arrays[1:], ", "), strings.Join(cut, ", "))
 	}
-	b.WriteString("groups := 0\nif useAVX {\ngroups = count / 4\nif groups > 0 {\n")
+	b.WriteString("groups := 0\nif simd.AVX {\ngroups = count / 4\nif groups > 0 {\n")
 	var ptrs []string
 	for i, a := range args {
 		if k.params[i].array > 0 {
@@ -144,7 +123,7 @@ func laneWrapper(b *bytes.Buffer, k *kernel) {
 	_, args := params(k)
 	fmt.Fprintf(b, "\n// %s4 runs %s on four lanes, element e of lane q at [e][q].\n", k.name, k.name)
 	fmt.Fprintf(b, "func %s4(%s) {\n", k.name, signature(k, laneType))
-	fmt.Fprintf(b, "if useAVX {\n%sAVX(%s)\nreturn\n}\n", k.name, strings.Join(args, ", "))
+	fmt.Fprintf(b, "if simd.AVX {\n%sAVX(%s)\nreturn\n}\n", k.name, strings.Join(args, ", "))
 	b.WriteString("for q := 0; q < 4; q++ {\n")
 	var call, gather, scatter []string
 	for i, p := range k.params {

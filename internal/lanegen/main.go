@@ -23,10 +23,11 @@
 //     and then the scalar body on the len%4 tail, inlined with every
 //     a[0] read as a[i].
 //
-// The glue is three files: lanes.go with the wrappers, lanes_amd64.go
-// with the assembly's declarations and the CPU probe, and lanes_other.go
-// with the stubs of every other architecture, where only the scalar
-// bodies run.
+// The glue is three files: lanes.go with the wrappers, which choose
+// between the assembly and the scalar body by internal/simd's AVX
+// switch, lanes_amd64.go with the assembly's declarations, and
+// lanes_other.go with the stubs of every other architecture, where only
+// the scalar bodies run.
 //
 // The scalar Go is the specification. lanegen parses each kernel's body
 // and emits one packed instruction per scalar operation, visiting every
@@ -56,8 +57,8 @@
 //
 // Anything else is an error naming the position. The output uses AVX1
 // instructions only: VMOVUPD, VBROADCASTSD, VADDPD, VSUBPD, VMULPD,
-// VDIVPD, VSQRTPD, VXORPD, VCMPPD, VBLENDVPD and VZEROUPPER, plus the
-// CPUID/XGETBV probe that decides at start-up whether they run.
+// VDIVPD, VSQRTPD, VXORPD, VCMPPD, VBLENDVPD and VZEROUPPER; whether
+// they run is internal/simd's decision, made once at start-up.
 package main
 
 import (
@@ -183,35 +184,12 @@ func generate(dir string) (map[string][]byte, error) {
 			fmt.Fprintf(&b, "DATA lanesconst<>+%d(SB)/8, $0x%016x\n", 32*i+8*q, bits)
 		}
 	}
-	fmt.Fprintf(&b, "GLOBL lanesconst<>(SB), RODATA|NOPTR, $%d\n\n", 32*len(pool.bits))
-	b.WriteString(cpuProbe)
+	fmt.Fprintf(&b, "GLOBL lanesconst<>(SB), RODATA|NOPTR, $%d\n", 32*len(pool.bits))
 	b.Write(body.Bytes())
 	out := glue(pkg, from, kernels)
 	out["lanes_amd64.s"] = b.Bytes()
 	return out, nil
 }
-
-// cpuProbe is the start-up feature test: CPUID leaf 1 for AVX and
-// OSXSAVE, XGETBV for the OS saving YMM state.
-const cpuProbe = `// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-`
 
 // pool is the DATA table of broadcast constants, 32 bytes each.
 type pool struct {

@@ -2,14 +2,11 @@
 
 package lu
 
-// useAVX selects the assembly kernels. It is set once, at package
-// initialization, from what the CPU and the OS support; tests clear it
-// to run the portable path.
-var useAVX = avxSupported()
+import "npbgo/internal/simd"
 
 // couplingX4 runs couplingX on four lanes, element e of lane q at [e][q].
 func couplingX4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
-	if useAVX {
+	if simd.AVX {
 		couplingXAVX(dst, u, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
 		return
 	}
@@ -25,7 +22,7 @@ func couplingX4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m
 
 // couplingY4 runs couplingY on four lanes, element e of lane q at [e][q].
 func couplingY4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
-	if useAVX {
+	if simd.AVX {
 		couplingYAVX(dst, u, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
 		return
 	}
@@ -41,7 +38,7 @@ func couplingY4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m
 
 // couplingZ4 runs couplingZ on four lanes, element e of lane q at [e][q].
 func couplingZ4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4 float64) {
-	if useAVX {
+	if simd.AVX {
 		couplingZAVX(dst, u, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
 		return
 	}
@@ -57,7 +54,7 @@ func couplingZ4(dst *[25][4]float64, u *[5][4]float64, f, n, c1, c2, r43, c34, m
 
 // diagonal4 runs diagonal on four lanes, element e of lane q at [e][q].
 func diagonal4(dst *[25][4]float64, u *[5][4]float64, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4 float64) {
-	if useAVX {
+	if simd.AVX {
 		diagonalAVX(dst, u, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4)
 		return
 	}
@@ -73,7 +70,7 @@ func diagonal4(dst *[25][4]float64, u *[5][4]float64, kd1, kd2, kd3, km1, km2, k
 
 // factor54 runs factor5 on four lanes, element e of lane q at [e][q].
 func factor54(a *[25][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		factor5AVX(a)
 		return
 	}
@@ -94,7 +91,7 @@ func opVelRow(v1, v2, v3, v4, sq, w0, w1, w2, w3, w4 []float64) {
 	}
 	v2, v3, v4, sq, w0, w1, w2, w3, w4 = v2[:count], v3[:count], v4[:count], sq[:count], w0[:count], w1[:count], w2[:count], w3[:count], w4[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opVelAVX(&v1[0], &v2[0], &v3[0], &v4[0], &sq[0], &w0[0], &w1[0], &w2[0], &w3[0], &w4[0], groups)
@@ -122,7 +119,7 @@ func opFluxRow(fa, fb, fc, f4, w0, w1, w2, w3, w4, wa, wb, wc []float64, c1, c2 
 	}
 	fb, fc, f4, w0, w1, w2, w3, w4, wa, wb, wc = fb[:count], fc[:count], f4[:count], w0[:count], w1[:count], w2[:count], w3[:count], w4[:count], wa[:count], wb[:count], wc[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opFluxAVX(&fa[0], &fb[0], &fc[0], &f4[0], &w0[0], &w1[0], &w2[0], &w3[0], &w4[0], &wa[0], &wb[0], &wc[0], c1, c2, groups)
@@ -147,7 +144,7 @@ func opVisc4Row(h, sq, sqm, va, vam, v4, v4m []float64, e1, e2, e3 float64) {
 	}
 	sq, sqm, va, vam, v4, v4m = sq[:count], sqm[:count], va[:count], vam[:count], v4[:count], v4m[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opVisc4AVX(&h[0], &sq[0], &sqm[0], &va[0], &vam[0], &v4[0], &v4m[0], e1, e2, e3, groups)
@@ -167,7 +164,7 @@ func opRhoRow(o, dis, fp, fm, wm, w, wp []float64, t2, d float64) {
 	}
 	dis, fp, fm, wm, w, wp = dis[:count], fp[:count], fm[:count], wm[:count], w[:count], wp[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opRhoAVX(&o[0], &dis[0], &fp[0], &fm[0], &wm[0], &w[0], &wp[0], t2, d, groups)
@@ -189,7 +186,7 @@ func opMomRow(o, dis, fp, fm, vp, v, vm, wm, w, wp []float64, t2, visc, t3c34, d
 	}
 	dis, fp, fm, vp, v, vm, wm, w, wp = dis[:count], fp[:count], fm[:count], vp[:count], v[:count], vm[:count], wm[:count], w[:count], wp[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opMomAVX(&o[0], &dis[0], &fp[0], &fm[0], &vp[0], &v[0], &vm[0], &wm[0], &w[0], &wp[0], t2, visc, t3c34, d, groups)
@@ -211,7 +208,7 @@ func opEnergyRow(o, dis, fp, fm, hp, h, wm, w, wp []float64, t2, t3c34, d float6
 	}
 	dis, fp, fm, hp, h, wm, w, wp = dis[:count], fp[:count], fm[:count], hp[:count], h[:count], wm[:count], w[:count], wp[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			opEnergyAVX(&o[0], &dis[0], &fp[0], &fm[0], &hp[0], &h[0], &wm[0], &w[0], &wp[0], t2, t3c34, d, groups)

@@ -3,8 +3,6 @@ package lu
 import (
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"npbgo/internal/grid"
@@ -188,8 +186,7 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 		}
 		return rng.Float64() - 0.5
 	}
-	for _, avx := range laneModes(t) {
-		useAVX = avx
+	rowcheck.Modes(t, func(avx bool) {
 		for trial := 0; trial < 200; trial++ {
 			var a blk4
 			var r [4][5]float64
@@ -227,7 +224,7 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // oracleJacobians evaluates nscore.FluxViscJacobians — the single
@@ -342,23 +339,11 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 	}
 }
 
-// laneModes returns the kernel paths this host can run: the portable
-// one always, the AVX one where the CPU has it. Each test runs every
-// mode with useAVX set accordingly and restores it.
-func laneModes(t *testing.T) []bool {
-	t.Cleanup(func() { useAVX = avxSupported() })
-	if avxSupported() {
-		return []bool{false, true}
-	}
-	t.Log("no AVX on this host: only the portable path runs")
-	return []bool{false}
-}
-
 // TestRowKernelsMatchScalar holds each generated row kernel to its
 // scalar body, bit for bit, at every row length from 0 to 9, on random
 // rows with zeros of both signs among them (rowcheck.Kernels).
 func TestRowKernelsMatchScalar(t *testing.T) {
-	rowcheck.Kernels(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+	rowcheck.Kernels(t, [][2]any{
 		{opVelRow, opVel}, {opFluxRow, opFlux}, {opVisc4Row, opVisc4},
 		{opRhoRow, opRho}, {opMomRow, opMom}, {opEnergyRow, opEnergy},
 	})
@@ -374,7 +359,6 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 // element of rsd and frct, the boundary included, must agree bit for
 // bit.
 func TestOperatorMatchesOracle(t *testing.T) {
-	modes := laneModes(t)
 	for _, n := range []int{8, 11, 12, 13, 14} {
 		spec := classSpec{size: n, itmax: 1, dt: 0.5}
 		want := newBenchmark('S', spec, 1, kernel.Env{})
@@ -382,8 +366,7 @@ func TestOperatorMatchesOracle(t *testing.T) {
 		want.setiv()
 		want.oracleERHS()
 		want.oracleRHS()
-		for _, avx := range modes {
-			useAVX = avx
+		rowcheck.Modes(t, func(avx bool) {
 			for _, threads := range []int{1, 2, 3, 7, 13} {
 				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 					b := newBenchmark('S', spec, threads, kernel.Env{})
@@ -405,7 +388,7 @@ func TestOperatorMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -662,36 +645,21 @@ func TestClassSRun(t *testing.T) {
 // lane and bit for bit, on random inputs with zeros of both signs in
 // every lane (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
-	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, laneModes(t), [][2]any{
+	rowcheck.Lanes(t, [][2]any{
 		{couplingX4, couplingX}, {couplingY4, couplingY}, {couplingZ4, couplingZ}, {diagonal4, diagonal}, {factor54, factor5},
 	})
 }
 
-// TestPortableLanesReproduceGolden runs LU.S on the portable path (each
-// lane and row through the scalar kernels, what an amd64 CPU without
-// AVX runs) at one and two threads and compares the verification
-// printout with the one recorded in testdata/bitidentity.golden.
+// TestPortableLanesReproduceGolden runs LU.S on the portable path
+// (simd.AVX cleared) at one and two threads and compares the
+// verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/bitidentity.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(data), "== LU.S\n")
-	if !ok {
-		t.Fatal("no LU.S block in the golden file")
-	}
-	want, _, _ := strings.Cut(rest, "\n== ")
-	want += "\n"
-
-	laneModes(t)
-	useAVX = false
-	for _, threads := range []int{1, 2} {
+	rowcheck.Golden(t, "LU", func(threads int) string {
 		b, err := New('S', threads, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := b.RunResult().Verify.String(); got != want {
-			t.Errorf("LU.S at %d threads on the portable path:\n%s\nrecorded:\n%s", threads, got, want)
-		}
-	}
+		return b.RunResult().Verify.String()
+	})
 }

@@ -2,12 +2,11 @@
 
 package nscore
 
-import "math"
+import (
+	"math"
 
-// useAVX selects the assembly kernels. It is set once, at package
-// initialization, from what the CPU and the OS support; tests clear it
-// to run the portable path.
-var useAVX = avxSupported()
+	"npbgo/internal/simd"
+)
 
 // fluxRhoRow runs fluxRho at each point i < len(r) of its rows, four points
 // per instruction where the CPU allows and the scalar body on the rest.
@@ -18,7 +17,7 @@ func fluxRhoRow(r, dis, up, u, um, mvp, mvm []float64, d1, t2 float64) {
 	}
 	dis, up, u, um, mvp, mvm = dis[:count], up[:count], u[:count], um[:count], mvp[:count], mvm[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			fluxRhoAVX(&r[0], &dis[0], &up[0], &u[0], &um[0], &mvp[0], &mvm[0], d1, t2, groups)
@@ -39,7 +38,7 @@ func fluxMomRow(r, dis, up, u, um, wp, w, wm, vp, vm []float64, dm, con2, t2 flo
 	}
 	dis, up, u, um, wp, w, wm, vp, vm = dis[:count], up[:count], u[:count], um[:count], wp[:count], w[:count], wm[:count], vp[:count], vm[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			fluxMomAVX(&r[0], &dis[0], &up[0], &u[0], &um[0], &wp[0], &w[0], &wm[0], &vp[0], &vm[0], dm, con2, t2, groups)
@@ -60,7 +59,7 @@ func fluxMomAlongRow(r, dis, up, u, um, vp, v, vm, u4p, u4m, sqp, sqm []float64,
 	}
 	dis, up, u, um, vp, v, vm, u4p, u4m, sqp, sqm = dis[:count], up[:count], u[:count], um[:count], vp[:count], v[:count], vm[:count], u4p[:count], u4m[:count], sqp[:count], sqm[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			fluxMomAlongAVX(&r[0], &dis[0], &up[0], &u[0], &um[0], &vp[0], &v[0], &vm[0], &u4p[0], &u4m[0], &sqp[0], &sqm[0], dm, con2, con43, t2, c2, groups)
@@ -82,7 +81,7 @@ func fluxEnergyHeadRow(t, up, u, um, qp, q, qm, vp, v, vm []float64, d5, con3, c
 	}
 	up, u, um, qp, q, qm, vp, v, vm = up[:count], u[:count], um[:count], qp[:count], q[:count], qm[:count], vp[:count], v[:count], vm[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			fluxEnergyHeadAVX(&t[0], &up[0], &u[0], &um[0], &qp[0], &q[0], &qm[0], &vp[0], &v[0], &vm[0], d5, con3, con4, groups)
@@ -102,7 +101,7 @@ func fluxEnergyTailRow(r, dis, t, gp, u, rhoI, gm, hp, hm, vp, vm []float64, con
 	}
 	dis, t, gp, u, rhoI, gm, hp, hm, vp, vm = dis[:count], t[:count], gp[:count], u[:count], rhoI[:count], gm[:count], hp[:count], hm[:count], vp[:count], vm[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			fluxEnergyTailAVX(&r[0], &dis[0], &t[0], &gp[0], &u[0], &rhoI[0], &gm[0], &hp[0], &hm[0], &vp[0], &vm[0], con5, t2, groups)
@@ -123,7 +122,7 @@ func primRow(rhoI, us, vs, ws, sq, qs, u0, u1, u2, u3 []float64) {
 	}
 	us, vs, ws, sq, qs, u0, u1, u2, u3 = us[:count], vs[:count], ws[:count], sq[:count], qs[:count], u0[:count], u1[:count], u2[:count], u3[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			primAVX(&rhoI[0], &us[0], &vs[0], &ws[0], &sq[0], &qs[0], &u0[0], &u1[0], &u2[0], &u3[0], groups)
@@ -149,7 +148,7 @@ func primEnergyRow(ge, he, u4, rhoI, sq []float64, c1, c2 float64) {
 	}
 	he, u4, rhoI, sq = he[:count], u4[:count], rhoI[:count], sq[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			primEnergyAVX(&ge[0], &he[0], &u4[0], &rhoI[0], &sq[0], c1, c2, groups)
@@ -170,7 +169,7 @@ func soundSpeedRow(speed, u4, rhoI, sq []float64, c1c2 float64) {
 	}
 	u4, rhoI, sq = u4[:count], rhoI[:count], sq[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			soundSpeedAVX(&speed[0], &u4[0], &rhoI[0], &sq[0], c1c2, groups)
@@ -190,7 +189,7 @@ func dissFirstRow(d, u, u1, u2 []float64, dssp float64) {
 	}
 	u, u1, u2 = u[:count], u1[:count], u2[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			dissFirstAVX(&d[0], &u[0], &u1[0], &u2[0], dssp, groups)
@@ -210,7 +209,7 @@ func dissSecondRow(d, um1, u, u1, u2 []float64, dssp float64) {
 	}
 	um1, u, u1, u2 = um1[:count], u[:count], u1[:count], u2[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			dissSecondAVX(&d[0], &um1[0], &u[0], &u1[0], &u2[0], dssp, groups)
@@ -230,7 +229,7 @@ func dissInnerRow(d, um2, um1, u, u1, u2 []float64, dssp float64) {
 	}
 	um2, um1, u, u1, u2 = um2[:count], um1[:count], u[:count], u1[:count], u2[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			dissInnerAVX(&d[0], &um2[0], &um1[0], &u[0], &u1[0], &u2[0], dssp, groups)
@@ -250,7 +249,7 @@ func dissPenultRow(d, um2, um1, u, u1 []float64, dssp float64) {
 	}
 	um2, um1, u, u1 = um2[:count], um1[:count], u[:count], u1[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			dissPenultAVX(&d[0], &um2[0], &um1[0], &u[0], &u1[0], dssp, groups)
@@ -270,7 +269,7 @@ func dissLastRow(d, um2, um1, u []float64, dssp float64) {
 	}
 	um2, um1, u = um2[:count], um1[:count], u[:count]
 	groups := 0
-	if useAVX {
+	if simd.AVX {
 		groups = count / 4
 		if groups > 0 {
 			dissLastAVX(&d[0], &um2[0], &um1[0], &u[0], dssp, groups)

@@ -37,25 +37,6 @@ DATA lanesconst<>+240(SB)/8, $0x4018000000000000
 DATA lanesconst<>+248(SB)/8, $0x4018000000000000
 GLOBL lanesconst<>(SB), RODATA|NOPTR, $256
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // func fluxRhoAVX(r, dis, up, u, um, mvp, mvm *float64, d1, t2 float64, groups int)
 TEXT ·fluxRhoAVX(SB), NOSPLIT, $0-80
 	MOVQ r+0(FP), AX

@@ -11,18 +11,6 @@ import (
 	"npbgo/internal/team"
 )
 
-// laneModes returns the row-kernel paths this host can run: the
-// portable one always, the AVX one where the CPU has it. Each test
-// runs every mode with useAVX set accordingly and restores it.
-func laneModes(t *testing.T) []bool {
-	t.Cleanup(func() { useAVX = avxSupported() })
-	if avxSupported() {
-		return []bool{false, true}
-	}
-	t.Log("no AVX on this host: only the portable row path runs")
-	return []bool{false}
-}
-
 // TestComputeRHSMatchesOracle holds ComputeRHS to the point-form
 // compute_rhs it replaced (oracleRHS) on grids of 8, 11, 12, 13 and 14
 // points a side, whose spans of n(n-2) points and rows of n leave
@@ -33,7 +21,6 @@ func laneModes(t *testing.T) []bool {
 // of the primitive fields, the boundary included, must agree bit for
 // bit.
 func TestComputeRHSMatchesOracle(t *testing.T) {
-	modes := laneModes(t)
 	for _, n := range []int{8, 11, 12, 13, 14} {
 		c := SetConstants(n, 0.01)
 		start := NewField(n, true)
@@ -52,8 +39,7 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 		want.Add(serial)
 		serial.Close()
 		oracleRHSOn(want, &c)
-		for _, avx := range modes {
-			useAVX = avx
+		rowcheck.Modes(t, func(avx bool) {
 			for _, threads := range []int{1, 2, 3, 7, 13} {
 				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 					f := NewField(n, true)
@@ -74,7 +60,7 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -91,7 +77,7 @@ var rowKernels = [][2]any{
 // scalar body, bit for bit, at every row length from 0 to 9, on random
 // rows with zeros of both signs among them (rowcheck.Kernels).
 func TestRowKernelsMatchScalar(t *testing.T) {
-	rowcheck.Kernels(t, func(avx bool) { useAVX = avx }, laneModes(t), rowKernels)
+	rowcheck.Kernels(t, rowKernels)
 }
 
 // copyState copies the state ComputeRHS starts from, U and Forcing,

@@ -27,21 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// Addf appends a row of formatted cells: each argument is rendered with
-// %v unless it is a float64, which uses %.2f.
-func (t *Table) Addf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.AddRow(row...)
-}
-
 // NumRows reports how many data rows the table has.
 func (t *Table) NumRows() int { return len(t.rows) }
 

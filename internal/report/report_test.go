@@ -30,17 +30,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestAddf(t *testing.T) {
-	tb := New("", "a", "b")
-	tb.Addf("x", 3.14159)
-	if !strings.Contains(tb.String(), "3.14") {
-		t.Fatalf("float not formatted: %q", tb.String())
-	}
-	if tb.NumRows() != 1 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
-}
-
 func TestRowsWiderThanHeader(t *testing.T) {
 	tb := New("", "only")
 	tb.AddRow("a", "b", "c")

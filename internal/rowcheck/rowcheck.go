@@ -1,29 +1,82 @@
 // Package rowcheck tests lanegen's kernels against their scalar bodies.
 // A package calls Kernels for its row kernels and Lanes for its lane
-// kernels from its tests.
+// kernels from its tests, Modes for a test of its own that must hold on
+// both paths, and Golden to hold its benchmark's portable path to the
+// recorded printout.
 package rowcheck
 
 import (
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+
+	"npbgo/internal/simd"
 )
+
+// Modes runs run once for each path this host can take, with simd.AVX
+// set to avx: the portable path always, the AVX one where the CPU has
+// it. The switch is restored when the test ends.
+func Modes(t *testing.T, run func(avx bool)) {
+	t.Helper()
+	host := simd.AVX
+	t.Cleanup(func() { simd.AVX = host })
+	modes := []bool{false}
+	if host {
+		modes = append(modes, true)
+	} else {
+		t.Log("no AVX on this host: only the portable path runs")
+	}
+	for _, avx := range modes {
+		simd.AVX = avx
+		run(avx)
+	}
+}
+
+// Golden runs a benchmark at class S, one and two threads, with
+// simd.AVX cleared, so that every generated kernel, nscore's included,
+// runs its scalar body: what an amd64 CPU without AVX runs. verify
+// returns the verification printout at the given thread count; each
+// must be the name + ".S" block of testdata/bitidentity.golden (read
+// from the package directory two levels below the root). Other
+// architectures run the same scalar Go, but gc may fuse x*y + z there
+// (arm64), so this pins their bits only where it runs: amd64, and 386
+// in CI.
+func Golden(t *testing.T, name string, verify func(threads int) string) {
+	t.Helper()
+	data, err := os.ReadFile("../../testdata/bitidentity.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(data), "== "+name+".S\n")
+	if !ok {
+		t.Fatalf("no %s.S block in the golden file", name)
+	}
+	want, _, _ := strings.Cut(rest, "\n== ")
+	want += "\n"
+	host := simd.AVX
+	t.Cleanup(func() { simd.AVX = host })
+	simd.AVX = false
+	for _, threads := range []int{1, 2} {
+		if got := verify(threads); got != want {
+			t.Errorf("%s.S at %d threads on the portable path:\n%s\nrecorded:\n%s", name, threads, got, want)
+		}
+	}
+}
 
 // Kernels runs each kernel, a pair of a generated <name>Row wrapper
 // and the scalar <name>, once through the wrapper and once point by
 // point through the scalar body, on rows of every length from 0 to 9
 // (so every group count and tail length), filled with random values
 // with zeros of both signs among them, and fails unless every row is
-// equal afterwards, bit for bit. It does so for each of modes, set
-// through setAVX: the path the wrappers take, AVX or portable.
-func Kernels(t *testing.T, setAVX func(bool), modes []bool, kernels [][2]any) {
+// equal afterwards, bit for bit. It does so on each path (Modes).
+func Kernels(t *testing.T, kernels [][2]any) {
 	t.Helper()
 	fill := filler(39)
-	for _, avx := range modes {
-		setAVX(avx)
+	Modes(t, func(avx bool) {
 		for _, k := range kernels {
 			row, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
 			name := funcName(scalar)
@@ -70,7 +123,7 @@ func Kernels(t *testing.T, setAVX func(bool), modes []bool, kernels [][2]any) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // Lanes runs each kernel, a pair of a generated <name>4 wrapper and the
@@ -78,14 +131,12 @@ func Kernels(t *testing.T, setAVX func(bool), modes []bool, kernels [][2]any) {
 // wrapper and once lane by lane through the scalar body, and fails
 // unless every lane of every array is equal afterwards, bit for bit.
 // About one value in four is a zero, of either sign, so over the trials
-// every lane meets zeros, the scalars as well. It does so for each of
-// modes, set through setAVX: the path the wrappers take, AVX or
-// portable.
-func Lanes(t *testing.T, setAVX func(bool), modes []bool, kernels [][2]any) {
+// every lane meets zeros, the scalars as well. It does so on each path
+// (Modes).
+func Lanes(t *testing.T, kernels [][2]any) {
 	t.Helper()
 	fill := filler(41)
-	for _, avx := range modes {
-		setAVX(avx)
+	Modes(t, func(avx bool) {
 		for _, k := range kernels {
 			wrapper, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
 			name := funcName(scalar)
@@ -138,7 +189,7 @@ func Lanes(t *testing.T, setAVX func(bool), modes []bool, kernels [][2]any) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // Lane returns lane q of a lane-form array.

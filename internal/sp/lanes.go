@@ -2,14 +2,11 @@
 
 package sp
 
-// useAVX selects the assembly kernels. It is set once, at package
-// initialization, from what the CPU and the OS support; tests clear it
-// to run the portable path.
-var useAVX = avxSupported()
+import "npbgo/internal/simd"
 
 // eigen4 runs eigen on four lanes, element e of lane q at [e][q].
 func eigen4(s *[8][4]float64, c3c4, con43, c1c5, d2or3or4, d5, dmax, d1 float64) {
-	if useAVX {
+	if simd.AVX {
 		eigenAVX(s, c3c4, con43, c1c5, d2or3or4, d5, dmax, d1)
 		return
 	}
@@ -23,7 +20,7 @@ func eigen4(s *[8][4]float64, c3c4, con43, c1c5, d2or3or4, d5, dmax, d1 float64)
 
 // lhsRow4 runs lhsRow on four lanes, element e of lane q at [e][q].
 func lhsRow4(u, p, m *[5][4]float64, sm, s, sp *[8][4]float64, dtt1, dtt2, c2dtt1, t0, t1, t2, t3, t4 float64) {
-	if useAVX {
+	if simd.AVX {
 		lhsRowAVX(u, p, m, sm, s, sp, dtt1, dtt2, c2dtt1, t0, t1, t2, t3, t4)
 		return
 	}
@@ -49,7 +46,7 @@ func lhsRow4(u, p, m *[5][4]float64, sm, s, sp *[8][4]float64, dtt1, dtt2, c2dtt
 
 // forwardStep4 runs forwardStep on four lanes, element e of lane q at [e][q].
 func forwardStep4(u0, u1, u2, p0, p1, p2, m0, m1, m2, r0, r1, r2 *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		forwardStepAVX(u0, u1, u2, p0, p1, p2, m0, m1, m2, r0, r1, r2)
 		return
 	}
@@ -96,7 +93,7 @@ func forwardStep4(u0, u1, u2, p0, p1, p2, m0, m1, m2, r0, r1, r2 *[5][4]float64)
 
 // lastRows4 runs lastRows on four lanes, element e of lane q at [e][q].
 func lastRows4(u0, u1, p0, p1, m0, m1, r0, r1 *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		lastRowsAVX(u0, u1, p0, p1, m0, m1, r0, r1)
 		return
 	}
@@ -131,7 +128,7 @@ func lastRows4(u0, u1, p0, p1, m0, m1, r0, r1 *[5][4]float64) {
 
 // backStep4 runs backStep on four lanes, element e of lane q at [e][q].
 func backStep4(u, p, m, r, r0, r1 *[5][4]float64) {
-	if useAVX {
+	if simd.AVX {
 		backStepAVX(u, p, m, r, r0, r1)
 		return
 	}
@@ -155,7 +152,7 @@ func backStep4(u, p, m, r, r0, r1 *[5][4]float64) {
 
 // txinvr4 runs txinvr on four lanes, element e of lane q at [e][q].
 func txinvr4(r *[5][4]float64, s *[8][4]float64, bt, c2 float64) {
-	if useAVX {
+	if simd.AVX {
 		txinvrAVX(r, s, bt, c2)
 		return
 	}
@@ -171,7 +168,7 @@ func txinvr4(r *[5][4]float64, s *[8][4]float64, bt, c2 float64) {
 
 // ninvr4 runs ninvr on four lanes, element e of lane q at [e][q].
 func ninvr4(r *[5][4]float64, bt float64) {
-	if useAVX {
+	if simd.AVX {
 		ninvrAVX(r, bt)
 		return
 	}
@@ -185,7 +182,7 @@ func ninvr4(r *[5][4]float64, bt float64) {
 
 // pinvr4 runs pinvr on four lanes, element e of lane q at [e][q].
 func pinvr4(r *[5][4]float64, bt float64) {
-	if useAVX {
+	if simd.AVX {
 		pinvrAVX(r, bt)
 		return
 	}
@@ -199,7 +196,7 @@ func pinvr4(r *[5][4]float64, bt float64) {
 
 // tzetar4 runs tzetar on four lanes, element e of lane q at [e][q].
 func tzetar4(r *[5][4]float64, s *[8][4]float64, bt, c2iv float64) {
-	if useAVX {
+	if simd.AVX {
 		tzetarAVX(r, s, bt, c2iv)
 		return
 	}

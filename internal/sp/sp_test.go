@@ -3,8 +3,6 @@ package sp
 import (
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 
 	"npbgo/internal/grid"
@@ -613,18 +611,6 @@ func (b *Benchmark) oracleSolves() {
 	}
 }
 
-// laneModes returns the lane paths this host can run: the portable one
-// always, the AVX one where the CPU has it. Each test runs every mode
-// with useAVX set accordingly and restores it.
-func laneModes(t *testing.T) []bool {
-	t.Cleanup(func() { useAVX = avxSupported() })
-	if avxSupported() {
-		return []bool{false, true}
-	}
-	t.Log("no AVX on this host: only the portable lane path runs")
-	return []bool{false}
-}
-
 // TestLaneKernelsMatchScalar holds each generated lane kernel to its
 // scalar body, lane by lane and bit for bit, on random inputs with
 // zeros of both signs in every lane (rowcheck.Lanes). eigen's three
@@ -632,14 +618,12 @@ func laneModes(t *testing.T) []bool {
 // compared values are zeros of opposite signs or NaN, where Go keeps
 // the bound and a VMAXPD would not.
 func TestLaneKernelsMatchScalar(t *testing.T) {
-	modes := laneModes(t)
-	rowcheck.Lanes(t, func(avx bool) { useAVX = avx }, modes, [][2]any{
+	rowcheck.Lanes(t, [][2]any{
 		{eigen4, eigen}, {lhsRow4, lhsRow}, {forwardStep4, forwardStep}, {lastRows4, lastRows},
 		{backStep4, backStep}, {txinvr4, txinvr}, {ninvr4, ninvr}, {pinvr4, pinvr}, {tzetar4, tzetar},
 	})
 	negZero, nan := math.Copysign(0, -1), math.NaN()
-	for _, avx := range modes {
-		useAVX = avx
+	rowcheck.Modes(t, func(avx bool) {
 		// With c3c4 = con43 = c1c5 = 1, r = d2or3or4 + ru1 and the
 		// first candidate d5 + ru1: ru1 = -0 makes them -0 and +0.
 		var s cell4
@@ -655,7 +639,7 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDissipationTable: subtracting dissipation's table entry from
@@ -749,31 +733,16 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestPortableLanesReproduceGolden runs SP.S on the portable lane path
-// (each lane through the scalar kernels, what an amd64 CPU without AVX
-// runs) at one and two threads and compares the verification printout
-// with the one recorded in testdata/bitidentity.golden.
+// TestPortableLanesReproduceGolden runs SP.S on the portable path
+// (simd.AVX cleared) at one and two threads and compares the
+// verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/bitidentity.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rest, ok := strings.Cut(string(data), "== SP.S\n")
-	if !ok {
-		t.Fatal("no SP.S block in the golden file")
-	}
-	want, _, _ := strings.Cut(rest, "\n== ")
-	want += "\n"
-
-	laneModes(t)
-	useAVX = false
-	for _, threads := range []int{1, 2} {
+	rowcheck.Golden(t, "SP", func(threads int) string {
 		b, err := New('S', threads, kernel.Env{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := b.RunResult().Verify.String(); got != want {
-			t.Errorf("SP.S at %d threads on the portable lane path:\n%s\nrecorded:\n%s", threads, got, want)
-		}
-	}
+		return b.RunResult().Verify.String()
+	})
 }

@@ -14,7 +14,6 @@ package timer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,22 +66,6 @@ func (s *Set) unlock() {
 	if s.locked {
 		s.mu.Unlock()
 	}
-}
-
-// Clear zeroes the accumulated time and lap counts of every timer.
-func (s *Set) Clear() {
-	s.lock()
-	defer s.unlock()
-	for k := range s.elapsed {
-		delete(s.elapsed, k)
-	}
-	for k := range s.started {
-		delete(s.started, k)
-	}
-	for k := range s.laps {
-		delete(s.laps, k)
-	}
-	s.order = s.order[:0]
 }
 
 // Start begins (or resumes) the named timer. Starting an already-running
@@ -182,16 +165,4 @@ func (s *Set) String() string {
 		fmt.Fprintf(&b, "%-*s %12.6f s  (%d laps)\n", width, n, s.elapsed[n].Seconds(), s.laps[n])
 	}
 	return b.String()
-}
-
-// SortedByElapsed returns timer names ordered by decreasing accumulated
-// time — the "top phases" view used when profiling a benchmark.
-func (s *Set) SortedByElapsed() []string {
-	s.lock()
-	defer s.unlock()
-	names := s.namesLocked()
-	sort.SliceStable(names, func(i, j int) bool {
-		return s.elapsed[names[i]] > s.elapsed[names[j]]
-	})
-	return names
 }

@@ -59,29 +59,6 @@ func TestNamesInFirstStartOrder(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	s := NewSet()
-	s.Start("a")
-	s.Stop("a")
-	s.Clear()
-	if len(s.Names()) != 0 || s.Elapsed("a") != 0 {
-		t.Fatalf("Clear did not reset: names=%v elapsed=%v", s.Names(), s.Elapsed("a"))
-	}
-}
-
-func TestSortedByElapsed(t *testing.T) {
-	s := NewSet()
-	s.Start("short")
-	s.Stop("short")
-	s.Start("long")
-	time.Sleep(3 * time.Millisecond)
-	s.Stop("long")
-	got := s.SortedByElapsed()
-	if got[0] != "long" {
-		t.Fatalf("SortedByElapsed = %v, want long first", got)
-	}
-}
-
 func TestStringContainsNames(t *testing.T) {
 	s := NewSet()
 	s.Start("total")
@@ -151,7 +128,6 @@ func TestConcurrentSetRaceClean(t *testing.T) {
 			}
 			_ = s.Names()
 			_ = s.Phases()
-			_ = s.SortedByElapsed()
 			_ = s.String()
 		}(w)
 	}
