@@ -20,8 +20,9 @@ vet:
 
 # Allocation gate: steady-state allocations per benchmark iteration of
 # every internal/suite row at class S under every loop schedule, with no
-# instrument and with all of them (probe, tracer, software counter
-# sampler where the host allows it, concurrent timers), and at class W
+# instrument and with all of them (probe, tracer under a running Go
+# execution tracer, software counter sampler where the host allows it,
+# concurrent timers), and at class W
 # under the static schedule, measured with testing.AllocsPerRun and
 # asserted against the one checked-in allocgate.Budget (zero). The
 # class-W gates run full-size iterations; drop them with GOFLAGS=-short.
@@ -84,11 +85,13 @@ INSTDIR ?= instruments
 suite-obs:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument obs -instrument-dir $(INSTDIR) -bench-json $(INSTDIR)/
 
-# Suite sweep with the execution tracer on: one Chrome/Perfetto trace
-# file per cell in $(INSTDIR). Open any of them at ui.perfetto.dev (or
-# chrome://tracing); make instrument-check validates them.
+# Suite sweep with the execution tracer on: one Go execution trace per
+# cell in $(INSTDIR), <BENCH>.<class>.<cell>.trace. Open any of them with
+# go tool trace; npbperf trace summary prints each worker's busy and
+# wait time, and make instrument-check validates them.
 suite-trace:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -instrument trace -instrument-dir $(INSTDIR)
+	$(GO) run ./cmd/npbperf trace validate $(INSTDIR)/*.trace
 
 # Machine-readable sweep record: one stamped BENCH_<stamp>.json per
 # sweep accumulates under $(RESULTS), each cell appended as it finishes
@@ -113,7 +116,9 @@ schedule-check:
 
 # Instrument smoke: one IS+CG+LU class-S sweep with every instrument
 # on, then each instrument's own check.
-#   - trace: every Perfetto file validates (paired, nested, monotonic).
+#   - trace: every execution trace validates through go tool trace
+#     -d=parsed (spans paired and nested, times monotonic per
+#     goroutine, every annotation inside the run's task).
 #   - counters: npbperf counters -require finds, in every cell, populated
 #     counter fields or an explicit "unavailable (<reason>)" note, never
 #     silent zeros — so it passes on PMU-backed hosts and in PMU-less
@@ -126,7 +131,7 @@ schedule-check:
 PROFILE_MINATTR ?= 80
 instrument-check:
 	$(GO) run ./cmd/npbsuite -class S -threads 2 -bench IS,CG,LU -instrument obs,counters,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
-	$(GO) run ./cmd/npbtrace validate $(INSTDIR)/all/*.trace.json
+	$(GO) run ./cmd/npbperf trace validate $(INSTDIR)/all/*.trace
 	$(GO) run ./cmd/npbperf counters -require $(INSTDIR)/all.json
 	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -instrument profile -instrument-dir $(INSTDIR)/w -bench-json $(INSTDIR)/w.json
 	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) $(INSTDIR)/w.json

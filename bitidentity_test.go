@@ -119,7 +119,9 @@ func printout(t *testing.T, b npbgo.Benchmark, class byte, threads int, sched st
 				defer func() { pc.Unbind(0); pc.Close() }()
 			}
 			env.Timers = timer.NewConcurrentSet()
-			env.Probe = team.NewProbe(threads, trace.New(threads), pc)
+			tr := trace.New(context.Background(), "EP", threads)
+			defer tr.Stop()
+			env.Probe = team.NewProbe(threads, tr, pc)
 		}
 		e, err := ep.New(class, threads, env)
 		if err != nil {

@@ -1,13 +1,15 @@
-// Command npbperf explains the bench records written by npbsuite
-// -bench-json (schema npbgo/bench/v2), one record at a time: the
+// Command npbperf explains what npbsuite writes, one file at a time:
+// in the bench records of -bench-json (schema npbgo/bench/v2), the
 // paper's §5 scalability diagnostics, the hardware-counter view and the
-// hot functions of each cell. It does not judge one record against
-// another; the repository's benchmark/ runner is the one judge of
-// speed.
+// hot functions of each cell; in the execution traces of -instrument
+// trace, their check and per-worker summary. It does not judge one
+// record against another; the repository's benchmark/ runner is the
+// one judge of speed.
 //
 //	npbperf scaling  [-json] [-imbalance 1.5] [-barrier-share 0.2] [-small-work 0.001] [-ipc-drop 0.15] [-miss-rise 0.25] [-fail-on list] record.json...
 //	npbperf counters [-json] [-require] record.json...
 //	npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
+//	npbperf trace    validate|summary file.trace...
 //
 // scaling prints speedup, efficiency and the Karp–Flatt serial
 // fraction per (benchmark, class) thread curve, plus rule-based
@@ -40,9 +42,18 @@
 // pprof cannot read (a truncated or damaged file) renders as an
 // explicit "undecodable:" note with pprof's reason, never silently.
 //
-// All subcommands take -json for machine-readable output. Exit codes:
-// 0 clean, 1 a gate tripped (scaling with -fail-on, counters with
-// -require, hotspots with -min-attr/-require), 2 usage or input error.
+// trace reads each trace with the toolchain's `go tool trace
+// -d=parsed` (internal/trace; `go` must be on PATH). validate checks
+// that spans pair and nest on every goroutine, that no goroutine's clock
+// goes back and that every annotation belongs to a task begun in the
+// trace, and prints one line per valid file; summary prints each file's
+// per-track busy and wait time. A file that fails exits 1, naming it:
+// this is how CI gates the trace pipeline.
+//
+// scaling, counters and hotspots take -json for machine-readable
+// output. Exit codes: 0 clean, 1 a gate tripped (scaling with -fail-on,
+// counters with -require, hotspots with -min-attr/-require, a trace
+// that fails), 2 usage or input error.
 package main
 
 import (
@@ -55,6 +66,7 @@ import (
 
 	"npbgo/internal/perfstat"
 	"npbgo/internal/report"
+	"npbgo/internal/trace"
 )
 
 func main() {
@@ -74,6 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runCounters(args[1:], stdout, stderr)
 	case "hotspots":
 		return runHotspots(args[1:], stdout, stderr)
+	case "trace":
+		return runTrace(args[1:], stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "npbperf: unknown subcommand %q\n", args[0])
 		usage(stderr)
@@ -86,7 +100,29 @@ func usage(w io.Writer) {
   npbperf scaling  [-json] [-imbalance r] [-barrier-share s] [-small-work sec] [-ipc-drop f] [-miss-rise f] [-fail-on list] record.json...
   npbperf counters [-json] [-require] record.json...
   npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
+  npbperf trace    validate|summary file.trace...
 `)
+}
+
+// runTrace validates or summarizes each execution trace it is given.
+func runTrace(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 2 || args[0] != "validate" && args[0] != "summary" {
+		usage(stderr)
+		return 2
+	}
+	for _, path := range args[1:] {
+		f, err := trace.Read(path)
+		if err != nil {
+			fmt.Fprintf(stderr, "npbperf: %s: %v\n", path, err)
+			return 1
+		}
+		if args[0] == "validate" {
+			fmt.Fprintf(stdout, "ok %s: %d annotations, %d tracks, %d tasks\n", path, f.Events, len(f.Tracks), len(f.Tasks))
+		} else {
+			fmt.Fprintf(stdout, "%s:\n%s\n", path, f)
+		}
+	}
+	return 0
 }
 
 // readRecords loads every bench record of every named file.

@@ -31,19 +31,20 @@
 // (restrictive perf_event_paranoid, no PMU in the VM or container,
 // non-Linux build) the cells run unsampled and each record carries an
 // explicit "counters: unavailable (<reason>)" note instead of silent
-// zeros. trace records per-worker event timelines (region blocks,
-// barrier arrive/release, LU pipeline waits) and writes one
-// Chrome/Perfetto file per cell, "<BENCH>.<class>.<cell>.trace.json",
-// for ui.perfetto.dev or `npbtrace validate`. profile captures a CPU
+// zeros. trace runs each cell under the Go execution tracer, annotated
+// with the run's regions, worker blocks, barrier and pipeline waits and
+// phases, and writes one trace per cell, "<BENCH>.<class>.<cell>.trace",
+// for `go tool trace` or `npbperf trace validate|summary`; under
+// -isolate the child writes it. profile captures a CPU
 // and a heap profile per cell, "<BENCH>.<class>.<cell>.cpu.pprof" and
 // ".heap.pprof", outside the timed region, recorded in the cell's
 // records and decoded by `npbperf hotspots`; under -isolate the child
 // captures and the parent collects the files, and a failing cell still
 // flushes its profile (a hard-killed child flushes nothing, and its
 // empty file is dropped rather than recorded as data). An unknown
-// instrument name exits 2. Under -isolate the obs and trace
-// instruments exit 2 too: a child's runtime metrics and timeline do not
-// cross the process boundary (counters and profiles do).
+// instrument name exits 2. Under -isolate the obs instrument exits 2
+// too: a child's runtime metrics do not cross the process boundary
+// (counters cross in its result; profiles and traces are files).
 //
 // -bench-json <path> records the sweep (schema npbgo/bench/v2, JSON
 // Lines): a header with the plan and the host's environment, then one
@@ -338,15 +339,14 @@ func parseInstruments(list string) (map[string]bool, error) {
 	return on, nil
 }
 
-// checkIsolate refuses the instruments whose data cannot cross the
-// -isolate process boundary: a child's obs snapshot and trace timeline
-// do not travel back in its result, so the cells would silently carry
-// neither. Counters and profiles do cross.
+// checkIsolate refuses the instrument whose data cannot cross the
+// -isolate process boundary: a child's obs snapshot does not travel
+// back in its result, so the cells would silently carry none. Counters
+// cross in the result, and profiles and traces are files the child
+// writes.
 func checkIsolate(isolate bool, on map[string]bool) error {
-	for _, name := range []string{"obs", "trace"} {
-		if isolate && on[name] {
-			return fmt.Errorf("-isolate drops the %s instrument (a child's %s data does not cross the process boundary); only counters and profile work under -isolate", name, name)
-		}
+	if isolate && on["obs"] {
+		return fmt.Errorf("-isolate drops the obs instrument (a child's obs data does not cross the process boundary); counters, trace and profile work under -isolate")
 	}
 	return nil
 }

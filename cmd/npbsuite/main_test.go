@@ -30,9 +30,10 @@ func TestParseClass(t *testing.T) {
 	}
 }
 
-// TestCheckIsolate: -isolate refuses the instruments whose data a child
-// process cannot hand back (obs, trace) and keeps those that cross the
-// boundary (counters, profile); without -isolate every instrument runs.
+// TestCheckIsolate: -isolate refuses the instrument whose data a child
+// process cannot hand back (obs) and keeps those that cross the
+// boundary (counters, profile, trace); without -isolate every
+// instrument runs.
 func TestCheckIsolate(t *testing.T) {
 	for _, c := range []struct {
 		isolate bool
@@ -42,9 +43,10 @@ func TestCheckIsolate(t *testing.T) {
 		{true, "", true},
 		{true, "counters,profile", true},
 		{true, "obs", false},
-		{true, "trace", false},
+		{true, "trace", true},
 		{true, "counters,obs", false},
-		{true, "profile,trace", false},
+		{true, "profile,trace", true},
+		{true, "obs,trace", false},
 		{false, "obs,counters,trace,profile", true},
 	} {
 		on, err := parseInstruments(c.list)

@@ -7,9 +7,10 @@
 //
 // The gate measures the configurations users run: at class S, every
 // loop schedule with no instrument and with every instrument a run can
-// attach (a probe with a tracer and, where the host allows software
-// perf events, a counter sampler, plus concurrent phase timers); at
-// class W, the static schedule with no instrument.
+// attach (a probe with a tracer, under a running Go execution tracer,
+// and, where the host allows software perf events, a counter sampler,
+// plus concurrent phase timers); at class W, the static schedule with
+// no instrument.
 //
 // Each measurement builds a benchmark with the key's Env, opens its
 // team through Env.Team as a run does, runs a few warm-up iterations so
@@ -22,7 +23,10 @@
 package allocgate
 
 import (
+	"context"
 	"fmt"
+	"io"
+	rt "runtime/trace"
 	"strings"
 	"testing"
 
@@ -95,7 +99,15 @@ func Keys() []Key {
 // then returns the average allocations per Iter over runs measured
 // iterations (via testing.AllocsPerRun, which pins GOMAXPROCS to 1 for
 // the measurement). An instrumented key carries a counter sampler only
-// where perfcount.NewSoftware succeeds.
+// where perfcount.NewSoftware succeeds. Its tracer annotates a runtime
+// tracer started here, so every annotation really is recorded; the
+// trace goes to io.Discard, because AllocsPerRun counts every
+// goroutine's mallocs, the trace writer's included. Where the runtime
+// itself heap-allocates while tracing (tracerAllocates: the stack
+// frames of every trace generation it flushes, runtime.makeTraceFrames,
+// hundreds of mallocs a second under -race and on 386), the key
+// attaches no tracer: no annotation causes those mallocs, and the gate
+// could not tell them apart.
 func Measure(k Key, warm, runs int) (float64, error) {
 	row, ok := suite.Lookup(strings.ToUpper(k.Bench))
 	if !ok {
@@ -110,7 +122,15 @@ func Measure(k Key, warm, runs int) (float64, error) {
 			pc.Bind(0)
 			defer func() { pc.Unbind(0); pc.Close() }()
 		}
-		env.Probe = team.NewProbe(Threads, trace.New(Threads), pc)
+		var tr *trace.Tracer
+		if !tracerAllocates {
+			if rt.Start(io.Discard) == nil {
+				defer rt.Stop()
+			}
+			tr = trace.New(context.Background(), k.String(), Threads)
+			defer tr.Stop()
+		}
+		env.Probe = team.NewProbe(Threads, tr, pc)
 	}
 	b, err := row.New(k.Class, Threads, env)
 	if err != nil {

@@ -142,7 +142,7 @@ func isolationForTest(t *testing.T) *Isolation {
 func TestIsolatedCellHappyPath(t *testing.T) {
 	res, _, err := runIsolated(context.Background(),
 		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1},
-		0, isolationForTest(t), "", "")
+		0, isolationForTest(t), "", "", "")
 	if err != nil {
 		t.Fatalf("isolated cell failed: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestIsolatedTimeoutKilled(t *testing.T) {
 	start := time.Now()
 	_, _, err := runIsolated(context.Background(),
 		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1},
-		300*time.Millisecond, iso, "", "")
+		300*time.Millisecond, iso, "", "", "")
 	var ke *KilledError
 	if !asKilled(err, &ke) || ke.Reason != "timeout-killed" {
 		t.Fatalf("err = %v, want KilledError(timeout-killed)", err)
@@ -185,7 +185,7 @@ func TestIsolatedOOMKilled(t *testing.T) {
 	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
 		Count: -1, Sleep: 30 * time.Second}}
 	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "")
+		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
 	var ke *KilledError
 	if !asKilled(err, &ke) || ke.Reason != "oom-killed" {
 		t.Fatalf("err = %v, want KilledError(oom-killed)", err)
@@ -208,7 +208,7 @@ func TestIsolatedCancelKillsChild(t *testing.T) {
 	}()
 	start := time.Now()
 	_, _, err := runIsolated(ctx,
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "")
+		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
 	var ke *KilledError
 	if !asKilled(err, &ke) || ke.Reason != "cancelled" {
 		t.Fatalf("err = %v, want KilledError(cancelled)", err)
@@ -224,7 +224,7 @@ func TestIsolatedCancelKillsChild(t *testing.T) {
 func TestIsolatedCellRunsItsSchedule(t *testing.T) {
 	_, _, err := runIsolated(context.Background(),
 		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 2, Schedule: "nope"},
-		0, isolationForTest(t), "", "")
+		0, isolationForTest(t), "", "", "")
 	var re *npbgo.RunError
 	if !asRunError(err, &re) || re.Kind != npbgo.ErrConfig {
 		t.Fatalf("err = %v, want RunError(config)", err)
@@ -238,7 +238,7 @@ func TestIsolatedErrorRoundTrip(t *testing.T) {
 	iso := isolationForTest(t)
 	iso.FaultRules = []fault.Rule{{Site: "cg.verify", Kind: fault.KindCorrupt, Count: -1}}
 	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "")
+		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
 	var re *npbgo.RunError
 	if !asRunError(err, &re) || re.Kind != npbgo.ErrVerification {
 		t.Fatalf("err = %v, want RunError(verification)", err)

@@ -46,10 +46,10 @@ type Run struct {
 	// npbperf scaling takes each cell's median over it (Hoefler &
 	// Belli's first rule: do not report best-of-N alone).
 	Samples []time.Duration
-	Err     error           // non-nil marks a failed cell (after all retries)
-	Obs     *team.Stats     // runtime metrics of the kept repeat, nil unless Options.Obs
-	Phases  []timer.Phase   // phase profile of the kept repeat, nil unless the benchmark exposes timers
-	Trace   *trace.Snapshot // event timeline of the kept repeat, nil unless Options.TraceDir
+	Err     error         // non-nil marks a failed cell (after all retries)
+	Obs     *team.Stats   // runtime metrics of the kept repeat, nil unless Options.Obs
+	Phases  []timer.Phase // phase profile of the kept repeat, nil unless the benchmark exposes timers
+	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir, and under Isolate
 	// Counters is the hardware-counter attribution of the kept repeat,
 	// nil unless Options.Counters and counters were available;
 	// CountersNote records why it is nil when they were requested.
@@ -142,12 +142,15 @@ type Options struct {
 	// attempt's, which for a failed cell is the failing one.
 	ProfileDir string
 	// TraceDir, when non-empty, enables execution tracing
-	// (npbgo.Config.Trace) for every cell and writes each cell's
-	// timeline into the directory as Chrome/Perfetto JSON —
-	// "<BENCH>.<class>.t<N>.trace.json", with the serial baseline named
-	// "serial" — ready for ui.perfetto.dev. The directory is created if
-	// missing. A failed cell still writes its partial timeline; that
-	// trace is the post-mortem.
+	// (npbgo.Config.Trace) for every cell and writes each cell's Go
+	// execution trace into the directory as
+	// "<BENCH>.<class>.<cell>.trace" (serial baseline named "serial",
+	// like profiles), for `go tool trace` and `npbperf trace`. The
+	// directory is created if missing. Under Isolate the child writes
+	// the file. A failed cell still writes its partial trace, the
+	// post-mortem; repeats and retries overwrite in place, as profiles
+	// do. A run that only annotated a tracer already running writes no
+	// file.
 	TraceDir string
 
 	// Context, when non-nil, bounds the whole sweep: cancelling it stops
@@ -205,11 +208,6 @@ func runSweep(bench npbgo.Benchmark, class byte, threads []int, opt Options, rec
 		}
 		r := runCell(ctx, bench, class, th, opt)
 		sw.Runs = append(sw.Runs, r)
-		if opt.TraceDir != "" && r.Trace != nil {
-			if err := writeTrace(opt.TraceDir, bench, class, r); err != nil {
-				errs = append(errs, fmt.Errorf("%s.%c trace: %w", bench, class, err))
-			}
-		}
 		// The cell's line lands, fsync'd, before anything renders
 		// FAIL(...) or the next cell starts: the partial record of a dying
 		// cell is its post-mortem. A cell the sweep's cancellation (^C,
@@ -414,9 +412,13 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 			err = fmt.Errorf("harness: cell panicked: %v", v)
 		}
 	}()
+	tracePath := ""
+	if opt.TraceDir != "" {
+		tracePath = filepath.Join(opt.TraceDir, label+".trace")
+	}
 	if opt.Isolate != nil {
 		fault.Maybe("harness.cell")
-		return runIsolated(ctx, cfg, opt.Timeout, opt.Isolate, opt.ProfileDir, label)
+		return runIsolated(ctx, cfg, opt.Timeout, opt.Isolate, opt.ProfileDir, label, tracePath)
 	}
 	if opt.ProfileDir != "" {
 		cap, perr := profile.Start(opt.ProfileDir, label)
@@ -436,11 +438,14 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 		defer cancel()
 	}
 	res, err = npbgo.RunContext(ctx, cfg)
+	if werr := writeTrace(tracePath, res.Trace); werr != nil && err == nil {
+		err = werr
+	}
 	return res, nil, err
 }
 
-// cellName is the short per-cell tag used in trace filenames and
-// labels: "t<N>", or "serial" for the baseline column.
+// cellName is the short per-cell tag used in file names and labels:
+// "t<N>", or "serial" for the baseline column.
 func cellName(threads int) string {
 	if threads == 0 {
 		return "serial"
@@ -448,22 +453,20 @@ func cellName(threads int) string {
 	return fmt.Sprintf("t%d", threads)
 }
 
-// writeTrace exports one cell's event timeline as a Chrome/Perfetto
-// trace file into dir.
-func writeTrace(dir string, bench npbgo.Benchmark, class byte, r Run) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// writeTrace writes a run's execution trace to path, creating its
+// directory. No path, or a run without a trace of its own, writes
+// nothing.
+func writeTrace(path string, tr *trace.Tracer) error {
+	if path == "" || tr == nil || tr.Data == nil {
+		return nil
 	}
-	cell := cellName(r.Threads)
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s.%c.%s.trace.json", bench, class, cell)))
-	if err != nil {
-		return err
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("harness: trace: %w", err)
 	}
-	werr := r.Trace.WriteChrome(f, fmt.Sprintf("%s.%c %s", bench, class, cell))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
+	if err := os.WriteFile(path, tr.Data, 0o644); err != nil {
+		return fmt.Errorf("harness: trace: %w", err)
 	}
-	return werr
+	return nil
 }
 
 // failReason compresses a cell error into the short tag rendered inside

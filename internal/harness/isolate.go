@@ -68,6 +68,9 @@ type CellSpec struct {
 	// unflushed, zero-byte file is filtered out on collection).
 	ProfileDir   string `json:"profile_dir,omitempty"`
 	ProfileLabel string `json:"profile_label,omitempty"`
+	// TracePath makes the child trace its run and write the execution
+	// trace there, as it writes its profiles.
+	TracePath string `json:"trace_path,omitempty"`
 }
 
 // CellResult is the child-to-parent payload, printed as one JSON object
@@ -113,6 +116,7 @@ func RunCellMain(specJSON string, out io.Writer) int {
 		Schedule:  spec.Schedule,
 		Obs:       spec.Obs,
 		Counters:  spec.Counters,
+		Trace:     spec.TracePath != "",
 	}
 	var cap *profile.Capture
 	if spec.ProfileDir != "" {
@@ -131,6 +135,9 @@ func RunCellMain(specJSON string, out io.Writer) int {
 	res, err := npbgo.Run(cfg)
 	if serr := cap.Stop(); serr != nil && err == nil {
 		err = serr
+	}
+	if werr := writeTrace(spec.TracePath, res.Trace); werr != nil && err == nil {
+		err = werr
 	}
 	env := report.CollectEnv()
 	cr := CellResult{
@@ -167,11 +174,11 @@ func classByte(s string) byte {
 // runIsolated executes one cell as a watched child process. timeout is
 // the hard per-attempt deadline (0 = unbounded); the context cancels
 // the child too (sweep-level cancellation). profileDir/label, when set,
-// make the child capture its own profiles. The returned EnvInfo is the
-// child's environment when it differs from this process's, nil when
-// identical (the common case — same binary, same host) or when the
-// child died before reporting.
-func runIsolated(ctx context.Context, cfg npbgo.Config, timeout time.Duration, iso *Isolation, profileDir, label string) (npbgo.Result, *report.EnvInfo, error) {
+// make the child capture its own profiles, and tracePath its execution
+// trace. The returned EnvInfo is the child's environment when it
+// differs from this process's, nil when identical (the common case —
+// same binary, same host) or when the child died before reporting.
+func runIsolated(ctx context.Context, cfg npbgo.Config, timeout time.Duration, iso *Isolation, profileDir, label, tracePath string) (npbgo.Result, *report.EnvInfo, error) {
 	res := npbgo.Result{Benchmark: cfg.Benchmark, Class: cfg.Class, Threads: cfg.Threads}
 	if len(iso.Cmd) == 0 {
 		return res, nil, errors.New("harness: Isolation.Cmd is empty")
@@ -180,7 +187,7 @@ func runIsolated(ctx context.Context, cfg npbgo.Config, timeout time.Duration, i
 		Benchmark: string(cfg.Benchmark), Class: string(cfg.Class),
 		Threads: cfg.Threads, Warmup: cfg.Warmup, Schedule: cfg.Schedule, Obs: cfg.Obs,
 		Counters: cfg.Counters, FaultRules: iso.FaultRules,
-		ProfileDir: profileDir, ProfileLabel: label,
+		ProfileDir: profileDir, ProfileLabel: label, TracePath: tracePath,
 	}
 	payload, err := json.Marshal(spec)
 	if err != nil {

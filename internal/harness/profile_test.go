@@ -81,7 +81,7 @@ func TestIsolatedProfileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	res, env, err := runIsolated(context.Background(),
 		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1},
-		0, isolationForTest(t), dir, "CG.S.serial")
+		0, isolationForTest(t), dir, "CG.S.serial", "")
 	if err != nil {
 		t.Fatalf("isolated profiled cell failed: %v", err)
 	}

@@ -212,7 +212,7 @@ func TestOutOfRangeWorkerDropped(t *testing.T) {
 	p.addBusy(5, time.Second)  // dropped, no panic
 	p.addBusy(-1, time.Second) // dropped, no panic
 	p.addWait(9, time.Second)  // aggregate only
-	p.chunk(7, 0, 1)           // dropped, no panic
+	p.chunk(7, 1)              // dropped, no panic
 	s := p.Snapshot()
 	if s.Busy[0] != 0 || s.Busy[1] != 0 {
 		t.Fatalf("out-of-range busy leaked: %+v", s.Busy)

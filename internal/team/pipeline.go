@@ -1,5 +1,7 @@
 package team
 
+import "npbgo/internal/trace"
+
 // Pipeline provides the point-to-point ordering used by LU's parallel
 // SSOR sweeps. The lower/upper triangular solves carry a dependence along
 // one grid dimension, so the OpenMP NPB (and the paper's Java port)
@@ -81,10 +83,10 @@ func (p *Pipeline) recv(id int, g *gate, used *uint64) {
 
 // send posts worker id's next token on its gate g.
 func (p *Pipeline) send(id int, g *gate) {
-	tok := g.v.Add(1)
+	g.v.Add(1)
 	p.l.release(g)
-	if pr := p.probe; pr != nil && pr.tr != nil {
-		pr.tr.PipeSignal(id, tok)
+	if pr := p.probe; pr != nil {
+		pr.tr.Log(id, trace.Post, "")
 	}
 }
 

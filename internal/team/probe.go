@@ -16,8 +16,8 @@ import (
 // the three reach the runtime as one value. A probe always keeps the
 // per-worker metrics — busy time, barrier wait, loop chunks and steals —
 // and the region, cancellation, panic and join totals; it also
-// forwards to an execution tracer and a hardware-counter sampler when
-// it was given them.
+// annotates the run for the Go execution tracer and samples hardware
+// counters when it was given a tracer and a sampler.
 //
 // A team attaches one with WithProbe. Each hook site in the runtime
 // tests the team's probe pointer once, so a team without a probe pays
@@ -33,9 +33,6 @@ type Probe struct {
 	barrierWaits  atomic.Uint64 // waits that actually blocked
 	barrierWaitNs atomic.Int64  // aggregate, including unattributed waits
 	joinNs        atomic.Int64  // master time draining the region join
-	// seq numbers parallel regions for trace correlation; it only
-	// advances while a tracer is attached.
-	seq atomic.Uint64
 
 	tr *trace.Tracer
 	pc *perfcount.Sampler
@@ -54,11 +51,11 @@ type probeSlot struct {
 
 // NewProbe creates the probe for a team of the given size (>= 1). tr
 // and pc are optional and, when given, should be sized for the same
-// team: the tracer records region, block, barrier, pipeline, chunk and
-// phase events on per-worker rings, and the sampler's perf event groups
-// are bound by the team's workers (slots 1..n-1; slot 0, the master, is
-// bound by the run driver that owns the calling goroutine) and read at
-// every region entry and exit.
+// team: the tracer annotates regions, blocks, barrier and pipeline
+// waits, chunks and phases (internal/trace), and the sampler's perf
+// event groups are bound by the team's workers (slots 1..n-1; slot 0,
+// the master, is bound by the run driver that owns the calling
+// goroutine) and read at every region entry and exit.
 func NewProbe(workers int, tr *trace.Tracer, pc *perfcount.Sampler) *Probe {
 	if workers < 1 {
 		workers = 1
@@ -72,49 +69,16 @@ func WithProbe(p *Probe) Option {
 	return func(t *Team) { t.probe = p }
 }
 
-// BeginPhase opens a named master-side phase span on the probe's
-// tracer, if it has one.
-func (p *Probe) BeginPhase(name string) {
-	if p.tr != nil {
-		p.tr.BeginPhase(name)
-	}
-}
+// BeginPhase opens a named phase span on the master's trace track, if
+// the probe has a tracer.
+func (p *Probe) BeginPhase(name string) { p.tr.Log(0, name, trace.Begin) }
 
 // EndPhase closes the phase span BeginPhase opened.
-func (p *Probe) EndPhase(name string) {
-	if p.tr != nil {
-		p.tr.EndPhase(name)
-	}
-}
-
-// regionBegin counts one parallel region and, when tracing, opens its
-// span (and a runtime/trace region, so `go tool trace` shows the team's
-// fork-join structure next to the scheduler view). regionEnd takes what
-// it returns.
-func (p *Probe) regionBegin() (seq uint64, end func()) {
-	p.regions.Add(1)
-	if p.tr == nil {
-		return 0, nil
-	}
-	seq = p.seq.Add(1)
-	end = trace.StartRegion("team.region")
-	p.tr.RegionBegin(seq)
-	return seq, end
-}
-
-func (p *Probe) regionEnd(seq uint64, end func()) {
-	if p.tr != nil {
-		p.tr.RegionEnd(seq)
-		end()
-	}
-}
+func (p *Probe) EndPhase(name string) { p.tr.Log(0, name, trace.End) }
 
 // blockBegin opens worker id's share of the current region and returns
 // the start time blockEnd charges from.
 func (p *Probe) blockBegin(id int) time.Time {
-	if p.tr != nil {
-		p.tr.BlockBegin(id, p.seq.Load())
-	}
 	start := time.Now()
 	if p.pc != nil {
 		p.pc.RegionStart(id)
@@ -123,50 +87,39 @@ func (p *Probe) blockBegin(id int) time.Time {
 }
 
 // blockEnd closes what blockBegin opened, in reverse order: counter
-// deltas, then busy time, then the trace block. The master cannot start
-// the next region before this worker has finished, so seq still names
-// the region the block began in.
+// deltas, then busy time.
 func (p *Probe) blockEnd(id int, start time.Time) {
 	if p.pc != nil {
 		p.pc.RegionEnd(id)
 	}
 	p.addBusy(id, time.Since(start))
-	if p.tr != nil {
-		p.tr.BlockEnd(id, p.seq.Load())
-	}
 }
 
 // panicked counts one panicking worker.
 func (p *Probe) panicked(id int) {
 	p.panics.Add(1)
-	if p.tr != nil {
-		p.tr.Panic(id)
-	}
+	p.tr.Log(id, trace.Panic, "")
 }
 
 // cancelled counts the team's (first) cancellation.
 func (p *Probe) cancelled(reason error) {
 	p.cancellations.Add(1)
-	if p.tr != nil {
-		p.tr.Cancel(reason.Error())
-	}
+	p.tr.Log(-1, trace.Cancel, reason.Error())
 }
 
 // chunk counts one loop chunk claimed by worker id under a non-static
 // schedule; victim >= 0 marks it as taken from that worker's deque.
-func (p *Probe) chunk(id, c, victim int) {
+func (p *Probe) chunk(id, victim int) {
 	if id >= 0 && id < len(p.workers) {
 		p.workers[id].chunks.Add(1)
 		if victim >= 0 {
 			p.workers[id].steals.Add(1)
 		}
 	}
-	if p.tr != nil {
-		if victim >= 0 {
-			p.tr.Steal(id, uint64(victim))
-		} else {
-			p.tr.Chunk(id, uint64(c))
-		}
+	if victim >= 0 {
+		p.tr.Log(id, trace.Steal, p.tr.ID(victim))
+	} else {
+		p.tr.Log(id, trace.Chunk, "")
 	}
 }
 
@@ -180,60 +133,31 @@ func (p *Probe) wait(l *lot, g *gate, v uint64, id int) bool {
 }
 
 // await is the counting barrier of Team.await with the probe charged.
-// When tracing an attributed wait, arrivals and their events happen
-// under tripMu, so they are totally ordered: the latest arrive timestamp
-// of a generation really is the worker whose arrival tripped the
-// barrier, and its release precedes everyone else's — what the
-// exporter's flow linking relies on. A worker unwound by poisoning still
-// emits its release, so arrive spans always close. The last arriver
-// records no wait.
+// An attributed wait is a Barrier span on the worker's trace track,
+// from arrival to release; a worker unwound by poisoning still closes
+// it, and the last arriver's span holds no wait. An unattributed wait
+// has no worker track to land on.
 func (p *Probe) await(t *Team, id int) {
-	tr := p.tr
-	if id < 0 {
-		tr = nil // an unattributed wait has no worker timeline to land on
-	}
-	if tr != nil {
-		t.tripMu.Lock()
+	if id >= 0 {
+		p.tr.Log(id, trace.Barrier, trace.Begin)
+		defer p.tr.Log(id, trace.Barrier, trace.End)
 	}
 	gen := t.trip.v.Load()
-	if tr != nil {
-		tr.BarrierArrive(id, gen)
-	}
-	last := t.arrived.Add(1) == int32(t.n)
-	if last {
+	if t.arrived.Add(1) == int32(t.n) {
 		t.arrived.Store(0)
-		if tr != nil {
-			tr.BarrierRelease(id, gen)
-		}
 		t.trip.v.Add(1)
-	}
-	if tr != nil {
-		t.tripMu.Unlock()
-	}
-	if last {
 		t.lot.release(&t.trip)
-		return
-	}
-	ok := p.wait(&t.lot, &t.trip, gen+1, id)
-	if tr != nil {
-		tr.BarrierRelease(id, gen)
-	}
-	if !ok {
+	} else if !p.wait(&t.lot, &t.trip, gen+1, id) {
 		panic(regionAbort{})
 	}
 }
 
 // pipeWait is a pipeline token wait that found no token ready: charged
-// as wait time, and a span on the worker's trace timeline.
+// as wait time, and a Pipeline span on the worker's trace track.
 func (p *Probe) pipeWait(l *lot, g *gate, tok uint64, id int) bool {
-	if p.tr != nil {
-		p.tr.PipeWaitBegin(id, tok)
-	}
-	ok := p.wait(l, g, tok, id)
-	if p.tr != nil {
-		p.tr.PipeWaitEnd(id, tok)
-	}
-	return ok
+	p.tr.Log(id, trace.Pipeline, trace.Begin)
+	defer p.tr.Log(id, trace.Pipeline, trace.End)
+	return p.wait(l, g, tok, id)
 }
 
 // addBusy charges d of region-body time to worker id. Out-of-range ids

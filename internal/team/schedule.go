@@ -261,7 +261,7 @@ func (it *Iter) Next() bool {
 		victim = -1
 	}
 	if p := it.t.probe; p != nil {
-		p.chunk(it.id, c, victim)
+		p.chunk(it.id, victim)
 	}
 	it.cur = c
 	it.Lo, it.Hi = it.chunkRange(c)

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"npbgo/internal/fault"
+	"npbgo/internal/trace"
 )
 
 // PanicError reports a panic captured on a team worker during a parallel
@@ -81,7 +82,6 @@ type Team struct {
 	joined  uint64
 	arrived atomic.Int32 // workers at the barrier in the current generation
 	trip    gate         // barrier generation: advanced by the last arriver
-	tripMu  sync.Mutex   // traced barriers only: arrival order = event order
 	partial []padded     // reduction scratch, one padded slot per worker
 	closed  atomic.Bool  // set once by Close; guarded by CAS so Close races with itself safely
 	exited  sync.WaitGroup
@@ -90,6 +90,11 @@ type Team struct {
 	// the default — every hook site is a single pointer check, so an
 	// uninstrumented team pays nothing measurable.
 	probe *Probe
+	// With a tracer on the probe, the region and each worker's share of
+	// it run as trace regions; their bodies are built once, in New.
+	tr       *trace.Tracer
+	dispatch func()   // t.forkJoin
+	blocks   []func() // blocks[id] runs t.runOne(id)
 	// The master writes inRegion and loopBase every region. A cache
 	// line of padding keeps them off the line of closed and probe, which
 	// every worker reads as a region starts: sharing it cost the dynamic
@@ -150,6 +155,15 @@ func New(n int, opts ...Option) *Team {
 		}
 	}
 	t.lot.init(n)
+	if t.probe != nil && t.probe.tr != nil {
+		t.tr = t.probe.tr
+		t.dispatch = t.forkJoin
+		t.blocks = make([]func(), n)
+		for id := range t.blocks {
+			t.blocks[id] = func() { t.runOne(id) }
+		}
+		t.tr.Log(0, trace.Worker, t.tr.ID(0)) // New runs on the master's goroutine
+	}
 	for id := 1; id < n; id++ {
 		t.exited.Add(1)
 		go t.worker(id)
@@ -167,26 +181,39 @@ func (t *Team) worker(id int) {
 		p.pc.Bind(id)
 		defer p.pc.Unbind(id)
 	}
+	if t.tr != nil {
+		t.tr.Log(id, trace.Worker, t.tr.ID(id))
+	}
 	for region := uint64(1); ; region++ {
 		t.lot.wait(&t.fork, region, false)
 		if t.closed.Load() {
 			return
 		}
-		t.runOne(t.fn, id)
+		t.block(id)
 		t.done.v.Add(1)
 		t.lot.release(&t.done)
 	}
 }
 
-// runOne executes fn(id) with panic isolation: a real panic is recorded
-// as the region's failure (with the worker's stack) and poisons the
-// region so waiting siblings unwind; the regionAbort sentinel those
-// siblings throw is swallowed here.
-func (t *Team) runOne(fn func(int), id int) {
+// block runs worker id's share of the current region: runOne, inside a
+// trace.Block region when tracing.
+func (t *Team) block(id int) {
+	if t.blocks != nil {
+		t.tr.Region(id, trace.Block, t.blocks[id])
+	} else {
+		t.runOne(id)
+	}
+}
+
+// runOne executes t.fn(id) with panic isolation: a real panic is
+// recorded as the region's failure (with the worker's stack) and
+// poisons the region so waiting siblings unwind; the regionAbort
+// sentinel those siblings throw is swallowed here.
+func (t *Team) runOne(id int) {
+	fn := t.fn
 	if p := t.probe; p != nil {
 		// Registered before the recover defer, so it runs after it: a
-		// panicking worker's time and counter deltas are still charged,
-		// and its trace block still ends, with the panic instant inside.
+		// panicking worker's time and counter deltas are still charged.
 		start := p.blockBegin(id)
 		defer p.blockEnd(id, start)
 	}
@@ -325,25 +352,37 @@ func (t *Team) run(fn func(id int)) error {
 	if t.lot.halt.Load() {
 		return t.takeFailure()
 	}
-	if p := t.probe; p != nil {
-		seq, end := p.regionBegin()
-		defer p.regionEnd(seq, end)
+	if t.n > 1 {
+		if !t.inRegion.CompareAndSwap(false, true) {
+			// Starting a region from inside a region would overwrite the
+			// one in flight; fail loudly instead.
+			panic("team: nested parallel regions are not supported")
+		}
+		defer t.inRegion.Store(false)
 	}
-	if t.n == 1 {
-		t.runOne(fn, 0)
-		return t.takeFailure()
-	}
-	if !t.inRegion.CompareAndSwap(false, true) {
-		// Starting a region from inside a region would overwrite the one
-		// in flight; fail loudly instead.
-		panic("team: nested parallel regions are not supported")
-	}
-	defer t.inRegion.Store(false)
-	t.resetRegion()
 	t.fn = fn
+	if p := t.probe; p != nil {
+		p.regions.Add(1)
+	}
+	if t.dispatch != nil {
+		t.tr.Region(0, trace.Region, t.dispatch)
+	} else {
+		t.forkJoin()
+	}
+	return t.takeFailure()
+}
+
+// forkJoin runs the region t.fn on every worker, the master as worker
+// 0, and waits for the others to finish.
+func (t *Team) forkJoin() {
+	if t.n == 1 {
+		t.block(0)
+		return
+	}
+	t.resetRegion()
 	t.fork.v.Add(1)
 	t.lot.release(&t.fork)
-	t.runOne(fn, 0)
+	t.block(0)
 	t.joined += uint64(t.n - 1)
 	if p := t.probe; p != nil {
 		// Join wait: how long the slowest worker ran past the master —
@@ -354,7 +393,6 @@ func (t *Team) run(fn func(id int)) error {
 	} else {
 		t.lot.wait(&t.done, t.joined, false)
 	}
-	return t.takeFailure()
 }
 
 // resetRegion clears the previous region's failure state. The sticky

@@ -1,8 +1,13 @@
 package team
 
 import (
-	"bytes"
+	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	rt "runtime/trace"
 	"testing"
 	"time"
 
@@ -11,42 +16,62 @@ import (
 
 var errTestStop = errors.New("test stop")
 
-// withTracer attaches a probe that traces into tr.
-func withTracer(tr *trace.Tracer) Option { return WithProbe(NewProbe(tr.Workers(), tr, nil)) }
-
-// kindCount tallies one track's events by kind.
-func kindCount(tk trace.Track) map[trace.Kind]int {
-	m := map[trace.Kind]int{}
-	for _, e := range tk.Events {
-		m[e.Kind]++
+// traced runs play on a team of n workers whose probe has a tracer,
+// with the runtime tracer on, and returns what the reader finds in the
+// trace — which validates: spans paired and nested on every goroutine,
+// every annotation inside the run's task.
+func traced(t *testing.T, n int, play func(tm *Team)) *trace.File {
+	t.Helper()
+	tr := trace.New(context.Background(), "TEAM", n)
+	func() {
+		defer tr.Stop()
+		tm := New(n, WithProbe(NewProbe(n, tr, nil)))
+		defer tm.Close()
+		play(tm)
+	}()
+	if tr.Data == nil {
+		t.Skip("another execution tracer is running; the run only annotated it")
 	}
-	return m
+	path := filepath.Join(t.TempDir(), "team.trace")
+	if err := os.WriteFile(path, tr.Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
-// TestTracerRecordsRegionsAndBlocks: every region produces one paired
-// region span on the master track and one paired block span per worker,
-// on a size-1 team as on a dispatched one.
+// worker returns worker id's track.
+func worker(t *testing.T, f *trace.File, id int) trace.Track {
+	t.Helper()
+	for _, tk := range f.Tracks {
+		if tk.Worker == id {
+			return tk
+		}
+	}
+	t.Fatalf("no track for worker %d in %v", id, f)
+	return trace.Track{}
+}
+
+// TestTracerRecordsRegionsAndBlocks: every region is one Region span on
+// the master's track and one Block span per worker, on a size-1 team as
+// on a dispatched one.
 func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 	for _, n := range []int{1, 4} {
-		tr := trace.New(n)
-		tm := New(n, withTracer(tr))
-		tm.Run(func(id int) {})
-		forEach(tm, 0, 8, func(i int) {})
-		forBlock(tm, 0, 8, func(blo, bhi int) {})
-		_ = reduceSum(tm, 0, 8, func(blo, bhi int) float64 { return 1 })
-		tm.Close()
-
-		s := tr.Snapshot()
-		master := kindCount(s.Tracks[n])
-		if master[trace.KindRegionBegin] != 4 || master[trace.KindRegionEnd] != 4 {
-			t.Fatalf("n=%d: master region events = %d/%d, want 4/4",
-				n, master[trace.KindRegionBegin], master[trace.KindRegionEnd])
+		f := traced(t, n, func(tm *Team) {
+			tm.Run(func(id int) {})
+			forEach(tm, 0, 8, func(i int) {})
+			forBlock(tm, 0, 8, func(blo, bhi int) {})
+			_ = reduceSum(tm, 0, 8, func(blo, bhi int) float64 { return 1 })
+		})
+		if got := worker(t, f, 0).Spans[trace.Region]; got != 4 {
+			t.Fatalf("n=%d: master region spans = %d, want 4", n, got)
 		}
 		for id := 0; id < n; id++ {
-			w := kindCount(s.Tracks[id])
-			if w[trace.KindBlockBegin] != 4 || w[trace.KindBlockEnd] != 4 {
-				t.Fatalf("n=%d: worker %d block events = %d/%d, want 4/4",
-					n, id, w[trace.KindBlockBegin], w[trace.KindBlockEnd])
+			if got := worker(t, f, id).Spans[trace.Block]; got != 4 {
+				t.Fatalf("n=%d: worker %d block spans = %d, want 4", n, id, got)
 			}
 		}
 	}
@@ -56,63 +81,50 @@ func TestTracerRecordsRegionsAndBlocks(t *testing.T) {
 // same accounting as a dispatched one — one region counted, the body's
 // time charged to worker 0, and a region span enclosing one block span.
 func TestSizeOneRunAccounting(t *testing.T) {
-	tr := trace.New(1)
-	rec := NewProbe(1, tr, nil)
-	tm := New(1, WithProbe(rec))
-	tm.Run(func(id int) { time.Sleep(time.Millisecond) })
-	tm.Close()
-
-	st := rec.Snapshot()
+	var st *Stats
+	tr := trace.New(context.Background(), "TEAM", 1)
+	func() {
+		defer tr.Stop()
+		rec := NewProbe(1, tr, nil)
+		tm := New(1, WithProbe(rec))
+		defer tm.Close()
+		tm.Run(func(id int) { time.Sleep(time.Millisecond) })
+		st = rec.Snapshot()
+	}()
 	if st.Regions != 1 || st.Busy[0] < time.Millisecond {
 		t.Fatalf("regions = %d, busy = %v; want 1 region and >= 1ms busy", st.Regions, st.Busy[0])
 	}
-	s := tr.Snapshot()
-	worker, master := s.Tracks[0].Events, s.Tracks[1].Events
-	if len(master) != 2 || master[0].Kind != trace.KindRegionBegin || master[1].Kind != trace.KindRegionEnd {
-		t.Fatalf("master events = %+v, want one RegionBegin/RegionEnd pair", master)
+	if tr.Data == nil {
+		t.Skip("another execution tracer is running; the run only annotated it")
 	}
-	if len(worker) != 2 || worker[0].Kind != trace.KindBlockBegin || worker[1].Kind != trace.KindBlockEnd {
-		t.Fatalf("worker 0 events = %+v, want one BlockBegin/BlockEnd pair", worker)
+	path := filepath.Join(t.TempDir(), "team.trace")
+	if err := os.WriteFile(path, tr.Data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !(master[0].TS <= worker[0].TS && worker[0].TS <= worker[1].TS && worker[1].TS <= master[1].TS) {
-		t.Fatalf("block span %d..%d not inside region span %d..%d", worker[0].TS, worker[1].TS, master[0].TS, master[1].TS)
+	f, err := trace.Read(path)
+	if err != nil {
+		t.Fatal(err) // a block span not inside its region span fails here
+	}
+	if w := worker(t, f, 0); w.Spans[trace.Region] != 1 || w.Spans[trace.Block] != 1 || w.Busy < time.Millisecond {
+		t.Fatalf("worker 0 = %+v, want one region, one block of >= 1ms", w)
 	}
 }
 
-// TestTracerBarrierPairsShareGeneration: BarrierID emits one
-// arrive/release pair per worker per trip, and all workers of one trip
-// carry the same generation — the correlation the exporter's flow
-// arrows are built from.
+// TestTracerBarrierPairsShareGeneration: BarrierID is one Barrier span
+// per worker per trip, arrival to release, so every worker of a trip
+// records one, each on its own goroutine's track.
 func TestTracerBarrierPairsShareGeneration(t *testing.T) {
 	const n, trips = 3, 5
-	tr := trace.New(n)
-	tm := New(n, withTracer(tr))
-	defer tm.Close()
-	tm.Run(func(id int) {
-		for i := 0; i < trips; i++ {
-			tm.BarrierID(id)
-		}
-	})
-	s := tr.Snapshot()
-	gens := map[uint64]int{}
-	for id := 0; id < n; id++ {
-		w := kindCount(s.Tracks[id])
-		if w[trace.KindBarrierArrive] != trips || w[trace.KindBarrierRelease] != trips {
-			t.Fatalf("worker %d barrier events = %d/%d, want %d/%d",
-				id, w[trace.KindBarrierArrive], w[trace.KindBarrierRelease], trips, trips)
-		}
-		for _, e := range s.Tracks[id].Events {
-			if e.Kind == trace.KindBarrierArrive {
-				gens[e.ID]++
+	f := traced(t, n, func(tm *Team) {
+		tm.Run(func(id int) {
+			for i := 0; i < trips; i++ {
+				tm.BarrierID(id)
 			}
-		}
-	}
-	if len(gens) != trips {
-		t.Fatalf("saw %d distinct generations, want %d", len(gens), trips)
-	}
-	for gen, count := range gens {
-		if count != n {
-			t.Fatalf("generation %d has %d arrivals, want %d", gen, count, n)
+		})
+	})
+	for id := 0; id < n; id++ {
+		if got := worker(t, f, id).Spans[trace.Barrier]; got != trips {
+			t.Fatalf("worker %d barrier spans = %d, want %d", id, got, trips)
 		}
 	}
 }
@@ -121,125 +133,129 @@ func TestTracerBarrierPairsShareGeneration(t *testing.T) {
 // no worker identity to land events on, so it must stay silent rather
 // than corrupt a track.
 func TestTracerAnonymousBarrierNotTraced(t *testing.T) {
-	const n = 2
-	tr := trace.New(n)
-	tm := New(n, withTracer(tr))
-	defer tm.Close()
-	tm.Run(func(id int) { tm.Barrier() })
-	s := tr.Snapshot()
-	for _, tk := range s.Tracks {
-		kc := kindCount(tk)
-		if kc[trace.KindBarrierArrive] != 0 || kc[trace.KindBarrierRelease] != 0 {
-			t.Fatalf("track %q recorded anonymous barrier events: %v", tk.Name, kc)
+	f := traced(t, 2, func(tm *Team) { tm.Run(func(id int) { tm.Barrier() }) })
+	for _, tk := range f.Tracks {
+		if tk.Spans[trace.Barrier] != 0 {
+			t.Fatalf("track %+v recorded anonymous barrier spans", tk)
 		}
 	}
 }
 
 // TestTracerPanicAndPoisonedBarrierStayPaired: a worker panic is an
 // instant inside its block span, and workers unwound from the poisoned
-// barrier still close their arrive spans — the exported file must
-// validate even for a crashed region.
+// barrier still close their barrier spans — the trace of a crashed
+// region validates.
 func TestTracerPanicAndPoisonedBarrierStayPaired(t *testing.T) {
 	const n = 3
-	tr := trace.New(n)
-	tm := New(n, withTracer(tr))
-	defer tm.Close()
-	pe := runRecovered(tm, func(id int) {
-		if id == 0 {
-			panic("boom")
-		}
-		tm.BarrierID(id)
+	var pe *PanicError
+	f := traced(t, n, func(tm *Team) {
+		pe = runRecovered(tm, func(id int) {
+			if id == 0 {
+				for tm.arrived.Load() < n-1 {
+					runtime.Gosched() // until the others wait at the barrier
+				}
+				panic("boom")
+			}
+			tm.BarrierID(id)
+		})
 	})
 	if pe == nil {
 		t.Fatal("expected a PanicError")
 	}
-	s := tr.Snapshot()
-	if kc := kindCount(s.Tracks[0]); kc[trace.KindPanic] != 1 {
-		t.Fatalf("worker 0 panic instants = %d, want 1", kc[trace.KindPanic])
+	if w := worker(t, f, 0); w.Marks[trace.Panic] != 1 || w.Spans[trace.Block] != 1 {
+		t.Fatalf("worker 0 = %+v, want one panic inside one block", w)
 	}
-	for id := 0; id < n; id++ {
-		kc := kindCount(s.Tracks[id])
-		if kc[trace.KindBarrierArrive] != kc[trace.KindBarrierRelease] {
-			t.Fatalf("worker %d: %d arrives vs %d releases — poisoned unwind leaked a span",
-				id, kc[trace.KindBarrierArrive], kc[trace.KindBarrierRelease])
+	for id := 1; id < n; id++ {
+		if w := worker(t, f, id); w.Spans[trace.Barrier] != 1 || w.Spans[trace.Block] != 1 {
+			t.Fatalf("worker %d = %+v, want one closed barrier span inside one block", id, w)
 		}
-		if kc[trace.KindBlockBegin] != kc[trace.KindBlockEnd] {
-			t.Fatalf("worker %d: %d block begins vs %d ends", id,
-				kc[trace.KindBlockBegin], kc[trace.KindBlockEnd])
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.WriteChrome(&buf, "crashed"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Validate(buf.Bytes()); err != nil {
-		t.Fatalf("crashed-region trace fails validation: %v", err)
 	}
 }
 
 // TestTracerPipelineFastPathSilent: a token that is already posted is
-// consumed on the select fast path — a signal instant on the sender,
-// no wait span on the receiver.
+// consumed on the fast path — a post instant on the sender, no wait
+// span on the receiver.
 func TestTracerPipelineFastPathSilent(t *testing.T) {
-	tr := trace.New(2)
-	tm := New(2, withTracer(tr))
-	defer tm.Close()
-	pipe := tm.NewPipeline(4)
-	pipe.Post(0)
-	pipe.Wait(1)
-	s := tr.Snapshot()
-	if kc := kindCount(s.Tracks[0]); kc[trace.KindPipeSignal] != 1 {
-		t.Fatalf("worker 0 posts = %d, want 1", kc[trace.KindPipeSignal])
+	f := traced(t, 2, func(tm *Team) {
+		pipe := tm.NewPipeline(4)
+		pipe.Post(0)
+		pipe.Wait(1)
+	})
+	if got := worker(t, f, 0).Marks[trace.Post]; got != 1 {
+		t.Fatalf("posts = %d, want 1", got)
 	}
-	if kc := kindCount(s.Tracks[1]); kc[trace.KindPipeWaitBegin] != 0 {
-		t.Fatal("non-blocking receive recorded a wait span")
+	for _, tk := range f.Tracks {
+		if tk.Spans[trace.Pipeline] != 0 {
+			t.Fatal("non-blocking receive recorded a wait span")
+		}
 	}
 }
 
 // TestTracerPipelineBlockingWaitRecorded: a receive that actually
-// parks records a paired wait span on the receiver's track.
+// parks records a paired wait span, with its time, on the receiver's
+// goroutine.
 func TestTracerPipelineBlockingWaitRecorded(t *testing.T) {
-	tr := trace.New(2)
-	tm := New(2, withTracer(tr))
-	defer tm.Close()
-	pipe := tm.NewPipeline(4)
-	done := make(chan struct{})
-	go func() {
-		time.Sleep(20 * time.Millisecond) // let Wait(1) park first
-		pipe.Post(0)
-		close(done)
-	}()
-	pipe.Wait(1)
-	<-done
-	s := tr.Snapshot()
-	w1 := kindCount(s.Tracks[1])
-	if w1[trace.KindPipeWaitBegin] != 1 || w1[trace.KindPipeWaitEnd] != 1 {
-		t.Fatalf("worker 1 wait spans = %d begins, %d ends; want 1/1",
-			w1[trace.KindPipeWaitBegin], w1[trace.KindPipeWaitEnd])
+	f := traced(t, 2, func(tm *Team) {
+		pipe := tm.NewPipeline(4)
+		done := make(chan struct{})
+		go func() {
+			time.Sleep(20 * time.Millisecond) // let Wait(1) park first
+			pipe.Post(0)
+			close(done)
+		}()
+		pipe.Wait(1)
+		<-done
+	})
+	// The test's goroutine waited as worker 1; it is the master's track.
+	if w := worker(t, f, 0); w.Spans[trace.Pipeline] != 1 || w.Wait < 10*time.Millisecond {
+		t.Fatalf("receiver = %+v, want one pipeline span of about 20ms", w)
 	}
 }
 
-// TestTracerCancelOnRuntimeTrack: the watcher-driven cancellation is
-// asynchronous, so it must land on the runtime track, with the reason.
+// TestTracerCancelOnRuntimeTrack: a watcher-driven cancellation is
+// asynchronous, so it lands on the watcher's goroutine, not a worker's,
+// and only the first cancellation is an event.
 func TestTracerCancelOnRuntimeTrack(t *testing.T) {
-	tr := trace.New(2)
-	tm := New(2, withTracer(tr))
-	defer tm.Close()
-	tm.Cancel(errTestStop)
-	tm.Cancel(errTestStop) // sticky: only the first is an event
-	s := tr.Snapshot()
-	rt := s.Tracks[3]
-	if len(rt.Events) != 1 || rt.Events[0].Kind != trace.KindCancel {
-		t.Fatalf("runtime track = %+v, want exactly one cancel", rt.Events)
+	f := traced(t, 2, func(tm *Team) {
+		ctx, cancel := context.WithCancel(context.Background())
+		stop := tm.WatchContext(ctx)
+		cancel()
+		stop()
+		tm.Cancel(errTestStop) // sticky: not an event
+	})
+	cancels := 0
+	for _, tk := range f.Tracks {
+		if n := tk.Marks[trace.Cancel]; n > 0 {
+			cancels += n
+			if tk.Worker >= 0 {
+				t.Fatalf("cancellation on worker %d's track", tk.Worker)
+			}
+		}
 	}
-	if rt.Events[0].Name != errTestStop.Error() {
-		t.Fatalf("cancel reason = %q, want %q", rt.Events[0].Name, errTestStop)
+	if cancels != 1 {
+		t.Fatalf("cancel instants = %d, want exactly one", cancels)
 	}
+}
+
+// withBenchTracer attaches a tracing probe for a benchmark, with the
+// runtime tracer on and writing to io.Discard, so a long benchmark
+// holds no trace in memory. It reports the annotations per op.
+func withBenchTracer(b *testing.B, n int) Option {
+	if rt.Start(io.Discard) == nil {
+		b.Cleanup(rt.Stop)
+	}
+	tr := trace.New(context.Background(), "bench", n)
+	b.Cleanup(func() {
+		tr.Stop()
+		b.ReportMetric(float64(tr.Events())/float64(b.N), "events/op")
+	})
+	return WithProbe(NewProbe(n, tr, nil))
 }
 
 // BenchmarkRegionTrace measures per-region dispatch with and without a
 // tracing probe — the disabled path's budget is one nil check, so
 // notrace must match the plain-team numbers of BenchmarkRegionObs.
+// (trace − notrace) / events per op is the cost of one annotation.
 func BenchmarkRegionTrace(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		for _, on := range []bool{false, true} {
@@ -252,10 +268,7 @@ func BenchmarkRegionTrace(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var opts []Option
 				if on {
-					// Outsized capacity so the ring never fills mid-benchmark;
-					// a full ring costs less (no store), which would flatter
-					// the numbers.
-					opts = append(opts, withTracer(trace.New(n, trace.WithCapacity(1<<22))))
+					opts = append(opts, withBenchTracer(b, n))
 				}
 				tm := New(n, opts...)
 				defer tm.Close()
@@ -269,16 +282,18 @@ func BenchmarkRegionTrace(b *testing.B) {
 }
 
 // BenchmarkBarrierTrace measures the id-attributed barrier with and
-// without event recording.
+// without annotations.
 func BenchmarkBarrierTrace(b *testing.B) {
 	for _, on := range []bool{false, true} {
 		name := "notrace"
-		var opts []Option
 		if on {
 			name = "trace"
-			opts = append(opts, withTracer(trace.New(4, trace.WithCapacity(1<<22))))
 		}
 		b.Run(name, func(b *testing.B) {
+			var opts []Option
+			if on {
+				opts = append(opts, withBenchTracer(b, 4))
+			}
 			tm := New(4, opts...)
 			defer tm.Close()
 			b.ResetTimer()

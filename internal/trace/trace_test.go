@@ -1,190 +1,135 @@
 package trace
 
 import (
-	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// record plays a small two-worker run into tr: one region with both
-// workers passing one traced barrier (generation 7), a pipeline stall
-// on worker 1, and a master phase.
-func record(tr *Tracer) {
-	tr.RegionBegin(1)
-	tr.BeginPhase("sweeps")
-	for id := 0; id < 2; id++ {
-		tr.BlockBegin(id, 1)
-		tr.BarrierArrive(id, 7)
-		tr.BarrierRelease(id, 7)
+// record traces a two-worker run named TEST.S.t2 in which play
+// annotates, and returns the tracer and what Read makes of its trace.
+func record(t *testing.T, play func(tr *Tracer)) (*Tracer, *File, error) {
+	t.Helper()
+	tr := New(context.Background(), "TEST.S.t2", 2)
+	play(tr)
+	tr.Stop()
+	if tr.Data == nil {
+		t.Skip("another execution tracer is running; the run only annotated it")
 	}
-	tr.PipeWaitBegin(1, 0)
-	tr.PipeWaitEnd(1, 0)
-	tr.PipeSignal(0, 0)
-	for id := 0; id < 2; id++ {
-		tr.BlockEnd(id, 1)
+	path := filepath.Join(t.TempDir(), "run.trace")
+	if err := os.WriteFile(path, tr.Data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	tr.EndPhase("sweeps")
-	tr.RegionEnd(1)
+	f, err := Read(path)
+	return tr, f, err
 }
 
-func TestSnapshotTracksAndCounts(t *testing.T) {
-	tr := New(2)
-	record(tr)
-	s := tr.Snapshot()
-	if s.Workers != 2 || len(s.Tracks) != 4 {
-		t.Fatalf("got %d workers, %d tracks; want 2 workers, 4 tracks", s.Workers, len(s.Tracks))
-	}
-	wantNames := []string{"worker 0", "worker 1", "master", "runtime"}
-	wantEvents := []int{5, 6, 4, 0} // w0 adds the pipe signal, w1 the wait pair; master: region+phase pairs
-	for i, tk := range s.Tracks {
-		if tk.Name != wantNames[i] {
-			t.Errorf("track %d name = %q, want %q", i, tk.Name, wantNames[i])
-		}
-		if len(tk.Events) != wantEvents[i] {
-			t.Errorf("track %q has %d events, want %d", tk.Name, len(tk.Events), wantEvents[i])
-		}
-		if tk.Drops != 0 {
-			t.Errorf("track %q drops = %d, want 0", tk.Name, tk.Drops)
-		}
-	}
-	if s.Events() != 15 {
-		t.Errorf("Events() = %d, want 15", s.Events())
-	}
-	if s.Drops() != 0 {
-		t.Errorf("Drops() = %d, want 0", s.Drops())
-	}
+// playRun annotates a small two-worker run as the team does: a master
+// phase around one region, both workers passing one barrier in their
+// blocks, a pipeline stall on worker 1 and a post on worker 0.
+func playRun(tr *Tracer) {
+	tr.Log(0, Worker, tr.ID(0))
+	tr.Log(0, "sweeps", Begin)
+	tr.Region(0, Region, func() {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Log(1, Worker, tr.ID(1))
+			tr.Region(1, Block, func() {
+				tr.Log(1, Barrier, Begin)
+				tr.Log(1, Barrier, End)
+				tr.Log(1, Pipeline, Begin)
+				tr.Log(1, Pipeline, End)
+			})
+		}()
+		tr.Region(0, Block, func() {
+			tr.Log(0, Barrier, Begin)
+			tr.Log(0, Barrier, End)
+			tr.Log(0, Post, "")
+		})
+		wg.Wait()
+	})
+	tr.Log(0, "sweeps", End)
 }
 
-func TestTimestampsMonotonicPerTrack(t *testing.T) {
-	tr := New(2)
-	record(tr)
-	for _, tk := range tr.Snapshot().Tracks {
-		last := int64(-1)
-		for _, e := range tk.Events {
-			if e.TS < last {
-				t.Fatalf("track %q: ts %d < previous %d", tk.Name, e.TS, last)
-			}
-			last = e.TS
+func TestEventsCountedPerTrack(t *testing.T) {
+	tr, f, err := record(t, playRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Events() != 17 || tr.Drops() != 0 {
+		t.Fatalf("Events() = %d, Drops() = %d; want 17 and 0", tr.Events(), tr.Drops())
+	}
+	// The reader sees the same annotations, and the task's begin and
+	// end, on the master's goroutine.
+	if f.Events != 19 || len(f.Tracks) != 2 {
+		t.Fatalf("reader found %d events on %d tracks, want 19 on 2", f.Events, len(f.Tracks))
+	}
+	for i, want := range []struct{ events, blocks, barriers, pipes int }{{12, 1, 1, 0}, {7, 1, 1, 1}} {
+		tk := f.Tracks[i]
+		if tk.Worker != i || tk.Events != want.events || tk.Spans[Block] != want.blocks ||
+			tk.Spans[Barrier] != want.barriers || tk.Spans[Pipeline] != want.pipes {
+			t.Errorf("track %d = %+v, want worker %d with %+v", i, tk, i, want)
 		}
 	}
-}
-
-func TestRingDropsWhenFull(t *testing.T) {
-	tr := New(1, WithCapacity(4))
-	for i := 0; i < 10; i++ {
-		tr.BlockBegin(0, uint64(i))
-	}
-	s := tr.Snapshot()
-	w := s.Tracks[0]
-	if len(w.Events) != 4 {
-		t.Fatalf("kept %d events, want the 4-event prefix", len(w.Events))
-	}
-	if w.Drops != 6 {
-		t.Fatalf("drops = %d, want 6", w.Drops)
-	}
-	// The prefix is complete: the first four emits, in order.
-	for i, e := range w.Events {
-		if e.ID != uint64(i) {
-			t.Fatalf("event %d has ID %d, want %d (prefix not preserved)", i, e.ID, i)
-		}
+	if m := f.Tracks[0]; m.Spans[Region] != 1 || m.Spans["sweeps"] != 1 || m.Marks[Post] != 1 {
+		t.Errorf("master track = %+v, want one region, one sweeps phase and one post", m)
 	}
 }
 
 func TestOutOfRangeWorkerLandsOnRuntimeTrack(t *testing.T) {
-	tr := New(2)
-	tr.Panic(99)
-	tr.Panic(-1)
-	s := tr.Snapshot()
-	if n := len(s.Tracks[3].Events); n != 2 {
-		t.Fatalf("runtime track has %d events, want 2 (clamped ids)", n)
+	tr := New(context.Background(), "TEST", 2)
+	tr.Log(99, Panic, "")
+	tr.Log(-1, Cancel, "deadline")
+	tr.Stop()
+	if n := tr.counts[2].n.Load(); n != 2 {
+		t.Fatalf("shared track counted %d annotations, want 2 (clamped ids)", n)
 	}
-	if n := len(s.Tracks[0].Events) + len(s.Tracks[1].Events); n != 0 {
-		t.Fatalf("worker tracks have %d events, want 0", n)
-	}
-}
-
-func TestWriteChromeRoundTrip(t *testing.T) {
-	tr := New(2)
-	record(tr)
-	tr.Cancel("deadline")
-	var buf bytes.Buffer
-	if err := tr.Snapshot().WriteChrome(&buf, "TEST.S t2"); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Validate(buf.Bytes())
-	if err != nil {
-		t.Fatalf("exported trace fails own validation: %v", err)
-	}
-	if info.FlowStarts < 1 || info.FlowEnds < 1 {
-		t.Fatalf("barrier flow events missing: %d starts, %d ends", info.FlowStarts, info.FlowEnds)
-	}
-	names := map[string]bool{}
-	for _, tk := range info.Tracks {
-		names[tk.Name] = true
-	}
-	for _, want := range []string{"worker 0", "worker 1", "master"} {
-		if !names[want] {
-			t.Errorf("exported trace has no track named %q (tracks: %v)", want, names)
-		}
-	}
-	if !strings.Contains(buf.String(), `"TEST.S t2"`) {
-		t.Error("process label missing from export")
-	}
-}
-
-func TestWriteChromeClosesTruncatedSpans(t *testing.T) {
-	// Capacity 3 records BlockBegin+BarrierArrive and then drops
-	// everything, leaving two spans open on a track with drops; the
-	// exporter must close them so the file stays loadable.
-	tr := New(1, WithCapacity(2))
-	tr.BlockBegin(0, 1)
-	tr.BarrierArrive(0, 1)
-	tr.BarrierRelease(0, 1) // dropped
-	tr.BlockEnd(0, 1)       // dropped
-	s := tr.Snapshot()
-	if s.Drops() == 0 {
-		t.Fatal("test setup: expected drops")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteChrome(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Validate(buf.Bytes()); err != nil {
-		t.Fatalf("truncated trace fails validation: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"truncated":true`) {
-		t.Error("synthetic closes not marked truncated")
+	if n := tr.counts[0].n.Load() + tr.counts[1].n.Load(); n != 0 {
+		t.Fatalf("worker tracks counted %d annotations, want 0", n)
 	}
 }
 
 func TestUnpairedSpanFailsValidation(t *testing.T) {
-	// On a track without drops an unclosed span is an instrumentation
-	// bug, and the pipeline must say so rather than emit a broken file.
-	tr := New(1)
-	tr.BlockBegin(0, 1) // never ended
-	var buf bytes.Buffer
-	if err := tr.Snapshot().WriteChrome(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Validate(buf.Bytes()); err == nil {
-		t.Fatal("unclosed span validated; want an error")
+	// A phase opened and never closed is the defect the reader exists to
+	// catch: an Env.Start without its Stop.
+	_, _, err := record(t, func(tr *Tracer) { tr.Log(0, "rhs", Begin) })
+	if err == nil || !strings.Contains(err.Error(), `never closed (innermost "rhs")`) {
+		t.Fatalf("Read = %v, want the unclosed rhs span", err)
 	}
 }
 
 func TestSummaryListsTracks(t *testing.T) {
-	tr := New(2)
-	record(tr)
-	sum := tr.Snapshot().Summary()
-	for _, want := range []string{"worker 0", "worker 1", "master", "2 workers"} {
+	_, f, err := record(t, playRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := f.String()
+	for _, want := range []string{"worker 0", "worker 1", "tasks TEST.S.t2", "busy="} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
 }
 
+func TestReadRejectsNonTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(path); err == nil || !strings.HasPrefix(err.Error(), "go tool trace: ") {
+		t.Fatalf("Read = %v, want the tool's reason", err)
+	}
+}
+
 func TestNewClampsWorkers(t *testing.T) {
-	tr := New(0)
-	if tr.Workers() != 1 {
-		t.Fatalf("Workers() = %d, want 1", tr.Workers())
+	tr := New(context.Background(), "TEST", 0)
+	tr.Stop()
+	if len(tr.ids) != 1 || len(tr.counts) != 2 {
+		t.Fatalf("sized for %d workers and %d tracks, want 1 and 2", len(tr.ids), len(tr.counts))
 	}
 }

@@ -72,15 +72,15 @@ type Config struct {
 	// barrier-wait times, region/cancellation/panic counts and the
 	// worker-imbalance ratio land in Result.Obs. Obs implies Profile.
 	Obs bool
-	// Trace records per-worker event timelines for the run — region
-	// blocks, barrier arrive/release, LU pipeline waits, cancellations
-	// and panics — into fixed-capacity ring buffers; the snapshot lands
-	// in Result.Trace, exportable as Chrome/Perfetto JSON
-	// (Snapshot.WriteChrome) or a text timeline (Snapshot.Summary).
-	// While the Go execution tracer is active, the run is additionally
-	// annotated as a runtime/trace task with one region per parallel
-	// region, so `go tool trace` shows NPB phases beside the scheduler
-	// view.
+	// Trace records the run with the Go execution tracer: the scheduler's
+	// view of every worker goroutine, annotated with the run's structure
+	// as one runtime/trace task named "<BENCH>.<class>.t<threads>" —
+	// regions and each worker's share of them, barrier and pipeline
+	// waits, phases, chunks, cancellations and panics (internal/trace).
+	// The runtime tracer is started around the run and writes into
+	// memory; traced runs take turns, because the tracer is
+	// process-wide. If a tracer is already running (go test -trace), the
+	// run only annotates it. The trace lands in Result.Trace.
 	Trace bool
 	// Schedule selects the team's loop schedule: "static" (default),
 	// "dynamic", "guided" or "stealing". Static is the paper's block
@@ -114,9 +114,11 @@ type Result struct {
 	// Obs holds the run's per-worker runtime metrics, nil unless
 	// Config.Obs was set.
 	Obs *team.Stats
-	// Trace holds the run's event-timeline snapshot, nil unless
-	// Config.Trace was set.
-	Trace *trace.Snapshot
+	// Trace holds the run's tracer, nil unless Config.Trace was set:
+	// Trace.Data is the execution trace, for `go tool trace` and
+	// `npbperf trace` (nil when the run only annotated a tracer already
+	// running), and Trace.Events the number of annotations.
+	Trace *trace.Tracer
 	// Counters holds the run's hardware-counter totals and per-worker
 	// split, nil unless Config.Counters was set and counters were
 	// available.
@@ -222,10 +224,11 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	var tr *trace.Tracer
 	if cfg.Trace {
-		tr = trace.New(cfg.Threads)
-		var endTask func()
-		ctx, endTask = trace.StartTask(ctx, fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads))
-		defer endTask()
+		// Stopped after the run's team has joined: the deferred call
+		// runs after the ones below.
+		tr = trace.New(ctx, fmt.Sprintf("%s.%c.t%d", cfg.Benchmark, cfg.Class, cfg.Threads), cfg.Threads)
+		defer tr.Stop()
+		res.Trace = tr
 	}
 	env.Ctx = ctx
 	var pc *perfcount.Sampler
@@ -248,7 +251,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	err, panicked := runBenchmark(row, cfg, env, &res)
 	// The benchmark's team has joined (or the panic was recovered), so
-	// the probe and the trace rings are quiescent and safe to snapshot.
+	// the probe is quiescent and safe to snapshot.
 	if pc != nil {
 		res.Counters = pc.Snapshot()
 		if n := res.Counters.Note; n != "" && res.CountersNote == "" {
@@ -257,9 +260,6 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	if cfg.Obs {
 		res.Obs = env.Probe.Snapshot()
-	}
-	if tr != nil {
-		res.Trace = tr.Snapshot()
 	}
 	if panicked {
 		return fail(ErrPanic, err)

@@ -1,8 +1,10 @@
 package npbgo_test
 
 import (
-	"bytes"
 	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"npbgo"
@@ -10,9 +12,11 @@ import (
 	"npbgo/internal/trace"
 )
 
-// runTraced runs one class-S cell with the tracer on and returns the
-// verified result's snapshot.
-func runTraced(t *testing.T, bench npbgo.Benchmark, threads int) *trace.Snapshot {
+// runTraced runs one class-S cell with the tracer on and returns what
+// the reader finds in its execution trace. The reader validates: every
+// span is paired and nested on its goroutine, and every annotation
+// belongs to a task begun in the trace.
+func runTraced(t *testing.T, bench npbgo.Benchmark, threads int) *trace.File {
 	t.Helper()
 	res, err := npbgo.Run(npbgo.Config{Benchmark: bench, Class: 'S', Threads: threads, Trace: true})
 	if err != nil {
@@ -24,11 +28,46 @@ func runTraced(t *testing.T, bench npbgo.Benchmark, threads int) *trace.Snapshot
 	if res.Trace == nil {
 		t.Fatalf("%s.S: Config.Trace set but Result.Trace is nil", bench)
 	}
-	return res.Trace
+	if res.Trace.Data == nil {
+		t.Skip("another execution tracer is running; the run only annotated it")
+	}
+	path := filepath.Join(t.TempDir(), string(bench)+".trace")
+	if err := os.WriteFile(path, res.Trace.Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.Read(path)
+	if err != nil {
+		t.Fatalf("%s.S t%d trace fails validation: %v", bench, threads, err)
+	}
+	return f
+}
+
+// worker returns worker id's track.
+func worker(t *testing.T, f *trace.File, id int) trace.Track {
+	t.Helper()
+	for _, tk := range f.Tracks {
+		if tk.Worker == id {
+			return tk
+		}
+	}
+	t.Fatalf("no track for worker %d:\n%s", id, f)
+	return trace.Track{}
+}
+
+// phases returns the benchmark phases opened on a track: its spans
+// outside the team's own.
+func phases(tk trace.Track) map[string]bool {
+	out := map[string]bool{}
+	for name := range tk.Spans {
+		if !strings.HasPrefix(name, "team.") {
+			out[name] = true
+		}
+	}
+	return out
 }
 
 // TestTraceDisabledByDefault: without Config.Trace the result carries
-// no snapshot — the disabled path really is off.
+// no tracer — the disabled path really is off.
 func TestTraceDisabledByDefault(t *testing.T) {
 	res, err := npbgo.Run(npbgo.Config{Benchmark: "IS", Class: 'S', Threads: 2})
 	if err != nil {
@@ -39,105 +78,69 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestTracedISExportsValidChrome is the tentpole acceptance check: a
-// class-S IS run (the suite's barrier-heavy kernel) with tracing on
-// must export Chrome/Perfetto JSON that passes structural validation —
-// paired, monotonic, strictly nested spans per worker track — and must
-// carry barrier flow events linking arrive to release.
-func TestTracedISExportsValidChrome(t *testing.T) {
-	s := runTraced(t, "IS", 2)
-	var buf bytes.Buffer
-	if err := s.WriteChrome(&buf, "IS.S t2"); err != nil {
-		t.Fatal(err)
-	}
-	info, err := trace.Validate(buf.Bytes())
-	if err != nil {
-		t.Fatalf("IS.S trace fails validation: %v", err)
-	}
-	if info.FlowStarts < 1 || info.FlowEnds < 1 {
-		t.Fatalf("no barrier flow events: %d starts, %d ends", info.FlowStarts, info.FlowEnds)
-	}
-	names := map[string]bool{}
-	workers := 0
-	for _, tk := range info.Tracks {
-		names[tk.Name] = true
-		if tk.Name == "worker 0" || tk.Name == "worker 1" {
-			workers++
-			if tk.Slices == 0 {
-				t.Errorf("track %q recorded no slices", tk.Name)
-			}
+// TestTracedISExportsValidTrace: a class-S IS run (the suite's
+// barrier-heavy kernel) with tracing on leaves a trace that validates,
+// with a track per worker holding its blocks and barrier waits.
+func TestTracedISExportsValidTrace(t *testing.T) {
+	f := runTraced(t, "IS", 2)
+	for id := 0; id < 2; id++ {
+		if w := worker(t, f, id); w.Spans[trace.Block] == 0 || w.Spans[trace.Barrier] == 0 {
+			t.Errorf("worker %d = %+v, want block and barrier spans", id, w)
 		}
 	}
-	if workers != 2 || !names["master"] {
-		t.Fatalf("track layout wrong: %v", names)
+}
+
+// TestTracedRegionsBelongToRunTask: every annotation of a run, the
+// team's regions included, belongs to the run's task — the trace holds
+// one task, LU.S.t2, and the reader rejects an annotation outside the
+// tasks begun in the trace.
+func TestTracedRegionsBelongToRunTask(t *testing.T) {
+	f := runTraced(t, "LU", 2)
+	if len(f.Tasks) != 1 {
+		t.Fatalf("tasks = %v, want LU.S.t2 alone", f.Tasks)
+	}
+	for _, name := range f.Tasks {
+		if name != "LU.S.t2" {
+			t.Fatalf("task %q, want LU.S.t2", name)
+		}
+	}
+	if n := worker(t, f, 0).Spans[trace.Region]; n == 0 {
+		t.Fatal("no team regions on the master's track")
 	}
 }
 
 // TestTracedLURecordsPipelineAndPhases: LU's pipelined SSOR sweeps are
-// why the tracer exists; its trace must carry pipeline post events on
-// the worker tracks and the named phase spans on the master track, and
-// still export a valid file.
+// a reason the tracer exists; its trace must carry pipeline posts on the
+// worker tracks and the named phase spans on the master's.
 func TestTracedLURecordsPipelineAndPhases(t *testing.T) {
-	s := runTraced(t, "LU", 2)
-	posts := 0
-	for id := 0; id < s.Workers; id++ {
-		for _, e := range s.Tracks[id].Events {
-			if e.Kind == trace.KindPipeSignal {
-				posts++
-			}
-		}
+	f := runTraced(t, "LU", 2)
+	if worker(t, f, 0).Marks[trace.Post] == 0 {
+		t.Error("no pipeline posts on worker 0's track")
 	}
-	if posts == 0 {
-		t.Fatal("no pipeline post events on any worker track")
-	}
-	phases := map[string]int{}
-	master := s.Tracks[s.Workers]
-	for _, e := range master.Events {
-		if e.Kind == trace.KindPhaseBegin {
-			phases[e.Name]++
-		}
-	}
+	got := phases(worker(t, f, 0))
 	for _, want := range []string{"sweeps", "rhs", "scale+update"} {
-		if phases[want] == 0 {
-			t.Errorf("master track has no %q phase span (saw %v)", want, phases)
+		if !got[want] {
+			t.Errorf("master track has no %q phase span (saw %v)", want, got)
 		}
-	}
-	var buf bytes.Buffer
-	if err := s.WriteChrome(&buf, "LU.S t2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Validate(buf.Bytes()); err != nil {
-		t.Fatalf("LU.S trace fails validation: %v", err)
 	}
 }
 
 // TestTracedPhasesMatchProfile: kernel.Env.Start/Stop is the one phase
 // bracket for timers and trace alike. Every suite row's traced class-S
-// run exports a valid Chrome file, and for the seven rows with
-// master-side phases the master track opens exactly the phases a
+// run leaves a trace that validates — an Env.Start without its Stop
+// leaves a span open and fails here — and for the seven rows with
+// master-side phases the master's track opens exactly the phases a
 // profiled run reports. EP charges its timers per worker, not through
 // the Env, so it has no master-side phase to compare.
 func TestTracedPhasesMatchProfile(t *testing.T) {
 	for _, row := range suite.Rows {
 		t.Run(row.Name, func(t *testing.T) {
 			bench := npbgo.Benchmark(row.Name)
-			s := runTraced(t, bench, 2)
-			var buf bytes.Buffer
-			if err := s.WriteChrome(&buf, row.Name+".S t2"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := trace.Validate(buf.Bytes()); err != nil {
-				t.Fatalf("%s.S trace fails validation: %v", row.Name, err)
-			}
+			f := runTraced(t, bench, 2)
 			if row.Name == "EP" {
 				return
 			}
-			traced := map[string]bool{}
-			for _, e := range s.Tracks[s.Workers].Events {
-				if e.Kind == trace.KindPhaseBegin {
-					traced[e.Name] = true
-				}
-			}
+			traced := phases(worker(t, f, 0))
 			res, err := npbgo.Run(npbgo.Config{Benchmark: bench, Class: 'S', Threads: 2, Profile: true})
 			if err != nil {
 				t.Fatal(err)
@@ -153,18 +156,11 @@ func TestTracedPhasesMatchProfile(t *testing.T) {
 	}
 }
 
-// TestTracedSerialRun: the n==1 inline path must produce a coherent,
-// exportable timeline too (regions and blocks, no barrier flows).
+// TestTracedSerialRun: the n==1 inline path leaves a coherent trace
+// too: regions and blocks on the one worker's track, no barrier waits.
 func TestTracedSerialRun(t *testing.T) {
-	s := runTraced(t, "EP", 1)
-	if len(s.Tracks[0].Events) == 0 {
-		t.Fatal("serial run recorded no worker events")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteChrome(&buf, "EP.S serial"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Validate(buf.Bytes()); err != nil {
-		t.Fatalf("serial trace fails validation: %v", err)
+	f := runTraced(t, "EP", 1)
+	if w := worker(t, f, 0); w.Spans[trace.Block] == 0 || w.Spans[trace.Barrier] != 0 {
+		t.Fatalf("serial worker = %+v, want blocks and no barrier spans", w)
 	}
 }
