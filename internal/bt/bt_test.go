@@ -301,33 +301,39 @@ func TestUnrolledPrimitivesBitIdenticalToLoops(t *testing.T) {
 // TestSolveLineAgainstDenseSolve checks the block Thomas algorithm on
 // random diagonally dominant block-tridiagonal systems, a different one
 // in each lane of a group, by comparing each lane's solution with a
-// dense Gaussian elimination of its assembled system.
+// dense Gaussian elimination of its assembled system. The blocks go in
+// cell by cell, as solveGroup assembles them.
 func TestSolveLineAgainstDenseSolve(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const cells = 6
 		const dim = 5 * cells
 		g := newGroup(cells)
+		g.n = 8
 		// Random diagonally dominant blocks; first and last cells are
 		// identity rows as lhsinit makes them.
-		g.lhsinit(cells - 1)
+		aa, bb, cc := make([]blk8, cells), make([]blk8, cells), make([]blk8, cells)
+		for _, l := range [2]int{0, cells - 1} {
+			g.boundary(l)
+			aa[l], bb[l], cc[l] = g.aa, g.bb, g.cc[l]
+		}
 		for l := 1; l < cells-1; l++ {
 			for e := 0; e < 25; e++ {
-				for q := 0; q < 4; q++ {
-					g.aa[l][e][q] = 0.2 * (rng.Float64() - 0.5)
-					g.bb[l][e][q] = 0.2 * (rng.Float64() - 0.5)
-					g.cc[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+				for q := 0; q < 8; q++ {
+					aa[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+					bb[l][e][q] = 0.2 * (rng.Float64() - 0.5)
+					cc[l][e][q] = 0.2 * (rng.Float64() - 0.5)
 				}
 			}
 			for d := 0; d < 5; d++ {
-				for q := 0; q < 4; q++ {
-					g.bb[l][d+5*d][q] += 3.0
+				for q := 0; q < 8; q++ {
+					bb[l][d+5*d][q] += 3.0
 				}
 			}
 		}
 		for l := range g.rhs {
 			for m := 0; m < 5; m++ {
-				for q := 0; q < 4; q++ {
+				for q := 0; q < 8; q++ {
 					g.rhs[l][m][q] = rng.Float64() - 0.5
 				}
 			}
@@ -335,8 +341,8 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 
 		// Assemble each lane's dense system before the solve overwrites
 		// the blocks.
-		var dense, rhs [4][]float64
-		for q := 0; q < 4; q++ {
+		var dense, rhs [8][]float64
+		for q := range dense {
 			dense[q] = make([]float64, dim*dim)
 			rhs[q] = make([]float64, dim)
 			for l := 0; l < cells; l++ {
@@ -345,19 +351,23 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 					row := (5*l + m) * dim // dense is row-major, unlike the grid arrays
 					for n := 0; n < 5; n++ {
 						if l > 0 {
-							dense[q][row+5*(l-1)+n] = g.aa[l][m+5*n][q]
+							dense[q][row+5*(l-1)+n] = aa[l][m+5*n][q]
 						}
-						dense[q][row+5*l+n] = g.bb[l][m+5*n][q]
+						dense[q][row+5*l+n] = bb[l][m+5*n][q]
 						if l < cells-1 {
-							dense[q][row+5*(l+1)+n] = g.cc[l][m+5*n][q]
+							dense[q][row+5*(l+1)+n] = cc[l][m+5*n][q]
 						}
 					}
 				}
 			}
 		}
 
-		g.solve(cells - 1)
-		for q := 0; q < 4; q++ {
+		for l := 0; l < cells; l++ {
+			g.aa, g.bb, g.cc[l] = aa[l], bb[l], cc[l]
+			g.eliminate(l, cells-1)
+		}
+		g.backSubstitute(cells - 1)
+		for q := range dense {
 			want := denseSolve(dense[q], rhs[q], dim)
 			for i := 0; i < dim; i++ {
 				if math.Abs(g.rhs[i/5][i%5][q]-want[i]) > 1e-8 {

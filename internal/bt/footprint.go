@@ -10,7 +10,9 @@ import (
 // and thread count allocates: the nscore field (twenty-five rows of n³
 // points: U, Rhs and Forcing, five components each, six primitive
 // fields and ComputeRHS's four scratch rows) and the per-thread lane
-// scratch of four lines (five block arrays and the rhs, n cells each). The estimate feeds the harness
+// scratch of eight lines (the upper block diagonal and the rhs, n cells
+// each, and eight blocks and a cell's state besides). The estimate
+// feeds the harness
 // memory admission guard — the paper's FT memory-limit anomaly (§5)
 // generalized to every benchmark — so it tracks the dominant arrays,
 // not every last slice.
@@ -23,6 +25,7 @@ func Footprint(class byte, threads int) (uint64, error) {
 		threads = 1
 	}
 	n := uint64(spec.size)
-	scratch := uint64(threads) * 4 * (5*25 + 5) * n * 8 // fjac/njac/aa/bb/cc + rhs, 4 lanes
+	// cc + rhs per cell; fjac/njac rings, aa and bb; u and s. 8 lanes.
+	scratch := uint64(threads) * 8 * ((25+5)*n + 8*25 + 5 + 3) * 8
 	return nscore.FieldBytes(spec.size, false) + scratch, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/rowcheck"
@@ -25,8 +26,8 @@ func sameBits(t *testing.T, what string, q int, got, want []float64) {
 // inputs with zeros of both signs in every lane (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
-		{binvcrhs4, binvcrhs}, {binvrhs4, binvrhs}, {matvecSub4, matvecSub}, {matmulSub4, matmulSub},
-		{jacobiansX4, jacobiansX}, {jacobiansY4, jacobiansY}, {jacobiansZ4, jacobiansZ}, {assemble4, assemble},
+		{binvcrhs8, binvcrhs}, {binvrhs8, binvrhs}, {matvecSub8, matvecSub}, {matmulSub8, matmulSub},
+		{jacobiansX8, jacobiansX}, {jacobiansY8, jacobiansY}, {jacobiansZ8, jacobiansZ}, {assemble8, assemble},
 	})
 }
 
@@ -34,7 +35,9 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 // (bt_test.go's oracle: nscore.FluxViscJacobians and assembleLHS) on
 // the S and W fields after three ADI steps, at every cell of every
 // xi, eta and zeta line: the scalar kernels line by line, and the lane
-// path four lines at a time, a short group at the end of each plane. Every entry
+// path eight lines at a time, cell by cell as solveGroup builds them
+// (cellJacobians, then assembleCell one cell behind), a short group at
+// the end of each plane. Every entry
 // of fjac, njac, aa, bb and cc must have the oracle's bits, the sign of
 // each zero included.
 func TestLineSetupMatchesOracle(t *testing.T) {
@@ -62,7 +65,7 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 		jac := [3]func(fjac, njac *[25]float64, u *[5]float64, s *[3]float64, c1, c2, c3c4, r43, c1345 float64){
 			jacobiansX, jacobiansY, jacobiansZ,
 		}
-		rowcheck.Modes(t, func(bool) {
+		rowcheck.Modes(t, func(int) {
 			for d := range b.dirs {
 				ds := &b.dirs[d]
 				// Fresh blocks: the oracle's Jacobians are cleared once
@@ -71,22 +74,28 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 				fj, nj := make([][25]float64, n), make([][25]float64, n)
 				aa, bb, cc := make([][25]float64, n), make([][25]float64, n), make([][25]float64, n)
 				g := newGroup(n)
-				var queued [4]*lineScratch
+				var queued [8]*lineScratch
 				check := func(what string, l, q int, got []float64, want *[25]float64) {
 					t.Helper()
 					sameBits(t, fmt.Sprintf("%c %c %s cell %d", class, "xyz"[d], what, l), q, got, want[:])
 				}
 				flush := func() {
-					b.setupGroup(g, ds)
-					for q := 0; q < g.n; q++ {
-						for l := 0; l <= isize; l++ {
-							check("lane fjac", l, q, rowcheck.Lane(g.fjac[l][:], q), &queued[q].fjac[l])
-							check("lane njac", l, q, rowcheck.Lane(g.njac[l][:], q), &queued[q].njac[l])
+					for q := g.n; q < 8; q++ {
+						g.start[q] = g.start[0]
+					}
+					for l := 0; l <= isize; l++ {
+						b.cellJacobians(g, ds, l)
+						for q := 0; q < g.n; q++ {
+							check("lane fjac", l, q, rowcheck.Lane(g.fjac[l%3][:], q), &queued[q].fjac[l])
+							check("lane njac", l, q, rowcheck.Lane(g.njac[l%3][:], q), &queued[q].njac[l])
 						}
-						for l := 1; l < isize; l++ {
-							check("lane aa", l, q, rowcheck.Lane(g.aa[l][:], q), &queued[q].aa[l])
-							check("lane bb", l, q, rowcheck.Lane(g.bb[l][:], q), &queued[q].bb[l])
-							check("lane cc", l, q, rowcheck.Lane(g.cc[l][:], q), &queued[q].cc[l])
+						if c := l - 1; c >= 1 {
+							g.assembleCell(ds, c)
+							for q := 0; q < g.n; q++ {
+								check("lane aa", c, q, rowcheck.Lane(g.aa[:], q), &queued[q].aa[c])
+								check("lane bb", c, q, rowcheck.Lane(g.bb[:], q), &queued[q].bb[c])
+								check("lane cc", c, q, rowcheck.Lane(g.cc[c][:], q), &queued[q].cc[c])
+							}
 						}
 					}
 					g.n = 0
@@ -122,12 +131,12 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 						queued[g.n] = snap
 						g.start[g.n] = start
 						g.n++
-						if g.n == 4 {
+						if g.n == 8 {
 							flush()
 						}
 					}
-					// n-2 lines a plane is 2 more than a multiple of 4
-					// at S and W: end each plane with a short group.
+					// n-2 lines a plane is 2 or 6 more than a multiple
+					// of 8 at S and W: end each plane with a short group.
 					if g.n > 0 {
 						flush()
 					}
@@ -138,7 +147,7 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 }
 
 // TestPortableLanesReproduceGolden runs BT.S on the portable path
-// (simd.AVX cleared) at one and two threads and compares the
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares the
 // verification printout with the one recorded in
 // testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {
@@ -149,4 +158,21 @@ func TestPortableLanesReproduceGolden(t *testing.T) {
 		}
 		return b.RunResult().Verify.String()
 	})
+}
+
+// TestGroupAligned checks that every lane-form element of a group
+// starts on a 64-byte cache line, where one AVX-512 load reads it.
+func TestGroupAligned(t *testing.T) {
+	for _, n := range []int{12, 24, 64} {
+		g := newGroup(n)
+		for name, p := range map[string]unsafe.Pointer{
+			"fjac": unsafe.Pointer(&g.fjac), "njac": unsafe.Pointer(&g.njac), "aa": unsafe.Pointer(&g.aa),
+			"bb": unsafe.Pointer(&g.bb), "u": unsafe.Pointer(&g.u), "s": unsafe.Pointer(&g.s),
+			"cc": unsafe.Pointer(&g.cc[0]), "rhs": unsafe.Pointer(&g.rhs[0]),
+		} {
+			if a := uintptr(p) % 64; a != 0 {
+				t.Errorf("n=%d: %s starts %d bytes into a cache line", n, name, a)
+			}
+		}
+	}
 }

@@ -5,7 +5,7 @@ package bt
 // diagonals. Like the primitives in blocks.go they are straight-line
 // code over fixed-size arrays, and they are the input of the lane
 // compiler (lanegen): every statement here becomes the same statement
-// on four lines at once in lanes_amd64.s.
+// on eight lines at once in lanes_amd64.s.
 //
 // jacobiansX/Y/Z are nscore.FluxViscJacobians written out per
 // direction: the same expression trees, every entry of both blocks

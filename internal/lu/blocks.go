@@ -16,7 +16,7 @@ import "npbgo/internal/nscore"
 // column-major [25]float64 (element (m,n) at m+5*n). Every builder
 // writes only the structural non-zeros of its block, so the zeros of
 // each scratch block, set once at allocation, persist. lanegen compiles
-// each builder and factor5 into a kernel that runs four consecutive
+// each builder and factor5 into a kernel that runs eight consecutive
 // points of a row at once, bit for bit the scalar body (lanes.go,
 // lanes_amd64.s).
 
@@ -266,8 +266,8 @@ func factor5(a *[25]float64) {
 // a: the right-hand-side operations of solve5, in its order.
 //
 // Hot path: blts/buts block solve, once per grid point per sweep.
-func apply5(a *blk4, q int, r *[5]float64) {
-	q &= 3
+func apply5(a *blk8, q int, r *[5]float64) {
+	q &= 7
 	r[0] *= a[0][q]
 	r[1] -= a[1][q] * r[0]
 	r[2] -= a[2][q] * r[0]

@@ -4,9 +4,9 @@ package lu
 // of one grid point over *[1]float64 elements of component-major rows
 // (one n^3 row per quantity, i fastest), with a point's neighbours
 // along the direction passed as rows shifted by the stride: p for the
-// point, p/m for p±stride. lanegen compiles each into an AVX kernel
-// that runs four consecutive points per instruction, bit for bit the
-// scalar body (rows.go, lanes_amd64.s), and the expressions are lu.f's
+// point, p/m for p±stride. lanegen compiles each into kernels that run
+// eight (AVX-512) or four (AVX) consecutive points per instruction, bit
+// for bit the scalar body (lanes.go, lanes_amd64.s), and the expressions are lu.f's
 // rhs and erhs, term for term, so every sum rounds as it does there.
 
 // opVel sets the velocities and the squared speed of a point, the same

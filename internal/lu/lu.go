@@ -84,28 +84,28 @@ type Benchmark struct {
 	sweepsBody func(id int)
 }
 
-// Lane form: four consecutive points of a row side by side, element e
+// Lane form: eight consecutive points of a row side by side, element e
 // of lane q at [e][q] (lanes.go, generated from blocks.go's kernels).
 type (
-	blk4 = [25][4]float64 // a 5x5 block of each lane
-	vec4 = [5][4]float64  // a 5-vector of each lane
+	blk8 = [25][8]float64 // a 5x5 block of each lane
+	vec8 = [5][8]float64  // a 5-vector of each lane
 )
 
 // sweepScratch is one worker's storage for the triangular sweeps: the
-// blocks of one row's interior points, group g holding i = 4g+1..4g+4.
+// blocks of one row's interior points, group g holding i = 8g+1..8g+8.
 // The coupling and diagonal blocks are only ever written at their
 // structural non-zeros (see blocks.go), so the zeros they are allocated
 // with persist for the whole run.
 type sweepScratch struct {
-	a  [][3]blk4 // the couplings to the k, j and i neighbours
-	d  []blk4    // the diagonal blocks, factored (factor5)
-	u  [][4]vec4 // the states the blocks are built from, in a's order, then the point's
+	a  [][3]blk8 // the couplings to the k, j and i neighbours
+	d  []blk8    // the diagonal blocks, factored (factor5)
+	u  [][4]vec8 // the states the blocks are built from, in a's order, then the point's
 	tv [5]float64
 }
 
 func newSweepScratch(n int) *sweepScratch {
-	groups := (n + 1) / 4 // ⌈(n-2)/4⌉ for the n-2 interior points
-	return &sweepScratch{a: make([][3]blk4, groups), d: make([]blk4, groups), u: make([][4]vec4, groups)}
+	groups := (n + 5) / 8 // ⌈(n-2)/8⌉ for the n-2 interior points
+	return &sweepScratch{a: make([][3]blk8, groups), d: make([]blk8, groups), u: make([][4]vec8, groups)}
 }
 
 // New configures LU for the given class and thread count. env.Schedule

@@ -171,7 +171,7 @@ func solve5(a *[25]float64, r *[5]float64) {
 	r[0] -= a[20] * r[4]
 }
 
-// TestFactorApplyMatchesSolve5 holds factor5 on four lanes of blocks,
+// TestFactorApplyMatchesSolve5 holds factor5 on eight lanes of blocks,
 // then apply5 on each lane, to solve5 on that lane's block and
 // right-hand side, bit for bit: diagonally dominant blocks, as the
 // sweeps' are, with zeros of both signs among the entries of both.
@@ -186,10 +186,10 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 		}
 		return rng.Float64() - 0.5
 	}
-	rowcheck.Modes(t, func(avx bool) {
+	rowcheck.Modes(t, func(width int) {
 		for trial := 0; trial < 200; trial++ {
-			var a blk4
-			var r [4][5]float64
+			var a blk8
+			var r [8][5]float64
 			for e := range a {
 				for q := range a[e] {
 					a[e][q] = fill()
@@ -204,22 +204,22 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 				}
 			}
 			f := a
-			factor54(&f)
-			for q := 0; q < 4; q++ {
+			factor58(8, &f)
+			for q := range r {
 				sa, sr := [25]float64(rowcheck.Lane(a[:], q)), r[q]
 				solve5(&sa, &sr)
 				got := r[q]
 				apply5(&f, q, &got)
 				for m := range sr {
 					if math.Float64bits(got[m]) != math.Float64bits(sr[m]) {
-						t.Fatalf("avx=%v trial %d lane %d: x[%d] = %v (%#x), solve5 %v (%#x)", avx, trial, q, m,
+						t.Fatalf("width %d trial %d lane %d: x[%d] = %v (%#x), solve5 %v (%#x)", width, trial, q, m,
 							got[m], math.Float64bits(got[m]), sr[m], math.Float64bits(sr[m]))
 					}
 				}
 				// Off the diagonal, factor5 leaves what solve5 does.
 				for e := range sa {
 					if g := f[e][q]; e%6 != 0 && math.Float64bits(g) != math.Float64bits(sa[e]) {
-						t.Fatalf("avx=%v trial %d lane %d: block [%d] = %v, solve5 %v", avx, trial, q, e, g, sa[e])
+						t.Fatalf("width %d trial %d lane %d: block [%d] = %v, solve5 %v", width, trial, q, e, g, sa[e])
 					}
 				}
 			}
@@ -340,7 +340,7 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 }
 
 // TestRowKernelsMatchScalar holds each generated row kernel to its
-// scalar body, bit for bit, at every row length from 0 to 9, on random
+// scalar body, bit for bit, at every row length from 0 to 17, on random
 // rows with zeros of both signs among them (rowcheck.Kernels).
 func TestRowKernelsMatchScalar(t *testing.T) {
 	rowcheck.Kernels(t, [][2]any{
@@ -352,21 +352,21 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 // TestOperatorMatchesOracle holds applyOperator to the line-by-line
 // operator it replaced, on both of its paths — erhs (out = frct from
 // zero, w = the exact solution erhs leaves in rsd) and rhs (out = rsd
-// from -frct, w = u) — on grids of 8, 11, 12, 13 and 14 points a side,
-// whose spans of n(n-2) points and rows of n leave every tail length
-// from 0 to 3 to the scalar body, at team sizes below and above the interior planes,
-// under every schedule, on the AVX and the portable path. Every
+// from -frct, w = u) — on grids of 8 to 14 points a side, whose spans
+// of n(n-2) points and rows of n leave every length from 0 to 7 after
+// the 8-point groups, at team sizes below and above the interior planes,
+// under every schedule, at every simd.Width the host has. Every
 // element of rsd and frct, the boundary included, must agree bit for
 // bit.
 func TestOperatorMatchesOracle(t *testing.T) {
-	for _, n := range []int{8, 11, 12, 13, 14} {
+	for _, n := range []int{8, 9, 10, 11, 12, 13, 14} {
 		spec := classSpec{size: n, itmax: 1, dt: 0.5}
 		want := newBenchmark('S', spec, 1, kernel.Env{})
 		want.setbv()
 		want.setiv()
 		want.oracleERHS()
 		want.oracleRHS()
-		rowcheck.Modes(t, func(avx bool) {
+		rowcheck.Modes(t, func(width int) {
 			for _, threads := range []int{1, 2, 3, 7, 13} {
 				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 					b := newBenchmark('S', spec, threads, kernel.Env{})
@@ -380,8 +380,8 @@ func TestOperatorMatchesOracle(t *testing.T) {
 						for m, row := range pair[1] {
 							for p := range row {
 								if got := pair[0][m][p]; math.Float64bits(got) != math.Float64bits(row[p]) {
-									t.Fatalf("n=%d avx=%v %d threads %s: %s[%d][%d] = %v, oracle %v",
-										n, avx, threads, sched, name, m, p, got, row[p])
+									t.Fatalf("n=%d width %d %d threads %s: %s[%d][%d] = %v, oracle %v",
+										n, width, threads, sched, name, m, p, got, row[p])
 								}
 							}
 						}
@@ -641,17 +641,17 @@ func TestClassSRun(t *testing.T) {
 }
 
 // TestLaneKernelsMatchScalar holds each generated lane kernel, the
-// blocks of a row's four consecutive points, to its scalar body, lane by
+// blocks of a row's eight consecutive points, to its scalar body, lane by
 // lane and bit for bit, on random inputs with zeros of both signs in
 // every lane (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
-		{couplingX4, couplingX}, {couplingY4, couplingY}, {couplingZ4, couplingZ}, {diagonal4, diagonal}, {factor54, factor5},
+		{couplingX8, couplingX}, {couplingY8, couplingY}, {couplingZ8, couplingZ}, {diagonal8, diagonal}, {factor58, factor5},
 	})
 }
 
 // TestPortableLanesReproduceGolden runs LU.S on the portable path
-// (simd.AVX cleared) at one and two threads and compares the
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares the
 // verification printout with the one recorded in
 // testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {

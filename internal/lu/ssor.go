@@ -27,22 +27,28 @@ func (b *Benchmark) upperRow(ws *sweepScratch, j, k int) {
 }
 
 // rowBlocks builds the blocks of every interior point of row j of
-// plane k, four consecutive i per lane kernel call: the couplings to
+// plane k, eight consecutive i per lane kernel call: the couplings to
 // the neighbours at k+s, j+s and i+s (s = -1 for the lower sweep, +1
 // for the upper one) and the diagonal block, factored. They read only
 // u, which the sweeps do not write, so the whole row's blocks can be
 // built ahead of its dependent chain. Every state is gathered before
 // any kernel runs: a kernel that loads a lane-form state right after
 // its 8-byte stores waits for them, the core cannot forward them to
-// one 32-byte load. The spare lanes of the last group repeat i = n-2.
+// one 64-byte load. A last group of four points or fewer is gathered
+// into four lanes, which a 4-lane kernel runs, any other into eight;
+// its spare lanes repeat i = n-2.
 func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
 	n := b.n
 	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
 	d := ws.d
 	a, states := ws.a[:len(d)], ws.u[:len(d)]
 	for g := range states {
-		for q := 0; q < 4; q++ {
-			p := b.at(min(1+4*g+q, n-2), j, k)
+		lanes := 8
+		if n-2-8*g <= 4 {
+			lanes = 4
+		}
+		for q := 0; q < lanes; q++ {
+			p := b.at(min(1+8*g+q, n-2), j, k)
 			for m, o := range [4]int{p + s*n*n, p + s*n, p + s, p} {
 				st := &states[g][m]
 				st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = u0[o], u1[o], u2[o], u3[o], u4[o]
@@ -52,13 +58,13 @@ func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
 	bk, sign := &b.blk, float64(s)
 	z, y, x := &bk.z, &bk.y, &bk.x
 	for g := range d {
-		ag, st := &a[g], &states[g]
-		couplingZ4(&ag[0], &st[0], sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
-		couplingY4(&ag[1], &st[1], sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
-		couplingX4(&ag[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
-		diagonal4(&d[g], &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
+		ag, st, live := &a[g], &states[g], min(8, n-2-8*g)
+		couplingZ8(live, &ag[0], &st[0], sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
+		couplingY8(live, &ag[1], &st[1], sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
+		couplingX8(live, &ag[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
+		diagonal8(live, &d[g], &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
 			bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
-		factor54(&d[g])
+		factor58(live, &d[g])
 	}
 }
 
@@ -68,7 +74,7 @@ func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
 // Hot path: fused jacld+blts point kernel.
 func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 	n, p := b.n, b.at(i, j, k)
-	g, q := (i-1)/4, (i-1)%4
+	g, q := (i-1)/8, (i-1)%8
 	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
 	ws.coupledSum(&b.rsd, g, q, p-n*n, p-n, p-1)
 	tv := &ws.tv
@@ -86,7 +92,7 @@ func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
 // Hot path: fused jacu+buts point kernel.
 func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
 	n, p := b.n, b.at(i, j, k)
-	g, q := (i-1)/4, (i-1)%4
+	g, q := (i-1)/8, (i-1)%8
 	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
 	ws.coupledSum(&b.rsd, g, q, p+n*n, p+n, p+1)
 	tv := &ws.tv
@@ -111,7 +117,7 @@ func (ws *sweepScratch) coupledSum(r *[5][]float64, g, q, z, y, x int) {
 	rx := [5]float64{r0[x], r1[x], r2[x], r3[x], r4[x]}
 	a := &ws.a[g]
 	az, ay, ax := &a[0], &a[1], &a[2]
-	q &= 3
+	q &= 7
 	for m := 0; m < 5; m++ {
 		s := az[m][q]*rz[0] + ay[m][q]*ry[0] + ax[m][q]*rx[0]
 		s += az[m+5][q]*rz[1] + ay[m+5][q]*ry[1] + ax[m+5][q]*rx[1]

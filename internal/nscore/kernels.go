@@ -7,8 +7,8 @@ import "math"
 // plane per quantity, indexed like the scalar fields), with a point's
 // neighbours along the direction passed as rows shifted by the stride:
 // p for the point itself, p/m for p±stride. lanegen compiles each into
-// an AVX kernel that runs four consecutive points per instruction, bit
-// for bit the scalar body (rows.go, lanes_amd64.s), and the expressions
+// kernels that run eight (AVX-512) or four (AVX) consecutive points per
+// instruction, bit for bit the scalar body (lanes.go, lanes_amd64.s), and the expressions
 // are compute_rhs's, term for term, so every sum rounds as it does
 // there. A term that needs more than twelve rows goes through a scratch
 // row: a stored and reloaded double keeps its bits.

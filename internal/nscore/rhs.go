@@ -9,7 +9,7 @@ import "npbgo/internal/team"
 // flux differences in the three coordinate directions plus fourth-order
 // artificial dissipation, finally scaled by dt — a literal translation
 // of BT's compute_rhs as one parallel region, with the plane loops split
-// over the team. The sums run in component-major rows, four points per
+// over the team. The sums run in component-major rows, eight points per
 // instruction (kernels.go), and each element of rhs takes its terms in
 // compute_rhs's order, so the result is compute_rhs's to the bit. The
 // grid needs n ≥ 7. The region body is prebuilt by NewField (see

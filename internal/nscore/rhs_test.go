@@ -12,16 +12,16 @@ import (
 )
 
 // TestComputeRHSMatchesOracle holds ComputeRHS to the point-form
-// compute_rhs it replaced (oracleRHS) on grids of 8, 11, 12, 13 and 14
-// points a side, whose spans of n(n-2) points and rows of n leave
-// every tail length from 0 to 3 to the scalar body, at team sizes
-// below and above the interior planes, under every schedule, on the AVX and the portable path, on
+// compute_rhs it replaced (oracleRHS) on grids of 8 to 14 points a
+// side, whose spans of n(n-2) points and rows of n leave every length
+// from 0 to 7 after the 8-point groups, at team sizes below and above
+// the interior planes, under every schedule, at every simd.Width the host has, on
 // a perturbed flow field and twice over (the second call on the state
 // the first and Add left). Every element of every row of u and rhs and
 // of the primitive fields, the boundary included, must agree bit for
 // bit.
 func TestComputeRHSMatchesOracle(t *testing.T) {
-	for _, n := range []int{8, 11, 12, 13, 14} {
+	for _, n := range []int{8, 9, 10, 11, 12, 13, 14} {
 		c := SetConstants(n, 0.01)
 		start := NewField(n, true)
 		start.Initialize(&c)
@@ -39,7 +39,7 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 		want.Add(serial)
 		serial.Close()
 		oracleRHSOn(want, &c)
-		rowcheck.Modes(t, func(avx bool) {
+		rowcheck.Modes(t, func(width int) {
 			for _, threads := range []int{1, 2, 3, 7, 13} {
 				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
 					f := NewField(n, true)
@@ -53,8 +53,8 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 					for name, w := range namedRows(want) {
 						for e := range w {
 							if math.Float64bits(got[name][e]) != math.Float64bits(w[e]) {
-								t.Fatalf("n=%d avx=%v %d threads %s: %s[%d] = %v, oracle %v",
-									n, avx, threads, sched, name, e, got[name][e], w[e])
+								t.Fatalf("n=%d width %d %d threads %s: %s[%d] = %v, oracle %v",
+									n, width, threads, sched, name, e, got[name][e], w[e])
 							}
 						}
 					}
@@ -74,7 +74,7 @@ var rowKernels = [][2]any{
 }
 
 // TestRowKernelsMatchScalar holds each generated row kernel to its
-// scalar body, bit for bit, at every row length from 0 to 9, on random
+// scalar body, bit for bit, at every row length from 0 to 17, on random
 // rows with zeros of both signs among them (rowcheck.Kernels).
 func TestRowKernelsMatchScalar(t *testing.T) {
 	rowcheck.Kernels(t, rowKernels)

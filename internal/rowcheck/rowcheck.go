@@ -17,34 +17,33 @@ import (
 	"npbgo/internal/simd"
 )
 
-// Modes runs run once for each path this host can take, with simd.AVX
-// set to avx: the portable path always, the AVX one where the CPU has
-// it. The switch is restored when the test ends.
-func Modes(t *testing.T, run func(avx bool)) {
+// Modes runs run once for each level this host can take, with
+// simd.Width set to width: the portable path (1) always, then 4 and 8
+// where the CPU has them. The switch is restored when the test ends.
+func Modes(t *testing.T, run func(width int)) {
 	t.Helper()
-	host := simd.AVX
-	t.Cleanup(func() { simd.AVX = host })
-	modes := []bool{false}
-	if host {
-		modes = append(modes, true)
-	} else {
-		t.Log("no AVX on this host: only the portable path runs")
-	}
-	for _, avx := range modes {
-		simd.AVX = avx
-		run(avx)
+	host := simd.Width
+	t.Cleanup(func() { simd.Width = host })
+	for _, width := range []int{1, 4, 8} {
+		if width > host {
+			t.Logf("simd.Width %d: not on this host", width)
+			continue
+		}
+		simd.Width = width
+		run(width)
 	}
 }
 
 // Golden runs a benchmark at class S, one and two threads, with
-// simd.AVX cleared, so that every generated kernel, nscore's included,
-// runs its scalar body: what an amd64 CPU without AVX runs. verify
-// returns the verification printout at the given thread count; each
-// must be the name + ".S" block of testdata/bitidentity.golden (read
-// from the package directory two levels below the root). Other
-// architectures run the same scalar Go, but gc may fuse x*y + z there
-// (arm64), so this pins their bits only where it runs: amd64, and 386
-// in CI.
+// simd.Width forced to 1 and then to 4, so that every generated kernel,
+// nscore's included, runs its scalar body, then its AVX kernel alone:
+// what an amd64 CPU without AVX, and one without AVX-512, run. (The
+// root package's golden runs the host's own level.) verify returns the
+// verification printout at the given thread count; each must be the
+// name + ".S" block of testdata/bitidentity.golden (read from the
+// package directory two levels below the root). Other architectures run
+// the same scalar Go, but gc may fuse x*y + z there (arm64), so this
+// pins their bits only where it runs: amd64, and 386 in CI.
 func Golden(t *testing.T, name string, verify func(threads int) string) {
 	t.Helper()
 	data, err := os.ReadFile("../../testdata/bitidentity.golden")
@@ -57,31 +56,38 @@ func Golden(t *testing.T, name string, verify func(threads int) string) {
 	}
 	want, _, _ := strings.Cut(rest, "\n== ")
 	want += "\n"
-	host := simd.AVX
-	t.Cleanup(func() { simd.AVX = host })
-	simd.AVX = false
-	for _, threads := range []int{1, 2} {
-		if got := verify(threads); got != want {
-			t.Errorf("%s.S at %d threads on the portable path:\n%s\nrecorded:\n%s", name, threads, got, want)
+	host := simd.Width
+	t.Cleanup(func() { simd.Width = host })
+	for _, width := range []int{1, 4} {
+		if width > host {
+			t.Logf("simd.Width %d: not on this host", width)
+			continue
+		}
+		simd.Width = width
+		for _, threads := range []int{1, 2} {
+			if got := verify(threads); got != want {
+				t.Errorf("%s.S at %d threads, simd.Width %d:\n%s\nrecorded:\n%s", name, threads, width, got, want)
+			}
 		}
 	}
 }
 
 // Kernels runs each kernel, a pair of a generated <name>Row wrapper
 // and the scalar <name>, once through the wrapper and once point by
-// point through the scalar body, on rows of every length from 0 to 9
-// (so every group count and tail length), filled with random values
+// point through the scalar body, on rows of every length from 0 to 17
+// (so every count of 8-point groups meets every 4-point group and
+// scalar tail), filled with random values
 // with zeros of both signs among them, and fails unless every row is
 // equal afterwards, bit for bit. It does so on each path (Modes).
 func Kernels(t *testing.T, kernels [][2]any) {
 	t.Helper()
 	fill := filler(39)
-	Modes(t, func(avx bool) {
+	Modes(t, func(width int) {
 		for _, k := range kernels {
 			row, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
 			name := funcName(scalar)
 			st := scalar.Type()
-			for count := 0; count < 10; count++ {
+			for count := 0; count < 18; count++ {
 				for trial := 0; trial < 20; trial++ {
 					var got, want [][]float64
 					args := make([]reflect.Value, st.NumIn())
@@ -115,7 +121,7 @@ func Kernels(t *testing.T, kernels [][2]any) {
 					for r := range want {
 						for e := range want[r] {
 							if math.Float64bits(got[r][e]) != math.Float64bits(want[r][e]) {
-								t.Fatalf("%s avx=%v length %d: row %d [%d] = %v (%#x), scalar %v (%#x)", name, avx, count, r, e,
+								t.Fatalf("%s width %d length %d: row %d [%d] = %v (%#x), scalar %v (%#x)", name, width, count, r, e,
 									got[r][e], math.Float64bits(got[r][e]), want[r][e], math.Float64bits(want[r][e]))
 							}
 						}
@@ -126,62 +132,71 @@ func Kernels(t *testing.T, kernels [][2]any) {
 	})
 }
 
-// Lanes runs each kernel, a pair of a generated <name>4 wrapper and the
-// scalar <name>, on random arrays of four lanes, once through the
-// wrapper and once lane by lane through the scalar body, and fails
-// unless every lane of every array is equal afterwards, bit for bit.
-// About one value in four is a zero, of either sign, so over the trials
-// every lane meets zeros, the scalars as well. It does so on each path
-// (Modes).
+// Lanes runs each kernel, a pair of a generated <name>8 wrapper and the
+// scalar <name>, on random lane-form arrays, once through the wrapper
+// and once lane by lane through the scalar body, and fails unless every
+// lane the wrapper was asked to run of every array is equal afterwards,
+// bit for bit. The lane count is the wrapper's array type's; the trials
+// ask for each count of lanes in turn. About one value in four is a
+// zero, of either sign, so over the trials every lane meets zeros, the
+// scalars as well. It does so on each path (Modes).
 func Lanes(t *testing.T, kernels [][2]any) {
 	t.Helper()
 	fill := filler(41)
-	Modes(t, func(avx bool) {
+	Modes(t, func(width int) {
 		for _, k := range kernels {
 			wrapper, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
 			name := funcName(scalar)
 			wt, st := wrapper.Type(), scalar.Type()
+			lanes := 0
+			for a := 1; a < wt.NumIn(); a++ {
+				if wt.In(a).Kind() == reflect.Pointer {
+					lanes = wt.In(a).Elem().Elem().Len()
+				}
+			}
 			for trial := 0; trial < 200; trial++ {
+				live := 1 + trial%lanes
 				args := make([]reflect.Value, wt.NumIn())
 				want := make([]reflect.Value, len(args))
-				for a := range args {
+				args[0] = reflect.ValueOf(live)
+				for a := 1; a < len(args); a++ {
 					if wt.In(a).Kind() == reflect.Float64 {
 						args[a] = reflect.ValueOf(fill())
 						continue
 					}
 					args[a] = reflect.New(wt.In(a).Elem())
-					lanes := args[a].Elem()
-					for e := 0; e < lanes.Len(); e++ {
-						for q := 0; q < 4; q++ {
-							lanes.Index(e).Index(q).SetFloat(fill())
+					arr := args[a].Elem()
+					for e := 0; e < arr.Len(); e++ {
+						for q := 0; q < lanes; q++ {
+							arr.Index(e).Index(q).SetFloat(fill())
 						}
 					}
 					want[a] = reflect.New(wt.In(a).Elem())
-					want[a].Elem().Set(lanes)
+					want[a].Elem().Set(arr)
 				}
 				wrapper.Call(args)
-				for q := 0; q < 4; q++ {
-					sargs := make([]reflect.Value, len(args))
-					for a := range args {
-						if !want[a].IsValid() {
-							sargs[a] = args[a]
+				for q := 0; q < live; q++ {
+					sargs := make([]reflect.Value, len(args)-1)
+					for a := range sargs {
+						if !want[a+1].IsValid() {
+							sargs[a] = args[a+1]
 							continue
 						}
 						sargs[a] = reflect.New(st.In(a).Elem())
 						for e := 0; e < sargs[a].Elem().Len(); e++ {
-							sargs[a].Elem().Index(e).Set(want[a].Elem().Index(e).Index(q))
+							sargs[a].Elem().Index(e).Set(want[a+1].Elem().Index(e).Index(q))
 						}
 					}
 					scalar.Call(sargs)
-					for a := range args {
-						if !want[a].IsValid() {
+					for a := range sargs {
+						if !want[a+1].IsValid() {
 							continue
 						}
 						for e := 0; e < sargs[a].Elem().Len(); e++ {
-							g := args[a].Elem().Index(e).Index(q).Float()
+							g := args[a+1].Elem().Index(e).Index(q).Float()
 							w := sargs[a].Elem().Index(e).Float()
 							if math.Float64bits(g) != math.Float64bits(w) {
-								t.Fatalf("%s avx=%v: argument %d [%d] lane %d = %v (%#x), scalar %v (%#x)", name, avx, a, e, q,
+								t.Fatalf("%s width %d live %d: argument %d [%d] lane %d = %v (%#x), scalar %v (%#x)", name, width, live, a, e, q,
 									g, math.Float64bits(g), w, math.Float64bits(w))
 							}
 						}
@@ -193,7 +208,7 @@ func Lanes(t *testing.T, kernels [][2]any) {
 }
 
 // Lane returns lane q of a lane-form array.
-func Lane(a [][4]float64, q int) []float64 {
+func Lane(a [][8]float64, q int) []float64 {
 	s := make([]float64, len(a))
 	for e := range a {
 		s[e] = a[e][q]

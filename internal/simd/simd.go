@@ -1,10 +1,13 @@
 // Package simd holds the one CPU feature switch of the repository: the
 // kernels internal/lanegen generates into bt, sp, lu and nscore read
-// AVX to choose between their assembly and their portable scalar body.
+// Width to choose between their assembly and their portable scalar body.
 package simd
 
-// AVX selects the AVX kernels. It is set once, at initialization, from
-// what the CPU and the OS support; tests clear it to run the portable
-// path, which is what an amd64 CPU without AVX and every other
-// architecture run.
-var AVX = avxSupported()
+// Width is the vector level of the generated kernels, in doubles a
+// register: 8 runs the AVX-512 kernels (and the AVX ones on a row's
+// last four points), 4 the AVX kernels, 1 the portable scalar bodies.
+// It is set once, at initialization, to the widest level the CPU and
+// the OS support. Being one ordered value, it cannot name AVX-512
+// without AVX. Tests lower it to run a narrower level: 1 is what an
+// amd64 CPU without AVX and every other architecture run.
+var Width = width()

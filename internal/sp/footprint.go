@@ -10,7 +10,7 @@ import (
 // class and thread count allocates: the nscore field with the Speed
 // grid (26 rows of n³ points: U, Rhs and Forcing, five components
 // each, ten rows of primitives and scratch, and Speed), each worker's
-// lane group (n cells of four lanes: the rhs and three factor rows, 5
+// lane group (n cells of eight lanes: the rhs and three factor rows, 5
 // doubles each, and 8 scalars) and the dissipation table (5 doubles a
 // cell). Feeds the harness memory admission guard; dominant arrays
 // only.
@@ -23,6 +23,6 @@ func Footprint(class byte, threads int) (uint64, error) {
 		threads = 1
 	}
 	n := uint64(spec.size)
-	groups := uint64(threads) * n * 4 * (4*5 + 8) * 8
+	groups := uint64(threads) * n * 8 * (4*5 + 8) * 8
 	return nscore.FieldBytes(spec.size, true) + groups + n*5*8, nil
 }

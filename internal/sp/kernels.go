@@ -1,8 +1,9 @@
 package sp
 
 // The per-cell steps of SP's line solves, as scalar Go over fixed-size
-// arrays. lanegen compiles each into an AVX kernel that runs four lines
-// at once, bit for bit the scalar body (lanes.go, lanes_amd64.s). A
+// arrays. lanegen compiles each into AVX-512 and AVX kernels that run
+// eight lines at once, bit for bit the scalar body (lanes.go,
+// lanes_amd64.s). A
 // cell of a line holds five arrays:
 //
 //   - r: the right-hand side 5-vector;

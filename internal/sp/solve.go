@@ -6,8 +6,8 @@ import (
 )
 
 // The three factor sweeps share one implementation parameterized by
-// direction. Lines are solved four at a time: each worker queues the
-// lines of its share into a group and, whenever four are queued,
+// direction. Lines are solved eight at a time: each worker queues the
+// lines of its share into a group and, whenever eight are queued,
 // gathers them into lane form, runs every per-cell step of the solve as
 // one lane kernel call (kernels.go) and scatters the solutions back to
 // Rhs. A group may span planes and chunks; the last group of a
@@ -24,8 +24,8 @@ import (
 //go:generate go run ../lanegen
 
 type (
-	vec4  = [5][4]float64 // a 5-vector of each lane
-	cell4 = [8][4]float64 // a cell's scalars of each lane (kernels.go)
+	vec8  = [5][8]float64 // a 5-vector of each lane
+	cell8 = [8][8]float64 // a cell's scalars of each lane (kernels.go)
 )
 
 // dirSpec carries the per-direction constants of the line solves.
@@ -40,23 +40,23 @@ type dirSpec struct {
 	d2or3or4, d5, dmax, d1 float64
 }
 
-// group is one worker's lane scratch: up to four queued lines and, in
+// group is one worker's lane scratch: up to eight queued lines and, in
 // lane form, every cell's right-hand side, factor rows and scalars.
 type group struct {
 	n       int    // lines queued
-	start   [4]int // scalar-grid offset of each queued line's first point
-	r       []vec4
-	u, p, m []vec4
-	s       []cell4
+	start   [8]int // scalar-grid offset of each queued line's first point
+	r       []vec8
+	u, p, m []vec8
+	s       []cell8
 }
 
 func newGroup(n int) *group {
 	return &group{
-		r: make([]vec4, n),
-		u: make([]vec4, n),
-		p: make([]vec4, n),
-		m: make([]vec4, n),
-		s: make([]cell4, n),
+		r: make([]vec8, n),
+		u: make([]vec8, n),
+		p: make([]vec8, n),
+		m: make([]vec8, n),
+		s: make([]cell8, n),
 	}
 }
 
@@ -83,89 +83,107 @@ func dissipation(n int, comz1, comz4, comz5, comz6 float64) [][5]float64 {
 
 // gather loads the group's lines into lane form: each cell's Rhs
 // 5-vector and the scalars direction d reads. For eta and zeta lines,
-// four consecutive lines of one plane are four adjacent points, so
-// each scalar field is copied four lanes at a time.
-func (b *Benchmark) gather(g *group, d int) {
+// eight consecutive lines of one plane are eight adjacent points, so
+// every row is copied eight lanes at a time; gather reports whether the
+// group's lines are such.
+func (b *Benchmark) gather(g *group, d int) (adjacent bool) {
 	f, ds := b.f, &b.dirs[d]
-	for q := g.n; q < 4; q++ {
+	for q := g.n; q < 8; q++ {
 		g.start[q] = g.start[0]
 	}
 	s0 := g.start[0]
-	adjacent := d > 0 && g.start[1] == s0+1 && g.start[2] == s0+2 && g.start[3] == s0+3
+	adjacent = d > 0
+	for q, st := range g.start {
+		adjacent = adjacent && st == s0+q
+	}
 	vel := [3][]float64{f.Us, f.Vs, f.Ws}[d]
 	rho := f.U[0]
+	// The rows of the scalars s[e] an adjacent eta or zeta group
+	// copies, nil for those eigen sets or the direction does not read.
+	scalars := [8][]float64{0: vel, 2: f.Speed, 3: f.RhoI}
+	if d == 2 {
+		scalars[4], scalars[5], scalars[6], scalars[7] = f.Qs, f.Us, f.Vs, rho
+	}
 	r0, r1, r2, r3, r4 := nscore.Components(&f.Rhs)
 	for l := range g.s {
 		s, r := &g.s[l], &g.r[l]
 		if adjacent {
 			p := s0 + l*ds.line
-			s[0] = [4]float64(vel[p : p+4])
-			s[2] = [4]float64(f.Speed[p : p+4])
-			s[3] = [4]float64(f.RhoI[p : p+4])
-			if d == 2 {
-				s[4] = [4]float64(f.Qs[p : p+4])
-				s[5] = [4]float64(f.Us[p : p+4])
-				s[6] = [4]float64(f.Vs[p : p+4])
+			for c, row := range &f.Rhs {
+				r[c] = [8]float64(row[p:])
 			}
+			for e, row := range &scalars {
+				if row != nil {
+					s[e] = [8]float64(row[p:])
+				}
+			}
+			continue
 		}
 		for q, st := range g.start {
 			p := st + l*ds.line
-			if !adjacent {
-				s[0][q], s[2][q], s[3][q] = vel[p], f.Speed[p], f.RhoI[p]
-				switch d {
-				case 0:
-					s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Vs[p], f.Ws[p]
-				case 2:
-					s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Us[p], f.Vs[p]
-				}
-			}
-			if d == 2 {
+			s[0][q], s[2][q], s[3][q] = vel[p], f.Speed[p], f.RhoI[p]
+			switch d {
+			case 0:
+				s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Vs[p], f.Ws[p]
+			case 2:
+				s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Us[p], f.Vs[p]
 				s[7][q] = rho[p]
 			}
 			r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = r0[p], r1[p], r2[p], r3[p], r4[p]
 		}
 	}
+	return adjacent
 }
 
 // solveGroup solves the group's queued lines in direction d, the
 // transforms included, and writes their solutions back to Rhs.
 func (b *Benchmark) solveGroup(g *group, d int) {
 	c, ds, n := &b.c, &b.dirs[d], b.n
-	b.gather(g, d)
+	adjacent := b.gather(g, d)
 	r, u, p, m, s := g.r[:n], g.u[:n], g.p[:n], g.m[:n], g.s[:n]
 	if d == 0 {
 		for l := 1; l < n-1; l++ {
-			txinvr4(&r[l], &s[l], bts, c.C2)
+			txinvr8(g.n, &r[l], &s[l], bts, c.C2)
 		}
 	}
 	for l := range s {
-		eigen4(&s[l], c.C3c4, c.Con43, c.C1c5, ds.d2or3or4, ds.d5, ds.dmax, ds.d1)
+		eigen8(g.n, &s[l], c.C3c4, c.Con43, c.C1c5, ds.d2or3or4, ds.d5, ds.dmax, ds.d1)
 	}
 	// Identity boundary rows for all three factors (lhsinit).
 	for _, l := range [2]int{0, n - 1} {
-		u[l] = vec4{2: {1, 1, 1, 1}}
+		u[l] = vec8{2: {1, 1, 1, 1, 1, 1, 1, 1}}
 		p[l], m[l] = u[l], u[l]
 	}
 	for l := 1; l < n-1; l++ {
 		t := &b.diss[l]
-		lhsRow4(&u[l], &p[l], &m[l], &s[l-1], &s[l], &s[l+1], ds.dtt1, ds.dtt2, ds.c2dtt1, t[0], t[1], t[2], t[3], t[4])
+		lhsRow8(g.n, &u[l], &p[l], &m[l], &s[l-1], &s[l], &s[l+1], ds.dtt1, ds.dtt2, ds.c2dtt1, t[0], t[1], t[2], t[3], t[4])
 	}
 	for i := 0; i+2 < n; i++ {
-		forwardStep4(&u[i], &u[i+1], &u[i+2], &p[i], &p[i+1], &p[i+2], &m[i], &m[i+1], &m[i+2], &r[i], &r[i+1], &r[i+2])
+		forwardStep8(g.n, &u[i], &u[i+1], &u[i+2], &p[i], &p[i+1], &p[i+2], &m[i], &m[i+1], &m[i+2], &r[i], &r[i+1], &r[i+2])
 	}
-	lastRows4(&u[n-2], &u[n-1], &p[n-2], &p[n-1], &m[n-2], &m[n-1], &r[n-2], &r[n-1])
+	lastRows8(g.n, &u[n-2], &u[n-1], &p[n-2], &p[n-1], &m[n-2], &m[n-1], &r[n-2], &r[n-1])
 	for i := n - 3; i >= 0; i-- {
-		backStep4(&u[i], &p[i], &m[i], &r[i], &r[i+1], &r[i+2])
+		backStep8(g.n, &u[i], &p[i], &m[i], &r[i], &r[i+1], &r[i+2])
 	}
 	for l := 1; l < n-1; l++ {
 		switch d {
 		case 0:
-			ninvr4(&r[l], bts)
+			ninvr8(g.n, &r[l], bts)
 		case 1:
-			pinvr4(&r[l], bts)
+			pinvr8(g.n, &r[l], bts)
 		default:
-			tzetar4(&r[l], &s[l], bts, c.C2iv)
+			tzetar8(g.n, &r[l], &s[l], bts, c.C2iv)
 		}
+	}
+	if adjacent {
+		for l := range r {
+			p := g.start[0] + l*ds.line
+			for c, row := range &b.f.Rhs {
+				*(*[8]float64)(row[p:]) = r[l][c]
+			}
+		}
+		g.n = 0
+		return
 	}
 	r0, r1, r2, r3, r4 := nscore.Components(&b.f.Rhs)
 	for l := range r {
@@ -207,7 +225,7 @@ func (b *Benchmark) buildBodies() {
 					for a := 1; a < n-1; a++ {
 						g.start[g.n] = o*ds.outer + a*ds.inner
 						g.n++
-						if g.n == 4 {
+						if g.n == 8 {
 							b.solveGroup(g, d)
 						}
 					}

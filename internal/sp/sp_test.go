@@ -619,23 +619,23 @@ func (b *Benchmark) oracleSolves() {
 // the bound and a VMAXPD would not.
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
-		{eigen4, eigen}, {lhsRow4, lhsRow}, {forwardStep4, forwardStep}, {lastRows4, lastRows},
-		{backStep4, backStep}, {txinvr4, txinvr}, {ninvr4, ninvr}, {pinvr4, pinvr}, {tzetar4, tzetar},
+		{eigen8, eigen}, {lhsRow8, lhsRow}, {forwardStep8, forwardStep}, {lastRows8, lastRows},
+		{backStep8, backStep}, {txinvr8, txinvr}, {ninvr8, ninvr}, {pinvr8, pinvr}, {tzetar8, tzetar},
 	})
 	negZero, nan := math.Copysign(0, -1), math.NaN()
-	rowcheck.Modes(t, func(avx bool) {
+	rowcheck.Modes(t, func(width int) {
 		// With c3c4 = con43 = c1c5 = 1, r = d2or3or4 + ru1 and the
 		// first candidate d5 + ru1: ru1 = -0 makes them -0 and +0.
-		var s cell4
-		s[3] = [4]float64{negZero, 0, nan, 1}
+		var s cell8
+		s[3] = [8]float64{negZero, 0, nan, 1, 1, nan, 0, negZero}
 		for _, d := range [][4]float64{{negZero, 0, 0, negZero}, {0, negZero, negZero, 0}, {negZero, 0, nan, 0}} {
 			got := s
-			eigen4(&got, 1, 1, 1, d[0], d[1], d[2], d[3])
-			for q := 0; q < 4; q++ {
+			eigen8(8, &got, 1, 1, 1, d[0], d[1], d[2], d[3])
+			for q := range s[0] {
 				want := [8]float64(rowcheck.Lane(s[:], q))
 				eigen(&want, 1, 1, 1, d[0], d[1], d[2], d[3])
 				if g, w := got[1][q], want[1]; math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("avx=%v bounds %v lane %d: rho %v (%#x), scalar %v (%#x)", avx, d, q, g, math.Float64bits(g), w, math.Float64bits(w))
+					t.Fatalf("width %d bounds %v lane %d: rho %v (%#x), scalar %v (%#x)", width, d, q, g, math.Float64bits(g), w, math.Float64bits(w))
 				}
 			}
 		}
@@ -684,7 +684,7 @@ func TestDissipationTable(t *testing.T) {
 }
 
 // TestSweepsMatchScalarOracle holds the three sweeps, lines in groups
-// of four lanes and the transforms folded in, to the scalar solver
+// of eight lanes and the transforms folded in, to the scalar solver
 // above, on every element of Rhs, the boundary's included, after a
 // step on a developed field. Line counts of 10, 11 and 34 a plane, at
 // thread counts that leave some workers one plane or none, put groups
@@ -734,7 +734,7 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 }
 
 // TestPortableLanesReproduceGolden runs SP.S on the portable path
-// (simd.AVX cleared) at one and two threads and compares the
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares the
 // verification printout with the one recorded in
 // testdata/bitidentity.golden (rowcheck.Golden).
 func TestPortableLanesReproduceGolden(t *testing.T) {
