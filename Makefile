@@ -67,6 +67,8 @@ race:
 
 test-race: race
 
+# The root's one testing.B benchmark, the §5.2 CG warmup ablation (on
+# and off); every paper table comes from make tables.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
@@ -136,9 +138,16 @@ instrument-check:
 	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -instrument profile -instrument-dir $(INSTDIR)/w -bench-json $(INSTDIR)/w.json
 	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) $(INSTDIR)/w.json
 
+# Every paper table through npbsuite (internal/suite's Paper entries):
+# Table 1's five operations on the 81x81x100 grid (class A), serial and
+# across $(THREADS); Table 0's nested forms and Table 7's LU at classes
+# A, B and C, serial; then Tables 2-6 at $(CLASS).
+TABLE1 := ASSIGN,STENCIL1,STENCIL2,MATVEC,REDSUM
+TABLE0 := ASSIGN_NESTED,STENCIL1_NESTED,STENCIL2_NESTED,MATVEC_NESTED,REDSUM_NESTED
 tables:
-	$(GO) run ./cmd/cfdops -threads $(THREADS)
-	$(GO) run ./cmd/jgflu -classes A,B,C
+	$(GO) run ./cmd/npbsuite -class A -bench $(TABLE1) -threads $(THREADS)
+	$(GO) run ./cmd/npbsuite -class A -bench $(TABLE0) -threads 1
+	for c in A B C; do $(GO) run ./cmd/npbsuite -class $$c -bench LUFACT,DGETRF -threads 1 || exit 1; done
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS)
 
 clean:

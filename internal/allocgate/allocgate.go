@@ -15,8 +15,8 @@
 // Each measurement builds a benchmark with the key's Env, opens its
 // team through Env.Team as a run does, runs a few warm-up iterations so
 // every lazily constructed structure (cached pipelines, per-worker
-// deques) exists, then measures allocations per Iter with
-// testing.AllocsPerRun. Field values are irrelevant to the measurement
+// deques) exists, then measures allocations per Iter as
+// testing.AllocsPerRun does. Field values are irrelevant to the measurement
 // — allocation counts in these kernels do not depend on the data — so
 // the gate runs Iter on freshly constructed (zero-valued) grids rather
 // than reproducing each benchmark's untimed setup phase.
@@ -26,9 +26,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	rt "runtime/trace"
 	"strings"
-	"testing"
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/perfcount"
@@ -97,12 +97,16 @@ func Keys() []Key {
 // Measure builds benchmark k.Bench at class k.Class with k's schedule
 // and instruments, warms its steady-state hook with warm iterations,
 // then returns the average allocations per Iter over runs measured
-// iterations (via testing.AllocsPerRun, which pins GOMAXPROCS to 1 for
-// the measurement). An instrumented key carries a counter sampler only
-// where perfcount.NewSoftware succeeds. Its tracer annotates a runtime
-// tracer started here, so every annotation really is recorded; the
-// trace goes to io.Discard, because AllocsPerRun counts every
-// goroutine's mallocs, the trace writer's included. Where the runtime
+// iterations (measureAllocsPerRun). An instrumented key carries a counter
+// sampler only where perfcount.NewSoftware succeeds. Its tracer
+// annotates a runtime tracer started here, so every annotation really
+// is recorded; the trace goes to io.Discard, because the count takes in
+// every goroutine's mallocs, the trace writer's included. The runtime
+// tracer is started afresh before each measured Iter: it flushes a
+// generation about once a second, and the flush heap-allocates the
+// stack frames it writes (runtime.makeTraceFrames, dozens of mallocs),
+// so an Iter that is the whole run, as EP's is, would otherwise meet a
+// flush whenever a busy host stretches its window. Where the runtime
 // itself heap-allocates while tracing (tracerAllocates: the stack
 // frames of every trace generation it flushes, runtime.makeTraceFrames,
 // hundreds of mallocs a second under -race and on 386), the key
@@ -114,6 +118,7 @@ func Measure(k Key, warm, runs int) (float64, error) {
 		return 0, fmt.Errorf("allocgate: unknown benchmark %q", k.Bench)
 	}
 	env := kernel.Env{Schedule: k.Schedule}
+	var fresh func() // restarts the gate's runtime tracer, if it started one
 	if k.Instrumented {
 		env.Timers = timer.NewConcurrentSet()
 		// Slot 0 is the master, bound on this goroutine as a run binds it.
@@ -126,6 +131,11 @@ func Measure(k Key, warm, runs int) (float64, error) {
 		if !tracerAllocates {
 			if rt.Start(io.Discard) == nil {
 				defer rt.Stop()
+				fresh = func() {
+					rt.Stop()
+					rt.Start(io.Discard)
+					runtime.Gosched() // the new tracer's goroutines take their first steps
+				}
 			}
 			tr = trace.New(context.Background(), k.String(), Threads)
 			defer tr.Stop()
@@ -141,5 +151,27 @@ func Measure(k Key, warm, runs int) (float64, error) {
 	for i := 0; i < warm; i++ {
 		b.Iter(tm)
 	}
-	return testing.AllocsPerRun(runs, func() { b.Iter(tm) }), nil
+	return measureAllocsPerRun(runs, fresh, func() { b.Iter(tm) }), nil
+}
+
+// measureAllocsPerRun is testing.AllocsPerRun with a hook: GOMAXPROCS pinned
+// to 1, one warm-up call of f, then the mean mallocs of runs calls, each
+// counted in its own window that opens right after fresh (when non-nil)
+// returns.
+func measureAllocsPerRun(runs int, fresh, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var ms runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		if fresh != nil {
+			fresh()
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		total += ms.Mallocs - before
+	}
+	return float64(total / uint64(runs))
 }

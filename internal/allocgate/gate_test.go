@@ -13,12 +13,12 @@ import (
 // steady-state allocations per Iter stay within Budget. Class S gates
 // always run; the W gates are skipped under -short (they execute
 // full-size iterations — EP's W iteration alone is seconds of work).
-// testing.AllocsPerRun runs one warm-up iteration of its own before it
-// measures, so warm counts the extra ones. EP's class-S iteration is
+// Measure runs one warm-up iteration of its own before it measures, as
+// testing.AllocsPerRun does, so warm counts the extra ones. EP's class-S iteration is
 // its whole run, a third of a second, so its keys take the W keys'
 // shorter count too.
 //
-// AllocsPerRun counts mallocs process-wide, so a stray background
+// Measure counts mallocs process-wide, so a stray background
 // allocation (GC worker, timer) can leak into a small sample; a gate
 // only fails after a second measurement confirms the excess.
 func TestGate(t *testing.T) {

@@ -70,15 +70,15 @@ func Alloc5(d Dim5) Vec { return make(Vec, d.Len()) }
 // contiguous, fastest-varying index as in the linearized form.
 type Nested3 [][][]float64
 
-// AllocNested3 allocates a Nested3 with extents d. The rows are carved
-// out of one backing allocation (the denser of the two layouts the paper
-// considered; the indirection per dimension is the cost being measured).
-func AllocNested3(d Dim3) Nested3 {
-	backing := make([]float64, d.Len())
+// Nest3 carves a Nested3 with extents d out of backing, its rows in the
+// linearized order, so backing holds the array in the linearized layout
+// (the denser of the two layouts the paper considered; the indirection
+// per dimension is the cost being measured).
+func Nest3(backing []float64, d Dim3) Nested3 {
 	out := make(Nested3, d.N3)
-	for i3 := 0; i3 < d.N3; i3++ {
+	for i3 := range out {
 		plane := make([][]float64, d.N2)
-		for i2 := 0; i2 < d.N2; i2++ {
+		for i2 := range plane {
 			off := d.At(0, i2, i3)
 			plane[i2] = backing[off : off+d.N1 : off+d.N1]
 		}
@@ -90,22 +90,12 @@ func AllocNested3(d Dim3) Nested3 {
 // Nested4 is the dimension-preserving 4-D variant, indexed [i4][i3][i2][i1].
 type Nested4 [][][][]float64
 
-// AllocNested4 allocates a Nested4 with extents d, rows carved from one
-// backing allocation.
-func AllocNested4(d Dim4) Nested4 {
-	backing := make([]float64, d.Len())
+// Nest4 is Nest3 for a Nested4.
+func Nest4(backing []float64, d Dim4) Nested4 {
+	d3 := Dim3{d.N1, d.N2, d.N3}
 	out := make(Nested4, d.N4)
-	for i4 := 0; i4 < d.N4; i4++ {
-		cube := make(Nested3, d.N3)
-		for i3 := 0; i3 < d.N3; i3++ {
-			plane := make([][]float64, d.N2)
-			for i2 := 0; i2 < d.N2; i2++ {
-				off := d.At(0, i2, i3, i4)
-				plane[i2] = backing[off : off+d.N1 : off+d.N1]
-			}
-			cube[i3] = plane
-		}
-		out[i4] = cube
+	for i4 := range out {
+		out[i4] = Nest3(backing[i4*d3.Len():], d3)
 	}
 	return out
 }
@@ -114,26 +104,12 @@ func AllocNested4(d Dim4) Nested4 {
 // blocks), indexed [i5][i4][i3][i2][i1].
 type Nested5 [][][][][]float64
 
-// AllocNested5 allocates a Nested5 with extents d, rows carved from one
-// backing allocation.
-func AllocNested5(d Dim5) Nested5 {
-	backing := make([]float64, d.Len())
+// Nest5 is Nest3 for a Nested5.
+func Nest5(backing []float64, d Dim5) Nested5 {
+	d4 := Dim4{d.N1, d.N2, d.N3, d.N4}
 	out := make(Nested5, d.N5)
-	for i5 := 0; i5 < d.N5; i5++ {
-		b4 := make(Nested4, d.N4)
-		for i4 := 0; i4 < d.N4; i4++ {
-			b3 := make(Nested3, d.N3)
-			for i3 := 0; i3 < d.N3; i3++ {
-				b2 := make([][]float64, d.N2)
-				for i2 := 0; i2 < d.N2; i2++ {
-					off := d.At(0, i2, i3, i4, i5)
-					b2[i2] = backing[off : off+d.N1 : off+d.N1]
-				}
-				b3[i3] = b2
-			}
-			b4[i4] = b3
-		}
-		out[i5] = b4
+	for i5 := range out {
+		out[i5] = Nest4(backing[i5*d4.Len():], d4)
 	}
 	return out
 }

@@ -84,7 +84,7 @@ func TestOffsetsDenseProperty(t *testing.T) {
 func TestNestedSharesLayoutWithLinear(t *testing.T) {
 	d := Dim3{N1: 4, N2: 3, N3: 2}
 	lin := Alloc3(d)
-	nst := AllocNested3(d)
+	nst := Nest3(make([]float64, d.Len()), d)
 	v := 0.0
 	for i3 := 0; i3 < d.N3; i3++ {
 		for i2 := 0; i2 < d.N2; i2++ {
@@ -108,7 +108,7 @@ func TestNestedSharesLayoutWithLinear(t *testing.T) {
 
 func TestNested4Shape(t *testing.T) {
 	d := Dim4{5, 4, 3, 2}
-	n := AllocNested4(d)
+	n := Nest4(make([]float64, d.Len()), d)
 	if len(n) != d.N4 || len(n[0]) != d.N3 || len(n[0][0]) != d.N2 || len(n[0][0][0]) != d.N1 {
 		t.Fatalf("Nested4 shape wrong: %d %d %d %d", len(n), len(n[0]), len(n[0][0]), len(n[0][0][0]))
 	}
@@ -120,7 +120,7 @@ func TestNested4Shape(t *testing.T) {
 
 func TestNested5Shape(t *testing.T) {
 	d := Dim5{5, 5, 3, 2, 4}
-	n := AllocNested5(d)
+	n := Nest5(make([]float64, d.Len()), d)
 	if len(n) != d.N5 || len(n[0]) != d.N4 || len(n[0][0]) != d.N3 ||
 		len(n[0][0][0]) != d.N2 || len(n[0][0][0][0]) != d.N1 {
 		t.Fatal("Nested5 shape wrong")

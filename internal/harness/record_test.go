@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"npbgo"
+	"npbgo/internal/perfstat"
 	"npbgo/internal/report"
 )
 
@@ -280,4 +281,42 @@ func TestResumeRefusesCorruptMidFile(t *testing.T) {
 
 func TestResumeRefusesTwoRecords(t *testing.T) {
 	resumeRefuses(t, testHeader+testCell+testHeader)
+}
+
+// TestPaperEntriesRoundTrip: a Table 1 entry's serial and two-thread
+// cells and a Table 7 entry's serial cell, swept at class A into one
+// record, read back verified through the one loader, and npbperf
+// scaling's analysis accepts the record with a baseline for both.
+func TestPaperEntriesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "paper.json")
+	rec, err := CreateRecord(path, "test", []npbgo.Benchmark{"STENCIL1", "LUFACT"}, 'A', []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if _, err := rec.RunSweep("STENCIL1", 'A', []int{2}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.RunSweep("LUFACT", 'A', nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	got := readRecord(t, path)
+	var keys []CellKey
+	for _, c := range got.Cells {
+		keys = append(keys, CellKey{c.Benchmark, c.Class, c.Threads})
+		if !c.Verified || c.Elapsed <= 0 || c.Mops <= 0 {
+			t.Fatalf("cell line malformed: %+v", c)
+		}
+	}
+	want := []CellKey{{"STENCIL1", "A", 0}, {"STENCIL1", "A", 2}, {"LUFACT", "A", 0}}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("cell lines %v, want %v", keys, want)
+	}
+	groups := perfstat.Scaling(got, perfstat.ScalingOptions{})
+	if len(groups) != 2 || groups[0].BaseSec <= 0 || groups[1].BaseSec <= 0 {
+		t.Fatalf("scaling analysis: %+v", groups)
+	}
+	if table := perfstat.ScalingTable(groups); !strings.Contains(table, "STENCIL1") || !strings.Contains(table, "LUFACT") {
+		t.Fatalf("scaling table:\n%s", table)
+	}
 }

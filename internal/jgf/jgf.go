@@ -5,7 +5,8 @@
 // was supposed to measure; a blocked DGETRF-style LU with a
 // matrix-multiply update ("good cache reuse since it is based on MMULT")
 // is vastly faster. Both variants are implemented here on the same
-// deterministic matrices, classes A/B/C = 500/1000/2000.
+// deterministic matrices, classes A/B/C = 500/1000/2000, and LU runs
+// each as a Table 7 entry (internal/suite's Paper list).
 package jgf
 
 import (
@@ -14,7 +15,10 @@ import (
 	"time"
 
 	"npbgo/internal/blas"
+	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
+	"npbgo/internal/team"
+	"npbgo/internal/verify"
 )
 
 // ClassSize maps Java Grande class letters to matrix orders.
@@ -189,114 +193,106 @@ func DgetrfSolve(a []float64, lda, n int, ipvt []int, b []float64) {
 	}
 }
 
-// Result reports one LU factor+solve run.
-type Result struct {
-	N        int
-	Factor   time.Duration
-	Solve    time.Duration
-	Mflops   float64
-	Residual float64 // normalized LINPACK residual
-	OK       bool
-}
-
 // Ops returns the standard LINPACK operation count for order n.
 func Ops(n int) float64 {
 	nf := float64(n)
 	return 2.0/3.0*nf*nf*nf + 2.0*nf*nf
 }
 
-// runLU factors and solves with the supplied routines and validates the
-// solution against the LINPACK normalized-residual criterion.
-func runLU(n int, factor func(a []float64, lda int, ipvt []int),
-	solve func(a []float64, lda int, ipvt []int, b []float64)) Result {
-	lda := n + 1 // LINPACK pads the leading dimension to avoid cache thrash
-	a := make([]float64, lda*n)
-	norma := Matgen(a, lda, n)
+// LU is one entry of the paper's Table 7 (internal/suite's Paper list):
+// lufact's unblocked factorization (Dgefa, Dgesl) or the blocked
+// DGETRF (Dgetrf, DgetrfSolve) of matgen's matrix of the class's order,
+// solving A x = A·ones. It runs serially and does not watch the Env's
+// context: a run is one factorization. Its verification is the LINPACK
+// normalized residual, accepted below 100.
+type LU struct {
+	n, nb int       // order; block size, 0 for lufact
+	a, a0 []float64 // the factored matrix and matgen's, column-major, leading dimension n+1
+	b, b0 []float64 // the right-hand side, overwritten by the solution; A·ones
+	ipvt  []int
+	norma float64 // matgen's largest absolute entry
+	env   kernel.Env
+}
 
-	// b = A * ones, so the exact solution is x = ones.
-	b := make([]float64, n)
+// New builds the class's ('A', 'B' or 'C') Table 7 entry for one
+// thread: lufact, or with blocked the 32-wide blocked DGETRF. Another
+// class, or threads other than 1, is an error.
+func New(blocked bool, class byte, threads int, env kernel.Env) (*LU, error) {
+	if _, err := Footprint(blocked, class, threads); err != nil {
+		return nil, err
+	}
+	k := newLU(ClassSize[class], 0, env)
+	if blocked {
+		k.nb = 32
+	}
+	return k, nil
+}
+
+// Footprint is the bytes New allocates: the two matrices, the two
+// vectors and the pivots.
+func Footprint(blocked bool, class byte, threads int) (uint64, error) {
+	n, ok := ClassSize[class]
+	if !ok || threads != 1 {
+		return 0, fmt.Errorf("jgf: the LU entries take class A, B or C and 1 thread; got class %q, %d threads", string(class), threads)
+	}
+	return 8 * uint64(2*(n+1)*n+3*n), nil
+}
+
+// newLU builds the system of order n; LINPACK pads the leading
+// dimension to n+1 to avoid cache thrash.
+func newLU(n, nb int, env kernel.Env) *LU {
+	lda := n + 1
+	k := &LU{n: n, nb: nb, env: env, a: make([]float64, lda*n), a0: make([]float64, lda*n),
+		b: make([]float64, n), b0: make([]float64, n), ipvt: make([]int, n)}
+	k.norma = Matgen(k.a0, lda, n)
 	for j := 0; j < n; j++ {
-		col := a[j*lda:]
-		for i := 0; i < n; i++ {
-			b[i] += col[i]
+		for i, v := range k.a0[j*lda : j*lda+n] {
+			k.b0[i] += v
 		}
 	}
-	aCopy := make([]float64, len(a))
-	copy(aCopy, a)
+	return k
+}
 
-	ipvt := make([]int, n)
-	t0 := time.Now()
-	factor(a, lda, ipvt)
-	tFactor := time.Since(t0)
-	t1 := time.Now()
-	solve(a, lda, ipvt, b)
-	tSolve := time.Since(t1)
+// Iter restores the system and factors and solves it.
+func (k *LU) Iter(*team.Team) {
+	copy(k.a, k.a0)
+	copy(k.b, k.b0)
+	k.solve()
+}
 
-	// Residual ||A x - b|| / (n ||A|| ||x|| eps).
-	normx := 0.0
-	resid := 0.0
+func (k *LU) solve() {
+	n, lda := k.n, k.n+1
+	if k.nb == 0 {
+		Dgefa(k.a, lda, n, k.ipvt)
+		Dgesl(k.a, lda, n, k.ipvt, k.b)
+	} else {
+		Dgetrf(k.a, lda, n, k.ipvt, k.nb)
+		DgetrfSolve(k.a, lda, n, k.ipvt, k.b)
+	}
+}
+
+// Run times one factor and solve, Ops(n) operations, and verifies the
+// solution by its normalized residual ||A x - b|| / (n ||A|| ||x|| eps),
+// which a NaN anywhere makes NaN.
+func (k *LU) Run() kernel.Outcome {
+	copy(k.a, k.a0)
+	copy(k.b, k.b0)
+	start := time.Now()
+	k.solve()
+	elapsed := time.Since(start)
+	n, lda := k.n, k.n+1
 	r := make([]float64, n)
-	for j := 0; j < n; j++ {
-		col := aCopy[j*lda:]
-		xj := b[j]
-		if math.Abs(xj) > normx {
-			normx = math.Abs(xj)
-		}
-		for i := 0; i < n; i++ {
-			r[i] += col[i] * xj
+	normx, resid := 0.0, 0.0
+	for j, xj := range k.b {
+		normx = max(normx, math.Abs(xj))
+		for i, v := range k.a0[j*lda : j*lda+n] {
+			r[i] += v * xj
 		}
 	}
-	for i := 0; i < n; i++ {
-		// The right-hand side was A*ones; recompute it for the check.
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += aCopy[j*lda+i]
-		}
-		if d := math.Abs(r[i] - s); d > resid {
-			resid = d
-		}
+	for i, ri := range r {
+		resid = max(resid, math.Abs(ri-k.b0[i]))
 	}
-	eps := 2.220446049250313e-16
-	normResid := resid / (float64(n) * norma * normx * eps)
-
-	var res Result
-	res.N = n
-	res.Factor = tFactor
-	res.Solve = tSolve
-	total := tFactor + tSolve
-	if s := total.Seconds(); s > 0 {
-		res.Mflops = Ops(n) * 1e-6 / s
-	}
-	res.Residual = normResid
-	res.OK = normResid < 100.0 // generous LINPACK-style acceptance
-	return res
-}
-
-// RunLufact runs the unblocked Java Grande lufact variant for class
-// letter cl ('A', 'B', 'C') or an explicit order n when cl is 0.
-func RunLufact(cl byte, n int) (Result, error) {
-	if cl != 0 {
-		var ok bool
-		n, ok = ClassSize[cl]
-		if !ok {
-			return Result{}, fmt.Errorf("jgf: unknown class %q", string(cl))
-		}
-	}
-	return runLU(n,
-		func(a []float64, lda int, ipvt []int) { Dgefa(a, lda, n, ipvt) },
-		func(a []float64, lda int, ipvt []int, b []float64) { Dgesl(a, lda, n, ipvt, b) }), nil
-}
-
-// RunBlocked runs the blocked DGETRF-style variant.
-func RunBlocked(cl byte, n, nb int) (Result, error) {
-	if cl != 0 {
-		var ok bool
-		n, ok = ClassSize[cl]
-		if !ok {
-			return Result{}, fmt.Errorf("jgf: unknown class %q", string(cl))
-		}
-	}
-	return runLU(n,
-		func(a []float64, lda int, ipvt []int) { Dgetrf(a, lda, n, ipvt, nb) },
-		func(a []float64, lda int, ipvt []int, b []float64) { DgetrfSolve(a, lda, n, ipvt, b) }), nil
+	rep := &verify.Report{Tier: verify.TierOfficial}
+	rep.AddTol("residual", resid/(float64(n)*k.norma*normx*2.220446049250313e-16), 0, 100)
+	return k.env.Outcome(elapsed, Ops(n)*1e-6, rep)
 }

@@ -4,26 +4,20 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"npbgo/internal/kernel"
 )
 
 func TestLufactSolvesKnownSystem(t *testing.T) {
-	res, err := RunLufact(0, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK {
-		t.Fatalf("residual %v too large", res.Residual)
+	if out := newLU(120, 0, kernel.Env{}).Run(); !out.Verify.Passed() {
+		t.Fatalf("residual too large:\n%s", out.Verify)
 	}
 }
 
 func TestBlockedSolvesKnownSystem(t *testing.T) {
 	for _, nb := range []int{1, 8, 32, 200} {
-		res, err := RunBlocked(0, 130, nb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.OK {
-			t.Fatalf("nb=%d residual %v too large", nb, res.Residual)
+		if out := newLU(130, nb, kernel.Env{}).Run(); !out.Verify.Passed() {
+			t.Fatalf("nb=%d residual too large:\n%s", nb, out.Verify)
 		}
 	}
 }
@@ -128,10 +122,12 @@ func TestOpsCount(t *testing.T) {
 }
 
 func TestUnknownClass(t *testing.T) {
-	if _, err := RunLufact('Z', 0); err == nil {
-		t.Fatal("class Z accepted")
-	}
-	if _, err := RunBlocked('Z', 0, 0); err == nil {
-		t.Fatal("class Z accepted")
+	for _, blocked := range []bool{false, true} {
+		if k, err := New(blocked, 'Z', 1, kernel.Env{}); err == nil || k != nil {
+			t.Fatalf("blocked=%v: class Z accepted", blocked)
+		}
+		if _, err := Footprint(blocked, 'Z', 1); err == nil {
+			t.Fatalf("blocked=%v: Footprint accepted class Z", blocked)
+		}
 	}
 }

@@ -15,10 +15,13 @@
 // Every operation exists in a linearized-array form (the translation
 // option the paper adopted) and, for the layout study, in a
 // dimension-preserving nested-slice form, plus a multithreaded form that
-// splits the outermost grid dimension over a team.
+// splits the outermost grid dimension over a team. Kernel runs each as
+// an entry of the paper's Tables 0 and 1 (internal/suite's Paper list).
 package ops
 
 import (
+	"slices"
+
 	"npbgo/internal/grid"
 	"npbgo/internal/team"
 )
@@ -46,66 +49,78 @@ type Workload struct {
 	// 4-D field for the reduction sum (Dim4 {5,n1,n2,n3}).
 	R grid.Vec
 
-	// Nested variants of the fields for the layout study.
-	AN, BN grid.Nested3
-	MN     grid.Nested5
-	VN, WN grid.Nested4
-	RN     grid.Nested4
+	// Nested variants of the fields for the layout study, and the
+	// backing arrays of the two outputs, AN and WN, which hold them in
+	// the linearized layout.
+	AN, BN   grid.Nested3
+	MN       grid.Nested5
+	VN, WN   grid.Nested4
+	RN       grid.Nested4
+	ANf, WNf grid.Vec
+
+	// tm is the team of the running Parallel call, which its region
+	// body reads.
+	tm      *team.Team
+	regions [numOps]func(id int)
 }
+
+// Field groups of a Workload; newWorkload allocates their union.
+const (
+	scalarFields = 1 << iota // A and B: the assignment and the stencils
+	blockFields              // M, V and W: the matrix-vector product
+	sumFields                // R: the reduction sum
+	nestedFields             // the nested copy of every group allocated
+)
 
 // NewWorkload allocates a workload on grid d and fills the inputs with a
 // deterministic, non-trivial pattern.
 func NewWorkload(d grid.Dim3) *Workload {
+	return newWorkload(d, scalarFields|blockFields|sumFields|nestedFields)
+}
+
+// newWorkload allocates and fills the field groups in f only, and
+// builds the region bodies of the Parallel forms once.
+func newWorkload(d grid.Dim3, f int) *Workload {
 	w := &Workload{
 		D:  d,
-		A:  grid.Alloc3(d),
-		B:  grid.Alloc3(d),
 		DM: grid.Dim5{N1: 5, N2: 5, N3: d.N1, N4: d.N2, N5: d.N3},
 		DV: grid.Dim4{N1: 5, N2: d.N1, N3: d.N2, N4: d.N3},
-		AN: grid.AllocNested3(d),
-		BN: grid.AllocNested3(d),
 	}
-	w.M = grid.Alloc5(w.DM)
-	w.V = grid.Alloc4(w.DV)
-	w.W = grid.Alloc4(w.DV)
-	w.R = grid.Alloc4(w.DV)
-	w.MN = grid.AllocNested5(w.DM)
-	w.VN = grid.AllocNested4(w.DV)
-	w.WN = grid.AllocNested4(w.DV)
-	w.RN = grid.AllocNested4(w.DV)
-
-	for i := range w.B {
-		w.B[i] = 1.0 + float64(i%17)*0.0625
-	}
-	for i3 := 0; i3 < d.N3; i3++ {
-		for i2 := 0; i2 < d.N2; i2++ {
-			for i1 := 0; i1 < d.N1; i1++ {
-				w.BN[i3][i2][i1] = w.B[d.At(i1, i2, i3)]
-			}
+	nested := f&nestedFields != 0
+	if f&scalarFields != 0 {
+		w.A, w.B = grid.Alloc3(d), grid.Alloc3(d)
+		for i := range w.B {
+			w.B[i] = 1.0 + float64(i%17)*0.0625
+		}
+		if nested {
+			w.ANf = grid.Alloc3(d)
+			w.AN, w.BN = grid.Nest3(w.ANf, d), grid.Nest3(slices.Clone(w.B), d)
 		}
 	}
-	for i := range w.M {
-		w.M[i] = 0.5 + float64(i%23)*0.03125
-	}
-	for i := range w.V {
-		w.V[i] = 1.0 + float64(i%13)*0.0625
-	}
-	for i := range w.R {
-		w.R[i] = float64(i%31) * 0.03125
-	}
-	for i3 := 0; i3 < d.N3; i3++ {
-		for i2 := 0; i2 < d.N2; i2++ {
-			for i1 := 0; i1 < d.N1; i1++ {
-				for c := 0; c < 5; c++ {
-					w.VN[i3][i2][i1][c] = w.V[w.DV.At(c, i1, i2, i3)]
-					w.RN[i3][i2][i1][c] = w.R[w.DV.At(c, i1, i2, i3)]
-					for r := 0; r < 5; r++ {
-						w.MN[i3][i2][i1][c][r] = w.M[w.DM.At(r, c, i1, i2, i3)]
-					}
-				}
-			}
+	if f&blockFields != 0 {
+		w.M, w.V, w.W = grid.Alloc5(w.DM), grid.Alloc4(w.DV), grid.Alloc4(w.DV)
+		for i := range w.M {
+			w.M[i] = 0.5 + float64(i%23)*0.03125
+		}
+		for i := range w.V {
+			w.V[i] = 1.0 + float64(i%13)*0.0625
+		}
+		if nested {
+			w.WNf = grid.Alloc4(w.DV)
+			w.MN, w.VN, w.WN = grid.Nest5(slices.Clone(w.M), w.DM), grid.Nest4(slices.Clone(w.V), w.DV), grid.Nest4(w.WNf, w.DV)
 		}
 	}
+	if f&sumFields != 0 {
+		w.R = grid.Alloc4(w.DV)
+		for i := range w.R {
+			w.R[i] = float64(i%31) * 0.03125
+		}
+		if nested {
+			w.RN = grid.Nest4(slices.Clone(w.R), w.DV)
+		}
+	}
+	w.regions = [numOps]func(int){Assign: w.assignRegion, Stencil1: w.firstOrderRegion,
+		Stencil2: w.secondOrderRegion, MatVec5: w.matVecRegion, Sum: w.sumRegion}
 	return w
 }
 
@@ -147,15 +162,22 @@ func (w *Workload) AssignmentNested() {
 	}
 }
 
-// AssignmentParallel is Assignment with planes split over tm.
-func (w *Workload) AssignmentParallel(tm *team.Team) {
-	d := w.D
-	plane := d.N1 * d.N2
-	tm.Run(func(id int) {
-		for it := tm.Loop(id, 0, d.N3); it.Next(); {
-			copyLoop(w.A[it.Lo*plane:it.Hi*plane], w.B[it.Lo*plane:it.Hi*plane])
-		}
-	})
+// Parallel runs operation o's parallel form on tm: the outer planes
+// split over the team, or for Sum R's static blocks, one partial sum
+// each, which tm.PartialSum adds in block order, so the sum has the
+// same bits under every schedule of one team size. The region bodies
+// are built once, with the Workload, so a call allocates nothing.
+func (w *Workload) Parallel(o Op, tm *team.Team) {
+	w.tm = tm
+	tm.Run(w.regions[o])
+}
+
+// assignRegion is Assignment's parallel form.
+func (w *Workload) assignRegion(id int) {
+	plane := w.D.N1 * w.D.N2
+	for it := w.tm.Loop(id, 0, w.D.N3); it.Next(); {
+		copyLoop(w.A[it.Lo*plane:it.Hi*plane], w.B[it.Lo*plane:it.Hi*plane])
+	}
 }
 
 // FirstOrder applies the first-order star stencil to B, writing A on the
@@ -198,13 +220,11 @@ func (w *Workload) FirstOrderNested() {
 	}
 }
 
-// FirstOrderParallel splits the outer planes of FirstOrder over tm.
-func (w *Workload) FirstOrderParallel(tm *team.Team) {
-	tm.Run(func(id int) {
-		for it := tm.Loop(id, 1, w.D.N3-1); it.Next(); {
-			w.firstOrderRange(it.Lo, it.Hi)
-		}
-	})
+// firstOrderRegion is FirstOrder's parallel form.
+func (w *Workload) firstOrderRegion(id int) {
+	for it := w.tm.Loop(id, 1, w.D.N3-1); it.Next(); {
+		w.firstOrderRange(it.Lo, it.Hi)
+	}
 }
 
 // SecondOrder applies the second-order star stencil (13-point kernel,
@@ -251,13 +271,11 @@ func (w *Workload) SecondOrderNested() {
 	}
 }
 
-// SecondOrderParallel splits the outer planes of SecondOrder over tm.
-func (w *Workload) SecondOrderParallel(tm *team.Team) {
-	tm.Run(func(id int) {
-		for it := tm.Loop(id, 2, w.D.N3-2); it.Next(); {
-			w.secondOrderRange(it.Lo, it.Hi)
-		}
-	})
+// secondOrderRegion is SecondOrder's parallel form.
+func (w *Workload) secondOrderRegion(id int) {
+	for it := w.tm.Loop(id, 2, w.D.N3-2); it.Next(); {
+		w.secondOrderRange(it.Lo, it.Hi)
+	}
 }
 
 // MatVec computes W = M*V at every grid point: a 5x5 matrix times a
@@ -305,13 +323,11 @@ func (w *Workload) MatVecNested() {
 	}
 }
 
-// MatVecParallel splits the outer planes of MatVec over tm.
-func (w *Workload) MatVecParallel(tm *team.Team) {
-	tm.Run(func(id int) {
-		for it := tm.Loop(id, 0, w.D.N3); it.Next(); {
-			w.matVecRange(it.Lo, it.Hi)
-		}
-	})
+// matVecRegion is MatVec's parallel form.
+func (w *Workload) matVecRegion(id int) {
+	for it := w.tm.Loop(id, 0, w.D.N3); it.Next(); {
+		w.matVecRange(it.Lo, it.Hi)
+	}
 }
 
 // ReduceSum computes the sum of all elements of the 4-D field R.
@@ -344,16 +360,11 @@ func (w *Workload) ReduceSumNested() float64 {
 	return s
 }
 
-// ReduceSumParallel computes ReduceSum as one partial sum per static
-// block of R, combined in block order: the same bits for a given team
-// size under every schedule.
-func (w *Workload) ReduceSumParallel(tm *team.Team) float64 {
-	tm.Run(func(id int) {
-		for it := tm.ReduceBlocks(id, 0, len(w.R)); it.Next(); {
-			*tm.Partial(it.Chunk()) = sumRange(w.R, it.Lo, it.Hi)
-		}
-	})
-	return tm.PartialSum()
+// sumRegion is ReduceSum's parallel form.
+func (w *Workload) sumRegion(id int) {
+	for it := w.tm.ReduceBlocks(id, 0, len(w.R)); it.Next(); {
+		*w.tm.Partial(it.Chunk()) = sumRange(w.R, it.Lo, it.Hi)
+	}
 }
 
 // Flop counts for one invocation of each operation, derived from the

@@ -189,19 +189,19 @@ func TestParallelVariantsMatchSerial(t *testing.T) {
 			wp := NewWorkload(smallDim)
 
 			ws.Assignment()
-			wp.AssignmentParallel(tm)
+			wp.Parallel(Assign, tm)
 			compare(t, "assignment", ws.A, wp.A)
 
 			ws.FirstOrder()
-			wp.FirstOrderParallel(tm)
+			wp.Parallel(Stencil1, tm)
 			compare(t, "first-order", ws.A, wp.A)
 
 			ws.SecondOrder()
-			wp.SecondOrderParallel(tm)
+			wp.Parallel(Stencil2, tm)
 			compare(t, "second-order", ws.A, wp.A)
 
 			ws.MatVec()
-			wp.MatVecParallel(tm)
+			wp.Parallel(MatVec5, tm)
 			compare(t, "matvec", ws.W, wp.W)
 
 			want := 0.0
@@ -209,7 +209,8 @@ func TestParallelVariantsMatchSerial(t *testing.T) {
 				lo, hi := team.Block(0, len(ws.R), n, b)
 				want += sumRange(ws.R, lo, hi)
 			}
-			if got := wp.ReduceSumParallel(tm); got != want {
+			wp.Parallel(Sum, tm)
+			if got := tm.PartialSum(); got != want {
 				t.Fatalf("threads=%d %s reduce: %v, block-order sum %v", n, sched, got, want)
 			}
 			tm.Close()

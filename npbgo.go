@@ -44,7 +44,8 @@ const (
 )
 
 // Benchmarks returns the suite in the paper's table order (BT, SP, LU,
-// FT, IS, CG, MG) with EP appended.
+// FT, IS, CG, MG) with EP appended: the eight, never the paper-table
+// entries Config.Benchmark also takes.
 func Benchmarks() []Benchmark {
 	out := make([]Benchmark, len(suite.Rows))
 	for i, r := range suite.Rows {
@@ -58,6 +59,12 @@ func Classes() []byte { return []byte{'S', 'W', 'A', 'B', 'C'} }
 
 // Config selects a benchmark run.
 type Config struct {
+	// Benchmark is one of the eight, or an entry of the paper's other
+	// tables, run the same way: Table 1's operations on the 81x81x100
+	// grid at class A (ASSIGN, STENCIL1, STENCIL2, MATVEC, REDSUM; serial
+	// at one thread), Table 0's nested forms (the same names with
+	// _NESTED; one thread) and Table 7's LU (LUFACT, DGETRF; classes A,
+	// B and C, one thread).
 	Benchmark Benchmark
 	Class     byte // 'S', 'W', 'A', 'B' or 'C'
 	Threads   int  // worker count; 1 runs the regions inline (serial)
