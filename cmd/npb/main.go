@@ -2,11 +2,16 @@
 // NPB binaries (bt.S.x, cg.A.x, ...):
 //
 //	npb -bench BT -class A -threads 4
+//
+// A run that fails verification still prints its result line, and
+// under -v the report naming each compared value, before exiting 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -14,18 +19,27 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "CG", "benchmark: BT SP LU FT MG CG IS EP")
-	class := flag.String("class", "S", "problem class: S W A B C")
-	threads := flag.Int("threads", 1, "worker threads (1 = serial)")
-	warmup := flag.Bool("warmup", false, "apply the per-thread warmup load of the paper's §5.2 (CG)")
-	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
-	verbose := flag.Bool("v", false, "print the full verification report")
-	profile := flag.Bool("profile", false, "print a per-phase timing profile")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point; it returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("npb", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "CG", "benchmark: BT SP LU FT MG CG IS EP")
+	class := fs.String("class", "S", "problem class: S W A B C")
+	threads := fs.Int("threads", 1, "worker threads (1 = serial)")
+	warmup := fs.Bool("warmup", false, "apply the per-thread warmup load of the paper's §5.2 (CG)")
+	schedule := fs.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
+	verbose := fs.Bool("v", false, "print the full verification report")
+	profile := fs.Bool("profile", false, "print a per-phase timing profile")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if len(*class) != 1 {
-		fmt.Fprintln(os.Stderr, "npb: -class must be one letter")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "npb: -class must be one letter")
+		return 2
 	}
 	cfg := npbgo.Config{
 		Benchmark: npbgo.Benchmark(strings.ToUpper(*bench)),
@@ -35,22 +49,27 @@ func main() {
 		Schedule:  *schedule,
 		Profile:   *profile,
 	}
-	fmt.Printf("NAS Parallel Benchmarks (Go translation) - %s Benchmark\n", cfg.Benchmark)
-	fmt.Printf(" Class %c, %d thread(s)\n", cfg.Class, cfg.Threads)
+	fmt.Fprintf(stdout, "NAS Parallel Benchmarks (Go translation) - %s Benchmark\n", cfg.Benchmark)
+	fmt.Fprintf(stdout, " Class %c, %d thread(s)\n", cfg.Class, cfg.Threads)
 	res, err := npbgo.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "npb:", err)
-		os.Exit(1)
+	// A verification mismatch is a completed run: its result and report
+	// are what the failure is about, so they print before the exit.
+	var re *npbgo.RunError
+	if err != nil && !(errors.As(err, &re) && re.Kind == npbgo.ErrVerification) {
+		fmt.Fprintln(stderr, "npb:", err)
+		return 1
 	}
-	fmt.Println(res)
+	fmt.Fprintln(stdout, res)
 	if *verbose {
-		fmt.Print(res.Detail)
+		fmt.Fprint(stdout, res.Detail)
 	}
 	if res.Profile != "" {
-		fmt.Println("phase profile:")
-		fmt.Print(res.Profile)
+		fmt.Fprintln(stdout, "phase profile:")
+		fmt.Fprint(stdout, res.Profile)
 	}
-	if res.Failed {
-		os.Exit(1)
+	if err != nil {
+		fmt.Fprintln(stderr, "npb:", err)
+		return 1
 	}
+	return 0
 }

@@ -45,17 +45,12 @@
 // zeros. trace runs each cell under the Go execution tracer, annotated
 // with the run's regions, worker blocks, barrier and pipeline waits and
 // phases, and writes one trace per cell, "<BENCH>.<class>.<cell>.trace",
-// for `go tool trace` or `npbperf trace validate|summary`; under
-// -isolate the child writes it. profile captures a CPU
-// and a heap profile per cell, "<BENCH>.<class>.<cell>.cpu.pprof" and
-// ".heap.pprof", outside the timed region, recorded in the cell's
-// records and decoded by `npbperf hotspots`; under -isolate the child
-// captures and the parent collects the files, and a failing cell still
-// flushes its profile (a hard-killed child flushes nothing, and its
-// empty file is dropped rather than recorded as data). An unknown
-// instrument name exits 2. Under -isolate the obs instrument exits 2
-// too: a child's runtime metrics do not cross the process boundary
-// (counters cross in its result; profiles and traces are files).
+// for `go tool trace` or `npbperf trace validate|summary`. profile
+// captures a CPU and a heap profile per cell,
+// "<BENCH>.<class>.<cell>.cpu.pprof" and ".heap.pprof", outside the
+// timed region, recorded in the cell's records and decoded by `npbperf
+// hotspots`; a failing cell still flushes its profile. An unknown
+// instrument name exits 2.
 //
 // -bench-json <path> records the sweep (schema npbgo/bench/v2, JSON
 // Lines): a header with the plan and the host's environment, then one
@@ -67,20 +62,16 @@
 // `npbperf scaling` takes each cell's median over — while the headline
 // stays the best time.
 //
-// Crash safety (see DESIGN.md §12): the -bench-json record is also the
-// sweep's journal. If the process dies mid-sweep — OOM kill, power
-// loss, ^C — the record holds every finished cell, and npbperf reads
-// it. -resume <path> picks the sweep back up: the plan (class, threads,
-// benchmarks) is read from the record's header, recorded cells are
-// replayed without re-executing, and only the cells without a line run.
-//
-// -isolate runs every cell in a child process (`npbsuite -run-cell`,
-// an internal mode) under a parent-side watchdog: a cell that blows
-// its -timeout or, with -mem-limit, its resident-set budget is
-// hard-killed and recorded as FAIL(timeout-killed | oom-killed) while
-// the sweep continues. -mem-guard consults each cell's estimated
-// footprint against available memory first and records
-// SKIP(memory: ...) for cells that cannot fit.
+// Crash safety (see DESIGN.md §12): every cell runs in this process,
+// bounded by -timeout, and only after a memory admission check: a cell
+// whose estimated footprint cannot fit in available memory is recorded
+// as SKIP(memory: need X, have Y) instead of being run. The -bench-json
+// record is also the sweep's journal. If the process dies mid-sweep —
+// OOM kill, power loss, ^C — the record holds every finished cell, and
+// npbperf reads it. -resume <path> picks the sweep back up: the plan
+// (class, threads, benchmarks) is read from the record's header,
+// recorded cells are replayed without re-executing, and only the cells
+// without a line (skipped ones included) run.
 package main
 
 import (
@@ -118,19 +109,8 @@ func main() {
 	benchJSON := flag.String("bench-json", "", "record the sweep to this path, one fsync'd JSON line per cell (a directory auto-names BENCH_<stamp>.json)")
 	listFaults := flag.Bool("list-faults", false, "print the registered fault injection site keys and exit")
 	resumePath := flag.String("resume", "", "resume an interrupted -bench-json record: replay its cells, run the rest (plan read from the record)")
-	isolate := flag.Bool("isolate", false, "run every cell in a watchdogged child process; runaway or OOM-ing cells are killed and recorded as FAIL")
-	memLimit := flag.String("mem-limit", "", "with -isolate: kill a cell whose resident set exceeds this size, e.g. 2GiB")
-	memGuard := flag.Bool("mem-guard", false, "skip cells whose estimated memory footprint cannot fit in available memory")
-	runCellMode := flag.Bool("run-cell", false, "internal: execute one cell from the JSON spec argument and print its result (used by -isolate)")
 	flag.Parse()
 
-	if *runCellMode {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "npbsuite: -run-cell needs exactly one cell-spec argument")
-			os.Exit(2)
-		}
-		os.Exit(harness.RunCellMain(flag.Arg(0), os.Stdout))
-	}
 	if *listFaults {
 		for _, site := range fault.Sites() {
 			fmt.Println(site)
@@ -166,9 +146,6 @@ func main() {
 	if err == nil && len(on) > 0 && *instrumentDir == "" {
 		err = fmt.Errorf("-instrument needs a non-empty -instrument-dir")
 	}
-	if err == nil {
-		err = checkIsolate(*isolate, on)
-	}
 	if err == nil && *resumePath != "" && *benchJSON != "" {
 		err = fmt.Errorf("-resume appends to the record it names; drop -bench-json")
 	}
@@ -178,9 +155,8 @@ func main() {
 	}
 
 	// ^C / SIGTERM cancels the sweep cooperatively: the current cell
-	// stops (hard-killed under -isolate), retries and backoffs are
-	// abandoned, and the cut-short cells write no -bench-json line, so
-	// -resume runs them.
+	// stops, retries and backoffs are abandoned, and the cut-short cells
+	// write no -bench-json line, so -resume runs them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -201,35 +177,6 @@ func main() {
 	if on["profile"] {
 		opt.ProfileDir = *instrumentDir
 	}
-	if *isolate {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: isolate: %v\n", err)
-			os.Exit(2)
-		}
-		iso := &harness.Isolation{Cmd: []string{exe, "-run-cell"}}
-		if *memLimit != "" {
-			n, err := harness.ParseBytes(*memLimit)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "npbsuite: %v\n", err)
-				os.Exit(2)
-			}
-			iso.MemLimitBytes = n
-		}
-		opt.Isolate = iso
-		fmt.Printf("isolate: cells run as watchdogged child processes%s\n",
-			map[bool]string{true: ", RSS limit " + *memLimit, false: ""}[*memLimit != ""])
-	} else if *memLimit != "" {
-		fmt.Fprintln(os.Stderr, "npbsuite: -mem-limit requires -isolate (RSS is watched from outside the cell process)")
-		os.Exit(2)
-	}
-	if *memGuard {
-		opt.MemGuard = &harness.MemGuard{}
-		if avail, ok := harness.AvailableMemory(); ok {
-			fmt.Printf("mem-guard: admission checks against %s available\n", harness.FormatBytes(avail))
-		}
-	}
-
 	stamp := time.Now().UTC().Format("20060102T150405Z")
 	var rec *harness.Record
 	switch {
@@ -348,18 +295,6 @@ func parseInstruments(list string) (map[string]bool, error) {
 		on[name] = true
 	}
 	return on, nil
-}
-
-// checkIsolate refuses the instrument whose data cannot cross the
-// -isolate process boundary: a child's obs snapshot does not travel
-// back in its result, so the cells would silently carry none. Counters
-// cross in the result, and profiles and traces are files the child
-// writes.
-func checkIsolate(isolate bool, on map[string]bool) error {
-	if isolate && on["obs"] {
-		return fmt.Errorf("-isolate drops the obs instrument (a child's obs data does not cross the process boundary); counters, trace and profile work under -isolate")
-	}
-	return nil
 }
 
 // recordPath resolves -bench-json: a directory (existing, or ending in a

@@ -29,32 +29,3 @@ func TestParseClass(t *testing.T) {
 		}
 	}
 }
-
-// TestCheckIsolate: -isolate refuses the instrument whose data a child
-// process cannot hand back (obs) and keeps those that cross the
-// boundary (counters, profile, trace); without -isolate every
-// instrument runs.
-func TestCheckIsolate(t *testing.T) {
-	for _, c := range []struct {
-		isolate bool
-		list    string
-		ok      bool
-	}{
-		{true, "", true},
-		{true, "counters,profile", true},
-		{true, "obs", false},
-		{true, "trace", true},
-		{true, "counters,obs", false},
-		{true, "profile,trace", true},
-		{true, "obs,trace", false},
-		{false, "obs,counters,trace,profile", true},
-	} {
-		on, err := parseInstruments(c.list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := checkIsolate(c.isolate, on); (err == nil) != c.ok {
-			t.Errorf("checkIsolate(%v, %q) = %v, want ok %v", c.isolate, c.list, err, c.ok)
-		}
-	}
-}

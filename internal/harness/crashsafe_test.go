@@ -1,17 +1,14 @@
 package harness
 
-// Crash-safety tests: the record kill/resume drill, the subprocess
-// watchdog, the memory admission guard, and the context-interruptible
-// retry backoff. The kill test is the package's centerpiece: it
-// SIGKILLs a real recorded sweep mid-cell (run in a helper process)
-// and proves that -resume completes exactly the planned cell set with
-// no cell executed twice.
+// Crash-safety tests: the record kill/resume drill, the memory
+// admission guard, and the context-interruptible retry backoff. The
+// kill test is the package's centerpiece: it SIGKILLs a real recorded
+// sweep mid-cell (run in a helper process) and proves that -resume
+// completes exactly the planned cell set with no cell executed twice.
 
 import (
 	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,9 +23,9 @@ import (
 )
 
 // TestHelperRecordedSweep is not a test: re-invoked by
-// TestKillResumeJournal as a separate process, it runs a recorded,
-// isolated sweep slowed by an injected per-cell delay so the parent
-// can SIGKILL it mid-flight.
+// TestKillResumeJournal as a separate process, it runs a recorded sweep
+// slowed by an injected per-cell delay so the parent can SIGKILL it
+// mid-cell.
 func TestHelperRecordedSweep(t *testing.T) {
 	if os.Getenv("NPB_HARNESS_HELPER") != "recorded-sweep" {
 		t.Skip("helper process entry point")
@@ -40,24 +37,13 @@ func TestHelperRecordedSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("helper: %v", err)
 	}
-	rec.RunSweep(npbgo.CG, 'S', threads, Options{
-		Isolate: &Isolation{Cmd: []string{os.Args[0], "-test.run=^TestHelperRunCell$"}},
-	})
+	rec.RunSweep(npbgo.CG, 'S', threads, Options{})
 	rec.Close()
 	os.Exit(0)
 }
 
-// TestHelperRunCell is not a test: it is the child side of the
-// isolation protocol, standing in for `npbsuite -run-cell`.
-func TestHelperRunCell(t *testing.T) {
-	if os.Getenv("NPB_HARNESS_RUNCELL") != "1" {
-		t.Skip("helper process entry point")
-	}
-	os.Exit(RunCellMain(flag.Arg(0), os.Stdout))
-}
-
 // TestKillResumeJournal is the crash drill on a -bench-json record:
-// SIGKILL an in-flight isolated recorded sweep, check that the partial
+// SIGKILL an in-flight recorded sweep, check that the partial
 // record reads, resume from it, and require (a) one line per planned
 // cell, no more, (b) the lines written before the kill to stand
 // unchanged, and (c) their cells to have been replayed, not re-run.
@@ -69,7 +55,6 @@ func TestKillResumeJournal(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-test.run=^TestHelperRecordedSweep$")
 	cmd.Env = append(os.Environ(),
 		"NPB_HARNESS_HELPER=recorded-sweep",
-		"NPB_HARNESS_RUNCELL=1",
 		"NPB_HARNESS_RECORD="+path)
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start helper: %v", err)
@@ -132,129 +117,6 @@ func TestKillResumeJournal(t *testing.T) {
 	}
 }
 
-// isolationForTest returns an Isolation whose child is this test binary
-// in run-cell mode.
-func isolationForTest(t *testing.T) *Isolation {
-	t.Setenv("NPB_HARNESS_RUNCELL", "1")
-	return &Isolation{Cmd: []string{os.Args[0], "-test.run=^TestHelperRunCell$"}}
-}
-
-func TestIsolatedCellHappyPath(t *testing.T) {
-	res, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1},
-		0, isolationForTest(t), "", "", "")
-	if err != nil {
-		t.Fatalf("isolated cell failed: %v", err)
-	}
-	if !res.Verified || res.Elapsed <= 0 || res.Mops <= 0 {
-		t.Fatalf("implausible isolated result: %+v", res)
-	}
-}
-
-// TestIsolatedTimeoutKilled: a child stuck in an injected 30s delay
-// must be hard-killed at the deadline and surface as a structured
-// KilledError — the failure mode an in-process timeout cannot stop.
-func TestIsolatedTimeoutKilled(t *testing.T) {
-	iso := isolationForTest(t)
-	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
-		Count: -1, Sleep: 30 * time.Second}}
-	start := time.Now()
-	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1},
-		300*time.Millisecond, iso, "", "", "")
-	var ke *KilledError
-	if !asKilled(err, &ke) || ke.Reason != "timeout-killed" {
-		t.Fatalf("err = %v, want KilledError(timeout-killed)", err)
-	}
-	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("kill took %v: watchdog did not cut the 30s delay short", took)
-	}
-	if failReason(err) != "timeout-killed" {
-		t.Fatalf("failReason = %q", failReason(err))
-	}
-}
-
-// TestIsolatedOOMKilled: with an RSS limit any real child must breach,
-// the watchdog kills it and reports oom-killed — the paper's FT
-// memory-limit deaths (§5) degraded to one structured FAIL cell.
-func TestIsolatedOOMKilled(t *testing.T) {
-	iso := isolationForTest(t)
-	iso.MemLimitBytes = 1
-	iso.Poll = 2 * time.Millisecond
-	// Keep the child alive long enough for the first RSS sample.
-	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
-		Count: -1, Sleep: 30 * time.Second}}
-	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
-	var ke *KilledError
-	if !asKilled(err, &ke) || ke.Reason != "oom-killed" {
-		t.Fatalf("err = %v, want KilledError(oom-killed)", err)
-	}
-	if failReason(err) != "oom-killed" {
-		t.Fatalf("failReason = %q", failReason(err))
-	}
-}
-
-// TestIsolatedCancelKillsChild: cancelling the sweep context must kill
-// the child rather than leave it running unsupervised.
-func TestIsolatedCancelKillsChild(t *testing.T) {
-	iso := isolationForTest(t)
-	iso.FaultRules = []fault.Rule{{Site: "cg.iter", Kind: fault.KindDelay,
-		Count: -1, Sleep: 30 * time.Second}}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, _, err := runIsolated(ctx,
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
-	var ke *KilledError
-	if !asKilled(err, &ke) || ke.Reason != "cancelled" {
-		t.Fatalf("err = %v, want KilledError(cancelled)", err)
-	}
-	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("cancel kill took %v", took)
-	}
-}
-
-// TestIsolatedCellRunsItsSchedule: the loop schedule crosses the
-// process boundary with the cell — an unknown one must come back as
-// the child's RunError of kind config, not run static.
-func TestIsolatedCellRunsItsSchedule(t *testing.T) {
-	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 2, Schedule: "nope"},
-		0, isolationForTest(t), "", "", "")
-	var re *npbgo.RunError
-	if !asRunError(err, &re) || re.Kind != npbgo.ErrConfig {
-		t.Fatalf("err = %v, want RunError(config)", err)
-	}
-}
-
-// TestIsolatedErrorRoundTrip: a structured failure inside the child (an
-// injected verification corruption) must come back across the process
-// boundary as a RunError of the same kind, not as a flat exit failure.
-func TestIsolatedErrorRoundTrip(t *testing.T) {
-	iso := isolationForTest(t)
-	iso.FaultRules = []fault.Rule{{Site: "cg.verify", Kind: fault.KindCorrupt, Count: -1}}
-	_, _, err := runIsolated(context.Background(),
-		npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}, 0, iso, "", "", "")
-	var re *npbgo.RunError
-	if !asRunError(err, &re) || re.Kind != npbgo.ErrVerification {
-		t.Fatalf("err = %v, want RunError(verification)", err)
-	}
-	if failReason(err) != "verification" {
-		t.Fatalf("failReason = %q", failReason(err))
-	}
-}
-
-func TestRunCellMainBadSpec(t *testing.T) {
-	var out bytes.Buffer
-	if code := RunCellMain("{not json", &out); code != 2 {
-		t.Fatalf("exit code = %d, want 2 for a broken spec", code)
-	}
-}
-
 // TestRetryBackoffInterruptedByCancel is the regression test for the
 // satellite fix: the retry backoff used to be a bare time.Sleep, so
 // cancelling a sweep mid-backoff still waited out the full delay. With
@@ -288,8 +150,8 @@ func TestRetryBackoffInterruptedByCancel(t *testing.T) {
 func TestMemGuardSkipsAndJournals(t *testing.T) {
 	threads := []int{1}
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, threads)
-	guard := &MemGuard{Available: func() (uint64, bool) { return 1024, true }}
-	sw, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{MemGuard: guard})
+	withAvailableMemory(t, 1024, true)
+	sw, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{})
 	if err != nil {
 		t.Fatalf("skips must not fail the sweep: %v", err)
 	}
@@ -325,11 +187,12 @@ func TestMemGuardSkipsAndJournals(t *testing.T) {
 func TestResumeReattemptsSkippedCell(t *testing.T) {
 	threads := []int{1}
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, threads)
-	guard := &MemGuard{Available: func() (uint64, bool) { return 1024, true }}
-	if _, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{MemGuard: guard}); err != nil {
+	restore := withAvailableMemory(t, 1024, true)
+	if _, err := rec.RunSweep(npbgo.CG, 'S', threads, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	rec.Close()
+	restore()
 	re, _, err := ResumeRecord(path)
 	if err != nil {
 		t.Fatal(err)
@@ -383,17 +246,27 @@ func TestResumedFailedCellIsTerminal(t *testing.T) {
 // TestMemGuardFailsOpen: an unreadable probe or unknown footprint must
 // admit the cell — a guess never blocks a runnable run.
 func TestMemGuardFailsOpen(t *testing.T) {
-	noProbe := &MemGuard{Available: func() (uint64, bool) { return 0, false }}
-	if err := noProbe.check(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}); err != nil {
+	withAvailableMemory(t, 0, false)
+	if err := admit(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}); err != nil {
 		t.Fatalf("failed probe must admit: %v", err)
 	}
-	tiny := &MemGuard{Available: func() (uint64, bool) { return 1, true }}
-	if err := tiny.check(npbgo.Config{Benchmark: "NOPE", Class: 'S', Threads: 1}); err != nil {
+	withAvailableMemory(t, 1, true)
+	if err := admit(npbgo.Config{Benchmark: "NOPE", Class: 'S', Threads: 1}); err != nil {
 		t.Fatalf("unknown footprint must admit: %v", err)
 	}
-	if err := tiny.check(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}); !IsSkip(err) {
+	if err := admit(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 1}); !IsSkip(err) {
 		t.Fatalf("1-byte budget admitted CG.S: %v", err)
 	}
+}
+
+// withAvailableMemory makes the guard's probe report n bytes (ok false:
+// no probe) until the returned restore runs, or the test ends.
+func withAvailableMemory(t *testing.T, n uint64, ok bool) (restore func()) {
+	prev := availableMemory
+	availableMemory = func() (uint64, bool) { return n, ok }
+	restore = func() { availableMemory = prev }
+	t.Cleanup(restore)
+	return restore
 }
 
 // TestResumeReplaysWithoutExecuting: cells with a line in a resumed
@@ -449,32 +322,11 @@ func TestResumeReplaysWithoutExecuting(t *testing.T) {
 	}
 }
 
-func TestParseFormatBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want uint64
-	}{
-		{"0", 0}, {"512", 512}, {"1KiB", 1024}, {"2kb", 2048},
-		{"1.5MiB", 3 << 19}, {"2GiB", 2 << 30}, {"2GB", 2 << 30}, {"1TiB", 1 << 40},
+func TestFormatBytes(t *testing.T) {
+	if s := formatBytes(2 << 30); s != "2.0GiB" {
+		t.Errorf("formatBytes(2GiB) = %q", s)
 	}
-	for _, c := range cases {
-		got, err := ParseBytes(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{"", "x", "-1", "GiB"} {
-		if _, err := ParseBytes(bad); err == nil {
-			t.Errorf("ParseBytes(%q) did not fail", bad)
-		}
-	}
-	if s := FormatBytes(2 << 30); s != "2.0GiB" {
-		t.Errorf("FormatBytes(2GiB) = %q", s)
-	}
-	if s := FormatBytes(512); s != "512B" {
-		t.Errorf("FormatBytes(512) = %q", s)
+	if s := formatBytes(512); s != "512B" {
+		t.Errorf("formatBytes(512) = %q", s)
 	}
 }
-
-func asKilled(err error, target **KilledError) bool      { return errors.As(err, target) }
-func asRunError(err error, target **npbgo.RunError) bool { return errors.As(err, target) }

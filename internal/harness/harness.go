@@ -49,7 +49,7 @@ type Run struct {
 	Err     error         // non-nil marks a failed cell (after all retries)
 	Obs     *team.Stats   // runtime metrics of the kept repeat, nil unless Options.Obs
 	Phases  []timer.Phase // phase profile of the kept repeat, nil unless the benchmark exposes timers
-	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir, and under Isolate
+	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir
 	// Counters is the hardware-counter attribution of the kept repeat,
 	// nil unless Options.Counters and counters were available;
 	// CountersNote records why it is nil when they were requested.
@@ -57,15 +57,9 @@ type Run struct {
 	CountersNote string
 	// CPUProfile/HeapProfile are the cell's captured pprof files, empty
 	// unless Options.ProfileDir. A failed cell keeps what it flushed
-	// before dying; a hard-killed child flushes nothing (runtime/pprof
-	// writes only at stop), so its zero-byte file is filtered out and
-	// the killed cell records no profile — absence, not a torn file.
+	// before dying.
 	CPUProfile  string
 	HeapProfile string
-	// Env is the environment of the process that executed the cell, set
-	// only when it differs from this (recording) process's environment —
-	// which can only happen under Isolate.
-	Env *report.EnvInfo
 	// Replayed marks a cell restored from a record's line on resume
 	// instead of executed; its numbers are the earlier run's.
 	Replayed bool
@@ -87,21 +81,7 @@ type SkipError struct {
 }
 
 func (e *SkipError) Error() string {
-	return fmt.Sprintf("memory: need %s, have %s", FormatBytes(e.Need), FormatBytes(e.Have))
-}
-
-// KilledError marks an isolated cell hard-killed by the parent-side
-// watchdog: Reason is "timeout-killed" (deadline breach) or
-// "oom-killed" (RSS limit breach), the two failure modes an in-process
-// timeout cannot stop — a runaway loop ignores its context and an
-// OOM-ing kernel takes the whole process with it.
-type KilledError struct {
-	Reason string // "timeout-killed" or "oom-killed"
-	After  time.Duration
-}
-
-func (e *KilledError) Error() string {
-	return fmt.Sprintf("isolated cell %s after %s", e.Reason, e.After.Round(time.Millisecond))
+	return fmt.Sprintf("memory: need %s, have %s", formatBytes(e.Need), formatBytes(e.Have))
 }
 
 // Sweep is the measured row set of one benchmark/class.
@@ -136,37 +116,25 @@ type Options struct {
 	// ".heap.pprof" (serial baseline named "serial", like traces). The
 	// capture brackets each attempt — outside the benchmark's timed
 	// region — and is flushed before a failure is rendered, so a dying
-	// cell leaves its profile as the post-mortem. Under Isolate the child
-	// process captures and the parent collects the files. Repeats and
-	// retries overwrite in place: the surviving profile is the last
-	// attempt's, which for a failed cell is the failing one.
+	// cell leaves its profile as the post-mortem. Repeats and retries
+	// overwrite in place: the surviving profile is the last attempt's,
+	// which for a failed cell is the failing one.
 	ProfileDir string
 	// TraceDir, when non-empty, enables execution tracing
 	// (npbgo.Config.Trace) for every cell and writes each cell's Go
 	// execution trace into the directory as
 	// "<BENCH>.<class>.<cell>.trace" (serial baseline named "serial",
 	// like profiles), for `go tool trace` and `npbperf trace`. The
-	// directory is created if missing. Under Isolate the child writes
-	// the file. A failed cell still writes its partial trace, the
-	// post-mortem; repeats and retries overwrite in place, as profiles
-	// do. A run that only annotated a tracer already running writes no
-	// file.
+	// directory is created if missing. A failed cell still writes its
+	// partial trace, the post-mortem; repeats and retries overwrite in
+	// place, as profiles do. A run that only annotated a tracer already
+	// running writes no file.
 	TraceDir string
 
 	// Context, when non-nil, bounds the whole sweep: cancelling it stops
-	// the current cell (cooperatively in-process, by hard kill under
-	// Isolate), skips further retries, and interrupts any in-flight
-	// retry backoff immediately.
+	// the current cell, skips further retries, and interrupts any
+	// in-flight retry backoff immediately.
 	Context context.Context
-
-	// Isolate, when non-nil, runs every cell execution as a child
-	// process under a watchdog instead of in-process (see Isolation).
-	Isolate *Isolation
-
-	// MemGuard, when non-nil, checks each cell's estimated footprint
-	// against available memory before launch and records a
-	// SKIP(memory: ...) cell instead of executing one that cannot fit.
-	MemGuard *MemGuard
 
 	// sleep replaces time.Sleep between retries; tests inject it to
 	// verify backoff without waiting.
@@ -175,9 +143,10 @@ type Options struct {
 
 // RunSweepOpts executes benchmark bench at the given class for the
 // serial baseline (threads = 1, regions inline) and each requested
-// thread count, under the given options. opt.Repeats > 1 keeps the
-// best (minimum) time per cell, as benchmarkers do to suppress
-// scheduling noise. The sweep degrades gracefully: a cell that fails
+// thread count, under the given options. Every cell runs in this
+// process, bounded by opt.Timeout, once the memory admission guard
+// (admit) has let it in. opt.Repeats > 1 keeps the best (minimum) time
+// per cell, as benchmarkers do to suppress scheduling noise. The sweep degrades gracefully: a cell that fails
 // (after opt.Retries retries per repeat) is recorded with Run.Err set
 // and the remaining cells still run. The returned error joins the
 // per-cell failures, so callers can both render the partial table and
@@ -200,11 +169,9 @@ func runSweep(bench npbgo.Benchmark, class byte, threads []int, opt Options, rec
 			sw.Runs = append(sw.Runs, RunFromMetrics(m))
 			continue
 		}
-		if opt.MemGuard != nil {
-			if skip := opt.MemGuard.check(cellConfig(bench, class, th, opt)); skip != nil {
-				sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
-				continue
-			}
+		if skip := admit(cellConfig(bench, class, th, opt)); skip != nil {
+			sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
+			continue
 		}
 		r := runCell(ctx, bench, class, th, opt)
 		sw.Runs = append(sw.Runs, r)
@@ -272,7 +239,6 @@ func RunFromMetrics(m report.CellMetrics) Run {
 	r.CountersNote = m.CountersNote
 	r.CPUProfile = m.CPUProfile
 	r.HeapProfile = m.HeapProfile
-	r.Env = m.Env
 	return r
 }
 
@@ -289,7 +255,7 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 	var samples []time.Duration
 	attempts := 0
 	for rep := 0; rep < repeats; rep++ {
-		res, env, used, err := runAttempts(ctx, cfg, label, opt)
+		res, used, err := runAttempts(ctx, cfg, label, opt)
 		attempts += used
 		if err != nil {
 			// A cancelled/failed run still carries its partial obs
@@ -299,7 +265,7 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 			r := Run{Threads: threads, Attempts: attempts, Samples: samples,
 				Err: err, Obs: res.Obs, Phases: res.Phases, Trace: res.Trace,
 				Counters: res.Counters, CountersNote: res.CountersNote,
-				Schedule: opt.Schedule, Env: env}
+				Schedule: opt.Schedule}
 			stampProfiles(&r, opt, label)
 			return r
 		}
@@ -307,7 +273,7 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 		r := Run{Threads: threads, Elapsed: res.Elapsed, Mops: res.Mops,
 			Verified: res.Verified, Tier: res.Tier, Obs: res.Obs, Phases: res.Phases,
 			Trace: res.Trace, Counters: res.Counters, CountersNote: res.CountersNote,
-			Schedule: opt.Schedule, Env: env}
+			Schedule: opt.Schedule}
 		if best == nil || r.Elapsed < best.Elapsed {
 			cp := r
 			best = &cp
@@ -319,11 +285,9 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 	return *best
 }
 
-// stampProfiles records the cell's profile files on r — by probing the
-// filesystem, not by trusting the runner: a hard-killed isolated child
-// reports nothing back, but any profile it managed to flush before
-// dying is on disk. Empty files (a SIGKILL'd child's never-flushed CPU
-// profile) are filtered: absence must stay distinguishable from data.
+// stampProfiles records the cell's profile files on r, those that are
+// on disk with data: a cell whose capture never started records none,
+// so absence stays distinguishable from data.
 func stampProfiles(r *Run, opt Options, label string) {
 	if opt.ProfileDir == "" {
 		return
@@ -343,8 +307,8 @@ func fileNonEmpty(path string) bool {
 }
 
 // hostEnv is this process's environment snapshot, collected once — it
-// heads every bench record and is the baseline per-cell child
-// environments are compared against.
+// heads every bench record and is what a resumed record's header is
+// compared against (Record.add).
 var hostEnvOnce = struct {
 	once sync.Once
 	env  report.EnvInfo
@@ -360,21 +324,21 @@ func hostEnv() report.EnvInfo {
 // context-interruptible: cancelling the sweep mid-backoff returns
 // immediately instead of waiting out the delay, and a cancelled sweep
 // stops retrying. It returns the number of attempts consumed.
-func runAttempts(ctx context.Context, cfg npbgo.Config, label string, opt Options) (npbgo.Result, *report.EnvInfo, int, error) {
+func runAttempts(ctx context.Context, cfg npbgo.Config, label string, opt Options) (npbgo.Result, int, error) {
 	backoff := opt.Backoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
 	for attempt := 1; ; attempt++ {
-		res, env, err := runOnce(ctx, cfg, label, opt)
+		res, err := runOnce(ctx, cfg, label, opt)
 		if err == nil {
-			return res, env, attempt, nil
+			return res, attempt, nil
 		}
 		if attempt > opt.Retries || ctx.Err() != nil {
-			return res, env, attempt, err
+			return res, attempt, err
 		}
 		if !sleepCtx(ctx, backoff, opt.sleep) {
-			return res, env, attempt, err
+			return res, attempt, err
 		}
 		backoff *= 2
 	}
@@ -398,10 +362,8 @@ func sleepCtx(ctx context.Context, d time.Duration, injected func(time.Duration)
 }
 
 // runOnce is a single panic-isolated, optionally deadline-bounded
-// benchmark execution — in-process by default, or a watchdogged child
-// process under opt.Isolate. The returned EnvInfo is non-nil only when
-// an isolated child ran under a different environment than the parent.
-func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (res npbgo.Result, env *report.EnvInfo, err error) {
+// benchmark execution in this process.
+func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (res npbgo.Result, err error) {
 	// Defer ordering is load-bearing: the recovery defer is registered
 	// first, so during a panic unwind the capture Stop defer (registered
 	// below, thus running earlier) flushes and fsyncs the profile BEFORE
@@ -412,18 +374,10 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 			err = fmt.Errorf("harness: cell panicked: %v", v)
 		}
 	}()
-	tracePath := ""
-	if opt.TraceDir != "" {
-		tracePath = filepath.Join(opt.TraceDir, label+".trace")
-	}
-	if opt.Isolate != nil {
-		fault.Maybe("harness.cell")
-		return runIsolated(ctx, cfg, opt.Timeout, opt.Isolate, opt.ProfileDir, label, tracePath)
-	}
 	if opt.ProfileDir != "" {
 		cap, perr := profile.Start(opt.ProfileDir, label)
 		if perr != nil {
-			return res, nil, fmt.Errorf("harness: %w", perr)
+			return res, fmt.Errorf("harness: %w", perr)
 		}
 		defer func() {
 			if serr := cap.Stop(); serr != nil && err == nil {
@@ -438,10 +392,10 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 		defer cancel()
 	}
 	res, err = npbgo.RunContext(ctx, cfg)
-	if werr := writeTrace(tracePath, res.Trace); werr != nil && err == nil {
+	if werr := writeTrace(opt.TraceDir, label, res.Trace); werr != nil && err == nil {
 		err = werr
 	}
-	return res, nil, err
+	return res, err
 }
 
 // cellName is the short per-cell tag used in file names and labels:
@@ -453,17 +407,17 @@ func cellName(threads int) string {
 	return fmt.Sprintf("t%d", threads)
 }
 
-// writeTrace writes a run's execution trace to path, creating its
-// directory. No path, or a run without a trace of its own, writes
-// nothing.
-func writeTrace(path string, tr *trace.Tracer) error {
-	if path == "" || tr == nil || tr.Data == nil {
+// writeTrace writes a run's execution trace into dir as
+// "<label>.trace", creating dir. No directory, or a run without a trace
+// of its own, writes nothing.
+func writeTrace(dir, label string, tr *trace.Tracer) error {
+	if dir == "" || tr == nil || tr.Data == nil {
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("harness: trace: %w", err)
 	}
-	if err := os.WriteFile(path, tr.Data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, label+".trace"), tr.Data, 0o644); err != nil {
 		return fmt.Errorf("harness: trace: %w", err)
 	}
 	return nil
@@ -472,10 +426,6 @@ func writeTrace(path string, tr *trace.Tracer) error {
 // failReason compresses a cell error into the short tag rendered inside
 // FAIL(...) table cells.
 func failReason(err error) string {
-	var ke *KilledError
-	if errors.As(err, &ke) {
-		return ke.Reason
-	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return "timeout"
 	}
@@ -487,9 +437,12 @@ func failReason(err error) string {
 }
 
 // Serial returns the serial baseline cell.
-func (s Sweep) Serial() (Run, bool) {
+func (s Sweep) Serial() (Run, bool) { return s.cell(0) }
+
+// cell returns the run of the given column (0: the serial baseline).
+func (s Sweep) cell(threads int) (Run, bool) {
 	for _, r := range s.Runs {
-		if r.Threads == 0 {
+		if r.Threads == threads {
 			return r, true
 		}
 	}
@@ -533,8 +486,12 @@ func cellText(r Run) string {
 }
 
 // SuiteTable renders a set of sweeps as one paper-style table (rows:
-// benchmark.class, columns: serial + thread counts, cells: seconds or
-// FAIL(reason)).
+// benchmark.class, columns: serial + thread counts, cells: seconds,
+// FAIL(reason) or SKIP(memory: ...)). The verified column reads "yes"
+// only when every cell that ran completed and verified; "no(tier)" when
+// a completed cell did not verify; "partial" when the completed cells
+// verified but another failed; "-" when no cell completed. A skipped
+// cell never ran, so it neither verifies a row nor fails it.
 func SuiteTable(title string, sweeps []Sweep, threads []int) string {
 	header := []string{"Benchmark", "Serial"}
 	for _, t := range threads {
@@ -544,40 +501,33 @@ func SuiteTable(title string, sweeps []Sweep, threads []int) string {
 	tb := report.New(title, header...)
 	for _, sw := range sweeps {
 		row := []string{fmt.Sprintf("%s.%c", sw.Benchmark, sw.Class)}
-		ver := "yes"
-		anyOK := false
-		if base, ok := sw.Serial(); ok {
-			row = append(row, cellText(base))
-			if base.Err == nil {
-				anyOK = true
-				if !base.Verified {
-					ver = "no(" + base.Tier + ")"
-				}
-			}
-		} else {
-			row = append(row, "-")
-		}
-		for _, t := range threads {
-			found := false
-			for _, r := range sw.Runs {
-				if r.Threads == t {
-					row = append(row, cellText(r))
-					if r.Err == nil {
-						anyOK = true
-						if !r.Verified && ver == "yes" {
-							ver = "no(" + r.Tier + ")"
-						}
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
+		completed, failed, unverified := false, false, ""
+		for _, t := range append([]int{0}, threads...) {
+			r, ok := sw.cell(t)
+			if !ok {
 				row = append(row, "-")
+				continue
+			}
+			row = append(row, cellText(r))
+			switch {
+			case IsSkip(r.Err):
+			case r.Err != nil:
+				failed = true
+			default:
+				completed = true
+				if !r.Verified && unverified == "" {
+					unverified = "no(" + r.Tier + ")"
+				}
 			}
 		}
-		if !anyOK {
+		ver := "yes"
+		switch {
+		case !completed:
 			ver = "-" // no cell completed, so nothing was verified
+		case unverified != "":
+			ver = unverified
+		case failed:
+			ver = "partial"
 		}
 		row = append(row, ver)
 		tb.AddRow(row...)
@@ -611,7 +561,6 @@ func cellMetrics(bench npbgo.Benchmark, class byte, r Run) report.CellMetrics {
 	m.CountersNote = r.CountersNote
 	m.CPUProfile = r.CPUProfile
 	m.HeapProfile = r.HeapProfile
-	m.Env = r.Env
 	if s := r.Obs; s != nil {
 		m.Regions = s.Regions
 		m.Cancellations = s.Cancellations

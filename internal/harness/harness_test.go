@@ -75,13 +75,38 @@ func TestSpeedupTableRendering(t *testing.T) {
 	}
 }
 
+// TestUnverifiedMarked: the verified column reads "yes" only when every
+// cell that ran verified. An unverified cell marks its row no(tier); a
+// failed cell beside verified ones marks it partial (it used to be
+// skipped, so such a row read yes); a row with no completed cell reads
+// "-". A SKIP cell never ran: it neither verifies a row nor fails it.
 func TestUnverifiedMarked(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.FT, Class: 'B', Runs: []Run{
-		{Threads: 0, Elapsed: time.Second, Verified: false, Tier: "none"},
-	}}
-	out := SuiteTable("T", []Sweep{sw}, nil)
-	if !strings.Contains(out, "no(none)") {
-		t.Fatalf("unverified run not marked: %q", out)
+	ok := Run{Elapsed: time.Second, Verified: true, Tier: "official"}
+	at := func(r Run, threads int) Run { r.Threads = threads; return r }
+	failed := Run{Err: &npbgo.RunError{Kind: npbgo.ErrConfig}}
+	skipped := Run{Err: &SkipError{Need: 2 << 30, Have: 1 << 30}}
+	for _, c := range []struct {
+		runs []Run
+		want string
+	}{
+		{[]Run{{Elapsed: time.Second, Tier: "none"}}, "no(none)"},
+		{[]Run{at(ok, 0), at(ok, 2)}, "yes"},
+		{[]Run{at(ok, 0), at(failed, 2)}, "partial"},
+		{[]Run{at(failed, 0), {Threads: 2, Elapsed: time.Second, Tier: "none"}}, "no(none)"},
+		{[]Run{at(ok, 0), at(skipped, 2)}, "yes"},
+		{[]Run{at(skipped, 0), at(failed, 2)}, "-"},
+		{[]Run{at(skipped, 0), at(skipped, 2)}, "-"},
+	} {
+		out := SuiteTable("T", []Sweep{{Benchmark: "LUFACT", Class: 'A', Runs: c.runs}}, []int{2})
+		var got string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == "LUFACT.A" {
+				got = f[len(f)-1]
+			}
+		}
+		if got != c.want {
+			t.Errorf("verified column = %q, want %q:\n%s", got, c.want, out)
+		}
 	}
 }
 

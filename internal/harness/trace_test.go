@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"npbgo"
 	"npbgo/internal/trace"
 )
 
@@ -40,20 +39,6 @@ func TestTraceDirWritesValidFilePerCell(t *testing.T) {
 		if r.Trace.Data == nil {
 			t.Skip("another execution tracer is running; the cells only annotated it")
 		}
-	}
-	readTraces(t, dir, "IS.S.serial.trace", "IS.S.t2.trace")
-}
-
-// TestIsolatedTraceDirWritesValidFile: under Isolate the child traces
-// its cell and writes the file, as it writes its profiles.
-func TestIsolatedTraceDirWritesValidFile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	sw, err := RunSweepOpts(npbgo.IS, 'S', []int{2}, Options{TraceDir: dir, Isolate: isolationForTest(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := sw.Runs[1]; r.Threads != 2 || !r.Verified {
-		t.Fatalf("isolated t2 cell = %+v, want verified", r)
 	}
 	readTraces(t, dir, "IS.S.serial.trace", "IS.S.t2.trace")
 }

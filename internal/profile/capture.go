@@ -30,8 +30,7 @@ const (
 
 // CellPaths returns the CPU and heap profile paths of one labeled cell
 // inside dir — the single naming authority, shared by the capturing
-// side (harness, isolate child) and the collecting side (harness
-// parent, npbperf).
+// side (harness) and the reading side (harness, npbperf).
 func CellPaths(dir, label string) (cpu, heap string) {
 	return filepath.Join(dir, label+CPUSuffix), filepath.Join(dir, label+HeapSuffix)
 }

@@ -2,9 +2,8 @@
 // comparable — or incomparable — across machines. A bench record's
 // Mop/s, counters and profiles only mean something relative to the Go
 // toolchain, the GC setting, the kernel and the silicon they ran on, so
-// every record carries them in its header (and, under subprocess
-// isolation, each cell can carry the environment of the child that
-// actually executed it, if that ever differs from the parent's).
+// every record carries them in its header (and a cell line written by a
+// resume on another host carries that host's, where it differs).
 package report
 
 import (
@@ -15,8 +14,8 @@ import (
 )
 
 // EnvInfo is one execution environment. All fields are scalars so two
-// EnvInfo values compare with ==; the isolate protocol relies on that
-// to suppress per-cell copies identical to the record header.
+// EnvInfo values compare with ==; a resumed record relies on that to
+// stamp a cell line only when its host differs from the header's.
 type EnvInfo struct {
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`

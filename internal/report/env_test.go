@@ -37,7 +37,7 @@ func TestGOGCSetting(t *testing.T) {
 }
 
 func TestEnvComparable(t *testing.T) {
-	// The isolate protocol suppresses per-cell env copies via ==; a
+	// A resumed record stamps per-cell env copies via !=; a
 	// slice or map field would turn that into a compile error, but guard
 	// the semantic too: two snapshots of the same process are equal.
 	if a, b := CollectEnv(), CollectEnv(); a != b {

@@ -78,10 +78,10 @@ type CellMetrics struct {
 	CPUProfile  string `json:"cpu_profile,omitempty"`
 	HeapProfile string `json:"heap_profile,omitempty"`
 
-	// Env is the environment of the process that actually executed the
-	// cell, recorded only when it differs from the record header's Env —
-	// under subprocess isolation the child stamps its own and the parent
-	// forwards it here if the two ever disagree.
+	// Env is the environment of the host that executed the cell,
+	// recorded only when it differs from the record header's Env: a
+	// -resume on another machine stamps each line it adds, so no cell is
+	// credited to the machine that started the record.
 	Env *EnvInfo `json:"env,omitempty"`
 }
 
