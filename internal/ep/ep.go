@@ -24,6 +24,8 @@ import (
 	"npbgo/internal/verify"
 )
 
+//go:generate go run ../lanegen
+
 const (
 	mk    = 16 // batch size exponent: 2^mk pairs per batch
 	nk    = 1 << mk
@@ -158,6 +160,8 @@ const sub = 512
 type scratch struct {
 	x [2 * sub]float64 // uniforms, then the accepted pairs compacted to the front
 	t [sub]float64     // t = x1²+x2² of the pair at x[2k], then its sqrt(-2 ln t / t)
+	f [sub]float64     // the fraction f of t = 2^k·(1+f) (reduce)
+	k [sub]float64     // and its exponent k
 }
 
 // runBatch processes batch index kk (0-based: ep.f iterates k = 1..nn
@@ -169,15 +173,16 @@ type scratch struct {
 // One generator then continues through the batch sub pairs at a time,
 // and each sub-block is three loops so that none carries both an
 // unpredictable branch and a long dependency chain: the first maps the
-// uniforms to (-1,1)² and moves the accepted pairs to the front (the
-// index advances under the t <= 1 test, which compiles to a conditional
-// move); the second turns each accepted t into sqrt(-2 ln t / t), bound
-// by the divider alone; the third tallies. Pairs are tallied in stream
+// uniforms to (-1,1)², moves the accepted pairs to the front (the index
+// advances under the t <= 1 test, which compiles to a conditional move)
+// and splits each t into the fraction and exponent of its logarithm;
+// the second turns each accepted t into sqrt(-2 ln t / t), eight or four
+// at a time (gaussRow); the third tallies. Pairs are tallied in stream
 // order, so sx, sy and q are the sums of the one-loop form bit for bit.
 func runBatch(kk int, st *batchState, s *scratch) {
 	g := randdp.New(seed, amult)
 	g.Skip(2 * nk * kk)
-	x, t := &s.x, &s.t
+	x, t, f, k := &s.x, &s.t, &s.f, &s.k
 	sx, sy := st.sx, st.sy
 	for blk := 0; blk < nk/sub; blk++ {
 		g.Fill(x[:])
@@ -188,14 +193,13 @@ func runBatch(kk int, st *batchState, s *scratch) {
 			tt := x1*x1 + x2*x2
 			j := n & (sub - 1) // n <= i: the mask only shows the compiler that the stores are in range
 			x[2*j], x[2*j+1], t[j] = x1, x2, tt
+			f[j], k[j] = reduce(tt)
 			if tt <= 1.0 {
 				n++
 			}
 		}
 		acc := t[:n]
-		for k, tt := range acc {
-			acc[k] = math.Sqrt(-2.0 * log(tt) / tt)
-		}
+		gaussRow(acc, f[:n], k[:n])
 		for k, t3 := range acc {
 			g1 := x[2*k] * t3
 			g2 := x[2*k+1] * t3
@@ -207,43 +211,39 @@ func runBatch(kk int, st *batchState, s *scratch) {
 	st.sx, st.sy = sx, sy
 }
 
-// log is math.Log for a positive normal x: the same reduction
-// x = 2^k·(1+f) with √2/2 <= 1+f < √2 and the same polynomial, term for
-// term, so the same bits. What it leaves out is the handling of zero,
-// negative, infinite, NaN and subnormal arguments, none of which
-// runBatch can produce (the generator's state is odd, so t >= 2^-90),
-// and the one data-dependent choice, whether the fraction f1 in [1/2, 1)
-// lies below √2/2 and is doubled: on uniform input that is a coin flip,
-// so it is taken from the sign of an integer difference of the bit
-// patterns, which order as the values do.
-func log(x float64) float64 {
-	const (
-		ln2Hi = 6.93147180369123816490e-01
-		ln2Lo = 1.90821492927058770002e-10
-		l1    = 6.666666666666735130e-01
-		l2    = 3.999999999940941908e-01
-		l3    = 2.857142874366239149e-01
-		l4    = 2.222219843214978396e-01
-		l5    = 1.818357216161805012e-01
-		l6    = 1.531383769920937332e-01
-		l7    = 1.479819860511658591e-01
-
-		halfSqrt2 = 0x3FE6A09E667F3BCD // bits of math.Sqrt2 / 2
-	)
+// reduce is the argument reduction of math.Log for a positive normal x:
+// x = 2^k·(1+f) with √2/2 <= 1+f < √2, returned as f and k. It leaves
+// out the handling of zero, negative, infinite, NaN and subnormal
+// arguments, none of which runBatch can produce (the generator's state
+// is odd, so t >= 2^-90), and the one data-dependent choice, whether
+// the fraction f1 in [1/2, 1) lies below √2/2 and is doubled: on
+// uniform input that is a coin flip, so it is taken from the sign of an
+// integer difference of the bit patterns, which order as the values do.
+func reduce(x float64) (f, k float64) {
+	const halfSqrt2 = 0x3FE6A09E667F3BCD // bits of math.Sqrt2 / 2
 	b := math.Float64bits(x)
 	fb := b&(1<<52-1) | 0x3FE<<52
 	d := (fb - halfSqrt2) >> 63
-	f := math.Float64frombits(fb+d<<52) - 1
-	k := float64(int(b>>52) - 0x3FE - int(d))
+	return math.Float64frombits(fb+d<<52) - 1, float64(int(b>>52) - 0x3FE - int(d))
+}
 
-	s := f / (2 + f)
+// gauss sets t to sqrt(-2 ln t / t), given the fraction f and the
+// exponent k of t from reduce: the float part of math.Log — its
+// polynomial and final combination, term for term, with its constants
+// written out (ln2Hi, ln2Lo, then L1..L7) — so that ln t has math.Log's
+// bits, followed by the polar method's scale of the pair.
+//
+//lanegen:rows
+func gauss(t, f, k *[1]float64) {
+	s := f[0] / (2 + f[0])
 	s2 := s * s
 	s4 := s2 * s2
-	t1 := s2 * (l1 + s4*(l3+s4*(l5+s4*l7)))
-	t2 := s4 * (l2 + s4*(l4+s4*l6))
+	t1 := s2 * (6.666666666666735130e-01 + s4*(2.857142874366239149e-01+s4*(1.818357216161805012e-01+s4*1.479819860511658591e-01)))
+	t2 := s4 * (3.999999999940941908e-01 + s4*(2.222219843214978396e-01+s4*1.531383769920937332e-01))
 	r := t1 + t2
-	hfsq := 0.5 * f * f
-	return k*ln2Hi - ((hfsq - (s*(hfsq+r) + k*ln2Lo)) - f)
+	hfsq := 0.5 * f[0] * f[0]
+	lg := k[0]*6.93147180369123816490e-01 - ((hfsq - (s*(hfsq+r) + k[0]*1.90821492927058770002e-10)) - f[0])
+	t[0] = math.Sqrt(-2.0 * lg / t[0])
 }
 
 // Run is RunResult reduced to the shared outcome (kernel.Kernel).

@@ -1,11 +1,13 @@
 package ep
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -173,37 +175,70 @@ func TestResultMatchesOracleBlocks(t *testing.T) {
 	}
 }
 
-// TestLogMatchesMathLog holds the local log to math.Log bit for bit on
-// more than a million radii as runBatch forms them, and on the same
-// values scaled towards the smallest t the generator can produce (2^-90,
-// both coordinates one state step from zero) — the range in which the
-// local copy is valid. Below it, at subnormal or non-positive input,
-// the two part ways by design.
+// TestLogMatchesMathLog holds the local logarithm (reduce, then
+// gaussRow's float part) to math.Log bit for bit, through the pair
+// scale gaussRow forms with it, sqrt(-2 ln t / t), on more than a
+// million radii as runBatch forms them, and on the same values scaled
+// towards the smallest t the generator can produce (2^-90, both
+// coordinates one state step from zero) — the range in which the local
+// copy is valid — on each path (rowcheck.Modes). Below it, at
+// subnormal or non-positive input, the two part ways by design.
 func TestLogMatchesMathLog(t *testing.T) {
 	if halfSqrt2 := math.Float64bits(math.Sqrt2 / 2); halfSqrt2 != 0x3FE6A09E667F3BCD {
 		t.Fatalf("bits of √2/2 are %#x", halfSqrt2)
 	}
+	var v []float64
 	g := randdp.New(seed, amult)
 	x := make([]float64, 1<<12)
-	n := 0
-	for n < 1<<20 {
+	for len(v) < 3<<20 {
 		g.Fill(x)
 		for i := 0; i < len(x); i += 2 {
 			x1, x2 := 2*x[i]-1, 2*x[i+1]-1
 			tt := x1*x1 + x2*x2
-			for _, v := range [...]float64{tt, tt * 1e-20, tt * 0x1p-90} {
-				if got, want := log(v), math.Log(v); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("log(%v) = %v, math.Log %v", v, got, want)
-				}
+			v = append(v, tt, tt*1e-20, tt*0x1p-90)
+		}
+	}
+	v = append(v, 0x1p-90, 1, math.Sqrt2/2, math.Nextafter(math.Sqrt2/2, 0), 0.5, math.Nextafter(1, 0), 2, 0x1p-1022)
+	got, f, k := make([]float64, len(v)), make([]float64, len(v)), make([]float64, len(v))
+	rowcheck.Modes(t, func(width int) {
+		copy(got, v)
+		for i, tt := range v {
+			f[i], k[i] = reduce(tt)
+		}
+		gaussRow(got, f, k)
+		for i, tt := range v {
+			if want := math.Sqrt(-2 * math.Log(tt) / tt); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("width %d: t = %v: sqrt(-2 ln t / t) = %v, with math.Log %v", width, tt, got[i], want)
 			}
-			n++
 		}
-	}
-	for _, v := range []float64{0x1p-90, 1, math.Sqrt2 / 2, math.Nextafter(math.Sqrt2/2, 0), 0.5, math.Nextafter(1, 0), 2, 0x1p-1022} {
-		if got, want := log(v), math.Log(v); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("log(%v) = %v, math.Log %v", v, got, want)
+	})
+}
+
+// TestRowKernelsMatchScalar holds gaussRow to its scalar body, bit for
+// bit, at every row length from 0 to 17, on random rows with zeros,
+// infinities, NaNs and subnormals among them (rowcheck.Kernels).
+func TestRowKernelsMatchScalar(t *testing.T) {
+	rowcheck.Kernels(t, [][2]any{{gaussRow, gauss}})
+}
+
+// TestPortableLanesReproduceGolden runs EP.S on the portable path
+// (simd.Width 1) and the AVX one (4) at one and two threads and
+// compares the verification printout and the annulus counts, as the
+// root package prints them, with the ones recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	rowcheck.Golden(t, "EP", func(threads int) string {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		res := b.RunResult()
+		out := res.Verify.String()
+		for l, q := range res.Q {
+			out += fmt.Sprintf("  q[%d] %.0f\n", l, q)
+		}
+		return out
+	})
 }
 
 // TestBatchSeedJumpMatchesDirectStream: batch kk must see the raw stream

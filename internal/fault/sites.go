@@ -16,6 +16,7 @@ var knownSites = [...]string{
 	"ep.verify",    // ep: sum verification values
 	"harness.cell", // harness: each (benchmark, threads) cell run
 	"lu.sweep",     // lu: each worker at each plane of the pipelined lower sweep
+	"ops.iter",     // ops: top of each timed invocation of a Table 0/1 operation
 	"team.region",  // team: entry of every parallel region body
 }
 

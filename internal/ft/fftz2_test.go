@@ -1,10 +1,12 @@
 package ft
 
 import (
+	"math"
 	"math/cmplx"
 	"testing"
 
 	"npbgo/internal/randdp"
+	"npbgo/internal/rowcheck"
 )
 
 // oracleFftz2 is the stage fftz2 replaced, kept as the reference for
@@ -52,48 +54,78 @@ func randomPencils(n int) []complex128 {
 	return x
 }
 
+// planes splits complex pencils into a plane of real and one of
+// imaginary parts.
+func planes(x []complex128) (re, im []float64) {
+	re, im = make([]float64, len(x)), make([]float64, len(x))
+	for i, v := range x {
+		re[i], im[i] = real(v), imag(v)
+	}
+	return re, im
+}
+
 // TestFftz2MatchesOracle: every stage of a 128-point transform, both
-// signs, a full block of pencils and a partial one, bit for bit; the
-// pencils beyond ny must be left alone.
+// signs, a full block of pencils and a partial one, on each path
+// (rowcheck.Modes), bit for bit; the pencils beyond ny must be left
+// alone.
 func TestFftz2MatchesOracle(t *testing.T) {
 	const n = 128
 	r := fftInit(n)
 	x := randomPencils(n)
-	for _, is := range []int{1, -1} {
-		for _, ny := range []int{fftBlock, 5} {
-			for l := 1; l <= r.m; l++ {
-				got, want := randomPencils(n), randomPencils(n)
-				fftz2(is, l, r.m, n, ny, r.u, x, got)
-				oracleFftz2(is, l, r.m, n, ny, r.u, x, want)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("is %d ny %d stage %d: element %d = %v, oracle %v", is, ny, l, i, got[i], want[i])
+	xr, xi := planes(x)
+	rowcheck.Modes(t, func(width int) {
+		for _, is := range []int{1, -1} {
+			for _, ny := range []int{fftBlock, 5} {
+				for l := 1; l <= r.m; l++ {
+					yr, yi := planes(randomPencils(n))
+					want := randomPencils(n)
+					fftz2(is, l, r.m, n, ny, r.u, xr, xi, yr, yi)
+					oracleFftz2(is, l, r.m, n, ny, r.u, x, want)
+					for i, w := range want {
+						if math.Float64bits(yr[i]) != math.Float64bits(real(w)) || math.Float64bits(yi[i]) != math.Float64bits(imag(w)) {
+							t.Fatalf("width %d is %d ny %d stage %d: element %d = %v, oracle %v", width, is, ny, l, i, complex(yr[i], yi[i]), w)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// TestRowKernelsMatchScalar holds butterflyRow to its scalar body, bit
+// for bit, at every row length from 0 to 17, on random rows with zeros,
+// infinities, NaNs and subnormals among them (rowcheck.Kernels).
+func TestRowKernelsMatchScalar(t *testing.T) {
+	rowcheck.Kernels(t, [][2]any{{butterflyRow, butterfly}})
 }
 
 // BenchmarkFftz2 is one 128-point inverse transform of a full block of
-// pencils (seven stages and the copy back): FT.W's first two dimensions.
+// pencils (seven stages): FT.W's first two dimensions.
 // BenchmarkOracleFftz2 runs the same stages through the replaced body.
-func BenchmarkFftz2(b *testing.B)       { benchFftz2(b, fftz2) }
-func BenchmarkOracleFftz2(b *testing.B) { benchFftz2(b, oracleFftz2) }
+func BenchmarkFftz2(b *testing.B) {
+	const n = 128
+	r := fftInit(n)
+	ws := newWorkspace(n)
+	ws.xr, ws.xi = planes(randomPencils(n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfftz(-1, n, fftBlock, r, ws)
+	}
+}
 
-func benchFftz2(b *testing.B, stage func(is, l, m, n, ny int, u []complex128, x, y []complex128)) {
+func BenchmarkOracleFftz2(b *testing.B) {
 	const n = 128
 	r := fftInit(n)
 	x, y := randomPencils(n), make([]complex128, fftBlock*n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for l := 1; l <= r.m; l += 2 {
-			stage(-1, l, r.m, n, fftBlock, r.u, x, y)
+			oracleFftz2(-1, l, r.m, n, fftBlock, r.u, x, y)
 			if l == r.m {
 				copy(x, y)
 				break
 			}
-			stage(-1, l+1, r.m, n, fftBlock, r.u, y, x)
+			oracleFftz2(-1, l+1, r.m, n, fftBlock, r.u, y, x)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package ft
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"npbgo/internal/kernel"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -264,4 +266,24 @@ func BenchmarkIndexMap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ft.computeIndexMap(tm)
 	}
+}
+
+// TestPortableLanesReproduceGolden runs FT.S on the portable path
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares the
+// verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden). FT's twiddle table
+// comes from math.Exp, which is assembly on amd64 and Go elsewhere, and
+// the two differ in the last bits (ROADMAP item 3), so the recorded
+// printout is amd64's and the test runs there only.
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("FT.S's bits depend on math.Exp, which differs on %s (ROADMAP item 3)", runtime.GOARCH)
+	}
+	rowcheck.Golden(t, "FT", func(threads int) string {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.RunResult().Verify.String()
+	})
 }

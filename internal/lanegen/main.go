@@ -27,6 +27,12 @@
 //     allows, then one group of four if four points are left, and then
 //     the scalar body on the rest, inlined with every a[0] read as a[i].
 //
+// Seven packages run it. bt and sp have lane kernels (their line
+// solves), lu both kinds (its point blocks and right-hand-side rows),
+// and nscore, ep, ft and mg row kernels: the right-hand sides of BT and
+// SP, EP's polar transform, FT's butterflies, MG's residual and
+// smoother.
+//
 // The glue is three files: lanes.go with the wrappers, which choose
 // between the assembly levels and the scalar body by internal/simd's
 // Width switch, lanes_amd64.go with the assembly's declarations, and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"npbgo/internal/kernel"
+	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
 
@@ -222,4 +223,18 @@ func TestInterpConstantCoarseField(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPortableLanesReproduceGolden runs MG.S on the portable path
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares the
+// verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	rowcheck.Golden(t, "MG", func(threads int) string {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.RunResult().Verify.String()
+	})
 }

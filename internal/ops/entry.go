@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"npbgo/internal/fault"
 	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
 	"npbgo/internal/team"
@@ -137,7 +138,8 @@ func (k *Kernel) parallel(tm *team.Team) {
 }
 
 // Run times reps invocations on a team opened from the Env, stopping
-// after the one in which the Env's context ends, and verifies.
+// after the one in which the Env's context ends, and verifies. Each
+// timed invocation passes the ops.iter fault site first.
 func (k *Kernel) Run() kernel.Outcome {
 	tm, done := k.env.Team(k.threads)
 	defer done()
@@ -148,6 +150,7 @@ func (k *Kernel) Run() kernel.Outcome {
 	k.Iter(tm)
 	start := time.Now()
 	for i := 0; i < n && !tm.Cancelled(); i++ {
+		fault.Maybe("ops.iter")
 		k.Iter(tm)
 	}
 	return k.env.Outcome(time.Since(start), float64(int64(n)*forms[k.op].ops(k.w))*1e-6, k.check(tm))

@@ -6,6 +6,7 @@
 package rowcheck
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -40,22 +41,23 @@ func Modes(t *testing.T, run func(width int)) {
 // what an amd64 CPU without AVX, and one without AVX-512, run. (The
 // root package's golden runs the host's own level.) verify returns the
 // verification printout at the given thread count; each must be the
-// name + ".S" block of testdata/bitidentity.golden (read from the
-// package directory two levels below the root). Other architectures run
-// the same scalar Go, but gc may fuse x*y + z there (arm64), so this
-// pins their bits only where it runs: amd64, and 386 in CI.
+// name + ".S" block of testdata/bitidentity.golden, or for a kernel,
+// whose printout depends on the team size, the name + ".S.t<threads>"
+// one (read from the package directory two levels below the root).
+// Other architectures run the same scalar Go, but gc may fuse x*y + z
+// there (arm64), so this pins their bits only where it runs: amd64,
+// and 386 in CI.
 func Golden(t *testing.T, name string, verify func(threads int) string) {
 	t.Helper()
 	data, err := os.ReadFile("../../testdata/bitidentity.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rest, ok := strings.Cut(string(data), "== "+name+".S\n")
-	if !ok {
-		t.Fatalf("no %s.S block in the golden file", name)
+	block := func(key string) (string, bool) {
+		_, rest, ok := strings.Cut(string(data), "== "+key+"\n")
+		want, _, _ := strings.Cut(rest, "\n== ")
+		return want + "\n", ok
 	}
-	want, _, _ := strings.Cut(rest, "\n== ")
-	want += "\n"
 	host := simd.Width
 	t.Cleanup(func() { simd.Width = host })
 	for _, width := range []int{1, 4} {
@@ -65,8 +67,16 @@ func Golden(t *testing.T, name string, verify func(threads int) string) {
 		}
 		simd.Width = width
 		for _, threads := range []int{1, 2} {
+			key := fmt.Sprintf("%s.S.t%d", name, threads)
+			want, ok := block(key)
+			if !ok {
+				key = name + ".S"
+				if want, ok = block(key); !ok {
+					t.Fatalf("no %s.S block in the golden file", name)
+				}
+			}
 			if got := verify(threads); got != want {
-				t.Errorf("%s.S at %d threads, simd.Width %d:\n%s\nrecorded:\n%s", name, threads, width, got, want)
+				t.Errorf("%s at %d threads, simd.Width %d:\n%s\nrecorded:\n%s", key, threads, width, got, want)
 			}
 		}
 	}
@@ -76,12 +86,16 @@ func Golden(t *testing.T, name string, verify func(threads int) string) {
 // and the scalar <name>, once through the wrapper and once point by
 // point through the scalar body, on rows of every length from 0 to 17
 // (so every count of 8-point groups meets every 4-point group and
-// scalar tail), filled with random values
-// with zeros of both signs among them, and fails unless every row is
-// equal afterwards, bit for bit. It does so on each path (Modes).
+// scalar tail), filled with random values with zeros of both signs,
+// infinities of both signs, NaNs and subnormals among them, and fails
+// unless every row is equal afterwards, bit for bit — save that any
+// two NaNs are equal: which operand's payload a NaN result carries
+// depends on the order the compiler gives a commutative instruction its
+// operands, and no kernel's caller ever sees a NaN. It does so on each
+// path (Modes).
 func Kernels(t *testing.T, kernels [][2]any) {
 	t.Helper()
-	fill := filler(39)
+	fill := specials(filler(39), 40)
 	Modes(t, func(width int) {
 		for _, k := range kernels {
 			row, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
@@ -120,7 +134,8 @@ func Kernels(t *testing.T, kernels [][2]any) {
 					}
 					for r := range want {
 						for e := range want[r] {
-							if math.Float64bits(got[r][e]) != math.Float64bits(want[r][e]) {
+							g, w := got[r][e], want[r][e]
+							if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 								t.Fatalf("%s width %d length %d: row %d [%d] = %v (%#x), scalar %v (%#x)", name, width, count, r, e,
 									got[r][e], math.Float64bits(got[r][e]), want[r][e], math.Float64bits(want[r][e]))
 							}
@@ -228,6 +243,25 @@ func filler(seed int64) func() float64 {
 			return math.Copysign(0, -1)
 		}
 		return rng.Float64() - 0.5
+	}
+}
+
+// specials returns a source that draws from fill but makes one value
+// in sixteen an infinity of either sign, a NaN or a subnormal of either
+// sign.
+func specials(fill func() float64, seed int64) func() float64 {
+	rng := rand.New(rand.NewSource(seed))
+	return func() float64 {
+		if rng.Intn(16) != 0 {
+			return fill()
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 1:
+			return math.NaN()
+		}
+		return math.Copysign(math.Float64frombits(1+uint64(rng.Int63n(1<<52-1))), 0.5-float64(rng.Intn(2)))
 	}
 }
 
