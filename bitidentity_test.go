@@ -43,8 +43,10 @@ func goldenKey(b npbgo.Benchmark, class byte, threads int) string {
 // within-epsilon verification itself. Every code runs at S × threads
 // {1, 2, 3} × {static, dynamic}; outside -short the five kernels add
 // the same lattice at W, and BT, SP and LU one W cell each (two threads,
-// dynamic: each W run takes seconds). To re-record after an intended
-// numerical change, paste the "== key" blocks a failure prints.
+// dynamic: each W run takes seconds), and LU a second one at one thread,
+// static, whose one band of 31 rows cuts other sweep waves than the two
+// threads' bands do. To re-record after an intended numerical change,
+// paste the "== key" blocks a failure prints.
 func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
 	check := func(b npbgo.Benchmark, class byte, threads int, sched string) {
@@ -66,6 +68,9 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 		}
 		if !testing.Short() && teamInvariant[b] {
 			check(b, 'W', 2, "dynamic")
+		}
+		if !testing.Short() && b == npbgo.LU {
+			check(b, 'W', 1, "static")
 		}
 	}
 }

@@ -23,7 +23,8 @@ func sameBits(t *testing.T, what string, q int, got, want []float64) {
 
 // TestLaneKernelsMatchScalar holds each of the eight generated lane
 // kernels to its scalar body, lane by lane and bit for bit, on random
-// inputs with zeros of both signs in every lane (rowcheck.Lanes).
+// inputs with zeros of both signs, infinities, NaNs and subnormals among
+// them (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
 		{binvcrhs8, binvcrhs}, {binvrhs8, binvrhs}, {matvecSub8, matvecSub}, {matmulSub8, matmulSub},

@@ -28,9 +28,10 @@
 //     the scalar body on the rest, inlined with every a[0] read as a[i].
 //
 // Seven packages run it. bt and sp have lane kernels (their line
-// solves), lu both kinds (its point blocks and right-hand-side rows),
-// and nscore, ep, ft and mg row kernels: the right-hand sides of BT and
-// SP, EP's polar transform, FT's butterflies, MG's residual and
+// solves), lu both kinds (the blocks and the update of up to eight
+// points of an i+j diagonal in its SSOR sweeps, and its right-hand-side
+// rows), and nscore, ep, ft and mg row kernels: the right-hand sides of
+// BT and SP, EP's polar transform, FT's butterflies, MG's residual and
 // smoother.
 //
 // The glue is three files: lanes.go with the wrappers, which choose

@@ -16,9 +16,9 @@ import "npbgo/internal/nscore"
 // column-major [25]float64 (element (m,n) at m+5*n). Every builder
 // writes only the structural non-zeros of its block, so the zeros of
 // each scratch block, set once at allocation, persist. lanegen compiles
-// each builder and factor5 into a kernel that runs eight consecutive
-// points of a row at once, bit for bit the scalar body (lanes.go,
-// lanes_amd64.s).
+// each builder, factor5 and the two sweep steps into a kernel that runs
+// the eight points of a wave (ssor.go) at once, bit for bit the scalar
+// body (lanes.go, lanes_amd64.s).
 
 // dirConsts holds the constants of one direction's coupling block.
 type dirConsts struct {
@@ -263,7 +263,9 @@ func factor5(a *[25]float64) {
 }
 
 // apply5 solves lane q's system in place with the block factor5 left in
-// a: the right-hand-side operations of solve5, in its order.
+// a: the right-hand-side operations of solve5, in its order. It is the
+// block solve of the sweeps at simd.Width 1; lowerStep and upperStep
+// end with the same operations.
 //
 // Hot path: blts/buts block solve, once per grid point per sweep.
 func apply5(a *blk8, q int, r *[5]float64) {
@@ -293,4 +295,143 @@ func apply5(a *blk8, q int, r *[5]float64) {
 	r[0] -= a[10][q] * r[2]
 	r[0] -= a[15][q] * r[3]
 	r[0] -= a[20][q] * r[4]
+}
+
+// lowerStep is the lower sweep's update of one point, with the blocks
+// waveBlocks built: the couplings az, ay and ax applied to rsd at the
+// point's k-1, j-1 and i-1 neighbours (rz, ry, rx), its rsd r less
+// omega times that sum, and the system of the factored diagonal block
+// d solved in place — coupledSum, the omega update and apply5, term for
+// term in their order.
+//
+//lanegen:lanes
+func lowerStep(r *[5]float64, az, ay, ax, d *[25]float64, rz, ry, rx *[5]float64, omega float64) {
+	t0 := az[0]*rz[0] + ay[0]*ry[0] + ax[0]*rx[0]
+	t0 += az[5]*rz[1] + ay[5]*ry[1] + ax[5]*rx[1]
+	t0 += az[10]*rz[2] + ay[10]*ry[2] + ax[10]*rx[2]
+	t0 += az[15]*rz[3] + ay[15]*ry[3] + ax[15]*rx[3]
+	t0 += az[20]*rz[4] + ay[20]*ry[4] + ax[20]*rx[4]
+	t1 := az[1]*rz[0] + ay[1]*ry[0] + ax[1]*rx[0]
+	t1 += az[6]*rz[1] + ay[6]*ry[1] + ax[6]*rx[1]
+	t1 += az[11]*rz[2] + ay[11]*ry[2] + ax[11]*rx[2]
+	t1 += az[16]*rz[3] + ay[16]*ry[3] + ax[16]*rx[3]
+	t1 += az[21]*rz[4] + ay[21]*ry[4] + ax[21]*rx[4]
+	t2 := az[2]*rz[0] + ay[2]*ry[0] + ax[2]*rx[0]
+	t2 += az[7]*rz[1] + ay[7]*ry[1] + ax[7]*rx[1]
+	t2 += az[12]*rz[2] + ay[12]*ry[2] + ax[12]*rx[2]
+	t2 += az[17]*rz[3] + ay[17]*ry[3] + ax[17]*rx[3]
+	t2 += az[22]*rz[4] + ay[22]*ry[4] + ax[22]*rx[4]
+	t3 := az[3]*rz[0] + ay[3]*ry[0] + ax[3]*rx[0]
+	t3 += az[8]*rz[1] + ay[8]*ry[1] + ax[8]*rx[1]
+	t3 += az[13]*rz[2] + ay[13]*ry[2] + ax[13]*rx[2]
+	t3 += az[18]*rz[3] + ay[18]*ry[3] + ax[18]*rx[3]
+	t3 += az[23]*rz[4] + ay[23]*ry[4] + ax[23]*rx[4]
+	t4 := az[4]*rz[0] + ay[4]*ry[0] + ax[4]*rx[0]
+	t4 += az[9]*rz[1] + ay[9]*ry[1] + ax[9]*rx[1]
+	t4 += az[14]*rz[2] + ay[14]*ry[2] + ax[14]*rx[2]
+	t4 += az[19]*rz[3] + ay[19]*ry[3] + ax[19]*rx[3]
+	t4 += az[24]*rz[4] + ay[24]*ry[4] + ax[24]*rx[4]
+	t0 = r[0] - omega*t0
+	t1 = r[1] - omega*t1
+	t2 = r[2] - omega*t2
+	t3 = r[3] - omega*t3
+	t4 = r[4] - omega*t4
+	t0 *= d[0]
+	t1 -= d[1] * t0
+	t2 -= d[2] * t0
+	t3 -= d[3] * t0
+	t4 -= d[4] * t0
+	t1 *= d[6]
+	t2 -= d[7] * t1
+	t3 -= d[8] * t1
+	t4 -= d[9] * t1
+	t2 *= d[12]
+	t3 -= d[13] * t2
+	t4 -= d[14] * t2
+	t3 *= d[18]
+	t4 -= d[19] * t3
+	t4 *= d[24]
+	t3 -= d[23] * t4
+	t2 -= d[17] * t3
+	t2 -= d[22] * t4
+	t1 -= d[11] * t2
+	t1 -= d[16] * t3
+	t1 -= d[21] * t4
+	t0 -= d[5] * t1
+	t0 -= d[10] * t2
+	t0 -= d[15] * t3
+	t0 -= d[20] * t4
+	r[0] = t0
+	r[1] = t1
+	r[2] = t2
+	r[3] = t3
+	r[4] = t4
+}
+
+// upperStep is the upper sweep's update of one point: omega times the
+// couplings to rsd at its k+1, j+1 and i+1 neighbours, solved with the
+// diagonal block d and subtracted from r, term for term as lowerStep.
+//
+//lanegen:lanes
+func upperStep(r *[5]float64, az, ay, ax, d *[25]float64, rz, ry, rx *[5]float64, omega float64) {
+	t0 := az[0]*rz[0] + ay[0]*ry[0] + ax[0]*rx[0]
+	t0 += az[5]*rz[1] + ay[5]*ry[1] + ax[5]*rx[1]
+	t0 += az[10]*rz[2] + ay[10]*ry[2] + ax[10]*rx[2]
+	t0 += az[15]*rz[3] + ay[15]*ry[3] + ax[15]*rx[3]
+	t0 += az[20]*rz[4] + ay[20]*ry[4] + ax[20]*rx[4]
+	t1 := az[1]*rz[0] + ay[1]*ry[0] + ax[1]*rx[0]
+	t1 += az[6]*rz[1] + ay[6]*ry[1] + ax[6]*rx[1]
+	t1 += az[11]*rz[2] + ay[11]*ry[2] + ax[11]*rx[2]
+	t1 += az[16]*rz[3] + ay[16]*ry[3] + ax[16]*rx[3]
+	t1 += az[21]*rz[4] + ay[21]*ry[4] + ax[21]*rx[4]
+	t2 := az[2]*rz[0] + ay[2]*ry[0] + ax[2]*rx[0]
+	t2 += az[7]*rz[1] + ay[7]*ry[1] + ax[7]*rx[1]
+	t2 += az[12]*rz[2] + ay[12]*ry[2] + ax[12]*rx[2]
+	t2 += az[17]*rz[3] + ay[17]*ry[3] + ax[17]*rx[3]
+	t2 += az[22]*rz[4] + ay[22]*ry[4] + ax[22]*rx[4]
+	t3 := az[3]*rz[0] + ay[3]*ry[0] + ax[3]*rx[0]
+	t3 += az[8]*rz[1] + ay[8]*ry[1] + ax[8]*rx[1]
+	t3 += az[13]*rz[2] + ay[13]*ry[2] + ax[13]*rx[2]
+	t3 += az[18]*rz[3] + ay[18]*ry[3] + ax[18]*rx[3]
+	t3 += az[23]*rz[4] + ay[23]*ry[4] + ax[23]*rx[4]
+	t4 := az[4]*rz[0] + ay[4]*ry[0] + ax[4]*rx[0]
+	t4 += az[9]*rz[1] + ay[9]*ry[1] + ax[9]*rx[1]
+	t4 += az[14]*rz[2] + ay[14]*ry[2] + ax[14]*rx[2]
+	t4 += az[19]*rz[3] + ay[19]*ry[3] + ax[19]*rx[3]
+	t4 += az[24]*rz[4] + ay[24]*ry[4] + ax[24]*rx[4]
+	t0 *= omega
+	t1 *= omega
+	t2 *= omega
+	t3 *= omega
+	t4 *= omega
+	t0 *= d[0]
+	t1 -= d[1] * t0
+	t2 -= d[2] * t0
+	t3 -= d[3] * t0
+	t4 -= d[4] * t0
+	t1 *= d[6]
+	t2 -= d[7] * t1
+	t3 -= d[8] * t1
+	t4 -= d[9] * t1
+	t2 *= d[12]
+	t3 -= d[13] * t2
+	t4 -= d[14] * t2
+	t3 *= d[18]
+	t4 -= d[19] * t3
+	t4 *= d[24]
+	t3 -= d[23] * t4
+	t2 -= d[17] * t3
+	t2 -= d[22] * t4
+	t1 -= d[11] * t2
+	t1 -= d[16] * t3
+	t1 -= d[21] * t4
+	t0 -= d[5] * t1
+	t0 -= d[10] * t2
+	t0 -= d[15] * t3
+	t0 -= d[20] * t4
+	r[0] -= t0
+	r[1] -= t1
+	r[2] -= t2
+	r[3] -= t3
+	r[4] -= t4
 }

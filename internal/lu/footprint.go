@@ -2,6 +2,7 @@ package lu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"npbgo/internal/nscore"
 )
@@ -9,9 +10,12 @@ import (
 // Footprint estimates the working-set bytes an LU run of the given
 // class and thread count allocates: the rows of newBenchmark's one
 // nscore.Rows call (u, rsd, frct and the operator's) and each worker's
-// row of lane blocks (per group of eight points, four 5x5 blocks and
-// four 5-vector states of eight lanes). Feeds the harness memory
-// admission guard; dominant arrays only.
+// sweep scratch, one wave's blocks and vectors in lane form plus its
+// band's wavefront schedule. A band of r rows of the n-2 interior
+// columns holds at most r(n-2)/8 full waves and, per diagonal, one that
+// is not full, about n-2 for each of the min(threads, n-2) bands that
+// are not empty. Feeds the harness memory admission guard; dominant
+// arrays only.
 func Footprint(class byte, threads int) (uint64, error) {
 	spec, ok := classes[class]
 	if !ok {
@@ -22,7 +26,8 @@ func Footprint(class byte, threads int) (uint64, error) {
 	}
 	n := uint64(spec.size)
 	n3 := n * n * n
-	groups := (n + 5) / 8 // of the n-2 interior points of a row
-	scratch := uint64(threads) * groups * 4 * (25 + 5) * 8 * 8
+	bands := min(uint64(threads), n-2)
+	waves := (n-2)*(n-2)/8 + bands*(n-2)
+	scratch := uint64(threads)*uint64(unsafe.Sizeof(sweepScratch{})) + waves*uint64(unsafe.Sizeof(wave{}))
 	return nscore.RowsBytes(fieldRows, int(n3)) + scratch, nil
 }

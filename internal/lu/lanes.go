@@ -117,6 +117,76 @@ func factor58(live int, a *[25][8]float64) {
 	}
 }
 
+// lowerStep8 runs lowerStep on lanes 0 to live-1, element e of lane q at [e][q];
+// the assembly may run the lanes after them too.
+func lowerStep8(live int, r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, ry, rx *[5][8]float64, omega float64) {
+	switch {
+	case simd.Width >= 8 && live > 4:
+		lowerStepAVX512(r, az, ay, ax, d, rz, ry, rx, omega)
+	case simd.Width >= 4:
+		lowerStepAVX(&r[0][0], &az[0][0], &ay[0][0], &ax[0][0], &d[0][0], &rz[0][0], &ry[0][0], &rx[0][0], omega)
+		if live > 4 {
+			lowerStepAVX(&r[0][4], &az[0][4], &ay[0][4], &ax[0][4], &d[0][4], &rz[0][4], &ry[0][4], &rx[0][4], omega)
+		}
+	default:
+		for q := 0; q < 8 && q < live; q++ {
+			var lane0 [5]float64
+			var lane1 [25]float64
+			var lane2 [25]float64
+			var lane3 [25]float64
+			var lane4 [25]float64
+			var lane5 [5]float64
+			var lane6 [5]float64
+			var lane7 [5]float64
+			gatherLane(lane0[:], r[:], q)
+			gatherLane(lane1[:], az[:], q)
+			gatherLane(lane2[:], ay[:], q)
+			gatherLane(lane3[:], ax[:], q)
+			gatherLane(lane4[:], d[:], q)
+			gatherLane(lane5[:], rz[:], q)
+			gatherLane(lane6[:], ry[:], q)
+			gatherLane(lane7[:], rx[:], q)
+			lowerStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7, omega)
+			scatterLane(r[:], lane0[:], q)
+		}
+	}
+}
+
+// upperStep8 runs upperStep on lanes 0 to live-1, element e of lane q at [e][q];
+// the assembly may run the lanes after them too.
+func upperStep8(live int, r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, ry, rx *[5][8]float64, omega float64) {
+	switch {
+	case simd.Width >= 8 && live > 4:
+		upperStepAVX512(r, az, ay, ax, d, rz, ry, rx, omega)
+	case simd.Width >= 4:
+		upperStepAVX(&r[0][0], &az[0][0], &ay[0][0], &ax[0][0], &d[0][0], &rz[0][0], &ry[0][0], &rx[0][0], omega)
+		if live > 4 {
+			upperStepAVX(&r[0][4], &az[0][4], &ay[0][4], &ax[0][4], &d[0][4], &rz[0][4], &ry[0][4], &rx[0][4], omega)
+		}
+	default:
+		for q := 0; q < 8 && q < live; q++ {
+			var lane0 [5]float64
+			var lane1 [25]float64
+			var lane2 [25]float64
+			var lane3 [25]float64
+			var lane4 [25]float64
+			var lane5 [5]float64
+			var lane6 [5]float64
+			var lane7 [5]float64
+			gatherLane(lane0[:], r[:], q)
+			gatherLane(lane1[:], az[:], q)
+			gatherLane(lane2[:], ay[:], q)
+			gatherLane(lane3[:], ax[:], q)
+			gatherLane(lane4[:], d[:], q)
+			gatherLane(lane5[:], rz[:], q)
+			gatherLane(lane6[:], ry[:], q)
+			gatherLane(lane7[:], rx[:], q)
+			upperStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7, omega)
+			scatterLane(r[:], lane0[:], q)
+		}
+	}
+}
+
 // opVelRow runs opVel at each point i < len(v1) of its rows, eight or four
 // points per instruction where the CPU allows and the scalar body on the
 // rest.

@@ -35,6 +35,18 @@ func factor5AVX(a *float64)
 func factor5AVX512(a *[25][8]float64)
 
 //go:noescape
+func lowerStepAVX(r, az, ay, ax, d, rz, ry, rx *float64, omega float64)
+
+//go:noescape
+func lowerStepAVX512(r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, ry, rx *[5][8]float64, omega float64)
+
+//go:noescape
+func upperStepAVX(r, az, ay, ax, d, rz, ry, rx *float64, omega float64)
+
+//go:noescape
+func upperStepAVX512(r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, ry, rx *[5][8]float64, omega float64)
+
+//go:noescape
 func opVelAVX(v1, v2, v3, v4, sq, w0, w1, w2, w3, w4 *float64, groups int)
 
 //go:noescape

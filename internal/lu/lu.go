@@ -54,7 +54,8 @@ type Benchmark struct {
 	// indexed by point (at, i fastest). u[m][p] is lu.f's u(m,i,j,k).
 	u, rsd, frct [5][]float64
 
-	// Per-worker sweep scratch: one row's blocks in lane form.
+	// Per-worker sweep scratch: the band's wavefront schedule and one
+	// wave's blocks in lane form.
 	scratch []*sweepScratch
 
 	ops [3]opDir // the operator's xi, eta and zeta directions
@@ -84,28 +85,25 @@ type Benchmark struct {
 	sweepsBody func(id int)
 }
 
-// Lane form: eight consecutive points of a row side by side, element e
-// of lane q at [e][q] (lanes.go, generated from blocks.go's kernels).
+// Lane form: eight points side by side, element e of lane q at [e][q]
+// (lanes.go, generated from blocks.go's kernels).
 type (
 	blk8 = [25][8]float64 // a 5x5 block of each lane
 	vec8 = [5][8]float64  // a 5-vector of each lane
 )
 
 // sweepScratch is one worker's storage for the triangular sweeps: the
-// blocks of one row's interior points, group g holding i = 8g+1..8g+8.
-// The coupling and diagonal blocks are only ever written at their
-// structural non-zeros (see blocks.go), so the zeros they are allocated
-// with persist for the whole run.
+// wavefront schedule of its band and the blocks and lane-form vectors
+// of one wave (ssor.go). The coupling and diagonal blocks are only ever
+// written at their structural non-zeros (see blocks.go), so the zeros
+// they are allocated with persist for the whole run.
 type sweepScratch struct {
-	a  [][3]blk8 // the couplings to the k, j and i neighbours
-	d  []blk8    // the diagonal blocks, factored (factor5)
-	u  [][4]vec8 // the states the blocks are built from, in a's order, then the point's
-	tv [5]float64
-}
-
-func newSweepScratch(n int) *sweepScratch {
-	groups := (n + 5) / 8 // ⌈(n-2)/8⌉ for the n-2 interior points
-	return &sweepScratch{a: make([][3]blk8, groups), d: make([]blk8, groups), u: make([][4]vec8, groups)}
+	waves []wave  // the band's schedule, in the lower sweep's order
+	a     [3]blk8 // the couplings to the k, j and i neighbours
+	d     blk8    // the diagonal blocks, factored (factor5)
+	u     [4]vec8 // the states the blocks are built from, in a's order, then the point's
+	r     [4]vec8 // rsd at the points, then at their k, j and i neighbours
+	tv    [5]float64
 }
 
 // New configures LU for the given class and thread count. env.Schedule
@@ -133,8 +131,9 @@ func newBenchmark(class byte, spec classSpec, threads int, env kernel.Env) *Benc
 	b.blk = newBlockConsts(&b.c)
 	b.ops = newOpDirs(&b.c, spec.size)
 	b.scratch = make([]*sweepScratch, threads)
-	for i := range b.scratch {
-		b.scratch[i] = newSweepScratch(spec.size)
+	for id := range b.scratch {
+		jlo, jhi := team.Block(1, spec.size-1, threads, id)
+		b.scratch[id] = &sweepScratch{waves: newWaves(spec.size, jlo, jhi)}
 	}
 	rows := nscore.Rows(fieldRows, spec.size*spec.size*spec.size)
 	copy(b.u[:], rows[0:5])
@@ -197,27 +196,29 @@ func (b *Benchmark) buildBodies() {
 	// assignment would break.
 
 	// Both triangular sweeps in one region, pipelined over planes: the
-	// lower one forward, the upper one backward. Nothing separates them:
-	// a worker starts upward on its band once its own lower sweep is
-	// done and its successor has posted the plane, and the successor
-	// posts only after finishing its lower sweep, the last reader of
-	// this band's lower values; forward and reverse tokens are counted
-	// apart, so neither sweep can take the other's.
+	// lower one forward, the upper one backward, each plane of a band a
+	// wave at a time, in the schedule's order and then in reverse.
+	// Nothing separates them: a worker starts upward on its band once
+	// its own lower sweep is done and its successor has posted the
+	// plane, and the successor posts only after finishing its lower
+	// sweep, the last reader of this band's lower values; forward and
+	// reverse tokens are counted apart, so neither sweep can take the
+	// other's.
 	b.sweepsBody = func(id int) {
-		jlo, jhi := team.Block(1, n-1, b.tm.Size(), id)
 		ws := b.scratch[id]
+		waves := ws.waves
 		for k := 1; k < n-1; k++ {
 			fault.Maybe("lu.sweep")
 			b.pipe.Wait(id)
-			for j := jlo; j < jhi; j++ {
-				b.lowerRow(ws, j, k)
+			for g := range waves {
+				b.sweepWave(ws, &waves[g], k, -1)
 			}
 			b.pipe.Post(id)
 		}
 		for k := n - 2; k >= 1; k-- {
 			b.pipe.WaitReverse(id)
-			for j := jhi - 1; j >= jlo; j-- {
-				b.upperRow(ws, j, k)
+			for g := len(waves) - 1; g >= 0; g-- {
+				b.sweepWave(ws, &waves[g], k, +1)
 			}
 			b.pipe.PostReverse(id)
 		}

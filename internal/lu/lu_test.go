@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
@@ -225,6 +226,55 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSweepsMatchAcrossWidths runs both sweeps of one step on random
+// physical states and a random rsd at every width the host has and
+// holds rsd, every element, to the width-1 result, bit for bit: the
+// step kernels on gathered lanes against coupledSum and apply5 in
+// place, through the real waves, their padding lanes included, on grids
+// of 12 and 13 points at one and three threads.
+func TestSweepsMatchAcrossWidths(t *testing.T) {
+	for _, n := range []int{12, 13} {
+		for _, threads := range []int{1, 3} {
+			rng := rand.New(rand.NewSource(int64(n + threads)))
+			b := newBenchmark('S', classSpec{size: n, itmax: 1, dt: 0.5}, threads, kernel.Env{})
+			u0, u1, u2, u3, u4 := nscore.Components(&b.u)
+			for p := range u0 {
+				u0[p], u1[p], u2[p], u3[p], u4[p] = 0.5+2*rng.Float64(), 2*rng.Float64()-1, 2*rng.Float64()-1, 2*rng.Float64()-1, 2+4*rng.Float64()
+			}
+			var start [5][]float64
+			for m := range start {
+				start[m] = make([]float64, len(u0))
+				for p := range start[m] {
+					start[m][p] = rng.Float64() - 0.5
+				}
+			}
+			var want [5][]float64
+			rowcheck.Modes(t, func(width int) {
+				for m, r := range &b.rsd {
+					copy(r, start[m])
+				}
+				tm := team.New(threads)
+				b.ensurePipe(tm)
+				tm.Run(b.sweepsBody)
+				tm.Close()
+				if width == 1 {
+					for m, r := range &b.rsd {
+						want[m] = append([]float64(nil), r...)
+					}
+					return
+				}
+				for m, r := range &b.rsd {
+					for p, v := range r {
+						if math.Float64bits(v) != math.Float64bits(want[m][p]) {
+							t.Fatalf("n=%d t%d width %d: rsd[%d][%d] = %v, width 1 %v", n, threads, width, m, p, v, want[m][p])
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // oracleJacobians evaluates nscore.FluxViscJacobians — the single
@@ -624,6 +674,63 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
+// TestWavesCoverBandInDependencyOrder checks each worker's wavefront
+// schedule on grids of class S, W and A at team sizes up to thirteen,
+// more than class S's ten interior rows, so some bands are empty: every
+// interior point of the band appears exactly once, no wave holds more
+// than eight points or a point together with its i-1 or j-1 neighbour,
+// every lower-sweep dependency inside the band sits in an earlier wave,
+// every upper-sweep one (i+1, j+1) in a later wave, which the reversed
+// order runs first, and the lanes after live repeat the last point.
+func TestWavesCoverBandInDependencyOrder(t *testing.T) {
+	for _, n := range []int{12, 33, 64} {
+		for _, threads := range []int{1, 2, 3, 4, 7, 13} {
+			for id := 0; id < threads; id++ {
+				jlo, jhi := team.Block(1, n-1, threads, id)
+				waves := newWaves(n, jlo, jhi)
+				in := map[[2]int]int{} // point (i, j) -> its wave
+				for g, w := range waves {
+					if w.live < 1 || w.live > 8 {
+						t.Fatalf("n=%d t%d worker %d: wave %d has %d points", n, threads, id, g, w.live)
+					}
+					for q, o := range w.at {
+						if q >= int(w.live) {
+							if o != w.at[w.live-1] {
+								t.Fatalf("n=%d t%d worker %d: wave %d lane %d is %d, not the last point %d", n, threads, id, g, q, o, w.at[w.live-1])
+							}
+							continue
+						}
+						i, j := int(o)%n, int(o)/n
+						if i < 1 || i > n-2 || j < jlo || j >= jhi {
+							t.Fatalf("n=%d t%d worker %d: wave %d holds (%d, %d), outside rows %d-%d", n, threads, id, g, i, j, jlo, jhi-1)
+						}
+						if prev, ok := in[[2]int{i, j}]; ok {
+							t.Fatalf("n=%d t%d worker %d: (%d, %d) in waves %d and %d", n, threads, id, i, j, prev, g)
+						}
+						in[[2]int{i, j}] = g
+					}
+				}
+				if want := (n - 2) * (jhi - jlo); len(in) != want {
+					t.Fatalf("n=%d t%d worker %d: %d points scheduled, band has %d", n, threads, id, len(in), want)
+				}
+				for p, g := range in {
+					i, j := p[0], p[1]
+					for _, d := range [][2]int{{i - 1, j}, {i, j - 1}} {
+						if h, ok := in[d]; ok && h >= g {
+							t.Fatalf("n=%d t%d worker %d: (%d, %d) in wave %d, its lower neighbour %v in wave %d", n, threads, id, i, j, g, d, h)
+						}
+					}
+					for _, d := range [][2]int{{i + 1, j}, {i, j + 1}} {
+						if h, ok := in[d]; ok && h <= g {
+							t.Fatalf("n=%d t%d worker %d: (%d, %d) in wave %d, its upper neighbour %v in wave %d", n, threads, id, i, j, g, d, h)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestClassSRun(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	res := b.RunResult()
@@ -641,12 +748,13 @@ func TestClassSRun(t *testing.T) {
 }
 
 // TestLaneKernelsMatchScalar holds each generated lane kernel, the
-// blocks of a row's eight consecutive points, to its scalar body, lane by
-// lane and bit for bit, on random inputs with zeros of both signs in
-// every lane (rowcheck.Lanes).
+// blocks and the update of a wave's eight points, to its scalar body,
+// lane by lane and bit for bit, on random inputs with zeros of both
+// signs, infinities, NaNs and subnormals among them (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
 		{couplingX8, couplingX}, {couplingY8, couplingY}, {couplingZ8, couplingZ}, {diagonal8, diagonal}, {factor58, factor5},
+		{lowerStep8, lowerStep}, {upperStep8, upperStep},
 	})
 }
 
@@ -662,4 +770,46 @@ func TestPortableLanesReproduceGolden(t *testing.T) {
 		}
 		return b.RunResult().Verify.String()
 	})
+}
+
+// BenchmarkSweeps times one sweepsBody region, the lower and upper
+// sweeps over the whole grid, at one thread, at class S and class W.
+// Each op runs a whole SSOR step (the flow update, the right-hand side,
+// the residual scaling, then the sweeps), so every region sweeps the
+// rsd of a step of the run with the caches as a run leaves them; ns/op
+// is that step. The region alone is clocked around its Team.Run and
+// reported as ns/region and, per interior point and both sweeps
+// together, ns/point. (b.StopTimer around the rest would read the
+// memory statistics, stopping the world, twice an op of a region that
+// lasts a few hundred microseconds.)
+func BenchmarkSweeps(b *testing.B) {
+	for _, class := range []byte{'S', 'W'} {
+		b.Run(string(class), func(b *testing.B) {
+			lub, err := New(class, 1, kernel.Env{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tm := team.New(1)
+			defer tm.Close()
+			lub.setbv()
+			lub.setiv()
+			lub.erhs(tm)
+			lub.rhs(tm)
+			lub.ensurePipe(tm)
+			var region time.Duration
+			b.ResetTimer()
+			for range b.N {
+				tm.Run(lub.updateBody)
+				lub.rhs(tm)
+				tm.Run(lub.scaleBody)
+				start := time.Now()
+				tm.Run(lub.sweepsBody)
+				region += time.Since(start)
+			}
+			ns := float64(region.Nanoseconds()) / float64(b.N)
+			inner := float64(lub.n - 2)
+			b.ReportMetric(ns, "ns/region")
+			b.ReportMetric(ns/(inner*inner*inner), "ns/point")
+		})
+	}
 }

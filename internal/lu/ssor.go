@@ -4,119 +4,173 @@ import (
 	"time"
 
 	"npbgo/internal/nscore"
+	"npbgo/internal/simd"
 	"npbgo/internal/team"
 )
 
-// lowerRow performs the fused jacld+blts update for row j of plane k:
-// the row's blocks first, then for each interior i the k-1, j-1 and i-1
-// couplings applied and the diagonal block solved.
-func (b *Benchmark) lowerRow(ws *sweepScratch, j, k int) {
-	b.rowBlocks(ws, j, k, -1)
-	for i := 1; i < b.n-1; i++ {
-		b.lowerPoint(ws, i, j, k)
-	}
+// wave is one group of a worker's wavefront schedule (newWaves): up to
+// eight interior points of its band of one plane, by their in-plane
+// offsets i + n*j, none of them the i-1 or j-1 neighbour of another, so
+// each lane of a kernel runs one point. The lanes from live to 7 repeat
+// the last point.
+type wave struct {
+	at   [8]int32
+	live int32
 }
 
-// upperRow performs the fused jacu+buts update for row j of plane k,
-// sweeping i downward.
-func (b *Benchmark) upperRow(ws *sweepScratch, j, k int) {
-	b.rowBlocks(ws, j, k, +1)
-	for i := b.n - 2; i >= 1; i-- {
-		b.upperPoint(ws, i, j, k)
-	}
-}
-
-// rowBlocks builds the blocks of every interior point of row j of
-// plane k, eight consecutive i per lane kernel call: the couplings to
-// the neighbours at k+s, j+s and i+s (s = -1 for the lower sweep, +1
-// for the upper one) and the diagonal block, factored. They read only
-// u, which the sweeps do not write, so the whole row's blocks can be
-// built ahead of its dependent chain. Every state is gathered before
-// any kernel runs: a kernel that loads a lane-form state right after
-// its 8-byte stores waits for them, the core cannot forward them to
-// one 64-byte load. A last group of four points or fewer is gathered
-// into four lanes, which a 4-lane kernel runs, any other into eight;
-// its spare lanes repeat i = n-2.
-func (b *Benchmark) rowBlocks(ws *sweepScratch, j, k, s int) {
-	n := b.n
-	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
-	d := ws.d
-	a, states := ws.a[:len(d)], ws.u[:len(d)]
-	for g := range states {
-		lanes := 8
-		if n-2-8*g <= 4 {
-			lanes = 4
-		}
-		for q := 0; q < lanes; q++ {
-			p := b.at(min(1+8*g+q, n-2), j, k)
-			for m, o := range [4]int{p + s*n*n, p + s*n, p + s, p} {
-				st := &states[g][m]
-				st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = u0[o], u1[o], u2[o], u3[o], u4[o]
+// newWaves returns the wavefront schedule of rows jlo to jhi-1 of an
+// n-point plane: the band's interior points in the order of i+j, then
+// j, cut into waves of at most eight, a new one begun wherever the next
+// point would join its i-1 or j-1 neighbour. Every point's lower-sweep
+// neighbours in the plane come before it in that order, so each sits in
+// an earlier wave; run backwards, the waves meet the upper sweep's i+1
+// and j+1 neighbours the same way.
+func newWaves(n, jlo, jhi int) []wave {
+	var waves []wave
+	var w wave
+	has := func(o int32) bool {
+		for _, a := range w.at[:w.live] {
+			if a == o {
+				return true
 			}
 		}
+		return false
 	}
-	bk, sign := &b.blk, float64(s)
+	flush := func() {
+		if w.live == 0 {
+			return
+		}
+		for q := w.live; q < 8; q++ {
+			w.at[q] = w.at[w.live-1]
+		}
+		waves = append(waves, w)
+		w = wave{}
+	}
+	for s := 2; s <= 2*(n-2); s++ {
+		for j := max(jlo, s-(n-2)); j <= min(jhi-1, s-1); j++ {
+			o := int32(s - j + n*j)
+			if w.live == 8 || has(o-1) || has(o-int32(n)) {
+				flush()
+			}
+			w.at[w.live] = o
+			w.live++
+		}
+	}
+	flush()
+	return waves
+}
+
+// sweepWave performs the fused jacld+blts update (s = -1) or jacu+buts
+// update (s = +1) at the points of wave w of plane k: their blocks
+// first, then the couplings to the neighbours at k+s, j+s and i+s
+// applied and the diagonal block solved, a lane a point. With vector
+// lanes (simd.Width 4 or 8), rsd at the points and their neighbours is
+// gathered into lane form for lowerStep or upperStep and the points'
+// results scattered back; at width 1, where the kernels' wrapper would
+// copy every lane in and out, coupledSum and apply5 run on each lane
+// of the blocks in place.
+//
+// Hot path: LU's SSOR sweeps.
+func (b *Benchmark) sweepWave(ws *sweepScratch, w *wave, k, s int) {
+	b.waveBlocks(ws, w, k, s)
+	n, live := b.n, int(w.live)
+	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
+	plane := n * n * k
+	if simd.Width == 1 {
+		tv := &ws.tv
+		for q, a := range w.at[:live] {
+			p := plane + int(a)
+			ws.coupledSum(&b.rsd, q, p+s*n*n, p+s*n, p+s)
+			if s < 0 {
+				tv[0] = r0[p] - omega*tv[0]
+				tv[1] = r1[p] - omega*tv[1]
+				tv[2] = r2[p] - omega*tv[2]
+				tv[3] = r3[p] - omega*tv[3]
+				tv[4] = r4[p] - omega*tv[4]
+				apply5(&ws.d, q, tv)
+				r0[p], r1[p], r2[p], r3[p], r4[p] = tv[0], tv[1], tv[2], tv[3], tv[4]
+				continue
+			}
+			for m := range tv {
+				tv[m] *= omega
+			}
+			apply5(&ws.d, q, tv)
+			r0[p] -= tv[0]
+			r1[p] -= tv[1]
+			r2[p] -= tv[2]
+			r3[p] -= tv[3]
+			r4[p] -= tv[4]
+		}
+		return
+	}
+	rv := &ws.r
+	for q, a := range w.at[:lanesOf(live)] {
+		p := plane + int(a)
+		for m, o := range [4]int{p, p + s*n*n, p + s*n, p + s} {
+			v := &rv[m]
+			v[0][q], v[1][q], v[2][q], v[3][q], v[4][q] = r0[o], r1[o], r2[o], r3[o], r4[o]
+		}
+	}
+	if s < 0 {
+		lowerStep8(live, &rv[0], &ws.a[0], &ws.a[1], &ws.a[2], &ws.d, &rv[1], &rv[2], &rv[3], omega)
+	} else {
+		upperStep8(live, &rv[0], &ws.a[0], &ws.a[1], &ws.a[2], &ws.d, &rv[1], &rv[2], &rv[3], omega)
+	}
+	v := &rv[0]
+	for q, a := range w.at[:live] {
+		p := plane + int(a)
+		r0[p], r1[p], r2[p], r3[p], r4[p] = v[0][q], v[1][q], v[2][q], v[3][q], v[4][q]
+	}
+}
+
+// lanesOf is the lanes a wave of live points gathers: at width 1 the
+// live ones, which the scalar bodies run, else four when a 4-lane
+// kernel runs it alone and eight when not.
+func lanesOf(live int) int {
+	switch {
+	case simd.Width == 1:
+		return live
+	case live <= 4:
+		return 4
+	}
+	return 8
+}
+
+// waveBlocks builds the blocks of wave w's points in plane k: the
+// couplings to the neighbours at k+s, j+s and i+s and the diagonal
+// block, factored. They read only u, which the sweeps do not write.
+// Every state is gathered before any kernel runs.
+func (b *Benchmark) waveBlocks(ws *sweepScratch, w *wave, k, s int) {
+	n, live := b.n, int(w.live)
+	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
+	plane := n * n * k
+	for q, a := range w.at[:lanesOf(live)] {
+		p := plane + int(a)
+		for m, o := range [4]int{p + s*n*n, p + s*n, p + s, p} {
+			st := &ws.u[m]
+			st[0][q], st[1][q], st[2][q], st[3][q], st[4][q] = u0[o], u1[o], u2[o], u3[o], u4[o]
+		}
+	}
+	bk, sign, st := &b.blk, float64(s), &ws.u
 	z, y, x := &bk.z, &bk.y, &bk.x
-	for g := range d {
-		ag, st, live := &a[g], &states[g], min(8, n-2-8*g)
-		couplingZ8(live, &ag[0], &st[0], sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
-		couplingY8(live, &ag[1], &st[1], sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
-		couplingX8(live, &ag[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
-		diagonal8(live, &d[g], &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
-			bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
-		factor58(live, &d[g])
-	}
-}
-
-// lowerPoint applies the lower-triangular update at one grid point,
-// with the blocks rowBlocks built.
-//
-// Hot path: fused jacld+blts point kernel.
-func (b *Benchmark) lowerPoint(ws *sweepScratch, i, j, k int) {
-	n, p := b.n, b.at(i, j, k)
-	g, q := (i-1)/8, (i-1)%8
-	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
-	ws.coupledSum(&b.rsd, g, q, p-n*n, p-n, p-1)
-	tv := &ws.tv
-	tv[0] = r0[p] - omega*tv[0]
-	tv[1] = r1[p] - omega*tv[1]
-	tv[2] = r2[p] - omega*tv[2]
-	tv[3] = r3[p] - omega*tv[3]
-	tv[4] = r4[p] - omega*tv[4]
-	apply5(&ws.d[g], q, tv)
-	r0[p], r1[p], r2[p], r3[p], r4[p] = tv[0], tv[1], tv[2], tv[3], tv[4]
-}
-
-// upperPoint applies the upper-triangular update at one grid point.
-//
-// Hot path: fused jacu+buts point kernel.
-func (b *Benchmark) upperPoint(ws *sweepScratch, i, j, k int) {
-	n, p := b.n, b.at(i, j, k)
-	g, q := (i-1)/8, (i-1)%8
-	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
-	ws.coupledSum(&b.rsd, g, q, p+n*n, p+n, p+1)
-	tv := &ws.tv
-	for m := 0; m < 5; m++ {
-		tv[m] *= omega
-	}
-	apply5(&ws.d[g], q, tv)
-	r0[p] -= tv[0]
-	r1[p] -= tv[1]
-	r2[p] -= tv[2]
-	r3[p] -= tv[3]
-	r4[p] -= tv[4]
+	couplingZ8(live, &ws.a[0], &st[0], sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
+	couplingY8(live, &ws.a[1], &st[1], sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
+	couplingX8(live, &ws.a[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
+	diagonal8(live, &ws.d, &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
+		bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
+	factor58(live, &ws.d)
 }
 
 // coupledSum sets tv = az*r[z] + ay*r[y] + ax*r[x], the couplings of
-// the point in lane q of group g to its neighbours at the points z, y
-// and x of r.
-func (ws *sweepScratch) coupledSum(r *[5][]float64, g, q, z, y, x int) {
+// the point in lane q of the wave's blocks to its neighbours at the
+// points z, y and x of r: the width-1 form of lowerStep's and
+// upperStep's first half.
+func (ws *sweepScratch) coupledSum(r *[5][]float64, q, z, y, x int) {
 	r0, r1, r2, r3, r4 := nscore.Components(r)
 	rz := [5]float64{r0[z], r1[z], r2[z], r3[z], r4[z]}
 	ry := [5]float64{r0[y], r1[y], r2[y], r3[y], r4[y]}
 	rx := [5]float64{r0[x], r1[x], r2[x], r3[x], r4[x]}
-	a := &ws.a[g]
-	az, ay, ax := &a[0], &a[1], &a[2]
+	az, ay, ax := &ws.a[0], &ws.a[1], &ws.a[2]
 	q &= 7
 	for m := 0; m < 5; m++ {
 		s := az[m][q]*rz[0] + ay[m][q]*ry[0] + ax[m][q]*rx[0]

@@ -151,13 +151,22 @@ func Kernels(t *testing.T, kernels [][2]any) {
 // scalar <name>, on random lane-form arrays, once through the wrapper
 // and once lane by lane through the scalar body, and fails unless every
 // lane the wrapper was asked to run of every array is equal afterwards,
-// bit for bit. The lane count is the wrapper's array type's; the trials
-// ask for each count of lanes in turn. About one value in four is a
-// zero, of either sign, so over the trials every lane meets zeros, the
-// scalars as well. It does so on each path (Modes).
+// bit for bit, save that any two NaNs are equal (as in Kernels). The
+// lane count is the wrapper's array type's; the trials ask for each
+// count of lanes in turn. About one value in four is a zero, of either
+// sign, so over the trials every lane meets zeros, the scalars as well.
+// Every other run of trials through the lane counts (so twice as many
+// trials as the plain ones alone) also makes one value in sixteen an
+// infinity, a NaN or a subnormal. Only every other:
+// a kernel may read over a hundred values a lane, so with the mix in
+// every trial nearly every lane would meet an infinity or a NaN and
+// carry a NaN to each output, which any NaN then matches, and a kernel
+// that rounded one sum in another order would pass (LU's lowerStep
+// did). It does so on each path (Modes).
 func Lanes(t *testing.T, kernels [][2]any) {
 	t.Helper()
-	fill := filler(41)
+	plain := filler(41)
+	special := specials(plain, 42)
 	Modes(t, func(width int) {
 		for _, k := range kernels {
 			wrapper, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
@@ -169,8 +178,12 @@ func Lanes(t *testing.T, kernels [][2]any) {
 					lanes = wt.In(a).Elem().Elem().Len()
 				}
 			}
-			for trial := 0; trial < 200; trial++ {
+			for trial := 0; trial < 400; trial++ {
 				live := 1 + trial%lanes
+				fill := plain
+				if trial/lanes%2 == 1 {
+					fill = special
+				}
 				args := make([]reflect.Value, wt.NumIn())
 				want := make([]reflect.Value, len(args))
 				args[0] = reflect.ValueOf(live)
@@ -210,7 +223,7 @@ func Lanes(t *testing.T, kernels [][2]any) {
 						for e := 0; e < sargs[a].Elem().Len(); e++ {
 							g := args[a+1].Elem().Index(e).Index(q).Float()
 							w := sargs[a].Elem().Index(e).Float()
-							if math.Float64bits(g) != math.Float64bits(w) {
+							if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 								t.Fatalf("%s width %d live %d: argument %d [%d] lane %d = %v (%#x), scalar %v (%#x)", name, width, live, a, e, q,
 									g, math.Float64bits(g), w, math.Float64bits(w))
 							}

@@ -613,7 +613,8 @@ func (b *Benchmark) oracleSolves() {
 
 // TestLaneKernelsMatchScalar holds each generated lane kernel to its
 // scalar body, lane by lane and bit for bit, on random inputs with
-// zeros of both signs in every lane (rowcheck.Lanes). eigen's three
+// zeros of both signs, infinities, NaNs and subnormals among them
+// (rowcheck.Lanes). eigen's three
 // bounds are compare-and-blends, so it also runs on lanes where the
 // compared values are zeros of opposite signs or NaN, where Go keeps
 // the bound and a VMAXPD would not.
