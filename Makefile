@@ -21,9 +21,8 @@ vet:
 # Allocation gate: steady-state allocations per benchmark iteration of
 # every internal/suite row at class S under every loop schedule, with no
 # instrument and with all of them (probe, tracer under a running Go
-# execution tracer, software counter sampler where the host allows it,
-# concurrent timers), and at class W
-# under the static schedule, measured with testing.AllocsPerRun and
+# execution tracer, concurrent timers), and at class W under the static
+# schedule, measured with testing.AllocsPerRun and
 # asserted against the one checked-in allocgate.Budget (zero). The
 # class-W gates run full-size iterations; drop them with GOFLAGS=-short.
 # To find where a failing key allocates, see DESIGN.md §13.
@@ -63,7 +62,7 @@ bce-baseline:
 # full -race pass as well.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/sp ./internal/bt ./internal/harness ./internal/fault ./internal/timer ./internal/perfcount
+	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/sp ./internal/bt ./internal/harness ./internal/fault ./internal/timer
 
 test-race: race
 
@@ -98,7 +97,7 @@ suite-trace:
 # Machine-readable sweep record: one stamped BENCH_<stamp>.json per
 # sweep accumulates under $(RESULTS), each cell appended as it finishes
 # (npbsuite -resume finishes an interrupted one), read by npbperf
-# scaling, counters and hotspots.
+# scaling and hotspots.
 RESULTS ?= results
 bench-json:
 	$(GO) run ./cmd/npbsuite -class $(CLASS) -threads $(THREADS) -bench-json $(RESULTS)/
@@ -116,15 +115,12 @@ schedule-check:
 	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 1,2,4 -schedule static -repeats 2 -instrument obs -instrument-dir $(INSTDIR)/sched -bench-json sched-static.json
 	$(GO) run ./cmd/npbperf scaling -fail-on load-imbalance sched-static.json
 
-# Instrument smoke: one IS+CG+LU class-S sweep with every instrument
-# on, then each instrument's own check.
+# Instrument smoke: one IS+CG+LU class-S sweep with all three
+# instruments (obs, trace, profile) on, which must verify every cell,
+# then the checks of the two that write files.
 #   - trace: every execution trace validates through go tool trace
 #     -d=parsed (spans paired and nested, times monotonic per
 #     goroutine, every annotation inside the run's task).
-#   - counters: npbperf counters -require finds, in every cell, populated
-#     counter fields or an explicit "unavailable (<reason>)" note, never
-#     silent zeros — so it passes on PMU-backed hosts and in PMU-less
-#     containers alike.
 #   - profile: a CG class-W sweep must attribute at least
 #     $(PROFILE_MINATTR)% of its CPU samples to symbolized
 #     npbgo/internal/... code, so "which kernel is the time in" stays
@@ -132,9 +128,8 @@ schedule-check:
 # The CI instrument-smoke job runs exactly this and keeps $(INSTDIR).
 PROFILE_MINATTR ?= 80
 instrument-check:
-	$(GO) run ./cmd/npbsuite -class S -threads 2 -bench IS,CG,LU -instrument obs,counters,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
+	$(GO) run ./cmd/npbsuite -class S -threads 2 -bench IS,CG,LU -instrument obs,trace,profile -instrument-dir $(INSTDIR)/all -bench-json $(INSTDIR)/all.json
 	$(GO) run ./cmd/npbperf trace validate $(INSTDIR)/all/*.trace
-	$(GO) run ./cmd/npbperf counters -require $(INSTDIR)/all.json
 	$(GO) run ./cmd/npbsuite -class W -bench CG -threads 2 -instrument profile -instrument-dir $(INSTDIR)/w -bench-json $(INSTDIR)/w.json
 	$(GO) run ./cmd/npbperf hotspots -require -min-attr $(PROFILE_MINATTR) $(INSTDIR)/w.json
 

@@ -11,7 +11,6 @@ import (
 	"npbgo"
 	"npbgo/internal/ep"
 	"npbgo/internal/kernel"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/trace"
@@ -76,10 +75,9 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 }
 
 // TestInstrumentsDoNotChangeABit: with every instrument on — obs,
-// trace, counters (or their unavailable path) and the phase profile —
-// all eight codes reproduce the recorded printouts. The probe only
-// reads clocks and counts; a hook that touched a reduction's slots or
-// order would show here.
+// trace and the phase profile — all eight codes reproduce the recorded
+// printouts. The probe only reads clocks and counts; a hook that
+// touched a reduction's slots or order would show here.
 func TestInstrumentsDoNotChangeABit(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
 	for _, b := range npbgo.Benchmarks() {
@@ -116,17 +114,10 @@ func printout(t *testing.T, b npbgo.Benchmark, class byte, threads int, sched st
 		}
 		env := kernel.Env{Schedule: s}
 		if instrumented {
-			// Counters stay off where they are unavailable, as in
-			// npbgo.RunContext.
-			pc, err := perfcount.New(threads)
-			if err == nil {
-				pc.Bind(0)
-				defer func() { pc.Unbind(0); pc.Close() }()
-			}
 			env.Timers = timer.NewConcurrentSet()
 			tr := trace.New(context.Background(), "EP", threads)
 			defer tr.Stop()
-			env.Probe = team.NewProbe(threads, tr, pc)
+			env.Probe = team.NewProbe(threads, tr)
 		}
 		e, err := ep.New(class, threads, env)
 		if err != nil {
@@ -142,7 +133,7 @@ func printout(t *testing.T, b npbgo.Benchmark, class byte, threads int, sched st
 	ctx, cancel := context.WithTimeout(context.Background(), cellDeadline)
 	defer cancel()
 	res, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: class, Threads: threads, Schedule: sched,
-		Obs: instrumented, Trace: instrumented, Counters: instrumented, Profile: instrumented})
+		Obs: instrumented, Trace: instrumented, Profile: instrumented})
 	if err != nil {
 		t.Fatalf("%s.%c threads=%d %s: %v", b, class, threads, sched, err)
 	}

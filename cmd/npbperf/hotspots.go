@@ -90,9 +90,6 @@ func profileCell(cp cellProf, top int) report.ProfileCell {
 		Imbalance: cp.cell.Imbalance,
 		Note:      cp.note,
 	}
-	if c := cp.cell.Counters; c != nil {
-		pc.IPC = c.IPC()
-	}
 	if t := cp.tab; t != nil {
 		pc.Type = t.Type
 		pc.Unit = t.Unit
@@ -156,26 +153,23 @@ func runHotspots(args []string, stdout, stderr io.Writer) int {
 }
 
 // renderHotspots prints the human view: a per-cell summary joined with
-// the cell's imbalance and IPC, then the top functions of every cell.
+// the cell's imbalance, then the top functions of every cell.
 func renderHotspots(stdout io.Writer, rec report.BenchRecord, cells []report.ProfileCell) {
 	fmt.Fprintf(stdout, "record %s (GOMAXPROCS=%d, CPUs=%d)\n", rec.Stamp, rec.Env.GoMaxProcs, rec.Env.NumCPU)
 	sum := report.New("Profiles per cell (Attr% = samples touching "+profile.KernelPrefix+" code)",
-		"Cell", "Type", "Total", "Attr%", "Imbal", "IPC")
+		"Cell", "Type", "Total", "Attr%", "Imbal")
 	for _, pc := range cells {
 		if pc.Note != "" {
 			sum.AddRow(cellName(pc), "undecodable: "+pc.Note)
 			continue
 		}
 		tab := profile.Table{Unit: pc.Unit}
-		imbal, ipc := "-", "-"
+		imbal := "-"
 		if pc.Imbalance > 0 {
 			imbal = fmt.Sprintf("%.2f", pc.Imbalance)
 		}
-		if pc.IPC > 0 {
-			ipc = fmt.Sprintf("%.2f", pc.IPC)
-		}
 		sum.AddRow(cellName(pc), pc.Type, tab.FormatValue(pc.Total),
-			fmt.Sprintf("%.1f", pc.AttributedPct), imbal, ipc)
+			fmt.Sprintf("%.1f", pc.AttributedPct), imbal)
 	}
 	if len(cells) == 0 {
 		sum.AddRow("(record carries no profiles; run npbsuite -instrument profile)")

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"npbgo/internal/perfcount"
 	"npbgo/internal/report"
 )
 
@@ -21,7 +20,7 @@ const (
 )
 
 // profiledRecord builds a one-cell record whose CG.S t2 cell points at
-// the given profile files, with imbalance and counters to join.
+// the given profile files, with an imbalance to join.
 func profiledRecord(stamp, cpu, heap string) report.BenchRecord {
 	return report.BenchRecord{
 		Schema: report.BenchSchema, Stamp: stamp, Class: "S",
@@ -30,8 +29,6 @@ func profiledRecord(stamp, cpu, heap string) report.BenchRecord {
 			Elapsed: 1.0, Verified: true,
 			CPUProfile: cpu, HeapProfile: heap,
 			Imbalance: 1.37,
-			Counters: &perfcount.Stats{Set: "hardware",
-				Values: perfcount.Values{Cycles: 100, Instructions: 250}},
 		}},
 	}
 }
@@ -71,9 +68,9 @@ func TestHotspotsGoldenFixture(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errBuf.String())
 	}
 	s := out.String()
-	for _, want := range []string{"CG.S t2", "npbgo/internal/profile.spin", "1.37", "2.50", "record P1"} {
+	for _, want := range []string{"CG.S t2", "npbgo/internal/profile.spin", "1.37", "record P1"} {
 		if !strings.Contains(s, want) {
-			t.Fatalf("hotspots output missing %q (the imbalance/IPC join and the hot function):\n%s", want, s)
+			t.Fatalf("hotspots output missing %q (the imbalance join and the hot function):\n%s", want, s)
 		}
 	}
 }
@@ -104,8 +101,8 @@ func TestHotspotsJSONSchema(t *testing.T) {
 	if c.Functions[0].Name != "npbgo/internal/profile.spin" {
 		t.Fatalf("top function = %q", c.Functions[0].Name)
 	}
-	if c.Imbalance != 1.37 || c.IPC != 2.5 {
-		t.Fatalf("diagnostics not joined: imbalance=%v ipc=%v", c.Imbalance, c.IPC)
+	if c.Imbalance != 1.37 {
+		t.Fatalf("imbalance not joined: %v", c.Imbalance)
 	}
 	if c.AttributedPct < 90 {
 		t.Fatalf("AttributedPct = %.1f", c.AttributedPct)

@@ -43,6 +43,8 @@ func TestUsageErrors(t *testing.T) {
 		{"stats", golden},
 		{"compare", golden, golden},
 		{"profdiff", golden, golden},
+		// The hardware-counter view was deleted.
+		{"counters", golden},
 		{"scaling"},
 	}
 	for _, args := range cases {
@@ -110,11 +112,17 @@ func TestScalingFailOn(t *testing.T) {
 	}
 	out.Reset()
 	errBuf.Reset()
-	if code := run([]string{"scaling", "-fail-on", "imbalance", golden}, &out, &errBuf); code != 2 {
-		t.Fatalf("unknown fail-on name exit %d, want 2", code)
-	}
-	if !strings.Contains(errBuf.String(), "load-imbalance") {
-		t.Fatalf("error should list the known names: %s", errBuf.String())
+	// memory-bound, the deleted rule over hardware counters, is an
+	// unknown name too: a gate that still lists it must fail.
+	for _, name := range []string{"imbalance", "memory-bound"} {
+		out.Reset()
+		errBuf.Reset()
+		if code := run([]string{"scaling", "-fail-on", name, golden}, &out, &errBuf); code != 2 {
+			t.Fatalf("unknown fail-on name %q exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errBuf.String(), "load-imbalance") {
+			t.Fatalf("error should list the known names: %s", errBuf.String())
+		}
 	}
 }
 

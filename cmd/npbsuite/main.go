@@ -35,17 +35,11 @@
 // list, and -instrument-dir (default instruments/) is where they write.
 // obs collects per-worker runtime metrics (busy/barrier-wait time,
 // imbalance ratio) and a phase profile, prints a metrics table after
-// the sweeps and adds them to each cell's -bench-json line.
-// counters samples cycles, instructions, LLC loads/misses and branch
-// misses per worker per parallel region via perf_event_open and prints
-// a counter table (IPC, LLC miss rate); where counters are unavailable
-// (restrictive perf_event_paranoid, no PMU in the VM or container,
-// non-Linux build) the cells run unsampled and each record carries an
-// explicit "counters: unavailable (<reason>)" note instead of silent
-// zeros. trace runs each cell under the Go execution tracer, annotated
-// with the run's regions, worker blocks, barrier and pipeline waits and
-// phases, and writes one trace per cell, "<BENCH>.<class>.<cell>.trace",
-// for `go tool trace` or `npbperf trace validate|summary`. profile
+// the sweeps and adds them to each cell's -bench-json line. trace
+// runs each cell under the Go execution tracer, annotated with the
+// run's regions, worker blocks, barrier and pipeline waits and phases,
+// and writes one trace per cell, "<BENCH>.<class>.<cell>.trace", for
+// `go tool trace` or `npbperf trace validate|summary`. profile
 // captures a CPU and a heap profile per cell,
 // "<BENCH>.<class>.<cell>.cpu.pprof" and ".heap.pprof", outside the
 // timed region, recorded in the cell's records and decoded by `npbperf
@@ -91,7 +85,6 @@ import (
 	"npbgo"
 	"npbgo/internal/fault"
 	"npbgo/internal/harness"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
 )
 
@@ -168,7 +161,6 @@ func main() {
 		Retries:  *retries,
 		Backoff:  500 * time.Millisecond,
 		Obs:      on["obs"],
-		Counters: on["counters"],
 		Context:  ctx,
 	}
 	if on["trace"] {
@@ -222,11 +214,6 @@ func main() {
 	if len(on) > 0 {
 		fmt.Printf("instrument: %s, written to %s/\n\n", *instrumentFlag, *instrumentDir)
 	}
-	if on["counters"] {
-		if err := perfcount.Probe(); err != nil {
-			fmt.Printf("counters: unavailable (%v) — cells run unsampled, records carry the note\n\n", err)
-		}
-	}
 	var sweeps []harness.Sweep
 	failed := false
 	for _, b := range benches {
@@ -252,10 +239,6 @@ func main() {
 		fmt.Println()
 		fmt.Print(harness.ObsTable("Runtime metrics (imbalance = max busy / mean busy; cf. §5.2)", sweeps))
 	}
-	if on["counters"] {
-		fmt.Println()
-		fmt.Print(harness.CountersTable("Hardware counters (IPC = instructions/cycle; miss rate = LLC misses/loads)", sweeps))
-	}
 	if rec != nil {
 		if err := rec.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
@@ -278,7 +261,7 @@ func parseClass(s string) (byte, error) {
 }
 
 // instrumentNames are the -instrument spellings.
-var instrumentNames = []string{"obs", "counters", "trace", "profile"}
+var instrumentNames = []string{"obs", "trace", "profile"}
 
 // parseInstruments parses the -instrument list into the set of names
 // turned on.

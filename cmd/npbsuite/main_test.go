@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestParseClass: -class takes exactly one letter. An empty value used
 // to index past the end of the string, and a longer one silently ran
@@ -26,6 +29,32 @@ func TestParseClass(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("parseClass(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// TestParseInstruments: -instrument takes any subset of obs, trace and
+// profile. Any other name — counters, whose instrument was deleted,
+// included — is an error (exit 2) that lists the valid names.
+func TestParseInstruments(t *testing.T) {
+	for _, in := range []string{"", "obs", "obs,trace,profile"} {
+		on, err := parseInstruments(in)
+		if err != nil {
+			t.Errorf("parseInstruments(%q): %v", in, err)
+			continue
+		}
+		if in != "" && len(on) != len(strings.Split(in, ",")) {
+			t.Errorf("parseInstruments(%q) = %v", in, on)
+		}
+	}
+	for _, in := range []string{"counters", "bogus", "obs,counters"} {
+		_, err := parseInstruments(in)
+		if err == nil {
+			t.Errorf("parseInstruments(%q) accepted", in)
+			continue
+		}
+		if !strings.Contains(err.Error(), "obs, trace, profile") {
+			t.Errorf("parseInstruments(%q) error does not list the valid names: %v", in, err)
 		}
 	}
 }

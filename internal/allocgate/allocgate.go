@@ -8,7 +8,6 @@
 // The gate measures the configurations users run: at class S, every
 // loop schedule with no instrument and with every instrument a run can
 // attach (a probe with a tracer, under a running Go execution tracer,
-// and, where the host allows software perf events, a counter sampler,
 // plus concurrent phase timers); at class W, the static schedule with
 // no instrument.
 //
@@ -31,7 +30,6 @@ import (
 	"strings"
 
 	"npbgo/internal/kernel"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/suite"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
@@ -62,7 +60,7 @@ type Key struct {
 	Bench        string        // a suite row in lower case, "cg"
 	Class        byte          // 'S' or 'W'
 	Schedule     team.Schedule // the team's loop schedule
-	Instrumented bool          // probe with tracer and sampler, concurrent timers
+	Instrumented bool          // probe with tracer, concurrent timers
 }
 
 // String names the key as the test output does: "cg.S",
@@ -97,8 +95,7 @@ func Keys() []Key {
 // Measure builds benchmark k.Bench at class k.Class with k's schedule
 // and instruments, warms its steady-state hook with warm iterations,
 // then returns the average allocations per Iter over runs measured
-// iterations (measureAllocsPerRun). An instrumented key carries a counter
-// sampler only where perfcount.NewSoftware succeeds. Its tracer
+// iterations (measureAllocsPerRun). An instrumented key's tracer
 // annotates a runtime tracer started here, so every annotation really
 // is recorded; the trace goes to io.Discard, because the count takes in
 // every goroutine's mallocs, the trace writer's included. The runtime
@@ -121,12 +118,6 @@ func Measure(k Key, warm, runs int) (float64, error) {
 	var fresh func() // restarts the gate's runtime tracer, if it started one
 	if k.Instrumented {
 		env.Timers = timer.NewConcurrentSet()
-		// Slot 0 is the master, bound on this goroutine as a run binds it.
-		pc, err := perfcount.NewSoftware(Threads)
-		if err == nil {
-			pc.Bind(0)
-			defer func() { pc.Unbind(0); pc.Close() }()
-		}
 		var tr *trace.Tracer
 		if !tracerAllocates {
 			if rt.Start(io.Discard) == nil {
@@ -140,7 +131,7 @@ func Measure(k Key, warm, runs int) (float64, error) {
 			tr = trace.New(context.Background(), k.String(), Threads)
 			defer tr.Stop()
 		}
-		env.Probe = team.NewProbe(Threads, tr, pc)
+		env.Probe = team.NewProbe(Threads, tr)
 	}
 	b, err := row.New(k.Class, Threads, env)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"npbgo/internal/perfcount"
 	"npbgo/internal/team"
 )
 
@@ -22,9 +21,6 @@ import (
 // allocation (GC worker, timer) can leak into a small sample; a gate
 // only fails after a second measurement confirms the excess.
 func TestGate(t *testing.T) {
-	if err := perfcount.ProbeSoftware(); err != nil {
-		t.Logf("software perf events unavailable, instrumented keys run without a sampler: %v", err)
-	}
 	for _, k := range Keys() {
 		t.Run(k.String(), func(t *testing.T) {
 			if k.Class != 'S' && testing.Short() {

@@ -24,7 +24,6 @@ import (
 
 	"npbgo"
 	"npbgo/internal/fault"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/profile"
 	"npbgo/internal/report"
 	"npbgo/internal/team"
@@ -50,11 +49,6 @@ type Run struct {
 	Obs     *team.Stats   // runtime metrics of the kept repeat, nil unless Options.Obs
 	Phases  []timer.Phase // phase profile of the kept repeat, nil unless the benchmark exposes timers
 	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir
-	// Counters is the hardware-counter attribution of the kept repeat,
-	// nil unless Options.Counters and counters were available;
-	// CountersNote records why it is nil when they were requested.
-	Counters     *perfcount.Stats
-	CountersNote string
 	// CPUProfile/HeapProfile are the cell's captured pprof files, empty
 	// unless Options.ProfileDir. A failed cell keeps what it flushed
 	// before dying.
@@ -106,11 +100,6 @@ type Options struct {
 	// Obs enables runtime-metrics collection (npbgo.Config.Obs) for
 	// every cell; each cell's snapshot lands in Run.Obs.
 	Obs bool
-	// Counters enables per-region hardware-counter sampling
-	// (npbgo.Config.Counters) for every cell; each cell's totals land in
-	// Run.Counters, or Run.CountersNote records why they could not be
-	// collected.
-	Counters bool
 	// ProfileDir, when non-empty, captures a CPU and a heap profile per
 	// cell into the directory as "<BENCH>.<class>.<cell>.cpu.pprof" /
 	// ".heap.pprof" (serial baseline named "serial", like traces). The
@@ -213,7 +202,7 @@ func cellConfig(bench npbgo.Benchmark, class byte, threads int, opt Options) npb
 	}
 	return npbgo.Config{Benchmark: bench, Class: class, Threads: n,
 		Warmup: opt.Warmup, Obs: opt.Obs, Trace: opt.TraceDir != "",
-		Schedule: opt.Schedule, Counters: opt.Counters}
+		Schedule: opt.Schedule}
 }
 
 // RunFromMetrics reconstructs a Run from a recorded cell line, for
@@ -235,8 +224,6 @@ func RunFromMetrics(m report.CellMetrics) Run {
 	if m.Error != "" {
 		r.Err = errors.New(m.Error)
 	}
-	r.Counters = m.Counters
-	r.CountersNote = m.CountersNote
 	r.CPUProfile = m.CPUProfile
 	r.HeapProfile = m.HeapProfile
 	return r
@@ -264,7 +251,6 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 			// the samples of the repeats that did complete.
 			r := Run{Threads: threads, Attempts: attempts, Samples: samples,
 				Err: err, Obs: res.Obs, Phases: res.Phases, Trace: res.Trace,
-				Counters: res.Counters, CountersNote: res.CountersNote,
 				Schedule: opt.Schedule}
 			stampProfiles(&r, opt, label)
 			return r
@@ -272,8 +258,7 @@ func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int
 		samples = append(samples, res.Elapsed)
 		r := Run{Threads: threads, Elapsed: res.Elapsed, Mops: res.Mops,
 			Verified: res.Verified, Tier: res.Tier, Obs: res.Obs, Phases: res.Phases,
-			Trace: res.Trace, Counters: res.Counters, CountersNote: res.CountersNote,
-			Schedule: opt.Schedule}
+			Trace: res.Trace, Schedule: opt.Schedule}
 		if best == nil || r.Elapsed < best.Elapsed {
 			cp := r
 			best = &cp
@@ -557,8 +542,6 @@ func cellMetrics(bench npbgo.Benchmark, class byte, r Run) report.CellMetrics {
 	if r.Err != nil {
 		m.Error = r.Err.Error()
 	}
-	m.Counters = r.Counters
-	m.CountersNote = r.CountersNote
 	m.CPUProfile = r.CPUProfile
 	m.HeapProfile = r.HeapProfile
 	if s := r.Obs; s != nil {
@@ -633,40 +616,6 @@ func ObsTable(title string, sweeps []Sweep) string {
 	}
 	if tb.NumRows() == 0 {
 		tb.AddRow("(no obs data)")
-	}
-	return tb.String()
-}
-
-// CountersTable renders the hardware-counter summary of a sweep set:
-// one row per measured cell with IPC, the LLC miss rate, raw
-// cycle/instruction/miss totals and the multiplexing scale — the
-// evidence table behind every memory-bound diagnosis. Cells whose
-// counters were requested but unavailable render their note instead, so
-// a missing measurement is never mistaken for silent zeros.
-func CountersTable(title string, sweeps []Sweep) string {
-	tb := report.New(title, "Cell", "Set", "IPC", "MissRate", "Cycles", "Instr", "LLCMiss", "BrMiss", "Scale")
-	for _, sw := range sweeps {
-		for _, r := range sw.Runs {
-			cell := fmt.Sprintf("%s.%c %s", sw.Benchmark, sw.Class, cellName(r.Threads))
-			c := r.Counters
-			if c == nil {
-				if r.CountersNote != "" {
-					tb.AddRow(cell, r.CountersNote)
-				}
-				continue
-			}
-			tb.AddRow(cell, c.Set,
-				fmt.Sprintf("%.2f", c.IPC()),
-				fmt.Sprintf("%.4f", c.LLCMissRate()),
-				fmt.Sprintf("%d", c.Cycles),
-				fmt.Sprintf("%d", c.Instructions),
-				fmt.Sprintf("%d", c.LLCMisses),
-				fmt.Sprintf("%d", c.BranchMisses),
-				fmt.Sprintf("%.2f", c.Scale()))
-		}
-	}
-	if tb.NumRows() == 0 {
-		tb.AddRow("(no counter data)")
 	}
 	return tb.String()
 }

@@ -67,7 +67,7 @@ func TestObsSweepCollectsMetrics(t *testing.T) {
 }
 
 func TestObsTableRendersImbalance(t *testing.T) {
-	stats := team.NewProbe(2, nil, nil).Snapshot()
+	stats := team.NewProbe(2, nil).Snapshot()
 	stats.Busy = []time.Duration{2 * time.Second, time.Second}
 	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
 		{Threads: 2, Elapsed: time.Second, Obs: stats,

@@ -29,9 +29,8 @@ type Env struct {
 	// block, so results are bit-identical under every schedule.
 	Schedule team.Schedule
 	// Probe is attached to the run's team: per-worker busy and wait
-	// times, and the event timelines and hardware-counter deltas of the
-	// tracer and sampler it holds. It should be sized for the run's
-	// thread count; nil leaves every instrument off.
+	// times, and the annotations of the tracer it holds. It should be
+	// sized for the run's thread count; nil leaves every instrument off.
 	Probe *team.Probe
 	// Timers receives the per-phase profile; nil leaves profiling off.
 	// It must be a concurrent set: EP charges it from its workers.

@@ -22,13 +22,6 @@ const (
 	// less time than thread coordination costs, so parallelism cannot
 	// pay for itself.
 	SmallWork Anomaly = "small-work"
-	// MemoryBound is the counter-layer diagnosis the first three rules
-	// cannot make: instructions-per-cycle falls while the LLC miss rate
-	// rises as threads grow, so added threads fight over the memory
-	// system instead of computing — the hypothesis the paper offers for
-	// its FT/MG plateaus, tested against measured counters. It requires
-	// records written with counters enabled (npbsuite -instrument counters).
-	MemoryBound Anomaly = "memory-bound"
 )
 
 // ScalingOptions tunes the anomaly attribution rules.
@@ -42,14 +35,6 @@ type ScalingOptions struct {
 	// SmallWorkSec flags SmallWork below this median elapsed time;
 	// default 0.001 (1 ms).
 	SmallWorkSec float64
-	// IPCDropMin and MissRiseMin flag MemoryBound when, relative to the
-	// group's baseline cell, IPC has fallen by at least IPCDropMin
-	// (fraction; default 0.15) and the LLC miss rate has risen by at
-	// least MissRiseMin (fraction; default 0.25). Both must hold: an IPC
-	// drop alone can be synchronization, a miss-rate rise alone can be
-	// harmless prefetch dilution.
-	IPCDropMin  float64
-	MissRiseMin float64
 }
 
 // withDefaults fills unset scaling options.
@@ -62,12 +47,6 @@ func (o ScalingOptions) withDefaults() ScalingOptions {
 	}
 	if o.SmallWorkSec <= 0 {
 		o.SmallWorkSec = 0.001
-	}
-	if o.IPCDropMin <= 0 {
-		o.IPCDropMin = 0.15
-	}
-	if o.MissRiseMin <= 0 {
-		o.MissRiseMin = 0.25
 	}
 	return o
 }
@@ -88,13 +67,9 @@ type ScalePoint struct {
 	KarpFlatt float64 `json:"karp_flatt,omitempty"`
 	// Imbalance and BarrierShare echo the obs counters the anomaly
 	// rules fired on; zero when obs was off for the record.
-	Imbalance    float64 `json:"imbalance,omitempty"`
-	BarrierShare float64 `json:"barrier_share,omitempty"`
-	// IPC and LLCMissRate echo the hardware counters the MemoryBound
-	// rule fired on; zero when the record carries no counters.
-	IPC         float64   `json:"ipc,omitempty"`
-	LLCMissRate float64   `json:"llc_miss_rate,omitempty"`
-	Anomalies   []Anomaly `json:"anomalies,omitempty"`
+	Imbalance    float64   `json:"imbalance,omitempty"`
+	BarrierShare float64   `json:"barrier_share,omitempty"`
+	Anomalies    []Anomaly `json:"anomalies,omitempty"`
 }
 
 // BenchScaling is the scalability analysis of one (benchmark, class).
@@ -146,10 +121,9 @@ func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
 			}
 		}
 		bs.BaseSec = base
-		baseIPC, baseMiss := baseCounters(cells[g])
 		seen := make(map[Anomaly]bool)
 		for _, c := range cells[g] {
-			p := point(c, base, baseIPC, baseMiss, opt)
+			p := point(c, base, opt)
 			for _, a := range p.Anomalies {
 				if !seen[a] {
 					seen[a] = true
@@ -163,28 +137,9 @@ func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
 	return out
 }
 
-// baseCounters finds the counter baseline of a cell group: the IPC and
-// LLC miss rate of the serial cell, falling back to the 1-thread cell.
-// Zeros mean the group has no counter baseline and MemoryBound cannot
-// fire.
-func baseCounters(cells []report.CellMetrics) (ipc, miss float64) {
-	for _, want := range []int{0, 1} {
-		for _, c := range cells {
-			if c.Threads == want && c.Counters != nil && c.Counters.Cycles > 0 {
-				return c.Counters.IPC(), c.Counters.LLCMissRate()
-			}
-		}
-	}
-	return 0, 0
-}
-
 // point computes one cell's scalability numbers and anomaly flags.
-func point(c report.CellMetrics, base, baseIPC, baseMiss float64, opt ScalingOptions) ScalePoint {
+func point(c report.CellMetrics, base float64, opt ScalingOptions) ScalePoint {
 	p := ScalePoint{Threads: c.Threads, Median: medianOf(c), Imbalance: c.Imbalance}
-	if c.Counters != nil {
-		p.IPC = c.Counters.IPC()
-		p.LLCMissRate = c.Counters.LLCMissRate()
-	}
 	if base > 0 && p.Median > 0 {
 		p.Speedup = base / p.Median
 		workers := float64(c.Threads)
@@ -209,11 +164,6 @@ func point(c report.CellMetrics, base, baseIPC, baseMiss float64, opt ScalingOpt
 	if p.Median > 0 && p.Median < opt.SmallWorkSec {
 		p.Anomalies = append(p.Anomalies, SmallWork)
 	}
-	if c.Threads > 1 && baseIPC > 0 && baseMiss > 0 && p.IPC > 0 &&
-		p.IPC <= baseIPC*(1-opt.IPCDropMin) &&
-		p.LLCMissRate >= baseMiss*(1+opt.MissRiseMin) {
-		p.Anomalies = append(p.Anomalies, MemoryBound)
-	}
 	return p
 }
 
@@ -223,7 +173,7 @@ func point(c report.CellMetrics, base, baseIPC, baseMiss float64, opt ScalingOpt
 func ScalingTable(reports []BenchScaling) string {
 	tb := report.New(
 		"Scalability: speedup S, efficiency E, Karp-Flatt serial fraction e, anomalies (cf. paper SS5)",
-		"Cell", "Median", "S", "E", "e(KF)", "Imbal", "BarShare", "IPC", "MissRate", "Anomalies")
+		"Cell", "Median", "S", "E", "e(KF)", "Imbal", "BarShare", "Anomalies")
 	for _, bs := range reports {
 		for _, p := range bs.Points {
 			cell := fmt.Sprintf("%s.%s t%d", bs.Benchmark, bs.Class, p.Threads)
@@ -239,15 +189,9 @@ func ScalingTable(reports []BenchScaling) string {
 				sp = report.Speedup(p.Speedup)
 				eff = report.Speedup(p.Efficiency)
 			}
-			ipc, miss := "-", "-"
-			if p.IPC > 0 {
-				ipc = fmt.Sprintf("%.2f", p.IPC)
-				miss = fmt.Sprintf("%.4f", p.LLCMissRate)
-			}
 			tb.AddRow(cell, report.Seconds(p.Median), sp, eff, kf,
 				fmt.Sprintf("%.2f", p.Imbalance),
 				fmt.Sprintf("%.2f", p.BarrierShare),
-				ipc, miss,
 				anomalyText(p.Anomalies))
 		}
 	}

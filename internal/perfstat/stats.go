@@ -2,11 +2,11 @@
 // (benchmark, class) it derives speedup S(n) and efficiency E(n) over
 // the thread sweep, the Karp–Flatt experimentally determined serial
 // fraction (CACM 1990), which tells an Amdahl ceiling from overhead
-// that grows with p, and rule-based anomaly flags that join the obs and
-// hardware counters to the source paper's §5 diagnoses: CG-style load
-// imbalance, LU-pipeline-style barrier synchronization cost, IS-style
-// too-little-work-per-thread, and memory-bound plateaus — the analysis
-// the paper performs by hand in §5, as code.
+// that grows with p, and rule-based anomaly flags that join the obs
+// counters to the source paper's §5 diagnoses: CG-style load
+// imbalance, LU-pipeline-style barrier synchronization cost and
+// IS-style too-little-work-per-thread — the analysis the paper performs
+// by hand in §5, as code.
 //
 // A cell's time is the median of its repeat samples: run times are not
 // normally distributed, so the summary is an order statistic, not a

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"npbgo/internal/perfcount"
 )
 
 // PhaseMetric is one named phase of a run profile.
@@ -57,18 +55,6 @@ type CellMetrics struct {
 	Imbalance     float64   `json:"imbalance,omitempty"`
 
 	TopPhases []PhaseMetric `json:"top_phases,omitempty"`
-
-	// Counters is the hardware-counter attribution for the cell when
-	// sampling was enabled and available: run totals (cycles,
-	// instructions, LLC loads/misses, branch misses, task clock) plus
-	// the per-worker split. Additive: absent on records written before
-	// counters existed and on runs without the counters instrument.
-	Counters *perfcount.Stats `json:"counters,omitempty"`
-	// CountersNote records why Counters is absent when counters were
-	// *requested* but could not be collected ("unavailable (<reason>)"),
-	// so a missing measurement is always distinguishable from silent
-	// zeros.
-	CountersNote string `json:"counters_note,omitempty"`
 
 	// CPUProfile/HeapProfile are the per-cell pprof files captured when
 	// the sweep ran with the profile instrument, as written by the

@@ -75,6 +75,13 @@ func writeRecord(t *testing.T, buf *bytes.Buffer, rec BenchRecord) {
 	}
 }
 
+// oldCell is a cell line as records written with the deleted counters
+// instrument carry it: "counters" and "counters_note" beside the fields
+// that remain.
+const oldCell = `{"benchmark":"IS","class":"S","threads":2,"elapsed_sec":0.05,"mops":130,"verified":true,` +
+	`"samples_sec":[0.05,0.06],"imbalance":1.01,"counters":{"set":"hardware","workers":2,"cycles":100,"instructions":250},` +
+	`"counters_note":"unavailable (perf_event_open(hardware leader): no such file or directory)","cpu_profile":"IS.S.t2.cpu.pprof"}`
+
 func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 	var buf bytes.Buffer
 	want := benchFixture()
@@ -82,6 +89,9 @@ func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 	if first, _, _ := strings.Cut(buf.String(), "\n"); strings.Contains(first, "elapsed_sec") {
 		t.Fatalf("header line carries cells: %s", first)
 	}
+	// The loader ignores the counter fields of older records and keeps
+	// the rest of their line.
+	buf.WriteString(oldCell + "\n")
 	recs, err := ReadBenchRecords(&buf)
 	if err != nil {
 		t.Fatalf("ReadBenchRecords: %v", err)
@@ -90,7 +100,7 @@ func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
 	got := recs[0]
-	if got.Stamp != want.Stamp || got.Env.GoMaxProcs != 4 || len(got.Cells) != 2 {
+	if got.Stamp != want.Stamp || got.Env.GoMaxProcs != 4 || len(got.Cells) != 3 {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 	if got.Schema != BenchSchema || len(got.Threads) != 1 || got.Benchmarks[0] != "CG" {
@@ -98,6 +108,11 @@ func TestReadBenchRecordsRoundTripBenchJSON(t *testing.T) {
 	}
 	if s := got.Cells[0].Samples; len(s) != 3 || s[0] != 0.42 {
 		t.Fatalf("samples lost: %+v", s)
+	}
+	old := CellMetrics{Benchmark: "IS", Class: "S", Threads: 2, Elapsed: 0.05, Mops: 130, Verified: true,
+		Samples: []float64{0.05, 0.06}, Imbalance: 1.01, CPUProfile: "IS.S.t2.cpu.pprof"}
+	if !reflect.DeepEqual(got.Cells[2], old) {
+		t.Fatalf("older cell line decoded as\n%+v\nwant\n%+v", got.Cells[2], old)
 	}
 }
 

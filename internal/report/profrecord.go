@@ -17,9 +17,9 @@ const ProfileSchema = "npbgo/profile/v1"
 
 // ProfileCell is the hot-function attribution of one sweep cell,
 // cross-referenced with the cell's runtime diagnostics: the hotspot
-// table says *where* the time went, Imbalance and IPC say *why* — a
-// single row reads "CG spends 61% in sparseMatVec, IPC 0.8, imbalance
-// 1.02".
+// table says *where* the time went, Imbalance says whether the workers
+// shared it — a single row reads "CG spends 61% in sparseMatVec,
+// imbalance 1.02".
 type ProfileCell struct {
 	Benchmark string `json:"benchmark"`
 	Class     string `json:"class"`
@@ -35,10 +35,9 @@ type ProfileCell struct {
 	// AttributedPct is the share of the profile whose stacks touch
 	// symbolized npbgo/internal/... code.
 	AttributedPct float64 `json:"attributed_pct,omitempty"`
-	// Imbalance and IPC are joined from the cell's obs and perfcount
-	// records (zero when the sweep ran without the obs/counters instruments).
+	// Imbalance is joined from the cell's obs record (zero when the
+	// sweep ran without the obs instrument).
 	Imbalance float64 `json:"imbalance,omitempty"`
-	IPC       float64 `json:"ipc,omitempty"`
 	// Note records why Functions is empty when the profile could not be
 	// decoded (missing file, capture cut by a hard kill, ...) — absence
 	// with a reason, never silently.

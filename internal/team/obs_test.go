@@ -12,7 +12,7 @@ import (
 // a dispatched one, is counted and charges per-worker busy time.
 func TestRecorderCountsRegionsAndBusy(t *testing.T) {
 	for _, n := range []int{1, 4} {
-		rec := NewProbe(n, nil, nil)
+		rec := NewProbe(n, nil)
 		tm := New(n, WithProbe(rec))
 		tm.Run(func(id int) { time.Sleep(time.Millisecond) })
 		forEach(tm, 0, 8, func(i int) {})
@@ -43,7 +43,7 @@ func TestRecorderCountsRegionsAndBusy(t *testing.T) {
 // they synchronize with BarrierID.
 func TestRecorderBarrierWaitPerWorker(t *testing.T) {
 	const n = 4
-	rec := NewProbe(n, nil, nil)
+	rec := NewProbe(n, nil)
 	tm := New(n, WithProbe(rec))
 	defer tm.Close()
 	tm.Run(func(id int) {
@@ -71,15 +71,16 @@ func TestRecorderBarrierWaitPerWorker(t *testing.T) {
 }
 
 // TestRecorderCancelAndPanicCounts: cancellations are counted once
-// (the flag is sticky) and each panicking worker increments the panic
-// counter.
+// (the flag is sticky), each panicking worker increments the panic
+// counter, and its time up to the panic is still charged as busy.
 func TestRecorderCancelAndPanicCounts(t *testing.T) {
-	rec := NewProbe(2, nil, nil)
+	rec := NewProbe(2, nil)
 	tm := New(2, WithProbe(rec))
 	defer tm.Close()
 
 	pe := runRecovered(tm, func(id int) {
 		if id == 0 {
+			time.Sleep(time.Millisecond)
 			panic("boom")
 		}
 		tm.Barrier()
@@ -96,6 +97,9 @@ func TestRecorderCancelAndPanicCounts(t *testing.T) {
 	if s.Cancellations != 1 {
 		t.Fatalf("cancellations = %d, want 1", s.Cancellations)
 	}
+	if s.Busy[0] < time.Millisecond {
+		t.Fatalf("panicking worker charged %v busy, want at least 1ms", s.Busy[0])
+	}
 }
 
 // TestImbalanceDetectsSkew reproduces the §5.2 diagnosis in miniature:
@@ -103,7 +107,7 @@ func TestRecorderCancelAndPanicCounts(t *testing.T) {
 // size, while balanced work keeps it near 1.
 func TestImbalanceDetectsSkew(t *testing.T) {
 	const n = 4
-	rec := NewProbe(n, nil, nil)
+	rec := NewProbe(n, nil)
 	tm := New(n, WithProbe(rec))
 	defer tm.Close()
 	tm.Run(func(id int) {
@@ -132,7 +136,7 @@ func BenchmarkRegionObs(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var opts []Option
 				if obsOn {
-					opts = append(opts, WithProbe(NewProbe(n, nil, nil)))
+					opts = append(opts, WithProbe(NewProbe(n, nil)))
 				}
 				tm := New(n, opts...)
 				defer tm.Close()
@@ -153,7 +157,7 @@ func BenchmarkBarrierObs(b *testing.B) {
 		var opts []Option
 		if obsOn {
 			name = "obs"
-			opts = append(opts, WithProbe(NewProbe(4, nil, nil)))
+			opts = append(opts, WithProbe(NewProbe(4, nil)))
 		}
 		b.Run(name, func(b *testing.B) {
 			tm := New(4, opts...)
@@ -169,7 +173,7 @@ func BenchmarkBarrierObs(b *testing.B) {
 }
 
 func TestSnapshotAndImbalance(t *testing.T) {
-	p := NewProbe(4, nil, nil)
+	p := NewProbe(4, nil)
 	p.regions.Add(2)
 	p.addBusy(0, 40*time.Millisecond)
 	for id := 1; id < 4; id++ {
@@ -208,7 +212,7 @@ func TestSnapshotAndImbalance(t *testing.T) {
 }
 
 func TestOutOfRangeWorkerDropped(t *testing.T) {
-	p := NewProbe(2, nil, nil)
+	p := NewProbe(2, nil)
 	p.addBusy(5, time.Second)  // dropped, no panic
 	p.addBusy(-1, time.Second) // dropped, no panic
 	p.addWait(9, time.Second)  // aggregate only
@@ -223,7 +227,7 @@ func TestOutOfRangeWorkerDropped(t *testing.T) {
 }
 
 func TestImbalanceEmpty(t *testing.T) {
-	if got := NewProbe(3, nil, nil).Snapshot().Imbalance(); got != 0 {
+	if got := NewProbe(3, nil).Snapshot().Imbalance(); got != 0 {
 		t.Fatalf("imbalance with no busy time = %v, want 0", got)
 	}
 }
@@ -231,7 +235,7 @@ func TestImbalanceEmpty(t *testing.T) {
 // TestRecorderConcurrent hammers one probe from many goroutines; under
 // -race this is the lock-freedom regression test.
 func TestRecorderConcurrent(t *testing.T) {
-	p := NewProbe(8, nil, nil)
+	p := NewProbe(8, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -263,7 +267,7 @@ func TestRecorderConcurrent(t *testing.T) {
 // a region: every aggregate is zero (not NaN), the busy extrema are
 // zero, and the rendering helpers still produce output.
 func TestSnapshotZeroRegions(t *testing.T) {
-	s := NewProbe(3, nil, nil).Snapshot()
+	s := NewProbe(3, nil).Snapshot()
 	if s.Regions != 0 || s.BarrierWaits != 0 || s.BarrierWait != 0 || s.JoinWait != 0 {
 		t.Fatalf("fresh probe has nonzero aggregates: %+v", s)
 	}

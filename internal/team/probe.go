@@ -6,18 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"npbgo/internal/perfcount"
 	"npbgo/internal/trace"
 )
 
 // Probe is the team's one instrument. Every anomaly in the paper was
-// found by reading per-thread time, hardware counters and the profile
-// side by side (§5.2: CG's thread placement, LU's pipeline stalls), so
-// the three reach the runtime as one value. A probe always keeps the
-// per-worker metrics — busy time, barrier wait, loop chunks and steals —
-// and the region, cancellation, panic and join totals; it also
-// annotates the run for the Go execution tracer and samples hardware
-// counters when it was given a tracer and a sampler.
+// found by reading per-thread time and the profile side by side (§5.2:
+// CG's thread placement, LU's pipeline stalls), so they reach the
+// runtime as one value. A probe always keeps the per-worker metrics —
+// busy time, barrier wait, loop chunks and steals — and the region,
+// cancellation, panic and join totals; it also annotates the run for
+// the Go execution tracer when it was given a tracer.
 //
 // A team attaches one with WithProbe. Each hook site in the runtime
 // tests the team's probe pointer once, so a team without a probe pays
@@ -35,7 +33,6 @@ type Probe struct {
 	joinNs        atomic.Int64  // master time draining the region join
 
 	tr *trace.Tracer
-	pc *perfcount.Sampler
 }
 
 // probeSlot is one worker's counters, padded to its own cache lines so
@@ -49,18 +46,15 @@ type probeSlot struct {
 	_      [96]byte      // pad the four 8-byte atomics to 128 bytes
 }
 
-// NewProbe creates the probe for a team of the given size (>= 1). tr
-// and pc are optional and, when given, should be sized for the same
-// team: the tracer annotates regions, blocks, barrier and pipeline
-// waits, chunks and phases (internal/trace), and the sampler's perf
-// event groups are bound by the team's workers (slots 1..n-1; slot 0,
-// the master, is bound by the run driver that owns the calling
-// goroutine) and read at every region entry and exit.
-func NewProbe(workers int, tr *trace.Tracer, pc *perfcount.Sampler) *Probe {
+// NewProbe creates the probe for a team of the given size (>= 1). tr is
+// optional and, when given, should be sized for the same team: it
+// annotates regions, blocks, barrier and pipeline waits, chunks and
+// phases (internal/trace).
+func NewProbe(workers int, tr *trace.Tracer) *Probe {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Probe{workers: make([]probeSlot, workers), tr: tr, pc: pc}
+	return &Probe{workers: make([]probeSlot, workers), tr: tr}
 }
 
 // WithProbe attaches p to the team; a nil p leaves the team
@@ -75,25 +69,6 @@ func (p *Probe) BeginPhase(name string) { p.tr.Log(0, name, trace.Begin) }
 
 // EndPhase closes the phase span BeginPhase opened.
 func (p *Probe) EndPhase(name string) { p.tr.Log(0, name, trace.End) }
-
-// blockBegin opens worker id's share of the current region and returns
-// the start time blockEnd charges from.
-func (p *Probe) blockBegin(id int) time.Time {
-	start := time.Now()
-	if p.pc != nil {
-		p.pc.RegionStart(id)
-	}
-	return start
-}
-
-// blockEnd closes what blockBegin opened, in reverse order: counter
-// deltas, then busy time.
-func (p *Probe) blockEnd(id int, start time.Time) {
-	if p.pc != nil {
-		p.pc.RegionEnd(id)
-	}
-	p.addBusy(id, time.Since(start))
-}
 
 // panicked counts one panicking worker.
 func (p *Probe) panicked(id int) {
@@ -194,10 +169,6 @@ type Stats struct {
 	Wait          []time.Duration
 	Chunks        []uint64 // per-worker scheduled-chunk claims
 	Steals        []uint64 // per-worker deque steals
-
-	// Counters is the hardware-counter snapshot of the probe's sampler;
-	// nil when the probe has none.
-	Counters *perfcount.Stats
 }
 
 // Snapshot captures the probe's current counters.
@@ -222,9 +193,6 @@ func (p *Probe) Snapshot() *Stats {
 		s.Wait[i] = time.Duration(w.waitNs.Load())
 		s.Chunks[i] = w.chunks.Load()
 		s.Steals[i] = w.steals.Load()
-	}
-	if p.pc != nil {
-		s.Counters = p.pc.Snapshot()
 	}
 	return s
 }
@@ -277,9 +245,6 @@ func (s *Stats) String() string {
 		if i < len(s.Chunks) && (s.Chunks[i] > 0 || s.Steals[i] > 0) {
 			fmt.Fprintf(&b, " chunks=%d steals=%d", s.Chunks[i], s.Steals[i])
 		}
-	}
-	if s.Counters != nil {
-		fmt.Fprintf(&b, "\n  counters: %s", s.Counters)
 	}
 	return b.String()
 }

@@ -248,7 +248,7 @@ func TestScheduleWorkerPanicUnwinds(t *testing.T) {
 // TestStealingRecordsSteals: with one worker hogging the clock the
 // other must take chunks from its deque, visible in the probe counters.
 func TestStealingRecordsSteals(t *testing.T) {
-	rec := NewProbe(2, nil, nil)
+	rec := NewProbe(2, nil)
 	tm := New(2, WithSchedule(Stealing), WithProbe(rec))
 	defer tm.Close()
 	var slow atomic.Bool

@@ -173,14 +173,6 @@ func New(n int, opts ...Option) *Team {
 
 func (t *Team) worker(id int) {
 	defer t.exited.Done()
-	if p := t.probe; p != nil && p.pc != nil {
-		// Counter groups measure the thread they are opened on, so the
-		// worker pins itself to its OS thread for its whole life and
-		// opens its group here; a bind failure is noted on the sampler
-		// and the worker simply runs unsampled.
-		p.pc.Bind(id)
-		defer p.pc.Unbind(id)
-	}
 	if t.tr != nil {
 		t.tr.Log(id, trace.Worker, t.tr.ID(id))
 	}
@@ -213,9 +205,9 @@ func (t *Team) runOne(id int) {
 	fn := t.fn
 	if p := t.probe; p != nil {
 		// Registered before the recover defer, so it runs after it: a
-		// panicking worker's time and counter deltas are still charged.
-		start := p.blockBegin(id)
-		defer p.blockEnd(id, start)
+		// panicking worker's time is still charged.
+		start := time.Now()
+		defer func() { p.addBusy(id, time.Since(start)) }()
 	}
 	defer func() {
 		if v := recover(); v != nil {
@@ -300,9 +292,7 @@ func (t *Team) Size() int { return t.n }
 // and safe to call from multiple goroutines: exactly one caller wins
 // the compare-and-swap and opens the fork gate on the closed flag, and
 // every caller waits for the workers to exit — so once any Close
-// returns, the workers have run their deferred cleanup (counter-group
-// unbinds in particular) and an attached perfcount.Sampler may safely be
-// closed.
+// returns, no worker goroutine of the team is left running.
 func (t *Team) Close() {
 	if t.closed.CompareAndSwap(false, true) {
 		t.fork.v.Add(1)

@@ -25,7 +25,7 @@ func traced(t *testing.T, n int, play func(tm *Team)) *trace.File {
 	tr := trace.New(context.Background(), "TEAM", n)
 	func() {
 		defer tr.Stop()
-		tm := New(n, WithProbe(NewProbe(n, tr, nil)))
+		tm := New(n, WithProbe(NewProbe(n, tr)))
 		defer tm.Close()
 		play(tm)
 	}()
@@ -85,7 +85,7 @@ func TestSizeOneRunAccounting(t *testing.T) {
 	tr := trace.New(context.Background(), "TEAM", 1)
 	func() {
 		defer tr.Stop()
-		rec := NewProbe(1, tr, nil)
+		rec := NewProbe(1, tr)
 		tm := New(1, WithProbe(rec))
 		defer tm.Close()
 		tm.Run(func(id int) { time.Sleep(time.Millisecond) })
@@ -249,7 +249,7 @@ func withBenchTracer(b *testing.B, n int) Option {
 		tr.Stop()
 		b.ReportMetric(float64(tr.Events())/float64(b.N), "events/op")
 	})
-	return WithProbe(NewProbe(n, tr, nil))
+	return WithProbe(NewProbe(n, tr))
 }
 
 // BenchmarkRegionTrace measures per-region dispatch with and without a

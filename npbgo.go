@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"npbgo/internal/kernel"
-	"npbgo/internal/perfcount"
 	"npbgo/internal/suite"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
@@ -94,13 +93,6 @@ type Config struct {
 	// distribution; the others redistribute loop chunks at runtime
 	// without changing any numerical result. Empty means static.
 	Schedule string
-	// Counters samples hardware performance counters (cycles,
-	// instructions, LLC loads/misses, branch misses) per worker per
-	// parallel region via perf_event_open; the run totals and per-worker
-	// split land in Result.Counters. Where counters are unavailable
-	// (restrictive perf_event_paranoid, no PMU, non-Linux build) the run
-	// proceeds normally and Result.CountersNote records the reason.
-	Counters bool
 }
 
 // Result reports one benchmark run.
@@ -126,13 +118,6 @@ type Result struct {
 	// `npbperf trace` (nil when the run only annotated a tracer already
 	// running), and Trace.Events the number of annotations.
 	Trace *trace.Tracer
-	// Counters holds the run's hardware-counter totals and per-worker
-	// split, nil unless Config.Counters was set and counters were
-	// available.
-	Counters *perfcount.Stats
-	// CountersNote records why Counters is nil when Config.Counters was
-	// set but sampling was unavailable: "unavailable (<reason>)".
-	CountersNote string
 }
 
 func fromReport(r *Result, rep *verify.Report) {
@@ -238,33 +223,12 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		res.Trace = tr
 	}
 	env.Ctx = ctx
-	var pc *perfcount.Sampler
-	if cfg.Counters {
-		var cErr error
-		if pc, cErr = perfcount.New(cfg.Threads); cErr != nil {
-			res.CountersNote = "unavailable (" + cErr.Error() + ")"
-		} else {
-			// Slot 0 is the master: benchmark regions run synchronously on
-			// this goroutine, so binding here pins it to its OS thread for
-			// the whole run and attributes the master's share. Workers
-			// bind their own slots (team.NewProbe). Close after the run is
-			// safe: the benchmark's team has joined by then.
-			pc.Bind(0)
-			defer func() { pc.Unbind(0); pc.Close() }()
-		}
-	}
-	if cfg.Obs || tr != nil || pc != nil {
-		env.Probe = team.NewProbe(cfg.Threads, tr, pc)
+	if cfg.Obs || tr != nil {
+		env.Probe = team.NewProbe(cfg.Threads, tr)
 	}
 	err, panicked := runBenchmark(row, cfg, env, &res)
 	// The benchmark's team has joined (or the panic was recovered), so
 	// the probe is quiescent and safe to snapshot.
-	if pc != nil {
-		res.Counters = pc.Snapshot()
-		if n := res.Counters.Note; n != "" && res.CountersNote == "" {
-			res.CountersNote = n
-		}
-	}
 	if cfg.Obs {
 		res.Obs = env.Probe.Snapshot()
 	}
