@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race race vet allocgate bce-check bce-baseline bench bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
+.PHONY: build test test-race race vet allocgate bce-check bce-baseline bench-json suite suite-obs suite-trace schedule-check instrument-check tables clean
 
 build:
 	$(GO) build ./...
@@ -65,11 +65,6 @@ race:
 	$(GO) test -race ./internal/team ./internal/lu ./internal/cg ./internal/nscore ./internal/sp ./internal/bt ./internal/harness ./internal/fault ./internal/timer
 
 test-race: race
-
-# The root's one testing.B benchmark, the §5.2 CG warmup ablation (on
-# and off); every paper table comes from make tables.
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' .
 
 # Regenerate the paper's tables for this host (class W keeps the
 # pseudo-applications to seconds-to-minutes; use CLASS=A for paper scale).

@@ -29,7 +29,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bench := fs.String("bench", "CG", "benchmark: BT SP LU FT MG CG IS EP")
 	class := fs.String("class", "S", "problem class: S W A B C")
 	threads := fs.Int("threads", 1, "worker threads (1 = serial)")
-	warmup := fs.Bool("warmup", false, "apply the per-thread warmup load of the paper's §5.2 (CG)")
 	schedule := fs.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
 	verbose := fs.Bool("v", false, "print the full verification report")
 	profile := fs.Bool("profile", false, "print a per-phase timing profile")
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Benchmark: npbgo.Benchmark(strings.ToUpper(*bench)),
 		Class:     strings.ToUpper(*class)[0],
 		Threads:   *threads,
-		Warmup:    *warmup,
 		Schedule:  *schedule,
 		Profile:   *profile,
 	}

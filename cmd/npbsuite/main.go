@@ -2,7 +2,7 @@
 // every benchmark of the suite at one class, timed serial and across a
 // sweep of thread counts, with speedup and efficiency summaries.
 //
-//	npbsuite -class S -threads 1,2,4 -repeats 2 -timeout 5m -retries 1
+//	npbsuite -class S -threads 1,2,4 -repeats 2 -timeout 5m
 //
 // -bench picks a subset of the eight (the default), and takes the
 // paper's other tables' entries too (npbgo.Config.Benchmark), which
@@ -18,9 +18,10 @@
 // The paper ran the same sweep on five SMP machines; on a single host
 // the machine axis collapses and one table is produced. The sweep
 // degrades gracefully: a cell that panics, times out (-timeout) or
-// fails verification is retried (-retries, exponential backoff) and, if
-// it still fails, rendered as FAIL(reason) while the rest of the table
-// is produced; npbsuite then exits non-zero at the end.
+// fails verification is rendered as FAIL(reason) while the rest of the
+// table is produced; npbsuite then exits non-zero at the end. A failed
+// cell is not retried: its record line is terminal, and a fresh sweep
+// runs it again.
 //
 // -schedule selects the team loop schedule for every cell (static —
 // the default — dynamic, guided or stealing; see DESIGN.md §14).
@@ -93,10 +94,8 @@ func main() {
 	threadsFlag := flag.String("threads", "1,2,4", "comma-separated thread counts")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 	repeats := flag.Int("repeats", 1, "repetitions per cell (best time kept)")
-	warmup := flag.Bool("warmup", false, "apply the CG warmup fix of §5.2")
 	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
 	timeout := flag.Duration("timeout", 0, "per-run deadline, e.g. 5m (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retries per failed run, with exponential backoff")
 	instrumentFlag := flag.String("instrument", "", "comma-separated instruments to turn on per cell: "+strings.Join(instrumentNames, ", "))
 	instrumentDir := flag.String("instrument-dir", "instruments", "with -instrument: directory for trace and pprof files")
 	benchJSON := flag.String("bench-json", "", "record the sweep to this path, one fsync'd JSON line per cell (a directory auto-names BENCH_<stamp>.json)")
@@ -148,18 +147,15 @@ func main() {
 	}
 
 	// ^C / SIGTERM cancels the sweep cooperatively: the current cell
-	// stops, retries and backoffs are abandoned, and the cut-short cells
-	// write no -bench-json line, so -resume runs them.
+	// stops, and it and the cells after it write no -bench-json line, so
+	// -resume runs them.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	opt := harness.Options{
-		Warmup:   *warmup,
 		Schedule: *schedule,
 		Repeats:  *repeats,
 		Timeout:  *timeout,
-		Retries:  *retries,
-		Backoff:  500 * time.Millisecond,
 		Obs:      on["obs"],
 		Context:  ctx,
 	}

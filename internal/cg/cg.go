@@ -6,8 +6,10 @@
 //
 // The paper's §5.2 spends most of its CG discussion on a scheduling
 // anomaly: the JVM ran CG's lightly-loaded threads on only 1-2
-// processors until each thread was given a large warmup load;
-// kernel.Env.Warmup reproduces that fix.
+// processors until each thread was given a large warmup load. Go's
+// scheduler does not need that fix: with and without such a load, CG.W
+// times and its workers' runnable time in the execution trace do not
+// separate (EXPERIMENTS.md, claim (f)).
 package cg
 
 import (
@@ -84,10 +86,9 @@ type dotSlot [8]float64
 const dotPQ, dotRR = 0, 1
 
 // New builds the CG benchmark for a class and thread count, generating
-// the sparse matrix (the untimed setup phase). env.Warmup enables the
-// per-thread initialization load of §5.2 and env.Schedule is the knob
-// that section's load-imbalance diagnosis calls for; with env.Timers
-// set, the cg.f timer slots t_conj_grad and t_norm are profiled.
+// the sparse matrix (the untimed setup phase). env.Schedule is the knob
+// §5.2's load-imbalance diagnosis calls for; with env.Timers set, the
+// cg.f timer slots t_conj_grad and t_norm are profiled.
 func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	p, ok := classes[class]
 	if !ok {
@@ -213,9 +214,6 @@ func (b *Benchmark) Run() kernel.Outcome { return b.RunResult().Outcome }
 func (b *Benchmark) RunResult() Result {
 	tm, done := b.env.Team(b.threads)
 	defer done()
-	if b.env.Warmup {
-		tm.Warmup(5_000_000)
-	}
 	b.tm = tm
 
 	n := b.p.na

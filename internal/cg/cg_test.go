@@ -160,16 +160,6 @@ func TestParallelMatchesOfficialZeta(t *testing.T) {
 	}
 }
 
-func TestWarmupOptionStillVerifies(t *testing.T) {
-	b, err := New('S', 2, kernel.Env{Warmup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := b.Run(); !res.Verify.Passed() {
-		t.Fatalf("warmup run failed verification:\n%s", res.Verify)
-	}
-}
-
 func TestRepeatedRunsDeterministic(t *testing.T) {
 	b, _ := New('S', 2, kernel.Env{})
 	r1 := b.RunResult()

@@ -3,13 +3,13 @@
 // thread counts, derives speedup and efficiency, and assembles the
 // rows of Tables 2-6. It backs cmd/npbsuite.
 //
-// The harness is fault tolerant, in the shape of a serving stack's
-// timeout/retry/bulkhead plumbing: every cell can be bounded by a
-// per-attempt timeout, failed cells are retried with exponential
-// backoff, and a cell that still fails is recorded as Run{Err: ...} and
-// rendered as FAIL(reason) while the rest of the sweep continues — the
-// paper's long multi-machine sweeps kept failing in partial ways (§5),
-// and one bad cell must not cost the whole table.
+// The harness is fault tolerant: every run of a cell can be bounded by a
+// timeout and is panic-isolated, and a cell that fails is recorded as
+// Run{Err: ...} and rendered as FAIL(reason) while the rest of the
+// sweep continues — the paper's long multi-machine sweeps kept failing
+// in partial ways (§5), and one bad cell must not cost the whole table.
+// A failed cell runs once and is terminal: its line lands in the record
+// and a resume replays it as failed; a fresh sweep runs it again.
 package harness
 
 import (
@@ -38,14 +38,14 @@ type Run struct {
 	Mops     float64
 	Verified bool
 	Tier     string
-	Attempts int // benchmark executions this cell consumed (retries and repeats included)
+	Attempts int // benchmark executions this cell consumed (one per repeat run)
 	// Samples holds every successful repeat's elapsed time in run
 	// order. Elapsed stays the best (minimum) sample — the headline the
 	// tables print — while the record keeps the full distribution, and
 	// npbperf scaling takes each cell's median over it (Hoefler &
 	// Belli's first rule: do not report best-of-N alone).
 	Samples []time.Duration
-	Err     error         // non-nil marks a failed cell (after all retries)
+	Err     error         // non-nil marks a failed cell
 	Obs     *team.Stats   // runtime metrics of the kept repeat, nil unless Options.Obs
 	Phases  []timer.Phase // phase profile of the kept repeat, nil unless the benchmark exposes timers
 	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir
@@ -87,15 +87,12 @@ type Sweep struct {
 
 // Options tunes sweep execution.
 type Options struct {
-	Warmup  bool // apply the CG warmup fix of §5.2
-	Repeats int  // repetitions per cell, best time kept; < 1 means 1
+	Repeats int // repetitions per cell, best time kept; < 1 means 1
 	// Schedule selects the team loop schedule for every cell
 	// (npbgo.Config.Schedule): "static" (default when empty), "dynamic",
 	// "guided" or "stealing".
 	Schedule string
-	Timeout  time.Duration // per-attempt deadline; 0 means unbounded
-	Retries  int           // extra attempts after a failed one, per repeat
-	Backoff  time.Duration // first retry delay, doubling each retry; 0 means 100ms
+	Timeout  time.Duration // per-run deadline; 0 means unbounded
 
 	// Obs enables runtime-metrics collection (npbgo.Config.Obs) for
 	// every cell; each cell's snapshot lands in Run.Obs.
@@ -103,11 +100,11 @@ type Options struct {
 	// ProfileDir, when non-empty, captures a CPU and a heap profile per
 	// cell into the directory as "<BENCH>.<class>.<cell>.cpu.pprof" /
 	// ".heap.pprof" (serial baseline named "serial", like traces). The
-	// capture brackets each attempt — outside the benchmark's timed
-	// region — and is flushed before a failure is rendered, so a dying
-	// cell leaves its profile as the post-mortem. Repeats and retries
-	// overwrite in place: the surviving profile is the last attempt's,
-	// which for a failed cell is the failing one.
+	// capture brackets the cell's repeats — outside each run's timed
+	// region — so the CPU profile holds every repeat, and is flushed
+	// before the cell's record line and any FAIL rendering, so a dying
+	// cell leaves its profile, up to the failing repeat, as the
+	// post-mortem.
 	ProfileDir string
 	// TraceDir, when non-empty, enables execution tracing
 	// (npbgo.Config.Trace) for every cell and writes each cell's Go
@@ -115,19 +112,14 @@ type Options struct {
 	// "<BENCH>.<class>.<cell>.trace" (serial baseline named "serial",
 	// like profiles), for `go tool trace` and `npbperf trace`. The
 	// directory is created if missing. A failed cell still writes its
-	// partial trace, the post-mortem; repeats and retries overwrite in
-	// place, as profiles do. A run that only annotated a tracer already
-	// running writes no file.
+	// partial trace, the post-mortem; repeats overwrite in place, so the
+	// file is the last repeat's. A run that only annotated a tracer
+	// already running writes no file.
 	TraceDir string
 
 	// Context, when non-nil, bounds the whole sweep: cancelling it stops
-	// the current cell, skips further retries, and interrupts any
-	// in-flight retry backoff immediately.
+	// the current cell and the cells after it.
 	Context context.Context
-
-	// sleep replaces time.Sleep between retries; tests inject it to
-	// verify backoff without waiting.
-	sleep func(time.Duration)
 }
 
 // RunSweepOpts executes benchmark bench at the given class for the
@@ -135,8 +127,8 @@ type Options struct {
 // thread count, under the given options. Every cell runs in this
 // process, bounded by opt.Timeout, once the memory admission guard
 // (admit) has let it in. opt.Repeats > 1 keeps the best (minimum) time
-// per cell, as benchmarkers do to suppress scheduling noise. The sweep degrades gracefully: a cell that fails
-// (after opt.Retries retries per repeat) is recorded with Run.Err set
+// per cell, as benchmarkers do to suppress scheduling noise. The sweep
+// degrades gracefully: a cell that fails is recorded with Run.Err set
 // and the remaining cells still run. The returned error joins the
 // per-cell failures, so callers can both render the partial table and
 // report that something went wrong. Record.RunSweep is the same sweep
@@ -201,8 +193,7 @@ func cellConfig(bench npbgo.Benchmark, class byte, threads int, opt Options) npb
 		n = 1 // the serial baseline runs with one inline worker
 	}
 	return npbgo.Config{Benchmark: bench, Class: class, Threads: n,
-		Warmup: opt.Warmup, Obs: opt.Obs, Trace: opt.TraceDir != "",
-		Schedule: opt.Schedule}
+		Obs: opt.Obs, Trace: opt.TraceDir != "", Schedule: opt.Schedule}
 }
 
 // RunFromMetrics reconstructs a Run from a recorded cell line, for
@@ -229,61 +220,57 @@ func RunFromMetrics(m report.CellMetrics) Run {
 	return r
 }
 
-// runCell measures one cell: opt.Repeats repeats (best time kept), each
-// repeat retried with exponential backoff on failure.
-func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int, opt Options) Run {
-	repeats := opt.Repeats
-	if repeats < 1 {
-		repeats = 1
-	}
+// runCell measures one cell: opt.Repeats runs, best time kept, up to
+// the first that fails. A profiled cell's capture brackets all of them,
+// so its CPU profile holds every repeat; it is flushed before runCell
+// returns, so before the cell's record line and any FAIL rendering.
+func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int, opt Options) (r Run) {
 	cfg := cellConfig(bench, class, threads, opt)
 	label := fmt.Sprintf("%s.%c.%s", bench, class, cellName(threads))
+	if opt.ProfileDir != "" {
+		cap, err := profile.Start(opt.ProfileDir, label)
+		if err != nil {
+			return Run{Threads: threads, Err: fmt.Errorf("harness: %w", err), Schedule: opt.Schedule}
+		}
+		defer func() {
+			if err := cap.Stop(); err != nil && r.Err == nil {
+				r.Err = fmt.Errorf("harness: %w", err)
+			}
+			// Only files with data are recorded, so absence stays
+			// distinguishable from data.
+			if fileNonEmpty(cap.CPUPath()) {
+				r.CPUProfile = cap.CPUPath()
+			}
+			if fileNonEmpty(cap.HeapPath()) {
+				r.HeapProfile = cap.HeapPath()
+			}
+		}()
+	}
 	var best *Run
 	var samples []time.Duration
-	attempts := 0
-	for rep := 0; rep < repeats; rep++ {
-		res, used, err := runAttempts(ctx, cfg, label, opt)
-		attempts += used
+	repeats := max(opt.Repeats, 1)
+	for rep := 1; rep <= repeats; rep++ {
+		res, err := runOnce(ctx, cfg, label, opt)
 		if err != nil {
 			// A cancelled/failed run still carries its partial obs
 			// snapshot (cancellation counts, busy time up to the stop),
 			// which is exactly what a post-mortem wants to see — plus
 			// the samples of the repeats that did complete.
-			r := Run{Threads: threads, Attempts: attempts, Samples: samples,
+			return Run{Threads: threads, Attempts: rep, Samples: samples,
 				Err: err, Obs: res.Obs, Phases: res.Phases, Trace: res.Trace,
 				Schedule: opt.Schedule}
-			stampProfiles(&r, opt, label)
-			return r
 		}
 		samples = append(samples, res.Elapsed)
-		r := Run{Threads: threads, Elapsed: res.Elapsed, Mops: res.Mops,
+		run := Run{Threads: threads, Elapsed: res.Elapsed, Mops: res.Mops,
 			Verified: res.Verified, Tier: res.Tier, Obs: res.Obs, Phases: res.Phases,
 			Trace: res.Trace, Schedule: opt.Schedule}
-		if best == nil || r.Elapsed < best.Elapsed {
-			cp := r
-			best = &cp
+		if best == nil || run.Elapsed < best.Elapsed {
+			best = &run
 		}
 	}
-	best.Attempts = attempts
+	best.Attempts = repeats
 	best.Samples = samples
-	stampProfiles(best, opt, label)
 	return *best
-}
-
-// stampProfiles records the cell's profile files on r, those that are
-// on disk with data: a cell whose capture never started records none,
-// so absence stays distinguishable from data.
-func stampProfiles(r *Run, opt Options, label string) {
-	if opt.ProfileDir == "" {
-		return
-	}
-	cpu, heap := profile.CellPaths(opt.ProfileDir, label)
-	if fileNonEmpty(cpu) {
-		r.CPUProfile = cpu
-	}
-	if fileNonEmpty(heap) {
-		r.HeapProfile = heap
-	}
 }
 
 func fileNonEmpty(path string) bool {
@@ -304,72 +291,14 @@ func hostEnv() report.EnvInfo {
 	return hostEnvOnce.env
 }
 
-// runAttempts runs one measurement, retrying transient failures up to
-// opt.Retries times with exponential backoff. The backoff sleep is
-// context-interruptible: cancelling the sweep mid-backoff returns
-// immediately instead of waiting out the delay, and a cancelled sweep
-// stops retrying. It returns the number of attempts consumed.
-func runAttempts(ctx context.Context, cfg npbgo.Config, label string, opt Options) (npbgo.Result, int, error) {
-	backoff := opt.Backoff
-	if backoff <= 0 {
-		backoff = 100 * time.Millisecond
-	}
-	for attempt := 1; ; attempt++ {
-		res, err := runOnce(ctx, cfg, label, opt)
-		if err == nil {
-			return res, attempt, nil
-		}
-		if attempt > opt.Retries || ctx.Err() != nil {
-			return res, attempt, err
-		}
-		if !sleepCtx(ctx, backoff, opt.sleep) {
-			return res, attempt, err
-		}
-		backoff *= 2
-	}
-}
-
-// sleepCtx sleeps for d or until ctx is cancelled, reporting whether
-// the full delay elapsed. An injected test sleeper bypasses the timer.
-func sleepCtx(ctx context.Context, d time.Duration, injected func(time.Duration)) bool {
-	if injected != nil {
-		injected(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // runOnce is a single panic-isolated, optionally deadline-bounded
 // benchmark execution in this process.
 func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (res npbgo.Result, err error) {
-	// Defer ordering is load-bearing: the recovery defer is registered
-	// first, so during a panic unwind the capture Stop defer (registered
-	// below, thus running earlier) flushes and fsyncs the profile BEFORE
-	// the panic becomes an error — before FAIL(...) rendering, before
-	// the cell's record line.
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("harness: cell panicked: %v", v)
 		}
 	}()
-	if opt.ProfileDir != "" {
-		cap, perr := profile.Start(opt.ProfileDir, label)
-		if perr != nil {
-			return res, fmt.Errorf("harness: %w", perr)
-		}
-		defer func() {
-			if serr := cap.Stop(); serr != nil && err == nil {
-				err = fmt.Errorf("harness: %w", serr)
-			}
-		}()
-	}
 	fault.Maybe("harness.cell")
 	if opt.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -457,7 +386,7 @@ func (s Sweep) Efficiency(threads int) float64 {
 }
 
 // cellText renders one measured cell: its time in seconds, FAIL(reason)
-// for a cell that failed after all retries, or SKIP(memory: ...) for a
+// for a cell that failed, or SKIP(memory: ...) for a
 // cell the admission guard withheld.
 func cellText(r Run) string {
 	var se *SkipError

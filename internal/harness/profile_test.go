@@ -68,3 +68,32 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 		t.Fatalf("serial run = %+v, want a failed cell with its partial profile collected", sw.Runs[0])
 	}
 }
+
+// TestProfileHoldsEveryRepeat: a profiled cell's CPU profile spans all
+// of its repeats, so -repeats adds samples to hotspots. EP.S serial at
+// three repeats must hold about three times the CPU time of the same
+// cell at one; both are CPU time, so a busy host does not blur the
+// ratio, where it would the ratio to a wall-clock sample.
+func TestProfileHoldsEveryRepeat(t *testing.T) {
+	total := func(repeats int) int64 {
+		dir := t.TempDir()
+		sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{Repeats: repeats, ProfileDir: dir})
+		if err != nil {
+			t.Fatalf("repeats=%d: %v", repeats, err)
+		}
+		r := sw.Runs[0]
+		if r.Attempts != repeats || len(r.Samples) != repeats {
+			t.Fatalf("repeats=%d: cell = %+v", repeats, r)
+		}
+		tb, err := profile.Hot(r.CPUProfile, false)
+		if err != nil {
+			t.Fatalf("repeats=%d: %v", repeats, err)
+		}
+		return tb.Total
+	}
+	one, three := total(1), total(3)
+	if float64(three) < 1.8*float64(one) {
+		t.Fatalf("CPU profile of 3 repeats holds %v, of 1 repeat %v: want at least 1.8x",
+			time.Duration(three), time.Duration(one))
+	}
+}

@@ -35,9 +35,6 @@ type Env struct {
 	// Timers receives the per-phase profile; nil leaves profiling off.
 	// It must be a concurrent set: EP charges it from its workers.
 	Timers *timer.Set
-	// Warmup gives every worker a large busy-work load before the timed
-	// section (the paper's §5.2 thread-placement fix). CG only.
-	Warmup bool
 }
 
 // Team opens the run's team of threads workers with the Env's

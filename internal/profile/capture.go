@@ -1,16 +1,16 @@
 // Per-cell profile capture via runtime/pprof. The harness starts a
-// capture immediately before a cell executes and stops it immediately
-// after — outside the benchmark's own timed region, per the house rule
-// that instrumentation must never sit inside what it measures (the
-// timed section is unchanged; the CPU profiler's sampling interrupts
-// are the only overhead, and they are on for the whole cell either
-// way).
+// capture immediately before a cell's first repeat and stops it
+// immediately after its last — outside every run's timed region, per
+// the house rule that instrumentation must never sit inside what it
+// measures (the timed section is unchanged; the CPU profiler's
+// sampling interrupts are the only overhead, and they are on for the
+// whole cell either way).
 //
-// A Capture survives the cell dying: Stop runs in a defer registered
-// after the panic recovery, so a cell that panics still flushes and
-// fsyncs whatever samples it accumulated before the failure is
-// rendered — the profile of a dying cell is the post-mortem, exactly
-// like the PR 9 metrics-flush ordering.
+// A Capture survives the cell dying: each run's panic is recovered
+// into an error and Stop runs after it, so a cell that panics still
+// flushes and fsyncs whatever samples it accumulated before the
+// failure is rendered — the profile of a dying cell is the post-mortem,
+// exactly like the metrics-flush ordering of the bench record.
 package profile
 
 import (

@@ -8,10 +8,10 @@ import (
 )
 
 // Regression tests for the cancellation-correctness fixes: a reduction
-// (a region then PartialSum — reduceSum here) or Warmup on a cancelled
-// team must not return sums of stale partial slots, a size-1 team must
-// not run region bodies once cancelled, and concurrent Close calls must
-// not race on the closed flag.
+// (a region then PartialSum — reduceSum here) on a cancelled team must
+// not return sums of stale partial slots, a size-1 team must not run
+// region bodies once cancelled, and concurrent Close calls must not
+// race on the closed flag.
 
 // TestReduceSumCancelledReturnsZero: a cancelled team must not sum the
 // previous region's partials (they are stale) — it returns 0 and the
@@ -54,17 +54,6 @@ func TestPartialSumCancelledReturnsZero(t *testing.T) {
 	tm.Cancel(nil)
 	if got := tm.PartialSum(); got != 0 {
 		t.Fatalf("PartialSum on cancelled team = %v, want 0", got)
-	}
-}
-
-// TestWarmupCancelledReturnsZero: Warmup is built from a region plus
-// PartialSum and must inherit the same no-op semantics.
-func TestWarmupCancelledReturnsZero(t *testing.T) {
-	tm := New(2)
-	defer tm.Close()
-	tm.Cancel(nil)
-	if got := tm.Warmup(1000); got != 0 {
-		t.Fatalf("Warmup on cancelled team = %v, want 0", got)
 	}
 }
 

@@ -515,33 +515,6 @@ func (t *Team) PartialSum() float64 {
 	return sum
 }
 
-// Warmup gives every worker a significant amount of busy work before the
-// timed computation starts. This reproduces the fix of §5.2: on the
-// paper's SGI the JVM ran CG's lightly-loaded threads on only 1–2
-// processors until each thread was given a large initialization load,
-// after which every thread got its own CPU. iters controls the per-worker
-// load; the returned value defeats dead-code elimination. On a
-// cancelled team Warmup is a no-op returning 0, like the regions it is
-// built from.
-func (t *Team) Warmup(iters int) float64 {
-	if t.lot.halt.Load() {
-		return 0
-	}
-	t.Run(func(id int) {
-		x := 1.0 + float64(id)
-		s := 0.0
-		for i := 0; i < iters; i++ {
-			x = x*1.0000001 + 0.5
-			if x > 2e9 {
-				x *= 0.5
-			}
-			s += x
-		}
-		t.partial[id].v = s
-	})
-	return t.PartialSum()
-}
-
 // await is the counting barrier under Barrier and BarrierID: arrivals
 // count up, and the last one zeroes the count and advances the
 // generation gate the others wait on (the paper's Java code does the

@@ -280,14 +280,6 @@ func TestPipelineDrainAllowsReuse(t *testing.T) {
 	}
 }
 
-func TestWarmupReturnsWork(t *testing.T) {
-	tm := New(2)
-	defer tm.Close()
-	if v := tm.Warmup(1000); v <= 0 {
-		t.Fatalf("warmup returned %v", v)
-	}
-}
-
 func TestSizeOneRunsInline(t *testing.T) {
 	tm := New(1)
 	defer tm.Close()

@@ -67,10 +67,6 @@ type Config struct {
 	Benchmark Benchmark
 	Class     byte // 'S', 'W', 'A', 'B' or 'C'
 	Threads   int  // worker count; 1 runs the regions inline (serial)
-	// Warmup gives every worker a large busy-work load before the timed
-	// section, reproducing the CG thread-placement fix of the paper's
-	// §5.2. It currently affects CG only (where the paper applied it).
-	Warmup bool
 	// Profile enables per-phase timing; the profile text lands in
 	// Result.Profile.
 	Profile bool
@@ -210,7 +206,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return fail(ErrCancelled, err)
 	}
-	env := kernel.Env{Schedule: sched, Warmup: cfg.Warmup}
+	env := kernel.Env{Schedule: sched}
 	if cfg.Profile || cfg.Obs {
 		env.Timers = timer.NewConcurrentSet()
 	}

@@ -65,16 +65,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestWarmupOption(t *testing.T) {
-	res, err := npbgo.Run(npbgo.Config{Benchmark: npbgo.CG, Class: 'S', Threads: 2, Warmup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Fatalf("warmup run unverified:\n%s", res.Detail)
-	}
-}
-
 // TestScheduleOptionEquivalence: every loop schedule must produce the
 // exact same verification printout as the static default — the computed
 // values are printed at full float64 precision, so an identical Detail
