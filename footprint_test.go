@@ -87,13 +87,14 @@ func TestFootprintDefaults(t *testing.T) {
 }
 
 // TestFootprintCoversAllocation: for the three pseudo-applications,
-// whose scratch grows with the grid, the estimate must cover at least
-// 95 % of what New allocates (the runtime's TotalAlloc across it), at
-// classes S and W and at one and three threads, so the admission guard
-// does not under-count a new array, and at most 105 %, so it does not
-// keep counting an array that is gone.
+// whose scratch grows with the grid, and CG, whose matrix makea builds
+// and New converts in place (CSR, then SELL), the estimate must cover
+// at least 95 % of what New allocates (the runtime's TotalAlloc across
+// it), at classes S and W and at one and three threads, so the
+// admission guard does not under-count a new array, and at most 105 %,
+// so it does not keep counting an array that is gone.
 func TestFootprintCoversAllocation(t *testing.T) {
-	for _, name := range []string{"BT", "SP", "LU"} {
+	for _, name := range []string{"BT", "SP", "LU", "CG"} {
 		row, _ := suite.Lookup(name)
 		for _, class := range []byte{'S', 'W'} {
 			for _, threads := range []int{1, 3} {

@@ -10,6 +10,12 @@
 // scheduler does not need that fix: with and without such a load, CG.W
 // times and its workers' runnable time in the execution trace do not
 // separate (EXPERIMENTS.md, claim (f)).
+//
+// The matrix is stored in SELL-8-σ form (sell.go): chunks of eight
+// rows, sorted by length inside windows of 128 and nested in the
+// team's static blocks, whose mat-vec runs each row in a lane of one
+// generated kernel call per chunk, bit for bit the one-row loop
+// (DESIGN.md §37).
 package cg
 
 import (
@@ -46,7 +52,8 @@ const (
 )
 
 // Benchmark is a configured CG instance. The sparse matrix is generated
-// by New so repeated Run calls time only the solver.
+// and converted by New so repeated Run calls time only the solver; it
+// is laid out for a team of the thread count New was given.
 type Benchmark struct {
 	Class   byte
 	p       params
@@ -55,9 +62,7 @@ type Benchmark struct {
 
 	zeta, rnorm float64 // results of the latest complete Iter
 
-	rowstr []int
-	colidx []int32
-	a      []float64
+	m *sell // the matrix, nested in the static blocks of threads workers
 
 	x, z, pv, q, r []float64
 
@@ -98,7 +103,12 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 		return nil, fmt.Errorf("cg: threads %d < 1", threads)
 	}
 	b := &Benchmark{Class: class, p: p, threads: threads, env: env}
-	b.rowstr, b.colidx, b.a = makea(p.na, p.nonzer, rcond, p.shift)
+	rowstr, colidx, a := makea(p.na, p.nonzer, rcond, p.shift)
+	m, err := newSell(rowstr, colidx, a, p.na, threads)
+	if err != nil {
+		return nil, err
+	}
+	b.m = m
 	n := p.na
 	b.x = make([]float64, n)
 	b.z = make([]float64, n)
@@ -197,7 +207,7 @@ func (b *Benchmark) buildBodies() {
 }
 
 // NNZ returns the number of stored matrix nonzeros.
-func (b *Benchmark) NNZ() int { return b.rowstr[b.p.na] }
+func (b *Benchmark) NNZ() int { return b.m.nnz }
 
 // Result reports one CG run.
 type Result struct {
@@ -294,62 +304,13 @@ func (b *Benchmark) conjGrad() float64 {
 }
 
 // spmv is worker id's share of the sparse mat-vec out = A in, the
-// kernel of every inner iteration.
+// kernel of every inner iteration. Under the static schedule the
+// worker's one iteration range is its block, whose chunks hold exactly
+// its block's rows.
 func (b *Benchmark) spmv(id int, in, out []float64) {
 	for it := b.tm.Loop(id, 0, len(out)); it.Next(); {
-		spmvRows(b.rowstr, b.colidx, b.a, in, out, it.Lo, it.Hi)
+		b.m.mul(in, out, it.Lo, it.Hi)
 	}
-}
-
-// spmvRows computes rows [lo, hi) of out = A in. A row's sum is one
-// chain of dependent adds, four cycles apart while the loads and the
-// multiply could issue every cycle, so two rows are kept in flight:
-// two lanes, each summing its own row in storage order from zero (the
-// bits of the one-row loop), each taking the chunk's next row when its
-// row ends. The inner loop runs to the nearer of the two row ends with
-// no test but its counter. Refilling matters: rows differ in length, and
-// pairing them off leaves a sixth of class W's non-zeros in one-lane
-// tails. Four lanes were slower (register pressure; EXPERIMENTS.md).
-func spmvRows(rowstr []int, colidx []int32, a, in, out []float64, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	ra, ka, ea, sa := lo, rowstr[lo], rowstr[lo+1], 0.0
-	if hi-lo >= 2 {
-		rb, kb, eb, sb := lo+1, ea, rowstr[lo+2], 0.0
-		for next := lo + 2; ; {
-			m := min(ea-ka, eb-kb)
-			va, ca := a[ka:ka+m], colidx[ka:ka+m]
-			vb, cb := a[kb:kb+m], colidx[kb:kb+m]
-			for t := range va {
-				sa += va[t] * in[ca[t]]
-				sb += vb[t] * in[cb[t]]
-			}
-			ka, kb = ka+m, kb+m
-			if ka == ea {
-				out[ra] = sa
-				if next == hi {
-					ra, ka, ea, sa = rb, kb, eb, sb
-					break
-				}
-				ra, ka, ea, sa = next, rowstr[next], rowstr[next+1], 0
-				next++
-			}
-			if kb == eb {
-				out[rb] = sb
-				if next == hi {
-					break
-				}
-				rb, kb, eb, sb = next, rowstr[next], rowstr[next+1], 0
-				next++
-			}
-		}
-	}
-	// One lane left: the rest of its row.
-	for k := ka; k < ea; k++ {
-		sa += a[k] * in[colidx[k]]
-	}
-	out[ra] = sa
 }
 
 // dotIn is u.v inside conjBody, following a loop that wrote u or v:

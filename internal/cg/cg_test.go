@@ -6,6 +6,7 @@ import (
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
+	"npbgo/internal/rowcheck"
 )
 
 func TestSprnvcDistinctLocations(t *testing.T) {
@@ -184,7 +185,9 @@ func TestCorruptedMatrixFailsVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.a[len(b.a)/3] += 0.5
+	// The first slot of a chunk a third of the way in: its lane 0 is its
+	// longest row, so the slot is a stored non-zero, not padding.
+	b.m.val[b.m.off[len(b.m.lens)/3]] += 0.5
 	res := b.RunResult()
 	if res.Verify.Passed() {
 		t.Fatalf("corrupted matrix still verified: zeta=%v", res.Zeta)
@@ -192,4 +195,18 @@ func TestCorruptedMatrixFailsVerification(t *testing.T) {
 	if !res.Verify.Failed() {
 		t.Fatal("corruption not reported as failure")
 	}
+}
+
+// TestPortableLanesReproduceGolden runs CG.S on the portable path
+// (simd.Width 1) and the AVX one (4) at one and two threads and compares
+// the verification printout with the one recorded in
+// testdata/bitidentity.golden (rowcheck.Golden).
+func TestPortableLanesReproduceGolden(t *testing.T) {
+	rowcheck.Golden(t, "CG", func(threads int) string {
+		b, err := New('S', threads, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.RunResult().Verify.String()
+	})
 }

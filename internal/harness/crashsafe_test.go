@@ -243,8 +243,8 @@ func withAvailableMemory(t *testing.T, n uint64, ok bool) (restore func()) {
 
 // TestResumeReplaysWithoutExecuting: cells with a line in a resumed
 // record come back from it — an ok cell with its samples, a failed cell
-// still failed, since a failure is terminal — and an
-// always-panic fault rule proves no benchmark actually ran.
+// still failed, and failing the sweep, since a failure is terminal — and
+// an always-panic fault rule proves no benchmark actually ran.
 func TestResumeReplaysWithoutExecuting(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
@@ -266,8 +266,8 @@ func TestResumeReplaysWithoutExecuting(t *testing.T) {
 	}
 	defer re.Close()
 	sw, err := re.RunSweep(npbgo.CG, 'S', []int{1, 2}, Options{})
-	if err != nil {
-		t.Fatalf("replayed sweep failed (a cell must have executed): %v", err)
+	if err == nil || err.Error() != "CG.S threads=2: harness: cell panicked" {
+		t.Fatalf("replayed sweep error = %v, want only the replayed t2 failure", err)
 	}
 	if len(sw.Runs) != 3 || fault.Hits("harness.cell") != 0 {
 		t.Fatalf("got %d runs and %d executions, want 3 replayed runs", len(sw.Runs), fault.Hits("harness.cell"))
@@ -300,5 +300,31 @@ func TestFormatBytes(t *testing.T) {
 	}
 	if s := formatBytes(512); s != "512B" {
 		t.Errorf("formatBytes(512) = %q", s)
+	}
+}
+
+// TestResumedFailedLineFailsSweep: a sweep whose record holds a failed
+// cell line fails again when it is resumed, each replayed failure in
+// the joined error under the same bench.class cell: wrap a run gives,
+// although nothing runs.
+func TestResumedFailedLineFailsSweep(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.json")
+	lines := testHeader +
+		`{"benchmark":"CG","class":"S","threads":0,"error":"cell panicked"}` + "\n" +
+		`{"benchmark":"CG","class":"S","threads":1,"elapsed":0.01,"verified":true}` + "\n"
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, _, err := ResumeRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sw, err := re.RunSweep(npbgo.CG, 'S', []int{1}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "CG.S serial: cell panicked") {
+		t.Fatalf("resumed sweep error = %v, want the replayed serial failure", err)
+	}
+	if strings.Contains(err.Error(), "threads=1") || len(sw.Runs) != 2 || !sw.Runs[1].Replayed {
+		t.Fatalf("sweep = %+v, error %v: the verified line must replay, and not as a failure", sw.Runs, err)
 	}
 }

@@ -146,27 +146,30 @@ func runSweep(bench npbgo.Benchmark, class byte, threads []int, opt Options, rec
 	var errs []error
 	cells := append([]int{0}, threads...)
 	for _, th := range cells {
+		var r Run
 		if m, ok := rec.Cell(CellKey{Benchmark: string(bench), Class: string(class), Threads: th}); ok {
-			sw.Runs = append(sw.Runs, RunFromMetrics(m))
-			continue
-		}
-		if skip := admit(cellConfig(bench, class, th, opt)); skip != nil {
-			sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
-			continue
-		}
-		r := runCell(ctx, bench, class, th, opt)
-		sw.Runs = append(sw.Runs, r)
-		// The cell's line lands, fsync'd, before anything renders
-		// FAIL(...) or the next cell starts: the partial record of a dying
-		// cell is its post-mortem. A cell the sweep's cancellation (^C,
-		// SIGTERM) cut short writes no line, nor does any cell after it,
-		// so a resume runs them; a -timeout failure is the cell's own and
-		// stays terminal.
-		if r.Err == nil || ctx.Err() == nil {
-			if err := rec.add(cellMetrics(bench, class, r)); err != nil {
-				return sw, errors.Join(append(errs, fmt.Errorf("%s.%c record: %w", bench, class, err))...)
+			// A replayed failure fails the sweep as it did when it ran.
+			r = RunFromMetrics(m)
+		} else {
+			if skip := admit(cellConfig(bench, class, th, opt)); skip != nil {
+				sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
+				continue
+			}
+			r = runCell(ctx, bench, class, th, opt)
+			// The cell's line lands, fsync'd, before anything renders
+			// FAIL(...) or the next cell starts: the partial record of a
+			// dying cell is its post-mortem. A cell the sweep's
+			// cancellation (^C, SIGTERM) cut short writes no line, nor
+			// does any cell after it, so a resume runs them; a -timeout
+			// failure is the cell's own and stays terminal.
+			if r.Err == nil || ctx.Err() == nil {
+				if err := rec.add(cellMetrics(bench, class, r)); err != nil {
+					sw.Runs = append(sw.Runs, r)
+					return sw, errors.Join(append(errs, fmt.Errorf("%s.%c record: %w", bench, class, err))...)
+				}
 			}
 		}
+		sw.Runs = append(sw.Runs, r)
 		if r.Err != nil {
 			cell := fmt.Sprintf("threads=%d", th)
 			if th == 0 {
@@ -292,11 +295,14 @@ func hostEnv() report.EnvInfo {
 }
 
 // runOnce is a single panic-isolated, optionally deadline-bounded
-// benchmark execution in this process.
+// benchmark execution in this process. A panic of its own (the
+// harness.cell fault site, writeTrace) is a *npbgo.RunError of kind
+// panic, as a team worker's is, so the cell renders FAIL(panic).
 func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (res npbgo.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = fmt.Errorf("harness: cell panicked: %v", v)
+			err = &npbgo.RunError{Benchmark: cfg.Benchmark, Class: cfg.Class, Threads: cfg.Threads,
+				Kind: npbgo.ErrPanic, Cause: fmt.Errorf("harness: cell panicked: %v", v)}
 		}
 	}()
 	fault.Maybe("harness.cell")

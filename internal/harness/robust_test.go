@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -71,3 +72,20 @@ func TestFailedSerialDisablesSpeedup(t *testing.T) {
 
 var errTest = &npbgo.RunError{Benchmark: npbgo.CG, Class: 'S', Threads: 1,
 	Kind: npbgo.ErrPanic, Cause: nil}
+
+// TestHarnessPanicRendersAsPanic: a panic in the harness's own part of
+// a cell (the harness.cell fault site), not in the benchmark, is a
+// RunError of kind panic like a worker's, rendered FAIL(panic).
+func TestHarnessPanicRendersAsPanic(t *testing.T) {
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
+	defer fault.Reset()
+	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{2}, Options{})
+	var re *npbgo.RunError
+	if !errors.As(err, &re) || re.Kind != npbgo.ErrPanic || re.Benchmark != npbgo.CG {
+		t.Fatalf("error %v, want a CG RunError of kind panic", err)
+	}
+	out := SuiteTable("T", []Sweep{sw}, []int{2})
+	if strings.Count(out, "FAIL(panic)") < 2 {
+		t.Fatalf("harness panics not rendered as FAIL(panic):\n%s", out)
+	}
+}

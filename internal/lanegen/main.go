@@ -26,13 +26,31 @@
 //     (one point per element), runs the groups of eight the width
 //     allows, then one group of four if four points are left, and then
 //     the scalar body on the rest, inlined with every a[0] read as a[i].
+//   - //lanegen:chunk — one column's step of eight rows of a sliced
+//     ELLPACK chunk, a row a lane. A *[1]float64 the body writes is a
+//     lane's sum: one value a lane, held in a register from the first
+//     column to the last. A *[1]float64 or *[1]int32 it only reads is a
+//     stream of the chunk's columns, element c of lane q at [8*c+q]. A
+//     []float64 is a table, read only as t[ix[0]] with ix an int32
+//     stream: the indexed load. Lane q takes the step at the columns c
+//     < lens[q] only; past its end its sums keep their value (a merge
+//     mask, not a zero pad). <name>AVX512 runs the eight lanes, with a
+//     masked VGATHERDPD, and <name>AVX four, the table's elements loaded
+//     one by one; each steps over the columns at the eight lanes' stride.
+//     Its wrapper <name>Chunk(lens, ...) runs them up to the longest
+//     lane, slicing each stream to that many columns, or at width 1 the
+//     scalar body lane by lane, inlined with a sum's s[0] read as s[q]
+//     and a stream's a[0] as a[k], k = 8*c+q. Nothing checks an index
+//     against its table, and the AVX kernel loads every slot of a
+//     column, a lane's padding included: every index in a stream must
+//     be in range.
 //
-// Seven packages run it. bt and sp have lane kernels (their line
+// Eight packages run it. bt and sp have lane kernels (their line
 // solves), lu both kinds (the blocks and the update of up to eight
 // points of an i+j diagonal in its SSOR sweeps, and its right-hand-side
-// rows), and nscore, ep, ft and mg row kernels: the right-hand sides of
+// rows), nscore, ep, ft and mg row kernels: the right-hand sides of
 // BT and SP, EP's polar transform, FT's butterflies, MG's residual and
-// smoother.
+// smoother, and cg a chunk kernel, its sparse mat-vec.
 //
 // The glue is three files: lanes.go with the wrappers, which choose
 // between the assembly levels and the scalar body by internal/simd's
@@ -54,8 +72,10 @@
 // earlier statements stored.
 //
 // The subset it accepts is what the kernels use:
-//   - parameters: pointers to fixed-size float64 arrays (at most 12),
-//     and float64 scalars, broadcast to every lane;
+//   - parameters: pointers to fixed-size float64 arrays (at most 12,
+//     10 in a chunk kernel, whose own loop takes two registers), and
+//     float64 scalars, broadcast to every lane; a chunk kernel's int32
+//     streams and tables besides;
 //   - float64 locals (:= and =, one or several at once; a tuple may not
 //     read what it writes, nor read an array element while writing one,
 //     since array parameters may alias);
@@ -70,12 +90,18 @@
 //
 // Anything else is an error naming the position. The AVX kernels use
 // AVX1 instructions only: VMOVUPD, VBROADCASTSD, VADDPD, VSUBPD, VMULPD,
-// VDIVPD, VSQRTPD, VXORPD, VCMPPD, VBLENDVPD and VZEROUPPER. The AVX-512
-// kernels use the same on ZMM registers (VXORPD there is AVX512DQ),
-// except that the compare writes opmask K1 and VBLENDMPD blends under
-// it. Both allocate registers 0-15 only, so the closing VZEROUPPER
-// leaves no upper state dirty. Which level runs is internal/simd's
-// decision, made once at start-up.
+// VDIVPD, VSQRTPD, VXORPD, VCMPPD, VBLENDVPD and VZEROUPPER, and in a
+// chunk kernel VCVTDQ2PD for the lane lengths, a VCMPPD of them against
+// the column for the mask, and for the indexed load MOVLQSX, VMOVSD,
+// VMOVHPD and VINSERTF128. The AVX-512 kernels use the same on ZMM
+// registers (VXORPD there is AVX512DQ), except that the compare writes
+// opmask K1 and VBLENDMPD blends under it; a chunk kernel's mask is a
+// VPCMPGTD of the lane lengths (VMOVDQU) against the column
+// (VPBROADCASTD) into K2, its indexed load a VGATHERDPD under a KMOVW
+// copy of it, and its sums take each step merge-masked under K2. Both
+// allocate registers 0-15 only, so the closing VZEROUPPER leaves no
+// upper state dirty. Which level runs is internal/simd's decision, made
+// once at start-up.
 package main
 
 import (
@@ -93,11 +119,17 @@ import (
 	"strings"
 )
 
-// The markers, the last line of a kernel's doc comment.
+// form is a kernel's shape, named by its marker, the last line of its
+// doc comment.
+type form int
+
 const (
-	lanesMarker = "//lanegen:lanes"
-	rowsMarker  = "//lanegen:rows"
+	lanesForm form = iota
+	rowsForm
+	chunkForm
 )
+
+var markers = map[string]form{"//lanegen:lanes": lanesForm, "//lanegen:rows": rowsForm, "//lanegen:chunk": chunkForm}
 
 func main() {
 	if err := run(".", "."); err != nil {
@@ -124,10 +156,10 @@ func run(dir, out string) error {
 // kernel is one compiled kernel.
 type kernel struct {
 	name   string
-	rows   bool
+	form   form
 	params []*param
 	text   string // its TEXT blocks, one per level
-	loop   string // a row kernel's body at point i of slices: the portable path
+	loop   string // a row or chunk kernel's body inlined into its wrapper: the portable path
 }
 
 // width is a vector level the emitter writes each kernel at.
@@ -153,14 +185,17 @@ const (
 	stride = 8 * lanes
 )
 
-// arrayType is the assembly form's Go type of an array parameter of n
-// elements: a row kernel's arrays, and a lane kernel's at a level that
-// runs part of the lanes, are the *float64 of their first element.
-func (w width) arrayType(rows bool, n int) string {
-	if rows || w.lanes < lanes {
+// arrayType is the assembly form's Go type of an array or table
+// parameter: a row or chunk kernel's, and a lane kernel's at a level
+// that runs part of the lanes, are the pointer to their first element.
+func (w width) arrayType(f form, p *param) string {
+	switch {
+	case p.int32:
+		return "*int32"
+	case f != lanesForm || w.lanes < lanes:
 		return "*float64"
 	}
-	return fmt.Sprintf("*[%d][%d]float64", n, lanes)
+	return fmt.Sprintf("*[%d][%d]float64", p.array, lanes)
 }
 
 // generate returns the generated files for the kernels in dir, by name:
@@ -173,7 +208,7 @@ func generate(dir string) (map[string][]byte, error) {
 	}
 	pkg := ""
 	var found []*ast.FuncDecl
-	var marks []bool // row kernel?
+	var forms []form
 	files := map[string]bool{}
 	for _, p := range paths {
 		if strings.HasSuffix(p, "_test.go") {
@@ -189,14 +224,11 @@ func generate(dir string) (map[string][]byte, error) {
 			if !ok || fd.Doc == nil {
 				continue
 			}
-			switch fd.Doc.List[len(fd.Doc.List)-1].Text {
-			case lanesMarker:
-				marks = append(marks, false)
-			case rowsMarker:
-				marks = append(marks, true)
-			default:
+			f, ok := markers[fd.Doc.List[len(fd.Doc.List)-1].Text]
+			if !ok {
 				continue
 			}
+			forms = append(forms, f)
 			if fd.Recv != nil {
 				return nil, fmt.Errorf("%s: kernel %s is a method", fset.Position(fd.Pos()), fd.Name.Name)
 			}
@@ -205,13 +237,13 @@ func generate(dir string) (map[string][]byte, error) {
 		}
 	}
 	if len(found) == 0 {
-		return nil, fmt.Errorf("no kernels marked %s or %s in %s", lanesMarker, rowsMarker, dir)
+		return nil, fmt.Errorf("no kernels marked //lanegen:lanes, rows or chunk in %s", dir)
 	}
 	pool := newPool()
 	var body bytes.Buffer
 	var kernels []*kernel
 	for i, fd := range found {
-		k, err := compile(fset, fd, pool, marks[i])
+		k, err := compile(fset, fd, pool, forms[i])
 		if err != nil {
 			return nil, err
 		}
@@ -277,6 +309,7 @@ type (
 		p *param
 		i int
 	}
+	index struct{ t, ix *param } // t[ix[0]]: a chunk kernel's indexed load
 	neg   struct{ x expr }
 	sqrt  struct{ x expr }    // math.Sqrt, correctly rounded like VSQRTPD
 	blend struct{ v, r expr } // v if v > r, else r
@@ -288,11 +321,17 @@ type (
 
 type param struct {
 	name    string
-	array   int // element count, 0 for a float64
-	off     int // frame offset
+	array   int  // element count, 0 for a float64 or a table
+	int32   bool // an *[1]int32, a chunk kernel's index stream
+	table   bool // a []float64, a chunk kernel's table
+	off     int  // frame offset
 	gp      string
-	written bool // an array the body stores to
+	written bool // an array the body stores to: in a chunk kernel, a lane's sum
 }
+
+// pointer reports whether p is passed to the assembly as a pointer,
+// held in a general-purpose register.
+func (p *param) pointer() bool { return p.array > 0 || p.table }
 
 type stmt struct {
 	dst interface{} // local or elem
@@ -302,7 +341,7 @@ type stmt struct {
 
 // compiler holds one kernel's translation state.
 type compiler struct {
-	rows   bool
+	form   form
 	fset   *token.FileSet
 	params map[string]*param
 	locals map[string]bool
@@ -316,19 +355,29 @@ func (c *compiler) errf(pos token.Pos, format string, args ...interface{}) error
 
 var gpRegs = []string{"AX", "BX", "CX", "DX", "SI", "DI", "R8", "R9", "R10", "R11", "R12", "R13"}
 
+// A chunk kernel's column counter and scratch register, the last two of
+// gpRegs: the lane lengths' pointer, then each index of the AVX
+// kernel's indexed load.
+const (
+	chunkCol     = "R12"
+	chunkScratch = "R13"
+)
+
 // compile translates one kernel into its TEXT blocks, one per level: a
 // lane kernel's body once, a row kernel's body in a loop over groups of
-// points.
-func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*kernel, error) {
-	c := &compiler{fset: fset, params: map[string]*param{}, locals: map[string]bool{}, loops: map[string]int{}}
+// points, a chunk kernel's in a loop over a chunk's columns.
+func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, f form) (*kernel, error) {
+	c := &compiler{form: f, fset: fset, params: map[string]*param{}, locals: map[string]bool{}, loops: map[string]int{}}
 	if fd.Type.Results != nil {
 		return nil, c.errf(fd.Pos(), "%s: kernels return nothing", fd.Name.Name)
 	}
-	c.rows = rows
-	k := &kernel{name: fd.Name.Name, rows: rows}
-	off, ngp := 0, 0
+	k := &kernel{name: fd.Name.Name, form: f}
+	off, ngp, maxgp := 0, 0, len(gpRegs)
+	if f == chunkForm {
+		off, maxgp = 8, len(gpRegs)-2 // lens, then the parameters; chunkCol and chunkScratch
+	}
 	for _, field := range fd.Type.Params.List {
-		n, err := c.paramType(field.Type, rows)
+		proto, err := c.paramType(field.Type)
 		if err != nil {
 			return nil, err
 		}
@@ -336,12 +385,12 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 			if err := c.reserved(id); err != nil {
 				return nil, err
 			}
-			if !rows && (id.Name == "q" || id.Name == "live" || strings.HasPrefix(id.Name, "lane")) {
+			if f == lanesForm && (id.Name == "q" || id.Name == "live" || strings.HasPrefix(id.Name, "lane")) {
 				return nil, c.errf(id.Pos(), "%s names a local of the lane wrapper", id.Name)
 			}
-			p := &param{name: id.Name, array: n, off: off}
-			if n > 0 {
-				if ngp == len(gpRegs) {
+			p := &param{name: id.Name, array: proto.array, int32: proto.int32, table: proto.table, off: off}
+			if p.pointer() {
+				if ngp == maxgp {
 					return nil, c.errf(id.Pos(), "too many array parameters")
 				}
 				p.gp = gpRegs[ngp]
@@ -360,8 +409,19 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 			e.p.written = true
 		}
 	}
-	if rows {
-		k.loop = pointLoop(fset, fd)
+	switch f {
+	case rowsForm:
+		k.loop = c.inline(fd, func(_ *param, ix *ast.IndexExpr) { ix.Index = ast.NewIdent("i") })
+	case chunkForm:
+		// A lane's sum is a [1]float64 local, which the compiler keeps in
+		// a register, as the assembly does.
+		k.loop = c.inline(fd, func(p *param, ix *ast.IndexExpr) {
+			if p.written {
+				ix.X = ast.NewIdent(sumLocal(p))
+			} else {
+				ix.Index = ast.NewIdent("k")
+			}
+		})
 	}
 
 	uses, lastUse := map[*param]int{}, map[*param]int{}
@@ -378,15 +438,16 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 		})
 	}
 	frame := off
-	if rows {
-		frame += 8
+	if f != lanesForm {
+		frame += 8 // the group count or the chunk's width
 	}
 	for _, w := range levels {
 		header := fmt.Sprintf("\n// func %s%s(%s)\nTEXT ·%s%s(SB), NOSPLIT, $0-%d\n", k.name, w.suffix, asmParams(k, w), k.name, w.suffix, frame)
-		// A row kernel broadcasts as many of its scalars as the body
-		// leaves registers for once, before the loop, and the rest in it.
+		// A row or chunk kernel broadcasts as many of its scalars as the
+		// body leaves registers for once, before the loop, and the rest
+		// in it.
 		hoist := 0
-		if rows {
+		if f != lanesForm {
 			hoist = len(scalars)
 		}
 		for {
@@ -405,22 +466,31 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, rows bool) (*ker
 }
 
 // emit writes the instructions of k's TEXT block at width w: the
-// scalars in hoist are broadcast before a row kernel's loop and stay in
-// registers.
+// scalars in hoist are broadcast before a row or chunk kernel's loop and
+// stay in registers.
 func (c *compiler) emit(k *kernel, w width, pool *pool, uses, lastUse map[*param]int, hoist []*param, off int) (string, error) {
-	g := &gen{w: w, pool: pool, locals: map[string]int{}, cached: map[*param]int{}, uses: uses}
+	g := &gen{w: w, pool: pool, locals: map[string]int{}, cached: map[*param]int{}, uses: uses, chunk: k.form == chunkForm, sums: map[*param]int{}}
 	for i := range g.free {
 		g.free[i] = true
 	}
 	for _, p := range k.params {
-		if p.array > 0 {
+		if p.pointer() {
 			g.emit("MOVQ %s+%d(FP), %s", p.name, p.off, p.gp)
 		}
 	}
-	if k.rows {
-		// The group count stays in its argument slot: every
-		// general-purpose register may hold an array pointer.
-		g.emit("CMPQ groups+%d(FP), $0", off)
+	if k.form == chunkForm {
+		if err := g.chunkStart(k); err != nil {
+			return "", err
+		}
+	}
+	if k.form != lanesForm {
+		// The group count or the chunk's width stays in its argument
+		// slot: every other general-purpose register may hold a pointer.
+		count := "groups"
+		if k.form == chunkForm {
+			count = "width"
+		}
+		g.emit("CMPQ %s+%d(FP), $0", count, off)
 		g.emit("JEQ done")
 		for _, p := range hoist {
 			r, err := g.alloc()
@@ -431,6 +501,11 @@ func (c *compiler) emit(k *kernel, w width, pool *pool, uses, lastUse map[*param
 			g.cached[p] = r
 		}
 		g.b.WriteString("loop:\n")
+		if k.form == chunkForm {
+			if err := g.chunkMask(); err != nil {
+				return "", err
+			}
+		}
 	}
 	held := map[*param]bool{}
 	for _, p := range hoist {
@@ -452,7 +527,8 @@ func (c *compiler) emit(k *kernel, w width, pool *pool, uses, lastUse map[*param
 			}
 		}
 	}
-	if k.rows {
+	switch k.form {
+	case rowsForm:
 		for _, p := range k.params {
 			if p.array > 0 {
 				g.emit("ADDQ $%d, %s", 8*w.lanes, p.gp)
@@ -461,36 +537,48 @@ func (c *compiler) emit(k *kernel, w width, pool *pool, uses, lastUse map[*param
 		g.emit("DECQ groups+%d(FP)", off)
 		g.emit("JNE loop")
 		g.b.WriteString("done:\n")
+	case chunkForm:
+		g.chunkEnd(k, off)
 	}
 	g.emit("VZEROUPPER")
 	g.emit("RET")
 	return g.b.String(), nil
 }
 
-// paramType accepts float64 and *[N]float64, returning N (0 for a
-// scalar). A row kernel's arrays are *[1]float64: one point of a row,
-// passed to the assembly as the *float64 of its first group.
-func (c *compiler) paramType(t ast.Expr, rows bool) (int, error) {
+// paramType accepts float64 and *[N]float64, and in a chunk kernel
+// *[1]int32 and []float64, returning a param with only its type set. A
+// row or chunk kernel's arrays are *[1]: one point of a row, passed to
+// the assembly as the pointer to its first group, or one slot of a
+// chunk's column.
+func (c *compiler) paramType(t ast.Expr) (*param, error) {
 	if id, ok := t.(*ast.Ident); ok && id.Name == "float64" {
-		return 0, nil
+		return &param{}, nil
+	}
+	if at, ok := t.(*ast.ArrayType); ok && at.Len == nil && isName(at.Elt, "float64") && c.form == chunkForm {
+		return &param{table: true}, nil
 	}
 	if st, ok := t.(*ast.StarExpr); ok {
 		if at, ok := st.X.(*ast.ArrayType); ok && at.Len != nil {
-			if id, ok := at.Elt.(*ast.Ident); ok && id.Name == "float64" {
+			if id, ok := at.Elt.(*ast.Ident); ok && (id.Name == "float64" || id.Name == "int32" && c.form == chunkForm) {
 				if bl, ok := at.Len.(*ast.BasicLit); ok && bl.Kind == token.INT {
 					n, err := strconv.Atoi(bl.Value)
 					switch {
 					case err != nil || n <= 0:
-					case rows && n != 1:
-						return 0, c.errf(t.Pos(), "row kernel arrays must be *[1]float64")
+					case c.form == rowsForm && n != 1:
+						return nil, c.errf(t.Pos(), "row kernel arrays must be *[1]float64")
+					case c.form == chunkForm && n != 1:
+						return nil, c.errf(t.Pos(), "chunk kernel arrays must be *[1]float64 or *[1]int32")
 					default:
-						return n, nil
+						return &param{array: n, int32: id.Name == "int32"}, nil
 					}
 				}
 			}
 		}
 	}
-	return 0, c.errf(t.Pos(), "parameter type must be float64 or *[N]float64")
+	if c.form == chunkForm {
+		return nil, c.errf(t.Pos(), "parameter type must be float64, *[1]float64, *[1]int32 or []float64")
+	}
+	return nil, c.errf(t.Pos(), "parameter type must be float64 or *[N]float64")
 }
 
 // block flattens statements into c.stmts, unrolling loops.
@@ -597,47 +685,47 @@ func (c *compiler) ifGreater(s *ast.IfStmt) error {
 }
 
 // reserved refuses a name the generated code needs for itself: g, the
-// goroutine register in Go assembly, and in a row kernel the locals of
-// its wrapper, into which the body is inlined, and the group count of
-// its assembly.
+// goroutine register in Go assembly, and in a row or chunk kernel the
+// locals of its wrapper, into which the body is inlined, and the count
+// its assembly loops to.
 func (c *compiler) reserved(id *ast.Ident) error {
 	if id.Name == "g" {
 		return c.errf(id.Pos(), "g names the goroutine register in Go assembly")
 	}
-	if c.rows && (id.Name == "count" || id.Name == "done" || id.Name == "i") {
+	if c.form == rowsForm && (id.Name == "count" || id.Name == "done" || id.Name == "i") {
 		return c.errf(id.Pos(), "%s names a local of the row wrapper", id.Name)
 	}
-	if c.rows && id.Name == "groups" {
+	if c.form == rowsForm && id.Name == "groups" {
 		return c.errf(id.Pos(), "groups names the group count of the row assembly")
+	}
+	if c.form == chunkForm && (id.Name == "lens" || id.Name == "width" || id.Name == "q" || id.Name == "k" || strings.HasPrefix(id.Name, "sum_")) {
+		return c.errf(id.Pos(), "%s names a local of the chunk wrapper", id.Name)
 	}
 	return nil
 }
 
-// pointLoop returns a row kernel's statements with every array element
-// a[...] read as a[i], element i of the slice a: the body of the
-// wrapper's loop over the points the assembly does not run. It is the
-// scalar body itself, inlined, so it rounds as the body does. The
-// kernel's AST is rewritten in place, after its translation.
-func pointLoop(fset *token.FileSet, fd *ast.FuncDecl) string {
-	arrays := map[string]bool{}
-	for _, field := range fd.Type.Params.List {
-		if _, ok := field.Type.(*ast.StarExpr); ok {
-			for _, id := range field.Names {
-				arrays[id.Name] = true
-			}
-		}
-	}
+// sumLocal names the local that holds a chunk kernel's sum p for one
+// lane in its wrapper's scalar loop.
+func sumLocal(p *param) string { return "sum_" + p.name }
+
+// inline returns a row or chunk kernel's statements with every array
+// element p[...] rewritten by at, to an element of the wrapper's loop
+// over the points or slots the assembly does not run; a table's index
+// is left as it is, its stream element rewritten. It is the scalar body
+// itself, inlined, so it rounds as the body does. The kernel's AST is
+// rewritten in place, after its translation.
+func (c *compiler) inline(fd *ast.FuncDecl, at func(*param, *ast.IndexExpr)) string {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if ix, ok := n.(*ast.IndexExpr); ok {
-			if id, ok := ix.X.(*ast.Ident); ok && arrays[id.Name] {
-				ix.Index = ast.NewIdent("i")
+			if id, ok := ix.X.(*ast.Ident); ok && c.params[id.Name] != nil && c.params[id.Name].array > 0 {
+				at(c.params[id.Name], ix)
 			}
 		}
 		return true
 	})
 	var b bytes.Buffer
 	for _, st := range fd.Body.List {
-		printer.Fprint(&b, fset, st)
+		printer.Fprint(&b, c.fset, st)
 		b.WriteString("\n")
 	}
 	return b.String()
@@ -745,7 +833,7 @@ func (c *compiler) expr(e ast.Expr) (expr, error) {
 		}
 		return lit{v}, nil
 	case *ast.Ident:
-		if p := c.params[e.Name]; p != nil && p.array == 0 {
+		if p := c.params[e.Name]; p != nil && p.array == 0 && !p.table {
 			return scal{p}, nil
 		}
 		if c.locals[e.Name] {
@@ -756,6 +844,12 @@ func (c *compiler) expr(e ast.Expr) (expr, error) {
 		var p *param
 		if id, ok := e.X.(*ast.Ident); ok {
 			p = c.params[id.Name]
+		}
+		if p != nil && p.table {
+			return c.indexed(p, e.Index)
+		}
+		if p != nil && p.int32 {
+			return nil, c.errf(e.Pos(), "an int32 stream is read only as a table's index")
 		}
 		if p == nil || p.array == 0 {
 			return nil, c.errf(e.Pos(), "only array parameters can be indexed")
@@ -820,8 +914,21 @@ func (c *compiler) expr(e ast.Expr) (expr, error) {
 	return nil, c.errf(e.Pos(), "unsupported expression")
 }
 
-// leaves calls f on each leaf of x: literals, locals, parameters and
-// array elements, once per occurrence.
+// indexed translates the index of table t, which must be ix[0] with ix
+// an int32 stream: the indexed load t[ix[0]].
+func (c *compiler) indexed(t *param, e ast.Expr) (expr, error) {
+	if ie, ok := e.(*ast.IndexExpr); ok {
+		if id, ok := ie.X.(*ast.Ident); ok && c.params[id.Name] != nil && c.params[id.Name].int32 {
+			if i, err := c.intExpr(ie.Index); err == nil && i == 0 {
+				return index{t, c.params[id.Name]}, nil
+			}
+		}
+	}
+	return nil, c.errf(e.Pos(), "a table is read only at an int32 stream's element, %s[ix[0]]", t.name)
+}
+
+// leaves calls f on each leaf of x: literals, locals, parameters, array
+// elements and indexed loads, once per occurrence.
 func leaves(x expr, f func(expr)) {
 	switch x := x.(type) {
 	case neg:
@@ -860,7 +967,7 @@ func clobbers(dst interface{}, x expr) bool {
 		switch l := l.(type) {
 		case local:
 			found = found || dst == l
-		case elem:
+		case elem, index:
 			found = found || dstElem
 		}
 	})
@@ -916,6 +1023,13 @@ type gen struct {
 	locals map[string]int
 	cached map[*param]int // broadcast parameters held in a register
 	uses   map[*param]int // reads of each parameter in the kernel
+
+	// A chunk kernel's registers, held from its start to its end: each
+	// lane's sums, the lane lengths, and at the AVX level the column
+	// and the mask as doubles.
+	chunk           bool
+	sums            map[*param]int
+	lens, col, mask int
 }
 
 // errNoRegisters is the allocator's error when a body needs more than
@@ -986,7 +1100,12 @@ func (g *gen) eval(x expr) (operand, error) {
 	case lit:
 		return operand{mem: g.pool.ref(math.Float64bits(x.v))}, nil
 	case elem:
+		if r, ok := g.sums[x.p]; ok {
+			return operand{reg: r}, nil
+		}
 		return operand{mem: fmt.Sprintf("%d(%s)", stride*x.i, x.p.gp)}, nil
+	case index:
+		return g.gather(x)
 	case local:
 		r, ok := g.locals[x.name]
 		if !ok {
@@ -1107,6 +1226,114 @@ func (g *gen) blend(v, r operand) (int, error) {
 	return dst, nil
 }
 
+// chunkStart loads a chunk kernel's sums and lane lengths, the lengths
+// as int32 at the AVX-512 level, for VPCMPGTD, and as doubles at the AVX
+// one, for VCMPPD, whose column starts at 0.
+func (g *gen) chunkStart(k *kernel) error {
+	var err error
+	for _, p := range k.params {
+		if p.written {
+			if g.sums[p], err = g.alloc(); err != nil {
+				return err
+			}
+			g.emit("VMOVUPD (%s), %s", p.gp, g.reg(g.sums[p]))
+		}
+	}
+	if g.lens, err = g.alloc(); err != nil {
+		return err
+	}
+	g.emit("MOVQ lens+0(FP), %s", chunkScratch)
+	if g.w.reg == "Z" {
+		g.emit("VMOVDQU (%s), Y%d", chunkScratch, g.lens)
+	} else {
+		g.emit("VCVTDQ2PD (%s), %s", chunkScratch, g.reg(g.lens))
+		if g.col, err = g.alloc(); err != nil {
+			return err
+		}
+		if g.mask, err = g.alloc(); err != nil {
+			return err
+		}
+		g.emit("VXORPD %s, %s, %s", g.reg(g.col), g.reg(g.col), g.reg(g.col))
+	}
+	g.emit("XORQ %s, %s", chunkCol, chunkCol)
+	return nil
+}
+
+// chunkMask sets the mask of the lanes whose length exceeds the column:
+// K2 at the AVX-512 level, g.mask at the AVX one.
+func (g *gen) chunkMask() error {
+	if g.w.reg == "Y" {
+		g.emit("VCMPPD $0x1e, %s, %s, %s", g.reg(g.col), g.reg(g.lens), g.reg(g.mask))
+		return nil
+	}
+	c, err := g.alloc()
+	if err != nil {
+		return err
+	}
+	g.emit("VPBROADCASTD %s, %s", chunkCol, g.reg(c))
+	g.emit("VPCMPGTD %s, %s, K2", g.reg(c), g.reg(g.lens))
+	g.release(c)
+	return nil
+}
+
+// chunkEnd advances a chunk kernel's streams and column, closes its
+// loop and stores its sums. A stream steps over the eight lanes of a
+// column at both levels.
+func (g *gen) chunkEnd(k *kernel, off int) {
+	for _, p := range k.params {
+		if p.array > 0 && !p.written {
+			size := 8
+			if p.int32 {
+				size = 4
+			}
+			g.emit("ADDQ $%d, %s", size*lanes, p.gp)
+		}
+	}
+	if g.w.reg == "Y" {
+		g.emit("VADDPD %s, %s, %s", g.pool.ref(math.Float64bits(1)), g.reg(g.col), g.reg(g.col))
+	}
+	g.emit("INCQ %s", chunkCol)
+	g.emit("CMPQ %s, width+%d(FP)", chunkCol, off)
+	g.emit("JLT loop")
+	g.b.WriteString("done:\n")
+	for _, p := range k.params {
+		if p.written {
+			g.emit("VMOVUPD %s, (%s)", g.reg(g.sums[p]), p.gp)
+		}
+	}
+}
+
+// gather loads t[ix[0]] for the lanes of a column: a VGATHERDPD of the
+// mask's lanes at the AVX-512 level, into a register zeroed first so
+// that it waits on nothing, and at the AVX one four loads through the
+// scratch register, every lane's.
+func (g *gen) gather(x index) (operand, error) {
+	dst, err := g.alloc()
+	if err != nil {
+		return operand{}, err
+	}
+	tmp, err := g.alloc()
+	if err != nil {
+		return operand{}, err
+	}
+	if g.w.reg == "Z" {
+		g.emit("VMOVDQU (%s), Y%d", x.ix.gp, tmp)
+		g.emit("KMOVW K2, K3")
+		g.emit("VXORPD %s, %s, %s", g.reg(dst), g.reg(dst), g.reg(dst))
+		g.emit("VGATHERDPD (%s)(Y%d*8), K3, %s", x.t.gp, tmp, g.reg(dst))
+	} else {
+		for half, r := range []int{dst, tmp} {
+			g.emit("MOVLQSX %d(%s), %s", 8*half, x.ix.gp, chunkScratch)
+			g.emit("VMOVSD (%s)(%s*8), X%d", x.t.gp, chunkScratch, r)
+			g.emit("MOVLQSX %d(%s), %s", 8*half+4, x.ix.gp, chunkScratch)
+			g.emit("VMOVHPD (%s)(%s*8), X%d, X%d", x.t.gp, chunkScratch, r, r)
+		}
+		g.emit("VINSERTF128 $1, X%d, Y%d, Y%d", tmp, dst, dst)
+	}
+	g.release(tmp)
+	return operand{reg: dst, owned: true}, nil
+}
+
 // evalReg evaluates x into a register, loading a memory operand.
 func (g *gen) evalReg(x expr) (operand, error) {
 	v, err := g.eval(x)
@@ -1136,6 +1363,9 @@ func (g *gen) target(a, b operand) (int, error) {
 func (g *gen) stmt(s stmt) error {
 	switch d := s.dst.(type) {
 	case elem:
+		if g.chunk {
+			return g.merge(d, s.x)
+		}
 		v, err := g.evalReg(s.x)
 		if err != nil {
 			return err
@@ -1161,6 +1391,38 @@ func (g *gen) stmt(s stmt) error {
 			g.release(old)
 		}
 		g.locals[d.name] = v.reg
+	}
+	return nil
+}
+
+// merge assigns x to a chunk kernel's sum d in the lanes of the mask
+// only: s[0] op= y is one merge-masked instruction at the AVX-512 level,
+// anything else is computed in every lane and blended in.
+func (g *gen) merge(d elem, x expr) error {
+	sum := g.sums[d.p]
+	if b, ok := x.(binop); ok && b.x == expr(d) && g.w.reg == "Z" {
+		v, err := g.eval(b.y)
+		if err != nil {
+			return err
+		}
+		names := map[byte]string{'+': "VADDPD", '-': "VSUBPD", '*': "VMULPD", '/': "VDIVPD"}
+		g.emit("%s %s, %s, K2, %s", names[b.op], g.op(v), g.reg(sum), g.reg(sum))
+		if v.owned {
+			g.release(v.reg)
+		}
+		return nil
+	}
+	v, err := g.evalReg(x)
+	if err != nil {
+		return err
+	}
+	if g.w.reg == "Z" {
+		g.emit("VBLENDMPD %s, %s, K2, %s", g.reg(v.reg), g.reg(sum), g.reg(sum))
+	} else {
+		g.emit("VBLENDVPD %s, %s, %s, %s", g.reg(g.mask), g.reg(v.reg), g.reg(sum), g.reg(sum))
+	}
+	if v.owned {
+		g.release(v.reg)
 	}
 	return nil
 }

@@ -128,7 +128,11 @@ func TestSubset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := compile(fset, f.Decls[0].(*ast.FuncDecl), newPool(), tc.rows)
+		form := lanesForm
+		if tc.rows {
+			form = rowsForm
+		}
+		k, err := compile(fset, f.Decls[0].(*ast.FuncDecl), newPool(), form)
 		switch {
 		case tc.err == "" && err != nil:
 			t.Errorf("%s: %v", tc.src, err)
@@ -147,6 +151,58 @@ func TestSubset(t *testing.T) {
 		if err == nil && tc.rows {
 			// The loop: skipped for zero groups, every pointer a group on.
 			for _, want := range []string{"CMPQ groups+", "JEQ done", "loop:", "ADDQ $32, AX", "ADDQ $64, AX", "DECQ groups+", "JNE loop", "done:"} {
+				if !strings.Contains(k.text, want) {
+					t.Errorf("%s: no %q in\n%s", tc.src, want, k.text)
+				}
+			}
+		}
+	}
+}
+
+// TestChunkForm compiles chunk kernels. A lane's sum (an array the body
+// writes) lives in a register from the first column to the last and
+// takes each step under the lane mask: one merge-masked instruction
+// for s[0] op= y at the AVX-512 level, a blend otherwise; the mask is a
+// VPCMPGTD of the lane lengths against the column there and a VCMPPD of
+// both as doubles at the AVX level. The indexed load t[ix[0]] is a
+// VGATHERDPD under a copy of the mask, into a zeroed register, at the
+// AVX-512 level and four scalar loads at the AVX one. Streams step by
+// a column of eight lanes at both levels: 64 bytes a float64, 32 an
+// int32. Each form outside the subset is refused by name.
+func TestChunkForm(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want []string
+		err  string
+	}{
+		{src: "func k(s, a *[1]float64, ix *[1]int32, in []float64) { s[0] += a[0] * in[ix[0]] }",
+			want: []string{"VPBROADCASTD R12, Z", "VPCMPGTD ", ", K2\n", "KMOVW K2, K3", "VGATHERDPD (DX)(Y", "*8), K3, Z",
+				", K2, Z0\n", "VCVTDQ2PD (R13), Y", "VCMPPD $0x1e, ", "MOVLQSX 12(CX), R13", "VMOVHPD (DX)(R13*8), X",
+				"VINSERTF128 $1, X", "VBLENDVPD ", "ADDQ $64, BX", "ADDQ $32, CX", "CMPQ R12, width+40(FP)", "JLT loop"}},
+		{src: "func k(s, a *[1]float64, x float64) { s[0] = x * a[0] }",
+			want: []string{"VBLENDMPD ", ", K2, Z0\n", "VBLENDVPD "}},
+		{src: "func k(s *[1]float64, a *[2]float64) { s[0] += a[1] }", err: "chunk kernel arrays must be *[1]float64 or *[1]int32"},
+		{src: "func k(s *[1]float64, in []float64, a *[1]float64) { s[0] += in[0] }", err: "a table is read only at an int32 stream's element"},
+		{src: "func k(s *[1]float64, in []float64, a *[1]float64) { s[0] += in[a[0]] }", err: "a table is read only at an int32 stream's element"},
+		{src: "func k(s *[1]float64, ix *[1]int32) { s[0] += ix[0] }", err: "an int32 stream is read only as a table's index"},
+		{src: "func k(s *[1]float64, in []float64) { s[0] += in }", err: "in is not a float64 local or parameter"},
+		{src: "func k(s *[1]float64, width float64) { s[0] += width }", err: "width names a local of the chunk wrapper"},
+		{src: "func k(s, k *[1]float64) { s[0] += k[0] }", err: "k names a local of the chunk wrapper"},
+		{src: "func k(s, sum_a *[1]float64) { s[0] += sum_a[0] }", err: "sum_a names a local of the chunk wrapper"},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "k.go", "package p\n"+tc.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := compile(fset, f.Decls[0].(*ast.FuncDecl), newPool(), chunkForm)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: %v", tc.src, err)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%s: error %v, want %q", tc.src, err, tc.err)
+		case err == nil:
+			for _, want := range tc.want {
 				if !strings.Contains(k.text, want) {
 					t.Errorf("%s: no %q in\n%s", tc.src, want, k.text)
 				}

@@ -16,7 +16,7 @@ import "npbgo/internal/nscore"
 // column-major [25]float64 (element (m,n) at m+5*n). Every builder
 // writes only the structural non-zeros of its block, so the zeros of
 // each scratch block, set once at allocation, persist. lanegen compiles
-// each builder, factor5 and the two sweep steps into a kernel that runs
+// each builder and the two sweep steps into a kernel that runs
 // the eight points of a wave (ssor.go) at once, bit for bit the scalar
 // body (lanes.go, lanes_amd64.s).
 
@@ -168,8 +168,13 @@ func couplingZ(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34
 }
 
 // diagonal fills dst with the block-diagonal matrix at state u, from
-// blockConsts' kd, km, te and e. No flux Jacobian enters it, and the
-// block is lower triangular.
+// blockConsts' kd, km, te and e, factored: no flux Jacobian enters it,
+// and the block is lower triangular, so the factor is the block with
+// its pivots' reciprocals on the diagonal, and apply5 and the sweep
+// steps solve with it by forward substitution alone. That is the
+// unpivoted elimination's every bit (factor5 and solve5, lu_test.go)
+// while every pivot is positive and finite and no intermediate value is
+// -0 or not finite (DESIGN.md §36).
 //
 //lanegen:lanes
 func diagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4 float64) {
@@ -177,95 +182,25 @@ func diagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3, te,
 	t1 := 1.0 / u[0]
 	t2 := t1 * t1
 	t3 := t1 * t2
-	dst[0] = e0
+	dst[0] = 1.0 / e0
 	dst[1] = -kd1 * t2 * u1
 	dst[2] = -kd2 * t2 * u2
 	dst[3] = -kd3 * t2 * u3
 	dst[4] = -(km1*u1*u1+km2*u2*u2+km3*u3*u3)*t3 - te*t2*u4
-	dst[6] = kd1*t1 + e1
+	dst[6] = 1.0 / (kd1*t1 + e1)
 	dst[9] = km1 * t2 * u1
-	dst[12] = kd2*t1 + e2
+	dst[12] = 1.0 / (kd2*t1 + e2)
 	dst[14] = km2 * t2 * u2
-	dst[18] = kd3*t1 + e3
+	dst[18] = 1.0 / (kd3*t1 + e3)
 	dst[19] = km3 * t2 * u3
-	dst[24] = te*t1 + e4
+	dst[24] = 1.0 / (te*t1 + e4)
 }
 
-// factor5 is the block half of solve5 (lu_test.go), the unpivoted
-// Gaussian elimination of a 5x5 block in place: pivots p = 0..4, each
-// scaling its row and then eliminating rows q > p, with each pivot's
-// reciprocal left on the diagonal. apply5 then runs solve5's operations
-// on the right-hand side: each reads only block entries whose last
-// value is set before solve5 would read them, so the two halves are
-// bit for bit solve5.
-//
-//lanegen:lanes
-func factor5(a *[25]float64) {
-	piv := 1.0 / a[0]
-	a[0] = piv
-	a[5] *= piv
-	a[10] *= piv
-	a[15] *= piv
-	a[20] *= piv
-	coeff := a[1]
-	a[6] -= coeff * a[5]
-	a[11] -= coeff * a[10]
-	a[16] -= coeff * a[15]
-	a[21] -= coeff * a[20]
-	coeff = a[2]
-	a[7] -= coeff * a[5]
-	a[12] -= coeff * a[10]
-	a[17] -= coeff * a[15]
-	a[22] -= coeff * a[20]
-	coeff = a[3]
-	a[8] -= coeff * a[5]
-	a[13] -= coeff * a[10]
-	a[18] -= coeff * a[15]
-	a[23] -= coeff * a[20]
-	coeff = a[4]
-	a[9] -= coeff * a[5]
-	a[14] -= coeff * a[10]
-	a[19] -= coeff * a[15]
-	a[24] -= coeff * a[20]
-	piv = 1.0 / a[6]
-	a[6] = piv
-	a[11] *= piv
-	a[16] *= piv
-	a[21] *= piv
-	coeff = a[7]
-	a[12] -= coeff * a[11]
-	a[17] -= coeff * a[16]
-	a[22] -= coeff * a[21]
-	coeff = a[8]
-	a[13] -= coeff * a[11]
-	a[18] -= coeff * a[16]
-	a[23] -= coeff * a[21]
-	coeff = a[9]
-	a[14] -= coeff * a[11]
-	a[19] -= coeff * a[16]
-	a[24] -= coeff * a[21]
-	piv = 1.0 / a[12]
-	a[12] = piv
-	a[17] *= piv
-	a[22] *= piv
-	coeff = a[13]
-	a[18] -= coeff * a[17]
-	a[23] -= coeff * a[22]
-	coeff = a[14]
-	a[19] -= coeff * a[17]
-	a[24] -= coeff * a[22]
-	piv = 1.0 / a[18]
-	a[18] = piv
-	a[23] *= piv
-	coeff = a[19]
-	a[24] -= coeff * a[23]
-	a[24] = 1.0 / a[24]
-}
-
-// apply5 solves lane q's system in place with the block factor5 left in
-// a: the right-hand-side operations of solve5, in its order. It is the
-// block solve of the sweeps at simd.Width 1; lowerStep and upperStep
-// end with the same operations.
+// apply5 solves lane q's system in place with the factored diagonal
+// block diagonal left in a: the forward substitution, solve5's
+// right-hand-side operations on the block's non-zeros, in its order. It
+// is the block solve of the sweeps at simd.Width 1; lowerStep and
+// upperStep end with the same operations.
 //
 // Hot path: blts/buts block solve, once per grid point per sweep.
 func apply5(a *blk8, q int, r *[5]float64) {
@@ -276,25 +211,12 @@ func apply5(a *blk8, q int, r *[5]float64) {
 	r[3] -= a[3][q] * r[0]
 	r[4] -= a[4][q] * r[0]
 	r[1] *= a[6][q]
-	r[2] -= a[7][q] * r[1]
-	r[3] -= a[8][q] * r[1]
 	r[4] -= a[9][q] * r[1]
 	r[2] *= a[12][q]
-	r[3] -= a[13][q] * r[2]
 	r[4] -= a[14][q] * r[2]
 	r[3] *= a[18][q]
 	r[4] -= a[19][q] * r[3]
 	r[4] *= a[24][q]
-	r[3] -= a[23][q] * r[4]
-	r[2] -= a[17][q] * r[3]
-	r[2] -= a[22][q] * r[4]
-	r[1] -= a[11][q] * r[2]
-	r[1] -= a[16][q] * r[3]
-	r[1] -= a[21][q] * r[4]
-	r[0] -= a[5][q] * r[1]
-	r[0] -= a[10][q] * r[2]
-	r[0] -= a[15][q] * r[3]
-	r[0] -= a[20][q] * r[4]
 }
 
 // lowerStep is the lower sweep's update of one point, with the blocks
@@ -342,25 +264,12 @@ func lowerStep(r *[5]float64, az, ay, ax, d *[25]float64, rz, ry, rx *[5]float64
 	t3 -= d[3] * t0
 	t4 -= d[4] * t0
 	t1 *= d[6]
-	t2 -= d[7] * t1
-	t3 -= d[8] * t1
 	t4 -= d[9] * t1
 	t2 *= d[12]
-	t3 -= d[13] * t2
 	t4 -= d[14] * t2
 	t3 *= d[18]
 	t4 -= d[19] * t3
 	t4 *= d[24]
-	t3 -= d[23] * t4
-	t2 -= d[17] * t3
-	t2 -= d[22] * t4
-	t1 -= d[11] * t2
-	t1 -= d[16] * t3
-	t1 -= d[21] * t4
-	t0 -= d[5] * t1
-	t0 -= d[10] * t2
-	t0 -= d[15] * t3
-	t0 -= d[20] * t4
 	r[0] = t0
 	r[1] = t1
 	r[2] = t2
@@ -410,25 +319,12 @@ func upperStep(r *[5]float64, az, ay, ax, d *[25]float64, rz, ry, rx *[5]float64
 	t3 -= d[3] * t0
 	t4 -= d[4] * t0
 	t1 *= d[6]
-	t2 -= d[7] * t1
-	t3 -= d[8] * t1
 	t4 -= d[9] * t1
 	t2 *= d[12]
-	t3 -= d[13] * t2
 	t4 -= d[14] * t2
 	t3 *= d[18]
 	t4 -= d[19] * t3
 	t4 *= d[24]
-	t3 -= d[23] * t4
-	t2 -= d[17] * t3
-	t2 -= d[22] * t4
-	t1 -= d[11] * t2
-	t1 -= d[16] * t3
-	t1 -= d[21] * t4
-	t0 -= d[5] * t1
-	t0 -= d[10] * t2
-	t0 -= d[15] * t3
-	t0 -= d[20] * t4
 	r[0] -= t0
 	r[1] -= t1
 	r[2] -= t2

@@ -100,7 +100,7 @@ type (
 type sweepScratch struct {
 	waves []wave  // the band's schedule, in the lower sweep's order
 	a     [3]blk8 // the couplings to the k, j and i neighbours
-	d     blk8    // the diagonal blocks, factored (factor5)
+	d     blk8    // the diagonal blocks, factored (diagonal)
 	u     [4]vec8 // the states the blocks are built from, in a's order, then the point's
 	r     [4]vec8 // rsd at the points, then at their k, j and i neighbours
 	tv    [5]float64

@@ -88,7 +88,8 @@ func TestSolve5AgainstOracle(t *testing.T) {
 // elimination, as blts/buts do; the blocks are diagonally dominant),
 // written out in full: pivots p = 0..4, each scaling its row and then
 // eliminating rows q > p, followed by the back substitution. It is the
-// oracle of factor5 and apply5, which the sweeps run in its place.
+// oracle of diagonal's factored block and apply5, which the sweeps run
+// in its place.
 func solve5(a *[25]float64, r *[5]float64) {
 	piv := 1.0 / a[0]
 	a[5] *= piv
@@ -172,42 +173,135 @@ func solve5(a *[25]float64, r *[5]float64) {
 	r[0] -= a[20] * r[4]
 }
 
-// TestFactorApplyMatchesSolve5 holds factor5 on eight lanes of blocks,
-// then apply5 on each lane, to solve5 on that lane's block and
-// right-hand side, bit for bit: diagonally dominant blocks, as the
-// sweeps' are, with zeros of both signs among the entries of both.
+// factor5 is the block half of solve5, the unpivoted Gaussian
+// elimination of a 5x5 block in place: pivots p = 0..4, each scaling its
+// row and then eliminating rows q > p, with each pivot's reciprocal left
+// on the diagonal. The sweeps ran it on every diagonal block until
+// diagonal wrote the factor itself; it stays as the oracle of that
+// factor.
+func factor5(a *[25]float64) {
+	piv := 1.0 / a[0]
+	a[0] = piv
+	a[5] *= piv
+	a[10] *= piv
+	a[15] *= piv
+	a[20] *= piv
+	coeff := a[1]
+	a[6] -= coeff * a[5]
+	a[11] -= coeff * a[10]
+	a[16] -= coeff * a[15]
+	a[21] -= coeff * a[20]
+	coeff = a[2]
+	a[7] -= coeff * a[5]
+	a[12] -= coeff * a[10]
+	a[17] -= coeff * a[15]
+	a[22] -= coeff * a[20]
+	coeff = a[3]
+	a[8] -= coeff * a[5]
+	a[13] -= coeff * a[10]
+	a[18] -= coeff * a[15]
+	a[23] -= coeff * a[20]
+	coeff = a[4]
+	a[9] -= coeff * a[5]
+	a[14] -= coeff * a[10]
+	a[19] -= coeff * a[15]
+	a[24] -= coeff * a[20]
+	piv = 1.0 / a[6]
+	a[6] = piv
+	a[11] *= piv
+	a[16] *= piv
+	a[21] *= piv
+	coeff = a[7]
+	a[12] -= coeff * a[11]
+	a[17] -= coeff * a[16]
+	a[22] -= coeff * a[21]
+	coeff = a[8]
+	a[13] -= coeff * a[11]
+	a[18] -= coeff * a[16]
+	a[23] -= coeff * a[21]
+	coeff = a[9]
+	a[14] -= coeff * a[11]
+	a[19] -= coeff * a[16]
+	a[24] -= coeff * a[21]
+	piv = 1.0 / a[12]
+	a[12] = piv
+	a[17] *= piv
+	a[22] *= piv
+	coeff = a[13]
+	a[18] -= coeff * a[17]
+	a[23] -= coeff * a[22]
+	coeff = a[14]
+	a[19] -= coeff * a[17]
+	a[24] -= coeff * a[22]
+	piv = 1.0 / a[18]
+	a[18] = piv
+	a[23] *= piv
+	coeff = a[19]
+	a[24] -= coeff * a[23]
+	a[24] = 1.0 / a[24]
+}
+
+// blockDiagonal is diagonal before it factored its block: the
+// lower-triangular block itself, its pivots as they are.
+func blockDiagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4 float64) {
+	u1, u2, u3, u4 := u[1], u[2], u[3], u[4]
+	t1 := 1.0 / u[0]
+	t2 := t1 * t1
+	t3 := t1 * t2
+	dst[0] = e0
+	dst[1] = -kd1 * t2 * u1
+	dst[2] = -kd2 * t2 * u2
+	dst[3] = -kd3 * t2 * u3
+	dst[4] = -(km1*u1*u1+km2*u2*u2+km3*u3*u3)*t3 - te*t2*u4
+	dst[6] = kd1*t1 + e1
+	dst[9] = km1 * t2 * u1
+	dst[12] = kd2*t1 + e2
+	dst[14] = km2 * t2 * u2
+	dst[18] = kd3*t1 + e3
+	dst[19] = km3 * t2 * u3
+	dst[24] = te*t1 + e4
+}
+
+// TestFactorApplyMatchesSolve5 holds diagonal's factored blocks, built
+// on eight lanes of random physical states at every simd.Width the host
+// has, to factor5 on the unfactored block (blockDiagonal) at every
+// structural non-zero, and apply5 with them on each lane to solve5 on
+// that lane's unfactored block and a right-hand side, bit for bit. The
+// states are class S-C's range and the right-hand sides non-zero: the
+// domain in which the forward substitution is the full elimination
+// (every pivot positive and finite, no intermediate -0; DESIGN.md §36).
 func TestFactorApplyMatchesSolve5(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	fill := func() float64 {
-		switch rng.Intn(6) {
-		case 0:
-			return 0
-		case 1:
-			return math.Copysign(0, -1)
-		}
-		return rng.Float64() - 0.5
+	b, err := New('S', 1, kernel.Env{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	k := &b.blk
+	rng := rand.New(rand.NewSource(41))
 	rowcheck.Modes(t, func(width int) {
 		for trial := 0; trial < 200; trial++ {
-			var a blk8
+			var u [5][8]float64
+			var f blk8
 			var r [8][5]float64
-			for e := range a {
-				for q := range a[e] {
-					a[e][q] = fill()
-					if e%6 == 0 {
-						a[e][q] += 3.0
+			for q := 0; q < 8; q++ {
+				st := [5]float64{0.5 + 2*rng.Float64(), 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2 + 4*rng.Float64()}
+				for m := range st {
+					u[m][q] = st[m]
+					r[q][m] = rng.Float64() - 0.5
+				}
+			}
+			diagonal8(8, &f, &u, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
+			for q := range r {
+				var a [25]float64
+				st := [5]float64(rowcheck.Lane(u[:], q))
+				blockDiagonal(&a, &st, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
+				fa, sa, sr := a, a, r[q]
+				factor5(&fa)
+				for _, e := range []int{0, 1, 2, 3, 4, 6, 9, 12, 14, 18, 19, 24} {
+					if g := f[e][q]; math.Float64bits(g) != math.Float64bits(fa[e]) {
+						t.Fatalf("width %d trial %d lane %d: block [%d] = %v (%#x), factor5 %v (%#x)", width, trial, q, e,
+							g, math.Float64bits(g), fa[e], math.Float64bits(fa[e]))
 					}
 				}
-			}
-			for q := range r {
-				for m := range r[q] {
-					r[q][m] = fill()
-				}
-			}
-			f := a
-			factor58(8, &f)
-			for q := range r {
-				sa, sr := [25]float64(rowcheck.Lane(a[:], q)), r[q]
 				solve5(&sa, &sr)
 				got := r[q]
 				apply5(&f, q, &got)
@@ -215,12 +309,6 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 					if math.Float64bits(got[m]) != math.Float64bits(sr[m]) {
 						t.Fatalf("width %d trial %d lane %d: x[%d] = %v (%#x), solve5 %v (%#x)", width, trial, q, m,
 							got[m], math.Float64bits(got[m]), sr[m], math.Float64bits(sr[m]))
-					}
-				}
-				// Off the diagonal, factor5 leaves what solve5 does.
-				for e := range sa {
-					if g := f[e][q]; e%6 != 0 && math.Float64bits(g) != math.Float64bits(sa[e]) {
-						t.Fatalf("width %d trial %d lane %d: block [%d] = %v, solve5 %v", width, trial, q, e, g, sa[e])
 					}
 				}
 			}
@@ -382,10 +470,13 @@ func TestBlocksMatchJacobianOracle(t *testing.T) {
 		}
 		diagonal(&d, &u, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
 		want := oracleDiagonal(&b.c, &u)
-		check("diagonal", &d, &want)
-		// The sweeps factor the diagonal block in place before it is
-		// refilled; that must not disturb its zeros either.
-		factor5(&d)
+		// diagonal leaves the pivots' reciprocals (factor5's) on the
+		// diagonal; the oracle has the block's own pivots.
+		got := d
+		for e := 0; e < 25; e += 6 {
+			got[e] = 1 / got[e]
+		}
+		check("diagonal", &got, &want)
 	}
 }
 
@@ -753,7 +844,7 @@ func TestClassSRun(t *testing.T) {
 // signs, infinities, NaNs and subnormals among them (rowcheck.Lanes).
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rowcheck.Lanes(t, [][2]any{
-		{couplingX8, couplingX}, {couplingY8, couplingY}, {couplingZ8, couplingZ}, {diagonal8, diagonal}, {factor58, factor5},
+		{couplingX8, couplingX}, {couplingY8, couplingY}, {couplingZ8, couplingZ}, {diagonal8, diagonal},
 		{lowerStep8, lowerStep}, {upperStep8, upperStep},
 	})
 }

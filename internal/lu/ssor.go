@@ -138,7 +138,7 @@ func lanesOf(live int) int {
 
 // waveBlocks builds the blocks of wave w's points in plane k: the
 // couplings to the neighbours at k+s, j+s and i+s and the diagonal
-// block, factored. They read only u, which the sweeps do not write.
+// block, factored (diagonal). They read only u, which the sweeps do not write.
 // Every state is gathered before any kernel runs.
 func (b *Benchmark) waveBlocks(ws *sweepScratch, w *wave, k, s int) {
 	n, live := b.n, int(w.live)
@@ -158,7 +158,6 @@ func (b *Benchmark) waveBlocks(ws *sweepScratch, w *wave, k, s int) {
 	couplingX8(live, &ws.a[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
 	diagonal8(live, &ws.d, &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
 		bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
-	factor58(live, &ws.d)
 }
 
 // coupledSum sets tv = az*r[z] + ay*r[y] + ax*r[x], the couplings of

@@ -95,7 +95,7 @@ func Golden(t *testing.T, name string, verify func(threads int) string) {
 // path (Modes).
 func Kernels(t *testing.T, kernels [][2]any) {
 	t.Helper()
-	fill := specials(filler(39), 40)
+	fill := Values(39)
 	Modes(t, func(width int) {
 		for _, k := range kernels {
 			row, scalar := reflect.ValueOf(k[0]), reflect.ValueOf(k[1])
@@ -243,6 +243,12 @@ func Lane(a [][8]float64, q int) []float64 {
 	}
 	return s
 }
+
+// Values returns a source of the values Kernels fills its rows with:
+// random in [-0.5, 0.5), one in four a zero of either sign, and one in
+// sixteen an infinity of either sign, a NaN or a subnormal of either
+// sign.
+func Values(seed int64) func() float64 { return specials(filler(seed), seed+1) }
 
 // filler returns a source of random values in [-0.5, 0.5), one in four
 // of them a zero of either sign.

@@ -1,8 +1,8 @@
 // Package simd holds the one CPU feature switch of the repository: the
-// kernels internal/lanegen generates into bt, sp, lu, nscore, ep, ft
-// and mg read Width to choose between their assembly and their portable
-// scalar body, and MG's resid and psinv read it to run their carried
-// scalar forms, not their row kernels, at 1.
+// kernels internal/lanegen generates into bt, sp, lu, nscore, ep, ft,
+// mg and cg read Width to choose between their assembly and their
+// portable scalar body, and MG's resid and psinv read it to run their
+// carried scalar forms, not their row kernels, at 1.
 package simd
 
 // Width is the vector level of the generated kernels, in doubles a
