@@ -25,7 +25,6 @@ func glue(pkg, from string, kernels []*kernel) map[string][]byte {
 		}
 	}
 	fmt.Fprintf(&common, "import %s\n", imports)
-	lanes := false
 	for _, k := range kernels {
 		switch k.form {
 		case rowsForm:
@@ -34,25 +33,7 @@ func glue(pkg, from string, kernels []*kernel) map[string][]byte {
 			chunkWrapper(&common, k)
 		default:
 			laneWrapper(&common, k)
-			lanes = true
 		}
-	}
-	if lanes {
-		common.WriteString(`
-// gatherLane copies lane q of src into dst.
-func gatherLane(dst []float64, src [][8]float64, q int) {
-	for e := range dst {
-		dst[e] = src[e][q]
-	}
-}
-
-// scatterLane copies src into lane q of dst.
-func scatterLane(dst [][8]float64, src []float64, q int) {
-	for e := range src {
-		dst[e][q] = src[e]
-	}
-}
-`)
 	}
 
 	var amd64 bytes.Buffer
@@ -205,8 +186,8 @@ func chunkWrapper(b *bytes.Buffer, k *kernel) {
 }
 
 // laneWrapper writes <name>8: the narrowest assembly that covers the
-// lanes to run, else each of them gathered, run through the scalar body
-// and the arrays it writes scattered back.
+// lanes to run, else the scalar body on each of them, inlined with every
+// p[e] read as p[e][q].
 func laneWrapper(b *bytes.Buffer, k *kernel) {
 	_, args := params(k)
 	fmt.Fprintf(b, "\n// %s%d runs %s on lanes 0 to live-1, element e of lane q at [e][q];\n", k.name, lanes, k.name)
@@ -240,25 +221,7 @@ func laneWrapper(b *bytes.Buffer, k *kernel) {
 			b.WriteString(call)
 		}
 	}
-	fmt.Fprintf(b, "default:\nfor q := 0; q < %d && q < live; q++ {\n", lanes)
-	var call, gather, scatter []string
-	for i, p := range k.params {
-		if p.array == 0 {
-			call = append(call, p.name)
-			continue
-		}
-		l := fmt.Sprintf("lane%d", i)
-		fmt.Fprintf(b, "var %s [%d]float64\n", l, p.array)
-		call = append(call, "&"+l)
-		gather = append(gather, fmt.Sprintf("gatherLane(%s[:], %s[:], q)\n", l, p.name))
-		if p.written {
-			scatter = append(scatter, fmt.Sprintf("scatterLane(%s[:], %s[:], q)\n", p.name, l))
-		}
-	}
-	b.WriteString(strings.Join(gather, ""))
-	fmt.Fprintf(b, "%s(%s)\n", k.name, strings.Join(call, ", "))
-	b.WriteString(strings.Join(scatter, ""))
-	b.WriteString("}\n}\n}\n")
+	fmt.Fprintf(b, "default:\nfor q := 0; q < %d && q < live; q++ {\n%s}\n}\n}\n", lanes, k.loop)
 }
 
 func laneType(p *param) string { return fmt.Sprintf("*[%d][%d]float64", p.array, lanes) }

@@ -15,9 +15,12 @@
 //     runs at least lanes 0 to live-1: the first at simd.Width 8 when
 //     live > 4, otherwise at width 4 or 8 the second on lanes 0-3 and,
 //     when live > 4, on 4-7, and at width 1 the scalar body on each of
-//     the live lanes, each array gathered into a copy first and the
-//     arrays the body writes scattered back, so an array a lane kernel
-//     writes must not overlap another of its arrays.
+//     the live lanes in place, inlined with every p[e] read as p[e][q]:
+//     no array is copied and no lane from live on is touched. Lane q
+//     touches only column q of each array, and every element read is a
+//     load at its point in the statement list, so arrays that alias
+//     read what earlier statements stored at width 1 as in the
+//     assembly.
 //   - //lanegen:rows — a point kernel over *[1]float64 parameters, one
 //     element of each of several rows. <name>AVX512 runs the body on
 //     eight consecutive points per group, advancing every array pointer
@@ -159,7 +162,7 @@ type kernel struct {
 	form   form
 	params []*param
 	text   string // its TEXT blocks, one per level
-	loop   string // a row or chunk kernel's body inlined into its wrapper: the portable path
+	loop   string // the kernel's body inlined into its wrapper: the portable path
 }
 
 // width is a vector level the emitter writes each kernel at.
@@ -385,9 +388,6 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, f form) (*kernel
 			if err := c.reserved(id); err != nil {
 				return nil, err
 			}
-			if f == lanesForm && (id.Name == "q" || id.Name == "live" || strings.HasPrefix(id.Name, "lane")) {
-				return nil, c.errf(id.Pos(), "%s names a local of the lane wrapper", id.Name)
-			}
 			p := &param{name: id.Name, array: proto.array, int32: proto.int32, table: proto.table, off: off}
 			if p.pointer() {
 				if ngp == maxgp {
@@ -410,6 +410,10 @@ func compile(fset *token.FileSet, fd *ast.FuncDecl, pool *pool, f form) (*kernel
 		}
 	}
 	switch f {
+	case lanesForm:
+		k.loop = c.inline(fd, func(_ *param, ix *ast.IndexExpr) {
+			ix.X, ix.Index = &ast.IndexExpr{X: ix.X, Index: ix.Index}, ast.NewIdent("q")
+		})
 	case rowsForm:
 		k.loop = c.inline(fd, func(_ *param, ix *ast.IndexExpr) { ix.Index = ast.NewIdent("i") })
 	case chunkForm:
@@ -685,12 +689,15 @@ func (c *compiler) ifGreater(s *ast.IfStmt) error {
 }
 
 // reserved refuses a name the generated code needs for itself: g, the
-// goroutine register in Go assembly, and in a row or chunk kernel the
-// locals of its wrapper, into which the body is inlined, and the count
-// its assembly loops to.
+// goroutine register in Go assembly, the locals of a kernel's wrapper,
+// into which the body is inlined, and the count a row kernel's
+// assembly loops to.
 func (c *compiler) reserved(id *ast.Ident) error {
 	if id.Name == "g" {
 		return c.errf(id.Pos(), "g names the goroutine register in Go assembly")
+	}
+	if c.form == lanesForm && (id.Name == "q" || id.Name == "live") {
+		return c.errf(id.Pos(), "%s names a local of the lane wrapper", id.Name)
 	}
 	if c.form == rowsForm && (id.Name == "count" || id.Name == "done" || id.Name == "i") {
 		return c.errf(id.Pos(), "%s names a local of the row wrapper", id.Name)
@@ -708,17 +715,21 @@ func (c *compiler) reserved(id *ast.Ident) error {
 // lane in its wrapper's scalar loop.
 func sumLocal(p *param) string { return "sum_" + p.name }
 
-// inline returns a row or chunk kernel's statements with every array
-// element p[...] rewritten by at, to an element of the wrapper's loop
-// over the points or slots the assembly does not run; a table's index
-// is left as it is, its stream element rewritten. It is the scalar body
+// inline returns a kernel's statements with every array element
+// p[...] rewritten by at, to an element of the wrapper's loop over the
+// lanes, points or slots the assembly does not run; a table's index is
+// left as it is, its stream element rewritten. It is the scalar body
 // itself, inlined, so it rounds as the body does. The kernel's AST is
-// rewritten in place, after its translation.
+// rewritten in place, after its translation. An element's index is an
+// int literal or a loop variable, so the visit does not descend into
+// the element it rewrote (a lane kernel's p[e] becomes p[e][q], which
+// holds p[e] again).
 func (c *compiler) inline(fd *ast.FuncDecl, at func(*param, *ast.IndexExpr)) string {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if ix, ok := n.(*ast.IndexExpr); ok {
 			if id, ok := ix.X.(*ast.Ident); ok && c.params[id.Name] != nil && c.params[id.Name].array > 0 {
 				at(c.params[id.Name], ix)
+				return false
 			}
 		}
 		return true

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -120,7 +121,7 @@ func TestSubset(t *testing.T) {
 		{ifBody("if c := r[1]; c > a", "a = c"), false, "the only if is if v > r { r = v }"},
 		{ifBody("if a > s", "s = a"), false, "s is not a float64 local"},
 		{"func k(q *[2]float64) { q[0] = 1.0 }", false, "q names a local of the lane wrapper"},
-		{"func k(lane0 *[2]float64) { lane0[0] = 1.0 }", false, "lane0 names a local of the lane wrapper"},
+		{"func k(r *[2]float64) { q := r[0]; r[1] = q }", false, "q names a local of the lane wrapper"},
 		{"func k(live *[2]float64) { live[0] = 1.0 }", false, "live names a local of the lane wrapper"},
 	} {
 		fset := token.NewFileSet()
@@ -208,5 +209,117 @@ func TestChunkForm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// inPlaceKernel is a lane kernel that reads elements it has written,
+// of an array it also reads, and a main that holds its generated
+// wrapper, at width 1, to the scalar body on lanes 0 to live-1 and to
+// no change at all on the lanes from live on, for every live count.
+const inPlaceKernel = `package main
+
+import (
+	"fmt"
+	"math"
+	"os"
+)
+
+// k writes r[0] and r[1], reading each back after.
+//
+//lanegen:lanes
+func k(r *[2]float64, a *[3]float64, s float64) {
+	r[0] = r[1] * s
+	r[1] = r[0] + a[2]
+	a[0] = r[1] - a[0]
+}
+
+func main() {
+	for live := 1; live <= 8; live++ {
+		var r [2][8]float64
+		var a [3][8]float64
+		for q := 0; q < 8; q++ {
+			for e := range r {
+				r[e][q] = 1 / float64(3+e*8+q)
+			}
+			for e := range a {
+				a[e][q] = 1 / float64(40+e*8+q)
+			}
+		}
+		r0, a0 := r, a
+		k8(live, &r, &a, 0.7)
+		for q := 0; q < 8; q++ {
+			wr, wa := [2]float64{r0[0][q], r0[1][q]}, [3]float64{a0[0][q], a0[1][q], a0[2][q]}
+			if q < live {
+				k(&wr, &wa, 0.7)
+			}
+			got := []float64{r[0][q], r[1][q], a[0][q], a[1][q], a[2][q]}
+			for i, w := range []float64{wr[0], wr[1], wa[0], wa[1], wa[2]} {
+				if math.Float64bits(got[i]) != math.Float64bits(w) {
+					fmt.Printf("live %d lane %d: value %d = %v, want %v\n", live, q, i, got[i], w)
+					os.Exit(1)
+				}
+			}
+		}
+	}
+	fmt.Println("ok")
+}
+`
+
+// TestLanesFormInPlace generates the glue of inPlaceKernel and requires
+// its width-1 branch to be the scalar body inlined in place, every p[e]
+// read as p[e][q] in a loop over the live lanes, with no lane copied;
+// then it builds the glue against a stand-in for internal/simd with
+// Width 1 (the stubs of lanes_other.go in place of the assembly) and
+// runs inPlaceKernel's main, which fails unless the wrapper computes the
+// scalar body's bits on every live lane and leaves every other lane as
+// it was.
+func TestLanesFormInPlace(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command on PATH")
+	}
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("kernel.go", inPlaceKernel)
+	files, err := generate(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := string(files["lanes.go"])
+	want := `	default:
+		for q := 0; q < 8 && q < live; q++ {
+			r[0][q] = r[1][q] * s
+			r[1][q] = r[0][q] + a[2][q]
+			a[0][q] = r[1][q] - a[0][q]
+		}
+	}
+}
+`
+	if !strings.HasSuffix(lanes, want) {
+		t.Errorf("lanes.go does not end in the inlined body:\n%s\nwant its end to be:\n%s", lanes, want)
+	}
+	for _, copied := range []string{"gatherLane", "scatterLane", "var lane"} {
+		if strings.Contains(lanes, copied) {
+			t.Errorf("lanes.go copies lanes (%s):\n%s", copied, lanes)
+		}
+	}
+	write("go.mod", "module inplace\n\ngo 1.22\n")
+	write("simd/simd.go", "package simd\n\nvar Width = 1\n")
+	write("lanes.go", strings.Replace(lanes, `"npbgo/internal/simd"`, `"inplace/simd"`, 1))
+	write("lanes_other.go", strings.Replace(string(files["lanes_other.go"]), "//go:build !amd64\n", "", 1))
+	cmd := exec.Command(goTool, "run", ".")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOWORK=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil || string(out) != "ok\n" {
+		t.Fatalf("go run: %v\n%s", err, out)
 	}
 }

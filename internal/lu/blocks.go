@@ -170,8 +170,8 @@ func couplingZ(dst *[25]float64, u *[5]float64, f, n, c1, c2, r43, c34, m43, m34
 // diagonal fills dst with the block-diagonal matrix at state u, from
 // blockConsts' kd, km, te and e, factored: no flux Jacobian enters it,
 // and the block is lower triangular, so the factor is the block with
-// its pivots' reciprocals on the diagonal, and apply5 and the sweep
-// steps solve with it by forward substitution alone. That is the
+// its pivots' reciprocals on the diagonal, and the sweep steps solve
+// with it by forward substitution alone. That is the
 // unpivoted elimination's every bit (factor5 and solve5, lu_test.go)
 // while every pivot is positive and finite and no intermediate value is
 // -0 or not finite (DESIGN.md §36).
@@ -196,35 +196,12 @@ func diagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3, te,
 	dst[24] = 1.0 / (te*t1 + e4)
 }
 
-// apply5 solves lane q's system in place with the factored diagonal
-// block diagonal left in a: the forward substitution, solve5's
-// right-hand-side operations on the block's non-zeros, in its order. It
-// is the block solve of the sweeps at simd.Width 1; lowerStep and
-// upperStep end with the same operations.
-//
-// Hot path: blts/buts block solve, once per grid point per sweep.
-func apply5(a *blk8, q int, r *[5]float64) {
-	q &= 7
-	r[0] *= a[0][q]
-	r[1] -= a[1][q] * r[0]
-	r[2] -= a[2][q] * r[0]
-	r[3] -= a[3][q] * r[0]
-	r[4] -= a[4][q] * r[0]
-	r[1] *= a[6][q]
-	r[4] -= a[9][q] * r[1]
-	r[2] *= a[12][q]
-	r[4] -= a[14][q] * r[2]
-	r[3] *= a[18][q]
-	r[4] -= a[19][q] * r[3]
-	r[4] *= a[24][q]
-}
-
 // lowerStep is the lower sweep's update of one point, with the blocks
 // waveBlocks built: the couplings az, ay and ax applied to rsd at the
 // point's k-1, j-1 and i-1 neighbours (rz, ry, rx), its rsd r less
 // omega times that sum, and the system of the factored diagonal block
-// d solved in place — coupledSum, the omega update and apply5, term for
-// term in their order.
+// d solved in place — the oracle sweep's coupledSum, omega update and
+// apply5 (lu_test.go), term for term in their order.
 //
 //lanegen:lanes
 func lowerStep(r *[5]float64, az, ay, ax, d *[25]float64, rz, ry, rx *[5]float64, omega float64) {

@@ -17,12 +17,30 @@ func couplingX8(live int, dst *[25][8]float64, u *[5][8]float64, f, n, c1, c2, r
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [25]float64
-			var lane1 [5]float64
-			gatherLane(lane0[:], dst[:], q)
-			gatherLane(lane1[:], u[:], q)
-			couplingX(&lane0, &lane1, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
-			scatterLane(dst[:], lane0[:], q)
+			u0, u1, u2, u3, u4 := u[0][q], u[1][q], u[2][q], u[3][q], u[4][q]
+			t1 := 1.0 / u0
+			t2 := t1 * t1
+			t3 := t1 * t2
+			sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
+			qs := sq * t1
+			dst[0][q] = -d0
+			dst[1][q] = f*(-(u1*u1)*t2+c2*qs) + n*(r43*t2*u1)
+			dst[2][q] = f*(-(u2*u1)*t2) + n*(c34*t2*u2)
+			dst[3][q] = f*(-(u3*u1)*t2) + n*(c34*t2*u3)
+			dst[4][q] = f*((c2*2.0*sq-c1*u4)*u1*t2) + n*(m43*t3*u1*u1+m34*t3*u2*u2+m34*t3*u3*u3+c1345*t2*u4)
+			dst[5][q] = f
+			dst[6][q] = f*((2.0-c2)*u1*t1) - n*(r43*t1) - d1
+			dst[7][q] = f * (u2 * t1)
+			dst[8][q] = f * (u3 * t1)
+			dst[9][q] = f*(c1*u4*t1-c2*(qs+u1*u1*t2)) - n*(m43*t2*u1)
+			dst[11][q] = f * (-c2 * u2 * t1)
+			dst[12][q] = f*(u1*t1) - n*(c34*t1) - d2
+			dst[14][q] = f*(-c2*(u2*u1)*t2) - n*(m34*t2*u2)
+			dst[16][q] = f * (-c2 * u3 * t1)
+			dst[18][q] = f*(u1*t1) - n*(c34*t1) - d3
+			dst[19][q] = f*(-c2*(u3*u1)*t2) - n*(m34*t2*u3)
+			dst[21][q] = f * c2
+			dst[24][q] = f*(c1*u1*t1) - n*(c1345*t1) - d4
 		}
 	}
 }
@@ -40,12 +58,30 @@ func couplingY8(live int, dst *[25][8]float64, u *[5][8]float64, f, n, c1, c2, r
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [25]float64
-			var lane1 [5]float64
-			gatherLane(lane0[:], dst[:], q)
-			gatherLane(lane1[:], u[:], q)
-			couplingY(&lane0, &lane1, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
-			scatterLane(dst[:], lane0[:], q)
+			u0, u1, u2, u3, u4 := u[0][q], u[1][q], u[2][q], u[3][q], u[4][q]
+			t1 := 1.0 / u0
+			t2 := t1 * t1
+			t3 := t1 * t2
+			sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
+			qs := sq * t1
+			dst[0][q] = -d0
+			dst[1][q] = f*(-(u1*u2)*t2) + n*(c34*t2*u1)
+			dst[2][q] = f*(-(u2*u2)*t2+c2*qs) + n*(r43*t2*u2)
+			dst[3][q] = f*(-(u3*u2)*t2) + n*(c34*t2*u3)
+			dst[4][q] = f*((c2*2.0*sq-c1*u4)*u2*t2) + n*(m34*t3*u1*u1+m43*t3*u2*u2+m34*t3*u3*u3+c1345*t2*u4)
+			dst[6][q] = f*(u2*t1) - n*(c34*t1) - d1
+			dst[7][q] = f * (-c2 * u1 * t1)
+			dst[9][q] = f*(-c2*(u1*u2)*t2) - n*(m34*t2*u1)
+			dst[10][q] = f
+			dst[11][q] = f * (u1 * t1)
+			dst[12][q] = f*((2.0-c2)*u2*t1) - n*(r43*t1) - d2
+			dst[13][q] = f * (u3 * t1)
+			dst[14][q] = f*(c1*u4*t1-c2*(qs+u2*u2*t2)) - n*(m43*t2*u2)
+			dst[17][q] = f * (-c2 * u3 * t1)
+			dst[18][q] = f*(u2*t1) - n*(c34*t1) - d3
+			dst[19][q] = f*(-c2*(u3*u2)*t2) - n*(m34*t2*u3)
+			dst[22][q] = f * c2
+			dst[24][q] = f*(c1*u2*t1) - n*(c1345*t1) - d4
 		}
 	}
 }
@@ -63,12 +99,30 @@ func couplingZ8(live int, dst *[25][8]float64, u *[5][8]float64, f, n, c1, c2, r
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [25]float64
-			var lane1 [5]float64
-			gatherLane(lane0[:], dst[:], q)
-			gatherLane(lane1[:], u[:], q)
-			couplingZ(&lane0, &lane1, f, n, c1, c2, r43, c34, m43, m34, c1345, d0, d1, d2, d3, d4)
-			scatterLane(dst[:], lane0[:], q)
+			u0, u1, u2, u3, u4 := u[0][q], u[1][q], u[2][q], u[3][q], u[4][q]
+			t1 := 1.0 / u0
+			t2 := t1 * t1
+			t3 := t1 * t2
+			sq := 0.5 * (u1*u1 + u2*u2 + u3*u3) * t1
+			qs := sq * t1
+			dst[0][q] = -d0
+			dst[1][q] = f*(-(u1*u3)*t2) + n*(c34*t2*u1)
+			dst[2][q] = f*(-(u2*u3)*t2) + n*(c34*t2*u2)
+			dst[3][q] = f*(-(u3*u3)*t2+c2*qs) + n*(r43*t2*u3)
+			dst[4][q] = f*((c2*2.0*sq-c1*u4)*u3*t2) + n*(m34*t3*u1*u1+m34*t3*u2*u2+m43*t3*u3*u3+c1345*t2*u4)
+			dst[6][q] = f*(u3*t1) - n*(c34*t1) - d1
+			dst[8][q] = f * (-c2 * u1 * t1)
+			dst[9][q] = f*(-c2*(u1*u3)*t2) - n*(m34*t2*u1)
+			dst[12][q] = f*(u3*t1) - n*(c34*t1) - d2
+			dst[13][q] = f * (-c2 * u2 * t1)
+			dst[14][q] = f*(-c2*(u2*u3)*t2) - n*(m34*t2*u2)
+			dst[15][q] = f
+			dst[16][q] = f * (u1 * t1)
+			dst[17][q] = f * (u2 * t1)
+			dst[18][q] = f*((2.0-c2)*u3*t1) - n*(r43*t1) - d3
+			dst[19][q] = f*(c1*u4*t1-c2*(qs+u3*u3*t2)) - n*(m43*t2*u3)
+			dst[23][q] = f * c2
+			dst[24][q] = f*(c1*u3*t1) - n*(c1345*t1) - d4
 		}
 	}
 }
@@ -86,12 +140,22 @@ func diagonal8(live int, dst *[25][8]float64, u *[5][8]float64, kd1, kd2, kd3, k
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [25]float64
-			var lane1 [5]float64
-			gatherLane(lane0[:], dst[:], q)
-			gatherLane(lane1[:], u[:], q)
-			diagonal(&lane0, &lane1, kd1, kd2, kd3, km1, km2, km3, te, e0, e1, e2, e3, e4)
-			scatterLane(dst[:], lane0[:], q)
+			u1, u2, u3, u4 := u[1][q], u[2][q], u[3][q], u[4][q]
+			t1 := 1.0 / u[0][q]
+			t2 := t1 * t1
+			t3 := t1 * t2
+			dst[0][q] = 1.0 / e0
+			dst[1][q] = -kd1 * t2 * u1
+			dst[2][q] = -kd2 * t2 * u2
+			dst[3][q] = -kd3 * t2 * u3
+			dst[4][q] = -(km1*u1*u1+km2*u2*u2+km3*u3*u3)*t3 - te*t2*u4
+			dst[6][q] = 1.0 / (kd1*t1 + e1)
+			dst[9][q] = km1 * t2 * u1
+			dst[12][q] = 1.0 / (kd2*t1 + e2)
+			dst[14][q] = km2 * t2 * u2
+			dst[18][q] = 1.0 / (kd3*t1 + e3)
+			dst[19][q] = km3 * t2 * u3
+			dst[24][q] = 1.0 / (te*t1 + e4)
 		}
 	}
 }
@@ -109,24 +173,53 @@ func lowerStep8(live int, r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, r
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [25]float64
-			var lane2 [25]float64
-			var lane3 [25]float64
-			var lane4 [25]float64
-			var lane5 [5]float64
-			var lane6 [5]float64
-			var lane7 [5]float64
-			gatherLane(lane0[:], r[:], q)
-			gatherLane(lane1[:], az[:], q)
-			gatherLane(lane2[:], ay[:], q)
-			gatherLane(lane3[:], ax[:], q)
-			gatherLane(lane4[:], d[:], q)
-			gatherLane(lane5[:], rz[:], q)
-			gatherLane(lane6[:], ry[:], q)
-			gatherLane(lane7[:], rx[:], q)
-			lowerStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7, omega)
-			scatterLane(r[:], lane0[:], q)
+			t0 := az[0][q]*rz[0][q] + ay[0][q]*ry[0][q] + ax[0][q]*rx[0][q]
+			t0 += az[5][q]*rz[1][q] + ay[5][q]*ry[1][q] + ax[5][q]*rx[1][q]
+			t0 += az[10][q]*rz[2][q] + ay[10][q]*ry[2][q] + ax[10][q]*rx[2][q]
+			t0 += az[15][q]*rz[3][q] + ay[15][q]*ry[3][q] + ax[15][q]*rx[3][q]
+			t0 += az[20][q]*rz[4][q] + ay[20][q]*ry[4][q] + ax[20][q]*rx[4][q]
+			t1 := az[1][q]*rz[0][q] + ay[1][q]*ry[0][q] + ax[1][q]*rx[0][q]
+			t1 += az[6][q]*rz[1][q] + ay[6][q]*ry[1][q] + ax[6][q]*rx[1][q]
+			t1 += az[11][q]*rz[2][q] + ay[11][q]*ry[2][q] + ax[11][q]*rx[2][q]
+			t1 += az[16][q]*rz[3][q] + ay[16][q]*ry[3][q] + ax[16][q]*rx[3][q]
+			t1 += az[21][q]*rz[4][q] + ay[21][q]*ry[4][q] + ax[21][q]*rx[4][q]
+			t2 := az[2][q]*rz[0][q] + ay[2][q]*ry[0][q] + ax[2][q]*rx[0][q]
+			t2 += az[7][q]*rz[1][q] + ay[7][q]*ry[1][q] + ax[7][q]*rx[1][q]
+			t2 += az[12][q]*rz[2][q] + ay[12][q]*ry[2][q] + ax[12][q]*rx[2][q]
+			t2 += az[17][q]*rz[3][q] + ay[17][q]*ry[3][q] + ax[17][q]*rx[3][q]
+			t2 += az[22][q]*rz[4][q] + ay[22][q]*ry[4][q] + ax[22][q]*rx[4][q]
+			t3 := az[3][q]*rz[0][q] + ay[3][q]*ry[0][q] + ax[3][q]*rx[0][q]
+			t3 += az[8][q]*rz[1][q] + ay[8][q]*ry[1][q] + ax[8][q]*rx[1][q]
+			t3 += az[13][q]*rz[2][q] + ay[13][q]*ry[2][q] + ax[13][q]*rx[2][q]
+			t3 += az[18][q]*rz[3][q] + ay[18][q]*ry[3][q] + ax[18][q]*rx[3][q]
+			t3 += az[23][q]*rz[4][q] + ay[23][q]*ry[4][q] + ax[23][q]*rx[4][q]
+			t4 := az[4][q]*rz[0][q] + ay[4][q]*ry[0][q] + ax[4][q]*rx[0][q]
+			t4 += az[9][q]*rz[1][q] + ay[9][q]*ry[1][q] + ax[9][q]*rx[1][q]
+			t4 += az[14][q]*rz[2][q] + ay[14][q]*ry[2][q] + ax[14][q]*rx[2][q]
+			t4 += az[19][q]*rz[3][q] + ay[19][q]*ry[3][q] + ax[19][q]*rx[3][q]
+			t4 += az[24][q]*rz[4][q] + ay[24][q]*ry[4][q] + ax[24][q]*rx[4][q]
+			t0 = r[0][q] - omega*t0
+			t1 = r[1][q] - omega*t1
+			t2 = r[2][q] - omega*t2
+			t3 = r[3][q] - omega*t3
+			t4 = r[4][q] - omega*t4
+			t0 *= d[0][q]
+			t1 -= d[1][q] * t0
+			t2 -= d[2][q] * t0
+			t3 -= d[3][q] * t0
+			t4 -= d[4][q] * t0
+			t1 *= d[6][q]
+			t4 -= d[9][q] * t1
+			t2 *= d[12][q]
+			t4 -= d[14][q] * t2
+			t3 *= d[18][q]
+			t4 -= d[19][q] * t3
+			t4 *= d[24][q]
+			r[0][q] = t0
+			r[1][q] = t1
+			r[2][q] = t2
+			r[3][q] = t3
+			r[4][q] = t4
 		}
 	}
 }
@@ -144,24 +237,53 @@ func upperStep8(live int, r *[5][8]float64, az, ay, ax, d *[25][8]float64, rz, r
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [25]float64
-			var lane2 [25]float64
-			var lane3 [25]float64
-			var lane4 [25]float64
-			var lane5 [5]float64
-			var lane6 [5]float64
-			var lane7 [5]float64
-			gatherLane(lane0[:], r[:], q)
-			gatherLane(lane1[:], az[:], q)
-			gatherLane(lane2[:], ay[:], q)
-			gatherLane(lane3[:], ax[:], q)
-			gatherLane(lane4[:], d[:], q)
-			gatherLane(lane5[:], rz[:], q)
-			gatherLane(lane6[:], ry[:], q)
-			gatherLane(lane7[:], rx[:], q)
-			upperStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7, omega)
-			scatterLane(r[:], lane0[:], q)
+			t0 := az[0][q]*rz[0][q] + ay[0][q]*ry[0][q] + ax[0][q]*rx[0][q]
+			t0 += az[5][q]*rz[1][q] + ay[5][q]*ry[1][q] + ax[5][q]*rx[1][q]
+			t0 += az[10][q]*rz[2][q] + ay[10][q]*ry[2][q] + ax[10][q]*rx[2][q]
+			t0 += az[15][q]*rz[3][q] + ay[15][q]*ry[3][q] + ax[15][q]*rx[3][q]
+			t0 += az[20][q]*rz[4][q] + ay[20][q]*ry[4][q] + ax[20][q]*rx[4][q]
+			t1 := az[1][q]*rz[0][q] + ay[1][q]*ry[0][q] + ax[1][q]*rx[0][q]
+			t1 += az[6][q]*rz[1][q] + ay[6][q]*ry[1][q] + ax[6][q]*rx[1][q]
+			t1 += az[11][q]*rz[2][q] + ay[11][q]*ry[2][q] + ax[11][q]*rx[2][q]
+			t1 += az[16][q]*rz[3][q] + ay[16][q]*ry[3][q] + ax[16][q]*rx[3][q]
+			t1 += az[21][q]*rz[4][q] + ay[21][q]*ry[4][q] + ax[21][q]*rx[4][q]
+			t2 := az[2][q]*rz[0][q] + ay[2][q]*ry[0][q] + ax[2][q]*rx[0][q]
+			t2 += az[7][q]*rz[1][q] + ay[7][q]*ry[1][q] + ax[7][q]*rx[1][q]
+			t2 += az[12][q]*rz[2][q] + ay[12][q]*ry[2][q] + ax[12][q]*rx[2][q]
+			t2 += az[17][q]*rz[3][q] + ay[17][q]*ry[3][q] + ax[17][q]*rx[3][q]
+			t2 += az[22][q]*rz[4][q] + ay[22][q]*ry[4][q] + ax[22][q]*rx[4][q]
+			t3 := az[3][q]*rz[0][q] + ay[3][q]*ry[0][q] + ax[3][q]*rx[0][q]
+			t3 += az[8][q]*rz[1][q] + ay[8][q]*ry[1][q] + ax[8][q]*rx[1][q]
+			t3 += az[13][q]*rz[2][q] + ay[13][q]*ry[2][q] + ax[13][q]*rx[2][q]
+			t3 += az[18][q]*rz[3][q] + ay[18][q]*ry[3][q] + ax[18][q]*rx[3][q]
+			t3 += az[23][q]*rz[4][q] + ay[23][q]*ry[4][q] + ax[23][q]*rx[4][q]
+			t4 := az[4][q]*rz[0][q] + ay[4][q]*ry[0][q] + ax[4][q]*rx[0][q]
+			t4 += az[9][q]*rz[1][q] + ay[9][q]*ry[1][q] + ax[9][q]*rx[1][q]
+			t4 += az[14][q]*rz[2][q] + ay[14][q]*ry[2][q] + ax[14][q]*rx[2][q]
+			t4 += az[19][q]*rz[3][q] + ay[19][q]*ry[3][q] + ax[19][q]*rx[3][q]
+			t4 += az[24][q]*rz[4][q] + ay[24][q]*ry[4][q] + ax[24][q]*rx[4][q]
+			t0 *= omega
+			t1 *= omega
+			t2 *= omega
+			t3 *= omega
+			t4 *= omega
+			t0 *= d[0][q]
+			t1 -= d[1][q] * t0
+			t2 -= d[2][q] * t0
+			t3 -= d[3][q] * t0
+			t4 -= d[4][q] * t0
+			t1 *= d[6][q]
+			t4 -= d[9][q] * t1
+			t2 *= d[12][q]
+			t4 -= d[14][q] * t2
+			t3 *= d[18][q]
+			t4 -= d[19][q] * t3
+			t4 *= d[24][q]
+			r[0][q] -= t0
+			r[1][q] -= t1
+			r[2][q] -= t2
+			r[3][q] -= t3
+			r[4][q] -= t4
 		}
 	}
 }
@@ -320,19 +442,5 @@ func opEnergyRow(o, dis, fp, fm, hp, h, wm, w, wp []float64, t2, t3c34, d float6
 		o[i] -= t2 * (fp[i] - fm[i])
 		o[i] += t3c34*(hp[i]-h[i]) + d*(wm[i]-2.0*w[i]+wp[i])
 		o[i] -= dis[i]
-	}
-}
-
-// gatherLane copies lane q of src into dst.
-func gatherLane(dst []float64, src [][8]float64, q int) {
-	for e := range dst {
-		dst[e] = src[e][q]
-	}
-}
-
-// scatterLane copies src into lane q of dst.
-func scatterLane(dst [][8]float64, src []float64, q int) {
-	for e := range src {
-		dst[e][q] = src[e]
 	}
 }

@@ -103,7 +103,6 @@ type sweepScratch struct {
 	d     blk8    // the diagonal blocks, factored (diagonal)
 	u     [4]vec8 // the states the blocks are built from, in a's order, then the point's
 	r     [4]vec8 // rsd at the points, then at their k, j and i neighbours
-	tv    [5]float64
 }
 
 // New configures LU for the given class and thread count. env.Schedule

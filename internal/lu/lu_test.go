@@ -88,8 +88,8 @@ func TestSolve5AgainstOracle(t *testing.T) {
 // elimination, as blts/buts do; the blocks are diagonally dominant),
 // written out in full: pivots p = 0..4, each scaling its row and then
 // eliminating rows q > p, followed by the back substitution. It is the
-// oracle of diagonal's factored block and apply5, which the sweeps run
-// in its place.
+// oracle of diagonal's factored block and of the step kernels' forward
+// substitution, which the sweeps run in its place.
 func solve5(a *[25]float64, r *[5]float64) {
 	piv := 1.0 / a[0]
 	a[5] *= piv
@@ -265,11 +265,14 @@ func blockDiagonal(dst *[25]float64, u *[5]float64, kd1, kd2, kd3, km1, km2, km3
 // TestFactorApplyMatchesSolve5 holds diagonal's factored blocks, built
 // on eight lanes of random physical states at every simd.Width the host
 // has, to factor5 on the unfactored block (blockDiagonal) at every
-// structural non-zero, and apply5 with them on each lane to solve5 on
-// that lane's unfactored block and a right-hand side, bit for bit. The
-// states are class S-C's range and the right-hand sides non-zero: the
-// domain in which the forward substitution is the full elimination
-// (every pivot positive and finite, no intermediate -0; DESIGN.md §36).
+// structural non-zero, and the step kernels' forward substitution with
+// them on each lane to solve5 on that lane's unfactored block and a
+// right-hand side, bit for bit. The solve is lowerStep8's with zero
+// couplings and neighbours, whose sum is +0, so r - omega*(+0) is r and
+// the rest of the step is the substitution alone. The states are class
+// S-C's range and the right-hand sides non-zero: the domain in which
+// the forward substitution is the full elimination (every pivot
+// positive and finite, no intermediate -0; DESIGN.md §36).
 func TestFactorApplyMatchesSolve5(t *testing.T) {
 	b, err := New('S', 1, kernel.Env{})
 	if err != nil {
@@ -277,24 +280,27 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 	}
 	k := &b.blk
 	rng := rand.New(rand.NewSource(41))
+	var zero blk8
+	var none vec8
 	rowcheck.Modes(t, func(width int) {
 		for trial := 0; trial < 200; trial++ {
-			var u [5][8]float64
+			var u, r vec8
 			var f blk8
-			var r [8][5]float64
 			for q := 0; q < 8; q++ {
 				st := [5]float64{0.5 + 2*rng.Float64(), 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1, 2 + 4*rng.Float64()}
 				for m := range st {
 					u[m][q] = st[m]
-					r[q][m] = rng.Float64() - 0.5
+					r[m][q] = rng.Float64() - 0.5
 				}
 			}
+			rhs := r
 			diagonal8(8, &f, &u, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
-			for q := range r {
+			lowerStep8(8, &r, &zero, &zero, &zero, &f, &none, &none, &none, omega)
+			for q := 0; q < 8; q++ {
 				var a [25]float64
 				st := [5]float64(rowcheck.Lane(u[:], q))
 				blockDiagonal(&a, &st, k.kd[1], k.kd[2], k.kd[3], k.km[1], k.km[2], k.km[3], k.te, k.e[0], k.e[1], k.e[2], k.e[3], k.e[4])
-				fa, sa, sr := a, a, r[q]
+				fa, sa, sr := a, a, [5]float64(rowcheck.Lane(rhs[:], q))
 				factor5(&fa)
 				for _, e := range []int{0, 1, 2, 3, 4, 6, 9, 12, 14, 18, 19, 24} {
 					if g := f[e][q]; math.Float64bits(g) != math.Float64bits(fa[e]) {
@@ -303,12 +309,10 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 					}
 				}
 				solve5(&sa, &sr)
-				got := r[q]
-				apply5(&f, q, &got)
 				for m := range sr {
-					if math.Float64bits(got[m]) != math.Float64bits(sr[m]) {
+					if g := r[m][q]; math.Float64bits(g) != math.Float64bits(sr[m]) {
 						t.Fatalf("width %d trial %d lane %d: x[%d] = %v (%#x), solve5 %v (%#x)", width, trial, q, m,
-							got[m], math.Float64bits(got[m]), sr[m], math.Float64bits(sr[m]))
+							g, math.Float64bits(g), sr[m], math.Float64bits(sr[m]))
 					}
 				}
 			}
@@ -316,12 +320,104 @@ func TestFactorApplyMatchesSolve5(t *testing.T) {
 	})
 }
 
+// coupledSum sets tv = az*rz + ay*ry + ax*rx, the couplings of a point
+// to its neighbours' rsd, one component at a time: the first half of
+// lowerStep and upperStep, as the sweeps computed it point by point
+// before they ran in lanes.
+func coupledSum(az, ay, ax *[25]float64, rz, ry, rx, tv *[5]float64) {
+	for m := 0; m < 5; m++ {
+		s := az[m]*rz[0] + ay[m]*ry[0] + ax[m]*rx[0]
+		s += az[m+5]*rz[1] + ay[m+5]*ry[1] + ax[m+5]*rx[1]
+		s += az[m+10]*rz[2] + ay[m+10]*ry[2] + ax[m+10]*rx[2]
+		s += az[m+15]*rz[3] + ay[m+15]*ry[3] + ax[m+15]*rx[3]
+		s += az[m+20]*rz[4] + ay[m+20]*ry[4] + ax[m+20]*rx[4]
+		tv[m] = s
+	}
+}
+
+// apply5 solves r in place with the factored diagonal block a (diagonal):
+// the forward substitution, solve5's right-hand-side operations on the
+// block's non-zeros, in its order; lowerStep and upperStep end with the
+// same operations.
+func apply5(a *[25]float64, r *[5]float64) {
+	r[0] *= a[0]
+	r[1] -= a[1] * r[0]
+	r[2] -= a[2] * r[0]
+	r[3] -= a[3] * r[0]
+	r[4] -= a[4] * r[0]
+	r[1] *= a[6]
+	r[4] -= a[9] * r[1]
+	r[2] *= a[12]
+	r[4] -= a[14] * r[2]
+	r[3] *= a[18]
+	r[4] -= a[19] * r[3]
+	r[4] *= a[24]
+}
+
+// oracleSweeps runs both SSOR sweeps of b on its rsd as lu.f orders
+// them: one point at a time, serially, the lower sweep forward through
+// k, j and i and the upper one backward, each point's blocks built by
+// the scalar kernels, then coupledSum, the omega update and apply5 on
+// rsd in place. It shares neither the waves nor their gathers, scatters
+// and padding lanes with sweepsBody.
+func oracleSweeps(b *Benchmark) {
+	n, bk := b.n, &b.blk
+	u0, u1, u2, u3, u4 := nscore.Components(&b.u)
+	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
+	state := func(o int) [5]float64 { return [5]float64{u0[o], u1[o], u2[o], u3[o], u4[o]} }
+	rsd := func(o int) [5]float64 { return [5]float64{r0[o], r1[o], r2[o], r3[o], r4[o]} }
+	point := func(i, j, k, s int) {
+		p := b.at(i, j, k)
+		var az, ay, ax, d [25]float64
+		sign, z, y, x := float64(s), &bk.z, &bk.y, &bk.x
+		uz, uy, ux, up := state(p+s*n*n), state(p+s*n), state(p+s), state(p)
+		couplingZ(&az, &uz, sign*z.c2, z.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, z.d[0], z.d[1], z.d[2], z.d[3], z.d[4])
+		couplingY(&ay, &uy, sign*y.c2, y.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, y.d[0], y.d[1], y.d[2], y.d[3], y.d[4])
+		couplingX(&ax, &ux, sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
+		diagonal(&d, &up, bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te, bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
+		rz, ry, rx, r := rsd(p+s*n*n), rsd(p+s*n), rsd(p+s), rsd(p)
+		var tv [5]float64
+		coupledSum(&az, &ay, &ax, &rz, &ry, &rx, &tv)
+		if s < 0 {
+			for m := range tv {
+				tv[m] = r[m] - omega*tv[m]
+			}
+			apply5(&d, &tv)
+			r0[p], r1[p], r2[p], r3[p], r4[p] = tv[0], tv[1], tv[2], tv[3], tv[4]
+			return
+		}
+		for m := range tv {
+			tv[m] *= omega
+		}
+		apply5(&d, &tv)
+		r0[p] -= tv[0]
+		r1[p] -= tv[1]
+		r2[p] -= tv[2]
+		r3[p] -= tv[3]
+		r4[p] -= tv[4]
+	}
+	for k := 1; k < n-1; k++ {
+		for j := 1; j < n-1; j++ {
+			for i := 1; i < n-1; i++ {
+				point(i, j, k, -1)
+			}
+		}
+	}
+	for k := n - 2; k >= 1; k-- {
+		for j := n - 2; j >= 1; j-- {
+			for i := n - 2; i >= 1; i-- {
+				point(i, j, k, +1)
+			}
+		}
+	}
+}
+
 // TestSweepsMatchAcrossWidths runs both sweeps of one step on random
-// physical states and a random rsd at every width the host has and
-// holds rsd, every element, to the width-1 result, bit for bit: the
-// step kernels on gathered lanes against coupledSum and apply5 in
-// place, through the real waves, their padding lanes included, on grids
-// of 12 and 13 points at one and three threads.
+// physical states and a random rsd at every width the host has, 1
+// included, and holds rsd, every element, to oracleSweeps, bit for bit:
+// the step kernels through the real waves, their gathers, scatters and
+// padding lanes included, against the point-by-point chain, on grids of
+// 12 and 13 points at one and three threads.
 func TestSweepsMatchAcrossWidths(t *testing.T) {
 	for _, n := range []int{12, 13} {
 		for _, threads := range []int{1, 3} {
@@ -339,6 +435,13 @@ func TestSweepsMatchAcrossWidths(t *testing.T) {
 				}
 			}
 			var want [5][]float64
+			for m, r := range &b.rsd {
+				copy(r, start[m])
+			}
+			oracleSweeps(b)
+			for m, r := range &b.rsd {
+				want[m] = append([]float64(nil), r...)
+			}
 			rowcheck.Modes(t, func(width int) {
 				for m, r := range &b.rsd {
 					copy(r, start[m])
@@ -347,16 +450,10 @@ func TestSweepsMatchAcrossWidths(t *testing.T) {
 				b.ensurePipe(tm)
 				tm.Run(b.sweepsBody)
 				tm.Close()
-				if width == 1 {
-					for m, r := range &b.rsd {
-						want[m] = append([]float64(nil), r...)
-					}
-					return
-				}
 				for m, r := range &b.rsd {
 					for p, v := range r {
 						if math.Float64bits(v) != math.Float64bits(want[m][p]) {
-							t.Fatalf("n=%d t%d width %d: rsd[%d][%d] = %v, width 1 %v", n, threads, width, m, p, v, want[m][p])
+							t.Fatalf("n=%d t%d width %d: rsd[%d][%d] = %v, oracle %v", n, threads, width, m, p, v, want[m][p])
 						}
 					}
 				}

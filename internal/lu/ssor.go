@@ -62,13 +62,9 @@ func newWaves(n, jlo, jhi int) []wave {
 
 // sweepWave performs the fused jacld+blts update (s = -1) or jacu+buts
 // update (s = +1) at the points of wave w of plane k: their blocks
-// first, then the couplings to the neighbours at k+s, j+s and i+s
-// applied and the diagonal block solved, a lane a point. With vector
-// lanes (simd.Width 4 or 8), rsd at the points and their neighbours is
-// gathered into lane form for lowerStep or upperStep and the points'
-// results scattered back; at width 1, where the kernels' wrapper would
-// copy every lane in and out, coupledSum and apply5 run on each lane
-// of the blocks in place.
+// first, then rsd at the points and their neighbours at k+s, j+s and
+// i+s gathered into lane form, lowerStep or upperStep run on it, a lane
+// a point, and the points' results scattered back.
 //
 // Hot path: LU's SSOR sweeps.
 func (b *Benchmark) sweepWave(ws *sweepScratch, w *wave, k, s int) {
@@ -76,33 +72,6 @@ func (b *Benchmark) sweepWave(ws *sweepScratch, w *wave, k, s int) {
 	n, live := b.n, int(w.live)
 	r0, r1, r2, r3, r4 := nscore.Components(&b.rsd)
 	plane := n * n * k
-	if simd.Width == 1 {
-		tv := &ws.tv
-		for q, a := range w.at[:live] {
-			p := plane + int(a)
-			ws.coupledSum(&b.rsd, q, p+s*n*n, p+s*n, p+s)
-			if s < 0 {
-				tv[0] = r0[p] - omega*tv[0]
-				tv[1] = r1[p] - omega*tv[1]
-				tv[2] = r2[p] - omega*tv[2]
-				tv[3] = r3[p] - omega*tv[3]
-				tv[4] = r4[p] - omega*tv[4]
-				apply5(&ws.d, q, tv)
-				r0[p], r1[p], r2[p], r3[p], r4[p] = tv[0], tv[1], tv[2], tv[3], tv[4]
-				continue
-			}
-			for m := range tv {
-				tv[m] *= omega
-			}
-			apply5(&ws.d, q, tv)
-			r0[p] -= tv[0]
-			r1[p] -= tv[1]
-			r2[p] -= tv[2]
-			r3[p] -= tv[3]
-			r4[p] -= tv[4]
-		}
-		return
-	}
 	rv := &ws.r
 	for q, a := range w.at[:lanesOf(live)] {
 		p := plane + int(a)
@@ -123,17 +92,14 @@ func (b *Benchmark) sweepWave(ws *sweepScratch, w *wave, k, s int) {
 	}
 }
 
-// lanesOf is the lanes a wave of live points gathers: at width 1 the
-// live ones, which the scalar bodies run, else four when a 4-lane
-// kernel runs it alone and eight when not.
+// lanesOf is the lanes a wave of live points gathers, those its
+// kernels run: live rounded up to a multiple of the narrowest
+// assembly's four lanes (four when a 4-lane kernel runs the wave alone,
+// else eight), or at width 1, where the scalar bodies run only the live
+// lanes, to a multiple of one.
 func lanesOf(live int) int {
-	switch {
-	case simd.Width == 1:
-		return live
-	case live <= 4:
-		return 4
-	}
-	return 8
+	g := min(simd.Width, 4)
+	return (live + g - 1) &^ (g - 1)
 }
 
 // waveBlocks builds the blocks of wave w's points in plane k: the
@@ -158,27 +124,6 @@ func (b *Benchmark) waveBlocks(ws *sweepScratch, w *wave, k, s int) {
 	couplingX8(live, &ws.a[2], &st[2], sign*x.c2, x.c1, bk.c1, bk.c2, bk.r43, bk.c34, bk.m43, bk.m34, bk.c1345, x.d[0], x.d[1], x.d[2], x.d[3], x.d[4])
 	diagonal8(live, &ws.d, &st[3], bk.kd[1], bk.kd[2], bk.kd[3], bk.km[1], bk.km[2], bk.km[3], bk.te,
 		bk.e[0], bk.e[1], bk.e[2], bk.e[3], bk.e[4])
-}
-
-// coupledSum sets tv = az*r[z] + ay*r[y] + ax*r[x], the couplings of
-// the point in lane q of the wave's blocks to its neighbours at the
-// points z, y and x of r: the width-1 form of lowerStep's and
-// upperStep's first half.
-func (ws *sweepScratch) coupledSum(r *[5][]float64, q, z, y, x int) {
-	r0, r1, r2, r3, r4 := nscore.Components(r)
-	rz := [5]float64{r0[z], r1[z], r2[z], r3[z], r4[z]}
-	ry := [5]float64{r0[y], r1[y], r2[y], r3[y], r4[y]}
-	rx := [5]float64{r0[x], r1[x], r2[x], r3[x], r4[x]}
-	az, ay, ax := &ws.a[0], &ws.a[1], &ws.a[2]
-	q &= 7
-	for m := 0; m < 5; m++ {
-		s := az[m][q]*rz[0] + ay[m][q]*ry[0] + ax[m][q]*rx[0]
-		s += az[m+5][q]*rz[1] + ay[m+5][q]*ry[1] + ax[m+5][q]*rx[1]
-		s += az[m+10][q]*rz[2] + ay[m+10][q]*ry[2] + ax[m+10][q]*rx[2]
-		s += az[m+15][q]*rz[3] + ay[m+15][q]*ry[3] + ax[m+15][q]*rx[3]
-		s += az[m+20][q]*rz[4] + ay[m+20][q]*ry[4] + ax[m+20][q]*rx[4]
-		ws.tv[m] = s
-	}
 }
 
 // ensurePipe binds the benchmark to tm and (re)builds the cached

@@ -17,10 +17,20 @@ func eigen8(live int, s *[8][8]float64, c3c4, con43, c1c5, d2or3or4, d5, dmax, d
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [8]float64
-			gatherLane(lane0[:], s[:], q)
-			eigen(&lane0, c3c4, con43, c1c5, d2or3or4, d5, dmax, d1)
-			scatterLane(s[:], lane0[:], q)
+			ru1 := c3c4 * s[3][q]
+			r := d2or3or4 + con43*ru1
+			v := d5 + c1c5*ru1
+			if v > r {
+				r = v
+			}
+			v = dmax + ru1
+			if v > r {
+				r = v
+			}
+			if d1 > r {
+				r = d1
+			}
+			s[1][q] = r
 		}
 	}
 }
@@ -38,22 +48,28 @@ func lhsRow8(live int, u, p, m *[5][8]float64, sm, s, sp *[8][8]float64, dtt1, d
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [5]float64
-			var lane2 [5]float64
-			var lane3 [8]float64
-			var lane4 [8]float64
-			var lane5 [8]float64
-			gatherLane(lane0[:], u[:], q)
-			gatherLane(lane1[:], p[:], q)
-			gatherLane(lane2[:], m[:], q)
-			gatherLane(lane3[:], sm[:], q)
-			gatherLane(lane4[:], s[:], q)
-			gatherLane(lane5[:], sp[:], q)
-			lhsRow(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, dtt1, dtt2, c2dtt1, t0, t1, t2, t3, t4)
-			scatterLane(u[:], lane0[:], q)
-			scatterLane(p[:], lane1[:], q)
-			scatterLane(m[:], lane2[:], q)
+			u0 := 0.0 - t0
+			u1 := -dtt2*sm[0][q] - dtt1*sm[1][q] - t1
+			u2 := 1.0 + c2dtt1*s[1][q] - t2
+			u3 := dtt2*sp[0][q] - dtt1*sp[1][q] - t3
+			u4 := 0.0 - t4
+			cm := dtt2 * sm[2][q]
+			cp := dtt2 * sp[2][q]
+			u[0][q] = u0
+			u[1][q] = u1
+			u[2][q] = u2
+			u[3][q] = u3
+			u[4][q] = u4
+			p[0][q] = u0
+			p[1][q] = u1 - cm
+			p[2][q] = u2
+			p[3][q] = u3 + cp
+			p[4][q] = u4
+			m[0][q] = u0
+			m[1][q] = u1 + cm
+			m[2][q] = u2
+			m[3][q] = u3 - cp
+			m[4][q] = u4
 		}
 	}
 }
@@ -71,43 +87,42 @@ func forwardStep8(live int, u0, u1, u2, p0, p1, p2, m0, m1, m2, r0, r1, r2 *[5][
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [5]float64
-			var lane2 [5]float64
-			var lane3 [5]float64
-			var lane4 [5]float64
-			var lane5 [5]float64
-			var lane6 [5]float64
-			var lane7 [5]float64
-			var lane8 [5]float64
-			var lane9 [5]float64
-			var lane10 [5]float64
-			var lane11 [5]float64
-			gatherLane(lane0[:], u0[:], q)
-			gatherLane(lane1[:], u1[:], q)
-			gatherLane(lane2[:], u2[:], q)
-			gatherLane(lane3[:], p0[:], q)
-			gatherLane(lane4[:], p1[:], q)
-			gatherLane(lane5[:], p2[:], q)
-			gatherLane(lane6[:], m0[:], q)
-			gatherLane(lane7[:], m1[:], q)
-			gatherLane(lane8[:], m2[:], q)
-			gatherLane(lane9[:], r0[:], q)
-			gatherLane(lane10[:], r1[:], q)
-			gatherLane(lane11[:], r2[:], q)
-			forwardStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7, &lane8, &lane9, &lane10, &lane11)
-			scatterLane(u0[:], lane0[:], q)
-			scatterLane(u1[:], lane1[:], q)
-			scatterLane(u2[:], lane2[:], q)
-			scatterLane(p0[:], lane3[:], q)
-			scatterLane(p1[:], lane4[:], q)
-			scatterLane(p2[:], lane5[:], q)
-			scatterLane(m0[:], lane6[:], q)
-			scatterLane(m1[:], lane7[:], q)
-			scatterLane(m2[:], lane8[:], q)
-			scatterLane(r0[:], lane9[:], q)
-			scatterLane(r1[:], lane10[:], q)
-			scatterLane(r2[:], lane11[:], q)
+			fu, fp, fm := 1.0/u0[2][q], 1.0/p0[2][q], 1.0/m0[2][q]
+			u0[3][q] *= fu
+			u0[4][q] *= fu
+			p0[3][q] *= fp
+			p0[4][q] *= fp
+			m0[3][q] *= fm
+			m0[4][q] *= fm
+			r0[0][q] *= fu
+			r0[1][q] *= fu
+			r0[2][q] *= fu
+			r0[3][q] *= fp
+			r0[4][q] *= fm
+			bu, bp, bm := u1[1][q], p1[1][q], m1[1][q]
+			u1[2][q] -= bu * u0[3][q]
+			u1[3][q] -= bu * u0[4][q]
+			p1[2][q] -= bp * p0[3][q]
+			p1[3][q] -= bp * p0[4][q]
+			m1[2][q] -= bm * m0[3][q]
+			m1[3][q] -= bm * m0[4][q]
+			r1[0][q] -= bu * r0[0][q]
+			r1[1][q] -= bu * r0[1][q]
+			r1[2][q] -= bu * r0[2][q]
+			r1[3][q] -= bp * r0[3][q]
+			r1[4][q] -= bm * r0[4][q]
+			bu, bp, bm = u2[0][q], p2[0][q], m2[0][q]
+			u2[1][q] -= bu * u0[3][q]
+			u2[2][q] -= bu * u0[4][q]
+			p2[1][q] -= bp * p0[3][q]
+			p2[2][q] -= bp * p0[4][q]
+			m2[1][q] -= bm * m0[3][q]
+			m2[2][q] -= bm * m0[4][q]
+			r2[0][q] -= bu * r0[0][q]
+			r2[1][q] -= bu * r0[1][q]
+			r2[2][q] -= bu * r0[2][q]
+			r2[3][q] -= bp * r0[3][q]
+			r2[4][q] -= bm * r0[4][q]
 		}
 	}
 }
@@ -125,31 +140,41 @@ func lastRows8(live int, u0, u1, p0, p1, m0, m1, r0, r1 *[5][8]float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [5]float64
-			var lane2 [5]float64
-			var lane3 [5]float64
-			var lane4 [5]float64
-			var lane5 [5]float64
-			var lane6 [5]float64
-			var lane7 [5]float64
-			gatherLane(lane0[:], u0[:], q)
-			gatherLane(lane1[:], u1[:], q)
-			gatherLane(lane2[:], p0[:], q)
-			gatherLane(lane3[:], p1[:], q)
-			gatherLane(lane4[:], m0[:], q)
-			gatherLane(lane5[:], m1[:], q)
-			gatherLane(lane6[:], r0[:], q)
-			gatherLane(lane7[:], r1[:], q)
-			lastRows(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5, &lane6, &lane7)
-			scatterLane(u0[:], lane0[:], q)
-			scatterLane(u1[:], lane1[:], q)
-			scatterLane(p0[:], lane2[:], q)
-			scatterLane(p1[:], lane3[:], q)
-			scatterLane(m0[:], lane4[:], q)
-			scatterLane(m1[:], lane5[:], q)
-			scatterLane(r0[:], lane6[:], q)
-			scatterLane(r1[:], lane7[:], q)
+			fu, fp, fm := 1.0/u0[2][q], 1.0/p0[2][q], 1.0/m0[2][q]
+			u0[3][q] *= fu
+			u0[4][q] *= fu
+			p0[3][q] *= fp
+			p0[4][q] *= fp
+			m0[3][q] *= fm
+			m0[4][q] *= fm
+			r0[0][q] *= fu
+			r0[1][q] *= fu
+			r0[2][q] *= fu
+			r0[3][q] *= fp
+			r0[4][q] *= fm
+			bu, bp, bm := u1[1][q], p1[1][q], m1[1][q]
+			u1[2][q] -= bu * u0[3][q]
+			u1[3][q] -= bu * u0[4][q]
+			p1[2][q] -= bp * p0[3][q]
+			p1[3][q] -= bp * p0[4][q]
+			m1[2][q] -= bm * m0[3][q]
+			m1[3][q] -= bm * m0[4][q]
+			r1[0][q] -= bu * r0[0][q]
+			r1[1][q] -= bu * r0[1][q]
+			r1[2][q] -= bu * r0[2][q]
+			r1[3][q] -= bp * r0[3][q]
+			r1[4][q] -= bm * r0[4][q]
+			fu, fp, fm = 1.0/u1[2][q], 1.0/p1[2][q], 1.0/m1[2][q]
+			r1[0][q] *= fu
+			r1[1][q] *= fu
+			r1[2][q] *= fu
+			r1[3][q] *= fp
+			r1[4][q] *= fm
+			r0[0][q] -= u0[3][q] * r1[0][q]
+			r0[1][q] -= u0[3][q] * r1[1][q]
+			r0[2][q] -= u0[3][q] * r1[2][q]
+			r0[3][q] -= p0[3][q] * r1[3][q]
+			r0[4][q] -= m0[3][q] * r1[4][q]
 		}
 	}
 }
@@ -167,20 +192,11 @@ func backStep8(live int, u, p, m, r, r0, r1 *[5][8]float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [5]float64
-			var lane2 [5]float64
-			var lane3 [5]float64
-			var lane4 [5]float64
-			var lane5 [5]float64
-			gatherLane(lane0[:], u[:], q)
-			gatherLane(lane1[:], p[:], q)
-			gatherLane(lane2[:], m[:], q)
-			gatherLane(lane3[:], r[:], q)
-			gatherLane(lane4[:], r0[:], q)
-			gatherLane(lane5[:], r1[:], q)
-			backStep(&lane0, &lane1, &lane2, &lane3, &lane4, &lane5)
-			scatterLane(r[:], lane3[:], q)
+			r[0][q] -= u[3][q]*r0[0][q] + u[4][q]*r1[0][q]
+			r[1][q] -= u[3][q]*r0[1][q] + u[4][q]*r1[1][q]
+			r[2][q] -= u[3][q]*r0[2][q] + u[4][q]*r1[2][q]
+			r[3][q] -= p[3][q]*r0[3][q] + p[4][q]*r1[3][q]
+			r[4][q] -= m[3][q]*r0[4][q] + m[4][q]*r1[4][q]
 		}
 	}
 }
@@ -198,12 +214,17 @@ func txinvr8(live int, r *[5][8]float64, s *[8][8]float64, bt, c2 float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [8]float64
-			gatherLane(lane0[:], r[:], q)
-			gatherLane(lane1[:], s[:], q)
-			txinvr(&lane0, &lane1, bt, c2)
-			scatterLane(r[:], lane0[:], q)
+			ru1, uu, ac := s[3][q], s[0][q], s[2][q]
+			ac2inv := 1.0 / (ac * ac)
+			r1 := r[0][q]
+			t1 := c2 * ac2inv * (s[4][q]*r1 - uu*r[1][q] - s[5][q]*r[2][q] - s[6][q]*r[3][q] + r[4][q])
+			t2 := bt * ru1 * (uu*r1 - r[1][q])
+			t3 := bt * ru1 * ac * t1
+			r[0][q] = r1 - t1
+			r[1][q] = -ru1 * (s[6][q]*r1 - r[3][q])
+			r[2][q] = ru1 * (s[5][q]*r1 - r[2][q])
+			r[3][q] = -t2 + t3
+			r[4][q] = t2 + t3
 		}
 	}
 }
@@ -221,10 +242,14 @@ func ninvr8(live int, r *[5][8]float64, bt float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			gatherLane(lane0[:], r[:], q)
-			ninvr(&lane0, bt)
-			scatterLane(r[:], lane0[:], q)
+			r1 := r[0][q]
+			t1 := bt * r[2][q]
+			t2 := 0.5 * (r[3][q] + r[4][q])
+			r[0][q] = -r[1][q]
+			r[1][q] = r1
+			r[2][q] = bt * (r[3][q] - r[4][q])
+			r[3][q] = -t1 + t2
+			r[4][q] = t1 + t2
 		}
 	}
 }
@@ -242,10 +267,14 @@ func pinvr8(live int, r *[5][8]float64, bt float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			gatherLane(lane0[:], r[:], q)
-			pinvr(&lane0, bt)
-			scatterLane(r[:], lane0[:], q)
+			r2 := r[1][q]
+			t1 := bt * r[0][q]
+			t2 := 0.5 * (r[3][q] + r[4][q])
+			r[0][q] = bt * (r[3][q] - r[4][q])
+			r[1][q] = -r[2][q]
+			r[2][q] = r2
+			r[3][q] = -t1 + t2
+			r[4][q] = t1 + t2
 		}
 	}
 }
@@ -263,26 +292,18 @@ func tzetar8(live int, r *[5][8]float64, s *[8][8]float64, bt, c2iv float64) {
 		}
 	default:
 		for q := 0; q < 8 && q < live; q++ {
-			var lane0 [5]float64
-			var lane1 [8]float64
-			gatherLane(lane0[:], r[:], q)
-			gatherLane(lane1[:], s[:], q)
-			tzetar(&lane0, &lane1, bt, c2iv)
-			scatterLane(r[:], lane0[:], q)
+			xvel, yvel, zvel := s[5][q], s[6][q], s[0][q]
+			ac, uzik1 := s[2][q], s[7][q]
+			r1, r2 := r[0][q], r[1][q]
+			btuz := bt * uzik1
+			t1 := btuz / ac * (r[3][q] + r[4][q])
+			t2 := r[2][q] + t1
+			t3 := btuz * (r[3][q] - r[4][q])
+			r[0][q] = t2
+			r[1][q] = -uzik1*r2 + xvel*t2
+			r[2][q] = uzik1*r1 + yvel*t2
+			r[3][q] = zvel*t2 + t3
+			r[4][q] = uzik1*(-xvel*r2+yvel*r1) + s[4][q]*t2 + c2iv*(ac*ac)*t1 + zvel*t3
 		}
-	}
-}
-
-// gatherLane copies lane q of src into dst.
-func gatherLane(dst []float64, src [][8]float64, q int) {
-	for e := range dst {
-		dst[e] = src[e][q]
-	}
-}
-
-// scatterLane copies src into lane q of dst.
-func scatterLane(dst [][8]float64, src []float64, q int) {
-	for e := range src {
-		dst[e][q] = src[e]
 	}
 }
