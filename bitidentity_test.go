@@ -22,6 +22,11 @@ import (
 // class) covers every team size and schedule.
 var teamInvariant = map[npbgo.Benchmark]bool{npbgo.BT: true, npbgo.SP: true, npbgo.LU: true}
 
+// oneRegionPhases names the codes whose timed phases each run as one
+// region with barriers between their loops; the golden also holds them
+// under guided and stealing, and at seven threads.
+var oneRegionPhases = map[npbgo.Benchmark]bool{npbgo.MG: true, npbgo.CG: true, npbgo.FT: true, npbgo.LU: true}
+
 // goldenKey names a cell's recorded printout: "BT.S" for a
 // team-invariant code, "CG.S.t2" for the others, whose reduction order
 // depends on the team size (never on the schedule).
@@ -40,12 +45,16 @@ func goldenKey(b npbgo.Benchmark, class byte, threads int) string {
 // checksums, IS's order check and the BT/SP/LU residual and error norms
 // (and LU's surface integral) — a stronger statement than the
 // within-epsilon verification itself. Every code runs at S × threads
-// {1, 2, 3} × {static, dynamic}; outside -short the five kernels add
-// the same lattice at W, and BT, SP and LU one W cell each (two threads,
-// dynamic: each W run takes seconds), and LU a second one at one thread,
-// static, whose one band of 31 rows cuts other sweep waves than the two
-// threads' bands do. To re-record after an intended numerical change,
-// paste the "== key" blocks a failure prints.
+// {1, 2, 3} × {static, dynamic}; MG, CG, FT and LU, whose timed phases
+// each run as one region with barriers inside, add guided and stealing
+// at S, and MG, CG and FT seven threads, which leave workers idle on
+// MG's two-plane coarse levels while every barrier must still trip.
+// Outside -short the five kernels add the static/dynamic lattice at W,
+// and BT, SP and LU one W cell each (two threads, dynamic: each W run
+// takes seconds), and LU a second one at one thread, static, whose one
+// band of 31 rows cuts other sweep waves than the two threads' bands
+// do. To re-record after an intended numerical change, paste the
+// "== key" blocks a failure prints.
 func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
 	check := func(b npbgo.Benchmark, class byte, threads int, sched string) {
@@ -63,6 +72,15 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 				if !testing.Short() && !teamInvariant[b] {
 					check(b, 'W', threads, sched)
 				}
+			}
+			if oneRegionPhases[b] {
+				check(b, 'S', threads, "guided")
+				check(b, 'S', threads, "stealing")
+			}
+		}
+		if oneRegionPhases[b] && !teamInvariant[b] {
+			for _, sched := range team.ScheduleNames() {
+				check(b, 'S', 7, sched)
 			}
 		}
 		if !testing.Short() && teamInvariant[b] {

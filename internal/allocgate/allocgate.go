@@ -14,11 +14,15 @@
 // Each measurement builds a benchmark with the key's Env, opens its
 // team through Env.Team as a run does, runs a few warm-up iterations so
 // every lazily constructed structure (cached pipelines, per-worker
-// deques) exists, then measures allocations per Iter as
-// testing.AllocsPerRun does. Field values are irrelevant to the measurement
-// — allocation counts in these kernels do not depend on the data — so
-// the gate runs Iter on freshly constructed (zero-valued) grids rather
-// than reproducing each benchmark's untimed setup phase.
+// deques) exists, then measures the exact mean allocations per Iter:
+// total mallocs over the runs divided as a float, so a single malloc in
+// any run fails a budget of 0 (testing.AllocsPerRun divides as integers
+// and would read up to runs-1 mallocs as 0). Field values are
+// irrelevant to the measurement — allocation counts in these kernels do
+// not depend on the data — so the gate runs Iter on freshly
+// constructed (zero-valued) grids rather than reproducing each
+// benchmark's untimed setup phase. A gate fails only when a second
+// measurement confirms the excess (TestGate).
 package allocgate
 
 import (
@@ -145,10 +149,10 @@ func Measure(k Key, warm, runs int) (float64, error) {
 	return measureAllocsPerRun(runs, fresh, func() { b.Iter(tm) }), nil
 }
 
-// measureAllocsPerRun is testing.AllocsPerRun with a hook: GOMAXPROCS pinned
-// to 1, one warm-up call of f, then the mean mallocs of runs calls, each
-// counted in its own window that opens right after fresh (when non-nil)
-// returns.
+// measureAllocsPerRun is testing.AllocsPerRun with a hook and an exact
+// mean: GOMAXPROCS pinned to 1, one warm-up call of f, then the mallocs
+// of runs calls, each counted in its own window that opens right after
+// fresh (when non-nil) returns, divided as floats.
 func measureAllocsPerRun(runs int, fresh, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
@@ -164,5 +168,5 @@ func measureAllocsPerRun(runs int, fresh, f func()) float64 {
 		runtime.ReadMemStats(&ms)
 		total += ms.Mallocs - before
 	}
-	return float64(total / uint64(runs))
+	return float64(total) / float64(runs)
 }

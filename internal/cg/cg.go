@@ -66,26 +66,23 @@ type Benchmark struct {
 
 	x, z, pv, q, r []float64
 
-	// Steady-state machinery: the region bodies below are built once by
-	// New and reused by every iteration, because a literal closure
+	// Steady-state machinery: the two region bodies below are built once
+	// by New and reused by every iteration, because a literal closure
 	// capturing loop-variant scalars allocates per creation. The bodies
-	// instead read the per-call scalar scaleInv, the staged dot operands
-	// and the current team from the Benchmark, keeping the timed loop free
-	// of heap allocation (enforced by internal/allocgate).
-	tm       *team.Team // team of the current Run/Iter
-	scaleInv float64    // 1/||z|| for normalize
-	dotA     []float64  // operands of the pending dot product
-	dotB     []float64
-	dots     []dotSlot // conjBody's reduction partials, one per static block
+	// read their fixed operands and the current team from the Benchmark,
+	// keeping the timed loop free of heap allocation (enforced by
+	// internal/allocgate).
+	tm   *team.Team // team of the current Run/Iter
+	dots []dotSlot  // the regions' reduction partials, one per static block
 
-	conjBody  func(id int)
-	scaleBody func(id int)
-	dotBody   func(id int)
+	conjBody func(id int)
+	normBody func(id int)
 }
 
-// dotSlot is one static block's cache line of conjBody's dot-product
-// partials: [dotPQ] and [dotRR] alternate, and a worker may write its
-// next p.q partial while another still sums the r.r ones, hence two.
+// dotSlot is one static block's cache line of the dot-product partials:
+// in conjBody [dotPQ] and [dotRR] alternate, and a worker may write its
+// next p.q partial while another still sums the r.r ones, hence two;
+// normBody writes x.z into [dotPQ] and z.z into [dotRR].
 type dotSlot [8]float64
 
 const dotPQ, dotRR = 0, 1
@@ -181,27 +178,28 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	// x = z/||z|| with the norm's reciprocal read from the Benchmark
-	b.scaleBody = func(id int) {
-		inv := b.scaleInv
+	// The norm tail of an outer iteration as one region, as cg.f's one
+	// loop: x.z and z.z per static block, a barrier, then every worker
+	// adds the z.z slots up and scales its share, x = z/||z||. x.z
+	// stays in its slots for Iter's zeta.
+	b.normBody = func(id int) {
+		tm := b.tm
 		x, z := b.x, b.z
-		for it := b.tm.Loop(id, 0, n); it.Next(); {
+		for it := tm.ReduceBlocks(id, 0, n); it.Next(); {
+			xz, zz := 0.0, 0.0
+			for i := it.Lo; i < it.Hi; i++ {
+				xz += x[i] * z[i]
+				zz += z[i] * z[i]
+			}
+			b.dots[it.Chunk()][dotPQ] = xz
+			b.dots[it.Chunk()][dotRR] = zz
+		}
+		tm.BarrierID(id)
+		inv := 1.0 / math.Sqrt(b.sumDots(dotRR))
+		for it := tm.Loop(id, 0, n); it.Next(); {
 			for i := it.Lo; i < it.Hi; i++ {
 				x[i] = inv * z[i]
 			}
-		}
-	}
-
-	// shared dot-product body over the operands staged in dotA/dotB
-	b.dotBody = func(id int) {
-		tm := b.tm
-		u, v := b.dotA, b.dotB
-		for it := tm.ReduceBlocks(id, 0, len(u)); it.Next(); {
-			s := 0.0
-			for i := it.Lo; i < it.Hi; i++ {
-				s += u[i] * v[i]
-			}
-			*tm.Partial(it.Chunk()) = s
 		}
 	}
 }
@@ -233,7 +231,7 @@ func (b *Benchmark) RunResult() Result {
 		b.x[i] = 1.0
 	}
 	b.conjGrad()
-	b.normalize()
+	tm.Run(b.normBody)
 
 	// Reset and time.
 	for i := range b.x {
@@ -260,36 +258,32 @@ func (b *Benchmark) RunResult() Result {
 	return res
 }
 
-// Iter runs one timed outer iteration (conjGrad, the zeta update, and
-// the normalization) on tm, whose Size must equal the thread count the
-// Benchmark was built with, and leaves the iteration's zeta and
-// residual norm in b.zeta and b.rnorm. Iter is the steady-state hook
-// the allocation gate measures: after the first call it performs no
-// heap allocation.
+// Iter runs one timed outer iteration (conjGrad, then the norm tail:
+// x.z, z.z and the normalization) on tm, whose Size must equal the
+// thread count the Benchmark was built with, one region each, and
+// leaves the iteration's zeta and residual norm in b.zeta and b.rnorm.
+// Iter is the steady-state hook the allocation gate measures: after the
+// first call it performs no heap allocation.
 func (b *Benchmark) Iter(tm *team.Team) {
 	b.tm = tm
 	fault.Maybe("cg.iter")
 	b.env.Start("t_conj_grad")
-	b.rnorm = b.conjGrad()
+	rnorm := b.conjGrad()
 	b.env.Stop("t_conj_grad")
 	if tm.Cancelled() {
-		// The reductions of a cancelled team return 0, so zeta derived
-		// from them would be garbage; keep the last complete iteration's
-		// value instead.
+		// The slots of a cancelled region may hold partial sums, so a
+		// zeta derived from them would be garbage; keep the last
+		// complete iteration's values instead.
 		return
 	}
-	norm1 := b.dot(b.x, b.z)
-	b.zeta = b.p.shift + 1.0/norm1
 	b.env.Start("t_norm")
-	b.normalize()
+	tm.Run(b.normBody)
 	b.env.Stop("t_norm")
-}
-
-// normalize scales z to unit norm into x (end of each outer iteration).
-func (b *Benchmark) normalize() {
-	norm2 := b.dot(b.z, b.z)
-	b.scaleInv = 1.0 / math.Sqrt(norm2)
-	b.tm.Run(b.scaleBody)
+	if tm.Cancelled() {
+		return
+	}
+	b.zeta = b.p.shift + 1.0/b.sumDots(dotPQ)
+	b.rnorm = rnorm
 }
 
 // conjGrad runs cgitmax CG iterations for the system A z = x and returns
@@ -335,14 +329,4 @@ func (b *Benchmark) sumDots(k int) float64 {
 		sum += b.dots[c][k]
 	}
 	return sum
-}
-
-// dot is a team-parallel dot product with deterministic partial
-// combination: operands are staged on the Benchmark for the prebuilt
-// body, partials land in the team's reduction slots, and PartialSum
-// combines them in block order.
-func (b *Benchmark) dot(u, v []float64) float64 {
-	b.dotA, b.dotB = u, v
-	b.tm.Run(b.dotBody)
-	return b.tm.PartialSum()
 }

@@ -77,7 +77,7 @@ type Benchmark struct {
 	// built once by New and reused on every call, so the timed loop
 	// performs no heap allocation (enforced by internal/allocgate). The
 	// fft* fields stage the current transform's direction and operands
-	// for the prebuilt bodies.
+	// for the prebuilt transform body.
 	tm        *team.Team
 	ws        []*workspace // per-worker FFT pencil scratch, sized max extent
 	icScratch [][]float64  // per-worker plane scratch for the initial field
@@ -89,9 +89,7 @@ type Benchmark struct {
 	indexMapBody func(id int)
 	initCondBody func(id int)
 	evolveBody   func(id int)
-	c1Body       func(id int)
-	c2Body       func(id int)
-	c3Body       func(id int)
+	fftBody      func(id int)
 }
 
 // New configures FT for the given class and thread count. With
@@ -195,25 +193,36 @@ func (b *Benchmark) buildBodies() {
 		}
 	}
 
-	// first-dimension FFT over the staged operands
-	b.c1Body = func(id int) {
-		for it := b.tm.Loop(id, 0, b.c.d3); it.Next(); {
-			cffts1Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r1, b.ws[id], it.Lo, it.Hi)
+	// The 3-D transform over the staged operands, its three passes in
+	// one region. The first- and second-dimension passes both run over
+	// k-planes and touch only their own plane, so they follow each other
+	// with BarrierUnlessStatic; the third-dimension pass runs over j and
+	// reads every plane, so a full barrier separates it from the others.
+	b.fftBody = func(id int) {
+		tm, in, out := b.tm, b.fftIn, b.fftOut
+		if b.fftDir == 1 {
+			b.pass(id, 0, in, out)
+			tm.BarrierUnlessStatic(id)
+			b.pass(id, 1, out, out)
+			tm.BarrierID(id)
+			b.pass(id, 2, out, out)
+			return
 		}
+		b.pass(id, 2, in, out)
+		tm.BarrierID(id)
+		b.pass(id, 1, out, out)
+		tm.BarrierUnlessStatic(id)
+		b.pass(id, 0, out, out)
 	}
+}
 
-	// second-dimension FFT over the staged operands
-	b.c2Body = func(id int) {
-		for it := b.tm.Loop(id, 0, b.c.d3); it.Next(); {
-			cffts2Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r2, b.ws[id], it.Lo, it.Hi)
-		}
-	}
-
-	// third-dimension FFT over the staged operands
-	b.c3Body = func(id int) {
-		for it := b.tm.Loop(id, 0, b.c.d2); it.Next(); {
-			cffts3Range(b.fftDir, b.c, b.fftIn, b.fftOut, b.r3, b.ws[id], it.Lo, it.Hi)
-		}
+// pass is worker id's share of the staged transform along dimension
+// d+1: cffts1Range and cffts2Range over k-planes, cffts3Range over j.
+func (b *Benchmark) pass(id, d int, in, out []complex128) {
+	f := [...]func(int, cube, []complex128, []complex128, *roots, *workspace, int, int){cffts1Range, cffts2Range, cffts3Range}[d]
+	r, n := [...]*roots{b.r1, b.r2, b.r3}[d], [...]int{b.c.d3, b.c.d3, b.c.d2}[d]
+	for it := b.tm.Loop(id, 0, n); it.Next(); {
+		f(b.fftDir, b.c, in, out, r, b.ws[id], it.Lo, it.Hi)
 	}
 }
 
@@ -241,26 +250,12 @@ func (b *Benchmark) evolve(tm *team.Team) {
 	tm.Run(b.evolveBody)
 }
 
-// runFFT stages one transform's direction and operands for body and
-// dispatches it on the current team.
-func (b *Benchmark) runFFT(body func(id int), dir int, in, out []complex128) {
-	b.fftDir, b.fftIn, b.fftOut = dir, in, out
-	b.tm.Run(body)
-}
-
 // fft3d applies the full 3-D transform (dir = +1 forward, -1 inverse,
-// unnormalized; checksums carry the 1/ntotal factor as in the original).
+// unnormalized; checksums carry the 1/ntotal factor as in the original)
+// as one region on tm.
 func (b *Benchmark) fft3d(dir int, in, out []complex128, tm *team.Team) {
-	b.tm = tm
-	if dir == 1 {
-		b.runFFT(b.c1Body, 1, in, out)
-		b.runFFT(b.c2Body, 1, out, out)
-		b.runFFT(b.c3Body, 1, out, out)
-	} else {
-		b.runFFT(b.c3Body, -1, in, out)
-		b.runFFT(b.c2Body, -1, out, out)
-		b.runFFT(b.c1Body, -1, out, out)
-	}
+	b.tm, b.fftDir, b.fftIn, b.fftOut = tm, dir, in, out
+	tm.Run(b.fftBody)
 }
 
 // Iter runs one timed evolution step — spectral evolve, inverse 3-D

@@ -72,14 +72,14 @@ type Benchmark struct {
 	// New and reused every istep (a closure literal at the call site
 	// would allocate per invocation), keeping the timed loop free of
 	// heap allocation (enforced by internal/allocgate). The op* fields
-	// stage applyOperator's operands for the direction bodies; the
-	// pipeline is cached per team.
+	// stage applyOperator's operands for its body, whose rhs and erhs
+	// calls differ in them; the pipeline is cached per team.
 	tm                *team.Team
 	pipe              *team.Pipeline
 	pipeOwner         *team.Team // team the cached pipeline was built for
 	opOut, opW, opNeg *[5][]float64
 
-	opBodies   [3]func(id int) // applyOperator's regions, one per direction
+	opBody     func(id int) // applyOperator's region
 	scaleBody  func(id int)
 	updateBody func(id int)
 	sweepsBody func(id int)

@@ -15,28 +15,28 @@ import (
 // which field they differentiate). The sums run along the rows, four
 // points per instruction (kernels.go). Each element of out takes its
 // terms in lu.f's order, so the result is lu.f's to the bit. The
-// operands are staged for the three prebuilt direction bodies, so no
-// closure or scratch is allocated per call.
+// operands are staged for the prebuilt region body, so no closure or
+// scratch is allocated per call.
 func (b *Benchmark) applyOperator(out, w, neg *[5][]float64, tm *team.Team) {
 	b.tm, b.opOut, b.opW, b.opNeg = tm, out, w, neg
-	for _, body := range b.opBodies {
-		tm.Run(body)
-	}
+	tm.Run(b.opBody)
 }
 
-// buildOperator constructs applyOperator's regions: its xi, eta and
-// zeta directions over the staged operands, each split over k planes.
-// Only the zeta terms reach across planes, so whatever they read is set
-// in an earlier region: xi starts out and sets the velocities on the
-// planes it owns (and on the boundary planes with the first and last),
-// eta sets the zeta fluxes after its own update of a plane, and zeta,
-// the last to add to a point, starts out again at the boundary points
-// its updates ran over, which the sweeps read.
+// buildOperator constructs applyOperator's region: its xi, eta and zeta
+// directions over the staged operands, each split over k planes, with a
+// barrier after each of the first two. Only the zeta terms reach across
+// planes, so whatever they read is set before a barrier: xi starts out
+// and sets the velocities on the planes it owns (and on the boundary
+// planes with the first and last), eta sets the zeta fluxes, which read
+// the velocities of the plane below, after its own update of a plane,
+// and zeta, the last to add to a point, starts out again at the
+// boundary points its updates ran over, which the sweeps read.
 func (b *Benchmark) buildOperator() {
 	n := b.n
 	xi, eta, zeta := &b.ops[0], &b.ops[1], &b.ops[2]
-	b.opBodies[0] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+	b.opBody = func(id int) {
+		tm := b.tm
+		for it := tm.Loop(id, 1, n-1); it.Next(); {
 			if it.Lo == it.Hi {
 				continue // an empty block may sit at either end
 			}
@@ -54,9 +54,8 @@ func (b *Benchmark) buildOperator() {
 			b.planeFluxes(xi, it.Lo, it.Hi)
 			b.update(xi, it.Lo, it.Hi)
 		}
-	}
-	b.opBodies[1] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+		tm.BarrierID(id)
+		for it := tm.Loop(id, 1, n-1); it.Next(); {
 			b.planeFluxes(eta, it.Lo, it.Hi)
 			b.update(eta, it.Lo, it.Hi)
 			if it.Lo == it.Hi {
@@ -70,9 +69,8 @@ func (b *Benchmark) buildOperator() {
 				b.planeFluxes(zeta, n-1, n)
 			}
 		}
-	}
-	b.opBodies[2] = func(id int) {
-		for it := b.tm.Loop(id, 1, n-1); it.Next(); {
+		tm.BarrierID(id)
+		for it := tm.Loop(id, 1, n-1); it.Next(); {
 			b.update(zeta, it.Lo, it.Hi)
 			for k := it.Lo; k < it.Hi; k++ {
 				lo, hi := n*n*k, n*n*(k+1)

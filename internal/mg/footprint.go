@@ -24,6 +24,6 @@ func Footprint(class byte, threads int) (uint64, error) {
 	}
 	top := uint64((1 << p.lt) + 2)
 	total += top * top * top * 8           // v
-	total += uint64(threads) * 3 * top * 8 // per worker: cycle.rows, s1, s2
+	total += uint64(threads) * 3 * top * 8 // per worker: Benchmark.rows and sums
 	return total, nil
 }

@@ -7,6 +7,7 @@ package mg
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"npbgo/internal/kernel"
@@ -45,7 +46,17 @@ type Benchmark struct {
 	v    []float64   // right-hand side at the finest level
 
 	a, c [4]float64
-	cy   *cycle // reusable stencil engine for the timed loop
+	rows [][]float64    // per-worker generator row for findCharges, the finest n1 long
+	sums [][2][]float64 // per-worker face- and edge-sum rows of resid and psinv, as long
+	maxs []float64      // per-worker max-norm slots
+
+	// The region bodies, built once in New over the fixed hierarchy so
+	// the timed loop performs no heap allocation (enforced by
+	// internal/allocgate); tm stages the team they run on.
+	tm        *team.Team
+	cycleBody func(id int) // one V-cycle, mg3P
+	residBody func(id int) // r = v - A u at the finest level
+	normBody  func(id int) // the residual norms at the finest level
 }
 
 // New configures MG for the given class and thread count and allocates
@@ -78,42 +89,168 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	} else {
 		b.c = [4]float64{-3.0 / 17.0, 1.0 / 33.0, -1.0 / 61.0, 0.0}
 	}
-	b.cy = newCycle(threads, b.lv[p.lt].n1, b.a, b.c)
+	n1 := b.lv[p.lt].n1
+	b.rows, b.sums = make([][]float64, threads), make([][2][]float64, threads)
+	for id := range b.rows {
+		b.rows[id] = make([]float64, n1)
+		b.sums[id] = [2][]float64{make([]float64, n1), make([]float64, n1)}
+	}
+	b.maxs = make([]float64, threads)
+	b.cycleBody = b.cycle
+	b.residBody = func(id int) { b.resid(id, p.lt, b.v) }
+	b.normBody = b.norms
 	return b, nil
 }
 
-// mg3P performs one V-cycle: restrict the residual to the coarsest
-// level, solve there with one smoothing, then interpolate corrections
-// back up with a post-smoothing at each level, as mg.f's mg3P.
-func (b *Benchmark) mg3P(tm *team.Team) {
+// cycle is one worker's V-cycle, mg.f's mg3P, all of it one region:
+// restrict the residual to the coarsest level, smooth there, then
+// interpolate the corrections back up with a post-smoothing at each
+// level. Each stencil is a worksharing loop over planes. A stencil
+// reads its operand's neighbouring planes, which other workers wrote,
+// so every loop is followed by a barrier, and the serial comm3 and
+// zero3 run between two barriers on the master (single). The last
+// comm3, of u at the finest level, is mg3P's, after the join.
+func (b *Benchmark) cycle(id int) {
 	lt := b.p.lt
-	const lb = 1
-	for k := lt; k >= lb+1; k-- {
-		b.cy.rprj3(tm, b.r[k], b.lv[k], b.r[k-1], b.lv[k-1])
+	for k := lt; k >= 2; k-- {
+		b.rprj3(id, k)
+		var z []float64
+		if k == 2 {
+			z = b.u[1]
+		}
+		b.single(id, b.r, k-1, z)
 	}
-	zero3(b.u[lb])
-	b.cy.psinv(tm, b.r[lb], b.u[lb], b.lv[lb])
-	for k := lb + 1; k <= lt-1; k++ {
-		zero3(b.u[k])
-		b.cy.interp(tm, b.u[k-1], b.lv[k-1], b.u[k], b.lv[k])
-		b.cy.resid(tm, b.r[k], b.u[k], b.r[k], b.lv[k])
-		b.cy.psinv(tm, b.r[k], b.u[k], b.lv[k])
+	b.psinv(id, 1)
+	for k := 2; k < lt; k++ {
+		b.single(id, b.u, k-1, b.u[k])
+		b.interp(id, k)
+		b.tm.BarrierID(id)
+		b.resid(id, k, b.r[k])
+		b.single(id, b.r, k, nil)
+		b.psinv(id, k)
 	}
-	b.cy.interp(tm, b.u[lt-1], b.lv[lt-1], b.u[lt], b.lv[lt])
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, b.lv[lt])
-	b.cy.psinv(tm, b.r[lt], b.u[lt], b.lv[lt])
+	b.single(id, b.u, lt-1, nil)
+	b.interp(id, lt)
+	b.tm.BarrierID(id)
+	b.resid(id, lt, b.v)
+	b.single(id, b.r, lt, nil)
+	b.psinv(id, lt)
+}
+
+// single refreshes the ghost shells of f on level k (f is b.r or b.u)
+// and, when z is not nil, clears z, on the master alone (OpenMP's
+// single): the first barrier waits for every worker's planes of f[k],
+// the second holds the team until the ghosts and the cleared grid are
+// in place.
+func (b *Benchmark) single(id int, f [][]float64, k int, z []float64) {
+	b.tm.BarrierID(id)
+	if id == 0 {
+		comm3(f[k], b.lv[k])
+		if z != nil {
+			zero3(z)
+		}
+	}
+	b.tm.BarrierID(id)
+}
+
+// resid is worker id's share of r = v - A u on the interior of level k.
+func (b *Benchmark) resid(id, k int, v []float64) {
+	l, s := b.lv[k], &b.sums[id]
+	for it := b.tm.Loop(id, 1, l.n3-1); it.Next(); {
+		residRange(b.r[k], b.u[k], v, l, &b.a, s[0], s[1], it.Lo, it.Hi)
+	}
+}
+
+// psinv is worker id's share of the smoother u += C r on the interior
+// of level k.
+func (b *Benchmark) psinv(id, k int) {
+	l, s := b.lv[k], &b.sums[id]
+	for it := b.tm.Loop(id, 1, l.n3-1); it.Next(); {
+		psinvRange(b.r[k], b.u[k], l, &b.c, s[0], s[1], it.Lo, it.Hi)
+	}
+}
+
+// rprj3 is worker id's share of the restriction of r on level k onto
+// level k-1.
+func (b *Benchmark) rprj3(id, k int) {
+	for it := b.tm.Loop(id, 1, b.lv[k-1].n3-1); it.Next(); {
+		rprj3Range(b.r[k], b.lv[k], b.r[k-1], b.lv[k-1], it.Lo, it.Hi)
+	}
+}
+
+// interp is worker id's share of the prolongation of u on level k-1
+// into u on level k.
+func (b *Benchmark) interp(id, k int) {
+	for it := b.tm.Loop(id, 0, b.lv[k-1].n3-1); it.Next(); {
+		interpRange(b.u[k-1], b.lv[k-1], b.u[k], b.lv[k], it.Lo, it.Hi)
+	}
+}
+
+// norms is worker id's share of the residual norms at the finest
+// level, into the block-indexed reduction and max slots.
+func (b *Benchmark) norms(id int) {
+	tm, l, r := b.tm, b.lv[b.p.lt], b.r[b.p.lt]
+	n1, n2 := l.n1, l.n2
+	for it := tm.ReduceBlocks(id, 1, l.n3-1); it.Next(); {
+		s, m := 0.0, 0.0
+		for i3 := it.Lo; i3 < it.Hi; i3++ {
+			for i2 := 1; i2 < n2-1; i2++ {
+				c := l.at(0, i2, i3)
+				for i1 := 1; i1 < n1-1; i1++ {
+					v := r[c+i1]
+					s += v * v
+					if a := math.Abs(v); a > m {
+						m = a
+					}
+				}
+			}
+		}
+		*tm.Partial(it.Chunk()) = s
+		b.maxs[it.Chunk()] = m
+	}
+}
+
+// mg3P performs one V-cycle on tm (Benchmark.cycle), then refreshes
+// the finest u's ghost shells.
+func (b *Benchmark) mg3P(tm *team.Team) {
+	b.tm = tm
+	tm.Run(b.cycleBody)
+	comm3(b.u[b.p.lt], b.lv[b.p.lt])
+}
+
+// residual computes r = v - A u on the interior of the finest level on
+// tm and refreshes r's ghost shells.
+func (b *Benchmark) residual(tm *team.Team) {
+	b.tm = tm
+	tm.Run(b.residBody)
+	comm3(b.r[b.p.lt], b.lv[b.p.lt])
+}
+
+// norm2u3 returns the discrete L2 norm (scaled by the interior point
+// count) and the max norm of r's interior on the finest level.
+func (b *Benchmark) norm2u3(tm *team.Team) (rnm2, rnmu float64) {
+	b.tm = tm
+	tm.Run(b.normBody)
+	sum := tm.PartialSum()
+	for id := 0; id < tm.Size(); id++ {
+		if b.maxs[id] > rnmu {
+			rnmu = b.maxs[id]
+		}
+	}
+	nx := float64(b.p.nx)
+	return math.Sqrt(sum / (nx * nx * nx)), rnmu
 }
 
 // Iter runs one timed V-cycle plus the trailing residual update on tm,
-// whose Size must equal the thread count the Benchmark was built with.
-// Iter is the steady-state hook the allocation gate measures: after the
-// first call it performs no heap allocation.
+// whose Size must equal the thread count the Benchmark was built with:
+// one region each. Iter is the steady-state hook the allocation gate
+// measures: after the first call it performs no heap allocation.
 func (b *Benchmark) Iter(tm *team.Team) {
 	b.env.Start("mg3P")
 	b.mg3P(tm)
 	b.env.Stop("mg3P")
 	b.env.Start("resid")
-	b.cy.resid(tm, b.r[b.p.lt], b.u[b.p.lt], b.v, b.lv[b.p.lt])
+	b.residual(tm)
 	b.env.Stop("resid")
 }
 
@@ -140,27 +277,27 @@ func (b *Benchmark) RunResult() Result {
 	fin := b.lv[lt]
 	nx := b.p.nx
 	nxyz := float64(nx) * float64(nx) * float64(nx)
-	rhs := b.cy.findCharges(tm, fin)
+	rhs := findCharges(tm, fin, b.rows)
 
 	// Untimed warm-up cycle.
 	zero3(b.u[lt])
 	rhs.plant(b.v, fin)
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+	b.residual(tm)
 	b.mg3P(tm)
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+	b.residual(tm)
 
 	// Reset and time.
 	zero3(b.u[lt])
 	rhs.plant(b.v, fin)
 	start := time.Now()
 	b.env.Start("resid")
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
+	b.residual(tm)
 	b.env.Stop("resid")
 	for it := 1; it <= b.p.nit && !tm.Cancelled(); it++ {
 		b.Iter(tm)
 	}
 	b.env.Start("norm2u3")
-	rnm2, rnmu := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
+	rnm2, rnmu := b.norm2u3(tm)
 	b.env.Stop("norm2u3")
 	elapsed := time.Since(start)
 

@@ -98,8 +98,6 @@ func TestComm3Periodic(t *testing.T) {
 func TestResidZeroFieldGivesRHS(t *testing.T) {
 	// With u = 0, r = v on the interior.
 	l := level{6, 6, 6}
-	tm := team.New(1)
-	defer tm.Close()
 	u := make([]float64, l.len())
 	v := make([]float64, l.len())
 	r := make([]float64, l.len())
@@ -107,7 +105,7 @@ func TestResidZeroFieldGivesRHS(t *testing.T) {
 		v[i] = float64(i%7) * 0.25
 	}
 	a := [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
-	newCycle(1, l.n1, a, [4]float64{}).resid(tm, r, u, v, l)
+	residRange(r, u, v, l, &a, make([]float64, l.n1), make([]float64, l.n1), 1, l.n3-1)
 	for i3 := 1; i3 < 5; i3++ {
 		for i2 := 1; i2 < 5; i2++ {
 			for i1 := 1; i1 < 5; i1++ {
@@ -125,8 +123,6 @@ func TestResidConstantFieldAnnihilated(t *testing.T) {
 	// 8*a3 with a=(-8/3,0,1/6,1/12) gives -8/3 + 2 + 2/3 = 0), so a
 	// constant u yields r = v.
 	l := level{8, 8, 8}
-	tm := team.New(1)
-	defer tm.Close()
 	u := make([]float64, l.len())
 	v := make([]float64, l.len())
 	r := make([]float64, l.len())
@@ -134,7 +130,7 @@ func TestResidConstantFieldAnnihilated(t *testing.T) {
 		u[i] = 4.2
 	}
 	a := [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}
-	newCycle(1, l.n1, a, [4]float64{}).resid(tm, r, u, v, l)
+	residRange(r, u, v, l, &a, make([]float64, l.n1), make([]float64, l.n1), 1, l.n3-1)
 	for i3 := 1; i3 < 7; i3++ {
 		for i2 := 1; i2 < 7; i2++ {
 			for i1 := 1; i1 < 7; i1++ {
@@ -151,14 +147,12 @@ func TestRprj3ConstantField(t *testing.T) {
 	// + 8*.0625 = 4, so a constant c restricts to 4c.
 	fine := level{10, 10, 10}
 	coarse := level{6, 6, 6}
-	tm := team.New(1)
-	defer tm.Close()
 	r := make([]float64, fine.len())
 	s := make([]float64, coarse.len())
 	for i := range r {
 		r[i] = 1.5
 	}
-	newCycle(1, fine.n1, [4]float64{}, [4]float64{}).rprj3(tm, r, fine, s, coarse)
+	rprj3Range(r, fine, s, coarse, 1, coarse.n3-1)
 	for i3 := 1; i3 < 5; i3++ {
 		for i2 := 1; i2 < 5; i2++ {
 			for i1 := 1; i1 < 5; i1++ {
@@ -181,16 +175,15 @@ func TestVCyclesReduceResidual(t *testing.T) {
 	defer tm.Close()
 	lt := b.p.lt
 	fin := b.lv[lt]
-	nxyz := float64(b.p.nx) * float64(b.p.nx) * float64(b.p.nx)
 	zero3(b.u[lt])
-	rhs := b.cy.findCharges(tm, fin)
+	rhs := findCharges(tm, fin, b.rows)
 	rhs.plant(b.v, fin)
-	b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
-	prev, _ := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
+	b.residual(tm)
+	prev, _ := b.norm2u3(tm)
 	for it := 0; it < 4; it++ {
 		b.mg3P(tm)
-		b.cy.resid(tm, b.r[lt], b.u[lt], b.v, fin)
-		cur, _ := b.cy.norm2u3(tm, b.r[lt], fin, nxyz)
+		b.residual(tm)
+		cur, _ := b.norm2u3(tm)
 		if cur > prev*0.5 {
 			t.Fatalf("cycle %d: residual %v did not drop enough from %v", it, cur, prev)
 		}
@@ -204,14 +197,12 @@ func TestInterpConstantCoarseField(t *testing.T) {
 	// per target point).
 	coarse := level{6, 6, 6}
 	fine := level{10, 10, 10}
-	tm := team.New(1)
-	defer tm.Close()
 	z := make([]float64, coarse.len())
 	for i := range z {
 		z[i] = 2.5
 	}
 	u := make([]float64, fine.len())
-	newCycle(1, fine.n1, [4]float64{}, [4]float64{}).interp(tm, z, coarse, u, fine)
+	interpRange(z, coarse, u, fine, 0, coarse.n3-1)
 	// Interior fine points that interp writes (indices below 2*(mm-1))
 	// must all have received exactly 2.5.
 	for k := 0; k < 8; k++ {

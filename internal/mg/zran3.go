@@ -81,12 +81,13 @@ func (ch *charges) plant(z []float64, l level) {
 // fills one row at a time into the worker's row scratch and keeps its
 // own lists, whose survivors are then offered to one list in block
 // order. The generator repeats no value within its period, so those are
-// the survivors of the whole field.
-func (cy *cycle) findCharges(tm *team.Team, l level) charges {
+// the survivors of the whole field. rows holds each worker's row
+// scratch, at least l.n1-2 long.
+func findCharges(tm *team.Team, l level, rows [][]float64) charges {
 	nx, ny := l.n1-2, l.n2-2
 	blocks := make([]charges, tm.Size())
 	tm.Run(func(id int) {
-		row := cy.rows[id][:nx]
+		row := rows[id][:nx]
 		for it := tm.ReduceBlocks(id, 1, l.n3-1); it.Next(); {
 			ch := newCharges() // a local: the blocks share cache lines
 			g := randdp.New(randdp.DefaultSeed, randdp.A)

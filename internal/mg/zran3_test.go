@@ -67,13 +67,23 @@ func oracleInsert(list []cand, c cand, before func(a, b float64) bool) []cand {
 	return list
 }
 
-// plantCharges runs the benchmark's find-and-plant on a fresh cycle and
-// team of the given size and schedule.
+// plantCharges runs the benchmark's find-and-plant on fresh row scratch
+// and a team of the given size and schedule.
 func plantCharges(z []float64, l level, workers int, s team.Schedule) {
 	tm := team.New(workers, team.WithSchedule(s))
 	defer tm.Close()
-	rhs := newCycle(workers, l.n1, [4]float64{}, [4]float64{}).findCharges(tm, l)
+	rhs := findCharges(tm, l, chargeRows(workers, l))
 	rhs.plant(z, l)
+}
+
+// chargeRows makes findCharges' row scratch for a team of the given
+// size on level l.
+func chargeRows(workers int, l level) [][]float64 {
+	rows := make([][]float64, workers)
+	for id := range rows {
+		rows[id] = make([]float64, l.n1)
+	}
+	return rows
 }
 
 // TestChargesMatchOracle compares all of v, ghost shells included, with
@@ -114,11 +124,11 @@ func BenchmarkCharges(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tm := team.New(workers)
 			defer tm.Close()
-			cy := newCycle(workers, l.n1, [4]float64{}, [4]float64{})
+			rows := chargeRows(workers, l)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cy.findCharges(tm, l)
+				findCharges(tm, l, rows)
 			}
 		})
 	}
@@ -128,7 +138,7 @@ func BenchmarkPlant(b *testing.B) {
 	l := level{130, 130, 130}
 	tm := team.New(1)
 	defer tm.Close()
-	rhs := newCycle(1, l.n1, [4]float64{}, [4]float64{}).findCharges(tm, l)
+	rhs := findCharges(tm, l, chargeRows(1, l))
 	z := make([]float64, l.len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

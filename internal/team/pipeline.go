@@ -18,13 +18,12 @@ import "npbgo/internal/trace"
 // reverse sweep and the next forward sweep can follow each other in one
 // region with nothing in between.
 //
-// A pipeline built with Team.NewPipeline shares the team's wait state
+// A pipeline, built with Team.NewPipeline, shares the team's wait state
 // and probe: a failed region or a cancelled team unwinds a worker
 // waiting for a token as it does one at a barrier, the wait is charged
 // to the worker's wait slot — so LU's pipeline stalls show in the
 // imbalance diagnostics — and a wait that finds no token ready is a span
-// on its trace timeline. The bare NewPipeline constructor has no probe
-// and cannot be aborted.
+// on its trace timeline.
 type Pipeline struct {
 	l        *lot
 	fwd, rev []gate     // stages completed by each worker, per direction
@@ -39,26 +38,13 @@ type pipeUsed struct {
 	_        [48]byte
 }
 
-// NewPipeline creates pipeline state for a team of n workers. steps, the
-// number of ordered stages per sweep, is not needed by counting tokens
-// and is kept for the callers that state it.
-func NewPipeline(n, steps int) *Pipeline {
-	l := new(lot)
-	l.init(n)
-	return newPipeline(n, l)
-}
-
-func newPipeline(n int, l *lot) *Pipeline {
-	return &Pipeline{l: l, fwd: make([]gate, n), rev: make([]gate, n), used: make([]pipeUsed, n)}
-}
-
 // NewPipeline creates a Pipeline sized for the team and wired to its
-// wait state and probe. It is the constructor the benchmark kernels
-// use.
+// wait state and probe. steps, the number of ordered stages per sweep,
+// is not needed by counting tokens and is kept for the callers that
+// state it.
 func (t *Team) NewPipeline(steps int) *Pipeline {
-	p := newPipeline(t.n, &t.lot)
-	p.probe = t.probe
-	return p
+	n := t.n
+	return &Pipeline{l: &t.lot, fwd: make([]gate, n), rev: make([]gate, n), used: make([]pipeUsed, n), probe: t.probe}
 }
 
 // recv consumes worker id's next token from gate g, counting it in

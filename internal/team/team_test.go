@@ -216,7 +216,7 @@ func TestPipelineEnforcesOrder(t *testing.T) {
 	const planes = 20
 	tm := New(n)
 	defer tm.Close()
-	p := NewPipeline(n, planes)
+	p := tm.NewPipeline(planes)
 	// progress[w] = number of planes finished by worker w.
 	progress := make([]int32, n)
 	bad := int32(0)
@@ -246,7 +246,7 @@ func TestPipelineReverse(t *testing.T) {
 	const planes = 10
 	tm := New(n)
 	defer tm.Close()
-	p := NewPipeline(n, planes)
+	p := tm.NewPipeline(planes)
 	progress := make([]int32, n)
 	bad := int32(0)
 	tm.Run(func(id int) {
@@ -268,7 +268,7 @@ func TestPipelineDrainAllowsReuse(t *testing.T) {
 	const n = 2
 	tm := New(n)
 	defer tm.Close()
-	p := NewPipeline(n, 4)
+	p := tm.NewPipeline(4)
 	for sweep := 0; sweep < 3; sweep++ {
 		tm.Run(func(id int) {
 			for k := 0; k < 4; k++ {
