@@ -27,6 +27,13 @@ var teamInvariant = map[npbgo.Benchmark]bool{npbgo.BT: true, npbgo.SP: true, npb
 // under guided and stealing, and at seven threads.
 var oneRegionPhases = map[npbgo.Benchmark]bool{npbgo.MG: true, npbgo.CG: true, npbgo.FT: true, npbgo.LU: true}
 
+// oneLoopKernels names the kernels whose timed phase is one scheduled
+// loop over independent batches (EP) or keys (IS); the golden also
+// holds them under guided at threads {2, 3}, and at seven threads under
+// static and dynamic, where dynamic deals seven deques and steals
+// across them.
+var oneLoopKernels = map[npbgo.Benchmark]bool{npbgo.EP: true, npbgo.IS: true}
+
 // goldenKey names a cell's recorded printout: "BT.S" for a
 // team-invariant code, "CG.S.t2" for the others, whose reduction order
 // depends on the team size (never on the schedule).
@@ -48,7 +55,9 @@ func goldenKey(b npbgo.Benchmark, class byte, threads int) string {
 // {1, 2, 3} × {static, dynamic}; MG, CG, FT and LU, whose timed phases
 // each run as one region with barriers inside, add guided and stealing
 // at S, and MG, CG and FT seven threads, which leave workers idle on
-// MG's two-plane coarse levels while every barrier must still trip.
+// MG's two-plane coarse levels while every barrier must still trip. EP
+// and IS add guided at S, threads {2, 3}, and seven threads under
+// static and dynamic.
 // Outside -short the five kernels add the static/dynamic lattice at W,
 // and BT, SP and LU one W cell each (two threads, dynamic: each W run
 // takes seconds), and LU a second one at one thread, static, whose one
@@ -77,11 +86,18 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 				check(b, 'S', threads, "guided")
 				check(b, 'S', threads, "stealing")
 			}
+			if oneLoopKernels[b] && threads > 1 {
+				check(b, 'S', threads, "guided")
+			}
 		}
 		if oneRegionPhases[b] && !teamInvariant[b] {
 			for _, sched := range team.ScheduleNames() {
 				check(b, 'S', 7, sched)
 			}
+		}
+		if oneLoopKernels[b] {
+			check(b, 'S', 7, "static")
+			check(b, 'S', 7, "dynamic")
 		}
 		if !testing.Short() && teamInvariant[b] {
 			check(b, 'W', 2, "dynamic")

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"npbgo"
+	"npbgo/internal/team"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bench := fs.String("bench", "CG", "benchmark: BT SP LU FT MG CG IS EP")
 	class := fs.String("class", "S", "problem class: S W A B C")
 	threads := fs.Int("threads", 1, "worker threads (1 = serial)")
-	schedule := fs.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
+	schedule := fs.String("schedule", "", "team loop schedule: "+strings.Join(team.ScheduleNames(), ", ")+" (default static)")
 	verbose := fs.Bool("v", false, "print the full verification report")
 	profile := fs.Bool("profile", false, "print a per-phase timing profile")
 	if err := fs.Parse(args); err != nil {

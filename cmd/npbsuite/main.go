@@ -24,7 +24,7 @@
 // runs it again.
 //
 // -schedule selects the team loop schedule for every cell (static —
-// the default — dynamic, guided or stealing; see DESIGN.md §14).
+// the default — or any other of team.ScheduleNames; see DESIGN.md §14).
 // Schedules redistribute loop chunks between workers without changing
 // any numerical result; the chosen name is stamped into each cell's
 // bench-record line so sweeps stay comparable.
@@ -94,7 +94,7 @@ func main() {
 	threadsFlag := flag.String("threads", "1,2,4", "comma-separated thread counts")
 	benchFlag := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 	repeats := flag.Int("repeats", 1, "repetitions per cell (best time kept)")
-	schedule := flag.String("schedule", "", "team loop schedule: static (default), dynamic, guided or stealing")
+	schedule := flag.String("schedule", "", "team loop schedule: "+strings.Join(team.ScheduleNames(), ", ")+" (default static)")
 	timeout := flag.Duration("timeout", 0, "per-run deadline, e.g. 5m (0 = unbounded)")
 	instrumentFlag := flag.String("instrument", "", "comma-separated instruments to turn on per cell: "+strings.Join(instrumentNames, ", "))
 	instrumentDir := flag.String("instrument-dir", "instruments", "with -instrument: directory for trace and pprof files")

@@ -1,15 +1,18 @@
-// Loop scheduling: the OpenMP schedule(static|dynamic|guided) family
-// plus work stealing, mapped onto the team runtime.
+// Loop scheduling: the OpenMP schedule(static|dynamic|guided) family,
+// mapped onto the team runtime.
 //
 // The paper's §5.2 traces CG's poor scaling to load imbalance under the
 // static block distribution its Java prototype hard-codes — the same
 // distribution Block computes. A Schedule makes the distribution a
 // property of the team: static keeps the old behavior (and stays the
-// default), dynamic hands out fixed-size chunks through an atomic
-// cursor, guided shrinks chunks geometrically so the tail self-balances,
-// and stealing gives every worker a deque of chunks with idle workers
-// taking the back half of a victim's remaining range. The schedule is
-// fixed when the team is built.
+// default); dynamic gives every worker a deque holding the chunks of its
+// own static block, popped front to back, and a worker whose deque is
+// empty takes the back half of another worker's remainder (OpenMP 5.0's
+// nonmonotonic:dynamic, the default since 5.0), so each worker reads
+// what it wrote in the loop before unless it has run dry; guided shrinks
+// chunks geometrically and deals them through a shared atomic cursor, so
+// the tail self-balances. Stealing is the dynamic scheme under its older
+// name. The schedule is fixed when the team is built.
 //
 // Determinism. Scheduling only moves chunks between workers; it never
 // changes which output element a chunk writes, so loops whose body
@@ -30,6 +33,7 @@ package team
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 )
 
@@ -41,16 +45,17 @@ const (
 	// block computed by Block, the OpenMP schedule(static) of the
 	// paper's prototype.
 	Static Schedule = iota
-	// Dynamic deals fixed-size chunks through a shared atomic cursor;
-	// workers grab the next chunk when they finish their current one.
+	// Dynamic deals fixed-size chunks through per-worker deques: each
+	// worker pops the chunks of its own static block first, front to
+	// back, and only once that is empty steals the back half of another
+	// worker's remainder (OpenMP 5.0 nonmonotonic:dynamic).
 	Dynamic
 	// Guided deals geometrically shrinking chunks (remaining/(2n),
-	// at least one iteration), so early chunks are big and the tail is
-	// fine-grained enough to even out.
+	// at least one iteration) through a shared atomic cursor, so early
+	// chunks are big and the tail is fine-grained enough to even out.
 	Guided
-	// Stealing gives each worker a deque of chunks; an idle worker
-	// steals the back half of a victim's remaining range, preserving
-	// the owner's locality at the front.
+	// Stealing is Dynamic under its older name: the same deques, the
+	// same steals. It is kept while the benchmark's layer probes name it.
 	Stealing
 )
 
@@ -80,7 +85,7 @@ func ParseSchedule(name string) (Schedule, error) {
 	if name == "" {
 		return Static, nil
 	}
-	return Static, fmt.Errorf("team: unknown schedule %q (want static, dynamic, guided or stealing)", name)
+	return Static, fmt.Errorf("team: unknown schedule %q (want one of %s)", name, strings.Join(scheduleNames[:], ", "))
 }
 
 // WithSchedule selects the team's loop schedule. The zero value Static
@@ -97,9 +102,9 @@ const (
 	// at most loopSlots worksharing loops between two barriers (or a
 	// barrier and the join). The fused kernels run at most three.
 	loopSlots = 16
-	// oversub is the automatic-grain target for dynamic and stealing:
-	// about oversub chunks per worker, enough slack to rebalance without
-	// drowning in cursor traffic.
+	// oversub is the automatic-grain target for dynamic: about oversub
+	// chunks per worker, enough slack to rebalance without drowning in
+	// deque traffic.
 	oversub = 8
 	// maxChunks caps a loop's chunk count so chunk ordinals and deque
 	// bounds always fit their 32-bit halves.
@@ -146,7 +151,7 @@ type Iter struct {
 	grain     int
 	nchunks   int
 
-	slot *padU64 // shared cursor word (dynamic/guided) or arm word (stealing)
+	slot *padU64 // shared cursor word (guided) or arm word (dynamic)
 	tag  uint64  // loop-instance tag in the word's high 32 bits
 	deq  []padU64
 
@@ -219,7 +224,7 @@ func (t *Team) newIter(id, lo, hi int, blocks bool) Iter {
 			it.nchunks = (span + g - 1) / g
 		}
 	}
-	if s == Stealing {
+	if s == Dynamic || s == Stealing {
 		it.deq = t.deques[inst%loopSlots]
 		if it.nchunks > 0 {
 			it.armSteal()
@@ -236,7 +241,7 @@ func (it *Iter) Next() bool {
 	}
 	var c, victim int
 	switch it.sched {
-	case Stealing:
+	case Dynamic, Stealing:
 		var ok bool
 		c, victim, ok = it.stealNext()
 		if !ok {
@@ -272,7 +277,7 @@ func (it *Iter) Next() bool {
 // is the block index, the deterministic slot for this chunk's partial.
 func (it *Iter) Chunk() int { return it.cur }
 
-// grab claims the next chunk ordinal off the shared cursor. The first
+// grab claims the next guided chunk off the shared cursor. The first
 // arriver finds the slot tagged by a dead loop and re-arms it, claiming
 // chunk 0 in the same CAS.
 func (it *Iter) grab() (int, bool) {

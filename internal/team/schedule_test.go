@@ -3,6 +3,7 @@ package team
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,29 +248,101 @@ func TestScheduleWorkerPanicUnwinds(t *testing.T) {
 
 // TestStealingRecordsSteals: with one worker hogging the clock the
 // other must take chunks from its deque, visible in the probe counters.
+// Dynamic deals through the same deques, so it must steal too.
 func TestStealingRecordsSteals(t *testing.T) {
-	rec := NewProbe(2, nil)
-	tm := New(2, WithSchedule(Stealing), WithProbe(rec))
-	defer tm.Close()
-	var slow atomic.Bool
-	forEach(tm, 0, 64, func(i int) {
-		// Worker 0 owns the front chunks; make the very first index slow
-		// so the other worker drains both deques meanwhile.
-		if i == 0 && slow.CompareAndSwap(false, true) {
-			time.Sleep(20 * time.Millisecond)
+	for _, s := range []Schedule{Dynamic, Stealing} {
+		rec := NewProbe(2, nil)
+		tm := New(2, WithSchedule(s), WithProbe(rec))
+		var slow atomic.Bool
+		forEach(tm, 0, 64, func(i int) {
+			// Worker 0 owns the front chunks; make the very first index
+			// slow so the other worker drains both deques meanwhile.
+			if i == 0 && slow.CompareAndSwap(false, true) {
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+		tm.Close()
+		st := rec.Snapshot()
+		var chunks, steals uint64
+		for id := 0; id < 2; id++ {
+			chunks += st.Chunks[id]
+			steals += st.Steals[id]
 		}
-	})
-	st := rec.Snapshot()
-	var chunks, steals uint64
-	for id := 0; id < 2; id++ {
-		chunks += st.Chunks[id]
-		steals += st.Steals[id]
+		if chunks == 0 {
+			t.Fatalf("%v schedule claimed no chunks", s)
+		}
+		if steals == 0 {
+			t.Fatalf("%v: no steal recorded despite a stalled owner", s)
+		}
 	}
-	if chunks == 0 {
-		t.Fatal("stealing schedule claimed no chunks")
-	}
-	if steals == 0 {
-		t.Fatal("no steal recorded despite a stalled owner")
+}
+
+// TestDynamicStartsOnOwnBlock: dynamic keeps each worker on its own
+// static block first, so data a worker wrote in one loop is the data it
+// reads in the next. Every worker's first chunk of a Loop is the first
+// chunk of its Block of the chunk ordinals (and, when the span divides
+// evenly, the first index of its Block of the range), and its first
+// block under ReduceBlocks is block id. Each worker waits after its
+// first chunk until all have one, so no worker can finish early and
+// steal another's front before that one has started.
+func TestDynamicStartsOnOwnBlock(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		tm := New(n, WithSchedule(Dynamic))
+		firstChunk := make([]int, n)
+		firstLo := make([]int, n)
+		firstNChunks := make([]int, n)
+		var arrived atomic.Int32
+		gate := func() {
+			arrived.Add(1)
+			for arrived.Load()%int32(n) != 0 {
+				runtime.Gosched()
+			}
+		}
+		aligned := 3 * oversub * n // grain 3, oversub chunks per worker
+		for _, r := range []struct{ lo, hi int }{{0, aligned}, {5, 5 + aligned}, {3, 1000}} {
+			for rep := 0; rep < 3; rep++ {
+				tm.Run(func(id int) {
+					it := tm.Loop(id, r.lo, r.hi)
+					for first := true; it.Next(); first = false {
+						if first {
+							firstChunk[id], firstLo[id], firstNChunks[id] = it.Chunk(), it.Lo, it.nchunks
+							gate()
+						}
+					}
+				})
+				for id := 0; id < n; id++ {
+					if firstNChunks[id] < 2*n {
+						t.Fatalf("n=%d [%d,%d): %d chunks, want at least 2 a worker", n, r.lo, r.hi, firstNChunks[id])
+					}
+					if want, _ := Block(0, firstNChunks[id], n, id); firstChunk[id] != want {
+						t.Fatalf("n=%d [%d,%d) rep %d: worker %d began with chunk %d, its own block begins at %d",
+							n, r.lo, r.hi, rep, id, firstChunk[id], want)
+					}
+					if r.hi-r.lo == aligned {
+						if want, _ := Block(r.lo, r.hi, n, id); firstLo[id] != want {
+							t.Fatalf("n=%d [%d,%d) rep %d: worker %d began at index %d, its Block begins at %d",
+								n, r.lo, r.hi, rep, id, firstLo[id], want)
+						}
+					}
+				}
+				tm.Run(func(id int) {
+					it := tm.ReduceBlocks(id, r.lo, r.hi)
+					for first := true; it.Next(); first = false {
+						if first {
+							firstChunk[id] = it.Chunk()
+							gate()
+						}
+					}
+				})
+				for id := 0; id < n; id++ {
+					if firstChunk[id] != id {
+						t.Fatalf("n=%d [%d,%d) rep %d: worker %d began ReduceBlocks on block %d",
+							n, r.lo, r.hi, rep, id, firstChunk[id])
+					}
+				}
+			}
+		}
+		tm.Close()
 	}
 }
 

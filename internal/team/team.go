@@ -17,7 +17,8 @@
 // loops only, is what the kernels build on it. Loop-level work sharing
 // uses the same static block distribution as the OpenMP schedule(static)
 // the paper's prototype used by default; WithSchedule switches a team to
-// dynamic, guided or work-stealing distribution (see schedule.go).
+// the dynamic (own block first, then stealing) or guided distribution
+// (see schedule.go).
 //
 // The runtime is fault-isolating: a panic on any worker is captured with
 // its stack, the region is poisoned so sibling workers waiting at a
@@ -108,8 +109,8 @@ type Team struct {
 	inRegion atomic.Bool // guards against nested parallel regions
 	loopBase uint32      // loop instances dealt before the current region
 	loopK    []padCount  // per-worker loop ordinal within the region
-	loops    []padU64    // shared cursor ring, one word per loop slot
-	deques   [][]padU64  // per-slot stealing deques, one word per worker
+	loops    []padU64    // loop-slot ring: guided's cursor or dynamic's arm word
+	deques   [][]padU64  // per-slot dynamic deques, one word per worker
 
 	failMu sync.Mutex // guards regionFail and cancelErr
 	// regionFail is the first real panic of the current region; cleared

@@ -86,8 +86,11 @@ type Config struct {
 	Trace bool
 	// Schedule selects the team's loop schedule: "static" (default),
 	// "dynamic", "guided" or "stealing". Static is the paper's block
-	// distribution; the others redistribute loop chunks at runtime
-	// without changing any numerical result. Empty means static.
+	// distribution. Dynamic starts each worker on its own static block
+	// and lets a worker that runs dry take the back half of another's
+	// remainder; stealing is the same scheme under its older name.
+	// Guided deals shrinking chunks from a shared cursor. None of them
+	// changes any numerical result. Empty means static.
 	Schedule string
 }
 
