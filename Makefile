@@ -109,7 +109,7 @@ bench-json:
 # come out of npbperf scaling without the §5.2 load-imbalance flag. The
 # CI schedule-matrix job runs the same steps, one schedule per matrix
 # leg.
-SCHEDULES ?= static dynamic guided stealing
+SCHEDULES ?= static dynamic
 schedule-check:
 	for s in $(SCHEDULES); do \
 		$(GO) run -race ./cmd/npbsuite -class S -bench CG,IS -threads 2,4 -schedule $$s -instrument obs -instrument-dir $(INSTDIR)/sched || exit 1; \

@@ -22,18 +22,6 @@ import (
 // class) covers every team size and schedule.
 var teamInvariant = map[npbgo.Benchmark]bool{npbgo.BT: true, npbgo.SP: true, npbgo.LU: true}
 
-// oneRegionPhases names the codes whose timed phases each run as one
-// region with barriers between their loops; the golden also holds them
-// under guided and stealing, and at seven threads.
-var oneRegionPhases = map[npbgo.Benchmark]bool{npbgo.MG: true, npbgo.CG: true, npbgo.FT: true, npbgo.LU: true}
-
-// oneLoopKernels names the kernels whose timed phase is one scheduled
-// loop over independent batches (EP) or keys (IS); the golden also
-// holds them under guided at threads {2, 3}, and at seven threads under
-// static and dynamic, where dynamic deals seven deques and steals
-// across them.
-var oneLoopKernels = map[npbgo.Benchmark]bool{npbgo.EP: true, npbgo.IS: true}
-
 // goldenKey names a cell's recorded printout: "BT.S" for a
 // team-invariant code, "CG.S.t2" for the others, whose reduction order
 // depends on the team size (never on the schedule).
@@ -52,12 +40,12 @@ func goldenKey(b npbgo.Benchmark, class byte, threads int) string {
 // checksums, IS's order check and the BT/SP/LU residual and error norms
 // (and LU's surface integral) — a stronger statement than the
 // within-epsilon verification itself. Every code runs at S × threads
-// {1, 2, 3} × {static, dynamic}; MG, CG, FT and LU, whose timed phases
-// each run as one region with barriers inside, add guided and stealing
-// at S, and MG, CG and FT seven threads, which leave workers idle on
-// MG's two-plane coarse levels while every barrier must still trip. EP
-// and IS add guided at S, threads {2, 3}, and seven threads under
-// static and dynamic.
+// {1, 2, 3} × {static, dynamic}. The five kernels add four and seven
+// threads; seven leave workers idle on MG's two-plane coarse levels
+// while every barrier must still trip, and make dynamic deal seven
+// deques and steal across them. BT, SP and LU add thirteen threads,
+// more than their twelve planes, so some workers own empty bands and
+// LU's pipeline passes its tokens through idle workers.
 // Outside -short the five kernels add the static/dynamic lattice at W,
 // and BT, SP and LU one W cell each (two threads, dynamic: each W run
 // takes seconds), and LU a second one at one thread, static, whose one
@@ -75,29 +63,19 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 		}
 	}
 	for _, b := range npbgo.Benchmarks() {
-		for _, threads := range []int{1, 2, 3} {
-			for _, sched := range []string{"static", "dynamic"} {
+		for _, sched := range team.ScheduleNames() {
+			for _, threads := range []int{1, 2, 3} {
 				check(b, 'S', threads, sched)
 				if !testing.Short() && !teamInvariant[b] {
 					check(b, 'W', threads, sched)
 				}
 			}
-			if oneRegionPhases[b] {
-				check(b, 'S', threads, "guided")
-				check(b, 'S', threads, "stealing")
-			}
-			if oneLoopKernels[b] && threads > 1 {
-				check(b, 'S', threads, "guided")
-			}
-		}
-		if oneRegionPhases[b] && !teamInvariant[b] {
-			for _, sched := range team.ScheduleNames() {
+			if teamInvariant[b] {
+				check(b, 'S', 13, sched)
+			} else {
+				check(b, 'S', 4, sched)
 				check(b, 'S', 7, sched)
 			}
-		}
-		if oneLoopKernels[b] {
-			check(b, 'S', 7, "static")
-			check(b, 'S', 7, "dynamic")
 		}
 		if !testing.Short() && teamInvariant[b] {
 			check(b, 'W', 2, "dynamic")
@@ -115,7 +93,7 @@ func TestVerificationPrintoutsMatchRecorded(t *testing.T) {
 func TestInstrumentsDoNotChangeABit(t *testing.T) {
 	golden := loadGolden(t, "testdata/bitidentity.golden")
 	for _, b := range npbgo.Benchmarks() {
-		for _, threads := range []int{2, 3} {
+		for _, threads := range []int{2, 3, 4} {
 			key := goldenKey(b, 'S', threads)
 			want, ok := golden[key]
 			if !ok {

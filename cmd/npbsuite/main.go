@@ -24,10 +24,10 @@
 // runs it again.
 //
 // -schedule selects the team loop schedule for every cell (static —
-// the default — or any other of team.ScheduleNames; see DESIGN.md §14).
-// Schedules redistribute loop chunks between workers without changing
-// any numerical result; the chosen name is stamped into each cell's
-// bench-record line so sweeps stay comparable.
+// the default — or dynamic; see DESIGN.md §14). Schedules redistribute
+// loop chunks between workers without changing any numerical result;
+// the chosen name is stamped into the bench record's header and each
+// cell's line so sweeps stay comparable.
 //
 // -list-faults prints the registered fault injection site keys and
 // exits.
@@ -64,9 +64,11 @@
 // record is also the sweep's journal. If the process dies mid-sweep —
 // OOM kill, power loss, ^C — the record holds every finished cell, and
 // npbperf reads it. -resume <path> picks the sweep back up: the plan
-// (class, threads, benchmarks) is read from the record's header,
-// recorded cells are replayed without re-executing, and only the cells
-// without a line (skipped ones included) run.
+// (class, threads, benchmarks, schedule) is read from the record's
+// header, recorded cells are replayed without re-executing, and only
+// the cells without a line (skipped ones included) run, under the
+// record's schedule. A -schedule that disagrees with it, or a recorded
+// schedule this build no longer accepts, exits 2.
 package main
 
 import (
@@ -176,11 +178,14 @@ func main() {
 			// finish what was planned, not what today's flags happen to say.
 			cl, err = parseClass(rec.Class)
 		}
+		if err == nil && flagSet("schedule") {
+			err = sameSchedule(*schedule, rec.Schedule)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "npbsuite: resume: %v\n", err)
 			os.Exit(2)
 		}
-		threads, benches = rec.Threads, nil
+		threads, benches, opt.Schedule = rec.Threads, nil, rec.Schedule
 		for _, name := range rec.Benchmarks {
 			benches = append(benches, npbgo.Benchmark(name))
 		}
@@ -197,7 +202,7 @@ func main() {
 	case *benchJSON != "":
 		path, err := recordPath(*benchJSON, stamp)
 		if err == nil {
-			rec, err = harness.CreateRecord(path, stamp, benches, cl, threads)
+			rec, err = harness.CreateRecord(path, stamp, benches, cl, threads, *schedule)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
@@ -254,6 +259,24 @@ func parseClass(s string) (byte, error) {
 		return 0, fmt.Errorf("-class must be one letter, got %q", s)
 	}
 	return strings.ToUpper(s)[0], nil
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// sameSchedule checks a -schedule given with -resume against the
+// record's schedule; both are valid names ("" is static).
+func sameSchedule(given, recorded string) error {
+	g, _ := team.ParseSchedule(given)
+	r, _ := team.ParseSchedule(recorded)
+	if g != r {
+		return fmt.Errorf("-schedule %s disagrees with the record's %s; drop -schedule", g, r)
+	}
+	return nil
 }
 
 // instrumentNames are the -instrument spellings.

@@ -5,8 +5,8 @@
 // in the team's schedules, in the instruments or in lazily built state.
 // To find where, run the gate under the memory profiler (DESIGN.md §13).
 //
-// The gate measures the configurations users run: at class S, every
-// loop schedule with no instrument and with every instrument a run can
+// The gate measures the configurations users run: at class S, both
+// loop schedules with no instrument and with every instrument a run can
 // attach (a probe with a tracer, under a running Go execution tracer,
 // plus concurrent phase timers); at class W, the static schedule with
 // no instrument.
@@ -42,8 +42,8 @@ import (
 
 // Threads is the team size every gate measures at. Two workers is the
 // smallest size that exercises the parallel paths (closure hand-off to
-// worker goroutines, pipelines, partial-sum reduction, stealing); n=1
-// short circuits them.
+// worker goroutines, pipelines, partial-sum reduction, dynamic's
+// steals); n=1 short circuits them.
 const Threads = 2
 
 // Budget is the checked-in ceiling on steady-state heap allocations
@@ -52,8 +52,8 @@ const Threads = 2
 // construction time (including the nscore.Field RHS bodies BT and SP
 // share and their own solve/transform bodies), operands are staged
 // through benchmark fields, reductions go through the team's
-// block-indexed partial slots, schedules deal chunks from preallocated
-// cursors and deques, instruments record into hoisted buffers, phases
+// block-indexed partial slots, dynamic deals chunks from preallocated
+// arm words and deques, instruments record into hoisted buffers, phases
 // are charged by plain Start/Stop calls, and LU's plane pipeline is
 // cached per team. Raising it is a performance regression and needs
 // the same scrutiny as a slower benchmark result.
@@ -68,7 +68,7 @@ type Key struct {
 }
 
 // String names the key as the test output does: "cg.S",
-// "cg.S.stealing", "cg.S.probe", "cg.S.guided.probe".
+// "cg.S.dynamic", "cg.S.probe", "cg.S.dynamic.probe", "cg.W".
 func (k Key) String() string {
 	s := fmt.Sprintf("%s.%c", k.Bench, k.Class)
 	if k.Schedule != team.Static {
@@ -81,8 +81,9 @@ func (k Key) String() string {
 }
 
 // Keys lists every gated configuration: each suite row at class S under
-// every schedule, uninstrumented and instrumented, then at class W
-// under the static schedule, uninstrumented.
+// static and dynamic (team.ScheduleNames), uninstrumented and
+// instrumented, then at class W under the static schedule,
+// uninstrumented: 40 keys.
 func Keys() []Key {
 	var keys []Key
 	for _, r := range suite.Rows {

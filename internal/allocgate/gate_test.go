@@ -20,8 +20,23 @@ import (
 // Measure counts mallocs process-wide, so a stray background
 // allocation (GC worker, timer) can leak into a small sample; a gate
 // only fails after a second measurement confirms the excess.
+//
+// After the lattice come the class-S keys of the retired spellings
+// team.Guided and team.Stealing ("cg.S.guided", "cg.S.stealing.probe"):
+// WithSchedule runs both as Dynamic, and the benchmark's layer probes
+// still build teams with them, so each must hold the budget too. They
+// go with the two constants.
 func TestGate(t *testing.T) {
+	keys := Keys()
 	for _, k := range Keys() {
+		if k.Class == 'S' && k.Schedule == team.Dynamic {
+			for _, s := range []team.Schedule{team.Guided, team.Stealing} {
+				k.Schedule = s
+				keys = append(keys, k)
+			}
+		}
+	}
+	for _, k := range keys {
 		t.Run(k.String(), func(t *testing.T) {
 			if k.Class != 'S' && testing.Short() {
 				t.Skipf("class %c gate skipped in -short mode", k.Class)
@@ -49,12 +64,12 @@ func TestGate(t *testing.T) {
 }
 
 // TestKeys pins the gate's coverage: the eight suite rows at class S
-// under each of the four schedules, uninstrumented then instrumented,
-// and at class W under the static schedule, and nothing else.
+// under static and dynamic, uninstrumented then instrumented, and at
+// class W under the static schedule, and nothing else: 40 keys.
 func TestKeys(t *testing.T) {
 	var want []Key
 	for _, b := range []string{"bt", "sp", "lu", "ft", "is", "cg", "mg", "ep"} {
-		for _, s := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+		for _, s := range []team.Schedule{team.Static, team.Dynamic} {
 			want = append(want, Key{b, 'S', s, false}, Key{b, 'S', s, true})
 		}
 		want = append(want, Key{Bench: b, Class: 'W'})
@@ -79,12 +94,14 @@ func TestMeasureUnknown(t *testing.T) {
 // logs.
 func ExampleKey_String() {
 	fmt.Println(Key{Bench: "ep", Class: 'S'})
-	fmt.Println(Key{Bench: "bt", Class: 'S', Schedule: team.Stealing})
+	fmt.Println(Key{Bench: "bt", Class: 'S', Schedule: team.Dynamic})
 	fmt.Println(Key{Bench: "cg", Class: 'S', Instrumented: true})
-	fmt.Println(Key{Bench: "sp", Class: 'S', Schedule: team.Guided, Instrumented: true})
+	fmt.Println(Key{Bench: "sp", Class: 'S', Schedule: team.Dynamic, Instrumented: true})
+	fmt.Println(Key{Bench: "ft", Class: 'W'})
 	// Output:
 	// ep.S
-	// bt.S.stealing
+	// bt.S.dynamic
 	// cg.S.probe
-	// sp.S.guided.probe
+	// sp.S.dynamic.probe
+	// ft.W
 }

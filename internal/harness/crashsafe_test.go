@@ -32,7 +32,7 @@ func TestHelperRecordedSweep(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindDelay,
 		Count: -1, Sleep: 500 * time.Millisecond})
 	threads := []int{1, 2}
-	rec, err := CreateRecord(os.Getenv("NPB_HARNESS_RECORD"), "helper", []npbgo.Benchmark{npbgo.CG}, 'S', threads)
+	rec, err := CreateRecord(os.Getenv("NPB_HARNESS_RECORD"), "helper", []npbgo.Benchmark{npbgo.CG}, 'S', threads, "")
 	if err != nil {
 		t.Fatalf("helper: %v", err)
 	}

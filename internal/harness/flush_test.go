@@ -78,7 +78,7 @@ func TestFailedCellMetricsAreFlushed(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
 	defer fault.Reset()
 	f := &syncLog{}
-	rec, err := startRecord(f, "test", []npbgo.Benchmark{npbgo.EP}, 'S', []int{1})
+	rec, err := startRecord(f, "test", []npbgo.Benchmark{npbgo.EP}, 'S', []int{1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,8 @@ type Sweep struct {
 type Options struct {
 	Repeats int // repetitions per cell, best time kept; < 1 means 1
 	// Schedule selects the team loop schedule for every cell
-	// (npbgo.Config.Schedule): "static" (default when empty), "dynamic"
-	// (own static block first, then stealing), "guided" (shared cursor)
-	// or "stealing" (dynamic's older name).
+	// (npbgo.Config.Schedule): "static" (default when empty) or
+	// "dynamic" (own static block first, then stealing).
 	Schedule string
 	Timeout  time.Duration // per-run deadline; 0 means unbounded
 

@@ -8,6 +8,7 @@ import (
 
 	"npbgo"
 	"npbgo/internal/report"
+	"npbgo/internal/team"
 )
 
 // Record is an open npbgo/bench/v2 file (report.BenchRecord): the
@@ -52,20 +53,20 @@ func PlannedCells(benches []npbgo.Benchmark, class byte, threads []int) []CellKe
 }
 
 // CreateRecord starts a fresh record at path (truncating any previous
-// file) and durably writes its header: the plan and this host's
-// environment.
-func CreateRecord(path, stamp string, benches []npbgo.Benchmark, class byte, threads []int) (*Record, error) {
+// file) and durably writes its header: the plan, with the loop schedule
+// its cells run under (Options.Schedule), and this host's environment.
+func CreateRecord(path, stamp string, benches []npbgo.Benchmark, class byte, threads []int, schedule string) (*Record, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return startRecord(f, stamp, benches, class, threads)
+	return startRecord(f, stamp, benches, class, threads, schedule)
 }
 
 // startRecord writes and syncs the header to f; on failure f is closed.
-func startRecord(f syncFile, stamp string, benches []npbgo.Benchmark, class byte, threads []int) (*Record, error) {
+func startRecord(f syncFile, stamp string, benches []npbgo.Benchmark, class byte, threads []int, schedule string) (*Record, error) {
 	r := &Record{f: f, BenchRecord: report.BenchRecord{Schema: report.BenchSchema,
-		Stamp: stamp, Class: string(class), Threads: threads, Env: hostEnv()}}
+		Stamp: stamp, Class: string(class), Threads: threads, Schedule: schedule, Env: hostEnv()}}
 	for _, b := range benches {
 		r.Benchmarks = append(r.Benchmarks, string(b))
 	}
@@ -80,7 +81,10 @@ func startRecord(f syncFile, stamp string, benches []npbgo.Benchmark, class byte
 // with report.ReadBenchRecords, cuts the line a crash tore mid-append
 // (torn reports whether there was one), and leaves the file positioned
 // after the last whole line, so the record is whole again before new
-// cells land.
+// cells land. The plan's schedule is the header's; a header written
+// before the schedule was part of the plan takes its first cell line's.
+// A schedule team.ParseSchedule no longer accepts is an error, so the
+// resume fails before it runs anything.
 func ResumeRecord(path string) (r *Record, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -93,6 +97,13 @@ func ResumeRecord(path string) (r *Record, torn bool, err error) {
 	if len(recs) != 1 {
 		return nil, false, fmt.Errorf("%s holds %d records; a resume needs exactly one", path, len(recs))
 	}
+	rec := recs[0]
+	if rec.Schedule == "" && len(rec.Cells) > 0 {
+		rec.Schedule = rec.Cells[0].Schedule
+	}
+	if _, err := team.ParseSchedule(rec.Schedule); err != nil {
+		return nil, false, fmt.Errorf("%s: recorded %w", path, err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return nil, false, err
@@ -102,7 +113,7 @@ func ResumeRecord(path string) (r *Record, torn bool, err error) {
 		f.Close()
 		return nil, false, err
 	}
-	return &Record{BenchRecord: recs[0], f: f}, intact < len(data), nil
+	return &Record{BenchRecord: rec, f: f}, intact < len(data), nil
 }
 
 // Cell returns the line the record holds for a cell. A nil record holds

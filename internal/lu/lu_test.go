@@ -606,7 +606,7 @@ func TestOperatorMatchesOracle(t *testing.T) {
 		want.oracleRHS()
 		rowcheck.Modes(t, func(width int) {
 			for _, threads := range []int{1, 2, 3, 7, 13} {
-				for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+				for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
 					b := newBenchmark('S', spec, threads, kernel.Env{})
 					tm := team.New(threads, team.WithSchedule(sched))
 					b.setbv()
@@ -850,7 +850,7 @@ func ssorField(t *testing.T, threads, steps int, sched team.Schedule) []float64 
 func TestParallelMatchesSerialBitwise(t *testing.T) {
 	want := ssorField(t, 1, 5, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
 			got := ssorField(t, threads, 5, sched)
 			for i := range want {
 				if got[i] != want[i] {

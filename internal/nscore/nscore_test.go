@@ -185,7 +185,7 @@ func TestComputeRHSOneRegionMatchesSeven(t *testing.T) {
 	want.Add(serial)
 	computeRHSBodies(want, &c, serial)
 	for _, threads := range []int{1, 2, 3, 6, 7, 9} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
 			f := NewField(n, true)
 			f.Initialize(&c)
 			f.ExactRHS(&c)

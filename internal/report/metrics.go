@@ -81,14 +81,19 @@ const BenchSchema = "npbgo/bench/v2"
 // cell in the order the cells finished. npbsuite -bench-json appends and
 // fsyncs each line as its cell ends, so the record is also the sweep's
 // crash-safe journal: the planned cells are harness.PlannedCells of
-// Class, Threads and Benchmarks, and a planned cell without a line has
-// not run (or was skipped by the memory guard).
+// Class, Threads and Benchmarks, each run under Schedule, and a planned
+// cell without a line has not run (or was skipped by the memory guard).
 type BenchRecord struct {
 	Schema     string   `json:"schema"` // BenchSchema
 	Stamp      string   `json:"stamp"`  // UTC, 20060102T150405Z
 	Class      string   `json:"class"`
 	Threads    []int    `json:"threads"`
 	Benchmarks []string `json:"benchmarks"`
+	// Schedule is the loop schedule every cell of the plan runs under,
+	// as given to npbsuite -schedule; empty means static. Records
+	// written before it was part of the plan lack it, and a resume takes
+	// it from their cell lines (harness.ResumeRecord).
+	Schedule string `json:"schedule,omitempty"`
 	// Env is the recording host's provenance (Go version, GOMAXPROCS,
 	// CPUs, GOGC, kernel, CPU model), stamped so profiles and counters
 	// stay comparable — or visibly incomparable — across machines.

@@ -262,7 +262,7 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 	}
 	want := run(1, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
-		for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+		for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
 			got := run(threads, sched)
 			for m := range want {
 				for i := range want[m] {
@@ -708,7 +708,7 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 		ref.oracleSolves()
 
 		for _, threads := range []int{1, 2, 3, 7, 13} {
-			for _, sched := range []team.Schedule{team.Static, team.Dynamic, team.Guided, team.Stealing} {
+			for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
 				b := newBenchmark('S', spec, threads, kernel.Env{})
 				// The sweeps read only Rhs and the scalars: share the
 				// reference's field with a fresh Rhs.

@@ -1,5 +1,5 @@
-// Loop scheduling: the OpenMP schedule(static|dynamic|guided) family,
-// mapped onto the team runtime.
+// Loop scheduling: OpenMP's schedule(static) and
+// schedule(nonmonotonic:dynamic), mapped onto the team runtime.
 //
 // The paper's §5.2 traces CG's poor scaling to load imbalance under the
 // static block distribution its Java prototype hard-codes — the same
@@ -9,10 +9,9 @@
 // own static block, popped front to back, and a worker whose deque is
 // empty takes the back half of another worker's remainder (OpenMP 5.0's
 // nonmonotonic:dynamic, the default since 5.0), so each worker reads
-// what it wrote in the loop before unless it has run dry; guided shrinks
-// chunks geometrically and deals them through a shared atomic cursor, so
-// the tail self-balances. Stealing is the dynamic scheme under its older
-// name. The schedule is fixed when the team is built.
+// what it wrote in the loop before unless it has run dry. Guided and
+// Stealing are retired spellings that run dynamic. The schedule is
+// fixed when the team is built.
 //
 // Determinism. Scheduling only moves chunks between workers; it never
 // changes which output element a chunk writes, so loops whose body
@@ -24,7 +23,7 @@
 // results are bit-identical to static under every schedule at a fixed
 // team size, no matter which worker claimed which block.
 //
-// All cursor and deque state lives in the Team (allocated once in New)
+// All arm-word and deque state lives in the Team (allocated once in New)
 // and the body-side Iter is a plain value on the worker's stack, so a
 // scheduled loop allocates nothing on the hot path and the zero-alloc
 // gates hold at budget 0.
@@ -50,19 +49,21 @@ const (
 	// back, and only once that is empty steals the back half of another
 	// worker's remainder (OpenMP 5.0 nonmonotonic:dynamic).
 	Dynamic
-	// Guided deals geometrically shrinking chunks (remaining/(2n),
-	// at least one iteration) through a shared atomic cursor, so early
-	// chunks are big and the tail is fine-grained enough to even out.
+	// Guided and Stealing are retired spellings: WithSchedule runs both
+	// as Dynamic, and ParseSchedule rejects them. They stay, with their
+	// String spellings, while the benchmark's layer probes name them.
 	Guided
-	// Stealing is Dynamic under its older name: the same deques, the
-	// same steals. It is kept while the benchmark's layer probes name it.
 	Stealing
 )
 
-// scheduleNames holds the flag spellings, indexed by Schedule.
+// scheduleNames holds the String spellings, indexed by Schedule; the
+// ones before Guided are the flag spellings ParseSchedule accepts.
 var scheduleNames = [...]string{Static: "static", Dynamic: "dynamic", Guided: "guided", Stealing: "stealing"}
 
-// String returns the schedule's flag spelling.
+// accepted is the flag spellings: static and dynamic.
+var accepted = scheduleNames[:Guided]
+
+// String returns the schedule's spelling.
 func (s Schedule) String() string {
 	if int(s) < len(scheduleNames) {
 		return scheduleNames[s]
@@ -72,12 +73,12 @@ func (s Schedule) String() string {
 
 // ScheduleNames lists the accepted ParseSchedule spellings, in flag
 // help order.
-func ScheduleNames() []string { return append([]string(nil), scheduleNames[:]...) }
+func ScheduleNames() []string { return append([]string(nil), accepted...) }
 
 // ParseSchedule parses a schedule name. The empty string parses as
 // Static, so an unset config field keeps the historical behavior.
 func ParseSchedule(name string) (Schedule, error) {
-	for s, n := range scheduleNames {
+	for s, n := range accepted {
 		if name == n {
 			return Schedule(s), nil
 		}
@@ -85,17 +86,20 @@ func ParseSchedule(name string) (Schedule, error) {
 	if name == "" {
 		return Static, nil
 	}
-	return Static, fmt.Errorf("team: unknown schedule %q (want one of %s)", name, strings.Join(scheduleNames[:], ", "))
+	return Static, fmt.Errorf("team: unknown schedule %q (want one of %s)", name, strings.Join(accepted, ", "))
 }
 
 // WithSchedule selects the team's loop schedule. The zero value Static
-// is the default.
+// is the default; every other value runs Dynamic.
 func WithSchedule(s Schedule) Option {
+	if s != Static {
+		s = Dynamic
+	}
 	return func(t *Team) { t.sched = s }
 }
 
 const (
-	// loopSlots is the ring of shared cursor words. Successive
+	// loopSlots is the ring of arm words and deque sets. Successive
 	// worksharing loops take successive slots, across regions too, so a
 	// slot is reused loopSlots loops later. A region may run any number
 	// of loops, but no worker may be loopSlots loops ahead of another:
@@ -110,12 +114,12 @@ const (
 	// bounds always fit their 32-bit halves.
 	maxChunks = 1 << 24
 
-	cursorMask = (uint64(1) << 32) - 1
-	tagMask    = ^cursorMask
+	lowMask = (uint64(1) << 32) - 1
+	tagMask = ^lowMask
 )
 
-// padU64 is an atomic word on its own cache line: loop cursors and
-// deque words are CAS-contended by every worker.
+// padU64 is an atomic word on its own cache line: arm words and deque
+// words are CAS-contended by every worker.
 type padU64 struct {
 	v atomic.Uint64
 	_ [56]byte
@@ -146,17 +150,15 @@ type Iter struct {
 	id     int
 	lo, hi int
 
-	sched     Schedule
 	blockMode bool // chunks are the nchunks static blocks, not grain-sized
 	grain     int
 	nchunks   int
 
-	slot *padU64 // shared cursor word (guided) or arm word (dynamic)
-	tag  uint64  // loop-instance tag in the word's high 32 bits
-	deq  []padU64
+	slot *padU64  // dynamic's arm word
+	tag  uint64   // loop-instance tag in the word's high 32 bits
+	deq  []padU64 // dynamic's per-worker deques; nil under static
 
 	next, stop int // static/inline ordinal window
-	gIdx, gLo  int // guided recurrence cache: chunk gIdx starts at offset gLo
 
 	cur int // ordinal of the current chunk
 	// Lo and Hi bound the current chunk, half-open, after Next returns
@@ -188,47 +190,39 @@ func (t *Team) newIter(id, lo, hi int, blocks bool) Iter {
 		it.stop = 1
 		return it
 	}
-	s := t.sched
-	it.sched = s
-	if blocks || s == Static {
+	if blocks || t.sched == Static {
 		it.blockMode = true
 		it.nchunks = n
 	}
-	if s == Static {
+	if t.sched == Static {
 		it.next, it.stop = id, id+1
 		return it
 	}
-	// Slot-consuming schedules: claim this loop's cursor word by its
-	// instance number, counted over the team's life. The tag makes the
-	// first arriver's claim unambiguous against the slot's previous
-	// (dead) loop: consecutive instances walk the ring, so a slot's last
-	// tag is loopSlots instances old, never 2^32.
+	// Dynamic: claim this loop's arm word and deques by its instance
+	// number, counted over the team's life. The tag makes the first
+	// arriver's claim unambiguous against the slot's previous (dead)
+	// loop: consecutive instances walk the ring, so a slot's last tag is
+	// loopSlots instances old, never 2^32.
 	k := t.loopK[id].v
 	t.loopK[id].v = k + 1
 	inst := t.loopBase + k
 	it.tag = uint64(inst) << 32
 	it.slot = &t.loops[inst%loopSlots]
+	it.deq = t.deques[inst%loopSlots]
 	if !it.blockMode {
 		span := hi - lo
-		if s == Guided {
-			it.nchunks = guidedChunks(span, n)
-		} else {
-			g := span / (oversub * n)
-			if g < 1 {
-				g = 1
-			}
-			if span/g >= maxChunks {
-				g = (span + maxChunks - 1) / maxChunks
-			}
-			it.grain = g
-			it.nchunks = (span + g - 1) / g
+		g := span / (oversub * n)
+		if g < 1 {
+			g = 1
 		}
+		if span/g >= maxChunks {
+			g = (span + maxChunks - 1) / maxChunks
+		}
+		it.grain = g
+		it.nchunks = (span + g - 1) / g
 	}
-	if s == Dynamic || s == Stealing {
-		it.deq = t.deques[inst%loopSlots]
-		if it.nchunks > 0 {
-			it.armSteal()
-		}
+	if it.nchunks > 0 {
+		it.armSteal()
 	}
 	return it
 }
@@ -239,66 +233,29 @@ func (it *Iter) Next() bool {
 	if it.nchunks == 0 {
 		return false
 	}
-	var c, victim int
-	switch it.sched {
-	case Dynamic, Stealing:
-		var ok bool
-		c, victim, ok = it.stealNext()
+	if it.deq == nil { // Static or inline
+		if it.next >= it.stop {
+			return false
+		}
+		it.cur = it.next
+		it.next++
+	} else {
+		c, victim, ok := it.stealNext()
 		if !ok {
 			return false
 		}
-	default:
-		if it.slot == nil { // Static or inline
-			if it.next >= it.stop {
-				return false
-			}
-			c = it.next
-			it.next++
-			it.cur = c
-			it.Lo, it.Hi = it.chunkRange(c)
-			return true
+		if p := it.t.probe; p != nil {
+			p.chunk(it.id, victim)
 		}
-		var ok bool
-		c, ok = it.grab()
-		if !ok {
-			return false
-		}
-		victim = -1
+		it.cur = c
 	}
-	if p := it.t.probe; p != nil {
-		p.chunk(it.id, victim)
-	}
-	it.cur = c
-	it.Lo, it.Hi = it.chunkRange(c)
+	it.Lo, it.Hi = it.chunkRange(it.cur)
 	return true
 }
 
 // Chunk returns the ordinal of the current chunk. Under ReduceBlocks it
 // is the block index, the deterministic slot for this chunk's partial.
 func (it *Iter) Chunk() int { return it.cur }
-
-// grab claims the next guided chunk off the shared cursor. The first
-// arriver finds the slot tagged by a dead loop and re-arms it, claiming
-// chunk 0 in the same CAS.
-func (it *Iter) grab() (int, bool) {
-	slot := &it.slot.v
-	for {
-		v := slot.Load()
-		if v&tagMask != it.tag {
-			if slot.CompareAndSwap(v, it.tag|1) {
-				return 0, true
-			}
-			continue
-		}
-		c := int(v & cursorMask)
-		if c >= it.nchunks {
-			return 0, false
-		}
-		if slot.CompareAndSwap(v, v+1) {
-			return c, true
-		}
-	}
-}
 
 // armSteal makes sure this loop's deques are filled before any chunk is
 // taken: the first arriver claims the slot word (tag with the armed bit
@@ -339,7 +296,7 @@ func (it *Iter) stealNext() (c, victim int, ok bool) {
 	own := &d[it.id].v
 	for {
 		v := own.Load()
-		clo, chi := int(v>>32), int(v&cursorMask)
+		clo, chi := int(v>>32), int(v&lowMask)
 		if clo >= chi {
 			break
 		}
@@ -356,7 +313,7 @@ func (it *Iter) stealNext() (c, victim int, ok bool) {
 				w -= n
 			}
 			v := d[w].v.Load()
-			clo, chi := int(v>>32), int(v&cursorMask)
+			clo, chi := int(v>>32), int(v&lowMask)
 			if clo >= chi {
 				continue
 			}
@@ -381,52 +338,10 @@ func (it *Iter) chunkRange(c int) (int, int) {
 	if it.blockMode {
 		return Block(it.lo, it.hi, it.nchunks, c)
 	}
-	if it.sched == Guided {
-		return it.guidedRange(c)
-	}
 	lo := it.lo + c*it.grain
 	hi := lo + it.grain
 	if hi > it.hi {
 		hi = it.hi
 	}
 	return lo, hi
-}
-
-// guidedRange maps ordinal c through the guided recurrence. A worker's
-// ordinals are monotonically increasing (the cursor only moves
-// forward), so stepping from the cached position amortizes to O(1) per
-// chunk.
-func (it *Iter) guidedRange(c int) (int, int) {
-	span := it.hi - it.lo
-	idx, off := it.gIdx, it.gLo
-	if c < idx {
-		idx, off = 0, 0
-	}
-	for idx < c {
-		off += guidedSize(span-off, it.t.n)
-		idx++
-	}
-	it.gIdx, it.gLo = idx, off
-	lo := it.lo + off
-	hi := lo + guidedSize(span-off, it.t.n)
-	if hi > it.hi {
-		hi = it.hi
-	}
-	return lo, hi
-}
-
-// guidedSize is the guided chunk recurrence: half the per-worker share
-// of what remains, at least one iteration.
-func guidedSize(remaining, n int) int {
-	return max(remaining/(2*n), 1)
-}
-
-// guidedChunks runs the recurrence to count a guided loop's chunks.
-func guidedChunks(span, n int) int {
-	c, off := 0, 0
-	for off < span {
-		off += guidedSize(span-off, n)
-		c++
-	}
-	return c
 }

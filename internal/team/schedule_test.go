@@ -17,7 +17,7 @@ import (
 // ever changing a verification result.
 
 func allSchedules() []Schedule {
-	return []Schedule{Static, Dynamic, Guided, Stealing}
+	return []Schedule{Static, Dynamic}
 }
 
 // TestScheduleForCoversEachIndexExactlyOnce: every schedule × team size
@@ -56,47 +56,45 @@ func TestScheduleForCoversEachIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestScheduleMultipleLoopsPerRegion: several work-sharing loops inside
-// one region body take consecutive cursor slots; their chunks must not
-// bleed into each other. Up to loopSlots loops may run with no barrier
-// at all; past that the ring wraps and loops need a barrier between
-// reuses of a slot, so the second half of the region interleaves
-// barriers and crosses the ring boundary.
+// TestScheduleMultipleLoopsPerRegion: several dynamic work-sharing
+// loops inside one region body take consecutive arm-word slots; their
+// chunks must not bleed into each other. Up to loopSlots loops may run
+// with no barrier at all; past that the ring wraps and loops need a
+// barrier between reuses of a slot, so the second half of the region
+// interleaves barriers and crosses the ring boundary.
 func TestScheduleMultipleLoopsPerRegion(t *testing.T) {
-	for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-		tm := New(4, WithSchedule(s))
-		const loops, span = loopSlots + 8, 257
-		hits := make([][]int32, loops)
-		for l := range hits {
-			hits[l] = make([]int32, span)
+	tm := New(4, WithSchedule(Dynamic))
+	const loops, span = loopSlots + 8, 257
+	hits := make([][]int32, loops)
+	for l := range hits {
+		hits[l] = make([]int32, span)
+	}
+	tm.Run(func(id int) {
+		// Unbarriered burst: exactly the loopSlots concurrent loops the
+		// ring is documented to support.
+		for l := 0; l < loopSlots; l++ {
+			for it := tm.Loop(id, 0, span); it.Next(); {
+				for i := it.Lo; i < it.Hi; i++ {
+					atomic.AddInt32(&hits[l][i], 1)
+				}
+			}
 		}
-		tm.Run(func(id int) {
-			// Unbarriered burst: exactly the loopSlots concurrent loops
-			// the ring is documented to support.
-			for l := 0; l < loopSlots; l++ {
-				for it := tm.Loop(id, 0, span); it.Next(); {
-					for i := it.Lo; i < it.Hi; i++ {
-						atomic.AddInt32(&hits[l][i], 1)
-					}
+		// Past the ring: a barrier per loop guarantees no straggler
+		// still holds the slot being reused.
+		for l := loopSlots; l < loops; l++ {
+			tm.BarrierID(id)
+			for it := tm.Loop(id, 0, span); it.Next(); {
+				for i := it.Lo; i < it.Hi; i++ {
+					atomic.AddInt32(&hits[l][i], 1)
 				}
 			}
-			// Past the ring: a barrier per loop guarantees no straggler
-			// still holds the slot being reused.
-			for l := loopSlots; l < loops; l++ {
-				tm.BarrierID(id)
-				for it := tm.Loop(id, 0, span); it.Next(); {
-					for i := it.Lo; i < it.Hi; i++ {
-						atomic.AddInt32(&hits[l][i], 1)
-					}
-				}
-			}
-		})
-		tm.Close()
-		for l := range hits {
-			for i, h := range hits[l] {
-				if h != 1 {
-					t.Fatalf("%v loop %d index %d hit %d times", s, l, i, h)
-				}
+		}
+	})
+	tm.Close()
+	for l := range hits {
+		for i, h := range hits[l] {
+			if h != 1 {
+				t.Fatalf("loop %d index %d hit %d times", l, i, h)
 			}
 		}
 	}
@@ -126,13 +124,10 @@ func TestScheduleForBlockBitIdenticalToStatic(t *testing.T) {
 		return out
 	}
 	for _, n := range []int{2, 3, 5} {
-		want := run(Static, n)
-		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-			got := run(s, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v n=%d: out[%d] = %v, static = %v", s, n, i, got[i], want[i])
-				}
+		want, got := run(Static, n), run(Dynamic, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("dynamic n=%d: out[%d] = %v, static = %v", n, i, got[i], want[i])
 			}
 		}
 	}
@@ -164,15 +159,13 @@ func TestScheduleReduceSumBitIdenticalToStatic(t *testing.T) {
 		tmStatic := New(n, WithSchedule(Static))
 		want := reduceSum(tmStatic, 0, len(vals), body)
 		tmStatic.Close()
-		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-			tm := New(n, WithSchedule(s))
-			for rep := 0; rep < 10; rep++ {
-				if got := reduceSum(tm, 0, len(vals), body); got != want {
-					t.Fatalf("%v n=%d rep %d: ReduceSum = %v, static = %v", s, n, rep, got, want)
-				}
+		tm := New(n, WithSchedule(Dynamic))
+		for rep := 0; rep < 10; rep++ {
+			if got := reduceSum(tm, 0, len(vals), body); got != want {
+				t.Fatalf("dynamic n=%d rep %d: ReduceSum = %v, static = %v", n, rep, got, want)
 			}
-			tm.Close()
 		}
+		tm.Close()
 	}
 }
 
@@ -217,63 +210,59 @@ func TestScheduleMidFlightCancelReturnsZero(t *testing.T) {
 	}
 }
 
-// TestScheduleWorkerPanicUnwinds: a panic inside a scheduled chunk must
+// TestScheduleWorkerPanicUnwinds: a panic inside a dynamic chunk must
 // surface as a *PanicError and leave the team reusable, exactly like
-// the static path — the cursor/deque state of the dead loop must not
+// the static path — the arm-word/deque state of the dead loop must not
 // wedge the next region.
 func TestScheduleWorkerPanicUnwinds(t *testing.T) {
-	for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-		tm := New(4, WithSchedule(s))
-		pe := runRecovered(tm, func(id int) {
-			for it := tm.Loop(id, 0, 1000); it.Next(); {
-				if it.Lo <= 500 && 500 < it.Hi {
-					panic("chunk boom")
-				}
+	tm := New(4, WithSchedule(Dynamic))
+	pe := runRecovered(tm, func(id int) {
+		for it := tm.Loop(id, 0, 1000); it.Next(); {
+			if it.Lo <= 500 && 500 < it.Hi {
+				panic("chunk boom")
 			}
-		})
-		if pe == nil {
-			t.Fatalf("%v: worker panic did not surface", s)
 		}
-		// The team must still schedule correctly after the failure.
-		hits := make([]int32, 300)
-		forEach(tm, 0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
-		tm.Close()
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("%v: post-panic loop index %d hit %d times", s, i, h)
-			}
+	})
+	if pe == nil {
+		t.Fatal("worker panic did not surface")
+	}
+	// The team must still schedule correctly after the failure.
+	hits := make([]int32, 300)
+	forEach(tm, 0, len(hits), func(i int) { atomic.AddInt32(&hits[i], 1) })
+	tm.Close()
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("post-panic loop index %d hit %d times", i, h)
 		}
 	}
 }
 
-// TestStealingRecordsSteals: with one worker hogging the clock the
-// other must take chunks from its deque, visible in the probe counters.
-// Dynamic deals through the same deques, so it must steal too.
+// TestStealingRecordsSteals: under dynamic, with one worker hogging the
+// clock the other must take chunks from its deque, visible in the probe
+// counters.
 func TestStealingRecordsSteals(t *testing.T) {
-	for _, s := range []Schedule{Dynamic, Stealing} {
-		rec := NewProbe(2, nil)
-		tm := New(2, WithSchedule(s), WithProbe(rec))
-		var slow atomic.Bool
-		forEach(tm, 0, 64, func(i int) {
-			// Worker 0 owns the front chunks; make the very first index
-			// slow so the other worker drains both deques meanwhile.
-			if i == 0 && slow.CompareAndSwap(false, true) {
-				time.Sleep(20 * time.Millisecond)
-			}
-		})
-		tm.Close()
-		st := rec.Snapshot()
-		var chunks, steals uint64
-		for id := 0; id < 2; id++ {
-			chunks += st.Chunks[id]
-			steals += st.Steals[id]
+	rec := NewProbe(2, nil)
+	tm := New(2, WithSchedule(Dynamic), WithProbe(rec))
+	var slow atomic.Bool
+	forEach(tm, 0, 64, func(i int) {
+		// Worker 0 owns the front chunks; make the very first index slow
+		// so the other worker drains both deques meanwhile.
+		if i == 0 && slow.CompareAndSwap(false, true) {
+			time.Sleep(20 * time.Millisecond)
 		}
-		if chunks == 0 {
-			t.Fatalf("%v schedule claimed no chunks", s)
-		}
-		if steals == 0 {
-			t.Fatalf("%v: no steal recorded despite a stalled owner", s)
-		}
+	})
+	tm.Close()
+	st := rec.Snapshot()
+	var chunks, steals uint64
+	for id := 0; id < 2; id++ {
+		chunks += st.Chunks[id]
+		steals += st.Steals[id]
+	}
+	if chunks == 0 {
+		t.Fatal("dynamic schedule claimed no chunks")
+	}
+	if steals == 0 {
+		t.Fatal("no steal recorded despite a stalled owner")
 	}
 }
 
@@ -284,72 +273,77 @@ func TestStealingRecordsSteals(t *testing.T) {
 // evenly, the first index of its Block of the range), and its first
 // block under ReduceBlocks is block id. Each worker waits after its
 // first chunk until all have one, so no worker can finish early and
-// steal another's front before that one has started.
+// steal another's front before that one has started. The retired
+// spellings Guided and Stealing run the same path: the benchmark's
+// per-chunk probes still build teams with them.
 func TestDynamicStartsOnOwnBlock(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		tm := New(n, WithSchedule(Dynamic))
-		firstChunk := make([]int, n)
-		firstLo := make([]int, n)
-		firstNChunks := make([]int, n)
-		var arrived atomic.Int32
-		gate := func() {
-			arrived.Add(1)
-			for arrived.Load()%int32(n) != 0 {
-				runtime.Gosched()
+	for _, s := range []Schedule{Dynamic, Guided, Stealing} {
+		for _, n := range []int{2, 3, 4} {
+			tm := New(n, WithSchedule(s))
+			firstChunk := make([]int, n)
+			firstLo := make([]int, n)
+			firstNChunks := make([]int, n)
+			var arrived atomic.Int32
+			gate := func() {
+				arrived.Add(1)
+				for arrived.Load()%int32(n) != 0 {
+					runtime.Gosched()
+				}
 			}
-		}
-		aligned := 3 * oversub * n // grain 3, oversub chunks per worker
-		for _, r := range []struct{ lo, hi int }{{0, aligned}, {5, 5 + aligned}, {3, 1000}} {
-			for rep := 0; rep < 3; rep++ {
-				tm.Run(func(id int) {
-					it := tm.Loop(id, r.lo, r.hi)
-					for first := true; it.Next(); first = false {
-						if first {
-							firstChunk[id], firstLo[id], firstNChunks[id] = it.Chunk(), it.Lo, it.nchunks
-							gate()
+			aligned := 3 * oversub * n // grain 3, oversub chunks per worker
+			for _, r := range []struct{ lo, hi int }{{0, aligned}, {5, 5 + aligned}, {3, 1000}} {
+				for rep := 0; rep < 3; rep++ {
+					tm.Run(func(id int) {
+						it := tm.Loop(id, r.lo, r.hi)
+						for first := true; it.Next(); first = false {
+							if first {
+								firstChunk[id], firstLo[id], firstNChunks[id] = it.Chunk(), it.Lo, it.nchunks
+								gate()
+							}
+						}
+					})
+					for id := 0; id < n; id++ {
+						if firstNChunks[id] < 2*n {
+							t.Fatalf("%v n=%d [%d,%d): %d chunks, want at least 2 a worker", s, n, r.lo, r.hi, firstNChunks[id])
+						}
+						if want, _ := Block(0, firstNChunks[id], n, id); firstChunk[id] != want {
+							t.Fatalf("%v n=%d [%d,%d) rep %d: worker %d began with chunk %d, its own block begins at %d",
+								s, n, r.lo, r.hi, rep, id, firstChunk[id], want)
+						}
+						if r.hi-r.lo == aligned {
+							if want, _ := Block(r.lo, r.hi, n, id); firstLo[id] != want {
+								t.Fatalf("%v n=%d [%d,%d) rep %d: worker %d began at index %d, its Block begins at %d",
+									s, n, r.lo, r.hi, rep, id, firstLo[id], want)
+							}
 						}
 					}
-				})
-				for id := 0; id < n; id++ {
-					if firstNChunks[id] < 2*n {
-						t.Fatalf("n=%d [%d,%d): %d chunks, want at least 2 a worker", n, r.lo, r.hi, firstNChunks[id])
-					}
-					if want, _ := Block(0, firstNChunks[id], n, id); firstChunk[id] != want {
-						t.Fatalf("n=%d [%d,%d) rep %d: worker %d began with chunk %d, its own block begins at %d",
-							n, r.lo, r.hi, rep, id, firstChunk[id], want)
-					}
-					if r.hi-r.lo == aligned {
-						if want, _ := Block(r.lo, r.hi, n, id); firstLo[id] != want {
-							t.Fatalf("n=%d [%d,%d) rep %d: worker %d began at index %d, its Block begins at %d",
-								n, r.lo, r.hi, rep, id, firstLo[id], want)
+					tm.Run(func(id int) {
+						it := tm.ReduceBlocks(id, r.lo, r.hi)
+						for first := true; it.Next(); first = false {
+							if first {
+								firstChunk[id] = it.Chunk()
+								gate()
+							}
+						}
+					})
+					for id := 0; id < n; id++ {
+						if firstChunk[id] != id {
+							t.Fatalf("%v n=%d [%d,%d) rep %d: worker %d began ReduceBlocks on block %d",
+								s, n, r.lo, r.hi, rep, id, firstChunk[id])
 						}
 					}
 				}
-				tm.Run(func(id int) {
-					it := tm.ReduceBlocks(id, r.lo, r.hi)
-					for first := true; it.Next(); first = false {
-						if first {
-							firstChunk[id] = it.Chunk()
-							gate()
-						}
-					}
-				})
-				for id := 0; id < n; id++ {
-					if firstChunk[id] != id {
-						t.Fatalf("n=%d [%d,%d) rep %d: worker %d began ReduceBlocks on block %d",
-							n, r.lo, r.hi, rep, id, firstChunk[id])
-					}
-				}
 			}
+			tm.Close()
 		}
-		tm.Close()
 	}
 }
 
 // TestParseScheduleRoundTrip: every advertised name parses to a
 // schedule that spells itself the same way, the empty string stays
 // static (unset config fields keep the historical default), and an
-// unknown name — including the deleted "auto" — is an error.
+// unknown name — including the deleted "auto" and the retired "guided"
+// and "stealing" — is an error.
 func TestParseScheduleRoundTrip(t *testing.T) {
 	for _, name := range ScheduleNames() {
 		s, err := ParseSchedule(name)
@@ -363,7 +357,7 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	if s, err := ParseSchedule(""); err != nil || s != Static {
 		t.Fatalf("ParseSchedule(\"\") = %v, %v; want Static", s, err)
 	}
-	for _, name := range []string{"round-robin", "auto"} {
+	for _, name := range []string{"round-robin", "auto", "guided", "stealing"} {
 		if _, err := ParseSchedule(name); err == nil {
 			t.Fatalf("ParseSchedule accepted the unknown name %q", name)
 		}
@@ -417,7 +411,7 @@ func TestReduceSumSizeOneMidFlightCancel(t *testing.T) {
 }
 
 // TestScheduleLongRegionMatchesStatic: a fused region runs hundreds of
-// worksharing loops, so loop instances outnumber the cursor ring many
+// worksharing loops, so loop instances outnumber the arm-word ring many
 // times over and (before instances were counted over the team's life)
 // outran an 8-bit per-region ordinal. One region of 1,000 Loops and
 // 1,000 ReduceBlocks, a barrier every loopSlots instances, must write
@@ -460,17 +454,15 @@ func TestScheduleLongRegionMatchesStatic(t *testing.T) {
 	}
 	for _, n := range []int{2, 3, 7} {
 		wantOut, wantSums := run(n, Static)
-		for _, s := range []Schedule{Dynamic, Guided, Stealing} {
-			out, sums := run(n, s)
-			for i := range out {
-				if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
-					t.Fatalf("%v n=%d: out[%d] = %v, static wrote %v", s, n, i, out[i], wantOut[i])
-				}
+		out, sums := run(n, Dynamic)
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(wantOut[i]) {
+				t.Fatalf("dynamic n=%d: out[%d] = %v, static wrote %v", n, i, out[i], wantOut[i])
 			}
-			for l := range sums {
-				if math.Float64bits(sums[l]) != math.Float64bits(wantSums[l]) {
-					t.Fatalf("%v n=%d: reduction %d = %v, static gives %v", s, n, l, sums[l], wantSums[l])
-				}
+		}
+		for l := range sums {
+			if math.Float64bits(sums[l]) != math.Float64bits(wantSums[l]) {
+				t.Fatalf("dynamic n=%d: reduction %d = %v, static gives %v", n, l, sums[l], wantSums[l])
 			}
 		}
 	}

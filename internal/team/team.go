@@ -17,8 +17,8 @@
 // loops only, is what the kernels build on it. Loop-level work sharing
 // uses the same static block distribution as the OpenMP schedule(static)
 // the paper's prototype used by default; WithSchedule switches a team to
-// the dynamic (own block first, then stealing) or guided distribution
-// (see schedule.go).
+// the dynamic distribution: own block first, then stealing (see
+// schedule.go).
 //
 // The runtime is fault-isolating: a panic on any worker is captured with
 // its stack, the region is poisoned so sibling workers waiting at a
@@ -109,7 +109,7 @@ type Team struct {
 	inRegion atomic.Bool // guards against nested parallel regions
 	loopBase uint32      // loop instances dealt before the current region
 	loopK    []padCount  // per-worker loop ordinal within the region
-	loops    []padU64    // loop-slot ring: guided's cursor or dynamic's arm word
+	loops    []padU64    // loop-slot ring of dynamic's arm words
 	deques   [][]padU64  // per-slot dynamic deques, one word per worker
 
 	failMu sync.Mutex // guards regionFail and cancelErr

@@ -84,13 +84,12 @@ type Config struct {
 	// process-wide. If a tracer is already running (go test -trace), the
 	// run only annotates it. The trace lands in Result.Trace.
 	Trace bool
-	// Schedule selects the team's loop schedule: "static" (default),
-	// "dynamic", "guided" or "stealing". Static is the paper's block
-	// distribution. Dynamic starts each worker on its own static block
-	// and lets a worker that runs dry take the back half of another's
-	// remainder; stealing is the same scheme under its older name.
-	// Guided deals shrinking chunks from a shared cursor. None of them
-	// changes any numerical result. Empty means static.
+	// Schedule selects the team's loop schedule: "static" (default) or
+	// "dynamic". Static is the paper's block distribution. Dynamic
+	// starts each worker on its own static block and lets a worker that
+	// runs dry take the back half of another's remainder. Neither
+	// changes any numerical result. Empty means static; any other name,
+	// the retired "guided" and "stealing" included, is an ErrConfig.
 	Schedule string
 }
 
