@@ -6,18 +6,22 @@
 // record against another; the repository's benchmark/ runner is the
 // one judge of speed.
 //
-//	npbperf scaling  [-json] [-imbalance 1.5] [-barrier-share 0.2] [-small-work 0.001] [-fail-on list] record.json...
+//	npbperf scaling  [-json] [-fail-on list] record.json...
 //	npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
 //	npbperf trace    validate|summary file.trace...
 //
 // scaling prints speedup, efficiency and the Karp–Flatt serial
-// fraction per (benchmark, class) thread curve, plus rule-based
-// anomaly flags joined from the obs counters in the record:
-// load-imbalance (§5.2 CG), barrier-sync (§5 LU pipeline) and
-// small-work (§5 IS). -fail-on takes a comma-separated list of those
-// anomaly names and turns any diagnosed occurrence into exit code 1,
-// which is how CI asserts that a CG class-W sweep under `-schedule
-// static` stays clear of the load-imbalance flag.
+// fraction per (benchmark, class) thread curve — the table npbsuite
+// prints after its sweep. A cell's speedup is its serial cell's median
+// time over its own, medians over the repeat samples; a group without
+// a serial cell that completed has no speedup. Rule-based anomaly flags
+// join the obs counters in the record at fixed thresholds:
+// load-imbalance (§5.2 CG, imbalance ≥ 1.5), barrier-sync (§5 LU
+// pipeline, barrier share ≥ 0.2) and small-work (§5 IS, median under
+// 1 ms). -fail-on takes a comma-separated list of those anomaly names
+// and turns any diagnosed occurrence into exit code 1, which is how CI
+// asserts that a CG class-W sweep under `-schedule static` stays clear
+// of the load-imbalance flag.
 //
 // hotspots reads the per-cell pprof profiles a sweep captured with
 // npbsuite -instrument profile (paths recorded in each cell) into symbolized
@@ -84,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `usage:
-  npbperf scaling  [-json] [-imbalance r] [-barrier-share s] [-small-work sec] [-fail-on list] record.json...
+  npbperf scaling  [-json] [-fail-on list] record.json...
   npbperf hotspots [-json] [-top n] [-heap] [-min-attr pct] [-require] record.json...
   npbperf trace    validate|summary file.trace...
 `)
@@ -142,9 +146,6 @@ func runScaling(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scaling", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "machine-readable output")
-	imbalance := fs.Float64("imbalance", 1.5, "imbalance ratio at which load-imbalance flags")
-	barrierShare := fs.Float64("barrier-share", 0.2, "barrier-wait share at which barrier-sync flags")
-	smallWork := fs.Float64("small-work", 0.001, "median seconds below which small-work flags")
 	failOn := fs.String("fail-on", "", "comma-separated anomaly names that make the exit code 1 when diagnosed")
 	if fs.Parse(args) != nil || fs.NArg() < 1 {
 		usage(stderr)
@@ -158,14 +159,9 @@ func runScaling(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	opt := perfstat.ScalingOptions{
-		ImbalanceMin:    *imbalance,
-		BarrierShareMin: *barrierShare,
-		SmallWorkSec:    *smallWork,
-	}
 	exit := 0
 	for _, rec := range recs {
-		analysis := perfstat.Scaling(rec, opt)
+		analysis := perfstat.Scaling(rec)
 		if *jsonOut {
 			writeJSON(stdout, struct {
 				Stamp  string                  `json:"stamp"`

@@ -46,6 +46,10 @@ func TestUsageErrors(t *testing.T) {
 		// The hardware-counter view was deleted.
 		{"counters", golden},
 		{"scaling"},
+		// The anomaly thresholds are constants, not flags.
+		{"scaling", "-imbalance", "99", golden},
+		{"scaling", "-barrier-share", "0.99", golden},
+		{"scaling", "-small-work", "1e-9", golden},
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer
@@ -90,7 +94,7 @@ func TestScalingGoldenRecord(t *testing.T) {
 // TestScalingFailOn: the golden fixture diagnoses all three anomaly
 // classes, so -fail-on must turn each named one into exit 1, name the
 // flagged cell on stderr, stay 0 when the listed anomaly is absent
-// (loose thresholds), and reject unknown anomaly names up front — a
+// (a balanced record), and reject unknown anomaly names up front — a
 // typo in a CI gate must fail the job, not silently never match.
 func TestScalingFailOn(t *testing.T) {
 	var out, errBuf bytes.Buffer
@@ -107,7 +111,14 @@ func TestScalingFailOn(t *testing.T) {
 	}
 	out.Reset()
 	errBuf.Reset()
-	if code := run([]string{"scaling", "-imbalance", "99", "-fail-on", "load-imbalance", golden}, &out, &errBuf); code != 0 {
+	balanced := writeRecord(t, t.TempDir(), "balanced.json", report.BenchRecord{
+		Schema: report.BenchSchema, Stamp: "B", Class: "S",
+		Cells: []report.CellMetrics{
+			{Benchmark: "CG", Class: "S", Threads: 0, Samples: []float64{0.4}},
+			{Benchmark: "CG", Class: "S", Threads: 2, Samples: []float64{0.2}, Imbalance: 1.02},
+		},
+	})
+	if code := run([]string{"scaling", "-fail-on", "load-imbalance", balanced}, &out, &errBuf); code != 0 {
 		t.Fatalf("undiagnosed fail-on exit %d, want 0: %s", code, errBuf.String())
 	}
 	out.Reset()
@@ -144,14 +155,35 @@ func TestScalingJSONAndThresholds(t *testing.T) {
 	if len(doc.Groups) != 3 {
 		t.Fatalf("scaling -json groups: %+v", doc.Groups)
 	}
-	// Thresholds loose enough that nothing flags.
-	out.Reset()
-	if code := run([]string{"scaling", "-imbalance", "99", "-barrier-share", "0.99", "-small-work", "1e-9", golden}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d", code)
-	}
-	for _, flag := range []string{"load-imbalance", "barrier-sync", "small-work"} {
-		if strings.Contains(out.String(), flag) {
-			t.Fatalf("loose thresholds still flagged %s:\n%s", flag, out.String())
+	// Each rule fires at its threshold and not just under it:
+	// imbalance 1.5, barrier share 0.2 of threads x median, a median
+	// under 1 ms.
+	for _, c := range []struct {
+		at, under report.CellMetrics
+		anomaly   string
+	}{
+		{report.CellMetrics{Imbalance: 1.5}, report.CellMetrics{Imbalance: 1.49}, "load-imbalance"},
+		{report.CellMetrics{BarrierWait: 0.4}, report.CellMetrics{BarrierWait: 0.39}, "barrier-sync"},
+		{report.CellMetrics{Samples: []float64{0.00099}}, report.CellMetrics{Samples: []float64{0.001}}, "small-work"},
+	} {
+		for _, fires := range []bool{true, false} {
+			cell := c.under
+			if fires {
+				cell = c.at
+			}
+			cell.Benchmark, cell.Class, cell.Threads = "CG", "S", 2
+			if cell.Samples == nil {
+				cell.Samples = []float64{1}
+			}
+			path := writeRecord(t, t.TempDir(), "r.json", report.BenchRecord{Schema: report.BenchSchema, Stamp: "T", Class: "S",
+				Cells: []report.CellMetrics{cell}})
+			out.Reset()
+			if code := run([]string{"scaling", path}, &out, &errBuf); code != 0 {
+				t.Fatalf("exit %d: %s", code, errBuf.String())
+			}
+			if got := strings.Contains(out.String(), c.anomaly); got != fires {
+				t.Errorf("%+v: %s flagged = %v, want %v:\n%s", cell, c.anomaly, got, fires, out.String())
+			}
 		}
 	}
 }

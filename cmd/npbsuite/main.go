@@ -1,6 +1,15 @@
 // Command npbsuite regenerates the paper's Tables 2-6 for this host:
 // every benchmark of the suite at one class, timed serial and across a
-// sweep of thread counts, with speedup and efficiency summaries.
+// sweep of thread counts, with speedup and efficiency over serial.
+//
+// Every cell ends as one bench record line (npbgo/bench/v2), and every
+// table is a view of those lines: the times table (harness.SuiteTable,
+// best repeat per cell), the scalability table (npbperf scaling's
+// perfstat.ScalingTable: speedup is the serial cell's median time over
+// the cell's, medians over the repeats, and there is none when the
+// serial cell failed) and, with -instrument obs, the runtime-metrics
+// table (harness.ObsTable). Without -bench-json the record is held in
+// memory. A cell that ^C cut short has no line and prints as "-".
 //
 //	npbsuite -class S -threads 1,2,4 -repeats 2 -timeout 5m
 //
@@ -53,22 +62,25 @@
 // appended and fsync'd as the cell finishes. Pointing it at a directory
 // auto-names the file BENCH_<stamp>.json, so repeated sweeps
 // accumulate a perf history. With -repeats N every repeat's elapsed
-// time is recorded in the cell's samples_sec — the distribution
-// `npbperf scaling` takes each cell's median over — while the headline
-// stays the best time.
+// time is recorded in the cell's samples_sec — the distribution the
+// scalability table takes each cell's median over — while the
+// headline, which the times table prints, stays the best time.
 //
 // Crash safety (see DESIGN.md §12): every cell runs in this process,
 // bounded by -timeout, and only after a memory admission check: a cell
-// whose estimated footprint cannot fit in available memory is recorded
-// as SKIP(memory: need X, have Y) instead of being run. The -bench-json
-// record is also the sweep's journal. If the process dies mid-sweep —
+// whose estimated footprint cannot fit in available memory is not run;
+// it prints as SKIP(memory: need X, have Y) and writes no line. The
+// -bench-json record is also the sweep's journal. If the process dies mid-sweep —
 // OOM kill, power loss, ^C — the record holds every finished cell, and
 // npbperf reads it. -resume <path> picks the sweep back up: the plan
 // (class, threads, benchmarks, schedule) is read from the record's
 // header, recorded cells are replayed without re-executing, and only
 // the cells without a line (skipped ones included) run, under the
-// record's schedule. A -schedule that disagrees with it, or a recorded
-// schedule this build no longer accepts, exits 2.
+// record's schedule. The tables render from the lines, so a replayed
+// cell prints as it did when it ran: FAIL(panic) stays FAIL(panic), an
+// unverified cell keeps its tier, its runtime metrics are there with
+// -instrument obs. A -schedule that disagrees with the record's, or a
+// recorded schedule this build no longer accepts, exits 2.
 package main
 
 import (
@@ -88,6 +100,7 @@ import (
 	"npbgo"
 	"npbgo/internal/fault"
 	"npbgo/internal/harness"
+	"npbgo/internal/perfstat"
 	"npbgo/internal/team"
 )
 
@@ -189,7 +202,7 @@ func main() {
 		for _, name := range rec.Benchmarks {
 			benches = append(benches, npbgo.Benchmark(name))
 		}
-		planned := harness.PlannedCells(benches, cl, threads)
+		planned := harness.PlannedCells(rec.BenchRecord)
 		done := 0
 		for _, k := range planned {
 			if _, ok := rec.Cell(k); ok {
@@ -209,42 +222,39 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("bench-json: recording each cell to %s as it finishes (resume with -resume %s)\n", path, path)
+	default:
+		rec = harness.NewRecord(stamp, benches, cl, threads, *schedule)
 	}
 	fmt.Printf("NPB-Go suite sweep: class %c, GOMAXPROCS=%d, host CPUs=%d\n\n",
 		cl, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	if len(on) > 0 {
 		fmt.Printf("instrument: %s, written to %s/\n\n", *instrumentFlag, *instrumentDir)
 	}
-	var sweeps []harness.Sweep
 	failed := false
 	for _, b := range benches {
-		sw, err := rec.RunSweep(b, cl, threads, opt)
-		if err != nil {
+		if err := rec.RunSweep(b, cl, threads, opt); err != nil {
 			// A failed cell does not abort the suite: report it, keep the
 			// partial sweep, and finish the table.
 			fmt.Fprintf(os.Stderr, "npbsuite: %s: %v\n", b, err)
 			failed = true
 		}
-		sweeps = append(sweeps, sw)
-		if base, ok := sw.Serial(); ok && base.Err == nil {
-			fmt.Printf("  %s.%c serial %.3fs (%.1f Mop/s)\n", b, cl, base.Elapsed.Seconds(), base.Mops)
+		if m, ok := rec.Cell(harness.CellKey{Benchmark: string(b), Class: string(cl)}); ok && m.Error == "" {
+			fmt.Printf("  %s.%c serial %.3fs (%.1f Mop/s)\n", b, cl, m.Elapsed, m.Mops)
 		}
 	}
+	// Every table is a view of the record's lines, so a resumed sweep
+	// prints what the live one did.
 	fmt.Println()
-	fmt.Print(harness.SuiteTable(
-		fmt.Sprintf("Benchmark times in seconds (class %c) — cf. paper Tables 0-7", cl),
-		sweeps, threads))
+	fmt.Print(harness.SuiteTable(fmt.Sprintf("Benchmark times in seconds (class %c) — cf. paper Tables 0-7", cl), rec))
 	fmt.Println()
-	fmt.Print(harness.SpeedupTable("Speedup S(n) and efficiency E(n) over serial", sweeps, threads))
+	fmt.Print(perfstat.ScalingTable(perfstat.Scaling(rec.BenchRecord)))
 	if on["obs"] {
 		fmt.Println()
-		fmt.Print(harness.ObsTable("Runtime metrics (imbalance = max busy / mean busy; cf. §5.2)", sweeps))
+		fmt.Print(harness.ObsTable("Runtime metrics (imbalance = max busy / mean busy; cf. §5.2)", rec.BenchRecord))
 	}
-	if rec != nil {
-		if err := rec.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
-			failed = true
-		}
+	if err := rec.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "npbsuite: bench-json: %v\n", err)
+		failed = true
 	}
 	if failed {
 		os.Exit(1)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,9 +83,9 @@ func TestFailedCellMetricsAreFlushed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := rec.RunSweep(npbgo.EP, 'S', []int{1}, Options{})
-	if err == nil || sw.Runs[0].Err == nil || sw.Runs[1].Err != nil {
-		t.Fatalf("sweep err = %v, runs = %+v; want the serial cell alone failed", err, sw.Runs)
+	err = rec.RunSweep(npbgo.EP, 'S', []int{1}, Options{})
+	if err == nil || len(rec.Cells) != 2 || rec.Cells[0].Error == "" || rec.Cells[1].Error != "" {
+		t.Fatalf("sweep err = %v, lines = %+v; want the serial cell alone failed", err, rec.Cells)
 	}
 	want := []string{"write@0", "sync@0", "write@1", "sync@1", "write@2", "sync@2"}
 	if !slices.Equal(f.ops, want) {
@@ -110,11 +111,15 @@ func TestCancelledCellsStayPending(t *testing.T) {
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.EP}, threads)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var sw Sweep
 	var err error
-	atSecondCell(t, func() { sw, err = rec.RunSweep(npbgo.EP, 'S', threads, Options{Context: ctx}) }, cancel)
-	if err == nil || len(sw.Runs) != 3 || sw.Runs[0].Err != nil || sw.Runs[1].Err == nil || sw.Runs[2].Err == nil {
-		t.Fatalf("sweep err = %v, runs = %+v; want the serial cell ok and the rest cancelled", err, sw.Runs)
+	atSecondCell(t, func() { err = rec.RunSweep(npbgo.EP, 'S', threads, Options{Context: ctx}) }, cancel)
+	if err == nil || !strings.Contains(err.Error(), "EP.S threads=1") || !strings.Contains(err.Error(), "EP.S threads=2") {
+		t.Fatalf("sweep err = %v; want the t1 and t2 cells cancelled", err)
+	}
+	// A cancelled cell has no line, so it renders "-", pending, as a
+	// resume will run it.
+	if row := tableRow(SuiteTable("T", rec), "EP.S"); len(row) != 5 || row[2] != "-" || row[3] != "-" {
+		t.Fatalf("cancelled cells do not render pending: %q", row)
 	}
 	rec.Close()
 	re, _, err := ResumeRecord(path)
@@ -123,7 +128,7 @@ func TestCancelledCellsStayPending(t *testing.T) {
 	}
 	defer re.Close()
 	var pending []CellKey
-	for _, k := range PlannedCells([]npbgo.Benchmark{npbgo.EP}, 'S', threads) {
+	for _, k := range PlannedCells(re.BenchRecord) {
 		if _, ok := re.Cell(k); !ok {
 			pending = append(pending, k)
 		}

@@ -1,24 +1,33 @@
 // Package harness drives the experiments of the paper's evaluation
 // section: for each benchmark it runs a serial baseline plus a sweep of
-// thread counts, derives speedup and efficiency, and assembles the
-// rows of Tables 2-6. It backs cmd/npbsuite.
+// thread counts into a bench record (Record), and renders the rows of
+// Tables 2-6 from that record. It backs cmd/npbsuite.
+//
+// A cell's record line (report.CellMetrics) is its only value: runCell
+// builds it once, Record.RunSweep keeps it — in the -bench-json file,
+// or in memory when there is none — and SuiteTable and ObsTable render
+// from lines alone, so a resumed sweep prints what the live one did.
+// Speedup and efficiency are perfstat.Scaling's, over the same record.
 //
 // The harness is fault tolerant: every run of a cell can be bounded by a
-// timeout and is panic-isolated, and a cell that fails is recorded as
-// Run{Err: ...} and rendered as FAIL(reason) while the rest of the
-// sweep continues — the paper's long multi-machine sweeps kept failing
-// in partial ways (§5), and one bad cell must not cost the whole table.
-// A failed cell runs once and is terminal: its line lands in the record
+// timeout and is panic-isolated, and a cell that fails is recorded with
+// its error and rendered as FAIL(reason) while the rest of the sweep
+// continues — the paper's long multi-machine sweeps kept failing in
+// partial ways (§5), and one bad cell must not cost the whole table. A
+// failed cell runs once and is terminal: its line lands in the record
 // and a resume replays it as failed; a fresh sweep runs it again.
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -26,42 +35,9 @@ import (
 	"npbgo/internal/fault"
 	"npbgo/internal/profile"
 	"npbgo/internal/report"
-	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/trace"
 )
-
-// Run is one measured cell of a sweep.
-type Run struct {
-	Threads  int // 0 marks the serial baseline column
-	Elapsed  time.Duration
-	Mops     float64
-	Verified bool
-	Tier     string
-	Attempts int // benchmark executions this cell consumed (one per repeat run)
-	// Samples holds every successful repeat's elapsed time in run
-	// order. Elapsed stays the best (minimum) sample — the headline the
-	// tables print — while the record keeps the full distribution, and
-	// npbperf scaling takes each cell's median over it (Hoefler &
-	// Belli's first rule: do not report best-of-N alone).
-	Samples []time.Duration
-	Err     error         // non-nil marks a failed cell
-	Obs     *team.Stats   // runtime metrics of the kept repeat, nil unless Options.Obs
-	Phases  []timer.Phase // phase profile of the kept repeat, nil unless the benchmark exposes timers
-	Trace   *trace.Tracer // tracer of the kept repeat; nil without Options.TraceDir
-	// CPUProfile/HeapProfile are the cell's captured pprof files, empty
-	// unless Options.ProfileDir. A failed cell keeps what it flushed
-	// before dying.
-	CPUProfile  string
-	HeapProfile string
-	// Replayed marks a cell restored from a record's line on resume
-	// instead of executed; its numbers are the earlier run's.
-	Replayed bool
-	// Schedule is the loop schedule the cell ran under ("" means
-	// static), stamped from Options.Schedule so recorded cells stay
-	// comparable across scheduling policies.
-	Schedule string
-}
 
 // SkipError marks a cell the harness refused to launch — today always
 // the memory admission guard. It renders as SKIP(memory: need X, have
@@ -78,13 +54,6 @@ func (e *SkipError) Error() string {
 	return fmt.Sprintf("memory: need %s, have %s", formatBytes(e.Need), formatBytes(e.Have))
 }
 
-// Sweep is the measured row set of one benchmark/class.
-type Sweep struct {
-	Benchmark npbgo.Benchmark
-	Class     byte
-	Runs      []Run
-}
-
 // Options tunes sweep execution.
 type Options struct {
 	Repeats int // repetitions per cell, best time kept; < 1 means 1
@@ -95,7 +64,7 @@ type Options struct {
 	Timeout  time.Duration // per-run deadline; 0 means unbounded
 
 	// Obs enables runtime-metrics collection (npbgo.Config.Obs) for
-	// every cell; each cell's snapshot lands in Run.Obs.
+	// every cell; each cell's snapshot is flattened into its line.
 	Obs bool
 	// ProfileDir, when non-empty, captures a CPU and a heap profile per
 	// cell into the directory as "<BENCH>.<class>.<cell>.cpu.pprof" /
@@ -122,72 +91,6 @@ type Options struct {
 	Context context.Context
 }
 
-// RunSweepOpts executes benchmark bench at the given class for the
-// serial baseline (threads = 1, regions inline) and each requested
-// thread count, under the given options. Every cell runs in this
-// process, bounded by opt.Timeout, once the memory admission guard
-// (admit) has let it in. opt.Repeats > 1 keeps the best (minimum) time
-// per cell, as benchmarkers do to suppress scheduling noise. The sweep
-// degrades gracefully: a cell that fails is recorded with Run.Err set
-// and the remaining cells still run. The returned error joins the
-// per-cell failures, so callers can both render the partial table and
-// report that something went wrong. Record.RunSweep is the same sweep
-// written to a bench record.
-func RunSweepOpts(bench npbgo.Benchmark, class byte, threads []int, opt Options) (Sweep, error) {
-	return runSweep(bench, class, threads, opt, nil)
-}
-
-func runSweep(bench npbgo.Benchmark, class byte, threads []int, opt Options, rec *Record) (Sweep, error) {
-	ctx := opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sw := Sweep{Benchmark: bench, Class: class}
-	var errs []error
-	cells := append([]int{0}, threads...)
-	for _, th := range cells {
-		var r Run
-		if m, ok := rec.Cell(CellKey{Benchmark: string(bench), Class: string(class), Threads: th}); ok {
-			// A replayed failure fails the sweep as it did when it ran.
-			r = RunFromMetrics(m)
-		} else {
-			if skip := admit(cellConfig(bench, class, th, opt)); skip != nil {
-				sw.Runs = append(sw.Runs, Run{Threads: th, Err: skip})
-				continue
-			}
-			r = runCell(ctx, bench, class, th, opt)
-			// The cell's line lands, fsync'd, before anything renders
-			// FAIL(...) or the next cell starts: the partial record of a
-			// dying cell is its post-mortem. A cell the sweep's
-			// cancellation (^C, SIGTERM) cut short writes no line, nor
-			// does any cell after it, so a resume runs them; a -timeout
-			// failure is the cell's own and stays terminal.
-			if r.Err == nil || ctx.Err() == nil {
-				if err := rec.add(cellMetrics(bench, class, r)); err != nil {
-					sw.Runs = append(sw.Runs, r)
-					return sw, errors.Join(append(errs, fmt.Errorf("%s.%c record: %w", bench, class, err))...)
-				}
-			}
-		}
-		sw.Runs = append(sw.Runs, r)
-		if r.Err != nil {
-			cell := fmt.Sprintf("threads=%d", th)
-			if th == 0 {
-				cell = "serial"
-			}
-			errs = append(errs, fmt.Errorf("%s.%c %s: %w", bench, class, cell, r.Err))
-		}
-	}
-	return sw, errors.Join(errs...)
-}
-
-// IsSkip reports whether err is (or wraps) a cell skip — an admission
-// decision, not a failure.
-func IsSkip(err error) bool {
-	var se *SkipError
-	return errors.As(err, &se)
-}
-
 // cellConfig is the npbgo configuration of one cell under the sweep
 // options.
 func cellConfig(bench npbgo.Benchmark, class byte, threads int, opt Options) npbgo.Config {
@@ -199,81 +102,76 @@ func cellConfig(bench npbgo.Benchmark, class byte, threads int, opt Options) npb
 		Obs: opt.Obs, Trace: opt.TraceDir != "", Schedule: opt.Schedule}
 }
 
-// RunFromMetrics reconstructs a Run from a recorded cell line, for
-// resume replay. Obs/trace snapshots are not round-tripped — the line
-// keeps the flattened counters, which is what the tables need.
-func RunFromMetrics(m report.CellMetrics) Run {
-	r := Run{
-		Threads:  m.Threads,
-		Elapsed:  time.Duration(m.Elapsed * float64(time.Second)),
-		Mops:     m.Mops,
-		Verified: m.Verified,
-		Attempts: m.Attempts,
-		Replayed: true,
-		Schedule: m.Schedule,
-	}
-	for _, s := range m.Samples {
-		r.Samples = append(r.Samples, time.Duration(s*float64(time.Second)))
-	}
-	if m.Error != "" {
-		r.Err = errors.New(m.Error)
-	}
-	r.CPUProfile = m.CPUProfile
-	r.HeapProfile = m.HeapProfile
-	return r
-}
-
-// runCell measures one cell: opt.Repeats runs, best time kept, up to
-// the first that fails. A profiled cell's capture brackets all of them,
-// so its CPU profile holds every repeat; it is flushed before runCell
-// returns, so before the cell's record line and any FAIL rendering.
-func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int, opt Options) (r Run) {
+// runCell measures one cell into its record line: opt.Repeats runs,
+// best time kept, up to the first that fails. err is the failure the
+// line records (Error, and the FAIL(...) reason in Fail). A profiled
+// cell's capture brackets all of its repeats, so its CPU profile holds
+// every repeat; it is flushed before runCell returns, so before the
+// cell's line lands and anything renders FAIL(...).
+func runCell(ctx context.Context, bench npbgo.Benchmark, class byte, threads int, opt Options) (m report.CellMetrics, err error) {
+	m = report.CellMetrics{Benchmark: string(bench), Class: string(class), Threads: threads, Schedule: opt.Schedule}
+	defer func() {
+		if err != nil {
+			m.Error, m.Fail = err.Error(), failReason(err)
+		}
+	}()
 	cfg := cellConfig(bench, class, threads, opt)
 	label := fmt.Sprintf("%s.%c.%s", bench, class, cellName(threads))
 	if opt.ProfileDir != "" {
-		cap, err := profile.Start(opt.ProfileDir, label)
-		if err != nil {
-			return Run{Threads: threads, Err: fmt.Errorf("harness: %w", err), Schedule: opt.Schedule}
+		cap, perr := profile.Start(opt.ProfileDir, label)
+		if perr != nil {
+			return m, fmt.Errorf("harness: %w", perr)
 		}
 		defer func() {
-			if err := cap.Stop(); err != nil && r.Err == nil {
-				r.Err = fmt.Errorf("harness: %w", err)
+			if serr := cap.Stop(); serr != nil && err == nil {
+				err = fmt.Errorf("harness: %w", serr)
 			}
 			// Only files with data are recorded, so absence stays
 			// distinguishable from data.
 			if fileNonEmpty(cap.CPUPath()) {
-				r.CPUProfile = cap.CPUPath()
+				m.CPUProfile = cap.CPUPath()
 			}
 			if fileNonEmpty(cap.HeapPath()) {
-				r.HeapProfile = cap.HeapPath()
+				m.HeapProfile = cap.HeapPath()
 			}
 		}()
 	}
-	var best *Run
-	var samples []time.Duration
-	repeats := max(opt.Repeats, 1)
-	for rep := 1; rep <= repeats; rep++ {
-		res, err := runOnce(ctx, cfg, label, opt)
-		if err != nil {
-			// A cancelled/failed run still carries its partial obs
-			// snapshot (cancellation counts, busy time up to the stop),
-			// which is exactly what a post-mortem wants to see — plus
-			// the samples of the repeats that did complete.
-			return Run{Threads: threads, Attempts: rep, Samples: samples,
-				Err: err, Obs: res.Obs, Phases: res.Phases, Trace: res.Trace,
-				Schedule: opt.Schedule}
+	// kept is the best repeat, or the one that failed: a failed run
+	// still carries its partial obs snapshot (cancellation counts, busy
+	// time up to the stop), which is what a post-mortem wants to see,
+	// beside the samples of the repeats that did complete.
+	var kept npbgo.Result
+	for rep := 1; rep <= max(opt.Repeats, 1); rep++ {
+		res, rerr := runOnce(ctx, cfg, label, opt)
+		m.Attempts = rep
+		if rerr != nil {
+			kept, err = res, rerr
+			break
 		}
-		samples = append(samples, res.Elapsed)
-		run := Run{Threads: threads, Elapsed: res.Elapsed, Mops: res.Mops,
-			Verified: res.Verified, Tier: res.Tier, Obs: res.Obs, Phases: res.Phases,
-			Trace: res.Trace, Schedule: opt.Schedule}
-		if best == nil || run.Elapsed < best.Elapsed {
-			best = &run
+		m.Samples = append(m.Samples, res.Elapsed.Seconds())
+		if rep == 1 || res.Elapsed < kept.Elapsed {
+			kept = res
 		}
 	}
-	best.Attempts = repeats
-	best.Samples = samples
-	return *best
+	if err == nil {
+		m.Elapsed, m.Mops, m.Verified, m.Tier = kept.Elapsed.Seconds(), kept.Mops, kept.Verified, kept.Tier
+	}
+	m.TopPhases = topPhases(kept.Phases, 5)
+	if s := kept.Obs; s != nil {
+		m.Regions = s.Regions
+		m.Cancellations = s.Cancellations
+		m.Panics = s.Panics
+		m.BarrierWait = s.BarrierWait.Seconds()
+		m.JoinWait = s.JoinWait.Seconds()
+		m.Imbalance = s.Imbalance()
+		m.WorkerBusy = make([]float64, len(s.Busy))
+		m.WorkerWait = make([]float64, len(s.Wait))
+		for i := range s.Busy {
+			m.WorkerBusy[i] = s.Busy[i].Seconds()
+			m.WorkerWait[i] = s.Wait[i].Seconds()
+		}
+	}
+	return m, err
 }
 
 func fileNonEmpty(path string) bool {
@@ -294,6 +192,10 @@ func hostEnv() report.EnvInfo {
 	return hostEnvOnce.env
 }
 
+// runContext runs one benchmark; tests substitute it, as they do the
+// memory guard's probe.
+var runContext = npbgo.RunContext
+
 // runOnce is a single panic-isolated, optionally deadline-bounded
 // benchmark execution in this process. A panic of its own (the
 // harness.cell fault site, writeTrace) is a *npbgo.RunError of kind
@@ -311,15 +213,15 @@ func runOnce(ctx context.Context, cfg npbgo.Config, label string, opt Options) (
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	res, err = npbgo.RunContext(ctx, cfg)
+	res, err = runContext(ctx, cfg)
 	if werr := writeTrace(opt.TraceDir, label, res.Trace); werr != nil && err == nil {
 		err = werr
 	}
 	return res, err
 }
 
-// cellName is the short per-cell tag used in file names and labels:
-// "t<N>", or "serial" for the baseline column.
+// cellName is the short per-cell tag used in file names, labels and
+// table rows: "t<N>", or "serial" for the baseline column.
 func cellName(threads int) string {
 	if threads == 0 {
 		return "serial"
@@ -344,7 +246,7 @@ func writeTrace(dir, label string, tr *trace.Tracer) error {
 }
 
 // failReason compresses a cell error into the short tag rendered inside
-// FAIL(...) table cells.
+// FAIL(...) table cells, and recorded as the line's Fail.
 func failReason(err error) string {
 	if errors.Is(err, context.DeadlineExceeded) {
 		return "timeout"
@@ -356,88 +258,45 @@ func failReason(err error) string {
 	return "error"
 }
 
-// Serial returns the serial baseline cell.
-func (s Sweep) Serial() (Run, bool) { return s.cell(0) }
-
-// cell returns the run of the given column (0: the serial baseline).
-func (s Sweep) cell(threads int) (Run, bool) {
-	for _, r := range s.Runs {
-		if r.Threads == threads {
-			return r, true
-		}
-	}
-	return Run{}, false
-}
-
-// Speedup returns serial time / threaded time for the given cell.
-func (s Sweep) Speedup(threads int) float64 {
-	base, ok := s.Serial()
-	if !ok || base.Err != nil {
-		return 0
-	}
-	for _, r := range s.Runs {
-		if r.Threads == threads && r.Err == nil && r.Elapsed > 0 {
-			return base.Elapsed.Seconds() / r.Elapsed.Seconds()
-		}
-	}
-	return 0
-}
-
-// Efficiency returns Speedup(threads)/threads.
-func (s Sweep) Efficiency(threads int) float64 {
-	if threads <= 0 {
-		return 0
-	}
-	return s.Speedup(threads) / float64(threads)
-}
-
-// cellText renders one measured cell: its time in seconds, FAIL(reason)
-// for a cell that failed, or SKIP(memory: ...) for a
-// cell the admission guard withheld.
-func cellText(r Run) string {
-	var se *SkipError
-	if errors.As(r.Err, &se) {
-		return "SKIP(" + se.Error() + ")"
-	}
-	if r.Err != nil {
-		return "FAIL(" + failReason(r.Err) + ")"
-	}
-	return report.Seconds(r.Elapsed.Seconds())
-}
-
-// SuiteTable renders a set of sweeps as one paper-style table (rows:
+// SuiteTable renders a record as one paper-style table (rows:
 // benchmark.class, columns: serial + thread counts, cells: seconds,
-// FAIL(reason) or SKIP(memory: ...)). The verified column reads "yes"
-// only when every cell that ran completed and verified; "no(tier)" when
-// a completed cell did not verify; "partial" when the completed cells
-// verified but another failed; "-" when no cell completed. A skipped
-// cell never ran, so it neither verifies a row nor fails it.
-func SuiteTable(title string, sweeps []Sweep, threads []int) string {
+// FAIL(reason) or SKIP(memory: ...)), from the record's lines and the
+// memory guard's skips, which write none. The verified column reads
+// "yes" only when every cell that ran completed and verified;
+// "no(tier)" when a completed cell did not verify; "partial" when the
+// completed cells verified but another failed; "-" when no cell
+// completed. A skipped cell never ran, so it neither verifies a row nor
+// fails it, and a planned cell without a line — one a cancelled sweep
+// cut short — renders "-", pending like a skip.
+func SuiteTable(title string, rec *Record) string {
 	header := []string{"Benchmark", "Serial"}
-	for _, t := range threads {
-		header = append(header, fmt.Sprintf("%d", t))
+	for _, t := range rec.Threads {
+		header = append(header, strconv.Itoa(t))
 	}
 	header = append(header, "verified")
 	tb := report.New(title, header...)
-	for _, sw := range sweeps {
-		row := []string{fmt.Sprintf("%s.%c", sw.Benchmark, sw.Class)}
+	for _, b := range rec.Benchmarks {
+		row := []string{b + "." + rec.Class}
 		completed, failed, unverified := false, false, ""
-		for _, t := range append([]int{0}, threads...) {
-			r, ok := sw.cell(t)
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, cellText(r))
+		for _, th := range append([]int{0}, rec.Threads...) {
+			k := CellKey{Benchmark: b, Class: rec.Class, Threads: th}
+			m, ok := rec.Cell(k)
 			switch {
-			case IsSkip(r.Err):
-			case r.Err != nil:
+			case ok && m.Error != "":
+				// A line written before Fail was recorded says only
+				// that the cell failed.
+				row = append(row, "FAIL("+cmp.Or(m.Fail, "error")+")")
 				failed = true
-			default:
+			case ok:
+				row = append(row, report.Seconds(m.Elapsed))
 				completed = true
-				if !r.Verified && unverified == "" {
-					unverified = "no(" + r.Tier + ")"
+				if !m.Verified && unverified == "" {
+					unverified = "no(" + m.Tier + ")"
 				}
+			case rec.skipped[k] != nil:
+				row = append(row, "SKIP("+rec.skipped[k].Error()+")")
+			default:
+				row = append(row, "-")
 			}
 		}
 		ver := "yes"
@@ -453,47 +312,6 @@ func SuiteTable(title string, sweeps []Sweep, threads []int) string {
 		tb.AddRow(row...)
 	}
 	return tb.String()
-}
-
-// cellMetrics flattens one measured cell into its record line.
-func cellMetrics(bench npbgo.Benchmark, class byte, r Run) report.CellMetrics {
-	m := report.CellMetrics{
-		Benchmark: string(bench),
-		Class:     string(class),
-		Threads:   r.Threads,
-		Elapsed:   r.Elapsed.Seconds(),
-		Mops:      r.Mops,
-		Verified:  r.Verified,
-		Attempts:  r.Attempts,
-		TopPhases: topPhases(r.Phases, 5),
-		Schedule:  r.Schedule,
-	}
-	if len(r.Samples) > 0 {
-		m.Samples = make([]float64, len(r.Samples))
-		for i, s := range r.Samples {
-			m.Samples[i] = s.Seconds()
-		}
-	}
-	if r.Err != nil {
-		m.Error = r.Err.Error()
-	}
-	m.CPUProfile = r.CPUProfile
-	m.HeapProfile = r.HeapProfile
-	if s := r.Obs; s != nil {
-		m.Regions = s.Regions
-		m.Cancellations = s.Cancellations
-		m.Panics = s.Panics
-		m.BarrierWait = s.BarrierWait.Seconds()
-		m.JoinWait = s.JoinWait.Seconds()
-		m.Imbalance = s.Imbalance()
-		m.WorkerBusy = make([]float64, len(s.Busy))
-		m.WorkerWait = make([]float64, len(s.Wait))
-		for i := range s.Busy {
-			m.WorkerBusy[i] = s.Busy[i].Seconds()
-			m.WorkerWait[i] = s.Wait[i].Seconds()
-		}
-	}
-	return m
 }
 
 // topPhases returns up to n phases ordered by descending time.
@@ -513,61 +331,37 @@ func topPhases(phases []timer.Phase, n int) []report.PhaseMetric {
 	return out
 }
 
-// ObsTable renders the runtime-metrics summary of a sweep set: one row
-// per measured cell with the worker-imbalance ratio, the busy-time
-// spread, aggregate barrier and join waits, and the heaviest phases —
-// the table the paper's §5.2 CG diagnosis reads off (a healthy cell
-// shows imbalance near 1.00; the scheduling anomaly shows a ratio near
-// the thread count). Cells without obs data are skipped.
-func ObsTable(title string, sweeps []Sweep) string {
+// ObsTable renders the runtime-metrics summary of a record: one row per
+// planned cell whose line carries obs data (worker_busy_sec), with the
+// worker-imbalance ratio, the busy-time spread, aggregate barrier and
+// join waits, and the two heaviest phases — the table the paper's §5.2
+// CG diagnosis reads off (a healthy cell shows imbalance near 1.00; the
+// scheduling anomaly shows a ratio near the thread count). Failed cells
+// and cells without obs data are skipped.
+func ObsTable(title string, rec report.BenchRecord) string {
 	tb := report.New(title, "Cell", "Imbal", "BusyMin", "BusyMax", "Barrier", "Join", "Top phases")
-	for _, sw := range sweeps {
-		for _, r := range sw.Runs {
-			if r.Obs == nil || r.Err != nil {
-				continue
-			}
-			cell := fmt.Sprintf("%s.%c t%d", sw.Benchmark, sw.Class, r.Threads)
-			if r.Threads == 0 {
-				cell = fmt.Sprintf("%s.%c serial", sw.Benchmark, sw.Class)
-			}
-			phases := ""
-			for i, p := range topPhases(r.Phases, 2) {
-				if i > 0 {
-					phases += " "
-				}
-				phases += fmt.Sprintf("%s=%ss", p.Name, report.Seconds(p.Seconds))
-			}
-			if phases == "" {
-				phases = "-"
-			}
-			tb.AddRow(cell,
-				fmt.Sprintf("%.2f", r.Obs.Imbalance()),
-				report.Seconds(r.Obs.MinBusy().Seconds()),
-				report.Seconds(r.Obs.MaxBusy().Seconds()),
-				report.Seconds(r.Obs.BarrierWait.Seconds()),
-				report.Seconds(r.Obs.JoinWait.Seconds()),
-				phases)
+	for _, k := range PlannedCells(rec) {
+		m, ok := lineOf(rec, k)
+		if !ok || m.Error != "" || len(m.WorkerBusy) == 0 {
+			continue
 		}
+		phases := ""
+		for i, p := range m.TopPhases[:min(len(m.TopPhases), 2)] {
+			if i > 0 {
+				phases += " "
+			}
+			phases += fmt.Sprintf("%s=%ss", p.Name, report.Seconds(p.Seconds))
+		}
+		tb.AddRow(fmt.Sprintf("%s.%s %s", k.Benchmark, k.Class, cellName(k.Threads)),
+			fmt.Sprintf("%.2f", m.Imbalance),
+			report.Seconds(slices.Min(m.WorkerBusy)),
+			report.Seconds(slices.Max(m.WorkerBusy)),
+			report.Seconds(m.BarrierWait),
+			report.Seconds(m.JoinWait),
+			cmp.Or(phases, "-"))
 	}
 	if tb.NumRows() == 0 {
 		tb.AddRow("(no obs data)")
-	}
-	return tb.String()
-}
-
-// SpeedupTable renders speedup and efficiency per thread count.
-func SpeedupTable(title string, sweeps []Sweep, threads []int) string {
-	header := []string{"Benchmark"}
-	for _, t := range threads {
-		header = append(header, fmt.Sprintf("S(%d)", t), fmt.Sprintf("E(%d)", t))
-	}
-	tb := report.New(title, header...)
-	for _, sw := range sweeps {
-		row := []string{fmt.Sprintf("%s.%c", sw.Benchmark, sw.Class)}
-		for _, t := range threads {
-			row = append(row, report.Speedup(sw.Speedup(t)), report.Speedup(sw.Efficiency(t)))
-		}
-		tb.AddRow(row...)
 	}
 	return tb.String()
 }

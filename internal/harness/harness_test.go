@@ -3,56 +3,96 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"npbgo"
+	"npbgo/internal/perfstat"
+	"npbgo/internal/report"
 )
 
+// memSweep runs one benchmark's sweep into a record held in memory, as
+// npbsuite does without -bench-json, and returns the record and the
+// sweep's error.
+func memSweep(bench npbgo.Benchmark, threads []int, opt Options) (*Record, error) {
+	rec := NewRecord("test", []npbgo.Benchmark{bench}, 'S', threads, opt.Schedule)
+	return rec, rec.RunSweep(bench, 'S', threads, opt)
+}
+
 func TestRunSweepProducesCells(t *testing.T) {
-	sw, err := RunSweepOpts(npbgo.IS, 'S', []int{1, 2}, Options{})
+	rec, err := memSweep(npbgo.IS, []int{1, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Runs) != 3 { // serial + two thread counts
-		t.Fatalf("got %d runs", len(sw.Runs))
+	if len(rec.Cells) != 3 { // serial + two thread counts
+		t.Fatalf("got %d lines", len(rec.Cells))
 	}
-	base, ok := sw.Serial()
+	base, ok := rec.Cell(CellKey{"IS", "S", 0})
 	if !ok || base.Elapsed <= 0 {
 		t.Fatalf("serial baseline missing or degenerate: %+v", base)
 	}
-	for _, r := range sw.Runs {
-		if !r.Verified {
-			t.Fatalf("run %+v unverified", r)
+	for _, m := range rec.Cells {
+		if !m.Verified || m.Tier != "official" {
+			t.Fatalf("line %+v unverified", m)
 		}
 	}
 }
 
+// suiteRecord is a record of one benchmark at class A, planned for
+// threads, holding lines.
+func suiteRecord(bench string, threads []int, lines ...report.CellMetrics) *Record {
+	rec := &Record{BenchRecord: report.BenchRecord{Class: "A", Threads: threads, Benchmarks: []string{bench}}}
+	for _, m := range lines {
+		m.Benchmark, m.Class = bench, "A"
+		rec.Cells = append(rec.Cells, m)
+	}
+	return rec
+}
+
+// TestSpeedupAndEfficiency: a sweep's record lines are what npbsuite's
+// speedup is computed from. Over the serial line, S(2) = 8/4 and
+// E(4) = (8/2)/4; a thread count with no line has no point, and a
+// failed line gets none either.
 func TestSpeedupAndEfficiency(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
-		{Threads: 0, Elapsed: 8 * time.Second},
-		{Threads: 2, Elapsed: 4 * time.Second},
-		{Threads: 4, Elapsed: 2 * time.Second},
-	}}
-	if s := sw.Speedup(2); s != 2 {
-		t.Fatalf("Speedup(2) = %v", s)
+	rec := suiteRecord("CG", []int{2, 4, 8},
+		report.CellMetrics{Threads: 0, Elapsed: 8},
+		report.CellMetrics{Threads: 2, Elapsed: 4},
+		report.CellMetrics{Threads: 4, Elapsed: 2},
+		report.CellMetrics{Threads: 8, Error: "config", Fail: npbgo.ErrConfig})
+	groups := perfstat.Scaling(rec.BenchRecord)
+	if len(groups) != 1 || groups[0].BaseSec != 8 {
+		t.Fatalf("baseline is not the serial line: %+v", groups)
 	}
-	if e := sw.Efficiency(4); e != 1 {
-		t.Fatalf("Efficiency(4) = %v", e)
+	at := make(map[int]perfstat.ScalePoint)
+	for _, p := range groups[0].Points {
+		at[p.Threads] = p
 	}
-	if sw.Speedup(8) != 0 {
-		t.Fatal("missing cell should give 0 speedup")
+	if s := at[2].Speedup; s != 2 {
+		t.Fatalf("S(2) = %v", s)
 	}
-	if sw.Efficiency(0) != 0 {
-		t.Fatal("zero threads should give 0 efficiency")
+	if e := at[4].Efficiency; e != 1 {
+		t.Fatalf("E(4) = %v", e)
+	}
+	if _, ok := at[8]; ok || len(at) != 3 {
+		t.Fatalf("a failed line should give no point: %+v", groups[0].Points)
+	}
+}
+
+// TestSpeedupTableRendering: the speedup table npbsuite prints for a
+// record renders S and E of each line: 9/3 = 3.00 and 3.00/3 = 1.00.
+func TestSpeedupTableRendering(t *testing.T) {
+	rec := suiteRecord("LU", []int{3},
+		report.CellMetrics{Threads: 0, Elapsed: 9},
+		report.CellMetrics{Threads: 3, Elapsed: 3})
+	out := perfstat.ScalingTable(perfstat.Scaling(rec.BenchRecord))
+	if !strings.Contains(out, "LU.A t3") || !strings.Contains(out, "3.00") || !strings.Contains(out, "1.00") {
+		t.Fatalf("speedup/efficiency missing: %q", out)
 	}
 }
 
 func TestSuiteTableRendering(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.BT, Class: 'A', Runs: []Run{
-		{Threads: 0, Elapsed: 10 * time.Second, Verified: true, Tier: "official"},
-		{Threads: 2, Elapsed: 6 * time.Second, Verified: true, Tier: "official"},
-	}}
-	out := SuiteTable("T", []Sweep{sw}, []int{2, 4})
+	rec := suiteRecord("BT", []int{2, 4},
+		report.CellMetrics{Threads: 0, Elapsed: 10, Verified: true, Tier: "official"},
+		report.CellMetrics{Threads: 2, Elapsed: 6, Verified: true, Tier: "official"})
+	out := SuiteTable("T", rec)
 	if !strings.Contains(out, "BT.A") || !strings.Contains(out, "10.0") {
 		t.Fatalf("table missing cells: %q", out)
 	}
@@ -64,78 +104,64 @@ func TestSuiteTableRendering(t *testing.T) {
 	}
 }
 
-func TestSpeedupTableRendering(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.LU, Class: 'S', Runs: []Run{
-		{Threads: 0, Elapsed: 9 * time.Second},
-		{Threads: 3, Elapsed: 3 * time.Second},
-	}}
-	out := SpeedupTable("S", []Sweep{sw}, []int{3})
-	if !strings.Contains(out, "3.00") || !strings.Contains(out, "1.00") {
-		t.Fatalf("speedup/efficiency missing: %q", out)
-	}
-}
-
 // TestUnverifiedMarked: the verified column reads "yes" only when every
 // cell that ran verified. An unverified cell marks its row no(tier); a
 // failed cell beside verified ones marks it partial (it used to be
 // skipped, so such a row read yes); a row with no completed cell reads
 // "-". A SKIP cell never ran: it neither verifies a row nor fails it.
 func TestUnverifiedMarked(t *testing.T) {
-	ok := Run{Elapsed: time.Second, Verified: true, Tier: "official"}
-	at := func(r Run, threads int) Run { r.Threads = threads; return r }
-	failed := Run{Err: &npbgo.RunError{Kind: npbgo.ErrConfig}}
-	skipped := Run{Err: &SkipError{Need: 2 << 30, Have: 1 << 30}}
+	ok := report.CellMetrics{Elapsed: 1, Verified: true, Tier: "official"}
+	at := func(m report.CellMetrics, threads int) report.CellMetrics { m.Threads = threads; return m }
+	failed := report.CellMetrics{Error: "config", Fail: npbgo.ErrConfig}
+	skip := &SkipError{Need: 2 << 30, Have: 1 << 30}
 	for _, c := range []struct {
-		runs []Run
-		want string
+		lines   []report.CellMetrics
+		skipped []int
+		want    string
 	}{
-		{[]Run{{Elapsed: time.Second, Tier: "none"}}, "no(none)"},
-		{[]Run{at(ok, 0), at(ok, 2)}, "yes"},
-		{[]Run{at(ok, 0), at(failed, 2)}, "partial"},
-		{[]Run{at(failed, 0), {Threads: 2, Elapsed: time.Second, Tier: "none"}}, "no(none)"},
-		{[]Run{at(ok, 0), at(skipped, 2)}, "yes"},
-		{[]Run{at(skipped, 0), at(failed, 2)}, "-"},
-		{[]Run{at(skipped, 0), at(skipped, 2)}, "-"},
+		{[]report.CellMetrics{{Elapsed: 1, Tier: "none"}}, nil, "no(none)"},
+		{[]report.CellMetrics{at(ok, 0), at(ok, 2)}, nil, "yes"},
+		{[]report.CellMetrics{at(ok, 0), at(failed, 2)}, nil, "partial"},
+		{[]report.CellMetrics{at(failed, 0), {Threads: 2, Elapsed: 1, Tier: "none"}}, nil, "no(none)"},
+		{[]report.CellMetrics{at(ok, 0)}, []int{2}, "yes"},
+		{[]report.CellMetrics{at(failed, 2)}, []int{0}, "-"},
+		{nil, []int{0, 2}, "-"},
 	} {
-		out := SuiteTable("T", []Sweep{{Benchmark: "LUFACT", Class: 'A', Runs: c.runs}}, []int{2})
-		var got string
-		for _, line := range strings.Split(out, "\n") {
-			if f := strings.Fields(line); len(f) > 0 && f[0] == "LUFACT.A" {
-				got = f[len(f)-1]
-			}
+		rec := suiteRecord("LUFACT", []int{2}, c.lines...)
+		rec.skipped = make(map[CellKey]*SkipError)
+		for _, th := range c.skipped {
+			rec.skipped[CellKey{"LUFACT", "A", th}] = skip
 		}
-		if got != c.want {
+		out := SuiteTable("T", rec)
+		row := tableRow(out, "LUFACT.A")
+		if got := row[len(row)-1]; got != c.want {
 			t.Errorf("verified column = %q, want %q:\n%s", got, c.want, out)
 		}
 	}
 }
 
 func TestRunSweepUnknownBenchmark(t *testing.T) {
-	if _, err := RunSweepOpts(npbgo.Benchmark("XX"), 'S', []int{1}, Options{}); err == nil {
+	if _, err := memSweep(npbgo.Benchmark("XX"), []int{1}, Options{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestRepeatsRetainAllSamples(t *testing.T) {
-	sw, err := RunSweepOpts(npbgo.IS, 'S', []int{2}, Options{Repeats: 3})
+	rec, err := memSweep(npbgo.IS, []int{2}, Options{Repeats: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range sw.Runs {
-		if len(r.Samples) != 3 {
-			t.Fatalf("threads=%d: got %d samples, want 3 (every repeat retained)", r.Threads, len(r.Samples))
+	for _, m := range rec.Cells {
+		if len(m.Samples) != 3 || m.Attempts != 3 {
+			t.Fatalf("threads=%d: got %d samples of %d attempts, want 3 (every repeat retained)", m.Threads, len(m.Samples), m.Attempts)
 		}
-		best := r.Samples[0]
-		for _, s := range r.Samples {
+		for _, s := range m.Samples {
 			if s <= 0 {
-				t.Fatalf("threads=%d: degenerate sample %v", r.Threads, s)
-			}
-			if s < best {
-				best = s
+				t.Fatalf("threads=%d: degenerate sample %v", m.Threads, s)
 			}
 		}
-		if r.Elapsed != best {
-			t.Fatalf("threads=%d: headline %v is not the best sample %v", r.Threads, r.Elapsed, best)
+		if best := min(m.Samples[0], m.Samples[1], m.Samples[2]); m.Elapsed != best {
+			t.Fatalf("threads=%d: headline %v is not the best sample %v", m.Threads, m.Elapsed, best)
 		}
 	}
 }

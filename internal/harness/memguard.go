@@ -13,7 +13,7 @@ import (
 // admit is the sweep's memory admission guard, always on: before a
 // cell launches, its estimated working set (npbgo.Config.FootprintBytes)
 // is checked against the machine's available memory, and a cell that
-// cannot fit comes back as a *SkipError, recorded as SKIP(memory: need
+// cannot fit comes back as a *SkipError, rendered as SKIP(memory: need
 // X, have Y), instead of being allowed to OOM the sweep. This is the
 // paper's FT anomaly generalized: FT class A was simply unrunnable on
 // the 256 MB machines (§5), and the honest outcome is a reasoned skip,
@@ -21,7 +21,7 @@ import (
 // memHeadroom of available memory. The guard fails open — an unknown
 // footprint or an unreadable probe admits the cell, because a guess
 // must never block a runnable run.
-func admit(cfg npbgo.Config) error {
+func admit(cfg npbgo.Config) *SkipError {
 	need, err := cfg.FootprintBytes()
 	if err != nil {
 		return nil // unknown footprint: fail open

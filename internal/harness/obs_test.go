@@ -3,61 +3,41 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"npbgo"
-	"npbgo/internal/team"
+	"npbgo/internal/report"
 	"npbgo/internal/timer"
 )
 
 // TestObsSweepCollectsMetrics drives a tiny real sweep with Options.Obs
-// and checks that every cell carries a snapshot and that the bench
-// record holds one line per cell with the obs data flattened in.
+// and checks that the bench record holds one line per cell with the obs
+// data and the phase profile flattened in.
 func TestObsSweepCollectsMetrics(t *testing.T) {
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{2})
-	sw, err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{Obs: true})
-	if err != nil {
+	if err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{Obs: true}); err != nil {
 		t.Fatal(err)
 	}
-	if len(sw.Runs) != 2 { // serial + threads=2
-		t.Fatalf("got %d runs", len(sw.Runs))
-	}
-	for _, r := range sw.Runs {
-		if r.Obs == nil {
-			t.Fatalf("threads=%d: no obs snapshot", r.Threads)
-		}
-		if r.Obs.Regions == 0 {
-			t.Fatalf("threads=%d: no regions recorded", r.Threads)
-		}
-		if len(r.Phases) == 0 {
-			t.Fatalf("threads=%d: no phase profile (Obs should imply timers for CG)", r.Threads)
-		}
-	}
-	// Parallel cells should have attributed busy time on every worker.
-	for _, r := range sw.Runs {
-		if r.Threads != 2 {
-			continue
-		}
-		for i, b := range r.Obs.Busy {
-			if b <= 0 {
-				t.Fatalf("worker %d has no busy time: %+v", i, r.Obs.Busy)
-			}
-		}
-		if im := r.Obs.Imbalance(); im < 1 {
-			t.Fatalf("imbalance %v < 1", im)
-		}
-	}
-
 	lines := 0
 	for _, m := range readRecord(t, path).Cells {
 		if m.Benchmark != "CG" || m.Class != "S" {
 			t.Fatalf("wrong cell identity: %+v", m)
 		}
-		if m.Regions == 0 || len(m.WorkerBusy) == 0 {
-			t.Fatalf("metrics record missing obs data: %+v", m)
+		if m.Regions == 0 || len(m.WorkerBusy) != max(m.Threads, 1) {
+			t.Fatalf("threads=%d: line missing obs data: %+v", m.Threads, m)
 		}
 		if len(m.TopPhases) == 0 {
-			t.Fatalf("metrics record missing phases: %+v", m)
+			t.Fatalf("threads=%d: no phase profile (Obs should imply timers for CG)", m.Threads)
+		}
+		// Parallel cells should have attributed busy time on every worker.
+		if m.Threads == 2 {
+			for i, b := range m.WorkerBusy {
+				if b <= 0 {
+					t.Fatalf("worker %d has no busy time: %+v", i, m.WorkerBusy)
+				}
+			}
+			if m.Imbalance < 1 {
+				t.Fatalf("imbalance %v < 1", m.Imbalance)
+			}
 		}
 		lines++
 	}
@@ -66,14 +46,17 @@ func TestObsSweepCollectsMetrics(t *testing.T) {
 	}
 }
 
+// obsRecord is a class-S record of one benchmark at two threads holding
+// lines.
+func obsRecord(bench string, lines ...report.CellMetrics) report.BenchRecord {
+	return report.BenchRecord{Class: "S", Threads: []int{2}, Benchmarks: []string{bench}, Cells: lines}
+}
+
 func TestObsTableRendersImbalance(t *testing.T) {
-	stats := team.NewProbe(2, nil).Snapshot()
-	stats.Busy = []time.Duration{2 * time.Second, time.Second}
-	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
-		{Threads: 2, Elapsed: time.Second, Obs: stats,
-			Phases: []timer.Phase{{Name: "t_conj_grad", Seconds: 0.9, Laps: 15}}},
-	}}
-	out := ObsTable("metrics", []Sweep{sw})
+	rec := obsRecord("CG", report.CellMetrics{Benchmark: "CG", Class: "S", Threads: 2, Elapsed: 1,
+		WorkerBusy: []float64{2, 1}, Imbalance: 2 / 1.5,
+		TopPhases: []report.PhaseMetric{{Name: "t_conj_grad", Seconds: 0.9, Laps: 15}}})
+	out := ObsTable("metrics", rec)
 	if !strings.Contains(out, "CG.S t2") {
 		t.Fatalf("missing cell row:\n%s", out)
 	}
@@ -86,8 +69,7 @@ func TestObsTableRendersImbalance(t *testing.T) {
 }
 
 func TestObsTableSkipsCellsWithoutData(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.EP, Class: 'S', Runs: []Run{{Threads: 1}}}
-	out := ObsTable("metrics", []Sweep{sw})
+	out := ObsTable("metrics", obsRecord("EP", report.CellMetrics{Benchmark: "EP", Class: "S", Threads: 2, Elapsed: 1}))
 	if !strings.Contains(out, "no obs data") {
 		t.Fatalf("expected placeholder row:\n%s", out)
 	}

@@ -15,27 +15,23 @@ import (
 func TestProfiledSweepCapturesCells(t *testing.T) {
 	dir := t.TempDir()
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{2})
-	sw, err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{ProfileDir: dir})
-	if err != nil {
+	if err := rec.RunSweep(npbgo.CG, 'S', []int{2}, Options{ProfileDir: dir}); err != nil {
 		t.Fatalf("profiled sweep failed: %v", err)
 	}
-	if len(sw.Runs) != 2 {
-		t.Fatalf("runs = %d, want serial + t2", len(sw.Runs))
+	cells := readRecord(t, path).Cells
+	if len(cells) != 2 {
+		t.Fatalf("lines = %d, want serial + t2", len(cells))
 	}
-	for _, r := range sw.Runs {
-		if r.CPUProfile == "" || r.HeapProfile == "" {
-			t.Fatalf("cell t%d missing profile paths: %+v", r.Threads, r)
+	for _, c := range cells {
+		cpu, heap := profile.CellPaths(dir, "CG.S."+cellName(c.Threads))
+		if c.CPUProfile != cpu || c.HeapProfile != heap {
+			t.Fatalf("cell t%d line names profiles %q, %q; want %q, %q", c.Threads, c.CPUProfile, c.HeapProfile, cpu, heap)
 		}
-		if _, err := profile.Hot(r.CPUProfile, false); err != nil {
-			t.Fatalf("cell t%d CPU profile undecodable: %v", r.Threads, err)
+		if _, err := profile.Hot(c.CPUProfile, false); err != nil {
+			t.Fatalf("cell t%d CPU profile undecodable: %v", c.Threads, err)
 		}
-		if _, err := profile.Hot(r.HeapProfile, true); err != nil {
-			t.Fatalf("cell t%d heap profile undecodable: %v", r.Threads, err)
-		}
-	}
-	for i, c := range readRecord(t, path).Cells {
-		if c.CPUProfile != sw.Runs[i].CPUProfile || c.HeapProfile != sw.Runs[i].HeapProfile {
-			t.Fatalf("cell line lost profile paths: %+v", c)
+		if _, err := profile.Hot(c.HeapProfile, true); err != nil {
+			t.Fatalf("cell t%d heap profile undecodable: %v", c.Threads, err)
 		}
 		if c.Env != nil {
 			t.Fatalf("in-process cell carries a per-cell env (should only differ under isolation): %+v", c.Env)
@@ -55,8 +51,7 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 	dir := t.TempDir()
 	cpu, _ := profile.CellPaths(dir, "CG.S.serial")
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.CG}, []int{1})
-	var sw Sweep
-	atSecondCell(t, func() { sw, _ = rec.RunSweep(npbgo.CG, 'S', []int{1}, Options{ProfileDir: dir}) }, func() {
+	atSecondCell(t, func() { rec.RunSweep(npbgo.CG, 'S', []int{1}, Options{ProfileDir: dir}) }, func() {
 		if m := failedLine(t, path); m.CPUProfile != cpu {
 			t.Fatalf("failed cell line names profile %q, want %q", m.CPUProfile, cpu)
 		}
@@ -64,9 +59,6 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 			t.Fatalf("failed cell's profile not decodable when its line landed: %v", err)
 		}
 	})
-	if sw.Runs[0].Err == nil || sw.Runs[0].CPUProfile != cpu {
-		t.Fatalf("serial run = %+v, want a failed cell with its partial profile collected", sw.Runs[0])
-	}
 }
 
 // TestProfileHoldsEveryRepeat: a profiled cell's CPU profile spans all
@@ -77,15 +69,15 @@ func TestFailedCellProfileFlushedBeforeFail(t *testing.T) {
 func TestProfileHoldsEveryRepeat(t *testing.T) {
 	total := func(repeats int) int64 {
 		dir := t.TempDir()
-		sw, err := RunSweepOpts(npbgo.EP, 'S', nil, Options{Repeats: repeats, ProfileDir: dir})
+		rec, err := memSweep(npbgo.EP, nil, Options{Repeats: repeats, ProfileDir: dir})
 		if err != nil {
 			t.Fatalf("repeats=%d: %v", repeats, err)
 		}
-		r := sw.Runs[0]
-		if r.Attempts != repeats || len(r.Samples) != repeats {
-			t.Fatalf("repeats=%d: cell = %+v", repeats, r)
+		m := rec.Cells[0]
+		if m.Attempts != repeats || len(m.Samples) != repeats {
+			t.Fatalf("repeats=%d: cell = %+v", repeats, m)
 		}
-		tb, err := profile.Hot(r.CPUProfile, false)
+		tb, err := profile.Hot(m.CPUProfile, false)
 		if err != nil {
 			t.Fatalf("repeats=%d: %v", repeats, err)
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"npbgo"
+	"npbgo/internal/fault"
 	"npbgo/internal/perfstat"
 	"npbgo/internal/report"
 )
@@ -60,7 +62,7 @@ func TestRecordPlanRoundTrip(t *testing.T) {
 	if got.Env.GoVersion == "" || got.Env.GoMaxProcs < 1 {
 		t.Fatalf("header carries no environment: %+v", got.Env)
 	}
-	planned := PlannedCells(benches, got.Class[0], got.Threads)
+	planned := PlannedCells(got)
 	if len(planned) != 6 || planned[3] != (CellKey{"EP", "S", 0}) {
 		t.Fatalf("plan did not round-trip: %v", planned)
 	}
@@ -89,7 +91,7 @@ func TestCellRecordsFlattenSweeps(t *testing.T) {
 	benches := []npbgo.Benchmark{npbgo.IS, npbgo.CG}
 	rec, path := newRecord(t, benches, []int{2})
 	for _, b := range benches {
-		if _, err := rec.RunSweep(b, 'S', []int{2}, Options{}); err != nil {
+		if err := rec.RunSweep(b, 'S', []int{2}, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +103,7 @@ func TestCellRecordsFlattenSweeps(t *testing.T) {
 			t.Fatalf("cell line malformed: %+v", c)
 		}
 	}
-	if want := PlannedCells(benches, 'S', []int{2}); !slices.Equal(got, want) {
+	if want := PlannedCells(rec.BenchRecord); !slices.Equal(got, want) {
 		t.Fatalf("cell lines %v, want %v", got, want)
 	}
 }
@@ -110,23 +112,19 @@ func TestCellRecordsFlattenSweeps(t *testing.T) {
 // time in seconds, with the best as its headline.
 func TestBenchRecordFromCarriesSamples(t *testing.T) {
 	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.IS}, []int{2})
-	sw, err := rec.RunSweep(npbgo.IS, 'S', []int{2}, Options{Repeats: 2})
-	if err != nil {
+	if err := rec.RunSweep(npbgo.IS, 'S', []int{2}, Options{Repeats: 2}); err != nil {
 		t.Fatal(err)
 	}
 	cells := readRecord(t, path).Cells
-	if len(cells) != len(sw.Runs) {
-		t.Fatalf("got %d cell lines for %d runs", len(cells), len(sw.Runs))
+	if len(cells) != 2 {
+		t.Fatalf("got %d cell lines for 2 cells", len(cells))
 	}
 	for i, c := range cells {
-		r := sw.Runs[i]
 		if len(c.Samples) != 2 {
 			t.Fatalf("cell t%d: %d samples, want 2", c.Threads, len(c.Samples))
 		}
-		for j, s := range c.Samples {
-			if s != r.Samples[j].Seconds() {
-				t.Fatalf("sample %d = %v, want %v seconds", j, s, r.Samples[j].Seconds())
-			}
+		if !slices.Equal(c.Samples, rec.Cells[i].Samples) {
+			t.Fatalf("samples %v read back as %v", rec.Cells[i].Samples, c.Samples)
 		}
 		if c.Elapsed != min(c.Samples[0], c.Samples[1]) {
 			t.Fatalf("headline %v is not the best sample of %v", c.Elapsed, c.Samples)
@@ -165,7 +163,7 @@ func TestTornCellLineStaysPending(t *testing.T) {
 		t.Fatal("torn tail not reported")
 	}
 	var pending []CellKey
-	for _, k := range PlannedCells([]npbgo.Benchmark{npbgo.CG}, 'S', []int{1, 2}) {
+	for _, k := range PlannedCells(re.BenchRecord) {
 		if _, ok := re.Cell(k); !ok {
 			pending = append(pending, k)
 		}
@@ -251,7 +249,7 @@ func TestResumedCellCarriesItsHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := re.RunSweep(npbgo.CG, 'S', []int{1}, Options{}); err != nil {
+	if err := re.RunSweep(npbgo.CG, 'S', []int{1}, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	re.Close()
@@ -294,10 +292,10 @@ func TestPaperEntriesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if _, err := rec.RunSweep("STENCIL1", 'A', []int{2}, Options{}); err != nil {
+	if err := rec.RunSweep("STENCIL1", 'A', []int{2}, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.RunSweep("LUFACT", 'A', nil, Options{}); err != nil {
+	if err := rec.RunSweep("LUFACT", 'A', nil, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got := readRecord(t, path)
@@ -312,11 +310,70 @@ func TestPaperEntriesRoundTrip(t *testing.T) {
 	if !slices.Equal(keys, want) {
 		t.Fatalf("cell lines %v, want %v", keys, want)
 	}
-	groups := perfstat.Scaling(got, perfstat.ScalingOptions{})
+	groups := perfstat.Scaling(got)
 	if len(groups) != 2 || groups[0].BaseSec <= 0 || groups[1].BaseSec <= 0 {
 		t.Fatalf("scaling analysis: %+v", groups)
 	}
 	if table := perfstat.ScalingTable(groups); !strings.Contains(table, "STENCIL1") || !strings.Contains(table, "LUFACT") {
 		t.Fatalf("scaling table:\n%s", table)
+	}
+}
+
+// TestResumedTablesMatchLive: the tables are views of the record's
+// lines, so resuming a complete record prints what the live sweep did,
+// byte for byte — a FAIL(panic) cell as FAIL(panic), an unverified
+// cell as no(tier), and every cell's runtime metrics. The live sweep
+// runs IS.S with obs on: its serial cell fails through the
+// harness.cell panic fault and its t1 cell completes unverified; the
+// resume executes nothing.
+func TestResumedTablesMatchLive(t *testing.T) {
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
+	defer fault.Reset()
+	real := runContext
+	t.Cleanup(func() { runContext = real })
+	runContext = func(ctx context.Context, cfg npbgo.Config) (npbgo.Result, error) {
+		res, err := real(ctx, cfg)
+		if cfg.Threads == 1 && err == nil {
+			res.Verified, res.Tier = false, "none" // as a class without reference values
+		}
+		return res, err
+	}
+	threads := []int{1, 2}
+	rec, path := newRecord(t, []npbgo.Benchmark{npbgo.IS}, threads)
+	opt := Options{Obs: true}
+	liveErr := rec.RunSweep(npbgo.IS, 'S', threads, opt)
+	if liveErr == nil {
+		t.Fatal("live sweep succeeded despite the serial cell's panic")
+	}
+	suite, obs := SuiteTable("T", rec), ObsTable("O", rec.BenchRecord)
+	rec.Close()
+	for _, want := range []string{"FAIL(panic)", "no(none)"} {
+		if !strings.Contains(suite, want) {
+			t.Fatalf("live table lacks %s:\n%s", want, suite)
+		}
+	}
+	for _, row := range []string{"IS.S t1 ", "IS.S t2 "} {
+		if !strings.Contains(obs, row) {
+			t.Fatalf("live runtime metrics lack the %q row:\n%s", row, obs)
+		}
+	}
+
+	runContext = func(context.Context, npbgo.Config) (npbgo.Result, error) {
+		t.Fatal("the resume ran a recorded cell")
+		return npbgo.Result{}, nil
+	}
+	re, _, err := ResumeRecord(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := re.RunSweep(npbgo.IS, 'S', threads, opt); err == nil || err.Error() != liveErr.Error() {
+		t.Fatalf("resumed sweep error = %v, want the live one: %v", err, liveErr)
+	}
+	if got := SuiteTable("T", re); got != suite {
+		t.Errorf("resumed suite table differs from the live one:\n%s\nlive:\n%s", got, suite)
+	}
+	if got := ObsTable("O", re.BenchRecord); got != obs {
+		t.Errorf("resumed runtime metrics differ from the live ones:\n%s\nlive:\n%s", got, obs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"npbgo"
 	"npbgo/internal/fault"
+	"npbgo/internal/perfstat"
 )
 
 // TestTimeoutMarksCellFailedAndSweepContinues slows CG's outer loop with
@@ -19,7 +20,7 @@ func TestTimeoutMarksCellFailedAndSweepContinues(t *testing.T) {
 	})
 	defer fault.Reset()
 	start := time.Now()
-	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{2}, Options{
+	rec, err := memSweep(npbgo.CG, []int{2}, Options{
 		Timeout: 100 * time.Millisecond,
 	})
 	if err == nil {
@@ -28,15 +29,15 @@ func TestTimeoutMarksCellFailedAndSweepContinues(t *testing.T) {
 	if took := time.Since(start); took > 20*time.Second {
 		t.Fatalf("timeout did not bound the sweep: took %v", took)
 	}
-	if len(sw.Runs) != 2 {
-		t.Fatalf("sweep did not continue past the failed cell: %d cells", len(sw.Runs))
+	if len(rec.Cells) != 2 {
+		t.Fatalf("sweep did not continue past the failed cell: %d lines", len(rec.Cells))
 	}
-	for _, r := range sw.Runs {
-		if r.Err == nil {
-			t.Fatalf("cell %+v should have timed out", r)
+	for _, m := range rec.Cells {
+		if m.Error == "" || m.Fail != "timeout" {
+			t.Fatalf("cell %+v should have timed out", m)
 		}
 	}
-	out := SuiteTable("T", []Sweep{sw}, []int{2})
+	out := SuiteTable("T", rec)
 	if !strings.Contains(out, "FAIL(timeout)") {
 		t.Fatalf("failed cell not rendered as FAIL(timeout):\n%s", out)
 	}
@@ -48,30 +49,41 @@ func TestTimeoutMarksCellFailedAndSweepContinues(t *testing.T) {
 func TestInjectedWorkerPanicDegradesCell(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "ep.batch", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
-	sw, err := RunSweepOpts(npbgo.EP, 'S', []int{2}, Options{})
+	rec, err := memSweep(npbgo.EP, []int{2}, Options{})
 	if err == nil {
 		t.Fatal("worker panic not reported")
 	}
-	out := SuiteTable("T", []Sweep{sw}, []int{2})
+	out := SuiteTable("T", rec)
 	if !strings.Contains(out, "FAIL(panic)") {
 		t.Fatalf("panicked cell not rendered as FAIL(panic):\n%s", out)
 	}
 }
 
-// TestFailedSerialDisablesSpeedup: speedup against a failed baseline
-// must come out as 0, not garbage.
+// TestFailedSerialDisablesSpeedup: a sweep whose serial cell failed has
+// no baseline, so the scaling view npbsuite prints gives its other
+// cells no speedup or efficiency ("-"), not one over some other cell.
 func TestFailedSerialDisablesSpeedup(t *testing.T) {
-	sw := Sweep{Benchmark: npbgo.CG, Class: 'S', Runs: []Run{
-		{Threads: 0, Err: errTest},
-		{Threads: 2, Elapsed: time.Second},
-	}}
-	if s := sw.Speedup(2); s != 0 {
-		t.Fatalf("Speedup over failed baseline = %v", s)
+	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic})
+	defer fault.Reset()
+	rec, err := memSweep(npbgo.IS, []int{1, 2}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "IS.S serial") {
+		t.Fatalf("sweep error = %v, want the serial cell's panic", err)
+	}
+	groups := perfstat.Scaling(rec.BenchRecord)
+	if len(groups) != 1 || groups[0].BaseSec != 0 || len(groups[0].Points) != 2 {
+		t.Fatalf("scaling of a sweep without a serial cell: %+v", groups)
+	}
+	for _, p := range groups[0].Points {
+		if p.Speedup != 0 || p.Efficiency != 0 {
+			t.Fatalf("t%d: speedup %v over a failed baseline", p.Threads, p.Speedup)
+		}
+	}
+	for _, line := range strings.Split(perfstat.ScalingTable(groups), "\n") {
+		if f := strings.Fields(line); len(f) > 4 && f[0] == "IS.S" && (f[3] != "-" || f[4] != "-") {
+			t.Fatalf("scaling row %q prints a speedup over a failed baseline", line)
+		}
 	}
 }
-
-var errTest = &npbgo.RunError{Benchmark: npbgo.CG, Class: 'S', Threads: 1,
-	Kind: npbgo.ErrPanic, Cause: nil}
 
 // TestHarnessPanicRendersAsPanic: a panic in the harness's own part of
 // a cell (the harness.cell fault site), not in the benchmark, is a
@@ -79,12 +91,12 @@ var errTest = &npbgo.RunError{Benchmark: npbgo.CG, Class: 'S', Threads: 1,
 func TestHarnessPanicRendersAsPanic(t *testing.T) {
 	fault.Activate(fault.Rule{Site: "harness.cell", Kind: fault.KindPanic, Count: -1})
 	defer fault.Reset()
-	sw, err := RunSweepOpts(npbgo.CG, 'S', []int{2}, Options{})
+	rec, err := memSweep(npbgo.CG, []int{2}, Options{})
 	var re *npbgo.RunError
 	if !errors.As(err, &re) || re.Kind != npbgo.ErrPanic || re.Benchmark != npbgo.CG {
 		t.Fatalf("error %v, want a CG RunError of kind panic", err)
 	}
-	out := SuiteTable("T", []Sweep{sw}, []int{2})
+	out := SuiteTable("T", rec)
 	if strings.Count(out, "FAIL(panic)") < 2 {
 		t.Fatalf("harness panics not rendered as FAIL(panic):\n%s", out)
 	}

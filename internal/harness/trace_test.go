@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	rtrace "runtime/trace"
 	"testing"
 
 	"npbgo/internal/trace"
@@ -24,37 +25,24 @@ func readTraces(t *testing.T, dir string, names ...string) {
 }
 
 // TestTraceDirWritesValidFilePerCell: a sweep with TraceDir set leaves
-// one validating execution trace per cell, serial baseline included,
-// and the kept Run carries its tracer.
+// one validating execution trace per cell, serial baseline included.
 func TestTraceDirWritesValidFilePerCell(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces") // exercises MkdirAll too
-	sw, err := RunSweepOpts("IS", 'S', []int{2}, Options{TraceDir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if rtrace.IsEnabled() {
+		t.Skip("another execution tracer is running; the cells only annotate it")
 	}
-	for _, r := range sw.Runs {
-		if r.Trace == nil {
-			t.Fatalf("cell %s has no tracer", cellName(r.Threads))
-		}
-		if r.Trace.Data == nil {
-			t.Skip("another execution tracer is running; the cells only annotated it")
-		}
+	dir := filepath.Join(t.TempDir(), "traces") // exercises MkdirAll too
+	if _, err := memSweep("IS", []int{2}, Options{TraceDir: dir}); err != nil {
+		t.Fatal(err)
 	}
 	readTraces(t, dir, "IS.S.serial.trace", "IS.S.t2.trace")
 }
 
 // TestNoTraceDirNoSnapshot: tracing stays off unless asked for — no
-// tracer on any run, and no trace file left behind.
+// trace file left behind.
 func TestNoTraceDirNoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	sw, err := RunSweepOpts("IS", 'S', nil, Options{ProfileDir: dir})
-	if err != nil {
+	if _, err := memSweep("IS", nil, Options{ProfileDir: dir}); err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range sw.Runs {
-		if r.Trace != nil {
-			t.Fatal("Run.Trace set without Options.TraceDir")
-		}
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, "*.trace")); len(m) != 0 {
 		t.Fatalf("trace files without Options.TraceDir: %v", m)

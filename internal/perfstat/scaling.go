@@ -24,32 +24,17 @@ const (
 	SmallWork Anomaly = "small-work"
 )
 
-// ScalingOptions tunes the anomaly attribution rules.
-type ScalingOptions struct {
-	// ImbalanceMin flags LoadImbalance at or above this obs imbalance
-	// ratio (max busy / mean busy); default 1.5.
-	ImbalanceMin float64
-	// BarrierShareMin flags BarrierSync when barrier wait divided by
-	// total worker time (threads x elapsed) reaches it; default 0.2.
-	BarrierShareMin float64
-	// SmallWorkSec flags SmallWork below this median elapsed time;
-	// default 0.001 (1 ms).
-	SmallWorkSec float64
-}
-
-// withDefaults fills unset scaling options.
-func (o ScalingOptions) withDefaults() ScalingOptions {
-	if o.ImbalanceMin <= 0 {
-		o.ImbalanceMin = 1.5
-	}
-	if o.BarrierShareMin <= 0 {
-		o.BarrierShareMin = 0.2
-	}
-	if o.SmallWorkSec <= 0 {
-		o.SmallWorkSec = 0.001
-	}
-	return o
-}
+// The anomaly rules' thresholds.
+const (
+	// imbalanceMin flags LoadImbalance at or above this obs imbalance
+	// ratio (max busy / mean busy).
+	imbalanceMin = 1.5
+	// barrierShareMin flags BarrierSync when barrier wait divided by
+	// total worker time (threads x median elapsed) reaches it.
+	barrierShareMin = 0.2
+	// smallWorkSec flags SmallWork below this median elapsed time (1 ms).
+	smallWorkSec = 0.001
+)
 
 // ScalePoint is one thread count of a scalability curve.
 type ScalePoint struct {
@@ -84,11 +69,10 @@ type BenchScaling struct {
 }
 
 // Scaling analyses every (benchmark, class) group of a record. The
-// baseline is the serial cell (threads = 0), falling back to the
-// 1-thread cell when a sweep recorded none; without either, speedups
-// stay 0 and only the anomaly rules run. Failed cells are skipped.
-func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
-	opt = opt.withDefaults()
+// baseline is the serial cell (threads = 0): a group whose serial cell
+// failed, or was never recorded, has no baseline, so its speedups stay
+// 0 and only the anomaly rules run. Failed cells are skipped.
+func Scaling(rec report.BenchRecord) []BenchScaling {
 	type group struct{ bench, class string }
 	var order []group
 	cells := make(map[group][]report.CellMetrics)
@@ -112,18 +96,10 @@ func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
 				break
 			}
 		}
-		if base == 0 {
-			for _, c := range cells[g] {
-				if c.Threads == 1 {
-					base = medianOf(c)
-					break
-				}
-			}
-		}
 		bs.BaseSec = base
 		seen := make(map[Anomaly]bool)
 		for _, c := range cells[g] {
-			p := point(c, base, opt)
+			p := point(c, base)
 			for _, a := range p.Anomalies {
 				if !seen[a] {
 					seen[a] = true
@@ -138,7 +114,7 @@ func Scaling(rec report.BenchRecord, opt ScalingOptions) []BenchScaling {
 }
 
 // point computes one cell's scalability numbers and anomaly flags.
-func point(c report.CellMetrics, base float64, opt ScalingOptions) ScalePoint {
+func point(c report.CellMetrics, base float64) ScalePoint {
 	p := ScalePoint{Threads: c.Threads, Median: medianOf(c), Imbalance: c.Imbalance}
 	if base > 0 && p.Median > 0 {
 		p.Speedup = base / p.Median
@@ -155,13 +131,13 @@ func point(c report.CellMetrics, base float64, opt ScalingOptions) ScalePoint {
 		fp := float64(c.Threads)
 		p.KarpFlatt = (1/p.Speedup - 1/fp) / (1 - 1/fp)
 	}
-	if c.Threads > 1 && c.Imbalance >= opt.ImbalanceMin {
+	if c.Threads > 1 && c.Imbalance >= imbalanceMin {
 		p.Anomalies = append(p.Anomalies, LoadImbalance)
 	}
-	if c.Threads > 1 && p.BarrierShare >= opt.BarrierShareMin {
+	if c.Threads > 1 && p.BarrierShare >= barrierShareMin {
 		p.Anomalies = append(p.Anomalies, BarrierSync)
 	}
-	if p.Median > 0 && p.Median < opt.SmallWorkSec {
+	if p.Median > 0 && p.Median < smallWorkSec {
 		p.Anomalies = append(p.Anomalies, SmallWork)
 	}
 	return p

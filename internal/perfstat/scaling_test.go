@@ -30,7 +30,7 @@ func scalingFixture() report.BenchRecord {
 }
 
 func TestScalingCurves(t *testing.T) {
-	out := Scaling(scalingFixture(), ScalingOptions{})
+	out := Scaling(scalingFixture())
 	if len(out) != 3 { // EP had only a failed cell
 		t.Fatalf("got %d groups: %+v", len(out), out)
 	}
@@ -51,13 +51,18 @@ func TestScalingCurves(t *testing.T) {
 		t.Fatalf("Karp-Flatt = %v, want %v", t2.KarpFlatt, wantKF)
 	}
 	serial := cg.Points[0]
-	if serial.KarpFlatt != 0 || serial.Speedup != 1 {
+	if serial.KarpFlatt != 0 || serial.Speedup != 1 || serial.Efficiency != 1 {
 		t.Fatalf("serial point: %+v", serial)
+	}
+	// E(4) is S(4)/4: FT's single samples give S(4) = 0.80/0.50.
+	ft4 := out[2].Points[1]
+	if ft4.Threads != 4 || math.Abs(ft4.Speedup-1.6) > 1e-9 || math.Abs(ft4.Efficiency-0.4) > 1e-9 {
+		t.Fatalf("FT t4: %+v, want S = 1.60, E = 0.40", ft4)
 	}
 }
 
 func TestScalingAnomalyRules(t *testing.T) {
-	out := Scaling(scalingFixture(), ScalingOptions{})
+	out := Scaling(scalingFixture())
 	byBench := make(map[string]BenchScaling)
 	for _, bs := range out {
 		byBench[bs.Benchmark] = bs
@@ -78,38 +83,34 @@ func TestScalingAnomalyRules(t *testing.T) {
 	}
 }
 
-func TestScalingThresholdsConfigurable(t *testing.T) {
-	out := Scaling(scalingFixture(), ScalingOptions{ImbalanceMin: 5, BarrierShareMin: 0.9, SmallWorkSec: 1e-9})
-	for _, bs := range out {
-		if len(bs.Anomalies) != 0 {
-			t.Fatalf("loose thresholds still flagged %s: %v", bs.Benchmark, bs.Anomalies)
+// TestFailedSerialDisablesSpeedup: speedup is over the serial cell or
+// not at all. A group whose serial cell failed gets no speedup, even
+// with a one-thread cell to divide by, while its anomaly rules still
+// run.
+func TestFailedSerialDisablesSpeedup(t *testing.T) {
+	rec := report.BenchRecord{Schema: report.BenchSchema, Cells: []report.CellMetrics{
+		{Benchmark: "MG", Class: "W", Threads: 0, Error: "npbgo: MG.W panic: injected"},
+		{Benchmark: "MG", Class: "W", Threads: 1, Samples: []float64{1.0}},
+		{Benchmark: "MG", Class: "W", Threads: 2, Samples: []float64{0.5}, Imbalance: 3},
+	}}
+	out := Scaling(rec)
+	if len(out) != 1 || out[0].BaseSec != 0 {
+		t.Fatalf("a failed serial cell left a baseline: %+v", out)
+	}
+	for _, p := range out[0].Points {
+		if p.Speedup != 0 || p.Efficiency != 0 || p.KarpFlatt != 0 {
+			t.Fatalf("t%d: speedup over a failed baseline: %+v", p.Threads, p)
 		}
 	}
-}
-
-func TestScalingFallsBackToOneThreadBaseline(t *testing.T) {
-	rec := report.BenchRecord{Schema: report.BenchSchema, Cells: []report.CellMetrics{
-		{Benchmark: "MG", Class: "W", Threads: 1, Samples: []float64{1.0}},
-		{Benchmark: "MG", Class: "W", Threads: 2, Samples: []float64{0.5}},
-	}}
-	out := Scaling(rec, ScalingOptions{})
-	if len(out) != 1 || out[0].BaseSec != 1.0 {
-		t.Fatalf("baseline fallback failed: %+v", out)
-	}
-	if s := out[0].Points[1].Speedup; s != 2 {
-		t.Fatalf("S(2) over t1 baseline = %v", s)
-	}
-	// An even sample count interpolates between the middle two.
-	rec.Cells[0].Samples = []float64{1.0, 1.2}
-	out = Scaling(rec, ScalingOptions{})
-	if b := out[0].BaseSec; math.Abs(b-1.1) > 1e-12 {
-		t.Fatalf("t1 baseline of {1.0, 1.2} = %v, want 1.1", b)
+	if as := out[0].Anomalies; len(as) != 1 || as[0] != LoadImbalance {
+		t.Fatalf("anomaly rules did not run without a baseline: %v", as)
 	}
 }
 
 func TestScalingTableOutput(t *testing.T) {
-	out := ScalingTable(Scaling(scalingFixture(), ScalingOptions{}))
-	for _, want := range []string{"CG.S serial", "CG.S t4", "load-imbalance", "barrier-sync", "small-work", "e(KF)"} {
+	out := ScalingTable(Scaling(scalingFixture()))
+	for _, want := range []string{"CG.S serial", "CG.S t4", "load-imbalance", "barrier-sync", "small-work", "e(KF)",
+		"FT.S t4       0.500  1.60  0.40"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scaling table missing %q:\n%s", want, out)
 		}

@@ -30,8 +30,19 @@ type CellMetrics struct {
 	Elapsed   float64 `json:"elapsed_sec"`
 	Mops      float64 `json:"mops"`
 	Verified  bool    `json:"verified"`
-	Attempts  int     `json:"attempts,omitempty"`
-	Error     string  `json:"error,omitempty"`
+	// Tier is the verification tier of a completed cell ("official",
+	// "golden" or "none"), the one the suite table prints as no(tier)
+	// when the cell did not verify. Empty on failed cells and on lines
+	// written before it was recorded.
+	Tier     string `json:"tier,omitempty"`
+	Attempts int    `json:"attempts,omitempty"`
+	Error    string `json:"error,omitempty"`
+	// Fail is a failed cell's short reason, the one the suite table
+	// prints as FAIL(reason): an npbgo.RunError kind ("config",
+	// "panic", "cancelled", "verification"), "timeout" or "error".
+	// Empty on lines written before it was recorded, which render
+	// FAIL(error).
+	Fail string `json:"fail,omitempty"`
 	// Schedule is the team loop schedule the cell ran under; empty means
 	// static (also the value on records written before schedules
 	// existed, which is accurate — they all ran static).
