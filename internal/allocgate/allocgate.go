@@ -49,9 +49,10 @@ const Threads = 2
 // Budget is the checked-in ceiling on steady-state heap allocations
 // per Iter, for every gated configuration at Threads workers. Every
 // kernel holds it at zero: region bodies are closures built once at
-// construction time (including the nscore.Field RHS bodies BT and SP
-// share and their own solve/transform bodies), operands are staged
-// through benchmark fields, reductions go through the team's
+// construction time (including the nscore.Field RHS bodies and the
+// nscore.App sweep bodies BT and SP share, whose line queues live on
+// each worker's stack and reach a code's group solve by value),
+// operands are staged through benchmark fields, reductions go through the team's
 // block-indexed partial slots, dynamic deals chunks from preallocated
 // arm words and deques, instruments record into hoisted buffers, phases
 // are charged by plain Start/Stop calls, and LU's plane pipeline is

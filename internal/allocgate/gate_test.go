@@ -21,22 +21,11 @@ import (
 // allocation (GC worker, timer) can leak into a small sample; a gate
 // only fails after a second measurement confirms the excess.
 //
-// After the lattice come the class-S keys of the retired spellings
-// team.Guided and team.Stealing ("cg.S.guided", "cg.S.stealing.probe"):
-// WithSchedule runs both as Dynamic, and the benchmark's layer probes
-// still build teams with them, so each must hold the budget too. They
-// go with the two constants.
+// The retired spellings team.Guided and team.Stealing have no keys:
+// WithSchedule builds dynamic's team for both (team's
+// TestRetiredSpellingsRunDynamic), which the dynamic keys gate.
 func TestGate(t *testing.T) {
-	keys := Keys()
 	for _, k := range Keys() {
-		if k.Class == 'S' && k.Schedule == team.Dynamic {
-			for _, s := range []team.Schedule{team.Guided, team.Stealing} {
-				k.Schedule = s
-				keys = append(keys, k)
-			}
-		}
-	}
-	for _, k := range keys {
 		t.Run(k.String(), func(t *testing.T) {
 			if k.Class != 'S' && testing.Short() {
 				t.Skipf("class %c gate skipped in -short mode", k.Class)

@@ -28,16 +28,16 @@ func TestInitializeMatchesExactOnBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.f.Initialize(&b.c)
+	b.F.Initialize(&b.C)
 	var ue [5]float64
-	n := b.n
+	n := b.N
 	// Check one point on each face.
 	checks := [][3]int{{0, 3, 4}, {n - 1, 3, 4}, {3, 0, 4}, {3, n - 1, 4}, {3, 4, 0}, {3, 4, n - 1}}
 	for _, p := range checks {
 		i, j, k := p[0], p[1], p[2]
-		nscore.ExactSolution(float64(i)*b.c.Dnxm1, float64(j)*b.c.Dnym1, float64(k)*b.c.Dnzm1, &ue)
-		p := b.f.SAt(i, j, k)
-		for m, u := range &b.f.U {
+		nscore.ExactSolution(float64(i)*b.C.Dnxm1, float64(j)*b.C.Dnym1, float64(k)*b.C.Dnzm1, &ue)
+		p := b.F.SAt(i, j, k)
+		for m, u := range &b.F.U {
 			if u[p] != ue[m] {
 				t.Fatalf("boundary (%d,%d,%d) component %d: %v != exact %v", i, j, k, m, u[p], ue[m])
 			}
@@ -59,25 +59,25 @@ func TestForcingBalancesExactSolution(t *testing.T) {
 	defer tm.Close()
 	// Set u to the exact solution everywhere.
 	var ue [5]float64
-	n := b.n
+	n := b.N
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
 			for i := 0; i < n; i++ {
-				nscore.ExactSolution(float64(i)*b.c.Dnxm1, float64(j)*b.c.Dnym1, float64(k)*b.c.Dnzm1, &ue)
-				for m, u := range &b.f.U {
-					u[b.f.SAt(i, j, k)] = ue[m]
+				nscore.ExactSolution(float64(i)*b.C.Dnxm1, float64(j)*b.C.Dnym1, float64(k)*b.C.Dnzm1, &ue)
+				for m, u := range &b.F.U {
+					u[b.F.SAt(i, j, k)] = ue[m]
 				}
 			}
 		}
 	}
-	b.f.ExactRHS(&b.c)
-	b.f.ComputeRHS(&b.c, tm)
+	b.F.ExactRHS(&b.C)
+	b.F.ComputeRHS(&b.C, tm)
 	worst := 0.0
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
-				for _, r := range &b.f.Rhs {
-					if a := math.Abs(r[b.f.SAt(i, j, k)]); a > worst {
+				for _, r := range &b.F.Rhs {
+					if a := math.Abs(r[b.F.SAt(i, j, k)]); a > worst {
 						worst = a
 					}
 				}
@@ -309,7 +309,7 @@ func TestSolveLineAgainstDenseSolve(t *testing.T) {
 		const cells = 6
 		const dim = 5 * cells
 		g := newGroup(cells)
-		g.n = 8
+		g.N = 8
 		// Random diagonally dominant blocks; first and last cells are
 		// identity rows as lhsinit makes them.
 		aa, bb, cc := make([]blk8, cells), make([]blk8, cells), make([]blk8, cells)
@@ -425,20 +425,20 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
-	b.f.Initialize(&b.c)
-	b.f.ExactRHS(&b.c)
-	e0 := b.f.ErrorNorm(&b.c)
+	b.F.Initialize(&b.C)
+	b.F.ExactRHS(&b.C)
+	e0 := b.F.ErrorNorm(&b.C)
 	for s := 0; s < 20; s++ {
-		b.adi(tm)
+		b.Iter(tm)
 	}
-	e1 := b.f.ErrorNorm(&b.c)
+	e1 := b.F.ErrorNorm(&b.C)
 	for m := 0; m < 5; m++ {
 		if e1[m] >= e0[m] {
 			t.Fatalf("component %d error grew: %v -> %v", m, e0[m], e1[m])
 		}
 	}
 	// And the field must stay finite.
-	for _, u := range &b.f.U {
+	for _, u := range &b.F.U {
 		for _, v := range u {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatal("field blew up")
@@ -458,12 +458,12 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
-		b.f.Initialize(&b.c)
-		b.f.ExactRHS(&b.c)
+		b.F.Initialize(&b.C)
+		b.F.ExactRHS(&b.C)
 		for s := 0; s < 5; s++ {
-			b.adi(tm)
+			b.Iter(tm)
 		}
-		return b.f.U
+		return b.F.U
 	}
 	want := run(1, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
@@ -518,9 +518,9 @@ func newLineScratch(n int) *lineScratch {
 }
 
 func (b *Benchmark) buildJacobians(ls *lineScratch, l, p, cv int) {
-	u := &b.f.U
+	u := &b.F.U
 	uvec := [5]float64{u[0][p], u[1][p], u[2][p], u[3][p], u[4][p]}
-	nscore.FluxViscJacobians(&b.c, &uvec, b.f.RhoI[p], b.f.Qs[p], b.f.Square[p],
+	nscore.FluxViscJacobians(&b.C, &uvec, b.F.RhoI[p], b.F.Qs[p], b.F.Square[p],
 		cv, &ls.fjac[l], &ls.njac[l])
 }
 

@@ -17,15 +17,15 @@ import (
 // generalized to every benchmark — so it tracks the dominant arrays,
 // not every last slice.
 func Footprint(class byte, threads int) (uint64, error) {
-	spec, ok := classes[class]
+	spec, ok := code.Classes[class]
 	if !ok {
 		return 0, fmt.Errorf("bt: unknown class %q", string(class))
 	}
 	if threads < 1 {
 		threads = 1
 	}
-	n := uint64(spec.size)
+	n := uint64(spec.Size)
 	// cc + rhs per cell; fjac/njac rings, aa and bb; u and s. 8 lanes.
 	scratch := uint64(threads) * 8 * ((25+5)*n + 8*25 + 5 + 3) * 8
-	return nscore.FieldBytes(spec.size, false) + scratch, nil
+	return nscore.FieldBytes(spec.Size, false) + scratch, nil
 }

@@ -48,16 +48,19 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		tm := team.New(1)
-		b.f.Initialize(&b.c)
-		b.f.ExactRHS(&b.c)
+		b.F.Initialize(&b.C)
+		b.F.ExactRHS(&b.C)
 		for s := 0; s < 3; s++ {
-			b.adi(tm)
+			b.Iter(tm)
 		}
-		b.f.ComputeRHS(&b.c, tm) // the scalars a solve sees
+		b.F.ComputeRHS(&b.C, tm) // the scalars a solve sees
 		tm.Close()
 
-		c, n := &b.c, b.n
+		c, n := &b.C, b.N
 		isize := n - 1
+		// The strides of the lines of a plane and of the planes, as
+		// nscore.App's sweeps queue them.
+		strides := [3]struct{ inner, outer int }{{n, n * n}, {1, n * n}, {1, n}}
 		oracle := [3]oracleDir{
 			{c.Dt * c.Tx1, c.Dt * c.Tx2, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}},
 			{c.Dt * c.Ty1, c.Dt * c.Ty2, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}},
@@ -81,34 +84,34 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 					sameBits(t, fmt.Sprintf("%c %c %s cell %d", class, "xyz"[d], what, l), q, got, want[:])
 				}
 				flush := func() {
-					for q := g.n; q < 8; q++ {
-						g.start[q] = g.start[0]
+					for q := g.N; q < 8; q++ {
+						g.Start[q] = g.Start[0]
 					}
 					for l := 0; l <= isize; l++ {
 						b.cellJacobians(g, ds, l)
-						for q := 0; q < g.n; q++ {
+						for q := 0; q < g.N; q++ {
 							check("lane fjac", l, q, rowcheck.Lane(g.fjac[l%3][:], q), &queued[q].fjac[l])
 							check("lane njac", l, q, rowcheck.Lane(g.njac[l%3][:], q), &queued[q].njac[l])
 						}
 						if c := l - 1; c >= 1 {
 							g.assembleCell(ds, c)
-							for q := 0; q < g.n; q++ {
+							for q := 0; q < g.N; q++ {
 								check("lane aa", c, q, rowcheck.Lane(g.aa[:], q), &queued[q].aa[c])
 								check("lane bb", c, q, rowcheck.Lane(g.bb[:], q), &queued[q].bb[c])
 								check("lane cc", c, q, rowcheck.Lane(g.cc[c][:], q), &queued[q].cc[c])
 							}
 						}
 					}
-					g.n = 0
+					g.N = 0
 				}
 				for o := 1; o < n-1; o++ {
 					for a := 1; a < n-1; a++ {
-						start := o*ds.outer + a*ds.inner
+						start := o*strides[d].outer + a*strides[d].inner
 						for l := 0; l <= isize; l++ {
 							p := start + l*ds.line
 							b.buildJacobians(ls, l, p, ds.cv)
-							u := [5]float64{b.f.U[0][p], b.f.U[1][p], b.f.U[2][p], b.f.U[3][p], b.f.U[4][p]}
-							s := [3]float64{b.f.RhoI[p], b.f.Qs[p], b.f.Square[p]}
+							u := [5]float64{b.F.U[0][p], b.F.U[1][p], b.F.U[2][p], b.F.U[3][p], b.F.U[4][p]}
+							s := [3]float64{b.F.RhoI[p], b.F.Qs[p], b.F.Square[p]}
 							jac[d](&fj[l], &nj[l], &u, &s, ds.jac.c1, ds.jac.c2, ds.jac.c3c4, ds.jac.r43, ds.jac.c1345)
 							check("fjac", l, 0, fj[l][:], &ls.fjac[l])
 							check("njac", l, 0, nj[l][:], &ls.njac[l])
@@ -129,16 +132,16 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 						copy(snap.aa, ls.aa)
 						copy(snap.bb, ls.bb)
 						copy(snap.cc, ls.cc)
-						queued[g.n] = snap
-						g.start[g.n] = start
-						g.n++
-						if g.n == 8 {
+						queued[g.N] = snap
+						g.Start[g.N] = start
+						g.N++
+						if g.N == 8 {
 							flush()
 						}
 					}
 					// n-2 lines a plane is 2 or 6 more than a multiple
 					// of 8 at S and W: end each plane with a short group.
-					if g.n > 0 {
+					if g.N > 0 {
 						flush()
 					}
 				}

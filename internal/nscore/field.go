@@ -3,7 +3,9 @@
 // common "header" of set_constants, exact_solution, initialize,
 // exact_rhs and compute_rhs): the manufactured exact solution and its
 // coefficient table, the derived constants, the field storage, the
-// right-hand-side evaluation and the error/residual norms.
+// right-hand-side evaluation and the error/residual norms; and the main
+// program and line queue of BT and SP (App), which bt.f and sp.f write
+// out alike.
 package nscore
 
 import (

@@ -15,14 +15,14 @@ import (
 // cell). Feeds the harness memory admission guard; dominant arrays
 // only.
 func Footprint(class byte, threads int) (uint64, error) {
-	spec, ok := classes[class]
+	spec, ok := code.Classes[class]
 	if !ok {
 		return 0, fmt.Errorf("sp: unknown class %q", string(class))
 	}
 	if threads < 1 {
 		threads = 1
 	}
-	n := uint64(spec.size)
+	n := uint64(spec.Size)
 	groups := uint64(threads) * n * 8 * (4*5 + 8) * 8
-	return nscore.FieldBytes(spec.size, true) + groups + n*5*8, nil
+	return nscore.FieldBytes(spec.Size, true) + groups + n*5*8, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"npbgo/internal/grid"
 	"npbgo/internal/kernel"
+	"npbgo/internal/nscore"
 	"npbgo/internal/rowcheck"
 	"npbgo/internal/team"
 )
@@ -221,19 +222,19 @@ func TestErrorDecreasesOverSteps(t *testing.T) {
 	b, _ := New('S', 1, kernel.Env{})
 	tm := team.New(1)
 	defer tm.Close()
-	b.f.Initialize(&b.c)
-	b.f.ExactRHS(&b.c)
-	e0 := b.f.ErrorNorm(&b.c)
+	b.F.Initialize(&b.C)
+	b.F.ExactRHS(&b.C)
+	e0 := b.F.ErrorNorm(&b.C)
 	for s := 0; s < 30; s++ {
-		b.adi(tm)
+		b.Iter(tm)
 	}
-	e1 := b.f.ErrorNorm(&b.c)
+	e1 := b.F.ErrorNorm(&b.C)
 	for m := 0; m < 5; m++ {
 		if e1[m] >= e0[m] {
 			t.Fatalf("component %d error grew: %v -> %v", m, e0[m], e1[m])
 		}
 	}
-	for _, u := range &b.f.U {
+	for _, u := range &b.F.U {
 		for _, v := range u {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatal("field blew up")
@@ -253,12 +254,12 @@ func TestParallelMatchesSerialBitwise(t *testing.T) {
 		b, _ := New('S', threads, kernel.Env{})
 		tm := team.New(threads, team.WithSchedule(sched))
 		defer tm.Close()
-		b.f.Initialize(&b.c)
-		b.f.ExactRHS(&b.c)
+		b.F.Initialize(&b.C)
+		b.F.ExactRHS(&b.C)
 		for s := 0; s < 5; s++ {
-			b.adi(tm)
+			b.Iter(tm)
 		}
-		return b.f.U
+		return b.F.U
 	}
 	want := run(1, team.Static)
 	for _, threads := range []int{1, 2, 3, 4, 7, 13} {
@@ -314,8 +315,8 @@ func newLineScratch(n int) *lineScratch {
 // fillEigenRows loads the line's convective velocity cv and spectral
 // bound rho for cell l from scalar offset soff.
 func (b *Benchmark) fillEigenRows(ls *lineScratch, l, soff int, p *dirSpec, vel []float64) {
-	c := &b.c
-	ru1 := c.C3c4 * b.f.RhoI[soff]
+	c := &b.C
+	ru1 := c.C3c4 * b.F.RhoI[soff]
 	ls.cv[l] = vel[soff]
 	r := p.d2or3or4 + c.Con43*ru1
 	if v := p.d5 + c.C1c5*ru1; v > r {
@@ -501,7 +502,7 @@ func solveLine(lhs, lhsp, lhsm [][5]float64, rhs []float64, base, stride int) {
 // on the offset of its 5-vector in the m-fastest layout, k, j, i nested
 // in that order.
 func (b *Benchmark) interior(body func(s, ro int)) {
-	n, f := b.n, b.f
+	n, f := b.N, b.F
 	for k := 1; k < n-1; k++ {
 		for j := 1; j < n-1; j++ {
 			for i := 1; i < n-1; i++ {
@@ -517,7 +518,7 @@ func (b *Benchmark) interior(body func(s, ro int)) {
 // on a copy of Rhs in the m-fastest layout it was written for, a
 // point's five components together, and writes the result back.
 func (b *Benchmark) oracleSolves() {
-	n, f, c := b.n, b.f, &b.c
+	n, f, c := b.N, b.F, &b.C
 	ls := newLineScratch(n)
 	rhs := make([]float64, 5*len(f.Rhs[0]))
 	for m, row := range f.Rhs {
@@ -693,15 +694,19 @@ func TestDissipationTable(t *testing.T) {
 // schedule deals the planes differently.
 func TestSweepsMatchScalarOracle(t *testing.T) {
 	for _, n := range []int{12, 13, 36} {
-		spec := classSpec{size: n, niter: 1, dt: 0.0015}
-		ref := newBenchmark('S', spec, 1, kernel.Env{})
+		small := code
+		small.Classes = map[byte]nscore.Class{'S': {Size: n, Niter: 1, Dt: 0.0015}}
+		ref, err := newBenchmark(&small, 'S', 1, kernel.Env{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		tm := team.New(1)
-		ref.f.Initialize(&ref.c)
-		ref.f.ExactRHS(&ref.c)
-		ref.adi(tm)
-		ref.f.ComputeRHS(&ref.c, tm)
+		ref.F.Initialize(&ref.C)
+		ref.F.ExactRHS(&ref.C)
+		ref.Iter(tm)
+		ref.F.ComputeRHS(&ref.C, tm)
 		tm.Close()
-		start := ref.f.Rhs
+		start := ref.F.Rhs
 		for m := range start {
 			start[m] = append([]float64(nil), start[m]...)
 		}
@@ -709,20 +714,23 @@ func TestSweepsMatchScalarOracle(t *testing.T) {
 
 		for _, threads := range []int{1, 2, 3, 7, 13} {
 			for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
-				b := newBenchmark('S', spec, threads, kernel.Env{})
+				b, err := newBenchmark(&small, 'S', threads, kernel.Env{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				// The sweeps read only Rhs and the scalars: share the
 				// reference's field with a fresh Rhs.
-				f := *ref.f
+				f := *ref.F
 				for m := range f.Rhs {
 					f.Rhs[m] = append([]float64(nil), start[m]...)
 				}
-				b.f = &f
+				b.F = &f
 				tm := team.New(threads, team.WithSchedule(sched))
-				b.xSolve(tm)
-				b.ySolve(tm)
-				b.zSolve(tm)
+				for d := range b.dirs {
+					b.Sweep(tm, d)
+				}
 				tm.Close()
-				for m, row := range ref.f.Rhs {
+				for m, row := range ref.F.Rhs {
 					for e, w := range row {
 						if g := f.Rhs[m][e]; math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("n=%d %d threads %s: rhs%d[%d] = %v, oracle %v", n, threads, sched, m, e, g, w)

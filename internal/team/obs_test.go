@@ -2,6 +2,7 @@ package team
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,7 +84,7 @@ func TestRecorderCancelAndPanicCounts(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			panic("boom")
 		}
-		tm.Barrier()
+		tm.BarrierID(id)
 	})
 	if pe == nil {
 		t.Fatal("expected a PanicError")
@@ -180,7 +181,7 @@ func TestSnapshotAndImbalance(t *testing.T) {
 		p.addBusy(id, 10*time.Millisecond)
 	}
 	p.addWait(1, 5*time.Millisecond)
-	p.addWait(-1, 2*time.Millisecond) // unattributed still aggregates
+	p.addWait(2, 2*time.Millisecond)
 	p.joinNs.Add(int64(3 * time.Millisecond))
 	p.cancelled(errors.New("stop"))
 	p.panicked(0)
@@ -192,8 +193,8 @@ func TestSnapshotAndImbalance(t *testing.T) {
 	if s.BarrierWaits != 2 || s.BarrierWait != 7*time.Millisecond {
 		t.Fatalf("aggregate wait wrong: waits=%d wait=%v", s.BarrierWaits, s.BarrierWait)
 	}
-	if s.Wait[1] != 5*time.Millisecond {
-		t.Fatalf("worker 1 wait = %v", s.Wait[1])
+	if s.Wait[1] != 5*time.Millisecond || s.Wait[2] != 2*time.Millisecond {
+		t.Fatalf("worker 1, 2 waits = %v, %v", s.Wait[1], s.Wait[2])
 	}
 	if s.JoinWait != 3*time.Millisecond {
 		t.Fatalf("join wait = %v", s.JoinWait)
@@ -203,8 +204,8 @@ func TestSnapshotAndImbalance(t *testing.T) {
 	if got := s.Imbalance(); got < want-1e-9 || got > want+1e-9 {
 		t.Fatalf("imbalance = %v, want %v", got, want)
 	}
-	if s.MaxBusy() != 40*time.Millisecond || s.MinBusy() != 10*time.Millisecond {
-		t.Fatalf("max/min busy = %v/%v", s.MaxBusy(), s.MinBusy())
+	if s.MaxBusy() != 40*time.Millisecond || slices.Min(s.Busy) != 10*time.Millisecond {
+		t.Fatalf("max/min busy = %v/%v", s.MaxBusy(), slices.Min(s.Busy))
 	}
 	if !strings.Contains(s.String(), "imbalance") {
 		t.Fatalf("String() = %q", s.String())
@@ -274,8 +275,8 @@ func TestSnapshotZeroRegions(t *testing.T) {
 	if got := s.Imbalance(); got != 0 {
 		t.Fatalf("imbalance = %v, want 0 (not NaN)", got)
 	}
-	if s.MaxBusy() != 0 || s.MinBusy() != 0 {
-		t.Fatalf("busy extrema = %v/%v, want 0/0", s.MaxBusy(), s.MinBusy())
+	if s.MaxBusy() != 0 || slices.Min(s.Busy) != 0 {
+		t.Fatalf("busy extrema = %v/%v, want 0/0", s.MaxBusy(), slices.Min(s.Busy))
 	}
 	if s.String() == "" {
 		t.Fatal("String() of an empty snapshot is empty")

@@ -29,7 +29,7 @@ type Probe struct {
 	cancellations atomic.Uint64
 	panics        atomic.Uint64
 	barrierWaits  atomic.Uint64 // waits that actually blocked
-	barrierWaitNs atomic.Int64  // aggregate, including unattributed waits
+	barrierWaitNs atomic.Int64  // aggregate over the workers
 	joinNs        atomic.Int64  // master time draining the region join
 
 	tr *trace.Tracer
@@ -40,7 +40,7 @@ type Probe struct {
 // reduction partials use).
 type probeSlot struct {
 	busyNs atomic.Int64  // time spent inside region bodies
-	waitNs atomic.Int64  // time parked on id-attributed barriers and pipeline tokens
+	waitNs atomic.Int64  // time parked on barriers and pipeline tokens
 	chunks atomic.Uint64 // loop chunks claimed under a non-static schedule
 	steals atomic.Uint64 // chunks taken from another worker's deque
 	_      [96]byte      // pad the four 8-byte atomics to 128 bytes
@@ -108,15 +108,12 @@ func (p *Probe) wait(l *lot, g *gate, v uint64, id int) bool {
 }
 
 // await is the counting barrier of Team.await with the probe charged.
-// An attributed wait is a Barrier span on the worker's trace track,
-// from arrival to release; a worker unwound by poisoning still closes
-// it, and the last arriver's span holds no wait. An unattributed wait
-// has no worker track to land on.
+// The wait is a Barrier span on the worker's trace track, from arrival
+// to release; a worker unwound by poisoning still closes it, and the
+// last arriver's span holds no wait.
 func (p *Probe) await(t *Team, id int) {
-	if id >= 0 {
-		p.tr.Log(id, trace.Barrier, trace.Begin)
-		defer p.tr.Log(id, trace.Barrier, trace.End)
-	}
+	p.tr.Log(id, trace.Barrier, trace.Begin)
+	defer p.tr.Log(id, trace.Barrier, trace.End)
 	gen := t.trip.v.Load()
 	if t.arrived.Add(1) == int32(t.n) {
 		t.arrived.Store(0)
@@ -144,13 +141,13 @@ func (p *Probe) addBusy(id int, d time.Duration) {
 	}
 }
 
-// addWait charges d of wait time. id < 0 records an unattributed wait (a
-// Team.Barrier call without a worker id), which still counts toward the
-// aggregate.
+// addWait charges d of wait time to worker id and to the aggregate.
+// Out-of-range ids are charged to the aggregate only, as addBusy drops
+// them.
 func (p *Probe) addWait(id int, d time.Duration) {
 	p.barrierWaits.Add(1)
 	p.barrierWaitNs.Add(int64(d))
-	if id >= 0 && id < len(p.workers) {
+	if id < len(p.workers) {
 		p.workers[id].waitNs.Add(int64(d))
 	}
 }
@@ -163,7 +160,7 @@ type Stats struct {
 	Cancellations uint64
 	Panics        uint64
 	BarrierWaits  uint64        // waits that blocked
-	BarrierWait   time.Duration // aggregate wait, attributed or not
+	BarrierWait   time.Duration // aggregate wait over the workers
 	JoinWait      time.Duration // master wait at region joins
 	Busy          []time.Duration
 	Wait          []time.Duration
@@ -220,18 +217,6 @@ func (s *Stats) MaxBusy() time.Duration {
 		hi = max(hi, b)
 	}
 	return hi
-}
-
-// MinBusy returns the smallest per-worker busy time.
-func (s *Stats) MinBusy() time.Duration {
-	if len(s.Busy) == 0 {
-		return 0
-	}
-	lo := s.Busy[0]
-	for _, b := range s.Busy[1:] {
-		lo = min(lo, b)
-	}
-	return lo
 }
 
 // String renders a one-look summary of the snapshot.

@@ -35,7 +35,7 @@ func TestWorkerPanicSurfacesAsPanicError(t *testing.T) {
 		}
 		// The other three workers park here; without barrier poisoning
 		// this region would deadlock.
-		tm.Barrier()
+		tm.BarrierID(id)
 	})
 	if pe == nil {
 		t.Fatal("worker panic did not surface")
@@ -61,7 +61,7 @@ func TestTeamUsableAfterFailedRegion(t *testing.T) {
 		if id == 1 {
 			panic("first region fails")
 		}
-		tm.Barrier()
+		tm.BarrierID(id)
 	}); pe == nil {
 		t.Fatal("expected failure in first region")
 	}
@@ -69,7 +69,7 @@ func TestTeamUsableAfterFailedRegion(t *testing.T) {
 	// workers and the barrier works again.
 	ran := make(chan int, 3)
 	tm.Run(func(id int) {
-		tm.Barrier()
+		tm.BarrierID(id)
 		ran <- id
 	})
 	if len(ran) != 3 {
@@ -83,7 +83,7 @@ func TestCloseAfterFailedRegionDoesNotHang(t *testing.T) {
 		if id == 3 {
 			panic("die")
 		}
-		tm.Barrier()
+		tm.BarrierID(id)
 	})
 	closed := make(chan struct{})
 	go func() {
@@ -106,27 +106,35 @@ func TestSerialTeamPanicIsTyped(t *testing.T) {
 	}
 }
 
+// cause returns the reason the team was cancelled, nil if it was not.
+func cause(tm *Team) error { return tm.takeFailure() }
+
+// The TestRunCtx tests run a region the way every kernel does: Run on a
+// team whose context WatchContext watches (kernel.Env.Team).
+
 func TestRunCtxCancelUnparksWorkers(t *testing.T) {
 	tm := New(4)
 	defer tm.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
+	defer tm.WatchContext(ctx)()
+	done := make(chan struct{})
 	go func() {
-		done <- tm.RunCtx(ctx, func(id int) {
+		defer close(done)
+		tm.Run(func(id int) {
 			if id != 0 {
 				// The master never arrives: workers 1..3 park here until
 				// the context poisons the barrier.
 				// Deliberately unbalanced to exercise barrier poisoning.
-				tm.Barrier()
+				tm.BarrierID(id)
 			}
 		})
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunCtx error = %v, want context.Canceled", err)
+	case <-done:
+		if err := cause(tm); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancellation reason = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not unpark workers")
@@ -141,14 +149,15 @@ func TestRunCtxDeadline(t *testing.T) {
 	defer tm.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	err := tm.RunCtx(ctx, func(id int) {
+	defer tm.WatchContext(ctx)()
+	tm.Run(func(id int) {
 		if id != 0 {
 			// Deliberately unbalanced to exercise the deadline path.
-			tm.Barrier() // parked until the deadline fires
+			tm.BarrierID(id) // parked until the deadline fires
 		}
 	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx error = %v, want DeadlineExceeded", err)
+	if err := cause(tm); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancellation reason = %v, want DeadlineExceeded", err)
 	}
 }
 
@@ -161,35 +170,46 @@ func TestCancelledTeamSkipsRegions(t *testing.T) {
 	if ran {
 		t.Fatal("region ran on a cancelled team")
 	}
-	if err := tm.RunCtx(context.Background(), func(int) {}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx on cancelled team = %v", err)
+	if err := cause(tm); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation reason = %v, want context.Canceled", err)
 	}
 }
 
+// TestRunCtxExpiredContextSkipsRegion: watching a context that has
+// already expired cancels the team; once stop has returned, the
+// cancellation has landed and a region is skipped.
 func TestRunCtxExpiredContextSkipsRegion(t *testing.T) {
 	tm := New(2)
 	defer tm.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	tm.WatchContext(ctx)()
 	ran := false
-	// Every worker writes the same value.
-	if err := tm.RunCtx(ctx, func(int) { ran = true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
+	tm.Run(func(int) { ran = true }) // every worker writes the same value
 	if ran {
 		t.Fatal("region ran under an already-expired context")
 	}
+	if err := cause(tm); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancellation reason = %v, want context.Canceled", err)
+	}
 }
 
+// TestRunCtxSuccess: a region under a live context runs on every worker,
+// and a context cancelled after stop no longer reaches the team.
 func TestRunCtxSuccess(t *testing.T) {
 	tm := New(3)
 	defer tm.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	stop := tm.WatchContext(ctx)
 	hits := make(chan int, 3)
-	if err := tm.RunCtx(context.Background(), func(id int) { hits <- id }); err != nil {
-		t.Fatal(err)
-	}
+	tm.Run(func(id int) { hits <- id })
+	stop()
+	cancel()
 	if len(hits) != 3 {
 		t.Fatalf("ran on %d workers", len(hits))
+	}
+	if tm.Cancelled() {
+		t.Fatal("a context cancelled after stop cancelled the team")
 	}
 }
 
@@ -211,7 +231,7 @@ func TestInjectedRegionPanicIsIsolated(t *testing.T) {
 	defer fault.Reset()
 	tm := New(4)
 	defer tm.Close()
-	pe := runRecovered(tm, func(id int) { tm.Barrier() })
+	pe := runRecovered(tm, func(id int) { tm.BarrierID(id) })
 	if pe == nil {
 		t.Fatal("injected panic not surfaced")
 	}
@@ -219,7 +239,7 @@ func TestInjectedRegionPanicIsIsolated(t *testing.T) {
 		t.Fatalf("panic value %v (%T), want fault.InjectedPanic", pe.Value, pe.Value)
 	}
 	// The rule fired once; the team must be healthy again.
-	tm.Run(func(id int) { tm.Barrier() })
+	tm.Run(func(id int) { tm.BarrierID(id) })
 }
 
 func TestMultipleWorkerPanicsCounted(t *testing.T) {
@@ -307,12 +327,11 @@ func TestPipelineWaitUnwindsOnCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond) // let worker 1 park in Wait first
 		tm.Cancel(errTestStop)
 	}()
-	var err error
-	within(t, time.Second, "RunCtx under Cancel", func() {
-		err = tm.RunCtx(context.Background(), func(id int) { p.Wait(id) })
+	within(t, time.Second, "Run under Cancel", func() {
+		tm.Run(func(id int) { p.Wait(id) })
 	})
-	if !errors.Is(err, errTestStop) {
-		t.Fatalf("RunCtx error = %v, want the Cancel reason", err)
+	if err := cause(tm); !errors.Is(err, errTestStop) {
+		t.Fatalf("cancellation reason = %v, want the Cancel reason", err)
 	}
 	within(t, time.Second, "Close", tm.Close)
 	if n := settledGoroutines(base); n > base {
@@ -320,7 +339,7 @@ func TestPipelineWaitUnwindsOnCancel(t *testing.T) {
 	}
 }
 
-// TestPipelineWaitUnwindsOnDeadline: a RunCtx deadline fires mid-sweep,
+// TestPipelineWaitUnwindsOnDeadline: a watched deadline fires mid-sweep,
 // with worker 0 stalled inside a stage and worker 1 waiting on it.
 func TestPipelineWaitUnwindsOnDeadline(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -328,9 +347,9 @@ func TestPipelineWaitUnwindsOnDeadline(t *testing.T) {
 	p := tm.NewPipeline(4)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	var err error
-	within(t, time.Second, "RunCtx past its deadline", func() {
-		err = tm.RunCtx(ctx, func(id int) {
+	stop := tm.WatchContext(ctx)
+	within(t, time.Second, "Run past its deadline", func() {
+		tm.Run(func(id int) {
 			for k := 0; k < 4; k++ {
 				p.Wait(id)
 				for id == 0 && k == 1 && !tm.Cancelled() {
@@ -340,8 +359,9 @@ func TestPipelineWaitUnwindsOnDeadline(t *testing.T) {
 			}
 		})
 	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx error = %v, want DeadlineExceeded", err)
+	stop()
+	if err := cause(tm); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancellation reason = %v, want DeadlineExceeded", err)
 	}
 	within(t, time.Second, "Close", tm.Close)
 	if n := settledGoroutines(base); n > base {

@@ -364,6 +364,22 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRetiredSpellingsRunDynamic: WithSchedule builds, for Guided and
+// Stealing, the team it builds for Dynamic (the schedule is the only
+// state New takes from it), so a team the benchmark's layer probes open
+// with a retired spelling is dynamic's team, which the allocation gate
+// measures under its dynamic keys.
+func TestRetiredSpellingsRunDynamic(t *testing.T) {
+	for s, want := range map[Schedule]Schedule{Static: Static, Dynamic: Dynamic, Guided: Dynamic, Stealing: Dynamic} {
+		tm := New(2, WithSchedule(s))
+		got := tm.sched
+		tm.Close()
+		if got != want {
+			t.Errorf("WithSchedule(%v) built a %v team, want %v", s, got, want)
+		}
+	}
+}
+
 // TestBlockRejectsOutOfRangeID: Block must panic on an id outside
 // [0, parts) instead of silently returning a bogus (possibly
 // overlapping) range — the guard that turns a mis-sized caller into a

@@ -26,7 +26,7 @@
 // master re-raises the failure as a typed *PanicError once every worker
 // has rejoined — the process survives and the team remains usable.
 // Cancellation works the same way: Cancel (or a context watched via
-// RunCtx/WatchContext) poisons the team for good, wakes everyone, and
+// WatchContext) poisons the team for good, wakes everyone, and
 // makes subsequent regions no-ops; region bodies and benchmark iteration
 // loops poll Cancelled for a prompt stop.
 package team
@@ -45,8 +45,8 @@ import (
 )
 
 // PanicError reports a panic captured on a team worker during a parallel
-// region. The master re-raises it (Run) or returns it (RunCtx) after all
-// workers have rejoined, so the process survives a worker crash.
+// region. The master re-raises it from Run after all workers have
+// rejoined, so the process survives a worker crash.
 type PanicError struct {
 	ID     int    // id of the first worker that panicked
 	Value  any    // the recovered panic value
@@ -289,7 +289,7 @@ func (t *Team) Size() int { return t.n }
 
 // Close shuts the worker goroutines down and joins them. The team must
 // be idle (no region in flight); a team whose last region failed or was
-// cancelled is idle once Run/RunCtx has returned. Close is idempotent
+// cancelled is idle once Run has returned. Close is idempotent
 // and safe to call from multiple goroutines: exactly one caller wins
 // the compare-and-swap and opens the fork gate on the closed flag, and
 // every caller waits for the workers to exit — so once any Close
@@ -318,22 +318,6 @@ func (t *Team) Run(fn func(id int)) {
 		// Cancellation: the region was skipped or unwound; the caller's
 		// iteration loop is expected to poll Cancelled() and stop.
 	}
-}
-
-// RunCtx is Run with a context: the region is skipped if ctx is already
-// done, the team is cancelled (parked workers unblocked) the moment ctx
-// expires mid-region, and worker panics are returned as a *PanicError
-// instead of being re-raised.
-func (t *Team) RunCtx(ctx context.Context, fn func(id int)) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			t.Cancel(err)
-			return err
-		}
-		stop := t.WatchContext(ctx)
-		defer stop()
-	}
-	return t.run(fn)
 }
 
 func (t *Team) run(fn func(id int)) error {
@@ -428,28 +412,17 @@ func (t *Team) takeFailure() error {
 	return cancel
 }
 
-// Barrier blocks until every worker of the current region has reached
-// it. It must be called by all Size() workers exactly the same number of
-// times inside a region, as with an OpenMP barrier. If the region failed
-// or the team was cancelled, Barrier unwinds the calling worker instead
-// of deadlocking.
-//
-// Barrier is a thin wrapper over BarrierID with the wait unattributed
-// (id -1): wait time is charged to the probe in aggregate only, and no
-// trace events are recorded (an unattributed wait has no worker
-// timeline to land on). Region bodies — where the worker id is always
-// in scope — should call BarrierID instead; the benchmark kernels all
-// do.
-func (t *Team) Barrier() { t.BarrierID(-1) }
-
-// BarrierID is Barrier with per-worker attribution: id must be the
-// calling worker's region id. With a probe attached, the time this
-// worker spends parked is charged to its wait slot — the signal that
-// exposed the paper's LU pipeline stalls as per-thread timing asymmetry
-// — and, when the probe traces, the wait is an arrive/release span on
-// the worker's timeline, keyed by the barrier generation so the
-// exporter can link the trip with flow events. Without a probe it
-// behaves exactly like Barrier.
+// BarrierID blocks until every worker of the current region has reached
+// it; id must be the calling worker's region id. It must be called by
+// all Size() workers exactly the same number of times inside a region,
+// as with an OpenMP barrier. If the region failed or the team was
+// cancelled, BarrierID unwinds the calling worker instead of
+// deadlocking. With a probe attached, the time this worker spends
+// parked is charged to its wait slot — the signal that exposed the
+// paper's LU pipeline stalls as per-thread timing asymmetry — and, when
+// the probe traces, the wait is an arrive/release span on the worker's
+// timeline, keyed by the barrier generation so the exporter can link
+// the trip with flow events.
 func (t *Team) BarrierID(id int) {
 	if t.n > 1 {
 		t.await(id)

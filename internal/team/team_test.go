@@ -178,7 +178,7 @@ func TestBarrierOrdersPhases(t *testing.T) {
 	violated := int32(0)
 	tm.Run(func(id int) {
 		atomic.AddInt32(&phase1, 1)
-		tm.Barrier()
+		tm.BarrierID(id)
 		// After the barrier every worker must observe all n phase-1
 		// increments.
 		if atomic.LoadInt32(&phase1) != n {
@@ -199,11 +199,11 @@ func TestBarrierReusableManyTimes(t *testing.T) {
 	tm.Run(func(id int) {
 		for step := 1; step <= 50; step++ {
 			atomic.AddInt32(&counter, 1)
-			tm.Barrier()
+			tm.BarrierID(id)
 			if atomic.LoadInt32(&counter) != int32(n*step) {
 				atomic.StoreInt32(&bad, int32(step))
 			}
-			tm.Barrier()
+			tm.BarrierID(id)
 		}
 	})
 	if n := atomic.LoadInt32(&bad); n != 0 {
@@ -340,7 +340,7 @@ func BenchmarkBarrier(b *testing.B) {
 			b.ResetTimer()
 			tm.Run(func(id int) {
 				for i := 0; i < b.N; i++ {
-					tm.Barrier()
+					tm.BarrierID(id)
 				}
 			})
 		})

@@ -129,18 +129,6 @@ func TestTracerBarrierPairsShareGeneration(t *testing.T) {
 	}
 }
 
-// TestTracerAnonymousBarrierNotTraced: the unattributed Barrier() has
-// no worker identity to land events on, so it must stay silent rather
-// than corrupt a track.
-func TestTracerAnonymousBarrierNotTraced(t *testing.T) {
-	f := traced(t, 2, func(tm *Team) { tm.Run(func(id int) { tm.Barrier() }) })
-	for _, tk := range f.Tracks {
-		if tk.Spans[trace.Barrier] != 0 {
-			t.Fatalf("track %+v recorded anonymous barrier spans", tk)
-		}
-	}
-}
-
 // TestTracerPanicAndPoisonedBarrierStayPaired: a worker panic is an
 // instant inside its block span, and workers unwound from the poisoned
 // barrier still close their barrier spans — the trace of a crashed

@@ -50,9 +50,6 @@ func NewConcurrentSet() *Set {
 	return s
 }
 
-// Concurrent reports whether the set is in thread-safe mode.
-func (s *Set) Concurrent() bool { return s.locked }
-
 // Worker derives the conventional per-worker phase name, "name/w<id>".
 func Worker(name string, id int) string { return fmt.Sprintf("%s/w%d", name, id) }
 
@@ -106,27 +103,6 @@ func (s *Set) Elapsed(name string) time.Duration {
 // Seconds reports Elapsed in seconds, the unit the paper's tables use.
 func (s *Set) Seconds(name string) float64 { return s.Elapsed(name).Seconds() }
 
-// Laps reports how many completed Start/Stop laps the named timer has
-// accumulated.
-func (s *Set) Laps(name string) int {
-	s.lock()
-	defer s.unlock()
-	return s.laps[name]
-}
-
-// Names returns the timer names in first-start order.
-func (s *Set) Names() []string {
-	s.lock()
-	defer s.unlock()
-	return s.namesLocked()
-}
-
-func (s *Set) namesLocked() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Phase is one structured profile entry: a timer's accumulated seconds
 // and completed lap count.
 type Phase struct {
@@ -154,14 +130,13 @@ func (s *Set) String() string {
 	s.lock()
 	defer s.unlock()
 	var b strings.Builder
-	names := s.namesLocked()
 	width := 0
-	for _, n := range names {
+	for _, n := range s.order {
 		if len(n) > width {
 			width = len(n)
 		}
 	}
-	for _, n := range names {
+	for _, n := range s.order {
 		fmt.Fprintf(&b, "%-*s %12.6f s  (%d laps)\n", width, n, s.elapsed[n].Seconds(), s.laps[n])
 	}
 	return b.String()

@@ -47,7 +47,10 @@ func TestNamesInFirstStartOrder(t *testing.T) {
 		s.Start(n)
 		s.Stop(n)
 	}
-	got := s.Names()
+	var got []string
+	for _, p := range s.Phases() {
+		got = append(got, p.Name)
+	}
 	want := []string{"total", "rhs", "xsolve"}
 	if len(got) != len(want) {
 		t.Fatalf("names %v, want %v", got, want)
@@ -74,12 +77,10 @@ func TestLapsCounted(t *testing.T) {
 		s.Start("p")
 		s.Stop("p")
 	}
-	s.Stop("p") // no-op: not running, must not count a lap
-	if got := s.Laps("p"); got != 3 {
-		t.Fatalf("Laps = %d, want 3", got)
-	}
-	if got := s.Laps("missing"); got != 0 {
-		t.Fatalf("Laps(missing) = %d, want 0", got)
+	s.Stop("p")       // no-op: not running, must not count a lap
+	s.Stop("missing") // no-op: never started, must not add a phase
+	if ph := s.Phases(); len(ph) != 1 || ph[0].Name != "p" || ph[0].Laps != 3 {
+		t.Fatalf("Phases = %+v, want p with 3 laps", ph)
 	}
 }
 
@@ -111,9 +112,6 @@ func TestWorkerName(t *testing.T) {
 // is the regression test for the thread-safe mode.
 func TestConcurrentSetRaceClean(t *testing.T) {
 	s := NewConcurrentSet()
-	if !s.Concurrent() {
-		t.Fatal("NewConcurrentSet not in concurrent mode")
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -124,17 +122,19 @@ func TestConcurrentSetRaceClean(t *testing.T) {
 				s.Start(name)
 				s.Stop(name)
 				_ = s.Elapsed(name)
-				_ = s.Laps(name)
 			}
-			_ = s.Names()
 			_ = s.Phases()
 			_ = s.String()
 		}(w)
 	}
 	wg.Wait()
-	for w := 0; w < 8; w++ {
-		if got := s.Laps(Worker("t_phase", w)); got != 200 {
-			t.Fatalf("worker %d laps = %d, want 200", w, got)
+	ph := s.Phases()
+	if len(ph) != 8 {
+		t.Fatalf("%d phases, want 8", len(ph))
+	}
+	for _, p := range ph {
+		if p.Laps != 200 {
+			t.Fatalf("%s laps = %d, want 200", p.Name, p.Laps)
 		}
 	}
 }

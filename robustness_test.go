@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,20 +178,16 @@ func TestRunContextDeadlineCancelsEveryBenchmark(t *testing.T) {
 // so the steps are counted too. CG's deadline expires in its untimed
 // first solve, so at most one CG step may start in the whole run. An
 // operation's timed loop can start before the deadline, so its
-// invocations are counted from the moment the context ends (a
-// goroutine reads the count then), and at most one may start after it.
+// invocations are counted from the moment the team observes the
+// deadline (cancelCount), and at most one may start after it.
 func deadlineCancels(t *testing.T, b npbgo.Benchmark, class byte, threads ...int) {
 	for _, n := range threads {
 		t.Run(fmt.Sprintf("t%d", n), func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			cgSteps := fault.Hits("cg.iter")
-			ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+			deadline, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 			defer cancel()
-			opsAtDeadline := make(chan int, 1)
-			go func() {
-				<-ctx.Done()
-				opsAtDeadline <- fault.Hits("ops.iter")
-			}()
+			ctx := &cancelCount{Context: deadline, site: "ops.iter"}
 			start := time.Now()
 			_, err := npbgo.RunContext(ctx, npbgo.Config{Benchmark: b, Class: class, Threads: n})
 			if took := time.Since(start); took > 2*time.Second {
@@ -206,12 +203,33 @@ func deadlineCancels(t *testing.T, b npbgo.Benchmark, class byte, threads ...int
 			if late := fault.Hits("cg.iter") - cgSteps; late > 1 {
 				t.Fatalf("%d timed steps started after the deadline, want at most 1", late)
 			}
-			if late := fault.Hits("ops.iter") - <-opsAtDeadline; late > 1 {
+			if late := fault.Hits("ops.iter") - ctx.hits; late > 1 {
 				t.Fatalf("%d timed invocations started after the deadline, want at most 1", late)
 			}
 			noGoroutineLeft(t, base)
 		})
 	}
+}
+
+// cancelCount is a context that takes the hit count of a fault site
+// where the run observes its end: a team watching it (Team.WatchContext)
+// cancels itself with the context's Err, so the first Err that reports
+// the end is read on the team's cancellation path, just before the team
+// stops starting steps. A goroutine woken by Done would read the count
+// on its own schedule instead, before or after the team's cancellation.
+type cancelCount struct {
+	context.Context
+	site string
+	once sync.Once
+	hits int // site's hits at the first Err that reported the end
+}
+
+func (c *cancelCount) Err() error {
+	err := c.Context.Err()
+	if err != nil {
+		c.once.Do(func() { c.hits = fault.Hits(c.site) })
+	}
+	return err
 }
 
 // TestEveryBenchmarkRecoversFromInjectedPanic is the panic-isolation
