@@ -42,7 +42,7 @@ allocgate:
 # generic instantiated in one of them (slices.SortStableFunc, say) is
 # reported at its file under GOROOT, which is neither this repository's
 # code nor the same path on another machine.
-BCE_PKGS := ./internal/bt ./internal/lu ./internal/sp ./internal/nscore ./internal/randdp ./internal/ep ./internal/cg ./internal/mg ./internal/ft ./internal/is
+BCE_PKGS := ./internal/bt ./internal/lu ./internal/sp ./internal/nscore ./internal/randdp ./internal/ep ./internal/cg ./internal/mg ./internal/ft ./internal/is ./internal/simd
 empty :=
 space := $(empty) $(empty)
 BCE_FILES := ($(subst $(space),|,$(patsubst ./%,%,$(BCE_PKGS))))/[^/]*\.go

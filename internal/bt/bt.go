@@ -72,9 +72,9 @@ func New(class byte, threads int, env kernel.Env) (*Benchmark, error) {
 	}
 	b.groups = groups
 	b.dirs = [3]dirSpec{
-		newDirSpec(c, 1, 1, c.Tx1, c.Tx2, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}),
-		newDirSpec(c, 2, n, c.Ty1, c.Ty2, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}),
-		newDirSpec(c, 3, n*n, c.Tz1, c.Tz2, [5]float64{c.Dz1, c.Dz2, c.Dz3, c.Dz4, c.Dz5}),
+		newDirSpec(c, 1, c.Tx1, c.Tx2, [5]float64{c.Dx1, c.Dx2, c.Dx3, c.Dx4, c.Dx5}),
+		newDirSpec(c, 2, c.Ty1, c.Ty2, [5]float64{c.Dy1, c.Dy2, c.Dy3, c.Dy4, c.Dy5}),
+		newDirSpec(c, 3, c.Tz1, c.Tz2, [5]float64{c.Dz1, c.Dz2, c.Dz3, c.Dz4, c.Dz5}),
 	}
 	return b, nil
 }

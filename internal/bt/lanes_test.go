@@ -78,15 +78,13 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 				fj, nj := make([][25]float64, n), make([][25]float64, n)
 				aa, bb, cc := make([][25]float64, n), make([][25]float64, n), make([][25]float64, n)
 				g := newGroup(n)
+				g.Stride = [3]int{1, n, n * n}[d] // as nscore.App's sweeps queue them
 				var queued [8]*lineScratch
 				check := func(what string, l, q int, got []float64, want *[25]float64) {
 					t.Helper()
 					sameBits(t, fmt.Sprintf("%c %c %s cell %d", class, "xyz"[d], what, l), q, got, want[:])
 				}
 				flush := func() {
-					for q := g.N; q < 8; q++ {
-						g.Start[q] = g.Start[0]
-					}
 					for l := 0; l <= isize; l++ {
 						b.cellJacobians(g, ds, l)
 						for q := 0; q < g.N; q++ {
@@ -108,7 +106,7 @@ func TestLineSetupMatchesOracle(t *testing.T) {
 					for a := 1; a < n-1; a++ {
 						start := o*strides[d].outer + a*strides[d].inner
 						for l := 0; l <= isize; l++ {
-							p := start + l*ds.line
+							p := start + l*g.Stride
 							b.buildJacobians(ls, l, p, ds.cv)
 							u := [5]float64{b.F.U[0][p], b.F.U[1][p], b.F.U[2][p], b.F.U[3][p], b.F.U[4][p]}
 							s := [3]float64{b.F.RhoI[p], b.F.Qs[p], b.F.Square[p]}
@@ -171,7 +169,7 @@ func TestGroupAligned(t *testing.T) {
 		g := newGroup(n)
 		for name, p := range map[string]unsafe.Pointer{
 			"fjac": unsafe.Pointer(&g.fjac), "njac": unsafe.Pointer(&g.njac), "aa": unsafe.Pointer(&g.aa),
-			"bb": unsafe.Pointer(&g.bb), "u": unsafe.Pointer(&g.u), "s": unsafe.Pointer(&g.s),
+			"bb": unsafe.Pointer(&g.bb), "state": unsafe.Pointer(&g.state),
 			"cc": unsafe.Pointer(&g.cc[0]), "rhs": unsafe.Pointer(&g.rhs[0]),
 		} {
 			if a := uintptr(p) % 64; a != 0 {

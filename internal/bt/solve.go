@@ -1,6 +1,9 @@
 package bt
 
-import "npbgo/internal/nscore"
+import (
+	"npbgo/internal/nscore"
+	"npbgo/internal/simd"
+)
 
 // The three ADI sweeps share one implementation parameterized by
 // direction: the flux and viscous Jacobians have the same shape in x, y
@@ -13,7 +16,9 @@ import "npbgo/internal/nscore"
 // share (nscore.App's sweeps) and, whenever eight are queued, solveGroup
 // sets up and solves all eight in lane form, one lane kernel call per
 // step of the block Thomas algorithm. A group may span planes and
-// chunks; the last group of a worker's share may be short.
+// chunks; the last group of a worker's share may be short. The lines'
+// right-hand sides, state and scalars move between the field's rows and
+// lane form by simd.ToLanes and simd.FromLanes.
 
 //go:generate go run ../lanegen
 
@@ -26,6 +31,9 @@ type (
 	blk8 = [25][8]float64 // a 5x5 block of each lane, column-major like the scalar blocks
 	vec8 = [5][8]float64  // a 5-vector of each lane
 	pt8  = [3][8]float64  // 1/rho, q/rho, 0.5*|m|^2/rho of each lane
+	// A cell's gathered state of each lane: the vec8 of U, then the pt8
+	// of RhoI, Qs and Square.
+	state8 = [8][8]float64
 )
 
 // dirSpec carries the per-direction parameters of the implicit solve.
@@ -33,10 +41,7 @@ type dirSpec struct {
 	cv int // velocity component along the line: 1 (u), 2 (v), 3 (w)
 	// jacobiansX8, Y8 or Z8, by cv.
 	jacobians func(live int, fjac, njac *blk8, u *vec8, s *pt8, c1, c2, c3c4, r43, c1345 float64)
-	// The stride along the line in the scalar grid (point
-	// i + n*j + n*n*k).
-	line int
-	jac  jacConsts
+	jac       jacConsts
 	// assemble's folded constants: -dt*t?2, dt*t?1, dt*t?1*2.0,
 	// dt*t?2, and per diagonal entry dt*t?1*d?m and
 	// 1.0 + dt*t?1*2.0*d?m.
@@ -51,9 +56,9 @@ type jacConsts struct {
 
 // newDirSpec folds one direction's constants. Each fold is the double
 // the unfolded per-element expression rounds first (assemble).
-func newDirSpec(c *nscore.Consts, cv, line int, t1, t2 float64, d [5]float64) dirSpec {
+func newDirSpec(c *nscore.Consts, cv int, t1, t2 float64, d [5]float64) dirSpec {
 	tmp1, tmp2 := c.Dt*t1, c.Dt*t2
-	ds := dirSpec{cv: cv, jacobians: jacobiansX8, line: line,
+	ds := dirSpec{cv: cv, jacobians: jacobiansX8,
 		jac: jacConsts{c1: c.C1, c2: c.C2, c3c4: c.C3c4, r43: c.Con43 * c.C3c4, c1345: c.C1345},
 		mt2: -tmp2, t1: tmp1, t12: tmp1 * 2.0, t2: tmp2}
 	switch cv {
@@ -80,18 +85,17 @@ type group struct {
 	rhs []vec8
 }
 
-// window is a group's lane form of one cell's gathered state, the
-// Jacobians of three consecutive cells and the lower and main block
-// diagonals of the cell being eliminated. Each array is a whole number
-// of 64-byte cache lines, and a window holds no pointer, so its
-// allocation has no header and starts on a cache line: none of its
-// 64-byte elements straddles two lines, which would cost the AVX-512
-// kernels two accesses a load (TestGroupAligned).
+// window is a group's lane form of a tile of eight cells' gathered
+// state, the Jacobians of three consecutive cells and the lower and
+// main block diagonals of the cell being eliminated. Each array is a
+// whole number of 64-byte cache lines, and a window holds no pointer,
+// so its allocation has no header and starts on a cache line: none of
+// its 64-byte elements straddles two lines, which would cost the
+// AVX-512 kernels two accesses a load (TestGroupAligned).
 type window struct {
 	fjac, njac [3]blk8 // cell l's at l%3
 	aa, bb     blk8
-	u          vec8
-	s          pt8
+	state      [8]state8 // cell l's at l%8
 }
 
 func newGroup(cells int) *group {
@@ -132,18 +136,18 @@ func (g *group) backSubstitute(isize int) {
 	}
 }
 
-// cellJacobians gathers cell l of the group's lines from the state U
-// and the scalars ComputeRHS left, and builds its Jacobians into slot
-// l%3.
+// cellJacobians builds the Jacobians of cell l of the group's lines
+// into slot l%3. Cells are called in order from 0, and every eighth
+// gathers the tile of the next eight from the state U and the scalars
+// ComputeRHS left.
 func (b *Benchmark) cellJacobians(g *group, ds *dirSpec, l int) {
-	f, k := b.F, &ds.jac
-	u0, u1, u2, u3, u4 := nscore.Components(&f.U)
-	for q, st := range g.Start {
-		p := st + l*ds.line
-		g.u[0][q], g.u[1][q], g.u[2][q], g.u[3][q], g.u[4][q] = u0[p], u1[p], u2[p], u3[p], u4[p]
-		g.s[0][q], g.s[1][q], g.s[2][q] = f.RhoI[p], f.Qs[p], f.Square[p]
+	if l%8 == 0 {
+		f := b.F
+		rows := [8][]float64{f.U[0], f.U[1], f.U[2], f.U[3], f.U[4], f.RhoI, f.Qs, f.Square}
+		simd.ToLanes(g.state[:min(8, b.N-l)], rows[:], &g.Lines, l)
 	}
-	ds.jacobians(g.N, &g.fjac[l%3], &g.njac[l%3], &g.u, &g.s, k.c1, k.c2, k.c3c4, k.r43, k.c1345)
+	k, st := &ds.jac, &g.state[l%8]
+	ds.jacobians(g.N, &g.fjac[l%3], &g.njac[l%3], (*vec8)(st[:5]), (*pt8)(st[5:]), k.c1, k.c2, k.c3c4, k.r43, k.c1345)
 }
 
 // assembleCell builds interior cell l's blocks into aa, bb and cc[l]
@@ -158,26 +162,13 @@ func (g *group) assembleCell(ds *dirSpec, l int) {
 // their solutions back to Rhs (nscore.App's sweeps call it). Each cell
 // is assembled just before its elimination step, the Jacobians one cell
 // ahead, as the assembly of cell l reads those of l+1. Lanes past g.N
-// repeat lane 0's line with a zero right-hand side, so every value they
-// compute stays finite, and they are never written back.
+// are gathered as zeros, state and right-hand side alike (DESIGN.md
+// §38), and are never written back.
 func (b *Benchmark) solveGroup(id, d int, lines nscore.Lines) {
 	g, ds, isize := b.groups[id], &b.dirs[d], b.N-1
 	g.Lines = lines
-	for q := g.N; q < 8; q++ {
-		g.Start[q] = g.Start[0]
-	}
-	r0, r1, r2, r3, r4 := nscore.Components(&b.F.Rhs)
-	for l := 0; l <= isize; l++ {
-		r := &g.rhs[l]
-		for q := 0; q < 8; q++ {
-			if q < g.N {
-				p := g.Start[q] + l*ds.line
-				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = r0[p], r1[p], r2[p], r3[p], r4[p]
-			} else {
-				r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = 0, 0, 0, 0, 0
-			}
-		}
-	}
+	rhs := g.rhs[:isize+1]
+	simd.ToLanes(rhs, b.F.Rhs[:], &g.Lines, 0)
 	b.cellJacobians(g, ds, 0)
 	for l := 0; l <= isize; l++ {
 		if l < isize {
@@ -191,11 +182,5 @@ func (b *Benchmark) solveGroup(id, d int, lines nscore.Lines) {
 		g.eliminate(l, isize)
 	}
 	g.backSubstitute(isize)
-	for l := 0; l <= isize; l++ {
-		r := &g.rhs[l]
-		for q := 0; q < g.N; q++ {
-			p := g.Start[q] + l*ds.line
-			r0[p], r1[p], r2[p], r3[p], r4[p] = r[0][q], r[1][q], r[2][q], r[3][q], r[4][q]
-		}
-	}
+	simd.FromLanes(b.F.Rhs[:], rhs, &g.Lines, 0)
 }

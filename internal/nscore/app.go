@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"npbgo/internal/kernel"
+	"npbgo/internal/simd"
 	"npbgo/internal/team"
 	"npbgo/internal/verify"
 )
@@ -43,11 +44,11 @@ type Code struct {
 }
 
 // Lines is one worker's queue of up to eight lines of one direction,
-// the lines a code's group solve takes at once.
-type Lines struct {
-	N     int    // lines queued
-	Start [8]int // scalar-grid offset of each queued line's first point
-}
+// the lines a code's group solve takes at once: N lines queued, the
+// scalar-grid offset of each one's first point, and the direction's
+// Stride between a line's points (1, n or n²), the group the movers of
+// internal/simd carry between the field's rows and lane form.
+type Lines = simd.Lines
 
 // App is a configured BT or SP main program with its field allocated.
 // bt.Benchmark and sp.Benchmark embed it.
@@ -103,12 +104,13 @@ func NewApp(code *Code, class byte, threads int, env kernel.Env, solve func(id, 
 func (a *App) buildBodies() {
 	n := a.N
 	// xi lines along i, k planes split; eta lines along j, k planes
-	// split; zeta lines along k, j rows split. inner is the stride
-	// between the lines of a plane, outer that of the split index.
-	strides := [3]struct{ inner, outer int }{{n, n * n}, {1, n * n}, {1, n}}
+	// split; zeta lines along k, j rows split. line is the stride along
+	// a line, inner that between the lines of a plane, outer that of the
+	// split index.
+	strides := [3]struct{ line, inner, outer int }{{1, n, n * n}, {n, 1, n * n}, {n * n, 1, n}}
 	for d, s := range strides {
 		a.bodies[d] = func(id int) {
-			var q Lines
+			q := Lines{Stride: s.line}
 			for it := a.tm.Loop(id, 1, n-1); it.Next(); {
 				for o := it.Lo; o < it.Hi; o++ {
 					for i := 1; i < n-1; i++ {

@@ -95,6 +95,14 @@ func soundSpeed(speed, u4, rhoI, sq *[1]float64, c1c2 float64) {
 	speed[0] = math.Sqrt(c1c2 * rhoI[0] * (u4[0] - sq[0]))
 }
 
+// scale multiplies a point of the right-hand side by the time step:
+// the last loop of compute_rhs.
+//
+//lanegen:rows
+func scale(r *[1]float64, dt float64) {
+	r[0] *= dt
+}
+
 // The fourth-order dissipation term dssp·δ⁴u of a point, one kernel per
 // stencil: the first, second, inner, penultimate and last interior
 // points of a grid line take the boundary-adjusted differences of

@@ -204,6 +204,25 @@ func soundSpeedRow(speed, u4, rhoI, sq []float64, c1c2 float64) {
 	}
 }
 
+// scaleRow runs scale at each point i < len(r) of its rows, eight or four
+// points per instruction where the CPU allows and the scalar body on the
+// rest.
+func scaleRow(r []float64, dt float64) {
+	count := len(r)
+	done := 0
+	if simd.Width >= 8 && count >= 8 {
+		scaleAVX512(&r[0], dt, count/8)
+		done = count &^ 7
+	}
+	if simd.Width >= 4 && count-done >= 4 {
+		scaleAVX(&r[done], dt, (count-done)/4)
+		done = count &^ 3
+	}
+	for i := uint(done); i < uint(count); i++ {
+		r[i] *= dt
+	}
+}
+
 // dissFirstRow runs dissFirst at each point i < len(d) of its rows, eight or four
 // points per instruction where the CPU allows and the scalar body on the
 // rest.

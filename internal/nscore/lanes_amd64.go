@@ -53,6 +53,12 @@ func soundSpeedAVX(speed, u4, rhoI, sq *float64, c1c2 float64, groups int)
 func soundSpeedAVX512(speed, u4, rhoI, sq *float64, c1c2 float64, groups int)
 
 //go:noescape
+func scaleAVX(r *float64, dt float64, groups int)
+
+//go:noescape
+func scaleAVX512(r *float64, dt float64, groups int)
+
+//go:noescape
 func dissFirstAVX(d, u, u1, u2 *float64, dssp float64, groups int)
 
 //go:noescape

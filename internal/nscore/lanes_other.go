@@ -58,6 +58,10 @@ func soundSpeedAVX(speed, u4, rhoI, sq *float64, c1c2 float64, groups int) { pan
 
 func soundSpeedAVX512(speed, u4, rhoI, sq *float64, c1c2 float64, groups int) { panic(noAVX) }
 
+func scaleAVX(r *float64, dt float64, groups int) { panic(noAVX) }
+
+func scaleAVX512(r *float64, dt float64, groups int) { panic(noAVX) }
+
 func dissFirstAVX(d, u, u1, u2 *float64, dssp float64, groups int) { panic(noAVX) }
 
 func dissFirstAVX512(d, u, u1, u2 *float64, dssp float64, groups int) { panic(noAVX) }

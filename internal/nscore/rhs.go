@@ -140,10 +140,7 @@ func (f *Field) buildBodies() {
 				lo, hi := f.SAt(0, 0, k), f.SAt(0, 0, k+1)
 				for m, fo := range &f.Forcing {
 					r, fo := f.Rhs[m][lo:hi], fo[lo:hi]
-					in := r[n : len(r)-n]
-					for p := range in {
-						in[p] *= dt
-					}
+					scaleRow(r[n:len(r)-n], dt)
 					for p := n; p < len(r)-n; p += n {
 						r[p], r[p+n-1] = fo[p], fo[p+n-1]
 					}

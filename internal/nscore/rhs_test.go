@@ -68,7 +68,7 @@ func TestComputeRHSMatchesOracle(t *testing.T) {
 var rowKernels = [][2]any{
 	{fluxRhoRow, fluxRho}, {fluxMomRow, fluxMom}, {fluxMomAlongRow, fluxMomAlong},
 	{fluxEnergyHeadRow, fluxEnergyHead}, {fluxEnergyTailRow, fluxEnergyTail},
-	{primRow, prim}, {primEnergyRow, primEnergy}, {soundSpeedRow, soundSpeed},
+	{primRow, prim}, {primEnergyRow, primEnergy}, {soundSpeedRow, soundSpeed}, {scaleRow, scale},
 	{dissFirstRow, dissFirst}, {dissSecondRow, dissSecond}, {dissInnerRow, dissInner},
 	{dissPenultRow, dissPenult}, {dissLastRow, dissLast},
 }

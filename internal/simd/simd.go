@@ -2,7 +2,10 @@
 // kernels internal/lanegen generates into bt, sp, lu, nscore, ep, ft,
 // mg and cg read Width to choose between their assembly and their
 // portable scalar body, and MG's resid and psinv read it to run their
-// carried scalar forms, not their row kernels, at 1.
+// carried scalar forms, not their row kernels, at 1. It also holds the
+// line movers BT and SP share (movers.go), which carry a group of eight
+// grid lines between a field's rows and lane form, in wide moves at
+// Width 8.
 package simd
 
 // Width is the vector level of the generated kernels, in doubles a

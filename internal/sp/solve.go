@@ -1,15 +1,19 @@
 package sp
 
-import "npbgo/internal/nscore"
+import (
+	"npbgo/internal/nscore"
+	"npbgo/internal/simd"
+)
 
 // The three factor sweeps share one implementation parameterized by
 // direction. Lines are solved eight at a time: each worker queues the
 // lines of its share (nscore.App's sweeps) and, whenever eight are
 // queued, solveGroup gathers them into lane form, runs every per-cell
 // step of the solve as one lane kernel call (kernels.go) and scatters
-// the solutions back to Rhs. A group may span planes and chunks; the
-// last group of a worker's share may be short, and its spare lanes
-// repeat lane 0's line and are never written back.
+// the solutions back to Rhs, both moves by simd.ToLanes and
+// simd.FromLanes. A group may span planes and chunks; the last group of
+// a worker's share may be short, and its spare lanes are gathered as
+// zeros and never written back.
 //
 // The eigenvector transforms are pointwise, and each interior point
 // lies on exactly one line of each direction, so they run inside the
@@ -27,9 +31,6 @@ type (
 
 // dirSpec carries the per-direction constants of the line solves.
 type dirSpec struct {
-	// The stride along the line in the scalar grid (point
-	// i + n*j + n*n*k).
-	line               int
 	dtt1, dtt2, c2dtt1 float64
 	// The eigenvalue bound's dx2/dy3/dz4, d?5, max of the other two
 	// and d?1.
@@ -77,57 +78,20 @@ func dissipation(n int, comz1, comz4, comz5, comz6 float64) [][5]float64 {
 }
 
 // gather loads the group's lines into lane form: each cell's Rhs
-// 5-vector and the scalars direction d reads. For eta and zeta lines,
-// eight consecutive lines of one plane are eight adjacent points, so
-// every row is copied eight lanes at a time; gather reports whether the
-// group's lines are such.
-func (b *Benchmark) gather(g *group, d int) (adjacent bool) {
-	f, ds := b.F, &b.dirs[d]
-	for q := g.N; q < 8; q++ {
-		g.Start[q] = g.Start[0]
+// 5-vector and the scalars direction d reads.
+func (b *Benchmark) gather(g *group, d int) {
+	f := b.F
+	// The row of each scalar s[e], nil for those the direction does not
+	// read and for s[1], which eigen8 sets.
+	scalars := [8][]float64{0: [3][]float64{f.Us, f.Vs, f.Ws}[d], 2: f.Speed, 3: f.RhoI}
+	switch d {
+	case 0:
+		scalars[4], scalars[5], scalars[6] = f.Qs, f.Vs, f.Ws
+	case 2:
+		scalars[4], scalars[5], scalars[6], scalars[7] = f.Qs, f.Us, f.Vs, f.U[0]
 	}
-	s0 := g.Start[0]
-	adjacent = d > 0
-	for q, st := range g.Start {
-		adjacent = adjacent && st == s0+q
-	}
-	vel := [3][]float64{f.Us, f.Vs, f.Ws}[d]
-	rho := f.U[0]
-	// The rows of the scalars s[e] an adjacent eta or zeta group
-	// copies, nil for those eigen sets or the direction does not read.
-	scalars := [8][]float64{0: vel, 2: f.Speed, 3: f.RhoI}
-	if d == 2 {
-		scalars[4], scalars[5], scalars[6], scalars[7] = f.Qs, f.Us, f.Vs, rho
-	}
-	r0, r1, r2, r3, r4 := nscore.Components(&f.Rhs)
-	for l := range g.s {
-		s, r := &g.s[l], &g.r[l]
-		if adjacent {
-			p := s0 + l*ds.line
-			for c, row := range &f.Rhs {
-				r[c] = [8]float64(row[p:])
-			}
-			for e, row := range &scalars {
-				if row != nil {
-					s[e] = [8]float64(row[p:])
-				}
-			}
-			continue
-		}
-		for q, st := range g.Start {
-			p := st + l*ds.line
-			s[0][q], s[2][q], s[3][q] = vel[p], f.Speed[p], f.RhoI[p]
-			switch d {
-			case 0:
-				s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Vs[p], f.Ws[p]
-			case 2:
-				s[4][q], s[5][q], s[6][q] = f.Qs[p], f.Us[p], f.Vs[p]
-				s[7][q] = rho[p]
-			}
-			r[0][q], r[1][q], r[2][q], r[3][q], r[4][q] = r0[p], r1[p], r2[p], r3[p], r4[p]
-		}
-	}
-	return adjacent
+	simd.ToLanes(g.r, f.Rhs[:], &g.Lines, 0)
+	simd.ToLanes(g.s, scalars[:], &g.Lines, 0)
 }
 
 // solveGroup solves worker id's queued lines in direction d, the
@@ -136,7 +100,7 @@ func (b *Benchmark) gather(g *group, d int) (adjacent bool) {
 func (b *Benchmark) solveGroup(id, d int, lines nscore.Lines) {
 	g, c, ds, n := b.groups[id], &b.C, &b.dirs[d], b.N
 	g.Lines = lines
-	adjacent := b.gather(g, d)
+	b.gather(g, d)
 	r, u, p, m, s := g.r[:n], g.u[:n], g.p[:n], g.m[:n], g.s[:n]
 	if d == 0 {
 		for l := 1; l < n-1; l++ {
@@ -172,23 +136,5 @@ func (b *Benchmark) solveGroup(id, d int, lines nscore.Lines) {
 			tzetar8(g.N, &r[l], &s[l], bts, c.C2iv)
 		}
 	}
-	if adjacent {
-		for l := range r {
-			p := g.Start[0] + l*ds.line
-			for c, row := range &b.F.Rhs {
-				*(*[8]float64)(row[p:]) = r[l][c]
-			}
-		}
-		return
-	}
-	r0, r1, r2, r3, r4 := nscore.Components(&b.F.Rhs)
-	for l := range r {
-		v := &r[l]
-		for q, st := range g.Start {
-			if q < g.N {
-				p := st + l*ds.line
-				r0[p], r1[p], r2[p], r3[p], r4[p] = v[0][q], v[1][q], v[2][q], v[3][q], v[4][q]
-			}
-		}
-	}
+	simd.FromLanes(b.F.Rhs[:], r, &g.Lines, 0)
 }

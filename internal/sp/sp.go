@@ -107,11 +107,11 @@ func newBenchmark(code *nscore.Code, class byte, threads int, env kernel.Env) (*
 	}
 	b.groups = groups
 	b.dirs = [3]dirSpec{
-		{line: 1, dtt1: b.dttx1, dtt2: b.dttx2, c2dtt1: b.c2dttx1,
+		{dtt1: b.dttx1, dtt2: b.dttx2, c2dtt1: b.c2dttx1,
 			d2or3or4: c.Dx2, d5: c.Dx5, dmax: b.dxmax, d1: c.Dx1},
-		{line: n, dtt1: b.dtty1, dtt2: b.dtty2, c2dtt1: b.c2dtty1,
+		{dtt1: b.dtty1, dtt2: b.dtty2, c2dtt1: b.c2dtty1,
 			d2or3or4: c.Dy3, d5: c.Dy5, dmax: b.dymax, d1: c.Dy1},
-		{line: n * n, dtt1: b.dttz1, dtt2: b.dttz2, c2dtt1: b.c2dttz1,
+		{dtt1: b.dttz1, dtt2: b.dttz2, c2dtt1: b.c2dttz1,
 			d2or3or4: c.Dz4, d5: c.Dz5, dmax: b.dzmax, d1: c.Dz1},
 	}
 	return b, nil
