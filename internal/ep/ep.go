@@ -19,6 +19,7 @@ import (
 	"npbgo/internal/fault"
 	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
+	"npbgo/internal/simd"
 	"npbgo/internal/team"
 	"npbgo/internal/timer"
 	"npbgo/internal/verify"
@@ -152,16 +153,20 @@ type batchState struct {
 }
 
 // sub is the number of pairs runBatch works on at a time: a sub-block's
-// 2*sub uniforms and sub radii are 12 KiB, so every pass over them after
-// the fill hits L1.
+// five rows of sub values are 20 KiB, so every pass over them after the
+// first hits L1.
 const sub = 512
 
-// scratch is one worker's sub-block buffers.
+// scratch is one worker's sub-block buffers. The rows past the count of
+// accepted pairs hold whatever the last sub-block or the portable body's
+// rejected pairs left there.
 type scratch struct {
-	x [2 * sub]float64 // uniforms, then the accepted pairs compacted to the front
-	t [sub]float64     // t = x1²+x2² of the pair at x[2k], then its sqrt(-2 ln t / t)
-	f [sub]float64     // the fraction f of t = 2^k·(1+f) (reduce)
-	k [sub]float64     // and its exponent k
+	gen [2][8]uint64 // the lane generator: the states of the next eight pairs' first ([0]) and second ([1]) uniforms
+	x1  [sub]float64 // the accepted pairs' first coordinates, compacted
+	x2  [sub]float64 // their second coordinates
+	t   [sub]float64 // t = x1²+x2², then sqrt(-2 ln t / t) (gauss)
+	f   [sub]float64 // the fraction f of t = 2^k·(1+f) (reduce)
+	k   [sub]float64 // and its exponent k
 }
 
 // runBatch processes batch index kk (0-based: ep.f iterates k = 1..nn
@@ -170,45 +175,89 @@ type scratch struct {
 // ep.f reaches that seed by binary exponentiation of a^(2*nk) over kk,
 // which is the jump Skip makes.
 //
-// One generator then continues through the batch sub pairs at a time,
-// and each sub-block is three loops so that none carries both an
-// unpredictable branch and a long dependency chain: the first maps the
-// uniforms to (-1,1)², moves the accepted pairs to the front (the index
-// advances under the t <= 1 test, which compiles to a conditional move)
-// and splits each t into the fraction and exponent of its logarithm;
-// the second turns each accepted t into sqrt(-2 ln t / t), eight or four
-// at a time (gaussRow); the third tallies. Pairs are tallied in stream
+// The batch's stream then runs as sixteen lanes of the generator, the
+// states of eight consecutive pairs' two uniforms, each stepped by a^16
+// (DESIGN.md §39), sub pairs at a time. A sub-block is two kernels and a
+// loop, none of which carries both an unpredictable branch and a long
+// dependency chain: pairs maps the uniforms to (-1,1)², splits each t
+// into the fraction and exponent of its logarithm and packs the
+// accepted pairs at the front of the rows in stream order; gaussRow
+// turns each accepted t into sqrt(-2 ln t / t), eight or four at a
+// time; tally forms the deviates and adds and counts them in stream
 // order, so sx, sy and q are the sums of the one-loop form bit for bit.
 func runBatch(kk int, st *batchState, s *scratch) {
 	g := randdp.New(seed, amult)
 	g.Skip(2 * nk * kk)
-	x, t, f, k := &s.x, &s.t, &s.f, &s.k
-	sx, sy := st.sx, st.sy
+	var x [16]uint64
+	a16 := g.Next16(&x)
+	for q := range s.gen[0] {
+		s.gen[0][q], s.gen[1][q] = x[2*q], x[2*q+1]
+	}
 	for blk := 0; blk < nk/sub; blk++ {
-		g.Fill(x[:])
-		n := 0
-		for i := 0; i < sub; i++ {
-			x1 := 2.0*x[2*i] - 1.0
-			x2 := 2.0*x[2*i+1] - 1.0
-			tt := x1*x1 + x2*x2
-			j := n & (sub - 1) // n <= i: the mask only shows the compiler that the stores are in range
-			x[2*j], x[2*j+1], t[j] = x1, x2, tt
+		n := pairs(&s.gen, a16, sub/8, &s.x1, &s.x2, &s.t, &s.f, &s.k)
+		t := s.t[:n]
+		gaussRow(t, s.f[:n], s.k[:n])
+		st.tally(s.x1[:n], s.x2[:n], t)
+	}
+}
+
+// tally forms the deviates g1 = x1·t3 and g2 = x2·t3 of accepted pairs,
+// whose coordinates are x1 and x2 and whose scale is t3 (gauss's t),
+// adds them to sx and sy in stream order, and counts each pair in the
+// annulus max(|g1|, |g2|) names: math.Abs and max compile without
+// branches, which on the deviates' signs no predictor would learn. A
+// bound of nq or more panics at the index check.
+func (st *batchState) tally(x1, x2, t3 []float64) {
+	x1, x2 = x1[:len(t3)], x2[:len(t3)]
+	sx, sy := st.sx, st.sy
+	for i, t := range t3 {
+		g1, g2 := x1[i]*t, x2[i]*t
+		st.q[int(max(math.Abs(g1), math.Abs(g2)))]++
+		sx += g1
+		sy += g2
+	}
+	st.sx, st.sy = sx, sy
+}
+
+// pairs runs steps steps of the lane generator gen, whose states step by
+// a: each step takes eight pairs, pair q's uniforms from gen[0][q] and
+// gen[1][q]. It maps each pair to x1 = 2u-1, x2 = 2v-1 and t = x1²+x2²,
+// and stores the pairs with t <= 1, their t and the f and k of reduce(t)
+// at the front of the rows in stream order, returning how many. gen is
+// left at the states of the pairs after the last. At simd.Width 8 it
+// runs pairsAVX512 (pairs_amd64.s), below it pairsGo: the same lanes in
+// the same order, which the assembly is tested against.
+func pairs(gen *[2][8]uint64, a uint64, steps int, x1, x2, t, f, k *[sub]float64) int {
+	if uint(steps) > sub/8 {
+		panic(fmt.Sprintf("ep: %d steps of eight pairs do not fit rows of %d", steps, sub))
+	}
+	if simd.Width >= 8 {
+		return pairsAVX512(gen, a, steps, x1, x2, t, f, k)
+	}
+	return pairsGo(gen, a, steps, x1, x2, t, f, k)
+}
+
+// pairsGo is pairs one pair at a time. It stores every pair at the write
+// index and advances the index under the t <= 1 test, which compiles to
+// a conditional move, so a rejected pair is overwritten by the next.
+func pairsGo(gen *[2][8]uint64, a uint64, steps int, x1, x2, t, f, k *[sub]float64) int {
+	n := 0
+	for range steps {
+		for q := range gen[0] {
+			u, v := gen[0][q], gen[1][q]
+			gen[0][q], gen[1][q] = u*a&randdp.Mask, v*a&randdp.Mask
+			p1 := 2.0*(randdp.R46*float64(int64(u))) - 1.0
+			p2 := 2.0*(randdp.R46*float64(int64(v))) - 1.0
+			tt := p1*p1 + p2*p2
+			j := n & (sub - 1) // n < sub while a pair is left: the mask only shows the compiler that the stores are in range
+			x1[j], x2[j], t[j] = p1, p2, tt
 			f[j], k[j] = reduce(tt)
 			if tt <= 1.0 {
 				n++
 			}
 		}
-		acc := t[:n]
-		gaussRow(acc, f[:n], k[:n])
-		for k, t3 := range acc {
-			g1 := x[2*k] * t3
-			g2 := x[2*k+1] * t3
-			st.q[int(max(math.Abs(g1), math.Abs(g2)))]++
-			sx += g1
-			sy += g2
-		}
 	}
-	st.sx, st.sy = sx, sy
+	return n
 }
 
 // reduce is the argument reduction of math.Log for a positive normal x:

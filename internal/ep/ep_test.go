@@ -1,13 +1,17 @@
 package ep
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"npbgo/internal/kernel"
 	"npbgo/internal/randdp"
 	"npbgo/internal/rowcheck"
+	"npbgo/internal/simd"
 	"npbgo/internal/team"
 )
 
@@ -53,7 +57,12 @@ func TestAnnulusCountsDecrease(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerialExactly runs on each path (rowcheck.Modes).
 func TestParallelMatchesSerialExactly(t *testing.T) {
+	rowcheck.Modes(t, func(int) { parallelMatchesSerial(t) })
+}
+
+func parallelMatchesSerial(t *testing.T) {
 	serial, _ := New('S', 1, kernel.Env{})
 	sres := serial.RunResult()
 	for _, n := range []int{2, 4} {
@@ -76,6 +85,20 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 		}
 		if !pres.Verify.Passed() {
 			t.Fatalf("threads=%d failed verification:\n%s", n, pres.Verify)
+		}
+	}
+}
+
+// TestFootprintCountsScratch: Footprint counts each worker's sub-block
+// scratch, the lane states and every row, and its 4 KiB allowance for
+// the rest, at every class.
+func TestFootprintCountsScratch(t *testing.T) {
+	for class := range classM {
+		for _, threads := range []int{1, 2, 7} {
+			got, err := Footprint(class, threads)
+			if want := uint64(threads) * (uint64(unsafe.Sizeof(scratch{})) + 1<<12); err != nil || got != want {
+				t.Errorf("Footprint(%q, %d) = %d, %v; want %d", class, threads, got, err, want)
+			}
 		}
 	}
 }
@@ -114,7 +137,7 @@ func oracleBatch(kk int, st *batchState, x []float64) {
 // TestRunBatchMatchesOracle compares the tallies of runBatch and the
 // one-loop batch as whole structs, over batches from both ends of class
 // S's range and the larger classes' last ones, each accumulated on top
-// of the last as a worker's block is.
+// of the last as a worker's block is, on each path (rowcheck.Modes).
 func TestRunBatchMatchesOracle(t *testing.T) {
 	var batches []int
 	for i := 0; i < 22; i++ {
@@ -125,20 +148,23 @@ func TestRunBatchMatchesOracle(t *testing.T) {
 	}
 	x := make([]float64, 2*nk)
 	var scr scratch
-	var got, want batchState
-	for _, kk := range batches {
-		runBatch(kk, &got, &scr)
-		oracleBatch(kk, &want, x)
-		if got != want {
-			t.Fatalf("after batch %d: %+v, oracle %+v", kk, got, want)
+	rowcheck.Modes(t, func(width int) {
+		var got, want batchState
+		for _, kk := range batches {
+			runBatch(kk, &got, &scr)
+			oracleBatch(kk, &want, x)
+			if got != want {
+				t.Fatalf("width %d, after batch %d: %+v, oracle %+v", width, kk, got, want)
+			}
 		}
-	}
+	})
 }
 
 // TestResultMatchesOracleBlocks: sx, sy and q of whole runs equal the
 // one-loop batches accumulated per static block and added up in block
 // order — the parent's result — for team sizes that divide the batch
-// count and ones that do not, under the static and the dynamic schedule.
+// count and ones that do not, under the static and the dynamic schedule:
+// class S on each path (rowcheck.Modes), W on the host's.
 func TestResultMatchesOracleBlocks(t *testing.T) {
 	classes := []byte{'S', 'W'}
 	if testing.Short() {
@@ -161,15 +187,22 @@ func TestResultMatchesOracleBlocks(t *testing.T) {
 					want.q[l] += st.q[l]
 				}
 			}
-			for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
-				b, err := New(class, threads, kernel.Env{Schedule: sched})
-				if err != nil {
-					t.Fatal(err)
+			check := func(width int) {
+				for _, sched := range []team.Schedule{team.Static, team.Dynamic} {
+					b, err := New(class, threads, kernel.Env{Schedule: sched})
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := b.RunResult()
+					if got := (batchState{res.Sx, res.Sy, res.Q}); got != want {
+						t.Fatalf("%c threads %d %v width %d: %+v, oracle %+v", class, threads, sched, width, got, want)
+					}
 				}
-				res := b.RunResult()
-				if got := (batchState{res.Sx, res.Sy, res.Q}); got != want {
-					t.Fatalf("%c threads %d %v: %+v, oracle %+v", class, threads, sched, got, want)
-				}
+			}
+			if class == 'S' {
+				rowcheck.Modes(t, check)
+			} else {
+				check(simd.Width)
 			}
 		}
 	}
@@ -221,6 +254,154 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 	rowcheck.Kernels(t, [][2]any{{gaussRow, gauss}})
 }
 
+// guarded is a row of pairs' output between two runs of sentinels.
+type guarded struct {
+	lo  [8]float64
+	row [sub]float64
+	hi  [8]float64
+}
+
+// sentinel is a NaN whose payload no arithmetic produces.
+var sentinel = math.Float64frombits(0x7ff4dead0000beef)
+
+// newRows returns pairs' five rows, x1, x2, t, f and k, every entry and
+// every guard a sentinel.
+func newRows() *[5]guarded {
+	var g [5]guarded
+	for r := range g {
+		for _, s := range [][]float64{g[r].lo[:], g[r].row[:], g[r].hi[:]} {
+			for i := range s {
+				s[i] = sentinel
+			}
+		}
+	}
+	return &g
+}
+
+// untouched fails unless the guards of g and its entries from end on
+// are still sentinels.
+func untouched(t *testing.T, what, name string, g *guarded, end int) {
+	t.Helper()
+	for i, s := range [][]float64{g.lo[:], g.row[end:], g.hi[:]} {
+		for j, v := range s {
+			if math.Float64bits(v) != math.Float64bits(sentinel) {
+				t.Fatalf("%s: %s: %s[%d] is %v, past the %d entries written", what, name, [3]string{"guard before", "row", "guard after"}[i], j, v, end)
+			}
+		}
+	}
+}
+
+// comparePairs runs pairs, the host's path at the current simd.Width,
+// and pairsGo from the same lane states, and fails unless they accept
+// the same count of pairs, leave the same states and store the same
+// five rows up to the count, bit for bit. Neither may write outside its
+// rows or past the 8·steps entries it can fill, and at width 8, where
+// the stores are compressed, none past the count.
+func comparePairs(t *testing.T, gen [2][8]uint64, a uint64, steps int) {
+	t.Helper()
+	got, want := gen, gen
+	gr, wr := newRows(), newRows()
+	n := pairs(&got, a, steps, &gr[0].row, &gr[1].row, &gr[2].row, &gr[3].row, &gr[4].row)
+	m := pairsGo(&want, a, steps, &wr[0].row, &wr[1].row, &wr[2].row, &wr[3].row, &wr[4].row)
+	what := fmt.Sprintf("width %d, states %x, multiplier %#x, %d steps", simd.Width, gen, a, steps)
+	if n != m {
+		t.Fatalf("%s: %d pairs accepted, portable %d", what, n, m)
+	}
+	if got != want {
+		t.Fatalf("%s: states after %x, portable %x", what, got, want)
+	}
+	end := 8 * steps
+	if simd.Width >= 8 {
+		end = n
+	}
+	for r, name := range [5]string{"x1", "x2", "t", "f", "k"} {
+		for i := range n {
+			if g, w := gr[r].row[i], wr[r].row[i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: %s[%d] = %v (%#x), portable %v (%#x)", what, name, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		untouched(t, what, name, &gr[r], end)
+		untouched(t, what, name+" (portable)", &wr[r], 8*steps)
+	}
+}
+
+// TestPairsMatchPortable holds pairs to pairsGo on each path
+// (rowcheck.Modes), from random 46-bit states and multipliers over 1 to
+// sub/8 steps, and one trial in ten from states near 2^45 that
+// multiplier 1 leaves there, so that every pair is accepted and the
+// rows fill to their last entry at sub/8 steps.
+func TestPairsMatchPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	rowcheck.Modes(t, func(int) {
+		for trial := range 300 {
+			var gen [2][8]uint64
+			a := 1 + uint64(rng.Int63n(randdp.Mask))
+			for i := range gen {
+				for q := range gen[i] {
+					gen[i][q] = 1 + uint64(rng.Int63n(randdp.Mask))
+				}
+			}
+			steps := 1 + rng.Intn(sub/8)
+			if trial%10 == 0 {
+				a = 1
+				for i := range gen {
+					for q := range gen[i] {
+						gen[i][q] = 1<<45 + uint64(rng.Int63n(1<<40))
+					}
+				}
+				if trial%20 == 0 {
+					steps = sub / 8
+				}
+			}
+			comparePairs(t, gen, a, steps)
+		}
+	})
+}
+
+// FuzzPairs holds the host's pairs to pairsGo on raw lane states: the
+// first 128 bytes of the input are the sixteen states, zero where it is
+// short, each cut to the generator's 46 bits, as is the multiplier.
+func FuzzPairs(f *testing.F) {
+	f.Add(make([]byte, 128), uint64(amult), uint8(sub/8))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x3f, 0, 0, 1}, uint64(1), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, a uint64, steps uint8) {
+		var b [128]byte
+		copy(b[:], raw)
+		var gen [2][8]uint64
+		for i := range gen {
+			for q := range gen[i] {
+				gen[i][q] = binary.LittleEndian.Uint64(b[64*i+8*q:]) & randdp.Mask
+			}
+		}
+		comparePairs(t, gen, a&randdp.Mask, int(steps)%(sub/8+1))
+	})
+}
+
+// TestTallyChecksTheAnnulus: a bound of nq or more lies outside the
+// tallies and panics at the index check, whether it comes from g1 or
+// from g2 and whatever its sign; one just below nq counts in the last
+// annulus.
+func TestTallyChecksTheAnnulus(t *testing.T) {
+	below := math.Nextafter(nq, 0)
+	var st batchState
+	st.tally([]float64{2}, []float64{-below}, []float64{1})
+	if st.q[nq-1] != 1 || st.sx != 2 || st.sy != -below {
+		t.Fatalf("bound just below %d: %+v", nq, st)
+	}
+	for _, b := range []float64{nq, nq + 0.5, 1e18} {
+		for _, x := range [][2]float64{{b, 0}, {-b, 0}, {0, b}, {0, -b}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("x1 %v, x2 %v: no panic", x[0], x[1])
+					}
+				}()
+				st.tally([]float64{x[0]}, []float64{x[1]}, []float64{1})
+			}()
+		}
+	}
+}
+
 // TestPortableLanesReproduceGolden runs EP.S on the portable path
 // (simd.Width 1) and the AVX one (4) at one and two threads and
 // compares the verification printout and the annulus counts, as the
@@ -270,8 +451,8 @@ func TestBatchSeedJumpMatchesDirectStream(t *testing.T) {
 	}
 }
 
-// BenchmarkRunBatch times one batch of 2^mk pairs: the jump, the Fills
-// and the three loops that are all of EP's timed section.
+// BenchmarkRunBatch times one batch of 2^mk pairs: the jump and the
+// sub-blocks' passes that are all of EP's timed section.
 func BenchmarkRunBatch(b *testing.B) {
 	var scr scratch
 	var st batchState
@@ -286,5 +467,19 @@ func BenchmarkOracleBatch(b *testing.B) {
 	var st batchState
 	for i := 0; i < b.N; i++ {
 		oracleBatch(i&255, &st, x)
+	}
+}
+
+// BenchmarkPairs times pairs on one sub-block of sub pairs.
+func BenchmarkPairs(b *testing.B) {
+	var s scratch
+	g := randdp.New(seed, amult)
+	var x [16]uint64
+	a := g.Next16(&x)
+	for q := range s.gen[0] {
+		s.gen[0][q], s.gen[1][q] = x[2*q], x[2*q+1]
+	}
+	for range b.N {
+		pairs(&s.gen, a, sub/8, &s.x1, &s.x2, &s.t, &s.f, &s.k)
 	}
 }

@@ -21,9 +21,12 @@ package randdp
 
 import "fmt"
 
+// One step is x = x*a & Mask, and its number is R46*float64(int64(x)):
+// a caller that steps states of its own (EP's batch, from Next16) does
+// it with these.
 const (
-	mask = 1<<46 - 1       // 2^46 - 1
-	r46  = 1.0 / (1 << 46) // 2^-46
+	Mask = 1<<46 - 1       // 2^46 - 1
+	R46  = 1.0 / (1 << 46) // 2^-46
 )
 
 // DefaultSeed is the seed used by most NPB benchmarks.
@@ -44,7 +47,7 @@ type Stream = Gen
 // when either lies outside [1, 2^46): such a value is a programming
 // error, not a sequence.
 func New(seed, a uint64) Gen {
-	if seed-1 >= mask || a-1 >= mask {
+	if seed-1 >= Mask || a-1 >= Mask {
 		panic(fmt.Sprintf("randdp: seed %d or multiplier %d outside [1, 2^46)", seed, a))
 	}
 	return Gen{x: seed, a: a}
@@ -70,8 +73,8 @@ func NewStream(seed, a float64) *Stream {
 //
 // Hot path: one draw; IS key generation and CG's sprnvc call it per number.
 func (g *Gen) Next() float64 {
-	g.x = g.x * g.a & mask
-	return r46 * float64(int64(g.x))
+	g.x = g.x * g.a & Mask
+	return R46 * float64(int64(g.x))
 }
 
 // Fill fills y with the next len(y) numbers of the sequence. One chain
@@ -80,36 +83,50 @@ func (g *Gen) Next() float64 {
 // which are the same integers the single chain visits. A tail shorter
 // than four continues from the state with a.
 //
-// Hot path: the vranlc loop under EP's batches and FT/MG input generation.
+// Hot path: the vranlc loop under FT's and MG's input generation (EP's
+// batches step lanes of their own, from Next16).
 func (g *Gen) Fill(y []float64) {
 	x, a := g.x, g.a
-	x1 := x * a & mask
-	x2 := x1 * a & mask
-	x3 := x2 * a & mask
-	a4 := a * a & mask
-	a4 = a4 * a4 & mask
+	x1 := x * a & Mask
+	x2 := x1 * a & Mask
+	x3 := x2 * a & Mask
+	a4 := a * a & Mask
+	a4 = a4 * a4 & Mask
 	for ; len(y) >= 4; y = y[4:] {
 		// The wrapped 64-bit product keeps the low 46 bits of the true
 		// one; x < 2^46 converts exactly, through int64 because that is
 		// a single instruction where uint64 needs a sign fix-up.
 		q := y[:4:4]
-		x = x * a4 & mask
-		q[0] = r46 * float64(int64(x1))
-		q[1] = r46 * float64(int64(x2))
-		q[2] = r46 * float64(int64(x3))
-		q[3] = r46 * float64(int64(x))
-		x1, x2, x3 = x1*a4&mask, x2*a4&mask, x3*a4&mask
+		x = x * a4 & Mask
+		q[0] = R46 * float64(int64(x1))
+		q[1] = R46 * float64(int64(x2))
+		q[2] = R46 * float64(int64(x3))
+		q[3] = R46 * float64(int64(x))
+		x1, x2, x3 = x1*a4&Mask, x2*a4&Mask, x3*a4&Mask
 	}
 	for i := range y {
-		x = x * a & mask
-		y[i] = r46 * float64(int64(x))
+		x = x * a & Mask
+		y[i] = R46 * float64(int64(x))
 	}
 	g.x = x
 }
 
+// Next16 sets x to the next 16 states of the sequence, in order, moves
+// the generator past them and returns a^16 mod 2^46. Sixteen lanes
+// that each step by that multiplier visit, together, the integers the
+// one chain visits, as Fill's four lanes stepping by a⁴ do: lane i
+// holds the states i+1, i+17, i+33, ... places on from the start.
+func (g *Gen) Next16(x *[16]uint64) (a16 uint64) {
+	for i := range x {
+		g.x = g.x * g.a & Mask
+		x[i] = g.x
+	}
+	return pow46(g.a, 16)
+}
+
 // Skip jumps the generator ahead by n positions in O(log n) time; n <= 0
 // leaves it where it is.
-func (g *Gen) Skip(n int) { g.x = g.x * pow46(g.a, n) & mask }
+func (g *Gen) Skip(n int) { g.x = g.x * pow46(g.a, n) & Mask }
 
 // Seed returns the current raw 46-bit state.
 func (g *Gen) Seed() float64 { return float64(int64(g.x)) }
@@ -119,9 +136,9 @@ func pow46(a uint64, n int) uint64 {
 	r := uint64(1)
 	for ; n > 0; n >>= 1 {
 		if n&1 != 0 {
-			r = r * a & mask
+			r = r * a & Mask
 		}
-		a = a * a & mask
+		a = a * a & Mask
 	}
 	return r
 }

@@ -190,7 +190,7 @@ func TestSkipMatchesSingleSteps(t *testing.T) {
 func FuzzStepMatchesOracle(f *testing.F) {
 	f.Add(uint64(DefaultSeed), uint64(A)) // the rest of the corpus is under testdata/fuzz
 	f.Fuzz(func(t *testing.T, x, a uint64) {
-		x, a = x&mask, a&mask
+		x, a = x&Mask, a&Mask
 		if x == 0 || a == 0 {
 			t.Skip("outside the generator's domain")
 		}
@@ -225,7 +225,7 @@ func TestConstructorsRejectValuesOutsideDomain(t *testing.T) {
 	mustPanic("seed 2^46 as float", func() { NewStream(oT46, 0) })
 	mustPanic("seed 2^63 as float", func() { NewStream(oT46*oT23/64, 0) })
 	mustPanic("infinite seed", func() { NewStream(math.Inf(1), 0) })
-	New(mask, mask)
+	New(Mask, Mask)
 	NewStream(oT46-1, oT46-1)
 }
 
@@ -394,8 +394,8 @@ func BenchmarkOracleVranlc(b *testing.B) {
 func oneLaneFill(g *Gen, y []float64) {
 	x, a := g.x, g.a
 	for i := range y {
-		x = x * a & mask
-		y[i] = r46 * float64(int64(x))
+		x = x * a & Mask
+		y[i] = R46 * float64(int64(x))
 	}
 	g.x = x
 }
@@ -422,6 +422,32 @@ func TestFillMatchesOneLane(t *testing.T) {
 			if g != h {
 				t.Fatalf("a %d after length %d: state %d, one lane %d", a, n, g.x, h.x)
 			}
+		}
+	}
+}
+
+// TestNext16ContinuesTheChain: the 16 states Next16 hands out, each
+// stepped by the multiplier it returns, are the states of the one chain
+// from that point in stream order, and the generator continues after
+// the 16th.
+func TestNext16ContinuesTheChain(t *testing.T) {
+	for _, a := range []uint64{uint64(A), pow46(uint64(A), 2*128*128), 3} {
+		g, h := New(uint64(DefaultSeed), a), New(uint64(DefaultSeed), a)
+		var x [16]uint64
+		a16 := g.Next16(&x)
+		for step := 0; step < 100; step++ {
+			for i := range x {
+				h.Next()
+				if x[i] != h.x {
+					t.Fatalf("a %d step %d lane %d: %d, one chain %d", a, step, i, x[i], h.x)
+				}
+				x[i] = x[i] * a16 & Mask
+			}
+		}
+		h = New(uint64(DefaultSeed), a)
+		h.Skip(16)
+		if g != h {
+			t.Fatalf("a %d: after Next16 the state is %d, 16 steps on %d", a, g.x, h.x)
 		}
 	}
 }
